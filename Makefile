@@ -38,15 +38,29 @@ test-crash:
 	$(GO) test ./internal/experiments -run 'TestCrashRecovery' -v
 	$(GO) test ./internal/galaxy -run 'TestCrashMidWorkload|TestLeaseExpiry' -v
 
-# test-journal is the sharded-journal durability suite under the race
-# detector: the per-stripe crash-table (each stripe torn independently and
-# two at once), staged-loss isolation, async-durable ack semantics (crash
-# between stage and flush must not acknowledge), watermark monotonicity
-# under concurrent flushers, and the sharded crash-requeue scenario at the
-# engine level.
+# test-journal is the journal durability suite under the race detector: the
+# per-stripe crash table (each stripe torn independently and two at once)
+# and the torn-tail replay, staged-loss isolation, async-durable ack
+# semantics (crash between stage and flush must not acknowledge), watermark
+# monotonicity under concurrent flushers, the flush-error latch, the
+# read-only flat layout and its epoch rule, and the sharded crash-requeue
+# scenario at the engine level. The tests are selected by name, and a name
+# that no longer exists would select nothing and pass: run_selected first
+# fails on any alternative of the pattern that matches no test.
+JOURNAL_TESTS ?= TestSharded|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade
+JOURNAL_GALAXY_TESTS ?= TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash
+
+define run_selected
+	@list=$$($(GO) test $(1) -list '$(2)') || exit 1; \
+	for p in $$(echo '$(2)' | tr '|' ' '); do \
+		echo "$$list" | grep '^Test' | grep -Eq "$$p" || { echo "$(1): no test matches $$p" >&2; exit 1; }; \
+	done
+	$(GO) test -race -count=1 $(1) -run '$(2)' -v
+endef
+
 test-journal:
-	$(GO) test -race ./internal/journal -run 'TestSharded|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit' -v
-	$(GO) test -race ./internal/galaxy -run 'TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash' -v
+	$(call run_selected,./internal/journal,$(JOURNAL_TESTS))
+	$(call run_selected,./internal/galaxy,$(JOURNAL_GALAXY_TESTS))
 
 # test-workflow exercises the DAG engine end to end: graph validation and
 # scheduling in internal/workflow, the galaxy-level DAG surface (fan-out,
@@ -112,9 +126,8 @@ obs-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# bench-dispatch measures the submit hot path (legacy global lock vs the
-# lock-split engine with the sharded group-commit journal, sync and async
-# acks), writes the numbers to BENCH_dispatch.json, and fails if durable
+# bench-dispatch measures the submit hot path (the lock-split engine without
+# a journal, with it under sync acks and under async acks), writes the numbers to BENCH_dispatch.json, and fails if durable
 # jobs/sec at any swept concurrency fell more than 20% below the committed
 # baseline. Quick mode is noisy on shared runners, so the gate takes the
 # best of 3 runs per metric; the JSON records bench_runs so the artifact

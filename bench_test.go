@@ -155,7 +155,7 @@ func BenchmarkSubmitDispatch(b *testing.B) {
 		submitAll(b, g)
 	})
 	b.Run("group-commit", func(b *testing.B) {
-		j, err := journal.Open(b.TempDir(), journal.Options{DurableSubmits: true, GroupCommit: true})
+		j, err := journal.Open(b.TempDir(), journal.Options{DurableSubmits: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func main() {
 		policy      = flag.String("policy", "pid", "multi-GPU allocation policy: pid, memory, utilization")
 		seed        = flag.Uint64("seed", 42, "synthetic dataset seed")
 		journalDir  = flag.String("journal", "", "job-state journal directory (empty disables durability)")
-		shards      = flag.Int("journal-shards", journal.DefaultShards, "journal stripe count: independent write+fsync pipelines (1 pins the flat single-pipeline layout)")
+		shards      = flag.Int("journal-shards", journal.DefaultShards, "journal stripe count: independent write+fsync pipelines, each under its own shard-NN/ directory")
 		asyncAck    = flag.Bool("async-durable", false, "acknowledge submits at journal stage time; durability is tracked by the commit watermark (GET /api/recovery)")
 		handler     = flag.String("handler", "main", "handler ID stamped on journal records and leases")
 		leaseTTL    = flag.Duration("lease-ttl", galaxy.DefaultLeaseTTL, "heartbeat lease TTL; a standby may adopt this handler's jobs after it expires")
@@ -122,7 +122,7 @@ func runCluster(addr string, size int, idPrefix string, seed uint64, journalDir 
 		BaseID:                idPrefix,
 		Dir:                   journalDir,
 		DisableDurableSubmits: journalDir == "",
-		Journal:               journal.Options{GroupCommit: true, Shards: shards, Adaptive: true},
+		Journal:               journal.Options{Shards: shards},
 		LeaseTTL:              leaseTTL,
 		Seed:                  seed,
 		MemberTTL:             memberTTL,
@@ -269,7 +269,7 @@ func runClusterTCP(cfg tcpConfig) error {
 		KeyOffset:   uint64(self),
 		KeyStride:   uint64(len(ids)),
 		Dir:         cfg.journalDir,
-		Journal:     journal.Options{GroupCommit: true, Shards: cfg.shards, Adaptive: true},
+		Journal:     journal.Options{Shards: cfg.shards},
 		LeaseTTL:    cfg.leaseTTL,
 		Seed:        cfg.seed,
 		Tick:        vtick,
@@ -334,16 +334,12 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, shard
 		// must come first). A missing directory replays as empty; a directory
 		// locked by a live handler refuses to open — that handler owns it.
 		recs, rerr := journal.Replay(journalDir)
-		// GroupCommit batches concurrent durable submits into shared fsyncs
-		// across -journal-shards independent stripe pipelines; the adaptive
-		// controller tunes batch size and flush delay to the disk's observed
-		// fsync cost. A sync ack waits for its batch to reach disk; with
-		// -async-durable the ack returns at stage time and durability is
-		// tracked by the commit watermark.
-		j, err := journal.Open(journalDir, journal.Options{
-			DurableSubmits: true, GroupCommit: true,
-			Shards: shards, Adaptive: true,
-		})
+		// The journal batches concurrent durable submits into shared fsyncs
+		// across -journal-shards independent stripe pipelines, pacing each
+		// flusher by the fsync cost it measures. A sync ack waits for its
+		// batch to reach disk; with -async-durable the ack returns at stage
+		// time and durability is tracked by the commit watermark.
+		j, err := journal.Open(journalDir, journal.Options{DurableSubmits: true, Shards: shards})
 		if err != nil {
 			return err
 		}

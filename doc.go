@@ -17,6 +17,13 @@
 // pyPaSWAS Smith-Waterman aligner of the paper's motivation section
 // (internal/tools/paswas).
 //
+// Around that core sit the pieces a production handler needs and the paper
+// leaves out: a batch scheduler (internal/sched), fault injection
+// (internal/faults), a crash-safe job-state journal with one staged,
+// sharded write path (internal/journal), metrics and traces (internal/obs),
+// and a multi-handler cluster over a simulated or TCP bus (internal/cluster,
+// internal/transport).
+//
 // cmd/gyanbench regenerates every figure of the paper's evaluation;
 // bench_test.go in this directory exposes the same experiments as Go
 // benchmarks. See README.md, DESIGN.md and EXPERIMENTS.md.

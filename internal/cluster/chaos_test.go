@@ -61,7 +61,6 @@ func recoverOpts(rs *workload.ReadSet, filter func(journal.Record) bool) galaxy.
 func TestClusterChaosKillMidWorkload(t *testing.T) {
 	cfg := func(cfg *Config) {
 		cfg.DisableDurableSubmits = false
-		cfg.Journal = journal.Options{SyncEvery: 8}
 		cfg.StealThreshold = 2
 	}
 	c := newTestCluster(t, 3, cfg)

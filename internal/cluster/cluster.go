@@ -387,15 +387,6 @@ func New(cfg Config) (*Cluster, error) {
 	if !cfg.DisableDurableSubmits {
 		jopts.DurableSubmits = true
 	}
-	// Production default: sharded group commit with the adaptive controller,
-	// so each member's durable submits batch into parallel stripe fsyncs. A
-	// config that sets any journal pipeline knob explicitly keeps its exact
-	// shape (Shards: 1 pins the flat single-pipeline layout).
-	if jopts.Shards == 0 && !jopts.GroupCommit {
-		jopts.GroupCommit = true
-		jopts.Shards = journal.DefaultShards
-		jopts.Adaptive = true
-	}
 	c.dirRoot = dir
 	for _, id := range cfg.Members {
 		c.order = append(c.order, id)

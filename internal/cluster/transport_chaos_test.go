@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gyan/internal/faults"
-	"gyan/internal/journal"
 	"gyan/internal/transport"
 )
 
@@ -273,7 +272,6 @@ func TestTransportChaosKillBetweenPhases(t *testing.T) {
 					faults.MsgRule{Match: faults.MsgMatch{Type: ph.msg}, Fault: md.fault, Count: 2})
 				c := newTestCluster(t, 3, func(cfg *Config) {
 					cfg.DisableDurableSubmits = false
-					cfg.Journal = journal.Options{SyncEvery: 4}
 					cfg.StealThreshold = 2
 					cfg.Seed = uint64(1 + pi*4 + mi)
 					cfg.MsgFaults = plan
@@ -448,7 +446,6 @@ func TestOrphanedPrepareRepairedByAntiEntropy(t *testing.T) {
 		})
 	c := newTestCluster(t, 3, func(cfg *Config) {
 		cfg.DisableDurableSubmits = false
-		cfg.Journal = journal.Options{SyncEvery: 2}
 		cfg.StealThreshold = 2
 		cfg.Seed = 9
 		cfg.MsgFaults = plan
@@ -624,7 +621,6 @@ func TestTransportChaosRaceHammer(t *testing.T) {
 func TestLeaseExpiryDetectsKillWithoutCoordinator(t *testing.T) {
 	c := newTestCluster(t, 3, func(cfg *Config) {
 		cfg.DisableDurableSubmits = false
-		cfg.Journal = journal.Options{SyncEvery: 2}
 		cfg.Seed = 17
 	})
 	// Let the lease table warm up.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gyan/internal/cluster"
-	"gyan/internal/journal"
 	"gyan/internal/report"
 	"gyan/internal/sched"
 	"gyan/internal/workload"
@@ -115,7 +114,6 @@ func runKillPhase(opt Options, jobs int) (map[string]float64, error) {
 	c, err := cluster.New(cluster.Config{
 		Handlers: 3,
 		Tick:     time.Second,
-		Journal:  journal.Options{SyncEvery: 16},
 		Sched:    sched.Config{Backfill: true},
 	})
 	if err != nil {

@@ -87,14 +87,14 @@ func crashGalaxy(opt Options, rs *workload.ReadSet, arrivals []time.Duration, ex
 	return g, jobs, nil
 }
 
-// auditSegments decodes every segment file in the journal directory
+// auditSegments decodes every shard's segment files in the journal directory
 // independently and returns the union of durable records plus the number of
 // segments that ended in a corruption artifact. Replay() does the same
 // skip-past-torn-tails walk internally; the audit reimplements it from raw
 // segment bytes so the experiment's invariants do not depend on the code
 // under test.
 func auditSegments(dir string) ([]journal.Record, int, error) {
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.seg"))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -145,16 +145,16 @@ func runCrashRecovery(opt Options) (*Result, error) {
 		baseline[j.ID] = j.State
 	}
 
-	// Phase 2: handler h1 runs journaled and dies at crashAt. SyncEvery 8
-	// keeps the fsync batches small enough that a meaningful durable prefix
-	// (including some completions) survives; the torn tail models a record
-	// caught mid-write by the power cut.
+	// Phase 2: handler h1 runs journaled and dies at crashAt. The Sync just
+	// before the crash makes the cut explicit — everything journaled up to
+	// crashAt is the durable prefix, so every run audits the same records —
+	// and the torn tail models a record caught mid-write by the power cut.
 	dir, err := os.MkdirTemp("", "gyan-crash-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	jA, err := journal.Open(dir, journal.Options{DurableSubmits: true, SyncEvery: 8})
+	jA, err := journal.Open(dir, journal.Options{DurableSubmits: true})
 	if err != nil {
 		return nil, err
 	}
@@ -170,6 +170,9 @@ func runCrashRecovery(opt Options) (*Result, error) {
 			preCrashOK++
 		}
 	}
+	if err := jA.Sync(); err != nil {
+		return nil, err
+	}
 	if err := jA.CrashTorn([]byte{0x40, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe}); err != nil {
 		return nil, err
 	}
@@ -178,7 +181,7 @@ func runCrashRecovery(opt Options) (*Result, error) {
 	// tail, adopts h1's jobs once the lease math proves h1 dead, and runs
 	// the workload to completion.
 	recs, rerr := journal.Replay(dir)
-	jB, err := journal.Open(dir, journal.Options{DurableSubmits: true, SyncEvery: 8})
+	jB, err := journal.Open(dir, journal.Options{DurableSubmits: true})
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +256,7 @@ func runCrashRecovery(opt Options) (*Result, error) {
 	tb.AddRow("baseline", fmt.Sprintf("%d/%d", len(baseline), len(arrivals)), "-", "-",
 		report.Seconds(baseEnd), "uninterrupted")
 	tb.AddRow("h1 (crashed)", fmt.Sprintf("%d/%d", preCrashOK, len(arrivals)), "-", "-",
-		report.Seconds(crashAt), "killed, unsynced tail lost")
+		report.Seconds(crashAt), "killed, tail torn")
 	tb.AddRow("h2 (failover)", fmt.Sprintf("%d/%d", len(recovered)-lost, len(arrivals)),
 		fmt.Sprintf("%d", rep.Requeued), fmt.Sprintf("%d", rep.Adopted),
 		report.Seconds(recEnd), fmt.Sprintf("replayed %d records", rep.Records))
@@ -282,13 +285,14 @@ func runCrashRecovery(opt Options) (*Result, error) {
 	res.Metrics["makespan_recovered"] = recEnd.Seconds()
 	res.Metrics["resumed_at"] = rep.ResumedAt.Seconds()
 	// h2's observer watched the failover from the inside; its counters must
-	// agree with the recovery report, and they carry the fsync-batch tail the
-	// report has no place for.
+	// agree with the recovery report. (The fsync-batch tail is not here: how
+	// many records a flusher finds staged is wall-clock timing, and every
+	// metric of this experiment is compared across runs; journal-overhead
+	// and dispatch-throughput report it.)
 	snapB := gB.Observer().Reg.Snapshot()
 	res.Metrics["obs_resubmits"] = snapB["gyan_resubmits_total"]
 	res.Metrics["obs_adoptions"] = snapB["gyan_adoptions_total"]
 	res.Metrics["obs_completed_ok"] = snapB[`gyan_jobs_completed_total{state="ok"}`]
-	res.Metrics["obs_fsync_batch_p95"] = snapB["gyan_journal_fsync_batch_records_p95"]
 
 	var ch timeline.Chart
 	ch.AddRecovery(rep, recEnd)
@@ -314,8 +318,8 @@ func overheadScale(opt Options) (jobs, trials int) {
 }
 
 // runJournalOverhead measures the wall-clock tax of journaling: the same
-// batch of polishing jobs with the journal off vs on (DurableSubmits plus
-// batched fsync, the gyan-server production configuration). Virtual-time
+// batch of polishing jobs with the journal off vs on (DurableSubmits over
+// the staged pipeline, the gyan-server production configuration). Virtual-time
 // metrics are identical by construction — the journal sits outside the cost
 // model — so the honest comparison is host wall-clock, min-of-3 per mode.
 func runJournalOverhead(opt Options) (*Result, error) {
@@ -386,7 +390,7 @@ func runJournalOverhead(opt Options) (*Result, error) {
 	overheadPct := (on.Seconds() - off.Seconds()) / off.Seconds() * 100
 
 	tb := report.NewTable(
-		fmt.Sprintf("%d racon jobs per mode, min of %d trials, DurableSubmits + 64-record fsync batches",
+		fmt.Sprintf("%d racon jobs per mode, min of %d trials, DurableSubmits, one fsync per flusher batch",
 			nJobs, nTrials),
 		"mode", "wall clock", "jobs/s", "appends", "fsyncs", "bytes")
 	tb.AddRow("journal off", fmt.Sprintf("%.3fs", off.Seconds()),
@@ -410,7 +414,7 @@ func runJournalOverhead(opt Options) (*Result, error) {
 	res.Text = append(res.Text, fmt.Sprintf(
 		"Journaling appends %d records (%d bytes) across %d fsync batches for the %d-job run and costs %.1f%% wall clock. "+
 			"Batched group commit keeps the durability tax under the 10%% budget: only submit acknowledgements force an fsync; "+
-			"everything else rides the 64-record batches.",
+			"everything else rides whatever batch its shard's flusher drains next.",
 		stats.Appends, stats.Bytes, stats.Syncs, nJobs, overheadPct))
 	return res, nil
 }

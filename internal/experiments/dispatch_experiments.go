@@ -3,27 +3,27 @@ package experiments
 // The dispatch-throughput experiment measures the submit hot path itself:
 // how many jobs per second the engine accepts, and what a submitter waits
 // for an acknowledgement, as the number of concurrent submitters grows.
-// Four modes bracket the design space:
+// Three modes bracket the design space:
 //
-//   - legacy:    one global mutex serializes the whole submit path and the
-//     durable journal append (fsync inline, one per submit) rides inside
-//     the critical section — the pre-lock-split engine reproduced on
-//     today's harness.
 //   - nojournal: the lock-split engine with journaling disabled — the
 //     upper bound the concurrency work can reach.
-//   - journal:   the lock-split engine with the sharded, adaptive
-//     group-commit journal — durable submits batch into shared fsyncs
-//     across independent stripe pipelines, so N concurrent submitters pay
-//     ~1/N of an fsync each and stop funneling into one file lock.
+//   - journal:   the lock-split engine with the journal — durable submits
+//     batch into shared fsyncs across independent stripe pipelines, so N
+//     concurrent submitters pay ~1/N of an fsync each and stop funneling
+//     into one file lock.
 //   - async:     the same journal with async-durable acks — Submit returns
 //     at stage time and durability is awaited in bulk on the commit
 //     watermark, so the measured throughput still counts only durable
 //     jobs while the per-submit ack drops to staging cost.
 //
+// The pre-lock-split engine (one global mutex around Submit, one inline
+// fsync per durable append) was a fourth mode until the inline writer was
+// deleted; its last measured row is frozen in EXPERIMENTS.md.
+//
 // Timing covers the submit phase only (first Submit call to last
 // acknowledgement — for async, to the watermark covering the last ticket);
 // job execution is parked behind a long dispatch delay so the measurement
-// isolates the path this PR restructured.
+// isolates the submit path.
 
 import (
 	"fmt"
@@ -35,14 +35,13 @@ import (
 
 	"gyan/internal/galaxy"
 	"gyan/internal/journal"
-	"gyan/internal/obs"
 	"gyan/internal/report"
 	"gyan/internal/workload"
 )
 
 func init() {
 	register("dispatch-throughput",
-		"Submit-path jobs/sec and P99 latency: legacy global lock vs lock-split engine with group-commit journaling",
+		"Submit-path jobs/sec and ack latency of the lock-split engine: no journal, sync-durable acks, async-durable acks",
 		runDispatchThroughput)
 }
 
@@ -61,10 +60,10 @@ func dispatchScale(opt Options) (jobs, trials int) {
 	return 4096, 3
 }
 
-// dispatchCell is one measured (mode, concurrency) point. p99 is exact
-// (full sort); p50/p95 come from an obs histogram so the BENCH JSON carries
-// the same bucketed tails /metrics exposes, and fsyncBatchP95 is the
-// group-commit batch-size tail mirrored from the engine's observer.
+// dispatchCell is one measured (mode, concurrency) point. The quantiles are
+// exact (nearest rank over the sorted acknowledgement latencies), and
+// fsyncBatchP95 is the group-commit batch-size tail mirrored from the
+// engine's observer.
 type dispatchCell struct {
 	jobsPerSec    float64
 	p50, p95, p99 time.Duration
@@ -85,13 +84,7 @@ func runDispatchCell(mode string, conc, nJobs int, rs *workload.ReadSet) (dispat
 			return cell, err
 		}
 		defer os.RemoveAll(dir)
-		jopts := journal.Options{DurableSubmits: true}
-		if mode == "journal" || mode == "async" {
-			jopts.GroupCommit = true
-			jopts.Shards = journal.DefaultShards
-			jopts.Adaptive = true
-		}
-		if j, err = journal.Open(dir, jopts); err != nil {
+		if j, err = journal.Open(dir, journal.Options{DurableSubmits: true}); err != nil {
 			return cell, err
 		}
 		gopts = append(gopts, galaxy.WithJournal(j, "bench"))
@@ -101,11 +94,6 @@ func runDispatchCell(mode string, conc, nJobs int, rs *workload.ReadSet) (dispat
 		return cell, err
 	}
 
-	// The legacy mode wraps Submit in one process-wide mutex, so the
-	// durable append's inline fsync is serialized inside the critical
-	// section exactly as the pre-lock-split engine serialized it under
-	// the engine lock.
-	var legacyMu sync.Mutex
 	lat := make([]time.Duration, nJobs)
 	var next atomic.Int64
 	var maxTick atomic.Uint64
@@ -122,14 +110,8 @@ func runDispatchCell(mode string, conc, nJobs int, rs *workload.ReadSet) (dispat
 					return
 				}
 				t0 := time.Now()
-				if mode == "legacy" {
-					legacyMu.Lock()
-				}
 				job, err := g.Submit("racon", map[string]string{"scale": "0.001"}, rs,
 					galaxy.SubmitOptions{Delay: time.Hour, AsyncDurable: mode == "async"})
-				if mode == "legacy" {
-					legacyMu.Unlock()
-				}
 				lat[i] = time.Since(t0)
 				if err != nil {
 					firstErr.CompareAndSwap(nil, &err)
@@ -168,14 +150,9 @@ func runDispatchCell(mode string, conc, nJobs int, rs *workload.ReadSet) (dispat
 			return cell, err
 		}
 	}
-	ackHist := obs.NewHistogram(obs.DefLatencyBuckets())
-	for _, d := range lat {
-		ackHist.ObserveDuration(d)
-	}
-	cell.p50 = time.Duration(ackHist.Quantile(0.50) * float64(time.Second))
-	cell.p95 = time.Duration(ackHist.Quantile(0.95) * float64(time.Second))
 	sort.Slice(lat, func(i, k int) bool { return lat[i] < lat[k] })
-	cell.p99 = lat[(99*nJobs+99)/100-1]
+	rank := func(pct int) time.Duration { return lat[(pct*nJobs+99)/100-1] }
+	cell.p50, cell.p95, cell.p99 = rank(50), rank(95), rank(99)
 	cell.jobsPerSec = float64(nJobs) / elapsed.Seconds()
 	return cell, nil
 }
@@ -186,9 +163,9 @@ func runDispatchThroughput(opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := newResult("dispatch-throughput",
-		"Submit-path jobs/sec and P99 latency: legacy global lock vs lock-split engine with group-commit journaling")
+		"Submit-path jobs/sec and ack latency of the lock-split engine: no journal, sync-durable acks, async-durable acks")
 	nJobs, nTrials := dispatchScale(opt)
-	modes := []string{"legacy", "nojournal", "journal", "async"}
+	modes := []string{"nojournal", "journal", "async"}
 
 	cells := map[string]dispatchCell{}
 	for _, mode := range modes {
@@ -217,43 +194,35 @@ func runDispatchThroughput(opt Options) (*Result, error) {
 		}
 	}
 
-	legacy16 := cells["legacy_c16"]
-	journal16 := cells["journal_c16"]
-	speedup := journal16.jobsPerSec / legacy16.jobsPerSec
-	res.Metrics["speedup_c16"] = speedup
-
 	tb := report.NewTable(
 		fmt.Sprintf("%d durable submits per cell, best of %d; submit phase only", nJobs, nTrials),
-		"submitters", "legacy jobs/s", "lock-split jobs/s", "sharded journal jobs/s",
-		"async-ack jobs/s", "legacy P99", "journal P99", "async ack P99")
+		"submitters", "lock-split jobs/s", "sharded journal jobs/s", "async-ack jobs/s",
+		"journal P50", "journal P99", "async ack P99")
 	for _, conc := range dispatchLevels {
-		l := cells[fmt.Sprintf("legacy_c%d", conc)]
 		n := cells[fmt.Sprintf("nojournal_c%d", conc)]
 		g := cells[fmt.Sprintf("journal_c%d", conc)]
 		a := cells[fmt.Sprintf("async_c%d", conc)]
 		tb.AddRow(fmt.Sprintf("%d", conc),
-			fmt.Sprintf("%.0f", l.jobsPerSec),
 			fmt.Sprintf("%.0f", n.jobsPerSec),
 			fmt.Sprintf("%.0f", g.jobsPerSec),
 			fmt.Sprintf("%.0f", a.jobsPerSec),
-			l.p99.Round(time.Microsecond).String(),
+			g.p50.Round(time.Microsecond).String(),
 			g.p99.Round(time.Microsecond).String(),
 			a.p99.Round(time.Microsecond).String())
 	}
 	res.Tables = append(res.Tables, tb)
 
-	async64 := cells["async_c64"]
-	journal64 := cells["journal_c64"]
+	journal1, journal16 := cells["journal_c1"], cells["journal_c16"]
+	journal64, async64 := cells["journal_c64"], cells["async_c64"]
 	res.Text = append(res.Text, fmt.Sprintf(
-		"At 16 concurrent submitters the lock-split engine with the sharded group-commit journal accepts %.0f jobs/s "+
-			"against the legacy global-lock engine's %.0f (%.1fx): the legacy path pays one serialized fsync per "+
-			"durable submit (%d fsyncs for %d jobs), while group commit shares each fsync across every submitter "+
-			"staged behind it (%d fsyncs) and the stripe pipelines fsync in parallel. At 64 submitters the sync-ack "+
-			"journal sustains %.0f durable jobs/s; trading the per-submit ack for the commit watermark (async mode) "+
-			"reaches %.0f durable jobs/s with staging-cost acknowledgements. The journal-free column bounds what the "+
+		"A lone submitter pays one fsync per durable submit (%d fsyncs for %d jobs, %.0f jobs/s). At 16 concurrent "+
+			"submitters the journal accepts %.0f jobs/s: group commit shares each fsync across every submitter staged "+
+			"behind it (%d fsyncs) and the stripe pipelines fsync in parallel. At 64 submitters the sync-ack journal "+
+			"sustains %.0f durable jobs/s; trading the per-submit ack for the commit watermark (async mode) reaches "+
+			"%.0f durable jobs/s with staging-cost acknowledgements. The journal-free column bounds what the "+
 			"concurrency work alone buys.",
-		journal16.jobsPerSec, legacy16.jobsPerSec, speedup,
-		legacy16.syncs, nJobs, journal16.syncs,
+		journal1.syncs, nJobs, journal1.jobsPerSec,
+		journal16.jobsPerSec, journal16.syncs,
 		journal64.jobsPerSec, async64.jobsPerSec))
 	return res, nil
 }

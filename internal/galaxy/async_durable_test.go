@@ -8,13 +8,10 @@ import (
 )
 
 // openShardedJournal opens a journal in the production durable
-// configuration: sharded, group-committed, adaptive.
+// configuration.
 func openShardedJournal(t *testing.T, dir string) *journal.Journal {
 	t.Helper()
-	j, err := journal.Open(dir, journal.Options{
-		DurableSubmits: true, GroupCommit: true,
-		Shards: journal.DefaultShards, Adaptive: true,
-	})
+	j, err := journal.Open(dir, journal.Options{DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,20 +175,6 @@ func WithUserQuota(n int) Option {
 	return func(g *Galaxy) { g.UserQuota = n }
 }
 
-// WithSurveyTTL lets concurrent mapping decisions within the given window
-// share one nvidia-smi survey parse instead of each re-querying and
-// re-parsing the XML. The default window is zero: only surveys taken at the
-// same virtual instant are shared, which cannot change placement decisions.
-func WithSurveyTTL(ttl time.Duration) Option {
-	return func(g *Galaxy) { g.surveyCache = smi.NewCache(ttl) }
-}
-
-// WithObserver replaces the default observability sink — tests use it to
-// share one registry across engines, or to pre-seed families.
-func WithObserver(o *obs.Observer) Option {
-	return func(g *Galaxy) { g.obsv = o }
-}
-
 // WithJobIDBase starts the job-ID allocator past n, so the first submitted
 // job gets ID n+1. A rejoining cluster member reopens its old journal
 // directory under a new incarnation; its allocator must clear every ID the

@@ -119,6 +119,9 @@ func TestScrapeMirrorsJournalAndCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Run()
+	if err := j.Sync(); err != nil { // the counters count written records, not staged ones
+		t.Fatal(err)
+	}
 
 	snap := g.Observer().Reg.Snapshot()
 	st, _ := g.JournalStats()

@@ -125,6 +125,10 @@ func TestCrashMidWorkloadRequeuesWithSeniority(t *testing.T) {
 		}
 		jobs = append(jobs, job)
 	}
+	// The cut: the four sync-acked submits are on disk, and with the
+	// flushers held nothing journaled after them ever is — the crash loses
+	// job 1's whole run, completion included.
+	j.HoldFlush(make(chan struct{}))
 	// Kill the handler mid-workload: the first job has finished, later
 	// ones are still queued behind their delays.
 	g.Engine.RunUntil(45 * time.Second)

@@ -2,6 +2,9 @@ package journal
 
 import (
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -34,6 +37,40 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add([]byte("not a journal at all"))
+	// Every file of a mixed directory: a flat-layout segment an older
+	// version left, beside the shard segments and the snapshot a writer
+	// produces today (real tickets, an incarnation epoch in the high bits).
+	mixed := f.TempDir()
+	writeFlat(f, mixed, segName(1), testRecords(3))
+	j, err := Open(mixed, Options{Shards: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range testRecords(2 * shardWindow) {
+		if err := j.Append(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := j.WriteSnapshot(testRecords(2)); err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Append(Record{Type: TypeComplete, Job: 1, State: "ok"}); err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	err = filepath.WalkDir(mixed, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) == "" { // the LOCK file
+			return err
+		}
+		b, err := os.ReadFile(path)
+		f.Add(b)
+		return err
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReplayBytes(data)

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Group-commit contract tests. The properties pinned here are the ones the
+// Staged-pipeline contract tests. The properties pinned here are the ones the
 // galaxy dispatch path depends on: a durable append is on disk before it
 // returns, per-job record order survives concurrent staging, and a crash
 // between stage and flush loses whole batches from the tail — never the
@@ -16,8 +16,13 @@ import (
 
 func gcOpen(t *testing.T, dir string, opts Options) *Journal {
 	t.Helper()
-	opts.GroupCommit = true
-	j, err := Open(dir, opts)
+	return gcOpenCap(t, dir, opts, defaultLaneCap)
+}
+
+// gcOpenCap opens a journal with a tiny lane bound, so a test can fill one.
+func gcOpenCap(t *testing.T, dir string, opts Options, laneCap int) *Journal {
+	t.Helper()
+	j, err := open(dir, opts, laneCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +72,16 @@ func TestFlushErrorLatchesJournal(t *testing.T) {
 	if err := j.Append(Record{Type: TypeSubmit, Job: 8, Tool: "racon", Handler: "h1"}); err == nil {
 		t.Fatal("append accepted after a flusher write error")
 	}
+	// The failed journal still holds its files and the flock: Close reports
+	// the failure and releases them.
+	if err := j.Close(); err == nil {
+		t.Fatal("Close hid the flush failure")
+	}
+	j2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after a failed journal's Close: %v", err)
+	}
+	j2.Close()
 }
 
 func TestGroupCommitRoundTrip(t *testing.T) {
@@ -96,7 +111,7 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 // though nothing ever called Sync or Close.
 func TestGroupCommitDurableAckIsOnDisk(t *testing.T) {
 	dir := t.TempDir()
-	j := gcOpen(t, dir, Options{DurableSubmits: true, SyncEvery: 1 << 20})
+	j := gcOpen(t, dir, Options{DurableSubmits: true})
 	acked := Record{Type: TypeSubmit, At: time.Second, Job: 7, Tool: "racon", Handler: "h1"}
 	if err := j.Append(acked); err != nil {
 		t.Fatal(err)
@@ -136,7 +151,7 @@ func TestGroupCommitCrashBetweenStageAndFlush(t *testing.T) {
 	// Park the flusher, then stage batch 2 behind it: a non-durable record
 	// for job 1 and a durable submit for job 2 whose Append blocks.
 	hold := make(chan struct{})
-	j.gc.setHoldFlush(hold)
+	j.HoldFlush(hold)
 	if err := j.Append(Record{Type: TypeComplete, At: 3 * time.Second, Job: 1, State: "ok"}); err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +170,8 @@ func TestGroupCommitCrashBetweenStageAndFlush(t *testing.T) {
 	if err := j.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-durableErr; !errors.Is(err, errGCCrashed) {
-		t.Fatalf("dropped durable waiter got %v, want errGCCrashed", err)
+	if err := <-durableErr; !errors.Is(err, errCrashed) {
+		t.Fatalf("dropped durable waiter got %v, want errCrashed", err)
 	}
 
 	got, err := Replay(dir)
@@ -180,7 +195,7 @@ func TestGroupCommitCrashBetweenStageAndFlush(t *testing.T) {
 // last-record-wins folding needs.
 func TestGroupCommitPerJobOrderUnderConcurrency(t *testing.T) {
 	dir := t.TempDir()
-	j := gcOpen(t, dir, Options{DurableSubmits: true, GroupCommitRing: 8})
+	j := gcOpenCap(t, dir, Options{DurableSubmits: true}, 8)
 	const jobs, steps = 24, 40
 	var wg sync.WaitGroup
 	errs := make(chan error, jobs)
@@ -239,7 +254,7 @@ func TestGroupCommitSyncDrainsStaged(t *testing.T) {
 	dir := t.TempDir()
 	j := gcOpen(t, dir, Options{})
 	hold := make(chan struct{})
-	j.gc.setHoldFlush(hold)
+	j.HoldFlush(hold)
 	for i := 0; i < 5; i++ {
 		if err := j.Append(Record{Type: TypeStart, At: time.Duration(i), Job: 1, Epoch: i + 1}); err != nil {
 			t.Fatal(err)
@@ -261,18 +276,27 @@ func TestGroupCommitSyncDrainsStaged(t *testing.T) {
 }
 
 // TestGroupCommitAppendAfterClose verifies late appenders are rejected, not
-// stranded.
+// stranded, and that a closed and a crashed journal answer with the same
+// sentinel.
 func TestGroupCommitAppendAfterClose(t *testing.T) {
-	dir := t.TempDir()
-	j := gcOpen(t, dir, Options{DurableSubmits: true})
-	if err := j.Append(Record{Type: TypeSubmit, At: time.Second, Job: 1, Tool: "racon"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(Record{Type: TypeSubmit, At: 2 * time.Second, Job: 2, Tool: "racon"}); err == nil {
-		t.Fatal("append after close succeeded")
+	for name, end := range map[string]func(*Journal) error{
+		"close": (*Journal).Close,
+		"crash": (*Journal).Crash,
+	} {
+		j := gcOpen(t, t.TempDir(), Options{DurableSubmits: true})
+		if err := j.Append(Record{Type: TypeSubmit, At: time.Second, Job: 1, Tool: "racon"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := end(j); err != nil {
+			t.Fatal(err)
+		}
+		late := Record{Type: TypeSubmit, At: 2 * time.Second, Job: 2, Tool: "racon"}
+		if err := j.Append(late); !errors.Is(err, errClosed) {
+			t.Fatalf("Append after %s: %v, want errClosed", name, err)
+		}
+		if _, err := j.AppendAsync(late); !errors.Is(err, errClosed) {
+			t.Fatalf("AppendAsync after %s: %v, want errClosed", name, err)
+		}
 	}
 }
 
@@ -281,9 +305,9 @@ func TestGroupCommitAppendAfterClose(t *testing.T) {
 // then drain once the flusher resumes.
 func TestGroupCommitBackpressure(t *testing.T) {
 	dir := t.TempDir()
-	j := gcOpen(t, dir, Options{GroupCommitRing: 2})
+	j := gcOpenCap(t, dir, Options{}, 2)
 	hold := make(chan struct{})
-	j.gc.setHoldFlush(hold)
+	j.HoldFlush(hold)
 
 	const n = 10
 	done := make(chan error, n)
@@ -293,7 +317,7 @@ func TestGroupCommitBackpressure(t *testing.T) {
 			done <- j.Append(Record{Type: TypeStart, At: at, Job: 1, Epoch: 1})
 		}()
 	}
-	// With a ring of 2 on job 1's stripe, at most 2 appends can be staged;
+	// With a bound of 2 on job 1's lane, at most 2 appends can be staged;
 	// the rest must be parked in the backpressure wait.
 	time.Sleep(50 * time.Millisecond)
 	completed := 0
@@ -377,7 +401,7 @@ func TestGroupCommitStats(t *testing.T) {
 	dir := t.TempDir()
 	j := gcOpen(t, dir, Options{DurableSubmits: true})
 	hold := make(chan struct{})
-	j.gc.setHoldFlush(hold)
+	j.HoldFlush(hold)
 	const n = 64
 	var wg sync.WaitGroup
 	for i := 1; i <= n; i++ {
@@ -393,11 +417,8 @@ func TestGroupCommitStats(t *testing.T) {
 	// flusher: the whole backlog drains as a handful of batches.
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		staged := 0
-		for i := range j.gc.stripes {
-			s := &j.gc.stripes[i]
-			s.mu.Lock()
-			staged += len(s.entries)
-			s.mu.Unlock()
+		for _, ss := range j.Stats().Shards {
+			staged += ss.Staged
 		}
 		if staged == n {
 			break

@@ -1,9 +1,9 @@
 package journal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,50 +14,33 @@ import (
 	"time"
 )
 
-// Options tune a journal's durability/throughput trade-off.
+// Options configure a journal. The zero value is the production
+// configuration: DefaultShards staged pipelines, adaptive group commit.
 type Options struct {
 	// SegmentBytes rotates to a new segment once the current one reaches
 	// this size; zero defaults to 1 MiB. A segment always holds at least
 	// one record, however large.
 	SegmentBytes int64
-	// SyncEvery fsyncs after this many appends (group commit); zero
-	// defaults to 64, 1 syncs every append, negative never syncs on
-	// append (rotation and Close still do).
-	SyncEvery int
-	// DurableSubmits fsyncs immediately on submit and adopt records, so a
-	// job acknowledged to the user can never be lost to a crash. The rest
-	// of the stream keeps the batched policy — a lost start or complete
-	// record only costs a re-execution, never a job.
+	// DurableSubmits makes Append block on submit and ownership records
+	// until the batch holding them is fsynced, so a job acknowledged to the
+	// user can never be lost to a crash. Other records return once staged —
+	// a lost start or complete record only costs a re-execution, never a
+	// job.
 	DurableSubmits bool
-	// GroupCommit moves writes and fsyncs off the appender's path: records
-	// are staged into bounded per-stripe rings and dedicated flusher
-	// goroutines batch them into single write+fsync passes. The
-	// DurableSubmits contract is preserved — a durable Append still blocks
-	// until its batch's fsync — but concurrent submitters share one fsync
-	// instead of serializing on one each. See groupcommit.go.
-	GroupCommit bool
-	// GroupCommitRing bounds each staging stripe (backpressure); zero
-	// defaults to 1024 entries.
-	GroupCommitRing int
-	// Shards splits the journal into that many independent write+fsync
-	// pipelines, each with its own segment files (under dir/shard-NN/),
-	// rotation and fsync cadence, so concurrent appenders stop funneling
-	// into one file lock. Global order is preserved logically: every record
-	// carries a commit ticket, on-disk order equals ticket order within a
-	// shard, and Replay merges the shards back into total ticket order.
-	// Zero and one both mean the single-pipeline legacy layout (segments
-	// directly in dir); production wiring passes DefaultShards.
+	// Shards is the number of independent write+fsync pipelines, each with
+	// its own segment files (under dir/shard-NN/), rotation and flusher, so
+	// concurrent appenders stop funneling into one file. Global order is
+	// preserved logically: every record carries a commit ticket and Replay
+	// sorts the shards back into total ticket order. Zero means
+	// DefaultShards; one is the same pipeline with a single stripe.
 	Shards int
-	// Adaptive enables the adaptive group-commit controller: each shard's
-	// flusher tunes its flush deadline and batch target online from the
-	// observed fsync-duration EWMA — long fsyncs buy bigger batches, short
-	// ones buy lower latency. Only meaningful with GroupCommit.
+	// Deprecated: group commit is the only write path; nothing reads this.
+	GroupCommit bool
+	// Deprecated: the adaptive controller is always on; nothing reads this.
 	Adaptive bool
 }
 
-// DefaultShards is the shard count production wiring uses (gyan-server,
-// cluster members, the dispatch experiment). Options' zero value stays at
-// one shard so existing single-pipeline journals keep their on-disk layout.
+// DefaultShards is the shard count Options' zero value opens.
 const DefaultShards = 8
 
 // maxShards bounds Options.Shards (shard directories are two-digit).
@@ -67,7 +50,7 @@ const maxShards = 64
 type ShardStats struct {
 	// Shard is the stripe index.
 	Shard int
-	// Appends is the number of records appended to this stripe.
+	// Appends is the number of records written to this stripe.
 	Appends int
 	// Syncs is the number of fsync calls this stripe issued.
 	Syncs int
@@ -79,8 +62,8 @@ type ShardStats struct {
 	Segment int
 	// Segments is the number of live segment files on disk.
 	Segments int
-	// Staged is the number of group-commit entries currently staged in
-	// this stripe's rings (zero without GroupCommit).
+	// Staged is the number of records parked in this stripe's lanes,
+	// waiting for its flusher.
 	Staged int
 }
 
@@ -88,7 +71,7 @@ type ShardStats struct {
 // and the recovery status API. The aggregate fields sum over every shard;
 // Shards carries the per-stripe breakdown.
 type Stats struct {
-	// Appends is the number of records appended.
+	// Appends is the number of records written.
 	Appends int
 	// Syncs is the number of fsync calls issued.
 	Syncs int
@@ -103,52 +86,22 @@ type Stats struct {
 	Watermark uint64
 	// Tick is the highest ticket issued so far.
 	Tick uint64
-	// FsyncEWMA and FlushDelay expose the adaptive controller's state
-	// (zero unless Options.Adaptive): the fsync-duration estimate and the
-	// flush deadline derived from it.
+	// FsyncEWMA and FlushDelay expose the adaptive controller's state: the
+	// fsync-duration estimate and the flush deadline derived from it.
 	FsyncEWMA  time.Duration `json:",omitempty"`
 	FlushDelay time.Duration `json:",omitempty"`
-	// Shards is the per-stripe breakdown (one entry even for a
-	// single-pipeline journal).
+	// Shards is the per-stripe breakdown.
 	Shards []ShardStats `json:",omitempty"`
-}
-
-// shard is one independent write+fsync pipeline: its own segment files,
-// bufio writer, rotation state and counters, all guarded by its own mutex so
-// shards never contend with each other.
-type shard struct {
-	j   *Journal
-	id  int
-	dir string
-
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	seq     int
-	size    int64
-	pending int // appends since the last fsync
-	stats   ShardStats
-	closed  bool
-	// unsyncedMin is the lowest ticket written to this shard since its
-	// last fsync (0: none) — the shard's contribution to the commit
-	// watermark. Written under mu. In GroupCommit mode the watermark scan
-	// reads it lock-free, after scanning the staging rings and the
-	// in-flight batch marker, so a ticket is visible in at least one of
-	// the three until it is durable; atomic rather than mu-guarded so that
-	// scan never parks behind another shard's in-flight fsync (mu is held
-	// across write+fsync), which would serialize the stripe pipelines
-	// against each other. Without group commit there is no in-flight
-	// marker and the scan takes mu instead — see shardMinPending.
-	unsyncedMin atomic.Uint64
 }
 
 // Journal is the append side of a write-ahead log directory. It is safe
 // for concurrent use.
 type Journal struct {
-	dir    string
-	opts   Options
-	lock   *os.File // held flock on the directory's LOCK file
-	shards []*shard
+	dir     string
+	opts    Options
+	laneCap int      // defaultLaneCap, except in the backpressure tests
+	lock    *os.File // held flock on the directory's LOCK file
+	shards  []*shard
 
 	// tick issues commit tickets: a journal-wide total order over records.
 	// The high bits hold the incarnation epoch (see Open), so tickets from
@@ -163,33 +116,34 @@ type Journal struct {
 	wmCond *sync.Cond
 	wmErr  error
 
+	// err is the journal's one terminal state, and what appends get once it
+	// is set: nil while open, the I/O error after a failed flush, errClosed
+	// after Close or Crash. Whoever moves it off nil closes quit (stopping
+	// the flushers); whoever moves it to errClosed owns the files and the
+	// flock. A lane observes it under its own lock after latch's broadcast.
 	stateMu sync.Mutex
-	closed  bool
+	err     error
+	quit    chan struct{}
+	// hold, when non-nil, parks every flusher before each drain until the
+	// channel is closed — see HoldFlush.
+	hold chan struct{}
 
 	// stageGate serializes ticket issue against WriteSnapshot: appenders
-	// hold it shared for the stage/write, the snapshot holds it exclusive
-	// while stamping its own tickets, so no in-flight append can take a
-	// ticket below the snapshot's cutoff and then be wrongly dropped by
-	// the tick-filtered replay.
+	// hold it shared while staging, the snapshot holds it exclusive while
+	// stamping its own tickets, so no in-flight append can take a ticket
+	// below the snapshot's cutoff and then be wrongly dropped by the
+	// tick-filtered replay.
 	stageGate sync.RWMutex
 
 	// onSync/onShardSync, when set, observe each fsync that made appended
-	// records durable: the batch size (appends since the previous fsync)
-	// and how long the disk took. The callbacks run with the shard's mu
-	// held and must not call back into the journal.
+	// records durable: the batch size (records since the previous fsync)
+	// and how long the disk took.
 	obsMu       sync.Mutex
 	onSync      func(records int, took time.Duration)
 	onShardSync func(shard, records int, took time.Duration)
 
-	// ctl is the adaptive group-commit controller (nil unless
-	// Options.Adaptive).
-	ctl *adaptiveCtl
-
-	// gc is the group-commit machinery (nil unless Options.GroupCommit).
-	// It lives outside the shard mutexes: Append stages records through it
-	// without touching any file, and its per-shard flusher goroutines call
-	// back into writeBatch under their shard's mu.
-	gc *committer
+	// ctl paces the flushers from the fsync cost they measure.
+	ctl adaptiveCtl
 }
 
 const (
@@ -204,8 +158,11 @@ const (
 // 2^24 restarts, 2^40 tickets per incarnation.
 const tickEpochShift = 40
 
-func segName(seq int) string    { return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix) }
-func snapName(seq int) string   { return fmt.Sprintf("%s%08d%s", snapPrefix, seq, snapSuffix) }
+func seqName(prefix string, seq int, suffix string) string {
+	return fmt.Sprintf("%s%08d%s", prefix, seq, suffix)
+}
+func segName(seq int) string    { return seqName(segPrefix, seq, segSuffix) }
+func snapName(seq int) string   { return seqName(snapPrefix, seq, snapSuffix) }
 func shardDirName(i int) string { return fmt.Sprintf("%s%02d", shardPrefix, i) }
 
 // parseSeq extracts the sequence number from a segment or snapshot file
@@ -242,7 +199,7 @@ func listSeqs(dir, prefix, suffix string) ([]int, error) {
 }
 
 // listShardDirs returns the sorted shard subdirectory names of a journal
-// directory (empty for a single-pipeline journal).
+// directory.
 func listShardDirs(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -266,8 +223,11 @@ func listShardDirs(dir string) ([]string, error) {
 
 // Open creates (or reopens) a journal directory for appending. Existing
 // segments are never written to again: each shard's appends go to a fresh
-// segment after that shard's highest existing sequence, so a torn tail from
-// a previous crash stays isolated in its own file.
+// segment above every sequence number in the directory, so a torn tail from
+// a previous crash stays isolated in its own file. The flat layout older
+// versions wrote (wal-* directly in dir) is a read format only: Replay
+// still merges it, Open never appends to it, and the next WriteSnapshot
+// compacts it away.
 //
 // Open takes an exclusive flock(2) on the directory's LOCK file and holds
 // it until Close (or Crash, which models process death). A second live
@@ -276,14 +236,16 @@ func listShardDirs(dir string) ([]string, error) {
 // journal. The kernel releases the lock when the holder dies, so a standby
 // can tell a crashed owner (Open succeeds) from a live one (ErrLocked).
 func Open(dir string, opts Options) (*Journal, error) {
+	return open(dir, opts, defaultLaneCap)
+}
+
+// open is Open with the lane bound exposed, for the backpressure tests.
+func open(dir string, opts Options, laneCap int) (*Journal, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 1 << 20
 	}
-	if opts.SyncEvery == 0 {
-		opts.SyncEvery = 64
-	}
 	if opts.Shards <= 0 {
-		opts.Shards = 1
+		opts.Shards = DefaultShards
 	}
 	if opts.Shards > maxShards {
 		opts.Shards = maxShards
@@ -307,67 +269,58 @@ func Open(dir string, opts Options) (*Journal, error) {
 	// epochs — reopening never reuses one, whatever layout the directory
 	// started with.
 	maxSeq := 0
-	bump := func(seqs []int) {
-		if len(seqs) > 0 && seqs[len(seqs)-1] > maxSeq {
-			maxSeq = seqs[len(seqs)-1]
+	bump := func(dir, prefix, suffix string) error {
+		seqs, err := listSeqs(dir, prefix, suffix)
+		if n := len(seqs); n > 0 && seqs[n-1] > maxSeq {
+			maxSeq = seqs[n-1]
 		}
+		return err
 	}
-	topSegs, err := listSeqs(dir, segPrefix, segSuffix)
-	if err != nil {
-		return fail(err)
-	}
-	bump(topSegs)
-	snaps, err := listSeqs(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		return fail(err)
-	}
-	bump(snaps)
 	shardDirs, err := listShardDirs(dir)
-	if err != nil {
-		return fail(err)
+	if err == nil {
+		err = bump(dir, segPrefix, segSuffix)
+	}
+	if err == nil {
+		err = bump(dir, snapPrefix, snapSuffix)
 	}
 	for _, sd := range shardDirs {
-		segs, err := listSeqs(filepath.Join(dir, sd), segPrefix, segSuffix)
-		if err != nil {
-			return fail(err)
+		if err == nil {
+			err = bump(filepath.Join(dir, sd), segPrefix, segSuffix)
 		}
-		bump(segs)
+	}
+	if err != nil {
+		return fail(err)
 	}
 
-	j := &Journal{dir: dir, opts: opts, lock: lock}
+	j := &Journal{dir: dir, opts: opts, laneCap: laneCap, lock: lock, quit: make(chan struct{})}
 	j.wmCond = sync.NewCond(&j.wmMu)
 	j.tick.Store(uint64(maxSeq+1) << tickEpochShift)
 	j.wm.Store(j.tick.Load())
-	if opts.Adaptive {
-		j.ctl = &adaptiveCtl{}
-	}
 	for i := 0; i < opts.Shards; i++ {
-		sdir := dir
+		sdir := filepath.Join(dir, shardDirName(i))
+		if err := os.MkdirAll(sdir, 0o755); err != nil {
+			return fail(fmt.Errorf("journal: create %s: %w", sdir, err))
+		}
+		s := newShard(j, i, sdir)
+		j.shards = append(j.shards, s)
 		// Every shard's first segment opens above the journal-wide max, not
 		// just above that shard's own tail. Seeding from the shard's tail
-		// alone would break the epoch on the legacy→sharded upgrade path: a
-		// single-pipeline journal's top-level wal-* files pin maxSeq high,
-		// fresh shard dirs would start at seg 1 and never catch up, so every
-		// crash incarnation would recompute the same maxSeq and reissue the
-		// same epoch — duplicating commit tickets across incarnations and
+		// alone would break the epoch over a directory that still holds
+		// flat-layout wal-* files: they pin maxSeq high, fresh shard dirs
+		// would start at seg 1 and never catch up, so every crash
+		// incarnation would recompute the same maxSeq and reissue the same
+		// epoch — duplicating commit tickets across incarnations and
 		// breaking replay's last-record-wins fold. Opening at maxSeq+1 makes
-		// any incarnation's mere existence raise the next Open's maxSeq, so
-		// the epoch is strictly increasing however the layout got here.
-		seq := maxSeq
-		if opts.Shards > 1 {
-			sdir = filepath.Join(dir, shardDirName(i))
-			if err := os.MkdirAll(sdir, 0o755); err != nil {
-				return fail(fmt.Errorf("journal: create %s: %w", sdir, err))
+		// any incarnation's mere existence raise the next Open's maxSeq.
+		if err := s.openSegment(maxSeq + 1); err != nil {
+			for _, s := range j.shards[:i] {
+				s.f.Close()
 			}
-		}
-		s := &shard{j: j, id: i, dir: sdir, stats: ShardStats{Shard: i}}
-		j.shards = append(j.shards, s)
-		if err := s.openSegment(seq + 1); err != nil {
 			return fail(err)
 		}
 	}
-	if opts.GroupCommit {
-		j.gc = newCommitter(j, opts.GroupCommitRing)
+	for _, s := range j.shards {
+		go s.run()
 	}
 	return j, nil
 }
@@ -390,8 +343,9 @@ func (j *Journal) Dir() string { return j.dir }
 const shardWindow = 16
 
 // shardFor maps an append key (the record's job ID) to its pipeline. The
-// mapping is stable, so one job's records always land in one shard and
-// per-job order on disk follows from per-shard ticket order.
+// mapping is stable, so one job's records always land in one shard (lease
+// records share shard 0) and per-job order on disk follows from per-lane
+// ticket order.
 func (j *Journal) shardFor(key int) *shard {
 	return j.shards[(uint(key)/shardWindow)%uint(len(j.shards))]
 }
@@ -407,9 +361,7 @@ func (j *Journal) Stats() Stats {
 		if segs, err := listSeqs(s.dir, segPrefix, segSuffix); err == nil {
 			ss.Segments = len(segs)
 		}
-		if j.gc != nil {
-			ss.Staged = j.gc.stagedFor(s.id)
-		}
+		ss.Staged = int(s.queued.Load())
 		out.Appends += ss.Appends
 		out.Syncs += ss.Syncs
 		out.Rotations += ss.Rotations
@@ -421,62 +373,9 @@ func (j *Journal) Stats() Stats {
 	}
 	out.Watermark = j.wm.Load()
 	out.Tick = j.tick.Load()
-	if j.ctl != nil {
-		out.FsyncEWMA = j.ctl.ewma()
-		out.FlushDelay = j.ctl.flushDelay()
-	}
+	out.FsyncEWMA = j.ctl.ewma()
+	out.FlushDelay = j.ctl.flushDelay()
 	return out
-}
-
-// openSegment starts a fresh segment with s.mu held (or before the journal
-// is shared).
-func (s *shard) openSegment(seq int) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(seq)), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: open segment: %w", err)
-	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	s.seq = seq
-	s.size = 0
-	return nil
-}
-
-// syncLocked flushes the buffer and fsyncs the current segment. On success
-// every ticket written to this shard is durable, so its watermark
-// contribution clears.
-func (s *shard) syncLocked() error {
-	if s.w != nil {
-		if err := s.w.Flush(); err != nil {
-			return fmt.Errorf("journal: flush: %w", err)
-		}
-	}
-	if s.f != nil {
-		batch := s.pending
-		t0 := time.Now()
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("journal: fsync: %w", err)
-		}
-		s.stats.Syncs++
-		took := time.Since(t0)
-		if batch > 0 {
-			if s.j.ctl != nil {
-				s.j.ctl.observe(batch, took)
-			}
-			s.j.obsMu.Lock()
-			onSync, onShardSync := s.j.onSync, s.j.onShardSync
-			s.j.obsMu.Unlock()
-			if onSync != nil {
-				onSync(batch, took)
-			}
-			if onShardSync != nil {
-				onShardSync(s.id, batch, took)
-			}
-		}
-	}
-	s.pending = 0
-	s.unsyncedMin.Store(0)
-	return nil
 }
 
 // SetSyncObserver installs (or, with nil, removes) the fsync observer. The
@@ -497,40 +396,6 @@ func (j *Journal) SetShardSyncObserver(fn func(shard, records int, took time.Dur
 	j.obsMu.Unlock()
 }
 
-// rotateLocked seals the current segment and opens the next one.
-func (s *shard) rotateLocked() error {
-	if err := s.syncLocked(); err != nil {
-		return err
-	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("journal: close segment: %w", err)
-	}
-	s.stats.Rotations++
-	return s.openSegment(s.seq + 1)
-}
-
-// writeEncodedLocked writes one already-encoded record with s.mu held:
-// segment rotation, buffered write and counter updates, no fsync decision.
-// tick registers the record in the shard's watermark accounting.
-func (s *shard) writeEncodedLocked(buf []byte, tick uint64) error {
-	if s.size > 0 && s.size+int64(len(buf)) > s.j.opts.SegmentBytes {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	if _, err := s.w.Write(buf); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	s.size += int64(len(buf))
-	s.stats.Appends++
-	s.stats.Bytes += int64(len(buf))
-	s.pending++
-	if m := s.unsyncedMin.Load(); tick != 0 && (m == 0 || tick < m) {
-		s.unsyncedMin.Store(tick)
-	}
-	return nil
-}
-
 // durableType reports whether a record type is on the DurableSubmits fsync
 // list: submissions and every ownership move. A crash must never un-ack a
 // submit, and it must never leave two handlers believing they own the same
@@ -544,12 +409,12 @@ func durableType(t Type) bool {
 	return false
 }
 
-var errClosed = errors.New("journal: append to closed journal")
+// errClosed rejects appends and snapshots after Close or Crash.
+var errClosed = errors.New("journal: closed")
 
-// Append writes one record. Depending on the options and the record type
-// the write may be buffered (group commit) or fsynced before returning. In
-// GroupCommit mode the record is staged for its shard's flusher goroutine
-// instead; a durable record still blocks until its batch reaches disk.
+// Append stages one record for its shard's flusher. A durable-class record
+// (see Options.DurableSubmits) blocks until its batch reaches disk; any
+// other returns as soon as it is staged.
 func (j *Journal) Append(rec Record) error {
 	_, err := j.append(rec, true)
 	return err
@@ -560,10 +425,7 @@ func (j *Journal) Append(rec Record) error {
 // ticket it was assigned. The caller trades the per-record durability ack
 // for throughput and awaits durability in bulk instead — AwaitDurable(tick)
 // (or polling Watermark) reports when the record is on disk. A crash before
-// the flush drops the record exactly as it drops staged records today; the
-// ticket then never reaches the watermark. Without GroupCommit there is no
-// flusher to complete the ack later, so the call degrades to the
-// synchronous fsync and the ticket is durable on return.
+// the flush drops the record; the ticket then never reaches the watermark.
 func (j *Journal) AppendAsync(rec Record) (uint64, error) {
 	return j.append(rec, false)
 }
@@ -572,72 +434,18 @@ func (j *Journal) append(rec Record, wait bool) (uint64, error) {
 	j.stageGate.RLock()
 	defer j.stageGate.RUnlock()
 	durable := j.opts.DurableSubmits && durableType(rec.Type)
-	if j.gc != nil {
-		return j.gc.append(rec, durable, wait)
-	}
-	s := j.shardFor(rec.Job)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, errClosed
-	}
-	// The ticket is taken under the shard lock, so the shard's on-disk
-	// order equals ticket order; shardMinPending takes this same lock on
-	// the non-group-commit path, so the watermark scan never observes the
-	// ticket counter ahead of the shard's pending state.
-	rec.Tick = j.tick.Add(1)
-	buf, err := encodePooled(rec)
-	if err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	tick := rec.Tick
-	err = s.writeEncodedLocked(buf, tick)
-	recycleFrame(buf)
-	if err != nil {
-		s.mu.Unlock()
-		return tick, err
-	}
-	synced := false
-	// A durable-class record fsyncs here even for AppendAsync: without
-	// group commit there is no flusher to make it durable later, so the
-	// async ack degrades gracefully to the synchronous one.
-	if durable || (j.opts.SyncEvery > 0 && s.pending >= j.opts.SyncEvery) {
-		if err := s.syncLocked(); err != nil {
-			s.mu.Unlock()
-			return tick, err
-		}
-		synced = true
-	}
-	s.mu.Unlock()
-	if synced {
-		j.advanceWatermark()
-	}
-	return tick, nil
+	return j.shardFor(rec.Job).stage(rec, durable, wait)
 }
 
-// Sync forces buffered (and, in GroupCommit mode, staged) records to
-// stable storage across every shard.
+// Sync forces every staged record to stable storage across every shard.
 func (j *Journal) Sync() error {
-	if j.gc != nil {
-		if err := j.gc.flush(); err != nil {
-			return err
-		}
-	}
+	var first error
 	for _, s := range j.shards {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			continue
+		if err := s.flush(); err != nil && first == nil {
+			first = err
 		}
-		if err := s.syncLocked(); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		s.mu.Unlock()
 	}
-	j.advanceWatermark()
-	return nil
+	return first
 }
 
 // Watermark returns the commit watermark: the highest ticket t such that
@@ -671,14 +479,12 @@ func (j *Journal) AwaitDurable(tick uint64) error {
 // advanceWatermark recomputes and publishes the commit watermark. The tick
 // counter is read before scanning pending state: any ticket issued after
 // the read is above the candidate watermark by construction, and any ticket
-// issued before it is visible in a staging ring, the in-flight batch marker
-// or a shard's unsynced minimum (in that scan order — state only ever moves
-// forward along that chain, and each move makes the next location visible
-// before clearing the previous one) until it is durable.
+// issued before it is visible in a staging lane or the in-flight batch
+// marker (see shard.minPending) until it is durable.
 func (j *Journal) advanceWatermark() {
 	w := j.tick.Load()
 	for _, s := range j.shards {
-		if m := j.shardMinPending(s); m != 0 && m-1 < w {
+		if m := s.minPending(); m != 0 && m-1 < w {
 			w = m - 1
 		}
 	}
@@ -696,47 +502,6 @@ func (j *Journal) advanceWatermark() {
 	}
 }
 
-// shardMinPending returns the lowest not-yet-durable ticket owned by the
-// shard (0: none). Scan order matters; see advanceWatermark.
-func (j *Journal) shardMinPending(s *shard) uint64 {
-	min := uint64(0)
-	merge := func(v uint64) {
-		if v != 0 && (min == 0 || v < min) {
-			min = v
-		}
-	}
-	if j.gc != nil {
-		f := j.gc.flushers[s.id]
-		for _, ri := range f.rings {
-			st := &j.gc.stripes[ri]
-			st.mu.Lock()
-			if len(st.entries) > 0 {
-				merge(st.entries[0].seq)
-			}
-			st.mu.Unlock()
-		}
-		merge(f.inflightMin.Load())
-		// unsyncedMin can be read lock-free here: in GroupCommit mode the
-		// shard is only written by writeBatch, whose tickets stay covered by
-		// inflightMin (published before the rings drain, cleared only after
-		// the fsync) for the whole stage→durable journey.
-		merge(s.unsyncedMin.Load())
-		return min
-	}
-	// Without group commit there is no in-flight marker bridging the gap
-	// between ticket issue (tick.Add under s.mu in append) and the
-	// unsyncedMin store: a lock-free read could observe the ticket counter
-	// at T while the appender holding s.mu has not yet recorded T as
-	// pending, and publish a watermark covering an un-fsynced record. Take
-	// s.mu so the scan orders after any in-flight append on this shard —
-	// parking behind a synchronous fsync is acceptable on this path, which
-	// is not the throughput configuration.
-	s.mu.Lock()
-	merge(s.unsyncedMin.Load())
-	s.mu.Unlock()
-	return min
-}
-
 // failWaiters terminates parked AwaitDurable callers whose tickets will
 // never reach the watermark.
 func (j *Journal) failWaiters(err error) {
@@ -748,43 +513,97 @@ func (j *Journal) failWaiters(err error) {
 	j.wmMu.Unlock()
 }
 
-// HoldFlush parks every group-commit flusher before its next drain until ch
-// is closed (nil clears the gate). It is a deterministic test hook — the
-// window it opens (records staged but not yet flushed) is exactly what
-// crash tests need to exist reliably — and a no-op without GroupCommit.
+// HoldFlush parks every flusher before its next drain until ch is closed
+// (nil clears the gate). It is a deterministic test hook: the window it
+// opens (records staged but not yet flushed) is exactly what crash tests
+// need to exist reliably. Taking every shard's flushMu first makes the
+// install a barrier: a drain that already passed its gate check finishes
+// before the hold lands (it holds flushMu throughout — see flushGated), and
+// every drain that starts afterwards re-checks the gate under flushMu, so no
+// flusher drain can sweep records staged after this call returns.
 func (j *Journal) HoldFlush(ch chan struct{}) {
-	if j.gc != nil {
-		j.gc.setHoldFlush(ch)
+	for _, s := range j.shards {
+		s.flushMu.Lock()
+	}
+	j.stateMu.Lock()
+	j.hold = ch
+	j.stateMu.Unlock()
+	for _, s := range j.shards {
+		s.flushMu.Unlock()
 	}
 }
 
-// Close syncs and closes the journal, releasing the directory lock. In
-// GroupCommit mode the staged tail is drained first and the flushers stop.
-func (j *Journal) Close() error {
+func (j *Journal) holdGate() chan struct{} {
 	j.stateMu.Lock()
-	if j.closed {
-		j.stateMu.Unlock()
+	defer j.stateMu.Unlock()
+	return j.hold
+}
+
+func (j *Journal) terminalErr() error {
+	j.stateMu.Lock()
+	defer j.stateMu.Unlock()
+	return j.err
+}
+
+// latch moves the journal to terminal state err and returns the state it
+// found: a failure replaces only the open state, errClosed replaces both.
+// On the first move off open it takes every lane lock once — a producer
+// that read the open state under its lane lock has finished staging by
+// then, and every later one (including those parked on a full lane) sees
+// the terminal state — so nothing is staged after latch returns.
+func (j *Journal) latch(err error) (prev error) {
+	j.stateMu.Lock()
+	prev = j.err
+	if prev == nil || (err == errClosed && prev != errClosed) {
+		j.err = err
+	}
+	j.stateMu.Unlock()
+	if prev == nil {
+		for _, s := range j.shards {
+			for i := range s.lanes {
+				l := &s.lanes[i]
+				l.mu.Lock()
+				l.notFull.Broadcast()
+				l.mu.Unlock()
+			}
+		}
+	}
+	return prev
+}
+
+// fail latches the journal after a write or fsync error: appends are
+// rejected with err from here on and the flushers stop, each draining its
+// staged tail on the way out and notifying the waiters with that attempt's
+// outcome. Safe to call from inside a flusher — quit is closed, not waited
+// on. The files and the flock stay with the eventual Close or Crash.
+func (j *Journal) fail(err error) {
+	if j.latch(err) == nil {
+		close(j.quit)
+	}
+}
+
+// Close drains the staged tail, stops the flushers, syncs and closes the
+// segments and releases the directory lock.
+func (j *Journal) Close() error {
+	prev := j.latch(errClosed)
+	if prev == errClosed {
 		return nil
 	}
-	j.closed = true
-	j.stateMu.Unlock()
-	if j.gc != nil {
-		_ = j.gc.close() // final flush runs inside; write errors surface via syncLocked below
+	if prev == nil {
+		close(j.quit) // each flusher's final flush drains its staged tail
 	}
-	var serr, cerr error
+	first := prev // an earlier flush failure is still Close's to report
 	for _, s := range j.shards {
+		<-s.exit
 		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			continue
-		}
-		s.closed = true
-		if err := s.syncLocked(); err != nil && serr == nil {
-			serr = err
-		}
 		if s.f != nil {
-			if err := s.f.Close(); err != nil && cerr == nil {
-				cerr = err
+			err := s.syncLocked()
+			if cerr := s.f.Close(); err == nil {
+				err = cerr
+			}
+			s.f, s.w = nil, nil
+			if first == nil {
+				first = err
 			}
 		}
 		s.mu.Unlock()
@@ -792,86 +611,71 @@ func (j *Journal) Close() error {
 	j.advanceWatermark()
 	j.failWaiters(errClosed)
 	releaseLock(j.lock)
-	j.lock = nil
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return first
 }
 
-// Crash abandons the journal the way a killed process would: buffered
+// Crash abandons the journal the way a killed process would: staged
 // (un-fsynced) records are dropped on the floor and the file handles are
 // closed without flushing. Tests and the crash-recovery experiment use it
 // to model a handler dying mid-write.
-func (j *Journal) Crash() error { return j.CrashTorn(nil) }
+func (j *Journal) Crash() error { return j.CrashTornShards(nil) }
 
-// CrashTorn is Crash plus a torn in-flight write: after dropping the
-// buffers, the given garbage bytes are appended raw to shard 0's current
-// segment (the only segment of a single-pipeline journal), modeling a
-// record that made it partially to disk before the power went out. Replay
-// must detect and discard the torn tail.
+// CrashTorn is Crash plus a torn in-flight write: after dropping the staged
+// records, the given garbage bytes are appended raw to shard 0's current
+// segment, modeling a record that made it partially to disk before the
+// power went out. Replay must detect and discard the torn tail.
 func (j *Journal) CrashTorn(garbage []byte) error {
-	if len(garbage) == 0 {
-		return j.crashTorn(nil)
-	}
-	return j.crashTorn(map[int][]byte{0: garbage})
+	return j.CrashTornShards(map[int][]byte{0: garbage})
 }
 
-// CrashTornShards is CrashTorn for a sharded journal: each entry's garbage
+// CrashTornShards is CrashTorn with a tear per shard: each entry's garbage
 // is appended to that shard's current segment, so tests can tear any subset
 // of the stripes independently — including several at once.
 func (j *Journal) CrashTornShards(garbage map[int][]byte) error {
-	return j.crashTorn(garbage)
-}
-
-func (j *Journal) crashTorn(garbage map[int][]byte) error {
-	j.stateMu.Lock()
-	if j.closed {
-		j.stateMu.Unlock()
+	prev := j.latch(errClosed)
+	if prev == errClosed {
 		return fmt.Errorf("journal: crash on closed journal")
 	}
-	j.closed = true
-	j.stateMu.Unlock()
-	if j.gc != nil {
-		// Staged-but-unflushed records are exactly what a killed process
-		// loses; durable waiters parked on them are unblocked with an error.
-		j.gc.crash()
-	}
-	j.failWaiters(errGCCrashed)
-	var firstErr error
+	// Excluding each flusher via its flushMu means any in-flight batch
+	// finishes its write first (it was handed to the OS before the "power
+	// cut"); everything still staged after that is dropped on the floor,
+	// its tickets left under inflightMin so the watermark never passes them.
 	for _, s := range j.shards {
+		s.flushMu.Lock()
+		for _, e := range s.take() {
+			if e.done != nil {
+				e.done <- errCrashed
+			}
+			recycleFrame(e.buf)
+		}
+		s.flushMu.Unlock()
+	}
+	if prev == nil {
+		close(j.quit)
+	}
+	j.failWaiters(errCrashed)
+	var first error
+	for _, s := range j.shards {
+		<-s.exit
 		s.mu.Lock()
-		s.closed = true
-		s.w = nil // drop the buffer: un-synced records vanish
-		var path string
-		var cerr error
-		if s.f != nil {
-			path = s.f.Name()
-			cerr = s.f.Close()
-			s.f = nil
-		}
-		// s.f is nil while WriteSnapshot has the shard's segments sealed for
-		// the swap: there is no handle to close and no live segment to tear,
-		// so a crash racing a snapshot just marks the shard dead.
+		f := s.f
+		s.f, s.w = nil, nil // drop the buffer: un-synced bytes vanish
 		s.mu.Unlock()
-		if cerr != nil {
-			if firstErr == nil {
-				firstErr = cerr
-			}
+		if f == nil {
+			// WriteSnapshot has this shard's segment sealed for the swap:
+			// there is no handle to close and no live segment to tear.
 			continue
 		}
-		if path == "" {
-			continue
+		err := f.Close()
+		if g := garbage[s.id]; err == nil && len(g) > 0 {
+			err = appendGarbage(f.Name(), g)
 		}
-		if g := garbage[s.id]; len(g) > 0 {
-			if err := appendGarbage(path, g); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if first == nil {
+			first = err
 		}
 	}
 	releaseLock(j.lock) // the kernel would drop a dead process's flock
-	j.lock = nil
-	return firstErr
+	return first
 }
 
 // appendGarbage writes raw bytes to the end of a sealed segment, modeling
@@ -897,24 +701,19 @@ func appendGarbage(path string, g []byte) error {
 //
 // Snapshot records are stamped with fresh tickets under the stage gate —
 // held exclusively, so no concurrent append can take a lower ticket — which
-// is what lets the sharded replay drop superseded shard records by ticket
-// comparison alone.
+// is what lets replay drop superseded segment records by ticket comparison
+// alone.
 func (j *Journal) WriteSnapshot(recs []Record) error {
-	// Drain the group-commit stage first: the snapshot must supersede every
-	// record appended before it, including staged ones. Records staged
-	// after this drain simply land in the fresh post-snapshot segments.
-	if j.gc != nil {
-		if err := j.gc.flush(); err != nil {
-			return err
-		}
-	}
 	j.stageGate.Lock()
 	defer j.stageGate.Unlock()
-	if j.gc != nil {
-		// Entries staged between the drain above and the gate acquisition.
-		if err := j.gc.flush(); err != nil {
-			return err
-		}
+	if err := j.terminalErr(); err != nil {
+		return err
+	}
+	// Drain the lanes: the snapshot must supersede every record appended
+	// before it, including staged ones. The gate excludes appenders, so
+	// nothing can be staged behind this drain until the snapshot is in.
+	if err := j.Sync(); err != nil {
+		return err
 	}
 	// Encode before touching the log so an encoding error leaves the
 	// journal fully intact.
@@ -928,87 +727,48 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 		buf = append(buf, b...)
 	}
 	// Seal every shard's current segment; the snapshot replaces them and
-	// everything before them. The stage gate excludes appenders and the
-	// rings are drained, so no write can race the seal.
+	// everything before them.
 	sealed := make([]int, len(j.shards))
 	for _, s := range j.shards {
 		s.mu.Lock()
-		if s.closed {
+		if s.f == nil { // a Close or Crash landed since the check above
 			s.mu.Unlock()
-			return fmt.Errorf("journal: snapshot on closed journal")
+			return errClosed
 		}
-		if err := s.syncLocked(); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		if err := s.f.Close(); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("journal: close segment: %w", err)
+		err := s.syncLocked()
+		if err == nil {
+			err = s.f.Close()
 		}
 		s.f, s.w = nil, nil
 		sealed[s.id] = s.seq
 		s.mu.Unlock()
-	}
-	base := sealed[0] + 1
-	if len(j.shards) > 1 {
-		// Sharded snapshots have their own top-level seq space; replay
-		// supersession runs on tickets, the seq only has to grow.
-		base = 1
-		if snaps, err := listSeqs(j.dir, snapPrefix, snapSuffix); err == nil && len(snaps) > 0 {
-			base = snaps[len(snaps)-1] + 1
+		if err != nil {
+			j.fail(err) // a half-sealed journal must error loudly, not append
+			return fmt.Errorf("journal: seal segment: %w", err)
 		}
 	}
-
+	// Snapshots have their own top-level seq space; supersession runs on
+	// tickets, the seq only has to grow.
+	base := 1
+	if snaps, err := listSeqs(j.dir, snapPrefix, snapSuffix); err == nil && len(snaps) > 0 {
+		base = snaps[len(snaps)-1] + 1
+	}
+	ierr := j.installSnapshot(base, buf)
 	// From here on the old segments are sealed: whatever happens, Append
 	// must end up with live segments to write to or a latched journal that
 	// errors loudly — never a buffer draining into a closed file.
-	install := func() error {
-		tmp := filepath.Join(j.dir, snapName(base)+".tmp")
-		if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-			_ = os.Remove(tmp)
-			return fmt.Errorf("journal: write snapshot: %w", err)
-		}
-		if f, err := os.OpenFile(tmp, os.O_RDWR, 0); err == nil {
-			_ = f.Sync()
-			f.Close()
-		}
-		if err := os.Rename(tmp, filepath.Join(j.dir, snapName(base))); err != nil {
-			_ = os.Remove(tmp)
-			return fmt.Errorf("journal: install snapshot: %w", err)
-		}
-		return nil
-	}
-	ierr := install()
 	for _, s := range j.shards {
 		s.mu.Lock()
-		var err error
-		if s.closed {
-			// A Crash (or Close) landed while the segments were sealed: the
-			// journal is dead, so fall through to the latch below instead of
-			// resurrecting a file handle on a crashed shard.
-			err = errClosed
-		} else {
-			err = s.openSegment(sealed[s.id] + 1)
+		// A Crash or Close that landed while the segments were sealed owns
+		// the shards now: do not resurrect a file handle under it.
+		err := j.terminalErr()
+		if err == nil {
+			if err = s.openSegment(sealed[s.id] + 1); err != nil {
+				j.fail(err)
+			}
 		}
 		s.mu.Unlock()
 		if err != nil {
-			// Whoever flips closed false→true owns the directory lock's
-			// release; if a concurrent Crash/Close beat us to it, the lock is
-			// theirs (possibly already released) and must not be touched.
-			j.stateMu.Lock()
-			already := j.closed
-			j.closed = true
-			j.stateMu.Unlock()
-			for _, s2 := range j.shards {
-				s2.mu.Lock()
-				s2.closed = true
-				s2.mu.Unlock()
-			}
-			j.failWaiters(errClosed)
-			if !already {
-				releaseLock(j.lock)
-				j.lock = nil
-			}
 			if ierr != nil {
 				return ierr
 			}
@@ -1021,54 +781,66 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 		return ierr
 	}
 	// Compaction: everything the snapshot covers is garbage now — every
-	// sealed shard segment, every pre-sharding top-level segment, and every
+	// sealed shard segment, every flat-layout top-level segment, and every
 	// older snapshot.
 	for _, s := range j.shards {
-		if segs, err := listSeqs(s.dir, segPrefix, segSuffix); err == nil {
-			for _, seq := range segs {
-				if seq <= sealed[s.id] {
-					_ = os.Remove(filepath.Join(s.dir, segName(seq)))
-				}
-			}
-		}
+		removeSeqs(s.dir, segPrefix, segSuffix, sealed[s.id]+1)
 	}
-	if len(j.shards) > 1 {
-		if segs, err := listSeqs(j.dir, segPrefix, segSuffix); err == nil {
-			for _, seq := range segs {
-				_ = os.Remove(filepath.Join(j.dir, segName(seq)))
-			}
-		}
-	}
-	if snaps, err := listSeqs(j.dir, snapPrefix, snapSuffix); err == nil {
-		for _, seq := range snaps {
-			if seq < base {
-				_ = os.Remove(filepath.Join(j.dir, snapName(seq)))
-			}
-		}
-	}
+	removeSeqs(j.dir, segPrefix, segSuffix, math.MaxInt)
+	removeSeqs(j.dir, snapPrefix, snapSuffix, base)
 	j.advanceWatermark()
 	return nil
 }
 
+// installSnapshot writes the encoded snapshot via tmp + fsync + rename.
+func (j *Journal) installSnapshot(seq int, buf []byte) error {
+	tmp := filepath.Join(j.dir, snapName(seq)+".tmp")
+	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("journal: write snapshot: %w", err)
+	}
+	if f, err := os.OpenFile(tmp, os.O_RDWR, 0); err == nil {
+		_ = f.Sync()
+		f.Close()
+	}
+	if err := os.Rename(tmp, filepath.Join(j.dir, snapName(seq))); err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("journal: install snapshot: %w", err)
+	}
+	return nil
+}
+
+// removeSeqs deletes the directory's prefix/suffix files numbered below
+// limit. Best effort: a file compaction leaves behind is superseded by
+// ticket at replay anyway.
+func removeSeqs(dir, prefix, suffix string, limit int) {
+	seqs, _ := listSeqs(dir, prefix, suffix)
+	for _, seq := range seqs {
+		if seq < limit {
+			_ = os.Remove(filepath.Join(dir, seqName(prefix, seq, suffix)))
+		}
+	}
+}
+
 // Replay reads a journal directory back: the newest snapshot (if any)
-// followed by the segment records it does not cover — in sequence order for
-// a single-pipeline journal, in global ticket order (a k-way merge across
-// the shard streams) for a sharded one. A missing or empty directory
+// followed by the segment records it does not supersede, in global ticket
+// order across every stream — the shard directories plus any flat-layout
+// top-level segments an older version left. A missing or empty directory
 // replays as no records, and Replay never panics on corrupt input.
 //
 // Corruption is handled per layer. A corrupt record inside a segment ends
 // only that segment: it is the torn tail a crashed writer leaves behind,
 // and because every process incarnation appends to its own fresh segment
 // (Open never reopens an old file), any later segment was written after
-// the crash and is still trusted — replay skips to it and keeps going. In
-// a sharded journal a torn tail costs only its own stripe's staged records;
-// the other stripes' records still merge in ticket order around the gap.
-// The first such anomaly is reported as a typed *CorruptRecordError
-// alongside the recovered records so callers can surface it and compact
-// the torn segment away. A corrupt snapshot, by contrast, destroys the
-// compacted base that gives the following segments meaning: replay stops
-// there and returns an error with IsSnapshot() true, which callers must
-// treat as data loss, not as a routine crash artifact.
+// the crash and is still trusted — replay skips to it and keeps going. A
+// torn tail costs only its own stripe's staged records; the other stripes'
+// records still merge in ticket order around the gap. The first such
+// anomaly is reported as a typed *CorruptRecordError alongside the
+// recovered records so callers can surface it and compact the torn segment
+// away. A corrupt snapshot, by contrast, destroys the compacted base that
+// gives the following segments meaning: replay stops there and returns an
+// error with IsSnapshot() true, which callers must treat as data loss, not
+// as a routine crash artifact.
 func Replay(dir string) ([]Record, error) {
 	out, corrupt, err := ReplayAll(dir)
 	if err != nil {
@@ -1093,62 +865,6 @@ func ReplayAll(dir string) ([]Record, []*CorruptRecordError, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(shardDirs) == 0 {
-		return replayFlat(dir)
-	}
-	return replaySharded(dir, shardDirs)
-}
-
-// replayFlat reads a single-pipeline journal directory: the newest snapshot
-// plus the segments it does not cover, in sequence order.
-func replayFlat(dir string) ([]Record, []*CorruptRecordError, error) {
-	snaps, err := listSeqs(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []Record
-	var corrupt []*CorruptRecordError
-	base := 0
-	if len(snaps) > 0 {
-		base = snaps[len(snaps)-1]
-		name := snapName(base)
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, nil, fmt.Errorf("journal: read snapshot: %w", err)
-		}
-		recs, cerr := decodeStream(b, name)
-		out = append(out, recs...)
-		if cerr != nil {
-			return out, []*CorruptRecordError{cerr}, nil
-		}
-	}
-	segs, err := listSeqs(dir, segPrefix, segSuffix)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, s := range segs {
-		if s < base {
-			continue
-		}
-		name := segName(s)
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, nil, fmt.Errorf("journal: read segment: %w", err)
-		}
-		recs, cerr := decodeStream(b, name)
-		out = append(out, recs...)
-		if cerr != nil {
-			corrupt = append(corrupt, cerr)
-		}
-	}
-	return out, corrupt, nil
-}
-
-// replaySharded reads a sharded journal directory: the newest top-level
-// snapshot, then the per-shard segment streams (plus any pre-sharding
-// top-level segments) merged into global ticket order, with records the
-// snapshot supersedes — ticket below the snapshot's lowest — dropped.
-func replaySharded(dir string, shardDirs []string) ([]Record, []*CorruptRecordError, error) {
 	snaps, err := listSeqs(dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return nil, nil, err
@@ -1173,47 +889,38 @@ func replaySharded(dir string, shardDirs []string) ([]Record, []*CorruptRecordEr
 			}
 		}
 	}
-	// readStream collects one directory's segment records. Each stream is
-	// already in ticket order on disk.
-	var all []Record
-	readStream := func(sdir, label string) error {
+	// Each stream is one directory's segments in sequence order: the flat
+	// layout's top-level wal-* files (label ""), then every shard.
+	nsnap := len(out)
+	for _, label := range append([]string{""}, shardDirs...) {
+		sdir := filepath.Join(dir, label)
 		segs, err := listSeqs(sdir, segPrefix, segSuffix)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		for _, s := range segs {
 			name := segName(s)
 			b, err := os.ReadFile(filepath.Join(sdir, name))
 			if err != nil {
-				return fmt.Errorf("journal: read segment: %w", err)
+				return nil, nil, fmt.Errorf("journal: read segment: %w", err)
 			}
 			recs, cerr := decodeStream(b, filepath.Join(label, name))
 			for _, r := range recs {
 				// The snapshot supersedes every ticket below its own.
-				if minSnapTick > 0 && r.Tick < minSnapTick {
-					continue
+				if r.Tick >= minSnapTick {
+					out = append(out, r)
 				}
-				all = append(all, r)
 			}
 			if cerr != nil {
 				corrupt = append(corrupt, cerr)
 			}
 		}
-		return nil
-	}
-	if err := readStream(dir, ""); err != nil {
-		return nil, nil, err
-	}
-	for _, sd := range shardDirs {
-		if err := readStream(filepath.Join(dir, sd), sd); err != nil {
-			return nil, nil, err
-		}
 	}
 	// Merge by ticket with a full stable sort, not a sorted-stream merge: a
-	// shard file is only approximately ticket-ordered (group-commit lanes
-	// can race a drain), and ties — only possible for pre-sharding records
-	// with ticket 0 — keep stream order.
+	// shard file is only approximately ticket-ordered (lanes can race a
+	// drain), and ties — only possible for records written before tickets
+	// existed, which carry 0 — keep stream order.
+	all := out[nsnap:]
 	sort.SliceStable(all, func(i, k int) bool { return all[i].Tick < all[k].Tick })
-	out = append(out, all...)
 	return out, corrupt, nil
 }

@@ -31,6 +31,88 @@ func appendAll(t *testing.T, j *Journal, recs []Record) {
 	}
 }
 
+// writeFlat writes recs as one top-level file (a wal-*.seg segment or a
+// snap-*.json snapshot) of the flat layout older versions wrote and no
+// writer produces any more; Replay still has to read it. The records keep
+// whatever tickets they carry, and the per-record end offsets are returned
+// for tests that corrupt the file at a record boundary.
+func writeFlat(t testing.TB, dir, name string, recs []Record) []int64 {
+	t.Helper()
+	var buf []byte
+	offsets := []int64{0}
+	for _, r := range recs {
+		b, err := encode(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = append(buf, b...)
+		offsets = append(offsets, int64(len(buf)))
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return offsets
+}
+
+// TestFlatLayoutIsReadOnly pins what is left of the flat layout: a
+// directory of top-level segments and a snapshot replays to the same records
+// through the one replay function, reopening it writes only under shard-NN/,
+// and the next WriteSnapshot removes the top-level segments.
+func TestFlatLayoutIsReadOnly(t *testing.T) {
+	dir := t.TempDir()
+	recs := testRecords(9)
+	for i := range recs {
+		recs[i].Tick = uint64(i + 1)
+	}
+	writeFlat(t, dir, snapName(2), recs[:3])
+	writeFlat(t, dir, segName(2), recs[3:6])
+	writeFlat(t, dir, segName(3), recs[6:])
+	check := func(want int) []Record {
+		t.Helper()
+		got, err := Replay(dir)
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if len(got) != want {
+			t.Fatalf("replayed %d records, want %d", len(got), want)
+		}
+		for i, r := range got[:len(recs)] {
+			if r.Job != recs[i].Job {
+				t.Fatalf("record %d: job %d, want %d", i, r.Job, recs[i].Job)
+			}
+		}
+		return got
+	}
+	check(len(recs))
+
+	j, err := Open(dir, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{Type: TypeSubmit, Job: 50, Tool: "bonito"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if top, _ := listSeqs(dir, segPrefix, segSuffix); len(top) != 2 {
+		t.Fatalf("top-level segments %v after an append, want the 2 seeded ones untouched", top)
+	}
+	if got := check(len(recs) + 1); got[len(recs)].Job != 50 {
+		t.Fatalf("append after the flat history replays as job %d, want 50", got[len(recs)].Job)
+	}
+	if err := j.WriteSnapshot(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if top, _ := listSeqs(dir, segPrefix, segSuffix); len(top) != 0 {
+		t.Fatalf("snapshot left top-level segments %v", top)
+	}
+	check(len(recs))
+}
+
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})
@@ -68,12 +150,15 @@ func TestReplayMissingDir(t *testing.T) {
 // interleaved segment boundaries.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SegmentBytes: 256, SyncEvery: 1})
+	j, err := Open(dir, Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := testRecords(40)
 	appendAll(t, j, recs)
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if st := j.Stats(); st.Rotations < 5 {
 		t.Fatalf("expected many rotations with a 256-byte segment limit, got %d", st.Rotations)
 	}
@@ -127,7 +212,7 @@ func TestReopenAppends(t *testing.T) {
 
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SegmentBytes: 256})
+	j, err := Open(dir, Options{SegmentBytes: 256, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +231,17 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Old segments must be gone.
-	segs, err := listSeqs(dir, segPrefix, segSuffix)
+	// Old segments must be gone, and even a one-stripe journal writes only
+	// under its shard directory.
+	segs, err := listSeqs(filepath.Join(dir, shardDirName(0)), segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(segs) != 1 {
 		t.Fatalf("compaction left %d segments, want 1: %v", len(segs), segs)
+	}
+	if top, _ := listSeqs(dir, segPrefix, segSuffix); len(top) != 0 {
+		t.Fatalf("top-level segments %v: the flat layout must never be written", top)
 	}
 	got, err := Replay(dir)
 	if err != nil {
@@ -167,17 +256,18 @@ func TestSnapshotCompaction(t *testing.T) {
 }
 
 // TestCrashDropsBufferedRecords checks the durability contract: with
-// DurableSubmits, submits survive a crash while buffered non-durable
-// records since the last sync are lost.
+// DurableSubmits, submits survive a crash while non-durable records still
+// staged behind the flusher are lost.
 func TestCrashDropsBufferedRecords(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1000, DurableSubmits: true})
+	j, err := Open(dir, Options{DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Record{Type: TypeSubmit, Job: 1}); err != nil {
 		t.Fatal(err)
 	}
+	j.HoldFlush(make(chan struct{}))
 	if err := j.Append(Record{Type: TypeStart, Job: 1, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +288,15 @@ func TestCrashDropsBufferedRecords(t *testing.T) {
 
 func TestCrashTornTail(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := testRecords(5)
 	appendAll(t, j, recs)
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	// Half a header's worth of garbage: a torn in-flight write.
 	if err := j.CrashTorn([]byte{0x42, 0x00, 0x13}); err != nil {
 		t.Fatal(err)
@@ -243,21 +336,7 @@ func TestCorruptionTable(t *testing.T) {
 	const n = 6
 	build := func(t *testing.T) (string, []int64) {
 		dir := t.TempDir()
-		j, err := Open(dir, Options{SyncEvery: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		offsets := []int64{0}
-		for _, r := range testRecords(n) {
-			if err := j.Append(r); err != nil {
-				t.Fatal(err)
-			}
-			offsets = append(offsets, j.Stats().Bytes)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir, offsets
+		return dir, writeFlat(t, dir, segName(1), testRecords(n))
 	}
 
 	cases := []struct {
@@ -330,13 +409,9 @@ func TestCorruptionTable(t *testing.T) {
 // and every later segment still replays, with the anomaly reported.
 func TestCorruptMiddleSegment(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SegmentBytes: 200, SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, j, testRecords(12))
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	recs := testRecords(12)
+	for i := 0; i < 3; i++ {
+		writeFlat(t, dir, segName(i+1), recs[4*i:4*i+4])
 	}
 	segs, err := listSeqs(dir, segPrefix, segSuffix)
 	if err != nil {
@@ -389,7 +464,7 @@ func TestCorruptMiddleSegment(t *testing.T) {
 // the torn tail in a sealed segment must never swallow later segments.
 func TestTornTailDoesNotPoisonLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	j1, err := Open(dir, Options{SyncEvery: 1, DurableSubmits: true})
+	j1, err := Open(dir, Options{DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +475,7 @@ func TestTornTailDoesNotPoisonLaterSegments(t *testing.T) {
 
 	// Incarnation 2: recovery succeeded, new acknowledged jobs land in the
 	// next segment.
-	j2, err := Open(dir, Options{SyncEvery: 1, DurableSubmits: true})
+	j2, err := Open(dir, Options{DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,15 +546,14 @@ func TestOpenLocksDirectory(t *testing.T) {
 // silently dropped, and the full history still replays.
 func TestWriteSnapshotFailureKeepsJournalAppendable(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, testRecords(4))
-	// Occupy the snapshot's tmp path with a non-empty directory so both
-	// WriteFile and Rename fail.
-	base := j.Stats().Segment + 1
-	tmp := filepath.Join(dir, snapName(base)+".tmp")
+	// Occupy the first snapshot's tmp path with a non-empty directory so
+	// both WriteFile and Rename fail.
+	tmp := filepath.Join(dir, snapName(1)+".tmp")
 	if err := os.MkdirAll(filepath.Join(tmp, "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}

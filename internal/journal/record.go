@@ -5,27 +5,28 @@
 // engine's state after a crash, and lease records let a standby handler
 // detect a dead peer and adopt its orphaned jobs.
 //
-// On-disk format. A journal is a directory of segment files
-// (wal-00000001.seg, wal-00000002.seg, ...) plus at most a few snapshot
-// files (snap-00000005.json). Each record is framed as
+// On-disk format. A journal is a directory of per-stripe subdirectories
+// (shard-00/, shard-01/, ...) holding segment files (wal-00000001.seg,
+// wal-00000002.seg, ...), plus at most a few top-level snapshot files
+// (snap-00000005.json). Each record is framed as
 //
 //	uint32 LE payload length | uint32 LE CRC32(payload) | payload (JSON)
 //
-// Records never span segments. A snapshot with base B condenses everything
-// that happened before segment B into one segment-formatted file; replay
-// loads the newest snapshot and then the segments with sequence >= B, so
-// compaction can delete everything older.
+// Records never span segments.
 //
-// Sharding. With Options.Shards > 1 the segment files live under per-stripe
-// subdirectories (shard-00/wal-...seg, shard-01/...), each an independent
-// write+fsync pipeline. Every record carries a global commit ticket
-// (Record.Tick); on-disk order equals ticket order within a shard, and
-// replay merges the shard streams back into the journal-wide total order by
-// ticket. Snapshots stay top-level and supersede by ticket: shard records
-// below the snapshot's lowest ticket are dropped at replay.
+// Writing. Each stripe is an independent staged pipeline — lanes, a
+// flusher goroutine, one fsync per batch (see shard.go) — and the only code
+// that writes a segment. Every record carries a global commit ticket
+// (Record.Tick); a job's records always land in one stripe in ticket order,
+// and replay sorts every stream back into the journal-wide total order by
+// ticket. Snapshots stay top-level and supersede by ticket: segment records
+// below the snapshot's lowest ticket are dropped at replay, and compaction
+// deletes the segments they sit in. Segments directly in the journal
+// directory are the flat layout older versions wrote; they are read as one
+// more stream and never written.
 //
-// Corruption. Appends are buffered and fsynced in batches, so a crash can
-// leave a torn record at the tail of the last segment (and fault injection
+// Corruption. Appends are staged and fsynced in batches, so a crash can
+// leave a torn record at the tail of a stripe's last segment (and fault injection
 // or disk rot can flip bits anywhere). Replay never panics on bad input: a
 // corrupt record ends only its own segment — each process incarnation
 // appends to a fresh segment, so a torn tail is always sealed inside the
@@ -148,12 +149,12 @@ type Record struct {
 	// Handler is the handler that wrote the record (job ownership flows
 	// from the submit record's handler, overridden by adopt records).
 	Handler string `json:"h,omitempty"`
-	// Tick is the record's global commit ticket, stamped by Append. Within
-	// one shard's segment stream the on-disk order equals tick order, and a
-	// sharded Replay restores the journal-wide total order with a
-	// tick-ordered merge across shards. The high bits carry the writer
-	// incarnation's epoch, so tickets stay monotonic across restarts.
-	// Records written before sharding existed carry 0 and sort first.
+	// Tick is the record's global commit ticket, stamped by Append. One
+	// job's records sit in its shard in tick order, and Replay restores the
+	// journal-wide total order by sorting every stream on it. The high bits
+	// carry the writer incarnation's epoch, so tickets stay monotonic across
+	// restarts. Records written before tickets existed carry 0 and sort
+	// first.
 	Tick uint64 `json:"k,omitempty"`
 
 	// Job identity and submission parameters (TypeSubmit).
@@ -313,8 +314,8 @@ var framePool sync.Pool // of *[]byte
 // encodePooled is encode for the append hot paths: the JSON scratch comes
 // from a pool and the returned frame from another. The caller owns the
 // frame until the record is written (or dropped), then returns it with
-// recycleFrame; the inline and group-commit writers both copy the frame
-// into the segment's buffered writer before recycling.
+// recycleFrame; the flusher copies the frame into the segment's buffered
+// writer before recycling.
 func encodePooled(rec Record) ([]byte, error) {
 	s := encPool.Get().(*encScratch)
 	s.payload.Reset()

@@ -60,7 +60,7 @@ func TestShardedCrashTornTable(t *testing.T) {
 	for _, torn := range cases {
 		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
 			dir := t.TempDir()
-			j, err := Open(dir, Options{Shards: nshards, SyncEvery: 1})
+			j, err := Open(dir, Options{Shards: nshards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestShardedCrashTornTable(t *testing.T) {
 // global ticket order.
 func TestShardedStagedLossIsPerStripe(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4, GroupCommit: true, DurableSubmits: true})
+	j, err := Open(dir, Options{Shards: 4, DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestShardedStagedLossIsPerStripe(t *testing.T) {
 // waiter with an error, and the record is absent at replay.
 func TestAsyncDurableCrashBetweenStageAndFlush(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 2, GroupCommit: true, DurableSubmits: true})
+	j, err := Open(dir, Options{Shards: 2, DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +229,11 @@ func TestAsyncDurableCrashBetweenStageAndFlush(t *testing.T) {
 // watermark only ever grows and never runs ahead of the ticket counter; a
 // crash mid-stream then proves it never ran ahead of the fsynced prefix —
 // every ticket at or below the last observed watermark is in the replay.
+// The appenders alternate durable-class submits with start records, which
+// nothing ever waits on, so the scan is held to both.
 func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4, GroupCommit: true, DurableSubmits: true, Adaptive: true})
+	j, err := Open(dir, Options{Shards: 4, DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +246,12 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
+				typ := TypeSubmit
+				if i%2 == 1 {
+					typ = TypeStart
+				}
 				tick, err := j.AppendAsync(Record{
-					Type: TypeSubmit, Job: g*100000 + i, Tool: "racon", Handler: "h1",
+					Type: typ, Job: g*100000 + i, Tool: "racon", Handler: "h1",
 				})
 				if err != nil {
 					return
@@ -300,7 +306,7 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 	// Sanity: after a full Sync the watermark must catch the ticket counter
 	// exactly (fresh journal, no crash).
 	dir2 := t.TempDir()
-	j2, err := Open(dir2, Options{Shards: 4, GroupCommit: true, DurableSubmits: true})
+	j2, err := Open(dir2, Options{Shards: 4, DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +328,7 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 // snapshot superseded resurfaces from any stripe.
 func TestShardedSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4, SegmentBytes: 512, SyncEvery: 1})
+	j, err := Open(dir, Options{Shards: 4, SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,26 +436,18 @@ func TestShardedReopenKeepsTicketOrder(t *testing.T) {
 // order the incarnations' records without ticket collisions.
 func TestLegacyUpgradeEpochStrictlyIncreasing(t *testing.T) {
 	dir := t.TempDir()
-	// Seed a legacy single-pipeline journal with enough rotations to pin
-	// maxSeq well above the shard count.
-	j, err := Open(dir, Options{Shards: 1, SegmentBytes: 128, SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Seed a flat-layout journal with enough segments to pin maxSeq well
+	// above the shard count.
 	legacy := testRecords(12)
-	appendAll(t, j, legacy)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	topSegs, err := listSeqs(dir, segPrefix, segSuffix)
-	if err != nil || len(topSegs) < 3 {
-		t.Fatalf("legacy seed: top-level segments %v, err=%v, want several", topSegs, err)
+	for i, r := range legacy {
+		r.Tick = 1<<tickEpochShift + uint64(i+1)
+		writeFlat(t, dir, segName(i+1), []Record{r})
 	}
 
 	var epochs []uint64
 	total := len(legacy)
 	for inc := 0; inc < 3; inc++ {
-		j, err := Open(dir, Options{Shards: 4, SyncEvery: 1})
+		j, err := Open(dir, Options{Shards: 4})
 		if err != nil {
 			t.Fatalf("incarnation %d: %v", inc, err)
 		}
@@ -461,6 +459,9 @@ func TestLegacyUpgradeEpochStrictlyIncreasing(t *testing.T) {
 				t.Fatalf("incarnation %d append: %v", inc, err)
 			}
 			total++
+		}
+		if err := j.Sync(); err != nil {
+			t.Fatalf("incarnation %d sync: %v", inc, err)
 		}
 		// Crash, not Close: the reused-epoch bug only bites when the next
 		// Open recomputes the epoch from whatever the dead process left.
@@ -496,7 +497,7 @@ func TestLegacyUpgradeEpochStrictlyIncreasing(t *testing.T) {
 func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		dir := filepath.Join(t.TempDir(), "j")
-		j, err := Open(dir, Options{Shards: 4, GroupCommit: true, DurableSubmits: true})
+		j, err := Open(dir, Options{Shards: 4, DurableSubmits: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,73 +516,6 @@ func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 		if _, _, err := ReplayAll(dir); err != nil {
 			t.Fatalf("iter %d: replay after crash/snapshot race: %v", iter, err)
 		}
-	}
-}
-
-// TestNonGroupCommitWatermarkNeverPassesUnsynced is the watermark safety
-// property on the inline (non-group-commit) path, where there is no in-flight
-// batch marker: concurrent batched appenders race the watermark scan, a crash
-// drops the buffered tail, and every ticket at or below the last observed
-// watermark must still be in the replay — the scan must never publish past a
-// ticket whose record has not been fsynced.
-func TestNonGroupCommitWatermarkNeverPassesUnsynced(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4, SyncEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	issued := make(map[uint64]bool)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				tick, err := j.AppendAsync(Record{
-					Type: TypeStart, Job: g*100000 + i, Handler: "h1",
-				})
-				if err != nil {
-					return
-				}
-				mu.Lock()
-				issued[tick] = true
-				mu.Unlock()
-			}
-		}(g)
-	}
-	deadline := time.Now().Add(100 * time.Millisecond)
-	wm := uint64(0)
-	for time.Now().Before(deadline) {
-		if w := j.Watermark(); w > wm {
-			wm = w
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-	wm = j.Watermark()
-	if err := j.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := ReplayAll(dir)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	durable := make(map[uint64]bool, len(got))
-	for _, r := range got {
-		durable[r.Tick] = true
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	missing := 0
-	for tick := range issued {
-		if tick <= wm && !durable[tick] {
-			missing++
-		}
-	}
-	if missing > 0 {
-		t.Fatalf("%d tickets at or below watermark %d missing after crash (watermark passed un-fsynced records)", missing, wm)
 	}
 }
 
@@ -606,7 +540,7 @@ func TestShardedLockExcludesSecondOpen(t *testing.T) {
 // sum over them.
 func TestShardStatsBreakdown(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4, SyncEvery: 1})
+	j, err := Open(dir, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,6 +548,9 @@ func TestShardStatsBreakdown(t *testing.T) {
 	// Job IDs cluster onto shards in shardWindow-sized runs, so covering
 	// all 4 shards takes at least 4 windows' worth of jobs.
 	appendAll(t, j, testRecords(4*shardWindow))
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	st := j.Stats()
 	if len(st.Shards) != 4 {
 		t.Fatalf("Stats.Shards has %d entries, want 4", len(st.Shards))
@@ -675,7 +612,7 @@ func TestAdaptiveControllerConverges(t *testing.T) {
 func TestShardedAdaptiveRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{
-		Shards: 4, GroupCommit: true, DurableSubmits: true, Adaptive: true,
+		Shards: 4, DurableSubmits: true,
 	})
 	if err != nil {
 		t.Fatal(err)
