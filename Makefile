@@ -11,7 +11,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/workflow:FuzzBuildDAG
 FUZZTIME     ?= 10s
 
-.PHONY: check build vet test test-race test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport fuzz-short bench bench-dispatch bench-cluster bench-cluster-quick obs-smoke
+.PHONY: check build vet test test-race test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-cluster hammer-transport fuzz-short bench bench-dispatch bench-cluster bench-cluster-quick obs-smoke
 
 check: build vet test-race
 
@@ -46,7 +46,8 @@ test-crash:
 # read-only flat layout and its epoch rule, and the sharded crash-requeue
 # scenario at the engine level. The tests are selected by name, and a name
 # that no longer exists would select nothing and pass: run_selected first
-# fails on any alternative of the pattern that matches no test.
+# fails on any alternative of the pattern that matches no test. (Arguments:
+# package, pattern, optional -count; every selected run is under -race.)
 JOURNAL_TESTS ?= TestSharded|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade
 JOURNAL_GALAXY_TESTS ?= TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash
 
@@ -55,7 +56,7 @@ define run_selected
 	for p in $$(echo '$(2)' | tr '|' ' '); do \
 		echo "$$list" | grep '^Test' | grep -Eq "$$p" || { echo "$(1): no test matches $$p" >&2; exit 1; }; \
 	done
-	$(GO) test -race -count=1 $(1) -run '$(2)' -v
+	$(GO) test -race -count=$(or $(3),1) $(1) -run '$(2)' -v
 endef
 
 test-journal:
@@ -74,27 +75,39 @@ test-workflow:
 	$(GO) test ./internal/experiments -run 'TestGenomicsPipelineLocalityWins' -v
 
 # test-cluster is the multi-handler chaos suite: ring property tests
-# (balance, bounded movement), the lockstep cluster sim (routing, stealing,
-# survey, metrics), the kill -9 chaos scenario (one of three handlers dies
-# with a torn journal tail; zero lost, zero double-run, partition rebalanced
-# across both survivors in seniority order), the Recover rebalance
-# regression, the cluster API, and the quick-mode scaling experiment.
+# (balance, bounded movement), the lockstep cluster.Sim (routing, stealing,
+# survey, metrics, a Node refusing keys it does not own), the kill -9 chaos
+# scenario (one of three handlers dies with a torn journal tail; zero lost,
+# zero double-run, partition rebalanced across both survivors in seniority
+# order), the cluster API, and the quick-mode scaling experiment. The
+# by-name selections go through run_selected, so a renamed test fails the
+# target instead of silently selecting nothing.
 test-cluster:
 	$(GO) test ./internal/cluster -v
-	$(GO) test ./internal/api -run 'TestCluster' -v
-	$(GO) test ./internal/experiments -run 'TestClusterScaling' -v
+	$(call run_selected,./internal/api,TestCluster)
+	$(call run_selected,./internal/experiments,TestClusterScaling)
+
+# hammer-cluster is CI's -race hammer: concurrent submit/kill/steal/scrape
+# across three members while the Sim steps, twice.
+hammer-cluster:
+	$(call run_selected,./internal/cluster,TestClusterRaceHammer,2)
 
 # test-transport is the message-level chaos suite: the simulated bus and its
 # fault plan, kill -9 between every two-phase steal boundary crossed with
 # drop/duplicate/reorder/delay faults, lease-table membership (slow-but-alive
-# never evicted, dead detected by expiry alone), retry-exhaustion aborts,
-# the online anti-entropy repair of orphaned prepares, and a -race hammer of
-# concurrent steals over the lossy bus.
+# never evicted, dead detected by expiry alone, staggered detection with
+# divergent ring views, an unreadable dead journal deferring the
+# declaration), retry-exhaustion aborts, the online anti-entropy repair of
+# orphaned prepares, and a -race hammer of concurrent steals over the lossy
+# bus (hammer-transport is CI's twice-over form of the last).
+TRANSPORT_TESTS ?= TestTransportChaos|TestSlowButAlive|TestStealRetry|TestOrphanedPrepare|TestLeaseExpiryDetects|TestStaggeredDetection|TestDeadReplayError|TestRejoinRefuses
+
 test-transport:
 	$(GO) test ./internal/transport ./internal/faults -v
-	$(GO) test ./internal/cluster -run \
-		'TestTransportChaos|TestSlowButAlive|TestStealRetry|TestOrphanedPrepare|TestLeaseExpiryDetects' -v
-	$(GO) test -race ./internal/cluster -run 'TestTransportChaosRaceHammer' -v
+	$(call run_selected,./internal/cluster,$(TRANSPORT_TESTS))
+
+hammer-transport:
+	$(call run_selected,./internal/cluster,TestTransportChaosRaceHammer,2)
 
 # test-tcp-transport is the real-socket suite: the wire framing and member
 # catalog unit tests, the transport conformance suite run against tcpbus

@@ -15,19 +15,22 @@
 //	gyan-server -journal /var/lib/gyan/journal -handler main &
 //	curl localhost:8080/api/recovery
 //
-// With -cluster-size N (N > 1) the server boots an in-process N-handler
-// cluster instead — job ownership partitioned over a consistent-hash ring,
-// idle handlers stealing queued work — and serves the cluster API:
+// With -cluster-size N (N > 1) the server hosts a cluster.Sim instead — N
+// members in one process on a simulated bus, stepped in lockstep virtual
+// time: job ownership partitioned over a consistent-hash ring, idle handlers
+// stealing queued work — and serves the cluster API:
 //
 //	gyan-server -cluster-size 3 &
 //	curl localhost:8080/api/cluster
 //	curl -X POST localhost:8080/api/cluster/jobs -d '{"tool":"racon","dataset":"alzheimers_nfl","params":{"scale":"0.01"}}'
 //
-// With -bus tcp the cluster spans processes: each member is its own
-// gyan-server speaking the steal/lease/anti-entropy protocol over real
-// sockets, wall-paced (-tick-real, -speedup) instead of lockstep, with a
-// persistent member catalog fencing restarts by incarnation. One process
-// per member, all sharing the -peers map:
+// With -bus tcp the cluster spans processes: each gyan-server hosts one
+// cluster.Node — the same member type the Sim runs N of — speaking the
+// steal/lease/anti-entropy protocol over real sockets, wall-paced
+// (-tick-real, -speedup) instead of lockstep, with a persistent member
+// catalog fencing restarts by incarnation. One process per member, all
+// sharing the -peers map and the -journal root (-cluster-size does not
+// apply and is rejected):
 //
 //	gyan-server -bus tcp -member h0 -members h0,h1 \
 //	    -peers h0=127.0.0.1:9000,h1=127.0.0.1:9001 \
@@ -45,6 +48,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -85,39 +89,37 @@ func main() {
 		tickReal  = flag.Duration("tick-real", 50*time.Millisecond, "real interval between cluster steps (-bus tcp)")
 	)
 	flag.Parse()
-	if *busKind == "tcp" {
-		if err := runClusterTCP(tcpConfig{
+	var err error
+	switch {
+	case *busKind == "tcp" && *clusterSize > 1:
+		err = fmt.Errorf("-bus tcp hosts exactly one member per process; -cluster-size %d needs -bus sim", *clusterSize)
+	case *busKind == "tcp":
+		err = runClusterTCP(tcpConfig{
 			addr: *addr, member: *member, membersCSV: *members, peersCSV: *peers,
 			listenBus: *listenBus, advertise: *advertise, journalDir: *journalDir,
 			seed: *seed, shards: *shards, leaseTTL: *leaseTTL, memberTTL: *memberTTL,
 			speedup: *speedup, tickReal: *tickReal,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
+		})
+	case *busKind != "sim":
+		err = fmt.Errorf("unknown -bus %q (want sim or tcp)", *busKind)
+	case *clusterSize > 1:
+		err = runCluster(*addr, *clusterSize, *handlerID, *seed, *journalDir, *shards, *leaseTTL, *memberTTL)
+	default:
+		err = run(*addr, *policy, *seed, *journalDir, *handler, *shards, *asyncAck, *leaseTTL, *pprofOn)
 	}
-	if *busKind != "sim" {
-		log.Fatalf("unknown -bus %q (want sim or tcp)", *busKind)
-	}
-	if *clusterSize > 1 {
-		if err := runCluster(*addr, *clusterSize, *handlerID, *seed, *journalDir, *shards, *leaseTTL, *memberTTL); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if err := run(*addr, *policy, *seed, *journalDir, *handler, *shards, *asyncAck, *leaseTTL, *pprofOn); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 }
 
-// runCluster boots -cluster-size handlers in one process — each a full
-// Galaxy with its own engine, scheduler and journal — partitions job
-// ownership across them via the hash ring, and serves the cluster API.
+// runCluster boots a cluster.Sim of -cluster-size members in one process —
+// each a full Galaxy with its own engine, scheduler, journal and ring view —
+// and serves the stitched cluster API.
 // With -journal set, every member journals durably under its own
 // subdirectory of that path; without it, journals live in a throwaway
 // temp directory.
 func runCluster(addr string, size int, idPrefix string, seed uint64, journalDir string, shards int, leaseTTL, memberTTL time.Duration) error {
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.NewSim(cluster.SimConfig{
 		Handlers:              size,
 		BaseID:                idPrefix,
 		Dir:                   journalDir,
@@ -157,28 +159,38 @@ type tcpConfig struct {
 	tickReal   time.Duration
 }
 
-// registerWorkloads loads the paper's three datasets onto a cluster.
-func registerWorkloads(c *cluster.Cluster, seed uint64) error {
+// loadWorkloads generates the paper's three datasets by name.
+func loadWorkloads(seed uint64) (map[string]any, error) {
 	reads, err := workload.AlzheimersNFL(seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	small, err := workload.AcinetobacterPittii(seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	large, err := workload.KlebsiellaPneumoniae(seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.RegisterDataset("alzheimers_nfl", reads)
-	c.RegisterDataset("acinetobacter_pittii", small)
-	c.RegisterDataset("klebsiella_pneumoniae_ksb2", large)
-	return nil
+	return map[string]any{
+		"alzheimers_nfl":             reads,
+		"acinetobacter_pittii":       small,
+		"klebsiella_pneumoniae_ksb2": large,
+	}, nil
 }
 
-// runClusterTCP boots ONE cluster member in this process and wires it to
-// its peers over TCP: the same protocol the simulated bus carries, on real
+// registerWorkloads loads them onto a Sim or a Node.
+func registerWorkloads(c interface{ RegisterDataset(string, any) }, seed uint64) error {
+	datasets, err := loadWorkloads(seed)
+	for name, ds := range datasets {
+		c.RegisterDataset(name, ds)
+	}
+	return err
+}
+
+// runClusterTCP boots ONE cluster.Node in this process and wires it to its
+// peers over TCP: the same member the simulated bus carries, on real
 // sockets. Every member journals under its own subdirectory of the SHARED
 // -journal root (survivors replay a dead peer's journal from there), and
 // the member catalog under <journal>/catalog persists each member's
@@ -204,12 +216,7 @@ func runClusterTCP(cfg tcpConfig) error {
 	if len(ids) < 2 {
 		return fmt.Errorf("-bus tcp requires -members with at least two IDs, got %q", cfg.membersCSV)
 	}
-	self := -1
-	for i, id := range ids {
-		if id == cfg.member {
-			self = i
-		}
-	}
+	self := slices.Index(ids, cfg.member)
 	if self < 0 {
 		return fmt.Errorf("-member %q not in -members %v", cfg.member, ids)
 	}
@@ -309,22 +316,9 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, shard
 
 	// Datasets come first: recovery needs them by name to requeue journaled
 	// jobs, and the API registers the same instances afterwards.
-	reads, err := workload.AlzheimersNFL(seed)
+	datasets, err := loadWorkloads(seed)
 	if err != nil {
 		return err
-	}
-	small, err := workload.AcinetobacterPittii(seed)
-	if err != nil {
-		return err
-	}
-	large, err := workload.KlebsiellaPneumoniae(seed)
-	if err != nil {
-		return err
-	}
-	datasets := map[string]any{
-		"alzheimers_nfl":             reads,
-		"acinetobacter_pittii":       small,
-		"klebsiella_pneumoniae_ksb2": large,
 	}
 
 	gopts := []galaxy.Option{galaxy.WithPolicy(pol)}

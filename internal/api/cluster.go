@@ -9,15 +9,34 @@ import (
 	"time"
 
 	"gyan/internal/cluster"
+	"gyan/internal/galaxy"
+	"gyan/internal/obs"
 )
 
-// ClusterServer exposes an in-process handler cluster over HTTP/JSON — the
-// multi-handler sibling of Server. Submissions are routed by the partition
-// ring to their owning handler and, as with the single-handler API, the
-// virtual-time simulation is driven to completion before responding.
+// clusterView is what ClusterServer serves: a whole simulated cluster
+// (*cluster.Sim, gyan-server -cluster-size N) or this process's one member
+// of a networked one (*cluster.Node, gyan-server -bus tcp).
+type clusterView interface {
+	Submit(tool string, params map[string]string, dataset string, opts cluster.SubmitOptions) (cluster.JobRef, error)
+	Lookup(key uint64) (cluster.JobRef, *galaxy.Job, bool)
+	Keys() []uint64
+	KillJob(key uint64) bool
+	Step() bool
+	Now() time.Duration
+	Status() cluster.Status
+	Survey() []cluster.HandlerSurvey
+	TransportStatus() cluster.TransportStatus
+	SyncJournals() error
+	Registry() *obs.Registry
+}
+
+// ClusterServer exposes a handler cluster over HTTP/JSON — the multi-handler
+// sibling of Server. Submissions are routed by the partition ring to their
+// owning handler and, unless SetAsync, the virtual-time simulation is driven
+// to completion before responding.
 type ClusterServer struct {
 	mu sync.Mutex
-	c  *cluster.Cluster
+	c  clusterView
 	// horizon bounds how far one request may advance virtual time.
 	horizon time.Duration
 	// async stops mutating requests from driving virtual time to drain
@@ -29,8 +48,14 @@ type ClusterServer struct {
 
 // NewClusterServer wraps c. Datasets must be registered on the cluster
 // (cluster.RegisterDataset) before jobs naming them are submitted.
-func NewClusterServer(c *cluster.Cluster) *ClusterServer {
+func NewClusterServer(c clusterView) *ClusterServer {
 	return &ClusterServer{c: c, horizon: 24 * time.Hour}
+}
+
+// drain steps the cluster until it settles or the horizon passes.
+func (s *ClusterServer) drain() {
+	for deadline := s.c.Now() + s.horizon; s.c.Step() && s.c.Now() < deadline; {
+	}
 }
 
 // SetAsync switches submission/kill handlers to return immediately (202)
@@ -156,9 +181,9 @@ type clusterSubmitRequest struct {
 // clusterJobJSON is the wire form of a routed job: the global key, the
 // handler the job currently lives on, and the job's state there.
 type clusterJobJSON struct {
-	Key     uint64  `json:"key"`
-	Handler string  `json:"handler"`
-	jobJSON         // the handler-local view (ID is handler-local)
+	Key     uint64 `json:"key"`
+	Handler string `json:"handler"`
+	jobJSON        // the handler-local view (ID is handler-local)
 }
 
 func toClusterJobJSON(ref cluster.JobRef, j jobJSON) clusterJobJSON {
@@ -203,7 +228,7 @@ func (s *ClusterServer) handleJobs(w http.ResponseWriter, r *http.Request) {
 		if s.async {
 			status = http.StatusAccepted // the tick loop will run it
 		} else {
-			s.c.Run(s.c.Now() + s.horizon)
+			s.drain()
 		}
 		ref, job, ok := s.c.Lookup(ref.Key)
 		if !ok {
@@ -247,7 +272,7 @@ func (s *ClusterServer) handleJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if !s.async {
-			s.c.Run(s.c.Now() + s.horizon)
+			s.drain()
 		}
 		ref, job, _ := s.c.Lookup(key)
 		writeJSON(w, http.StatusOK, toClusterJobJSON(ref, toJobJSON(job)))

@@ -14,9 +14,9 @@ import (
 	"gyan/internal/workload"
 )
 
-func testClusterServer(t *testing.T, n int) (*httptest.Server, *cluster.Cluster) {
+func testClusterServer(t *testing.T, n int) (*httptest.Server, *cluster.Sim) {
 	t.Helper()
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.NewSim(cluster.SimConfig{
 		Handlers:              n,
 		Tick:                  250 * time.Millisecond,
 		DisableDurableSubmits: true,

@@ -8,7 +8,7 @@ import (
 )
 
 // Online anti-entropy: the post-mortem AuditJournals sweep, turned into a
-// live protocol. Every AntiEntropyEvery of virtual time each member sends
+// live protocol. Every aeEveryTicks ticks of virtual time each member sends
 // one round-robin peer a digest of the transfer trails the two share —
 // grouped by ring stripe, one entry per in-flight transfer — and the peer
 // repairs any divergence it can prove from its own journal-backed state:
@@ -24,6 +24,10 @@ import (
 //     leaves it with the thief. This is the only resolution path that
 //     needs no journal replay beyond the death-time archive — divergence
 //     heals in at most one full round-robin cycle while the cluster runs.
+
+// aeEveryTicks is the sweep period in ticks (each round sends one
+// round-robin peer a digest).
+const aeEveryTicks = 2
 
 // aeXfer names one in-flight transfer in a digest, grouped by the ring
 // stripe its cluster key hashes to.
@@ -66,16 +70,16 @@ type aeReplyBody struct {
 	DeadAnswers []aeDeadAnswer
 }
 
-// antiEntropyLocked runs this member's periodic sweep: pick the next live
+// antiEntropy runs this member's periodic sweep: pick the next live
 // peer round-robin, build the digest the pair shares, send it.
-func (c *Cluster) antiEntropyLocked(h *handler, now time.Duration) {
-	m := h.proto
-	if m.aeStarted && now < m.lastAE+c.aeEvery {
+func (n *Node) antiEntropy(now time.Duration) {
+	m := n.proto
+	if m.aeStarted && now < m.lastAE+aeEveryTicks*n.cfg.Tick {
 		return
 	}
 	var peers []string
-	for _, p := range c.order {
-		if p != h.id && !m.deadSeen[p] {
+	for _, p := range n.cfg.Members {
+		if p != n.id && !m.deadSeen[p] {
 			peers = append(peers, p)
 		}
 	}
@@ -91,13 +95,13 @@ func (c *Cluster) antiEntropyLocked(h *handler, now time.Duration) {
 	for x, o := range m.out {
 		if o.thief == peer {
 			body.PreparedOut = append(body.PreparedOut,
-				aeXfer{Stripe: c.ring.StripeOf(o.key), Xfer: x, Key: o.key})
+				aeXfer{Stripe: n.ring.StripeOf(o.key), Xfer: x, Key: o.key})
 		}
 	}
 	for k, key := range m.unretiredIn {
 		if k.victim == peer {
 			body.UnretiredIn = append(body.UnretiredIn,
-				aeXfer{Stripe: c.ring.StripeOf(key), Xfer: k.xfer, Key: key})
+				aeXfer{Stripe: n.ring.StripeOf(key), Xfer: k.xfer, Key: key})
 		}
 	}
 	for k := range m.pendingDead {
@@ -118,13 +122,13 @@ func (c *Cluster) antiEntropyLocked(h *handler, now time.Duration) {
 	if len(body.PreparedOut) == 0 && len(body.UnretiredIn) == 0 && len(body.DeadQueries) == 0 {
 		return // nothing shared with this peer: skip the round, not the rotation
 	}
-	c.bus.Send(now, transport.MsgAEDigest, h.id, peer, body)
-	c.aeRoundVec.With(h.id).Inc()
+	n.send(now, transport.MsgAEDigest, peer, body)
+	n.met.aeRounds.With(n.id).Inc()
 }
 
-// onAEDigestLocked repairs the divergences a peer's digest exposes.
-func (c *Cluster) onAEDigestLocked(h *handler, msg transport.Message, now time.Duration) {
-	m := h.proto
+// onAEDigest repairs the divergences a peer's digest exposes.
+func (n *Node) onAEDigest(msg transport.Message, now time.Duration) {
+	m := n.proto
 	body := msg.Body.(aeDigestBody)
 
 	// Sender's unresolved outbound prepares, this member the thief: if the
@@ -134,11 +138,11 @@ func (c *Cluster) onAEDigestLocked(h *handler, msg transport.Message, now time.D
 		k := inKey{victim: msg.From, xfer: x.Xfer}
 		switch m.inSeen[k] {
 		case "accepted":
-			c.bus.Send(now, transport.MsgStealAccept, h.id, msg.From, acceptBody{Xfer: x.Xfer})
-			c.aeRepairVec.With(h.id, "resend_accept").Inc()
+			n.send(now, transport.MsgStealAccept, msg.From, acceptBody{Xfer: x.Xfer})
+			n.met.aeRepairs.With(n.id, "resend_accept").Inc()
 		case "aborted", "refused":
-			c.bus.Send(now, transport.MsgAbortAck, h.id, msg.From, abortAckBody{Xfer: x.Xfer})
-			c.aeRepairVec.With(h.id, "resend_abort_ack").Inc()
+			n.send(now, transport.MsgAbortAck, msg.From, abortAckBody{Xfer: x.Xfer})
+			n.met.aeRepairs.With(n.id, "resend_abort_ack").Inc()
 		}
 	}
 
@@ -148,11 +152,11 @@ func (c *Cluster) onAEDigestLocked(h *handler, msg transport.Message, now time.D
 	// transfer is never rolled back, so resolution can only be the retire.
 	for _, x := range body.UnretiredIn {
 		if o := m.out[x.Xfer]; o != nil {
-			c.retireOutLocked(h, o, now)
-			c.aeRepairVec.With(h.id, "lost_accept").Inc()
+			n.retireOut(o, now)
+			n.met.aeRepairs.With(n.id, "lost_accept").Inc()
 		} else {
-			c.bus.Send(now, transport.MsgStealRetire, h.id, msg.From, retireBody{Xfer: x.Xfer})
-			c.aeRepairVec.With(h.id, "resend_retire").Inc()
+			n.send(now, transport.MsgStealRetire, msg.From, retireBody{Xfer: x.Xfer})
+			n.met.aeRepairs.With(n.id, "resend_retire").Inc()
 		}
 	}
 
@@ -169,15 +173,15 @@ func (c *Cluster) onAEDigestLocked(h *handler, msg transport.Message, now time.D
 		answers = append(answers, aeDeadAnswer{Victim: q.Victim, Xfer: q.Xfer, Accepted: accepted})
 	}
 	if len(answers) > 0 {
-		c.bus.Send(now, transport.MsgAEReply, h.id, msg.From, aeReplyBody{DeadAnswers: answers})
+		n.send(now, transport.MsgAEReply, msg.From, aeReplyBody{DeadAnswers: answers})
 	}
 }
 
-// onAEReplyLocked resolves this member's parked orphaned prepares with the
+// onAEReply resolves this member's parked orphaned prepares with the
 // thief's verdicts: refused transfers requeue here, accepted ones already
 // live under the thief's trail.
-func (c *Cluster) onAEReplyLocked(h *handler, msg transport.Message, now time.Duration) {
-	m := h.proto
+func (n *Node) onAEReply(msg transport.Message, now time.Duration) {
+	m := n.proto
 	for _, a := range msg.Body.(aeReplyBody).DeadAnswers {
 		k := inKey{victim: a.Victim, xfer: a.Xfer}
 		pd := m.pendingDead[k]
@@ -188,13 +192,13 @@ func (c *Cluster) onAEReplyLocked(h *handler, msg transport.Message, now time.Du
 		if a.Accepted {
 			continue
 		}
-		if owner, ok := c.assign[pd.key]; ok && owner != pd.victim {
+		if owner, ok := n.assign[pd.key]; ok && owner != pd.victim {
 			continue // already re-homed locally
 		}
-		if c.ring.OwnerOfKey(pd.key) != h.id {
+		if n.ring.OwnerOfKey(pd.key) != n.id {
 			continue
 		}
-		c.requeueDeadKeyLocked(h, pd.victim, pd.jobID, pd.submit, pd.key, now)
-		c.aeRepairVec.With(h.id, "orphaned_prepare").Inc()
+		n.requeueDeadKey(pd.victim, pd.jobID, pd.submit, pd.key)
+		n.met.aeRepairs.With(n.id, "orphaned_prepare").Inc()
 	}
 }

@@ -2,41 +2,9 @@ package cluster
 
 import (
 	"sort"
-	"strconv"
 	"testing"
 	"time"
-
-	"gyan/internal/galaxy"
-	"gyan/internal/journal"
-	"gyan/internal/workload"
 )
-
-func itoa(i int) string { return strconv.Itoa(i) }
-
-// galaxyWithJournal builds a standalone journaled handler with the default
-// tools registered (the recover test drives galaxy.Recover directly, below
-// the Cluster layer).
-func galaxyWithJournal(t *testing.T, jr *journal.Journal, id string) *galaxy.Galaxy {
-	t.Helper()
-	g := galaxy.New(nil, galaxy.WithJournal(jr, id))
-	if err := g.RegisterDefaultTools(); err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-func gSubmitOpts(dataset string, delay time.Duration) galaxy.SubmitOptions {
-	return galaxy.SubmitOptions{User: "u", Delay: delay, DatasetName: dataset}
-}
-
-func recoverOpts(rs *workload.ReadSet, filter func(journal.Record) bool) galaxy.RecoverOptions {
-	return galaxy.RecoverOptions{
-		Datasets:     map[string]any{"reads": rs},
-		RestartDelay: 2 * galaxy.DefaultLeaseTTL, // every pre-crash lease expired
-		AdoptExpired: true,
-		AdoptFilter:  filter,
-	}
-}
 
 // TestClusterChaosKillMidWorkload is the PR-3 crash-recovery invariant set,
 // cluster-wide: three handlers serve a mixed arrival stream, one dies kill
@@ -59,7 +27,7 @@ func recoverOpts(rs *workload.ReadSet, filter func(journal.Record) bool) galaxy.
 // submissions aimed at the dead partition fail until the survivors' claims
 // land; the submit loop retries them on later ticks like a real client.
 func TestClusterChaosKillMidWorkload(t *testing.T) {
-	cfg := func(cfg *Config) {
+	cfg := func(cfg *SimConfig) {
 		cfg.DisableDurableSubmits = false
 		cfg.StealThreshold = 2
 	}
@@ -72,7 +40,7 @@ func TestClusterChaosKillMidWorkload(t *testing.T) {
 	killed := false
 	submitted := 0
 	for {
-		for submitted < total && arrival(submitted) <= c.Now()+c.cfg.Tick {
+		for submitted < total && arrival(submitted) <= c.Now()+c.tick {
 			scale := "0.002"
 			if submitted%3 == 0 {
 				scale = "0.004"
@@ -115,11 +83,7 @@ func TestClusterChaosKillMidWorkload(t *testing.T) {
 				hs.ID, st.Handlers)
 		}
 	}
-	for _, o := range st.Partition {
-		if o == "h1" {
-			t.Fatal("dead handler still owns stripes")
-		}
-	}
+	assertStripesClaimed(t, c, "h1")
 
 	// Every routed job must be terminal at its current home.
 	for key := uint64(0); key < total; key++ {
@@ -213,90 +177,4 @@ func TestClusterChaosKillMidWorkload(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRecoverRebalancesInsteadOfWholesaleAdoption is the satellite-4
-// regression: galaxy.Recover used to adopt an expired-lease handler's jobs
-// wholesale. With an AdoptFilter wired to the ring, each survivor adopts
-// exactly its partition slice and orphans the rest for its peers; with no
-// filter, the legacy single-standby behavior (adopt everything) still holds.
-func TestRecoverRebalancesInsteadOfWholesaleAdoption(t *testing.T) {
-	// Build the dead handler's journal: 32 routed jobs, one per stripe,
-	// none started.
-	dir := t.TempDir()
-	rs := tinyReads(t)
-	j0, err := journal.Open(dir+"/h0", journal.Options{DurableSubmits: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g0 := galaxyWithJournal(t, j0, "h0")
-	const jobs = 32
-	for i := 0; i < jobs; i++ {
-		params := map[string]string{"scale": "0.001", KeyParam: itoa(i)}
-		if _, err := g0.Submit("racon", params, rs, gSubmitOpts("reads", time.Hour)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j0.CrashTorn(nil); err != nil {
-		t.Fatal(err)
-	}
-	recs, rerr := journal.Replay(dir + "/h0")
-
-	ring, err := NewRing(DefaultStripes, []string{"h0", "h1", "h2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring.Remove("h0")
-	expect := map[string]int{}
-	for key := 0; key < jobs; key++ {
-		expect[ring.OwnerOfKey(uint64(key))]++
-	}
-	if expect["h1"] == 0 || expect["h2"] == 0 {
-		t.Fatalf("ring gave a survivor nothing: %v", expect)
-	}
-
-	for _, survivor := range []string{"h1", "h2"} {
-		jr, err := journal.Open(dir+"/"+survivor, journal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := galaxyWithJournal(t, jr, survivor)
-		rep, err := g.Recover(recs, rerr, recoverOpts(rs, AdoptFilterFor(ring, survivor)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Adopted != expect[survivor] {
-			t.Fatalf("%s adopted %d jobs, want its partition slice %d (wholesale=%d)",
-				survivor, rep.Adopted, expect[survivor], jobs)
-		}
-		if rep.Orphaned != jobs-expect[survivor] {
-			t.Fatalf("%s orphaned %d, want %d", survivor, rep.Orphaned, jobs-expect[survivor])
-		}
-		// The adopted set is exactly the ring's slice, not a prefix.
-		for _, rj := range rep.Jobs {
-			want := "orphaned"
-			if ring.OwnerOfKey(uint64(rj.ID-1)) == survivor {
-				want = "adopted"
-			}
-			if rj.Action != want {
-				t.Fatalf("%s: job %d action %q, want %q", survivor, rj.ID, rj.Action, want)
-			}
-		}
-		jr.Close()
-	}
-
-	// Legacy: no filter means wholesale adoption (the single-standby path).
-	jr, err := journal.Open(dir+"/standby", journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := galaxyWithJournal(t, jr, "standby")
-	rep, err := g.Recover(recs, rerr, recoverOpts(rs, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Adopted != jobs || rep.Orphaned != 0 {
-		t.Fatalf("legacy wholesale adoption broken: adopted=%d orphaned=%d", rep.Adopted, rep.Orphaned)
-	}
-	jr.Close()
 }

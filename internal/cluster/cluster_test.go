@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -25,9 +26,9 @@ func tinyReads(t testing.TB) *workload.ReadSet {
 	return rs
 }
 
-func newTestCluster(t testing.TB, n int, mut func(*Config)) *Cluster {
+func newTestCluster(t testing.TB, n int, mut func(*SimConfig)) *Sim {
 	t.Helper()
-	cfg := Config{
+	cfg := SimConfig{
 		Handlers:              n,
 		Tick:                  250 * time.Millisecond,
 		DisableDurableSubmits: true,
@@ -36,7 +37,7 @@ func newTestCluster(t testing.TB, n int, mut func(*Config)) *Cluster {
 	if mut != nil {
 		mut(&cfg)
 	}
-	c, err := New(cfg)
+	c, err := NewSim(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func newTestCluster(t testing.TB, n int, mut func(*Config)) *Cluster {
 }
 
 // stripesOf returns the stripes a handler currently owns.
-func stripesOf(c *Cluster, handler string) []int {
+func stripesOf(c *Sim, handler string) []int {
 	var out []int
 	for s, o := range c.Status().Partition {
 		if o == handler {
@@ -166,7 +167,7 @@ func TestWorkStealingDrainsSkewedBacklog(t *testing.T) {
 // TestStolenJobKeepsSeniority pins that a transfer carries the original
 // submission time: a stolen senior must start before the thief's junior.
 func TestStolenJobKeepsSeniority(t *testing.T) {
-	c := newTestCluster(t, 2, func(cfg *Config) { cfg.StealThreshold = 1 })
+	c := newTestCluster(t, 2, func(cfg *SimConfig) { cfg.StealThreshold = 1 })
 	owned := stripesOf(c, "h0")
 	// Saturate h0's two GPUs, then park two more jobs behind them.
 	var parked []uint64
@@ -204,7 +205,7 @@ func TestStolenJobKeepsSeniority(t *testing.T) {
 	}
 }
 
-func findStolen(t *testing.T, c *Cluster, handler string) int {
+func findStolen(t *testing.T, c *Sim, handler string) int {
 	t.Helper()
 	n := 0
 	for _, j := range c.Galaxy(handler).Jobs() {
@@ -273,5 +274,26 @@ func TestKillLastHandlerRefused(t *testing.T) {
 	}
 	if err := c.KillHandler("h0", nil); err == nil {
 		t.Fatal("double kill should refuse")
+	}
+}
+
+// TestNodeRefusesKeyItDoesNotOwn: a member journals only keys its own ring
+// assigns to itself; a refused pinned key consumes nothing.
+func TestNodeRefusesKeyItDoesNotOwn(t *testing.T) {
+	c := newTestCluster(t, 2, nil)
+	n := c.Node("h0")
+	key := uint64(stripesOf(c, "h1")[0])
+	if _, err := n.Submit("racon", nil, "reads", SubmitOptions{Key: &key}); !errors.Is(err, errNotOwner) {
+		t.Fatalf("h0 took key %d from h1's stripe: err=%v", key, err)
+	}
+	if st := n.Status(); st.Jobs != 0 || len(n.Keys()) != 0 || n.nextKey != 0 {
+		t.Fatalf("refusal left a trace: jobs=%d keys=%v cursor=%d", st.Jobs, n.Keys(), n.nextKey)
+	}
+	ref, err := n.Submit("racon", map[string]string{"scale": "0.001"}, "reads", SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(stripesOf(c, "h0")[0]); ref.Key != want || ref.Handler != "h0" {
+		t.Fatalf("first drawn key = %d on %s, want h0's lowest stripe %d", ref.Key, ref.Handler, want)
 	}
 }

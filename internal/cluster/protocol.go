@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"gyan/internal/faults"
 	"gyan/internal/galaxy"
 	"gyan/internal/journal"
 	"gyan/internal/sim"
@@ -11,14 +12,13 @@ import (
 	"gyan/internal/transport"
 )
 
-// The cluster's member-to-member protocol, run over the simulated message
-// bus (internal/transport). PR 7's coordinator decided steals and
-// rebalances under one lock with a god's-eye view; here every decision a
-// real deployment would have to make over a network is made over the bus,
-// by the members themselves, from state they learned through messages:
+// The member-to-member protocol, run over a transport.Transport (the
+// simulated bus under a Sim, tcpbus in a deployment). Every decision a real
+// deployment has to make over a network is made by the member itself, from
+// state it learned through messages:
 //
 //   - Membership is a lease table. Every member broadcasts lease renewals
-//     (carrying load gossip: queue depth, free GPUs) every RenewEvery of
+//     (carrying load gossip: queue depth, free GPUs) once per Tick of
 //     virtual time; each member tracks every peer's lease expiry and
 //     declares a peer dead when its lease lapses — no coordinator assist.
 //     A rebalance-claim broadcast lets slower members learn of a death
@@ -46,9 +46,10 @@ import (
 //     (antientropy.go) query the thief and repair it within a bounded
 //     number of rounds.
 //
-// Everything here runs at tick boundaries in member order under c.mu,
-// which keeps an N-member run with message faults bit-for-bit
-// deterministic for a fixed seed.
+// Everything here runs under the member's own mutex, once per step. A Sim
+// steps its members at tick boundaries in member order, which keeps an
+// N-member run with message faults bit-for-bit deterministic for a fixed
+// seed.
 
 // peerLoad is the load gossip a lease renewal carries.
 type peerLoad struct {
@@ -148,8 +149,7 @@ type deadPrepare struct {
 }
 
 // protoState is one member's protocol brain: everything it knows about its
-// peers, learned only through bus messages (plus the shared dead-journal
-// archive, the in-process stand-in for reading a dead peer's disk).
+// peers, learned only through bus messages.
 type protoState struct {
 	rng      *sim.RNG
 	leases   map[string]time.Duration
@@ -172,10 +172,8 @@ type protoState struct {
 	out      map[uint64]*outXfer
 
 	// Thief side: per-transfer dedupe epochs ("accepted", "aborted",
-	// "refused"), the local job each accepted transfer became, and the
-	// accepted transfers whose retire has not arrived.
+	// "refused") and the accepted transfers whose retire has not arrived.
 	inSeen      map[inKey]string
-	inJob       map[inKey]int
 	unretiredIn map[inKey]uint64
 
 	// Claimer side: orphaned prepares awaiting thief confirmation.
@@ -197,7 +195,6 @@ func newProtoState(seed uint64, peers []string, self string, ttl time.Duration) 
 		nextXfer:    1,
 		out:         make(map[uint64]*outXfer),
 		inSeen:      make(map[inKey]string),
-		inJob:       make(map[inKey]int),
 		unretiredIn: make(map[inKey]uint64),
 		pendingDead: make(map[inKey]*deadPrepare),
 	}
@@ -219,138 +216,132 @@ type deadTrail struct {
 	prepared *journal.Record
 }
 
-// deadMemberInfo is the shared archive for one dead member: built once by
-// the first declarer (ring removal + journal replay), then consulted by
-// every claimer.
+// deadMemberInfo is this member's post-mortem archive of one peer it
+// declared dead: the peer's journal, replayed from Dir/<peer> and folded into
+// per-job trails (order lists the job IDs ascending).
 type deadMemberInfo struct {
-	moved   map[int]string
-	trails  map[int]*deadTrail
-	order   []int
-	records int
-	torn    int
+	trails map[int]*deadTrail
+	order  []int
 }
 
-// protocolPass runs one tick of the member protocol, in member order.
-func (c *Cluster) protocolPass(now time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range c.order {
-		h := c.handlers[id]
-		if h == nil || !h.alive {
-			continue // remote member (networked bus): no engine here
-		}
-		c.deliverLocked(h, now)
-		c.warmCheckLocked(h)
-		c.detectFailuresLocked(h, now)
-		c.renewLeaseLocked(h, now)
-		c.stealDecisionLocked(h, now)
-		c.resendLocked(h, now)
-		c.antiEntropyLocked(h, now)
-	}
+// protocolPass is the second half of a step: one pass of the member
+// protocol at the member's current time.
+func (n *Node) protocolPass() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	now := n.now
+	n.deliver(now)
+	n.warmCheck()
+	n.detectFailures(now)
+	n.renewLease(now)
+	n.stealDecision(now)
+	n.resend(now)
+	n.antiEntropy(now)
 }
 
-// deliverLocked drains and processes this member's inbound messages.
-func (c *Cluster) deliverLocked(h *handler, now time.Duration) {
-	for _, msg := range c.bus.Receive(now, h.id) {
+// send puts one protocol message from this member on the bus.
+func (n *Node) send(now time.Duration, typ, to string, body any) {
+	n.bus.Send(now, typ, n.id, to, body)
+}
+
+// deliver drains and processes this member's inbound messages.
+func (n *Node) deliver(now time.Duration) {
+	for _, msg := range n.bus.Receive(now, n.id) {
 		switch msg.Type {
 		case transport.MsgLeaseRenew:
-			c.onRenewLocked(h, msg, now)
+			n.onRenew(msg, now)
 		case transport.MsgRejoinAck:
-			c.onRejoinAckLocked(h, msg)
+			n.onRejoinAck(msg)
 		case transport.MsgStealPrepare:
-			c.onPrepareLocked(h, msg, now)
+			n.onPrepare(msg, now)
 		case transport.MsgStealAccept:
-			c.onAcceptLocked(h, msg, now)
+			n.onAccept(msg, now)
 		case transport.MsgStealRetire:
-			c.onRetireLocked(h, msg)
+			n.onRetire(msg)
 		case transport.MsgStealAbort:
-			c.onAbortLocked(h, msg, now)
+			n.onAbort(msg, now)
 		case transport.MsgAbortAck:
-			c.onAbortAckLocked(h, msg, now)
+			n.onAbortAck(msg, now)
 		case transport.MsgClaim:
-			c.onClaimLocked(h, msg, now)
+			n.onClaim(msg, now)
 		case transport.MsgAEDigest:
-			c.onAEDigestLocked(h, msg, now)
+			n.onAEDigest(msg, now)
 		case transport.MsgAEReply:
-			c.onAEReplyLocked(h, msg, now)
+			n.onAEReply(msg, now)
 		}
 	}
 }
 
-// onRenewLocked folds one lease renewal into the member's lease table. The
+// onRenew folds one lease renewal into the member's lease table. The
 // lease extends from the renewal's SEND time — a delayed message proves
 // liveness only as of when it left the sender. A renewal carrying a higher
 // incarnation than the peer's last-known one announces a restart: the old
 // life is declared dead first (even if its lease never lapsed — the claim
 // and journal replay must happen exactly once per death) and the new life
 // is welcomed back into the ring.
-func (c *Cluster) onRenewLocked(h *handler, msg transport.Message, now time.Duration) {
-	m := h.proto
+func (n *Node) onRenew(msg transport.Message, now time.Duration) {
+	m := n.proto
 	body := msg.Body.(renewBody)
 	known := m.peerInc[msg.From]
 	if known == 0 {
 		known = 1 // every member boots at incarnation 1
 	}
 	if body.Inc > known {
-		if !m.deadSeen[msg.From] {
-			c.declareDeadLocked(h, msg.From, now)
+		if !m.deadSeen[msg.From] && !n.declareDead(msg.From, now) {
+			return // old life's journal unreadable: the next renewal retries
 		}
-		c.rejoinPeerLocked(h, msg.From, body.Inc, now)
+		n.rejoinPeer(msg.From, body.Inc)
 	} else if m.deadSeen[msg.From] {
 		return // no resurrection: the same incarnation stays dead
 	}
 	if body.Inc > m.peerInc[msg.From] {
 		m.peerInc[msg.From] = body.Inc
 	}
-	if exp := msg.SentAt + c.memberTTL; exp > m.leases[msg.From] {
+	if exp := msg.SentAt + n.cfg.MemberTTL; exp > m.leases[msg.From] {
 		m.leases[msg.From] = exp
 	}
 	m.gossip[msg.From] = body.Load
 	if body.Warming {
 		// Re-ack every warming renewal: a lost rejoin-ack would otherwise
 		// leave the rejoiner refusing work forever.
-		c.bus.Send(now, transport.MsgRejoinAck, h.id, msg.From, rejoinAckBody{Inc: body.Inc})
+		n.send(now, transport.MsgRejoinAck, msg.From, rejoinAckBody{Inc: body.Inc})
 	}
 }
 
-// rejoinPeerLocked welcomes a restarted peer's new incarnation: clear the
+// rejoinPeer welcomes a restarted peer's new incarnation: clear the
 // declared-dead fence, re-add it to the ring (mirroring the Remove the
 // death performed, so every member's stripe table replays the same op
 // history), and drop the stale post-mortem archive so a future death of the
 // NEW incarnation replays the journal fresh.
-func (c *Cluster) rejoinPeerLocked(h *handler, peer string, inc uint64, now time.Duration) {
-	m := h.proto
-	delete(m.deadSeen, peer)
-	m.peerInc[peer] = inc
-	if !c.ring.isMember(peer) {
-		c.ring.Add(peer)
-	}
-	delete(c.dead, peer)
-	c.rejoins++
-	c.rejoinVec.With(peer).Inc()
+func (n *Node) rejoinPeer(peer string, inc uint64) {
+	delete(n.proto.deadSeen, peer)
+	n.proto.peerInc[peer] = inc
+	n.ring.Add(peer)
+	delete(n.dead, peer)
+	n.met.rejoins.With(peer).Inc()
 }
 
-// onRejoinAckLocked collects a survivor's welcome; warming ends when every
-// live peer has acked this member's current incarnation (warmCheckLocked).
-func (c *Cluster) onRejoinAckLocked(h *handler, msg transport.Message) {
-	m := h.proto
+// onRejoinAck collects a survivor's welcome; warming ends when every
+// live peer has acked this member's current incarnation (warmCheck).
+func (n *Node) onRejoinAck(msg transport.Message) {
+	m := n.proto
 	body := msg.Body.(rejoinAckBody)
-	if !m.warming || body.Inc != h.inc {
+	if !m.warming || body.Inc != n.cfg.Incarnation {
 		return
 	}
 	m.rejoinAcks[msg.From] = true
 }
 
-// warmCheckLocked leaves warming once every peer this member considers live
+// warmCheck leaves warming once every peer this member considers live
 // has acknowledged its incarnation. A peer that is genuinely down stops
 // blocking the exit when its lease lapses and it lands in deadSeen.
-func (c *Cluster) warmCheckLocked(h *handler) {
-	m := h.proto
+func (n *Node) warmCheck() {
+	m := n.proto
 	if !m.warming {
 		return
 	}
-	for _, p := range c.order {
-		if p == h.id || m.deadSeen[p] {
+	for _, p := range n.cfg.Members {
+		if p == n.id || m.deadSeen[p] {
 			continue
 		}
 		if !m.rejoinAcks[p] {
@@ -360,71 +351,69 @@ func (c *Cluster) warmCheckLocked(h *handler) {
 	m.warming = false
 }
 
-// renewLeaseLocked broadcasts this member's lease renewal with load gossip.
+// renewLease broadcasts this member's lease renewal with load gossip.
 // Renewals go to EVERY peer, including ones this member has declared dead:
 // a renewal is also the resurrection beacon. If a "dead" peer is actually a
 // restarted process — or a live one that transiently declared US dead — the
 // incarnation it carries is what lets the two sides converge again
-// (onRenewLocked's rejoin path). Skipping deadSeen peers here deadlocks a
+// (onRenew's rejoin path). Skipping deadSeen peers here deadlocks a
 // networked restart permanently: after a kill -9, the survivor and the
 // rebooted member can each declare the other dead inside one reconnect
 // backoff window, and with neither renewing to the other, the rejoin
 // trigger never fires. Renewals to a genuinely dead member are a bounded
 // trickle the bus counts as lost — the price of the beacon.
-func (c *Cluster) renewLeaseLocked(h *handler, now time.Duration) {
-	m := h.proto
-	if m.renewedOnce && now < m.lastRenew+c.renewEvery {
+func (n *Node) renewLease(now time.Duration) {
+	m := n.proto
+	if m.renewedOnce && now < m.lastRenew+n.cfg.Tick {
 		return
 	}
 	m.renewedOnce = true
 	m.lastRenew = now
-	u := smi.UsageFromReport(smi.Snapshot(h.g.Cluster, now))
-	c.lastSurveys[h.id] = u
-	load := peerLoad{Depth: h.g.QueuedBacklog(), Free: len(u.AvailableGPUs)}
+	u := smi.UsageFromReport(smi.Snapshot(n.g.Cluster, now))
+	load := peerLoad{Depth: n.g.QueuedBacklog(), Free: len(u.AvailableGPUs)}
 	if m.warming {
 		// Advertise no capacity while warming: a peer enticed into preparing
 		// a steal here would only be refused.
 		load = peerLoad{}
 	}
-	for _, p := range c.order {
-		if p == h.id {
+	for _, p := range n.cfg.Members {
+		if p == n.id {
 			continue
 		}
-		c.bus.Send(now, transport.MsgLeaseRenew, h.id, p,
-			renewBody{Load: load, Inc: h.inc, Warming: m.warming})
+		n.send(now, transport.MsgLeaseRenew, p,
+			renewBody{Load: load, Inc: n.cfg.Incarnation, Warming: m.warming})
 	}
-	c.renewVec.With(h.id).Inc()
+	n.met.renewals.With(n.id).Inc()
 }
 
-// detectFailuresLocked declares every peer whose lease has lapsed.
-func (c *Cluster) detectFailuresLocked(h *handler, now time.Duration) {
-	m := h.proto
-	for _, p := range c.order {
-		if p == h.id || m.deadSeen[p] {
+// detectFailures declares every peer whose lease has lapsed.
+func (n *Node) detectFailures(now time.Duration) {
+	m := n.proto
+	for _, p := range n.cfg.Members {
+		if p == n.id || m.deadSeen[p] {
 			continue
 		}
-		if exp, ok := m.leases[p]; ok && now >= exp {
-			c.expiryVec.With(h.id, p).Inc()
-			c.declareDeadLocked(h, p, now)
+		if exp, ok := m.leases[p]; ok && now >= exp && n.declareDead(p, now) {
+			n.met.expiries.With(n.id, p).Inc()
 		}
 	}
 }
 
-// stealDecisionLocked starts a two-phase steal when this member is
+// stealDecision starts a two-phase steal when this member is
 // backlogged and gossip shows an idle peer. One batch in flight at a time.
-func (c *Cluster) stealDecisionLocked(h *handler, now time.Duration) {
-	m := h.proto
+func (n *Node) stealDecision(now time.Duration) {
+	m := n.proto
 	if m.warming || len(m.out) > 0 {
 		return
 	}
-	depth := h.g.QueuedBacklog()
-	if depth < c.cfg.StealThreshold {
+	depth := n.g.QueuedBacklog()
+	if depth < n.cfg.StealThreshold {
 		return
 	}
 	var thief string
 	bestFree := 0
-	for _, p := range c.order {
-		if p == h.id || m.deadSeen[p] {
+	for _, p := range n.cfg.Members {
+		if p == n.id || m.deadSeen[p] {
 			continue
 		}
 		gl, ok := m.gossip[p]
@@ -442,17 +431,17 @@ func (c *Cluster) stealDecisionLocked(h *handler, now time.Duration) {
 	if take > depth {
 		take = depth
 	}
-	prepared := h.g.PrepareSteal(take, thief, m.nextXfer)
+	prepared := n.g.PrepareSteal(take, thief, m.nextXfer)
 	m.nextXfer += uint64(len(prepared))
 	for _, ps := range prepared {
 		key, _ := keyOfParams(ps.T.Params)
 		m.out[ps.Xfer] = &outXfer{
 			xferID: ps.Xfer, jobID: ps.JobID, key: key, thief: thief, t: ps.T,
-			attempts: 1, nextSend: now + c.stealBackoff.Delay(1, m.rng),
+			attempts: 1, nextSend: now + n.stealBackoff().Delay(1, m.rng),
 		}
-		c.bus.Send(now, transport.MsgStealPrepare, h.id, thief,
+		n.send(now, transport.MsgStealPrepare, thief,
 			prepareBody{Xfer: ps.Xfer, Key: key, T: ps.T})
-		c.prepVec.With(h.id, thief).Inc()
+		n.met.prepares.With(n.id, thief).Inc()
 	}
 	// Don't immediately re-target the same peer from stale gossip.
 	if gl, ok := m.gossip[thief]; ok {
@@ -464,13 +453,13 @@ func (c *Cluster) stealDecisionLocked(h *handler, now time.Duration) {
 	}
 }
 
-// onPrepareLocked is the thief's phase one: journal the accept (a durable
+// onPrepare is the thief's phase one: journal the accept (a durable
 // submit+adopt pair under this member's epoch) and ack. Duplicate prepares
 // re-ack idempotently; prepares from members this one has declared dead
 // are refused — their journals have already been claimed, and accepting
 // now could double-run a job a claimer requeued.
-func (c *Cluster) onPrepareLocked(h *handler, msg transport.Message, now time.Duration) {
-	m := h.proto
+func (n *Node) onPrepare(msg transport.Message, now time.Duration) {
+	m := n.proto
 	body := msg.Body.(prepareBody)
 	k := inKey{victim: msg.From, xfer: body.Xfer}
 	if m.deadSeen[msg.From] || m.warming {
@@ -480,130 +469,133 @@ func (c *Cluster) onPrepareLocked(h *handler, msg transport.Message, now time.Du
 		if m.inSeen[k] == "" {
 			m.inSeen[k] = "refused"
 		}
-		c.bus.Send(now, transport.MsgAbortAck, h.id, msg.From, abortAckBody{Xfer: body.Xfer})
+		n.send(now, transport.MsgAbortAck, msg.From, abortAckBody{Xfer: body.Xfer})
 		return
 	}
 	if body.T.Dataset == nil && body.T.DatasetName != "" {
 		// Payloads never cross a serializing transport (Dataset is json:"-");
 		// re-resolve from this process's registry by name.
-		body.T.Dataset = c.datasets[body.T.DatasetName]
+		body.T.Dataset = n.datasets[body.T.DatasetName]
 	}
 	switch m.inSeen[k] {
 	case "accepted":
-		c.bus.Send(now, transport.MsgStealAccept, h.id, msg.From, acceptBody{Xfer: body.Xfer})
+		n.send(now, transport.MsgStealAccept, msg.From, acceptBody{Xfer: body.Xfer})
 	case "aborted", "refused":
-		c.bus.Send(now, transport.MsgAbortAck, h.id, msg.From, abortAckBody{Xfer: body.Xfer})
+		n.send(now, transport.MsgAbortAck, msg.From, abortAckBody{Xfer: body.Xfer})
 	default:
-		job, err := h.g.AcceptTransfer(body.T)
+		job, err := n.g.AcceptTransfer(body.T)
 		if err != nil {
 			m.inSeen[k] = "refused"
-			c.bus.Send(now, transport.MsgAbortAck, h.id, msg.From, abortAckBody{Xfer: body.Xfer})
+			n.send(now, transport.MsgAbortAck, msg.From, abortAckBody{Xfer: body.Xfer})
 			return
 		}
 		m.inSeen[k] = "accepted"
-		m.inJob[k] = job.ID
 		m.unretiredIn[k] = body.Key
-		h.stolenIn++
-		c.steals++
-		c.stealsVec.With(h.id, msg.From).Inc()
-		c.acceptVec.With(h.id, msg.From).Inc()
-		c.assign[body.Key] = h.id
-		c.jobs[body.Key] = &tracked{handler: h.id, job: job}
-		c.bus.Send(now, transport.MsgStealAccept, h.id, msg.From, acceptBody{Xfer: body.Xfer})
+		n.stolenIn++
+		n.met.steals.With(n.id, msg.From).Inc()
+		n.met.accepts.With(n.id, msg.From).Inc()
+		n.bind(body.Key, job)
+		n.send(now, transport.MsgStealAccept, msg.From, acceptBody{Xfer: body.Xfer})
 	}
 }
 
-// onAcceptLocked is the victim's phase two: journal the retire, making the
+// onAccept is the victim's phase two: journal the retire, making the
 // transfer final, and tell the thief. An accept for an unknown transfer
 // means the retire already happened and the earlier retire message may
 // have been lost — re-send it.
-func (c *Cluster) onAcceptLocked(h *handler, msg transport.Message, now time.Duration) {
-	m := h.proto
+func (n *Node) onAccept(msg transport.Message, now time.Duration) {
+	m := n.proto
 	body := msg.Body.(acceptBody)
 	o := m.out[body.Xfer]
 	if o == nil {
-		c.bus.Send(now, transport.MsgStealRetire, h.id, msg.From, retireBody{Xfer: body.Xfer})
+		n.send(now, transport.MsgStealRetire, msg.From, retireBody{Xfer: body.Xfer})
 		return
 	}
-	c.retireOutLocked(h, o, now)
+	n.retireOut(o, now)
 }
 
-// retireOutLocked finalizes one outbound transfer: journal the retire,
+// retireOut finalizes one outbound transfer: journal the retire,
 // notify the thief, drop the in-flight entry.
-func (c *Cluster) retireOutLocked(h *handler, o *outXfer, now time.Duration) {
-	h.g.RetireSteal(o.jobID)
-	h.stolenOut++
-	c.retireVec.With(h.id, o.thief).Inc()
-	delete(h.proto.out, o.xferID)
-	c.rehomeRetiredLocked(h, o.key, o.thief)
-	c.bus.Send(now, transport.MsgStealRetire, h.id, o.thief, retireBody{Xfer: o.xferID})
+func (n *Node) retireOut(o *outXfer, now time.Duration) {
+	n.g.RetireSteal(o.jobID)
+	n.stolenOut++
+	n.met.retires.With(n.id, o.thief).Inc()
+	delete(n.proto.out, o.xferID)
+	n.rehomeRetired(o.key, o.thief)
+	n.send(now, transport.MsgStealRetire, o.thief, retireBody{Xfer: o.xferID})
 }
 
-// rehomeRetiredLocked points the victim's assign entry at the thief once a
-// transfer retires. Over the in-process bus the thief's accept already wrote
-// the shared map, so this is a no-op there; over a networked bus each process
-// has its own map, and without this the victim would still read itself as the
+// rehomeRetired points the victim's assign entry at the thief once a
+// transfer retires. Without it the victim would still read itself as the
 // key's owner — which makes declareDead's "already re-homed" gate skip the
 // key if the thief later dies owing it. Only a binding that still names this
 // member is moved: anything else means a later transfer already won.
-func (c *Cluster) rehomeRetiredLocked(h *handler, key uint64, thief string) {
-	if cur, ok := c.assign[key]; !ok || cur == h.id {
-		c.assign[key] = thief
+func (n *Node) rehomeRetired(key uint64, thief string) {
+	if cur, ok := n.assign[key]; !ok || cur == n.id {
+		n.assign[key] = thief
 	}
 }
 
-// onRetireLocked clears the thief-side unretired marker. Idempotent.
-func (c *Cluster) onRetireLocked(h *handler, msg transport.Message) {
+// onRetire clears the thief-side unretired marker. Idempotent.
+func (n *Node) onRetire(msg transport.Message) {
 	body := msg.Body.(retireBody)
-	delete(h.proto.unretiredIn, inKey{victim: msg.From, xfer: body.Xfer})
+	delete(n.proto.unretiredIn, inKey{victim: msg.From, xfer: body.Xfer})
 }
 
-// onAbortLocked is the thief's answer to a victim giving up: if this
+// onAbort is the thief's answer to a victim giving up: if this
 // member already accepted, the abort is refused (Accepted: true) and the
 // victim retires instead; otherwise the transfer is fenced as aborted so a
 // late prepare cannot resurrect it.
-func (c *Cluster) onAbortLocked(h *handler, msg transport.Message, now time.Duration) {
-	m := h.proto
+func (n *Node) onAbort(msg transport.Message, now time.Duration) {
+	m := n.proto
 	body := msg.Body.(abortBody)
 	k := inKey{victim: msg.From, xfer: body.Xfer}
 	if m.inSeen[k] == "accepted" {
-		c.bus.Send(now, transport.MsgAbortAck, h.id, msg.From, abortAckBody{Xfer: body.Xfer, Accepted: true})
+		n.send(now, transport.MsgAbortAck, msg.From, abortAckBody{Xfer: body.Xfer, Accepted: true})
 		return
 	}
 	if m.inSeen[k] == "" {
 		m.inSeen[k] = "aborted"
 	}
-	c.bus.Send(now, transport.MsgAbortAck, h.id, msg.From, abortAckBody{Xfer: body.Xfer})
+	n.send(now, transport.MsgAbortAck, msg.From, abortAckBody{Xfer: body.Xfer})
 }
 
-// onAbortAckLocked resolves the victim's abort exchange: a refused abort
+// onAbortAck resolves the victim's abort exchange: a refused abort
 // (the thief accepted first) retires; a confirmed one requeues locally at
 // original seniority.
-func (c *Cluster) onAbortAckLocked(h *handler, msg transport.Message, now time.Duration) {
-	m := h.proto
+func (n *Node) onAbortAck(msg transport.Message, now time.Duration) {
+	m := n.proto
 	body := msg.Body.(abortAckBody)
 	o := m.out[body.Xfer]
 	if o == nil {
 		return
 	}
 	if body.Accepted {
-		c.retireOutLocked(h, o, now)
+		n.retireOut(o, now)
 		return
 	}
-	h.g.AbortSteal(o.jobID, "thief never accepted the transfer")
+	n.g.AbortSteal(o.jobID, "thief never accepted the transfer")
 	delete(m.out, body.Xfer)
-	c.abortVec.With(h.id, o.thief).Inc()
+	n.met.aborts.With(n.id, o.thief).Inc()
 }
 
-// resendLocked drives timeouts: prepares are re-sent on a jittered
+// stealBackoff paces two-phase steal retries: the prepare is re-sent on this
+// schedule until the attempt budget is spent, then the victim switches to
+// the abort exchange.
+func (n *Node) stealBackoff() faults.Backoff {
+	return faults.Backoff{MaxAttempts: 4, Base: 3 * n.cfg.Tick, Max: 12 * n.cfg.Tick, Jitter: 0.2}
+}
+
+// resend drives timeouts: prepares are re-sent on a jittered
 // exponential backoff; an exhausted budget flips the transfer into the
 // abort exchange, whose sends retry indefinitely at the capped delay
 // (abort must eventually land or the thief must die — either resolves).
-func (c *Cluster) resendLocked(h *handler, now time.Duration) {
-	m := h.proto
+func (n *Node) resend(now time.Duration) {
+	m := n.proto
 	if len(m.out) == 0 {
 		return
 	}
+	backoff := n.stealBackoff()
 	xfers := make([]uint64, 0, len(m.out))
 	for x := range m.out {
 		xfers = append(xfers, x)
@@ -614,43 +606,59 @@ func (c *Cluster) resendLocked(h *handler, now time.Duration) {
 		if o == nil || now < o.nextSend {
 			continue
 		}
-		if !o.aborting && o.attempts >= c.stealBackoff.Attempts() {
+		if !o.aborting && o.attempts >= backoff.Attempts() {
 			o.aborting = true
 			o.attempts = 0
 		}
 		o.attempts++
 		if o.aborting {
-			c.bus.Send(now, transport.MsgStealAbort, h.id, o.thief, abortBody{Xfer: x})
+			n.send(now, transport.MsgStealAbort, o.thief, abortBody{Xfer: x})
 		} else {
-			c.bus.Send(now, transport.MsgStealPrepare, h.id, o.thief,
+			n.send(now, transport.MsgStealPrepare, o.thief,
 				prepareBody{Xfer: x, Key: o.key, T: o.t})
 		}
-		c.retryVec.With(h.id).Inc()
-		o.nextSend = now + c.stealBackoff.Delay(o.attempts, m.rng)
+		n.met.retries.With(n.id).Inc()
+		o.nextSend = now + backoff.Delay(o.attempts, m.rng)
 	}
 }
 
-// onClaimLocked: a peer announced a member's death and its stripe claims.
+// onClaim: a peer announced a member's death and its stripe claims.
 // Treat it as a detection trigger — learning of a death from a claim is
 // faster than waiting for the local lease to lapse.
-func (c *Cluster) onClaimLocked(h *handler, msg transport.Message, now time.Duration) {
+func (n *Node) onClaim(msg transport.Message, now time.Duration) {
 	body := msg.Body.(claimBody)
-	if body.Dead == h.id {
+	if body.Dead == n.id {
 		return // "reports of my death": nothing to do, no resurrection path
 	}
-	if !h.proto.deadSeen[body.Dead] {
-		c.declareDeadLocked(h, body.Dead, now)
+	if !n.proto.deadSeen[body.Dead] {
+		n.declareDead(body.Dead, now)
 	}
 }
 
-// declareDeadLocked is one member's reaction to a peer's death: ensure the
-// shared archive (ring removal + dead journal replay) exists, journal a
-// rebalance-claim for the stripes this member inherited, broadcast the
-// claim, requeue the dead member's non-terminal keys this member now owns,
-// and park orphaned prepares for the anti-entropy sweep. Also resolves
-// this member's own in-flight transfers that named the dead peer.
-func (c *Cluster) declareDeadLocked(h *handler, dead string, now time.Duration) {
-	m := h.proto
+// declareDead is one member's reaction to a peer's death: replay the peer's
+// journal into a post-mortem archive, take the peer out of this member's
+// ring, journal a rebalance-claim for the stripes this member inherited,
+// broadcast the claim, requeue the dead member's non-terminal keys this
+// member now owns, and park orphaned prepares for the anti-entropy sweep.
+// Also resolves this member's own in-flight transfers that named the dead
+// peer.
+//
+// The replay comes first and its failure declares nothing: an empty archive
+// cached in place of an unreadable journal would silently drop every job the
+// peer owed. The peer stays undeclared (lease lapsed, stripes unclaimed) and
+// whichever trigger fires next — the detector's next pass, a claim, a
+// higher-incarnation renewal — retries. Reports whether the peer was
+// declared.
+func (n *Node) declareDead(dead string, now time.Duration) bool {
+	// A missing directory replays as empty; torn tails are tolerated.
+	recs, _, err := journal.ReplayAll(n.dirOf(dead))
+	if err != nil {
+		n.met.deadReplayErrors.With(n.id, dead).Inc()
+		return false
+	}
+	di := foldDeadJournal(recs)
+	n.dead[dead] = di
+	m := n.proto
 	m.deadSeen[dead] = true
 	delete(m.leases, dead)
 	delete(m.gossip, dead)
@@ -662,37 +670,35 @@ func (c *Cluster) declareDeadLocked(h *handler, dead string, now time.Duration) 
 		}
 	}
 
-	di := c.ensureDeadInfoLocked(dead)
-
 	// Resolve this member's own protocol state that referenced the dead —
 	// outbound transfers whose thief died, and parked prepares whose
 	// tentative thief died — BEFORE walking the dead journal for requeues:
 	// retiring an accepted-but-unretired transfer re-homes its assign entry
 	// to the dead thief, which is what lets the rehome loop below pick the
 	// key up instead of skipping it as someone else's.
-	c.resolveDeadThiefLocked(h, dead, now)
+	n.resolveDeadThief(dead)
 
 	// Claim the inherited stripes, durably.
 	var stripes []int
-	for s, owner := range di.moved {
-		if owner == h.id {
+	for s, owner := range n.ring.Remove(dead) {
+		if owner == n.id {
 			stripes = append(stripes, s)
 		}
 	}
 	sort.Ints(stripes)
 	if len(stripes) > 0 {
 		rec := journal.Record{
-			Type: journal.TypeClaim, At: now, Handler: h.id, From: dead, Stripes: stripes,
+			Type: journal.TypeClaim, At: now, Handler: n.id, From: dead, Stripes: stripes,
 		}
-		if err := h.jr.Append(rec); err == nil {
-			c.claimVec.With(h.id, dead).Inc()
+		if err := n.jr.Append(rec); err == nil {
+			n.met.claims.With(n.id, dead).Inc()
 		}
 	}
-	for _, p := range c.order {
-		if p == h.id || p == dead || m.deadSeen[p] {
+	for _, p := range n.cfg.Members {
+		if p == n.id || p == dead || m.deadSeen[p] {
 			continue
 		}
-		c.bus.Send(now, transport.MsgClaim, h.id, p, claimBody{Dead: dead, Stripes: stripes})
+		n.send(now, transport.MsgClaim, p, claimBody{Dead: dead, Stripes: stripes})
 	}
 
 	// Rehome the dead member's still-owned non-terminal keys that the ring
@@ -706,48 +712,26 @@ func (c *Cluster) declareDeadLocked(h *handler, dead string, now time.Duration) 
 		if !ok {
 			continue
 		}
-		if owner, ok := c.assign[key]; ok && owner != dead {
+		if owner, ok := n.assign[key]; ok && owner != dead {
 			continue // already re-homed (stolen away before the death)
 		}
-		// A key absent from the local assign map was submitted by another
-		// process (networked bus); the dead journal is the only witness, so
-		// fall through and requeue it here.
-		if c.ring.OwnerOfKey(key) != h.id {
+		// A key absent from this member's assign map never passed through
+		// here; the dead journal is the only witness, so fall through and
+		// requeue it.
+		if n.ring.OwnerOfKey(key) != n.id {
 			continue // another claimer's stripe
 		}
 		if t.prepared != nil {
-			c.parkOrphanedPrepareLocked(h, dead, jid, t, key, now)
+			n.parkOrphanedPrepare(dead, jid, t, key)
 			continue
 		}
-		c.requeueDeadKeyLocked(h, dead, jid, t.submit, key, now)
+		n.requeueDeadKey(dead, jid, t.submit, key)
 	}
-}
-
-// ensureDeadInfoLocked builds (once) the shared post-mortem archive for a
-// dead member: the ring gives up exactly its stripes, and its journal is
-// replayed tolerant of torn tails.
-func (c *Cluster) ensureDeadInfoLocked(dead string) *deadMemberInfo {
-	if di := c.dead[dead]; di != nil {
-		return di
-	}
-	di := &deadMemberInfo{moved: map[int]string{}, trails: map[int]*deadTrail{}}
-	if c.ring.isMember(dead) {
-		di.moved = c.ring.Remove(dead)
-	}
-	// journalDirFor works for remote members too (networked bus over a
-	// shared journal root); a missing directory just yields empty trails.
-	recs, corrupts, err := journal.ReplayAll(c.journalDirFor(dead))
-	if err == nil {
-		di.records = len(recs)
-		di.torn = len(corrupts)
-		di.trails, di.order = foldDeadJournal(recs)
-	}
-	c.dead[dead] = di
-	return di
+	return true
 }
 
 // foldDeadJournal folds a dead member's record stream into per-job trails.
-func foldDeadJournal(recs []journal.Record) (map[int]*deadTrail, []int) {
+func foldDeadJournal(recs []journal.Record) *deadMemberInfo {
 	trails := make(map[int]*deadTrail)
 	var order []int
 	for i := range recs {
@@ -781,49 +765,58 @@ func foldDeadJournal(recs []journal.Record) (map[int]*deadTrail, []int) {
 		}
 	}
 	sort.Ints(order)
-	return trails, order
+	return &deadMemberInfo{trails: trails, order: order}
 }
 
-// requeueDeadKeyLocked resubmits one of a dead member's jobs on this one,
+// holdsKey reports whether the dead member's journal has a trail for the
+// key — for a tentative thief, the proof that it accepted the transfer.
+func (di *deadMemberInfo) holdsKey(key uint64) bool {
+	for _, t := range di.trails {
+		if k, ok := keyOfParams(t.submit.Params); ok && k == key {
+			return true
+		}
+	}
+	return false
+}
+
+// requeueDeadKey resubmits one of a dead member's jobs on this one,
 // at original seniority.
-func (c *Cluster) requeueDeadKeyLocked(h *handler, dead string, jid int, sub journal.Record, key uint64, now time.Duration) {
-	job, err := h.g.AcceptTransfer(galaxy.TransferredJob{
+func (n *Node) requeueDeadKey(dead string, jid int, sub journal.Record, key uint64) {
+	job, err := n.g.AcceptTransfer(galaxy.TransferredJob{
 		From: dead, FromJob: jid, ToolID: sub.Tool, Params: sub.Params,
-		Dataset: c.datasets[sub.Dataset], DatasetName: sub.Dataset,
+		Dataset: n.datasets[sub.Dataset], DatasetName: sub.Dataset,
 		Runtime: sub.Runtime, User: sub.User, Priority: sub.Priority,
 		GPUs: sub.GPUs, EstRuntime: sub.EstRuntime, Submitted: sub.Submitted,
 	})
 	if err != nil {
 		return // registry mismatch; the audit will surface the key as lost
 	}
-	c.assign[key] = h.id
-	c.jobs[key] = &tracked{handler: h.id, job: job}
-	h.rebalancedIn++
-	c.rebalances++
-	c.rebalVec.With(dead, h.id).Inc()
+	n.bind(key, job)
+	n.rebalancedIn++
+	n.met.rebalanced.With(dead, n.id).Inc()
 }
 
-// parkOrphanedPrepareLocked handles a dead victim's trail that ends
+// parkOrphanedPrepare handles a dead victim's trail that ends
 // mid-transfer. If this member IS the tentative thief it resolves locally
 // from its own dedupe table; otherwise the anti-entropy sweep will query
 // the thief. A dead thief is resolved immediately from its archive.
-func (c *Cluster) parkOrphanedPrepareLocked(h *handler, dead string, jid int, t *deadTrail, key uint64, now time.Duration) {
-	m := h.proto
+func (n *Node) parkOrphanedPrepare(dead string, jid int, t *deadTrail, key uint64) {
+	m := n.proto
 	thief := t.prepared.Handler
 	xfer := t.prepared.Xfer
 	k := inKey{victim: dead, xfer: xfer}
-	if thief == h.id {
+	if thief == n.id {
 		// The claimer is the tentative thief: its own table is the truth.
 		if m.inSeen[k] == "accepted" {
 			return // already accepted and tracked under this member's trail
 		}
 		m.inSeen[k] = "refused" // fence any late duplicate prepare
-		c.requeueDeadKeyLocked(h, dead, jid, t.submit, key, now)
-		c.aeRepairVec.With(h.id, "orphaned_prepare").Inc()
+		n.requeueDeadKey(dead, jid, t.submit, key)
+		n.met.aeRepairs.With(n.id, "orphaned_prepare").Inc()
 		return
 	}
 	if m.deadSeen[thief] {
-		c.resolveOrphanAgainstDeadThiefLocked(h, dead, jid, t, key, thief, now)
+		n.resolveOrphanAgainstDeadThief(dead, jid, t.submit, key, thief)
 		return
 	}
 	m.pendingDead[k] = &deadPrepare{
@@ -831,30 +824,25 @@ func (c *Cluster) parkOrphanedPrepareLocked(h *handler, dead string, jid int, t 
 	}
 }
 
-// resolveOrphanAgainstDeadThiefLocked decides an orphaned prepare when the
-// tentative thief is ALSO dead: its replayed journal is the truth. An
-// accepted transfer appears there as a trail for the same key adopted from
-// the victim; absent that, the handoff never happened and the key requeues
-// here.
-func (c *Cluster) resolveOrphanAgainstDeadThiefLocked(h *handler, dead string, jid int, t *deadTrail, key uint64, thief string, now time.Duration) {
-	tdi := c.ensureDeadInfoLocked(thief)
-	for _, tj := range tdi.order {
-		tt := tdi.trails[tj]
-		tkey, ok := keyOfParams(tt.submit.Params)
-		if ok && tkey == key {
-			return // the thief accepted; its own claimer rehomes the key
-		}
+// resolveOrphanAgainstDeadThief decides an orphaned prepare when the
+// tentative thief is ALSO dead (declared by this member, so its archive is
+// here): its replayed journal is the truth. An accepted transfer appears
+// there as a trail for the same key adopted from the victim; absent that,
+// the handoff never happened and the key requeues here.
+func (n *Node) resolveOrphanAgainstDeadThief(dead string, jid int, sub journal.Record, key uint64, thief string) {
+	if n.dead[thief].holdsKey(key) {
+		return // the thief accepted; its own claimer rehomes the key
 	}
-	c.requeueDeadKeyLocked(h, dead, jid, t.submit, key, now)
-	c.aeRepairVec.With(h.id, "orphaned_prepare").Inc()
+	n.requeueDeadKey(dead, jid, sub, key)
+	n.met.aeRepairs.With(n.id, "orphaned_prepare").Inc()
 }
 
-// resolveDeadThiefLocked cleans up this member's in-flight state that
+// resolveDeadThief cleans up this member's in-flight state that
 // named the dead peer: outbound transfers consult the dead thief's journal
 // (accepted → retire; never accepted → abort and requeue), and parked
 // orphan queries resolve against the archive.
-func (c *Cluster) resolveDeadThiefLocked(h *handler, dead string, now time.Duration) {
-	m := h.proto
+func (n *Node) resolveDeadThief(dead string) {
+	m := n.proto
 	var xfers []uint64
 	for x, o := range m.out {
 		if o.thief == dead {
@@ -862,40 +850,30 @@ func (c *Cluster) resolveDeadThiefLocked(h *handler, dead string, now time.Durat
 		}
 	}
 	sort.Slice(xfers, func(i, j int) bool { return xfers[i] < xfers[j] })
-	if len(xfers) > 0 {
-		tdi := c.ensureDeadInfoLocked(dead)
-		acceptedKeys := make(map[uint64]bool)
-		for _, tj := range tdi.order {
-			if k, ok := keyOfParams(tdi.trails[tj].submit.Params); ok {
-				acceptedKeys[k] = true
-			}
+	for _, x := range xfers {
+		o := m.out[x]
+		if n.dead[dead].holdsKey(o.key) {
+			n.g.RetireSteal(o.jobID)
+			n.stolenOut++
+			n.met.retires.With(n.id, dead).Inc()
+			n.rehomeRetired(o.key, dead)
+		} else {
+			n.g.AbortSteal(o.jobID, "thief died before accepting")
+			n.met.aborts.With(n.id, dead).Inc()
 		}
-		for _, x := range xfers {
-			o := m.out[x]
-			if acceptedKeys[o.key] {
-				h.g.RetireSteal(o.jobID)
-				h.stolenOut++
-				c.retireVec.With(h.id, dead).Inc()
-				c.rehomeRetiredLocked(h, o.key, dead)
-			} else {
-				h.g.AbortSteal(o.jobID, "thief died before accepting")
-				c.abortVec.With(h.id, dead).Inc()
-			}
-			delete(m.out, x)
-		}
+		delete(m.out, x)
 	}
 	for k, pd := range m.pendingDead {
 		if pd.thief != dead {
 			continue
 		}
 		delete(m.pendingDead, k)
-		if owner, ok := c.assign[pd.key]; ok && owner != pd.victim {
+		if owner, ok := n.assign[pd.key]; ok && owner != pd.victim {
 			continue
 		}
-		if c.ring.OwnerOfKey(pd.key) != h.id {
+		if n.ring.OwnerOfKey(pd.key) != n.id {
 			continue
 		}
-		t := &deadTrail{submit: pd.submit}
-		c.resolveOrphanAgainstDeadThiefLocked(h, pd.victim, pd.jobID, t, pd.key, dead, now)
+		n.resolveOrphanAgainstDeadThief(pd.victim, pd.jobID, pd.submit, pd.key, dead)
 	}
 }

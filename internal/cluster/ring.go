@@ -2,10 +2,14 @@
 // partitioned across handlers by consistent hashing over journal stripes,
 // each handler keeps its own write-ahead journal, idle handlers steal queued
 // work from backlogged peers, and a dead handler's partition is rebalanced
-// across the survivors instead of being adopted wholesale. The whole thing
-// runs in-process as a deterministic lockstep simulation over N
-// galaxy.Galaxy instances, so failover and stealing are testable without
-// real networking (see Cluster).
+// across the survivors instead of being adopted wholesale.
+//
+// A Node is one member — a galaxy.Galaxy plus its own ring view, bindings,
+// post-mortem archives and protocol state — whose only route to a peer is a
+// transport.Transport; gyan-server -bus tcp hosts one per process. A Sim is
+// N Nodes on one simulated bus stepped in lockstep, so failover and stealing
+// are testable deterministically without real networking, by the very code
+// a deployment runs.
 package cluster
 
 import (
@@ -28,8 +32,8 @@ import (
 //     currently least-loaded survivor (HRW score breaks ties). Again nothing
 //     else moves, and the departed share is ≤ ceil(stripes/N).
 //
-// A Ring is a plain value owned by the cluster coordinator; it is not safe
-// for concurrent use.
+// A Ring is a plain value owned by one Node (every member keeps its own
+// view); it is not safe for concurrent use.
 type Ring struct {
 	stripes int
 	owner   []string // stripe -> member, "" when the ring is empty

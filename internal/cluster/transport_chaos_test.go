@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -29,7 +31,7 @@ import (
 
 // pinKeys submits n jobs pinned into the given handler's stripes and
 // returns the keys.
-func pinKeys(t *testing.T, c *Cluster, handler, scale string, n int) []uint64 {
+func pinKeys(t *testing.T, c *Sim, handler, scale string, n int) []uint64 {
 	t.Helper()
 	owned := stripesOf(c, handler)
 	if len(owned) == 0 {
@@ -48,7 +50,7 @@ func pinKeys(t *testing.T, c *Cluster, handler, scale string, n int) []uint64 {
 }
 
 // drain steps the cluster until the engines and the protocol settle.
-func drain(t *testing.T, c *Cluster, horizon time.Duration) {
+func drain(t *testing.T, c *Sim, horizon time.Duration) {
 	t.Helper()
 	drainDead(t, c, "", horizon)
 }
@@ -58,7 +60,7 @@ func drain(t *testing.T, c *Cluster, horizon time.Duration) {
 // after a kill the cluster can look idle for the whole lease-TTL window
 // (the dead member took its backlog with it), and the requeue work only
 // appears once the failure detector fires.
-func drainDead(t *testing.T, c *Cluster, killed string, horizon time.Duration) {
+func drainDead(t *testing.T, c *Sim, killed string, horizon time.Duration) {
 	t.Helper()
 	for {
 		busy := c.Step()
@@ -71,7 +73,7 @@ func drainDead(t *testing.T, c *Cluster, killed string, horizon time.Duration) {
 	}
 }
 
-func allSeeDead(c *Cluster, dead string) bool {
+func allSeeDead(c *Sim, dead string) bool {
 	for _, id := range c.Handlers() {
 		if id == dead {
 			continue
@@ -93,7 +95,7 @@ func allSeeDead(c *Cluster, dead string) bool {
 // invariants: every key durable and terminal, none lost, none double-run,
 // multi-handler starts only explained by the dead member, and adopted jobs
 // starting in submission order on every survivor.
-func auditExactlyOnce(t *testing.T, c *Cluster, total int, dead string) *Audit {
+func auditExactlyOnce(t *testing.T, c *Sim, total int, dead string) *Audit {
 	t.Helper()
 	if err := c.SyncJournals(); err != nil {
 		t.Fatal(err)
@@ -265,64 +267,104 @@ func TestTransportChaosKillBetweenPhases(t *testing.T) {
 				return ""
 			}},
 	}
+	// cell runs one phase x fault combination to drain and returns its
+	// audit and final virtual time.
+	cell := func(t *testing.T, pi, mi int) (*Audit, time.Duration) {
+		ph, md := phases[pi], modes[mi]
+		plan := faults.NewMsgPlan(uint64(100+10*pi+mi),
+			faults.MsgRule{Match: faults.MsgMatch{Type: ph.msg}, Fault: md.fault, Count: 2})
+		c := newTestCluster(t, 3, func(cfg *SimConfig) {
+			cfg.DisableDurableSubmits = false
+			cfg.StealThreshold = 2
+			cfg.Seed = uint64(1 + pi*4 + mi)
+			cfg.MsgFaults = plan
+		})
+		const jobs = 18
+		keys := pinKeys(t, c, "h0", "0.004", jobs)
+
+		killed := ""
+		for step := 0; killed == ""; step++ {
+			if !c.Step() {
+				t.Fatal("cluster drained before the phase boundary was reached")
+			}
+			if step > 2000 {
+				t.Fatalf("phase %s never reached", ph.name)
+			}
+			if target := ph.cond(c.TransportStatus(), plan.MsgFired()); target != "" {
+				if err := c.KillHandler(target, []byte{0xde, 0xad, 0x00, 0x0f}); err != nil {
+					t.Fatal(err)
+				}
+				killed = target
+			}
+		}
+		drainDead(t, c, killed, 6*time.Hour)
+
+		// The kill was detected by lease expiry on every survivor and
+		// the dead stripes were claimed.
+		for _, id := range c.Handlers() {
+			if id == killed {
+				continue
+			}
+			deadSeen := c.DeadSeenBy(id)
+			if len(deadSeen) != 1 || deadSeen[0] != killed {
+				t.Fatalf("%s dead-set = %v, want [%s]", id, deadSeen, killed)
+			}
+		}
+		assertStripesClaimed(t, c, killed)
+		for _, key := range keys {
+			ref, job, ok := c.Lookup(key)
+			if !ok || job.State != "ok" {
+				t.Fatalf("key %d did not complete (on %s): %+v", key, ref.Handler, job)
+			}
+		}
+		audit := auditExactlyOnce(t, c, jobs, killed)
+		if audit.TornTailCounts[killed] == 0 {
+			t.Fatalf("killed member's torn tail not observed: %v", audit.TornTailCounts)
+		}
+		return audit, c.Now()
+	}
 	for pi, ph := range phases {
 		for mi, md := range modes {
-			t.Run(ph.name+"/"+md.name, func(t *testing.T) {
-				plan := faults.NewMsgPlan(uint64(100+10*pi+mi),
-					faults.MsgRule{Match: faults.MsgMatch{Type: ph.msg}, Fault: md.fault, Count: 2})
-				c := newTestCluster(t, 3, func(cfg *Config) {
-					cfg.DisableDurableSubmits = false
-					cfg.StealThreshold = 2
-					cfg.Seed = uint64(1 + pi*4 + mi)
-					cfg.MsgFaults = plan
-				})
-				const jobs = 18
-				keys := pinKeys(t, c, "h0", "0.004", jobs)
+			t.Run(ph.name+"/"+md.name, func(t *testing.T) { cell(t, pi, mi) })
+		}
+	}
+	// Sim determinism: N members with nothing shared but the bus still make
+	// one seed + one fault plan one history — the same per-key start trail
+	// on the same members at the same virtual times, ending at the same
+	// instant.
+	t.Run("after-accept/duplicate/replayed", func(t *testing.T) {
+		a1, end1 := cell(t, 1, 1)
+		a2, end2 := cell(t, 1, 1)
+		if end1 != end2 {
+			t.Fatalf("same seed and plan ended at %v, then at %v", end1, end2)
+		}
+		for key, k1 := range a1.Keys {
+			k2 := a2.Keys[key]
+			if k2 == nil || !reflect.DeepEqual(k1.StartedOn, k2.StartedOn) || !reflect.DeepEqual(k1.Starts, k2.Starts) {
+				t.Fatalf("key %d diverged between identical runs: %+v vs %+v", key, k1, k2)
+			}
+		}
+	})
+}
 
-				killed := ""
-				for step := 0; killed == ""; step++ {
-					if !c.Step() {
-						t.Fatal("cluster drained before the phase boundary was reached")
-					}
-					if step > 2000 {
-						t.Fatalf("phase %s never reached", ph.name)
-					}
-					if target := ph.cond(c.TransportStatus(), plan.MsgFired()); target != "" {
-						if err := c.KillHandler(target, []byte{0xde, 0xad, 0x00, 0x0f}); err != nil {
-							t.Fatal(err)
-						}
-						killed = target
-					}
-				}
-				drainDead(t, c, killed, 6*time.Hour)
-
-				// The kill was detected by lease expiry on every survivor and
-				// the dead stripes were claimed.
-				for _, id := range c.Handlers() {
-					if id == killed {
-						continue
-					}
-					deadSeen := c.DeadSeenBy(id)
-					if len(deadSeen) != 1 || deadSeen[0] != killed {
-						t.Fatalf("%s dead-set = %v, want [%s]", id, deadSeen, killed)
-					}
-				}
-				for _, o := range c.Status().Partition {
-					if o == killed {
-						t.Fatal("dead member still owns stripes")
-					}
-				}
-				for _, key := range keys {
-					ref, job, ok := c.Lookup(key)
-					if !ok || job.State != "ok" {
-						t.Fatalf("key %d did not complete (on %s): %+v", key, ref.Handler, job)
-					}
-				}
-				audit := auditExactlyOnce(t, c, jobs, killed)
-				if audit.TornTailCounts[killed] == 0 {
-					t.Fatalf("killed member's torn tail not observed: %v", audit.TornTailCounts)
-				}
-			})
+// assertStripesClaimed checks that a dead member's stripes were all taken
+// over: no survivor's own ring view still lists it, and the stitched
+// partition Submit routes by has no unowned stripe left.
+func assertStripesClaimed(t *testing.T, c *Sim, dead string) {
+	t.Helper()
+	for _, id := range c.Handlers() {
+		if id == dead {
+			continue
+		}
+		for s, o := range c.Node(id).Status().Partition {
+			if o == dead {
+				t.Fatalf("%s's view still gives stripe %d to dead %s", id, s, dead)
+			}
+		}
+	}
+	for s, o := range c.Status().Partition {
+		if o == "" || o == dead {
+			t.Fatalf("stripe %d unclaimed after failover (owner %q)", s, o)
 		}
 	}
 }
@@ -339,7 +381,7 @@ func TestSlowButAliveNeverEvicted(t *testing.T) {
 			// the default TTL is six ticks, so h1 is slow but inside it.
 			Fault: faults.MsgFault{Delay: 500 * time.Millisecond},
 		})
-	c := newTestCluster(t, 2, func(cfg *Config) {
+	c := newTestCluster(t, 2, func(cfg *SimConfig) {
 		cfg.Seed = 11
 		cfg.MsgFaults = plan
 	})
@@ -388,7 +430,7 @@ func TestStealRetryThenAbortRequeues(t *testing.T) {
 			Match: faults.MsgMatch{Type: transport.MsgStealPrepare},
 			Fault: faults.MsgFault{Drop: true},
 		})
-	c := newTestCluster(t, 2, func(cfg *Config) {
+	c := newTestCluster(t, 2, func(cfg *SimConfig) {
 		cfg.Seed = 5
 		cfg.StealThreshold = 3
 		cfg.MsgFaults = plan
@@ -444,7 +486,7 @@ func TestOrphanedPrepareRepairedByAntiEntropy(t *testing.T) {
 			Match: faults.MsgMatch{Type: transport.MsgStealPrepare, From: "h0"},
 			Fault: faults.MsgFault{Drop: true},
 		})
-	c := newTestCluster(t, 3, func(cfg *Config) {
+	c := newTestCluster(t, 3, func(cfg *SimConfig) {
 		cfg.DisableDurableSubmits = false
 		cfg.StealThreshold = 2
 		cfg.Seed = 9
@@ -537,7 +579,7 @@ func TestTransportChaosRaceHammer(t *testing.T) {
 		faults.MsgRule{Match: faults.MsgMatch{Type: transport.MsgAEDigest},
 			Fault: faults.MsgFault{Reorder: true}, Prob: 0.2},
 	)
-	c := newTestCluster(t, 3, func(cfg *Config) {
+	c := newTestCluster(t, 3, func(cfg *SimConfig) {
 		cfg.StealThreshold = 1
 		cfg.Seed = 21
 		cfg.MsgFaults = plan
@@ -619,7 +661,7 @@ func TestTransportChaosRaceHammer(t *testing.T) {
 // survivors must notice within the TTL plus a small sweep margin, purely
 // from missed renewals, and journal claims for the dead stripes.
 func TestLeaseExpiryDetectsKillWithoutCoordinator(t *testing.T) {
-	c := newTestCluster(t, 3, func(cfg *Config) {
+	c := newTestCluster(t, 3, func(cfg *SimConfig) {
 		cfg.DisableDurableSubmits = false
 		cfg.Seed = 17
 	})
@@ -631,26 +673,22 @@ func TestLeaseExpiryDetectsKillWithoutCoordinator(t *testing.T) {
 	if err := c.KillHandler("h2", nil); err != nil {
 		t.Fatal(err)
 	}
-	ttl := c.cfg.MemberTTL
+	ttl, tick := c.nodes[0].cfg.MemberTTL, c.tick
 	for {
 		c.Step()
 		seen0, seen1 := c.DeadSeenBy("h0"), c.DeadSeenBy("h1")
 		if len(seen0) == 1 && seen0[0] == "h2" && len(seen1) == 1 && seen1[0] == "h2" {
 			break
 		}
-		if c.Now()-killAt > ttl+4*c.cfg.Tick {
+		if c.Now()-killAt > ttl+4*tick {
 			t.Fatalf("death not detected within TTL+margin (%v elapsed)", c.Now()-killAt)
 		}
 	}
-	if elapsed := c.Now() - killAt; elapsed < ttl-c.cfg.Tick {
+	if elapsed := c.Now() - killAt; elapsed < ttl-tick {
 		t.Fatalf("death detected after %v, before the lease could have lapsed (TTL %v)", elapsed, ttl)
 	}
 	drain(t, c, time.Hour)
-	for _, o := range c.Status().Partition {
-		if o == "h2" {
-			t.Fatal("dead member still owns stripes")
-		}
-	}
+	assertStripesClaimed(t, c, "h2")
 	if err := c.SyncJournals(); err != nil {
 		t.Fatal(err)
 	}
@@ -668,4 +706,187 @@ func TestLeaseExpiryDetectsKillWithoutCoordinator(t *testing.T) {
 	if !claimers["h0"] || !claimers["h1"] {
 		t.Fatalf("claims came from %v, want both survivors", claimers)
 	}
+}
+
+// TestStaggeredDetectionDivergentViews makes the survivors notice a real
+// death at different ticks — h1 stops hearing h2 three ticks before the kill
+// (well under MemberTTL, so no false death) and every rebalance-claim
+// addressed to h0 is dropped, so h0 learns only from its own, later, lease
+// lapse. While h1 has declared h2 dead and h0 has not, their ring views
+// differ: a submission pinned to one of h2's old stripes is journaled by at
+// most one member, and is retryable verbatim when neither owns it yet. After
+// drain the views are equal again and the audit balances.
+func TestStaggeredDetectionDivergentViews(t *testing.T) {
+	plan := faults.NewMsgPlan(31, faults.MsgRule{
+		Match: faults.MsgMatch{Type: transport.MsgClaim, To: "h0"},
+		Fault: faults.MsgFault{Drop: true},
+	})
+	c := newTestCluster(t, 3, func(cfg *SimConfig) {
+		cfg.DisableDurableSubmits = false
+		cfg.Seed = 31
+		cfg.MsgFaults = plan
+	})
+	total := len(pinKeys(t, c, "h2", "0.004", 6))
+	orphaned := stripesOf(c, "h2")
+	for i := 0; i < 4; i++ {
+		c.Step() // let the lease tables warm up
+	}
+	plan.Cut("h2", "h1")
+	for i := 0; i < 3; i++ {
+		c.Step()
+	}
+	if err := c.KillHandler("h2", []byte{0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	for len(c.DeadSeenBy("h1")) == 0 {
+		c.Step()
+		if c.Now() > time.Minute {
+			t.Fatal("h1 never declared h2 dead")
+		}
+	}
+	if seen := c.DeadSeenBy("h0"); len(seen) != 0 {
+		t.Fatalf("h0 declared %v in the same tick as h1: detection was not staggered", seen)
+	}
+
+	// The window: two live members, two different rings.
+	owns := func(member, id string) (n int) {
+		for _, o := range c.Node(member).Status().Partition {
+			if o == id {
+				n++
+			}
+		}
+		return n
+	}
+	if owns("h1", "h2") != 0 || owns("h0", "h2") != len(orphaned) {
+		t.Fatalf("views in the window: h1 gives h2 %d stripes (want 0), h0 gives it %d (want %d)",
+			owns("h1", "h2"), owns("h0", "h2"), len(orphaned))
+	}
+	var retry []uint64
+	for _, s := range orphaned {
+		key := uint64(s) + 100*DefaultStripes
+		accepted := 0
+		for _, id := range []string{"h0", "h1"} {
+			_, err := c.Node(id).Submit("racon", map[string]string{"scale": "0.002"}, "reads",
+				SubmitOptions{User: "window", Key: &key})
+			if err == nil {
+				accepted++
+			} else if !errors.Is(err, errNotOwner) {
+				t.Fatalf("%s refused key %d for the wrong reason: %v", id, key, err)
+			}
+		}
+		if accepted > 1 {
+			t.Fatalf("key %d (stripe %d) journaled by %d members", key, s, accepted)
+		}
+		if accepted == 0 {
+			if _, err := c.Submit("racon", nil, "reads", SubmitOptions{Key: &key}); err == nil {
+				t.Fatalf("front door placed key %d although no live member owns stripe %d yet", key, s)
+			}
+			retry = append(retry, key)
+		}
+		total++
+	}
+	if len(retry) == 0 || len(retry) == len(orphaned) {
+		t.Fatalf("%d of %d orphaned stripes unowned in the window; want some claimed by h1 and some awaiting h0",
+			len(retry), len(orphaned))
+	}
+
+	drainDead(t, c, "h2", time.Hour)
+	for _, key := range retry {
+		if _, err := c.Submit("racon", map[string]string{"scale": "0.002"}, "reads",
+			SubmitOptions{User: "window", Key: &key}); err != nil {
+			t.Fatalf("verbatim retry of key %d after convergence: %v", key, err)
+		}
+	}
+	drain(t, c, 2*time.Hour)
+	if p0, p1 := c.Node("h0").Status().Partition, c.Node("h1").Status().Partition; !reflect.DeepEqual(p0, p1) {
+		t.Fatalf("views did not converge:\nh0 %v\nh1 %v", p0, p1)
+	}
+	assertStripesClaimed(t, c, "h2")
+	for _, key := range c.Keys() {
+		if ref, job, _ := c.Lookup(key); job.State != "ok" {
+			t.Fatalf("key %d on %s: state %s (%s)", key, ref.Handler, job.State, job.Info)
+		}
+	}
+	auditExactlyOnce(t, c, total, "h2")
+}
+
+// obstructJournal plants a DIRECTORY carrying a segment's name under a
+// member's journal, so ReplayAll's ReadFile fails with EISDIR (even when the
+// tests run as root), and returns the obstruction's path.
+func obstructJournal(t *testing.T, dir string) string {
+	t.Helper()
+	path := filepath.Join(dir, "shard-00", "wal-99999999.seg")
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRejoinRefusesUnreadableJournal: a restart-rejoin that cannot replay
+// its own journal must not boot with the job-ID allocator at zero.
+func TestRejoinRefusesUnreadableJournal(t *testing.T) {
+	root := t.TempDir()
+	obstructJournal(t, filepath.Join(root, "h0"))
+	n, err := New(Config{
+		Members: []string{"h0", "h1"}, Local: []string{"h0"}, Incarnation: 2, Dir: root,
+		Bus: transport.New(transport.Options{}), WallClock: func() time.Duration { return 0 },
+	})
+	if err == nil {
+		n.Close()
+		t.Fatal("rejoin booted over an unreadable journal")
+	}
+}
+
+// TestDeadReplayErrorDefersDeclaration: a survivor that cannot replay a
+// lapsed peer's journal must not cache an empty archive — it counts the
+// error, leaves the peer undeclared with its lease entry in place, retries
+// every detection pass, and requeues the peer's jobs once the journal reads.
+func TestDeadReplayErrorDefersDeclaration(t *testing.T) {
+	c := newTestCluster(t, 3, func(cfg *SimConfig) {
+		cfg.DisableDurableSubmits = false
+		cfg.Seed = 23
+	})
+	const jobs = 8
+	keys := pinKeys(t, c, "h2", "0.004", jobs)
+	for i := 0; i < 4; i++ {
+		c.Step()
+	}
+	if err := c.KillHandler("h2", []byte{0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	obstruction := obstructJournal(t, c.JournalDirs()["h2"])
+	ttl := c.nodes[0].cfg.MemberTTL
+	for deadline := c.Now() + 2*ttl; c.Now() < deadline; {
+		c.Step()
+	}
+	var sb strings.Builder
+	if err := c.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range c.TransportStatus().Members {
+		if m.ID == "h2" {
+			continue
+		}
+		if len(m.DeadSeen) != 0 {
+			t.Fatalf("%s declared %v dead over an unreadable journal", m.ID, m.DeadSeen)
+		}
+		if left, ok := m.Leases["h2"]; !ok || left > 0 {
+			t.Fatalf("%s's lease entry for h2: %v (present %v), want kept and lapsed", m.ID, left, ok)
+		}
+		want := `gyan_cluster_dead_replay_errors_total{member="` + m.ID + `",dead="h2"}`
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition missing %s:\n%s", want, sb.String())
+		}
+	}
+	if err := os.Remove(obstruction); err != nil {
+		t.Fatal(err)
+	}
+	drainDead(t, c, "h2", time.Hour)
+	assertStripesClaimed(t, c, "h2")
+	for _, key := range keys {
+		if ref, job, ok := c.Lookup(key); !ok || job.State != "ok" {
+			t.Fatalf("key %d did not complete (on %s): %+v", key, ref.Handler, job)
+		}
+	}
+	auditExactlyOnce(t, c, jobs, "h2")
 }

@@ -41,7 +41,7 @@ func clusterScale(opt Options) (jobs3h, jobs1h, jobsKill int) {
 // submitMixed submits one job of the rotating mixed workload: ~45% short
 // polishes, ~45% long polishes, ~10% CPU-side seqstats that ride along
 // without consuming GPU capacity.
-func submitMixed(c *cluster.Cluster, i int, delay time.Duration) error {
+func submitMixed(c *cluster.Sim, i int, delay time.Duration) error {
 	var err error
 	switch {
 	case i%10 == 9:
@@ -72,7 +72,7 @@ func runScalingPhase(opt Options, handlers, jobs int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.NewSim(cluster.SimConfig{
 		Handlers:              handlers,
 		Tick:                  time.Second,
 		DisableDurableSubmits: true,
@@ -111,7 +111,7 @@ func runKillPhase(opt Options, jobs int) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := cluster.New(cluster.Config{
+	c, err := cluster.NewSim(cluster.SimConfig{
 		Handlers: 3,
 		Tick:     time.Second,
 		Sched:    sched.Config{Backfill: true},

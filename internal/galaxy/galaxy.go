@@ -206,7 +206,7 @@ func New(cluster *gpu.Cluster, opts ...Option) *Galaxy {
 		workflows:      make(map[int]*WorkflowRun),
 		preparedSteals: make(map[int]*preparedSteal),
 		retryRNG:       newRetryRNG(),
-		surveyCache:    smi.NewCache(0),
+		surveyCache:    smi.NewCache(),
 		obsv:           obs.NewObserver(),
 	}
 	for _, opt := range opts {

@@ -351,25 +351,6 @@ type RecoverOptions struct {
 	// its jobs. Zero falls back to virtual-time expiry (deterministic
 	// experiments).
 	WallNow int64
-	// AdoptFilter, when set, is consulted with a foreign job's submit
-	// record before an expired-lease adoption: return false and the job is
-	// left orphaned for another survivor instead of adopted here. This is
-	// the partition-rebalancer hook — in a multi-handler cluster each
-	// survivor adopts only the slice of the dead handler's jobs that the
-	// hash ring now assigns to it (see internal/cluster.AdoptFilter), so a
-	// dead partition is spread across survivors rather than adopted
-	// wholesale by whichever handler recovers first. Nil preserves the
-	// legacy single-standby behavior: adopt everything whose lease expired.
-	AdoptFilter func(submit journal.Record) bool
-	// OrphanedPrepare resolves a job whose trail ends in a steal prepare
-	// with no retire or abort — the victim crashed mid-transfer, and only
-	// the thief's journal knows whether the handoff completed. Return true
-	// to treat the transfer as done (the thief accepted; the job is theirs,
-	// recovered as foreign), false to requeue it here with an abort record
-	// closing the trail. Nil requeues: safe standalone, where no thief
-	// exists to double-run it. The cluster layer passes a closure that
-	// consults the thief's journal (see internal/cluster).
-	OrphanedPrepare func(jobID int, thief string, xfer uint64) bool
 }
 
 // jobHistory is one job's folded record trail.
@@ -572,18 +553,17 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 
 		if h.prepared != nil {
 			// The trail ends mid-transfer: a steal prepare with no retire
-			// or abort. Only the thief's journal knows whether the handoff
-			// completed; the hook (cluster-provided) consults it.
-			thief := h.prepared.Handler
-			if opts.OrphanedPrepare != nil && opts.OrphanedPrepare(id, thief, h.prepared.Xfer) {
-				h.owner = thief // the thief accepted; theirs now
-			} else {
-				g.logJournal(journal.Record{
-					Type: journal.TypeStealAbort, At: now, Job: id,
-					Handler: thief, From: g.handlerID, Xfer: h.prepared.Xfer,
-					Msg: "recovery: orphaned prepare requeued",
-				})
-			}
+			// or abort — this handler crashed after detaching the job.
+			// Standalone recovery has no thief that could double-run it, so
+			// an abort record closes the trail and the job requeues here.
+			// (A clustered member never recovers this way: its survivors
+			// settle orphaned prepares with the tentative thief — see
+			// internal/cluster.)
+			g.logJournal(journal.Record{
+				Type: journal.TypeStealAbort, At: now, Job: id,
+				Handler: h.prepared.Handler, From: g.handlerID, Xfer: h.prepared.Xfer,
+				Msg: "recovery: orphaned prepare requeued",
+			})
 		}
 
 		// Non-terminal: ownership decides. A foreign job is requeued only
@@ -594,13 +574,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		if foreign {
 			li, seen := rep.Leases[owner]
 			live := seen && !li.Expired
-			adopt := !live && opts.AdoptExpired
-			if adopt && opts.AdoptFilter != nil && !opts.AdoptFilter(h.submit) {
-				// The partition rebalancer assigned this job to a different
-				// survivor; leave it orphaned rather than adopting wholesale.
-				adopt = false
-			}
-			if !adopt {
+			if live || !opts.AdoptExpired {
 				job.State = StateQueued
 				job.owner = owner
 				state := "expired"

@@ -11,18 +11,13 @@ import (
 // the full nvidia-smi pipeline — render the `-q -x` XML report, parse it
 // back, fold it into a Usage — even when a burst of decisions landed at the
 // same virtual instant and saw identical device state. The cache keeps the
-// last parsed Usage and serves it to surveys within the TTL window; the
-// owner invalidates it whenever device state changes (sessions opened,
-// closed, aborted), so a hit can never observe a stale allocation.
-//
-// A TTL of zero is the conservative default: only surveys taken at exactly
-// the same virtual instant share a parse, which cannot change any placement
-// decision — device state is a function of virtual time and invalidation
-// covers same-instant mutations. A positive TTL trades staleness (up to one
-// window) for fewer parses under heavy survey load.
+// last parsed Usage and serves it to surveys taken at exactly the same
+// virtual instant, which cannot change any placement decision — device state
+// is a function of virtual time, and the owner invalidates the cache
+// whenever device state changes (sessions opened, closed, aborted), so a hit
+// can never observe a stale allocation.
 type Cache struct {
 	mu    sync.Mutex
-	ttl   time.Duration
 	at    time.Duration
 	valid bool
 	usage Usage
@@ -42,29 +37,19 @@ type Cache struct {
 	testHookAfterParse func()
 }
 
-// NewCache builds a survey cache with the given sharing window; zero means
-// same-instant sharing only.
-func NewCache(ttl time.Duration) *Cache {
-	return &Cache{ttl: ttl}
-}
+// NewCache builds a survey cache.
+func NewCache() *Cache { return &Cache{} }
 
 // Usage returns the cluster's usage survey at now, serving a cached parse
-// when one taken at (or, with a positive TTL, shortly before) now is still
-// valid. A miss pays the full Query+UsageFromXML round trip, exactly what
+// when one taken at now is still valid. A miss pays the full Query+UsageFromXML round trip, exactly what
 // callers did before the cache existed.
 func (c *Cache) Usage(cluster *gpu.Cluster, now time.Duration) (Usage, error) {
 	c.mu.Lock()
-	if c.valid && now >= c.at {
-		fresh := now == c.at
-		if c.ttl > 0 {
-			fresh = now-c.at <= c.ttl
-		}
-		if fresh {
-			c.hits++
-			u := c.usage
-			c.mu.Unlock()
-			return u, nil
-		}
+	if c.valid && now == c.at {
+		c.hits++
+		u := c.usage
+		c.mu.Unlock()
+		return u, nil
 	}
 	gen := c.gen
 	hook := c.testHookAfterParse

@@ -28,7 +28,7 @@ func occupyGPU(t *testing.T, c *gpu.Cluster, minor int) {
 // stale entry and reports the mutated device as still available.
 func TestCacheLostInvalidation(t *testing.T) {
 	cluster := gpu.NewPaperTestbed(nil)
-	cache := NewCache(0)
+	cache := NewCache()
 	now := 5 * time.Second
 
 	// While the first miss is parsing (lock dropped), device state mutates
@@ -71,7 +71,7 @@ func TestCacheLostInvalidation(t *testing.T) {
 // same-instant surveys hit again.
 func TestCacheInstallAfterInvalidation(t *testing.T) {
 	cluster := gpu.NewPaperTestbed(nil)
-	cache := NewCache(0)
+	cache := NewCache()
 	now := time.Second
 
 	cache.testHookAfterParse = func() { cache.Invalidate() }
@@ -96,7 +96,7 @@ func TestCacheInstallAfterInvalidation(t *testing.T) {
 // the same instant with no intervening mutation share one parse.
 func TestCacheHitServesSameInstant(t *testing.T) {
 	cluster := gpu.NewPaperTestbed(nil)
-	cache := NewCache(0)
+	cache := NewCache()
 	now := 2 * time.Second
 
 	a, err := cache.Usage(cluster, now)
