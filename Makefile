@@ -8,7 +8,8 @@ GO ?= go
 FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/toolxml:FuzzExpandMacros \
                 ./internal/journal:FuzzReplay \
-                ./internal/workflow:FuzzBuildDAG
+                ./internal/workflow:FuzzBuildDAG \
+                ./internal/smi:FuzzParseXML
 FUZZTIME     ?= 10s
 
 .PHONY: check build vet test test-race test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-cluster hammer-transport fuzz-short bench bench-dispatch bench-cluster bench-cluster-quick obs-smoke

@@ -232,12 +232,32 @@ func BenchmarkSMIQueryRoundTrip(b *testing.B) {
 	c := gpu.NewPaperTestbed(nil)
 	d, _ := c.Device(0)
 	d.Attach(c.NextPID(), "/usr/bin/racon_gpu")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		doc, err := smi.Query(c, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := smi.UsageFromXML(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSMIParse is the consumer half of the round trip above alone, so
+// the two together show the render/parse split.
+func BenchmarkSMIParse(b *testing.B) {
+	c := gpu.NewPaperTestbed(nil)
+	d, _ := c.Device(0)
+	d.Attach(c.NextPID(), "/usr/bin/racon_gpu")
+	doc, err := smi.Query(c, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := smi.UsageFromXML(doc); err != nil {
 			b.Fatal(err)
 		}

@@ -190,6 +190,7 @@ func New(cluster *gpu.Cluster, opts ...Option) *Galaxy {
 	if cluster == nil {
 		cluster = gpu.NewPaperTestbed(nil)
 	}
+	obsv := obs.NewObserver()
 	g := &Galaxy{
 		Conf:           jobconf.Default(),
 		Cluster:        cluster,
@@ -206,8 +207,8 @@ func New(cluster *gpu.Cluster, opts ...Option) *Galaxy {
 		workflows:      make(map[int]*WorkflowRun),
 		preparedSteals: make(map[int]*preparedSteal),
 		retryRNG:       newRetryRNG(),
-		surveyCache:    smi.NewCache(),
-		obsv:           obs.NewObserver(),
+		surveyCache:    smi.NewCache(obsv.ObserveSurvey),
+		obsv:           obsv,
 	}
 	for _, opt := range opts {
 		opt(g)

@@ -125,8 +125,8 @@ func (g *Galaxy) parkInSchedulerLocked(job *Job, binding *ToolBinding, opts Subm
 }
 
 // scheduleCycle plants a scheduling cycle `delay` after the current virtual
-// time. Redundant cycles are cheap: a cycle with nothing to decide returns
-// an empty decision.
+// time. Redundant cycles are cheap: a cycle with nobody queued returns
+// before it surveys the devices.
 func (g *Galaxy) scheduleCycle(delay time.Duration) {
 	g.Engine.After(delay, g.schedCycle)
 }
@@ -136,7 +136,11 @@ func (g *Galaxy) scheduleCycle(delay time.Duration) {
 func (g *Galaxy) schedCycle(now time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.sched == nil {
+	if g.sched == nil || g.sched.QueueDepth() == 0 {
+		// sched.Cycle over an empty queue decides nothing, counts nothing
+		// and journals nothing; it is not worth a survey. Every release
+		// plants a cycle, so this is the common case on a node that keeps
+		// up with its arrivals.
 		return
 	}
 	survey, err := g.surveyCache.Usage(g.Cluster, now)

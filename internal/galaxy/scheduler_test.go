@@ -7,6 +7,7 @@ import (
 
 	"gyan/internal/monitor"
 	"gyan/internal/sched"
+	"gyan/internal/workload"
 )
 
 // schedGalaxy builds a Galaxy on the 2-GPU paper testbed with a batch
@@ -258,5 +259,58 @@ func TestSchedulerWorkflowStepsChain(t *testing.T) {
 	}
 	if len(w.Jobs) != 2 || w.Jobs[1].Started < w.Jobs[0].Finished {
 		t.Fatalf("steps did not chain: %d jobs", len(w.Jobs))
+	}
+}
+
+// A release with nobody queued plants a scheduler cycle that has nothing to
+// decide; it must not buy a device survey. With a job parked, the same cycle
+// still surveys and starts it at the instant the device frees.
+func TestSchedCycleSkipsSurveyWhenIdle(t *testing.T) {
+	surveys := func(g *Galaxy) int {
+		hits, misses, _ := g.SurveyCacheStats()
+		return hits + misses
+	}
+	submit := func(g *Galaxy, rs *workload.ReadSet) *Job {
+		t.Helper()
+		j, err := g.Submit("racon", fastParams(), rs, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	rs := smallReadSet(t)
+
+	g := schedGalaxy(t, sched.Config{})
+	only := submit(g, rs)
+	g.Engine.RunUntil(0)
+	if only.State != StateRunning {
+		t.Fatalf("job is %s after the t=0 cycle, want running", only.State)
+	}
+	before := surveys(g)
+	g.Run()
+	if only.State != StateOK {
+		t.Fatalf("job finished %s: %s", only.State, only.Info)
+	}
+	if got := surveys(g); got != before {
+		t.Errorf("release with an empty queue surveyed the devices %d time(s)", got-before)
+	}
+
+	g = schedGalaxy(t, sched.Config{})
+	a, b, parked := submit(g, rs), submit(g, rs), submit(g, rs)
+	g.Engine.RunUntil(0)
+	if a.State != StateRunning || b.State != StateRunning || parked.State != StateQueued {
+		t.Fatalf("states after the t=0 cycle: %s %s %s, want two running and one queued",
+			a.State, b.State, parked.State)
+	}
+	before = surveys(g)
+	g.Run()
+	if parked.State != StateOK {
+		t.Fatalf("parked job finished %s: %s", parked.State, parked.Info)
+	}
+	if surveys(g) == before {
+		t.Error("release with a parked job did not survey the devices")
+	}
+	if freed := min(a.Finished, b.Finished); parked.Started != freed {
+		t.Errorf("parked job started at %v, want %v, the instant a device freed", parked.Started, freed)
 	}
 }

@@ -39,6 +39,7 @@ type Observer struct {
 	submitToComplete *Histogram
 	fsyncBatch       *Histogram
 	fsyncSeconds     *Histogram
+	surveySeconds    *Histogram
 
 	shardFsyncBatch   HistogramVec // by shard
 	shardFsyncSeconds HistogramVec // by shard
@@ -89,6 +90,11 @@ func NewObserver() *Observer {
 		fsyncSeconds: r.Histogram("gyan_journal_fsync_seconds",
 			"Wall-clock duration of journal fsyncs.",
 			[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1}),
+		surveySeconds: r.Histogram("gyan_smi_survey_seconds",
+			"Wall-clock duration of nvidia-smi survey round trips (survey cache misses).",
+			// From 1µs: a survey is tens of microseconds, below the
+			// first bound of DefLatencyBuckets.
+			[]float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 0.1}),
 		shardFsyncBatch: r.HistogramVec("gyan_journal_shard_fsync_batch_records",
 			"Records made durable per fsync on one journal stripe.",
 			DefBatchBuckets(), "shard"),
@@ -183,6 +189,12 @@ func (o *Observer) Transition(rec journal.Record) {
 func (o *Observer) ObserveFsync(records int, took time.Duration) {
 	o.fsyncBatch.Observe(float64(records))
 	o.fsyncSeconds.ObserveDuration(took)
+}
+
+// ObserveSurvey records the wall-clock cost of one nvidia-smi survey round
+// trip. Wired into smi.NewCache, which reports its misses.
+func (o *Observer) ObserveSurvey(took time.Duration) {
+	o.surveySeconds.ObserveDuration(took)
 }
 
 // ObserveShardFsync records one fsync on a single journal stripe, labelled

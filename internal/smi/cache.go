@@ -7,10 +7,10 @@ import (
 	"gyan/internal/gpu"
 )
 
-// Cache deduplicates survey round trips. Every mapping decision used to run
-// the full nvidia-smi pipeline — render the `-q -x` XML report, parse it
-// back, fold it into a Usage — even when a burst of decisions landed at the
-// same virtual instant and saw identical device state. The cache keeps the
+// Cache deduplicates survey round trips. Every mapping decision runs the
+// full nvidia-smi pipeline — render the `-q -x` XML report, parse it back,
+// fold it into a Usage — and a burst of decisions landing at the same
+// virtual instant sees identical device state. The cache keeps the
 // last parsed Usage and serves it to surveys taken at exactly the same
 // virtual instant, which cannot change any placement decision — device state
 // is a function of virtual time, and the owner invalidates the cache
@@ -31,18 +31,28 @@ type Cache struct {
 
 	hits, misses, invalidations int
 
+	// observeMiss, when set, receives the wall-clock cost of each miss's
+	// round trip.
+	observeMiss func(time.Duration)
+
 	// testHookAfterParse, when set, runs between the unlocked parse and the
 	// re-lock that installs the result — the window the generation counter
 	// protects. Tests use it to interleave an Invalidate deterministically.
 	testHookAfterParse func()
 }
 
-// NewCache builds a survey cache.
-func NewCache() *Cache { return &Cache{} }
+// NewCache builds a survey cache. observeMiss, if not nil, is told how long
+// each miss's Query+UsageFromXML round trip took on the wall clock; it runs
+// on the surveying goroutine and must not call back into the cache.
+func NewCache(observeMiss func(time.Duration)) *Cache {
+	return &Cache{observeMiss: observeMiss}
+}
 
 // Usage returns the cluster's usage survey at now, serving a cached parse
-// when one taken at now is still valid. A miss pays the full Query+UsageFromXML round trip, exactly what
-// callers did before the cache existed.
+// when one taken at now is still valid. A miss pays the Query+UsageFromXML
+// round trip — tens of microseconds for a two-GPU node with the hand-written
+// codec in xml.go, so the cache is a saving on same-instant bursts and not
+// what keeps a dispatch affordable.
 func (c *Cache) Usage(cluster *gpu.Cluster, now time.Duration) (Usage, error) {
 	c.mu.Lock()
 	if c.valid && now == c.at {
@@ -55,6 +65,7 @@ func (c *Cache) Usage(cluster *gpu.Cluster, now time.Duration) (Usage, error) {
 	hook := c.testHookAfterParse
 	c.mu.Unlock()
 
+	began := time.Now()
 	doc, err := Query(cluster, now)
 	if err != nil {
 		return Usage{}, err
@@ -62,6 +73,9 @@ func (c *Cache) Usage(cluster *gpu.Cluster, now time.Duration) (Usage, error) {
 	u, err := UsageFromXML(doc)
 	if err != nil {
 		return Usage{}, err
+	}
+	if c.observeMiss != nil {
+		c.observeMiss(time.Since(began))
 	}
 	if hook != nil {
 		hook()

@@ -28,7 +28,7 @@ func occupyGPU(t *testing.T, c *gpu.Cluster, minor int) {
 // stale entry and reports the mutated device as still available.
 func TestCacheLostInvalidation(t *testing.T) {
 	cluster := gpu.NewPaperTestbed(nil)
-	cache := NewCache()
+	cache := NewCache(nil)
 	now := 5 * time.Second
 
 	// While the first miss is parsing (lock dropped), device state mutates
@@ -71,7 +71,7 @@ func TestCacheLostInvalidation(t *testing.T) {
 // same-instant surveys hit again.
 func TestCacheInstallAfterInvalidation(t *testing.T) {
 	cluster := gpu.NewPaperTestbed(nil)
-	cache := NewCache()
+	cache := NewCache(nil)
 	now := time.Second
 
 	cache.testHookAfterParse = func() { cache.Invalidate() }
@@ -93,10 +93,12 @@ func TestCacheInstallAfterInvalidation(t *testing.T) {
 }
 
 // TestCacheHitServesSameInstant pins the baseline contract: two surveys at
-// the same instant with no intervening mutation share one parse.
+// the same instant with no intervening mutation share one parse, and only
+// that one parse is reported to the miss observer.
 func TestCacheHitServesSameInstant(t *testing.T) {
 	cluster := gpu.NewPaperTestbed(nil)
-	cache := NewCache()
+	var observed []time.Duration
+	cache := NewCache(func(took time.Duration) { observed = append(observed, took) })
 	now := 2 * time.Second
 
 	a, err := cache.Usage(cluster, now)
@@ -113,5 +115,8 @@ func TestCacheHitServesSameInstant(t *testing.T) {
 	hits, misses, _ := cache.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("stats = %d hits, %d misses; want 1, 1", hits, misses)
+	}
+	if len(observed) != 1 || observed[0] <= 0 {
+		t.Fatalf("miss observer saw %v; want the one miss's positive duration", observed)
 	}
 }

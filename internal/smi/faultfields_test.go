@@ -68,6 +68,44 @@ func TestParseXMLRejectsNAMemoryFields(t *testing.T) {
 	}
 }
 
+// Regression: a <gpu> block without a readable <minor_number> used to decode
+// as minor 0, overwriting the real GPU 0's entries in the Usage maps and
+// listing 0 twice in AllGPUs — a broken device hiding a healthy one.
+func TestParseXMLRejectsUnreadableMinorNumber(t *testing.T) {
+	healthy := memDoc("<total>11441 MiB</total>", "<used>63 MiB</used>")
+	const tag = "<minor_number>1</minor_number>"
+	for name, replacement := range map[string]string{
+		"missing":     "",
+		"empty":       "<minor_number></minor_number>",
+		"self_closed": "<minor_number/>",
+		"blank":       "<minor_number>  </minor_number>",
+		"na":          "<minor_number>N/A</minor_number>",
+		"negative":    "<minor_number>-1</minor_number>",
+	} {
+		t.Run(name, func(t *testing.T) {
+			doc := strings.Replace(healthy, tag, replacement, 1)
+			_, err := ParseXML(doc)
+			var fe *FieldError
+			if !errors.As(err, &fe) {
+				t.Fatalf("error %v is not a *FieldError", err)
+			}
+			// The block has no minor to name it by; GPU is its position.
+			if fe.GPU != 1 || fe.Field != "minor_number" {
+				t.Errorf("FieldError = %+v, want GPU 1 field minor_number", fe)
+			}
+			if _, uerr := UsageFromXML(doc); uerr == nil {
+				t.Error("UsageFromXML accepted the unreadable minor number")
+			}
+		})
+	}
+	t.Run("duplicate", func(t *testing.T) {
+		doc := strings.Replace(healthy, tag, "<minor_number>0</minor_number>", 1)
+		if rep, err := ParseXML(doc); err == nil {
+			t.Errorf("two <gpu> blocks with minor 0 parsed as %+v", rep)
+		}
+	})
+}
+
 func TestParseXMLHealthyMemoryFieldsStillParse(t *testing.T) {
 	rep, err := ParseXML(memDoc("<total>11441 MiB</total>", "<used>2734 MiB</used>"))
 	if err != nil {

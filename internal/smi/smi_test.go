@@ -1,6 +1,7 @@
 package smi
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,7 @@ import (
 
 // busyTestbed builds the paper's 2-GPU node with a racon process holding
 // memory and executing on GPU 1, GPU 0 idle — the Fig. 10 scenario.
-func busyTestbed(t *testing.T) (*gpu.Cluster, time.Duration) {
+func busyTestbed(t testing.TB) (*gpu.Cluster, time.Duration) {
 	t.Helper()
 	c := gpu.NewPaperTestbed(nil)
 	d1, _ := c.Device(1)
@@ -60,6 +61,8 @@ func TestSnapshotMatchesFig10Shape(t *testing.T) {
 	}
 }
 
+// The document carries every Report field but PCIeGen, and ParseXML reads
+// each of them back.
 func TestXMLRoundTrip(t *testing.T) {
 	c, at := busyTestbed(t)
 	want := Snapshot(c, at)
@@ -71,24 +74,14 @@ func TestXMLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.GPUs) != len(want.GPUs) {
-		t.Fatalf("round trip lost GPUs: %d != %d", len(got.GPUs), len(want.GPUs))
+	if want.Timestamp == 0 || len(want.GPUs[1].Processes) == 0 {
+		t.Fatalf("the scenario should exercise the timestamp and a process row: %+v", want)
 	}
 	for i := range want.GPUs {
-		w, g := want.GPUs[i], got.GPUs[i]
-		if g.MinorNumber != w.MinorNumber || g.MemoryUsedMiB != w.MemoryUsedMiB ||
-			g.UtilizationPct != w.UtilizationPct || g.ProductName != w.ProductName ||
-			g.TemperatureC != w.TemperatureC || g.PowerDrawW != w.PowerDrawW {
-			t.Errorf("GPU %d mismatch after round trip:\n got %+v\nwant %+v", i, g, w)
-		}
-		if len(g.Processes) != len(w.Processes) {
-			t.Fatalf("GPU %d process count %d != %d", i, len(g.Processes), len(w.Processes))
-		}
-		for j := range w.Processes {
-			if g.Processes[j] != w.Processes[j] {
-				t.Errorf("GPU %d proc %d: got %+v want %+v", i, j, g.Processes[j], w.Processes[j])
-			}
-		}
+		want.GPUs[i].PCIeGen = 0
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip changed the report:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -37,10 +37,12 @@ func UsageFromXML(doc string) (Usage, error) {
 
 // UsageFromReport distills an already-parsed report.
 func UsageFromReport(rep Report) Usage {
+	n := len(rep.GPUs)
 	u := Usage{
-		ProcsByGPU:      make(map[int][]int),
-		UsedMemMiBByGPU: make(map[int]int64),
-		UtilPctByGPU:    make(map[int]int),
+		AllGPUs:         make([]int, 0, n),
+		ProcsByGPU:      make(map[int][]int, n),
+		UsedMemMiBByGPU: make(map[int]int64, n),
+		UtilPctByGPU:    make(map[int]int, n),
 	}
 	for _, g := range rep.GPUs {
 		u.AllGPUs = append(u.AllGPUs, g.MinorNumber)

@@ -53,12 +53,19 @@ for want in \
 	gyan_submit_to_complete_seconds_bucket \
 	gyan_journal_fsync_batch_records \
 	gyan_smi_cache_misses_total \
+	'gyan_smi_survey_seconds_bucket{le="1e-06"}' \
 	gyan_gpu_utilization_pct; do
 	if ! printf '%s\n' "$METRICS" | grep -qF "$want"; then
 		echo "obs-smoke: /metrics missing $want" >&2
 		exit 1
 	fi
 done
+
+# Mapping the job surveyed the devices at least once.
+if printf '%s\n' "$METRICS" | grep -qx 'gyan_smi_survey_seconds_count 0'; then
+	echo "obs-smoke: gyan_smi_survey_seconds recorded no survey" >&2
+	exit 1
+fi
 
 TRACE=$(curl -fsS "$BASE/api/trace/$ID")
 if ! printf '%s' "$TRACE" | grep -q '"events"'; then
