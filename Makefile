@@ -12,7 +12,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/smi:FuzzParseXML
 FUZZTIME     ?= 10s
 
-.PHONY: check build vet test test-race test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-cluster hammer-transport fuzz-short bench bench-dispatch bench-cluster bench-cluster-quick obs-smoke
+.PHONY: check build vet test test-race test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-cluster hammer-transport fuzz-short bench obs-smoke
 
 check: build vet test-race
 
@@ -32,26 +32,10 @@ test:
 test-race:
 	$(GO) test -race -timeout 30m ./...
 
-# test-crash replays the kill-and-failover scenario end to end: handler h1
-# dies mid-workload with a torn record on disk, standby h2 recovers from the
-# journal, and the audit pins zero lost jobs and zero double executions.
-test-crash:
-	$(GO) test ./internal/experiments -run 'TestCrashRecovery' -v
-	$(GO) test ./internal/galaxy -run 'TestCrashMidWorkload|TestLeaseExpiry' -v
-
-# test-journal is the journal durability suite under the race detector: the
-# per-stripe crash table (each stripe torn independently and two at once)
-# and the torn-tail replay, staged-loss isolation, async-durable ack
-# semantics (crash between stage and flush must not acknowledge), watermark
-# monotonicity under concurrent flushers, the flush-error latch, the
-# read-only flat layout and its epoch rule, and the sharded crash-requeue
-# scenario at the engine level. The tests are selected by name, and a name
-# that no longer exists would select nothing and pass: run_selected first
-# fails on any alternative of the pattern that matches no test. (Arguments:
-# package, pattern, optional -count; every selected run is under -race.)
-JOURNAL_TESTS ?= TestSharded|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade
-JOURNAL_GALAXY_TESTS ?= TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash
-
+# Targets that select tests by name go through run_selected: a name that no
+# longer exists would select nothing and pass, so it first fails on any
+# alternative of the pattern that matches no test. (Arguments: package,
+# pattern, optional -count; every selected run is under -race.)
 define run_selected
 	@list=$$($(GO) test $(1) -list '$(2)') || exit 1; \
 	for p in $$(echo '$(2)' | tr '|' ' '); do \
@@ -59,6 +43,23 @@ define run_selected
 	done
 	$(GO) test -race -count=$(or $(3),1) $(1) -run '$(2)' -v
 endef
+
+# test-crash replays the kill-and-failover scenario end to end: handler h1
+# dies mid-workload with a torn record on disk, standby h2 recovers from the
+# journal, and the audit pins zero lost jobs and zero double executions.
+test-crash:
+	$(call run_selected,./internal/experiments,TestCrashRecovery)
+	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLeaseExpiry)
+
+# test-journal is the journal durability suite under the race detector: the
+# per-stripe crash table (each stripe torn independently and two at once)
+# and the torn-tail replay, staged-loss isolation, async-durable ack
+# semantics (crash between stage and flush must not acknowledge), watermark
+# monotonicity under concurrent flushers, the flush-error latch, the
+# read-only flat layout and its epoch rule, and the sharded crash-requeue
+# scenario at the engine level.
+JOURNAL_TESTS ?= TestSharded|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade
+JOURNAL_GALAXY_TESTS ?= TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash
 
 test-journal:
 	$(call run_selected,./internal/journal,$(JOURNAL_TESTS))
@@ -72,8 +73,8 @@ test-journal:
 # pipeline experiment.
 test-workflow:
 	$(GO) test ./internal/workflow -v
-	$(GO) test ./internal/galaxy -run 'TestDAG|TestWorkflow|TestCrashMidWorkflow|TestRecoverRestoresFinishedWorkflow' -v
-	$(GO) test ./internal/experiments -run 'TestGenomicsPipelineLocalityWins' -v
+	$(call run_selected,./internal/galaxy,TestDAG|TestWorkflow|TestCrashMidWorkflow|TestRecoverRestoresFinishedWorkflow)
+	$(call run_selected,./internal/experiments,TestGenomicsPipelineLocalityWins)
 
 # test-cluster is the multi-handler chaos suite: ring property tests
 # (balance, bounded movement), the lockstep cluster.Sim (routing, stealing,
@@ -137,41 +138,7 @@ fuzz-short:
 obs-smoke:
 	sh scripts/obs_smoke.sh
 
+# bench runs the kernel micro-benchmarks. End-to-end and per-layer
+# performance numbers come from `go run ./bench` (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# bench-dispatch measures the submit hot path (the lock-split engine without
-# a journal, with it under sync acks and under async acks), writes the numbers to BENCH_dispatch.json, and fails if durable
-# jobs/sec at any swept concurrency fell more than 20% below the committed
-# baseline. Quick mode is noisy on shared runners, so the gate takes the
-# best of 3 runs per metric; the JSON records bench_runs so the artifact
-# stays distinguishable from the single-shot baseline.
-bench-dispatch:
-	$(GO) run ./cmd/gyanbench -experiment dispatch-throughput -quick -runs 3 \
-		-out BENCH_dispatch.json \
-		-baseline BENCH_dispatch.baseline.json \
-		-baseline-metric jobs_per_sec_c1_journal,jobs_per_sec_c4_journal,jobs_per_sec_c16_journal,jobs_per_sec_c64_journal
-
-# bench-cluster regenerates BENCH_cluster.json at full scale — the 10k-job
-# mixed workload on 1 vs 3 handlers (the >= 2.4x scaling gate lives inside
-# the experiment) plus the 3000-job kill-one-handler audit — and fails if
-# 3-handler saturation throughput regressed more than 20% below the
-# committed numbers. Regenerating and gating against the same committed
-# file means a legitimate perf change shows up as a BENCH_cluster.json diff
-# in the PR that caused it.
-bench-cluster:
-	$(GO) run ./cmd/gyanbench -experiment cluster-scaling \
-		-out BENCH_cluster.new.json \
-		-baseline BENCH_cluster.json \
-		-baseline-metric throughput_3h_jobs_per_sec
-	mv BENCH_cluster.new.json BENCH_cluster.json
-
-# bench-cluster-quick is the CI form of the gate: the shrunken workload
-# measures the same saturation rate (throughput is a rate, not a count, so
-# it survives the shrink), gated against the committed full-scale baseline
-# without rewriting it.
-bench-cluster-quick:
-	$(GO) run ./cmd/gyanbench -experiment cluster-scaling -quick \
-		-out BENCH_cluster.quick.json \
-		-baseline BENCH_cluster.json \
-		-baseline-metric throughput_3h_jobs_per_sec

@@ -39,6 +39,8 @@
 //	    -peers h0=127.0.0.1:9000,h1=127.0.0.1:9001 \
 //	    -journal /var/lib/gyan/net -addr 127.0.0.1:8081 &
 //	curl localhost:8080/api/cluster/transport
+//
+// Each of the three modes rejects, at startup, any flag it would not use.
 package main
 
 import (
@@ -89,20 +91,36 @@ func main() {
 		tickReal  = flag.Duration("tick-real", 50*time.Millisecond, "real interval between cluster steps (-bus tcp)")
 	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	mode := "single"
+	switch {
+	case *busKind == "tcp":
+		mode = "tcp"
+	case *clusterSize > 1:
+		mode = "cluster"
+	}
 	var err error
 	switch {
-	case *busKind == "tcp" && *clusterSize > 1:
+	case *busKind != "sim" && *busKind != "tcp":
+		err = fmt.Errorf("unknown -bus %q (want sim or tcp)", *busKind)
+	case mode == "tcp" && *clusterSize > 1:
 		err = fmt.Errorf("-bus tcp hosts exactly one member per process; -cluster-size %d needs -bus sim", *clusterSize)
-	case *busKind == "tcp":
+	default:
+		err = checkModeFlags(mode, set)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	switch mode {
+	case "tcp":
 		err = runClusterTCP(tcpConfig{
 			addr: *addr, member: *member, membersCSV: *members, peersCSV: *peers,
 			listenBus: *listenBus, advertise: *advertise, journalDir: *journalDir,
 			seed: *seed, shards: *shards, leaseTTL: *leaseTTL, memberTTL: *memberTTL,
 			speedup: *speedup, tickReal: *tickReal,
 		})
-	case *busKind != "sim":
-		err = fmt.Errorf("unknown -bus %q (want sim or tcp)", *busKind)
-	case *clusterSize > 1:
+	case "cluster":
 		err = runCluster(*addr, *clusterSize, *handlerID, *seed, *journalDir, *shards, *leaseTTL, *memberTTL)
 	default:
 		err = run(*addr, *policy, *seed, *journalDir, *handler, *shards, *asyncAck, *leaseTTL, *pprofOn)
@@ -110,6 +128,34 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// commonFlags are consumed by every mode (-bus and -cluster-size select
+// it); modeFlags names what each mode consumes beyond them.
+var (
+	commonFlags = []string{"bus", "cluster-size", "addr", "seed", "journal", "journal-shards", "lease-ttl"}
+	modeFlags   = map[string][]string{
+		"single":  {"policy", "async-durable", "handler", "pprof"},
+		"cluster": {"handler-id", "member-ttl"},
+		"tcp":     {"member-ttl", "member", "members", "peers", "listen-bus", "advertise", "speedup", "tick-real"},
+	}
+)
+
+// checkModeFlags rejects explicitly set flags the selected mode would
+// silently drop: a server that accepts -pprof and mounts no profiler, or
+// -policy memory and maps by PID, is misconfigured, not configured.
+func checkModeFlags(mode string, set []string) error {
+	var ignored []string
+	for _, name := range set {
+		if !slices.Contains(commonFlags, name) && !slices.Contains(modeFlags[mode], name) {
+			ignored = append(ignored, "-"+name)
+		}
+	}
+	if len(ignored) > 0 {
+		return fmt.Errorf("%s: not used in %s mode (besides the common flags it takes -%s)",
+			strings.Join(ignored, ", "), mode, strings.Join(modeFlags[mode], ", -"))
+	}
+	return nil
 }
 
 // runCluster boots a cluster.Sim of -cluster-size members in one process —

@@ -1,6 +1,9 @@
 // Command gyanbench regenerates the paper's evaluation: every figure and
 // every headline number of Section VI, printed as tables and console
-// captures.
+// captures, plus the deterministic engine scenarios built on the same
+// simulator (scheduling, fault recovery, failover, cluster scaling). Every
+// number is virtual (modeled) time and a pure function of -seed; wall-clock
+// performance is measured by `go run ./bench` and nowhere else.
 //
 // Usage:
 //
@@ -8,26 +11,17 @@
 //	gyanbench -experiment fig3    # one experiment
 //	gyanbench -list               # list experiment IDs
 //	gyanbench -seed 7 -quick      # smaller synthetic payloads
-//	gyanbench -quick -runs 3      # best-of-3 metrics (quiet noisy quick gates)
 //	gyanbench -json               # machine-readable results on stdout
+//	gyanbench -out RESULTS.json   # also write the JSON results to a file
 //
 // With -json the tables are suppressed and each experiment emits one object
 // carrying its metrics map — for sched-backfill that includes the scheduler
 // counters (mean/P99 queue wait, backfill and preemption counts) per
 // dispatch mode. Experiments that drive a full engine also snapshot its
 // internal/obs registry, so the JSON carries histogram tails rather than
-// single numbers: dispatch-throughput reports P50/P95/P99 acknowledgement
-// latency and the group-commit fsync-batch P95 per cell, chaos-dispatch
-// reports per-policy queue-wait and sojourn tails plus retry counts, and
-// crash-recovery cross-checks the recovery report against the standby
-// observer's resubmit/adoption counters.
-//
-// CI extras:
-//
-//	gyanbench -out BENCH.json          # also write the JSON results to a file
-//	gyanbench -baseline BASE.json -baseline-metric jobs_per_sec_c16_journal
-//	                                   # exit 1 if the metric regressed >20%
-//	gyanbench -mutexprofile mutex.out  # pprof mutex contention profile
+// single numbers: chaos-dispatch reports per-policy queue-wait and sojourn
+// tails plus retry counts, and crash-recovery cross-checks the recovery
+// report against the standby observer's resubmit/adoption counters.
 package main
 
 import (
@@ -35,23 +29,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 	"sync"
 
 	"gyan/internal/experiments"
 )
 
 // jsonResult is the machine-readable shape of one experiment: the rendered
-// tables are replaced by the metrics map that tests assert on. Runs records
-// how many repetitions the metrics were folded over (best value per metric),
-// so a best-of-3 CI artifact stays distinguishable from a single-shot
-// baseline.
+// tables are replaced by the metrics map that tests assert on.
 type jsonResult struct {
 	ID      string             `json:"id"`
 	Caption string             `json:"caption"`
-	Runs    int                `json:"bench_runs"`
 	Metrics map[string]float64 `json:"metrics"`
 }
 
@@ -64,20 +51,8 @@ func main() {
 		parallel   = flag.Bool("parallel", false, "run experiments concurrently (each has its own simulated cluster)")
 		asJSON     = flag.Bool("json", false, "emit results as JSON (one array of {id, caption, metrics})")
 		outFile    = flag.String("out", "", "also write the JSON results array to this file")
-		baseline   = flag.String("baseline", "", "baseline JSON results file for the regression gate")
-		baseMetric = flag.String("baseline-metric", "", "comma-separated metrics the gate compares against -baseline (higher is better)")
-		baseTol    = flag.Float64("baseline-tolerance", 0.20, "max allowed relative regression before the gate fails")
-		runs       = flag.Int("runs", 1, "repeat each experiment and keep the best value per metric (quiets noisy quick-mode gates)")
-		mutexProf  = flag.String("mutexprofile", "", "write a pprof mutex contention profile to this file")
 	)
 	flag.Parse()
-	if *runs < 1 {
-		*runs = 1
-	}
-
-	if *mutexProf != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -107,14 +82,14 @@ func main() {
 			wg.Add(1)
 			go func(i int, id string) {
 				defer wg.Done()
-				res, err := runBest(id, opt, *runs)
+				res, err := experiments.Run(id, opt)
 				results[i] = outcome{res, err}
 			}(i, id)
 		}
 		wg.Wait()
 	} else {
 		for i, id := range ids {
-			res, err := runBest(id, opt, *runs)
+			res, err := experiments.Run(id, opt)
 			results[i] = outcome{res, err}
 		}
 	}
@@ -129,7 +104,7 @@ func main() {
 	jr := make([]jsonResult, len(ids))
 	for i := range ids {
 		res := results[i].res
-		jr[i] = jsonResult{ID: res.ID, Caption: res.Caption, Runs: *runs, Metrics: res.Metrics}
+		jr[i] = jsonResult{ID: res.ID, Caption: res.Caption, Metrics: res.Metrics}
 	}
 
 	if *outFile != "" {
@@ -168,99 +143,4 @@ func main() {
 			}
 		}
 	}
-
-	if *mutexProf != "" {
-		f, err := os.Create(*mutexProf)
-		if err == nil {
-			err = pprof.Lookup("mutex").WriteTo(f, 0)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gyanbench: -mutexprofile: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if *baseline != "" {
-		if err := gateAgainstBaseline(jr, *baseline, *baseMetric, *baseTol); err != nil {
-			fmt.Fprintf(os.Stderr, "gyanbench: regression gate: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// runBest repeats one experiment `runs` times and folds the metrics to the
-// best (highest) value seen per metric — every gated metric is
-// higher-is-better, so the fold removes downward measurement noise without
-// ever hiding a real regression larger than the run-to-run spread.
-// Repetitions are serial even under -parallel so an experiment never
-// contends with its own repeats; tables and text come from the first run.
-func runBest(id string, opt experiments.Options, runs int) (*experiments.Result, error) {
-	best, err := experiments.Run(id, opt)
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < runs; i++ {
-		res, err := experiments.Run(id, opt)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range res.Metrics {
-			if cur, ok := best.Metrics[k]; !ok || v > cur {
-				best.Metrics[k] = v
-			}
-		}
-	}
-	return best, nil
-}
-
-// findMetric scans a results array for a metric by name.
-func findMetric(results []jsonResult, name string) (float64, bool) {
-	for _, r := range results {
-		if v, ok := r.Metrics[name]; ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// gateAgainstBaseline fails when a higher-is-better metric fell more than
-// tol below the committed baseline value. metrics is a comma-separated
-// list; every metric must clear its floor.
-func gateAgainstBaseline(current []jsonResult, baselinePath, metrics string, tol float64) error {
-	if metrics == "" {
-		return fmt.Errorf("-baseline requires -baseline-metric")
-	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var base []jsonResult
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	for _, metric := range strings.Split(metrics, ",") {
-		metric = strings.TrimSpace(metric)
-		if metric == "" {
-			continue
-		}
-		want, ok := findMetric(base, metric)
-		if !ok {
-			return fmt.Errorf("metric %q not in baseline %s", metric, baselinePath)
-		}
-		got, ok := findMetric(current, metric)
-		if !ok {
-			return fmt.Errorf("metric %q not in this run (did the experiment run?)", metric)
-		}
-		floor := want * (1 - tol)
-		if got < floor {
-			return fmt.Errorf("%s = %.1f, below the %.0f%% floor of the baseline %.1f (floor %.1f)",
-				metric, got, tol*100, want, floor)
-		}
-		fmt.Fprintf(os.Stderr, "gyanbench: gate ok: %s = %.1f vs baseline %.1f (floor %.1f)\n",
-			metric, got, want, floor)
-	}
-	return nil
 }

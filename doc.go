@@ -24,7 +24,8 @@
 // and a multi-handler cluster over a simulated or TCP bus (internal/cluster,
 // internal/transport).
 //
-// cmd/gyanbench regenerates every figure of the paper's evaluation;
-// bench_test.go in this directory exposes the same experiments as Go
-// benchmarks. See README.md, DESIGN.md and EXPERIMENTS.md.
+// cmd/gyanbench regenerates every figure of the paper's evaluation in
+// deterministic virtual time; `go run ./bench` is the one source of
+// wall-clock performance numbers (bench_test.go in this directory holds only
+// kernel micro-benchmarks). See README.md, DESIGN.md and EXPERIMENTS.md.
 package gyan

@@ -559,16 +559,17 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	steps := make([]galaxy.WorkflowStep, 0, len(req.Steps))
+	// The wire shape is a chain: step i waits for step i-1, taking either
+	// a dataset of its own or, with chain_backbone, its predecessor's
+	// consensus.
+	steps := make([]galaxy.DAGStep, 0, len(req.Steps))
 	for i, sr := range req.Steps {
-		step := galaxy.WorkflowStep{
-			ToolID: sr.Tool,
-			Params: sr.Params,
-			Options: galaxy.SubmitOptions{
-				Runtime:     sr.Runtime,
-				GPURequest:  sr.GPURequest,
-				DatasetName: sr.Dataset,
-			},
+		step := galaxy.DAGStep{
+			ID:          fmt.Sprintf("step-%d", i),
+			ToolID:      sr.Tool,
+			Params:      sr.Params,
+			DatasetName: sr.Dataset,
+			Options:     galaxy.SubmitOptions{Runtime: sr.Runtime, GPURequest: sr.GPURequest},
 		}
 		if sr.Dataset != "" {
 			dataset, ok := s.datasets[sr.Dataset]
@@ -578,29 +579,43 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 			}
 			step.Dataset = dataset
 		}
-		if sr.ChainBackbone {
-			step.Transform = chainBackbone
+		if i > 0 {
+			step.After = []string{steps[i-1].ID}
+			if sr.ChainBackbone {
+				step.Transform = chainBackbone
+			} else if sr.Dataset == "" {
+				writeErr(w, http.StatusBadRequest, "step %d has neither dataset nor chain_backbone", i)
+				return
+			}
 		}
 		steps = append(steps, step)
 	}
-	wf, err := s.g.SubmitWorkflow(req.Name, steps)
+	wr, err := s.g.SubmitDAG(req.Name, steps, galaxy.DAGOptions{})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	_ = s.mon.Attach(s.g.Engine, time.Second, s.g.Engine.Clock().Now()+time.Hour)
 	s.g.Run()
+	ws := wr.Status()
 	resp := workflowResponse{
-		Name:        wf.Name,
-		State:       string(wf.State),
-		Info:        wf.Info,
-		WallSeconds: wf.WallTime().Seconds(),
+		Name:        ws.Name,
+		State:       string(ws.State),
+		Info:        ws.Info,
+		WallSeconds: wr.WallTime().Seconds(),
 	}
-	for _, j := range wf.Jobs {
-		resp.Jobs = append(resp.Jobs, toJobJSON(j))
+	jobs := make(map[int]*galaxy.Job)
+	for _, j := range s.g.Jobs() {
+		jobs[j.ID] = j
+	}
+	for _, st := range ws.Steps {
+		// Steps skipped after a failure never became jobs.
+		if j := jobs[st.JobID]; j != nil {
+			resp.Jobs = append(resp.Jobs, toJobJSON(j))
+		}
 	}
 	status := http.StatusCreated
-	if wf.State == galaxy.StateError {
+	if ws.State == galaxy.StateError {
 		status = http.StatusUnprocessableEntity
 	}
 	writeJSON(w, status, resp)
@@ -644,7 +659,8 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 
 // chainBackbone is the iterated-polishing transform: the previous step's
 // consensus becomes the next step's draft backbone.
-func chainBackbone(prev *galaxy.Job) (any, error) {
+func chainBackbone(parents []*galaxy.Job) (any, error) {
+	prev := parents[0]
 	res, ok := prev.Result.Detail.(*racon.Result)
 	if !ok {
 		return nil, fmt.Errorf("chain_backbone requires a racon step, got %T", prev.Result.Detail)

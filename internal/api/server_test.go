@@ -281,62 +281,6 @@ func TestHistoryEndpoint(t *testing.T) {
 	}
 }
 
-func TestWorkflowEndpointIteratedPolish(t *testing.T) {
-	ts := testServer(t)
-	body, _ := json.Marshal(map[string]any{
-		"name": "two-round",
-		"steps": []map[string]any{
-			{"tool": "racon", "dataset": "alzheimers_nfl",
-				"params": map[string]string{"scale": "0.001"}},
-			{"tool": "racon", "chain_backbone": true,
-				"params": map[string]string{"scale": "0.001"}},
-		},
-	})
-	resp, err := http.Post(ts.URL+"/api/workflows", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("workflow status %d", resp.StatusCode)
-	}
-	var wf map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&wf); err != nil {
-		t.Fatal(err)
-	}
-	if wf["state"] != "ok" {
-		t.Fatalf("workflow state %v: %v", wf["state"], wf["info"])
-	}
-	jobs := wf["jobs"].([]any)
-	if len(jobs) != 2 {
-		t.Fatalf("workflow ran %d jobs", len(jobs))
-	}
-}
-
-func TestWorkflowEndpointErrors(t *testing.T) {
-	ts := testServer(t)
-	cases := []map[string]any{
-		{"name": "empty"},
-		{"name": "bad-dataset", "steps": []map[string]any{
-			{"tool": "racon", "dataset": "nope"},
-		}},
-		{"name": "bad-tool", "steps": []map[string]any{
-			{"tool": "nosuch", "dataset": "alzheimers_nfl"},
-		}},
-	}
-	for _, c := range cases {
-		body, _ := json.Marshal(c)
-		resp, err := http.Post(ts.URL+"/api/workflows", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%v: status %d", c["name"], resp.StatusCode)
-		}
-	}
-}
-
 func TestMethodNotAllowed(t *testing.T) {
 	ts := testServer(t)
 	for _, path := range []string{"/api/tools", "/api/datasets", "/api/monitor", "/api/smi"} {

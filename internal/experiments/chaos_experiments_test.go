@@ -17,6 +17,7 @@ var chaosOnce = sync.OnceValues(func() (*Result, error) {
 // quarantine completes more jobs than fail-fast and finishes the batch
 // sooner, and blind retry pays for re-feeding the bad device.
 func TestChaosDispatchRecoveryOrdering(t *testing.T) {
+	t.Parallel()
 	res, err := chaosOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +57,7 @@ func TestChaosDispatchRecoveryOrdering(t *testing.T) {
 // of its seed: fault plans, backoff jitter and the simulation clock are all
 // seeded, so two runs agree bit-for-bit on every metric.
 func TestChaosDispatchDeterministic(t *testing.T) {
+	t.Parallel()
 	a, err := chaosOnce()
 	if err != nil {
 		t.Fatal(err)

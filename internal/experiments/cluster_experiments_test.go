@@ -16,6 +16,7 @@ var clusterOnce = sync.OnceValues(func() (*Result, error) {
 // handlers mid-workload loses nothing, double-runs nothing, and spreads the
 // dead partition over both survivors instead of adopting it wholesale.
 func TestClusterScaling(t *testing.T) {
+	t.Parallel()
 	res, err := clusterOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +51,7 @@ func TestClusterScaling(t *testing.T) {
 // of its seed: lockstep ticks, ring assignment and the journal audit are
 // all deterministic, so two runs agree on every metric.
 func TestClusterScalingDeterministic(t *testing.T) {
+	t.Parallel()
 	a, err := clusterOnce()
 	if err != nil {
 		t.Fatal(err)

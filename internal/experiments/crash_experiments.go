@@ -19,9 +19,6 @@ func init() {
 	register("crash-recovery",
 		"Handler failover: kill a journaled handler mid-workload, replay the WAL on a standby, and audit for lost jobs and double executions",
 		runCrashRecovery)
-	register("journal-overhead",
-		"Durability tax: wall-clock throughput of the same workload with the job-state journal off vs on (batched fsync)",
-		runJournalOverhead)
 }
 
 // crashAt is the virtual instant handler h1 is killed: late enough that part
@@ -287,8 +284,7 @@ func runCrashRecovery(opt Options) (*Result, error) {
 	// h2's observer watched the failover from the inside; its counters must
 	// agree with the recovery report. (The fsync-batch tail is not here: how
 	// many records a flusher finds staged is wall-clock timing, and every
-	// metric of this experiment is compared across runs; journal-overhead
-	// and dispatch-throughput report it.)
+	// metric of this experiment is compared across runs.)
 	snapB := gB.Observer().Reg.Snapshot()
 	res.Metrics["obs_resubmits"] = snapB["gyan_resubmits_total"]
 	res.Metrics["obs_adoptions"] = snapB["gyan_adoptions_total"]
@@ -304,117 +300,5 @@ func runCrashRecovery(opt Options) (*Result, error) {
 			"finds %d lost jobs and %d double executions; the completion set matches the uninterrupted baseline.",
 			crashAt, rep.Records, rep.Completed, crashLeaseTTL, rep.Adopted, rep.Requeued, lost, doubles),
 		"Failover timeline (lease trails, replay gap, and the merged job history):\n\n"+ch.Render(72))
-	return res, nil
-}
-
-// overheadScale sizes the benchmark: full runs use 48 jobs and min-of-3
-// trials; Quick (the test suite) halves both so the regression check stays
-// cheap while gyanbench reports the real number.
-func overheadScale(opt Options) (jobs, trials int) {
-	if opt.Quick {
-		return 24, 2
-	}
-	return 48, 3
-}
-
-// runJournalOverhead measures the wall-clock tax of journaling: the same
-// batch of polishing jobs with the journal off vs on (DurableSubmits over
-// the staged pipeline, the gyan-server production configuration). Virtual-time
-// metrics are identical by construction — the journal sits outside the cost
-// model — so the honest comparison is host wall-clock, min-of-3 per mode.
-func runJournalOverhead(opt Options) (*Result, error) {
-	rs, err := nflReadSet(opt)
-	if err != nil {
-		return nil, err
-	}
-	res := newResult("journal-overhead", "Wall-clock throughput with the job-state journal off vs on")
-	nJobs, nTrials := overheadScale(opt)
-
-	// batchP95 is the group-commit batch-size tail from the engine observer's
-	// fsync histogram (last journaled trial, like stats).
-	var batchP95 float64
-	run := func(withJournal bool) (time.Duration, journal.Stats, error) {
-		best := time.Duration(0)
-		var stats journal.Stats
-		for trial := 0; trial < nTrials; trial++ {
-			var gopts []galaxy.Option
-			var j *journal.Journal
-			if withJournal {
-				dir, err := os.MkdirTemp("", "gyan-overhead-*")
-				if err != nil {
-					return 0, stats, err
-				}
-				j, err = journal.Open(dir, journal.Options{DurableSubmits: true})
-				if err != nil {
-					os.RemoveAll(dir)
-					return 0, stats, err
-				}
-				gopts = append(gopts, galaxy.WithJournal(j, "bench"))
-				defer os.RemoveAll(dir)
-			}
-			g := galaxy.New(nil, gopts...)
-			if err := g.RegisterDefaultTools(); err != nil {
-				return 0, stats, err
-			}
-			wallStart := time.Now()
-			for i := 0; i < nJobs; i++ {
-				if _, err := g.Submit("racon", map[string]string{"scale": "0.001"}, rs,
-					galaxy.SubmitOptions{Delay: time.Duration(i) * 100 * time.Millisecond}); err != nil {
-					return 0, stats, err
-				}
-			}
-			g.Run()
-			elapsed := time.Since(wallStart)
-			if j != nil {
-				stats = j.Stats()
-				batchP95 = g.Observer().Reg.Snapshot()["gyan_journal_fsync_batch_records_p95"]
-				if err := j.Close(); err != nil {
-					return 0, stats, err
-				}
-			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		return best, stats, nil
-	}
-
-	off, _, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	on, stats, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	overheadPct := (on.Seconds() - off.Seconds()) / off.Seconds() * 100
-
-	tb := report.NewTable(
-		fmt.Sprintf("%d racon jobs per mode, min of %d trials, DurableSubmits, one fsync per flusher batch",
-			nJobs, nTrials),
-		"mode", "wall clock", "jobs/s", "appends", "fsyncs", "bytes")
-	tb.AddRow("journal off", fmt.Sprintf("%.3fs", off.Seconds()),
-		fmt.Sprintf("%.1f", float64(nJobs)/off.Seconds()), "-", "-", "-")
-	tb.AddRow("journal on", fmt.Sprintf("%.3fs", on.Seconds()),
-		fmt.Sprintf("%.1f", float64(nJobs)/on.Seconds()),
-		fmt.Sprintf("%d", stats.Appends), fmt.Sprintf("%d", stats.Syncs),
-		fmt.Sprintf("%d", stats.Bytes))
-	res.Tables = append(res.Tables, tb)
-
-	res.Metrics["wall_off_s"] = off.Seconds()
-	res.Metrics["wall_on_s"] = on.Seconds()
-	res.Metrics["overhead_pct"] = overheadPct
-	res.Metrics["jobs_per_sec_off"] = float64(nJobs) / off.Seconds()
-	res.Metrics["jobs_per_sec_on"] = float64(nJobs) / on.Seconds()
-	res.Metrics["journal_appends"] = float64(stats.Appends)
-	res.Metrics["journal_syncs"] = float64(stats.Syncs)
-	res.Metrics["journal_bytes"] = float64(stats.Bytes)
-	res.Metrics["fsync_batch_p95"] = batchP95
-
-	res.Text = append(res.Text, fmt.Sprintf(
-		"Journaling appends %d records (%d bytes) across %d fsync batches for the %d-job run and costs %.1f%% wall clock. "+
-			"Batched group commit keeps the durability tax under the 10%% budget: only submit acknowledgements force an fsync; "+
-			"everything else rides whatever batch its shard's flusher drains next.",
-		stats.Appends, stats.Bytes, stats.Syncs, nJobs, overheadPct))
 	return res, nil
 }

@@ -17,6 +17,7 @@ var crashOnce = sync.OnceValues(func() (*Result, error) {
 // records no execution twice, reproduces the uninterrupted baseline's
 // completion set, and redispatches requeued jobs in seniority order.
 func TestCrashRecoveryInvariants(t *testing.T) {
+	t.Parallel()
 	res, err := crashOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +57,7 @@ func TestCrashRecoveryInvariants(t *testing.T) {
 // of its seed: the simulation clock, fault plan, arrival trace and journal
 // replay are all deterministic, so two runs agree on every metric.
 func TestCrashRecoveryDeterministic(t *testing.T) {
+	t.Parallel()
 	a, err := crashOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -71,28 +73,5 @@ func TestCrashRecoveryDeterministic(t *testing.T) {
 		if b.Metrics[k] != v {
 			t.Errorf("metric %s differs across runs: %v vs %v", k, v, b.Metrics[k])
 		}
-	}
-}
-
-// TestJournalOverheadShape sanity-checks the wall-clock benchmark: the
-// journal actually wrote something and the measured tax is far below the
-// point where batching would have to be called broken. The honest <10%
-// number comes from gyanbench runs on quiet hardware; under the race
-// detector and CI noise this only pins the order of magnitude.
-func TestJournalOverheadShape(t *testing.T) {
-	res, err := Run("journal-overhead", quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Metrics
-	t.Logf("metrics: %+v", m)
-	if m["journal_appends"] < 1 || m["journal_syncs"] < 1 || m["journal_bytes"] < 1 {
-		t.Errorf("journal wrote nothing: %+v", m)
-	}
-	if m["wall_off_s"] <= 0 || m["wall_on_s"] <= 0 {
-		t.Errorf("non-positive wall clock: off=%v on=%v", m["wall_off_s"], m["wall_on_s"])
-	}
-	if m["overhead_pct"] >= 50 {
-		t.Errorf("journaling overhead %.1f%%, want well under 50%%", m["overhead_pct"])
 	}
 }

@@ -1,8 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section VI). Each experiment is a named function returning
-// formatted tables plus the underlying numbers, so cmd/gyanbench can print
-// them, bench_test.go can benchmark them, and the test suite can assert the
-// paper's shape (who wins, by roughly what factor, where crossovers fall).
+// evaluation (Section VI), plus the deterministic engine scenarios built on
+// the same simulator. Each experiment is a named function returning
+// formatted tables plus the underlying numbers — all virtual time, a pure
+// function of the seed — so cmd/gyanbench can print them and the test suite
+// can assert the paper's shape (who wins, by roughly what factor, where
+// crossovers fall). Wall-clock performance is bench/'s job, not this
+// package's.
 package experiments
 
 import (
@@ -23,9 +26,6 @@ type Options struct {
 	// test suite.
 	Quick bool
 }
-
-// DefaultOptions returns the options cmd/gyanbench uses.
-func DefaultOptions() Options { return Options{Seed: 42} }
 
 // Result is one experiment's output.
 type Result struct {

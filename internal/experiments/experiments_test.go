@@ -11,9 +11,9 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"ablation-banding", "ablation-energy", "ablation-hardware",
 		"ablation-load", "ablation-multigpu", "ablation-policy", "ablation-window",
 		"case1", "case2", "case3", "case4", "chaos-dispatch", "cluster-scaling",
-		"crash-recovery", "dispatch-throughput",
+		"crash-recovery",
 		"fig10", "fig11", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"fig8", "fig9", "genomics-pipeline", "journal-overhead", "polish", "related-pypaswas",
+		"fig8", "fig9", "genomics-pipeline", "polish", "related-pypaswas",
 		"sched-backfill"}
 	got := IDs()
 	if len(got) != len(want) {
@@ -38,6 +38,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFig3ShapeMatchesPaper(t *testing.T) {
+	t.Parallel()
 	res, err := Run("fig3", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +65,7 @@ func TestFig3ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestPolishShapeMatchesPaper(t *testing.T) {
+	t.Parallel()
 	res, err := Run("polish", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +92,7 @@ func TestPolishShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig4StallsMatchPaper(t *testing.T) {
+	t.Parallel()
 	res, err := Run("fig4", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +118,7 @@ func TestFig4StallsMatchPaper(t *testing.T) {
 }
 
 func TestFig5ShapeMatchesPaper(t *testing.T) {
+	t.Parallel()
 	res, err := Run("fig5", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +138,7 @@ func TestFig5ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig6HotspotsMatchPaper(t *testing.T) {
+	t.Parallel()
 	res, err := Run("fig6", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +155,7 @@ func TestFig6HotspotsMatchPaper(t *testing.T) {
 }
 
 func TestFig7ShapeMatchesPaper(t *testing.T) {
+	t.Parallel()
 	res, err := Run("fig7", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +172,7 @@ func TestFig7ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestCasesPlaceCorrectly(t *testing.T) {
+	t.Parallel()
 	for _, id := range []string{"case1", "case2", "case3", "case4", "fig8", "fig9"} {
 		res, err := Run(id, quick())
 		if err != nil {
@@ -178,6 +185,7 @@ func TestCasesPlaceCorrectly(t *testing.T) {
 }
 
 func TestFig10ConsoleMatchesPaper(t *testing.T) {
+	t.Parallel()
 	res, err := Run("fig10", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +208,7 @@ func TestFig10ConsoleMatchesPaper(t *testing.T) {
 }
 
 func TestAblationBandingSaturates(t *testing.T) {
+	t.Parallel()
 	res, err := Run("ablation-banding", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +226,7 @@ func TestAblationBandingSaturates(t *testing.T) {
 }
 
 func TestAblationMultiGPUSpeedsKernels(t *testing.T) {
+	t.Parallel()
 	res, err := Run("ablation-multigpu", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +237,7 @@ func TestAblationMultiGPUSpeedsKernels(t *testing.T) {
 }
 
 func TestAblationEnergyFavorsGPU(t *testing.T) {
+	t.Parallel()
 	res, err := Run("ablation-energy", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +255,7 @@ func TestAblationEnergyFavorsGPU(t *testing.T) {
 }
 
 func TestAblationHardwareProjection(t *testing.T) {
+	t.Parallel()
 	res, err := Run("ablation-hardware", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +273,7 @@ func TestAblationHardwareProjection(t *testing.T) {
 }
 
 func TestAblationPolicyContrast(t *testing.T) {
+	t.Parallel()
 	res, err := Run("ablation-policy", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -281,6 +294,7 @@ func TestAblationPolicyContrast(t *testing.T) {
 }
 
 func TestFig11ShowsScatteredProcesses(t *testing.T) {
+	t.Parallel()
 	res, err := Run("fig11", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -292,6 +306,7 @@ func TestFig11ShowsScatteredProcesses(t *testing.T) {
 }
 
 func TestAblationLoadQueueingDelay(t *testing.T) {
+	t.Parallel()
 	res, err := Run("ablation-load", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -312,6 +327,7 @@ func TestAblationLoadQueueingDelay(t *testing.T) {
 }
 
 func TestRelatedPyPaSWASSpeedup(t *testing.T) {
+	t.Parallel()
 	res, err := Run("related-pypaswas", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -322,6 +338,7 @@ func TestRelatedPyPaSWASSpeedup(t *testing.T) {
 }
 
 func TestAblationWindowRealQuality(t *testing.T) {
+	t.Parallel()
 	res, err := Run("ablation-window", quick())
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import "testing"
 // strictly improve makespan and the step-wait tail, and eliminate staging
 // entirely (every downstream step lands on the device holding its input).
 func TestGenomicsPipelineLocalityWins(t *testing.T) {
+	t.Parallel()
 	res, err := Run("genomics-pipeline", Options{Seed: 42, Quick: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,15 @@
 package experiments
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
+
+// schedOnce memoizes one sched-backfill run: both tests below want the same
+// seed-42 result, and each run replays the trace under three dispatch modes.
+var schedOnce = sync.OnceValues(func() (*Result, error) {
+	return Run("sched-backfill", quick())
+})
 
 // TestSchedBackfillBeatsGreedy pins the headline claim of the scheduler
 // subsystem: on the same arrival trace, conservative backfill finishes the
@@ -8,7 +17,8 @@ import "testing"
 // greedy diverts the trace's 2-GPU job onto a single free device while the
 // scheduler holds it for its full gang.
 func TestSchedBackfillBeatsGreedy(t *testing.T) {
-	res, err := Run("sched-backfill", quick())
+	t.Parallel()
+	res, err := schedOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +53,8 @@ func TestSchedBackfillBeatsGreedy(t *testing.T) {
 // of its seed: the simulation clock drives every decision, so two runs agree
 // bit-for-bit on every metric.
 func TestSchedBackfillDeterministic(t *testing.T) {
-	a, err := Run("sched-backfill", quick())
+	t.Parallel()
+	a, err := schedOnce()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,12 +75,6 @@ type DAGOptions struct {
 	// TransferBytesPerSec overrides the staging bandwidth model (zero uses
 	// DefaultTransferBytesPerSec).
 	TransferBytesPerSec float64
-	// OnStep, when set, observes each step submission (called with the
-	// engine lock held — do not call back into this Galaxy).
-	OnStep func(stepID string, job *Job)
-	// OnFinish, when set, observes the workflow reaching a terminal state
-	// (called with the engine lock held).
-	OnFinish func(*WorkflowRun)
 }
 
 // stepFailure records why a step failed, for the workflow's final Info.
@@ -121,8 +115,6 @@ type WorkflowRun struct {
 	// defRecord is the journaled definition, retained so SnapshotJournal
 	// can re-emit it during compaction.
 	defRecord journal.Record
-	onStep    func(string, *Job)
-	onFinish  func(*WorkflowRun)
 }
 
 // StepStatus is one step's observable state in a WorkflowStatus snapshot.
@@ -199,21 +191,19 @@ func (g *Galaxy) SubmitDAG(name string, steps []DAGStep, opts DAGOptions) (*Work
 		xfer = DefaultTransferBytesPerSec
 	}
 	wr := &WorkflowRun{
-		ID:       int(g.nextWF.Add(1)),
-		Name:     name,
-		g:        g,
-		dag:      dag,
-		run:      workflow.NewRun(dag, opts.Policy),
-		defs:     defs,
-		jobs:     make(map[string]*Job),
-		stat:     make(map[string]*StepStatus),
-		state:    StateRunning,
-		user:     userOrAnonymous(opts.User),
-		policy:   opts.Policy,
-		maxFly:   opts.MaxInFlight,
-		xferBps:  xfer,
-		onStep:   opts.OnStep,
-		onFinish: opts.OnFinish,
+		ID:      int(g.nextWF.Add(1)),
+		Name:    name,
+		g:       g,
+		dag:     dag,
+		run:     workflow.NewRun(dag, opts.Policy),
+		defs:    defs,
+		jobs:    make(map[string]*Job),
+		stat:    make(map[string]*StepStatus),
+		state:   StateRunning,
+		user:    userOrAnonymous(opts.User),
+		policy:  opts.Policy,
+		maxFly:  opts.MaxInFlight,
+		xferBps: xfer,
 	}
 
 	g.mu.Lock()
@@ -229,8 +219,7 @@ func (g *Galaxy) SubmitDAG(name string, steps []DAGStep, opts DAGOptions) (*Work
 	wr.mu.Unlock()
 
 	// A workflow that failed before a single job was submitted (root
-	// transform/submit errors) surfaces as a plain error, matching the
-	// legacy chain's synchronous validation behavior.
+	// transform/submit errors) surfaces as a plain error.
 	if len(wr.jobs) == 0 && wr.state == StateError {
 		delete(g.workflows, wr.ID)
 		return nil, fmt.Errorf("galaxy: workflow %q: %s", name, wr.info)
@@ -299,9 +288,6 @@ func (wr *WorkflowRun) releaseLocked(now time.Duration) {
 				ID: id, Tool: def.ToolID, JobID: job.ID, Submitted: job.Submitted,
 			}
 			wr.attachLocked(id, job)
-			if wr.onStep != nil {
-				wr.onStep(id, job)
-			}
 			progressed = true
 		}
 		if !progressed {
@@ -451,9 +437,6 @@ func (wr *WorkflowRun) finishLocked(now time.Duration) {
 		Type: journal.TypeComplete, At: now, Workflow: wr.ID,
 		State: string(wr.state), Msg: wr.info,
 	})
-	if wr.onFinish != nil {
-		wr.onFinish(wr)
-	}
 }
 
 // State returns the workflow's lifecycle state.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gyan/internal/sched"
+	"gyan/internal/tools/racon"
 	"gyan/internal/workflow"
 	"gyan/internal/workload"
 )
@@ -144,26 +145,7 @@ func TestDAGMaxInFlightBoundsConcurrency(t *testing.T) {
 			ID: fmt.Sprintf("s%d", i), ToolID: "seqstats", Dataset: rs,
 		}
 	}
-	var mu sync.Mutex
-	inFlight, peak := 0, 0
-	wr, err := g.SubmitDAG("wide", steps, DAGOptions{
-		MaxInFlight: 2,
-		OnStep: func(_ string, job *Job) {
-			mu.Lock()
-			inFlight++
-			if inFlight > peak {
-				peak = inFlight
-			}
-			mu.Unlock()
-			prev := job.onDone
-			job.onDone = func(j *Job) {
-				mu.Lock()
-				inFlight--
-				mu.Unlock()
-				prev(j)
-			}
-		},
-	})
+	wr, err := g.SubmitDAG("wide", steps, DAGOptions{MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +153,19 @@ func TestDAGMaxInFlightBoundsConcurrency(t *testing.T) {
 	if wr.State() != StateOK {
 		t.Fatalf("workflow finished %s: %s", wr.State(), wr.Info())
 	}
-	if peak > 2 {
-		t.Errorf("in-flight peak %d exceeds MaxInFlight 2", peak)
+	// In flight = submitted and not yet terminal: count, at each step's
+	// submission, the steps whose [Submitted, Finished) covers that instant.
+	ws := wr.Status()
+	for _, at := range ws.Steps {
+		inFlight := 0
+		for _, st := range ws.Steps {
+			if st.Submitted <= at.Submitted && at.Submitted < st.Finished {
+				inFlight++
+			}
+		}
+		if inFlight > 2 {
+			t.Errorf("%d steps in flight at %v, exceeding MaxInFlight 2", inFlight, at.Submitted)
+		}
 	}
 }
 
@@ -303,19 +296,162 @@ func TestDAGFairShareKeepsInteractiveUsersAhead(t *testing.T) {
 	}
 }
 
-// TestWorkflowObserversAreRaceFree is the regression for the Workflow data
-// race: Done/WallTime/Snapshot and WorkflowRun.Status read from foreign
-// goroutines while completion hooks mutate the workflow under the engine
-// lock. Run with -race.
+// chain wires steps into a linear workflow: step i waits for step i-1.
+func chain(steps ...DAGStep) []DAGStep {
+	for i := range steps {
+		steps[i].ID = fmt.Sprintf("step-%d", i)
+		if i > 0 {
+			steps[i].After = []string{steps[i-1].ID}
+		}
+	}
+	return steps
+}
+
+// chainJobs returns the jobs a workflow submitted, in step order.
+func chainJobs(wr *WorkflowRun) []*Job {
+	var out []*Job
+	for _, s := range wr.dag.Steps() {
+		if j := wr.jobs[s.ID]; j != nil {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// raconRound builds a polishing step that feeds its parent's consensus back
+// in as the backbone — how Racon is actually iterated in assembly pipelines.
+func raconRound(params map[string]string) DAGStep {
+	return DAGStep{
+		ToolID: "racon",
+		Params: params,
+		Transform: func(parents []*Job) (any, error) {
+			prev := parents[0]
+			prevRes, ok := prev.Result.Detail.(*racon.Result)
+			if !ok {
+				return nil, fmt.Errorf("unexpected detail %T", prev.Result.Detail)
+			}
+			prevSet, ok := prev.Dataset.(*workload.ReadSet)
+			if !ok {
+				return nil, fmt.Errorf("unexpected dataset %T", prev.Dataset)
+			}
+			next := *prevSet
+			next.Backbone = prevRes.Consensus
+			return &next, nil
+		},
+	}
+}
+
+func TestWorkflowIteratedPolishing(t *testing.T) {
+	g := testGalaxy(t)
+	rs := smallReadSet(t)
+	params := fastParams()
+	wr, err := g.SubmitDAG("two-round-polish", chain(
+		DAGStep{ToolID: "racon", Params: params, Dataset: rs},
+		raconRound(params),
+	), DAGOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run()
+	if !wr.Done() || wr.State() != StateOK {
+		t.Fatalf("workflow state %s: %s", wr.State(), wr.Info())
+	}
+	jobs := chainJobs(wr)
+	if len(jobs) != 2 {
+		t.Fatalf("workflow ran %d jobs", len(jobs))
+	}
+	r1 := jobs[0].Result.Detail.(*racon.Result)
+	r2 := jobs[1].Result.Detail.(*racon.Result)
+	// Round 2 polishes round 1's consensus; its draft identity equals
+	// round 1's polished identity, and it must not regress.
+	if diff := r2.DraftIdentity - r1.PolishedIdentity; diff < -1e-9 || diff > 1e-9 {
+		t.Errorf("round 2 draft identity %.6f != round 1 polished %.6f",
+			r2.DraftIdentity, r1.PolishedIdentity)
+	}
+	if r2.PolishedIdentity < r1.PolishedIdentity-0.002 {
+		t.Errorf("second round regressed: %.4f -> %.4f",
+			r1.PolishedIdentity, r2.PolishedIdentity)
+	}
+	// Steps run sequentially on the virtual timeline.
+	if jobs[1].Started < jobs[0].Finished {
+		t.Errorf("step 2 started at %v before step 1 finished at %v",
+			jobs[1].Started, jobs[0].Finished)
+	}
+	if wr.WallTime() <= 0 {
+		t.Error("workflow wall time not recorded")
+	}
+}
+
+func TestWorkflowStepFailureAborts(t *testing.T) {
+	g := testGalaxy(t)
+	rs := smallReadSet(t)
+	wr, err := g.SubmitDAG("fails", chain(
+		DAGStep{ToolID: "racon", Params: map[string]string{"threads": "bogus"}, Dataset: rs},
+		raconRound(fastParams()),
+	), DAGOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run()
+	if wr.State() != StateError {
+		t.Fatalf("workflow with failing step finished %s", wr.State())
+	}
+	if n := len(chainJobs(wr)); n != 1 {
+		t.Fatalf("failed workflow still submitted %d jobs", n)
+	}
+	if wr.Info() == "" {
+		t.Error("failed workflow has no info")
+	}
+}
+
+func TestWorkflowTransformFailureAborts(t *testing.T) {
+	g := testGalaxy(t)
+	rs := smallReadSet(t)
+	wr, err := g.SubmitDAG("bad-transform", chain(
+		DAGStep{ToolID: "racon", Params: fastParams(), Dataset: rs},
+		DAGStep{ToolID: "racon", Params: fastParams(), Transform: func([]*Job) (any, error) {
+			return nil, fmt.Errorf("boom")
+		}},
+	), DAGOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run()
+	if wr.State() != StateError {
+		t.Fatalf("workflow state %s", wr.State())
+	}
+}
+
+func TestWorkflowValidation(t *testing.T) {
+	g := testGalaxy(t)
+	rs := smallReadSet(t)
+	cases := []struct {
+		name  string
+		steps []DAGStep
+	}{
+		{"empty", nil},
+		{"unknown tool", []DAGStep{{ToolID: "nope", Dataset: rs}}},
+		{"no first dataset", []DAGStep{{ToolID: "racon", Params: fastParams()}}},
+	}
+	for _, tc := range cases {
+		if _, err := g.SubmitDAG(tc.name, tc.steps, DAGOptions{}); err == nil {
+			t.Errorf("%s: invalid workflow accepted", tc.name)
+		}
+	}
+}
+
+// TestWorkflowObserversAreRaceFree is the regression for the workflow data
+// race: Done/WallTime/State/Status read from foreign goroutines while
+// completion hooks mutate the run under the engine lock. Run with -race.
 func TestWorkflowObserversAreRaceFree(t *testing.T) {
 	g := testGalaxy(t)
 	rs := smallReadSet(t)
 	params := fastParams()
-	w, err := g.SubmitWorkflow("watched", []WorkflowStep{
-		{ToolID: "racon", Params: params, Dataset: rs},
+	wr, err := g.SubmitDAG("watched", chain(
+		DAGStep{ToolID: "racon", Params: params, Dataset: rs},
 		raconRound(params),
 		raconRound(params),
-	})
+	), DAGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,23 +467,21 @@ func TestWorkflowObserversAreRaceFree(t *testing.T) {
 					return
 				default:
 				}
-				w.Done()
-				w.WallTime()
-				w.Snapshot()
-				if run := w.Run(); run != nil {
-					run.Status()
-					run.Done()
-				}
+				wr.Done()
+				wr.WallTime()
+				wr.State()
+				wr.Info()
+				wr.Status()
 			}
 		}()
 	}
 	g.Run()
 	close(stop)
 	watchers.Wait()
-	if !w.Done() || w.State != StateOK {
-		t.Fatalf("workflow finished %s: %s", w.State, w.Info)
+	if !wr.Done() || wr.State() != StateOK {
+		t.Fatalf("workflow finished %s: %s", wr.State(), wr.Info())
 	}
-	if len(w.Jobs) != 3 {
-		t.Fatalf("workflow ran %d jobs", len(w.Jobs))
+	if n := len(chainJobs(wr)); n != 3 {
+		t.Fatalf("workflow ran %d jobs", n)
 	}
 }

@@ -325,21 +325,22 @@ func TestWorkflowFailsWhenStepDeadLetters(t *testing.T) {
 	})
 	g := testGalaxy(t, WithFaultPlan(plan))
 	rs := smallReadSet(t)
-	w, err := g.SubmitWorkflow("polish-then-stats", []WorkflowStep{
-		{ToolID: "racon", Params: fastParams(), Dataset: rs},
-		{ToolID: "seqstats", Params: map[string]string{}, Dataset: rs},
-	})
+	wr, err := g.SubmitDAG("polish-then-stats", chain(
+		DAGStep{ToolID: "racon", Params: fastParams(), Dataset: rs},
+		DAGStep{ToolID: "seqstats", Params: map[string]string{}, Dataset: rs},
+	), DAGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Run()
-	if w.State != StateError {
-		t.Fatalf("workflow state = %s, want error after dead-lettered step", w.State)
+	if wr.State() != StateError {
+		t.Fatalf("workflow state = %s, want error after dead-lettered step", wr.State())
 	}
-	if len(w.Jobs) != 1 {
-		t.Errorf("workflow submitted %d jobs; step 2 must not run after a dead-letter", len(w.Jobs))
+	jobs := chainJobs(wr)
+	if len(jobs) != 1 {
+		t.Fatalf("workflow submitted %d jobs; step 2 must not run after a dead-letter", len(jobs))
 	}
-	if w.Jobs[0].State != StateDeadLetter {
-		t.Errorf("step 1 state = %s", w.Jobs[0].State)
+	if jobs[0].State != StateDeadLetter {
+		t.Errorf("step 1 state = %s", jobs[0].State)
 	}
 }

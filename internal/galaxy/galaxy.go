@@ -13,7 +13,6 @@ import (
 	"gyan/internal/gpu"
 	"gyan/internal/jobconf"
 	"gyan/internal/journal"
-	"gyan/internal/monitor"
 	"gyan/internal/obs"
 	"gyan/internal/sched"
 	"gyan/internal/sim"
@@ -98,7 +97,6 @@ type Galaxy struct {
 	// and gang allocation subsume both.
 	sched     *sched.Scheduler
 	schedJobs map[int]*schedEntry
-	qmon      *monitor.QueueMonitor
 
 	// preparedSteals holds jobs detached under phase one of a two-phase
 	// steal (see steal.go): out of the scheduler, tentative owner journaled,

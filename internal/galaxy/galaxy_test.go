@@ -131,6 +131,38 @@ func TestGPUJobFallsBackToCPUOnGPUlessHost(t *testing.T) {
 	}
 }
 
+func TestGPUToolOnGPUlessHostRunsOnCPU(t *testing.T) {
+	// A cluster with zero devices: nvidia-smi reports nothing and the
+	// dynamic rule must fall back to the CPU destination without user
+	// involvement (the paper's Challenge II requirement).
+	cluster := gpu.NewCluster(gpu.TeslaGK210(), 0, nil)
+	g := New(cluster)
+	if err := g.RegisterDefaultTools(); err != nil {
+		t.Fatal(err)
+	}
+	job, err := g.Submit("racon", fastParams(), smallReadSet(t), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run()
+	if job.State != StateOK {
+		t.Fatalf("job state %s: %s", job.State, job.Info)
+	}
+	if job.GPUEnabled {
+		t.Error("GALAXY_GPU_ENABLED set on GPU-less host")
+	}
+	if job.Destination != "local_cpu" {
+		t.Errorf("destination = %s, want local_cpu", job.Destination)
+	}
+	res := job.Result.Detail.(*racon.Result)
+	if res.GPUUsed {
+		t.Error("tool reports GPU execution on GPU-less host")
+	}
+	if res.PolishedIdentity <= res.DraftIdentity {
+		t.Error("CPU fallback did not polish")
+	}
+}
+
 func TestContainerizedJobAssemblesDockerCommand(t *testing.T) {
 	g := testGalaxy(t)
 	job, err := g.Submit("racon", fastParams(), smallReadSet(t),

@@ -29,10 +29,10 @@ const (
 	// keep their full failure log for post-mortem (see Job.Failures).
 	StateDeadLetter JobState = "dead_letter"
 	// StateStolen marks a queued job handed to another handler by the
-	// cluster's work-stealing pass (DetachQueued). The job is terminal on
+	// cluster's work-stealing pass (RetireSteal). The job is terminal on
 	// this handler — it runs to completion under the thief's epoch — and
 	// Job.owner records who took it, so both the live state and the
-	// journaled adopt record agree on ownership.
+	// journaled retire record agree on ownership.
 	StateStolen JobState = "stolen"
 	// StatePrepared marks a queued job detached under the first phase of a
 	// two-phase steal (PrepareSteal): it is out of the local scheduler with

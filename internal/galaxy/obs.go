@@ -9,37 +9,11 @@ package galaxy
 import (
 	"strconv"
 
-	"gyan/internal/monitor"
 	"gyan/internal/obs"
-	"gyan/internal/workflow"
 )
 
 // Observer returns the engine's observability sink (never nil).
 func (g *Galaxy) Observer() *obs.Observer { return g.obsv }
-
-// WorkflowTallies is the monitor.WorkflowMonitor adapter: the current
-// step-state census of every workflow the engine knows. Pass it as the poll
-// closure of WorkflowMonitor.Attach.
-func (g *Galaxy) WorkflowTallies() []monitor.WorkflowCount {
-	runs := g.Workflows()
-	out := make([]monitor.WorkflowCount, 0, len(runs))
-	for _, wr := range runs {
-		ws := wr.Status()
-		state := "running"
-		if ws.State != StateRunning {
-			state = string(ws.State)
-		}
-		out = append(out, monitor.WorkflowCount{
-			ID: ws.ID, Name: ws.Name, State: state,
-			Pending: ws.Counts[string(workflow.StepPending)] + ws.Counts[string(workflow.StepReady)],
-			Running: ws.Counts[string(workflow.StepSubmitted)],
-			Done:    ws.Counts[string(workflow.StepDone)],
-			Failed:  ws.Counts[string(workflow.StepFailed)],
-			Skipped: ws.Counts[string(workflow.StepSkipped)],
-		})
-	}
-	return out
-}
 
 // SurveyCacheStats returns the nvidia-smi survey cache's hit, miss and
 // invalidation counts.

@@ -8,7 +8,6 @@ import (
 
 	"gyan/internal/faults"
 	"gyan/internal/journal"
-	"gyan/internal/monitor"
 )
 
 // Crash recovery and handler failover. With a journal attached (WithJournal)
@@ -322,12 +321,23 @@ type RecoveryReport struct {
 	Jobs []RecoveredJob `json:"jobs"`
 	// Leases maps handler IDs to their heartbeat trails.
 	Leases map[string]LeaseInfo `json:"leases"`
-	// Faults is the replayed classified-failure history, ready for
-	// monitor.FaultReport.AddReplayed.
-	Faults []monitor.ReplayedFault `json:"faults,omitempty"`
+	// Faults is the replayed classified-failure history: these events
+	// predate this engine's start, so they never fired through its live
+	// fault plan.
+	Faults []replayedFault `json:"faults,omitempty"`
 	// QuarantineRestored counts the quarantine spans rebuilt by replaying
 	// the attempt records' culprit devices.
 	QuarantineRestored int `json:"quarantine_restored"`
+}
+
+// replayedFault is one attempt record recovered from a journal replay: when
+// it failed, at which hook point, its retry classification and its culprit
+// GPU minor IDs.
+type replayedFault struct {
+	At      time.Duration
+	Op      string
+	Class   string
+	Devices []int
 }
 
 // RecoverOptions tune a journal replay.
@@ -504,7 +514,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		for _, d := range rec.Devices {
 			g.quarantine.RecordFault(d, rec.At)
 		}
-		rep.Faults = append(rep.Faults, monitor.ReplayedFault{
+		rep.Faults = append(rep.Faults, replayedFault{
 			At: rec.At, Op: rec.Op, Class: rec.Class, Devices: rec.Devices,
 		})
 	}

@@ -8,7 +8,6 @@ import (
 
 	"gyan/internal/core"
 	"gyan/internal/journal"
-	"gyan/internal/monitor"
 	"gyan/internal/sched"
 	"gyan/internal/toolxml"
 )
@@ -43,12 +42,6 @@ type schedEntry struct {
 // not be shared across Galaxy instances.
 func WithScheduler(s *sched.Scheduler) Option {
 	return func(g *Galaxy) { g.sched = s }
-}
-
-// WithQueueMonitor records queue-depth samples into m after every scheduler
-// event (no-op without WithScheduler).
-func WithQueueMonitor(m *monitor.QueueMonitor) Option {
-	return func(g *Galaxy) { g.qmon = m }
 }
 
 // Scheduler returns the configured batch scheduler (nil when greedy).
@@ -258,16 +251,12 @@ func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.D
 	g.launchLocked(job, e.pending.binding, e.pending.opts, e.tool, decision, release, now)
 }
 
-// recordQueueLocked samples queue depth into the scheduler's metrics and the
-// optional queue monitor.
+// recordQueueLocked samples queue depth into the scheduler's metrics.
 func (g *Galaxy) recordQueueLocked(now time.Duration) {
 	if g.sched == nil {
 		return
 	}
 	g.sched.RecordDepth(now)
-	if g.qmon != nil {
-		g.qmon.Record(now, g.sched.QueueDepth(), g.sched.RunningCount())
-	}
 }
 
 // deviceList renders minor IDs as a CUDA_VISIBLE_DEVICES value.

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"gyan/internal/monitor"
 	"gyan/internal/sched"
 	"gyan/internal/workload"
 )
@@ -209,9 +208,8 @@ func TestSchedulerLeavesCPUJobsGreedy(t *testing.T) {
 	}
 }
 
-func TestSchedulerQueueMonitorRecordsDepth(t *testing.T) {
-	qm := monitor.NewQueueMonitor()
-	g := schedGalaxy(t, sched.Config{}, WithQueueMonitor(qm))
+func TestSchedulerMetricsRecordDepth(t *testing.T) {
+	g := schedGalaxy(t, sched.Config{})
 	rs := smallReadSet(t)
 	for i := 0; i < 4; i++ {
 		if _, err := g.Submit("racon", fastParams(), rs, SubmitOptions{}); err != nil {
@@ -219,23 +217,9 @@ func TestSchedulerQueueMonitorRecordsDepth(t *testing.T) {
 		}
 	}
 	g.Run()
-	st := qm.Stats()
-	if st.Samples == 0 {
-		t.Fatal("queue monitor recorded no samples")
-	}
 	// Four 1-GPU jobs on two devices: at least two jobs queued at the peak.
-	if st.MaxDepth < 2 {
-		t.Errorf("max queue depth = %d, want >= 2", st.MaxDepth)
-	}
-	if st.MaxRunning != 2 {
-		t.Errorf("max running = %d, want 2", st.MaxRunning)
-	}
-	var sb strings.Builder
-	if err := qm.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sb.String(), "timestamp_s,queue_depth,running") {
-		t.Errorf("csv header: %q", strings.SplitN(sb.String(), "\n", 2)[0])
+	if d := g.SchedulerMetrics().MaxDepth(); d < 2 {
+		t.Errorf("max queue depth = %d, want >= 2", d)
 	}
 }
 
@@ -244,21 +228,21 @@ func TestSchedulerWorkflowStepsChain(t *testing.T) {
 	// with the scheduler those steps park and start like any other job.
 	g := schedGalaxy(t, sched.Config{})
 	rs := smallReadSet(t)
-	w, err := g.SubmitWorkflow("polish", []WorkflowStep{
-		{ToolID: "racon", Params: fastParams(), Dataset: rs},
-		{ToolID: "racon", Params: fastParams(), Transform: func(prev *Job) (any, error) {
+	wr, err := g.SubmitDAG("polish", chain(
+		DAGStep{ToolID: "racon", Params: fastParams(), Dataset: rs},
+		DAGStep{ToolID: "racon", Params: fastParams(), Transform: func([]*Job) (any, error) {
 			return rs, nil
 		}},
-	})
+	), DAGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Run()
-	if w.State != StateOK {
-		t.Fatalf("workflow finished %s: %s", w.State, w.Info)
+	if wr.State() != StateOK {
+		t.Fatalf("workflow finished %s: %s", wr.State(), wr.Info())
 	}
-	if len(w.Jobs) != 2 || w.Jobs[1].Started < w.Jobs[0].Finished {
-		t.Fatalf("steps did not chain: %d jobs", len(w.Jobs))
+	if jobs := chainJobs(wr); len(jobs) != 2 || jobs[1].Started < jobs[0].Finished {
+		t.Fatalf("steps did not chain: %d jobs", len(jobs))
 	}
 }
 

@@ -11,19 +11,20 @@ import (
 // Cross-handler job transfer: the work-stealing half of the cluster layer
 // (internal/cluster). A transfer moves a *queued, never-started* job from one
 // Galaxy instance (the victim, whose GPUs are backlogged) to another (the
-// thief, whose GPUs idle). Both sides journal the move so exactly-once
-// survives a crash on either end:
+// thief, whose GPUs idle) in two journaled phases, so exactly-once survives a
+// crash on either end:
 //
-//   - the victim marks the job StateStolen and appends an adopt record naming
-//     the thief — replaying the victim's journal shows the job owned by the
-//     thief, so a victim restart never re-runs it;
+//   - the victim detaches the job as StatePrepared with the thief journaled
+//     as tentative owner (PrepareSteal); once the thief has accepted it marks
+//     the job StateStolen and journals the handoff (RetireSteal) — replaying
+//     the victim's journal shows the job owned by the thief, so a victim
+//     restart never re-runs it — or rolls it back into the queue (AbortSteal);
 //   - the thief appends a fresh submit record (owner: thief) carrying the
 //     job's ORIGINAL submission time, chased by an adopt record naming the
-//     victim — seniority is preserved under the thief's scheduler and the
-//     trail shows provenance.
+//     victim (AcceptTransfer) — seniority is preserved under the thief's
+//     scheduler and the trail shows provenance.
 //
-// Under Options.DurableSubmits both records are fsynced (adopt records are on
-// the durable list precisely for ownership moves like this one).
+// Under Options.DurableSubmits every ownership record is fsynced.
 
 // TransferredJob is a queued job detached from one handler for resubmission
 // on another. It carries everything AcceptTransfer needs to rebuild the
@@ -52,42 +53,6 @@ type TransferredJob struct {
 	// Submitted is the job's original submission time on the victim's
 	// (lockstep-aligned) clock.
 	Submitted time.Duration
-}
-
-// DetachQueued removes up to max scheduler-parked jobs from this Galaxy and
-// returns them packaged for AcceptTransfer on the handler named by `to`.
-// Only safely movable work is taken: jobs that are queued (never started),
-// not killed, locally owned, and free of cross-handler entanglements
-// (workflow steps and destination-pinned resubmissions stay put). The
-// youngest jobs go first — stealing juniors costs the least seniority.
-//
-// Each detached job is marked StateStolen (terminal here) and an adopt
-// record naming the thief is journaled, so the victim's journal and live
-// state agree that the job now belongs to `to`.
-func (g *Galaxy) DetachQueued(max int, to string) []TransferredJob {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	cands := g.stealCandidatesLocked(max, to)
-	now := g.Engine.Clock().Now()
-	out := make([]TransferredJob, 0, len(cands))
-	for _, e := range cands {
-		job := e.pending.job
-		g.sched.Remove(job.ID)
-		delete(g.schedJobs, job.ID)
-		job.State = StateStolen
-		job.owner = to
-		job.Finished = now
-		job.Info = fmt.Sprintf("stolen by handler %q", to)
-		g.logJournal(journal.Record{
-			Type: journal.TypeAdopt, At: now, Job: job.ID,
-			Handler: to, From: g.handlerID, Msg: "work steal",
-		})
-		out = append(out, g.packageTransferLocked(e))
-	}
-	if len(out) > 0 {
-		g.recordQueueLocked(now)
-	}
-	return out
 }
 
 // stealCandidatesLocked selects up to max safely movable jobs for transfer
@@ -204,8 +169,7 @@ func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64) []PreparedSte
 
 // RetireSteal is the victim's phase two after the thief's accept: the
 // prepared job becomes StateStolen with ownership journaled to the thief
-// (TypeStealRetire), exactly as a single-phase DetachQueued adopt would
-// have recorded. Returns false if the job is not in the prepared set —
+// (TypeStealRetire). Returns false if the job is not in the prepared set —
 // already retired (duplicate accept) or already aborted.
 func (g *Galaxy) RetireSteal(jobID int) bool {
 	g.mu.Lock()
@@ -263,22 +227,6 @@ func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 	g.recordQueueLocked(now)
 	g.scheduleCycle(0)
 	return true
-}
-
-// PreparedStealIDs returns the transfer IDs of every in-flight prepared
-// steal, keyed by local job ID — the victim-side half of the anti-entropy
-// digest.
-func (g *Galaxy) PreparedStealIDs() map[int]uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.preparedSteals) == 0 {
-		return nil
-	}
-	out := make(map[int]uint64, len(g.preparedSteals))
-	for id, p := range g.preparedSteals {
-		out[id] = p.xfer
-	}
-	return out
 }
 
 // AcceptTransfer resubmits a job detached from another handler on this one.

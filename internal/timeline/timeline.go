@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"gyan/internal/faults"
 	"gyan/internal/galaxy"
 	"gyan/internal/gpu"
 )
@@ -50,79 +49,6 @@ func (c *Chart) AddJobs(jobs []*galaxy.Job) {
 			label = "gpu " + label
 		}
 		c.Add(lane, label, j.Started, j.Finished)
-	}
-}
-
-// AddQueueWaits adds one lane per job that waited in a scheduler queue,
-// spanning submission to start, so queue delay is visible next to run time.
-func (c *Chart) AddQueueWaits(jobs []*galaxy.Job) {
-	for _, j := range jobs {
-		if j.State != galaxy.StateOK || j.QueueWait() <= 0 {
-			continue
-		}
-		lane := fmt.Sprintf("job %d wait", j.ID)
-		c.Add(lane, "queued", j.Submitted, j.Started)
-	}
-}
-
-// AddFailures adds one lane per job with a classified-failure log, so
-// retried and dead-lettered attempts are visible next to the successful
-// runs. Each failed attempt spans from the previous event (submission or
-// the prior failure) to the failure instant; a dead-lettered job's lane is
-// labeled with its final state.
-func (c *Chart) AddFailures(jobs []*galaxy.Job) {
-	for _, j := range jobs {
-		if len(j.Failures) == 0 {
-			continue
-		}
-		lane := fmt.Sprintf("job %d faults", j.ID)
-		from := j.Submitted
-		for _, f := range j.Failures {
-			label := fmt.Sprintf("%s %s", f.Class, f.Op)
-			if j.State == galaxy.StateDeadLetter && f.Attempt == len(j.Failures) {
-				label = "dead-letter: " + label
-			}
-			c.Add(lane, label, from, f.At)
-			from = f.At
-		}
-	}
-}
-
-// AddWorkflows adds the workflow lanes: one summary lane per workflow
-// spanning submit to finish (labeled with its terminal state), plus one lane
-// per step that actually ran, labeled with tool and placement, so the DAG's
-// dependency staircase is visible next to the device lanes. Unfinished
-// workflows extend to `end` (pass the run's final virtual time).
-func (c *Chart) AddWorkflows(statuses []galaxy.WorkflowStatus, end time.Duration) {
-	for _, ws := range statuses {
-		to := ws.Finished
-		if ws.State == galaxy.StateRunning || to == 0 {
-			to = end
-		}
-		lane := fmt.Sprintf("wf %d %s", ws.ID, ws.Name)
-		c.Add(lane, string(ws.State), ws.Submitted, to)
-		for _, st := range ws.Steps {
-			if st.Finished <= st.Started {
-				continue
-			}
-			label := st.Tool
-			if len(st.Devices) > 0 {
-				label = fmt.Sprintf("%s gpu %v", st.Tool, st.Devices)
-			}
-			c.Add(fmt.Sprintf("wf %d › %s", ws.ID, st.ID), label, st.Started, st.Finished)
-		}
-	}
-}
-
-// AddQuarantine adds one lane per quarantined device; open spans extend to
-// `end` (pass the run's final virtual time).
-func (c *Chart) AddQuarantine(q *faults.Quarantine, end time.Duration) {
-	for _, s := range q.Spans() {
-		to := s.To
-		if s.Open() {
-			to = end
-		}
-		c.Add(fmt.Sprintf("GPU %d quarantine", s.Device), "quarantined", s.From, to)
 	}
 }
 
