@@ -56,9 +56,10 @@ test-crash:
 # and the torn-tail replay, staged-loss isolation, async-durable ack
 # semantics (crash between stage and flush must not acknowledge), watermark
 # monotonicity under concurrent flushers, the flush-error latch, the
-# read-only flat layout and its epoch rule, and the sharded crash-requeue
-# scenario at the engine level.
-JOURNAL_TESTS ?= TestSharded|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade
+# read-only flat layout and its epoch rule, the fold (rule table, retired
+# kinds, interleaving invariance, no write-only record kind), and the sharded
+# crash-requeue scenario at the engine level.
+JOURNAL_TESTS ?= TestSharded|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold
 JOURNAL_GALAXY_TESTS ?= TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash
 
 test-journal:

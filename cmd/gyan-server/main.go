@@ -71,7 +71,7 @@ func main() {
 		seed        = flag.Uint64("seed", 42, "synthetic dataset seed")
 		journalDir  = flag.String("journal", "", "job-state journal directory (empty disables durability)")
 		shards      = flag.Int("journal-shards", journal.DefaultShards, "journal stripe count: independent write+fsync pipelines, each under its own shard-NN/ directory")
-		asyncAck    = flag.Bool("async-durable", false, "acknowledge submits at journal stage time; durability is tracked by the commit watermark (GET /api/recovery)")
+		asyncAck    = flag.Bool("async-durable", false, "let a submitted job start at journal stage time instead of after its fsync; the HTTP response still waits for the commit watermark (GET /api/recovery) to cover it")
 		handler     = flag.String("handler", "main", "handler ID stamped on journal records and leases")
 		leaseTTL    = flag.Duration("lease-ttl", galaxy.DefaultLeaseTTL, "heartbeat lease TTL; a standby may adopt this handler's jobs after it expires")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU, heap, mutex profiles)")
@@ -377,8 +377,9 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, shard
 		// The journal batches concurrent durable submits into shared fsyncs
 		// across -journal-shards independent stripe pipelines, pacing each
 		// flusher by the fsync cost it measures. A sync ack waits for its
-		// batch to reach disk; with -async-durable the ack returns at stage
-		// time and durability is tracked by the commit watermark.
+		// batch to reach disk; with -async-durable Submit returns at stage
+		// time and the api handlers await the commit watermark before they
+		// answer, so the fsync overlaps the run.
 		j, err := journal.Open(journalDir, journal.Options{DurableSubmits: true, Shards: shards})
 		if err != nil {
 			return err

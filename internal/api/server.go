@@ -12,6 +12,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -263,10 +264,27 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		// the monitor once per virtual second along the way.
 		_ = s.mon.Attach(s.g.Engine, time.Second, s.g.Engine.Clock().Now()+time.Hour)
 		s.g.Run()
-		writeJSON(w, http.StatusCreated, toJobJSON(job))
+		if s.durable(w, job.DurableTicket) {
+			writeJSON(w, http.StatusCreated, toJobJSON(job))
+		}
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, "GET or POST")
 	}
+}
+
+// durable is the last step before a submitting endpoint acknowledges: it
+// blocks until the journal's watermark covers ticket, the newest submit
+// record the request staged. Only an async-durable engine (-async-durable)
+// hands out tickets — Submit itself waited otherwise — and there the wait
+// overlaps the run the handler just did. If the journal closed or crashed
+// first the submit was dropped: durable answers 503 itself and reports false,
+// because acked must mean durable in every mode.
+func (s *Server) durable(w http.ResponseWriter, ticket uint64) bool {
+	if err := s.g.AwaitDurable(ticket); err != nil {
+		writeErr(w, http.StatusServiceUnavailable, "not acknowledged: submit is not durable: %v", err)
+		return false
+	}
+	return true
 }
 
 // handleJob routes /api/jobs/{id} and its sub-resources. The id segment is
@@ -319,7 +337,7 @@ func (s *Server) handleResubmit(w http.ResponseWriter, r *http.Request, id int) 
 	job, err := s.g.ResubmitDeadLetter(id)
 	if err != nil {
 		status := http.StatusConflict
-		if strings.Contains(err.Error(), "no job") {
+		if errors.Is(err, galaxy.ErrNoJob) {
 			status = http.StatusNotFound
 		}
 		writeErr(w, status, "%v", err)
@@ -327,7 +345,9 @@ func (s *Server) handleResubmit(w http.ResponseWriter, r *http.Request, id int) 
 	}
 	_ = s.mon.Attach(s.g.Engine, time.Second, s.g.Engine.Clock().Now()+time.Hour)
 	s.g.Run()
-	writeJSON(w, http.StatusCreated, toJobJSON(job))
+	if s.durable(w, job.DurableTicket) {
+		writeJSON(w, http.StatusCreated, toJobJSON(job))
+	}
 }
 
 // recoveryResponse is the GET /api/recovery body: whether this handler
@@ -340,8 +360,8 @@ type recoveryResponse struct {
 	Report     *galaxy.RecoveryReport `json:"report,omitempty"`
 	Stats      *journal.Stats         `json:"journal_stats,omitempty"`
 	// Watermark is the journal's durable commit watermark: every record
-	// ticketed at or below it has been fsynced. With async-durable acks this
-	// is the boundary clients compare DurableTicket against.
+	// ticketed at or below it has been fsynced. The submitting endpoints
+	// answer only once it covers the submit records they staged.
 	Watermark uint64 `json:"watermark,omitempty"`
 	Error     string `json:"journal_error,omitempty"`
 }
@@ -608,17 +628,21 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 	for _, j := range s.g.Jobs() {
 		jobs[j.ID] = j
 	}
+	var newest uint64
 	for _, st := range ws.Steps {
 		// Steps skipped after a failure never became jobs.
 		if j := jobs[st.JobID]; j != nil {
 			resp.Jobs = append(resp.Jobs, toJobJSON(j))
+			newest = max(newest, j.DurableTicket)
 		}
 	}
 	status := http.StatusCreated
 	if ws.State == galaxy.StateError {
 		status = http.StatusUnprocessableEntity
 	}
-	writeJSON(w, status, resp)
+	if s.durable(w, newest) {
+		writeJSON(w, status, resp)
+	}
 }
 
 // handleWorkflow serves one workflow: GET /api/workflows/{id} returns its

@@ -19,6 +19,15 @@ func testServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	s := NewServer(g)
+	s.RegisterDataset("alzheimers_nfl", testReads(t))
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// testReads is the small long-read set the api tests submit racon against.
+func testReads(t *testing.T) *workload.ReadSet {
+	t.Helper()
 	rs, err := workload.GenerateLongReads(workload.LongReadConfig{
 		Name: "api", Seed: 3, RefLen: 2000, ReadLen: 300, Coverage: 8,
 		SubRate: 0.02, InsRate: 0.03, DelRate: 0.03, BackboneErrorRate: 0.04,
@@ -27,10 +36,7 @@ func testServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RegisterDataset("alzheimers_nfl", rs)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return ts
+	return rs
 }
 
 func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {

@@ -136,110 +136,61 @@ func AuditJournals(dirs map[string]string) (*Audit, error) {
 			a.TornTailCounts[h] = len(corrupts)
 		}
 		a.Records += len(recs)
-		// Fold this journal per local job ID, then project onto keys.
-		type trail struct {
-			key       uint64
-			routed    bool
-			owner     string
-			state     string // "", "ok", "error", "dead_letter"
-			prepared  string // tentative thief of an unresolved steal prepare
-			starts    []time.Duration
-			submitted time.Duration
-			from      string
+		// One fold per journal (trails are per local job ID), then project
+		// the trails onto keys.
+		hist := journal.Fold(recs)
+		for _, c := range hist.Claims {
+			a.Claims = append(a.Claims, StripeClaim{
+				Claimer: c.Handler, Dead: c.From,
+				Stripes: append([]int(nil), c.Stripes...), At: c.At,
+			})
 		}
-		trails := make(map[int]*trail)
-		var order []int
-		for i := range recs {
-			rec := recs[i]
-			if rec.Type == journal.TypeClaim {
-				a.Claims = append(a.Claims, StripeClaim{
-					Claimer: rec.Handler, Dead: rec.From,
-					Stripes: append([]int(nil), rec.Stripes...), At: rec.At,
-				})
+		for _, jid := range hist.Order {
+			t := hist.Jobs[jid]
+			key, routed := keyOfParams(t.Submit.Params)
+			if !routed {
 				continue
 			}
-			if rec.Job == 0 {
-				continue
-			}
-			t := trails[rec.Job]
-			if t == nil {
-				if rec.Type != journal.TypeSubmit {
-					continue
-				}
-				nt := &trail{owner: rec.Handler, submitted: rec.Submitted}
-				nt.key, nt.routed = keyOfParams(rec.Params)
-				trails[rec.Job] = nt
-				order = append(order, rec.Job)
-				continue
-			}
-			switch rec.Type {
-			case journal.TypeStart:
-				t.starts = append(t.starts, rec.At)
-			case journal.TypeComplete:
-				t.state = rec.State
-			case journal.TypeDeadLetter:
-				t.state = "dead_letter"
-			case journal.TypeAdopt:
-				t.owner = rec.Handler
-				if rec.From != "" && rec.From != h {
-					t.from = rec.From
-				}
-			case journal.TypeStealPrepare:
-				t.prepared = rec.Handler
-			case journal.TypeStealRetire:
-				t.owner = rec.Handler
-				t.prepared = ""
-			case journal.TypeStealAbort:
-				t.prepared = ""
-			case journal.TypeResubmit:
-				t.state = ""
-			}
-		}
-		sort.Ints(order)
-		for _, jid := range order {
-			t := trails[jid]
-			if !t.routed {
-				continue
-			}
-			kt := a.Keys[t.key]
+			kt := a.Keys[key]
 			if kt == nil {
 				kt = &KeyTrail{
 					Starts:      make(map[string][]time.Duration),
 					AdoptedFrom: make(map[string]string),
-					Submitted:   t.submitted,
+					Submitted:   t.Submit.Submitted,
 				}
-				a.Keys[t.key] = kt
+				a.Keys[key] = kt
 			}
-			if t.submitted < kt.Submitted {
-				kt.Submitted = t.submitted
+			if t.Submit.Submitted < kt.Submitted {
+				kt.Submitted = t.Submit.Submitted
 			}
 			kt.Submits++
-			if t.state != "" {
+			open := t.Terminal == nil
+			if !open {
 				kt.Terminal = true
+				if t.Terminal.State == "ok" {
+					kt.OKs++
+				}
 			}
-			if t.state == "ok" {
-				kt.OKs++
+			started := len(t.Starts) > 0
+			if started {
+				kt.Starts[h] = append(kt.Starts[h], t.Starts...)
 			}
-			if len(t.starts) > 0 {
-				kt.Starts[h] = append(kt.Starts[h], t.starts...)
+			if t.From != "" && t.From != h {
+				kt.AdoptedFrom[h] = t.From
 			}
-			if t.from != "" {
-				kt.AdoptedFrom[h] = t.from
-			}
-			stillOwned := t.owner == h || t.owner == ""
-			if stillOwned && t.state == "" && t.prepared != "" {
+			stillOwned := t.Owner == h || t.Owner == ""
+			if stillOwned && open && t.Prepared != nil {
 				// Mid-transfer at journal end: only the thief's journal
 				// knows whether the handoff completed. Defer.
 				pending = append(pending, pendPrepare{
-					key: t.key, victim: h, thief: t.prepared,
-					started: len(t.starts) > 0,
+					key: key, victim: h, thief: t.Prepared.Handler, started: started,
 				})
 				continue
 			}
-			if stillOwned && t.state == "" {
+			if stillOwned && open {
 				kt.Owners = append(kt.Owners, h)
 			}
-			if len(t.starts) > 0 && stillOwned {
+			if started && stillOwned {
 				kt.StartedOn = append(kt.StartedOn, h)
 			}
 		}

@@ -142,8 +142,12 @@ type Node struct {
 	// jobs is the local job behind every key that ever lived here.
 	assign map[uint64]string
 	jobs   map[uint64]*galaxy.Job
-	dead   map[string]*deadMemberInfo
-	proto  *protoState
+	// dead is the post-mortem archive of every peer this member declared
+	// dead: the cluster keys the peer's journal (Dir/<peer>, replayed and
+	// folded) holds a trail for — for a tentative thief, the proof that it
+	// accepted a transfer.
+	dead  map[string]map[uint64]bool
+	proto *protoState
 	// routed/stolenIn/stolenOut/rebalancedIn count jobs for Status.
 	routed, stolenIn, stolenOut, rebalancedIn uint64
 }
@@ -211,13 +215,7 @@ func newNode(cfg Config, reg *obs.Registry) (*Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rejoin %s: replay own journal: %w", id, err)
 		}
-		maxJob := 0
-		for _, rec := range recs {
-			if rec.Job > maxJob {
-				maxJob = rec.Job
-			}
-		}
-		gopts = append(gopts, galaxy.WithJobIDBase(maxJob))
+		gopts = append(gopts, galaxy.WithJobIDBase(journal.Fold(recs).MaxJob))
 		// Reconstruct the ring surgery the survivors performed when this
 		// member's previous incarnation died: remove then re-add. Ring ops
 		// are history-dependent, so replaying the same op sequence is what
@@ -250,7 +248,7 @@ func newNode(cfg Config, reg *obs.Registry) (*Node, error) {
 		datasets: make(map[string]any),
 		assign:   make(map[uint64]string),
 		jobs:     make(map[uint64]*galaxy.Job),
-		dead:     make(map[string]*deadMemberInfo),
+		dead:     make(map[string]map[uint64]bool),
 		// Every member seeds its own RNG stream and boots with a full lease
 		// for each peer (the detector's grace period).
 		proto: newProtoState(cfg.Seed^(0x9e3779b97f4a7c15*uint64(self+1)), cfg.Members, id, cfg.MemberTTL),

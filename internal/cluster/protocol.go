@@ -208,22 +208,6 @@ func newProtoState(seed uint64, peers []string, self string, ttl time.Duration) 
 	return m
 }
 
-// deadTrail is one job's folded trail in a dead member's replayed journal.
-type deadTrail struct {
-	submit   journal.Record
-	owner    string
-	terminal bool
-	prepared *journal.Record
-}
-
-// deadMemberInfo is this member's post-mortem archive of one peer it
-// declared dead: the peer's journal, replayed from Dir/<peer> and folded into
-// per-job trails (order lists the job IDs ascending).
-type deadMemberInfo struct {
-	trails map[int]*deadTrail
-	order  []int
-}
-
 // protocolPass is the second half of a step: one pass of the member
 // protocol at the member's current time.
 func (n *Node) protocolPass() {
@@ -670,8 +654,14 @@ func (n *Node) declareDead(dead string, now time.Duration) bool {
 		n.met.deadReplayErrors.With(n.id, dead).Inc()
 		return false
 	}
-	di := foldDeadJournal(recs)
-	n.dead[dead] = di
+	hist := journal.Fold(recs)
+	keys := make(map[uint64]bool, len(hist.Jobs))
+	for _, t := range hist.Jobs {
+		if key, ok := keyOfParams(t.Submit.Params); ok {
+			keys[key] = true
+		}
+	}
+	n.dead[dead] = keys
 	m := n.proto
 	m.deadSeen[dead] = true
 	delete(m.leases, dead)
@@ -717,12 +707,12 @@ func (n *Node) declareDead(dead string, now time.Duration) bool {
 
 	// Rehome the dead member's still-owned non-terminal keys that the ring
 	// now assigns to this member.
-	for _, jid := range di.order {
-		t := di.trails[jid]
-		if t.terminal || t.owner != dead {
+	for _, jid := range hist.Order {
+		t := hist.Jobs[jid]
+		if t.Terminal != nil || t.Owner != dead {
 			continue
 		}
-		key, ok := keyOfParams(t.submit.Params)
+		key, ok := keyOfParams(t.Submit.Params)
 		if !ok {
 			continue
 		}
@@ -735,62 +725,13 @@ func (n *Node) declareDead(dead string, now time.Duration) bool {
 		if n.ring.OwnerOfKey(key) != n.id {
 			continue // another claimer's stripe
 		}
-		if t.prepared != nil {
+		if t.Prepared != nil {
 			n.parkOrphanedPrepare(dead, jid, t, key)
 			continue
 		}
-		n.requeueDeadKey(dead, jid, t.submit, key)
+		n.requeueDeadKey(dead, jid, t.Submit, key)
 	}
 	return true
-}
-
-// foldDeadJournal folds a dead member's record stream into per-job trails.
-func foldDeadJournal(recs []journal.Record) *deadMemberInfo {
-	trails := make(map[int]*deadTrail)
-	var order []int
-	for i := range recs {
-		rec := recs[i]
-		if rec.Job == 0 {
-			continue
-		}
-		t := trails[rec.Job]
-		if t == nil {
-			if rec.Type != journal.TypeSubmit {
-				continue
-			}
-			trails[rec.Job] = &deadTrail{submit: rec, owner: rec.Handler}
-			order = append(order, rec.Job)
-			continue
-		}
-		switch rec.Type {
-		case journal.TypeComplete, journal.TypeDeadLetter:
-			t.terminal = true
-		case journal.TypeAdopt:
-			t.owner = rec.Handler
-		case journal.TypeStealPrepare:
-			t.prepared = &recs[i]
-		case journal.TypeStealRetire:
-			t.owner = rec.Handler
-			t.prepared = nil
-		case journal.TypeStealAbort:
-			t.prepared = nil
-		case journal.TypeResubmit:
-			t.terminal = false
-		}
-	}
-	sort.Ints(order)
-	return &deadMemberInfo{trails: trails, order: order}
-}
-
-// holdsKey reports whether the dead member's journal has a trail for the
-// key — for a tentative thief, the proof that it accepted the transfer.
-func (di *deadMemberInfo) holdsKey(key uint64) bool {
-	for _, t := range di.trails {
-		if k, ok := keyOfParams(t.submit.Params); ok && k == key {
-			return true
-		}
-	}
-	return false
 }
 
 // requeueDeadKey resubmits one of a dead member's jobs on this one,
@@ -814,10 +755,10 @@ func (n *Node) requeueDeadKey(dead string, jid int, sub journal.Record, key uint
 // mid-transfer. If this member IS the tentative thief it resolves locally
 // from its own dedupe table; otherwise the anti-entropy sweep will query
 // the thief. A dead thief is resolved immediately from its archive.
-func (n *Node) parkOrphanedPrepare(dead string, jid int, t *deadTrail, key uint64) {
+func (n *Node) parkOrphanedPrepare(dead string, jid int, t *journal.Trail, key uint64) {
 	m := n.proto
-	thief := t.prepared.Handler
-	xfer := t.prepared.Xfer
+	thief := t.Prepared.Handler
+	xfer := t.Prepared.Xfer
 	k := inKey{victim: dead, xfer: xfer}
 	if thief == n.id {
 		// The claimer is the tentative thief: its own table is the truth.
@@ -825,16 +766,16 @@ func (n *Node) parkOrphanedPrepare(dead string, jid int, t *deadTrail, key uint6
 			return // already accepted and tracked under this member's trail
 		}
 		m.inSeen[k] = "refused" // fence any late duplicate prepare
-		n.requeueDeadKey(dead, jid, t.submit, key)
+		n.requeueDeadKey(dead, jid, t.Submit, key)
 		n.met.aeRepairs.With(n.id, "orphaned_prepare").Inc()
 		return
 	}
 	if m.deadSeen[thief] {
-		n.resolveOrphanAgainstDeadThief(dead, jid, t.submit, key, thief)
+		n.resolveOrphanAgainstDeadThief(dead, jid, t.Submit, key, thief)
 		return
 	}
 	m.pendingDead[k] = &deadPrepare{
-		victim: dead, xfer: xfer, key: key, jobID: jid, submit: t.submit, thief: thief,
+		victim: dead, xfer: xfer, key: key, jobID: jid, submit: t.Submit, thief: thief,
 	}
 }
 
@@ -844,7 +785,7 @@ func (n *Node) parkOrphanedPrepare(dead string, jid int, t *deadTrail, key uint6
 // there as a trail for the same key adopted from the victim; absent that,
 // the handoff never happened and the key requeues here.
 func (n *Node) resolveOrphanAgainstDeadThief(dead string, jid int, sub journal.Record, key uint64, thief string) {
-	if n.dead[thief].holdsKey(key) {
+	if n.dead[thief][key] {
 		return // the thief accepted; its own claimer rehomes the key
 	}
 	n.requeueDeadKey(dead, jid, sub, key)
@@ -866,7 +807,7 @@ func (n *Node) resolveDeadThief(dead string) {
 	sort.Slice(xfers, func(i, j int) bool { return xfers[i] < xfers[j] })
 	for _, x := range xfers {
 		o := m.out[x]
-		if n.dead[dead].holdsKey(o.key) {
+		if n.dead[dead][o.key] {
 			n.g.RetireSteal(o.jobID)
 			n.stolenOut++
 			n.met.retires.With(n.id, dead).Inc()

@@ -26,8 +26,8 @@ import (
 
 // rebuildWorkflowsLocked rebuilds every journaled workflow. Caller holds
 // g.mu; jobs have already been materialized and requeued.
-func (g *Galaxy) rebuildWorkflowsLocked(defs map[int]journal.Record, order []int,
-	terms map[int]journal.Record, rep *RecoveryReport, opts RecoverOptions, now time.Duration) {
+func (g *Galaxy) rebuildWorkflowsLocked(hist *journal.History, rep *RecoveryReport,
+	opts RecoverOptions, now time.Duration) {
 	// Index the materialized jobs by workflow/step identity.
 	members := make(map[int]map[string]*Job)
 	for _, j := range g.jobs.all() {
@@ -42,12 +42,12 @@ func (g *Galaxy) rebuildWorkflowsLocked(defs map[int]journal.Record, order []int
 		m[j.StepID] = j
 	}
 
-	for _, id := range order {
-		rec := defs[id]
+	for _, id := range hist.WorkflowOrder {
+		rec := hist.Workflows[id]
 		if int64(id) > g.nextWF.Load() {
 			g.nextWF.Store(int64(id))
 		}
-		wr, resumed, err := g.rebuildWorkflowLocked(rec, terms, members[id], opts, now)
+		wr, resumed, err := g.rebuildWorkflowLocked(rec, hist.Verdicts, members[id], opts, now)
 		if err != nil {
 			// The definition no longer builds (a tool was uninstalled
 			// across the restart). Surface it as a failed run rather than

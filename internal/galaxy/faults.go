@@ -180,13 +180,7 @@ func (g *Galaxy) failLocked(job *Job, binding *ToolBinding, opts SubmitOptions, 
 	// faults carry no device set and never count against a GPU.
 	for _, d := range culprits {
 		if g.quarantine.RecordFault(d, now) {
-			until := time.Duration(-1)
-			if g.quarantine.Cooldown > 0 {
-				until = now + g.quarantine.Cooldown
-			}
-			g.logJournal(journal.Record{
-				Type: journal.TypeQuarantine, At: now, Device: d, Until: until,
-			})
+			g.obsv.Quarantined()
 		}
 	}
 

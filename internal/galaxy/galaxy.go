@@ -70,10 +70,11 @@ type Galaxy struct {
 	// instant (see internal/smi); invalidated whenever device state changes.
 	surveyCache *smi.Cache
 
-	// obsv receives every journaled job-state transition (metrics + traces,
-	// see internal/obs). It is always non-nil — observability is on even
-	// with journaling off — and its Transition method is lock-free, so the
-	// call rides the submit hot path at one struct dispatch per record.
+	// obsv receives every journaled job-state transition, plus the
+	// scheduler-queue and quarantine events that are not journaled (metrics
+	// + traces, see internal/obs). It is always non-nil — observability is
+	// on even with journaling off — and its Transition method is lock-free,
+	// so the call rides the submit hot path at one struct dispatch per record.
 	obsv *obs.Observer
 
 	// Destination scheduling: per-destination running counts and wait
@@ -461,7 +462,7 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 	// and the logJournal epoch bump after it invalidates cached snapshots.
 	g.jobs.insert(job)
 	if opts.AsyncDurable || g.asyncDurable {
-		job.DurableTicket = g.logJournalAsync(job.submit)
+		job.DurableTicket = g.appendJournal(job.submit, false)
 	} else {
 		g.logJournal(job.submit)
 	}
@@ -833,7 +834,7 @@ func (g *Galaxy) Kill(job *Job) {
 		if _, parked := g.schedJobs[job.ID]; parked {
 			g.sched.Remove(job.ID)
 			delete(g.schedJobs, job.ID)
-			g.logJournal(journal.Record{Type: journal.TypeQueue, At: now, Job: job.ID, QueueOp: "remove"})
+			g.obsv.Unqueued(job.ID, now)
 			g.recordQueueLocked(now)
 		}
 	}

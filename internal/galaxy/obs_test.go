@@ -10,6 +10,7 @@ import (
 
 	"gyan/internal/faults"
 	"gyan/internal/journal"
+	"gyan/internal/sched"
 )
 
 // TestObserverSeesFullLifecycle runs one GPU job end to end and checks the
@@ -251,5 +252,72 @@ func TestConcurrentObsRecordingAndScrape(t *testing.T) {
 	snap := g.Observer().Reg.Snapshot()
 	if got := snap[`gyan_jobs_submitted_total{tool="racon"}`]; got != n {
 		t.Errorf("submitted = %v, want %d", got, n)
+	}
+}
+
+// TestSchedulerQueueEventsAreObservedNotJournaled pins both halves of "what
+// no fold reads is not written": a scheduler-managed job's trace still shows
+// its park at the map instant and its grant at the start instant (a killed
+// waiter its removal), the counters still count them — and the journal
+// carries only the four records recovery acts on.
+func TestSchedulerQueueEventsAreObservedNotJournaled(t *testing.T) {
+	j, err := journal.Open(t.TempDir(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	g := schedGalaxy(t, sched.Config{}, WithJournal(j, "h1"))
+	rs := smallReadSet(t)
+	var jobs []*Job
+	for i := 0; i < 4; i++ { // two devices: jobs 3 and 4 wait
+		job, err := g.Submit("racon", fastParams(), rs, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	g.Engine.RunUntil(time.Millisecond) // everyone mapped and parked, two granted
+	g.Kill(jobs[3])
+	g.Run()
+
+	snap := g.Observer().Reg.Snapshot()
+	if p, gr := snap["gyan_sched_parked_total"], snap["gyan_sched_grants_total"]; p != 4 || gr != 3 {
+		t.Errorf("parked/grants = %v/%v, want 4/3", p, gr)
+	}
+	at := func(id int, name, detail string) time.Duration {
+		t.Helper()
+		tr, _ := g.Observer().Traces.Get(id)
+		for _, e := range tr.Events {
+			if e.Name == name && (detail == "" || e.Detail == detail) {
+				return e.At
+			}
+		}
+		t.Fatalf("job %d: no %s/%s event in %+v", id, name, detail, tr.Events)
+		return 0
+	}
+	waited := jobs[2].ID
+	if at(waited, "schedule", "park") != at(waited, "map", "") {
+		t.Error("park is not at the map instant")
+	}
+	if at(waited, "queue", "grant") != at(waited, "start", "") || at(waited, "start", "") == 0 {
+		t.Error("grant is not at the (later) start instant")
+	}
+	at(jobs[3].ID, "queue", "remove")
+
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := journal.ReplayAll(j.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, rec := range recs {
+		if rec.Job == waited {
+			kinds = append(kinds, string(rec.Type))
+		}
+	}
+	if got := strings.Join(kinds, ","); got != "submit,map,start,complete" {
+		t.Errorf("job %d journaled %s, want submit,map,start,complete", waited, got)
 	}
 }

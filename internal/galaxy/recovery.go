@@ -135,41 +135,26 @@ func (g *Galaxy) LastRecovery() *RecoveryReport {
 	return g.recovery
 }
 
-// logJournal appends one record, stamping the handler and piggybacking a
-// heartbeat lease when the last one is older than half the TTL. It requires
-// no lock of its own: lease state hides behind leaseMu and the journal
-// serializes internally — lock-free submitters and g.mu-holding engine
-// callbacks both land here. Every call also bumps the jobs epoch, since a
-// journaled transition is by definition a job-state mutation (the nil-journal
-// case still bumps: snapshots must invalidate with journaling off). Append
-// errors are latched, not propagated — the dispatch path never fails on
-// durability.
-func (g *Galaxy) logJournal(rec journal.Record) {
-	g.bumpJobs()
-	if g.obsv != nil {
-		g.obsv.Transition(rec)
-	}
-	if g.journal == nil {
-		return
-	}
-	if rec.Handler == "" {
-		rec.Handler = g.handlerID
-	}
-	g.maybeHeartbeat(rec.At)
-	if err := g.journal.Append(rec); err != nil {
-		g.latchJournalErr(err)
-	}
-}
+// logJournal appends one record and, for a durable-class record, waits for
+// the fsync covering it.
+func (g *Galaxy) logJournal(rec journal.Record) { g.appendJournal(rec, true) }
 
-// logJournalAsync is logJournal without the durability wait: the record is
-// staged (group commit) or buffered and its commit ticket returned, so the
-// caller can await the fsync in bulk via AwaitDurable. Returns 0 with no
-// journal attached.
-func (g *Galaxy) logJournalAsync(rec journal.Record) uint64 {
+// appendJournal is the one seam every journaled transition crosses: report
+// it to the observer, stamp the handler, piggyback a heartbeat lease when the
+// last one is older than half the TTL, append. It requires no lock of its
+// own: lease state hides behind leaseMu and the journal serializes
+// internally — lock-free submitters and g.mu-holding engine callbacks both
+// land here. Every call also bumps the jobs epoch, since a journaled
+// transition is by definition a job-state mutation (the nil-journal case
+// still bumps: snapshots must invalidate with journaling off). Append errors
+// are latched, not propagated — the dispatch path never fails on durability.
+//
+// With wait false the record is only staged and its commit ticket returned,
+// so the caller can await the fsync later via AwaitDurable (0 with no
+// journal attached).
+func (g *Galaxy) appendJournal(rec journal.Record, wait bool) uint64 {
 	g.bumpJobs()
-	if g.obsv != nil {
-		g.obsv.Transition(rec)
-	}
+	g.obsv.Transition(rec)
 	if g.journal == nil {
 		return 0
 	}
@@ -177,7 +162,13 @@ func (g *Galaxy) logJournalAsync(rec journal.Record) uint64 {
 		rec.Handler = g.handlerID
 	}
 	g.maybeHeartbeat(rec.At)
-	tick, err := g.journal.AppendAsync(rec)
+	var tick uint64
+	var err error
+	if wait {
+		err = g.journal.Append(rec)
+	} else {
+		tick, err = g.journal.AppendAsync(rec)
+	}
 	if err != nil {
 		g.latchJournalErr(err)
 	}
@@ -363,21 +354,6 @@ type RecoverOptions struct {
 	WallNow int64
 }
 
-// jobHistory is one job's folded record trail.
-type jobHistory struct {
-	submit      journal.Record
-	lastMap     *journal.Record
-	lastStart   *journal.Record
-	attempts    []journal.Record
-	preempts    int
-	terminal    *journal.Record
-	owner       string
-	attemptBase int
-	// prepared is the newest unresolved steal-prepare record: a tentative
-	// ownership transfer that no retire or abort has closed.
-	prepared *journal.Record
-}
-
 // Recover rebuilds this Galaxy from a journal replay. It must be called on
 // a fresh instance (tools registered, nothing submitted) before the engine
 // runs; replayErr is whatever Replay returned — a *CorruptRecordError is
@@ -414,88 +390,16 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		rep.CorruptTail = cerr.Error()
 	}
 
-	// Fold the flat record stream into per-job trails, per-handler lease
-	// deadlines, and workflow definitions/terminations.
-	hist := make(map[int]*jobHistory)
-	var order []int
-	var maxAt time.Duration
-	wfDefs := make(map[int]journal.Record)
-	var wfOrder []int
-	wfTerm := make(map[int]journal.Record)
-	for i := range recs {
-		rec := recs[i]
-		if rec.At > maxAt {
-			maxAt = rec.At
-		}
-		if rec.Type == journal.TypeWorkflow {
-			if _, seen := wfDefs[rec.Workflow]; !seen {
-				wfDefs[rec.Workflow] = rec
-				wfOrder = append(wfOrder, rec.Workflow)
-			}
-			continue
-		}
-		if rec.Type == journal.TypeLease {
-			li, seen := rep.Leases[rec.Handler]
-			if !seen {
-				li.First = rec.At
-			}
-			li.Last = rec.At
-			li.Deadline = rec.At + rec.TTL
-			if rec.Wall > 0 {
-				li.WallLast = rec.Wall
-				li.WallDeadline = rec.Wall + int64(rec.TTL)
-			}
-			rep.Leases[rec.Handler] = li
-			continue
-		}
-		if rec.Job == 0 {
-			// A jobless completion is a workflow's terminal verdict.
-			if rec.Type == journal.TypeComplete && rec.Workflow != 0 {
-				wfTerm[rec.Workflow] = rec
-			}
-			continue
-		}
-		h := hist[rec.Job]
-		if h == nil {
-			if rec.Type != journal.TypeSubmit {
-				continue // trail truncated by compaction; nothing to fold onto
-			}
-			hist[rec.Job] = &jobHistory{submit: rec, owner: rec.Handler}
-			order = append(order, rec.Job)
-			continue
-		}
-		switch rec.Type {
-		case journal.TypeSubmit:
-			// Duplicate submit (should not happen); first wins.
-		case journal.TypeMap:
-			h.lastMap = &recs[i]
-		case journal.TypeStart:
-			h.lastStart = &recs[i]
-		case journal.TypeAttempt:
-			h.attempts = append(h.attempts, rec)
-		case journal.TypePreempt:
-			h.preempts++
-		case journal.TypeComplete, journal.TypeDeadLetter:
-			h.terminal = &recs[i]
-		case journal.TypeAdopt:
-			h.owner = rec.Handler
-		case journal.TypeStealPrepare:
-			h.prepared = &recs[i]
-		case journal.TypeStealRetire:
-			h.owner = rec.Handler
-			h.prepared = nil
-		case journal.TypeStealAbort:
-			h.prepared = nil
-		case journal.TypeResubmit:
-			h.terminal = nil
-			h.attemptBase = len(h.attempts)
-		}
-	}
-	rep.LastRecordAt = maxAt
-	now := g.Engine.Clock().AdvanceTo(maxAt + opts.RestartDelay)
+	hist := journal.Fold(recs)
+	rep.LastRecordAt = hist.LastAt
+	now := g.Engine.Clock().AdvanceTo(hist.LastAt + opts.RestartDelay)
 	rep.ResumedAt = now
-	for id, li := range rep.Leases {
-		li.Expired = now >= li.Deadline
+	for id, l := range hist.Leases {
+		li := LeaseInfo{
+			First: l.First, Last: l.Last, Deadline: l.Deadline,
+			WallLast: l.WallLast, WallDeadline: l.WallDeadline,
+			Expired: now >= l.Deadline,
+		}
 		if opts.WallNow > 0 && li.WallLast > 0 {
 			// Real time trumps virtual time for liveness: an idle server's
 			// virtual clock stands still, so only the wall-clock heartbeat
@@ -507,6 +411,8 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 
 	// Replay the quarantine: charging every attempt's culprit devices in
 	// record order rebuilds counts, spans and cooldown deadlines exactly.
+	// Device state is the one thing read off the stream rather than the
+	// fold: it depends on the order of attempts across jobs.
 	for _, rec := range recs {
 		if rec.Type != journal.TypeAttempt {
 			continue
@@ -520,30 +426,29 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 	}
 	rep.QuarantineRestored = len(g.quarantine.Spans())
 
-	sort.Ints(order)
-	for _, id := range order {
-		h := hist[id]
+	for _, id := range hist.Order {
+		h := hist.Jobs[id]
 		if int64(id) > g.nextID.Load() {
 			g.nextID.Store(int64(id))
 		}
 		job := g.materializeLocked(id, h, opts)
-		rj := RecoveredJob{ID: id, Tool: job.ToolID, Owner: h.owner}
+		rj := RecoveredJob{ID: id, Tool: job.ToolID, Owner: h.Owner}
 
-		if h.terminal != nil {
+		if h.Terminal != nil {
 			switch {
-			case h.terminal.Type == journal.TypeDeadLetter:
+			case h.Terminal.Type == journal.TypeDeadLetter:
 				job.State = StateDeadLetter
 				rep.DeadLettered++
-			case h.terminal.State == string(StateOK):
+			case h.Terminal.State == string(StateOK):
 				job.State = StateOK
 				rep.Completed++
 			default:
 				job.State = StateError
 				rep.Errored++
 			}
-			job.Finished = h.terminal.At
-			if h.terminal.Msg != "" {
-				job.Info = h.terminal.Msg
+			job.Finished = h.Terminal.At
+			if h.Terminal.Msg != "" {
+				job.Info = h.Terminal.Msg
 			}
 			// Re-credit the completed run's GPU-seconds so fair share does
 			// not reset across the restart. Requeued work is deliberately
@@ -561,7 +466,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 			continue
 		}
 
-		if h.prepared != nil {
+		if h.Prepared != nil {
 			// The trail ends mid-transfer: a steal prepare with no retire
 			// or abort — this handler crashed after detaching the job.
 			// Standalone recovery has no thief that could double-run it, so
@@ -571,7 +476,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 			// internal/cluster.)
 			g.logJournal(journal.Record{
 				Type: journal.TypeStealAbort, At: now, Job: id,
-				Handler: h.prepared.Handler, From: g.handlerID, Xfer: h.prepared.Xfer,
+				Handler: h.Prepared.Handler, From: g.handlerID, Xfer: h.Prepared.Xfer,
 				Msg: "recovery: orphaned prepare requeued",
 			})
 		}
@@ -579,7 +484,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		// Non-terminal: ownership decides. A foreign job is requeued only
 		// when its owner's lease expired and adoption is allowed. A handler
 		// with no ID (journaling off) claims every job as its own.
-		owner := h.owner
+		owner := h.Owner
 		foreign := owner != "" && g.handlerID != "" && owner != g.handlerID
 		if foreign {
 			li, seen := rep.Leases[owner]
@@ -621,7 +526,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		}
 		job.Dataset = dataset
 		job.State = StateQueued
-		if h.lastStart != nil {
+		if h.Start != nil {
 			job.Info = fmt.Sprintf("recovered: rerunning as epoch %d after handler crash", job.run+1)
 		} else {
 			job.Info = "recovered: requeued after handler restart"
@@ -655,7 +560,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		})
 	}
 
-	g.rebuildWorkflowsLocked(wfDefs, wfOrder, wfTerm, rep, opts, now)
+	g.rebuildWorkflowsLocked(hist, rep, opts, now)
 
 	// Assert this handler's ownership of whatever it just rebuilt.
 	if g.journal != nil {
@@ -670,8 +575,8 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 
 // materializeLocked rebuilds one Job value from its folded trail (without
 // deciding its disposition).
-func (g *Galaxy) materializeLocked(id int, h *jobHistory, opts RecoverOptions) *Job {
-	sub := h.submit
+func (g *Galaxy) materializeLocked(id int, h *journal.Trail, opts RecoverOptions) *Job {
+	sub := h.Submit
 	job := &Job{
 		ID:          id,
 		ToolID:      sub.Tool,
@@ -679,34 +584,34 @@ func (g *Galaxy) materializeLocked(id int, h *jobHistory, opts RecoverOptions) *
 		User:        userOrAnonymous(sub.User),
 		Runtime:     sub.Runtime,
 		Submitted:   sub.Submitted,
-		Preempted:   h.preempts,
+		Preempted:   h.Preempts,
 		WorkflowID:  sub.Workflow,
 		StepID:      sub.Step,
 		submit:      sub,
 		datasetName: sub.Dataset,
-		attemptBase: h.attemptBase,
+		attemptBase: h.AttemptBase,
 	}
-	for _, a := range h.attempts {
+	for _, a := range h.Attempts {
 		job.Failures = append(job.Failures, Failure{
 			At: a.At, Attempt: a.Attempt, Op: faults.Op(a.Op),
 			Class: classFromString(a.Class), Msg: a.Msg, Devices: a.Devices,
 		})
 	}
-	if h.lastMap != nil {
-		job.Destination = h.lastMap.Destination
-		job.GPUEnabled = h.lastMap.GPUEnabled
-		job.Devices = h.lastMap.Devices
-		job.VisibleDevices = deviceList(h.lastMap.Devices)
+	if h.Map != nil {
+		job.Destination = h.Map.Destination
+		job.GPUEnabled = h.Map.GPUEnabled
+		job.Devices = h.Map.Devices
+		job.VisibleDevices = deviceList(h.Map.Devices)
 	}
-	if h.lastStart != nil {
-		job.Started = h.lastStart.At
-		job.run = h.lastStart.Epoch
-		if h.lastStart.Destination != "" {
-			job.Destination = h.lastStart.Destination
+	if h.Start != nil {
+		job.Started = h.Start.At
+		job.run = h.Start.Epoch
+		if h.Start.Destination != "" {
+			job.Destination = h.Start.Destination
 		}
-		job.GPUEnabled = h.lastStart.GPUEnabled
-		job.Devices = h.lastStart.Devices
-		job.VisibleDevices = deviceList(h.lastStart.Devices)
+		job.GPUEnabled = h.Start.GPUEnabled
+		job.Devices = h.Start.Devices
+		job.VisibleDevices = deviceList(h.Start.Devices)
 	}
 	// Resolve the dataset opportunistically even for terminal jobs, so an
 	// admin resubmit of a recovered dead-letter has a payload to run.
@@ -747,6 +652,11 @@ func classFromString(s string) faults.Class {
 	return faults.Transient
 }
 
+// ErrNoJob is what ResubmitDeadLetter wraps when the ID names no job — the
+// one failure that is the caller's addressing mistake rather than the job's
+// state.
+var ErrNoJob = errors.New("galaxy: no such job")
+
 // ResubmitDeadLetter replays a dead-lettered job as a fresh run epoch: the
 // failure log stays attached for post-mortem, but the retry budget restarts
 // (Attempt counts from 1 again). The admin path behind
@@ -756,7 +666,7 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	defer g.mu.Unlock()
 	job := g.jobs.get(id)
 	if job == nil {
-		return nil, fmt.Errorf("galaxy: no job %d", id)
+		return nil, fmt.Errorf("%w: %d", ErrNoJob, id)
 	}
 	if job.State != StateDeadLetter {
 		return nil, fmt.Errorf("galaxy: job %d is %q, not %q", id, job.State, StateDeadLetter)

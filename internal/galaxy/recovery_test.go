@@ -1,6 +1,7 @@
 package galaxy
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -355,8 +356,8 @@ func TestResubmitDeadLetterRunsFreshEpoch(t *testing.T) {
 		t.Fatalf("state = %s, want dead_letter", job.State)
 	}
 
-	if _, err := g.ResubmitDeadLetter(99); err == nil {
-		t.Error("resubmitting an unknown job did not error")
+	if _, err := g.ResubmitDeadLetter(99); !errors.Is(err, ErrNoJob) {
+		t.Errorf("resubmitting an unknown job: %v, want ErrNoJob", err)
 	}
 	got, err := g.ResubmitDeadLetter(job.ID)
 	if err != nil {
@@ -375,8 +376,8 @@ func TestResubmitDeadLetterRunsFreshEpoch(t *testing.T) {
 	if len(job.Failures) != 1 {
 		t.Errorf("failure log lost on resubmit: %d entries", len(job.Failures))
 	}
-	if _, err := g.ResubmitDeadLetter(job.ID); err == nil {
-		t.Error("resubmitting an ok job did not error")
+	if _, err := g.ResubmitDeadLetter(job.ID); err == nil || errors.Is(err, ErrNoJob) {
+		t.Errorf("resubmitting an ok job: %v, want a not-dead-lettered error", err)
 	}
 }
 

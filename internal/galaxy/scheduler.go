@@ -97,10 +97,8 @@ func (g *Galaxy) parkInSchedulerLocked(job *Job, binding *ToolBinding, opts Subm
 	}
 	job.State = StateQueued
 	job.Info = fmt.Sprintf("queued: awaiting gang of %d GPU(s)", gang)
-	g.logJournal(journal.Record{
-		Type: journal.TypeSchedule, At: now, Job: job.ID,
-		GPUs: gang, Priority: opts.Priority, QueueOp: "park",
-	})
+	g.bumpJobs() // parking is not journaled; invalidate snapshots explicitly
+	g.obsv.Parked(job.ID, now)
 	g.schedJobs[job.ID] = &schedEntry{
 		pending: &pendingStart{job: job, binding: binding, opts: opts},
 		tool:    tool,
@@ -236,10 +234,7 @@ func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.D
 		VisibleDevices: deviceList(st.Devices),
 		Reason:         st.Reason,
 	}
-	g.logJournal(journal.Record{
-		Type: journal.TypeQueue, At: now, Job: job.ID,
-		QueueOp: "grant", Devices: st.Devices,
-	})
+	g.obsv.Granted(job.ID, now)
 	id := job.ID
 	release := func() {
 		delete(g.schedJobs, id)

@@ -2,10 +2,15 @@ package galaxy
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gyan/internal/faults"
+	"gyan/internal/journal"
+	"gyan/internal/sched"
 )
 
 // Snapshot read-path tests. Jobs() serves immutable clones from an
@@ -172,5 +177,136 @@ func TestJobsSnapshotCaching(t *testing.T) {
 	}
 	if g.jobsSnap.Load() == master {
 		t.Fatal("submit did not invalidate the cached snapshot")
+	}
+}
+
+// TestSnapshotJournalIsTheFoldsInverse pins the other snapshot in this
+// package: SnapshotJournal re-emits the engine's state as a minimal record
+// stream, so folding the journal before compaction and after it must agree
+// on everything recovery acts on — for closed trails (ok, retried,
+// dead-lettered, resubmitted, preempted, killed) and open ones (running,
+// parked, mid-steal, stolen away, transferred in).
+func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, dir)
+	defer j.Close()
+	plan := faults.NewPlan(3,
+		faults.Rule{Match: faults.Match{Op: faults.OpExec, Job: 1},
+			Fault: faults.Fault{Class: faults.Permanent, Msg: "ECC uncorrectable"}, Count: 1},
+		faults.Rule{Match: faults.Match{Op: faults.OpExec, Job: 2},
+			Fault: faults.Fault{Class: faults.Transient, Msg: "XID 79"}, Count: 1},
+		faults.Rule{Match: faults.Match{Op: faults.OpExec, Job: 3},
+			Fault: faults.Fault{Class: faults.Permanent, Msg: "fell off the bus"}, Count: 1},
+	)
+	g := schedGalaxy(t, sched.Config{PreemptAfter: 100 * time.Millisecond},
+		WithJournal(j, "h1"), WithFaultPlan(plan),
+		WithRetry(faults.Backoff{MaxAttempts: 3, Base: 50 * time.Millisecond}))
+	rs := smallReadSet(t)
+	submit := func(params map[string]string, opts SubmitOptions) *Job {
+		t.Helper()
+		opts.DatasetName = "nfl"
+		job, err := g.Submit("racon", params, rs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	slow := map[string]string{"scale": "0.01"}
+
+	// Closed trails: 1 dead-letters and is resubmitted to ok, 2 retries to
+	// ok, 3 stays dead-lettered, 4 is preempted by 5 and finishes after it,
+	// 6 is killed before it starts.
+	revived := submit(fastParams(), SubmitOptions{})
+	submit(fastParams(), SubmitOptions{})
+	submit(fastParams(), SubmitOptions{})
+	g.Run()
+	if _, err := g.ResubmitDeadLetter(revived.ID); err != nil {
+		t.Fatal(err)
+	}
+	hog := submit(slow, SubmitOptions{GPUs: 2, User: "hog"})
+	submit(fastParams(), SubmitOptions{Priority: 1, User: "urgent", Delay: time.Millisecond})
+	g.Kill(submit(fastParams(), SubmitOptions{Delay: time.Hour}))
+	g.Run()
+	if revived.State != StateOK || revived.attemptBase != 1 || hog.Preempted != 1 {
+		t.Fatalf("scenario did not build: job 1 %s base %d, hog preempted %d", revived.State, revived.attemptBase, hog.Preempted)
+	}
+	// Open trails: 7 and 8 run, 9-11 park; the two juniors are prepared for
+	// h2, one of them retired; 12 arrives from h0.
+	for i := 0; i < 5; i++ {
+		submit(slow, SubmitOptions{})
+	}
+	g.Engine.RunUntil(g.Engine.Clock().Now() + 10*time.Millisecond)
+	prepared := g.PrepareSteal(2, "h2", 7)
+	if len(prepared) != 2 || !g.RetireSteal(prepared[0].JobID) {
+		t.Fatalf("prepared %d steals, want 2 and a retire", len(prepared))
+	}
+	if _, err := g.AcceptTransfer(TransferredJob{
+		From: "h0", FromJob: 40, ToolID: "racon", Params: slow, Dataset: rs, DatasetName: "nfl",
+		Submitted: time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	fold := func() *journal.History {
+		t.Helper()
+		if err := j.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		recs, rerr := replayDir(t, dir)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		return journal.Fold(recs)
+	}
+	before := fold()
+	if err := g.SnapshotJournal(); err != nil {
+		t.Fatal(err)
+	}
+	after := fold()
+
+	// What recovery reads off a trail, flattened for comparison.
+	type essence struct {
+		Owner, Terminal, Prepared              string
+		AttemptBase, Attempts, Preempts, Epoch int
+	}
+	distil := func(tr *journal.Trail) essence {
+		e := essence{Owner: tr.Owner, AttemptBase: tr.AttemptBase, Attempts: len(tr.Attempts), Preempts: tr.Preempts}
+		if tr.Terminal != nil {
+			e.Terminal = string(tr.Terminal.Type) + "/" + tr.Terminal.State
+		}
+		if tr.Prepared != nil {
+			e.Prepared = fmt.Sprintf("%s/%d", tr.Prepared.Handler, tr.Prepared.Xfer)
+		}
+		if tr.Start != nil {
+			e.Epoch = tr.Start.Epoch
+		}
+		return e
+	}
+	if len(before.Order) != 12 || !reflect.DeepEqual(before.Order, after.Order) {
+		t.Fatalf("jobs before %v, after %v, want the same 12", before.Order, after.Order)
+	}
+	seen := make(map[essence]bool)
+	for _, id := range before.Order {
+		b, a := distil(before.Jobs[id]), distil(after.Jobs[id])
+		if b != a {
+			t.Errorf("job %d: before compaction %+v, after %+v", id, b, a)
+		}
+		b.Epoch = 0
+		seen[b] = true
+	}
+	// The scenario is only worth its length if the trails really differ.
+	for _, want := range []essence{
+		{Owner: "h1", Terminal: "complete/ok", AttemptBase: 1, Attempts: 1},
+		{Owner: "h1", Terminal: "complete/ok", Attempts: 1},
+		{Owner: "h1", Terminal: "dead_letter/", Attempts: 1},
+		{Owner: "h1", Terminal: "complete/ok", Preempts: 1},
+		{Owner: "h1", Terminal: "complete/error"},
+		{Owner: "h1"},
+		{Owner: "h1", Prepared: "h2/8"},
+		{Owner: "h2"},
+	} {
+		if !seen[want] {
+			t.Errorf("no trail folded to %+v; scenario drifted: %v", want, seen)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 )
@@ -37,6 +38,8 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add([]byte("not a journal at all"))
+	// A record of a kind this version no longer writes, out of trail order.
+	f.Add(append(frame(`{"t":"queue","at":5,"job":1,"qop":"grant","devices":[0]}`), clean...))
 	// Every file of a mixed directory: a flat-layout segment an older
 	// version left, beside the shard segments and the snapshot a writer
 	// produces today (real tickets, an incarnation epoch in the high bits).
@@ -87,6 +90,18 @@ func FuzzReplay(f *testing.F) {
 		for _, r := range recs {
 			if _, eerr := encode(r); eerr != nil {
 				t.Fatalf("replayed record does not re-encode: %v", eerr)
+			}
+		}
+		// And whatever decodes must fold: every reader takes its meaning
+		// from Fold, so a record sequence that panics it (or yields a trail
+		// without its submit) would take recovery and the audit down together.
+		h := Fold(recs)
+		if !sort.IntsAreSorted(h.Order) || len(h.Order) != len(h.Jobs) {
+			t.Fatalf("fold order %v does not list the %d trails ascending", h.Order, len(h.Jobs))
+		}
+		for _, id := range h.Order {
+			if tr := h.Jobs[id]; tr == nil || tr.Submit.Type != TypeSubmit || tr.Submit.Job != id {
+				t.Fatalf("job %d: trail %+v has no submit of its own", id, tr)
 			}
 		}
 	})

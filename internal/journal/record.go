@@ -1,9 +1,10 @@
 // Package journal is the durable job-state write-ahead log that makes the
-// dispatch substrate crash-safe. Every job state transition, quarantine
-// entry, scheduler queue mutation and handler heartbeat is appended as one
-// length-prefixed, CRC32-checksummed record; replaying the log rebuilds the
-// engine's state after a crash, and lease records let a standby handler
-// detect a dead peer and adopt its orphaned jobs.
+// dispatch substrate crash-safe. Every job state transition, ownership
+// transfer and handler heartbeat is appended as one length-prefixed,
+// CRC32-checksummed record; replaying the log and folding it (Fold is the one
+// definition of what the records mean) rebuilds the engine's state after a
+// crash, and lease records let a standby handler detect a dead peer and adopt
+// its orphaned jobs.
 //
 // On-disk format. A journal is a directory of per-stripe subdirectories
 // (shard-00/, shard-01/, ...) holding segment files (wal-00000001.seg,
@@ -51,7 +52,9 @@ import (
 // Type discriminates journal records.
 type Type string
 
-// Record types, one per journaled transition.
+// Record types, one per journaled transition. A kind exists only while Fold
+// reads it (TestFoldReadsEveryRecordKind): what no reader acts on is reported to
+// the observer, not written.
 const (
 	// TypeSubmit records a job entering the system. Submits are the
 	// journal's durability points: with Options.DurableSubmits they are
@@ -60,12 +63,6 @@ const (
 	TypeSubmit Type = "submit"
 	// TypeMap records a destination-mapping decision (GYAN's dynamic rule).
 	TypeMap Type = "map"
-	// TypeSchedule records a GPU job parking in the batch scheduler's
-	// priority queue (a queue mutation: add).
-	TypeSchedule Type = "schedule"
-	// TypeQueue records the other scheduler queue mutations (QueueOp is
-	// "remove" or "grant").
-	TypeQueue Type = "queue"
 	// TypeStart records one launch epoch beginning execution.
 	TypeStart Type = "start"
 	// TypeAttempt records one classified dispatch failure — the retry
@@ -78,9 +75,6 @@ const (
 	TypeComplete Type = "complete"
 	// TypeDeadLetter records a job exhausting fault recovery.
 	TypeDeadLetter Type = "dead_letter"
-	// TypeQuarantine records a device entering quarantine (Until is the
-	// release deadline, -1 for forever).
-	TypeQuarantine Type = "quarantine"
 	// TypeLease is a handler heartbeat: the handler asserts ownership of
 	// its jobs until At+TTL.
 	TypeLease Type = "lease"
@@ -182,17 +176,13 @@ type Record struct {
 	Class   string `json:"class,omitempty"`
 	Msg     string `json:"msg,omitempty"`
 	State   string `json:"state,omitempty"`
-	QueueOp string `json:"qop,omitempty"`
 
-	// Quarantine (TypeQuarantine) and lease (TypeLease) fields. Wall is the
-	// writer's wall-clock time in unix nanoseconds (0 when the handler has
-	// no wall-clock source): virtual time stands still on an idle server,
-	// so handler liveness is asserted in real time while everything else
-	// stays on the virtual clock.
-	Device int           `json:"device,omitempty"`
-	Until  time.Duration `json:"until,omitempty"`
-	TTL    time.Duration `json:"ttl,omitempty"`
-	Wall   int64         `json:"wall,omitempty"`
+	// Lease (TypeLease) fields. Wall is the writer's wall-clock time in unix
+	// nanoseconds (0 when the handler has no wall-clock source): virtual
+	// time stands still on an idle server, so handler liveness is asserted
+	// in real time while everything else stays on the virtual clock.
+	TTL  time.Duration `json:"ttl,omitempty"`
+	Wall int64         `json:"wall,omitempty"`
 
 	// From is the previous owner on TypeAdopt records, the victim on
 	// TypeStealPrepare/TypeStealRetire records, and the dead member on

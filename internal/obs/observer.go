@@ -11,11 +11,13 @@ import (
 // registry: every job-state transition the engine journals (or would
 // journal — the observer runs even with durability disabled) is fed through
 // Transition, which bumps the relevant counters, observes latency
-// histograms, and appends one event to the job's trace. The fsync side of
-// the journal reports through ObserveFsync.
+// histograms, and appends one event to the job's trace. The scheduler-queue
+// and quarantine events no journal reader acts on are not records; the
+// engine reports them through Parked, Granted, Unqueued and Quarantined. The
+// fsync side of the journal reports through ObserveFsync.
 //
-// Transition must never call back into the engine: it runs inside the
-// dispatch hot path, under whatever locks the caller holds.
+// None of these may call back into the engine: they run inside the dispatch
+// hot path, under whatever locks the caller holds.
 type Observer struct {
 	Reg    *Registry
 	Traces *Tracer
@@ -126,16 +128,6 @@ func (o *Observer) Transition(rec journal.Record) {
 		o.mapped.With(rec.Destination).Inc()
 		o.Traces.Record(rec.Job, Event{Name: "map", At: rec.At, Detail: rec.Destination})
 
-	case journal.TypeSchedule:
-		o.parked.Inc()
-		o.Traces.Record(rec.Job, Event{Name: "schedule", At: rec.At, Detail: rec.QueueOp})
-
-	case journal.TypeQueue:
-		if rec.QueueOp == "grant" {
-			o.grants.Inc()
-		}
-		o.Traces.Record(rec.Job, Event{Name: "queue", At: rec.At, Detail: rec.QueueOp})
-
 	case journal.TypeStart:
 		// Start records carry the launch epoch, not a retry attempt.
 		meta, ok := o.Traces.Record(rec.Job,
@@ -170,9 +162,6 @@ func (o *Observer) Transition(rec journal.Record) {
 		o.completed.With("dead_letter").Inc()
 		o.Traces.Record(rec.Job, Event{Name: "dead_letter", At: rec.At, Detail: rec.Msg})
 
-	case journal.TypeQuarantine:
-		o.quarantines.Inc()
-
 	case journal.TypeResubmit:
 		o.resubmits.Inc()
 		o.Traces.Record(rec.Job, Event{Name: "resubmit", At: rec.At})
@@ -183,6 +172,29 @@ func (o *Observer) Transition(rec journal.Record) {
 	}
 	// TypeLease is a handler heartbeat, not a job transition: no metric.
 }
+
+// Parked records a GPU job entering the batch scheduler's priority queue —
+// the same instant as its map record.
+func (o *Observer) Parked(job int, at time.Duration) {
+	o.parked.Inc()
+	o.Traces.Record(job, Event{Name: "schedule", At: at, Detail: "park"})
+}
+
+// Granted records the scheduler granting a parked job its device gang — the
+// same instant as its start record.
+func (o *Observer) Granted(job int, at time.Duration) {
+	o.grants.Inc()
+	o.Traces.Record(job, Event{Name: "queue", At: at, Detail: "grant"})
+}
+
+// Unqueued records a parked job leaving the scheduler's queue without a
+// grant (killed while waiting).
+func (o *Observer) Unqueued(job int, at time.Duration) {
+	o.Traces.Record(job, Event{Name: "queue", At: at, Detail: "remove"})
+}
+
+// Quarantined records a device entering quarantine.
+func (o *Observer) Quarantined() { o.quarantines.Inc() }
 
 // ObserveFsync records one journal fsync: how many appended records it made
 // durable and how long the disk took. Wired into journal.SetSyncObserver.

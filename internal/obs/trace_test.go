@@ -103,11 +103,17 @@ func TestObserverTransitionMapsRecords(t *testing.T) {
 		{Type: journal.TypeComplete, At: 6 * time.Second, Job: 1, State: "ok"},
 		{Type: journal.TypeSubmit, At: 0, Job: 2, Tool: "bonito"},
 		{Type: journal.TypeDeadLetter, At: time.Second, Job: 2, Msg: "dead-letter after 3 attempt(s)"},
-		{Type: journal.TypeQuarantine, At: time.Second, Device: 1},
 	}
 	for _, rec := range recs {
 		o.Transition(rec)
 	}
+	// The events that are not records: job 3 parks, is granted, and a second
+	// parked job is killed while waiting; one device enters quarantine.
+	o.Parked(3, time.Second)
+	o.Granted(3, 2*time.Second)
+	o.Parked(4, time.Second)
+	o.Unqueued(4, 3*time.Second)
+	o.Quarantined()
 
 	snap := o.Reg.Snapshot()
 	checks := map[string]float64{
@@ -118,6 +124,8 @@ func TestObserverTransitionMapsRecords(t *testing.T) {
 		`gyan_jobs_completed_total{state="ok"}`:           1,
 		`gyan_jobs_completed_total{state="dead_letter"}`:  1,
 		"gyan_quarantine_total":                           1,
+		"gyan_sched_parked_total":                         2,
+		"gyan_sched_grants_total":                         1,
 		"gyan_submit_to_start_seconds_count":              1, // job 1's first start; job 2 never starts
 		"gyan_submit_to_complete_seconds_count":           1,
 	}
