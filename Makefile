@@ -12,7 +12,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/smi:FuzzParseXML
 FUZZTIME     ?= 10s
 
-.PHONY: check build vet test test-race test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-cluster hammer-transport fuzz-short bench obs-smoke
+.PHONY: check build vet test test-race test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke
 
 check: build vet test-race
 
@@ -50,6 +50,13 @@ endef
 test-crash:
 	$(call run_selected,./internal/experiments,TestCrashRecovery)
 	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLeaseExpiry)
+
+# hammer-api is the -race hammer for the single server's real handler:
+# concurrent POST /api/jobs of the http_jobs mix against every read endpoint,
+# /metrics and the lease heartbeat, twice; every POST must come back 201/ok
+# and the completion counter must equal the number acknowledged.
+hammer-api:
+	$(call run_selected,./internal/api,TestServerRaceHammer,2)
 
 # test-journal is the journal durability suite under the race detector: the
 # per-stripe crash table (each stripe torn independently and two at once)

@@ -110,11 +110,10 @@ func run() error {
 		jobs = append(jobs, job)
 	}
 
-	// Attach the hardware usage monitor for the first minute of the run.
+	// The hardware usage monitor samples once a second from here until the
+	// last job is done.
 	mon := monitor.New(g.Cluster)
-	if err := mon.Attach(g.Engine, time.Second, time.Minute); err != nil {
-		return err
-	}
+	mon.Watch(g.Engine, time.Second)
 
 	// Snapshot the cluster shortly after all instances have started.
 	var console string

@@ -53,9 +53,18 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// GPU gauges from the monitor's samples (the submit attached it).
-	if !strings.Contains(text, `gyan_gpu_utilization_pct{device="0"}`) {
-		t.Errorf("exposition missing GPU gauges:\n%s", text)
+	// GPU gauges from the monitor's samples (the submit armed it). The job
+	// is over, and the sampler's closing sample averaged a second with no
+	// work in it: the gauges rest at idle, not on the job's last partial
+	// second.
+	for _, want := range []string{
+		"gyan_gpu_utilization_pct{device=\"0\"} 0\n",
+		"gyan_gpu_utilization_pct{device=\"1\"} 0\n",
+		"gyan_gpu_processes{device=\"0\"} 0\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing GPU gauge at rest %q:\n%s", want, text)
+		}
 	}
 }
 

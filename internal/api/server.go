@@ -96,6 +96,25 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds a submitting request's JSON body; the largest real
+// one, a workflow with its steps' parameters, is a few kilobytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads a request's JSON body into v, answering 413 for a body
+// over maxBodyBytes and 400 for one that does not parse; false means it
+// answered.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+	}
+	return err == nil
+}
+
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{
 		"name":    "gyan",
@@ -240,8 +259,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		var req submitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		s.mu.Lock()
@@ -260,16 +278,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		// Virtual time: drive the simulation to completion and sample
-		// the monitor once per virtual second along the way.
-		_ = s.mon.Attach(s.g.Engine, time.Second, s.g.Engine.Clock().Now()+time.Hour)
-		s.g.Run()
+		s.run()
 		if s.durable(w, job.DurableTicket) {
 			writeJSON(w, http.StatusCreated, toJobJSON(job))
 		}
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, "GET or POST")
 	}
+}
+
+// run is what every submitting endpoint does between its submit and its
+// reply (s.mu held): time is virtual, so it drives the simulation to
+// quiescence, with the hardware monitor sampling once per virtual second
+// while the submitted work is live.
+func (s *Server) run() {
+	s.mon.Watch(s.g.Engine, time.Second)
+	s.g.Run()
 }
 
 // durable is the last step before a submitting endpoint acknowledges: it
@@ -315,13 +339,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, j := range s.g.Jobs() {
-		if j.ID == id {
-			writeJSON(w, http.StatusOK, toJobJSON(j))
-			return
-		}
+	j, ok := s.g.Job(id)
+	if !ok {
+		writeErr(w, http.StatusNotFound, "no job %d", id)
+		return
 	}
-	writeErr(w, http.StatusNotFound, "no job %d", id)
+	writeJSON(w, http.StatusOK, toJobJSON(j))
 }
 
 // handleResubmit is the POST /api/jobs/{id}/resubmit admin endpoint: a
@@ -343,8 +366,7 @@ func (s *Server) handleResubmit(w http.ResponseWriter, r *http.Request, id int) 
 		writeErr(w, status, "%v", err)
 		return
 	}
-	_ = s.mon.Attach(s.g.Engine, time.Second, s.g.Engine.Clock().Now()+time.Hour)
-	s.g.Run()
+	s.run()
 	if s.durable(w, job.DurableTicket) {
 		writeJSON(w, http.StatusCreated, toJobJSON(job))
 	}
@@ -573,8 +595,7 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req workflowRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -615,8 +636,7 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	_ = s.mon.Attach(s.g.Engine, time.Second, s.g.Engine.Clock().Now()+time.Hour)
-	s.g.Run()
+	s.run()
 	ws := wr.Status()
 	resp := workflowResponse{
 		Name:        ws.Name,
@@ -624,14 +644,10 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 		Info:        ws.Info,
 		WallSeconds: wr.WallTime().Seconds(),
 	}
-	jobs := make(map[int]*galaxy.Job)
-	for _, j := range s.g.Jobs() {
-		jobs[j.ID] = j
-	}
 	var newest uint64
 	for _, st := range ws.Steps {
 		// Steps skipped after a failure never became jobs.
-		if j := jobs[st.JobID]; j != nil {
+		if j, ok := s.g.Job(st.JobID); ok {
 			resp.Jobs = append(resp.Jobs, toJobJSON(j))
 			newest = max(newest, j.DurableTicket)
 		}

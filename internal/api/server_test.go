@@ -207,6 +207,16 @@ func TestSubmitErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body status %d", resp.StatusCode)
 	}
+	status, body := submitJob(t, ts, map[string]any{
+		"tool": "seqstats", "dataset": "alzheimers_nfl",
+		"params": map[string]string{"padding": strings.Repeat("x", maxBodyBytes)},
+	})
+	if status != http.StatusRequestEntityTooLarge || body["error"] == nil {
+		t.Errorf("oversized body status %d: %v", status, body)
+	}
+	if _, list := get(t, ts, "/api/jobs"); string(bytes.TrimSpace(list)) != "[]" {
+		t.Errorf("rejected submissions left jobs behind: %s", list)
+	}
 }
 
 func TestJobLookupErrors(t *testing.T) {
@@ -214,6 +224,24 @@ func TestJobLookupErrors(t *testing.T) {
 	resp, _ := get(t, ts, "/api/jobs/99")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing job status %d", resp.StatusCode)
+	}
+	// The lookup is by ID, not by position: with jobs 1 and 2 on the server,
+	// their neighbours on either side are still unknown.
+	submitOne(t, ts)
+	submitOne(t, ts)
+	for path, want := range map[string]int{
+		"/api/jobs/-1": http.StatusNotFound, "/api/jobs/0": http.StatusNotFound,
+		"/api/jobs/1": http.StatusOK, "/api/jobs/2": http.StatusOK,
+		"/api/jobs/3": http.StatusNotFound,
+	} {
+		resp, body := get(t, ts, path)
+		if resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d: %s", path, resp.StatusCode, want, body)
+		}
+		var job jobJSON
+		if want == http.StatusOK && (json.Unmarshal(body, &job) != nil || "/api/jobs/"+itoa(job.ID) != path) {
+			t.Errorf("%s answered with job %d: %s", path, job.ID, body)
+		}
 	}
 	resp, _ = get(t, ts, "/api/jobs/abc")
 	if resp.StatusCode != http.StatusBadRequest {

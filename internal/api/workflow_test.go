@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -95,6 +96,12 @@ func TestWorkflowEndpointErrors(t *testing.T) {
 		if status != http.StatusBadRequest || body["error"] == "" {
 			t.Errorf("%v: status %d: %v", c["name"], status, body)
 		}
+	}
+	status, body := postWorkflow(t, ts, map[string]any{
+		"name": strings.Repeat("x", maxBodyBytes), "steps": []map[string]any{first},
+	})
+	if status != http.StatusRequestEntityTooLarge || body["error"] == nil {
+		t.Errorf("oversized body: status %d: %v", status, body)
 	}
 	// Nothing above may have registered a workflow or run a job.
 	if _, body := get(t, ts, "/api/workflows"); string(bytes.TrimSpace(body)) != "[]" {

@@ -323,6 +323,19 @@ func (g *Galaxy) Jobs() []*Job {
 	return cloneJobs(masters)
 }
 
+// Job returns a snapshot of one job: the same deep-enough clone Jobs hands
+// out, of that one table entry, taken under g.mu so no transition is caught
+// halfway. The second result is false when the ID names no job.
+func (g *Galaxy) Job(id int) (*Job, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	j := g.jobs.get(id)
+	if j == nil {
+		return nil, false
+	}
+	return j.clone(), true
+}
+
 // cloneJobs copies a master snapshot for one caller.
 func cloneJobs(jobs []*Job) []*Job {
 	out := make([]*Job, len(jobs))

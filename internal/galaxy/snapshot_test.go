@@ -124,6 +124,24 @@ func TestJobsSnapshotIsolation(t *testing.T) {
 	if len(again[0].Failures) != 0 {
 		t.Fatalf("snapshot Failures leaked into live state: %+v", again[0].Failures)
 	}
+
+	// Job is the same clone of one entry: equal to its row in Jobs(), and
+	// as isolated.
+	one, ok := g.Job(again[0].ID)
+	if !ok || !reflect.DeepEqual(one, again[0]) {
+		t.Fatalf("Job(%d) = %+v, %v; want the Jobs() entry %+v", again[0].ID, one, ok, again[0])
+	}
+	one.State = StateError
+	if len(one.Devices) > 0 {
+		one.Devices[0] = 99
+	}
+	one.Failures = append(one.Failures, Failure{Msg: "fake"})
+	if fresh, _ := g.Job(one.ID); !reflect.DeepEqual(fresh, again[0]) {
+		t.Fatalf("Job() clone mutation leaked into live state: %+v", fresh)
+	}
+	if j, ok := g.Job(99); ok || j != nil {
+		t.Fatalf("Job(99) = %+v, %v on a one-job engine", j, ok)
+	}
 }
 
 // TestKillThroughSnapshot verifies Kill resolves the live job behind a

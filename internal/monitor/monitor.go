@@ -10,7 +10,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -33,18 +32,46 @@ type Sample struct {
 	ProcessCount int
 }
 
+// ringTicks is how many ticks of the chronological log are retained: one
+// hour at 1 Hz. Older samples are dropped; the aggregates are not.
+const ringTicks = 3600
+
 // Monitor samples a cluster. It is safe for concurrent use.
+//
+// Every observation is folded into per-device running aggregates, so Stats
+// and LastByDevice cost O(devices) and cover the monitor's whole life; the
+// chronological log behind Samples and WriteCSV is a drop-oldest ring of
+// constant capacity.
 type Monitor struct {
 	cluster *gpu.Cluster
 
-	mu      sync.Mutex
-	samples []Sample
-	stopped bool
+	mu sync.Mutex
+	// ring holds the newest samples; once full, head is the oldest entry
+	// and the next one to be overwritten.
+	ring []Sample
+	head int
+	// devs is indexed by minor ID, like cluster.Devices().
+	devs []deviceAgg
+	// armed: a tick is scheduled. live: work was live at the previous tick
+	// (or at the Watch since), so the next tick's window may cover some.
+	armed, live bool
+}
+
+// deviceAgg is one device's running fold: DeviceStats with the two averages
+// still held as sums, plus the newest sample.
+type deviceAgg struct {
+	stats DeviceStats
+	last  Sample
 }
 
 // New returns a monitor over the cluster.
 func New(cluster *gpu.Cluster) *Monitor {
-	return &Monitor{cluster: cluster}
+	n := len(cluster.Devices())
+	return &Monitor{
+		cluster: cluster,
+		ring:    make([]Sample, 0, ringTicks*n),
+		devs:    make([]deviceAgg, n),
+	}
 }
 
 // SampleNow records one observation of every device at virtual time `at`,
@@ -52,9 +79,6 @@ func New(cluster *gpu.Cluster) *Monitor {
 func (m *Monitor) SampleNow(at time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.stopped {
-		return
-	}
 	from := at - time.Second
 	if from < 0 {
 		from = 0
@@ -63,7 +87,7 @@ func (m *Monitor) SampleNow(at time.Duration) {
 		spec := d.Spec()
 		used := d.UsedMemoryBytes() / (1 << 20)
 		total := spec.MemoryMiB()
-		m.samples = append(m.samples, Sample{
+		m.record(Sample{
 			At:           at,
 			Device:       d.Minor(),
 			UtilPct:      d.UtilizationOver(from, at),
@@ -76,38 +100,81 @@ func (m *Monitor) SampleNow(at time.Duration) {
 	}
 }
 
-// Attach schedules sampling events on the engine every `period` until
-// `until` (inclusive of the first tick at the current time + period).
-// Call Stop to end sampling early, as when a job is killed.
-func (m *Monitor) Attach(engine *sim.Engine, period, until time.Duration) error {
-	if period <= 0 {
-		return fmt.Errorf("monitor: period %v", period)
+// record appends s to the ring, dropping the oldest sample once it is full,
+// and folds it into its device's aggregate.
+func (m *Monitor) record(s Sample) {
+	if len(m.ring) < cap(m.ring) {
+		m.ring = append(m.ring, s)
+	} else {
+		m.ring[m.head] = s
+		m.head = (m.head + 1) % len(m.ring)
 	}
+	a := &m.devs[s.Device]
+	st := &a.stats
+	if st.Samples == 0 {
+		*st = DeviceStats{
+			Device: s.Device, UtilMin: s.UtilPct, UtilMax: s.UtilPct,
+			MemMinMiB: s.MemUsedMiB, MemMaxMiB: s.MemUsedMiB,
+			FirstSample: s.At, LastSample: s.At,
+		}
+	}
+	st.Samples++
+	st.UtilAvg += s.UtilPct
+	st.MemAvgMiB += float64(s.MemUsedMiB)
+	st.UtilMin = min(st.UtilMin, s.UtilPct)
+	st.UtilMax = max(st.UtilMax, s.UtilPct)
+	st.MemMinMiB = min(st.MemMinMiB, s.MemUsedMiB)
+	st.MemMaxMiB = max(st.MemMaxMiB, s.MemUsedMiB)
+	st.PeakProcesses = max(st.PeakProcesses, s.ProcessCount)
+	st.FirstSample = min(st.FirstSample, s.At)
+	st.LastSample = max(st.LastSample, s.At)
+	a.last = s
+}
+
+// Watch samples every `period` of the engine's virtual time for as long as
+// work is live: it arms the monitor's one ticker unless it is already armed,
+// and each tick re-arms while the engine has other events pending (every
+// engine event is planted by unfinished work: a job, retry, timeout or
+// workflow step) and for one tick after that. Utilization is a trailing
+// average, so that closing sample is the first whose window covers no work:
+// the gauges come to rest at idle instead of freezing on a partial second.
+// Call it after each submit; a non-positive period panics, as time.NewTicker
+// does.
+func (m *Monitor) Watch(engine *sim.Engine, period time.Duration) {
+	if period <= 0 {
+		panic(fmt.Sprintf("monitor: non-positive period %v", period))
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// Arming an armed monitor still says work was just submitted, which the
+	// pending tick's window will cover: that tick must not be the last.
+	m.live = m.armed || engine.Pending() > 0
+	if m.armed {
+		return
+	}
+	m.armed = true
 	var tick func(now time.Duration)
 	tick = func(now time.Duration) {
 		m.SampleNow(now)
-		if now+period <= until {
+		live := engine.Pending() > 0
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		rearm := live || m.live
+		m.armed, m.live = rearm, live
+		if rearm {
 			engine.After(period, tick)
 		}
 	}
 	engine.After(period, tick)
-	return nil
 }
 
-// Stop ends sampling; further SampleNow calls are ignored.
-func (m *Monitor) Stop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stopped = true
-}
-
-// Samples returns the chronological record.
+// Samples returns the retained chronological record, oldest first.
 func (m *Monitor) Samples() []Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Sample, len(m.samples))
-	copy(out, m.samples)
-	return out
+	out := make([]Sample, 0, len(m.ring))
+	out = append(out, m.ring[m.head:]...)
+	return append(out, m.ring[:m.head]...)
 }
 
 // LastByDevice returns each device's most recent sample, keyed by minor ID —
@@ -116,10 +183,11 @@ func (m *Monitor) Samples() []Sample {
 func (m *Monitor) LastByDevice() map[int]Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[int]Sample)
-	for _, s := range m.samples {
-		// Samples are chronological; the last write per device wins.
-		out[s.Device] = s
+	out := make(map[int]Sample, len(m.devs))
+	for i := range m.devs {
+		if a := &m.devs[i]; a.stats.Samples > 0 {
+			out[a.last.Device] = a.last
+		}
 	}
 	return out
 }
@@ -135,53 +203,21 @@ type DeviceStats struct {
 	FirstSample, LastSample   time.Duration
 }
 
-// Stats aggregates the chronological data per device, ordered by minor ID.
+// Stats aggregates every sample ever taken per device, ordered by minor ID.
+// Devices never sampled are absent.
 func (m *Monitor) Stats() []DeviceStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	byDev := map[int]*DeviceStats{}
-	for _, s := range m.samples {
-		st := byDev[s.Device]
-		if st == nil {
-			st = &DeviceStats{
-				Device: s.Device, UtilMin: s.UtilPct, UtilMax: s.UtilPct,
-				MemMinMiB: s.MemUsedMiB, MemMaxMiB: s.MemUsedMiB,
-				FirstSample: s.At, LastSample: s.At,
-			}
-			byDev[s.Device] = st
+	out := make([]DeviceStats, 0, len(m.devs))
+	for i := range m.devs {
+		st := m.devs[i].stats
+		if st.Samples == 0 {
+			continue
 		}
-		st.Samples++
-		st.UtilAvg += s.UtilPct
-		st.MemAvgMiB += float64(s.MemUsedMiB)
-		if s.UtilPct < st.UtilMin {
-			st.UtilMin = s.UtilPct
-		}
-		if s.UtilPct > st.UtilMax {
-			st.UtilMax = s.UtilPct
-		}
-		if s.MemUsedMiB < st.MemMinMiB {
-			st.MemMinMiB = s.MemUsedMiB
-		}
-		if s.MemUsedMiB > st.MemMaxMiB {
-			st.MemMaxMiB = s.MemUsedMiB
-		}
-		if s.ProcessCount > st.PeakProcesses {
-			st.PeakProcesses = s.ProcessCount
-		}
-		if s.At < st.FirstSample {
-			st.FirstSample = s.At
-		}
-		if s.At > st.LastSample {
-			st.LastSample = s.At
-		}
-	}
-	out := make([]DeviceStats, 0, len(byDev))
-	for _, st := range byDev {
 		st.UtilAvg /= float64(st.Samples)
 		st.MemAvgMiB /= float64(st.Samples)
-		out = append(out, *st)
+		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
 	return out
 }
 
