@@ -9,7 +9,8 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/toolxml:FuzzExpandMacros \
                 ./internal/journal:FuzzReplay \
                 ./internal/workflow:FuzzBuildDAG \
-                ./internal/smi:FuzzParseXML
+                ./internal/smi:FuzzParseXML \
+                ./internal/bioseq:FuzzEditDistance
 FUZZTIME     ?= 10s
 
 .PHONY: check build vet test test-race test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke

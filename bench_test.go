@@ -55,18 +55,21 @@ func BenchmarkPOAAddSequenceBanded(b *testing.B) {
 	}
 }
 
-func BenchmarkGEMM(b *testing.B) {
-	a := bonito.NewMatrix(256, 64)
-	c := bonito.NewMatrix(64, 32)
-	for i := range a.Data {
-		a.Data[i] = float32(i%7) * 0.5
+// BenchmarkBasecall is one real squiggle through the network and the greedy
+// decoder: the per-read cost of a bonito job.
+func BenchmarkBasecall(b *testing.B) {
+	set, err := workload.AcinetobacterPittii(42)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for i := range c.Data {
-		c.Data[i] = float32(i%5) * 0.25
+	net, err := bonito.NewPretrained()
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := bonito.GEMM(a, c); err != nil {
+		if _, _, err := net.Basecall(set.Squiggles[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,6 +122,19 @@ func BenchmarkEditDistance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bioseq.EditDistance(x, y)
+	}
+}
+
+// BenchmarkStats is the whole seqstats job: the read set the server
+// registers as alzheimers_nfl (~600 k bases).
+func BenchmarkStats(b *testing.B) {
+	rs, err := workload.AlzheimersNFL(42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bioseq.Stats(rs.Reads)
 	}
 }
 

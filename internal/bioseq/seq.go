@@ -75,13 +75,7 @@ func (s Seq) GCContent() float64 {
 	if len(s.Bases) == 0 {
 		return 0
 	}
-	gc := 0
-	for _, b := range s.Bases {
-		if b == 'G' || b == 'C' {
-			gc++
-		}
-	}
-	return float64(gc) / float64(len(s.Bases))
+	return float64(gcCount(s.Bases)) / float64(len(s.Bases))
 }
 
 // Subseq returns the half-open slice [from, to) of the sequence as a new

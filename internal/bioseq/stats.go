@@ -1,6 +1,9 @@
 package bioseq
 
-import "sort"
+import (
+	"bytes"
+	"sort"
+)
 
 // SetStats summarizes a sequence collection — the numbers assembly tooling
 // conventionally reports (read counts, length distribution, N50, GC).
@@ -16,6 +19,12 @@ type SetStats struct {
 	N50 int
 	// GC is the overall fraction of G and C bases.
 	GC float64
+}
+
+// gcCount returns the number of G and C bytes in bases: two passes of the
+// standard library's vectorised byte count instead of one branch per base.
+func gcCount(bases []byte) int {
+	return bytes.Count(bases, []byte{'G'}) + bytes.Count(bases, []byte{'C'})
 }
 
 // Stats computes summary statistics. An empty collection yields the zero
@@ -37,11 +46,7 @@ func Stats(seqs []Seq) SetStats {
 		if n > st.MaxLen {
 			st.MaxLen = n
 		}
-		for _, b := range s.Bases {
-			if b == 'G' || b == 'C' {
-				gc++
-			}
-		}
+		gc += int64(gcCount(s.Bases))
 	}
 	st.MeanLen = float64(st.TotalBases) / float64(st.Count)
 	if st.TotalBases > 0 {

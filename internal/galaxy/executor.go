@@ -155,6 +155,7 @@ func BonitoExecutor(req ExecRequest) (*ExecResult, error) {
 
 	env := bonito.Env{
 		PID:      req.PID,
+		ProcName: "/usr/bin/bonito",
 		Profiler: req.Profiler,
 		Start:    req.Start,
 		KeepOpen: true,
@@ -162,9 +163,6 @@ func BonitoExecutor(req ExecRequest) (*ExecResult, error) {
 	if req.GPUEnabled && len(req.Devices) > 0 {
 		env.Cluster = req.Cluster
 		env.Devices = req.Devices
-		env.ProcName = "/usr/bin/bonito"
-	} else {
-		env.ProcName = "/usr/bin/bonito"
 	}
 	res, err := bonito.Run(set, p, env)
 	if err != nil {

@@ -109,7 +109,6 @@ func Run(set *workload.SquiggleSet, p Params, env Env) (*Result, error) {
 	}
 
 	res := &Result{GPUUsed: env.Cluster != nil && len(env.Devices) > 0}
-	var idSum float64
 	for _, sq := range set.Squiggles {
 		var call bioseq.Seq
 		var flops int64
@@ -132,9 +131,8 @@ func Run(set *workload.SquiggleSet, p Params, env Env) (*Result, error) {
 		}
 		res.Calls = append(res.Calls, call)
 		res.RealFLOPs += flops
-		idSum += bioseq.Identity(call.Bases, sq.Truth.Bases)
 	}
-	res.MeanIdentity = idSum / float64(len(set.Squiggles))
+	res.MeanIdentity = meanIdentity(set, res.Calls)
 
 	// Cost model.
 	scaled := float64(set.NominalBytes) * p.Scale
@@ -271,9 +269,15 @@ func Evaluate(set *workload.SquiggleSet, calls []bioseq.Seq) (float64, error) {
 	if len(calls) != len(set.Squiggles) {
 		return 0, fmt.Errorf("bonito: %d calls for %d squiggles", len(calls), len(set.Squiggles))
 	}
+	return meanIdentity(set, calls), nil
+}
+
+// meanIdentity averages the identity of calls against the ground truth of
+// the squiggles they were decoded from, one call per squiggle.
+func meanIdentity(set *workload.SquiggleSet, calls []bioseq.Seq) float64 {
 	var sum float64
 	for i, sq := range set.Squiggles {
 		sum += bioseq.Identity(calls[i].Bases, sq.Truth.Bases)
 	}
-	return sum / float64(len(calls)), nil
+	return sum / float64(len(calls))
 }

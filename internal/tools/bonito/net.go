@@ -2,6 +2,7 @@ package bonito
 
 import (
 	"fmt"
+	"sync"
 
 	"gyan/internal/bioseq"
 	"gyan/internal/workload"
@@ -31,6 +32,8 @@ const hiddenChannels = 8
 type Net struct {
 	feature    *Conv1D
 	classifier *Conv1D
+	// scratch keeps the *workspace of finished Basecall calls for the next.
+	scratch sync.Pool
 }
 
 // NewPretrained constructs the "dna_r9.4.1"-style model used by all
@@ -78,21 +81,49 @@ func NewPretrained() (*Net, error) {
 	return &Net{feature: feature, classifier: classifier}, nil
 }
 
+// workspace is the memory one read's basecall works in: the float32 signal,
+// the hidden activations, the logits and the decoder's per-timestep classes.
+// Nothing Basecall returns points into it, so it goes back to Net.scratch
+// and a run of reads allocates its activations once, not per read.
+type workspace struct {
+	x, h, logits []float32
+	classes      []int
+}
+
+// newWorkspace sizes a workspace for reads of up to t samples.
+func (n *Net) newWorkspace(t int) *workspace {
+	return &workspace{
+		x:       make([]float32, t),
+		h:       make([]float32, t*n.feature.OutCh),
+		logits:  make([]float32, t*n.classifier.OutCh),
+		classes: make([]int, t),
+	}
+}
+
 // Forward runs the network over one squiggle and returns the per-timestep
 // class logits (T x numClasses) and the FLOPs spent.
 func (n *Net) Forward(samples []float64) (Matrix, int64, error) {
-	if len(samples) == 0 {
+	return n.forward(samples, n.newWorkspace(len(samples)))
+}
+
+// forward is Forward with its activations, the returned logits included, in
+// ws.
+func (n *Net) forward(samples []float64, ws *workspace) (Matrix, int64, error) {
+	t := len(samples)
+	if t == 0 {
 		return Matrix{}, 0, fmt.Errorf("bonito: empty signal")
 	}
-	x := NewMatrix(len(samples), 1)
+	x := Matrix{Rows: t, Cols: 1, Data: ws.x[:t]}
 	for i, s := range samples {
 		x.Data[i] = float32(s)
 	}
-	h, f1, err := n.feature.Forward(x)
+	h := Matrix{Rows: t, Cols: n.feature.OutCh, Data: ws.h[:t*n.feature.OutCh]}
+	f1, err := n.feature.forward(x, h.Data)
 	if err != nil {
 		return Matrix{}, 0, err
 	}
-	logits, f2, err := n.classifier.Forward(h)
+	logits := Matrix{Rows: t, Cols: n.classifier.OutCh, Data: ws.logits[:t*n.classifier.OutCh]}
+	f2, err := n.classifier.forward(h, logits.Data)
 	if err != nil {
 		return Matrix{}, 0, err
 	}
@@ -103,15 +134,21 @@ func (n *Net) Forward(samples []float64) (Matrix, int64, error) {
 // repair of isolated misclassifications, collapse of consecutive repeats,
 // and blank removal.
 func Decode(logits Matrix) ([]byte, error) {
+	return decode(logits, make([]int, logits.Rows))
+}
+
+// decode is Decode with the per-timestep classes in the caller's slice, one
+// element per row of logits.
+func decode(logits Matrix, classes []int) ([]byte, error) {
 	if logits.Cols != numClasses {
 		return nil, fmt.Errorf("bonito: logits have %d classes, want %d", logits.Cols, numClasses)
 	}
-	classes := make([]int, logits.Rows)
 	for t := 0; t < logits.Rows; t++ {
-		best, bestV := 0, logits.At(t, 0)
-		for k := 1; k < numClasses; k++ {
-			if v := logits.At(t, k); v > bestV {
-				best, bestV = k, v
+		row := logits.Data[t*numClasses:][:numClasses]
+		best := 0
+		for k, v := range row {
+			if v > row[best] {
+				best = k
 			}
 		}
 		classes[t] = best
@@ -140,11 +177,16 @@ func Decode(logits Matrix) ([]byte, error) {
 
 // Basecall runs the full pipeline over one squiggle.
 func (n *Net) Basecall(sq workload.Squiggle) (bioseq.Seq, int64, error) {
-	logits, flops, err := n.Forward(sq.Samples)
+	ws, _ := n.scratch.Get().(*workspace)
+	if t := len(sq.Samples); ws == nil || len(ws.x) < t {
+		ws = n.newWorkspace(t + t/8) // headroom: the next read may be a little longer
+	}
+	defer n.scratch.Put(ws)
+	logits, flops, err := n.forward(sq.Samples, ws)
 	if err != nil {
 		return bioseq.Seq{}, 0, err
 	}
-	bases, err := Decode(logits)
+	bases, err := decode(logits, ws.classes[:logits.Rows])
 	if err != nil {
 		return bioseq.Seq{}, 0, err
 	}
