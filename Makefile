@@ -13,7 +13,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/bioseq:FuzzEditDistance
 FUZZTIME     ?= 10s
 
-.PHONY: check build vet test test-race test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke
+.PHONY: check build vet test test-race test-flake test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke
 
 check: build vet test-race
 
@@ -44,6 +44,17 @@ define run_selected
 	done
 	$(GO) test -race -count=$(or $(3),1) $(1) -run '$(2)' -v
 endef
+
+# test-flake reruns, ten times under the race detector, the two tests that
+# used to fail about one run in ten on an unchanged tree — the async-durable
+# ack (Job.DurableTicket was stamped outside any lock a Jobs() clone takes)
+# and the cluster-scaling determinism check (a virtual-time kill read the
+# journal flusher's wall-clock position) — and the submit-against-snapshot
+# hammer that pins the first fix.
+test-flake:
+	$(call run_selected,./internal/api,TestAsyncDurableAckWaitsForWatermark,10)
+	$(call run_selected,./internal/galaxy,TestAsyncDurableSubmitRacesSnapshots,10)
+	$(call run_selected,./internal/experiments,TestClusterScalingDeterministic,10)
 
 # test-crash replays the kill-and-failover scenario end to end: handler h1
 # dies mid-workload with a torn record on disk, standby h2 recovers from the

@@ -92,7 +92,7 @@ func TestAsyncDurableAckWaitsForWatermark(t *testing.T) {
 			status := postUntilRunDone(t, ts, g, tc.path, tc.body, tc.jobs)
 			select {
 			case code := <-status:
-				wm, _ := g.JournalWatermark()
+				wm := j.Stats().Watermark
 				t.Fatalf("answered %d with nothing flushed (watermark %d, job ticket %d)",
 					code, wm, g.Jobs()[0].DurableTicket)
 			case <-time.After(50 * time.Millisecond):
@@ -110,7 +110,7 @@ func TestAsyncDurableAckWaitsForWatermark(t *testing.T) {
 			if code := <-status; code != http.StatusCreated {
 				t.Fatalf("status %d after the flush, want 201", code)
 			}
-			wm, _ := g.JournalWatermark()
+			wm := j.Stats().Watermark
 			for _, job := range g.Jobs() {
 				if job.DurableTicket == 0 || job.DurableTicket > wm {
 					t.Errorf("job %d acknowledged with ticket %d above watermark %d", job.ID, job.DurableTicket, wm)

@@ -8,7 +8,7 @@ package bioseq
 // is a bit-vector kernel (64 DP cells a word operation); the cell-by-cell
 // recurrence lives on in align_test.go as the oracle a fuzzer holds it to.
 
-// AlignScores parameterizes the global aligner.
+// AlignScores parameterizes the partial-order aligner.
 type AlignScores struct {
 	Match    int
 	Mismatch int
@@ -100,81 +100,4 @@ func Identity(a, b []byte) float64 {
 	}
 	d := EditDistance(a, b)
 	return 1 - float64(d)/float64(n)
-}
-
-// AlignOp is one column of a pairwise alignment.
-type AlignOp byte
-
-// Alignment operation kinds.
-const (
-	OpMatch  AlignOp = 'M' // bases aligned (may mismatch)
-	OpInsert AlignOp = 'I' // base present only in the query
-	OpDelete AlignOp = 'D' // base present only in the target
-)
-
-// Cigar is a sequence of alignment operations, one per column.
-type Cigar []AlignOp
-
-// Global computes a Needleman-Wunsch global alignment of query against
-// target and returns the score and per-column operations.
-func Global(query, target []byte, sc AlignScores) (int, Cigar) {
-	n, m := len(query), len(target)
-	// score[i][j]: best score aligning query[:i] with target[:j].
-	score := make([][]int, n+1)
-	for i := range score {
-		score[i] = make([]int, m+1)
-	}
-	for i := 1; i <= n; i++ {
-		score[i][0] = i * sc.Gap
-	}
-	for j := 1; j <= m; j++ {
-		score[0][j] = j * sc.Gap
-	}
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			diag := score[i-1][j-1] + sc.Mismatch
-			if query[i-1] == target[j-1] {
-				diag = score[i-1][j-1] + sc.Match
-			}
-			up := score[i-1][j] + sc.Gap   // consume query base: insertion
-			left := score[i][j-1] + sc.Gap // consume target base: deletion
-			best := diag
-			if up > best {
-				best = up
-			}
-			if left > best {
-				best = left
-			}
-			score[i][j] = best
-		}
-	}
-	// Traceback.
-	var rev Cigar
-	i, j := n, m
-	for i > 0 || j > 0 {
-		switch {
-		case i > 0 && j > 0 && score[i][j] == score[i-1][j-1]+matchScore(query[i-1], target[j-1], sc):
-			rev = append(rev, OpMatch)
-			i--
-			j--
-		case i > 0 && score[i][j] == score[i-1][j]+sc.Gap:
-			rev = append(rev, OpInsert)
-			i--
-		default:
-			rev = append(rev, OpDelete)
-			j--
-		}
-	}
-	// Reverse in place.
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
-	return score[n][m], rev
-}
-
-func matchScore(a, b byte, sc AlignScores) int {
-	if a == b {
-		return sc.Match
-	}
-	return sc.Mismatch
 }

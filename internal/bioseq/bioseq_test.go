@@ -1,7 +1,6 @@
 package bioseq
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,122 +13,6 @@ func randomSeq(r *sim.RNG, id string, n int) Seq {
 		b[i] = Alphabet[r.Intn(4)]
 	}
 	return Seq{ID: id, Bases: b}
-}
-
-func TestFromStringValidates(t *testing.T) {
-	if _, err := FromString("ok", "acgtACGT"); err != nil {
-		t.Fatalf("valid sequence rejected: %v", err)
-	}
-	if _, err := FromString("bad", "ACGTN"); err == nil {
-		t.Fatal("sequence with N accepted")
-	}
-}
-
-func TestReverseComplementInvolution(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := sim.NewRNG(seed)
-		s := randomSeq(r, "s", 1+r.Intn(200))
-		rc2 := s.ReverseComplement().ReverseComplement()
-		return string(rc2.Bases) == string(s.Bases)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReverseComplementKnown(t *testing.T) {
-	s, _ := FromString("x", "AACGT")
-	if got := s.ReverseComplement().String(); got != "ACGTT" {
-		t.Fatalf("revcomp(AACGT) = %s, want ACGTT", got)
-	}
-}
-
-func TestGCContent(t *testing.T) {
-	s, _ := FromString("x", "GGCC")
-	if got := s.GCContent(); got != 1 {
-		t.Fatalf("GC(GGCC) = %v", got)
-	}
-	s, _ = FromString("x", "AATT")
-	if got := s.GCContent(); got != 0 {
-		t.Fatalf("GC(AATT) = %v", got)
-	}
-	if got := (Seq{}).GCContent(); got != 0 {
-		t.Fatalf("GC(empty) = %v", got)
-	}
-}
-
-func TestFASTARoundTrip(t *testing.T) {
-	r := sim.NewRNG(1)
-	var seqs []Seq
-	for i := 0; i < 5; i++ {
-		seqs = append(seqs, randomSeq(r, strings.Repeat("x", i+1), 50+r.Intn(300)))
-	}
-	text := FASTAString(seqs)
-	got, err := ParseFASTA(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(seqs) {
-		t.Fatalf("round trip %d records, want %d", len(got), len(seqs))
-	}
-	for i := range seqs {
-		if got[i].ID != seqs[i].ID || string(got[i].Bases) != string(seqs[i].Bases) {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
-func TestFASTAWrapsLongLines(t *testing.T) {
-	s := Seq{ID: "long", Bases: []byte(strings.Repeat("A", 200))}
-	text := FASTAString([]Seq{s})
-	for _, line := range strings.Split(text, "\n") {
-		if len(line) > 80 {
-			t.Fatalf("line longer than 80 cols: %d", len(line))
-		}
-	}
-}
-
-func TestParseFASTAErrors(t *testing.T) {
-	if _, err := ParseFASTA(strings.NewReader("ACGT\n")); err == nil {
-		t.Error("data before header accepted")
-	}
-	if _, err := ParseFASTA(strings.NewReader(">x\nACGTN\n")); err == nil {
-		t.Error("invalid base accepted")
-	}
-	got, err := ParseFASTA(strings.NewReader(""))
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty input: %v, %d records", err, len(got))
-	}
-}
-
-func TestFASTQRoundTrip(t *testing.T) {
-	r := sim.NewRNG(2)
-	seqs := []Seq{randomSeq(r, "r1", 100), randomSeq(r, "r2", 80)}
-	var b strings.Builder
-	if err := WriteFASTQ(&b, seqs, 30); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseFASTQ(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].ID != "r1" || string(got[1].Bases) != string(seqs[1].Bases) {
-		t.Fatalf("fastq round trip mismatch: %+v", got)
-	}
-}
-
-func TestParseFASTQErrors(t *testing.T) {
-	cases := []string{
-		"not-a-header\nACGT\n+\nIIII\n",
-		"@r\nACGT\n",                     // truncated
-		"@r\nACGT\nmissing-plus\nIIII\n", // bad separator
-		"@r\nACGT\n+\nII\n",              // quality length mismatch
-	}
-	for _, in := range cases {
-		if _, err := ParseFASTQ(strings.NewReader(in)); err == nil {
-			t.Errorf("malformed fastq accepted: %q", in)
-		}
-	}
 }
 
 func TestEditDistanceKnown(t *testing.T) {
@@ -193,63 +76,6 @@ func TestIdentityBounds(t *testing.T) {
 	}
 }
 
-func TestGlobalAlignmentPerfectMatch(t *testing.T) {
-	sc := DefaultScores()
-	score, cigar := Global([]byte("ACGT"), []byte("ACGT"), sc)
-	if score != 4*sc.Match {
-		t.Fatalf("perfect alignment score = %d, want %d", score, 4*sc.Match)
-	}
-	for _, op := range cigar {
-		if op != OpMatch {
-			t.Fatalf("perfect alignment contains op %c", op)
-		}
-	}
-}
-
-func TestGlobalAlignmentGap(t *testing.T) {
-	sc := DefaultScores()
-	_, cigar := Global([]byte("ACGT"), []byte("ACT"), sc)
-	ins, del, match := 0, 0, 0
-	for _, op := range cigar {
-		switch op {
-		case OpInsert:
-			ins++
-		case OpDelete:
-			del++
-		case OpMatch:
-			match++
-		}
-	}
-	if ins != 1 || del != 0 || match != 3 {
-		t.Fatalf("ACGT vs ACT: ins=%d del=%d match=%d, want 1/0/3", ins, del, match)
-	}
-}
-
-func TestGlobalCigarConsumesBothSequences(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := sim.NewRNG(seed)
-		q := randomSeq(r, "q", r.Intn(50)).Bases
-		tgt := randomSeq(r, "t", r.Intn(50)).Bases
-		_, cigar := Global(q, tgt, DefaultScores())
-		qi, ti := 0, 0
-		for _, op := range cigar {
-			switch op {
-			case OpMatch:
-				qi++
-				ti++
-			case OpInsert:
-				qi++
-			case OpDelete:
-				ti++
-			}
-		}
-		return qi == len(q) && ti == len(tgt)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStatsKnownValues(t *testing.T) {
 	seqs := []Seq{
 		{ID: "a", Bases: []byte("GGGGGGGGGG")}, // 10
@@ -310,18 +136,5 @@ func TestStatsN50Property(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSubseq(t *testing.T) {
-	s, _ := FromString("chr", "ACGTACGT")
-	sub := s.Subseq(2, 6)
-	if sub.String() != "GTAC" {
-		t.Fatalf("Subseq = %s, want GTAC", sub)
-	}
-	// Mutating the subsequence must not alias the parent.
-	sub.Bases[0] = 'A'
-	if s.String() != "ACGTACGT" {
-		t.Fatal("Subseq aliases parent storage")
 	}
 }

@@ -66,10 +66,5 @@ func TestStatsMatchesFold(t *testing.T) {
 		if got, want := bioseq.Stats(seqs), statsFold(seqs); got != want {
 			t.Errorf("%s: Stats = %+v, the fold says %+v", name, got, want)
 		}
-		for _, s := range seqs {
-			if got, want := s.GCContent(), statsFold([]bioseq.Seq{s}).GC; got != want {
-				t.Errorf("%s/%s: GCContent = %v, the fold says %v", name, s.ID, got, want)
-			}
-		}
 	}
 }

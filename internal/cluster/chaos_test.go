@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -176,5 +178,75 @@ func TestClusterChaosKillMidWorkload(t *testing.T) {
 					survivor, got[i-1].key, got[i-1].submitted, got[i].key, got[i].submitted)
 			}
 		}
+	}
+}
+
+// TestKillDurablePrefixIgnoresTheFlusher pins what a virtual-time kill may
+// depend on: the cluster-scaling kill (three durable members, h1 dies with a
+// torn tail mid-workload) re-homes the same jobs whether the victim's
+// flusher goroutines reached none of the last tick's records (parked with
+// HoldFlush) or all of them (the unparked run waits for the watermark).
+// KillHandler fences the journal to the kill instant, so the flusher's
+// position — wall-clock progress — cannot reach kill_requeued or anything
+// else the survivors compute; without the fence the parked run loses the
+// tick's complete records and requeues finished work. Loss of staged records
+// itself stays covered where it belongs: the HoldFlush-driven crash tables in
+// internal/journal and internal/galaxy, and the two-process kill -9 loopback
+// in cmd/gyan-server.
+func TestKillDurablePrefixIgnoresTheFlusher(t *testing.T) {
+	okJobs := func(n *Node) int {
+		ok := 0
+		for _, j := range n.g.Jobs() {
+			if j.State == "ok" {
+				ok++
+			}
+		}
+		return ok
+	}
+	rebalanced := func(park bool) map[string]uint64 {
+		c := newTestCluster(t, 3, func(cfg *SimConfig) {
+			cfg.DisableDurableSubmits = false
+			cfg.Tick = time.Second
+		})
+		// A backlog on every member: nobody idles, so no steal makes the
+		// victim wait on a durable record while its flushers are parked.
+		for _, h := range c.Handlers() {
+			pinKeys(t, c, h, "0.004", 12)
+		}
+		for i := 0; i < 3; i++ {
+			c.Step()
+		}
+		victim := c.Node("h1")
+		if park {
+			hold := make(chan struct{})
+			defer close(hold)
+			victim.jr.HoldFlush(hold)
+		}
+		before := okJobs(victim)
+		c.Step()
+		if okJobs(victim) == before {
+			t.Fatal("no job finished on the victim in the tick before the kill: the scenario proves nothing")
+		}
+		if !park {
+			for st := victim.jr.Stats(); st.Watermark < st.Tick; st = victim.jr.Stats() {
+				runtime.Gosched()
+			}
+		}
+		if err := c.KillHandler("h1", []byte{0x13, 0x37, 0xde, 0xad}); err != nil {
+			t.Fatal(err)
+		}
+		drainDead(t, c, "h1", time.Hour)
+		out := map[string]uint64{}
+		for _, hs := range c.Status().Handlers {
+			out[hs.ID] = hs.RebalancedIn
+		}
+		return out
+	}
+	parked, unparked := rebalanced(true), rebalanced(false)
+	if !reflect.DeepEqual(parked, unparked) {
+		t.Fatalf("jobs re-homed per survivor: %v with the victim's flushers parked, %v with them caught up", parked, unparked)
+	}
+	if parked["h0"]+parked["h2"] == 0 {
+		t.Fatal("the kill re-homed nothing")
 	}
 }

@@ -208,7 +208,7 @@ func TestStolenJobKeepsSeniority(t *testing.T) {
 func findStolen(t *testing.T, c *Sim, handler string) int {
 	t.Helper()
 	n := 0
-	for _, j := range c.Galaxy(handler).Jobs() {
+	for _, j := range c.Node(handler).g.Jobs() {
 		if string(j.State) == "stolen" {
 			n++
 		}

@@ -82,7 +82,7 @@ func TestClusterRaceHammer(t *testing.T) {
 			c.Status()
 			_ = c.Registry().WritePrometheus(io.Discard)
 			for _, id := range c.Handlers() {
-				c.Galaxy(id).Jobs()
+				c.Node(id).g.Jobs()
 			}
 		}
 	}()

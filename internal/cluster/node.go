@@ -277,14 +277,21 @@ func (n *Node) Close() error {
 	return n.jr.Close()
 }
 
-// crash kills the member the way kill -9 does: its journal buffer is dropped
-// on the floor (optionally with torn garbage bytes appended, the mid-write
-// artifact), its flock is released, and its engine never runs again.
+// crash kills the member the way kill -9 does: its journal is abandoned with
+// torn garbage bytes appended (the mid-write artifact), its flock is released,
+// and its engine never runs again. The kill lands between two virtual ticks,
+// so its durable prefix is defined in virtual terms too: everything the
+// member journaled up to this instant is fenced to disk first. Without the
+// fence the prefix would end wherever the flusher goroutines happened to be,
+// and what the survivors requeue would depend on host load.
 func (n *Node) crash(torn []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.down = true
 	n.met.up.With(n.id).Set(0)
+	if err := n.jr.Sync(); err != nil {
+		return err
+	}
 	return n.jr.CrashTorn(torn)
 }
 
@@ -690,24 +697,4 @@ func (n *Node) TransportStatus() TransportStatus {
 		ts.Members = append(ts.Members, mp)
 	}
 	return ts
-}
-
-// StealPhases reports this member's in-flight two-phase transfers, keyed
-// "victim/xfer": "prepared" or "aborting" for its own outbound transfers,
-// "accepted" for inbound ones whose retire has not landed.
-func (n *Node) StealPhases() map[string]string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[string]string)
-	for k := range n.proto.unretiredIn {
-		out[k.victim+"/"+strconv.FormatUint(k.xfer, 10)] = "accepted"
-	}
-	for x, o := range n.proto.out {
-		phase := "prepared"
-		if o.aborting {
-			phase = "aborting"
-		}
-		out[n.id+"/"+strconv.FormatUint(x, 10)] = phase
-	}
-	return out
 }

@@ -64,15 +64,6 @@ func NewRing(stripes int, handlers []string) (*Ring, error) {
 	return r, nil
 }
 
-// Stripes returns the stripe count.
-func (r *Ring) Stripes() int { return r.stripes }
-
-// Members returns the member handler IDs in sorted order.
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
-
-// Owner returns the handler owning the stripe ("" on an empty ring).
-func (r *Ring) Owner(stripe int) string { return r.owner[stripe] }
-
 // StripeOf maps a cluster job key to its stripe, mirroring the jobTable's
 // key&31-style striping.
 func (r *Ring) StripeOf(key uint64) int { return int(key % uint64(r.stripes)) }

@@ -40,8 +40,8 @@ func checkInvariants(t *testing.T, r *Ring, context string) {
 	t.Helper()
 	counts := r.Counts()
 	total := 0
-	for s := 0; s < r.Stripes(); s++ {
-		o := r.Owner(s)
+	for s := 0; s < r.stripes; s++ {
+		o := r.owner[s]
 		if o == "" {
 			t.Fatalf("%s: stripe %d unowned", context, s)
 		}
@@ -49,7 +49,7 @@ func checkInvariants(t *testing.T, r *Ring, context string) {
 			t.Fatalf("%s: stripe %d owned by non-member %q", context, s, o)
 		}
 	}
-	fair := float64(r.Stripes()) / float64(len(r.Members()))
+	fair := float64(r.stripes) / float64(len(r.members))
 	for m, c := range counts {
 		total += c
 		if dev := float64(c) - fair; dev > 0.2*fair || dev < -0.2*fair {
@@ -57,8 +57,8 @@ func checkInvariants(t *testing.T, r *Ring, context string) {
 				context, m, c, fair, counts)
 		}
 	}
-	if total != r.Stripes() {
-		t.Fatalf("%s: counts sum to %d, want %d", context, total, r.Stripes())
+	if total != r.stripes {
+		t.Fatalf("%s: counts sum to %d, want %d", context, total, r.stripes)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestRingJoinMovement(t *testing.T) {
 				if _, ok := moved[s]; ok {
 					continue
 				}
-				if r.Owner(s) != before[s] {
-					t.Fatalf("%s: unmoved stripe %d changed owner %q -> %q", ctx, s, before[s], r.Owner(s))
+				if r.owner[s] != before[s] {
+					t.Fatalf("%s: unmoved stripe %d changed owner %q -> %q", ctx, s, before[s], r.owner[s])
 				}
 			}
 			checkInvariants(t, r, ctx)
@@ -158,8 +158,8 @@ func TestRingLeaveMovement(t *testing.T) {
 					}
 					continue
 				}
-				if r.Owner(s) != before[s] {
-					t.Fatalf("%s: survivor stripe %d changed owner %q -> %q", ctx, s, before[s], r.Owner(s))
+				if r.owner[s] != before[s] {
+					t.Fatalf("%s: survivor stripe %d changed owner %q -> %q", ctx, s, before[s], r.owner[s])
 				}
 			}
 			checkInvariants(t, r, ctx)
@@ -183,8 +183,8 @@ func TestRingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 32; s++ {
-		if a.Owner(s) != b.Owner(s) {
-			t.Fatalf("stripe %d: %q vs %q for the same member set", s, a.Owner(s), b.Owner(s))
+		if a.owner[s] != b.owner[s] {
+			t.Fatalf("stripe %d: %q vs %q for the same member set", s, a.owner[s], b.owner[s])
 		}
 	}
 }
@@ -195,7 +195,7 @@ func TestRingKeyMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key := uint64(0); key < 100; key++ {
-		if got, want := r.OwnerOfKey(key), r.Owner(int(key%32)); got != want {
+		if got, want := r.OwnerOfKey(key), r.owner[int(key%32)]; got != want {
 			t.Fatalf("key %d: OwnerOfKey=%q, Owner(stripe)=%q", key, got, want)
 		}
 	}

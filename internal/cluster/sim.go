@@ -140,17 +140,6 @@ func (s *Sim) Node(id string) *Node {
 	return nil
 }
 
-// Galaxy returns a member's Galaxy; nil for an unknown ID.
-func (s *Sim) Galaxy(id string) *galaxy.Galaxy {
-	if n := s.Node(id); n != nil {
-		return n.g
-	}
-	return nil
-}
-
-// Handlers returns the member IDs in boot order (dead ones included).
-func (s *Sim) Handlers() []string { return append([]string(nil), s.nodes[0].cfg.Members...) }
-
 // JournalDirs maps each member ID to its journal directory (the audit
 // surface: see AuditJournals).
 func (s *Sim) JournalDirs() map[string]string {
@@ -280,13 +269,13 @@ func (s *Sim) Run(horizon time.Duration) time.Duration {
 	return s.Now()
 }
 
-// KillHandler kills a member the way kill -9 does: its journal buffer is
-// dropped on the floor (optionally with torn garbage bytes appended), its
-// undelivered bus messages vanish, and its engine never runs again. That is
-// ALL it does — no ring surgery, no journal replay, no re-homing. The
-// survivors notice the death themselves when the member's lease lapses (or
-// a peer's rebalance-claim arrives first), claim its stripes through
-// journaled claim records, and requeue its non-terminal work — see
+// KillHandler kills a member the way kill -9 does: its journal is abandoned
+// at the last completed tick's records with torn garbage bytes appended (see
+// Node.crash), its undelivered bus messages vanish, and its engine never runs
+// again. That is ALL it does — no ring surgery, no journal replay, no
+// re-homing. The survivors notice the death themselves when the member's
+// lease lapses (or a peer's rebalance-claim arrives first), claim its stripes
+// through journaled claim records, and requeue its non-terminal work — see
 // Node.declareDead.
 func (s *Sim) KillHandler(id string, torn []byte) error {
 	s.mu.Lock()
@@ -357,38 +346,12 @@ func (s *Sim) TransportStatus() TransportStatus {
 	return ts
 }
 
-// DeadSeenBy reports which peers `member` has declared dead (lease lapsed
-// or learned via a rebalance-claim) — the test window into the failure
-// detector.
-func (s *Sim) DeadSeenBy(member string) []string {
-	i := slices.Index(s.Handlers(), member)
-	if i < 0 {
-		return nil
-	}
-	return s.nodes[i].TransportStatus().Members[i].DeadSeen
-}
-
 // Survey aggregates an nvidia-smi snapshot from every member — the
 // cross-handler device view, exposed for the API and the experiments.
 func (s *Sim) Survey() []HandlerSurvey {
 	var out []HandlerSurvey
 	for _, n := range s.nodes {
 		out = append(out, n.Survey()...)
-	}
-	return out
-}
-
-// StealPhases reports every in-flight two-phase transfer across the live
-// members, keyed "victim/xfer". The victim's word ("prepared", "aborting")
-// outranks the thief's "accepted"; a retired-and-acked transfer disappears.
-func (s *Sim) StealPhases() map[string]string {
-	out := make(map[string]string)
-	for _, n := range s.live() {
-		for k, phase := range n.StealPhases() {
-			if _, own := out[k]; !own || phase != "accepted" {
-				out[k] = phase
-			}
-		}
 	}
 	return out
 }

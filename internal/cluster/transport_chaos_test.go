@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +30,57 @@ import (
 //   - an orphaned prepare (victim dead after detach, thief never heard)
 //     is found and repaired by the online anti-entropy sweep, not by a
 //     post-mortem replay.
+
+// The suite's windows into the failure detector and the two-phase protocol.
+
+// Handlers returns the member IDs in boot order (dead ones included).
+func (s *Sim) Handlers() []string { return append([]string(nil), s.nodes[0].cfg.Members...) }
+
+// DeadSeenBy reports which peers `member` has declared dead (lease lapsed
+// or learned via a rebalance-claim) — the test window into the failure
+// detector.
+func (s *Sim) DeadSeenBy(member string) []string {
+	i := slices.Index(s.Handlers(), member)
+	if i < 0 {
+		return nil
+	}
+	return s.nodes[i].TransportStatus().Members[i].DeadSeen
+}
+
+// StealPhases reports every in-flight two-phase transfer across the live
+// members, keyed "victim/xfer". The victim's word ("prepared", "aborting")
+// outranks the thief's "accepted"; a retired-and-acked transfer disappears.
+func (s *Sim) StealPhases() map[string]string {
+	out := make(map[string]string)
+	for _, n := range s.live() {
+		for k, phase := range n.StealPhases() {
+			if _, own := out[k]; !own || phase != "accepted" {
+				out[k] = phase
+			}
+		}
+	}
+	return out
+}
+
+// StealPhases reports this member's in-flight two-phase transfers, keyed
+// "victim/xfer": "prepared" or "aborting" for its own outbound transfers,
+// "accepted" for inbound ones whose retire has not landed.
+func (n *Node) StealPhases() map[string]string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make(map[string]string)
+	for k := range n.proto.unretiredIn {
+		out[k.victim+"/"+strconv.FormatUint(k.xfer, 10)] = "accepted"
+	}
+	for x, o := range n.proto.out {
+		phase := "prepared"
+		if o.aborting {
+			phase = "aborting"
+		}
+		out[n.id+"/"+strconv.FormatUint(x, 10)] = phase
+	}
+	return out
+}
 
 // pinKeys submits n jobs pinned into the given handler's stripes and
 // returns the keys.

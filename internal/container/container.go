@@ -77,9 +77,6 @@ func (r *Registry) Pull(ref string) (Image, time.Duration, error) {
 	return img, time.Duration(float64(img.SizeBytes) / r.pullBandwidth * float64(time.Second)), nil
 }
 
-// Cached reports whether the image is in the local cache.
-func (r *Registry) Cached(ref string) bool { return r.cached[ref] }
-
 // VolumeMount is a host path bound into the container.
 type VolumeMount struct {
 	Host, Container string

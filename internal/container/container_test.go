@@ -128,7 +128,7 @@ func TestPullCachesImages(t *testing.T) {
 	if second != 0 {
 		t.Errorf("cached pull cost %v", second)
 	}
-	if !r.Cached("gulsumgudukbay/racon_dockerfile") {
+	if !r.cached["gulsumgudukbay/racon_dockerfile"] {
 		t.Error("image not marked cached")
 	}
 }

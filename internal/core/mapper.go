@@ -108,9 +108,6 @@ func (m *Mapper) cpuDest() string {
 // the destination a batch scheduler launches granted GPU jobs onto.
 func (m *Mapper) GPUDestID() string { return m.gpuDest() }
 
-// CPUDestID returns the effective CPU destination ID, defaults applied.
-func (m *Mapper) CPUDestID() string { return m.cpuDest() }
-
 // Map runs the dynamic destination rule for a tool against the current GPU
 // survey. It implements the paper's gpu_dynamic_destination rule plus
 // Pseudocode 2's device selection:

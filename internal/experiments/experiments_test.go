@@ -59,7 +59,8 @@ func TestFig3ShapeMatchesPaper(t *testing.T) {
 	if sp := res.Metrics["speedup_4thr"]; sp < 1.6 || sp > 2.6 {
 		t.Errorf("speedup = %.2fx, paper ~2x", sp)
 	}
-	if len(res.Tables) == 0 || res.Tables[0].Rows() != 5 {
+	// Title, header, separator and the five thread counts.
+	if len(res.Tables) == 0 || len(strings.Split(strings.TrimSpace(res.Tables[0].String()), "\n")) != 8 {
 		t.Fatalf("fig3 table malformed")
 	}
 }

@@ -278,17 +278,6 @@ func NewError(site Site, f Fault) *Error {
 	return &Error{Site: site, Class: f.Class, Msg: f.Msg, Culprits: f.Culprits}
 }
 
-// TransientError labels an error text as a retryable dispatch failure at the
-// given op.
-func TransientError(op Op, format string, args ...any) *Error {
-	return &Error{Site: Site{Op: op}, Class: Transient, Msg: fmt.Sprintf(format, args...)}
-}
-
-// PermanentError labels an error text as a non-retryable dispatch failure.
-func PermanentError(op Op, format string, args ...any) *Error {
-	return &Error{Site: Site{Op: op}, Class: Permanent, Msg: fmt.Sprintf(format, args...)}
-}
-
 // ClassOf extracts the classification from an error chain. The second result
 // is false for unclassified errors, which the dispatch path fails the
 // pre-fault way.

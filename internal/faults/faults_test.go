@@ -121,7 +121,7 @@ func TestErrorClassification(t *testing.T) {
 	if _, ok := ClassOf(errors.New("plain")); ok {
 		t.Error("plain error claimed a class")
 	}
-	if c, ok := ClassOf(PermanentError(OpLaunch, "bad image")); !ok || c != Permanent {
+	if c, ok := ClassOf(NewError(Site{Op: OpLaunch}, Fault{Class: Permanent, Msg: "bad image"})); !ok || c != Permanent {
 		t.Errorf("ClassOf(permanent) = %v, %v", c, ok)
 	}
 }
@@ -213,7 +213,7 @@ func TestQuarantinePermanentWithoutCooldown(t *testing.T) {
 
 func TestNilQuarantineIsInert(t *testing.T) {
 	var q *Quarantine
-	if q.RecordFault(0, 0) || q.IsQuarantined(0, 0) || q.FaultCount(0) != 0 {
+	if q.RecordFault(0, 0) || q.IsQuarantined(0, 0) {
 		t.Error("nil quarantine acted")
 	}
 	if q.Quarantined(0) != nil || q.Spans() != nil {

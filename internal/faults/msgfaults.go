@@ -78,21 +78,13 @@ type MsgRule struct {
 	Count int
 }
 
-// MsgEvent records one fired message fault.
-type MsgEvent struct {
-	At    time.Duration
-	Site  MsgSite
-	Fault MsgFault
-}
-
 // MsgPlan is a set of armed message-fault rules plus dynamic one-way
 // partitions. It is safe for concurrent use.
 type MsgPlan struct {
-	mu     sync.Mutex
-	rng    *sim.RNG
-	rules  []MsgRule
-	fired  []int
-	events []MsgEvent
+	mu    sync.Mutex
+	rng   *sim.RNG
+	rules []MsgRule
+	fired []int
 	// cuts holds active one-way partitions as "from\x00to" keys; "*" on
 	// either side matches any member.
 	cuts map[string]bool
@@ -150,7 +142,7 @@ func (p *MsgPlan) Partitioned(from, to string) bool {
 // consultation whether or not they fire, keeping the draw sequence aligned
 // with the send sequence. Partitions are separate: the transport asks
 // Partitioned before consulting rules, so a cut never perturbs the RNG.
-func (p *MsgPlan) CheckMsg(now time.Duration, site MsgSite) (MsgFault, bool) {
+func (p *MsgPlan) CheckMsg(site MsgSite) (MsgFault, bool) {
 	if p == nil {
 		return MsgFault{}, false
 	}
@@ -167,20 +159,9 @@ func (p *MsgPlan) CheckMsg(now time.Duration, site MsgSite) (MsgFault, bool) {
 			continue
 		}
 		p.fired[i]++
-		p.events = append(p.events, MsgEvent{At: now, Site: site, Fault: r.Fault})
 		return r.Fault, true
 	}
 	return MsgFault{}, false
-}
-
-// MsgEvents returns a copy of every message fault fired so far.
-func (p *MsgPlan) MsgEvents() []MsgEvent {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]MsgEvent(nil), p.events...)
 }
 
 // MsgFired reports the total number of message faults fired.
@@ -190,5 +171,9 @@ func (p *MsgPlan) MsgFired() int {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.events)
+	n := 0
+	for _, f := range p.fired {
+		n += f
+	}
+	return n
 }

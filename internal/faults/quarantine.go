@@ -116,16 +116,6 @@ func (q *Quarantine) Quarantined(now time.Duration) []int {
 	return out
 }
 
-// FaultCount returns the device's accumulated fault count.
-func (q *Quarantine) FaultCount(device int) int {
-	if q == nil {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.counts[device]
-}
-
 // Spans returns a copy of every quarantine interval recorded so far.
 func (q *Quarantine) Spans() []QuarantineSpan {
 	if q == nil {

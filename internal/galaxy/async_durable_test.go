@@ -48,9 +48,8 @@ func TestAsyncDurableSubmitStampsTicket(t *testing.T) {
 	if err := g.AwaitDurable(async.DurableTicket); err != nil {
 		t.Fatalf("AwaitDurable: %v", err)
 	}
-	wm, ok := g.JournalWatermark()
-	if !ok || wm < async.DurableTicket {
-		t.Fatalf("watermark %d (ok=%v) below awaited ticket %d", wm, ok, async.DurableTicket)
+	if wm := j.Stats().Watermark; wm < async.DurableTicket {
+		t.Fatalf("watermark %d below awaited ticket %d", wm, async.DurableTicket)
 	}
 	g.Run()
 	if err := j.Close(); err != nil {
@@ -68,6 +67,46 @@ func TestAsyncDurableSubmitStampsTicket(t *testing.T) {
 	}
 	if submits != 2 {
 		t.Fatalf("replayed %d submit records, want 2", submits)
+	}
+}
+
+// TestAsyncDurableSubmitRacesSnapshots is the -race hammer for the ticket
+// stamp: Submit publishes the job and only then learns its commit ticket, so
+// a reader that finds the job in the table may be cloning it while the
+// submitter writes DurableTicket. One goroutine submits, one rebuilds Jobs()
+// and chases the newest ID through Job(id); the reader learns IDs by probing
+// the table, never from the submitter, so no handshake hides the pair from
+// the detector.
+func TestAsyncDurableSubmitRacesSnapshots(t *testing.T) {
+	j := openShardedJournal(t, t.TempDir())
+	defer j.Close()
+	g := testGalaxy(t, WithJournal(j, "h1"), WithAsyncDurable())
+	rs := smallReadSet(t)
+
+	const n = 400
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for next := 1; next <= n; {
+			for _, job := range g.Jobs() {
+				_ = job.DurableTicket
+			}
+			if _, ok := g.Job(next); ok {
+				next++
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		if _, err := g.Submit("seqstats", nil, rs, SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	g.Run()
+	for _, job := range g.Jobs() {
+		if job.DurableTicket == 0 || job.State != StateOK {
+			t.Fatalf("job %d: ticket %d, state %s", job.ID, job.DurableTicket, job.State)
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ type stepFailure struct {
 
 // WorkflowRun tracks one submitted DAG workflow. Mutations happen under the
 // engine lock (completion hooks); the run's own mutex additionally guards
-// them so accessors (State, Done, Status, WallTime) are safe from any
+// them so accessors (State, Status, WallTime) are safe from any
 // goroutine while the engine runs.
 type WorkflowRun struct {
 	// ID is the workflow's ordinal identifier.
@@ -152,7 +152,7 @@ type WorkflowStatus struct {
 // SubmitDAG validates and submits a workflow DAG. Root steps are released
 // immediately (honoring their Delay); every other step releases when its
 // parents complete. Drive the engine (g.Run) to completion, or poll the
-// returned run's Done/Status from any goroutine.
+// returned run's State/Status from any goroutine.
 func (g *Galaxy) SubmitDAG(name string, steps []DAGStep, opts DAGOptions) (*WorkflowRun, error) {
 	defs := make(map[string]*DAGStep, len(steps))
 	wsteps := make([]workflow.Step, len(steps))
@@ -453,13 +453,6 @@ func (wr *WorkflowRun) Info() string {
 	return wr.info
 }
 
-// Done reports whether the workflow reached a terminal state.
-func (wr *WorkflowRun) Done() bool {
-	wr.mu.Lock()
-	defer wr.mu.Unlock()
-	return wr.state == StateOK || wr.state == StateError
-}
-
 // WallTime returns the workflow's virtual span from submission to the last
 // step's completion (zero until done).
 func (wr *WorkflowRun) WallTime() time.Duration {
@@ -469,16 +462,6 @@ func (wr *WorkflowRun) WallTime() time.Duration {
 		return 0
 	}
 	return wr.finishedAt - wr.submittedAt
-}
-
-// StepJob returns the job ID a step submitted as (0 while pending/skipped).
-func (wr *WorkflowRun) StepJob(id string) int {
-	wr.mu.Lock()
-	defer wr.mu.Unlock()
-	if j := wr.jobs[id]; j != nil {
-		return j.ID
-	}
-	return 0
 }
 
 // Status returns a consistent snapshot of the run, safe while the engine is

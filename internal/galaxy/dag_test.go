@@ -12,6 +12,13 @@ import (
 	"gyan/internal/workload"
 )
 
+// Done reports whether the workflow reached a terminal state.
+func (wr *WorkflowRun) Done() bool {
+	wr.mu.Lock()
+	defer wr.mu.Unlock()
+	return wr.state == StateOK || wr.state == StateError
+}
+
 func TestDAGFanOutFanIn(t *testing.T) {
 	g := testGalaxy(t)
 	rs := smallReadSet(t)
@@ -88,9 +95,10 @@ func TestDAGFailFastSkipsPendingSteps(t *testing.T) {
 	// "good" released alongside "bad" (both children of the root), so it
 	// completes; "tail" was still pending when the failure hit and must be
 	// skipped, never submitted.
-	states := map[string]string{}
+	states, jobIDs := map[string]string{}, map[string]int{}
 	for _, st := range ws.Steps {
 		states[st.ID] = st.State
+		jobIDs[st.ID] = st.JobID
 	}
 	if states["bad"] != string(workflow.StepFailed) {
 		t.Errorf("bad step state = %s", states["bad"])
@@ -98,7 +106,7 @@ func TestDAGFailFastSkipsPendingSteps(t *testing.T) {
 	if states["tail"] != string(workflow.StepSkipped) {
 		t.Errorf("tail state = %s, want skipped", states["tail"])
 	}
-	if wr.StepJob("tail") != 0 {
+	if jobIDs["tail"] != 0 {
 		t.Error("skipped step was submitted as a job")
 	}
 	if wr.Info() == "" {

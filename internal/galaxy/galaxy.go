@@ -83,19 +83,11 @@ type Galaxy struct {
 	running map[string]int
 	waiting map[string][]*pendingStart
 
-	// UserQuota bounds each user's concurrent jobs (0 = unlimited) — the
-	// admission control Galaxy admins configure per user. Excess jobs
-	// queue per user and redispatch as the user's jobs finish.
-	UserQuota   int
-	userRunning map[string]int
-	userWaiting map[string][]*pendingStart
-
 	// sched, when set, replaces the greedy per-job dispatch for GPU jobs
 	// with batch scheduling (see scheduler.go): GPU jobs park in the
 	// scheduler's priority queue and start only when a Cycle grants them an
-	// exclusive device gang. The flat UserQuota gate and destination slot
-	// limits do not apply to scheduler-managed jobs — weighted fair sharing
-	// and gang allocation subsume both.
+	// exclusive device gang. Destination slot limits do not apply to
+	// scheduler-managed jobs — gang allocation subsumes them.
 	sched     *sched.Scheduler
 	schedJobs map[int]*schedEntry
 
@@ -169,11 +161,6 @@ func WithJobConf(c *jobconf.Config) Option {
 	return func(g *Galaxy) { g.Conf = c }
 }
 
-// WithUserQuota bounds each user's concurrent jobs.
-func WithUserQuota(n int) Option {
-	return func(g *Galaxy) { g.UserQuota = n }
-}
-
 // WithJobIDBase starts the job-ID allocator past n, so the first submitted
 // job gets ID n+1. A rejoining cluster member reopens its old journal
 // directory under a new incarnation; its allocator must clear every ID the
@@ -200,8 +187,6 @@ func New(cluster *gpu.Cluster, opts ...Option) *Galaxy {
 		tools:          make(map[string]*ToolBinding),
 		running:        make(map[string]int),
 		waiting:        make(map[string][]*pendingStart),
-		userRunning:    make(map[string]int),
-		userWaiting:    make(map[string][]*pendingStart),
 		schedJobs:      make(map[int]*schedEntry),
 		workflows:      make(map[int]*WorkflowRun),
 		preparedSteals: make(map[int]*preparedSteal),
@@ -317,7 +302,7 @@ func (g *Galaxy) Jobs() []*Job {
 	live := g.jobs.all()
 	masters := make([]*Job, len(live))
 	for i, j := range live {
-		masters[i] = j.clone()
+		masters[i] = g.jobs.clone(j)
 	}
 	g.jobsSnap.Store(&jobsSnapshot{epoch: e, jobs: masters})
 	return cloneJobs(masters)
@@ -333,7 +318,7 @@ func (g *Galaxy) Job(id int) (*Job, bool) {
 	if j == nil {
 		return nil, false
 	}
-	return j.clone(), true
+	return g.jobs.clone(j), true
 }
 
 // cloneJobs copies a master snapshot for one caller.
@@ -355,7 +340,7 @@ type SubmitOptions struct {
 	// GPURequest overrides the wrapper's requested GPU minor IDs (the
 	// end-user editing the version tag, Section IV-C).
 	GPURequest string
-	// User attributes the job for quota accounting; empty means the
+	// User attributes the job for fair-share accounting; empty means the
 	// anonymous user.
 	User string
 	// Priority is the job's priority class under a batch scheduler
@@ -473,9 +458,11 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 	}
 	// Publish before journaling: the insert is the job's release barrier,
 	// and the logJournal epoch bump after it invalidates cached snapshots.
+	// The job is visible from here on, so the ticket is stamped under its
+	// stripe lock: a Jobs() rebuild may be cloning it already.
 	g.jobs.insert(job)
 	if opts.AsyncDurable || g.asyncDurable {
-		job.DurableTicket = g.appendJournal(job.submit, false)
+		g.jobs.stampTicket(job, g.appendJournal(job.submit, false))
 	} else {
 		g.logJournal(job.submit)
 	}
@@ -504,37 +491,15 @@ func (g *Galaxy) startJob(job *Job, binding *ToolBinding, opts SubmitOptions, no
 	g.startJobLocked(job, binding, opts, now)
 }
 
-// startJobLocked runs admission control and destination mapping, then either
-// parks the job (quota, destination slots, or the batch scheduler's queue)
-// or hands it to launchLocked for execution.
+// startJobLocked runs destination mapping, then either parks the job
+// (destination slots, or the batch scheduler's queue) or hands it to
+// launchLocked for execution.
 func (g *Galaxy) startJobLocked(job *Job, binding *ToolBinding, opts SubmitOptions, now time.Duration) {
 	if job.killed {
 		return // cancelled while queued
 	}
-	var release func() // set once quota/destination slots are acquired
 	fail := func(err error) {
-		g.failLocked(job, binding, opts, err, release)
-	}
-
-	// User quota admission, before any device survey. A configured batch
-	// scheduler supersedes the flat quota: weighted fair sharing orders
-	// users continuously instead of gating them at a fixed concurrency.
-	releaseUser := func() {}
-	if g.sched == nil {
-		if g.UserQuota > 0 && g.userRunning[job.User] >= g.UserQuota {
-			job.State = StateQueued
-			job.Info = fmt.Sprintf("queued: user %q at quota (%d concurrent jobs)", job.User, g.UserQuota)
-			g.userWaiting[job.User] = append(g.userWaiting[job.User],
-				&pendingStart{job: job, binding: binding, opts: opts})
-			g.bumpJobs() // parking is not journaled; invalidate snapshots explicitly
-			return
-		}
-		g.userRunning[job.User]++
-		releaseUser = func() {
-			g.userRunning[job.User]--
-			g.dispatchNextUser(job.User)
-		}
-		release = releaseUser
+		g.failLocked(job, binding, opts, err, nil) // no slot is held before the launch
 	}
 
 	// Survey the GPUs through the nvidia-smi XML interface at this
@@ -595,8 +560,7 @@ func (g *Galaxy) startJobLocked(job *Job, binding *ToolBinding, opts SubmitOptio
 
 	// Destination scheduling: park the job if the destination is
 	// saturated; it is redispatched (with a fresh GPU survey) when a
-	// running job there completes. The user-quota slot is returned while
-	// queued and reacquired at redispatch.
+	// running job there completes.
 	if slots := decision.Destination.Slots(); slots > 0 && g.running[decision.Destination.ID] >= slots {
 		job.State = StateQueued
 		job.Info = fmt.Sprintf("queued: destination %q has all %d slots busy",
@@ -604,15 +568,12 @@ func (g *Galaxy) startJobLocked(job *Job, binding *ToolBinding, opts SubmitOptio
 		g.waiting[decision.Destination.ID] = append(g.waiting[decision.Destination.ID],
 			&pendingStart{job: job, binding: binding, opts: opts})
 		g.bumpJobs() // parking is not journaled; invalidate snapshots explicitly
-		release = nil
-		releaseUser()
 		return
 	}
 	g.running[decision.Destination.ID]++
 	destID := decision.Destination.ID
-	release = func() {
+	release := func() {
 		g.running[destID]--
-		releaseUser()
 		g.dispatchNext(destID)
 	}
 
@@ -862,19 +823,6 @@ func (g *Galaxy) dispatchNext(destID string) {
 	}
 	next := queue[0]
 	g.waiting[destID] = queue[1:]
-	g.Engine.After(0, func(now time.Duration) {
-		g.startJob(next.job, next.binding, next.opts, now)
-	})
-}
-
-// dispatchNextUser redispatches the oldest job waiting on the user's quota.
-func (g *Galaxy) dispatchNextUser(user string) {
-	queue := g.userWaiting[user]
-	if len(queue) == 0 {
-		return
-	}
-	next := queue[0]
-	g.userWaiting[user] = queue[1:]
 	g.Engine.After(0, func(now time.Duration) {
 		g.startJob(next.job, next.binding, next.opts, now)
 	})

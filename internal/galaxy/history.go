@@ -15,10 +15,8 @@ import (
 // Histories. Galaxy "allows users to access tools, manage workflows,
 // reproduce, store and share experimental results with the community"
 // (paper, Section I). This file implements the storable/sharable record of
-// a job and the reproduce operation: re-running a record against the same
-// dataset must yield a bit-identical scientific output, which the digest
-// verifies. Everything in the stack is deterministic, so reproduction is
-// exact, not approximate.
+// a job. Everything in the stack is deterministic, so re-running a record
+// against the same dataset yields the same output digest.
 
 // HistoryRecord is the exported form of a completed job.
 type HistoryRecord struct {
@@ -90,34 +88,4 @@ func (g *Galaxy) ExportHistory(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ImportHistory reads a JSON-lines history.
-func ImportHistory(r io.Reader) ([]HistoryRecord, error) {
-	var out []HistoryRecord
-	dec := json.NewDecoder(r)
-	for dec.More() {
-		var rec HistoryRecord
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("galaxy: import history: %w", err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// Reproduce resubmits a history record against the given dataset, drives
-// the simulation to completion, and reports whether the new job's output
-// digest matches the record's. A digest mismatch with state "ok" means the
-// environment is not reproducing the original computation.
-func (g *Galaxy) Reproduce(rec HistoryRecord, dataset any) (*Job, bool, error) {
-	job, err := g.Submit(rec.Tool, rec.Params, dataset, SubmitOptions{Runtime: rec.Runtime})
-	if err != nil {
-		return nil, false, err
-	}
-	g.Run()
-	if job.State != StateOK {
-		return job, false, fmt.Errorf("galaxy: reproduction failed: %s", job.Info)
-	}
-	return job, OutputDigest(job) == rec.OutputDigest, nil
 }

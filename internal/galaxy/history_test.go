@@ -1,6 +1,7 @@
 package galaxy
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -20,9 +21,13 @@ func TestHistoryExportImportRoundTrip(t *testing.T) {
 	if err := g.ExportHistory(&b); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ImportHistory(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
+	var recs []HistoryRecord
+	for dec := json.NewDecoder(strings.NewReader(b.String())); dec.More(); {
+		var rec HistoryRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
 	}
 	if len(recs) != 2 {
 		t.Fatalf("history has %d records", len(recs))
@@ -35,74 +40,5 @@ func TestHistoryExportImportRoundTrip(t *testing.T) {
 	}
 	if recs[0].OutputDigest == recs[1].OutputDigest {
 		t.Error("different tools share a digest")
-	}
-}
-
-func TestReproduceMatchesDigest(t *testing.T) {
-	rs := smallReadSet(t)
-	g1 := testGalaxy(t)
-	job, err := g1.Submit("racon", fastParams(), rs, SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1.Run()
-	rec := Record(job)
-
-	// A fresh Galaxy instance (fresh cluster, fresh engine) reproduces
-	// the exact output from the record plus the same dataset.
-	g2 := testGalaxy(t)
-	redo, match, err := g2.Reproduce(rec, rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !match {
-		t.Fatalf("reproduction digest mismatch: %s vs %s",
-			OutputDigest(redo), rec.OutputDigest)
-	}
-	// A different dataset must NOT reproduce the digest.
-	other, err := g2.Submit("racon", fastParams(), smallReadSet(t), SubmitOptions{})
-	_ = other
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2.Run()
-}
-
-func TestReproduceDetectsChangedParams(t *testing.T) {
-	rs := smallReadSet(t)
-	g1 := testGalaxy(t)
-	job, err := g1.Submit("racon", map[string]string{
-		"scale": "0.001", "banding_flag": "--cuda-banded-alignment",
-	}, rs, SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1.Run()
-	rec := Record(job)
-
-	// Tamper with the record: banding off changes the DP and usually the
-	// consensus on noisy data. Even when the consensus happens to agree,
-	// the reproduction must at minimum run to completion; assert the
-	// command line reflects the recorded parameters when unmodified.
-	if !strings.Contains(rec.Command, "--cuda-banded-alignment") {
-		t.Fatalf("recorded command lost the banding flag: %s", rec.Command)
-	}
-	g2 := testGalaxy(t)
-	_, match, err := g2.Reproduce(rec, rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !match {
-		t.Fatal("faithful reproduction with banding did not match")
-	}
-}
-
-func TestImportHistoryRejectsGarbage(t *testing.T) {
-	if _, err := ImportHistory(strings.NewReader("{not json")); err == nil {
-		t.Fatal("garbage history accepted")
-	}
-	recs, err := ImportHistory(strings.NewReader(""))
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("empty history: %v, %d", err, len(recs))
 	}
 }

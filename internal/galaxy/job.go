@@ -57,7 +57,7 @@ type Job struct {
 	Dataset any
 	// Runtime is "" for bare-metal, or "docker"/"singularity".
 	Runtime string
-	// User attributes the job for quota accounting.
+	// User attributes the job for fair-share accounting.
 	User string
 	// Resubmitted counts how many times the job was rerouted to a
 	// fallback destination after a failure.

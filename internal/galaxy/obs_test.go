@@ -261,7 +261,8 @@ func TestConcurrentObsRecordingAndScrape(t *testing.T) {
 // waiter its removal), the counters still count them — and the journal
 // carries only the four records recovery acts on.
 func TestSchedulerQueueEventsAreObservedNotJournaled(t *testing.T) {
-	j, err := journal.Open(t.TempDir(), journal.Options{})
+	dir := t.TempDir()
+	j, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestSchedulerQueueEventsAreObservedNotJournaled(t *testing.T) {
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := journal.ReplayAll(j.Dir())
+	recs, _, err := journal.ReplayAll(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

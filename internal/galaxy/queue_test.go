@@ -131,54 +131,6 @@ func TestUnlimitedDestinationNeverQueues(t *testing.T) {
 	g.Run()
 }
 
-func TestUserQuotaLimitsConcurrency(t *testing.T) {
-	g := New(nil, WithUserQuota(1))
-	if err := g.RegisterDefaultTools(); err != nil {
-		t.Fatal(err)
-	}
-	rs := smallReadSet(t)
-	params := map[string]string{"scale": "0.01"}
-	// Alice submits two jobs; Bob one. Alice's second must wait for her
-	// first, while Bob's runs immediately.
-	alice1, err := g.Submit("racon", params, rs, SubmitOptions{User: "alice"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alice2, err := g.Submit("racon", params, rs,
-		SubmitOptions{User: "alice", Delay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bob, err := g.Submit("racon", params, rs,
-		SubmitOptions{User: "bob", Delay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	g.Engine.RunUntil(10 * time.Millisecond)
-	if alice2.State != StateQueued || !strings.Contains(alice2.Info, "quota") {
-		t.Fatalf("alice's second job state %s (%s), want queued on quota",
-			alice2.State, alice2.Info)
-	}
-	if bob.State != StateRunning {
-		t.Fatalf("bob's job state %s; quota must be per user", bob.State)
-	}
-
-	g.Run()
-	for _, j := range []*Job{alice1, alice2, bob} {
-		if j.State != StateOK {
-			t.Fatalf("job %d (%s) finished %s: %s", j.ID, j.User, j.State, j.Info)
-		}
-	}
-	if alice2.Started < alice1.Finished {
-		t.Errorf("alice's second job started at %v before her first finished at %v",
-			alice2.Started, alice1.Finished)
-	}
-	if alice1.User != "alice" || bob.User != "bob" {
-		t.Errorf("user attribution: %s, %s", alice1.User, bob.User)
-	}
-}
-
 func TestAnonymousUserDefault(t *testing.T) {
 	g := testGalaxy(t)
 	job, err := g.Submit("seqstats", nil, smallReadSet(t), SubmitOptions{})
@@ -296,55 +248,5 @@ func TestDependencyInstallChargedOnce(t *testing.T) {
 	if first.WallTime() <= second.WallTime() {
 		t.Errorf("install not reflected in wall time: %v vs %v",
 			first.WallTime(), second.WallTime())
-	}
-}
-
-func TestUserQuotaFairnessUnderUnequalLoad(t *testing.T) {
-	// Fairness regression for the per-user dispatch path: a heavy
-	// submitter (6 jobs) must not starve a light one (2 jobs) under a
-	// 1-job quota — each user's queue drains independently.
-	g := New(nil, WithUserQuota(1))
-	if err := g.RegisterDefaultTools(); err != nil {
-		t.Fatal(err)
-	}
-	rs := smallReadSet(t)
-	var heavy, light []*Job
-	for i := 0; i < 6; i++ {
-		j, err := g.Submit("seqstats", nil, rs, SubmitOptions{User: "heavy"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		heavy = append(heavy, j)
-	}
-	for i := 0; i < 2; i++ {
-		j, err := g.Submit("seqstats", nil, rs,
-			SubmitOptions{User: "light", Delay: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		light = append(light, j)
-	}
-	g.Run()
-
-	for _, j := range append(append([]*Job(nil), heavy...), light...) {
-		if j.State != StateOK {
-			t.Fatalf("job %d (%s) finished %s: %s", j.ID, j.User, j.State, j.Info)
-		}
-	}
-	// Each user serializes under the quota…
-	for _, jobs := range [][]*Job{heavy, light} {
-		for i := 1; i < len(jobs); i++ {
-			if jobs[i].Started < jobs[i-1].Finished {
-				t.Errorf("user %s ran jobs %d and %d concurrently under quota 1",
-					jobs[i].User, jobs[i-1].ID, jobs[i].ID)
-			}
-		}
-	}
-	// …but the light user's two jobs never wait behind the heavy backlog:
-	// they are done before the heavy user's third job completes.
-	lightDone := light[1].Finished
-	if lightDone > heavy[2].Finished {
-		t.Errorf("light user finished at %v, after heavy's third job at %v — starved",
-			lightDone, heavy[2].Finished)
 	}
 }

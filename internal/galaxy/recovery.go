@@ -98,9 +98,6 @@ func WithWallClock(now func() time.Time) Option {
 // is off).
 func (g *Galaxy) HandlerID() string { return g.handlerID }
 
-// Journal returns the attached journal (nil when journaling is off).
-func (g *Galaxy) Journal() *journal.Journal { return g.journal }
-
 // JournalStats returns the journal's write-side counters and whether a
 // journal is attached.
 func (g *Galaxy) JournalStats() (journal.Stats, bool) {
@@ -186,15 +183,6 @@ func (g *Galaxy) AwaitDurable(tick uint64) error {
 		return nil
 	}
 	return g.journal.AwaitDurable(tick)
-}
-
-// JournalWatermark returns the journal's commit watermark and whether a
-// journal is attached. Every ticket at or below the watermark is fsynced.
-func (g *Galaxy) JournalWatermark() (uint64, bool) {
-	if g.journal == nil {
-		return 0, false
-	}
-	return g.journal.Watermark(), true
 }
 
 // maybeHeartbeat writes a lease record if the newest one is stale. The

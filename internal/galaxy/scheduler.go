@@ -19,7 +19,7 @@ import (
 // on which exclusive device gangs. Greedy dispatch semantics change in three
 // ways:
 //
-//   - the flat UserQuota gate is replaced by weighted fair sharing;
+//   - users are ordered by weighted fair sharing instead of arrival;
 //   - destination slot limits do not apply to scheduler-managed GPU jobs
 //     (gang exclusivity is the capacity limit);
 //   - a job may be preempted (aborted and requeued, not failed) when a
@@ -43,9 +43,6 @@ type schedEntry struct {
 func WithScheduler(s *sched.Scheduler) Option {
 	return func(g *Galaxy) { g.sched = s }
 }
-
-// Scheduler returns the configured batch scheduler (nil when greedy).
-func (g *Galaxy) Scheduler() *sched.Scheduler { return g.sched }
 
 // SchedulerMetrics returns the scheduler's counters; the zero Metrics when
 // no scheduler is configured.

@@ -10,9 +10,9 @@ import (
 // engine-wide mutex, which put every Submit, Jobs() poll and /api read on
 // the same lock the dispatch machinery holds for entire scheduling cycles.
 // It is now a fixed set of stripes, each a small map guarded by its own
-// mutex, keyed by job ID. Stripe locks are leaf locks: nothing is called
-// while one is held, so they can be taken from anywhere — with or without
-// g.mu — without ordering concerns. The documented order for code that
+// mutex, keyed by job ID. Stripe locks are leaf locks: nothing that locks is
+// called while one is held, so they can be taken from anywhere — with or
+// without g.mu — without ordering concerns. The documented order for code that
 // needs both is g.mu before a stripe lock, never the reverse.
 
 // jobStripes is the stripe count; a power of two so the modulo is a mask.
@@ -55,6 +55,25 @@ func (t *jobTable) get(id int) *Job {
 	j := s.jobs[id]
 	s.mu.Unlock()
 	return j
+}
+
+// stampTicket records the commit ticket of a published job's submit record.
+// Submit runs without g.mu, so the write takes the job's stripe lock — the
+// lock clone holds around every copy of a live job.
+func (t *jobTable) stampTicket(j *Job, ticket uint64) {
+	s := t.stripe(j.ID)
+	s.mu.Lock()
+	j.DurableTicket = ticket
+	s.mu.Unlock()
+}
+
+// clone copies a live job under its stripe lock (see stampTicket). The
+// caller holds g.mu, which orders the copy against every other mutation.
+func (t *jobTable) clone(j *Job) *Job {
+	s := t.stripe(j.ID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return j.clone()
 }
 
 // size returns the number of jobs in the table.

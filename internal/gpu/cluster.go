@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"gyan/internal/sim"
 )
@@ -95,49 +94,4 @@ func (c *Cluster) AvailableMinors() []int {
 		}
 	}
 	return out
-}
-
-// AllMinors returns every device minor ID in ascending order.
-func (c *Cluster) AllMinors() []int {
-	out := make([]int, len(c.devices))
-	for i := range c.devices {
-		out[i] = c.devices[i].minor
-	}
-	return out
-}
-
-// TotalEnergyOver returns the summed energy of every device over the
-// window, in joules.
-func (c *Cluster) TotalEnergyOver(from, to time.Duration) float64 {
-	var j float64
-	for _, d := range c.devices {
-		j += d.EnergyOver(from, to)
-	}
-	return j
-}
-
-// TotalKernelsLaunched returns the cluster-wide kernel count.
-func (c *Cluster) TotalKernelsLaunched() int64 {
-	var n int64
-	for _, d := range c.devices {
-		n += d.KernelsLaunched()
-	}
-	return n
-}
-
-// MinMemoryMinor returns the minor ID of the device with the least used
-// framebuffer memory, breaking ties toward the lower minor ID — the
-// selection rule of the paper's "Process Allocated Memory Approach".
-// It returns -1 on a GPU-less cluster.
-func (c *Cluster) MinMemoryMinor() int {
-	if len(c.devices) == 0 {
-		return -1
-	}
-	best := c.devices[0]
-	for _, d := range c.devices[1:] {
-		if d.UsedMemoryBytes() < best.UsedMemoryBytes() {
-			best = d
-		}
-	}
-	return best.minor
 }

@@ -53,7 +53,6 @@ type Device struct {
 	// finishes; new kernels from the same process queue behind it, and
 	// overlap with other processes' entries models SM contention.
 	kernelEnd map[int]time.Duration
-	launched  int64 // total kernels launched, for stats
 }
 
 func newDevice(spec DeviceSpec, minor int, clock *sim.Clock) *Device {
@@ -92,11 +91,6 @@ func (d *Device) UsedMemoryBytes() int64 {
 // driverReservedBytes is the framebuffer the driver holds even on an idle
 // device; Fig. 10 shows 63 MiB used on the idle GPU 0.
 const driverReservedBytes int64 = 63 << 20
-
-// FreeMemoryBytes returns the framebuffer memory still available.
-func (d *Device) FreeMemoryBytes() int64 {
-	return d.spec.MemoryBytes - d.UsedMemoryBytes()
-}
 
 // Processes returns a snapshot of the compute processes resident on the
 // device, ordered by PID, mirroring the nvidia-smi Processes table.
@@ -177,31 +171,6 @@ func (d *Device) Alloc(pid int, bytes int64) error {
 	return nil
 }
 
-// Free releases bytes of pid's framebuffer. Freeing more than the process
-// holds is an accounting error and is reported as such.
-func (d *Device) Free(pid int, bytes int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	p, ok := d.procs[pid]
-	if !ok {
-		return fmt.Errorf("gpu: Free by unattached pid %d on device %d", pid, d.minor)
-	}
-	if bytes < 0 || bytes > p.MemoryBytes {
-		return fmt.Errorf("gpu: pid %d freeing %d bytes but holds %d", pid, bytes, p.MemoryBytes)
-	}
-	p.MemoryBytes -= bytes
-	d.usedBytes -= bytes
-	return nil
-}
-
-// KernelsLaunched returns the total number of kernels the device has
-// executed.
-func (d *Device) KernelsLaunched() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.launched
-}
-
 // UtilizationOver reports the device's SM utilization percentage over the
 // virtual-time window [from, to), defined as the occupancy-weighted fraction
 // of the window during which at least one kernel was resident. This is what
@@ -263,18 +232,6 @@ func (d *Device) EnergyOver(from, to time.Duration) float64 {
 	idle := float64(d.spec.IdlePowerWatts)
 	dynamic := float64(d.spec.PowerLimitWatts - d.spec.IdlePowerWatts)
 	return (idle + dynamic*util) * span
-}
-
-// BusyAt reports whether any kernel was resident at virtual instant t.
-func (d *Device) BusyAt(t time.Duration) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, iv := range d.busy {
-		if iv.start <= t && t < iv.end {
-			return true
-		}
-	}
-	return false
 }
 
 // recordBusy appends a busy interval; caller must hold d.mu.

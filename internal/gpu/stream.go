@@ -69,9 +69,6 @@ func (d *Device) NewStream(pid int, procName string, start time.Duration, prof P
 // Device returns the device the stream executes on.
 func (s *Stream) Device() *Device { return s.dev }
 
-// PID returns the owning process ID.
-func (s *Stream) PID() int { return s.pid }
-
 // Now returns the stream's current position in absolute virtual time.
 func (s *Stream) Now() time.Duration { return s.t }
 
@@ -108,15 +105,6 @@ func (s *Stream) HostOverhead(api string, d time.Duration) {
 		panic(fmt.Sprintf("gpu: HostOverhead with negative duration %v", d))
 	}
 	s.advance(api, d)
-}
-
-// FreeMem releases device memory previously allocated with Malloc.
-func (s *Stream) FreeMem(bytes int64) error {
-	if err := s.dev.Free(s.pid, bytes); err != nil {
-		return err
-	}
-	s.advance("cudaFree", 20*time.Microsecond)
-	return nil
 }
 
 // CopyH2D models a host-to-device transfer over PCIe. The copy is
@@ -181,7 +169,6 @@ func (s *Stream) Launch(k Kernel) error {
 	s.done = end
 	d.kernelEnd[s.pid] = end
 	d.recordBusy(s.pid, start, end, k.Occupancy(d.spec))
-	d.launched++
 	d.mu.Unlock()
 
 	if s.prof != nil {

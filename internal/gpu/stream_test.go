@@ -133,12 +133,6 @@ func TestMallocChargesTimeAndAccounts(t *testing.T) {
 	if got := d.Processes()[0].MemoryMiB(); got != 1024 {
 		t.Errorf("after Malloc(1GiB), process holds %d MiB", got)
 	}
-	if err := s.FreeMem(1 << 30); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Processes()[0].MemoryMiB(); got != 0 {
-		t.Errorf("after FreeMem, process holds %d MiB", got)
-	}
 }
 
 func TestCopyTimesScaleWithSize(t *testing.T) {
@@ -224,21 +218,6 @@ func TestLaunchValidatesKernel(t *testing.T) {
 	s := d.NewStream(c.NextPID(), "tool", 0, nil)
 	if err := s.Launch(Kernel{Name: "bad", Blocks: 0, ThreadsPerBlock: 1}); err == nil {
 		t.Fatal("invalid kernel launched successfully")
-	}
-}
-
-func TestKernelsLaunchedCounter(t *testing.T) {
-	c := NewPaperTestbed(nil)
-	d, _ := c.Device(0)
-	s := d.NewStream(c.NextPID(), "tool", 0, nil)
-	k := Kernel{Name: "k", Ops: 1e6, Blocks: 13, ThreadsPerBlock: 128}
-	for i := 0; i < 5; i++ {
-		if err := s.Launch(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := d.KernelsLaunched(); got != 5 {
-		t.Fatalf("KernelsLaunched = %d, want 5", got)
 	}
 }
 

@@ -49,10 +49,6 @@ func (d Destination) BoolParam(id string) bool {
 	return ok && strings.EqualFold(v, "true")
 }
 
-// IsDynamic reports whether the destination delegates to a dynamic rule
-// (the paper's dynamic_destination.py).
-func (d Destination) IsDynamic() bool { return strings.EqualFold(d.Runner, "dynamic") }
-
 // Slots returns the destination's concurrency limit from its "slots" param;
 // 0 means unlimited. Malformed values read as 0 (unlimited), matching
 // Galaxy's lenient handling of unknown destination params.
@@ -144,20 +140,6 @@ func (c *Config) Destination(id string) (Destination, error) {
 		}
 	}
 	return Destination{}, fmt.Errorf("jobconf: no destination %q", id)
-}
-
-// DestinationForTool resolves a tool's configured destination, falling back
-// to the default.
-func (c *Config) DestinationForTool(toolID string) (Destination, error) {
-	for _, t := range c.Tools.Items {
-		if t.ID == toolID {
-			return c.Destination(t.Destination)
-		}
-	}
-	if c.Destinations.Default == "" {
-		return Destination{}, fmt.Errorf("jobconf: tool %q unmapped and no default destination", toolID)
-	}
-	return c.Destination(c.Destinations.Default)
 }
 
 // DefaultJobConfXML is the configuration of the paper's Code 2: a dynamic

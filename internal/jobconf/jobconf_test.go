@@ -14,7 +14,7 @@ func TestDefaultConfigParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsDynamic() {
+	if d.Runner != "dynamic" {
 		t.Fatal("dynamic destination not flagged dynamic")
 	}
 	if fn, ok := d.Param("function"); !ok || fn != "gpu_dynamic_destination" {
@@ -50,25 +50,6 @@ func TestDestinationParams(t *testing.T) {
 	}
 	if _, ok := cpu.Param("nonexistent"); ok {
 		t.Error("absent param reported present")
-	}
-}
-
-func TestDestinationForTool(t *testing.T) {
-	c := Default()
-	d, err := c.DestinationForTool("racon")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.ID != "dynamic" {
-		t.Fatalf("racon mapped to %q", d.ID)
-	}
-	// Unmapped tools fall back to the default.
-	d, err = c.DestinationForTool("some_other_tool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.ID != "dynamic" {
-		t.Fatalf("fallback destination = %q", d.ID)
 	}
 }
 

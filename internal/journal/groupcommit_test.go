@@ -63,7 +63,7 @@ func TestFlushErrorLatchesJournal(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("AwaitDurable still parked after flush failure")
 	}
-	if wm := j.Watermark(); wm >= tick {
+	if wm := j.Stats().Watermark; wm >= tick {
 		t.Fatalf("watermark %d passed ticket %d whose batch never reached disk", wm, tick)
 	}
 	// The journal is latched by the time the waiter failed (fail runs before

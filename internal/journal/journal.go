@@ -81,8 +81,10 @@ type Stats struct {
 	Bytes int64
 	// Segment is the highest current segment sequence number.
 	Segment int
-	// Watermark is the commit watermark: the highest ticket below which
-	// every issued ticket has been fsynced. See Journal.Watermark.
+	// Watermark is the commit watermark: the highest ticket t such that
+	// every ticket issued up to and including t has been fsynced. It is
+	// monotonic — once a ticket is at or below it, it is durable forever —
+	// which lets async-durable submitters await durability in bulk.
 	Watermark uint64
 	// Tick is the highest ticket issued so far.
 	Tick uint64
@@ -325,9 +327,6 @@ func open(dir string, opts Options, laneCap int) (*Journal, error) {
 	return j, nil
 }
 
-// Dir returns the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // shardWindow clusters consecutive append keys onto one pipeline: keys
 // [0,W) share a shard, [W,2W) the next, and so on. Job IDs are issued
 // sequentially, so the jobs in flight at any moment span a narrow ID range
@@ -424,8 +423,9 @@ func (j *Journal) Append(rec Record) error {
 // durable-class record returns as soon as it is staged, with the commit
 // ticket it was assigned. The caller trades the per-record durability ack
 // for throughput and awaits durability in bulk instead — AwaitDurable(tick)
-// (or polling Watermark) reports when the record is on disk. A crash before
-// the flush drops the record; the ticket then never reaches the watermark.
+// (or polling Stats().Watermark) reports when the record is on disk. A crash
+// before the flush drops the record; the ticket then never reaches the
+// watermark.
 func (j *Journal) AppendAsync(rec Record) (uint64, error) {
 	return j.append(rec, false)
 }
@@ -447,13 +447,6 @@ func (j *Journal) Sync() error {
 	}
 	return first
 }
-
-// Watermark returns the commit watermark: the highest ticket t such that
-// every ticket issued up to and including t has been fsynced. It is
-// monotonic — once a ticket is at or below the watermark it is durable
-// forever — which is what lets async-durable submitters await durability in
-// bulk instead of per record.
-func (j *Journal) Watermark() uint64 { return j.wm.Load() }
 
 // AwaitDurable blocks until the commit watermark reaches tick — i.e. until
 // the record that Append/AppendAsync assigned that ticket is fsynced, along

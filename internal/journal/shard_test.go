@@ -145,7 +145,7 @@ func TestShardedStagedLossIsPerStripe(t *testing.T) {
 		}
 		staged = append(staged, tick)
 	}
-	wm := j.Watermark()
+	wm := j.Stats().Watermark
 	for _, tk := range staged {
 		if tk <= wm {
 			t.Fatalf("staged ticket %d already at or below watermark %d", tk, wm)
@@ -198,7 +198,7 @@ func TestAsyncDurableCrashBetweenStageAndFlush(t *testing.T) {
 		t.Fatalf("AwaitDurable returned %v with the flush held", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if wm := j.Watermark(); wm >= tick {
+	if wm := j.Stats().Watermark; wm >= tick {
 		t.Fatalf("watermark %d covers unflushed ticket %d", wm, tick)
 	}
 	if err := j.Crash(); err != nil {
@@ -267,7 +267,7 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 	deadline := time.Now().Add(150 * time.Millisecond)
 	last := uint64(0)
 	for time.Now().Before(deadline) {
-		wm := j.Watermark()
+		wm := j.Stats().Watermark
 		if wm < last {
 			t.Errorf("watermark went backwards: %d -> %d", last, wm)
 			break
@@ -278,7 +278,7 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 			break
 		}
 	}
-	wm := j.Watermark()
+	wm := j.Stats().Watermark
 	stop.Store(true)
 	if err := j.Crash(); err != nil {
 		t.Fatal(err)

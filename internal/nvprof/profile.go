@@ -73,24 +73,6 @@ func (p *Profile) RecordKernelDetail(name string, device int, start, dur time.Du
 	p.kernels = append(p.kernels, KernelExec{Name: name, Device: device, Start: start, Dur: dur, MemFraction: memFraction})
 }
 
-// APICalls returns a copy of the recorded API events in recording order.
-func (p *Profile) APICalls() []APICall {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]APICall, len(p.apis))
-	copy(out, p.apis)
-	return out
-}
-
-// Kernels returns a copy of the recorded kernel events in recording order.
-func (p *Profile) Kernels() []KernelExec {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]KernelExec, len(p.kernels))
-	copy(out, p.kernels)
-	return out
-}
-
 // Hotspot is one row of a hotspot breakdown.
 type Hotspot struct {
 	// Name of the API call or kernel.
@@ -186,35 +168,4 @@ func (p *Profile) Hotspots() []Hotspot {
 		h.Total += k.Dur
 	}
 	return hotspots(m)
-}
-
-// GPUTime returns the total device-side kernel time.
-func (p *Profile) GPUTime() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var t time.Duration
-	for _, k := range p.kernels {
-		t += k.Dur
-	}
-	return t
-}
-
-// APITime returns the total host-side API time (including synchronization
-// waits, so it overlaps GPUTime the way nvprof's API view does).
-func (p *Profile) APITime() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var t time.Duration
-	for _, a := range p.apis {
-		t += a.Dur
-	}
-	return t
-}
-
-// Reset discards all recorded events.
-func (p *Profile) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.apis = p.apis[:0]
-	p.kernels = p.kernels[:0]
 }

@@ -58,23 +58,11 @@ func TestHotspotsDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestTimes(t *testing.T) {
-	p := New()
-	p.RecordAPI("cudaMalloc", 0, 2*time.Second)
-	p.RecordKernel("k", 0, 0, 5*time.Second)
-	if got := p.APITime(); got != 2*time.Second {
-		t.Errorf("APITime = %v", got)
-	}
-	if got := p.GPUTime(); got != 5*time.Second {
-		t.Errorf("GPUTime = %v", got)
-	}
-}
-
 func TestKernelDetailUpgradesEvent(t *testing.T) {
 	p := New()
 	p.RecordKernel("k", 1, time.Second, 2*time.Second)
 	p.RecordKernelDetail("k", 1, time.Second, 2*time.Second, 0.7)
-	ks := p.Kernels()
+	ks := p.kernels
 	if len(ks) != 1 {
 		t.Fatalf("detail record duplicated event: %d kernels", len(ks))
 	}
@@ -116,16 +104,6 @@ func TestStallsNeutralForUndetailedKernels(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	p := New()
-	p.RecordAPI("a", 0, time.Second)
-	p.RecordKernel("k", 0, 0, time.Second)
-	p.Reset()
-	if len(p.APICalls()) != 0 || len(p.Kernels()) != 0 {
-		t.Fatal("Reset left events behind")
-	}
-}
-
 func TestRenderContainsSections(t *testing.T) {
 	p := New()
 	p.RecordAPI("cudaStreamSynchronize", 0, 4*time.Second)
@@ -156,14 +134,14 @@ func TestProfileDrivenByStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Synchronize()
-	ks := p.Kernels()
+	ks := p.kernels
 	if len(ks) != 1 {
 		t.Fatalf("profile saw %d kernels", len(ks))
 	}
 	if ks[0].MemFraction <= 0 || ks[0].MemFraction > 1 {
 		t.Fatalf("stream did not deliver kernel detail: MemFraction = %v", ks[0].MemFraction)
 	}
-	if p.APITime() == 0 {
+	if len(p.apis) == 0 {
 		t.Fatal("no API time recorded")
 	}
 }

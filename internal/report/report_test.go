@@ -24,9 +24,6 @@ func TestTableAlignment(t *testing.T) {
 	if hIdx != rIdx {
 		t.Errorf("columns misaligned: header 'cpu' at %d, row at %d\n%s", hIdx, rIdx, out)
 	}
-	if tb.Rows() != 2 {
-		t.Errorf("Rows() = %d", tb.Rows())
-	}
 }
 
 func TestTableShortRowPadded(t *testing.T) {

@@ -84,17 +84,6 @@ func ProcessCountScorer(minor int, u smi.Usage) float64 {
 	return float64(len(u.ProcsByGPU[minor]))
 }
 
-// MemoryScorer prefers devices with the least allocated framebuffer memory
-// — the "Process Allocated Memory Approach".
-func MemoryScorer(minor int, u smi.Usage) float64 {
-	return float64(u.UsedMemMiBByGPU[minor])
-}
-
-// UtilizationScorer prefers devices with the lowest SM utilization.
-func UtilizationScorer(minor int, u smi.Usage) float64 {
-	return float64(u.UtilPctByGPU[minor])
-}
-
 // Config tunes a Scheduler.
 type Config struct {
 	// Backfill enables sliding small jobs past a blocked head-of-line
@@ -655,4 +644,3 @@ func subtract(xs, ys []int) []int {
 	}
 	return out
 }
-

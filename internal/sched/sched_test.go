@@ -134,7 +134,7 @@ func TestOversizedGangRejected(t *testing.T) {
 }
 
 func TestScorerPicksLeastLoadedDevice(t *testing.T) {
-	s := New(Config{Scorer: MemoryScorer})
+	s := New(Config{Scorer: func(minor int, u smi.Usage) float64 { return float64(u.UsedMemMiBByGPU[minor]) }})
 	u := usageOf(2)
 	u.UsedMemMiBByGPU[0] = 4000
 	u.UsedMemMiBByGPU[1] = 100

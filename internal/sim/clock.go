@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -17,9 +16,8 @@ import (
 // Clock is a virtual clock. The zero value is ready to use and starts at
 // virtual time zero. Clock is safe for concurrent use.
 //
-// A Clock only moves forward when Advance or Sleep is called; it never tracks
-// wall time. Components that model latency (kernel launches, PCIe transfers,
-// container cold starts) charge their cost to the clock with Advance.
+// A Clock only moves forward when AdvanceTo is called; it never tracks wall
+// time. The event engine moves it to each event's instant.
 type Clock struct {
 	mu  sync.Mutex
 	now time.Duration
@@ -36,18 +34,6 @@ func (c *Clock) Now() time.Duration {
 	return c.now
 }
 
-// Advance moves the clock forward by d and returns the new virtual time.
-// Advance panics if d is negative: virtual time never flows backwards.
-func (c *Clock) Advance(d time.Duration) time.Duration {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: Advance by negative duration %v", d))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now += d
-	return c.now
-}
-
 // AdvanceTo moves the clock forward to t if t is later than the current
 // virtual time, and reports the resulting time. Moving to a past instant is a
 // no-op, which makes AdvanceTo convenient for merging timelines produced by
@@ -60,6 +46,3 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 	}
 	return c.now
 }
-
-// Seconds reports the current virtual time in seconds.
-func (c *Clock) Seconds() float64 { return c.Now().Seconds() }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -13,29 +12,9 @@ func TestClockStartsAtZero(t *testing.T) {
 	}
 }
 
-func TestClockAdvance(t *testing.T) {
-	c := NewClock()
-	if got := c.Advance(3 * time.Second); got != 3*time.Second {
-		t.Fatalf("Advance returned %v, want 3s", got)
-	}
-	c.Advance(500 * time.Millisecond)
-	if got := c.Now(); got != 3500*time.Millisecond {
-		t.Fatalf("Now() = %v, want 3.5s", got)
-	}
-}
-
-func TestClockAdvanceNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
-		}
-	}()
-	NewClock().Advance(-time.Second)
-}
-
 func TestClockAdvanceToIsMonotone(t *testing.T) {
 	c := NewClock()
-	c.Advance(10 * time.Second)
+	c.AdvanceTo(10 * time.Second)
 	c.AdvanceTo(5 * time.Second) // must not move backwards
 	if got := c.Now(); got != 10*time.Second {
 		t.Fatalf("AdvanceTo past instant moved clock to %v", got)
@@ -43,33 +22,5 @@ func TestClockAdvanceToIsMonotone(t *testing.T) {
 	c.AdvanceTo(15 * time.Second)
 	if got := c.Now(); got != 15*time.Second {
 		t.Fatalf("AdvanceTo(15s) left clock at %v", got)
-	}
-}
-
-func TestClockSeconds(t *testing.T) {
-	c := NewClock()
-	c.Advance(2500 * time.Millisecond)
-	if got := c.Seconds(); got != 2.5 {
-		t.Fatalf("Seconds() = %v, want 2.5", got)
-	}
-}
-
-func TestClockConcurrentAdvance(t *testing.T) {
-	c := NewClock()
-	const workers, steps = 8, 1000
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < steps; j++ {
-				c.Advance(time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	want := time.Duration(workers*steps) * time.Microsecond
-	if got := c.Now(); got != want {
-		t.Fatalf("concurrent advance lost updates: got %v, want %v", got, want)
 	}
 }

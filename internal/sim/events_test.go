@@ -61,7 +61,7 @@ func TestEngineSchedulePastClampsToNow(t *testing.T) {
 	// submitter) fires at the current instant instead of reordering
 	// history.
 	e := NewEngine(nil)
-	e.Clock().Advance(5 * time.Second)
+	e.Clock().AdvanceTo(5 * time.Second)
 	var at time.Duration
 	e.Schedule(time.Second, func(now time.Duration) { at = now })
 	e.Run()
@@ -75,7 +75,7 @@ func TestEngineSchedulePastClampsToNow(t *testing.T) {
 
 func TestEngineAfterUsesCurrentTime(t *testing.T) {
 	e := NewEngine(nil)
-	e.Clock().Advance(10 * time.Second)
+	e.Clock().AdvanceTo(10 * time.Second)
 	var at time.Duration
 	e.After(2*time.Second, func(now time.Duration) { at = now })
 	e.Run()

@@ -62,10 +62,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Split derives an independent generator from r's stream. The derived
-// generator's sequence does not overlap r's in practice, which lets
-// concurrent workers share a single seed without sharing state.
-func (r *RNG) Split() *RNG {
-	return &RNG{state: r.Uint64() ^ 0xa3ec647659359acd}
-}

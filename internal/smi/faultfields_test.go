@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 // memDoc builds a minimal two-GPU nvidia-smi document with the given
@@ -135,25 +134,5 @@ func TestUsageWithoutHidesDevices(t *testing.T) {
 	same := u.Without(nil)
 	if fmt.Sprint(same.AllGPUs) != fmt.Sprint(u.AllGPUs) {
 		t.Error("Without(nil) altered the survey")
-	}
-}
-
-func TestQueryWithHookAbortsProbe(t *testing.T) {
-	c, at := busyTestbed(t)
-	boom := errors.New("nvidia-smi: Unable to determine the device handle")
-	var sawAt time.Duration
-	_, err := QueryWith(c, at, func(now time.Duration) error {
-		sawAt = now
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("QueryWith error = %v, want the hook's", err)
-	}
-	if sawAt != at {
-		t.Errorf("hook saw t=%v, want %v", sawAt, at)
-	}
-	doc, err := QueryWith(c, at, nil)
-	if err != nil || !strings.Contains(doc, "<nvidia_smi_log>") {
-		t.Fatalf("nil hook should behave like Query: %v", err)
 	}
 }

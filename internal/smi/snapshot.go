@@ -132,22 +132,6 @@ func Query(c *gpu.Cluster, at time.Duration) (string, error) {
 	return RenderXML(Snapshot(c, at))
 }
 
-// QueryHook intercepts a snapshot read. A non-nil error aborts the probe
-// before the cluster is surveyed — the fault-injection seam for flaky
-// `nvidia-smi` invocations (hung driver, ECC sweep, Xid reset), which on a
-// real host fail as a subprocess error before any XML exists.
-type QueryHook func(at time.Duration) error
-
-// QueryWith is Query with a hook consulted first; a nil hook is Query.
-func QueryWith(c *gpu.Cluster, at time.Duration, hook QueryHook) (string, error) {
-	if hook != nil {
-		if err := hook(at); err != nil {
-			return "", err
-		}
-	}
-	return Query(c, at)
-}
-
 func (p ProcessInfo) String() string {
 	return fmt.Sprintf("pid %d (%s) %d MiB", p.PID, p.Name, p.UsedMemoryMiB)
 }

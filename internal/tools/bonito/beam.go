@@ -142,13 +142,3 @@ func DecodeBeam(logits Matrix, cfg BeamConfig) ([]byte, error) {
 	}
 	return []byte(best), nil
 }
-
-// BasecallBeam runs the network forward pass and decodes with prefix beam
-// search.
-func (n *Net) BasecallBeam(samples []float64, cfg BeamConfig) ([]byte, error) {
-	logits, _, err := n.Forward(samples)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBeam(logits, cfg)
-}

@@ -96,7 +96,11 @@ func TestBeamOnRealSquiggles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		beamCall, err := net.BasecallBeam(sq.Samples, DefaultBeamConfig())
+		logits, _, err := net.Forward(sq.Samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		beamCall, err := DecodeBeam(logits, DefaultBeamConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

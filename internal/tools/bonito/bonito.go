@@ -263,15 +263,6 @@ func maxDur(a, b time.Duration) time.Duration {
 	return b
 }
 
-// Evaluate reports the mean call identity of a completed run — the
-// `bonito evaluate` functionality.
-func Evaluate(set *workload.SquiggleSet, calls []bioseq.Seq) (float64, error) {
-	if len(calls) != len(set.Squiggles) {
-		return 0, fmt.Errorf("bonito: %d calls for %d squiggles", len(calls), len(set.Squiggles))
-	}
-	return meanIdentity(set, calls), nil
-}
-
 // meanIdentity averages the identity of calls against the ground truth of
 // the squiggles they were decoded from, one call per squiggle.
 func meanIdentity(set *workload.SquiggleSet, calls []bioseq.Seq) float64 {

@@ -138,6 +138,11 @@ func TestBasecallRecoversTruth(t *testing.T) {
 	}
 }
 
+// Decode is decode with a fresh class buffer.
+func Decode(logits Matrix) ([]byte, error) {
+	return decode(logits, make([]int, logits.Rows))
+}
+
 func decodeClasses(t *testing.T, seq []int) string {
 	t.Helper()
 	logits := NewMatrix(len(seq), numClasses)
@@ -322,27 +327,6 @@ func TestRunValidation(t *testing.T) {
 	p.Scale = 2
 	if _, err := Run(set, p, Env{}); err == nil {
 		t.Error("scale > 1 accepted")
-	}
-}
-
-func TestEvaluate(t *testing.T) {
-	set := smallSet(t)
-	res, err := Run(set, DefaultParams(), Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := Evaluate(set, res.Calls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id < 0.99 {
-		t.Errorf("mean identity = %.4f", id)
-	}
-	if id != res.MeanIdentity {
-		t.Errorf("Evaluate (%.6f) disagrees with Run (%.6f)", id, res.MeanIdentity)
-	}
-	if _, err := Evaluate(set, res.Calls[:1]); err == nil {
-		t.Error("mismatched call count accepted")
 	}
 }
 

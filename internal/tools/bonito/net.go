@@ -130,14 +130,9 @@ func (n *Net) forward(samples []float64, ws *workspace) (Matrix, int64, error) {
 	return logits, f1 + f2, nil
 }
 
-// Decode performs CTC greedy decoding over the logits: per-timestep argmax,
+// decode performs CTC greedy decoding over the logits: per-timestep argmax,
 // repair of isolated misclassifications, collapse of consecutive repeats,
-// and blank removal.
-func Decode(logits Matrix) ([]byte, error) {
-	return decode(logits, make([]int, logits.Rows))
-}
-
-// decode is Decode with the per-timestep classes in the caller's slice, one
+// and blank removal. The per-timestep classes go in the caller's slice, one
 // element per row of logits.
 func decode(logits Matrix, classes []int) ([]byte, error) {
 	if logits.Cols != numClasses {

@@ -62,18 +62,6 @@ func NewConv1D(inCh, outCh, width int) (*Conv1D, error) {
 	}, nil
 }
 
-// Forward applies the layer to a T x InCh input and returns the T x OutCh
-// output plus the FLOPs spent (2*T*InCh*Width*OutCh, the figure the cost
-// model charges to the device; gathering the taps is free).
-func (l *Conv1D) Forward(x Matrix) (Matrix, int64, error) {
-	out := NewMatrix(x.Rows, l.OutCh)
-	flops, err := l.forward(x, out.Data)
-	if err != nil {
-		return Matrix{}, 0, err
-	}
-	return out, flops, nil
-}
-
 // forward writes the layer's T x OutCh output into out, every element of it.
 //
 // Output (i, o) is the float32 sum, from zero and in ascending k = c*Width+w,

@@ -70,6 +70,17 @@ func convIm2col(l *Conv1D, x Matrix) (Matrix, int64, error) {
 	return out, flops, nil
 }
 
+// Forward is forward into a fresh matrix, for the tests that want the output
+// as a value.
+func (l *Conv1D) Forward(x Matrix) (Matrix, int64, error) {
+	out := NewMatrix(x.Rows, l.OutCh)
+	flops, err := l.forward(x, out.Data)
+	if err != nil {
+		return Matrix{}, 0, err
+	}
+	return out, flops, nil
+}
+
 func requireBitIdentical(t *testing.T, what string, l *Conv1D, x Matrix) Matrix {
 	t.Helper()
 	got, gotFlops, err := l.Forward(x)

@@ -13,8 +13,8 @@ import (
 
 func mustSeq(t *testing.T, id, bases string) bioseq.Seq {
 	t.Helper()
-	s, err := bioseq.FromString(id, bases)
-	if err != nil {
+	s := bioseq.Seq{ID: id, Bases: []byte(bases)}
+	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	return s

@@ -69,9 +69,6 @@ func NewGraph(backbone []byte, scores bioseq.AlignScores, band int) (*Graph, err
 	return g, nil
 }
 
-// NodeCount returns the number of nodes currently in the graph.
-func (g *Graph) NodeCount() int { return len(g.nodes) }
-
 func (g *Graph) addNode(base byte) int {
 	g.nodes = append(g.nodes, poaNode{base: base})
 	return len(g.nodes) - 1

@@ -46,8 +46,8 @@ func TestAddIdenticalSequencesKeepsConsensus(t *testing.T) {
 		t.Fatalf("consensus = %s, want %s", got, backbone)
 	}
 	// Identical sequences must fuse, not balloon the graph.
-	if g.NodeCount() != len(backbone) {
-		t.Fatalf("graph has %d nodes after identical adds, want %d", g.NodeCount(), len(backbone))
+	if len(g.nodes) != len(backbone) {
+		t.Fatalf("graph has %d nodes after identical adds, want %d", len(g.nodes), len(backbone))
 	}
 }
 
@@ -189,7 +189,7 @@ func TestGraphRemainsDAG(t *testing.T) {
 			if _, err := g.AddSequence(read); err != nil {
 				return false
 			}
-			if len(g.topoOrder()) != g.NodeCount() {
+			if len(g.topoOrder()) != len(g.nodes) {
 				return false // cycle: topo order incomplete
 			}
 		}

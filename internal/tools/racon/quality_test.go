@@ -3,8 +3,6 @@ package racon
 import (
 	"testing"
 	"testing/quick"
-
-	"gyan/internal/gpu"
 )
 
 func TestQVScale(t *testing.T) {
@@ -96,63 +94,5 @@ func TestWorstWindowsOrdering(t *testing.T) {
 func TestSummarizeEmpty(t *testing.T) {
 	if s := Summarize(nil); s != (QualitySummary{}) {
 		t.Fatalf("empty summary = %+v", s)
-	}
-}
-
-func TestRunRoundsImprovesThenHolds(t *testing.T) {
-	rs := testReadSet(t)
-	results, err := RunRounds(rs, DefaultParams(), Env{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d rounds", len(results))
-	}
-	// Each round's draft is the previous round's consensus.
-	for i := 1; i < len(results); i++ {
-		if d := results[i].DraftIdentity - results[i-1].PolishedIdentity; d < -1e-9 || d > 1e-9 {
-			t.Errorf("round %d draft %.6f != round %d polished %.6f",
-				i+1, results[i].DraftIdentity, i, results[i-1].PolishedIdentity)
-		}
-	}
-	// Round 1 improves sharply; later rounds must not regress meaningfully.
-	if results[0].PolishedIdentity <= results[0].DraftIdentity {
-		t.Error("round 1 did not improve the draft")
-	}
-	final := results[len(results)-1].PolishedIdentity
-	if final < results[0].PolishedIdentity-0.003 {
-		t.Errorf("iteration regressed: %.4f -> %.4f", results[0].PolishedIdentity, final)
-	}
-}
-
-func TestRunRoundsKeepOpenOnlyFinalRound(t *testing.T) {
-	rs := testReadSet(t)
-	c := gpu.NewPaperTestbed(nil)
-	env := gpuEnv(t, c, 0)
-	env.KeepOpen = true
-	results, err := RunRounds(rs, DefaultParams(), env, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results[0].Sessions) != 0 {
-		t.Error("intermediate round left sessions open")
-	}
-	if len(results[1].Sessions) != 1 {
-		t.Fatalf("final round sessions = %d", len(results[1].Sessions))
-	}
-	d, _ := c.Device(0)
-	if d.ProcessCount() != 1 {
-		t.Fatalf("device process count = %d after KeepOpen rounds", d.ProcessCount())
-	}
-	results[1].Sessions[0].Close()
-}
-
-func TestRunRoundsValidation(t *testing.T) {
-	rs := testReadSet(t)
-	if _, err := RunRounds(rs, DefaultParams(), Env{}, 0); err == nil {
-		t.Error("zero rounds accepted")
-	}
-	if _, err := RunRounds(nil, DefaultParams(), Env{}, 1); err == nil {
-		t.Error("nil read set accepted")
 	}
 }

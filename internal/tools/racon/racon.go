@@ -230,36 +230,6 @@ func Run(rs *workload.ReadSet, p Params, env Env) (*Result, error) {
 	return res, nil
 }
 
-// RunRounds polishes iteratively: each round's consensus becomes the next
-// round's draft backbone, the way Racon is applied 2-4 times in real
-// assembly pipelines. It returns one Result per round; the caller reads the
-// quality trajectory off DraftIdentity/PolishedIdentity. When env.KeepOpen
-// is set, only the final round's sessions are left open.
-func RunRounds(rs *workload.ReadSet, p Params, env Env, rounds int) ([]*Result, error) {
-	if rounds < 1 {
-		return nil, fmt.Errorf("racon: %d polishing rounds", rounds)
-	}
-	if rs == nil {
-		return nil, fmt.Errorf("racon: nil read set")
-	}
-	out := make([]*Result, 0, rounds)
-	current := *rs
-	roundEnv := env
-	for i := 0; i < rounds; i++ {
-		roundEnv.KeepOpen = env.KeepOpen && i == rounds-1
-		res, err := Run(&current, p, roundEnv)
-		if err != nil {
-			return nil, fmt.Errorf("racon: round %d: %w", i+1, err)
-		}
-		out = append(out, res)
-		current.Backbone = res.Consensus
-		// Later rounds start where the previous one ended on the
-		// virtual timeline.
-		roundEnv.Start += res.Timing.Total()
-	}
-	return out, nil
-}
-
 // polishAll runs the real POA over all windows with a worker pool and
 // returns the per-window consensus pieces in window order.
 func polishAll(windows []Window, threads, band int) ([][]byte, int64, error) {

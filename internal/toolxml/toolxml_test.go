@@ -274,75 +274,6 @@ func TestRenderCommandBracedVariables(t *testing.T) {
 	}
 }
 
-func TestRenderRoundTrip(t *testing.T) {
-	for name, doc := range map[string]string{
-		"racon":   RaconToolXML,
-		"bonito":  BonitoToolXML,
-		"paswas":  PaswasToolXML,
-		"cpuonly": CPUOnlyToolXML,
-	} {
-		orig, err := Parse(doc)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		rendered, err := Render(orig)
-		if err != nil {
-			t.Fatalf("%s: render: %v", name, err)
-		}
-		back, err := Parse(rendered)
-		if err != nil {
-			t.Fatalf("%s: reparse: %v\n%s", name, err, rendered)
-		}
-		if back.ID != orig.ID || back.Name != orig.Name || back.Version != orig.Version {
-			t.Errorf("%s: header changed: %s/%s/%s", name, back.ID, back.Name, back.Version)
-		}
-		if len(back.Requirements.Items) != len(orig.Requirements.Items) {
-			t.Errorf("%s: requirements changed: %d != %d", name,
-				len(back.Requirements.Items), len(orig.Requirements.Items))
-		}
-		if back.RequiresGPU() != orig.RequiresGPU() {
-			t.Errorf("%s: GPU requirement lost in round trip", name)
-		}
-		if len(back.Inputs.Params) != len(orig.Inputs.Params) {
-			t.Errorf("%s: params changed: %d != %d", name,
-				len(back.Inputs.Params), len(orig.Inputs.Params))
-		}
-		if strings.TrimSpace(back.Command.Text) != strings.TrimSpace(orig.Command.Text) {
-			t.Errorf("%s: command changed:\n%q\n%q", name, back.Command.Text, orig.Command.Text)
-		}
-	}
-}
-
-func TestRenderExpandedToolKeepsGPURequirement(t *testing.T) {
-	tool, err := RaconGPUTool()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rendered, err := Render(tool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(rendered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.RequiresGPU() {
-		t.Fatal("expanded GPU requirement lost through render")
-	}
-	if _, ok := back.ContainerFor("docker"); !ok {
-		t.Fatal("container lost through render")
-	}
-}
-
-func TestRenderValidation(t *testing.T) {
-	if _, err := Render(nil); err == nil {
-		t.Error("nil tool rendered")
-	}
-	if _, err := Render(&Tool{}); err == nil {
-		t.Error("id-less tool rendered")
-	}
-}
-
 // Property: RenderCommand never panics and is deterministic on arbitrary
 // parameter values for the real wrappers.
 func TestRenderCommandRobustness(t *testing.T) {

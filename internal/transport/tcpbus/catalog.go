@@ -4,12 +4,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -136,30 +133,4 @@ func (c *Catalog) append(id string, rec MemberRecord) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Members returns the newest record for every member in the catalog, sorted
-// by ID.
-func (c *Catalog) Members() ([]MemberRecord, error) {
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []MemberRecord
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".member") {
-			continue
-		}
-		id := strings.TrimSuffix(name, ".member")
-		rec, found, err := c.Last(id)
-		if err != nil {
-			return nil, fmt.Errorf("tcpbus: catalog %s: %w", name, err)
-		}
-		if found {
-			out = append(out, rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
 }

@@ -47,9 +47,4 @@ func TestCatalogIncarnationPersistsAcrossReopen(t *testing.T) {
 	if err != nil || !found || rec.Inc != 2 {
 		t.Fatalf("torn tail not tolerated: %+v found=%v err=%v", rec, found, err)
 	}
-
-	members, err := c2.Members()
-	if err != nil || len(members) != 1 || members[0].ID != "h0" {
-		t.Fatalf("members listing wrong: %+v err=%v", members, err)
-	}
 }

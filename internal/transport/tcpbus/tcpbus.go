@@ -543,18 +543,6 @@ func (b *Bus) Heal(to string) {
 	delete(b.cut, to)
 }
 
-// Pending counts queued traffic: the local inbox plus everything sitting in
-// outbound peer queues.
-func (b *Bus) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := len(b.inbox)
-	for _, p := range b.peers {
-		n += len(p.ch)
-	}
-	return n
-}
-
 // PendingFor counts this member's inbox when asked about Self, a peer's
 // outbound queue otherwise.
 func (b *Bus) PendingFor(id string) int {
@@ -567,22 +555,6 @@ func (b *Bus) PendingFor(id string) int {
 		return len(p.ch)
 	}
 	return 0
-}
-
-// NextDeliveryAfter scans the inbox for the earliest stamp after now.
-// Arrivals are stamped at the current clock, so in practice this only
-// reports messages that raced in between the caller's clock read and now.
-func (b *Bus) NextDeliveryAfter(now time.Duration) (time.Duration, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var best time.Duration
-	found := false
-	for _, m := range b.inbox {
-		if m.DeliverAt > now && (!found || m.DeliverAt < best) {
-			best, found = m.DeliverAt, true
-		}
-	}
-	return best, found
 }
 
 // Stats snapshots the traffic counters.

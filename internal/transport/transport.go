@@ -77,17 +77,12 @@ type Stats struct {
 // the real-socket tcpbus.Bus both implement it. Send never blocks and never
 // fails — loss is a statistic, not an error, because every protocol exchange
 // already tolerates drops via retries. Receive pops whatever has arrived for
-// a member, ordered by (DeliverAt, Seq). Kill and Revive model a member's
-// crash and restart at the network layer: a killed member's inbound queue is
-// destroyed and stays closed until Revive bumps its incarnation.
+// a member, ordered by (DeliverAt, Seq). Crash and restart at the network
+// layer (Kill, Revive) and partitions belong to the concrete buses: the
+// protocol never calls them, the chaos tests and the conformance suite do.
 type Transport interface {
 	Send(now time.Duration, typ, from, to string, body any)
 	Receive(now time.Duration, to string) []Message
-	Kill(id string)
-	Revive(id string)
-	Pending() int
-	PendingFor(id string) int
-	NextDeliveryAfter(now time.Duration) (time.Duration, bool)
 	Stats() Stats
 }
 
@@ -117,7 +112,6 @@ type Bus struct {
 	seq    uint64
 	queues map[string][]Message
 	dead   map[string]bool
-	incs   map[string]uint64
 	stats  Stats
 }
 
@@ -134,7 +128,6 @@ func New(opts Options) *Bus {
 		rng:    sim.NewRNG(opts.Seed ^ 0x7472616e73706f72), // "transpor"
 		queues: make(map[string][]Message),
 		dead:   make(map[string]bool),
-		incs:   make(map[string]uint64),
 	}
 }
 
@@ -167,7 +160,7 @@ func (b *Bus) Send(now time.Duration, typ, from, to string, body any) {
 		lat = time.Nanosecond
 	}
 	msg := Message{Type: typ, From: from, To: to, Seq: b.seq, SentAt: now, Body: body}
-	fault, fired := plan.CheckMsg(now, faults.MsgSite{Type: typ, From: from, To: to, Seq: b.seq})
+	fault, fired := plan.CheckMsg(faults.MsgSite{Type: typ, From: from, To: to, Seq: b.seq})
 	if fired {
 		if fault.Drop {
 			b.stats.Dropped++
@@ -235,60 +228,14 @@ func (b *Bus) Kill(id string) {
 	b.dead[id] = true
 }
 
-// Revive reopens a killed member's inbound side under a bumped incarnation:
-// the restart half of kill -9. The queue was destroyed at kill time, so the
-// member comes back with a fresh (empty) inbox — nothing sent during the
-// outage is resurrected — and sends to it queue again. Reviving a member
-// that was never killed only bumps its incarnation.
+// Revive reopens a killed member's inbound side: the restart half of
+// kill -9. The queue was destroyed at kill time, so the member comes back
+// with a fresh (empty) inbox — nothing sent during the outage is
+// resurrected — and sends to it queue again.
 func (b *Bus) Revive(id string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	delete(b.dead, id)
-	b.incs[id]++
-}
-
-// Incarnation reports how many times a member has been revived; 0 for a
-// member in its first life.
-func (b *Bus) Incarnation(id string) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.incs[id]
-}
-
-// Pending reports how many messages are queued bus-wide (in flight).
-func (b *Bus) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, q := range b.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// PendingFor reports how many messages are queued for one member.
-func (b *Bus) PendingFor(id string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.queues[id])
-}
-
-// NextDeliveryAfter returns the earliest DeliverAt strictly after now, or
-// zero if nothing is queued — the cluster uses it to know whether another
-// tick of message pumping can make progress.
-func (b *Bus) NextDeliveryAfter(now time.Duration) (time.Duration, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var best time.Duration
-	found := false
-	for _, q := range b.queues {
-		for _, m := range q {
-			if m.DeliverAt > now && (!found || m.DeliverAt < best) {
-				best, found = m.DeliverAt, true
-			}
-		}
-	}
-	return best, found
 }
 
 // Stats returns a snapshot of the traffic counters.

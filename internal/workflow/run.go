@@ -69,12 +69,6 @@ func NewRun(d *DAG, policy FailurePolicy) *Run {
 	return r
 }
 
-// Policy returns the run's failure policy.
-func (r *Run) Policy() FailurePolicy { return r.policy }
-
-// DAG returns the graph the run executes.
-func (r *Run) DAG() *DAG { return r.dag }
-
 // State returns a step's current state ("" for an unknown step).
 func (r *Run) State(id string) StepState { return r.state[id] }
 
@@ -189,11 +183,6 @@ func (r *Run) PreferredDevices(id string) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// ParentDevices returns one completed parent's recorded placement.
-func (r *Run) ParentDevices(id string) []int {
-	return append([]int(nil), r.devices[id]...)
 }
 
 // Done reports whether every step reached a terminal state.

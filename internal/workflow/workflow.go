@@ -163,15 +163,6 @@ func Build(name string, steps []Step, opts BuildOptions) (*DAG, error) {
 // Len returns the number of steps.
 func (d *DAG) Len() int { return len(d.steps) }
 
-// Step returns a step by ID.
-func (d *DAG) Step(id string) (Step, bool) {
-	i, ok := d.byID[id]
-	if !ok {
-		return Step{}, false
-	}
-	return d.steps[i], true
-}
-
 // Steps returns the steps in declaration order (a copy).
 func (d *DAG) Steps() []Step { return append([]Step(nil), d.steps...) }
 
@@ -184,11 +175,6 @@ func (d *DAG) Parents(id string) []string {
 		return append([]string(nil), d.steps[i].After...)
 	}
 	return nil
-}
-
-// Children returns the steps that depend on id.
-func (d *DAG) Children(id string) []string {
-	return append([]string(nil), d.children[id]...)
 }
 
 // Descendants returns every step transitively downstream of id.

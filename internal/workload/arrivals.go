@@ -32,43 +32,3 @@ func PoissonArrivals(seed uint64, ratePerSec float64, n int) ([]time.Duration, e
 	}
 	return out, nil
 }
-
-// UniformArrivals returns n arrivals spaced exactly `period` apart,
-// starting at one period.
-func UniformArrivals(period time.Duration, n int) ([]time.Duration, error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("workload: arrival period %v", period)
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("workload: %d arrivals", n)
-	}
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = time.Duration(i+1) * period
-	}
-	return out, nil
-}
-
-// BurstArrivals returns arrivals grouped into bursts: `burst` jobs spaced
-// `within` apart, with `between` separating burst starts, until n jobs are
-// emitted. This is the arrival shape that separates scatter-style policies
-// from single-device ones.
-func BurstArrivals(burst int, within, between time.Duration, n int) ([]time.Duration, error) {
-	if burst < 1 {
-		return nil, fmt.Errorf("workload: burst size %d", burst)
-	}
-	if within <= 0 || between <= 0 {
-		return nil, fmt.Errorf("workload: burst spacing %v/%v", within, between)
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("workload: %d arrivals", n)
-	}
-	out := make([]time.Duration, 0, n)
-	for len(out) < n {
-		burstStart := time.Duration(len(out)/burst) * between
-		for j := 0; j < burst && len(out) < n; j++ {
-			out = append(out, burstStart+time.Duration(j)*within)
-		}
-	}
-	return out, nil
-}

@@ -35,52 +35,11 @@ func TestPoissonArrivalsProperties(t *testing.T) {
 	}
 }
 
-func TestUniformArrivals(t *testing.T) {
-	arr, err := UniformArrivals(time.Second, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second} {
-		if arr[i] != want {
-			t.Fatalf("arrival %d = %v, want %v", i, arr[i], want)
-		}
-	}
-}
-
-func TestBurstArrivals(t *testing.T) {
-	arr, err := BurstArrivals(3, time.Millisecond, time.Second, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arr) != 7 {
-		t.Fatalf("got %d arrivals", len(arr))
-	}
-	// First burst at 0, 1ms, 2ms; second at 1s, ...; third starts 2s.
-	if arr[0] != 0 || arr[2] != 2*time.Millisecond {
-		t.Errorf("first burst = %v", arr[:3])
-	}
-	if arr[3] != time.Second {
-		t.Errorf("second burst starts at %v", arr[3])
-	}
-	if arr[6] != 2*time.Second {
-		t.Errorf("third burst starts at %v", arr[6])
-	}
-}
-
 func TestArrivalValidation(t *testing.T) {
 	if _, err := PoissonArrivals(1, 0, 5); err == nil {
 		t.Error("zero rate accepted")
 	}
 	if _, err := PoissonArrivals(1, 1, -1); err == nil {
 		t.Error("negative count accepted")
-	}
-	if _, err := UniformArrivals(0, 5); err == nil {
-		t.Error("zero period accepted")
-	}
-	if _, err := BurstArrivals(0, time.Second, time.Second, 5); err == nil {
-		t.Error("zero burst accepted")
-	}
-	if _, err := BurstArrivals(2, 0, time.Second, 5); err == nil {
-		t.Error("zero spacing accepted")
 	}
 }

@@ -84,16 +84,6 @@ type ReadSet struct {
 	Starts []int
 }
 
-// PayloadBytes returns the actual synthetic payload size (sum of read
-// lengths), as opposed to the modeled NominalBytes.
-func (rs *ReadSet) PayloadBytes() int64 {
-	var n int64
-	for _, r := range rs.Reads {
-		n += int64(len(r.Bases))
-	}
-	return n
-}
-
 // GenerateLongReads builds a deterministic synthetic read set.
 func GenerateLongReads(cfg LongReadConfig) (*ReadSet, error) {
 	if err := cfg.Validate(); err != nil {
@@ -183,35 +173,6 @@ func otherBase(rng *sim.RNG, b byte) byte {
 			return nb
 		}
 	}
-}
-
-// Sequencing-technology error profiles. The paper's two tools target the
-// "two most popular long-read technologies — PacBio and Oxford Nanopore";
-// these presets bake in each platform's characteristic error mix so
-// workloads can be generated per technology.
-
-// PacBioCLRProfile applies continuous-long-read error rates (~12% total,
-// indel-dominated) to a config.
-func PacBioCLRProfile(cfg LongReadConfig) LongReadConfig {
-	cfg.SubRate, cfg.InsRate, cfg.DelRate = 0.02, 0.06, 0.04
-	return cfg
-}
-
-// PacBioHiFiProfile applies circular-consensus rates (~1% total).
-func PacBioHiFiProfile(cfg LongReadConfig) LongReadConfig {
-	cfg.SubRate, cfg.InsRate, cfg.DelRate = 0.004, 0.003, 0.003
-	return cfg
-}
-
-// NanoporeProfile applies R9-era nanopore rates (~10%, deletion-leaning).
-func NanoporeProfile(cfg LongReadConfig) LongReadConfig {
-	cfg.SubRate, cfg.InsRate, cfg.DelRate = 0.03, 0.03, 0.05
-	return cfg
-}
-
-// TotalErrorRate returns the configured per-base error probability.
-func (c LongReadConfig) TotalErrorRate() float64 {
-	return c.SubRate + c.InsRate + c.DelRate
 }
 
 // AlzheimersNFL returns the stand-in for the paper's "17 GB Alzheimers NFL

@@ -88,21 +88,6 @@ type SquiggleSet struct {
 	Squiggles    []Squiggle
 }
 
-// SampleCount returns the total number of signal samples in the set.
-func (ss *SquiggleSet) SampleCount() int {
-	n := 0
-	for _, s := range ss.Squiggles {
-		n += len(s.Samples)
-	}
-	return n
-}
-
-// PayloadBytes returns the synthetic payload size (float32-equivalent, as
-// fast5 stores raw signal compactly).
-func (ss *SquiggleSet) PayloadBytes() int64 {
-	return int64(ss.SampleCount()) * 4
-}
-
 // GenerateSquiggles synthesizes a deterministic squiggle set.
 func GenerateSquiggles(cfg SquiggleConfig) (*SquiggleSet, error) {
 	if err := cfg.Validate(); err != nil {

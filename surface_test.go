@@ -1,0 +1,410 @@
+package gyan
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+const modulePath = "gyan"
+
+// seams is the only escape from TestExportedSurfaceIsUsed: an exported
+// fault-injection hook or recovery observer that no program calls, kept
+// because a test in a *different* package (an external p_test package
+// included) drives the system through it and could not reach it unexported.
+// Each entry names that test; the check fails on an entry no other-package
+// test references, on one the programs have since started to call, and on a
+// sixteenth.
+var seams = map[string]string{
+	"journal.Journal.HoldFlush":       "parks the flushers so a crash loses staged records on cue: galaxy TestCrashMidWorkloadRequeuesWithSeniority, api TestAsyncDurableAckWaitsForWatermark",
+	"faults.NewMsgPlan":               "arms the message-fault plan a simulated bus consults: cluster TestTransportChaosKillBetweenPhases, transporttest TestSimBusConformance",
+	"faults.MsgPlan.Cut":              "installs a one-way partition: cluster TestStaggeredDetectionDivergentViews, transport TestBusOneWayPartitionAndKill",
+	"faults.MsgPlan.Heal":             "lifts a one-way partition: transport TestBusOneWayPartitionAndKill, transporttest TestSimBusConformance",
+	"faults.MsgPlan.MsgFired":         "tells a chaos phase its injected fault has fired: cluster TestTransportChaosKillBetweenPhases",
+	"faults.Quarantine.IsQuarantined": "asks whether one device is fenced at an instant: galaxy TestQuarantineRoutesRetryAroundBadDevice",
+	"transport.Bus.Revive":            "restarts a killed member on the simulated bus: transporttest TestSimBusConformance",
+	"tcpbus.Bus.Revive":               "restarts a killed endpoint in process: tcpbus_test TestTCPBusConformance",
+	"tcpbus.Bus.Cut":                  "blocks one outbound direction: tcpbus_test TestTCPBusConformance",
+	"tcpbus.Bus.Heal":                 "lifts a Cut: tcpbus_test TestTCPBusConformance",
+	"sched.Scheduler.Usage":           "the one window on a fair-share account: galaxy TestRecoverRestoresQuarantineAndFairShare checks recovery re-credits it",
+}
+
+const maxSeams = 15
+
+// TestExportedSurfaceIsUsed holds the tree to one rule: an exported function
+// or method of internal/ or cmd/ is part of the system only if a non-test
+// file of the module references it (bench/, examples/ and cmd/ count as
+// callers), or it implements a method of an interface through which non-test
+// code calls its type — an interface of the standard library, whose callers
+// are out of sight, or one of the module's whose method non-test code calls.
+// A function only tests reach is surface a reviewer must read and a refactor
+// must keep compiling for nothing: delete it with its tests, unexport it if
+// only its own package's tests need it, or — for a fault hook — list it in
+// seams. Wiring a flag or an endpoint to it just to pass is the wrong fix.
+func TestExportedSurfaceIsUsed(t *testing.T) {
+	l := newLoader(t)
+	dirs := l.packageDirs()
+
+	// Pass 1: the programs. Every non-test file of every package that is not
+	// itself test support (one whose non-test files import "testing").
+	used := map[*types.Func]bool{}
+	var ifaces []*types.Interface
+	stdImported := map[*types.Package]bool{}
+	var live []*pkg
+	for _, dir := range dirs {
+		p := l.load(l.importPath(dir))
+		if p.testSupport {
+			continue
+		}
+		live = append(live, p)
+		for _, imp := range p.types.Imports() {
+			if !inModule(imp.Path()) {
+				stdImported[imp] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					if i, ok := p.info.TypeOf(it).(*types.Interface); ok && i.NumMethods() > 0 {
+						ifaces = append(ifaces, i)
+					}
+				}
+				return true
+			})
+			for _, d := range f.Decls {
+				markUses(p.info, d, used)
+			}
+		}
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for sp := range stdImported {
+		scope := sp.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+				continue
+			}
+			if i, ok := tn.Type().Underlying().(*types.Interface); ok && i.NumMethods() > 0 {
+				ifaces = append(ifaces, i)
+			}
+		}
+	}
+
+	// Pass 2: the tests. What each package's test files (and the non-test
+	// files of a test-support package) reference in *other* packages.
+	testUsed := map[*types.Func]bool{}
+	for _, dir := range dirs {
+		l.markTestUses(dir, testUsed)
+	}
+
+	// The rule, over every exported func, method and interface method that
+	// internal/ and cmd/ declare.
+	seamSeen := map[string]bool{}
+	var dead []string
+	for _, p := range live {
+		if !strings.HasPrefix(p.path, modulePath+"/internal/") && !strings.HasPrefix(p.path, modulePath+"/cmd/") {
+			continue
+		}
+		for _, fn := range p.exportedFuncs() {
+			name := funcName(fn)
+			reason, isSeam := seams[name]
+			switch {
+			case used[fn] || viaInterface(fn, ifaces, used):
+				if isSeam {
+					t.Errorf("seam %s is referenced by non-test code now: drop it from seams", name)
+					seamSeen[name] = true
+				}
+			case isSeam:
+				seamSeen[name] = true
+				if reason == "" {
+					t.Errorf("seam %s gives no reason", name)
+				}
+				if !testUsed[fn] {
+					t.Errorf("seam %s is referenced by no test outside package %s: delete or unexport it", name, fn.Pkg().Name())
+				}
+			default:
+				pos := l.fset.Position(fn.Pos())
+				rel, _ := filepath.Rel(l.root, pos.Filename)
+				dead = append(dead, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, name))
+			}
+		}
+	}
+	for name := range seams {
+		if !seamSeen[name] {
+			t.Errorf("seam %s names nothing the tree declares", name)
+		}
+	}
+	if len(seams) > maxSeams {
+		t.Errorf("seams has %d entries; the cap is %d", len(seams), maxSeams)
+	}
+	if len(dead) > 0 {
+		sort.Strings(dead)
+		t.Errorf("%d exported functions and methods are referenced by no non-test file and implement no interface the programs call through:\n\t%s",
+			len(dead), strings.Join(dead, "\n\t"))
+	}
+}
+
+// markUses records every function or method the declaration references,
+// except a function's references to itself.
+func markUses(info *types.Info, d ast.Decl, used map[*types.Func]bool) {
+	var self types.Object
+	if fd, ok := d.(*ast.FuncDecl); ok {
+		self = info.Defs[fd.Name]
+	}
+	ast.Inspect(d, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if fn, ok := info.Uses[id].(*types.Func); ok && fn.Origin() != self {
+				used[fn.Origin()] = true
+			}
+		}
+		return true
+	})
+}
+
+// viaInterface reports whether the method implements a method of an interface
+// the programs call its type through: any interface outside the module with a
+// method of that name that the receiver (or its pointer) implements, or one of
+// the module's whose own method of that name is used.
+func viaInterface(fn *types.Func, ifaces []*types.Interface, used map[*types.Func]bool) bool {
+	named := recvNamed(fn)
+	if named == nil || named.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, i := range ifaces {
+		for k := 0; k < i.NumMethods(); k++ {
+			m := i.Method(k)
+			if m.Name() != fn.Name() || m == fn {
+				continue
+			}
+			if !types.Implements(named, i) && !types.Implements(types.NewPointer(named), i) {
+				continue
+			}
+			if m.Pkg() == nil || !inModule(m.Pkg().Path()) || used[m.Origin()] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// funcName is the seams-table spelling: pkg.Func, pkg.Type.Method.
+func funcName(fn *types.Func) string {
+	name := fn.Pkg().Name() + "."
+	if named := recvNamed(fn); named != nil {
+		name += named.Obj().Name() + "."
+	}
+	return name + fn.Name()
+}
+
+// recvNamed is the named type a method is declared on, through a pointer
+// receiver if need be; nil for a plain function.
+func recvNamed(fn *types.Func) *types.Named {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	rt := recv.Type()
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = p.Elem()
+	}
+	named, _ := rt.(*types.Named)
+	return named
+}
+
+func inModule(path string) bool {
+	return path == modulePath || strings.HasPrefix(path, modulePath+"/")
+}
+
+// pkg is one directory's non-test files, type-checked once and shared by
+// everything that imports it, so a *types.Func is one pointer module-wide.
+type pkg struct {
+	path        string
+	bp          *build.Package
+	files       []*ast.File
+	types       *types.Package
+	info        *types.Info
+	testSupport bool
+}
+
+// exportedFuncs lists the package's exported functions and methods, and the
+// exported methods its interface types declare.
+func (p *pkg) exportedFuncs() []*types.Func {
+	var out []*types.Func
+	add := func(id *ast.Ident) {
+		if fn, ok := p.info.Defs[id].(*types.Func); ok && id.IsExported() {
+			out = append(out, fn)
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				add(n.Name)
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						add(id)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// loader type-checks the module from source: its own packages through load,
+// the standard library through go/importer's "source" mode.
+type loader struct {
+	t    *testing.T
+	fset *token.FileSet
+	root string
+	std  types.Importer
+	pkgs map[string]*pkg
+}
+
+func newLoader(t *testing.T) *loader {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	return &loader{t: t, fset: fset, root: root, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*pkg{}}
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if !inModule(path) {
+		return l.std.Import(path)
+	}
+	return l.load(path).types, nil
+}
+
+func (l *loader) importPath(dir string) string {
+	rel, err := filepath.Rel(l.root, dir)
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	if rel == "." {
+		return modulePath
+	}
+	return modulePath + "/" + filepath.ToSlash(rel)
+}
+
+func (l *loader) dir(path string) string {
+	return filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/")))
+}
+
+// packageDirs is every directory of the module holding Go files this
+// platform builds, skipping dot- and underscore-directories and testdata.
+func (l *loader) packageDirs() []string {
+	var dirs []string
+	err := filepath.WalkDir(l.root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != l.root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if _, err := build.Default.ImportDir(path, 0); err == nil {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	return dirs
+}
+
+func (l *loader) parse(dir string, names []string) []*ast.File {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			l.t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+func (l *loader) check(path string, files []*ast.File) (*types.Package, *types.Info) {
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	conf := types.Config{Importer: l, Error: func(err error) { l.t.Errorf("type-checking %s: %v", path, err) }}
+	tp, _ := conf.Check(path, l.fset, files, info)
+	return tp, info
+}
+
+func (l *loader) load(path string) *pkg {
+	if p, ok := l.pkgs[path]; ok {
+		return p
+	}
+	dir := l.dir(path)
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		l.t.Fatalf("%s: %v", path, err)
+	}
+	p := &pkg{path: path, bp: bp, files: l.parse(dir, bp.GoFiles)}
+	l.pkgs[path] = p
+	for _, imp := range bp.Imports {
+		p.testSupport = p.testSupport || imp == "testing"
+	}
+	p.types, p.info = l.check(path, p.files)
+	return p
+}
+
+// markTestUses type-checks the directory's test files — in-package ones
+// together with the package, external ones on their own — and records which
+// functions of other packages they reference; for an external test package
+// (package p_test) that includes p. A test-support package's non-test files
+// count as tests.
+func (l *loader) markTestUses(dir string, testUsed map[*types.Func]bool) {
+	p := l.load(l.importPath(dir))
+	record := func(info *types.Info, files []*ast.File, own *types.Package) {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := info.Uses[id].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg() == own {
+					return true
+				}
+				if q, ok := l.pkgs[fn.Pkg().Path()]; ok && q.types == fn.Pkg() {
+					testUsed[fn.Origin()] = true
+				}
+				return true
+			})
+		}
+	}
+	if p.testSupport {
+		record(p.info, p.files, p.types)
+	}
+	if len(p.bp.TestGoFiles) > 0 {
+		tests := l.parse(dir, p.bp.TestGoFiles)
+		_, info := l.check(p.path, append(append([]*ast.File(nil), p.files...), tests...))
+		record(info, tests, nil) // own references resolve into the variant, never the shared package
+	}
+	if len(p.bp.XTestGoFiles) > 0 {
+		tests := l.parse(dir, p.bp.XTestGoFiles)
+		_, info := l.check(p.path+"_test", tests)
+		record(info, tests, nil) // an external test package reaches only what is exported
+	}
+}
