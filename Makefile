@@ -10,7 +10,8 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/journal:FuzzReplay \
                 ./internal/workflow:FuzzBuildDAG \
                 ./internal/smi:FuzzParseXML \
-                ./internal/bioseq:FuzzEditDistance
+                ./internal/bioseq:FuzzEditDistance \
+                ./internal/tools/racon:FuzzAddSequence
 FUZZTIME     ?= 10s
 
 .PHONY: check build vet test test-race test-flake test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke

@@ -15,44 +15,46 @@ import (
 	"gyan/internal/workload"
 )
 
-func BenchmarkPOAAddSequence(b *testing.B) {
-	rng := sim.NewRNG(3)
-	backbone := make([]byte, 500)
-	read := make([]byte, 500)
-	for i := range backbone {
-		backbone[i] = bioseq.Alphabet[rng.Intn(4)]
-		read[i] = backbone[i]
+// benchPolishWindows polishes, per iteration, every window racon cuts from
+// rs: multi-read graphs with branches, rings and reuse across windows, which
+// is what a racon job spends its host time on.
+func benchPolishWindows(b *testing.B, load func() (*workload.ReadSet, error), band int) {
+	rs, err := load()
+	if err != nil {
+		b.Fatal(err)
 	}
+	mappings, _, err := racon.MapReads(rs.Backbone, rs.Reads, racon.DefaultK)
+	if err != nil {
+		b.Fatal(err)
+	}
+	windows, err := racon.BuildWindows(rs.Backbone, rs.Reads, mappings, racon.DefaultParams().WindowLen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := racon.NewGraph(backbone, bioseq.DefaultScores(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := g.AddSequence(read); err != nil {
-			b.Fatal(err)
+		for _, w := range windows {
+			if _, _, err := racon.PolishWindow(w, bioseq.DefaultScores(), band); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
-func BenchmarkPOAAddSequenceBanded(b *testing.B) {
-	rng := sim.NewRNG(3)
-	backbone := make([]byte, 500)
-	read := make([]byte, 500)
-	for i := range backbone {
-		backbone[i] = bioseq.Alphabet[rng.Intn(4)]
-		read[i] = backbone[i]
+// BenchmarkPolishWindow: the one window of bench's batch_drain read set, and
+// the 40 windows of the server's default read set, unbanded and banded.
+func BenchmarkPolishWindow(b *testing.B) {
+	tiny := func() (*workload.ReadSet, error) {
+		return workload.GenerateLongReads(workload.LongReadConfig{
+			Name: "bench_reads", Seed: 42, RefLen: 240, ReadLen: 80, Coverage: 2,
+			SubRate: 0.02, InsRate: 0.03, DelRate: 0.03, BackboneErrorRate: 0.04,
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := racon.NewGraph(backbone, bioseq.DefaultScores(), 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := g.AddSequence(read); err != nil {
-			b.Fatal(err)
-		}
-	}
+	nfl := func() (*workload.ReadSet, error) { return workload.AlzheimersNFL(42) }
+	b.Run("batch_drain", func(b *testing.B) { benchPolishWindows(b, tiny, 0) })
+	b.Run("alzheimers_nfl", func(b *testing.B) { benchPolishWindows(b, nfl, 0) })
+	b.Run("alzheimers_nfl_banded", func(b *testing.B) { benchPolishWindows(b, nfl, racon.DefaultParams().BandWidth) })
 }
 
 // BenchmarkBasecall is one real squiggle through the network and the greedy

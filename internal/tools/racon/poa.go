@@ -7,10 +7,22 @@
 // identical consensus sequences — while execution time is charged to the
 // simulation's virtual clock using the models in model.go, calibrated
 // against the paper's Section VI measurements.
+//
+// The host loop is therefore pure overhead to whoever waits for a job, and
+// the POA is written for speed. An alignment fills one int32 score matrix in
+// a reused workspace and stores nothing else: a cell's value is a maximum,
+// which no evaluation order can change, and the move an alignment takes
+// through a cell — the first candidate, in a fixed order, whose value equals
+// the cell's — is read back from the scores during the traceback. That order
+// (per in-edge diagonal then up, left last; first maximum in row-major order
+// as the end; Kahn's order, ascending seeds, first in first out) decides
+// ties and so the graph; it is exactly that of the textbook three-matrix
+// fill kept in poa_test.go, to which every graph is held node for node.
 package racon
 
 import (
 	"fmt"
+	"sync"
 
 	"gyan/internal/bioseq"
 )
@@ -55,7 +67,8 @@ func NewGraph(backbone []byte, scores bioseq.AlignScores, band int) (*Graph, err
 	if band < 0 {
 		return nil, fmt.Errorf("racon: negative band %d", band)
 	}
-	g := &Graph{scores: scores, band: band}
+	// Room for the backbone and as many read-specific nodes again.
+	g := &Graph{nodes: make([]poaNode, 0, 2*len(backbone)), scores: scores, band: band}
 	prev := -1
 	for _, b := range backbone {
 		id := g.addNode(b)
@@ -91,35 +104,99 @@ func (g *Graph) addEdge(from, to, w int) {
 	g.nodes[to].in = append(g.nodes[to].in, poaEdge{to: from, weight: w})
 }
 
-// topoOrder returns the node IDs in a topological order (Kahn's algorithm).
-// The graph is a DAG by construction: sequences are added along monotone
-// alignments, so edges always point "forward".
-func (g *Graph) topoOrder() []int {
-	indeg := make([]int, len(g.nodes))
+// workspace holds every buffer an alignment or a consensus walk needs. It
+// only grows and is never cleared: each use writes what it later reads (row 0,
+// column 0 and every cell of every row, in or out of the band), so one
+// workspace serves graphs and reads of any size in any order. AddSequence and
+// Consensus borrow one from workspaces for the call, so a polishing worker
+// keeps meeting the one its processor cached and a one-window job allocates
+// no matrix either.
+type workspace struct {
+	// score[(r+1)*width + j]: best alignment of graph prefix (nodes with
+	// topo rank <= r) against seq[:j]. Row 0 is the virtual start. It is the
+	// only matrix: the traceback recovers each move from the scores.
+	score []int32
+	// order is Kahn's topological order (and, while it is being built, the
+	// FIFO queue); rank is its inverse; indeg counts unvisited in-edges.
+	order, rank, indeg []int
+	// profile holds, per distinct node base met in this read, one row of
+	// substitution scores against the read; profileAt[b] is 1 + its offset.
+	profile   []int32
+	profileAt [256]int32
+	// preds is predRows' result; path is the traceback's node list.
+	preds, path []int
+	// unreached is a row of negInf, the state every matrix row starts in.
+	unreached []int32
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// grow returns buf resized to n, contents unspecified. A new buffer gets
+// headroom, since a graph gains a few nodes with every read.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/2)
+	}
+	return buf[:n]
+}
+
+// topo fills ws.order with the node IDs in topological order and ws.rank with
+// each node's position in it: Kahn's algorithm, zero-in-degree nodes seeded
+// in ascending ID, first in first out. The order decides which alignment wins
+// a tie, so it is part of the result. The graph is a DAG by construction:
+// sequences are added along monotone alignments, so edges point "forward".
+func (ws *workspace) topo(g *Graph) {
+	n := len(g.nodes)
+	ws.rank, ws.indeg = grow(ws.rank, n), grow(ws.indeg, n)
+	order := grow(ws.order, n)[:0]
 	for i := range g.nodes {
-		for _, e := range g.nodes[i].out {
-			indeg[e.to]++
+		if ws.indeg[i] = len(g.nodes[i].in); ws.indeg[i] == 0 {
+			order = append(order, i)
 		}
 	}
-	queue := make([]int, 0, len(g.nodes))
-	for i := range g.nodes {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	order := make([]int, 0, len(g.nodes))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, e := range g.nodes[n].out {
-			indeg[e.to]--
-			if indeg[e.to] == 0 {
-				queue = append(queue, e.to)
+	for head := 0; head < len(order); head++ {
+		id := order[head]
+		ws.rank[id] = head
+		for _, e := range g.nodes[id].out {
+			if ws.indeg[e.to]--; ws.indeg[e.to] == 0 {
+				order = append(order, e.to)
 			}
 		}
 	}
-	return order
+	ws.order = order
+}
+
+// predRows returns the offsets in ws.score of the rows a cell of node's row
+// follows: one per in-edge, in node.in order, or the virtual start row for a
+// node that has none. Valid until the next call.
+func (ws *workspace) predRows(node *poaNode, width int) []int {
+	ws.preds = ws.preds[:0]
+	for _, e := range node.in {
+		ws.preds = append(ws.preds, (ws.rank[e.to]+1)*width)
+	}
+	if len(ws.preds) == 0 {
+		ws.preds = append(ws.preds, 0)
+	}
+	return ws.preds
+}
+
+// profileFor returns sub[j] = the score of aligning base against seq[j],
+// built once per distinct base per read.
+func (ws *workspace) profileFor(base byte, seq []byte, s bioseq.AlignScores) []int32 {
+	m := len(seq)
+	if at := int(ws.profileAt[base]); at > 0 {
+		return ws.profile[at-1 : at-1+m]
+	}
+	at := len(ws.profile)
+	ws.profileAt[base] = int32(at + 1)
+	for _, c := range seq {
+		sub := int32(s.Mismatch)
+		if c == base {
+			sub = int32(s.Match)
+		}
+		ws.profile = append(ws.profile, sub)
+	}
+	return ws.profile[at : at+m]
 }
 
 // DPStats reports the dynamic-programming work done by an alignment, which
@@ -131,28 +208,33 @@ type DPStats struct {
 	Nodes int
 }
 
+// negInf marks a cell no alignment reaches (outside the band, or fed only by
+// such cells); the traceback stops there.
+const negInf = int32(-1 << 29)
+
 // AddSequence aligns seq to the graph and threads it in, fusing exact
 // matches into existing nodes and adding new nodes elsewhere. It returns the
 // DP work statistics. Empty sequences are rejected.
 func (g *Graph) AddSequence(seq []byte) (DPStats, error) {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return g.addSequence(ws, seq)
+}
+
+func (g *Graph) addSequence(ws *workspace, seq []byte) (DPStats, error) {
 	if len(seq) == 0 {
 		return DPStats{}, fmt.Errorf("racon: empty read segment")
 	}
-	order := g.topoOrder()
-	rank := make([]int, len(g.nodes))
-	for r, id := range order {
-		rank[id] = r
-	}
-
+	ws.topo(g)
+	order := ws.order
 	n, m := len(order), len(seq)
 	width := m + 1
-	// score[(r+1)*width + j]: best alignment of graph prefix (nodes with
-	// topo rank <= r) against seq[:j]. Row 0 is the virtual start.
-	score := make([]int32, (n+1)*width)
-	moveKind := make([]int8, (n+1)*width) // 0 none, 1 diag, 2 up(gap in seq), 3 left(insertion)
-	movePred := make([]int32, (n+1)*width)
-
-	const negInf = int32(-1 << 29)
+	ws.score = grow(ws.score, (n+1)*width)
+	score := ws.score
+	ws.profile, ws.profileAt = ws.profile[:0], [256]int32{}
+	for len(ws.unreached) < width {
+		ws.unreached = append(ws.unreached, negInf)
+	}
 	gap := int32(g.scores.Gap)
 
 	// Row 0 (virtual start) is all zeros: a leading stretch of the read
@@ -160,112 +242,71 @@ func (g *Graph) AddSequence(seq []byte) (DPStats, error) {
 	// linear coordinates, so indel drift leaves them with up to a few
 	// dozen bases that belong to the neighbouring window; overlap-style
 	// freedom at both sequence ends lets those dangle instead of being
-	// force-threaded into the graph (moveKind 0 marks the traceback
-	// stop).
-	// Band bookkeeping: a node at topo rank r is roughly at backbone
-	// offset r, so restrict j to [r-band, r+band] when banding.
-	lo, hi := 0, m
+	// force-threaded into the graph.
+	clear(score[:width])
+
+	// Both the graph suffix and the sequence suffix are free too, so the
+	// alignment ends at the best cell anywhere in the matrix — the first
+	// maximum in row-major order — and covers the read's true overlap with
+	// the window and nothing more. Positive match scores ensure the optimum
+	// still extends through the whole matching core.
+	bestRow, bestJ, bestScore := 0, 0, int32(0)
+
 	for r, id := range order {
-		row := (r + 1) * width
+		// Band bookkeeping: a node at topo rank r is roughly at backbone
+		// offset r, so restrict j to [r-band, r+band] when banding. A row
+		// entirely right of the band has lo = m+1 > hi.
+		lo, hi := 1, m
 		if g.band > 0 {
-			lo = r - g.band
-			if lo < 1 {
-				lo = 1
-			}
-			if lo > m+1 {
-				lo = m + 1 // row entirely right of the band
-			}
-			hi = r + g.band
-			if hi > m {
-				hi = m
-			}
-		} else {
-			lo, hi = 1, m
+			lo, hi = min(max(r-g.band, 1), m+1), min(r+g.band, m)
 		}
 		node := &g.nodes[id]
-
+		cur := score[(r+1)*width : (r+2)*width]
+		// Every cell starts unreachable and, outside the band, stays so.
 		// Column 0: leading graph nodes are free (semi-global in the
 		// graph dimension), so a read fragment that begins mid-window
 		// aligns where it belongs instead of being dragged to the
 		// window start.
-		bestPredRow := int32(0)
-		if len(node.in) > 0 {
-			best0 := negInf
-			for _, e := range node.in {
-				pr := int32(rank[e.to] + 1)
-				if v := score[int(pr)*width]; v > best0 {
-					best0, bestPredRow = v, pr
-				}
-			}
-		}
-		score[row] = 0
-		moveKind[row] = 2
-		movePred[row] = bestPredRow
-		for j := 1; j < lo; j++ {
-			score[row+j] = negInf
-		}
-		for j := hi + 1; j <= m; j++ {
-			score[row+j] = negInf
-		}
+		copy(cur, ws.unreached)
+		cur[0] = 0
 
-		for j := lo; j <= hi; j++ {
-			sub := int32(g.scores.Mismatch)
-			if node.base == seq[j-1] {
-				sub = int32(g.scores.Match)
+		// A cell in the band is the maximum of: per predecessor row, the
+		// diagonal plus the substitution score and the cell above plus a
+		// gap; then the cell to its left plus a gap. A maximum does not
+		// depend on the order it is taken in (which candidate an alignment
+		// follows on a tie does, and threadIn decides that), so every
+		// predecessor but the last is folded in by a pass with no
+		// dependency between cells, and the last — the only one, for most
+		// nodes — in the pass that carries the left neighbour along.
+		in, sb := cur[lo:hi+1], ws.profileFor(node.base, seq, g.scores)[lo-1:hi]
+		sb = sb[:len(in)] // as long already; said so the loops check no bounds
+		preds := ws.predRows(node, width)
+		last := len(preds) - 1
+		for _, p := range preds[:last] {
+			diag, up := score[p+lo-1:p+hi], score[p+lo:p+hi+1]
+			diag, up = diag[:len(in)], up[:len(in)]
+			for i := range in {
+				in[i] = max(in[i], diag[i]+sb[i], up[i]+gap)
 			}
-			best := negInf
-			var kind int8
-			var pred int32
-			if len(node.in) == 0 {
-				// Predecessor is the virtual start row.
-				if v := score[j-1] + sub; v > best {
-					best, kind, pred = v, 1, 0
-				}
-				if v := score[j] + gap; v > best {
-					best, kind, pred = v, 2, 0
-				}
-			} else {
-				for _, e := range node.in {
-					pr := int32(rank[e.to] + 1)
-					prow := int(pr) * width
-					if v := score[prow+j-1] + sub; v > best {
-						best, kind, pred = v, 1, pr
-					}
-					if v := score[prow+j] + gap; v > best {
-						best, kind, pred = v, 2, pr
-					}
-				}
+		}
+		prev := score[preds[last]+lo-1 : preds[last]+hi+1]
+		diag, left := prev[0], cur[lo-1]
+		prev = prev[1:][:len(in)]
+		for i, v := range in {
+			up := prev[i]
+			left = max(v, diag+sb[i], up+gap, left+gap)
+			in[i] = left
+			if left > bestScore {
+				bestScore, bestRow, bestJ = left, r+1, lo+i
 			}
-			if v := score[row+j-1] + gap; v > best {
-				best, kind, pred = v, 3, int32(r+1)
-			}
-			score[row+j] = best
-			moveKind[row+j] = kind
-			movePred[row+j] = pred
+			diag = up
 		}
 	}
 
-	// Find the best end anywhere in the matrix: both the graph suffix and
-	// the sequence suffix are free, so the alignment covers the read's
-	// true overlap with the window and nothing more. Positive match
-	// scores ensure the optimum still extends through the whole matching
-	// core.
-	bestRow, bestJ, bestScore := 0, 0, int32(0)
-	for r := 1; r <= n; r++ {
-		row := r * width
-		for j := 1; j <= m; j++ {
-			if v := score[row+j]; v > bestScore {
-				bestScore, bestRow, bestJ = v, r, j
-			}
-		}
-	}
-
-	g.threadIn(seq, order, score, moveKind, movePred, bestRow, bestJ, width)
-	stats := DPStats{Cells: 0, Nodes: n}
+	g.threadIn(ws, seq, bestRow, bestJ)
+	stats := DPStats{Cells: n * m, Nodes: n}
 	if g.band > 0 {
 		stats.Cells = n * (2*g.band + 1)
-	} else {
-		stats.Cells = n * m
 	}
 	return stats, nil
 }
@@ -274,32 +315,52 @@ func (g *Graph) AddSequence(seq []byte) (DPStats, error) {
 // matched bases fuse into existing nodes (bumping edge weights along the
 // path), mismatches fuse into their column's aligned ring, insertions add
 // fresh nodes. The walk stops at the free start (row 0, or sequence
-// position 0), so unaligned read overhangs are never threaded.
-func (g *Graph) threadIn(seq []byte, order []int, score []int32, moveKind []int8, movePred []int32, row, endJ, width int) {
+// position 0) or at an unreachable cell, so unaligned read overhangs are
+// never threaded.
+//
+// No move was stored. At each cell the alignment follows the first candidate
+// that attains the cell's value, the candidates taken per in-edge in node.in
+// order, diagonal before up, and left last — the one a fill that tried them in
+// that order and replaced its best on a strict > would have recorded, since
+// no earlier candidate can equal the final maximum without being it. So the
+// walk re-evaluates them in that order against the stored score; it costs
+// O(path x in-degree) and the matrix holds 4 bytes a cell, not 9.
+func (g *Graph) threadIn(ws *workspace, seq []byte, row, endJ int) {
+	score, width := ws.score, len(seq)+1
+	gap := int32(g.scores.Gap)
 	// Collect the sequence of node IDs this read traverses, in reverse.
-	var pathRev []int
+	pathRev := ws.path[:0]
 	r, j := row, endJ
+walk:
 	for r > 0 && j > 0 {
-		idx := r*width + j
-		switch moveKind[idx] {
-		case 1: // diagonal: seq[j-1] vs node order[r-1]
-			nodeID := order[r-1]
-			if g.nodes[nodeID].base == seq[j-1] {
-				pathRev = append(pathRev, nodeID)
-			} else {
-				pathRev = append(pathRev, g.alignedNodeFor(nodeID, seq[j-1]))
-			}
-			r = int(movePred[idx])
-			j--
-		case 2: // gap in seq: traverse graph node without consuming base
-			r = int(movePred[idx])
-		case 3: // insertion: new node for seq[j-1]
-			pathRev = append(pathRev, g.addNode(seq[j-1]))
-			j--
-		default:
-			// Free start (or out-of-band cell): stop threading.
-			r, j = 0, 0
+		s := score[r*width+j]
+		if s == negInf {
+			break
 		}
+		nodeID := ws.order[r-1]
+		node := &g.nodes[nodeID]
+		match := node.base == seq[j-1]
+		sub := int32(g.scores.Mismatch)
+		if match {
+			sub = int32(g.scores.Match)
+		}
+		for _, p := range ws.predRows(node, width) {
+			if score[p+j-1]+sub == s { // diagonal: seq[j-1] vs the node
+				if !match {
+					nodeID = g.alignedNodeFor(nodeID, seq[j-1])
+				}
+				pathRev = append(pathRev, nodeID)
+				r, j = p/width, j-1
+				continue walk
+			}
+			if score[p+j]+gap == s { // gap in seq: pass the node by
+				r = p / width
+				continue walk
+			}
+		}
+		// Left: insertion, a new node for seq[j-1].
+		pathRev = append(pathRev, g.addNode(seq[j-1]))
+		j--
 	}
 	// Reverse into forward order and connect.
 	prev := -1
@@ -312,6 +373,7 @@ func (g *Graph) threadIn(seq []byte, order []int, score []int32, moveKind []int8
 		}
 		prev = cur
 	}
+	ws.path = pathRev
 }
 
 // alignedNodeFor returns the node carrying `base` in nodeID's alignment
@@ -335,14 +397,20 @@ func (g *Graph) alignedNodeFor(nodeID int, base byte) int {
 // best-scoring incoming edge chain, seeded by sequence starts, exactly as
 // Racon's generateConsensusKernel does on the device.
 func (g *Graph) Consensus() []byte {
-	order := g.topoOrder()
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return g.consensus(ws)
+}
+
+func (g *Graph) consensus(ws *workspace) []byte {
+	ws.topo(g)
 	best := make([]int, len(g.nodes))
 	from := make([]int, len(g.nodes))
 	for i := range from {
 		from[i] = -1
 	}
 	endNode, endScore := -1, -1
-	for _, id := range order {
+	for _, id := range ws.order {
 		node := &g.nodes[id]
 		best[id] = node.starts
 		for _, e := range node.in {

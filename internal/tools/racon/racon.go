@@ -3,6 +3,7 @@ package racon
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gyan/internal/bioseq"
@@ -230,44 +231,44 @@ func Run(rs *workload.ReadSet, p Params, env Env) (*Result, error) {
 	return res, nil
 }
 
-// polishAll runs the real POA over all windows with a worker pool and
-// returns the per-window consensus pieces in window order.
+// polishAll runs the real POA over all windows and returns the per-window
+// consensus pieces in window order. Up to `threads` workers, never more than
+// there are windows, each take the next unpolished window until none is
+// left; a single worker is the calling goroutine itself.
 func polishAll(windows []Window, threads, band int) ([][]byte, int64, error) {
-	if threads < 1 {
-		threads = 1
-	}
-	type out struct {
-		cons  []byte
-		cells int
-		err   error
-	}
-	results := make([]out, len(windows))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				cons, st, err := PolishWindow(windows[i], bioseq.DefaultScores(), band)
-				results[i] = out{cons: cons, cells: st.Cells, err: err}
+	pieces := make([][]byte, len(windows))
+	stats := make([]DPStats, len(windows))
+	errs := make([]error, len(windows))
+	var next atomic.Int64
+	worker := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(windows) {
+				return
 			}
-		}()
-	}
-	for i := range windows {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
-	pieces := make([][]byte, len(results))
-	var cells int64
-	for i := range results {
-		if results[i].err != nil {
-			return nil, 0, results[i].err
+			pieces[i], stats[i], errs[i] = PolishWindow(windows[i], bioseq.DefaultScores(), band)
 		}
-		pieces[i] = results[i].cons
-		cells += int64(results[i].cells)
+	}
+	if workers := min(threads, len(windows)); workers > 1 {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				worker()
+			}()
+		}
+		wg.Wait()
+	} else {
+		worker()
+	}
+
+	var cells int64
+	for i := range windows {
+		if errs[i] != nil {
+			return nil, 0, errs[i]
+		}
+		cells += int64(stats[i].Cells)
 	}
 	return pieces, cells, nil
 }

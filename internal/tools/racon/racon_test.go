@@ -1,6 +1,9 @@
 package racon
 
 import (
+	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -492,4 +495,68 @@ func TestBuildWindowsValidation(t *testing.T) {
 	if _, err := BuildWindows(rs.Backbone, rs.Reads, nil, 0); err == nil {
 		t.Error("zero window length accepted")
 	}
+}
+
+// TestRunOnDefaultReadSetGolden pins racon on the read set the server
+// registers as alzheimers_nfl to exact values: the kernel may get faster, the
+// answer may not move. Two runs at once (four workers each, drawing on one
+// workspace pool) must agree byte for byte — under -race this is the check
+// that no workspace is shared.
+func TestRunOnDefaultReadSetGolden(t *testing.T) {
+	rs, err := workload.AlzheimersNFL(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = Run(rs, DefaultParams(), Env{})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(res[0].Consensus.Bases, res[1].Consensus.Bases) {
+		t.Fatal("two concurrent runs polished to different consensuses")
+	}
+	got := fmt.Sprintf("%d windows, %d cells, identity %.17g -> %.17g",
+		res[0].Windows, res[0].DPCells, res[0].DraftIdentity, res[0].PolishedIdentity)
+	const want = "40 windows, 557191946 cells, identity 0.95099999999999996 -> 0.99745407348242809"
+	if got != want {
+		t.Fatalf("got  %s\nwant %s", got, want)
+	}
+}
+
+// TestRunAllocatesNoMatrixPerJob pins a whole job on the read set bench's
+// batch_drain polishes (one window, a handful of reads): with the pool warm
+// it allocates the k-mer index, the graph and the result, not a DP matrix
+// (three fresh matrices per read made it 1 125 KB).
+func TestRunAllocatesNoMatrixPerJob(t *testing.T) {
+	rs, err := workload.GenerateLongReads(workload.LongReadConfig{
+		Name: "bench_reads", Seed: 42, RefLen: 240, ReadLen: 80, Coverage: 2,
+		SubRate: 0.02, InsRate: 0.03, DelRate: 0.03, BackboneErrorRate: 0.04,
+		NominalBytes: 17 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() { _, err = Run(rs, DefaultParams(), Env{}) }
+	run() // warm the pool
+	// A collection may empty the pool between the two runs; the best of a
+	// few is the warm figure.
+	best := uint64(1 << 62)
+	for i := 0; i < 5 && err == nil; i++ {
+		best = min(best, allocatedBy(run))
+	}
+	if err != nil || best >= 300<<10 {
+		t.Fatalf("a warm Run allocated %d bytes (err %v), want < 300 KB", best, err)
+	}
+	t.Logf("a warm Run allocates %d bytes", best)
 }
