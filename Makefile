@@ -88,13 +88,14 @@ test-journal:
 
 # test-workflow exercises the DAG engine end to end: graph validation and
 # scheduling in internal/workflow, the galaxy-level DAG surface (fan-out,
-# fan-in, failure policies, locality placement, fair-share), the
+# fan-in, fail-fast, locality placement, fair-share), the
 # crash-mid-workflow recovery scenario (exactly-once resume through the
-# journal), and the locality-aware-beats-blind regression on the genomics
-# pipeline experiment.
+# journal), recovery of a journal written before the second failure policy
+# and the in-flight cap were retired, and the locality-aware-beats-blind
+# regression on the genomics pipeline experiment.
 test-workflow:
 	$(GO) test ./internal/workflow -v
-	$(call run_selected,./internal/galaxy,TestDAG|TestWorkflow|TestCrashMidWorkflow|TestRecoverRestoresFinishedWorkflow)
+	$(call run_selected,./internal/galaxy,TestDAG|TestWorkflow|TestCrashMidWorkflow|TestRecoverRestoresFinishedWorkflow|TestRecoverOldJournal)
 	$(call run_selected,./internal/experiments,TestGenomicsPipelineLocalityWins)
 
 # test-cluster is the multi-handler chaos suite: ring property tests

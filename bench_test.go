@@ -54,7 +54,7 @@ func BenchmarkPolishWindow(b *testing.B) {
 	nfl := func() (*workload.ReadSet, error) { return workload.AlzheimersNFL(42) }
 	b.Run("batch_drain", func(b *testing.B) { benchPolishWindows(b, tiny, 0) })
 	b.Run("alzheimers_nfl", func(b *testing.B) { benchPolishWindows(b, nfl, 0) })
-	b.Run("alzheimers_nfl_banded", func(b *testing.B) { benchPolishWindows(b, nfl, racon.DefaultParams().BandWidth) })
+	b.Run("alzheimers_nfl_banded", func(b *testing.B) { benchPolishWindows(b, nfl, racon.BandWidth) })
 }
 
 // BenchmarkBasecall is one real squiggle through the network and the greedy

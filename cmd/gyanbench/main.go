@@ -16,7 +16,7 @@
 //
 // With -json the tables are suppressed and each experiment emits one object
 // carrying its metrics map — for sched-backfill that includes the scheduler
-// counters (mean/P99 queue wait, backfill and preemption counts) per
+// counters (mean/P99 queue wait, backfill counts) per
 // dispatch mode. Experiments that drive a full engine also snapshot its
 // internal/obs registry, so the JSON carries histogram tails rather than
 // single numbers: chaos-dispatch reports per-policy queue-wait and sojourn

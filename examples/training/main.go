@@ -49,12 +49,11 @@ func main() {
 	}
 
 	// `bonito train`.
-	cfg := bonito.DefaultTrainConfig()
-	trained, stats, err := bonito.Train(reloaded, cfg)
+	trained, stats, err := bonito.Train(reloaded)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("trained on %d labeled samples over %d epochs\n", stats.Samples, cfg.Epochs)
+	fmt.Printf("trained on %d labeled samples over %d epochs\n", stats.Samples, len(stats.EpochLoss))
 	fmt.Printf("loss: first epoch %.4f -> last epoch %.4f; sample accuracy %.2f%%\n\n",
 		stats.EpochLoss[0], stats.EpochLoss[len(stats.EpochLoss)-1], 100*stats.FinalAccuracy)
 

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -84,16 +83,6 @@ func (s *ClusterServer) Handler() http.Handler {
 	mux.HandleFunc("/api/cluster/jobs/", s.handleJob)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
-}
-
-// methodNotAllowed writes the route table's uniform 405: an Allow header
-// naming the supported verbs plus the standard JSON error envelope. Every
-// cluster route funnels unsupported methods through here so clients see one
-// consistent shape regardless of which sub-resource they hit.
-func methodNotAllowed(w http.ResponseWriter, allowed ...string) {
-	verbs := strings.Join(allowed, ", ")
-	w.Header().Set("Allow", verbs)
-	writeErr(w, http.StatusMethodNotAllowed, "method not allowed (allow: %s)", verbs)
 }
 
 func (s *ClusterServer) handleVersion(w http.ResponseWriter, r *http.Request) {
@@ -208,8 +197,7 @@ func (s *ClusterServer) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		var req clusterSubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		s.mu.Lock()

@@ -16,7 +16,7 @@ import (
 // handleMetrics serves GET /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -40,7 +40,7 @@ func (s *Server) handleTraceByPath(w http.ResponseWriter, r *http.Request) {
 // design, not a durable record.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, id int) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	tr, ok := s.g.Observer().Traces.Get(id)

@@ -115,6 +115,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return err == nil
 }
 
+// methodNotAllowed writes the uniform 405 of both servers: an Allow header
+// naming the supported verbs plus the standard JSON error envelope.
+func methodNotAllowed(w http.ResponseWriter, allowed ...string) {
+	verbs := strings.Join(allowed, ", ")
+	w.Header().Set("Allow", verbs)
+	writeErr(w, http.StatusMethodNotAllowed, "method not allowed (allow: %s)", verbs)
+}
+
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{
 		"name":    "gyan",
@@ -134,17 +142,13 @@ type toolJSON struct {
 
 func (s *Server) handleTools(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []toolJSON
-	for _, id := range []string{"racon", "bonito", "pypaswas", "seqstats"} {
-		b, err := s.g.Tool(id)
-		if err != nil {
-			continue
-		}
+	for _, b := range s.g.Tools() {
 		tj := toolJSON{
 			ID:          b.XML.ID,
 			Name:        b.XML.Name,
@@ -163,7 +167,7 @@ func (s *Server) handleTools(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	s.mu.Lock()
@@ -283,7 +287,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusCreated, toJobJSON(job))
 		}
 	default:
-		writeErr(w, http.StatusMethodNotAllowed, "GET or POST")
+		methodNotAllowed(w, http.MethodGet, http.MethodPost)
 	}
 }
 
@@ -334,7 +338,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	s.mu.Lock()
@@ -352,7 +356,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // retry budget, its failure log retained for post-mortem.
 func (s *Server) handleResubmit(w http.ResponseWriter, r *http.Request, id int) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only")
+		methodNotAllowed(w, http.MethodPost)
 		return
 	}
 	s.mu.Lock()
@@ -421,13 +425,13 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 		stats, _ := s.g.JournalStats()
 		writeJSON(w, http.StatusOK, map[string]any{"compacted": true, "journal_stats": stats})
 	default:
-		writeErr(w, http.StatusMethodNotAllowed, "GET or POST")
+		methodNotAllowed(w, http.MethodGet, http.MethodPost)
 	}
 }
 
 func (s *Server) handleSMI(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	s.mu.Lock()
@@ -458,7 +462,7 @@ func (s *Server) handleSMI(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	s.mu.Lock()
@@ -500,7 +504,7 @@ type faultsResponse struct {
 // which devices are blacklisted, and which jobs exhausted recovery.
 func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	s.mu.Lock()
@@ -542,7 +546,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 // handleHistory serves the shareable JSON-lines job history.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	s.mu.Lock()
@@ -591,7 +595,7 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "GET or POST only")
+		methodNotAllowed(w, http.MethodGet, http.MethodPost)
 		return
 	}
 	var req workflowRequest
@@ -677,7 +681,7 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
 	s.mu.Lock()

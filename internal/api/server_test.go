@@ -18,6 +18,9 @@ func testServer(t *testing.T) *httptest.Server {
 	if err := g.RegisterDefaultTools(); err != nil {
 		t.Fatal(err)
 	}
+	if err := g.RegisterGenomicsTools(); err != nil { // as gyan-server does
+		t.Fatal(err)
+	}
 	s := NewServer(g)
 	s.RegisterDataset("alzheimers_nfl", testReads(t))
 	ts := httptest.NewServer(s.Handler())
@@ -78,12 +81,17 @@ func TestToolsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &tools); err != nil {
 		t.Fatal(err)
 	}
-	if len(tools) != 4 {
-		t.Fatalf("tool count %d", len(tools))
-	}
+	// Everything gyan-server registers, the genomics pipeline included,
+	// sorted by ID.
+	var ids []string
 	byID := map[string]map[string]any{}
 	for _, tool := range tools {
+		ids = append(ids, tool["id"].(string))
 		byID[tool["id"].(string)] = tool
+	}
+	want := []string{"bonito", "bqsr", "bwa-mem", "pypaswas", "racon", "seqstats", "variant-caller"}
+	if strings.Join(ids, ",") != strings.Join(want, ",") {
+		t.Fatalf("tools %v, want %v", ids, want)
 	}
 	if byID["racon"]["requires_gpu"] != true {
 		t.Error("racon not flagged GPU-capable")
@@ -217,6 +225,18 @@ func TestSubmitErrors(t *testing.T) {
 	if _, list := get(t, ts, "/api/jobs"); string(bytes.TrimSpace(list)) != "[]" {
 		t.Errorf("rejected submissions left jobs behind: %s", list)
 	}
+	// The cluster server's POST is held to the same bound.
+	cts, c := testClusterServer(t, 1)
+	resp, cbody := postJSON(t, cts, "/api/cluster/jobs", map[string]any{
+		"tool": "racon", "dataset": "reads",
+		"params": map[string]string{"padding": strings.Repeat("x", maxBodyBytes)},
+	})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !bytes.Contains(cbody, []byte(`"error"`)) {
+		t.Errorf("oversized cluster body status %d: %.200s", resp.StatusCode, cbody)
+	}
+	if keys := c.Keys(); len(keys) != 0 {
+		t.Errorf("rejected cluster submission routed keys %v", keys)
+	}
 }
 
 func TestJobLookupErrors(t *testing.T) {
@@ -317,7 +337,7 @@ func TestHistoryEndpoint(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	ts := testServer(t)
-	for _, path := range []string{"/api/tools", "/api/datasets", "/api/monitor", "/api/smi"} {
+	for _, path := range []string{"/api/tools", "/api/datasets", "/api/monitor", "/api/smi", "/metrics"} {
 		resp, err := http.Post(ts.URL+path, "application/json", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -326,6 +346,21 @@ func TestMethodNotAllowed(t *testing.T) {
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("POST %s status %d", path, resp.StatusCode)
 		}
+		if allow := resp.Header.Get("Allow"); allow != http.MethodGet {
+			t.Errorf("POST %s: Allow header %q, want GET", path, allow)
+		}
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/jobs", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if allow := resp.Header.Get("Allow"); resp.StatusCode != http.StatusMethodNotAllowed || allow != "GET, POST" {
+		t.Errorf("DELETE /api/jobs: status %d, Allow %q, want 405 and GET, POST", resp.StatusCode, allow)
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 func TestClusterChaosKillMidWorkload(t *testing.T) {
 	cfg := func(cfg *SimConfig) {
 		cfg.DisableDurableSubmits = false
-		cfg.StealThreshold = 2
+		cfg.stealThreshold = 2
 	}
 	c := newTestCluster(t, 3, cfg)
 

@@ -167,7 +167,7 @@ func TestWorkStealingDrainsSkewedBacklog(t *testing.T) {
 // TestStolenJobKeepsSeniority pins that a transfer carries the original
 // submission time: a stolen senior must start before the thief's junior.
 func TestStolenJobKeepsSeniority(t *testing.T) {
-	c := newTestCluster(t, 2, func(cfg *SimConfig) { cfg.StealThreshold = 1 })
+	c := newTestCluster(t, 2, func(cfg *SimConfig) { cfg.stealThreshold = 1 })
 	owned := stripesOf(c, "h0")
 	// Saturate h0's two GPUs, then park two more jobs behind them.
 	var parked []uint64

@@ -15,7 +15,7 @@ import (
 // and scraper race it. The invariant under all interleavings: work stealing
 // never double-starts a job, and no acked job is lost.
 func TestClusterRaceHammer(t *testing.T) {
-	c := newTestCluster(t, 3, func(cfg *SimConfig) { cfg.StealThreshold = 1 })
+	c := newTestCluster(t, 3, func(cfg *SimConfig) { cfg.stealThreshold = 1 })
 	owned := stripesOf(c, "h0")
 	if len(owned) == 0 {
 		t.Fatal("h0 owns no stripes")

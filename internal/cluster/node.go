@@ -61,10 +61,6 @@ type Config struct {
 	// other cadences (member TTL, steal backoff, anti-entropy) default to
 	// multiples of it. Default 500ms of virtual time.
 	Tick time.Duration
-	// StealThreshold is the minimum backlog a victim must carry before an
-	// idle peer steals from it; default 2 (a trivially short queue is
-	// cheaper to drain locally than to move).
-	StealThreshold int
 	// LeaseTTL configures the member's journal lease heartbeats.
 	LeaseTTL time.Duration
 	// Seed fixes the protocol randomness (retry backoff jitter). Default 1.
@@ -84,6 +80,11 @@ type Config struct {
 	// Tools registers tool bindings on the member's Galaxy; default
 	// RegisterDefaultTools.
 	Tools func(*galaxy.Galaxy) error
+
+	// stealThreshold is the minimum backlog a victim must carry before an
+	// idle peer steals from it: 2 (a trivially short queue is cheaper to
+	// drain locally than to move) unless a steal test sets another.
+	stealThreshold int
 }
 
 // SubmitOptions refine a routed submission.
@@ -185,8 +186,8 @@ func newNode(cfg Config, reg *obs.Registry) (*Node, error) {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 500 * time.Millisecond
 	}
-	if cfg.StealThreshold <= 0 {
-		cfg.StealThreshold = 2
+	if cfg.stealThreshold <= 0 {
+		cfg.stealThreshold = 2
 	}
 	if cfg.Tools == nil {
 		cfg.Tools = (*galaxy.Galaxy).RegisterDefaultTools

@@ -405,7 +405,7 @@ func (n *Node) stealDecision(now time.Duration) {
 		return
 	}
 	depth := n.g.QueuedBacklog()
-	if depth < n.cfg.StealThreshold {
+	if depth < n.cfg.stealThreshold {
 		return
 	}
 	var thief string

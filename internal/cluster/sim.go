@@ -26,9 +26,6 @@ type SimConfig struct {
 	// BaseID prefixes member IDs: BaseID+"0" .. BaseID+strconv(N-1).
 	// Default "h".
 	BaseID string
-	// MsgFaults, when set, injects message-level faults (drop, delay,
-	// duplicate, reorder, one-way partitions) into the simulated bus.
-	MsgFaults *faults.MsgPlan
 	// Dir is the journal root; empty uses a temp directory (removed by
 	// Close).
 	Dir string
@@ -36,16 +33,20 @@ type SimConfig struct {
 	// and member-to-member work happens only at tick boundaries, in member
 	// order — that is what makes an N-member run deterministic.
 	Tick time.Duration
-	// Seed also seeds the bus's latency jitter.
+	// Seed is every member's Config.Seed.
 	Seed uint64
 
-	StealThreshold        int
 	LeaseTTL              time.Duration
 	MemberTTL             time.Duration
 	Journal               journal.Options
 	DisableDurableSubmits bool
 	Sched                 sched.Config
-	Tools                 func(*galaxy.Galaxy) error
+
+	stealThreshold int // see Config
+	// msgFaults, when set, injects message-level faults (drop, delay,
+	// duplicate, reorder, one-way partitions) into the simulated bus; the
+	// chaos tests arm it.
+	msgFaults *faults.MsgPlan
 }
 
 // Sim is N Nodes on one simulated bus, stepped in lockstep. It owns nothing
@@ -80,7 +81,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	s := &Sim{bus: transport.New(transport.Options{Seed: cfg.Seed, Plan: cfg.MsgFaults})}
+	s := &Sim{bus: transport.New(cfg.msgFaults)}
 	if cfg.Dir == "" {
 		d, err := os.MkdirTemp("", "gyan-cluster-*")
 		if err != nil {
@@ -96,10 +97,10 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	for _, id := range members {
 		n, err := newNode(Config{
 			Members: members, Local: []string{id}, Bus: s.bus,
-			Dir: cfg.Dir, Tick: cfg.Tick, StealThreshold: cfg.StealThreshold,
+			Dir: cfg.Dir, Tick: cfg.Tick, stealThreshold: cfg.stealThreshold,
 			LeaseTTL: cfg.LeaseTTL, Seed: cfg.Seed, MemberTTL: cfg.MemberTTL,
 			Journal: cfg.Journal, DisableDurableSubmits: cfg.DisableDurableSubmits,
-			Sched: cfg.Sched, Tools: cfg.Tools,
+			Sched: cfg.Sched,
 		}, reg)
 		if err != nil {
 			s.Close()

@@ -328,9 +328,9 @@ func TestTransportChaosKillBetweenPhases(t *testing.T) {
 			faults.MsgRule{Match: faults.MsgMatch{Type: ph.msg}, Fault: md.fault, Count: 2})
 		c := newTestCluster(t, 3, func(cfg *SimConfig) {
 			cfg.DisableDurableSubmits = false
-			cfg.StealThreshold = 2
+			cfg.stealThreshold = 2
 			cfg.Seed = uint64(1 + pi*4 + mi)
-			cfg.MsgFaults = plan
+			cfg.msgFaults = plan
 		})
 		const jobs = 18
 		keys := pinKeys(t, c, "h0", "0.004", jobs)
@@ -436,7 +436,7 @@ func TestSlowButAliveNeverEvicted(t *testing.T) {
 		})
 	c := newTestCluster(t, 2, func(cfg *SimConfig) {
 		cfg.Seed = 11
-		cfg.MsgFaults = plan
+		cfg.msgFaults = plan
 	})
 	const jobs = 24
 	for i := 0; i < jobs; i++ {
@@ -485,8 +485,8 @@ func TestStealRetryThenAbortRequeues(t *testing.T) {
 		})
 	c := newTestCluster(t, 2, func(cfg *SimConfig) {
 		cfg.Seed = 5
-		cfg.StealThreshold = 3
-		cfg.MsgFaults = plan
+		cfg.stealThreshold = 3
+		cfg.msgFaults = plan
 	})
 	const jobs = 7
 	keys := pinKeys(t, c, "h0", "0.004", jobs)
@@ -541,9 +541,9 @@ func TestOrphanedPrepareRepairedByAntiEntropy(t *testing.T) {
 		})
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
 		cfg.DisableDurableSubmits = false
-		cfg.StealThreshold = 2
+		cfg.stealThreshold = 2
 		cfg.Seed = 9
-		cfg.MsgFaults = plan
+		cfg.msgFaults = plan
 	})
 	const jobs = 16
 	keys := pinKeys(t, c, "h0", "0.006", jobs)
@@ -633,9 +633,9 @@ func TestTransportChaosRaceHammer(t *testing.T) {
 			Fault: faults.MsgFault{Reorder: true}, Prob: 0.2},
 	)
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
-		cfg.StealThreshold = 1
+		cfg.stealThreshold = 1
 		cfg.Seed = 21
-		cfg.MsgFaults = plan
+		cfg.msgFaults = plan
 	})
 	owned := stripesOf(c, "h0")
 	if len(owned) == 0 {
@@ -777,7 +777,7 @@ func TestStaggeredDetectionDivergentViews(t *testing.T) {
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
 		cfg.DisableDurableSubmits = false
 		cfg.Seed = 31
-		cfg.MsgFaults = plan
+		cfg.msgFaults = plan
 	})
 	total := len(pinKeys(t, c, "h2", "0.004", 6))
 	orphaned := stripesOf(c, "h2")
@@ -882,7 +882,7 @@ func TestRejoinRefusesUnreadableJournal(t *testing.T) {
 	obstructJournal(t, filepath.Join(root, "h0"))
 	n, err := New(Config{
 		Members: []string{"h0", "h1"}, Local: []string{"h0"}, Incarnation: 2, Dir: root,
-		Bus: transport.New(transport.Options{}), WallClock: func() time.Duration { return 0 },
+		Bus: transport.New(nil), WallClock: func() time.Duration { return 0 },
 	})
 	if err == nil {
 		n.Close()

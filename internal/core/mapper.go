@@ -78,35 +78,19 @@ type Decision struct {
 	Reason string
 }
 
-// Mapper is GYAN's destination mapper. Configure the policy and the
-// destination IDs to route to; zero value uses the PID policy with the
-// default destination names of jobconf.DefaultJobConfXML.
+// GPUDestination and CPUDestination name the job_conf destinations the rule
+// routes to — the names jobconf.DefaultJobConfXML declares. GPUDestination is
+// also where a batch scheduler launches granted GPU jobs.
+const (
+	GPUDestination = "local_gpu"
+	CPUDestination = "local_cpu"
+)
+
+// Mapper is GYAN's destination mapper. The zero value uses the PID policy.
 type Mapper struct {
 	// Policy selects the device-allocation strategy.
 	Policy Policy
-	// GPUDestination and CPUDestination name the job_conf destinations
-	// the rule routes to; empty values default to "local_gpu" and
-	// "local_cpu".
-	GPUDestination, CPUDestination string
 }
-
-func (m *Mapper) gpuDest() string {
-	if m.GPUDestination == "" {
-		return "local_gpu"
-	}
-	return m.GPUDestination
-}
-
-func (m *Mapper) cpuDest() string {
-	if m.CPUDestination == "" {
-		return "local_cpu"
-	}
-	return m.CPUDestination
-}
-
-// GPUDestID returns the effective GPU destination ID, defaults applied —
-// the destination a batch scheduler launches granted GPU jobs onto.
-func (m *Mapper) GPUDestID() string { return m.gpuDest() }
 
 // Map runs the dynamic destination rule for a tool against the current GPU
 // survey. It implements the paper's gpu_dynamic_destination rule plus
@@ -124,14 +108,14 @@ func (m *Mapper) Map(tool *toolxml.Tool, conf *jobconf.Config, survey smi.Usage)
 	}
 	req, wantsGPU := tool.GPURequirement()
 	if !wantsGPU {
-		d, err := conf.Destination(m.cpuDest())
+		d, err := conf.Destination(CPUDestination)
 		if err != nil {
 			return Decision{}, err
 		}
 		return Decision{Destination: d, Reason: "tool has no GPU compute requirement"}, nil
 	}
 	if len(survey.AllGPUs) == 0 {
-		d, err := conf.Destination(m.cpuDest())
+		d, err := conf.Destination(CPUDestination)
 		if err != nil {
 			return Decision{}, err
 		}
@@ -141,7 +125,7 @@ func (m *Mapper) Map(tool *toolxml.Tool, conf *jobconf.Config, survey smi.Usage)
 	if err != nil {
 		return Decision{}, err
 	}
-	d, err := conf.Destination(m.gpuDest())
+	d, err := conf.Destination(GPUDestination)
 	if err != nil {
 		return Decision{}, err
 	}

@@ -138,7 +138,6 @@ func runSchedBackfill(opt Options) (*Result, error) {
 		res.Metrics["mean_qwait_"+key] = m.MeanWait().Seconds()
 		res.Metrics["p99_qwait_"+key] = m.P99Wait().Seconds()
 		res.Metrics["backfills_"+key] = float64(m.Backfilled)
-		res.Metrics["preemptions_"+key] = float64(m.Preemptions)
 	}
 	res.Tables = append(res.Tables, tb)
 	res.Text = append(res.Text,

@@ -7,7 +7,7 @@ import (
 )
 
 // Backoff is the retry policy for transient dispatch failures: bounded
-// attempts with exponentially growing, jittered delays. The zero value
+// attempts with jittered delays that double per retry. The zero value
 // disables retries (MaxAttempts 0 allows a single attempt and nothing more).
 type Backoff struct {
 	// MaxAttempts is the total number of execution attempts a job may
@@ -17,8 +17,6 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps the grown delay; zero defaults to 30s.
 	Max time.Duration
-	// Factor multiplies the delay per retry; values below 1 default to 2.
-	Factor float64
 	// Jitter is the fraction of the delay randomized (0 to 1). A delay d
 	// becomes d * (1 - Jitter/2 + Jitter*u) for a uniform u, so the mean is
 	// preserved. Zero means no jitter.
@@ -45,13 +43,9 @@ func (b Backoff) Delay(retry int, rng *sim.RNG) time.Duration {
 	if max <= 0 {
 		max = 30 * time.Second
 	}
-	factor := b.Factor
-	if factor < 1 {
-		factor = 2
-	}
 	d := float64(base)
 	for i := 1; i < retry; i++ {
-		d *= factor
+		d *= 2
 		if d >= float64(max) {
 			d = float64(max)
 			break

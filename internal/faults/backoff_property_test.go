@@ -17,7 +17,6 @@ func TestBackoffDelayProperties(t *testing.T) {
 		b := Backoff{
 			Base:   time.Duration(1 + cfgRNG.Intn(int(2*time.Second))),
 			Max:    time.Duration(1 + cfgRNG.Intn(int(time.Minute))),
-			Factor: 1 + 4*cfgRNG.Float64(),
 			Jitter: cfgRNG.Float64(),
 		}
 		effMax := b.Max
@@ -30,7 +29,7 @@ func TestBackoffDelayProperties(t *testing.T) {
 			// huge retry counts from overflowing the float product).
 			want := float64(b.Base)
 			for i := 1; i < retry; i++ {
-				want *= b.Factor
+				want *= 2
 				if want >= float64(effMax) {
 					want = float64(effMax)
 					break
@@ -42,8 +41,8 @@ func TestBackoffDelayProperties(t *testing.T) {
 
 			plain := b.Delay(retry, nil)
 			if plain != time.Duration(want) && want >= 1 {
-				t.Fatalf("trial %d: Delay(%d) unjittered = %v, want %v (base=%v max=%v factor=%v)",
-					trial, retry, plain, time.Duration(want), b.Base, effMax, b.Factor)
+				t.Fatalf("trial %d: Delay(%d) unjittered = %v, want %v (base=%v max=%v)",
+					trial, retry, plain, time.Duration(want), b.Base, effMax)
 			}
 			if plain > effMax {
 				t.Fatalf("trial %d: Delay(%d) = %v exceeds cap %v", trial, retry, plain, effMax)

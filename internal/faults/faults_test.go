@@ -127,7 +127,7 @@ func TestErrorClassification(t *testing.T) {
 }
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	b := Backoff{MaxAttempts: 5, Base: time.Second, Max: 4 * time.Second, Factor: 2}
+	b := Backoff{MaxAttempts: 5, Base: time.Second, Max: 4 * time.Second}
 	want := []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 4 * time.Second}
 	for i, w := range want {
 		if got := b.Delay(i+1, nil); got != w {

@@ -19,7 +19,7 @@ func openShardedJournal(t *testing.T, dir string) *journal.Journal {
 }
 
 // TestAsyncDurableSubmitStampsTicket covers the async-durable ack path end
-// to end: a submit with AsyncDurable returns a DurableTicket instead of
+// to end: a submit under WithAsyncDurable returns a DurableTicket instead of
 // blocking on the fsync, AwaitDurable on that ticket succeeds once the
 // stripe flusher catches up, the watermark covers it, and the submit record
 // is on disk at replay.
@@ -36,9 +36,8 @@ func TestAsyncDurableSubmitStampsTicket(t *testing.T) {
 	if sync.DurableTicket != 0 {
 		t.Fatalf("synchronous submit stamped DurableTicket %d, want 0", sync.DurableTicket)
 	}
-	async, err := g.Submit("racon", fastParams(), rs, SubmitOptions{
-		DatasetName: "nfl", AsyncDurable: true,
-	})
+	WithAsyncDurable()(g)
+	async, err := g.Submit("racon", fastParams(), rs, SubmitOptions{DatasetName: "nfl"})
 	if err != nil {
 		t.Fatal(err)
 	}

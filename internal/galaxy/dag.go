@@ -22,9 +22,9 @@ import (
 // records, so Recover can rebuild half-finished workflows and resume the
 // remaining steps with no step lost or run twice (see recovery.go).
 
-// DefaultTransferBytesPerSec is the staging bandwidth when DAGOptions leaves
-// it zero — a PCIe 3.0 x16 link's practical ~12 GiB/s.
-const DefaultTransferBytesPerSec = 12 << 30
+// transferBytesPerSec is the staging bandwidth — a PCIe 3.0 x16 link's
+// practical ~12 GiB/s.
+const transferBytesPerSec = 12 << 30
 
 // DAGStep declares one step of a workflow submitted through SubmitDAG.
 type DAGStep struct {
@@ -64,17 +64,6 @@ type DAGOptions struct {
 	// User owns the workflow (fair-share attribution for every step that
 	// does not set its own).
 	User string
-	// Policy is the failure policy; zero value is workflow.FailFast.
-	Policy workflow.FailurePolicy
-	// MaxInFlight bounds how many of the workflow's steps may be released
-	// (submitted and not yet terminal) at once. Zero is unbounded. Wide
-	// workflows should set it: the batch scheduler's fair share keeps other
-	// users ahead in the queue either way, but a bound also keeps the
-	// queue itself small.
-	MaxInFlight int
-	// TransferBytesPerSec overrides the staging bandwidth model (zero uses
-	// DefaultTransferBytesPerSec).
-	TransferBytesPerSec float64
 }
 
 // stepFailure records why a step failed, for the workflow's final Info.
@@ -105,10 +94,6 @@ type WorkflowRun struct {
 	state    JobState
 	info     string
 	user     string
-	policy   workflow.FailurePolicy
-	maxFly   int
-	inFlight int
-	xferBps  float64
 	// submitted/finished bound the workflow's virtual-time span.
 	submittedAt time.Duration
 	finishedAt  time.Duration
@@ -136,13 +121,12 @@ type StepStatus struct {
 // WorkflowStatus is a consistent snapshot of one workflow run — safe to
 // serialize while the engine is live.
 type WorkflowStatus struct {
-	ID     int          `json:"id"`
-	Name   string       `json:"name"`
-	User   string       `json:"user"`
-	State  JobState     `json:"state"`
-	Info   string       `json:"info,omitempty"`
-	Policy string       `json:"policy"`
-	Steps  []StepStatus `json:"steps"`
+	ID    int          `json:"id"`
+	Name  string       `json:"name"`
+	User  string       `json:"user"`
+	State JobState     `json:"state"`
+	Info  string       `json:"info,omitempty"`
+	Steps []StepStatus `json:"steps"`
 
 	Submitted time.Duration  `json:"submitted"`
 	Finished  time.Duration  `json:"finished,omitempty"`
@@ -183,27 +167,17 @@ func (g *Galaxy) SubmitDAG(name string, steps []DAGStep, opts DAGOptions) (*Work
 	if err != nil {
 		return nil, fmt.Errorf("galaxy: %w", err)
 	}
-	if opts.Policy == "" {
-		opts.Policy = workflow.FailFast
-	}
-	xfer := opts.TransferBytesPerSec
-	if xfer <= 0 {
-		xfer = DefaultTransferBytesPerSec
-	}
 	wr := &WorkflowRun{
-		ID:      int(g.nextWF.Add(1)),
-		Name:    name,
-		g:       g,
-		dag:     dag,
-		run:     workflow.NewRun(dag, opts.Policy),
-		defs:    defs,
-		jobs:    make(map[string]*Job),
-		stat:    make(map[string]*StepStatus),
-		state:   StateRunning,
-		user:    userOrAnonymous(opts.User),
-		policy:  opts.Policy,
-		maxFly:  opts.MaxInFlight,
-		xferBps: xfer,
+		ID:    int(g.nextWF.Add(1)),
+		Name:  name,
+		g:     g,
+		dag:   dag,
+		run:   workflow.NewRun(dag),
+		defs:  defs,
+		jobs:  make(map[string]*Job),
+		stat:  make(map[string]*StepStatus),
+		state: StateRunning,
+		user:  userOrAnonymous(opts.User),
 	}
 
 	g.mu.Lock()
@@ -231,8 +205,7 @@ func (g *Galaxy) SubmitDAG(name string, steps []DAGStep, opts DAGOptions) (*Work
 func workflowRecord(wr *WorkflowRun, at time.Duration) journal.Record {
 	rec := journal.Record{
 		Type: journal.TypeWorkflow, At: at, Handler: wr.g.handlerID,
-		Workflow: wr.ID, WFName: wr.Name, WFPolicy: string(wr.policy),
-		WFMaxInFlight: wr.maxFly, User: wr.user,
+		Workflow: wr.ID, WFName: wr.Name, User: wr.user,
 	}
 	for _, s := range wr.dag.Steps() {
 		rec.WFSteps = append(rec.WFSteps, journal.WFStep{
@@ -245,17 +218,13 @@ func workflowRecord(wr *WorkflowRun, at time.Duration) journal.Record {
 	return rec
 }
 
-// releaseLocked submits every ready step the in-flight bound allows. Caller
-// holds g.mu and wr.mu. Resolution or submission errors fail the step (the
-// failure policy then decides the graph's fate) rather than aborting the
-// call, so one bad branch cannot wedge its siblings.
+// releaseLocked submits every ready step. Caller holds g.mu and wr.mu.
+// Resolution or submission errors fail the step (and so the run, which fails
+// fast) rather than aborting the call.
 func (wr *WorkflowRun) releaseLocked(now time.Duration) {
 	for {
 		progressed := false
 		for _, id := range wr.run.Ready() {
-			if wr.maxFly > 0 && wr.inFlight >= wr.maxFly {
-				break
-			}
 			def := wr.defs[id]
 			input, rerr := wr.resolveInputLocked(def)
 			if rerr != nil {
@@ -271,7 +240,7 @@ func (wr *WorkflowRun) releaseLocked(now time.Duration) {
 				sopts.User = wr.user
 			}
 			sopts.DatasetName = def.DatasetName
-			sopts.PreferDevices = wr.run.PreferredDevices(id)
+			sopts.preferDevices = wr.run.PreferredDevices(id)
 			sopts.stageCost = wr.stageCostLocked(def)
 			sopts.wfID = wr.ID
 			sopts.wfStep = id
@@ -282,7 +251,6 @@ func (wr *WorkflowRun) releaseLocked(now time.Duration) {
 				continue
 			}
 			wr.run.MarkSubmitted(id)
-			wr.inFlight++
 			wr.jobs[id] = job
 			wr.stat[id] = &StepStatus{
 				ID: id, Tool: def.ToolID, JobID: job.ID, Submitted: job.Submitted,
@@ -350,19 +318,19 @@ func (wr *WorkflowRun) stageCostLocked(def *DAGStep) func([]int) time.Duration {
 	for _, d := range upstream {
 		resident[d] = true
 	}
-	bytes, bps := def.Bytes, wr.xferBps
+	bytes := def.Bytes
 	return func(devices []int) time.Duration {
 		for _, d := range devices {
 			if resident[d] {
 				return 0
 			}
 		}
-		return time.Duration(float64(bytes) / bps * float64(time.Second))
+		return time.Duration(float64(bytes) / transferBytesPerSec * float64(time.Second))
 	}
 }
 
 // failStepLocked fails a step before it produced a job (input resolution or
-// submission error) and applies the failure policy.
+// submission error).
 func (wr *WorkflowRun) failStepLocked(id, msg string) {
 	wr.failures = append(wr.failures, stepFailure{StepID: id, Msg: msg})
 	st := wr.stat[id]
@@ -381,11 +349,9 @@ func (wr *WorkflowRun) stepDone(id string, job *Job) {
 	defer wr.mu.Unlock()
 	if wr.run.State(id).Terminal() {
 		// A second terminal transition for the same step (an admin
-		// resubmit of its dead-lettered job) must not flip the verdict or
-		// unbalance the in-flight count.
+		// resubmit of its dead-lettered job) must not flip the verdict.
 		return
 	}
-	wr.inFlight--
 	ok := job.State == StateOK
 	var devices []int
 	if ok && job.GPUEnabled {
@@ -472,7 +438,7 @@ func (wr *WorkflowRun) Status() WorkflowStatus {
 	defer wr.mu.Unlock()
 	ws := WorkflowStatus{
 		ID: wr.ID, Name: wr.Name, User: wr.user, State: wr.state,
-		Info: wr.info, Policy: string(wr.policy),
+		Info:      wr.info,
 		Submitted: wr.submittedAt, Finished: wr.finishedAt,
 		Counts: make(map[string]int),
 	}

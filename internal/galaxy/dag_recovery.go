@@ -55,11 +55,10 @@ func (g *Galaxy) rebuildWorkflowsLocked(hist *journal.History, rep *RecoveryRepo
 			wr = &WorkflowRun{
 				ID: id, Name: rec.WFName, g: g,
 				state: StateError, info: fmt.Sprintf("unrecoverable: %v", err),
-				user: userOrAnonymous(rec.User), policy: workflow.FailurePolicy(rec.WFPolicy),
+				user: userOrAnonymous(rec.User),
 				defs: map[string]*DAGStep{}, jobs: map[string]*Job{},
 				stat:        map[string]*StepStatus{},
 				submittedAt: rec.At, finishedAt: now, defRecord: rec,
-				xferBps: DefaultTransferBytesPerSec,
 			}
 		}
 		g.workflows[id] = wr
@@ -95,10 +94,6 @@ func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal
 			EstRuntime: s.EstRuntime, Bytes: s.Bytes,
 		}
 	}
-	policy := workflow.FailurePolicy(rec.WFPolicy)
-	if policy == "" {
-		policy = workflow.FailFast
-	}
 	dag, err := workflow.Build(rec.WFName, wsteps, workflow.BuildOptions{
 		HasTool: func(tid string) bool { _, terr := g.Tool(tid); return terr == nil },
 	})
@@ -107,10 +102,9 @@ func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal
 	}
 	wr := &WorkflowRun{
 		ID: rec.Workflow, Name: rec.WFName, g: g,
-		dag: dag, run: workflow.NewRun(dag, policy),
+		dag: dag, run: workflow.NewRun(dag),
 		defs: defs, jobs: make(map[string]*Job), stat: make(map[string]*StepStatus),
-		state: StateRunning, user: userOrAnonymous(rec.User), policy: policy,
-		maxFly: rec.WFMaxInFlight, xferBps: DefaultTransferBytesPerSec,
+		state: StateRunning, user: userOrAnonymous(rec.User),
 		submittedAt: rec.At, defRecord: rec,
 	}
 
@@ -155,6 +149,7 @@ func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal
 			Msg:    fmt.Sprintf("step %q (%s) failed: %s", id, job.ToolID, job.Info),
 		})
 	}
+	resumed := 0
 	for _, id := range dag.Topo() {
 		job := wr.jobs[id]
 		if job == nil || job.Done() {
@@ -169,10 +164,9 @@ func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal
 				job.Dataset = input
 			}
 		}
-		wr.inFlight++
+		resumed++
 		wr.attachLocked(id, job)
 	}
-	resumed := wr.inFlight
 
 	if term, done := terms[wr.ID]; done {
 		// The workflow's verdict was journaled before the crash; restore it

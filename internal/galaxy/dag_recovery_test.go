@@ -1,10 +1,15 @@
 package galaxy
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"gyan/internal/journal"
+	"gyan/internal/sched"
 	"gyan/internal/workflow"
 )
 
@@ -230,5 +235,92 @@ func TestRecoverRestoresFinishedWorkflowAndSurvivesCompaction(t *testing.T) {
 	g2.Run()
 	if n := len(g2.Jobs()); n != 4 {
 		t.Fatalf("recovered galaxy has %d jobs, want 4", n)
+	}
+}
+
+// pr22Journal is the head of a journal as the commit before PR 23 wrote it
+// (payloads copied from a run of that commit): job 1 is evicted once for job
+// 2 — a preempt record, a second start at a bumped epoch — and workflow 1 was
+// submitted with the continue_branches policy and an in-flight cap of 1, so
+// only its first root is out when the stream ends, mid-run.
+var pr22Journal = []string{
+	`{"t":"lease","at":0,"h":"h1","k":1099511627777,"ttl":30000000000}`,
+	`{"t":"submit","at":0,"h":"h1","k":1099511627778,"job":1,"tool":"racon","user":"hog","params":{"scale":"0.01"},"dataset":"reads","gpus":2}`,
+	`{"t":"submit","at":0,"h":"h1","k":1099511627779,"job":2,"tool":"racon","user":"urgent","params":{"scale":"0.001"},"dataset":"reads","priority":1,"delay":1000000}`,
+	`{"t":"map","at":0,"h":"h1","k":1099511627780,"job":1,"dest":"local_gpu","gpu":true,"devices":[0,1],"msg":"pid policy: no device preference; using available GPU(s) [0 1]"}`,
+	`{"t":"start","at":0,"h":"h1","k":1099511627781,"job":1,"dest":"local_gpu","gpu":true,"devices":[0,1],"epoch":1}`,
+	`{"t":"map","at":1000000,"h":"h1","k":1099511627782,"job":2,"dest":"local_gpu","gpu":true,"devices":[0,1],"msg":"pid policy: no device preference; all GPUs busy, scattering across all devices"}`,
+	`{"t":"preempt","at":101000000,"h":"h1","k":1099511627783,"job":1,"msg":"preempted for job 2 (priority 1 \u003e 0, waited 100ms)"}`,
+	`{"t":"start","at":101000000,"h":"h1","k":1099511627784,"job":2,"dest":"local_gpu","gpu":true,"devices":[0],"epoch":1}`,
+	`{"t":"complete","at":403989680,"h":"h1","k":1099511627785,"job":2,"epoch":1,"state":"ok"}`,
+	`{"t":"start","at":403989680,"h":"h1","k":1099511627786,"job":1,"dest":"local_gpu","gpu":true,"devices":[0,1],"epoch":3}`,
+	`{"t":"complete","at":2106600131,"h":"h1","k":1099511627787,"job":1,"epoch":3,"state":"ok"}`,
+	`{"t":"workflow","at":2106600131,"h":"h1","k":1099511627788,"user":"ada","wf":1,"wf_name":"old","wf_policy":"continue_branches","wf_max_in_flight":1,"wf_steps":[{"id":"a","tool":"racon","params":{"scale":"0.001"},"dataset":"reads","has_dataset":true},{"id":"b","tool":"racon","params":{"scale":"0.01"},"dataset":"reads","has_dataset":true},{"id":"c","tool":"racon","after":["a"],"params":{"threads":"bogus"}},{"id":"d","tool":"seqstats","after":["b"]}]}`,
+	`{"t":"submit","at":2106600131,"h":"h1","k":1099511627789,"job":3,"tool":"racon","user":"ada","params":{"scale":"0.001"},"dataset":"reads","submitted":2106600131,"wf":1,"step":"a"}`,
+	`{"t":"map","at":2106600131,"h":"h1","k":1099511627790,"job":3,"dest":"local_gpu","gpu":true,"devices":[0,1],"msg":"pid policy: no device preference; using available GPU(s) [0 1]"}`,
+	`{"t":"start","at":2106600131,"h":"h1","k":1099511627791,"job":3,"dest":"local_gpu","gpu":true,"devices":[0],"epoch":1}`,
+}
+
+// TestRecoverOldJournalResumesFailFastUncapped recovers that directory: the
+// retired preempt kind and the retired wf_policy / wf_max_in_flight fields
+// cost nothing, and the workflow resumes under the one policy there is.
+// Uncapped: root b is released at the resumed instant, beside the requeued a
+// (the old cap held it back until a finished). Fail-fast: c's failure skips
+// d, which is no descendant of c (continue_branches ran it).
+func TestRecoverOldJournalResumesFailFastUncapped(t *testing.T) {
+	dir := t.TempDir()
+	var seg []byte
+	for _, payload := range pr22Journal {
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(payload)))
+		seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE([]byte(payload)))
+		seg = append(seg, payload...)
+	}
+	// The flat layout: one more stream to Replay, never appended to.
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, rerr := replayDir(t, dir)
+	if rerr != nil || len(recs) != len(pr22Journal) {
+		t.Fatalf("replayed %d of %d records: %v", len(recs), len(pr22Journal), rerr)
+	}
+	j := openTestJournal(t, dir)
+	defer j.Close()
+	g := schedGalaxy(t, sched.Config{}, WithJournal(j, "h1"))
+	rs := smallReadSet(t)
+	rep, err := g.Recover(recs, rerr, RecoverOptions{
+		Datasets: map[string]any{"reads": rs}, RestartDelay: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Workflows != 1 || rep.WorkflowStepsResumed != 2 {
+		t.Fatalf("report workflows/resumed = %d/%d, want 1/2 (a requeued, b released)",
+			rep.Workflows, rep.WorkflowStepsResumed)
+	}
+	if hog, ok := g.Job(1); !ok || hog.State != StateOK {
+		t.Fatalf("the once-preempted job recovered as %+v, want ok", hog)
+	}
+	g.Run()
+
+	wr := g.WorkflowByID(1)
+	if wr == nil || wr.State() != StateError {
+		t.Fatalf("recovered workflow = %v, want a failed run", wr)
+	}
+	steps := map[string]StepStatus{}
+	for _, st := range wr.Status().Steps {
+		steps[st.ID] = st
+	}
+	want := map[string]workflow.StepState{
+		"a": workflow.StepDone, "b": workflow.StepDone,
+		"c": workflow.StepFailed, "d": workflow.StepSkipped,
+	}
+	for id, state := range want {
+		if steps[id].State != string(state) {
+			t.Errorf("step %s is %s, want %s", id, steps[id].State, state)
+		}
+	}
+	if a, b := steps["a"], steps["b"]; b.Submitted != rep.ResumedAt || b.Submitted >= a.Finished {
+		t.Errorf("b submitted at %v (resumed %v), a finished %v: the retired cap still held b back",
+			b.Submitted, rep.ResumedAt, a.Finished)
 	}
 }

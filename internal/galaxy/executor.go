@@ -27,8 +27,6 @@ type ExecRequest struct {
 	GPUEnabled bool
 	// Containerized applies the container execution model.
 	Containerized bool
-	// Profiler optionally receives CUDA events.
-	Profiler gpu.Profiler
 	// Start is the run's origin on the virtual timeline.
 	Start time.Duration
 	// Params is the evaluated param dict; Dataset the job input.
@@ -110,7 +108,6 @@ func RaconExecutor(req ExecRequest) (*ExecResult, error) {
 
 	env := racon.Env{
 		PID:      req.PID,
-		Profiler: req.Profiler,
 		Start:    req.Start,
 		KeepOpen: true,
 	}
@@ -156,7 +153,6 @@ func BonitoExecutor(req ExecRequest) (*ExecResult, error) {
 	env := bonito.Env{
 		PID:      req.PID,
 		ProcName: "/usr/bin/bonito",
-		Profiler: req.Profiler,
 		Start:    req.Start,
 		KeepOpen: true,
 	}
@@ -192,7 +188,6 @@ func PaswasExecutor(req ExecRequest) (*ExecResult, error) {
 	}
 	env := paswas.Env{
 		PID:      req.PID,
-		Profiler: req.Profiler,
 		Start:    req.Start,
 		KeepOpen: true,
 	}

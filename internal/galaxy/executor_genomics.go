@@ -19,7 +19,6 @@ import (
 func genomicsEnv(req ExecRequest, gpuProc, cpuProc string) genomics.Env {
 	env := genomics.Env{
 		PID:      req.PID,
-		Profiler: req.Profiler,
 		Start:    req.Start,
 		KeepOpen: true,
 		ProcName: cpuProc,

@@ -2,6 +2,8 @@ package galaxy
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +20,6 @@ import (
 	"gyan/internal/sim"
 	"gyan/internal/smi"
 	"gyan/internal/toolxml"
-	"strings"
 )
 
 // Galaxy is the framework instance: tool registry, job queue, runners and
@@ -34,9 +35,6 @@ type Galaxy struct {
 	// (containerized tools carry their own dependencies). The first job
 	// of a tool pays the install time; later jobs hit the env cache.
 	Deps *depres.Resolver
-	// Profiler, if set, is invoked per job to attach an NVProf-style
-	// profiler to its device streams.
-	Profiler func(*Job) gpu.Profiler
 
 	// mu guards the dispatch machinery below: destination/user queues, the
 	// batch scheduler's bookkeeping, fault-recovery state, and mutation of
@@ -125,8 +123,8 @@ type Galaxy struct {
 	handlerID string
 	leaseTTL  time.Duration
 	wallNow   func() time.Time
-	// asyncDurable makes every submit behave as if
-	// SubmitOptions.AsyncDurable were set (the -async-durable server flag).
+	// asyncDurable makes every submit return at stage time (see
+	// WithAsyncDurable; the -async-durable server flag).
 	asyncDurable bool
 
 	leaseMu      sync.Mutex
@@ -278,6 +276,18 @@ func (g *Galaxy) Tool(id string) (*ToolBinding, error) {
 	return b, nil
 }
 
+// Tools returns every installed tool's binding, sorted by tool ID.
+func (g *Galaxy) Tools() []*ToolBinding {
+	g.toolsMu.RLock()
+	out := make([]*ToolBinding, 0, len(g.tools))
+	for _, b := range g.tools {
+		out = append(out, b)
+	}
+	g.toolsMu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].XML.ID < out[j].XML.ID })
+	return out
+}
+
 // Jobs returns a snapshot of all jobs in submission order. Results are deep
 // copies served from an atomically-swapped immutable master snapshot: the
 // master is rebuilt (under g.mu) only when job state actually changed since
@@ -356,25 +366,16 @@ type SubmitOptions struct {
 	// It is journaled with the submission so crash recovery can re-resolve
 	// the payload — the payload itself never touches the journal.
 	DatasetName string
-	// PreferDevices hints the batch scheduler toward device minor IDs that
-	// already hold the job's input (a workflow step's upstream outputs).
-	// Honored only under WithScheduler with a LocalityBonus configured.
-	PreferDevices []int
-	// AsyncDurable trades the per-submit durability ack for throughput:
-	// instead of blocking until the submit record's fsync, Submit returns
-	// as soon as the record is staged and stamps Job.DurableTicket with its
-	// commit ticket. The caller awaits durability in bulk —
-	// Galaxy.AwaitDurable(ticket) or the journal's commit watermark — and
-	// must not acknowledge the job to its own users before that returns: a
-	// crash between stage and flush drops the submit exactly as it drops
-	// any staged record. No-op without a journal.
-	AsyncDurable bool
 
 	// resubmitDest, when non-empty, pins the job to the named destination
 	// instead of the mapper's choice. Set internally when a destination's
 	// resubmit_destination param reroutes a failed job (Galaxy's
 	// resubmission mechanism).
 	resubmitDest string
+	// preferDevices hints the batch scheduler toward device minor IDs that
+	// already hold the job's input (a workflow step's upstream outputs).
+	// Honored only under WithScheduler with a LocalityBonus configured.
+	preferDevices []int
 	// stageCost, when set, is consulted after placement with the granted
 	// device gang and returns the data stage-in time the placement incurs
 	// (zero when the input already lives on a granted device). The workflow
@@ -461,7 +462,7 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 	// The job is visible from here on, so the ticket is stamped under its
 	// stripe lock: a Jobs() rebuild may be cloning it already.
 	g.jobs.insert(job)
-	if opts.AsyncDurable || g.asyncDurable {
+	if g.asyncDurable {
 		g.jobs.stampTicket(job, g.appendJournal(job.submit, false))
 	} else {
 		g.logJournal(job.submit)
@@ -592,7 +593,7 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 	}
 
 	// Each (re)launch bumps the run epoch; a stale completion event (from
-	// a run that was preempted) sees a newer epoch and stands down.
+	// a run a fault retry tore down) sees a newer epoch and stands down.
 	job.run++
 	run := job.run
 	attempt := job.Attempt()
@@ -681,17 +682,12 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 		start += run.StartupCost - 600*time.Millisecond
 	}
 
-	var profiler gpu.Profiler
-	if g.Profiler != nil {
-		profiler = g.Profiler(job)
-	}
 	req := ExecRequest{
 		Cluster:       g.Cluster,
 		Devices:       decision.Devices,
 		PID:           job.PID,
 		GPUEnabled:    decision.GPUEnabled,
 		Containerized: containerized,
-		Profiler:      profiler,
 		Start:         start,
 		Params:        dict,
 		Dataset:       job.Dataset,
@@ -741,7 +737,7 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 		g.mu.Lock()
 		defer g.mu.Unlock()
 		if job.killed || job.run != run {
-			return // a kill or preemption already tore this run down
+			return // a kill or a fault retry already tore this run down
 		}
 		for _, s := range job.sessions {
 			s.Close()

@@ -62,9 +62,6 @@ type Job struct {
 	// Resubmitted counts how many times the job was rerouted to a
 	// fallback destination after a failure.
 	Resubmitted int
-	// Preempted counts how many times a batch scheduler evicted the job
-	// to make room for a higher-priority one (each eviction requeues it).
-	Preempted int
 	// Failures is the job's classified-fault log, one entry per failed
 	// dispatch attempt (injected faults and execution timeouts; legacy
 	// StateError failures are not logged here).
@@ -81,9 +78,9 @@ type Job struct {
 	// model in internal/galaxy/dag.go).
 	StageIn time.Duration
 	// DurableTicket is the journal commit ticket of the job's submit record
-	// when it was submitted with SubmitOptions.AsyncDurable (zero
-	// otherwise): the submit returned at stage time, and the caller awaits
-	// durability in bulk via Galaxy.AwaitDurable or the commit watermark.
+	// when it was submitted under WithAsyncDurable (zero otherwise): the
+	// submit returned at stage time, and the caller awaits durability in
+	// bulk via Galaxy.AwaitDurable or the commit watermark.
 	DurableTicket uint64
 
 	// State tracks the lifecycle.
@@ -119,7 +116,7 @@ type Job struct {
 	// event becomes a no-op.
 	killed bool
 	// run is the launch epoch: bumped on every (re)launch so a completion
-	// event scheduled by a preempted run stands down.
+	// event scheduled by a run a fault retry tore down stands down.
 	run int
 	// release returns the job's scheduler slots; set while running.
 	release func()

@@ -65,10 +65,13 @@ func WithJournal(j *journal.Journal, handlerID string) Option {
 	}
 }
 
-// WithAsyncDurable makes every submit async-durable by default: Submit
-// returns at stage time with Job.DurableTicket set instead of blocking on
-// the submit record's fsync. See SubmitOptions.AsyncDurable for the
-// contract the caller takes on.
+// WithAsyncDurable trades the per-submit durability ack for throughput:
+// instead of blocking until the submit record's fsync, Submit returns as
+// soon as the record is staged and stamps Job.DurableTicket with its commit
+// ticket. The caller awaits durability in bulk — Galaxy.AwaitDurable(ticket)
+// or the journal's commit watermark — and must not acknowledge the job to
+// its own users before that returns: a crash between stage and flush drops
+// the submit exactly as it drops any staged record. No-op without a journal.
 func WithAsyncDurable() Option {
 	return func(g *Galaxy) { g.asyncDurable = true }
 }
@@ -572,7 +575,6 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail, opts RecoverOptions
 		User:        userOrAnonymous(sub.User),
 		Runtime:     sub.Runtime,
 		Submitted:   sub.Submitted,
-		Preempted:   h.Preempts,
 		WorkflowID:  sub.Workflow,
 		StepID:      sub.Step,
 		submit:      sub,
@@ -756,9 +758,6 @@ func (g *Galaxy) SnapshotJournal() error {
 		}
 		if j.attemptBase > 0 && j.attemptBase >= len(j.Failures) {
 			recs = append(recs, journal.Record{Type: journal.TypeResubmit, At: now, Job: j.ID})
-		}
-		for i := 0; i < j.Preempted; i++ {
-			recs = append(recs, journal.Record{Type: journal.TypePreempt, At: j.Submitted, Job: j.ID})
 		}
 		if j.run > 0 {
 			recs = append(recs, journal.Record{

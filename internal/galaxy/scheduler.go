@@ -16,14 +16,12 @@ import (
 // longer start greedily the instant they are mapped: they park in the
 // scheduler's priority queue and a scheduling cycle — run as an engine event
 // whenever the queue or the device state changes — decides which jobs start
-// on which exclusive device gangs. Greedy dispatch semantics change in three
+// on which exclusive device gangs. Greedy dispatch semantics change in two
 // ways:
 //
-//   - users are ordered by weighted fair sharing instead of arrival;
+//   - users are ordered by fair sharing instead of arrival;
 //   - destination slot limits do not apply to scheduler-managed GPU jobs
-//     (gang exclusivity is the capacity limit);
-//   - a job may be preempted (aborted and requeued, not failed) when a
-//     higher-priority job has waited past the scheduler's deadline.
+//     (gang exclusivity is the capacity limit).
 //
 // CPU-routed jobs, resubmitted jobs pinned to a fallback destination, and
 // every job on a scheduler-less Galaxy keep the original greedy path.
@@ -31,7 +29,7 @@ import (
 // schedEntry tracks one scheduler-managed job from park to release, keeping
 // everything needed to (re)launch it: the pending start (job, binding,
 // opts), the patched wrapper used at mapping time, and the original request
-// so preemption victims requeue with their submission time intact.
+// so an aborted steal requeues with its submission time intact.
 type schedEntry struct {
 	pending *pendingStart
 	tool    *toolxml.Tool
@@ -79,12 +77,11 @@ func (g *Galaxy) parkInSchedulerLocked(job *Job, binding *ToolBinding, opts Subm
 		GPUs:       gang,
 		EstRuntime: opts.EstRuntime,
 		Submitted:  job.Submitted,
-		Prefer:     opts.PreferDevices,
+		Prefer:     opts.preferDevices,
 	}
 	if req.Submitted == 0 {
-		// Mirror sched.Submit's zero-means-now default so the preemption
-		// deadline below and the stored requeue request agree with what
-		// the scheduler records.
+		// Mirror sched.Submit's zero-means-now default so the stored
+		// requeue request agrees with what the scheduler records.
 		req.Submitted = now
 	}
 	if err := g.sched.Submit(req, now); err != nil {
@@ -102,25 +99,18 @@ func (g *Galaxy) parkInSchedulerLocked(job *Job, binding *ToolBinding, opts Subm
 		req:     req,
 	}
 	g.recordQueueLocked(now)
-	g.scheduleCycle(0)
-	// A preemption deadline is a future decision point with no device
-	// event to trigger it; plant a cycle at the instant it matures.
-	if pa := g.sched.Config().PreemptAfter; pa > 0 {
-		if delay := req.Submitted + pa - now; delay > 0 {
-			g.scheduleCycle(delay)
-		}
-	}
+	g.scheduleCycle()
 }
 
-// scheduleCycle plants a scheduling cycle `delay` after the current virtual
-// time. Redundant cycles are cheap: a cycle with nobody queued returns
-// before it surveys the devices.
-func (g *Galaxy) scheduleCycle(delay time.Duration) {
-	g.Engine.After(delay, g.schedCycle)
+// scheduleCycle plants a scheduling cycle at the current virtual time.
+// Redundant cycles are cheap: a cycle with nobody queued returns before it
+// surveys the devices.
+func (g *Galaxy) scheduleCycle() {
+	g.Engine.After(0, g.schedCycle)
 }
 
 // schedCycle surveys the devices, runs one scheduler cycle and executes its
-// decision: rejects fail, preempts abort-and-requeue, starts launch.
+// decision: rejects fail, starts launch.
 func (g *Galaxy) schedCycle(now time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -152,9 +142,6 @@ func (g *Galaxy) schedCycle(now time.Duration) {
 			State: string(StateError), Msg: rej.Reason,
 		})
 	}
-	for _, p := range dec.Preempts {
-		g.preemptLocked(p, now)
-	}
 	for _, st := range dec.Starts {
 		if e := g.schedJobs[st.ID]; e != nil {
 			g.launchScheduledLocked(e, st, now)
@@ -163,46 +150,6 @@ func (g *Galaxy) schedCycle(now time.Duration) {
 	denied := g.processGateDenialsLocked(now)
 	if !dec.Empty() || denied {
 		g.recordQueueLocked(now)
-	}
-	if len(dec.Preempts) > 0 {
-		// Victims released their devices synchronously above; replan at
-		// this instant so the waiting job claims them.
-		g.scheduleCycle(0)
-	}
-}
-
-// preemptLocked executes one eviction order: abort the victim's device
-// sessions, invalidate its pending completion event, and requeue it with its
-// original submission time so its queue position is preserved.
-func (g *Galaxy) preemptLocked(p sched.Preempt, now time.Duration) {
-	e := g.schedJobs[p.ID]
-	if e == nil {
-		// Victim vanished (killed in the same instant); free its devices.
-		g.sched.Release(p.ID, now)
-		return
-	}
-	job := e.pending.job
-	for _, s := range job.sessions {
-		s.Abort(now)
-	}
-	g.surveyCache.Invalidate()
-	job.sessions = nil
-	job.run++ // the scheduled completion event now stands down
-	job.release = nil
-	job.Preempted++
-	job.State = StateQueued
-	job.Info = p.Reason
-	g.logJournal(journal.Record{Type: journal.TypePreempt, At: now, Job: p.ID, Msg: p.Reason})
-	g.sched.Release(p.ID, now)
-	if e.req.Submitted == 0 {
-		// A true t=0 submission would hit Submit's zero-means-now default
-		// and lose its seniority; a nanosecond keeps it at the front.
-		e.req.Submitted = time.Nanosecond
-	}
-	if err := g.sched.Submit(e.req, now); err != nil {
-		delete(g.schedJobs, p.ID)
-		job.Info = err.Error()
-		job.finish(StateError, now)
 	}
 }
 
@@ -216,7 +163,7 @@ func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.D
 		g.sched.Release(job.ID, now)
 		return
 	}
-	dest, err := g.Conf.Destination(g.Mapper.GPUDestID())
+	dest, err := g.Conf.Destination(core.GPUDestination)
 	if err != nil {
 		delete(g.schedJobs, job.ID)
 		g.sched.Release(job.ID, now)
@@ -238,7 +185,7 @@ func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.D
 		at := g.Engine.Clock().Now()
 		g.sched.Release(id, at)
 		g.recordQueueLocked(at)
-		g.scheduleCycle(0)
+		g.scheduleCycle()
 	}
 	g.launchLocked(job, e.pending.binding, e.pending.opts, e.tool, decision, release, now)
 }

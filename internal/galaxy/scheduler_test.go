@@ -117,44 +117,6 @@ func TestSchedulerRejectsOversizedGang(t *testing.T) {
 	}
 }
 
-func TestSchedulerPreemptsForHigherPriority(t *testing.T) {
-	g := schedGalaxy(t, sched.Config{PreemptAfter: 100 * time.Millisecond})
-	rs := smallReadSet(t)
-	// A low-priority gang holds the whole cluster for several seconds…
-	hog, err := g.Submit("racon", map[string]string{"scale": "0.01"}, rs,
-		SubmitOptions{GPUs: 2, User: "hog"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// …and a high-priority job arrives just after it starts.
-	urgent, err := g.Submit("racon", fastParams(), rs,
-		SubmitOptions{Priority: 1, User: "urgent", Delay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Run()
-	for _, j := range []*Job{hog, urgent} {
-		if j.State != StateOK {
-			t.Fatalf("job %d (%s) finished %s: %s", j.ID, j.User, j.State, j.Info)
-		}
-	}
-	if hog.Preempted != 1 {
-		t.Fatalf("hog preempted %d times, want 1", hog.Preempted)
-	}
-	// The urgent job ran during the hog's eviction window, and the hog's
-	// final run restarted after it had waited out the urgent job.
-	if urgent.QueueWait() < 99*time.Millisecond {
-		t.Errorf("urgent job waited only %v, preemption fired early", urgent.QueueWait())
-	}
-	if hog.Finished < urgent.Finished {
-		t.Errorf("evicted hog finished at %v before the urgent job at %v",
-			hog.Finished, urgent.Finished)
-	}
-	if m := g.SchedulerMetrics(); m.Preemptions != 1 {
-		t.Errorf("preemptions = %d, want 1", m.Preemptions)
-	}
-}
-
 func TestSchedulerKillDropsQueuedJob(t *testing.T) {
 	g := schedGalaxy(t, sched.Config{})
 	rs := smallReadSet(t)

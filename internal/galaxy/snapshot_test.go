@@ -202,7 +202,7 @@ func TestJobsSnapshotCaching(t *testing.T) {
 // package: SnapshotJournal re-emits the engine's state as a minimal record
 // stream, so folding the journal before compaction and after it must agree
 // on everything recovery acts on — for closed trails (ok, retried,
-// dead-lettered, resubmitted, preempted, killed) and open ones (running,
+// dead-lettered, resubmitted, killed) and open ones (running,
 // parked, mid-steal, stolen away, transferred in).
 func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 	dir := t.TempDir()
@@ -216,7 +216,7 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 		faults.Rule{Match: faults.Match{Op: faults.OpExec, Job: 3},
 			Fault: faults.Fault{Class: faults.Permanent, Msg: "fell off the bus"}, Count: 1},
 	)
-	g := schedGalaxy(t, sched.Config{PreemptAfter: 100 * time.Millisecond},
+	g := schedGalaxy(t, sched.Config{},
 		WithJournal(j, "h1"), WithFaultPlan(plan),
 		WithRetry(faults.Backoff{MaxAttempts: 3, Base: 50 * time.Millisecond}))
 	rs := smallReadSet(t)
@@ -232,8 +232,8 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 	slow := map[string]string{"scale": "0.01"}
 
 	// Closed trails: 1 dead-letters and is resubmitted to ok, 2 retries to
-	// ok, 3 stays dead-lettered, 4 is preempted by 5 and finishes after it,
-	// 6 is killed before it starts.
+	// ok, 3 stays dead-lettered, 4 holds both devices while 5 waits, 6 is
+	// killed before it starts.
 	revived := submit(fastParams(), SubmitOptions{})
 	submit(fastParams(), SubmitOptions{})
 	submit(fastParams(), SubmitOptions{})
@@ -241,12 +241,12 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 	if _, err := g.ResubmitDeadLetter(revived.ID); err != nil {
 		t.Fatal(err)
 	}
-	hog := submit(slow, SubmitOptions{GPUs: 2, User: "hog"})
+	submit(slow, SubmitOptions{GPUs: 2, User: "hog"})
 	submit(fastParams(), SubmitOptions{Priority: 1, User: "urgent", Delay: time.Millisecond})
 	g.Kill(submit(fastParams(), SubmitOptions{Delay: time.Hour}))
 	g.Run()
-	if revived.State != StateOK || revived.attemptBase != 1 || hog.Preempted != 1 {
-		t.Fatalf("scenario did not build: job 1 %s base %d, hog preempted %d", revived.State, revived.attemptBase, hog.Preempted)
+	if revived.State != StateOK || revived.attemptBase != 1 {
+		t.Fatalf("scenario did not build: job 1 %s base %d", revived.State, revived.attemptBase)
 	}
 	// Open trails: 7 and 8 run, 9-11 park; the two juniors are prepared for
 	// h2, one of them retired; 12 arrives from h0.
@@ -284,11 +284,11 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 
 	// What recovery reads off a trail, flattened for comparison.
 	type essence struct {
-		Owner, Terminal, Prepared              string
-		AttemptBase, Attempts, Preempts, Epoch int
+		Owner, Terminal, Prepared    string
+		AttemptBase, Attempts, Epoch int
 	}
 	distil := func(tr *journal.Trail) essence {
-		e := essence{Owner: tr.Owner, AttemptBase: tr.AttemptBase, Attempts: len(tr.Attempts), Preempts: tr.Preempts}
+		e := essence{Owner: tr.Owner, AttemptBase: tr.AttemptBase, Attempts: len(tr.Attempts)}
 		if tr.Terminal != nil {
 			e.Terminal = string(tr.Terminal.Type) + "/" + tr.Terminal.State
 		}
@@ -317,7 +317,7 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 		{Owner: "h1", Terminal: "complete/ok", AttemptBase: 1, Attempts: 1},
 		{Owner: "h1", Terminal: "complete/ok", Attempts: 1},
 		{Owner: "h1", Terminal: "dead_letter/", Attempts: 1},
-		{Owner: "h1", Terminal: "complete/ok", Preempts: 1},
+		{Owner: "h1", Terminal: "complete/ok"},
 		{Owner: "h1", Terminal: "complete/error"},
 		{Owner: "h1"},
 		{Owner: "h1", Prepared: "h2/8"},

@@ -195,7 +195,7 @@ func (g *Galaxy) RetireSteal(jobID int) bool {
 // AbortSteal rolls a prepared job back into the local queue: the thief
 // never acknowledged (or refused), so the tentative transfer is journaled
 // closed (TypeStealAbort) and the job requeues with its original
-// submission time — seniority intact, exactly like a preemption victim.
+// submission time — seniority intact.
 // Returns false if the job is not in the prepared set.
 func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 	g.mu.Lock()
@@ -225,7 +225,7 @@ func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 	}
 	g.schedJobs[jobID] = e
 	g.recordQueueLocked(now)
-	g.scheduleCycle(0)
+	g.scheduleCycle()
 	return true
 }
 

@@ -18,7 +18,7 @@ import (
 //     stream (its head was compacted away) belong to no trail.
 //   - map and start replace Map and Start (the newest placement and launch
 //     epoch); every start's time is also kept in Starts.
-//   - attempt appends to Attempts; preempt counts.
+//   - attempt appends to Attempts.
 //   - complete and dead_letter set Terminal; resubmit clears it and rebases
 //     AttemptBase, so the retry budget restarts with the failure log kept.
 //   - adopt moves Owner to the writer and records the previous owner in From.
@@ -26,8 +26,8 @@ import (
 //     Owner to the thief and steal_abort leaves it, both closing Prepared.
 //   - lease folds per handler, workflow definitions and jobless complete
 //     records (workflow verdicts) per workflow, claim records in order.
-//   - any other kind is ignored: journals written before the schedule, queue
-//     and quarantine kinds were retired still fold.
+//   - any other kind is ignored: journals written before the schedule, queue,
+//     quarantine and preempt kinds were retired still fold.
 //
 // A trail reads only its own job's records in written order, and leases only
 // their handler's, so any interleaving that keeps those orders folds to the
@@ -95,8 +95,6 @@ func Fold(recs []Record) *History {
 			t.Starts = append(t.Starts, rec.At)
 		case TypeAttempt:
 			t.Attempts = append(t.Attempts, *rec)
-		case TypePreempt:
-			t.Preempts++
 		case TypeComplete, TypeDeadLetter:
 			t.Terminal = rec
 		case TypeResubmit:
@@ -157,7 +155,6 @@ type Trail struct {
 	// counts from AttemptBase (moved by resubmit).
 	Attempts    []Record
 	AttemptBase int
-	Preempts    int
 	// Terminal is the complete or dead_letter record closing the trail, nil
 	// while the job is open (or reopened by a resubmit).
 	Terminal *Record

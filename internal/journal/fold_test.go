@@ -78,19 +78,18 @@ func TestFold(t *testing.T) {
 					t.Errorf("terminal %+v base %d attempts %d, want nil/2/3", tr.Terminal, tr.AttemptBase, len(tr.Attempts))
 				}
 			}},
-		{"map and start keep the newest, Starts every one, preempt counts",
+		{"map and start keep the newest, Starts every one",
 			[]Record{sub(1, "h1"),
 				{Type: TypeMap, Job: 1, Destination: "gpu"},
 				{Type: TypeStart, At: 2 * time.Second, Job: 1, Epoch: 1},
-				{Type: TypePreempt, Job: 1},
 				{Type: TypeMap, Job: 1, Destination: "cpu"},
 				{Type: TypeStart, At: 4 * time.Second, Job: 1, Epoch: 2},
 				{Type: TypeComplete, At: 5 * time.Second, Job: 1, State: "ok"}},
 			func(t *testing.T, h *History) {
 				tr := h.Jobs[1]
-				if tr.Map.Destination != "cpu" || tr.Start.Epoch != 2 || tr.Preempts != 1 ||
+				if tr.Map.Destination != "cpu" || tr.Start.Epoch != 2 ||
 					!reflect.DeepEqual(tr.Starts, []time.Duration{2 * time.Second, 4 * time.Second}) {
-					t.Errorf("map %+v start %+v starts %v preempts %d", tr.Map, tr.Start, tr.Starts, tr.Preempts)
+					t.Errorf("map %+v start %+v starts %v", tr.Map, tr.Start, tr.Starts)
 				}
 				if tr.Terminal == nil || tr.Terminal.State != "ok" || h.LastAt != 5*time.Second {
 					t.Errorf("terminal %+v lastAt %v", tr.Terminal, h.LastAt)
@@ -152,28 +151,39 @@ func TestFold(t *testing.T) {
 	}
 }
 
-// TestFoldIgnoresRetiredKinds replays the bytes a pre-PR-17 writer produced —
-// schedule, queue and quarantine payloads with their qop/device/until fields —
-// and requires the same History as the stream without them.
+// TestFoldIgnoresRetiredKinds replays the bytes earlier writers produced —
+// schedule, queue and quarantine payloads with their qop/device/until fields
+// (before PR 17), a preempt record and a workflow definition carrying
+// wf_policy and wf_max_in_flight (before PR 23) — and requires the same
+// History as the stream without the retired records and fields.
 func TestFoldIgnoresRetiredKinds(t *testing.T) {
 	payloads := []struct {
 		json    string
 		retired bool
+		// bare is the payload without its retired fields ("" when it has none).
+		bare string
 	}{
-		{`{"t":"submit","at":1000,"h":"h1","k":1,"job":1,"tool":"racon","gpus":1}`, false},
-		{`{"t":"map","at":1000,"h":"h1","k":2,"job":1,"dest":"gpu_k80","gpu":true}`, false},
-		{`{"t":"schedule","at":1000,"h":"h1","k":3,"job":1,"gpus":1,"qop":"park"}`, true},
-		{`{"t":"queue","at":2000,"h":"h1","k":4,"job":1,"devices":[0],"qop":"grant"}`, true},
-		{`{"t":"start","at":2000,"h":"h1","k":5,"job":1,"epoch":1,"devices":[0]}`, false},
-		{`{"t":"attempt","at":3000,"h":"h1","k":6,"job":1,"attempt":1,"class":"transient","devices":[0]}`, false},
-		{`{"t":"quarantine","at":3000,"h":"h1","k":7,"device":1,"until":-1}`, true},
-		{`{"t":"queue","at":3000,"h":"h1","k":8,"job":1,"qop":"remove"}`, true},
-		{`{"t":"complete","at":3000,"h":"h1","k":9,"job":1,"state":"error"}`, false},
+		{`{"t":"workflow","at":1000,"h":"h1","k":1,"wf":1,"wf_name":"old","wf_policy":"continue_branches","wf_max_in_flight":2,"wf_steps":[{"id":"a","tool":"racon"}]}`, false,
+			`{"t":"workflow","at":1000,"h":"h1","k":1,"wf":1,"wf_name":"old","wf_steps":[{"id":"a","tool":"racon"}]}`},
+		{`{"t":"submit","at":1000,"h":"h1","k":1,"job":1,"tool":"racon","gpus":1}`, false, ""},
+		{`{"t":"map","at":1000,"h":"h1","k":2,"job":1,"dest":"gpu_k80","gpu":true}`, false, ""},
+		{`{"t":"schedule","at":1000,"h":"h1","k":3,"job":1,"gpus":1,"qop":"park"}`, true, ""},
+		{`{"t":"queue","at":2000,"h":"h1","k":4,"job":1,"devices":[0],"qop":"grant"}`, true, ""},
+		{`{"t":"start","at":2000,"h":"h1","k":5,"job":1,"epoch":1,"devices":[0]}`, false, ""},
+		{`{"t":"preempt","at":2500,"h":"h1","k":6,"job":1,"msg":"preempted for job 2 (priority 9 > 0, waited 100ms)"}`, true, ""},
+		{`{"t":"start","at":2600,"h":"h1","k":7,"job":1,"epoch":2,"devices":[0]}`, false, ""},
+		{`{"t":"attempt","at":3000,"h":"h1","k":8,"job":1,"attempt":1,"class":"transient","devices":[0]}`, false, ""},
+		{`{"t":"quarantine","at":3000,"h":"h1","k":9,"device":1,"until":-1}`, true, ""},
+		{`{"t":"queue","at":3000,"h":"h1","k":10,"job":1,"qop":"remove"}`, true, ""},
+		{`{"t":"complete","at":3000,"h":"h1","k":11,"job":1,"state":"error"}`, false, ""},
 	}
 	var with, without []byte
 	for _, p := range payloads {
 		with = append(with, frame(p.json)...)
-		if !p.retired {
+		switch {
+		case p.bare != "":
+			without = append(without, frame(p.bare)...)
+		case !p.retired:
 			without = append(without, frame(p.json)...)
 		}
 	}
@@ -185,8 +195,12 @@ func TestFoldIgnoresRetiredKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := Fold(all), Fold(kept); !reflect.DeepEqual(got, want) {
+	got, want := Fold(all), Fold(kept)
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("retired kinds changed the fold:\n got %+v\nwant %+v", got.Jobs[1], want.Jobs[1])
+	}
+	if tr := got.Jobs[1]; tr == nil || len(tr.Starts) != 2 || tr.Start.Epoch != 2 || got.Workflows[1].WFName != "old" {
+		t.Errorf("the stream around the retired records did not fold: trail %+v workflows %+v", tr, got.Workflows)
 	}
 }
 
@@ -195,7 +209,7 @@ func TestFoldIgnoresRetiredKinds(t *testing.T) {
 // one job (one stripe) and within one writer's jobless records, and nothing
 // else — so any shuffle that preserves those orders must fold identically.
 func TestFoldInterleavingInvariant(t *testing.T) {
-	perJob := []Type{TypeMap, TypeStart, TypeAttempt, TypePreempt, TypeComplete, TypeDeadLetter,
+	perJob := []Type{TypeMap, TypeStart, TypeAttempt, TypeComplete, TypeDeadLetter,
 		TypeResubmit, TypeAdopt, TypeStealPrepare, TypeStealRetire, TypeStealAbort, TypeSubmit, "retired"}
 	handlers := []string{"h1", "h2", "h3"}
 	for seed := int64(1); seed <= 50; seed++ {

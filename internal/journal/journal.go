@@ -17,10 +17,10 @@ import (
 // Options configure a journal. The zero value is the production
 // configuration: DefaultShards staged pipelines, adaptive group commit.
 type Options struct {
-	// SegmentBytes rotates to a new segment once the current one reaches
-	// this size; zero defaults to 1 MiB. A segment always holds at least
-	// one record, however large.
-	SegmentBytes int64
+	// segmentBytes rotates to a new segment once the current one reaches
+	// this size; zero is 1 MiB, and only the rotation tests set another. A
+	// segment always holds at least one record, however large.
+	segmentBytes int64
 	// DurableSubmits makes Append block on submit and ownership records
 	// until the batch holding them is fsynced, so a job acknowledged to the
 	// user can never be lost to a crash. Other records return once staged —
@@ -243,8 +243,8 @@ func Open(dir string, opts Options) (*Journal, error) {
 
 // open is Open with the lane bound exposed, for the backpressure tests.
 func open(dir string, opts Options, laneCap int) (*Journal, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 1 << 20
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = 1 << 20
 	}
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards

@@ -150,7 +150,7 @@ func TestReplayMissingDir(t *testing.T) {
 // interleaved segment boundaries.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SegmentBytes: 256})
+	j, err := Open(dir, Options{segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestReopenAppends(t *testing.T) {
 
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SegmentBytes: 256, Shards: 1})
+	j, err := Open(dir, Options{segmentBytes: 256, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

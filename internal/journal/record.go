@@ -69,8 +69,6 @@ const (
 	// epoch boundary. Devices carries the fault's culprit devices, which
 	// replay feeds back through the quarantine.
 	TypeAttempt Type = "attempt"
-	// TypePreempt records a scheduler eviction (the victim requeues).
-	TypePreempt Type = "preempt"
 	// TypeComplete records a terminal ok/error state.
 	TypeComplete Type = "complete"
 	// TypeDeadLetter records a job exhausting fault recovery.
@@ -104,11 +102,10 @@ const (
 	// TypeResubmit records an admin replaying a dead-lettered job as a
 	// fresh epoch (the failure log stays attached).
 	TypeResubmit Type = "resubmit"
-	// TypeWorkflow records a DAG workflow definition: the step graph, the
-	// failure policy and the owner. Step-completion edges are not journaled
-	// separately — they are derived at replay time by joining each member
-	// job's submit record (which carries Workflow and Step) with its
-	// terminal record.
+	// TypeWorkflow records a DAG workflow definition: the step graph and
+	// the owner. Step-completion edges are not journaled separately — they
+	// are derived at replay time by joining each member job's submit record
+	// (which carries Workflow and Step) with its terminal record.
 	TypeWorkflow Type = "workflow"
 )
 
@@ -206,10 +203,8 @@ type Record struct {
 	// Workflow definition (TypeWorkflow). MaxRecord bounds the encoded
 	// size, so a definition tops out around ten thousand steps — far past
 	// anything the experiments build.
-	WFName        string   `json:"wf_name,omitempty"`
-	WFPolicy      string   `json:"wf_policy,omitempty"`
-	WFMaxInFlight int      `json:"wf_max_in_flight,omitempty"`
-	WFSteps       []WFStep `json:"wf_steps,omitempty"`
+	WFName  string   `json:"wf_name,omitempty"`
+	WFSteps []WFStep `json:"wf_steps,omitempty"`
 }
 
 // headerSize is the per-record framing overhead: length + CRC32.

@@ -427,7 +427,7 @@ func (s *shard) writeBatch(batch []gcEntry) error {
 // writeEncodedLocked writes one already-encoded record with s.mu held:
 // segment rotation, buffered write and counter updates, no fsync decision.
 func (s *shard) writeEncodedLocked(buf []byte) error {
-	if s.size > 0 && s.size+int64(len(buf)) > s.j.opts.SegmentBytes {
+	if s.size > 0 && s.size+int64(len(buf)) > s.j.opts.segmentBytes {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}

@@ -328,7 +328,7 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 // snapshot superseded resurfaces from any stripe.
 func TestShardedSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4, SegmentBytes: 512})
+	j, err := Open(dir, Options{Shards: 4, segmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

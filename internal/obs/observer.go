@@ -27,7 +27,6 @@ type Observer struct {
 	completed   CounterVec // by state (ok | error | dead_letter)
 	mapped      CounterVec // by destination
 	attempts    CounterVec // by fault class
-	preemptions *Counter
 	quarantines *Counter
 	parked      *Counter
 	grants      *Counter
@@ -63,8 +62,6 @@ func NewObserver() *Observer {
 			"Destination-mapping decisions, by destination.", "destination"),
 		attempts: r.CounterVec("gyan_job_attempts_total",
 			"Classified dispatch failures (retry epoch boundaries), by fault class.", "class"),
-		preemptions: r.Counter("gyan_preemptions_total",
-			"Scheduler evictions; the victim requeues."),
 		quarantines: r.Counter("gyan_quarantine_total",
 			"Devices entering quarantine."),
 		parked: r.Counter("gyan_sched_parked_total",
@@ -140,10 +137,6 @@ func (o *Observer) Transition(rec journal.Record) {
 		o.attempts.With(rec.Class).Inc()
 		o.Traces.Record(rec.Job,
 			Event{Name: "attempt_fail", At: rec.At, Attempt: rec.Attempt, Detail: rec.Class})
-
-	case journal.TypePreempt:
-		o.preemptions.Inc()
-		o.Traces.Record(rec.Job, Event{Name: "preempt", At: rec.At, Attempt: rec.Attempt})
 
 	case journal.TypeComplete:
 		if rec.Job == 0 && rec.Workflow != 0 {

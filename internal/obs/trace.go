@@ -200,7 +200,7 @@ func (t *Tracer) Get(job int) (Trace, bool) {
 // deriveSegments turns the event stream into spans:
 //
 //	queue_wait:    submit → first start
-//	run:           each start → the next attempt-fail / complete / preempt
+//	run:           each start → the next attempt-fail / complete
 //	retry_backoff: each attempt-fail → the following start
 func deriveSegments(events []Event) []Segment {
 	evs := append([]Event(nil), events...)
@@ -227,7 +227,7 @@ func deriveSegments(events []Event) []Segment {
 				haveFail = false
 			}
 			openStart, haveStart = e.At, true
-		case "attempt_fail", "complete", "dead_letter", "preempt":
+		case "attempt_fail", "complete", "dead_letter":
 			if haveStart {
 				segs = append(segs, Segment{Name: "run", From: openStart, Dur: e.At - openStart})
 				haveStart = false

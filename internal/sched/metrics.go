@@ -17,18 +17,15 @@ type DepthSample struct {
 // Metrics accumulates scheduler counters across a run. All waits are queue
 // waits: submission to start.
 type Metrics struct {
-	// Submitted counts requests accepted into the queue (requeued
-	// preemption victims count again).
+	// Submitted counts requests accepted into the queue.
 	Submitted int
 	// Started counts Start decisions issued.
 	Started int
 	// Backfilled counts starts that slid past a blocked head-of-line job.
 	Backfilled int
-	// Preemptions counts eviction orders issued.
-	Preemptions int
 	// Rejected counts impossible requests (gang larger than the cluster).
 	Rejected int
-	// GateDenied counts starts vetoed by Config.StartGate (injected
+	// GateDenied counts starts vetoed by the start gate (injected
 	// gang-start faults).
 	GateDenied int
 	// Waits holds each started job's queue wait, in start order.

@@ -10,7 +10,7 @@ import (
 )
 
 // Property-based tests: a seeded random driver exercises Submit / Cycle /
-// Release / Remove / preemption sequences and checks the scheduler's safety
+// Release / Remove sequences and checks the scheduler's safety
 // invariants after every step. The generators run off sim.NewRNG, so a
 // failing seed reproduces exactly.
 
@@ -92,17 +92,7 @@ func TestPropSchedulerInvariants(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		rng := sim.NewRNG(seed*0x9E3779B9 + 1)
 		cluster := 1 + rng.Intn(4)
-		cfg := Config{
-			Backfill:          rng.Intn(2) == 1,
-			DefaultEstRuntime: time.Duration(1+rng.Intn(20)) * time.Second,
-		}
-		if rng.Intn(2) == 1 {
-			cfg.PreemptAfter = time.Duration(1+rng.Intn(5)) * time.Second
-		}
-		if rng.Intn(2) == 1 {
-			cfg.Weights = map[string]float64{"ana": 1 + rng.Float64()*3}
-		}
-		s := New(cfg)
+		s := New(Config{Backfill: rng.Intn(2) == 1})
 		model := &propModel{queued: map[int]Request{}, running: map[int]Request{}}
 		survey := usageOf(cluster)
 		nextID := 1
@@ -143,21 +133,6 @@ func TestPropSchedulerInvariants(t *testing.T) {
 			}
 
 			dec := s.Cycle(now, survey)
-			// Execute the decision the way galaxy would: preempt victims
-			// release and requeue with their original submission time.
-			for _, p := range dec.Preempts {
-				req, ok := model.running[p.ID]
-				if !ok {
-					t.Fatalf("seed %d step %d: preempt of job %d the model is not running",
-						seed, step, p.ID)
-				}
-				s.Release(p.ID, now)
-				delete(model.running, p.ID)
-				if err := s.Submit(req, now); err != nil {
-					t.Fatalf("seed %d step %d: requeue victim %d: %v", seed, step, p.ID, err)
-				}
-				model.queued[p.ID] = req
-			}
 			model.checkDecision(t, dec, cluster, step, seed)
 			propInvariants(t, s, cluster, step, seed)
 
@@ -176,7 +151,7 @@ func TestPropSchedulerInvariants(t *testing.T) {
 }
 
 // TestPropHeadOfLineOrdering checks the queue-discipline property: with
-// backfill and preemption off, the first start of a cycle is always the
+// backfill off, the first start of a cycle is always the
 // queued job that wins the effective-priority comparison (priority class
 // desc, fair-share score asc, submission asc, ID asc).
 func TestPropHeadOfLineOrdering(t *testing.T) {
@@ -209,8 +184,7 @@ func TestPropHeadOfLineOrdering(t *testing.T) {
 			if a.Priority != b.Priority {
 				return a.Priority > b.Priority
 			}
-			as := s.usage[a.User] / s.weight(a.User)
-			bs := s.usage[b.User] / s.weight(b.User)
+			as, bs := s.usage[a.User], s.usage[b.User]
 			if as != bs {
 				return as < bs
 			}

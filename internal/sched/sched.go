@@ -4,18 +4,17 @@
 // faces under sustained load: which of the queued jobs start next, on which
 // exact device set, and what happens to everyone else in the meantime.
 //
-// The scheduler provides four mechanisms on top of the mapper:
+// The scheduler provides three mechanisms on top of the mapper:
 //
-//   - Priority queues with weighted fair sharing: queued jobs order by
-//     priority class first, then by each user's accumulated GPU-seconds
-//     divided by their configured weight, so a user who has consumed less
-//     than their share moves ahead of a heavy submitter at equal priority.
+//   - Priority queues with fair sharing: queued jobs order by priority class
+//     first, then by each user's accumulated GPU-seconds, so a user who has
+//     consumed less moves ahead of a heavy submitter at equal priority.
 //
 //   - Gang allocation: multi-GPU requests are all-or-nothing. A job asking
 //     for two devices either gets two exclusive devices or stays queued; it
-//     is never started on a partial set. Device choice among free candidates
-//     is delegated to a pluggable Scorer over the nvidia-smi survey,
-//     mirroring core.Mapper.Allocate's process-count and memory strategies.
+//     is never started on a partial set. Among free candidates the devices
+//     with the fewest resident processes in the nvidia-smi survey win —
+//     the signal behind core.Mapper.Allocate's "Process ID Approach".
 //
 //   - Backfill with a head-of-line reservation: when the highest-priority
 //     job cannot start, it receives a reservation for the earliest instant
@@ -24,14 +23,12 @@
 //     not delay that reservation — either they finish before it matures or
 //     they use surplus devices the reservation does not need.
 //
-//   - Deadline preemption: optionally, a job that has waited longer than
-//     PreemptAfter may evict enough strictly-lower-priority running jobs to
-//     start. Victims are requeued, not failed.
+// A started job runs to its end: the scheduler never evicts one to make room.
 //
 // The scheduler is deliberately passive: it never starts or stops anything
-// itself. Cycle returns a Decision (starts, preemptions, rejections) and the
-// caller — galaxy.Galaxy driven by the sim engine — executes it, then
-// reports completions back through Release. This keeps the scheduler a pure
+// itself. Cycle returns a Decision (starts, rejections) and the caller —
+// galaxy.Galaxy driven by the sim engine — executes it, then reports
+// completions back through Release. This keeps the scheduler a pure
 // deterministic function of its inputs, so experiment traces are exactly
 // reproducible.
 package sched
@@ -57,30 +54,30 @@ type Request struct {
 	// granted together or not at all. Must be >= 1.
 	GPUs int
 	// EstRuntime is the job's walltime estimate (a batch system's time
-	// limit). Zero falls back to the scheduler's DefaultEstRuntime. The
-	// estimate feeds backfill reservations only; jobs are never killed
-	// for overrunning it.
+	// limit). Zero falls back to 30 s. The estimate feeds backfill
+	// reservations only; jobs are never killed for overrunning it.
 	EstRuntime time.Duration
 	// Submitted is the virtual time the job entered the system, used for
-	// FIFO tie-breaks and preemption deadlines.
+	// FIFO tie-breaks.
 	Submitted time.Duration
 	// Prefer lists device minor IDs already holding the job's input data
 	// (a workflow step's upstream outputs). With Config.LocalityBonus set,
 	// gang allocation discounts these devices' scores so placement lands
 	// where the data lives; without the bonus the hint is ignored and the
-	// configured Scorer decides alone (locality-blind).
+	// process count decides alone (locality-blind).
 	Prefer []int
 }
 
-// Scorer ranks a candidate device under the current nvidia-smi survey;
-// lower scores are preferred. The scorers mirror core.Mapper.Allocate's
-// policies so a scheduler-driven Galaxy picks devices by the same signals
-// as the paper's one-shot mapper.
-type Scorer func(minor int, u smi.Usage) float64
+// defaultEstRuntime stands in for requests with no estimate.
+const defaultEstRuntime = 30 * time.Second
 
-// ProcessCountScorer prefers devices with the fewest resident processes —
-// the survey signal behind the paper's "Process ID Approach".
-func ProcessCountScorer(minor int, u smi.Usage) float64 {
+// scorer ranks a candidate device under the current nvidia-smi survey;
+// lower scores are preferred.
+type scorer func(minor int, u smi.Usage) float64
+
+// processCount prefers devices with the fewest resident processes — the
+// survey signal behind the paper's "Process ID Approach".
+func processCount(minor int, u smi.Usage) float64 {
 	return float64(len(u.ProcsByGPU[minor]))
 }
 
@@ -90,44 +87,18 @@ type Config struct {
 	// job under its reservation. Without it the queue is strict
 	// priority/fair-share order.
 	Backfill bool
-	// PreemptAfter, when positive, lets a job that has waited this long
-	// evict strictly-lower-priority running jobs. Zero disables
-	// preemption.
-	PreemptAfter time.Duration
-	// Scorer ranks free devices for gang allocation; nil defaults to
-	// ProcessCountScorer.
-	Scorer Scorer
 	// LocalityBonus is subtracted from a device's score when the request's
 	// Prefer list names it, pulling workflow steps onto the devices that
 	// already hold their inputs. Zero disables locality-aware placement.
-	// Scores from the built-in scorers are process counts, MiB or percent,
-	// so a bonus comfortably above the scorer's dynamic range (e.g. 1e6)
-	// makes locality dominate; a small bonus only breaks near-ties.
+	// Scores are process counts, so a bonus comfortably above their range
+	// (e.g. 1e6) makes locality dominate; a small bonus only breaks
+	// near-ties.
 	LocalityBonus float64
-	// Weights are per-user fair-share weights; absent users weigh 1. A
-	// weight-2 user may hold twice the GPU-seconds of a weight-1 user
-	// before falling behind in the queue order.
-	Weights map[string]float64
-	// DefaultEstRuntime stands in for requests with no estimate; zero
-	// defaults to 30s.
-	DefaultEstRuntime time.Duration
-	// StartGate, when non-nil, is consulted with the chosen device gang
-	// before each start is committed — the fault-injection seam for gang
-	// starts that die during device allocation (cgroup setup, CUDA context
-	// creation). A non-nil error vetoes the start: the job stays queued,
-	// its devices stay free this cycle, and the gate call is counted in
-	// Metrics.GateDenied. The caller owns rescheduling a later cycle (and
-	// bounding repeated denials), otherwise a permanently vetoed job waits
-	// forever.
-	StartGate func(id int, devices []int, now time.Duration) error
 }
 
 // entry is one queued job.
 type entry struct {
 	req Request
-	// enqueued is when the job (re-)entered the queue; requeued victims
-	// keep their original Submitted but a fresh enqueued time.
-	enqueued time.Duration
 }
 
 // runningJob is one job the scheduler has started and not yet released.
@@ -136,9 +107,6 @@ type runningJob struct {
 	devices     []int
 	started     time.Duration
 	expectedEnd time.Duration
-	// preempting marks a victim whose eviction has been ordered but
-	// whose Release has not arrived yet.
-	preempting bool
 }
 
 // Start orders one queued job onto an exact device gang.
@@ -152,14 +120,6 @@ type Start struct {
 	Reason string
 }
 
-// Preempt orders one running job evicted and requeued.
-type Preempt struct {
-	ID int
-	// ForID is the waiting job the eviction unblocks.
-	ForID  int
-	Reason string
-}
-
 // Reject reports a request that can never be satisfied (gang larger than
 // the cluster). The caller should fail the job.
 type Reject struct {
@@ -169,14 +129,13 @@ type Reject struct {
 
 // Decision is the outcome of one scheduling cycle, in execution order.
 type Decision struct {
-	Starts   []Start
-	Preempts []Preempt
-	Rejects  []Reject
+	Starts  []Start
+	Rejects []Reject
 }
 
 // Empty reports whether the cycle decided nothing.
 func (d Decision) Empty() bool {
-	return len(d.Starts) == 0 && len(d.Preempts) == 0 && len(d.Rejects) == 0
+	return len(d.Starts) == 0 && len(d.Rejects) == 0
 }
 
 // Scheduler holds the queue and the running set. It is not safe for
@@ -187,17 +146,20 @@ type Scheduler struct {
 	running map[int]*runningJob
 	// usage accumulates each user's GPU-seconds for fair sharing.
 	usage map[string]float64
-	m     Metrics
+	// startGate, when non-nil, is consulted with the chosen device gang
+	// before each start is committed — the fault-injection seam for gang
+	// starts that die during device allocation (cgroup setup, CUDA context
+	// creation). A non-nil error vetoes the start: the job stays queued,
+	// its devices stay free this cycle, and the gate call is counted in
+	// Metrics.GateDenied. The caller owns rescheduling a later cycle (and
+	// bounding repeated denials), otherwise a permanently vetoed job waits
+	// forever.
+	startGate func(id int, devices []int, now time.Duration) error
+	m         Metrics
 }
 
 // New returns a scheduler with the given configuration.
 func New(cfg Config) *Scheduler {
-	if cfg.Scorer == nil {
-		cfg.Scorer = ProcessCountScorer
-	}
-	if cfg.DefaultEstRuntime <= 0 {
-		cfg.DefaultEstRuntime = 30 * time.Second
-	}
 	return &Scheduler{
 		cfg:     cfg,
 		running: make(map[int]*runningJob),
@@ -205,13 +167,10 @@ func New(cfg Config) *Scheduler {
 	}
 }
 
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
-// SetStartGate installs or replaces the start gate (see Config.StartGate).
-// The integration layer uses it to arm fault injection after construction.
+// SetStartGate installs or replaces the start gate. The integration layer
+// uses it to arm fault injection after construction.
 func (s *Scheduler) SetStartGate(gate func(id int, devices []int, now time.Duration) error) {
-	s.cfg.StartGate = gate
+	s.startGate = gate
 }
 
 // QueueDepth reports the number of queued (not running) jobs.
@@ -252,7 +211,7 @@ func (s *Scheduler) Submit(req Request, now time.Duration) error {
 	if req.Submitted == 0 {
 		req.Submitted = now
 	}
-	s.queue = append(s.queue, &entry{req: req, enqueued: now})
+	s.queue = append(s.queue, &entry{req: req})
 	s.m.Submitted++
 	return nil
 }
@@ -268,9 +227,9 @@ func (s *Scheduler) Remove(id int) {
 	}
 }
 
-// Release reports that a started job finished (completed, failed, was
-// killed, or was preempted) at virtual time now. Its devices become free at
-// the next Cycle and its runtime is charged to the user's fair share.
+// Release reports that a started job finished (completed, failed or was
+// killed) at virtual time now. Its devices become free at the next Cycle and
+// its runtime is charged to the user's fair share.
 func (s *Scheduler) Release(id int, now time.Duration) {
 	r, ok := s.running[id]
 	if !ok {
@@ -283,29 +242,16 @@ func (s *Scheduler) Release(id int, now time.Duration) {
 	}
 }
 
-// weight returns a user's fair-share weight (default 1).
-func (s *Scheduler) weight(user string) float64 {
-	if w, ok := s.cfg.Weights[user]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
-
-// shareScore is the fair-share ordering key: accumulated GPU-seconds over
-// weight. Lower is hungrier, so lower goes first.
-func (s *Scheduler) shareScore(user string) float64 {
-	return s.usage[user] / s.weight(user)
-}
-
 // order sorts the queue by effective priority: priority class descending,
-// fair-share score ascending, submission time ascending, ID ascending.
+// accumulated GPU-seconds ascending (lower is hungrier), submission time
+// ascending, ID ascending.
 func (s *Scheduler) order() {
 	sort.SliceStable(s.queue, func(i, j int) bool {
 		a, b := s.queue[i].req, s.queue[j].req
 		if a.Priority != b.Priority {
 			return a.Priority > b.Priority
 		}
-		as, bs := s.shareScore(a.User), s.shareScore(b.User)
+		as, bs := s.usage[a.User], s.usage[b.User]
 		if as != bs {
 			return as < bs
 		}
@@ -321,7 +267,7 @@ func (s *Scheduler) est(req Request) time.Duration {
 	if req.EstRuntime > 0 {
 		return req.EstRuntime
 	}
-	return s.cfg.DefaultEstRuntime
+	return defaultEstRuntime
 }
 
 // freeDevices returns the survey's devices minus those held by running
@@ -345,7 +291,7 @@ func (s *Scheduler) freeDevices(u smi.Usage) []int {
 
 // pickGang chooses n devices from candidates by (score, minor). candidates
 // must have length >= n.
-func pickGang(candidates []int, n int, score Scorer, u smi.Usage) []int {
+func pickGang(candidates []int, n int, score scorer, u smi.Usage) []int {
 	ranked := append([]int(nil), candidates...)
 	sort.SliceStable(ranked, func(i, j int) bool {
 		si, sj := score(ranked[i], u), score(ranked[j], u)
@@ -359,17 +305,16 @@ func pickGang(candidates []int, n int, score Scorer, u smi.Usage) []int {
 	return gang
 }
 
-// scorerFor wraps the configured scorer with the request's locality
-// preference: preferred devices' scores drop by LocalityBonus, so pickGang's
-// (score, minor) ordering visits them first when the bonus outweighs the
-// scorer's own signal.
-func (s *Scheduler) scorerFor(req Request) Scorer {
+// scorerFor wraps the process count with the request's locality preference:
+// preferred devices' scores drop by LocalityBonus, so pickGang's (score,
+// minor) ordering visits them first when the bonus outweighs the count.
+func (s *Scheduler) scorerFor(req Request) scorer {
 	if s.cfg.LocalityBonus <= 0 || len(req.Prefer) == 0 {
-		return s.cfg.Scorer
+		return processCount
 	}
 	prefer := toSet(req.Prefer)
 	return func(minor int, u smi.Usage) float64 {
-		score := s.cfg.Scorer(minor, u)
+		score := processCount(minor, u)
 		if prefer[minor] {
 			score -= s.cfg.LocalityBonus
 		}
@@ -443,9 +388,8 @@ func addSet(m map[int]bool, xs []int) map[int]bool {
 
 // Cycle makes placement decisions at virtual time now against the given
 // nvidia-smi survey. The caller executes the returned decision: each Start
-// must be launched on exactly its device gang, each Preempt must abort and
-// requeue the named job (calling Release then Submit), each Reject must
-// fail the job. Cycle itself mutates only the scheduler's bookkeeping.
+// must be launched on exactly its device gang, each Reject must fail the
+// job. Cycle itself mutates only the scheduler's bookkeeping.
 func (s *Scheduler) Cycle(now time.Duration, survey smi.Usage) Decision {
 	var dec Decision
 	total := len(survey.AllGPUs)
@@ -468,15 +412,6 @@ func (s *Scheduler) Cycle(now time.Duration, survey smi.Usage) Decision {
 	}
 	s.queue = kept
 
-	// A preemption already in flight means devices are about to free for
-	// a waiting job; hold further decisions until the victims release,
-	// otherwise backfill would steal the devices the eviction freed.
-	for _, r := range s.running {
-		if r.preempting {
-			return dec
-		}
-	}
-
 	var res *reservation
 	remaining := s.queue[:0]
 	for i := 0; i < len(s.queue); i++ {
@@ -495,19 +430,8 @@ func (s *Scheduler) Cycle(now time.Duration, survey smi.Usage) Decision {
 			free = subtract(free, gang)
 			started = true
 		case res == nil:
-			// Blocked head: try eviction past its deadline, else
-			// take a reservation that backfill must honor.
-			if s.cfg.PreemptAfter > 0 && now-e.req.Submitted >= s.cfg.PreemptAfter {
-				if ps := s.preemptFor(e.req, free, now); len(ps) > 0 {
-					dec.Preempts = append(dec.Preempts, ps...)
-					// Stop scheduling: the freed devices
-					// belong to this job at the next cycle.
-					remaining = append(remaining, e)
-					remaining = append(remaining, s.queue[i+1:]...)
-					s.queue = remaining
-					return dec
-				}
-			}
+			// Blocked head: take a reservation that backfill must
+			// honor.
 			res = s.reserve(e.req, free, now)
 			if res == nil {
 				// Unsatisfiable even when idle — defensive; the
@@ -556,13 +480,12 @@ func (s *Scheduler) Cycle(now time.Duration, survey smi.Usage) Decision {
 	return dec
 }
 
-// gateDenied runs the configured start gate over a chosen gang and records a
-// denial.
+// gateDenied runs the start gate over a chosen gang and records a denial.
 func (s *Scheduler) gateDenied(id int, gang []int, now time.Duration) bool {
-	if s.cfg.StartGate == nil {
+	if s.startGate == nil {
 		return false
 	}
-	if err := s.cfg.StartGate(id, gang, now); err != nil {
+	if err := s.startGate(id, gang, now); err != nil {
 		s.m.GateDenied++
 		return true
 	}
@@ -584,53 +507,6 @@ func (s *Scheduler) start(e *entry, gang []int, now time.Duration, backfilled bo
 	s.m.Started++
 	s.m.Waits = append(s.m.Waits, wait)
 	return Start{ID: e.req.ID, Devices: gang, Backfilled: backfilled, Wait: wait, Reason: reason}
-}
-
-// preemptFor selects victims to unblock req: strictly-lower-priority
-// running jobs, cheapest first (lowest priority, then most recently
-// started), until their devices plus the free set cover the gang. Returns
-// nil when no victim set suffices — partial eviction would waste work
-// without unblocking the gang.
-func (s *Scheduler) preemptFor(req Request, free []int, now time.Duration) []Preempt {
-	var victims []*runningJob
-	for _, r := range s.running {
-		if r.req.Priority < req.Priority && !r.preempting {
-			victims = append(victims, r)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].req.Priority != victims[j].req.Priority {
-			return victims[i].req.Priority < victims[j].req.Priority
-		}
-		if victims[i].started != victims[j].started {
-			return victims[i].started > victims[j].started
-		}
-		return victims[i].req.ID > victims[j].req.ID
-	})
-	have := len(free)
-	var chosen []*runningJob
-	for _, v := range victims {
-		if have >= req.GPUs {
-			break
-		}
-		chosen = append(chosen, v)
-		have += len(v.devices)
-	}
-	if have < req.GPUs {
-		return nil
-	}
-	var out []Preempt
-	for _, v := range chosen {
-		v.preempting = true
-		s.m.Preemptions++
-		out = append(out, Preempt{
-			ID:    v.req.ID,
-			ForID: req.ID,
-			Reason: fmt.Sprintf("preempted for job %d (priority %d > %d, waited %v)",
-				req.ID, req.Priority, v.req.Priority, now-req.Submitted),
-		})
-	}
-	return out
 }
 
 // subtract returns xs minus ys, preserving order.

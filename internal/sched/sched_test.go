@@ -61,19 +61,6 @@ func TestFairShareOrdersEqualPriorities(t *testing.T) {
 	}
 }
 
-func TestFairShareWeights(t *testing.T) {
-	s := New(Config{Weights: map[string]float64{"paid": 4}})
-	// Both users hold 100 GPU-seconds, but paid's weight divides it down.
-	s.usage["paid"] = 100
-	s.usage["free"] = 100
-	mustSubmit(t, s, Request{ID: 1, User: "free", GPUs: 1}, 0)
-	mustSubmit(t, s, Request{ID: 2, User: "paid", GPUs: 1}, time.Millisecond)
-	dec := s.Cycle(time.Second, usageOf(1))
-	if got := startIDs(dec); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("starts = %v, want the weighted user's job first", got)
-	}
-}
-
 func TestReleaseChargesUsage(t *testing.T) {
 	s := New(Config{})
 	mustSubmit(t, s, Request{ID: 1, User: "a", GPUs: 2}, 0)
@@ -134,14 +121,14 @@ func TestOversizedGangRejected(t *testing.T) {
 }
 
 func TestScorerPicksLeastLoadedDevice(t *testing.T) {
-	s := New(Config{Scorer: func(minor int, u smi.Usage) float64 { return float64(u.UsedMemMiBByGPU[minor]) }})
+	s := New(Config{})
 	u := usageOf(2)
-	u.UsedMemMiBByGPU[0] = 4000
-	u.UsedMemMiBByGPU[1] = 100
+	u.ProcsByGPU[0] = []int{4001, 4002}
+	u.ProcsByGPU[1] = []int{4003}
 	mustSubmit(t, s, Request{ID: 1, User: "a", GPUs: 1}, 0)
 	dec := s.Cycle(0, u)
 	if len(dec.Starts) != 1 || dec.Starts[0].Devices[0] != 1 {
-		t.Fatalf("starts = %+v, want device 1 (least memory)", dec.Starts)
+		t.Fatalf("starts = %+v, want device 1 (fewest processes)", dec.Starts)
 	}
 }
 
@@ -210,70 +197,6 @@ func TestNoBackfillWithoutFlag(t *testing.T) {
 	dec := s.Cycle(2*time.Second, u)
 	if len(dec.Starts) != 0 {
 		t.Fatalf("FIFO scheduler backfilled: %+v", dec.Starts)
-	}
-}
-
-func TestPreemptionEvictsLowestPriorityAndRequeues(t *testing.T) {
-	s := New(Config{PreemptAfter: 10 * time.Second})
-	u := usageOf(2)
-	// Two low-priority jobs occupy one device each.
-	mustSubmit(t, s, Request{ID: 1, User: "a", Priority: 0, GPUs: 1, EstRuntime: time.Hour}, 0)
-	mustSubmit(t, s, Request{ID: 2, User: "a", Priority: 1, GPUs: 1, EstRuntime: time.Hour}, 0)
-	dec := s.Cycle(0, u)
-	if len(dec.Starts) != 2 {
-		t.Fatalf("setup: %+v", dec)
-	}
-
-	// A high-priority gang arrives and waits past the deadline.
-	mustSubmit(t, s, Request{ID: 3, User: "b", Priority: 5, GPUs: 2, Submitted: time.Second}, time.Second)
-	if dec = s.Cycle(2*time.Second, u); len(dec.Preempts) != 0 {
-		t.Fatalf("preempted before the deadline: %+v", dec.Preempts)
-	}
-	dec = s.Cycle(12*time.Second, u)
-	if len(dec.Preempts) != 2 {
-		t.Fatalf("preempts = %+v, want both low-priority jobs evicted", dec.Preempts)
-	}
-	if len(dec.Starts) != 0 {
-		t.Fatalf("started before victims released: %+v", dec.Starts)
-	}
-	// Another cycle before the victims release must not double-evict.
-	if dec2 := s.Cycle(12*time.Second, u); !dec2.Empty() {
-		t.Fatalf("decision while preemption in flight: %+v", dec2)
-	}
-
-	// The caller requeues the victims (preserving their original
-	// submission times) and releases their devices.
-	s.Release(1, 13*time.Second)
-	s.Release(2, 13*time.Second)
-	mustSubmit(t, s, Request{ID: 1, User: "a", Priority: 0, GPUs: 1, EstRuntime: time.Hour}, 13*time.Second)
-	mustSubmit(t, s, Request{ID: 2, User: "a", Priority: 1, GPUs: 1, EstRuntime: time.Hour}, 13*time.Second)
-	dec = s.Cycle(13*time.Second, u)
-	if len(dec.Starts) != 1 || dec.Starts[0].ID != 3 {
-		t.Fatalf("starts = %+v, want the high-priority gang", dec.Starts)
-	}
-	// Victims run again after the gang completes.
-	s.Release(3, 20*time.Second)
-	dec = s.Cycle(20*time.Second, u)
-	if got := startIDs(dec); len(got) != 2 {
-		t.Fatalf("requeued victims did not restart: %v", got)
-	}
-	m := s.Metrics()
-	if m.Preemptions != 2 {
-		t.Fatalf("preemption count = %d, want 2", m.Preemptions)
-	}
-}
-
-func TestPreemptionNeverEvictsEqualOrHigherPriority(t *testing.T) {
-	s := New(Config{PreemptAfter: time.Second})
-	u := usageOf(1)
-	mustSubmit(t, s, Request{ID: 1, User: "a", Priority: 5, GPUs: 1, EstRuntime: time.Hour}, 0)
-	if dec := s.Cycle(0, u); len(dec.Starts) != 1 {
-		t.Fatalf("setup failed")
-	}
-	mustSubmit(t, s, Request{ID: 2, User: "b", Priority: 5, GPUs: 1}, 0)
-	dec := s.Cycle(time.Minute, u)
-	if len(dec.Preempts) != 0 {
-		t.Fatalf("equal-priority job was evicted: %+v", dec.Preempts)
 	}
 }
 

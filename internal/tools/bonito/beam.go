@@ -12,22 +12,9 @@ import (
 // bases and low-confidence stretches are resolved from full path
 // probabilities rather than single-timestep winners.
 
-// BeamConfig parameterizes the search.
-type BeamConfig struct {
-	// Width is the number of prefixes kept per timestep.
-	Width int
-}
-
-// DefaultBeamConfig uses a width of 8, ample for a 5-class alphabet.
-func DefaultBeamConfig() BeamConfig { return BeamConfig{Width: 8} }
-
-// Validate reports configuration errors.
-func (c BeamConfig) Validate() error {
-	if c.Width < 1 || c.Width > 1024 {
-		return fmt.Errorf("bonito: beam width %d", c.Width)
-	}
-	return nil
-}
+// beamWidth is the number of prefixes kept per timestep, ample for a
+// 5-class alphabet.
+const beamWidth = 8
 
 // beamState carries log-probability mass for one prefix.
 type beamState struct {
@@ -55,10 +42,7 @@ func logAdd(a, b float64) float64 {
 
 // DecodeBeam runs CTC prefix beam search over the logits and returns the
 // most probable base sequence.
-func DecodeBeam(logits Matrix, cfg BeamConfig) ([]byte, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func DecodeBeam(logits Matrix) ([]byte, error) {
 	if logits.Cols != numClasses {
 		return nil, fmt.Errorf("bonito: logits have %d classes, want %d", logits.Cols, numClasses)
 	}
@@ -125,8 +109,8 @@ func DecodeBeam(logits Matrix, cfg BeamConfig) ([]byte, error) {
 			}
 			return all[i].prefix < all[j].prefix
 		})
-		if len(all) > cfg.Width {
-			all = all[:cfg.Width]
+		if len(all) > beamWidth {
+			all = all[:beamWidth]
 		}
 		beams = make(map[string]beamState, len(all))
 		for _, s := range all {

@@ -26,7 +26,7 @@ func TestBeamMatchesGreedyOnPeakedLogits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beam, err := DecodeBeam(logits, DefaultBeamConfig())
+	beam, err := DecodeBeam(logits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestBeamMatchesGreedyOnPeakedLogits(t *testing.T) {
 func TestBeamHandlesRepeatedBases(t *testing.T) {
 	// CC with a separating blank must stay CC; without it, collapse to C.
 	withBlank := peakedLogits([]int{classC, classC, classBlank, classC, classC})
-	out, err := DecodeBeam(withBlank, DefaultBeamConfig())
+	out, err := DecodeBeam(withBlank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBeamHandlesRepeatedBases(t *testing.T) {
 		t.Fatalf("with blank: %q, want CC", out)
 	}
 	noBlank := peakedLogits([]int{classC, classC, classC, classC})
-	out, err = DecodeBeam(noBlank, DefaultBeamConfig())
+	out, err = DecodeBeam(noBlank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestBeamIntegratesAmbiguousTimesteps(t *testing.T) {
 	if string(greedy) != "GT" {
 		t.Fatalf("greedy decoded %q, want the blip emitted as GT", greedy)
 	}
-	beam, err := DecodeBeam(logits, DefaultBeamConfig())
+	beam, err := DecodeBeam(logits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestBeamOnRealSquiggles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		beamCall, err := DecodeBeam(logits, DefaultBeamConfig())
+		beamCall, err := DecodeBeam(logits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,25 +121,8 @@ func TestBeamOnRealSquiggles(t *testing.T) {
 }
 
 func TestBeamValidation(t *testing.T) {
-	logits := peakedLogits([]int{classA})
-	if _, err := DecodeBeam(logits, BeamConfig{Width: 0}); err == nil {
-		t.Error("zero width accepted")
-	}
-	if _, err := DecodeBeam(NewMatrix(2, 3), DefaultBeamConfig()); err == nil {
+	if _, err := DecodeBeam(NewMatrix(2, 3)); err == nil {
 		t.Error("wrong class count accepted")
-	}
-}
-
-func TestBeamWidthOneDegradesGracefully(t *testing.T) {
-	// Width 1 is greedy-like over prefixes; it must still produce a
-	// valid decoding of clean logits.
-	logits := peakedLogits([]int{classA, classA, classBlank, classT, classT})
-	out, err := DecodeBeam(logits, BeamConfig{Width: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "AT" {
-		t.Fatalf("width-1 beam decoded %q, want AT", out)
 	}
 }
 

@@ -117,7 +117,7 @@ func Run(set *workload.SquiggleSet, p Params, env Env) (*Result, error) {
 			if ferr != nil {
 				return nil, fmt.Errorf("bonito: %s: %w", sq.ID, ferr)
 			}
-			bases, derr := DecodeBeam(logits, DefaultBeamConfig())
+			bases, derr := DecodeBeam(logits)
 			if derr != nil {
 				return nil, fmt.Errorf("bonito: %s: %w", sq.ID, derr)
 			}

@@ -116,7 +116,7 @@ func TestConvForwardBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trained, _, err := Train(trainSet(t, 11, 10), DefaultTrainConfig())
+	trained, _, err := Train(trainSet(t, 11, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,38 +17,15 @@ import (
 // randomly initialized and frozen; the pointwise classifier is learned —
 // a faithful miniature of fine-tuning a basecaller head.
 
-// TrainConfig parameterizes training.
-type TrainConfig struct {
-	// Epochs is the number of passes over the training set.
-	Epochs int
-	// LearningRate is the SGD step size.
-	LearningRate float64
-	// BatchSamples is the mini-batch size in signal samples.
-	BatchSamples int
-	// Seed drives weight initialization and shuffling.
-	Seed uint64
-}
-
-// DefaultTrainConfig returns a configuration that converges on the
-// synthetic pore model. The loss is convex in the classifier parameters
-// (softmax regression over frozen features), so a generous step size is
-// safe.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 20, LearningRate: 1.5, BatchSamples: 128, Seed: 1}
-}
-
-// Validate reports configuration errors.
-func (c TrainConfig) Validate() error {
-	switch {
-	case c.Epochs < 1:
-		return fmt.Errorf("bonito: %d epochs", c.Epochs)
-	case c.LearningRate <= 0 || c.LearningRate > 10:
-		return fmt.Errorf("bonito: learning rate %v", c.LearningRate)
-	case c.BatchSamples < 1:
-		return fmt.Errorf("bonito: batch of %d samples", c.BatchSamples)
-	}
-	return nil
-}
+// The training schedule, one that converges on the synthetic pore model. The
+// loss is convex in the classifier parameters (softmax regression over frozen
+// features), so a generous step size is safe.
+const (
+	trainEpochs       = 20  // passes over the training set
+	trainLearningRate = 1.5 // SGD step size
+	trainBatchSamples = 128 // mini-batch size in signal samples
+	trainSeed         = 1   // weight initialization and shuffling
+)
 
 // TrainStats reports the optimization trajectory.
 type TrainStats struct {
@@ -64,10 +41,7 @@ type TrainStats struct {
 // Train learns a basecalling network from labeled squiggles. The returned
 // network decodes through the same Forward/Decode path as the constructed
 // pretrained model.
-func Train(set *workload.SquiggleSet, cfg TrainConfig) (*Net, TrainStats, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, TrainStats{}, err
-	}
+func Train(set *workload.SquiggleSet) (*Net, TrainStats, error) {
 	if set == nil || len(set.Squiggles) == 0 {
 		return nil, TrainStats{}, fmt.Errorf("bonito: empty training set")
 	}
@@ -89,22 +63,22 @@ func Train(set *workload.SquiggleSet, cfg TrainConfig) (*Net, TrainStats, error)
 		}
 	}
 
-	rng := sim.NewRNG(cfg.Seed)
+	rng := sim.NewRNG(trainSeed)
 	net, err := randomInitNet(rng)
 	if err != nil {
 		return nil, TrainStats{}, err
 	}
 
 	stats := TrainStats{Samples: len(xs)}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < trainEpochs; epoch++ {
 		perm := rng.Perm(len(xs))
 		var lossSum float64
-		for start := 0; start < len(perm); start += cfg.BatchSamples {
-			end := start + cfg.BatchSamples
+		for start := 0; start < len(perm); start += trainBatchSamples {
+			end := start + trainBatchSamples
 			if end > len(perm) {
 				end = len(perm)
 			}
-			lossSum += net.sgdStep(xs, ys, perm[start:end], cfg.LearningRate)
+			lossSum += net.sgdStep(xs, ys, perm[start:end], trainLearningRate)
 		}
 		stats.EpochLoss = append(stats.EpochLoss, lossSum/float64(len(xs)))
 	}

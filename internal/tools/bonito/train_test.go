@@ -22,11 +22,11 @@ func trainSet(t testing.TB, seed uint64, reads int) *workload.SquiggleSet {
 
 func TestTrainLossDecreases(t *testing.T) {
 	set := trainSet(t, 10, 8)
-	_, stats, err := Train(set, DefaultTrainConfig())
+	_, stats, err := Train(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.EpochLoss) != DefaultTrainConfig().Epochs {
+	if len(stats.EpochLoss) != trainEpochs {
 		t.Fatalf("recorded %d epoch losses", len(stats.EpochLoss))
 	}
 	first, last := stats.EpochLoss[0], stats.EpochLoss[len(stats.EpochLoss)-1]
@@ -44,7 +44,7 @@ func TestTrainLossDecreases(t *testing.T) {
 func TestTrainedModelDecodesHeldOutReads(t *testing.T) {
 	train := trainSet(t, 11, 10)
 	heldOut := trainSet(t, 99, 5) // different seed: unseen squiggles
-	net, _, err := Train(train, DefaultTrainConfig())
+	net, _, err := Train(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTrainedModelDecodesHeldOutReads(t *testing.T) {
 func TestTrainedMatchesPretrainedAccuracy(t *testing.T) {
 	train := trainSet(t, 12, 10)
 	eval := trainSet(t, 55, 5)
-	trained, _, err := Train(train, DefaultTrainConfig())
+	trained, _, err := Train(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,36 +90,24 @@ func TestTrainedMatchesPretrainedAccuracy(t *testing.T) {
 }
 
 func TestTrainConfigValidation(t *testing.T) {
-	set := trainSet(t, 1, 2)
-	bad := []TrainConfig{
-		{Epochs: 0, LearningRate: 0.1, BatchSamples: 16},
-		{Epochs: 1, LearningRate: 0, BatchSamples: 16},
-		{Epochs: 1, LearningRate: 100, BatchSamples: 16},
-		{Epochs: 1, LearningRate: 0.1, BatchSamples: 0},
-	}
-	for i, cfg := range bad {
-		if _, _, err := Train(set, cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-	if _, _, err := Train(nil, DefaultTrainConfig()); err == nil {
+	if _, _, err := Train(nil); err == nil {
 		t.Error("nil set accepted")
 	}
 	// Label/sample mismatch is rejected.
 	broken := trainSet(t, 2, 1)
 	broken.Squiggles[0].Labels = broken.Squiggles[0].Labels[:1]
-	if _, _, err := Train(broken, DefaultTrainConfig()); err == nil {
+	if _, _, err := Train(broken); err == nil {
 		t.Error("label/sample mismatch accepted")
 	}
 }
 
 func TestTrainDeterministic(t *testing.T) {
 	set := trainSet(t, 13, 4)
-	_, s1, err := Train(set, DefaultTrainConfig())
+	_, s1, err := Train(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, s2, err := Train(set, DefaultTrainConfig())
+	_, s2, err := Train(set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +178,7 @@ func TestConvertTrainedFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := Train(reloaded, DefaultTrainConfig())
+	_, stats, err := Train(reloaded)
 	if err != nil {
 		t.Fatal(err)
 	}

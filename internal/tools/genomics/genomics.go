@@ -27,8 +27,6 @@ type Env struct {
 	// nvidia-smi shows.
 	PID      int
 	ProcName string
-	// Profiler optionally receives CUDA events.
-	Profiler gpu.Profiler
 	// Start is the run's origin on the virtual timeline.
 	Start time.Duration
 	// KeepOpen leaves device sessions open for the caller to close at job
@@ -78,7 +76,7 @@ func (st gpuStage) run(timing *StageTiming, units float64, env Env) ([]*gpu.Stre
 		return nil, err
 	}
 	spec := d.Spec()
-	s := d.NewStream(env.PID, env.ProcName, env.Start+timing.IO, env.Profiler)
+	s := d.NewStream(env.PID, env.ProcName, env.Start+timing.IO, nil)
 	fail := func(err error) ([]*gpu.Stream, error) {
 		s.Close()
 		return nil, err

@@ -39,16 +39,14 @@ const (
 type Params struct {
 	// Threads is the host thread count.
 	Threads int
-	// Scores is the scoring scheme.
-	Scores Scores
 	// Scale is the fraction of the dataset's NominalBytes the cost model
 	// simulates.
 	Scale float64
 }
 
-// DefaultParams returns a 4-thread run with default scoring at full scale.
+// DefaultParams returns a 4-thread run at full scale.
 func DefaultParams() Params {
-	return Params{Threads: 4, Scores: DefaultScores(), Scale: 1.0}
+	return Params{Threads: 4, Scale: 1.0}
 }
 
 // Validate reports parameter errors.
@@ -59,7 +57,7 @@ func (p Params) Validate() error {
 	if p.Scale <= 0 || p.Scale > 1 {
 		return fmt.Errorf("paswas: scale %v", p.Scale)
 	}
-	return p.Scores.Validate()
+	return nil
 }
 
 // Env is the execution environment (mirrors racon.Env).
@@ -124,7 +122,7 @@ func Run(rs *workload.ReadSet, p Params, env Env) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				res.Hits[i], errs[i] = Align(rs.Reads[i], rs.Reference, p.Scores)
+				res.Hits[i], errs[i] = Align(rs.Reads[i], rs.Reference, DefaultScores())
 			}
 		}()
 	}

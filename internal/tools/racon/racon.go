@@ -19,10 +19,9 @@ type Params struct {
 	Threads int
 	// Batches is the cudapoa batch count (GPU runs; swept in Figs. 3/7).
 	Batches int
-	// Banding enables the banded "banding approximation" kernels.
+	// Banding enables the banded "banding approximation" kernels, with a
+	// DP band half-width of BandWidth.
 	Banding bool
-	// BandWidth is the DP band half-width used when Banding is set.
-	BandWidth int
 	// WindowLen is the polishing window length in bases.
 	WindowLen int
 	// Scale is the fraction of the dataset's NominalBytes the cost model
@@ -33,6 +32,9 @@ type Params struct {
 	Containerized bool
 }
 
+// BandWidth is the DP band half-width of a banded run.
+const BandWidth = 50
+
 // DefaultParams returns the paper's best bare-metal GPU configuration:
 // 4 threads, 1 batch, no banding.
 func DefaultParams() Params {
@@ -40,7 +42,6 @@ func DefaultParams() Params {
 		Threads:   4,
 		Batches:   1,
 		Banding:   false,
-		BandWidth: 50,
 		WindowLen: 500,
 		Scale:     1.0,
 	}
@@ -53,8 +54,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("racon: %d threads", p.Threads)
 	case p.Batches < 1:
 		return fmt.Errorf("racon: %d batches", p.Batches)
-	case p.Banding && p.BandWidth < 1:
-		return fmt.Errorf("racon: banding with band width %d", p.BandWidth)
 	case p.WindowLen < 2*minSegmentLen:
 		return fmt.Errorf("racon: window length %d too small", p.WindowLen)
 	case p.Scale <= 0 || p.Scale > 1:
@@ -175,7 +174,7 @@ func Run(rs *workload.ReadSet, p Params, env Env) (*Result, error) {
 	}
 	band := 0
 	if p.Banding {
-		band = p.BandWidth
+		band = BandWidth
 	}
 	pieces, dpCells, err := polishAll(windows, p.Threads, band)
 	if err != nil {

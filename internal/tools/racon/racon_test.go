@@ -52,7 +52,6 @@ func TestParamsValidate(t *testing.T) {
 	bad := []func(*Params){
 		func(p *Params) { p.Threads = 0 },
 		func(p *Params) { p.Batches = 0 },
-		func(p *Params) { p.Banding = true; p.BandWidth = 0 },
 		func(p *Params) { p.WindowLen = 10 },
 		func(p *Params) { p.Scale = 0 },
 		func(p *Params) { p.Scale = 1.5 },

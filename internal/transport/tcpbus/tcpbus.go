@@ -34,19 +34,21 @@ type Options struct {
 	// wall-driven virtual clock so message stamps and lease arithmetic share
 	// a timeline). Defaults to time-since-New.
 	Clock func() time.Duration
-	// Backoff paces reconnect attempts per peer; zero value defaults to
-	// 50ms base, 2s cap, 20% jitter, unlimited attempts.
-	Backoff faults.Backoff
 	// Seed drives reconnect jitter.
 	Seed uint64
-	// QueueLimit bounds each peer's outbound queue; excess sends drop (the
-	// protocol's retry discipline covers them). Default 1024.
-	QueueLimit int
-	// DialTimeout/WriteTimeout guard against wedged connections; defaults
-	// 2s each.
-	DialTimeout  time.Duration
-	WriteTimeout time.Duration
 }
+
+const (
+	// queueLimit bounds each peer's outbound queue; excess sends drop (the
+	// protocol's retry discipline covers them).
+	queueLimit = 1024
+	// dialTimeout and writeTimeout guard against wedged connections.
+	dialTimeout  = 2 * time.Second
+	writeTimeout = 2 * time.Second
+)
+
+// reconnectBackoff paces reconnect attempts per peer, without limit.
+var reconnectBackoff = faults.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.2}
 
 // peerConn is the outbound side of one peer: a bounded queue drained by a
 // writer goroutine that owns the dial/reconnect loop.
@@ -94,18 +96,6 @@ func New(opts Options) (*Bus, error) {
 	if opts.Listen == "" {
 		opts.Listen = "127.0.0.1:0"
 	}
-	if opts.QueueLimit <= 0 {
-		opts.QueueLimit = 1024
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 2 * time.Second
-	}
-	if opts.WriteTimeout <= 0 {
-		opts.WriteTimeout = 2 * time.Second
-	}
-	if opts.Backoff == (faults.Backoff{}) {
-		opts.Backoff = faults.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.2}
-	}
 	b := &Bus{
 		opts:     opts,
 		self:     opts.Self,
@@ -137,7 +127,7 @@ func New(opts Options) (*Bus, error) {
 		}
 		b.peers[id] = &peerConn{
 			id: id, addr: addr,
-			ch:    make(chan envelope, opts.QueueLimit),
+			ch:    make(chan envelope, queueLimit),
 			stats: transport.PeerStats{Addr: addr},
 		}
 		b.wg.Add(1)
@@ -277,7 +267,7 @@ func (b *Bus) writerLoop(p *peerConn, stop chan struct{}) {
 				return nil
 			default:
 			}
-			c, err := net.DialTimeout("tcp", p.addr, b.opts.DialTimeout)
+			c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 			if err == nil {
 				b.mu.Lock()
 				hello := envelope{Type: envHello, From: b.self, To: b.opts.Advertise, Inc: b.inc}
@@ -287,7 +277,7 @@ func (b *Bus) writerLoop(p *peerConn, stop chan struct{}) {
 				}
 				p.stats.Connected = true
 				b.mu.Unlock()
-				c.SetWriteDeadline(time.Now().Add(b.opts.WriteTimeout))
+				c.SetWriteDeadline(time.Now().Add(writeTimeout))
 				if err := writeFrame(c, hello); err != nil {
 					c.Close()
 					continue
@@ -301,7 +291,7 @@ func (b *Bus) writerLoop(p *peerConn, stop chan struct{}) {
 			if capped > 16 {
 				capped = 16 // keep Delay's exponent bounded; the cap rules anyway
 			}
-			d := b.opts.Backoff.Delay(capped, b.rng)
+			d := reconnectBackoff.Delay(capped, b.rng)
 			b.mu.Unlock()
 			select {
 			case <-stop:
@@ -317,7 +307,7 @@ func (b *Bus) writerLoop(p *peerConn, stop chan struct{}) {
 				return false
 			}
 		}
-		conn.SetWriteDeadline(time.Now().Add(b.opts.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := writeFrame(conn, env); err == nil {
 			return true
 		}
@@ -329,7 +319,7 @@ func (b *Bus) writerLoop(p *peerConn, stop chan struct{}) {
 		if conn == nil {
 			return false
 		}
-		conn.SetWriteDeadline(time.Now().Add(b.opts.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := writeFrame(conn, env); err != nil {
 			conn.Close()
 			conn = nil

@@ -1,7 +1,7 @@
 // Package transport is the in-process simulated message bus the cluster
 // members talk over. It models an asymmetric, unreliable datacenter network
 // on the same deterministic footing as the rest of the simulator: every
-// message pays a seeded base latency, and a faults.MsgPlan can drop, delay,
+// message pays a fixed base latency, and a faults.MsgPlan can drop, delay,
 // duplicate, reorder, or one-way-partition messages at named sites. The bus
 // never invokes receivers — members poll Receive at tick boundaries, which
 // keeps delivery order a pure function of (seed, send sequence) and makes
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"gyan/internal/faults"
-	"gyan/internal/sim"
 )
 
 // Message type names. These are the protocol vocabulary of the cluster:
@@ -48,18 +47,8 @@ type Message struct {
 	Body any
 }
 
-// Options configures a Bus.
-type Options struct {
-	// Seed drives latency jitter; the fault plan has its own seed.
-	Seed uint64
-	// BaseDelay is the one-way latency floor; zero defaults to 5ms.
-	BaseDelay time.Duration
-	// JitterFrac spreads latency uniformly in ±frac/2 around BaseDelay;
-	// zero means fixed latency.
-	JitterFrac float64
-	// Plan injects message faults; nil means a perfect network.
-	Plan *faults.MsgPlan
-}
+// baseDelay is the one-way latency every message pays.
+const baseDelay = 5 * time.Millisecond
 
 // Stats counts bus traffic and injected faults.
 type Stats struct {
@@ -107,8 +96,7 @@ type PeerStatser interface {
 // cluster's lockstep tick discipline sends happen in deterministic order.
 type Bus struct {
 	mu     sync.Mutex
-	opts   Options
-	rng    *sim.RNG
+	plan   *faults.MsgPlan
 	seq    uint64
 	queues map[string][]Message
 	dead   map[string]bool
@@ -118,14 +106,11 @@ type Bus struct {
 // Bus implements the Transport surface the cluster programs against.
 var _ Transport = (*Bus)(nil)
 
-// New builds a bus.
-func New(opts Options) *Bus {
-	if opts.BaseDelay <= 0 {
-		opts.BaseDelay = 5 * time.Millisecond
-	}
+// New builds a bus. The plan injects message faults; nil means a perfect
+// network.
+func New(plan *faults.MsgPlan) *Bus {
 	return &Bus{
-		opts:   opts,
-		rng:    sim.NewRNG(opts.Seed ^ 0x7472616e73706f72), // "transpor"
+		plan:   plan,
 		queues: make(map[string][]Message),
 		dead:   make(map[string]bool),
 	}
@@ -147,18 +132,12 @@ func (b *Bus) Send(now time.Duration, typ, from, to string, body any) {
 	}
 	b.seq++
 	b.stats.Sent++
-	plan := b.opts.Plan
+	plan := b.plan
 	if plan.Partitioned(from, to) {
 		b.stats.Partitioned++
 		return
 	}
-	lat := b.opts.BaseDelay
-	if f := b.opts.JitterFrac; f > 0 {
-		lat += time.Duration(float64(b.opts.BaseDelay) * f * (b.rng.Float64() - 0.5))
-	}
-	if lat < time.Nanosecond {
-		lat = time.Nanosecond
-	}
+	lat := baseDelay
 	msg := Message{Type: typ, From: from, To: to, Seq: b.seq, SentAt: now, Body: body}
 	fault, fired := plan.CheckMsg(faults.MsgSite{Type: typ, From: from, To: to, Seq: b.seq})
 	if fired {
@@ -171,13 +150,13 @@ func (b *Bus) Send(now time.Duration, typ, from, to string, body any) {
 			b.stats.Delayed++
 		}
 		if fault.Reorder {
-			lat += 2 * b.opts.BaseDelay
+			lat += 2 * baseDelay
 			b.stats.Reordered++
 		}
 		if fault.Duplicate {
 			dup := msg
 			dup.Dup = true
-			dup.DeliverAt = now + lat + b.opts.BaseDelay
+			dup.DeliverAt = now + lat + baseDelay
 			b.queues[to] = append(b.queues[to], dup)
 			b.stats.Duplicated++
 		}

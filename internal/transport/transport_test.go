@@ -8,7 +8,7 @@ import (
 )
 
 func TestBusDeliversInOrderAfterLatency(t *testing.T) {
-	b := New(Options{BaseDelay: 5 * time.Millisecond})
+	b := New(nil)
 	b.Send(0, MsgLeaseRenew, "h0", "h1", 1)
 	b.Send(time.Millisecond, MsgStealPrepare, "h0", "h1", 2)
 	b.Send(0, MsgLeaseRenew, "h0", "h2", 3)
@@ -42,7 +42,7 @@ func TestBusFaults(t *testing.T) {
 		faults.MsgRule{Match: faults.MsgMatch{Type: MsgStealRetire}, Fault: faults.MsgFault{Reorder: true}, Count: 1},
 		faults.MsgRule{Match: faults.MsgMatch{Type: MsgLeaseRenew}, Fault: faults.MsgFault{Delay: 100 * time.Millisecond}, Count: 1},
 	)
-	b := New(Options{BaseDelay: 5 * time.Millisecond, Plan: plan})
+	b := New(plan)
 
 	// Drop: never arrives.
 	b.Send(0, MsgStealPrepare, "h0", "h1", "p")
@@ -82,7 +82,7 @@ func TestBusFaults(t *testing.T) {
 
 func TestBusOneWayPartitionAndKill(t *testing.T) {
 	plan := faults.NewMsgPlan(1)
-	b := New(Options{BaseDelay: time.Millisecond, Plan: plan})
+	b := New(plan)
 
 	plan.Cut("h0", "h1")
 	b.Send(0, MsgLeaseRenew, "h0", "h1", nil)
@@ -118,7 +118,7 @@ func TestBusDeterministicWithSeed(t *testing.T) {
 	run := func() []Message {
 		plan := faults.NewMsgPlan(99,
 			faults.MsgRule{Match: faults.MsgMatch{}, Fault: faults.MsgFault{Drop: true}, Prob: 0.3})
-		b := New(Options{Seed: 5, BaseDelay: 5 * time.Millisecond, JitterFrac: 0.5, Plan: plan})
+		b := New(plan)
 		for i := 0; i < 40; i++ {
 			b.Send(time.Duration(i)*time.Millisecond, MsgLeaseRenew, "h0", "h1", i)
 		}
@@ -143,7 +143,7 @@ func TestBusDeterministicWithSeed(t *testing.T) {
 // forever. Revive reopens delivery (under a fresh inbound queue — the old
 // life's in-flight traffic was lost at the kill, not resurrected).
 func TestBusKillReviveRedelivers(t *testing.T) {
-	b := New(Options{BaseDelay: time.Millisecond})
+	b := New(nil)
 
 	b.Send(0, MsgLeaseRenew, "h0", "h1", 1)
 	b.Kill("h1")
@@ -168,7 +168,7 @@ func TestBusKillReviveRedelivers(t *testing.T) {
 // increment both before the dead-member check, so kill-heavy runs reported
 // inflated wire traffic and gappy sequences.)
 func TestBusSendStatsAccounting(t *testing.T) {
-	b := New(Options{BaseDelay: time.Millisecond})
+	b := New(nil)
 	b.Kill("h2")
 
 	b.Send(0, MsgLeaseRenew, "h0", "h1", 1)

@@ -14,7 +14,7 @@ import (
 func TestSimBusConformance(t *testing.T) {
 	transporttest.Run(t, func(t *testing.T) *transporttest.Harness {
 		plan := faults.NewMsgPlan(1)
-		b := transport.New(transport.Options{BaseDelay: time.Millisecond, Plan: plan})
+		b := transport.New(plan)
 		now := new(time.Duration)
 		return &transporttest.Harness{
 			Members:  []string{"a", "b"},

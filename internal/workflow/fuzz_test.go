@@ -42,7 +42,7 @@ func FuzzBuildDAG(f *testing.F) {
 		// The run state machine over any accepted DAG must drain: keep
 		// completing ready steps and the run must terminate with every
 		// step done.
-		r := NewRun(d, FailFast)
+		r := NewRun(d)
 		for guard := 0; !r.Done(); guard++ {
 			if guard > len(steps)+1 {
 				t.Fatalf("run did not drain: counts %v", r.Counts())

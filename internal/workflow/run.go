@@ -7,7 +7,7 @@ type StepState string
 
 // Step states. Ready means every parent completed ok and the step may be
 // released; Submitted means the integration layer handed it to the job
-// engine; Skipped means a failure policy cancelled it before release.
+// engine; Skipped means a failure cancelled it before release.
 const (
 	StepPending   StepState = "pending"
 	StepReady     StepState = "ready"
@@ -22,26 +22,16 @@ func (s StepState) Terminal() bool {
 	return s == StepDone || s == StepFailed || s == StepSkipped
 }
 
-// FailurePolicy decides what a step failure does to the rest of the graph.
-type FailurePolicy string
-
-const (
-	// FailFast cancels every not-yet-released step on the first failure;
-	// in-flight steps run to completion but release nothing further.
-	FailFast FailurePolicy = "fail_fast"
-	// ContinueBranches skips only the failed step's descendants;
-	// independent branches keep running to completion (partial results).
-	ContinueBranches FailurePolicy = "continue_branches"
-)
-
 // Run is the ready-set state machine over one DAG instance. It is pure
 // bookkeeping — no clocks, no goroutines, no engine — and not safe for
 // concurrent use; the caller serializes access (galaxy holds its workflow
 // run's lock).
+//
+// A run fails fast: the first step failure cancels every not-yet-released
+// step; in-flight steps run to completion but release nothing further.
 type Run struct {
-	dag    *DAG
-	policy FailurePolicy
-	state  map[string]StepState
+	dag   *DAG
+	state map[string]StepState
 	// devices remembers each completed step's GPU placement so children
 	// can prefer the devices already holding their inputs.
 	devices map[string][]int
@@ -49,13 +39,9 @@ type Run struct {
 }
 
 // NewRun builds the initial state: roots ready, everything else pending.
-func NewRun(d *DAG, policy FailurePolicy) *Run {
-	if policy == "" {
-		policy = FailFast
-	}
+func NewRun(d *DAG) *Run {
 	r := &Run{
 		dag:     d,
-		policy:  policy,
 		state:   make(map[string]StepState, d.Len()),
 		devices: make(map[string][]int),
 	}
@@ -94,9 +80,9 @@ func (r *Run) MarkSubmitted(id string) {
 // Complete records a submitted step's terminal outcome. devices is the GPU
 // gang the step ran on (nil for CPU steps), remembered for children's
 // placement preference. It returns the steps the completion made ready and
-// the steps the failure policy skipped, both in topological order. A
-// completion for a step that is already terminal is a no-op (a workflow's
-// verdict never flips retroactively).
+// the steps a failure skipped, both in topological order. A completion for a
+// step that is already terminal is a no-op (a workflow's verdict never flips
+// retroactively).
 func (r *Run) Complete(id string, ok bool, devices []int) (newlyReady, skipped []string) {
 	st, known := r.state[id]
 	if !known || st.Terminal() {
@@ -105,13 +91,13 @@ func (r *Run) Complete(id string, ok bool, devices []int) (newlyReady, skipped [
 	if !ok {
 		r.state[id] = StepFailed
 		r.failed = true
-		return nil, r.applyFailure(id)
+		return nil, r.skipUnreleased()
 	}
 	r.state[id] = StepDone
 	if len(devices) > 0 {
 		r.devices[id] = append([]int(nil), devices...)
 	}
-	if r.failed && r.policy == FailFast {
+	if r.failed {
 		// A sibling already failed the run; this step's completion stands,
 		// but nothing further is released.
 		return nil, nil
@@ -142,23 +128,13 @@ func (r *Run) Complete(id string, ok bool, devices []int) (newlyReady, skipped [
 	return newlyReady, nil
 }
 
-// applyFailure cancels steps per the policy and returns the skipped set.
-func (r *Run) applyFailure(failedID string) []string {
+// skipUnreleased cancels every step not yet released and returns them.
+func (r *Run) skipUnreleased() []string {
 	var skipped []string
-	cancel := func(id string) {
+	for _, id := range r.dag.topo {
 		if st := r.state[id]; st == StepPending || st == StepReady {
 			r.state[id] = StepSkipped
 			skipped = append(skipped, id)
-		}
-	}
-	switch r.policy {
-	case ContinueBranches:
-		for _, dID := range r.dag.Descendants(failedID) {
-			cancel(dID)
-		}
-	default: // FailFast
-		for _, id := range r.dag.topo {
-			cancel(id)
 		}
 	}
 	return skipped

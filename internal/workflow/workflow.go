@@ -9,9 +9,9 @@
 // step list into a DAG (duplicate IDs, dangling edges, cycles, input-less
 // roots, unknown tools); Run is the pure ready-set state machine the
 // integration layer (internal/galaxy's SubmitDAG) drives — it tracks which
-// steps are releasable as their parents complete, applies the configured
-// failure policy, and remembers where each completed step's output lives so
-// placement can prefer those devices. Keeping the state machine pure makes
+// steps are releasable as their parents complete, fails fast (the first
+// failure skips everything not yet released), and remembers where each
+// completed step's output lives so placement can prefer those devices. Keeping the state machine pure makes
 // it trivially testable and fuzzable, and lets crash recovery rebuild a
 // half-finished workflow by replaying completions into a fresh Run.
 package workflow
@@ -175,27 +175,4 @@ func (d *DAG) Parents(id string) []string {
 		return append([]string(nil), d.steps[i].After...)
 	}
 	return nil
-}
-
-// Descendants returns every step transitively downstream of id.
-func (d *DAG) Descendants(id string) []string {
-	seen := make(map[string]bool)
-	var walk func(string)
-	walk = func(n string) {
-		for _, c := range d.children[n] {
-			if !seen[c] {
-				seen[c] = true
-				walk(c)
-			}
-		}
-	}
-	walk(id)
-	// Return in topological order for determinism.
-	var out []string
-	for _, t := range d.topo {
-		if seen[t] {
-			out = append(out, t)
-		}
-	}
-	return out
 }

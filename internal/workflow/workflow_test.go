@@ -136,7 +136,7 @@ func TestRunFanOutFanIn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	r := NewRun(d, FailFast)
+	r := NewRun(d)
 	if got := r.Ready(); !reflect.DeepEqual(got, []string{"a"}) {
 		t.Fatalf("initial ready = %v, want [a]", got)
 	}
@@ -177,7 +177,7 @@ func TestRunFailFastSkipsEverythingPending(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	r := NewRun(d, FailFast)
+	r := NewRun(d)
 	r.MarkSubmitted("a")
 	r.MarkSubmitted("b")
 	ready, skipped := r.Complete("a", false, nil)
@@ -204,42 +204,12 @@ func TestRunFailFastSkipsEverythingPending(t *testing.T) {
 	}
 }
 
-func TestRunContinueBranchesSkipsOnlyDescendants(t *testing.T) {
-	d, err := Build("wf", []Step{
-		step("a"), step("b"), step("c", "a"), step("d", "c"), step("e", "b"),
-	}, BuildOptions{})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	r := NewRun(d, ContinueBranches)
-	r.MarkSubmitted("a")
-	r.MarkSubmitted("b")
-	_, skipped := r.Complete("a", false, nil)
-	if !reflect.DeepEqual(skipped, []string{"c", "d"}) {
-		t.Fatalf("skipped = %v, want [c d]", skipped)
-	}
-	// The independent branch keeps going to a partial result.
-	ready, _ := r.Complete("b", true, nil)
-	if !reflect.DeepEqual(ready, []string{"e"}) {
-		t.Fatalf("independent branch not released: %v", ready)
-	}
-	r.MarkSubmitted("e")
-	r.Complete("e", true, nil)
-	if !r.Done() || !r.Failed() {
-		t.Fatalf("Done=%v Failed=%v", r.Done(), r.Failed())
-	}
-	counts := r.Counts()
-	if counts[StepDone] != 2 || counts[StepFailed] != 1 || counts[StepSkipped] != 2 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
 func TestCompleteIsIdempotentOnTerminalSteps(t *testing.T) {
 	d, err := Build("wf", []Step{step("a"), step("b", "a")}, BuildOptions{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	r := NewRun(d, FailFast)
+	r := NewRun(d)
 	r.MarkSubmitted("a")
 	r.Complete("a", false, nil)
 	// A late duplicate completion (e.g. an admin resubmit of the failed

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -51,21 +52,15 @@ const maxSeams = 15
 // only its own package's tests need it, or — for a fault hook — list it in
 // seams. Wiring a flag or an endpoint to it just to pass is the wrong fix.
 func TestExportedSurfaceIsUsed(t *testing.T) {
-	l := newLoader(t)
-	dirs := l.packageDirs()
+	m := loadModule(t)
+	l, live := m.l, m.live
 
 	// Pass 1: the programs. Every non-test file of every package that is not
 	// itself test support (one whose non-test files import "testing").
 	used := map[*types.Func]bool{}
 	var ifaces []*types.Interface
 	stdImported := map[*types.Package]bool{}
-	var live []*pkg
-	for _, dir := range dirs {
-		p := l.load(l.importPath(dir))
-		if p.testSupport {
-			continue
-		}
-		live = append(live, p)
+	for _, p := range live {
 		for _, imp := range p.types.Imports() {
 			if !inModule(imp.Path()) {
 				stdImported[imp] = true
@@ -105,8 +100,23 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 	// Pass 2: the tests. What each package's test files (and the non-test
 	// files of a test-support package) reference in *other* packages.
 	testUsed := map[*types.Func]bool{}
-	for _, dir := range dirs {
-		l.markTestUses(dir, testUsed)
+	for _, u := range m.tests {
+		for _, f := range u.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := u.info.Uses[id].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg() == u.own {
+					return true
+				}
+				if q, ok := l.pkgs[fn.Pkg().Path()]; ok && q.types == fn.Pkg() {
+					testUsed[fn.Origin()] = true
+				}
+				return true
+			})
+		}
 	}
 
 	// The rule, over every exported func, method and interface method that
@@ -154,6 +164,196 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 		t.Errorf("%d exported functions and methods are referenced by no non-test file and implement no interface the programs call through:\n\t%s",
 			len(dead), strings.Join(dead, "\n\t"))
 	}
+}
+
+// optionSeams is the only escape from TestOptionFieldsAreSet: an option field
+// no program sets, kept because a test in a *different* package configures a
+// fault through it. Each entry names that test; the check fails on an entry
+// no other-package test sets, on one a program has since started to set, and
+// on a seventh.
+var optionSeams = map[string]string{}
+
+const maxOptionSeams = 6
+
+// TestOptionFieldsAreSet holds option structs to the same rule: an exported
+// field of an exported internal/ struct whose name ends in Config, Options or
+// Params (and of faults.Backoff) is part of the system only if a non-test
+// file outside its package sets it, by keyed composite literal or by
+// assignment. A set inside the package counts only as a forwarder — its value
+// reads another option field, as Sim hands SimConfig.Dir to Config.Dir — and
+// only if that source field passes. A field only tests set is a mode nobody
+// runs: delete it with the behaviour it enables, make it a constant where
+// the code still needs the value, unexport it if only its own package's
+// tests set it, or — for a fault plan — list it in optionSeams. Adding a flag
+// or an API field just to pass is the wrong fix.
+func TestOptionFieldsAreSet(t *testing.T) {
+	m := loadModule(t)
+	l := m.l
+
+	// The fields the rule covers, by their optionSeams spelling.
+	fields := map[*types.Var]string{}
+	for _, p := range m.live {
+		if !strings.HasPrefix(p.path, modulePath+"/internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !isOptionStruct(p.types.Name(), name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				// A tagged field is set by the decoder that reads the tag.
+				if f := st.Field(i); f.Exported() && !f.Embedded() && st.Tag(i) == "" {
+					fields[f] = p.types.Name() + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+
+	// The programs: which fields another package sets, and which a field's
+	// own package sets from which other option fields.
+	set := map[*types.Var]bool{}
+	forwards := map[*types.Var][]*types.Var{}
+	for _, p := range m.live {
+		for _, file := range p.files {
+			eachFieldSet(p.info, file, func(f *types.Var, value ast.Expr) {
+				if _, ok := fields[f]; !ok {
+					return
+				}
+				if f.Pkg() != p.types {
+					set[f] = true
+					return
+				}
+				eachFieldRead(p.info, value, func(src *types.Var) {
+					if _, ok := fields[src]; ok && src != f {
+						forwards[f] = append(forwards[f], src)
+					}
+				})
+			})
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for f, srcs := range forwards {
+			for _, src := range srcs {
+				if set[src] && !set[f] {
+					set[f], changed = true, true
+				}
+			}
+		}
+	}
+
+	// The tests: which fields of other packages they set.
+	testSet := map[*types.Var]bool{}
+	for _, u := range m.tests {
+		for _, file := range u.files {
+			eachFieldSet(u.info, file, func(f *types.Var, _ ast.Expr) {
+				if f.Pkg() != u.own {
+					testSet[f] = true
+				}
+			})
+		}
+	}
+
+	seamSeen := map[string]bool{}
+	var unset []string
+	for f, name := range fields {
+		reason, isSeam := optionSeams[name]
+		switch {
+		case set[f]:
+			if isSeam {
+				t.Errorf("option seam %s is set by non-test code now: drop it from optionSeams", name)
+				seamSeen[name] = true
+			}
+		case isSeam:
+			seamSeen[name] = true
+			if reason == "" {
+				t.Errorf("option seam %s gives no reason", name)
+			}
+			if !testSet[f] {
+				t.Errorf("option seam %s is set by no test outside package %s: delete or unexport it", name, f.Pkg().Name())
+			}
+		default:
+			pos := l.fset.Position(f.Pos())
+			rel, _ := filepath.Rel(l.root, pos.Filename)
+			unset = append(unset, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, name))
+		}
+	}
+	for name := range optionSeams {
+		if !seamSeen[name] {
+			t.Errorf("option seam %s names nothing the tree declares", name)
+		}
+	}
+	if len(optionSeams) > maxOptionSeams {
+		t.Errorf("optionSeams has %d entries; the cap is %d", len(optionSeams), maxOptionSeams)
+	}
+	if len(unset) > 0 {
+		sort.Strings(unset)
+		t.Errorf("%d of %d option fields are set by no non-test file outside their package:\n\t%s",
+			len(unset), len(fields), strings.Join(unset, "\n\t"))
+	}
+}
+
+// isOptionStruct is the naming rule: …Config, …Options, …Params, and the one
+// option struct named otherwise.
+func isOptionStruct(pkgName, name string) bool {
+	for _, suffix := range []string{"Config", "Options", "Params"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return pkgName == "faults" && name == "Backoff"
+}
+
+// eachFieldRead calls fn for every struct field the expression reads; the
+// keys of a composite literal inside it name fields without reading them.
+func eachFieldRead(info *types.Info, e ast.Expr, fn func(f *types.Var)) {
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			eachFieldRead(info, n.Value, fn)
+			return false
+		case *ast.Ident:
+			if f, ok := info.Uses[n].(*types.Var); ok && f.IsField() {
+				fn(f.Origin())
+			}
+		}
+		return true
+	})
+}
+
+// eachFieldSet calls fn for every struct field the file sets — a key of a
+// composite literal, or the left side of an assignment — with the value.
+func eachFieldSet(info *types.Info, file *ast.File, fn func(f *types.Var, value ast.Expr)) {
+	field := func(id *ast.Ident, value ast.Expr) {
+		if f, ok := info.Uses[id].(*types.Var); ok && f.IsField() {
+			fn(f.Origin(), value)
+		}
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						field(id, kv.Value)
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					field(sel.Sel, n.Rhs[min(i, len(n.Rhs)-1)])
+				}
+			}
+		}
+		return true
+	})
 }
 
 // markUses records every function or method the declaration references,
@@ -369,42 +569,69 @@ func (l *loader) load(path string) *pkg {
 	return p
 }
 
-// markTestUses type-checks the directory's test files — in-package ones
-// together with the package, external ones on their own — and records which
-// functions of other packages they reference; for an external test package
-// (package p_test) that includes p. A test-support package's non-test files
-// count as tests.
-func (l *loader) markTestUses(dir string, testUsed map[*types.Func]bool) {
+// testFiles is one batch of files that count as tests, with the info that
+// resolves them: own is the package whose objects are the batch's own (nil
+// when those resolve into a variant and can never be mistaken for shared ones).
+type testFiles struct {
+	files []*ast.File
+	info  *types.Info
+	own   *types.Package
+}
+
+// testUnits type-checks the directory's test files — in-package ones together
+// with the package, external ones on their own, so that for an external test
+// package (package p_test) p is another package. A test-support package's
+// non-test files count as tests.
+func (l *loader) testUnits(dir string) []testFiles {
 	p := l.load(l.importPath(dir))
-	record := func(info *types.Info, files []*ast.File, own *types.Package) {
-		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				fn, ok := info.Uses[id].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg() == own {
-					return true
-				}
-				if q, ok := l.pkgs[fn.Pkg().Path()]; ok && q.types == fn.Pkg() {
-					testUsed[fn.Origin()] = true
-				}
-				return true
-			})
-		}
-	}
+	var out []testFiles
 	if p.testSupport {
-		record(p.info, p.files, p.types)
+		out = append(out, testFiles{p.files, p.info, p.types})
 	}
 	if len(p.bp.TestGoFiles) > 0 {
 		tests := l.parse(dir, p.bp.TestGoFiles)
 		_, info := l.check(p.path, append(append([]*ast.File(nil), p.files...), tests...))
-		record(info, tests, nil) // own references resolve into the variant, never the shared package
+		out = append(out, testFiles{tests, info, nil})
 	}
 	if len(p.bp.XTestGoFiles) > 0 {
 		tests := l.parse(dir, p.bp.XTestGoFiles)
 		_, info := l.check(p.path+"_test", tests)
-		record(info, tests, nil) // an external test package reaches only what is exported
+		out = append(out, testFiles{tests, info, nil})
 	}
+	return out
+}
+
+// module is the tree type-checked once per test binary and shared by the
+// surface checks: the programs' packages and every batch of test files.
+type module struct {
+	l     *loader
+	live  []*pkg
+	tests []testFiles
+}
+
+var (
+	moduleOnce sync.Once
+	theModule  *module
+)
+
+// loadModule type-checks the module on first use. Load errors are reported
+// on the test that triggered the load; a later test fails by name only.
+func loadModule(t *testing.T) *module {
+	moduleOnce.Do(func() {
+		l := newLoader(t)
+		m := &module{l: l}
+		for _, dir := range l.packageDirs() {
+			if p := l.load(l.importPath(dir)); !p.testSupport {
+				m.live = append(m.live, p)
+			}
+			m.tests = append(m.tests, l.testUnits(dir)...)
+		}
+		if !t.Failed() {
+			theModule = m
+		}
+	})
+	if theModule == nil {
+		t.Fatal("the module did not type-check; see the first surface test")
+	}
+	return theModule
 }
