@@ -1,5 +1,5 @@
-# Developer entry points. `make check` is the gate CI runs: build, vet and
-# the full test suite under the race detector.
+# Developer entry points. `make check` is the gate CI runs: build, gofmt, vet
+# and the full test suite under the race detector.
 
 GO ?= go
 
@@ -11,15 +11,22 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/workflow:FuzzBuildDAG \
                 ./internal/smi:FuzzParseXML \
                 ./internal/bioseq:FuzzEditDistance \
-                ./internal/tools/racon:FuzzAddSequence
+                ./internal/tools/racon:FuzzAddSequence \
+                ./internal/transport/tcpbus:FuzzFrame
 FUZZTIME     ?= 10s
 
-.PHONY: check build vet test test-race test-flake test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke
+.PHONY: check build fmt vet test test-race test-flake test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke
 
-check: build vet test-race
+check: build fmt vet test-race
 
 build:
 	$(GO) build ./...
+
+# fmt fails on any file gofmt would rewrite (the bench's build directory is
+# not source).
+fmt:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -59,10 +66,12 @@ test-flake:
 
 # test-crash replays the kill-and-failover scenario end to end: handler h1
 # dies mid-workload with a torn record on disk, standby h2 recovers from the
-# journal, and the audit pins zero lost jobs and zero double executions.
+# journal, and the audit pins zero lost jobs and zero double executions; then
+# the differential recovery oracle (a journal with the retired map records
+# spliced back in recovers to the same report and the same jobs).
 test-crash:
 	$(call run_selected,./internal/experiments,TestCrashRecovery)
-	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLeaseExpiry)
+	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLeaseExpiry|TestRecoverSplicedMapRecords)
 
 # hammer-api is the -race hammer for the single server's real handler:
 # concurrent POST /api/jobs of the http_jobs mix against every read endpoint,
@@ -77,10 +86,11 @@ hammer-api:
 # semantics (crash between stage and flush must not acknowledge), watermark
 # monotonicity under concurrent flushers, the flush-error latch, the
 # read-only flat layout and its epoch rule, the fold (rule table, retired
-# kinds, interleaving invariance, no write-only record kind), and the sharded
-# crash-requeue scenario at the engine level.
+# kinds, interleaving invariance, no write-only record kind), and at the engine
+# level the sharded crash-requeue scenario and the spliced-map-record recovery
+# oracle.
 JOURNAL_TESTS ?= TestSharded|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold
-JOURNAL_GALAXY_TESTS ?= TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash
+JOURNAL_GALAXY_TESTS ?= TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash|TestRecoverSplicedMapRecords
 
 test-journal:
 	$(call run_selected,./internal/journal,$(JOURNAL_TESTS))

@@ -77,7 +77,7 @@ func main() {
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU, heap, mutex profiles)")
 		clusterSize = flag.Int("cluster-size", 1, "boot an in-process N-handler cluster (>1) instead of a single Galaxy; serves /api/cluster")
 		handlerID   = flag.String("handler-id", "h", "handler ID prefix for cluster members (-cluster-size > 1): IDs are <prefix>0..<prefix>N-1")
-		memberTTL   = flag.Duration("member-ttl", 0, "cluster membership lease TTL; a member whose renewals lapse this long is declared dead (0: 6 ticks)")
+		memberTTL   = flag.Duration("member-ttl", 0, "cluster membership lease TTL; a member whose renewals lapse this long is declared dead (0: 6 ticks under -cluster-size, 60 ticks under -bus tcp)")
 
 		// Networked-cluster flags (-bus tcp): one OS process per member, the
 		// cluster protocol carried over real sockets by internal/transport/tcpbus.

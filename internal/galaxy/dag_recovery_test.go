@@ -1,10 +1,6 @@
 package galaxy
 
 import (
-	"encoding/binary"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -268,17 +264,7 @@ var pr22Journal = []string{
 // (the old cap held it back until a finished). Fail-fast: c's failure skips
 // d, which is no descendant of c (continue_branches ran it).
 func TestRecoverOldJournalResumesFailFastUncapped(t *testing.T) {
-	dir := t.TempDir()
-	var seg []byte
-	for _, payload := range pr22Journal {
-		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(payload)))
-		seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE([]byte(payload)))
-		seg = append(seg, payload...)
-	}
-	// The flat layout: one more stream to Replay, never appended to.
-	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := writeFlatJournal(t, pr22Journal)
 	recs, rerr := replayDir(t, dir)
 	if rerr != nil || len(recs) != len(pr22Journal) {
 		t.Fatalf("replayed %d of %d records: %v", len(recs), len(pr22Journal), rerr)

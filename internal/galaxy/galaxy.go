@@ -454,8 +454,7 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 		Job: job.ID, Tool: toolID, User: job.User, Params: params,
 		Dataset: opts.DatasetName, Runtime: opts.Runtime,
 		Priority: opts.Priority, GPUs: opts.GPUs, EstRuntime: opts.EstRuntime,
-		Submitted: job.Submitted, Delay: opts.Delay,
-		Workflow: opts.wfID, Step: opts.wfStep,
+		Submitted: job.Submitted, Workflow: opts.wfID, Step: opts.wfStep,
 	}
 	// Publish before journaling: the insert is the job's release barrier,
 	// and the logJournal epoch bump after it invalidates cached snapshots.
@@ -544,11 +543,7 @@ func (g *Galaxy) startJobLocked(job *Job, binding *ToolBinding, opts SubmitOptio
 		}
 	}
 
-	g.logJournal(journal.Record{
-		Type: journal.TypeMap, At: now, Job: job.ID,
-		Destination: decision.Destination.ID, GPUEnabled: decision.GPUEnabled,
-		Devices: decision.Devices, Msg: decision.Reason,
-	})
+	g.obsv.Mapped(job.ID, now, decision.Destination.ID)
 
 	// Batch scheduling: GPU jobs park in the scheduler's priority queue
 	// and start when a cycle grants them an exclusive device gang.
@@ -820,7 +815,14 @@ func (g *Galaxy) dispatchNext(destID string) {
 	next := queue[0]
 	g.waiting[destID] = queue[1:]
 	g.Engine.After(0, func(now time.Duration) {
-		g.startJob(next.job, next.binding, next.opts, now)
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if next.job.killed {
+			// Killed while it waited: the slot goes to whoever is behind it.
+			g.dispatchNext(destID)
+			return
+		}
+		g.startJobLocked(next.job, next.binding, next.opts, now)
 	})
 }
 

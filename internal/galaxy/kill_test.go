@@ -34,7 +34,7 @@ func TestKillRunningJobFreesDevices(t *testing.T) {
 }
 
 func TestKillReleasesSlotForQueuedJob(t *testing.T) {
-	g := New(nil, WithJobConf(slottedConf(t)))
+	g := New(nil, WithJobConf(slottedConf(t, 2)))
 	if err := g.RegisterDefaultTools(); err != nil {
 		t.Fatal(err)
 	}

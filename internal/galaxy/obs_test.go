@@ -10,7 +10,6 @@ import (
 
 	"gyan/internal/faults"
 	"gyan/internal/journal"
-	"gyan/internal/sched"
 )
 
 // TestObserverSeesFullLifecycle runs one GPU job end to end and checks the
@@ -40,7 +39,7 @@ func TestObserverSeesFullLifecycle(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	// The mapper journaled a destination decision.
+	// The mapper's destination decision was counted.
 	found := false
 	for name := range snap {
 		if strings.HasPrefix(name, "gyan_map_decisions_total{") && snap[name] > 0 {
@@ -256,69 +255,100 @@ func TestConcurrentObsRecordingAndScrape(t *testing.T) {
 }
 
 // TestSchedulerQueueEventsAreObservedNotJournaled pins both halves of "what
-// no fold reads is not written": a scheduler-managed job's trace still shows
-// its park at the map instant and its grant at the start instant (a killed
-// waiter its removal), the counters still count them — and the journal
-// carries only the four records recovery acts on.
+// no fold reads is not written", on each of the three dispatch paths: the
+// trace still shows the mapping decision — and, under the scheduler, the park
+// at the map instant and the grant at the start instant (a killed waiter its
+// removal) — the counters still count them, and the journal carries only the
+// three records recovery acts on.
 func TestSchedulerQueueEventsAreObservedNotJournaled(t *testing.T) {
-	dir := t.TempDir()
-	j, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
+	paths := []struct {
+		name  string
+		build func(t *testing.T, j *journal.Journal) *Galaxy
+		// jobs are submitted at one instant; the trail read back is the
+		// (waited+1)th job's. kill marks the scheduler path: that job is
+		// killed while parked, once all are mapped.
+		jobs, waited, kill int
+	}{
+		{"direct", directPath, 1, 0, 0},
+		{"destination slots", slotsPath, 3, 2, 0}, // two slots: job 3 waits
+		{"scheduler", schedulerPath, 4, 2, 3},     // two devices: jobs 3 and 4 park
 	}
-	defer j.Close()
-	g := schedGalaxy(t, sched.Config{}, WithJournal(j, "h1"))
-	rs := smallReadSet(t)
-	var jobs []*Job
-	for i := 0; i < 4; i++ { // two devices: jobs 3 and 4 wait
-		job, err := g.Submit("racon", fastParams(), rs, SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, job)
-	}
-	g.Engine.RunUntil(time.Millisecond) // everyone mapped and parked, two granted
-	g.Kill(jobs[3])
-	g.Run()
-
-	snap := g.Observer().Reg.Snapshot()
-	if p, gr := snap["gyan_sched_parked_total"], snap["gyan_sched_grants_total"]; p != 4 || gr != 3 {
-		t.Errorf("parked/grants = %v/%v, want 4/3", p, gr)
-	}
-	at := func(id int, name, detail string) time.Duration {
-		t.Helper()
-		tr, _ := g.Observer().Traces.Get(id)
-		for _, e := range tr.Events {
-			if e.Name == name && (detail == "" || e.Detail == detail) {
-				return e.At
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Fatalf("job %d: no %s/%s event in %+v", id, name, detail, tr.Events)
-		return 0
-	}
-	waited := jobs[2].ID
-	if at(waited, "schedule", "park") != at(waited, "map", "") {
-		t.Error("park is not at the map instant")
-	}
-	if at(waited, "queue", "grant") != at(waited, "start", "") || at(waited, "start", "") == 0 {
-		t.Error("grant is not at the (later) start instant")
-	}
-	at(jobs[3].ID, "queue", "remove")
+			defer j.Close()
+			g := p.build(t, j)
+			rs := smallReadSet(t)
+			var jobs []*Job
+			for i := 0; i < p.jobs; i++ {
+				job, err := g.Submit("racon", fastParams(), rs, SubmitOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs, job)
+			}
+			g.Engine.RunUntil(time.Millisecond) // everyone mapped; started, waiting or parked
+			if p.kill > 0 {
+				g.Kill(jobs[p.kill])
+			}
+			g.Run()
 
-	if err := j.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	recs, _, err := journal.ReplayAll(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds []string
-	for _, rec := range recs {
-		if rec.Job == waited {
-			kinds = append(kinds, string(rec.Type))
-		}
-	}
-	if got := strings.Join(kinds, ","); got != "submit,map,start,complete" {
-		t.Errorf("job %d journaled %s, want submit,map,start,complete", waited, got)
+			at := func(id int, name, detail string) time.Duration {
+				t.Helper()
+				tr, _ := g.Observer().Traces.Get(id)
+				for _, e := range tr.Events {
+					if e.Name == name && (detail == "" || e.Detail == detail) {
+						return e.At
+					}
+				}
+				t.Fatalf("job %d: no %s/%s event in %+v", id, name, detail, tr.Events)
+				return 0
+			}
+			waited := jobs[p.waited]
+			if waited.State != StateOK {
+				t.Fatalf("job %d ended %s: %s", waited.ID, waited.State, waited.Info)
+			}
+			if at(waited.ID, "map", "") != 0 || (p.waited > 0) != (at(waited.ID, "start", "") > 0) {
+				t.Errorf("job %d mapped at %v and started at %v; want mapped at submit, started later only if it waited",
+					waited.ID, at(waited.ID, "map", ""), at(waited.ID, "start", ""))
+			}
+			snap := g.Observer().Reg.Snapshot()
+			if p.kill > 0 {
+				if pk, gr := snap["gyan_sched_parked_total"], snap["gyan_sched_grants_total"]; pk != 4 || gr != 3 {
+					t.Errorf("parked/grants = %v/%v, want 4/3", pk, gr)
+				}
+				if at(waited.ID, "schedule", "park") != at(waited.ID, "map", "") {
+					t.Error("park is not at the map instant")
+				}
+				if at(waited.ID, "queue", "grant") != at(waited.ID, "start", "") {
+					t.Error("grant is not at the start instant")
+				}
+				at(jobs[p.kill].ID, "queue", "remove")
+			}
+			if got := snap[`gyan_map_decisions_total{destination="`+waited.Destination+`"}`]; got < float64(p.jobs) {
+				t.Errorf("map decisions for %q = %v, want at least one per job (%d)", waited.Destination, got, p.jobs)
+			}
+
+			if err := j.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err := journal.ReplayAll(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kinds []string
+			for _, rec := range recs {
+				if rec.Job == waited.ID {
+					kinds = append(kinds, string(rec.Type))
+				}
+			}
+			if got := strings.Join(kinds, ","); got != "submit,start,complete" {
+				t.Errorf("job %d journaled %s, want submit,start,complete", waited.ID, got)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package galaxy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -8,11 +9,11 @@ import (
 	"gyan/internal/jobconf"
 )
 
-// slottedConf builds a job_conf whose GPU destination admits only two
+// slottedConf builds a job_conf whose GPU destination admits only slots
 // concurrent jobs.
-func slottedConf(t *testing.T) *jobconf.Config {
+func slottedConf(t *testing.T, slots int) *jobconf.Config {
 	t.Helper()
-	conf, err := jobconf.Parse(`<job_conf>
+	conf, err := jobconf.Parse(fmt.Sprintf(`<job_conf>
   <plugins>
     <plugin id="local" type="runner" workers="4"/>
   </plugins>
@@ -20,11 +21,11 @@ func slottedConf(t *testing.T) *jobconf.Config {
     <destination id="dynamic" runner="dynamic"/>
     <destination id="local_gpu" runner="local">
       <param id="gpu_enabled">true</param>
-      <param id="slots">2</param>
+      <param id="slots">%d</param>
     </destination>
     <destination id="local_cpu" runner="local"/>
   </destinations>
-</job_conf>`)
+</job_conf>`, slots))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func slottedConf(t *testing.T) *jobconf.Config {
 }
 
 func TestDestinationSlotsQueueJobs(t *testing.T) {
-	g := New(nil, WithJobConf(slottedConf(t)))
+	g := New(nil, WithJobConf(slottedConf(t, 2)))
 	if err := g.RegisterDefaultTools(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,41 @@ func TestDestinationSlotsQueueJobs(t *testing.T) {
 	}
 }
 
+// TestKillWhileWaitingHandsSlotOn: a job killed while parked behind a
+// saturated destination must not swallow the slot the next release offers it.
+func TestKillWhileWaitingHandsSlotOn(t *testing.T) {
+	g := New(nil, WithJobConf(slottedConf(t, 1)))
+	if err := g.RegisterDefaultTools(); err != nil {
+		t.Fatal(err)
+	}
+	rs := smallReadSet(t)
+	jobs := make([]*Job, 3)
+	for i := range jobs {
+		var err error
+		jobs[i], err = g.Submit("racon", map[string]string{"scale": "0.01"}, rs, SubmitOptions{
+			Delay: time.Duration(i) * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Engine.After(10*time.Millisecond, func(time.Duration) { g.Kill(jobs[1]) })
+	g.Run()
+	if jobs[0].State != StateOK || jobs[1].State != StateError || jobs[1].Started != 0 {
+		t.Fatalf("first %s, killed waiter %s (started %v); want ok, error, never started",
+			jobs[0].State, jobs[1].State, jobs[1].Started)
+	}
+	if jobs[2].State != StateOK {
+		t.Fatalf("job behind the killed waiter ended %s (%s): the freed slot went to nobody",
+			jobs[2].State, jobs[2].Info)
+	}
+	if jobs[2].Started < jobs[0].Finished {
+		t.Errorf("third job started at %v, before the only slot freed at %v", jobs[2].Started, jobs[0].Finished)
+	}
+}
+
 func TestFailedJobReleasesSlot(t *testing.T) {
-	g := New(nil, WithJobConf(slottedConf(t)))
+	g := New(nil, WithJobConf(slottedConf(t, 2)))
 	if err := g.RegisterDefaultTools(); err != nil {
 		t.Fatal(err)
 	}

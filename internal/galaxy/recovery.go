@@ -16,6 +16,9 @@ import (
 // jobs rematerialize with their failure logs, quarantine state is replayed
 // from the attempt records, and non-terminal jobs requeue as a new run epoch
 // with their original submission time, so seniority survives the restart.
+// Placement is not recovered: a start record says where a run went, a job that
+// never started comes back with none, and the requeue maps it from a fresh
+// survey at the resumed instant — GYAN's rule, so the decision is not journaled.
 //
 // Ownership is lease-based, with two guards against split-brain. The
 // structural one is the journal directory's exclusive flock (journal.Open):
@@ -586,12 +589,6 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail, opts RecoverOptions
 			At: a.At, Attempt: a.Attempt, Op: faults.Op(a.Op),
 			Class: classFromString(a.Class), Msg: a.Msg, Devices: a.Devices,
 		})
-	}
-	if h.Map != nil {
-		job.Destination = h.Map.Destination
-		job.GPUEnabled = h.Map.GPUEnabled
-		job.Devices = h.Map.Devices
-		job.VisibleDevices = deviceList(h.Map.Devices)
 	}
 	if h.Start != nil {
 		job.Started = h.Start.At

@@ -1,9 +1,13 @@
 package galaxy
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +40,39 @@ func replayDir(t *testing.T, dir string) ([]journal.Record, error) {
 		}
 	}
 	return recs, err
+}
+
+// The three paths a mapped job takes to its launch, each journaling to j as
+// handler h1: straight through, behind a destination that admits two jobs at a
+// time, and through the batch scheduler's queue (two devices).
+func directPath(t *testing.T, j *journal.Journal) *Galaxy {
+	return testGalaxy(t, WithJournal(j, "h1"))
+}
+
+func slotsPath(t *testing.T, j *journal.Journal) *Galaxy {
+	return testGalaxy(t, WithJobConf(slottedConf(t, 2)), WithJournal(j, "h1"))
+}
+
+func schedulerPath(t *testing.T, j *journal.Journal) *Galaxy {
+	return schedGalaxy(t, sched.Config{}, WithJournal(j, "h1"))
+}
+
+// writeFlatJournal frames the payloads into a fresh directory's one flat
+// segment — the layout older writers used: one more stream to Replay, never
+// appended to — so a test can recover bytes no current writer produces.
+func writeFlatJournal(t *testing.T, payloads []string) string {
+	t.Helper()
+	dir := t.TempDir()
+	var seg []byte
+	for _, payload := range payloads {
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(payload)))
+		seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE([]byte(payload)))
+		seg = append(seg, payload...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 func asCorrupt(err error, out **journal.CorruptRecordError) bool {
@@ -526,5 +563,179 @@ func TestRecoverRefusesCorruptSnapshot(t *testing.T) {
 		t.Fatal("recovery from a corrupt snapshot must be refused")
 	} else if !strings.Contains(err.Error(), "snapshot") {
 		t.Fatalf("refusal should name the snapshot: %v", err)
+	}
+}
+
+// spliceMapRecords puts back what the commit before PR 24 journaled: a map
+// record in front of every start and after the submit of every job that never
+// started. The spliced gang is [0,1] whatever the start says — the mapper's
+// answer, which under the scheduler was not what ran. Each takes its
+// neighbour's ticket, so Replay's stable merge keeps it in place.
+func spliceMapRecords(t *testing.T, payloads []string) (spliced []string) {
+	t.Helper()
+	recs := make([]journal.Record, len(payloads))
+	started := map[int]bool{}
+	for i, p := range payloads {
+		if err := json.Unmarshal([]byte(p), &recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if recs[i].Type == journal.TypeStart {
+			started[recs[i].Job] = true
+		}
+	}
+	mapFor := func(r journal.Record) string {
+		b, err := json.Marshal(journal.Record{
+			Type: journal.TypeMap, At: r.At, Handler: r.Handler, Tick: r.Tick, Job: r.Job,
+			Destination: "local_gpu", GPUEnabled: true, Devices: []int{0, 1},
+			Msg: "pid policy: no device preference; using available GPU(s) [0 1]",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for i, r := range recs {
+		if r.Type == journal.TypeStart {
+			spliced = append(spliced, mapFor(r))
+		}
+		spliced = append(spliced, payloads[i])
+		if r.Type == journal.TypeSubmit && !started[r.Job] {
+			spliced = append(spliced, mapFor(r))
+		}
+	}
+	return spliced
+}
+
+// TestRecoverSplicedMapRecordsChangeNothing is the differential oracle for
+// retiring the map kind: journals the engine writes now on each dispatch path
+// (one finished job, two running, one parked, one killed while parked), and
+// the PR 23 old-journal fixture that already holds map records, must recover
+// to the same report, the same jobs at the resumed instant and the same jobs
+// after the drain whether or not a parent-format map record sits wherever the
+// parent wrote one.
+func TestRecoverSplicedMapRecordsChangeNothing(t *testing.T) {
+	rs := smallReadSet(t)
+	datasets := map[string]any{"nfl": rs, "reads": rs}
+	// written runs the mixed workload to a cut at one second and returns the
+	// stream as payloads. Jobs 4 and 5 arrive with the given delay: a
+	// millisecond parks them behind the two busy slots or devices, an hour
+	// leaves them unstarted on the path that never parks.
+	written := func(t *testing.T, build func(*testing.T, *journal.Journal) *Galaxy, late time.Duration) []string {
+		dir := t.TempDir()
+		j := openTestJournal(t, dir)
+		g := build(t, j)
+		var jobs []*Job
+		for i, scale := range []string{"0.001", "0.01", "0.01", "0.01", "0.01"} {
+			opts := SubmitOptions{DatasetName: "nfl", GPUs: 1, Delay: time.Duration(i) * time.Microsecond}
+			if i >= 3 {
+				opts.Delay += late
+			}
+			job, err := g.Submit("racon", map[string]string{"scale": scale}, rs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, job)
+		}
+		g.Engine.After(100*time.Millisecond, func(time.Duration) { g.Kill(jobs[3]) })
+		g.Engine.RunUntil(time.Second)
+		var states []string
+		for _, job := range jobs {
+			states = append(states, string(job.State))
+		}
+		if got := strings.Join(states, ","); got != "ok,running,running,error,queued" || jobs[3].Started != 0 {
+			t.Fatalf("states at the cut = %s (killed job started %v); want ok,running,running,error,queued and never",
+				got, jobs[3].Started)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recs, rerr := replayDir(t, dir)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		var payloads []string
+		for _, rec := range recs {
+			if rec.Type == journal.TypeMap {
+				t.Fatalf("the engine journaled a map record: %+v", rec)
+			}
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads = append(payloads, string(b))
+		}
+		return payloads
+	}
+	streams := []struct {
+		name  string
+		build func(*testing.T, *journal.Journal) *Galaxy
+		// late is jobs 4 and 5's extra delay; payloads, when set, is a stream
+		// already written.
+		late     time.Duration
+		payloads []string
+	}{
+		{"direct", directPath, time.Hour, nil},
+		{"destination slots", slotsPath, time.Millisecond, nil},
+		{"scheduler", schedulerPath, time.Millisecond, nil},
+		{"journal written before PR 23", schedulerPath, 0, pr22Journal},
+	}
+	type outcome struct {
+		rep            RecoveryReport
+		resumed, final []*Job
+	}
+	for _, s := range streams {
+		t.Run(s.name, func(t *testing.T) {
+			recoverFrom := func(payloads []string) outcome {
+				dir := writeFlatJournal(t, payloads)
+				recs, rerr := replayDir(t, dir)
+				if rerr != nil || len(recs) != len(payloads) {
+					t.Fatalf("replayed %d of %d records: %v", len(recs), len(payloads), rerr)
+				}
+				j := openTestJournal(t, dir)
+				defer j.Close()
+				g := s.build(t, j)
+				rep, err := g.Recover(recs, rerr, RecoverOptions{Datasets: datasets, RestartDelay: time.Minute})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := outcome{rep: *rep, resumed: g.Jobs()}
+				g.Run()
+				out.final = g.Jobs()
+				return out
+			}
+			plain := s.payloads
+			if plain == nil {
+				plain = written(t, s.build, s.late)
+			}
+			spliced := spliceMapRecords(t, plain)
+			n := len(spliced) - len(plain)
+			if n == 0 {
+				t.Fatal("nothing to splice: the stream has no start and no unstarted submit")
+			}
+			want, got := recoverFrom(plain), recoverFrom(spliced)
+			if got.rep.Records != want.rep.Records+n {
+				t.Errorf("replayed %d records, want %d + the %d spliced", got.rep.Records, want.rep.Records, n)
+			}
+			got.rep.Records = want.rep.Records
+			if !reflect.DeepEqual(got.rep, want.rep) {
+				t.Errorf("map records changed the recovery report:\n got %+v\nwant %+v", got.rep, want.rep)
+			}
+			if want.rep.Requeued == 0 {
+				t.Errorf("nothing requeued: the stream does not exercise recovery: %+v", want.rep)
+			}
+			for _, c := range []struct {
+				when      string
+				got, want []*Job
+			}{{"at the resumed instant", got.resumed, want.resumed}, {"after the drain", got.final, want.final}} {
+				if len(c.got) != len(c.want) || len(c.want) == 0 {
+					t.Fatalf("%s: %d jobs, want %d", c.when, len(c.got), len(c.want))
+				}
+				for i := range c.want {
+					if !reflect.DeepEqual(c.got[i], c.want[i]) {
+						t.Errorf("%s, map records changed job %d:\n got %+v\nwant %+v", c.when, c.want[i].ID, c.got[i], c.want[i])
+					}
+				}
+			}
+		})
 	}
 }

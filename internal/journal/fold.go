@@ -16,8 +16,8 @@ import (
 //   - submit opens a job's Trail and names its first Owner; a second submit
 //     for the same job is ignored. Records of a job with no submit in the
 //     stream (its head was compacted away) belong to no trail.
-//   - map and start replace Map and Start (the newest placement and launch
-//     epoch); every start's time is also kept in Starts.
+//   - start replaces Start (the newest launch epoch and its placement);
+//     every start's time is also kept in Starts.
 //   - attempt appends to Attempts.
 //   - complete and dead_letter set Terminal; resubmit clears it and rebases
 //     AttemptBase, so the retry budget restarts with the failure log kept.
@@ -27,7 +27,7 @@ import (
 //   - lease folds per handler, workflow definitions and jobless complete
 //     records (workflow verdicts) per workflow, claim records in order.
 //   - any other kind is ignored: journals written before the schedule, queue,
-//     quarantine and preempt kinds were retired still fold.
+//     quarantine, preempt and map kinds were retired still fold.
 //
 // A trail reads only its own job's records in written order, and leases only
 // their handler's, so any interleaving that keeps those orders folds to the
@@ -88,8 +88,6 @@ func Fold(recs []Record) *History {
 			continue
 		}
 		switch rec.Type {
-		case TypeMap:
-			t.Map = rec
 		case TypeStart:
 			t.Start = rec
 			t.Starts = append(t.Starts, rec.At)
@@ -147,10 +145,9 @@ type Trail struct {
 	// adopt named ("" for a job that was never transferred in).
 	Owner string
 	From  string
-	// Map and Start are the newest map and start records; Starts lists every
-	// start's time.
-	Map, Start *Record
-	Starts     []time.Duration
+	// Start is the newest start record; Starts lists every start's time.
+	Start  *Record
+	Starts []time.Duration
 	// Attempts is the classified-failure log; the current retry budget
 	// counts from AttemptBase (moved by resubmit).
 	Attempts    []Record

@@ -53,15 +53,17 @@ import (
 type Type string
 
 // Record types, one per journaled transition. A kind exists only while Fold
-// reads it (TestFoldReadsEveryRecordKind): what no reader acts on is reported to
-// the observer, not written.
+// reads it (TestFoldReadsEveryRecordKind), a field only while a program reads
+// it (TestRecordFieldsAreRead): what no reader acts on is reported to the
+// observer, not written. A job that never fails writes submit, start, complete.
 const (
 	// TypeSubmit records a job entering the system. Submits are the
 	// journal's durability points: with Options.DurableSubmits they are
 	// fsynced before Append returns, so an acknowledged job survives any
 	// later crash.
 	TypeSubmit Type = "submit"
-	// TypeMap records a destination-mapping decision (GYAN's dynamic rule).
+	// TypeMap is retired: nothing writes it, Fold ignores it, and the mapping
+	// decision goes to obs.Observer.Mapped. Declared for bench/layers.go only.
 	TypeMap Type = "map"
 	// TypeStart records one launch epoch beginning execution.
 	TypeStart Type = "start"
@@ -159,9 +161,8 @@ type Record struct {
 	GPUs       int               `json:"gpus,omitempty"`
 	EstRuntime time.Duration     `json:"est_runtime,omitempty"`
 	Submitted  time.Duration     `json:"submitted,omitempty"`
-	Delay      time.Duration     `json:"delay,omitempty"`
 
-	// Placement (TypeMap, TypeStart).
+	// Placement (TypeStart).
 	Destination string `json:"dest,omitempty"`
 	GPUEnabled  bool   `json:"gpu,omitempty"`
 	Devices     []int  `json:"devices,omitempty"`

@@ -11,10 +11,10 @@ import (
 // registry: every job-state transition the engine journals (or would
 // journal — the observer runs even with durability disabled) is fed through
 // Transition, which bumps the relevant counters, observes latency
-// histograms, and appends one event to the job's trace. The scheduler-queue
-// and quarantine events no journal reader acts on are not records; the
-// engine reports them through Parked, Granted, Unqueued and Quarantined. The
-// fsync side of the journal reports through ObserveFsync.
+// histograms, and appends one event to the job's trace. The mapping decision,
+// scheduler-queue and quarantine events no journal reader acts on are not
+// records; the engine reports them through Mapped, Parked, Granted, Unqueued
+// and Quarantined. The fsync side of the journal reports through ObserveFsync.
 //
 // None of these may call back into the engine: they run inside the dispatch
 // hot path, under whatever locks the caller holds.
@@ -121,10 +121,6 @@ func (o *Observer) Transition(rec journal.Record) {
 	case journal.TypeWorkflow:
 		o.wfSubmitted.Inc()
 
-	case journal.TypeMap:
-		o.mapped.With(rec.Destination).Inc()
-		o.Traces.Record(rec.Job, Event{Name: "map", At: rec.At, Detail: rec.Destination})
-
 	case journal.TypeStart:
 		// Start records carry the launch epoch, not a retry attempt.
 		meta, ok := o.Traces.Record(rec.Job,
@@ -166,8 +162,14 @@ func (o *Observer) Transition(rec journal.Record) {
 	// TypeLease is a handler heartbeat, not a job transition: no metric.
 }
 
+// Mapped records one destination-mapping decision (GYAN's dynamic rule).
+func (o *Observer) Mapped(job int, at time.Duration, destination string) {
+	o.mapped.With(destination).Inc()
+	o.Traces.Record(job, Event{Name: "map", At: at, Detail: destination})
+}
+
 // Parked records a GPU job entering the batch scheduler's priority queue —
-// the same instant as its map record.
+// the same instant as its map event.
 func (o *Observer) Parked(job int, at time.Duration) {
 	o.parked.Inc()
 	o.Traces.Record(job, Event{Name: "schedule", At: at, Detail: "park"})

@@ -107,7 +107,6 @@ func TestObserverTransitionMapsRecords(t *testing.T) {
 	o := NewObserver()
 	recs := []journal.Record{
 		{Type: journal.TypeSubmit, At: 0, Job: 1, Tool: "racon"},
-		{Type: journal.TypeMap, At: 0, Job: 1, Destination: "gpu_k80"},
 		{Type: journal.TypeStart, At: 2 * time.Second, Job: 1, Epoch: 1, Destination: "gpu_k80"},
 		{Type: journal.TypeAttempt, At: 3 * time.Second, Job: 1, Attempt: 1, Class: "transient"},
 		{Type: journal.TypeStart, At: 4 * time.Second, Job: 1, Epoch: 2, Destination: "gpu_k80"},
@@ -118,8 +117,10 @@ func TestObserverTransitionMapsRecords(t *testing.T) {
 	for _, rec := range recs {
 		o.Transition(rec)
 	}
-	// The events that are not records: job 3 parks, is granted, and a second
-	// parked job is killed while waiting; one device enters quarantine.
+	// The events that are not records: job 1 is mapped, job 3 parks, is
+	// granted, and a second parked job is killed while waiting; one device
+	// enters quarantine.
+	o.Mapped(1, 0, "gpu_k80")
 	o.Parked(3, time.Second)
 	o.Granted(3, 2*time.Second)
 	o.Parked(4, time.Second)

@@ -116,12 +116,12 @@ func Align(rs *workload.ReadSet, p AlignParams, env Env) (*AlignResult, error) {
 		return res, nil
 	}
 	st := gpuStage{
-		kernels:     []string{"smem_seed", "chain_filter", "sw_extend"},
-		unitsPerSec: alignGPUBasesPerSec,
+		kernels:      []string{"smem_seed", "chain_filter", "sw_extend"},
+		unitsPerSec:  alignGPUBasesPerSec,
 		bytesPerUnit: 1 / alignBasesPerByte,
-		workspace:   alignWorkspace,
-		batchUnits:  alignBatchBases,
-		syncCost:    alignSyncCost,
+		workspace:    alignWorkspace,
+		batchUnits:   alignBatchBases,
+		syncCost:     alignSyncCost,
 	}
 	sessions, err := st.run(&res.Timing, bases, env)
 	if err != nil {

@@ -299,6 +299,42 @@ func TestOptionFieldsAreSet(t *testing.T) {
 	}
 }
 
+// TestRecordFieldsAreRead holds the journal's record to the rule its kinds
+// already obey (journal.TestFoldReadsEveryRecordKind): a field of
+// journal.Record or journal.WFStep is part of the format only if some
+// non-test file reads it — names it anywhere but as a composite-literal key
+// or an assignment's target. A field that is only ever set costs its bytes in
+// every record that carries it and tells recovery nothing: delete it (an old
+// journal's key is ignored by encoding/json), or make the reader that was
+// meant to act on it do so.
+func TestRecordFieldsAreRead(t *testing.T) {
+	m := loadModule(t)
+	jp := m.l.load(modulePath + "/internal/journal")
+	fields := map[*types.Var]string{}
+	for _, name := range []string{"Record", "WFStep"} {
+		st := jp.types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			fields[st.Field(i)] = name + "." + st.Field(i).Name()
+		}
+	}
+	for _, p := range m.live {
+		for _, file := range p.files {
+			eachFieldRead(p.info, file, func(f *types.Var) { delete(fields, f) })
+		}
+	}
+	var unread []string
+	for f, name := range fields {
+		pos := m.l.fset.Position(f.Pos())
+		rel, _ := filepath.Rel(m.l.root, pos.Filename)
+		unread = append(unread, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, name))
+	}
+	if len(unread) > 0 {
+		sort.Strings(unread)
+		t.Errorf("%d journal record fields are written and read by no non-test file:\n\t%s",
+			len(unread), strings.Join(unread, "\n\t"))
+	}
+}
+
 // isOptionStruct is the naming rule: …Config, …Options, …Params, and the one
 // option struct named otherwise.
 func isOptionStruct(pkgName, name string) bool {
@@ -310,13 +346,25 @@ func isOptionStruct(pkgName, name string) bool {
 	return pkgName == "faults" && name == "Backoff"
 }
 
-// eachFieldRead calls fn for every struct field the expression reads; the
-// keys of a composite literal inside it name fields without reading them.
-func eachFieldRead(info *types.Info, e ast.Expr, fn func(f *types.Var)) {
+// eachFieldRead calls fn for every struct field the node reads; the keys of a
+// composite literal and the field an assignment stores to are named there
+// without being read.
+func eachFieldRead(info *types.Info, e ast.Node, fn func(f *types.Var)) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.KeyValueExpr:
 			eachFieldRead(info, n.Value, fn)
+			return false
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok && n.Tok == token.ASSIGN {
+					lhs = sel.X
+				}
+				eachFieldRead(info, lhs, fn)
+			}
+			for _, rhs := range n.Rhs {
+				eachFieldRead(info, rhs, fn)
+			}
 			return false
 		case *ast.Ident:
 			if f, ok := info.Uses[n].(*types.Var); ok && f.IsField() {
