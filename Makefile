@@ -53,14 +53,15 @@ define run_selected
 	$(GO) test -race -count=$(or $(3),1) $(1) -run '$(2)' -v
 endef
 
-# test-flake reruns, ten times under the race detector, the two tests that
-# used to fail about one run in ten on an unchanged tree — the async-durable
-# ack (Job.DurableTicket was stamped outside any lock a Jobs() clone takes)
-# and the cluster-scaling determinism check (a virtual-time kill read the
-# journal flusher's wall-clock position) — and the submit-against-snapshot
-# hammer that pins the first fix.
+# test-flake reruns, ten times under the race detector, the three tests that
+# used to fail intermittently on an unchanged tree — the async-durable ack
+# (Job.DurableTicket was stamped outside any lock a Jobs() clone takes), the
+# cluster-scaling determinism check (a virtual-time kill read the journal
+# flusher's wall-clock position) and the API race hammer (its reader checked
+# the ack count after a GET that predated the first POST) — and the
+# submit-against-snapshot hammer that pins the first fix.
 test-flake:
-	$(call run_selected,./internal/api,TestAsyncDurableAckWaitsForWatermark,10)
+	$(call run_selected,./internal/api,TestAsyncDurableAckWaitsForWatermark|TestServerRaceHammer,10)
 	$(call run_selected,./internal/galaxy,TestAsyncDurableSubmitRacesSnapshots,10)
 	$(call run_selected,./internal/experiments,TestClusterScalingDeterministic,10)
 
@@ -81,15 +82,16 @@ hammer-api:
 	$(call run_selected,./internal/api,TestServerRaceHammer,2)
 
 # test-journal is the journal durability suite under the race detector: the
-# per-stripe crash table (each stripe torn independently and two at once)
-# and the torn-tail replay, staged-loss isolation, async-durable ack
+# per-stripe crash table (each stripe torn independently and two at once),
+# strictly ticket-ordered shard files under concurrent appenders, and the
+# torn-tail replay, staged-loss isolation, async-durable ack
 # semantics (crash between stage and flush must not acknowledge), watermark
 # monotonicity under concurrent flushers, the flush-error latch, the
 # read-only flat layout and its epoch rule, the fold (rule table, retired
 # kinds, interleaving invariance, no write-only record kind), and at the engine
 # level the sharded crash-requeue scenario and the spliced-map-record recovery
 # oracle.
-JOURNAL_TESTS ?= TestSharded|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold
+JOURNAL_TESTS ?= TestSharded|TestShardFileIsTicketOrdered|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold
 JOURNAL_GALAXY_TESTS ?= TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash|TestRecoverSplicedMapRecords
 
 test-journal:

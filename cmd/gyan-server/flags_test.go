@@ -15,18 +15,18 @@ func TestCheckModeFlags(t *testing.T) {
 		ignored []string // nil: accepted
 	}{
 		{"single", []string{"addr", "journal", "pprof"}, nil},
-		{"single", []string{"policy", "async-durable", "handler", "journal-shards", "lease-ttl", "seed"}, nil},
+		{"single", []string{"policy", "async-durable", "handler", "lease-ttl", "seed"}, nil},
 		{"single", []string{"cluster-size", "bus"}, nil}, // -cluster-size 1 -bus sim, spelled out
 		{"single", []string{"handler-id", "member-ttl"}, []string{"-handler-id", "-member-ttl"}},
 		{"single", []string{"journal", "member", "speedup"}, []string{"-member", "-speedup"}},
 
-		{"cluster", []string{"cluster-size", "handler-id", "member-ttl", "journal", "journal-shards", "lease-ttl", "seed", "addr"}, nil},
+		{"cluster", []string{"cluster-size", "handler-id", "member-ttl", "journal", "lease-ttl", "seed", "addr"}, nil},
 		{"cluster", []string{"cluster-size", "pprof", "policy", "async-durable", "handler"},
 			[]string{"-pprof", "-policy", "-async-durable", "-handler"}},
 		{"cluster", []string{"cluster-size", "peers", "tick-real"}, []string{"-peers", "-tick-real"}},
 
 		{"tcp", []string{"bus", "addr", "member", "members", "peers", "journal", "seed", "speedup", "tick-real", "member-ttl"}, nil},
-		{"tcp", []string{"bus", "listen-bus", "advertise", "journal-shards", "lease-ttl", "cluster-size"}, nil},
+		{"tcp", []string{"bus", "listen-bus", "advertise", "lease-ttl", "cluster-size"}, nil},
 		{"tcp", []string{"bus", "member", "pprof"}, []string{"-pprof"}},
 		{"tcp", []string{"bus", "policy", "async-durable", "handler", "handler-id"},
 			[]string{"-policy", "-async-durable", "-handler", "-handler-id"}},

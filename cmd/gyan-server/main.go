@@ -70,7 +70,6 @@ func main() {
 		policy      = flag.String("policy", "pid", "multi-GPU allocation policy: pid, memory, utilization")
 		seed        = flag.Uint64("seed", 42, "synthetic dataset seed")
 		journalDir  = flag.String("journal", "", "job-state journal directory (empty disables durability)")
-		shards      = flag.Int("journal-shards", journal.DefaultShards, "journal stripe count: independent write+fsync pipelines, each under its own shard-NN/ directory")
 		asyncAck    = flag.Bool("async-durable", false, "let a submitted job start at journal stage time instead of after its fsync; the HTTP response still waits for the commit watermark (GET /api/recovery) to cover it")
 		handler     = flag.String("handler", "main", "handler ID stamped on journal records and leases")
 		leaseTTL    = flag.Duration("lease-ttl", galaxy.DefaultLeaseTTL, "heartbeat lease TTL; a standby may adopt this handler's jobs after it expires")
@@ -117,13 +116,13 @@ func main() {
 		err = runClusterTCP(tcpConfig{
 			addr: *addr, member: *member, membersCSV: *members, peersCSV: *peers,
 			listenBus: *listenBus, advertise: *advertise, journalDir: *journalDir,
-			seed: *seed, shards: *shards, leaseTTL: *leaseTTL, memberTTL: *memberTTL,
+			seed: *seed, leaseTTL: *leaseTTL, memberTTL: *memberTTL,
 			speedup: *speedup, tickReal: *tickReal,
 		})
 	case "cluster":
-		err = runCluster(*addr, *clusterSize, *handlerID, *seed, *journalDir, *shards, *leaseTTL, *memberTTL)
+		err = runCluster(*addr, *clusterSize, *handlerID, *seed, *journalDir, *leaseTTL, *memberTTL)
 	default:
-		err = run(*addr, *policy, *seed, *journalDir, *handler, *shards, *asyncAck, *leaseTTL, *pprofOn)
+		err = run(*addr, *policy, *seed, *journalDir, *handler, *asyncAck, *leaseTTL, *pprofOn)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -133,7 +132,7 @@ func main() {
 // commonFlags are consumed by every mode (-bus and -cluster-size select
 // it); modeFlags names what each mode consumes beyond them.
 var (
-	commonFlags = []string{"bus", "cluster-size", "addr", "seed", "journal", "journal-shards", "lease-ttl"}
+	commonFlags = []string{"bus", "cluster-size", "addr", "seed", "journal", "lease-ttl"}
 	modeFlags   = map[string][]string{
 		"single":  {"policy", "async-durable", "handler", "pprof"},
 		"cluster": {"handler-id", "member-ttl"},
@@ -164,13 +163,12 @@ func checkModeFlags(mode string, set []string) error {
 // With -journal set, every member journals durably under its own
 // subdirectory of that path; without it, journals live in a throwaway
 // temp directory.
-func runCluster(addr string, size int, idPrefix string, seed uint64, journalDir string, shards int, leaseTTL, memberTTL time.Duration) error {
+func runCluster(addr string, size int, idPrefix string, seed uint64, journalDir string, leaseTTL, memberTTL time.Duration) error {
 	c, err := cluster.NewSim(cluster.SimConfig{
 		Handlers:              size,
 		BaseID:                idPrefix,
 		Dir:                   journalDir,
 		DisableDurableSubmits: journalDir == "",
-		Journal:               journal.Options{Shards: shards},
 		LeaseTTL:              leaseTTL,
 		Seed:                  seed,
 		MemberTTL:             memberTTL,
@@ -198,7 +196,6 @@ type tcpConfig struct {
 	advertise  string
 	journalDir string
 	seed       uint64
-	shards     int
 	leaseTTL   time.Duration
 	memberTTL  time.Duration
 	speedup    float64
@@ -322,7 +319,6 @@ func runClusterTCP(cfg tcpConfig) error {
 		KeyOffset:   uint64(self),
 		KeyStride:   uint64(len(ids)),
 		Dir:         cfg.journalDir,
-		Journal:     journal.Options{Shards: cfg.shards},
 		LeaseTTL:    cfg.leaseTTL,
 		Seed:        cfg.seed,
 		Tick:        vtick,
@@ -347,7 +343,7 @@ func runClusterTCP(cfg tcpConfig) error {
 	return http.ListenAndServe(cfg.addr, s.Handler())
 }
 
-func run(addr, policyName string, seed uint64, journalDir, handler string, shards int, asyncAck bool, leaseTTL time.Duration, pprofOn bool) error {
+func run(addr, policyName string, seed uint64, journalDir, handler string, asyncAck bool, leaseTTL time.Duration, pprofOn bool) error {
 	var pol core.Policy
 	switch policyName {
 	case "pid":
@@ -375,12 +371,12 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, shard
 		// locked by a live handler refuses to open — that handler owns it.
 		recs, rerr := journal.Replay(journalDir)
 		// The journal batches concurrent durable submits into shared fsyncs
-		// across -journal-shards independent stripe pipelines, pacing each
+		// across journal.DefaultShards independent stripe pipelines, pacing each
 		// flusher by the fsync cost it measures. A sync ack waits for its
 		// batch to reach disk; with -async-durable Submit returns at stage
 		// time and the api handlers await the commit watermark before they
 		// answer, so the fsync overlaps the run.
-		j, err := journal.Open(journalDir, journal.Options{DurableSubmits: true, Shards: shards})
+		j, err := journal.Open(journalDir, journal.Options{DurableSubmits: true})
 		if err != nil {
 			return err
 		}

@@ -224,6 +224,10 @@ func TestServerRaceHammer(t *testing.T) {
 					return
 				default:
 				}
+				// Job 1 exists once the first POST has been answered. Read
+				// the count before sending: a 404 answered before that POST
+				// landed is fine even if the ack arrives mid-request.
+				before := acked.Load()
 				resp, err := http.Get(fd.ts.URL + path)
 				if err != nil {
 					t.Errorf("GET %s: %v", path, err)
@@ -231,8 +235,7 @@ func TestServerRaceHammer(t *testing.T) {
 				}
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				// Job 1 exists once the first POST has been answered.
-				if resp.StatusCode != http.StatusOK && !(path == "/api/jobs/1" && acked.Load() == 0) {
+				if resp.StatusCode != http.StatusOK && !(path == "/api/jobs/1" && before == 0) {
 					t.Errorf("GET %s: status %d", path, resp.StatusCode)
 					return
 				}

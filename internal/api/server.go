@@ -255,7 +255,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		jobs := s.g.Jobs() // one snapshot: consistent, and half the clone work
+		jobs := s.g.Jobs() // one snapshot, consistent across every job
 		out := make([]jobJSON, 0, len(jobs))
 		for _, j := range jobs {
 			out = append(out, toJobJSON(j))

@@ -24,8 +24,8 @@ import (
 // even though every handler issues its own local job IDs.
 const KeyParam = "cluster_key"
 
-// DefaultStripes matches the galaxy jobTable's stripe count: the unit of
-// ownership the ring partitions.
+// DefaultStripes is the ring's stripe count: the unit of ownership it
+// partitions.
 const DefaultStripes = 32
 
 // Config shapes one cluster member.

@@ -40,8 +40,8 @@ type Ring struct {
 	members []string // sorted
 }
 
-// NewRing builds a ring over the given stripe count (the journal/jobTable
-// stripe count, conventionally 32) and adds the handlers in sorted order, so
+// NewRing builds a ring over the given stripe count (conventionally
+// DefaultStripes, 32) and adds the handlers in sorted order, so
 // the same member set always yields the same assignment.
 func NewRing(stripes int, handlers []string) (*Ring, error) {
 	if stripes <= 0 {
@@ -64,8 +64,8 @@ func NewRing(stripes int, handlers []string) (*Ring, error) {
 	return r, nil
 }
 
-// StripeOf maps a cluster job key to its stripe, mirroring the jobTable's
-// key&31-style striping.
+// StripeOf maps a cluster job key to its stripe: the key modulo the stripe
+// count.
 func (r *Ring) StripeOf(key uint64) int { return int(key % uint64(r.stripes)) }
 
 // OwnerOfKey returns the handler owning the key's stripe.

@@ -8,7 +8,7 @@ import (
 
 // ringConfigs are the (stripes, handlers) shapes the properties quantify
 // over. Stripe counts stay well above handler counts (stripes/handlers >= 8,
-// the realistic regime — a 32-stripe jobTable serving a handful of
+// the realistic regime — a 32-stripe ring serving a handful of
 // handlers), which is what lets the ±20% balance bound hold through the
 // quota rounding.
 func ringConfigs() [][2]int {

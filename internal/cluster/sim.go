@@ -12,7 +12,6 @@ import (
 
 	"gyan/internal/faults"
 	"gyan/internal/galaxy"
-	"gyan/internal/journal"
 	"gyan/internal/obs"
 	"gyan/internal/sched"
 	"gyan/internal/transport"
@@ -38,7 +37,6 @@ type SimConfig struct {
 
 	LeaseTTL              time.Duration
 	MemberTTL             time.Duration
-	Journal               journal.Options
 	DisableDurableSubmits bool
 	Sched                 sched.Config
 
@@ -99,8 +97,8 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 			Members: members, Local: []string{id}, Bus: s.bus,
 			Dir: cfg.Dir, Tick: cfg.Tick, stealThreshold: cfg.stealThreshold,
 			LeaseTTL: cfg.LeaseTTL, Seed: cfg.Seed, MemberTTL: cfg.MemberTTL,
-			Journal: cfg.Journal, DisableDurableSubmits: cfg.DisableDurableSubmits,
-			Sched: cfg.Sched,
+			DisableDurableSubmits: cfg.DisableDurableSubmits,
+			Sched:                 cfg.Sched,
 		}, reg)
 		if err != nil {
 			s.Close()

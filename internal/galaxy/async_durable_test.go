@@ -72,7 +72,7 @@ func TestAsyncDurableSubmitStampsTicket(t *testing.T) {
 // TestAsyncDurableSubmitRacesSnapshots is the -race hammer for the ticket
 // stamp: Submit publishes the job and only then learns its commit ticket, so
 // a reader that finds the job in the table may be cloning it while the
-// submitter writes DurableTicket. One goroutine submits, one rebuilds Jobs()
+// submitter writes DurableTicket. One goroutine submits, one polls Jobs()
 // and chases the newest ID through Job(id); the reader learns IDs by probing
 // the table, never from the submitter, so no handshake hides the pair from
 // the detector.

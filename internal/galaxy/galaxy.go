@@ -40,9 +40,10 @@ type Galaxy struct {
 	// batch scheduler's bookkeeping, fault-recovery state, and mutation of
 	// individual job fields (engine callbacks run under it). It is no longer
 	// on the submit hot path: Submit allocates IDs atomically, publishes jobs
-	// through the striped table, and journals without taking g.mu. Lock
-	// order: g.mu before any stripe lock or leaf lock (toolsMu, leaseMu, the
-	// engine's internal lock); never the reverse. See DESIGN.md §10.
+	// through the job table, and journals without taking g.mu. Lock order:
+	// snapGate before g.mu before any leaf lock (the table lock, toolsMu,
+	// leaseMu, the engine's internal lock); never the reverse. See DESIGN.md
+	// §10.
 	mu sync.Mutex
 
 	// toolsMu guards the tool registry — a leaf read-mostly lock so Submit
@@ -50,13 +51,10 @@ type Galaxy struct {
 	toolsMu sync.RWMutex
 	tools   map[string]*ToolBinding
 
-	// jobs is the striped job table (stripemap.go); nextID allocates job IDs
-	// lock-free. jobsEpoch counts job-state mutations and jobsSnap caches the
-	// immutable clone slice Jobs() serves — readers never block writers.
-	jobs      jobTable
-	nextID    atomic.Int64
-	jobsEpoch atomic.Uint64
-	jobsSnap  atomic.Pointer[jobsSnapshot]
+	// jobs is the job table (jobtable.go); nextID allocates job IDs
+	// lock-free.
+	jobs   jobTable
+	nextID atomic.Int64
 
 	// snapGate quiesces lock-free submitters while SnapshotJournal condenses
 	// history: Submit read-holds it across insert+journal, the snapshot
@@ -134,10 +132,6 @@ type Galaxy struct {
 
 	recovery *RecoveryReport
 }
-
-// bumpJobs invalidates the cached Jobs() snapshot. Called after any job-state
-// mutation; journaled transitions bump implicitly via logJournal.
-func (g *Galaxy) bumpJobs() { g.jobsEpoch.Add(1) }
 
 // pendingStart is a job parked behind a saturated destination.
 type pendingStart struct {
@@ -288,34 +282,14 @@ func (g *Galaxy) Tools() []*ToolBinding {
 	return out
 }
 
-// Jobs returns a snapshot of all jobs in submission order. Results are deep
-// copies served from an atomically-swapped immutable master snapshot: the
-// master is rebuilt (under g.mu) only when job state actually changed since
-// the last call, so steady-state polling by monitor/timeline/API readers
-// never touches the engine lock and never stalls the dispatch path. Each
-// call gets its own clones — mutating them affects neither live state nor
-// other readers.
+// Jobs returns a snapshot of all jobs in submission order: deep-enough
+// clones of the live jobs, taken under g.mu so no transition is caught
+// halfway. Each call gets its own clones — mutating them affects neither
+// live state nor other readers.
 func (g *Galaxy) Jobs() []*Job {
-	if s := g.jobsSnap.Load(); s != nil && s.epoch == g.jobsEpoch.Load() {
-		return cloneJobs(s.jobs)
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	// Re-check under g.mu: a concurrent rebuild may have published already.
-	// The epoch is read before cloning — a mutation that lands mid-clone
-	// bumps past e, so the (possibly too-fresh, never stale) snapshot is
-	// rebuilt on the next call rather than served forever.
-	e := g.jobsEpoch.Load()
-	if s := g.jobsSnap.Load(); s != nil && s.epoch == e {
-		return cloneJobs(s.jobs)
-	}
-	live := g.jobs.all()
-	masters := make([]*Job, len(live))
-	for i, j := range live {
-		masters[i] = g.jobs.clone(j)
-	}
-	g.jobsSnap.Store(&jobsSnapshot{epoch: e, jobs: masters})
-	return cloneJobs(masters)
+	return g.jobs.cloneAll()
 }
 
 // Job returns a snapshot of one job: the same deep-enough clone Jobs hands
@@ -329,15 +303,6 @@ func (g *Galaxy) Job(id int) (*Job, bool) {
 		return nil, false
 	}
 	return g.jobs.clone(j), true
-}
-
-// cloneJobs copies a master snapshot for one caller.
-func cloneJobs(jobs []*Job) []*Job {
-	out := make([]*Job, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.clone()
-	}
-	return out
 }
 
 // SubmitOptions refine a submission.
@@ -407,7 +372,7 @@ const maxResubmits = 3
 //
 // Submit is the dispatch hot path and deliberately never takes g.mu: the
 // tool lookup is a registry read-lock, the job ID is an atomic increment,
-// publication goes through a striped table, and the journal append — for
+// publication takes the job table's leaf lock, and the journal append — for
 // DurableSubmits, including the wait for the fsync covering it — happens on
 // the journal's group-commit path, so N concurrent submitters share batched
 // writes instead of serializing on the engine lock.
@@ -456,10 +421,9 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 		Priority: opts.Priority, GPUs: opts.GPUs, EstRuntime: opts.EstRuntime,
 		Submitted: job.Submitted, Workflow: opts.wfID, Step: opts.wfStep,
 	}
-	// Publish before journaling: the insert is the job's release barrier,
-	// and the logJournal epoch bump after it invalidates cached snapshots.
-	// The job is visible from here on, so the ticket is stamped under its
-	// stripe lock: a Jobs() rebuild may be cloning it already.
+	// Publish before journaling: the insert is the job's release barrier.
+	// The job is visible from here on, so the ticket is stamped under the
+	// table lock: a Jobs() call may be cloning it already.
 	g.jobs.insert(job)
 	if g.asyncDurable {
 		g.jobs.stampTicket(job, g.appendJournal(job.submit, false))
@@ -563,7 +527,6 @@ func (g *Galaxy) startJobLocked(job *Job, binding *ToolBinding, opts SubmitOptio
 			decision.Destination.ID, slots)
 		g.waiting[decision.Destination.ID] = append(g.waiting[decision.Destination.ID],
 			&pendingStart{job: job, binding: binding, opts: opts})
-		g.bumpJobs() // parking is not journaled; invalidate snapshots explicitly
 		return
 	}
 	g.running[decision.Destination.ID]++
@@ -710,7 +673,6 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 			job.Resubmitted++
 			job.State = StateQueued
 			job.Info = fmt.Sprintf("resubmitting to %q after failure: %v", dest, err)
-			g.bumpJobs() // reroute is not journaled; invalidate snapshots explicitly
 			release()
 			release = nil
 			retry := opts

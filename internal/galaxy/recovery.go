@@ -147,16 +147,13 @@ func (g *Galaxy) logJournal(rec journal.Record) { g.appendJournal(rec, true) }
 // last one is older than half the TTL, append. It requires no lock of its
 // own: lease state hides behind leaseMu and the journal serializes
 // internally — lock-free submitters and g.mu-holding engine callbacks both
-// land here. Every call also bumps the jobs epoch, since a journaled
-// transition is by definition a job-state mutation (the nil-journal case
-// still bumps: snapshots must invalidate with journaling off). Append errors
-// are latched, not propagated — the dispatch path never fails on durability.
+// land here. Append errors are latched, not propagated — the dispatch path
+// never fails on durability.
 //
 // With wait false the record is only staged and its commit ticket returned,
 // so the caller can await the fsync later via AwaitDurable (0 with no
 // journal attached).
 func (g *Galaxy) appendJournal(rec journal.Record, wait bool) uint64 {
-	g.bumpJobs()
 	g.obsv.Transition(rec)
 	if g.journal == nil {
 		return 0
@@ -360,7 +357,6 @@ type RecoverOptions struct {
 func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOptions) (*RecoveryReport, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	defer g.bumpJobs() // materialized jobs must invalidate cached snapshots
 	if g.jobs.size() > 0 || g.nextID.Load() != 0 {
 		return nil, fmt.Errorf("galaxy: recover requires a fresh instance (have %d jobs)", g.jobs.size())
 	}

@@ -91,7 +91,6 @@ func (g *Galaxy) parkInSchedulerLocked(job *Job, binding *ToolBinding, opts Subm
 	}
 	job.State = StateQueued
 	job.Info = fmt.Sprintf("queued: awaiting gang of %d GPU(s)", gang)
-	g.bumpJobs() // parking is not journaled; invalidate snapshots explicitly
 	g.obsv.Parked(job.ID, now)
 	g.schedJobs[job.ID] = &schedEntry{
 		pending: &pendingStart{job: job, binding: binding, opts: opts},

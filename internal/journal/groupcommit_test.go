@@ -16,13 +16,14 @@ import (
 
 func gcOpen(t *testing.T, dir string, opts Options) *Journal {
 	t.Helper()
-	return gcOpenCap(t, dir, opts, defaultLaneCap)
+	return gcOpenCap(t, dir, opts, defaultStageCap)
 }
 
-// gcOpenCap opens a journal with a tiny lane bound, so a test can fill one.
-func gcOpenCap(t *testing.T, dir string, opts Options, laneCap int) *Journal {
+// gcOpenCap opens a journal with a tiny staging bound, so a test can fill a
+// shard's queue.
+func gcOpenCap(t *testing.T, dir string, opts Options, stageCap int) *Journal {
 	t.Helper()
-	j, err := open(dir, opts, laneCap)
+	j, err := open(dir, opts, stageCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestGroupCommitBackpressure(t *testing.T) {
 			done <- j.Append(Record{Type: TypeStart, At: at, Job: 1, Epoch: 1})
 		}()
 	}
-	// With a bound of 2 on job 1's lane, at most 2 appends can be staged;
+	// With a bound of 2 on job 1's shard, at most 2 appends can be staged;
 	// the rest must be parked in the backpressure wait.
 	time.Sleep(50 * time.Millisecond)
 	completed := 0

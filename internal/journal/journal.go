@@ -62,8 +62,8 @@ type ShardStats struct {
 	Segment int
 	// Segments is the number of live segment files on disk.
 	Segments int
-	// Staged is the number of records parked in this stripe's lanes,
-	// waiting for its flusher.
+	// Staged is the number of records parked in this stripe's staging
+	// queue, waiting for its flusher.
 	Staged int
 }
 
@@ -99,11 +99,11 @@ type Stats struct {
 // Journal is the append side of a write-ahead log directory. It is safe
 // for concurrent use.
 type Journal struct {
-	dir     string
-	opts    Options
-	laneCap int      // defaultLaneCap, except in the backpressure tests
-	lock    *os.File // held flock on the directory's LOCK file
-	shards  []*shard
+	dir      string
+	opts     Options
+	stageCap int      // defaultStageCap, except in the backpressure tests
+	lock     *os.File // held flock on the directory's LOCK file
+	shards   []*shard
 
 	// tick issues commit tickets: a journal-wide total order over records.
 	// The high bits hold the incarnation epoch (see Open), so tickets from
@@ -122,7 +122,8 @@ type Journal struct {
 	// is set: nil while open, the I/O error after a failed flush, errClosed
 	// after Close or Crash. Whoever moves it off nil closes quit (stopping
 	// the flushers); whoever moves it to errClosed owns the files and the
-	// flock. A lane observes it under its own lock after latch's broadcast.
+	// flock. A staging queue observes it under its own lock after latch's
+	// broadcast.
 	stateMu sync.Mutex
 	err     error
 	quit    chan struct{}
@@ -238,11 +239,11 @@ func listShardDirs(dir string) ([]string, error) {
 // journal. The kernel releases the lock when the holder dies, so a standby
 // can tell a crashed owner (Open succeeds) from a live one (ErrLocked).
 func Open(dir string, opts Options) (*Journal, error) {
-	return open(dir, opts, defaultLaneCap)
+	return open(dir, opts, defaultStageCap)
 }
 
-// open is Open with the lane bound exposed, for the backpressure tests.
-func open(dir string, opts Options, laneCap int) (*Journal, error) {
+// open is Open with the staging bound exposed, for the backpressure tests.
+func open(dir string, opts Options, stageCap int) (*Journal, error) {
 	if opts.segmentBytes <= 0 {
 		opts.segmentBytes = 1 << 20
 	}
@@ -294,7 +295,7 @@ func open(dir string, opts Options, laneCap int) (*Journal, error) {
 		return fail(err)
 	}
 
-	j := &Journal{dir: dir, opts: opts, laneCap: laneCap, lock: lock, quit: make(chan struct{})}
+	j := &Journal{dir: dir, opts: opts, stageCap: stageCap, lock: lock, quit: make(chan struct{})}
 	j.wmCond = sync.NewCond(&j.wmMu)
 	j.tick.Store(uint64(maxSeq+1) << tickEpochShift)
 	j.wm.Store(j.tick.Load())
@@ -343,8 +344,8 @@ const shardWindow = 16
 
 // shardFor maps an append key (the record's job ID) to its pipeline. The
 // mapping is stable, so one job's records always land in one shard (lease
-// records share shard 0) and per-job order on disk follows from per-lane
-// ticket order.
+// records share shard 0) and per-job order on disk follows from the shard
+// file's ticket order.
 func (j *Journal) shardFor(key int) *shard {
 	return j.shards[(uint(key)/shardWindow)%uint(len(j.shards))]
 }
@@ -472,7 +473,7 @@ func (j *Journal) AwaitDurable(tick uint64) error {
 // advanceWatermark recomputes and publishes the commit watermark. The tick
 // counter is read before scanning pending state: any ticket issued after
 // the read is above the candidate watermark by construction, and any ticket
-// issued before it is visible in a staging lane or the in-flight batch
+// issued before it is visible in a staging queue or the in-flight batch
 // marker (see shard.minPending) until it is durable.
 func (j *Journal) advanceWatermark() {
 	w := j.tick.Load()
@@ -540,9 +541,9 @@ func (j *Journal) terminalErr() error {
 
 // latch moves the journal to terminal state err and returns the state it
 // found: a failure replaces only the open state, errClosed replaces both.
-// On the first move off open it takes every lane lock once — a producer
-// that read the open state under its lane lock has finished staging by
-// then, and every later one (including those parked on a full lane) sees
+// On the first move off open it takes every staging lock once — a producer
+// that read the open state under its queue lock has finished staging by
+// then, and every later one (including those parked on a full queue) sees
 // the terminal state — so nothing is staged after latch returns.
 func (j *Journal) latch(err error) (prev error) {
 	j.stateMu.Lock()
@@ -553,12 +554,9 @@ func (j *Journal) latch(err error) (prev error) {
 	j.stateMu.Unlock()
 	if prev == nil {
 		for _, s := range j.shards {
-			for i := range s.lanes {
-				l := &s.lanes[i]
-				l.mu.Lock()
-				l.notFull.Broadcast()
-				l.mu.Unlock()
-			}
+			s.stageMu.Lock()
+			s.notFull.Broadcast()
+			s.stageMu.Unlock()
 		}
 	}
 	return prev
@@ -702,7 +700,7 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 	if err := j.terminalErr(); err != nil {
 		return err
 	}
-	// Drain the lanes: the snapshot must supersede every record appended
+	// Drain the queues: the snapshot must supersede every record appended
 	// before it, including staged ones. The gate excludes appenders, so
 	// nothing can be staged behind this drain until the snapshot is in.
 	if err := j.Sync(); err != nil {
@@ -785,22 +783,30 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 	return nil
 }
 
-// installSnapshot writes the encoded snapshot via tmp + fsync + rename.
+// installSnapshot writes the encoded snapshot durably: the tmp file is
+// written, fsynced and closed, renamed into place, and the directory fsynced
+// so the rename itself survives a power cut. WriteSnapshot deletes what the
+// snapshot supersedes only after all of that succeeded.
 func (j *Journal) installSnapshot(seq int, buf []byte) error {
 	tmp := filepath.Join(j.dir, snapName(seq)+".tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("journal: write snapshot: %w", err)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = f.Write(buf)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	if f, err := os.OpenFile(tmp, os.O_RDWR, 0); err == nil {
-		_ = f.Sync()
-		f.Close()
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(j.dir, snapName(seq)))
 	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, snapName(seq))); err != nil {
+	if err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("journal: install snapshot: %w", err)
 	}
-	return nil
+	return syncDir(j.dir)
 }
 
 // removeSeqs deletes the directory's prefix/suffix files numbered below
@@ -909,10 +915,10 @@ func ReplayAll(dir string) ([]Record, []*CorruptRecordError, error) {
 			}
 		}
 	}
-	// Merge by ticket with a full stable sort, not a sorted-stream merge: a
-	// shard file is only approximately ticket-ordered (lanes can race a
-	// drain), and ties — only possible for records written before tickets
-	// existed, which carry 0 — keep stream order.
+	// Merge by ticket with a full stable sort, not a sorted-stream merge:
+	// shard files written before each shard staged into one queue are only
+	// approximately ticket-ordered, and ties — only possible for records
+	// written before tickets existed, which carry 0 — keep stream order.
 	all := out[nsnap:]
 	sort.SliceStable(all, func(i, k int) bool { return all[i].Tick < all[k].Tick })
 	return out, corrupt, nil

@@ -552,7 +552,7 @@ func TestWriteSnapshotFailureKeepsJournalAppendable(t *testing.T) {
 	}
 	appendAll(t, j, testRecords(4))
 	// Occupy the first snapshot's tmp path with a non-empty directory so
-	// both WriteFile and Rename fail.
+	// opening the tmp file fails.
 	tmp := filepath.Join(dir, snapName(1)+".tmp")
 	if err := os.MkdirAll(filepath.Join(tmp, "x"), 0o755); err != nil {
 		t.Fatal(err)

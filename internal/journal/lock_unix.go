@@ -37,3 +37,20 @@ func releaseLock(f *os.File) {
 		_ = f.Close()
 	}
 }
+
+// syncDir fsyncs a directory, persisting the entries created or renamed in
+// it: fsync(2) on a file does not.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("journal: sync dir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("journal: sync dir %s: %w", dir, err)
+	}
+	return nil
+}

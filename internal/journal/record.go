@@ -15,12 +15,12 @@
 //
 // Records never span segments.
 //
-// Writing. Each stripe is an independent staged pipeline — lanes, a
-// flusher goroutine, one fsync per batch (see shard.go) — and the only code
-// that writes a segment. Every record carries a global commit ticket
-// (Record.Tick); a job's records always land in one stripe in ticket order,
-// and replay sorts every stream back into the journal-wide total order by
-// ticket. Snapshots stay top-level and supersede by ticket: segment records
+// Writing. Each stripe is an independent staged pipeline — one staging
+// queue, a flusher goroutine, one fsync per batch (see shard.go) — and the
+// only code that writes a segment. Every record carries a global commit
+// ticket (Record.Tick); a stripe's segment files are strictly in ticket
+// order, a job's records always land in one stripe, and replay sorts every
+// stream back into the journal-wide total order by ticket. Snapshots stay top-level and supersede by ticket: segment records
 // below the snapshot's lowest ticket are dropped at replay, and compaction
 // deletes the segments they sit in. Segments directly in the journal
 // directory are the flat layout older versions wrote; they are read as one

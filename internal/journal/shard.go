@@ -7,21 +7,18 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // A shard is one staged write pipeline, and the only code that writes a
-// segment: lane → flusher → write → one fsync → watermark. Append never
-// touches a file. The record is ticketed and encoded into one of the shard's
-// bounded staging lanes (the window clustering in shardFor picks the shard,
-// a finer job modulo picks the lane, so concurrent submitters into one shard
-// rarely share a lane mutex) and the shard's flusher goroutine drains the
-// lanes, writes the whole batch in one pass and issues a single fsync for
-// it. The shards' flushers run in parallel — N independent write+fsync
-// pipelines.
+// segment: queue → flusher → write → one fsync → watermark. Append never
+// touches a file. The record is ticketed and encoded into the shard's one
+// bounded staging queue (the window clustering in shardFor picks the shard)
+// and the shard's flusher goroutine drains the queue, writes the whole batch
+// in one pass and issues a single fsync for it. The shards' flushers run in
+// parallel — N independent write+fsync pipelines.
 //
 // Durability: a DurableSubmits submit or ownership record does not return
 // from Append until the batch holding it has been fsynced — the caller
@@ -29,40 +26,24 @@ import (
 // fsync. AppendAsync opts out of the wait and relies on the commit watermark
 // instead.
 //
-// Ordering is total per lane and per job, not per shard file: every staged
-// entry takes a ticket from the journal's global counter *while holding its
-// lane lock*, so within one lane staging order equals ticket order, and the
-// flusher sorts each drained batch by ticket before writing. Across lanes of
-// the same shard a drain can race a producer — batch N may carry a ticket
-// above one that batch N+1 sweeps from a lane drained earlier in the pass —
-// so a shard file is only approximately ticket-ordered. Two things still
-// hold exactly. First, a job's records always map to one lane, so each job's
-// records appear in its shard file in ticket order, and a torn tail (a
-// file-suffix loss) can only lose a per-job ticket suffix — which is what
-// Replay's last-record-wins folding and the crash-recovery audits rely on.
-// Second, the commit watermark never passes a staged ticket: the watermark
-// scan reads the lanes under their locks, and a ticket is staged under the
-// same lock that issued it. Replay restores the global total order with a
-// full sort by ticket, so local inversions never reach the engine.
+// Ordering: every staged entry takes a ticket from the journal's global
+// counter while holding the queue lock, and the flusher takes the whole
+// queue under that lock, so a shard's segment files are strictly in ticket
+// order. A torn tail (a file-suffix loss) therefore loses only a ticket
+// suffix of its shard — which is what Replay's last-record-wins folding and
+// the crash-recovery audits rely on — and the commit watermark never passes
+// a staged ticket, because the watermark scan reads the queue under the same
+// lock that issued it.
 //
 // Crash semantics: records staged but not yet flushed are exactly what a
 // killed process loses, and durable waiters parked on them are unblocked
 // with errCrashed (in a real crash the process dies and nobody is
 // acknowledged).
 
-// gcLanes is the number of staging lanes per shard. Lanes exist only to
-// keep concurrent producers off one mutex — the record is ticketed and
-// encoded under the lane lock, so a burst of submitters into one shard
-// would otherwise serialize on that critical section. The lane is chosen
-// by job modulo (fine-grained), independent of the window clustering that
-// picks the shard (coarse-grained): batching wants neighbors together,
-// contention wants them apart.
-const gcLanes = 8
-
-// defaultLaneCap bounds each lane's staged-entry count. A full lane blocks its
-// producers (backpressure) until the flusher drains it, so a stalled disk
+// defaultStageCap bounds each shard's staged-entry count. A full queue blocks
+// its producers (backpressure) until the flusher drains it, so a stalled disk
 // surfaces as slow appends rather than unbounded memory.
-const defaultLaneCap = 1024
+const defaultStageCap = 8 * 1024
 
 // errCrashed unblocks durable waiters whose batch was dropped by Crash.
 var errCrashed = errors.New("journal: crashed before the staged record reached disk")
@@ -77,36 +58,32 @@ type gcEntry struct {
 	done chan error
 }
 
-// lane is one bounded staging queue.
-type lane struct {
-	mu      sync.Mutex
-	notFull *sync.Cond // signaled when the flusher drains the lane
-	entries []gcEntry
-}
-
-// shard is one stripe: its staging lanes, its flusher and its segment files.
+// shard is one stripe: its staging queue, its flusher and its segment files.
 type shard struct {
 	j   *Journal
 	id  int
 	dir string
 
-	lanes [gcLanes]lane
+	// stageMu guards the staging queue; notFull is signaled when the
+	// flusher drains it.
+	stageMu sync.Mutex
+	notFull *sync.Cond
+	staged  []gcEntry
 
 	// flushMu serializes this shard's drains: the flusher's own flushes,
 	// the explicit drains from Sync/WriteSnapshot, and Crash's drop all
 	// exclude each other.
 	flushMu sync.Mutex
 
-	// inflightMin is the lowest ticket in the batch currently between lane
-	// drain and fsync (0: none). It is set before the lanes are emptied and
-	// cleared only after the batch's write+fsync succeeds, so the watermark
-	// scan never loses sight of a staged ticket mid-flush — and never sees
-	// past one whose flush failed.
+	// inflightMin is the lowest ticket in the batch currently between queue
+	// drain and fsync (0: none). It is set in the same critical section that
+	// empties the queue and cleared only after the batch's write+fsync
+	// succeeds, so the watermark scan never loses sight of a staged ticket
+	// mid-flush — and never sees past one whose flush failed.
 	inflightMin atomic.Uint64
 
-	// queued mirrors the total entry count across the lanes (maintained
-	// under the lane locks, read without them) so the pace loop's poll is
-	// one atomic load instead of eight mutex acquisitions — a spinning
+	// queued mirrors the queue's length (maintained under stageMu, read
+	// without it) so the pace loop's poll is one atomic load — a spinning
 	// flusher must not contend with the producers it is waiting for.
 	queued atomic.Int64
 
@@ -133,42 +110,39 @@ func newShard(j *Journal, id int, dir string) *shard {
 		kick:  make(chan struct{}, 1),
 		exit:  make(chan struct{}),
 	}
-	for i := range s.lanes {
-		s.lanes[i].notFull = sync.NewCond(&s.lanes[i].mu)
-	}
+	s.notFull = sync.NewCond(&s.stageMu)
 	return s
 }
 
-// stage tickets, encodes and parks one record in its lane. A durable entry
+// stage tickets, encodes and parks one record in the queue. A durable entry
 // blocks until its batch is on disk unless wait is false (async-durable), in
 // which case the returned ticket is the caller's handle for AwaitDurable.
 func (s *shard) stage(rec Record, durable, wait bool) (uint64, error) {
-	l := &s.lanes[uint(rec.Job)%gcLanes]
-	l.mu.Lock()
-	for len(l.entries) >= s.j.laneCap && s.j.terminalErr() == nil {
-		l.notFull.Wait()
+	s.stageMu.Lock()
+	for len(s.staged) >= s.j.stageCap && s.j.terminalErr() == nil {
+		s.notFull.Wait()
 	}
 	if err := s.j.terminalErr(); err != nil {
-		l.mu.Unlock()
+		s.stageMu.Unlock()
 		return 0, err
 	}
 	// The ticket is taken — and the record encoded with it — under the
-	// lane lock: within this lane, staging order equals ticket order, and
-	// the watermark scan takes the same lock, so it never sees the ticket
-	// counter ahead of the staged entry.
+	// queue lock: staging order equals ticket order, and the watermark scan
+	// takes the same lock, so it never sees the ticket counter ahead of the
+	// staged entry.
 	rec.Tick = s.j.tick.Add(1)
 	buf, err := encodePooled(rec)
 	if err != nil {
-		l.mu.Unlock()
+		s.stageMu.Unlock()
 		return 0, err
 	}
 	e := gcEntry{tick: rec.Tick, buf: buf}
 	if durable && wait {
 		e.done = make(chan error, 1)
 	}
-	l.entries = append(l.entries, e)
+	s.staged = append(s.staged, e)
 	queued := s.queued.Add(1)
-	l.mu.Unlock()
+	s.stageMu.Unlock()
 
 	// Kick only on the empty→non-empty transition: during a burst the
 	// flusher is already awake (pacing or draining), and waking it per
@@ -203,7 +177,7 @@ func (s *shard) run() {
 				return
 			}
 			// Producers only kick on the empty→non-empty transition, so an
-			// entry staged after the drain swept its lane may carry no
+			// entry staged after the drain swept the queue may carry no
 			// pending wake-up — recheck and self-kick rather than sleep on
 			// staged work.
 			if s.queued.Load() > 0 {
@@ -238,7 +212,7 @@ func (s *shard) flushGated() bool {
 		return true
 	case <-s.j.quit:
 		// Same as run's quit branch: one final drain. After a crash the
-		// lanes are already empty (Crash drops them under flushMu before
+		// queue is already empty (Crash drops them under flushMu before
 		// closing quit); after a close it is the staged tail.
 		s.flush()
 		return false
@@ -270,7 +244,7 @@ func (s *shard) pace() {
 	// Kicks coalesce (the channel holds one token), so everything may
 	// already be staged by the time the flusher wakes: check the target
 	// before the gather loop, not only inside it.
-	target := ctl.batchTarget(s.j.laneCap * gcLanes)
+	target := ctl.batchTarget(s.j.stageCap)
 	if last == 0 || last >= target {
 		return
 	}
@@ -307,63 +281,44 @@ func (s *shard) pace() {
 	}
 }
 
-// minStaged returns the lowest ticket parked in the lanes (0: none). Each
-// lane is in ticket order, so its head is its minimum.
-func (s *shard) minStaged() uint64 {
-	min := uint64(0)
-	for i := range s.lanes {
-		l := &s.lanes[i]
-		l.mu.Lock()
-		if len(l.entries) > 0 && (min == 0 || l.entries[0].tick < min) {
-			min = l.entries[0].tick
-		}
-		l.mu.Unlock()
-	}
-	return min
-}
-
 // minPending returns the lowest not-yet-durable ticket the shard owns (0:
-// none). The lanes are scanned before the in-flight marker because state
-// only moves forward along that chain, and take publishes the marker before
-// emptying a lane — so a ticket is visible in one of the two until its
-// fsync returns.
+// none). The queue is read before the in-flight marker because state only
+// moves forward along that chain, and take publishes the marker in the same
+// critical section that empties the queue — so a ticket is visible in one of
+// the two until its fsync returns. The queue is in ticket order, so its head
+// is its minimum.
 func (s *shard) minPending() uint64 {
-	min := s.minStaged()
+	min := uint64(0)
+	s.stageMu.Lock()
+	if len(s.staged) > 0 {
+		min = s.staged[0].tick
+	}
+	s.stageMu.Unlock()
 	if m := s.inflightMin.Load(); m != 0 && (min == 0 || m < min) {
 		min = m
 	}
 	return min
 }
 
-// take empties the lanes and returns the union, waking blocked producers.
-// Two phases keep every ticket visible to the watermark scan: the lowest
-// staged ticket is published as inflightMin before any lane is emptied, and
-// nothing is drained if the first sweep saw nothing (a record staged
-// mid-drain keeps its pending kick, so it is picked up next round with its
-// own in-flight marker).
+// take empties the queue and returns it, in ticket order, waking blocked
+// producers. The batch's lowest ticket is published as inflightMin before
+// the lock is released, keeping every ticket visible to the watermark scan.
 func (s *shard) take() []gcEntry {
-	min := s.minStaged()
-	if min == 0 {
+	s.stageMu.Lock()
+	defer s.stageMu.Unlock()
+	out := s.staged
+	if len(out) == 0 {
 		return nil
 	}
-	s.inflightMin.Store(min)
-	var out []gcEntry
-	for i := range s.lanes {
-		l := &s.lanes[i]
-		l.mu.Lock()
-		if len(l.entries) > 0 {
-			out = append(out, l.entries...)
-			s.queued.Add(-int64(len(l.entries)))
-			l.entries = nil
-			l.notFull.Broadcast()
-		}
-		l.mu.Unlock()
-	}
+	s.inflightMin.Store(out[0].tick)
+	s.staged = nil
+	s.queued.Add(-int64(len(out)))
+	s.notFull.Broadcast()
 	return out
 }
 
-// flush drains the lanes and writes the batch in ticket order with one
-// trailing fsync. Waiters are notified with the batch's outcome.
+// flush drains the queue and writes the batch with one trailing fsync.
+// Waiters are notified with the batch's outcome.
 func (s *shard) flush() error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
@@ -376,10 +331,9 @@ func (s *shard) flushLocked() error {
 	if len(batch) == 0 {
 		return nil
 	}
-	sort.Slice(batch, func(i, k int) bool { return batch[i].tick < batch[k].tick })
 	err := s.writeBatch(batch)
 	if err != nil {
-		// The batch is already drained from the lanes, so its tickets can
+		// The batch is already drained from the queue, so its tickets can
 		// never reach disk through a later flush. Latch the journal failed —
 		// reject further appends, fail parked AwaitDurable callers — and
 		// leave inflightMin set so the watermark can never pass the lost
@@ -443,11 +397,17 @@ func (s *shard) writeEncodedLocked(buf []byte) error {
 }
 
 // openSegment starts a fresh segment with s.mu held (or before the journal
-// is shared).
+// is shared). A file's fsync does not persist its directory entry (fsync(2)),
+// so the shard directory is synced once here: a record acked in a brand-new
+// segment is otherwise not safe.
 func (s *shard) openSegment(seq int) error {
 	f, err := os.OpenFile(filepath.Join(s.dir, segName(seq)), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: open segment: %w", err)
+	}
+	if err := syncDir(s.dir); err != nil {
+		f.Close()
+		return err
 	}
 	s.f = f
 	s.w = bufio.NewWriter(f)

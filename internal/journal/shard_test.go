@@ -322,6 +322,94 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 	}
 }
 
+// TestShardFileIsTicketOrdered pins what one staging queue a shard buys: its
+// segment files hold its records in strictly increasing ticket order, with
+// no sort on the write path. Concurrent durable, async-durable and
+// non-durable appenders all target one 16-ID window (one shard), a bound of
+// 4 parks them on a full queue behind a held flusher, small segments force
+// rotations, and the files are decoded directly — Replay would sort.
+func TestShardFileIsTicketOrdered(t *testing.T) {
+	dir := t.TempDir()
+	const bound = 4
+	j := gcOpenCap(t, dir, Options{Shards: 2, DurableSubmits: true, segmentBytes: 1024}, bound)
+	hold := make(chan struct{})
+	j.HoldFlush(hold)
+	const producers, each = 8, 40
+	var wg sync.WaitGroup
+	errs := make(chan error, producers)
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				job := shardWindow + (p*each+i)%shardWindow
+				var err error
+				switch i % 3 {
+				case 0: // durable: waits for its batch's fsync
+					err = j.Append(Record{Type: TypeSubmit, Job: job, Tool: "racon", Handler: "h1"})
+				case 1:
+					_, err = j.AppendAsync(Record{Type: TypeSubmit, Job: job, Tool: "racon", Handler: "h1"})
+				default:
+					err = j.Append(Record{Type: TypeStart, Job: job, Epoch: i})
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(p)
+	}
+	for deadline := time.Now().Add(5 * time.Second); j.Stats().Shards[1].Staged < bound; {
+		if time.Now().After(deadline) {
+			t.Fatal("the queue never filled behind the held flusher")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(hold)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	total := 0
+	for shard := 0; shard < 2; shard++ {
+		sdir := filepath.Join(dir, shardDirName(shard))
+		segs, err := listSeqs(sdir, segPrefix, segSuffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shard == 1 && len(segs) < 2 {
+			t.Fatalf("shard 1 wrote %d segments, want rotations", len(segs))
+		}
+		last := uint64(0)
+		for _, seq := range segs {
+			name := filepath.Join(shardDirName(shard), segName(seq))
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, cerr := decodeStream(b, name)
+			if cerr != nil {
+				t.Fatalf("%s: %v", name, cerr)
+			}
+			for _, r := range recs {
+				if r.Tick <= last {
+					t.Fatalf("%s: tick %d after %d — shard file out of ticket order", name, r.Tick, last)
+				}
+				last = r.Tick
+				total++
+			}
+		}
+	}
+	if total != producers*each {
+		t.Fatalf("decoded %d records, want %d", total, producers*each)
+	}
+}
+
 // TestShardedSnapshotCompaction snapshots a sharded journal and checks the
 // compaction sweep: pre-snapshot stripe segments are deleted, replay returns
 // the snapshot records followed by post-snapshot appends, and nothing the

@@ -11,7 +11,7 @@
 //   - Recording must be cheap enough for the submit hot path: counters and
 //     gauges are single atomic ops, histogram observation is one atomic
 //     bucket increment plus a CAS loop on the running sum, and trace
-//     recording is one slice append under a striped lock. Nothing on the
+//     recording is one slice append under the tracer's lock. Nothing on the
 //     record path allocates after the series exists.
 //   - Cardinality is bounded by construction: label values are tool IDs,
 //     destination IDs, states, fault classes and device minors — never job

@@ -45,73 +45,54 @@ type Meta struct {
 	Starts    int           // start events recorded so far, including this one
 }
 
-// traceShard is one stripe of the tracer's job map. order is insertion
-// order; only eviction deletes, so the front is always the shard's live
-// oldest trace and eviction is O(1) instead of a map scan.
-type traceShard struct {
+// Tracer records bounded per-job lifecycle traces under one mutex. Storage
+// is bounded exactly: once maxJobs traces are held, opening another evicts
+// the oldest, so a long-running server's trace memory stays O(maxJobs)
+// regardless of how many jobs it has dispatched.
+type Tracer struct {
 	mu     sync.Mutex
 	traces map[int]*Trace
-	order  []int
-}
-
-// Tracer records bounded per-job lifecycle traces. Storage is striped to
-// keep recording off any global lock, and bounded: when more than maxJobs
-// jobs are live, the oldest trace in the inserting shard is evicted, so a
-// long-running server's trace memory stays O(maxJobs) regardless of how
-// many jobs it has dispatched.
-type Tracer struct {
-	shards [16]traceShard
-	max    int // per-shard bound
+	// order is insertion order; only eviction deletes, so the front is
+	// always the live oldest trace and eviction is O(1) instead of a map scan.
+	order []int
+	max   int
 }
 
 // defaultTraceJobs bounds how many job traces are retained.
 const defaultTraceJobs = 4096
 
-// NewTracer builds a tracer retaining roughly maxJobs most-recent traces
-// (0 means the default of 4096).
+// NewTracer builds a tracer retaining the maxJobs most-recent traces (0
+// means the default of 4096).
 func NewTracer(maxJobs int) *Tracer {
 	if maxJobs <= 0 {
 		maxJobs = defaultTraceJobs
 	}
-	t := &Tracer{}
-	t.max = (maxJobs + len(t.shards) - 1) / len(t.shards)
-	for i := range t.shards {
-		t.shards[i].traces = make(map[int]*Trace)
-	}
-	return t
-}
-
-func (t *Tracer) shard(job int) *traceShard {
-	return &t.shards[uint(job)%uint(len(t.shards))]
+	return &Tracer{traces: make(map[int]*Trace), max: maxJobs}
 }
 
 // Begin opens a trace for a job. Tool is recorded once; the submit event
 // itself arrives through Record like every other transition.
 func (t *Tracer) Begin(job int, tool string) {
-	s := t.shard(job)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.traces[job]; ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.traces[job]; ok {
 		return
 	}
-	if len(s.traces) >= t.max {
-		// Evict the shard's insertion-order oldest (IDs are monotonic, so
-		// that is also the smallest ID).
-		oldest := s.order[0]
-		s.order = s.order[1:]
-		delete(s.traces, oldest)
+	if len(t.traces) >= t.max {
+		oldest := t.order[0]
+		t.order = t.order[1:]
+		delete(t.traces, oldest)
 	}
-	s.traces[job] = &Trace{Job: job, Tool: tool}
-	s.order = append(s.order, job)
+	t.traces[job] = &Trace{Job: job, Tool: tool}
+	t.order = append(t.order, job)
 }
 
 // Tag marks a job's trace as executing one step of a workflow. A no-op for
 // unknown (evicted) jobs.
 func (t *Tracer) Tag(job, workflow int, step string) {
-	s := t.shard(job)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tr, ok := s.traces[job]; ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if tr, ok := t.traces[job]; ok {
 		tr.Workflow, tr.Step = workflow, step
 	}
 }
@@ -122,22 +103,19 @@ func (t *Tracer) Tag(job, workflow int, step string) {
 // pipeline spent its life.
 func (t *Tracer) WorkflowSpans(workflow int) []Trace {
 	var out []Trace
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for _, tr := range s.traces {
-			if tr.Workflow != workflow {
-				continue
-			}
-			cp := Trace{
-				Job: tr.Job, Tool: tr.Tool, Workflow: tr.Workflow, Step: tr.Step,
-				Events: append([]Event(nil), tr.Events...),
-			}
-			cp.Segments = deriveSegments(cp.Events)
-			out = append(out, cp)
+	t.mu.Lock()
+	for _, tr := range t.traces {
+		if tr.Workflow != workflow {
+			continue
 		}
-		s.mu.Unlock()
+		cp := Trace{
+			Job: tr.Job, Tool: tr.Tool, Workflow: tr.Workflow, Step: tr.Step,
+			Events: append([]Event(nil), tr.Events...),
+		}
+		cp.Segments = deriveSegments(cp.Events)
+		out = append(out, cp)
 	}
+	t.mu.Unlock()
 	sort.Slice(out, func(i, k int) bool {
 		a, b := submitAt(out[i].Events), submitAt(out[k].Events)
 		if a != b {
@@ -161,10 +139,9 @@ func submitAt(events []Event) time.Duration {
 // already knew (see Meta). The bool is false when the job has no live trace
 // (evicted, or recording started mid-lifecycle).
 func (t *Tracer) Record(job int, ev Event) (Meta, bool) {
-	s := t.shard(job)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tr, ok := s.traces[job]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	tr, ok := t.traces[job]
 	if !ok {
 		return Meta{}, false
 	}
@@ -184,15 +161,14 @@ func (t *Tracer) Record(job int, ev Event) (Meta, bool) {
 // Get returns a copy of a job's trace with derived segments filled in, or
 // false if the job is unknown (never traced, or evicted).
 func (t *Tracer) Get(job int) (Trace, bool) {
-	s := t.shard(job)
-	s.mu.Lock()
-	tr, ok := s.traces[job]
+	t.mu.Lock()
+	tr, ok := t.traces[job]
 	if !ok {
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return Trace{}, false
 	}
 	cp := Trace{Job: tr.Job, Tool: tr.Tool, Events: append([]Event(nil), tr.Events...)}
-	s.mu.Unlock()
+	t.mu.Unlock()
 	cp.Segments = deriveSegments(cp.Events)
 	return cp, true
 }

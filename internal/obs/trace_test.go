@@ -75,29 +75,26 @@ func TestTracerUnknownJob(t *testing.T) {
 
 // Len reports how many traces are currently retained.
 func (t *Tracer) Len() int {
-	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		n += len(t.shards[i].traces)
-		t.shards[i].mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.traces)
 }
 
+// TestTracerEvictsOldest pins the exact bound: past maxJobs, exactly the
+// maxJobs newest traces are retained.
 func TestTracerEvictsOldest(t *testing.T) {
-	tr := NewTracer(32) // 2 per shard
+	tr := NewTracer(32)
 	for id := 0; id < 96; id++ {
 		tr.Begin(id, "racon")
 		tr.Record(id, Event{Name: "submit"})
 	}
-	if n := tr.Len(); n > 32 {
-		t.Fatalf("tracer retains %d traces, want <= 32", n)
+	if n := tr.Len(); n != 32 {
+		t.Fatalf("tracer retains %d traces, want exactly 32", n)
 	}
-	if _, ok := tr.Get(0); ok {
-		t.Fatal("oldest trace should have been evicted")
-	}
-	if _, ok := tr.Get(95); !ok {
-		t.Fatal("newest trace should be retained")
+	for id := 0; id < 96; id++ {
+		if _, ok := tr.Get(id); ok != (id >= 64) {
+			t.Fatalf("trace %d retained=%v, want only the 32 newest (64..95)", id, ok)
+		}
 	}
 }
 

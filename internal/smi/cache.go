@@ -16,34 +16,26 @@ import (
 // is a function of virtual time, and the owner invalidates the cache
 // whenever device state changes (sessions opened, closed, aborted), so a hit
 // can never observe a stale allocation.
+//
+// mu is held across a miss's round trip, so an Invalidate can never land
+// between a survey and its install. Every caller already holds the engine
+// lock, so the mutex is never contended.
 type Cache struct {
 	mu    sync.Mutex
 	at    time.Duration
 	valid bool
 	usage Usage
 
-	// gen counts invalidations. A miss snapshots it before releasing the
-	// lock for the Query/UsageFromXML round trip and only installs its
-	// result if no Invalidate landed in between — otherwise the survey was
-	// taken against pre-mutation device state and caching it as valid
-	// would serve exactly the staleness the contract rules out.
-	gen uint64
-
 	hits, misses, invalidations int
 
 	// observeMiss, when set, receives the wall-clock cost of each miss's
 	// round trip.
 	observeMiss func(time.Duration)
-
-	// testHookAfterParse, when set, runs between the unlocked parse and the
-	// re-lock that installs the result — the window the generation counter
-	// protects. Tests use it to interleave an Invalidate deterministically.
-	testHookAfterParse func()
 }
 
 // NewCache builds a survey cache. observeMiss, if not nil, is told how long
 // each miss's Query+UsageFromXML round trip took on the wall clock; it runs
-// on the surveying goroutine and must not call back into the cache.
+// on the surveying goroutine after the cache is unlocked.
 func NewCache(observeMiss func(time.Duration)) *Cache {
 	return &Cache{observeMiss: observeMiss}
 }
@@ -61,48 +53,32 @@ func (c *Cache) Usage(cluster *gpu.Cluster, now time.Duration) (Usage, error) {
 		c.mu.Unlock()
 		return u, nil
 	}
-	gen := c.gen
-	hook := c.testHookAfterParse
-	c.mu.Unlock()
-
 	began := time.Now()
 	doc, err := Query(cluster, now)
-	if err != nil {
-		return Usage{}, err
+	var u Usage
+	if err == nil {
+		u, err = UsageFromXML(doc)
 	}
-	u, err := UsageFromXML(doc)
+	if err == nil {
+		c.misses++
+		c.at, c.usage, c.valid = now, u, true
+	}
+	took := time.Since(began)
+	c.mu.Unlock()
 	if err != nil {
 		return Usage{}, err
 	}
 	if c.observeMiss != nil {
-		c.observeMiss(time.Since(began))
+		c.observeMiss(took)
 	}
-	if hook != nil {
-		hook()
-	}
-
-	c.mu.Lock()
-	c.misses++
-	// Keep the newest survey: a concurrent miss at a later instant wins.
-	// Never install across an invalidation: the parse ran unlocked, so an
-	// Invalidate in that window means this survey predates a device-state
-	// mutation and must not be served to anyone else.
-	if c.gen == gen && (!c.valid || now >= c.at) {
-		c.at = now
-		c.usage = u
-		c.valid = true
-	}
-	c.mu.Unlock()
 	return u, nil
 }
 
 // Invalidate drops the cached survey. Call after any device-state mutation
-// (session open/close/abort) so later same-instant surveys re-query. It
-// also bars any in-flight miss from installing its pre-mutation result.
+// (session open/close/abort) so later same-instant surveys re-query.
 func (c *Cache) Invalidate() {
 	c.mu.Lock()
 	c.valid = false
-	c.gen++
 	c.invalidations++
 	c.mu.Unlock()
 }
