@@ -12,10 +12,11 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/smi:FuzzParseXML \
                 ./internal/bioseq:FuzzEditDistance \
                 ./internal/tools/racon:FuzzAddSequence \
+                ./internal/tools/bonito:FuzzBasecall \
                 ./internal/transport/tcpbus:FuzzFrame
 FUZZTIME     ?= 10s
 
-.PHONY: check build fmt vet test test-race test-flake test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke
+.PHONY: check build fmt vet test test-race test-flake quick-golden test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke
 
 check: build fmt vet test-race
 
@@ -64,6 +65,19 @@ test-flake:
 	$(call run_selected,./internal/api,TestAsyncDurableAckWaitsForWatermark|TestServerRaceHammer,10)
 	$(call run_selected,./internal/galaxy,TestAsyncDurableSubmitRacesSnapshots,10)
 	$(call run_selected,./internal/experiments,TestClusterScalingDeterministic,10)
+
+# quick-golden regenerates `gyanbench -quick -json` into a temporary file and
+# fails on any byte that differs from testdata/gyanbench-quick.json. Every
+# figure is deterministic virtual time, so a difference means a change moved
+# what the tools or the engine compute, not how fast. When a change moves a
+# figure on purpose, regenerate the golden with
+#   go run ./cmd/gyanbench -quick -json > testdata/gyanbench-quick.json
+# and explain the diff in review.
+quick-golden:
+	@out=$$(mktemp) || exit 1; trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/gyanbench -quick -json > "$$out" || exit 1; \
+	diff -u testdata/gyanbench-quick.json "$$out" >&2 || { \
+		echo "gyanbench -quick differs from testdata/gyanbench-quick.json (see the Makefile to regenerate)" >&2; exit 1; }
 
 # test-crash replays the kill-and-failover scenario end to end: handler h1
 # dies mid-workload with a torn record on disk, standby h2 recovers from the

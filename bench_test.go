@@ -58,7 +58,7 @@ func BenchmarkPolishWindow(b *testing.B) {
 }
 
 // BenchmarkBasecall is one real squiggle through the network and the greedy
-// decoder: the per-read cost of a bonito job.
+// decoder, one fused pass per timestep: the per-read cost of a bonito job.
 func BenchmarkBasecall(b *testing.B) {
 	set, err := workload.AcinetobacterPittii(42)
 	if err != nil {
@@ -72,6 +72,27 @@ func BenchmarkBasecall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := net.Basecall(set.Squiggles[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBonitoJob is the bonito job of the HTTP mix: Run on the
+// acinetobacter_pittii squiggles at scale 0.001 on one K80 GPU, its 40 reads
+// spread over the default Threads.
+func BenchmarkBonitoJob(b *testing.B) {
+	set, err := workload.AcinetobacterPittii(42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := bonito.DefaultParams()
+	p.Scale = 0.001
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := gpu.NewPaperTestbed(nil)
+		env := bonito.Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: "/usr/bin/bonito"}
+		if _, err := bonito.Run(set, p, env); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,8 @@ package bonito
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gyan/internal/bioseq"
@@ -22,8 +24,9 @@ const (
 
 // Params configures one basecalling run.
 type Params struct {
-	// Threads is the host thread setting (PyTorch's CPU GEMM saturates at
-	// cpuEffectiveCores regardless).
+	// Threads is the host thread setting: up to that many goroutines
+	// basecall the reads, and the cost model charges at most
+	// cpuEffectiveCores of them (PyTorch's CPU GEMM saturates there).
 	Threads int
 	// Scale is the fraction of the dataset's NominalBytes the cost model
 	// simulates; 1.0 reproduces the paper's full runs.
@@ -94,6 +97,10 @@ type Result struct {
 	Sessions []*gpu.Stream
 }
 
+// pretrained is the network every Run basecalls with, built once per process
+// so that its workspace pool outlives a job.
+var pretrained = sync.OnceValues(NewPretrained)
+
 // Run basecalls the squiggle set. The CNN inference is real and identical
 // across backends; durations come from the calibrated cost model.
 func Run(set *workload.SquiggleSet, p Params, env Env) (*Result, error) {
@@ -103,35 +110,15 @@ func Run(set *workload.SquiggleSet, p Params, env Env) (*Result, error) {
 	if set == nil || len(set.Squiggles) == 0 {
 		return nil, fmt.Errorf("bonito: empty squiggle set")
 	}
-	net, err := NewPretrained()
+	net, err := pretrained()
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{GPUUsed: env.Cluster != nil && len(env.Devices) > 0}
-	for _, sq := range set.Squiggles {
-		var call bioseq.Seq
-		var flops int64
-		if p.Decoder == DecoderBeam {
-			logits, f, ferr := net.Forward(sq.Samples)
-			if ferr != nil {
-				return nil, fmt.Errorf("bonito: %s: %w", sq.ID, ferr)
-			}
-			bases, derr := DecodeBeam(logits)
-			if derr != nil {
-				return nil, fmt.Errorf("bonito: %s: %w", sq.ID, derr)
-			}
-			call, flops = bioseq.Seq{ID: sq.ID + "_called", Bases: bases}, f
-		} else {
-			var err error
-			call, flops, err = net.Basecall(sq)
-			if err != nil {
-				return nil, fmt.Errorf("bonito: %s: %w", sq.ID, err)
-			}
-		}
-		res.Calls = append(res.Calls, call)
-		res.RealFLOPs += flops
+	calls, flops, err := basecallAll(net, set.Squiggles, p)
+	if err != nil {
+		return nil, err
 	}
+	res := &Result{Calls: calls, RealFLOPs: flops, GPUUsed: env.Cluster != nil && len(env.Devices) > 0}
 	res.MeanIdentity = meanIdentity(set, res.Calls)
 
 	// Cost model.
@@ -261,6 +248,66 @@ func maxDur(a, b time.Duration) time.Duration {
 		return a
 	}
 	return b
+}
+
+// basecallAll decodes every squiggle and returns the calls in read order and
+// the FLOPs spent. Up to p.Threads workers, never more than there are reads,
+// each take the next undecoded read (racon's polishAll); a single worker is
+// the calling goroutine itself. The first failed read in read order is named.
+func basecallAll(net *Net, squiggles []workload.Squiggle, p Params) ([]bioseq.Seq, int64, error) {
+	calls := make([]bioseq.Seq, len(squiggles))
+	flops := make([]int64, len(squiggles))
+	errs := make([]error, len(squiggles))
+	var next atomic.Int64
+	worker := func() {
+		ws := net.borrow()
+		defer net.scratch.Put(ws)
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(squiggles) {
+				return
+			}
+			calls[i], flops[i], errs[i] = basecall(net, ws, squiggles[i], p.Decoder)
+		}
+	}
+	if workers := min(p.Threads, len(squiggles)); workers > 1 {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				worker()
+			}()
+		}
+		wg.Wait()
+	} else {
+		worker()
+	}
+
+	var total int64
+	for i, sq := range squiggles {
+		if errs[i] != nil {
+			return nil, 0, fmt.Errorf("bonito: %s: %w", sq.ID, errs[i])
+		}
+		total += flops[i]
+	}
+	return calls, total, nil
+}
+
+// basecall decodes one squiggle in ws with the chosen decoder.
+func basecall(net *Net, ws *workspace, sq workload.Squiggle, d Decoder) (bioseq.Seq, int64, error) {
+	if d != DecoderBeam {
+		return net.basecall(sq, ws)
+	}
+	logits, flops, err := net.Forward(sq.Samples)
+	if err != nil {
+		return bioseq.Seq{}, 0, err
+	}
+	bases, err := DecodeBeam(logits)
+	if err != nil {
+		return bioseq.Seq{}, 0, err
+	}
+	return bioseq.Seq{ID: sq.ID + "_called", Bases: bases}, flops, nil
 }
 
 // meanIdentity averages the identity of calls against the ground truth of

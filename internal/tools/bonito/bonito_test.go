@@ -1,6 +1,7 @@
 package bonito
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -91,7 +92,7 @@ func TestConv1DMatchesDirectConvolution(t *testing.T) {
 	for i, v := range []float32{1, 2, 3, 4} {
 		x.Data[i] = v
 	}
-	out, _, err := l.Forward(x)
+	out, _, err := convIm2col(l, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestConv1DValidation(t *testing.T) {
 		t.Error("zero input channels accepted")
 	}
 	l, _ := NewConv1D(2, 1, 3)
-	if _, _, err := l.Forward(NewMatrix(5, 1)); err == nil {
+	if _, _, err := convIm2col(l, NewMatrix(5, 1)); err == nil {
 		t.Error("channel mismatch accepted")
 	}
 }
@@ -138,9 +139,23 @@ func TestBasecallRecoversTruth(t *testing.T) {
 	}
 }
 
-// Decode is decode with a fresh class buffer.
+// Decode is the greedy decoder over a logits matrix, the argmax taken in a
+// pass of its own: what Basecall did before it took the argmax inside the
+// network's kernel.
 func Decode(logits Matrix) ([]byte, error) {
-	return decode(logits, make([]int, logits.Rows))
+	if logits.Cols != numClasses {
+		return nil, fmt.Errorf("bonito: logits have %d classes, want %d", logits.Cols, numClasses)
+	}
+	classes := make([]int, logits.Rows)
+	for t := range classes {
+		row := logits.Data[t*numClasses:][:numClasses]
+		for k, v := range row {
+			if v > row[classes[t]] {
+				classes[t] = k
+			}
+		}
+	}
+	return collapse(classes), nil
 }
 
 func decodeClasses(t *testing.T, seq []int) string {

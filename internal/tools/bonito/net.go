@@ -1,7 +1,7 @@
 package bonito
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 
 	"gyan/internal/bioseq"
@@ -32,7 +32,7 @@ const hiddenChannels = 8
 type Net struct {
 	feature    *Conv1D
 	classifier *Conv1D
-	// scratch keeps the *workspace of finished Basecall calls for the next.
+	// scratch keeps the *workspace of finished basecalls for the next.
 	scratch sync.Pool
 }
 
@@ -81,73 +81,139 @@ func NewPretrained() (*Net, error) {
 	return &Net{feature: feature, classifier: classifier}, nil
 }
 
-// workspace is the memory one read's basecall works in: the float32 signal,
-// the hidden activations, the logits and the decoder's per-timestep classes.
-// Nothing Basecall returns points into it, so it goes back to Net.scratch
-// and a run of reads allocates its activations once, not per read.
-type workspace struct {
-	x, h, logits []float32
-	classes      []int
+// flopsPerStep is the work of both layers at one timestep, two FLOPs a
+// multiply-add: what the GEMMs the cost model bills count.
+const flopsPerStep = 2 * (3*hiddenChannels + hiddenChannels*numClasses)
+
+// weights are the two layers in the kernel's layout: tap w of feature channel
+// c at f[c][w], the weight of feature c in class k at k[k][c].
+type weights struct {
+	f  [hiddenChannels][3]float32
+	fb [hiddenChannels]float32
+	k  [numClasses][hiddenChannels]float32
+	kb [numClasses]float32
 }
 
-// newWorkspace sizes a workspace for reads of up to t samples.
-func (n *Net) newWorkspace(t int) *workspace {
-	return &workspace{
-		x:       make([]float32, t),
-		h:       make([]float32, t*n.feature.OutCh),
-		logits:  make([]float32, t*n.classifier.OutCh),
-		classes: make([]int, t),
+// pack copies the layers into the kernel's layout. It runs per call, not once
+// per Net: Train updates the classifier in place after construction.
+func (n *Net) pack() weights {
+	var w weights
+	for j, v := range n.feature.Weights.Data { // row tap, column c
+		w.f[j%hiddenChannels][j/hiddenChannels] = v
 	}
+	for j, v := range n.classifier.Weights.Data { // row c, column k
+		w.k[j%numClasses][j/numClasses] = v
+	}
+	copy(w.fb[:], n.feature.Bias)
+	copy(w.kb[:], n.classifier.Bias)
+	return w
+}
+
+// run is the network over one read, a timestep at a time: x is the signal
+// with a zero of padding at each end, so timestep i reads x[i:i+3]. Every
+// feature sum and logit is the float32 sum from zero, in ascending k, of its
+// products, each rounded before it is added, then plus its bias: the operation
+// order of the im2col + GEMM oracle in nn_test.go, so every logit is
+// bit-identical to it (that GEMM skips zero inputs, and with finite weights
+// their ±0 products cannot change a sum that starts at +0). The thirteen sums
+// are independent chains held in registers. Per timestep run stores the
+// logits if logits is not nil, else the index of their first maximum.
+func (w *weights) run(x, logits []float32, classes []int) {
+	for i := 0; i+2 < len(x); i++ {
+		a, b, c := x[i], x[i+1], x[i+2]
+		h0 := 0 + float32(a*w.f[0][0]) + float32(b*w.f[0][1]) + float32(c*w.f[0][2]) + w.fb[0]
+		h1 := 0 + float32(a*w.f[1][0]) + float32(b*w.f[1][1]) + float32(c*w.f[1][2]) + w.fb[1]
+		h2 := 0 + float32(a*w.f[2][0]) + float32(b*w.f[2][1]) + float32(c*w.f[2][2]) + w.fb[2]
+		h3 := 0 + float32(a*w.f[3][0]) + float32(b*w.f[3][1]) + float32(c*w.f[3][2]) + w.fb[3]
+		h4 := 0 + float32(a*w.f[4][0]) + float32(b*w.f[4][1]) + float32(c*w.f[4][2]) + w.fb[4]
+		h5 := 0 + float32(a*w.f[5][0]) + float32(b*w.f[5][1]) + float32(c*w.f[5][2]) + w.fb[5]
+		h6 := 0 + float32(a*w.f[6][0]) + float32(b*w.f[6][1]) + float32(c*w.f[6][2]) + w.fb[6]
+		h7 := 0 + float32(a*w.f[7][0]) + float32(b*w.f[7][1]) + float32(c*w.f[7][2]) + w.fb[7]
+		k := &w.k
+		l0 := 0 + float32(h0*k[0][0]) + float32(h1*k[0][1]) + float32(h2*k[0][2]) + float32(h3*k[0][3]) +
+			float32(h4*k[0][4]) + float32(h5*k[0][5]) + float32(h6*k[0][6]) + float32(h7*k[0][7]) + w.kb[0]
+		l1 := 0 + float32(h0*k[1][0]) + float32(h1*k[1][1]) + float32(h2*k[1][2]) + float32(h3*k[1][3]) +
+			float32(h4*k[1][4]) + float32(h5*k[1][5]) + float32(h6*k[1][6]) + float32(h7*k[1][7]) + w.kb[1]
+		l2 := 0 + float32(h0*k[2][0]) + float32(h1*k[2][1]) + float32(h2*k[2][2]) + float32(h3*k[2][3]) +
+			float32(h4*k[2][4]) + float32(h5*k[2][5]) + float32(h6*k[2][6]) + float32(h7*k[2][7]) + w.kb[2]
+		l3 := 0 + float32(h0*k[3][0]) + float32(h1*k[3][1]) + float32(h2*k[3][2]) + float32(h3*k[3][3]) +
+			float32(h4*k[3][4]) + float32(h5*k[3][5]) + float32(h6*k[3][6]) + float32(h7*k[3][7]) + w.kb[3]
+		l4 := 0 + float32(h0*k[4][0]) + float32(h1*k[4][1]) + float32(h2*k[4][2]) + float32(h3*k[4][3]) +
+			float32(h4*k[4][4]) + float32(h5*k[4][5]) + float32(h6*k[4][6]) + float32(h7*k[4][7]) + w.kb[4]
+		if logits != nil {
+			out := logits[i*numClasses:][:numClasses]
+			out[0], out[1], out[2], out[3], out[4] = l0, l1, l2, l3, l4
+			continue
+		}
+		best, top := classA, l0
+		if l1 > top {
+			best, top = classC, l1
+		}
+		if l2 > top {
+			best, top = classG, l2
+		}
+		if l3 > top {
+			best, top = classT, l3
+		}
+		if l4 > top {
+			best = classBlank
+		}
+		classes[i] = best
+	}
+}
+
+// workspace is the memory a basecall works in: the padded float32 signal and
+// the per-timestep classes. Nothing a basecall returns points into it, so it
+// goes back to Net.scratch, and a worker decoding a run of reads borrows it
+// once, not per read.
+type workspace struct {
+	x       []float32
+	classes []int
+}
+
+// borrow takes a workspace from n.scratch; give it back with Put.
+func (n *Net) borrow() *workspace {
+	if ws, ok := n.scratch.Get().(*workspace); ok {
+		return ws
+	}
+	return new(workspace)
+}
+
+// load writes samples into the workspace as run reads them and returns the
+// padded signal, growing the workspace if the read is longer than any before.
+func (ws *workspace) load(samples []float64) []float32 {
+	if t := len(samples); len(ws.classes) < t {
+		t += t / 8 // headroom: the next read may be a little longer
+		ws.x, ws.classes = make([]float32, t+2), make([]int, t)
+	}
+	x := ws.x[:len(samples)+2]
+	x[0], x[len(x)-1] = 0, 0
+	for i, s := range samples {
+		x[i+1] = float32(s)
+	}
+	return x
 }
 
 // Forward runs the network over one squiggle and returns the per-timestep
 // class logits (T x numClasses) and the FLOPs spent.
 func (n *Net) Forward(samples []float64) (Matrix, int64, error) {
-	return n.forward(samples, n.newWorkspace(len(samples)))
+	if len(samples) == 0 {
+		return Matrix{}, 0, errEmptySignal
+	}
+	ws := n.borrow()
+	defer n.scratch.Put(ws)
+	logits := NewMatrix(len(samples), numClasses)
+	w := n.pack()
+	w.run(ws.load(samples), logits.Data, nil)
+	return logits, flopsPerStep * int64(len(samples)), nil
 }
 
-// forward is Forward with its activations, the returned logits included, in
-// ws.
-func (n *Net) forward(samples []float64, ws *workspace) (Matrix, int64, error) {
-	t := len(samples)
-	if t == 0 {
-		return Matrix{}, 0, fmt.Errorf("bonito: empty signal")
-	}
-	x := Matrix{Rows: t, Cols: 1, Data: ws.x[:t]}
-	for i, s := range samples {
-		x.Data[i] = float32(s)
-	}
-	h := Matrix{Rows: t, Cols: n.feature.OutCh, Data: ws.h[:t*n.feature.OutCh]}
-	f1, err := n.feature.forward(x, h.Data)
-	if err != nil {
-		return Matrix{}, 0, err
-	}
-	logits := Matrix{Rows: t, Cols: n.classifier.OutCh, Data: ws.logits[:t*n.classifier.OutCh]}
-	f2, err := n.classifier.forward(h, logits.Data)
-	if err != nil {
-		return Matrix{}, 0, err
-	}
-	return logits, f1 + f2, nil
-}
+var errEmptySignal = errors.New("bonito: empty signal")
 
-// decode performs CTC greedy decoding over the logits: per-timestep argmax,
+// collapse finishes CTC greedy decoding of the per-timestep argmax classes:
 // repair of isolated misclassifications, collapse of consecutive repeats,
-// and blank removal. The per-timestep classes go in the caller's slice, one
-// element per row of logits.
-func decode(logits Matrix, classes []int) ([]byte, error) {
-	if logits.Cols != numClasses {
-		return nil, fmt.Errorf("bonito: logits have %d classes, want %d", logits.Cols, numClasses)
-	}
-	for t := 0; t < logits.Rows; t++ {
-		row := logits.Data[t*numClasses:][:numClasses]
-		best := 0
-		for k, v := range row {
-			if v > row[best] {
-				best = k
-			}
-		}
-		classes[t] = best
-	}
+// and blank removal. It rewrites classes.
+func collapse(classes []int) []byte {
 	// Repair isolated non-blank blips inside plateaus: a single timestep
 	// whose neighbours agree with each other but not with it is a noise
 	// tail, and collapsing would otherwise turn it into an insertion
@@ -167,23 +233,25 @@ func decode(logits Matrix, classes []int) ([]byte, error) {
 		}
 		prev = c
 	}
-	return out, nil
+	return out
 }
 
-// Basecall runs the full pipeline over one squiggle.
+// Basecall runs the full pipeline over one squiggle: the network with the
+// argmax taken in the same pass, then collapse. One *Net serves concurrent
+// callers.
 func (n *Net) Basecall(sq workload.Squiggle) (bioseq.Seq, int64, error) {
-	ws, _ := n.scratch.Get().(*workspace)
-	if t := len(sq.Samples); ws == nil || len(ws.x) < t {
-		ws = n.newWorkspace(t + t/8) // headroom: the next read may be a little longer
-	}
+	ws := n.borrow()
 	defer n.scratch.Put(ws)
-	logits, flops, err := n.forward(sq.Samples, ws)
-	if err != nil {
-		return bioseq.Seq{}, 0, err
+	return n.basecall(sq, ws)
+}
+
+// basecall is Basecall in ws.
+func (n *Net) basecall(sq workload.Squiggle, ws *workspace) (bioseq.Seq, int64, error) {
+	t := len(sq.Samples)
+	if t == 0 {
+		return bioseq.Seq{}, 0, errEmptySignal
 	}
-	bases, err := decode(logits, ws.classes[:logits.Rows])
-	if err != nil {
-		return bioseq.Seq{}, 0, err
-	}
-	return bioseq.Seq{ID: sq.ID + "_called", Bases: bases}, flops, nil
+	w := n.pack()
+	w.run(ws.load(sq.Samples), nil, ws.classes[:t])
+	return bioseq.Seq{ID: sq.ID + "_called", Bases: collapse(ws.classes[:t])}, flopsPerStep * int64(t), nil
 }
