@@ -13,7 +13,8 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/bioseq:FuzzEditDistance \
                 ./internal/tools/racon:FuzzAddSequence \
                 ./internal/tools/bonito:FuzzBasecall \
-                ./internal/transport/tcpbus:FuzzFrame
+                ./internal/transport/tcpbus:FuzzFrame \
+                ./internal/sched:FuzzCycle
 FUZZTIME     ?= 10s
 
 .PHONY: check build fmt vet test test-race test-flake quick-golden test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke

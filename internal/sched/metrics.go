@@ -5,15 +5,6 @@ import (
 	"time"
 )
 
-// DepthSample is one observation of queue pressure, recorded by the caller
-// (galaxy) after each scheduling event so monitors can chart queue depth
-// against GPU utilization.
-type DepthSample struct {
-	At      time.Duration
-	Depth   int
-	Running int
-}
-
 // Metrics accumulates scheduler counters across a run. All waits are queue
 // waits: submission to start.
 type Metrics struct {
@@ -30,26 +21,24 @@ type Metrics struct {
 	GateDenied int
 	// Waits holds each started job's queue wait, in start order.
 	Waits []time.Duration
-	// Depths holds the caller-recorded queue-depth samples.
-	Depths []DepthSample
+	// maxDepth is the deepest queue the caller recorded.
+	maxDepth int
 }
 
 // Metrics returns a copy of the scheduler's counters.
 func (s *Scheduler) Metrics() Metrics {
 	m := s.m
 	m.Waits = append([]time.Duration(nil), s.m.Waits...)
-	m.Depths = append([]DepthSample(nil), s.m.Depths...)
 	return m
 }
 
-// RecordDepth appends a queue-depth sample (called by the integration layer
-// after each scheduling event).
-func (s *Scheduler) RecordDepth(at time.Duration) {
-	s.m.Depths = append(s.m.Depths, DepthSample{
-		At:      at,
-		Depth:   len(s.queue),
-		Running: len(s.running),
-	})
+// RecordDepth folds the current queue depth into the running maximum
+// (called by the integration layer after each scheduling event). The
+// instant is not kept: MaxDepth is the only reading.
+func (s *Scheduler) RecordDepth(time.Duration) {
+	if d := len(s.byID); d > s.m.maxDepth {
+		s.m.maxDepth = d
+	}
 }
 
 // MeanWait returns the mean queue wait of started jobs (zero when none).
@@ -86,12 +75,4 @@ func (m Metrics) PercentileWait(p float64) time.Duration {
 }
 
 // MaxDepth returns the deepest recorded queue.
-func (m Metrics) MaxDepth() int {
-	max := 0
-	for _, d := range m.Depths {
-		if d.Depth > max {
-			max = d.Depth
-		}
-	}
-	return max
-}
+func (m Metrics) MaxDepth() int { return m.maxDepth }

@@ -43,9 +43,9 @@ func propInvariants(t *testing.T, s *Scheduler, cluster int, step int, seed uint
 	}
 
 	// No job both running and queued.
-	for _, e := range s.queue {
-		if _, running := s.running[e.req.ID]; running {
-			t.Fatalf("%s: job %d is both queued and running", ctx(), e.req.ID)
+	for id := range s.byID {
+		if _, running := s.running[id]; running {
+			t.Fatalf("%s: job %d is both queued and running", ctx(), id)
 		}
 	}
 }

@@ -34,6 +34,7 @@
 package sched
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -99,6 +100,93 @@ type Config struct {
 // entry is one queued job.
 type entry struct {
 	req Request
+	cls *class
+}
+
+// classKey names a fair-share class: every queued job of one user at one
+// priority.
+type classKey struct {
+	priority int
+	user     string
+}
+
+// class holds one classKey's queued jobs in (Submitted, ID) order. Within a
+// class the fair-share score is shared, so this is already the class's
+// share of the scheduler's total order; Cycle only merges class heads.
+type class struct {
+	key classKey
+	q   []*entry
+	// pos and usage are the class's cursor and its user's GPU-seconds
+	// during one Cycle's walk.
+	pos   int
+	usage float64
+}
+
+// before reports whether a precedes b within a class: submission time, then
+// ID.
+func before(a, b Request) bool {
+	if a.Submitted != b.Submitted {
+		return a.Submitted < b.Submitted
+	}
+	return a.ID < b.ID
+}
+
+// insert places e in (Submitted, ID) order. Arrivals nearly always carry the
+// latest submission time, so this is nearly always an append.
+func (c *class) insert(e *entry) {
+	i := len(c.q)
+	if i > 0 && before(e.req, c.q[i-1].req) {
+		i = sort.Search(len(c.q), func(k int) bool { return before(e.req, c.q[k].req) })
+	}
+	c.q = append(c.q, nil)
+	copy(c.q[i+1:], c.q[i:])
+	c.q[i] = e
+}
+
+// index returns e's position in the class.
+func (c *class) index(e *entry) int {
+	return sort.Search(len(c.q), func(k int) bool { return !before(c.q[k].req, e.req) })
+}
+
+// removeAt drops the entry at position i, moving whichever side of it is
+// shorter. Positions after i shift down by one either way.
+func (c *class) removeAt(i int) {
+	if i < len(c.q)-1-i {
+		copy(c.q[1:i+1], c.q[:i])
+		c.q[0] = nil
+		c.q = c.q[1:]
+		return
+	}
+	copy(c.q[i:], c.q[i+1:])
+	c.q[len(c.q)-1] = nil
+	c.q = c.q[:len(c.q)-1]
+}
+
+// heads is a min-heap of classes by their cursor entry in the scheduler's
+// total order: priority class descending, the user's accumulated
+// GPU-seconds ascending (lower is hungrier), submission time ascending, ID
+// ascending. IDs are unique, so the order is total.
+type heads []*class
+
+func (h heads) Len() int      { return len(h) }
+func (h heads) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h heads) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.key.priority != b.key.priority {
+		return a.key.priority > b.key.priority
+	}
+	if a.usage != b.usage {
+		return a.usage < b.usage
+	}
+	return before(a.q[a.pos].req, b.q[b.pos].req)
+}
+func (h *heads) Push(x any) { *h = append(*h, x.(*class)) }
+func (h *heads) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return c
 }
 
 // runningJob is one job the scheduler has started and not yet released.
@@ -141,8 +229,16 @@ func (d Decision) Empty() bool {
 // Scheduler holds the queue and the running set. It is not safe for
 // concurrent use; the caller serializes access (galaxy holds its own lock).
 type Scheduler struct {
-	cfg     Config
-	queue   []*entry
+	cfg Config
+	// classes holds the queue, one (Submitted, ID)-ordered list per
+	// (priority, user); byID indexes every queued entry.
+	classes map[classKey]*class
+	byID    map[int]*entry
+	// gangs counts queued requests per gang size, so a cycle can tell
+	// without a walk whether any queued gang exceeds the cluster.
+	gangs map[int]int
+	// walk is Cycle's merge heap, kept between cycles for its array.
+	walk    heads
 	running map[int]*runningJob
 	// usage accumulates each user's GPU-seconds for fair sharing.
 	usage map[string]float64
@@ -162,6 +258,9 @@ type Scheduler struct {
 func New(cfg Config) *Scheduler {
 	return &Scheduler{
 		cfg:     cfg,
+		classes: make(map[classKey]*class),
+		byID:    make(map[int]*entry),
+		gangs:   make(map[int]int),
 		running: make(map[int]*runningJob),
 		usage:   make(map[string]float64),
 	}
@@ -174,7 +273,7 @@ func (s *Scheduler) SetStartGate(gate func(id int, devices []int, now time.Durat
 }
 
 // QueueDepth reports the number of queued (not running) jobs.
-func (s *Scheduler) QueueDepth() int { return len(s.queue) }
+func (s *Scheduler) QueueDepth() int { return len(s.byID) }
 
 // RunningCount reports the number of jobs the scheduler has in flight.
 func (s *Scheduler) RunningCount() int { return len(s.running) }
@@ -203,15 +302,22 @@ func (s *Scheduler) Submit(req Request, now time.Duration) error {
 	if _, dup := s.running[req.ID]; dup {
 		return fmt.Errorf("sched: job %d already running", req.ID)
 	}
-	for _, e := range s.queue {
-		if e.req.ID == req.ID {
-			return fmt.Errorf("sched: job %d already queued", req.ID)
-		}
+	if _, dup := s.byID[req.ID]; dup {
+		return fmt.Errorf("sched: job %d already queued", req.ID)
 	}
 	if req.Submitted == 0 {
 		req.Submitted = now
 	}
-	s.queue = append(s.queue, &entry{req: req})
+	key := classKey{priority: req.Priority, user: req.User}
+	c := s.classes[key]
+	if c == nil {
+		c = &class{key: key}
+		s.classes[key] = c
+	}
+	e := &entry{req: req, cls: c}
+	c.insert(e)
+	s.byID[req.ID] = e
+	s.gangs[req.GPUs]++
 	s.m.Submitted++
 	return nil
 }
@@ -219,11 +325,21 @@ func (s *Scheduler) Submit(req Request, now time.Duration) error {
 // Remove drops a queued job (killed while waiting). Removing an unknown or
 // already-running job is a no-op.
 func (s *Scheduler) Remove(id int) {
-	for i, e := range s.queue {
-		if e.req.ID == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return
-		}
+	if e := s.byID[id]; e != nil {
+		s.dequeue(e, e.cls.index(e))
+	}
+}
+
+// dequeue drops e, found at position i of its class, from the queue.
+func (s *Scheduler) dequeue(e *entry, i int) {
+	c := e.cls
+	c.removeAt(i)
+	if len(c.q) == 0 {
+		delete(s.classes, c.key)
+	}
+	delete(s.byID, e.req.ID)
+	if s.gangs[e.req.GPUs]--; s.gangs[e.req.GPUs] == 0 {
+		delete(s.gangs, e.req.GPUs)
 	}
 }
 
@@ -240,26 +356,6 @@ func (s *Scheduler) Release(id int, now time.Duration) {
 	if held > 0 {
 		s.usage[r.req.User] += float64(len(r.devices)) * held.Seconds()
 	}
-}
-
-// order sorts the queue by effective priority: priority class descending,
-// accumulated GPU-seconds ascending (lower is hungrier), submission time
-// ascending, ID ascending.
-func (s *Scheduler) order() {
-	sort.SliceStable(s.queue, func(i, j int) bool {
-		a, b := s.queue[i].req, s.queue[j].req
-		if a.Priority != b.Priority {
-			return a.Priority > b.Priority
-		}
-		as, bs := s.usage[a.User], s.usage[b.User]
-		if as != bs {
-			return as < bs
-		}
-		if a.Submitted != b.Submitted {
-			return a.Submitted < b.Submitted
-		}
-		return a.ID < b.ID
-	})
 }
 
 // est returns a request's effective runtime estimate.
@@ -390,32 +486,39 @@ func addSet(m map[int]bool, xs []int) map[int]bool {
 // nvidia-smi survey. The caller executes the returned decision: each Start
 // must be launched on exactly its device gang, each Reject must fail the
 // job. Cycle itself mutates only the scheduler's bookkeeping.
+//
+// Cycle walks the queue in priority/fair-share order by merging the class
+// heads and stops as soon as no device is free: every start, head-of-line
+// or backfill, takes its gang from the free set, so nothing later in the
+// walk could start.
 func (s *Scheduler) Cycle(now time.Duration, survey smi.Usage) Decision {
 	var dec Decision
 	total := len(survey.AllGPUs)
 	free := s.freeDevices(survey)
-	s.order()
 
 	// Reject impossible gangs first so they never block the queue.
-	kept := s.queue[:0]
-	for _, e := range s.queue {
-		if e.req.GPUs > total {
+	if s.oversized(total) {
+		for s.beginWalk(); len(s.walk) > 0; s.step() {
+			c := s.walk[0]
+			e := c.q[c.pos]
+			if e.req.GPUs <= total {
+				c.pos++
+				continue
+			}
 			dec.Rejects = append(dec.Rejects, Reject{
 				ID: e.req.ID,
 				Reason: fmt.Sprintf("gang of %d exceeds the %d-GPU cluster",
 					e.req.GPUs, total),
 			})
 			s.m.Rejected++
-			continue
+			s.dequeue(e, c.pos)
 		}
-		kept = append(kept, e)
 	}
-	s.queue = kept
 
 	var res *reservation
-	remaining := s.queue[:0]
-	for i := 0; i < len(s.queue); i++ {
-		e := s.queue[i]
+	for s.beginWalk(); len(s.walk) > 0 && len(free) > 0; s.step() {
+		c := s.walk[0]
+		e := c.q[c.pos]
 		started := false
 		switch {
 		case res == nil && len(free) >= e.req.GPUs:
@@ -472,12 +575,45 @@ func (s *Scheduler) Cycle(now time.Duration, survey smi.Usage) Decision {
 				started = true
 			}
 		}
-		if !started {
-			remaining = append(remaining, e)
+		if started {
+			s.dequeue(e, c.pos)
+		} else {
+			c.pos++
 		}
 	}
-	s.queue = remaining
 	return dec
+}
+
+// oversized reports whether some queued gang is larger than total devices.
+func (s *Scheduler) oversized(total int) bool {
+	for n := range s.gangs {
+		if n > total {
+			return true
+		}
+	}
+	return false
+}
+
+// beginWalk rewinds every class to its head and heaps the classes in the
+// scheduler's total order.
+func (s *Scheduler) beginWalk() {
+	s.walk = s.walk[:0]
+	for _, c := range s.classes {
+		c.pos = 0
+		c.usage = s.usage[c.key.user]
+		s.walk = append(s.walk, c)
+	}
+	heap.Init(&s.walk)
+}
+
+// step re-heaps the top class after its cursor entry was skipped (cursor
+// advanced) or dequeued (cursor now at the next entry).
+func (s *Scheduler) step() {
+	if c := s.walk[0]; c.pos >= len(c.q) {
+		heap.Pop(&s.walk)
+	} else {
+		heap.Fix(&s.walk, 0)
+	}
 }
 
 // gateDenied runs the start gate over a chosen gang and records a denial.
