@@ -8,6 +8,7 @@ GO ?= go
 FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/toolxml:FuzzExpandMacros \
                 ./internal/journal:FuzzReplay \
+                ./internal/journal:FuzzRecordCodec \
                 ./internal/workflow:FuzzBuildDAG \
                 ./internal/smi:FuzzParseXML \
                 ./internal/bioseq:FuzzEditDistance \
@@ -103,10 +104,12 @@ hammer-api:
 # semantics (crash between stage and flush must not acknowledge), watermark
 # monotonicity under concurrent flushers, the flush-error latch, the
 # read-only flat layout and its epoch rule, the fold (rule table, retired
-# kinds, interleaving invariance, no write-only record kind), and at the engine
+# kinds, interleaving invariance, no write-only record kind), the record codec
+# against the JSON writer, the committed JSON fixture, the replay merge against
+# the stable sort, and at the engine
 # level the sharded crash-requeue scenario and the spliced-map-record recovery
 # oracle.
-JOURNAL_TESTS ?= TestSharded|TestShardFileIsTicketOrdered|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold
+JOURNAL_TESTS ?= TestSharded|TestShardFileIsTicketOrdered|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold|TestCodec|TestReplayReadsJSONFixture|TestReplayMergeMatchesStableSort
 JOURNAL_GALAXY_TESTS ?= TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash|TestRecoverSplicedMapRecords
 
 test-journal:

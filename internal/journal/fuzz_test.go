@@ -15,8 +15,8 @@ import (
 // anomaly as a typed *CorruptRecordError while still returning the valid
 // record prefix.
 func FuzzReplay(f *testing.F) {
-	// Seed corpus: a clean stream, a torn tail, a flipped CRC and some
-	// classic troublemakers.
+	// Seed corpus: a clean stream, a torn tail, a flipped CRC, JSON and
+	// mixed streams, and some classic troublemakers.
 	var clean []byte
 	for _, rec := range []Record{
 		{Type: TypeSubmit, At: time.Second, Handler: "h1", Job: 1, Tool: "racon",
@@ -32,6 +32,18 @@ func FuzzReplay(f *testing.F) {
 	}
 	f.Add(clean)
 	f.Add(clean[:len(clean)-5])
+	// The same records as an older version wrote them, and both formats in
+	// one stream, the way a reopened journal's directory mixes them.
+	var legacy []byte
+	for _, rec := range trail() {
+		b, err := encodeJSON(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		legacy = append(legacy, b...)
+	}
+	f.Add(legacy)
+	f.Add(append(append(legacy[:len(legacy):len(legacy)], clean...), legacy...))
 	flipped := append([]byte(nil), clean...)
 	flipped[5] ^= 0x40
 	f.Add(flipped)

@@ -1,11 +1,13 @@
 package journal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,7 +33,7 @@ type Options struct {
 	// its own segment files (under dir/shard-NN/), rotation and flusher, so
 	// concurrent appenders stop funneling into one file. Global order is
 	// preserved logically: every record carries a commit ticket and Replay
-	// sorts the shards back into total ticket order. Zero means
+	// merges the shards back into total ticket order. Zero means
 	// DefaultShards; one is the same pipeline with a single stripe.
 	Shards int
 	// Deprecated: group commit is the only write path; nothing reads this.
@@ -711,11 +713,10 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 	var buf []byte
 	for _, rec := range recs {
 		rec.Tick = j.tick.Add(1)
-		b, err := encode(rec)
-		if err != nil {
+		var err error
+		if buf, err = appendFrame(buf, &rec); err != nil {
 			return err
 		}
-		buf = append(buf, b...)
 	}
 	// Seal every shard's current segment; the snapshot replaces them and
 	// everything before them.
@@ -868,30 +869,27 @@ func ReplayAll(dir string) ([]Record, []*CorruptRecordError, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var out []Record
-	var corrupt []*CorruptRecordError
-	minSnapTick := uint64(0)
+	// Read every file first, so the output slice is sized once and each
+	// record is decoded straight into its final slot.
+	var snap []byte
+	var snapFile string
 	if len(snaps) > 0 {
-		name := snapName(snaps[len(snaps)-1])
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
+		snapFile = snapName(snaps[len(snaps)-1])
+		if snap, err = os.ReadFile(filepath.Join(dir, snapFile)); err != nil {
 			return nil, nil, fmt.Errorf("journal: read snapshot: %w", err)
 		}
-		recs, cerr := decodeStream(b, name)
-		out = append(out, recs...)
-		if cerr != nil {
-			return out, []*CorruptRecordError{cerr}, nil
-		}
-		for _, r := range recs {
-			if minSnapTick == 0 || r.Tick < minSnapTick {
-				minSnapTick = r.Tick
-			}
-		}
 	}
+	frames := countFrames(snap)
+	type segment struct {
+		name   string
+		b      []byte
+		stream int
+	}
+	var segments []segment
 	// Each stream is one directory's segments in sequence order: the flat
 	// layout's top-level wal-* files (label ""), then every shard.
-	nsnap := len(out)
-	for _, label := range append([]string{""}, shardDirs...) {
+	streams := append([]string{""}, shardDirs...)
+	for i, label := range streams {
 		sdir := filepath.Join(dir, label)
 		segs, err := listSeqs(sdir, segPrefix, segSuffix)
 		if err != nil {
@@ -903,23 +901,105 @@ func ReplayAll(dir string) ([]Record, []*CorruptRecordError, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("journal: read segment: %w", err)
 			}
-			recs, cerr := decodeStream(b, filepath.Join(label, name))
-			for _, r := range recs {
-				// The snapshot supersedes every ticket below its own.
-				if r.Tick >= minSnapTick {
-					out = append(out, r)
-				}
-			}
-			if cerr != nil {
-				corrupt = append(corrupt, cerr)
-			}
+			segments = append(segments, segment{filepath.Join(label, name), b, i})
+			frames += countFrames(b)
 		}
 	}
-	// Merge by ticket with a full stable sort, not a sorted-stream merge:
-	// shard files written before each shard staged into one queue are only
-	// approximately ticket-ordered, and ties — only possible for records
-	// written before tickets existed, which carry 0 — keep stream order.
-	all := out[nsnap:]
-	sort.SliceStable(all, func(i, k int) bool { return all[i].Tick < all[k].Tick })
+
+	var out []Record
+	if frames > 0 {
+		out = make([]Record, 0, frames)
+	}
+	out, cerr := decodeStream(out, snap, snapFile, 0)
+	if cerr != nil {
+		return out, []*CorruptRecordError{cerr}, nil
+	}
+	// The snapshot supersedes every segment ticket below its own.
+	minSnapTick := uint64(0)
+	for _, r := range out {
+		if minSnapTick == 0 || r.Tick < minSnapTick {
+			minSnapTick = r.Tick
+		}
+	}
+	nsnap := len(out)
+	var corrupt []*CorruptRecordError
+	ends := make([]int, len(streams)) // where each stream ends in out[nsnap:]
+	for _, seg := range segments {
+		var cerr *CorruptRecordError
+		out, cerr = decodeStream(out, seg.b, seg.name, minSnapTick)
+		if cerr != nil {
+			corrupt = append(corrupt, cerr)
+		}
+		ends[seg.stream] = len(out) - nsnap
+	}
+	for i := 1; i < len(ends); i++ {
+		ends[i] = max(ends[i], ends[i-1]) // a stream without files is empty
+	}
+	mergeByTick(out[nsnap:], ends)
 	return out, corrupt, nil
+}
+
+// mergeByTick puts the segment records into ticket order. recs is the
+// streams' records back to back, stream i ending at ends[i]. A shard
+// writes its files strictly in ticket order, so a stream is checked in one
+// pass and stable-sorted only when it is out of order (the flat layout, or a
+// shard an older version wrote); the streams are then merged, ties (records
+// written before tickets existed carry 0) taken in stream order. The result
+// is exactly a stable sort of recs by ticket, and each record moves at most
+// once.
+func mergeByTick(recs []Record, ends []int) {
+	if ticketOrdered(recs) {
+		return
+	}
+	type run struct{ next, end int }
+	var runs []run
+	lo := 0
+	for _, hi := range ends {
+		if lo < hi {
+			if s := recs[lo:hi]; !ticketOrdered(s) {
+				slices.SortStableFunc(s, func(a, b Record) int { return cmp.Compare(a.Tick, b.Tick) })
+			}
+			runs = append(runs, run{lo, hi})
+		}
+		lo = hi
+	}
+	// src[i] is the index of the record that belongs at position i.
+	src := make([]int, len(recs))
+	for i := range src {
+		best := 0
+		for r := 1; r < len(runs); r++ {
+			if recs[runs[r].next].Tick < recs[runs[best].next].Tick {
+				best = r
+			}
+		}
+		src[i] = runs[best].next
+		if runs[best].next++; runs[best].next == runs[best].end {
+			runs = slices.Delete(runs, best, best+1)
+		}
+	}
+	// Apply the permutation cycle by cycle; a placed position marks itself.
+	for i := range src {
+		if src[i] == i {
+			continue
+		}
+		tmp := recs[i]
+		j := i
+		for src[j] != i {
+			k := src[j]
+			recs[j] = recs[k]
+			src[j] = j
+			j = k
+		}
+		recs[j] = tmp
+		src[j] = j
+	}
+}
+
+func ticketOrdered(recs []Record) bool {
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Tick < recs[i-1].Tick {
+			return false
+		}
+	}
+	return true
 }

@@ -424,7 +424,7 @@ func TestCorruptMiddleSegment(t *testing.T) {
 	var midCount int
 	{
 		b, _ := os.ReadFile(filepath.Join(dir, segName(segs[1])))
-		recs, _ := decodeStream(b, "")
+		recs, _ := decodeStream(nil, b, "", 0)
 		midCount = len(recs)
 	}
 	mid := filepath.Join(dir, segName(segs[1]))

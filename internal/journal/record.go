@@ -9,20 +9,25 @@
 // On-disk format. A journal is a directory of per-stripe subdirectories
 // (shard-00/, shard-01/, ...) holding segment files (wal-00000001.seg,
 // wal-00000002.seg, ...), plus at most a few top-level snapshot files
-// (snap-00000005.json). Each record is framed as
+// (snap-00000005.json; the suffix is historical, a snapshot is framed records
+// like a segment). Each record is framed as
 //
-//	uint32 LE payload length | uint32 LE CRC32(payload) | payload (JSON)
+//	uint32 LE payload length | uint32 LE CRC32(payload) | payload
 //
-// Records never span segments.
+// and the payload is the binary record codec.go describes: a version byte,
+// then protobuf-style numbered fields. Older versions wrote JSON payloads;
+// those start with '{', which no version byte is, so replay still reads
+// them, and one directory may mix both. Records never span segments.
 //
 // Writing. Each stripe is an independent staged pipeline — one staging
 // queue, a flusher goroutine, one fsync per batch (see shard.go) — and the
 // only code that writes a segment. Every record carries a global commit
 // ticket (Record.Tick); a stripe's segment files are strictly in ticket
-// order, a job's records always land in one stripe, and replay sorts every
-// stream back into the journal-wide total order by ticket. Snapshots stay top-level and supersede by ticket: segment records
-// below the snapshot's lowest ticket are dropped at replay, and compaction
-// deletes the segments they sit in. Segments directly in the journal
+// order, a job's records always land in one stripe, and replay merges the
+// streams back into the journal-wide total order by ticket. Snapshots stay
+// top-level and supersede by ticket: segment records below the snapshot's
+// lowest ticket are dropped at replay, and compaction deletes the segments
+// they sit in. Segments directly in the journal
 // directory are the flat layout older versions wrote; they are read as one
 // more stream and never written.
 //
@@ -39,13 +44,10 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -144,7 +146,7 @@ type Record struct {
 	Handler string `json:"h,omitempty"`
 	// Tick is the record's global commit ticket, stamped by Append. One
 	// job's records sit in its shard in tick order, and Replay restores the
-	// journal-wide total order by sorting every stream on it. The high bits
+	// journal-wide total order by merging every stream on it. The high bits
 	// carry the writer incarnation's epoch, so tickets stay monotonic across
 	// restarts. Records written before tickets existed carry 0 and sort
 	// first.
@@ -262,127 +264,68 @@ func (e *LockedError) Error() string {
 	return fmt.Sprintf("%s is locked by another live handler", e.Dir)
 }
 
-// encode frames one record: header (length, CRC32 of payload) + payload.
-func encode(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encode record: %w", err)
-	}
-	if len(payload) > MaxRecord {
-		return nil, fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", len(payload), MaxRecord)
-	}
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	return buf, nil
-}
-
-// encScratch is one pooled encoder: a reusable JSON payload buffer with an
-// encoder bound to it, plus the frame buffer the caller hands back through
-// recycleFrame. Append-path encoding is the engine's per-record allocation
-// hot spot — the payload and frame otherwise become garbage on every
-// submit, and on a small machine the collector's scan time competes
-// directly with the submitters.
-type encScratch struct {
-	payload bytes.Buffer
-	enc     *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	s := &encScratch{}
-	s.enc = json.NewEncoder(&s.payload)
-	return s
-}}
-
-var framePool sync.Pool // of *[]byte
-
-// encodePooled is encode for the append hot paths: the JSON scratch comes
-// from a pool and the returned frame from another. The caller owns the
-// frame until the record is written (or dropped), then returns it with
-// recycleFrame; the flusher copies the frame into the segment's buffered
-// writer before recycling.
-func encodePooled(rec Record) ([]byte, error) {
-	s := encPool.Get().(*encScratch)
-	s.payload.Reset()
-	if err := s.enc.Encode(rec); err != nil {
-		encPool.Put(s)
-		return nil, fmt.Errorf("journal: encode record: %w", err)
-	}
-	payload := s.payload.Bytes()
-	payload = payload[:len(payload)-1] // Encoder appends '\n'; the frame format has none
-	if len(payload) > MaxRecord {
-		encPool.Put(s)
-		return nil, fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", len(payload), MaxRecord)
-	}
-	var buf []byte
-	if p, ok := framePool.Get().(*[]byte); ok && cap(*p) >= headerSize+len(payload) {
-		buf = (*p)[:headerSize+len(payload)]
-	} else {
-		buf = make([]byte, headerSize+len(payload), headerSize+len(payload)+64)
-	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	encPool.Put(s)
-	return buf, nil
-}
-
-// recycleFrame returns an encodePooled frame once the record is on its way
-// to disk (copied into the segment writer) or dropped by a crash. Frames
-// above a sane cap are left to the collector so one oversized record does
-// not pin memory in the pool.
-func recycleFrame(buf []byte) {
-	if cap(buf) > 64<<10 {
-		return
-	}
-	b := buf[:0]
-	framePool.Put(&b)
-}
-
-// decodeStream decodes framed records from b until the end or the first
-// anomaly. It returns the records decoded before the anomaly and a nil or
-// typed *CorruptRecordError — never any other error, and never a panic.
-func decodeStream(b []byte, segment string) ([]Record, *CorruptRecordError) {
-	var out []Record
+// decodeStream appends the framed records of b to dst until the end or the
+// first anomaly, decoding each straight into its slot and dropping (in place)
+// any whose ticket is below minTick. It returns dst and a nil or typed
+// *CorruptRecordError — never any other error, and never a panic.
+func decodeStream(dst []Record, b []byte, segment string, minTick uint64) ([]Record, *CorruptRecordError) {
 	off := int64(0)
 	for int64(len(b)) > off {
 		rest := b[off:]
 		if len(rest) < headerSize {
-			return out, &CorruptRecordError{Segment: segment, Offset: off,
+			return dst, &CorruptRecordError{Segment: segment, Offset: off,
 				Reason: fmt.Sprintf("torn header: %d trailing byte(s)", len(rest))}
 		}
 		length := binary.LittleEndian.Uint32(rest[0:4])
 		sum := binary.LittleEndian.Uint32(rest[4:8])
 		if length > MaxRecord {
-			return out, &CorruptRecordError{Segment: segment, Offset: off,
+			return dst, &CorruptRecordError{Segment: segment, Offset: off,
 				Reason: fmt.Sprintf("record length %d exceeds the %d-byte limit", length, MaxRecord)}
 		}
 		if int64(len(rest)) < headerSize+int64(length) {
-			return out, &CorruptRecordError{Segment: segment, Offset: off,
+			return dst, &CorruptRecordError{Segment: segment, Offset: off,
 				Reason: fmt.Sprintf("torn payload: header promises %d bytes, %d remain", length, len(rest)-headerSize)}
 		}
 		payload := rest[headerSize : headerSize+int64(length)]
 		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return out, &CorruptRecordError{Segment: segment, Offset: off,
+			return dst, &CorruptRecordError{Segment: segment, Offset: off,
 				Reason: fmt.Sprintf("CRC mismatch: header %08x, payload %08x", sum, got)}
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return out, &CorruptRecordError{Segment: segment, Offset: off,
+		dst = append(dst, Record{})
+		rec := &dst[len(dst)-1]
+		if err := decodePayload(payload, rec); err != nil {
+			return dst[:len(dst)-1], &CorruptRecordError{Segment: segment, Offset: off,
 				Reason: fmt.Sprintf("undecodable payload: %v", err)}
 		}
-		out = append(out, rec)
+		if rec.Tick < minTick {
+			dst = dst[:len(dst)-1]
+		}
 		off += headerSize + int64(length)
 	}
-	return out, nil
+	return dst, nil
+}
+
+// countFrames counts the records framed at the head of b, up to the first
+// torn or oversized header. It reads lengths only: it sizes replay's output
+// slice, and decodeStream does the checking.
+func countFrames(b []byte) int {
+	n := 0
+	for len(b) >= headerSize {
+		length := binary.LittleEndian.Uint32(b)
+		if length > MaxRecord || uint64(len(b)-headerSize) < uint64(length) {
+			break
+		}
+		b = b[headerSize+int(length):]
+		n++
+	}
+	return n
 }
 
 // ReplayBytes decodes a single segment-formatted byte stream. It is the
 // fuzzing entry point: whatever the input, it returns the longest valid
 // record prefix and either nil or a *CorruptRecordError.
 func ReplayBytes(b []byte) ([]Record, error) {
-	recs, cerr := decodeStream(b, "")
+	recs, cerr := decodeStream(make([]Record, 0, countFrames(b)), b, "", 0)
 	if cerr != nil {
 		return recs, cerr
 	}

@@ -392,7 +392,7 @@ func TestShardFileIsTicketOrdered(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs, cerr := decodeStream(b, name)
+			recs, cerr := decodeStream(nil, b, name, 0)
 			if cerr != nil {
 				t.Fatalf("%s: %v", name, cerr)
 			}

@@ -303,10 +303,11 @@ func TestOptionFieldsAreSet(t *testing.T) {
 // already obey (journal.TestFoldReadsEveryRecordKind): a field of
 // journal.Record or journal.WFStep is part of the format only if some
 // non-test file reads it — names it anywhere but as a composite-literal key
-// or an assignment's target. A field that is only ever set costs its bytes in
-// every record that carries it and tells recovery nothing: delete it (an old
-// journal's key is ignored by encoding/json), or make the reader that was
-// meant to act on it do so.
+// or an assignment's target. The codec (internal/journal/codec.go) names
+// every field to encode it, so it is no reader. A field that is only ever set
+// costs its bytes in every record that carries it and tells recovery
+// nothing: delete it (its field number is retired, and the decoder skips it
+// in an old journal), or make the reader that was meant to act on it do so.
 func TestRecordFieldsAreRead(t *testing.T) {
 	m := loadModule(t)
 	jp := m.l.load(modulePath + "/internal/journal")
@@ -317,9 +318,12 @@ func TestRecordFieldsAreRead(t *testing.T) {
 			fields[st.Field(i)] = name + "." + st.Field(i).Name()
 		}
 	}
+	codec := filepath.Join(m.l.root, "internal", "journal", "codec.go")
 	for _, p := range m.live {
 		for _, file := range p.files {
-			eachFieldRead(p.info, file, func(f *types.Var) { delete(fields, f) })
+			if m.l.fset.Position(file.Pos()).Filename != codec {
+				eachFieldRead(p.info, file, func(f *types.Var) { delete(fields, f) })
+			}
 		}
 	}
 	var unread []string
