@@ -56,16 +56,13 @@ define run_selected
 	$(GO) test -race -count=$(or $(3),1) $(1) -run '$(2)' -v
 endef
 
-# test-flake reruns, ten times under the race detector, the three tests that
-# used to fail intermittently on an unchanged tree — the async-durable ack
-# (Job.DurableTicket was stamped outside any lock a Jobs() clone takes), the
-# cluster-scaling determinism check (a virtual-time kill read the journal
-# flusher's wall-clock position) and the API race hammer (its reader checked
-# the ack count after a GET that predated the first POST) — and the
-# submit-against-snapshot hammer that pins the first fix.
+# test-flake reruns, ten times under the race detector, the two tests that
+# used to fail intermittently on an unchanged tree: the cluster-scaling
+# determinism check (a virtual-time kill read the journal flusher's
+# wall-clock position) and the API race hammer (its reader checked the ack
+# count after a GET that predated the first POST).
 test-flake:
-	$(call run_selected,./internal/api,TestAsyncDurableAckWaitsForWatermark|TestServerRaceHammer,10)
-	$(call run_selected,./internal/galaxy,TestAsyncDurableSubmitRacesSnapshots,10)
+	$(call run_selected,./internal/api,TestServerRaceHammer,10)
 	$(call run_selected,./internal/experiments,TestClusterScalingDeterministic,10)
 
 # quick-golden regenerates `gyanbench -quick -json` into a temporary file and
@@ -100,8 +97,8 @@ hammer-api:
 # test-journal is the journal durability suite under the race detector: the
 # per-stripe crash table (each stripe torn independently and two at once),
 # strictly ticket-ordered shard files under concurrent appenders, and the
-# torn-tail replay, staged-loss isolation, async-durable ack
-# semantics (crash between stage and flush must not acknowledge), watermark
+# torn-tail replay, staged-loss isolation, AppendAsync/AwaitDurable
+# semantics (crash between stage and flush must not report durable), watermark
 # monotonicity under concurrent flushers, the flush-error latch, the
 # read-only flat layout and its epoch rule, the fold (rule table, retired
 # kinds, interleaving invariance, no write-only record kind), the record codec
@@ -110,7 +107,7 @@ hammer-api:
 # level the sharded crash-requeue scenario and the spliced-map-record recovery
 # oracle.
 JOURNAL_TESTS ?= TestSharded|TestShardFileIsTicketOrdered|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold|TestCodec|TestReplayReadsJSONFixture|TestReplayMergeMatchesStableSort
-JOURNAL_GALAXY_TESTS ?= TestAsyncDurable|TestWithAsyncDurable|TestShardedCrash|TestRecoverSplicedMapRecords
+JOURNAL_GALAXY_TESTS ?= TestShardedCrash|TestRecoverSplicedMapRecords
 
 test-journal:
 	$(call run_selected,./internal/journal,$(JOURNAL_TESTS))

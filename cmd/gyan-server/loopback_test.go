@@ -177,7 +177,7 @@ func lbSubmit(t *testing.T, apiAddr string, timeout time.Duration) uint64 {
 			var j lbJob
 			decodeErr := json.NewDecoder(resp.Body).Decode(&j)
 			resp.Body.Close()
-			if (resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusCreated) && decodeErr == nil {
+			if resp.StatusCode == http.StatusAccepted && decodeErr == nil {
 				return j.Key
 			}
 		}

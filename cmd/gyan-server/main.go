@@ -15,22 +15,16 @@
 //	gyan-server -journal /var/lib/gyan/journal -handler main &
 //	curl localhost:8080/api/recovery
 //
-// With -cluster-size N (N > 1) the server hosts a cluster.Sim instead — N
-// members in one process on a simulated bus, stepped in lockstep virtual
-// time: job ownership partitioned over a consistent-hash ring, idle handlers
-// stealing queued work — and serves the cluster API:
-//
-//	gyan-server -cluster-size 3 &
-//	curl localhost:8080/api/cluster
-//	curl -X POST localhost:8080/api/cluster/jobs -d '{"tool":"racon","dataset":"alzheimers_nfl","params":{"scale":"0.01"}}'
-//
-// With -bus tcp the cluster spans processes: each gyan-server hosts one
-// cluster.Node — the same member type the Sim runs N of — speaking the
-// steal/lease/anti-entropy protocol over real sockets, wall-paced
-// (-tick-real, -speedup) instead of lockstep, with a persistent member
-// catalog fencing restarts by incarnation. One process per member, all
-// sharing the -peers map and the -journal root (-cluster-size does not
-// apply and is rejected):
+// With -bus tcp the server is one member of a handler cluster that spans
+// processes: it hosts one cluster.Node — the member type cluster.Sim runs N
+// of in the experiments — speaking the steal/lease/anti-entropy protocol
+// over real sockets, wall-paced (-tick-real, -speedup), with job ownership
+// partitioned over a consistent-hash ring and a persistent member catalog
+// fencing restarts by incarnation. One process per member, all sharing the
+// -peers map and the -journal root; a submit is answered 202 once its
+// record is fsynced — unless the member's journal has already failed, an
+// append error cluster.Node.Submit latches without refusing the submit —
+// and the member's tick loop runs it:
 //
 //	gyan-server -bus tcp -member h0 -members h0,h1 \
 //	    -peers h0=127.0.0.1:9000,h1=127.0.0.1:9001 \
@@ -40,7 +34,7 @@
 //	    -journal /var/lib/gyan/net -addr 127.0.0.1:8081 &
 //	curl localhost:8080/api/cluster/transport
 //
-// Each of the three modes rejects, at startup, any flag it would not use.
+// Each of the two modes rejects, at startup, any flag it would not use.
 package main
 
 import (
@@ -66,21 +60,18 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
-		policy      = flag.String("policy", "pid", "multi-GPU allocation policy: pid, memory, utilization")
-		seed        = flag.Uint64("seed", 42, "synthetic dataset seed")
-		journalDir  = flag.String("journal", "", "job-state journal directory (empty disables durability)")
-		asyncAck    = flag.Bool("async-durable", false, "let a submitted job start at journal stage time instead of after its fsync; the HTTP response still waits for the commit watermark (GET /api/recovery) to cover it")
-		handler     = flag.String("handler", "main", "handler ID stamped on journal records and leases")
-		leaseTTL    = flag.Duration("lease-ttl", galaxy.DefaultLeaseTTL, "heartbeat lease TTL; a standby may adopt this handler's jobs after it expires")
-		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU, heap, mutex profiles)")
-		clusterSize = flag.Int("cluster-size", 1, "boot an in-process N-handler cluster (>1) instead of a single Galaxy; serves /api/cluster")
-		handlerID   = flag.String("handler-id", "h", "handler ID prefix for cluster members (-cluster-size > 1): IDs are <prefix>0..<prefix>N-1")
-		memberTTL   = flag.Duration("member-ttl", 0, "cluster membership lease TTL; a member whose renewals lapse this long is declared dead (0: 6 ticks under -cluster-size, 60 ticks under -bus tcp)")
+		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
+		policy     = flag.String("policy", "pid", "multi-GPU allocation policy: pid, memory, utilization")
+		seed       = flag.Uint64("seed", 42, "synthetic dataset seed")
+		journalDir = flag.String("journal", "", "job-state journal directory (empty disables durability)")
+		handler    = flag.String("handler", "main", "handler ID stamped on journal records and leases")
+		leaseTTL   = flag.Duration("lease-ttl", galaxy.DefaultLeaseTTL, "heartbeat lease TTL; a standby may adopt this handler's jobs after it expires")
+		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU, heap, mutex profiles)")
+		memberTTL  = flag.Duration("member-ttl", 0, "cluster membership lease TTL; a member whose renewals lapse this long is declared dead (0: 60 ticks)")
 
 		// Networked-cluster flags (-bus tcp): one OS process per member, the
 		// cluster protocol carried over real sockets by internal/transport/tcpbus.
-		busKind   = flag.String("bus", "sim", "cluster message bus: sim (in-process, lockstep virtual time) or tcp (one process per member, real sockets, wall-paced)")
+		busKind   = flag.String("bus", "sim", "sim serves one Galaxy; tcp makes this process one member of a cluster (real sockets, wall-paced)")
 		member    = flag.String("member", "", "this process's member ID (-bus tcp)")
 		members   = flag.String("members", "", "comma-separated full membership, e.g. h0,h1 (-bus tcp)")
 		peers     = flag.String("peers", "", "comma-separated id=host:port bus addresses for every member (-bus tcp)")
@@ -93,50 +84,40 @@ func main() {
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	mode := "single"
-	switch {
-	case *busKind == "tcp":
+	if *busKind == "tcp" {
 		mode = "tcp"
-	case *clusterSize > 1:
-		mode = "cluster"
 	}
 	var err error
-	switch {
-	case *busKind != "sim" && *busKind != "tcp":
+	if *busKind != "sim" && *busKind != "tcp" {
 		err = fmt.Errorf("unknown -bus %q (want sim or tcp)", *busKind)
-	case mode == "tcp" && *clusterSize > 1:
-		err = fmt.Errorf("-bus tcp hosts exactly one member per process; -cluster-size %d needs -bus sim", *clusterSize)
-	default:
+	} else {
 		err = checkModeFlags(mode, set)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch mode {
-	case "tcp":
+	if mode == "tcp" {
 		err = runClusterTCP(tcpConfig{
 			addr: *addr, member: *member, membersCSV: *members, peersCSV: *peers,
 			listenBus: *listenBus, advertise: *advertise, journalDir: *journalDir,
 			seed: *seed, leaseTTL: *leaseTTL, memberTTL: *memberTTL,
 			speedup: *speedup, tickReal: *tickReal,
 		})
-	case "cluster":
-		err = runCluster(*addr, *clusterSize, *handlerID, *seed, *journalDir, *leaseTTL, *memberTTL)
-	default:
-		err = run(*addr, *policy, *seed, *journalDir, *handler, *asyncAck, *leaseTTL, *pprofOn)
+	} else {
+		err = run(*addr, *policy, *seed, *journalDir, *handler, *leaseTTL, *pprofOn)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
 }
 
-// commonFlags are consumed by every mode (-bus and -cluster-size select
-// it); modeFlags names what each mode consumes beyond them.
+// commonFlags are consumed by both modes (-bus selects it); modeFlags names
+// what each mode consumes beyond them.
 var (
-	commonFlags = []string{"bus", "cluster-size", "addr", "seed", "journal", "lease-ttl"}
+	commonFlags = []string{"bus", "addr", "seed", "journal", "lease-ttl"}
 	modeFlags   = map[string][]string{
-		"single":  {"policy", "async-durable", "handler", "pprof"},
-		"cluster": {"handler-id", "member-ttl"},
-		"tcp":     {"member-ttl", "member", "members", "peers", "listen-bus", "advertise", "speedup", "tick-real"},
+		"single": {"policy", "handler", "pprof"},
+		"tcp":    {"member-ttl", "member", "members", "peers", "listen-bus", "advertise", "speedup", "tick-real"},
 	}
 )
 
@@ -155,35 +136,6 @@ func checkModeFlags(mode string, set []string) error {
 			strings.Join(ignored, ", "), mode, strings.Join(modeFlags[mode], ", -"))
 	}
 	return nil
-}
-
-// runCluster boots a cluster.Sim of -cluster-size members in one process —
-// each a full Galaxy with its own engine, scheduler, journal and ring view —
-// and serves the stitched cluster API.
-// With -journal set, every member journals durably under its own
-// subdirectory of that path; without it, journals live in a throwaway
-// temp directory.
-func runCluster(addr string, size int, idPrefix string, seed uint64, journalDir string, leaseTTL, memberTTL time.Duration) error {
-	c, err := cluster.NewSim(cluster.SimConfig{
-		Handlers:              size,
-		BaseID:                idPrefix,
-		Dir:                   journalDir,
-		DisableDurableSubmits: journalDir == "",
-		LeaseTTL:              leaseTTL,
-		Seed:                  seed,
-		MemberTTL:             memberTTL,
-		Sched:                 sched.Config{Backfill: true},
-	})
-	if err != nil {
-		return err
-	}
-	if err := registerWorkloads(c, seed); err != nil {
-		return err
-	}
-	s := api.NewClusterServer(c)
-	log.Printf("gyan-server cluster listening on %s (%d handlers %s0..%s%d, journals under %q)",
-		addr, size, idPrefix, idPrefix, size-1, journalDir)
-	return http.ListenAndServe(addr, s.Handler())
 }
 
 // tcpConfig carries the -bus tcp flag set.
@@ -221,15 +173,6 @@ func loadWorkloads(seed uint64) (map[string]any, error) {
 		"acinetobacter_pittii":       small,
 		"klebsiella_pneumoniae_ksb2": large,
 	}, nil
-}
-
-// registerWorkloads loads them onto a Sim or a Node.
-func registerWorkloads(c interface{ RegisterDataset(string, any) }, seed uint64) error {
-	datasets, err := loadWorkloads(seed)
-	for name, ds := range datasets {
-		c.RegisterDataset(name, ds)
-	}
-	return err
 }
 
 // runClusterTCP boots ONE cluster.Node in this process and wires it to its
@@ -328,11 +271,14 @@ func runClusterTCP(cfg tcpConfig) error {
 	if err != nil {
 		return err
 	}
-	if err := registerWorkloads(c, cfg.seed); err != nil {
+	datasets, err := loadWorkloads(cfg.seed)
+	if err != nil {
 		return err
 	}
+	for name, ds := range datasets {
+		c.RegisterDataset(name, ds)
+	}
 	s := api.NewClusterServer(c)
-	s.SetAsync(true)
 	go func() {
 		for range time.Tick(cfg.tickReal) {
 			s.Tick()
@@ -343,7 +289,7 @@ func runClusterTCP(cfg tcpConfig) error {
 	return http.ListenAndServe(cfg.addr, s.Handler())
 }
 
-func run(addr, policyName string, seed uint64, journalDir, handler string, asyncAck bool, leaseTTL time.Duration, pprofOn bool) error {
+func run(addr, policyName string, seed uint64, journalDir, handler string, leaseTTL time.Duration, pprofOn bool) error {
 	var pol core.Policy
 	switch policyName {
 	case "pid":
@@ -364,18 +310,18 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, async
 	}
 
 	gopts := []galaxy.Option{galaxy.WithPolicy(pol)}
+	var recs []journal.Record
+	var rerr error
 	if journalDir != "" {
 		// Replay whatever a previous incarnation left behind before opening
 		// the journal for writing (Open starts a fresh segment, so the read
 		// must come first). A missing directory replays as empty; a directory
 		// locked by a live handler refuses to open — that handler owns it.
-		recs, rerr := journal.Replay(journalDir)
+		recs, rerr = journal.Replay(journalDir)
 		// The journal batches concurrent durable submits into shared fsyncs
 		// across journal.DefaultShards independent stripe pipelines, pacing each
-		// flusher by the fsync cost it measures. A sync ack waits for its
-		// batch to reach disk; with -async-durable Submit returns at stage
-		// time and the api handlers await the commit watermark before they
-		// answer, so the fsync overlaps the run.
+		// flusher by the fsync cost it measures; a submit returns once its
+		// batch is on disk.
 		j, err := journal.Open(journalDir, journal.Options{DurableSubmits: true})
 		if err != nil {
 			return err
@@ -384,16 +330,15 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, async
 			galaxy.WithJournal(j, handler),
 			galaxy.WithLeaseTTL(leaseTTL),
 			galaxy.WithWallClock(time.Now))
-		if asyncAck {
-			gopts = append(gopts, galaxy.WithAsyncDurable())
-		}
-		g := galaxy.New(nil, gopts...)
-		if err := g.RegisterDefaultTools(); err != nil {
-			return err
-		}
-		if err := g.RegisterGenomicsTools(); err != nil {
-			return err
-		}
+	}
+	g := galaxy.New(nil, gopts...)
+	if err := g.RegisterDefaultTools(); err != nil {
+		return err
+	}
+	if err := g.RegisterGenomicsTools(); err != nil {
+		return err
+	}
+	if journalDir != "" {
 		if len(recs) > 0 || rerr != nil {
 			rep, err := g.Recover(recs, rerr, galaxy.RecoverOptions{
 				Datasets:     datasets,
@@ -431,15 +376,6 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, async
 		}()
 		log.Printf("journaling to %s as handler %q (lease TTL %v, heartbeat every %v)",
 			journalDir, handler, leaseTTL, interval)
-		return serve(addr, policyName, g, datasets, pprofOn)
-	}
-
-	g := galaxy.New(nil, gopts...)
-	if err := g.RegisterDefaultTools(); err != nil {
-		return err
-	}
-	if err := g.RegisterGenomicsTools(); err != nil {
-		return err
 	}
 	return serve(addr, policyName, g, datasets, pprofOn)
 }

@@ -12,16 +12,15 @@ import (
 	"gyan/internal/obs"
 )
 
-// clusterView is what ClusterServer serves: a whole simulated cluster
-// (*cluster.Sim, gyan-server -cluster-size N) or this process's one member
-// of a networked one (*cluster.Node, gyan-server -bus tcp).
+// clusterView is what ClusterServer serves: this process's one member of a
+// networked cluster (*cluster.Node, gyan-server -bus tcp), or in tests a
+// whole simulated one (*cluster.Sim).
 type clusterView interface {
 	Submit(tool string, params map[string]string, dataset string, opts cluster.SubmitOptions) (cluster.JobRef, error)
 	Lookup(key uint64) (cluster.JobRef, *galaxy.Job, bool)
 	Keys() []uint64
 	KillJob(key uint64) bool
 	Step() bool
-	Now() time.Duration
 	Status() cluster.Status
 	Survey() []cluster.HandlerSurvey
 	TransportStatus() cluster.TransportStatus
@@ -31,36 +30,22 @@ type clusterView interface {
 
 // ClusterServer exposes a handler cluster over HTTP/JSON — the multi-handler
 // sibling of Server. Submissions are routed by the partition ring to their
-// owning handler and, unless SetAsync, the virtual-time simulation is driven
-// to completion before responding.
+// owning handler and answered at once: the clock belongs to whoever calls
+// Tick (the networked server's ticker), never to a request.
 type ClusterServer struct {
 	mu sync.Mutex
 	c  clusterView
-	// horizon bounds how far one request may advance virtual time.
-	horizon time.Duration
-	// async stops mutating requests from driving virtual time to drain
-	// before responding: in the networked server a background ticker owns
-	// the clock, and a POST answers 202 with the job's routed-but-queued
-	// state instead of its terminal one.
-	async bool
 }
 
 // NewClusterServer wraps c. Datasets must be registered on the cluster
 // (cluster.RegisterDataset) before jobs naming them are submitted.
 func NewClusterServer(c clusterView) *ClusterServer {
-	return &ClusterServer{c: c, horizon: 24 * time.Hour}
+	return &ClusterServer{c: c}
 }
 
-// drain steps the cluster until it settles or the horizon passes.
-func (s *ClusterServer) drain() {
-	for deadline := s.c.Now() + s.horizon; s.c.Step() && s.c.Now() < deadline; {
-	}
-}
-
-// SetAsync switches submission/kill handlers to return immediately (202)
-// instead of running the simulation to drain. Required when something else
-// — the networked server's tick loop — is driving Step concurrently.
-func (s *ClusterServer) SetAsync(v bool) { s.async = v }
+// SetAsync is a no-op kept for existing callers: every ClusterServer
+// answers without driving the clock.
+func (s *ClusterServer) SetAsync(bool) {}
 
 // Tick runs one cluster step serialized against in-flight API requests (the
 // engines are not safe under a Step racing a Submit). The networked
@@ -180,9 +165,9 @@ func toClusterJobJSON(ref cluster.JobRef, j jobJSON) clusterJobJSON {
 }
 
 // handleJobs lists routed jobs (GET) or routes a submission (POST). A POST
-// runs the cluster to drain before responding, so the returned job is
-// terminal and carries its final placement — including any handler it was
-// stolen or rebalanced onto after routing.
+// answers 202 with the job as routed — queued on its owning handler; the
+// tick loop runs it, and a GET by key shows where it ended up, including
+// any handler it was stolen or rebalanced onto.
 func (s *ClusterServer) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -212,25 +197,20 @@ func (s *ClusterServer) handleJobs(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		status := http.StatusCreated
-		if s.async {
-			status = http.StatusAccepted // the tick loop will run it
-		} else {
-			s.drain()
-		}
 		ref, job, ok := s.c.Lookup(ref.Key)
 		if !ok {
 			writeErr(w, http.StatusInternalServerError, "submitted key %d vanished", ref.Key)
 			return
 		}
-		writeJSON(w, status, toClusterJobJSON(ref, toJobJSON(job)))
+		writeJSON(w, http.StatusAccepted, toClusterJobJSON(ref, toJobJSON(job)))
 	default:
 		methodNotAllowed(w, http.MethodGet, http.MethodPost)
 	}
 }
 
 // handleJob serves GET /api/cluster/jobs/{key} (current binding and state)
-// and DELETE /api/cluster/jobs/{key} (kill wherever the job lives now).
+// and DELETE /api/cluster/jobs/{key} (kill wherever the job lives now,
+// answering with its state right after the kill).
 // The method gate comes before key parsing: an unsupported verb is 405
 // whether or not the key would have parsed.
 func (s *ClusterServer) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -258,9 +238,6 @@ func (s *ClusterServer) handleJob(w http.ResponseWriter, r *http.Request) {
 		if !s.c.KillJob(key) {
 			writeErr(w, http.StatusNotFound, "no live job with key %d", key)
 			return
-		}
-		if !s.async {
-			s.drain()
 		}
 		ref, job, _ := s.c.Lookup(key)
 		writeJSON(w, http.StatusOK, toClusterJobJSON(ref, toJobJSON(job)))

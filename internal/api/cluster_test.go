@@ -82,34 +82,47 @@ func TestClusterStatusEndpoint(t *testing.T) {
 }
 
 func TestClusterSubmitRoutesAndCompletes(t *testing.T) {
-	ts, _ := testClusterServer(t, 3)
+	ts, c := testClusterServer(t, 3)
+	before := c.Now()
 	resp, body := postJSON(t, ts, "/api/cluster/jobs", map[string]any{
 		"tool": "racon", "params": map[string]string{"scale": "0.002"}, "dataset": "reads",
 		"user": "api",
 	})
-	if resp.StatusCode != http.StatusCreated {
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var job struct {
+	if now := c.Now(); now != before {
+		t.Fatalf("POST moved the cluster clock from %v to %v; only Tick may", before, now)
+	}
+	type routed struct {
 		Key     uint64 `json:"key"`
 		Handler string `json:"handler"`
 		State   string `json:"state"`
 		Params  map[string]string
 	}
+	var job routed
 	if err := json.Unmarshal(body, &job); err != nil {
 		t.Fatal(err)
 	}
-	if job.State != "ok" || job.Handler == "" {
+	if job.State != "queued" || job.Handler == "" {
 		t.Fatalf("job body: %s", body)
 	}
 	if job.Params[cluster.KeyParam] == "" {
 		t.Fatalf("routed job lost its cluster key: %s", body)
 	}
 
-	// The job is retrievable by key, and appears in the listing.
+	// Once the cluster runs, the job is retrievable by key, finished, and
+	// appears in the listing.
+	c.Run(24 * time.Hour)
 	resp, body = get(t, ts, "/api/cluster/jobs/0")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("lookup status %d: %s", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &job); err != nil {
+		t.Fatal(err)
+	}
+	if job.State != "ok" || job.Handler == "" {
+		t.Fatalf("job after the run: %s", body)
 	}
 	resp, body = get(t, ts, "/api/cluster/jobs")
 	if resp.StatusCode != http.StatusOK {
@@ -162,7 +175,7 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	ts, _ := testClusterServer(t, 2)
 	if resp, _ := postJSON(t, ts, "/api/cluster/jobs", map[string]any{
 		"tool": "racon", "params": map[string]string{"scale": "0.001"}, "dataset": "reads",
-	}); resp.StatusCode != http.StatusCreated {
+	}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
 	resp, body := get(t, ts, "/metrics")
@@ -267,11 +280,12 @@ func TestClusterMethodNotAllowed(t *testing.T) {
 
 func TestClusterKillEndpoint(t *testing.T) {
 	ts, c := testClusterServer(t, 2)
-	// Submit directly (not via POST, which drains): a delayed job is still
-	// live when the DELETE lands.
-	if _, err := c.Submit("racon", map[string]string{"scale": "0.01"}, "reads",
-		cluster.SubmitOptions{Delay: time.Hour, User: "api"}); err != nil {
-		t.Fatal(err)
+	// Nothing steps the cluster, so the routed job is still live when the
+	// DELETE lands.
+	if resp, body := postJSON(t, ts, "/api/cluster/jobs", map[string]any{
+		"tool": "racon", "params": map[string]string{"scale": "0.01"}, "dataset": "reads",
+	}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d: %s", resp.StatusCode, body)
 	}
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/cluster/jobs/0", nil)
 	if err != nil {
@@ -293,7 +307,20 @@ func TestClusterKillEndpoint(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &job); err != nil {
 		t.Fatal(err)
 	}
-	if job.State == "ok" {
-		t.Fatalf("killed job completed ok: %s", buf.Bytes())
+	if job.State != "error" {
+		t.Fatalf("kill reply: state %q, want error: %s", job.State, buf.Bytes())
+	}
+	// The kill must stop the job, not just relabel it: once the cluster
+	// runs, the job is still in error rather than finished ok.
+	c.Run(24 * time.Hour)
+	resp, body := get(t, ts, "/api/cluster/jobs/0")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("lookup status %d: %s", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &job); err != nil {
+		t.Fatal(err)
+	}
+	if job.State != "error" {
+		t.Fatalf("killed job after the run: state %q, want error: %s", job.State, body)
 	}
 }

@@ -268,6 +268,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		if !s.durable(w) {
+			return
+		}
 		dataset, ok := s.datasets[req.Dataset]
 		if !ok {
 			writeErr(w, http.StatusBadRequest, "unknown dataset %q", req.Dataset)
@@ -283,7 +286,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.run()
-		if s.durable(w, job.DurableTicket) {
+		if s.durable(w) {
 			writeJSON(w, http.StatusCreated, toJobJSON(job))
 		}
 	default:
@@ -300,15 +303,15 @@ func (s *Server) run() {
 	s.g.Run()
 }
 
-// durable is the last step before a submitting endpoint acknowledges: it
-// blocks until the journal's watermark covers ticket, the newest submit
-// record the request staged. Only an async-durable engine (-async-durable)
-// hands out tickets — Submit itself waited otherwise — and there the wait
-// overlaps the run the handler just did. If the journal closed or crashed
-// first the submit was dropped: durable answers 503 itself and reports false,
-// because acked must mean durable in every mode.
-func (s *Server) durable(w http.ResponseWriter, ticket uint64) bool {
-	if err := s.g.AwaitDurable(ticket); err != nil {
+// durable brackets every submitting endpoint, because acked must mean
+// durable. A journal append error is latched, not returned, so a submit
+// made after the journal failed would run without reaching disk. Checked
+// before the submit, durable refuses new work once the latch is set, so a
+// client retrying a 503 does not run it again off the record; checked after
+// the run, it catches a failure of the request's own append. Either way it
+// answers 503 itself and reports false.
+func (s *Server) durable(w http.ResponseWriter) bool {
+	if err := s.g.JournalError(); err != nil {
 		writeErr(w, http.StatusServiceUnavailable, "not acknowledged: submit is not durable: %v", err)
 		return false
 	}
@@ -361,6 +364,9 @@ func (s *Server) handleResubmit(w http.ResponseWriter, r *http.Request, id int) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.durable(w) {
+		return
+	}
 	job, err := s.g.ResubmitDeadLetter(id)
 	if err != nil {
 		status := http.StatusConflict
@@ -371,7 +377,7 @@ func (s *Server) handleResubmit(w http.ResponseWriter, r *http.Request, id int) 
 		return
 	}
 	s.run()
-	if s.durable(w, job.DurableTicket) {
+	if s.durable(w) {
 		writeJSON(w, http.StatusCreated, toJobJSON(job))
 	}
 }
@@ -386,8 +392,7 @@ type recoveryResponse struct {
 	Report     *galaxy.RecoveryReport `json:"report,omitempty"`
 	Stats      *journal.Stats         `json:"journal_stats,omitempty"`
 	// Watermark is the journal's durable commit watermark: every record
-	// ticketed at or below it has been fsynced. The submitting endpoints
-	// answer only once it covers the submit records they staged.
+	// ticketed at or below it has been fsynced.
 	Watermark uint64 `json:"watermark,omitempty"`
 	Error     string `json:"journal_error,omitempty"`
 }
@@ -604,6 +609,9 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.durable(w) {
+		return
+	}
 	// The wire shape is a chain: step i waits for step i-1, taking either
 	// a dataset of its own or, with chain_backbone, its predecessor's
 	// consensus.
@@ -648,19 +656,17 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 		Info:        ws.Info,
 		WallSeconds: wr.WallTime().Seconds(),
 	}
-	var newest uint64
 	for _, st := range ws.Steps {
 		// Steps skipped after a failure never became jobs.
 		if j, ok := s.g.Job(st.JobID); ok {
 			resp.Jobs = append(resp.Jobs, toJobJSON(j))
-			newest = max(newest, j.DurableTicket)
 		}
 	}
 	status := http.StatusCreated
 	if ws.State == galaxy.StateError {
 		status = http.StatusUnprocessableEntity
 	}
-	if s.durable(w, newest) {
+	if s.durable(w) {
 		writeJSON(w, status, resp)
 	}
 }

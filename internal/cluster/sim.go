@@ -20,26 +20,18 @@ import (
 // SimConfig shapes a simulated cluster: the simulation's own knobs plus the
 // member-level settings handed to every Node (see Config for those).
 type SimConfig struct {
-	// Handlers is the member count N (>= 1).
+	// Handlers is the member count N (>= 1); members are h0 .. h<N-1>.
 	Handlers int
-	// BaseID prefixes member IDs: BaseID+"0" .. BaseID+strconv(N-1).
-	// Default "h".
-	BaseID string
-	// Dir is the journal root; empty uses a temp directory (removed by
-	// Close).
-	Dir string
 	// Tick is the lockstep quantum: engines run independently inside a tick,
 	// and member-to-member work happens only at tick boundaries, in member
 	// order — that is what makes an N-member run deterministic.
 	Tick time.Duration
-	// Seed is every member's Config.Seed.
-	Seed uint64
 
-	LeaseTTL              time.Duration
-	MemberTTL             time.Duration
 	DisableDurableSubmits bool
 	Sched                 sched.Config
 
+	// seed is every member's Config.Seed (default 1); the chaos tests vary it.
+	seed           uint64
 	stealThreshold int // see Config
 	// msgFaults, when set, injects message-level faults (drop, delay,
 	// duplicate, reorder, one-way partitions) into the simulated bus; the
@@ -73,30 +65,20 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	if cfg.Handlers < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 handler, got %d", cfg.Handlers)
 	}
-	if cfg.BaseID == "" {
-		cfg.BaseID = "h"
+	dir, err := os.MkdirTemp("", "gyan-cluster-*")
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	s := &Sim{bus: transport.New(cfg.msgFaults)}
-	if cfg.Dir == "" {
-		d, err := os.MkdirTemp("", "gyan-cluster-*")
-		if err != nil {
-			return nil, err
-		}
-		cfg.Dir, s.tmpDir = d, d
-	}
+	s := &Sim{bus: transport.New(cfg.msgFaults), tmpDir: dir}
 	members := make([]string, cfg.Handlers)
 	for i := range members {
-		members[i] = cfg.BaseID + strconv.Itoa(i)
+		members[i] = "h" + strconv.Itoa(i)
 	}
 	reg := obs.NewRegistry()
 	for _, id := range members {
 		n, err := newNode(Config{
 			Members: members, Local: []string{id}, Bus: s.bus,
-			Dir: cfg.Dir, Tick: cfg.Tick, stealThreshold: cfg.stealThreshold,
-			LeaseTTL: cfg.LeaseTTL, Seed: cfg.Seed, MemberTTL: cfg.MemberTTL,
+			Dir: dir, Tick: cfg.Tick, stealThreshold: cfg.stealThreshold, Seed: cfg.seed,
 			DisableDurableSubmits: cfg.DisableDurableSubmits,
 			Sched:                 cfg.Sched,
 		}, reg)
@@ -111,7 +93,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 }
 
 // Close closes every live member's journal and removes the temp journal
-// root if NewSim created one.
+// root.
 func (s *Sim) Close() error {
 	var errs []error
 	for _, n := range s.nodes {

@@ -329,7 +329,7 @@ func TestTransportChaosKillBetweenPhases(t *testing.T) {
 		c := newTestCluster(t, 3, func(cfg *SimConfig) {
 			cfg.DisableDurableSubmits = false
 			cfg.stealThreshold = 2
-			cfg.Seed = uint64(1 + pi*4 + mi)
+			cfg.seed = uint64(1 + pi*4 + mi)
 			cfg.msgFaults = plan
 		})
 		const jobs = 18
@@ -435,7 +435,7 @@ func TestSlowButAliveNeverEvicted(t *testing.T) {
 			Fault: faults.MsgFault{Delay: 500 * time.Millisecond},
 		})
 	c := newTestCluster(t, 2, func(cfg *SimConfig) {
-		cfg.Seed = 11
+		cfg.seed = 11
 		cfg.msgFaults = plan
 	})
 	const jobs = 24
@@ -484,7 +484,7 @@ func TestStealRetryThenAbortRequeues(t *testing.T) {
 			Fault: faults.MsgFault{Drop: true},
 		})
 	c := newTestCluster(t, 2, func(cfg *SimConfig) {
-		cfg.Seed = 5
+		cfg.seed = 5
 		cfg.stealThreshold = 3
 		cfg.msgFaults = plan
 	})
@@ -542,7 +542,7 @@ func TestOrphanedPrepareRepairedByAntiEntropy(t *testing.T) {
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
 		cfg.DisableDurableSubmits = false
 		cfg.stealThreshold = 2
-		cfg.Seed = 9
+		cfg.seed = 9
 		cfg.msgFaults = plan
 	})
 	const jobs = 16
@@ -634,7 +634,7 @@ func TestTransportChaosRaceHammer(t *testing.T) {
 	)
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
 		cfg.stealThreshold = 1
-		cfg.Seed = 21
+		cfg.seed = 21
 		cfg.msgFaults = plan
 	})
 	owned := stripesOf(c, "h0")
@@ -716,7 +716,7 @@ func TestTransportChaosRaceHammer(t *testing.T) {
 func TestLeaseExpiryDetectsKillWithoutCoordinator(t *testing.T) {
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
 		cfg.DisableDurableSubmits = false
-		cfg.Seed = 17
+		cfg.seed = 17
 	})
 	// Let the lease table warm up.
 	for i := 0; i < 4; i++ {
@@ -776,7 +776,7 @@ func TestStaggeredDetectionDivergentViews(t *testing.T) {
 	})
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
 		cfg.DisableDurableSubmits = false
-		cfg.Seed = 31
+		cfg.seed = 31
 		cfg.msgFaults = plan
 	})
 	total := len(pinKeys(t, c, "h2", "0.004", 6))
@@ -897,7 +897,7 @@ func TestRejoinRefusesUnreadableJournal(t *testing.T) {
 func TestDeadReplayErrorDefersDeclaration(t *testing.T) {
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
 		cfg.DisableDurableSubmits = false
-		cfg.Seed = 23
+		cfg.seed = 23
 	})
 	const jobs = 8
 	keys := pinKeys(t, c, "h2", "0.004", jobs)

@@ -121,9 +121,6 @@ type Galaxy struct {
 	handlerID string
 	leaseTTL  time.Duration
 	wallNow   func() time.Time
-	// asyncDurable makes every submit return at stage time (see
-	// WithAsyncDurable; the -async-durable server flag).
-	asyncDurable bool
 
 	leaseMu      sync.Mutex
 	lastLease    time.Duration
@@ -289,7 +286,11 @@ func (g *Galaxy) Tools() []*ToolBinding {
 func (g *Galaxy) Jobs() []*Job {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.jobs.cloneAll()
+	out := g.jobs.all()
+	for i, j := range out {
+		out[i] = j.clone()
+	}
+	return out
 }
 
 // Job returns a snapshot of one job: the same deep-enough clone Jobs hands
@@ -302,7 +303,7 @@ func (g *Galaxy) Job(id int) (*Job, bool) {
 	if j == nil {
 		return nil, false
 	}
-	return g.jobs.clone(j), true
+	return j.clone(), true
 }
 
 // SubmitOptions refine a submission.
@@ -421,15 +422,10 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 		Priority: opts.Priority, GPUs: opts.GPUs, EstRuntime: opts.EstRuntime,
 		Submitted: job.Submitted, Workflow: opts.wfID, Step: opts.wfStep,
 	}
-	// Publish before journaling: the insert is the job's release barrier.
-	// The job is visible from here on, so the ticket is stamped under the
-	// table lock: a Jobs() call may be cloning it already.
+	// Publish before journaling: the insert is the job's release barrier,
+	// and nothing below writes a job field.
 	g.jobs.insert(job)
-	if g.asyncDurable {
-		g.jobs.stampTicket(job, g.appendJournal(job.submit, false))
-	} else {
-		g.logJournal(job.submit)
-	}
+	g.logJournal(job.submit)
 	if opts.transferFrom != "" {
 		g.logJournal(journal.Record{
 			Type: journal.TypeAdopt, At: now, Job: job.ID,

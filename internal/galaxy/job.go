@@ -77,11 +77,6 @@ type Job struct {
 	// when its data already lived on a granted device; see the locality
 	// model in internal/galaxy/dag.go).
 	StageIn time.Duration
-	// DurableTicket is the journal commit ticket of the job's submit record
-	// when it was submitted under WithAsyncDurable (zero otherwise): the
-	// submit returned at stage time, and the caller awaits durability in
-	// bulk via Galaxy.AwaitDurable or the commit watermark.
-	DurableTicket uint64
 
 	// State tracks the lifecycle.
 	State JobState

@@ -8,7 +8,9 @@ import (
 // jobTable is the job map behind one leaf mutex: nothing that locks is called
 // while mu is held, so it can be taken with or without g.mu. Code that needs
 // both takes g.mu first, never the reverse. Submit publishes through it
-// without taking g.mu.
+// without taking g.mu. The lock guards only the map: every write to a job
+// after insert happens under g.mu, so a caller holding g.mu may read or clone
+// a job it got from the table without the table lock.
 type jobTable struct {
 	mu   sync.Mutex
 	jobs map[int]*Job
@@ -33,23 +35,6 @@ func (t *jobTable) get(id int) *Job {
 	return t.jobs[id]
 }
 
-// stampTicket records the commit ticket of a published job's submit record.
-// Submit runs without g.mu, so the write takes the table lock — the lock
-// clone holds around every copy of a live job.
-func (t *jobTable) stampTicket(j *Job, ticket uint64) {
-	t.mu.Lock()
-	j.DurableTicket = ticket
-	t.mu.Unlock()
-}
-
-// clone copies a live job under the table lock (see stampTicket). The caller
-// holds g.mu, which orders the copy against every other mutation.
-func (t *jobTable) clone(j *Job) *Job {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return j.clone()
-}
-
 // size returns the number of jobs in the table.
 func (t *jobTable) size() int {
 	t.mu.Lock()
@@ -63,22 +48,6 @@ func (t *jobTable) size() int {
 func (t *jobTable) all() []*Job {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.sortedLocked()
-}
-
-// cloneAll is all with every job cloned under the same hold of the table
-// lock (see stampTicket). The caller holds g.mu.
-func (t *jobTable) cloneAll() []*Job {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.sortedLocked()
-	for i, j := range out {
-		out[i] = j.clone()
-	}
-	return out
-}
-
-func (t *jobTable) sortedLocked() []*Job {
 	out := make([]*Job, 0, len(t.jobs))
 	for _, j := range t.jobs {
 		out = append(out, j)

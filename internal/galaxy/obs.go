@@ -1,7 +1,7 @@
 package galaxy
 
 // Observability wiring. The engine owns one obs.Observer; every journaled
-// job-state transition flows through it from appendJournal (see recovery.go),
+// job-state transition flows through it from logJournal (see recovery.go),
 // and the scrape hook installed here mirrors externally-maintained state —
 // jobs by state, journal write counters, survey-cache efficiency — into the
 // registry only when a scrape or snapshot actually reads it.

@@ -68,17 +68,6 @@ func WithJournal(j *journal.Journal, handlerID string) Option {
 	}
 }
 
-// WithAsyncDurable trades the per-submit durability ack for throughput:
-// instead of blocking until the submit record's fsync, Submit returns as
-// soon as the record is staged and stamps Job.DurableTicket with its commit
-// ticket. The caller awaits durability in bulk — Galaxy.AwaitDurable(ticket)
-// or the journal's commit watermark — and must not acknowledge the job to
-// its own users before that returns: a crash between stage and flush drops
-// the submit exactly as it drops any staged record. No-op without a journal.
-func WithAsyncDurable() Option {
-	return func(g *Galaxy) { g.asyncDurable = true }
-}
-
 // WithLeaseTTL sets how long a handler heartbeat asserts job ownership.
 // Non-positive values keep the default.
 func WithLeaseTTL(d time.Duration) Option {
@@ -138,54 +127,26 @@ func (g *Galaxy) LastRecovery() *RecoveryReport {
 	return g.recovery
 }
 
-// logJournal appends one record and, for a durable-class record, waits for
-// the fsync covering it.
-func (g *Galaxy) logJournal(rec journal.Record) { g.appendJournal(rec, true) }
-
-// appendJournal is the one seam every journaled transition crosses: report
+// logJournal is the one seam every journaled transition crosses: report
 // it to the observer, stamp the handler, piggyback a heartbeat lease when the
-// last one is older than half the TTL, append. It requires no lock of its
-// own: lease state hides behind leaseMu and the journal serializes
-// internally — lock-free submitters and g.mu-holding engine callbacks both
-// land here. Append errors are latched, not propagated — the dispatch path
-// never fails on durability.
-//
-// With wait false the record is only staged and its commit ticket returned,
-// so the caller can await the fsync later via AwaitDurable (0 with no
-// journal attached).
-func (g *Galaxy) appendJournal(rec journal.Record, wait bool) uint64 {
+// last one is older than half the TTL, append — and, for a durable-class
+// record, wait for the fsync covering it. It requires no lock of its own:
+// lease state hides behind leaseMu and the journal serializes internally —
+// lock-free submitters and g.mu-holding engine callbacks both land here.
+// Append errors are latched, not propagated — the dispatch path never fails
+// on durability; a server reads the latch (JournalError) before it acks.
+func (g *Galaxy) logJournal(rec journal.Record) {
 	g.obsv.Transition(rec)
 	if g.journal == nil {
-		return 0
+		return
 	}
 	if rec.Handler == "" {
 		rec.Handler = g.handlerID
 	}
 	g.maybeHeartbeat(rec.At)
-	var tick uint64
-	var err error
-	if wait {
-		err = g.journal.Append(rec)
-	} else {
-		tick, err = g.journal.AppendAsync(rec)
-	}
-	if err != nil {
+	if err := g.journal.Append(rec); err != nil {
 		g.latchJournalErr(err)
 	}
-	return tick
-}
-
-// AwaitDurable blocks until the journal's commit watermark covers the given
-// ticket (a Job.DurableTicket from an async-durable submit): the submit
-// record, and everything staged before it, is then fsynced. It returns an
-// error if the journal closed or crashed with the ticket still un-fsynced —
-// the submit was dropped and must not be treated as acknowledged. A zero
-// ticket or a missing journal returns immediately.
-func (g *Galaxy) AwaitDurable(tick uint64) error {
-	if g.journal == nil {
-		return nil
-	}
-	return g.journal.AwaitDurable(tick)
 }
 
 // maybeHeartbeat writes a lease record if the newest one is stale. The

@@ -26,7 +26,7 @@ const modulePath = "gyan"
 // test references, on one the programs have since started to call, and on a
 // sixteenth.
 var seams = map[string]string{
-	"journal.Journal.HoldFlush":       "parks the flushers so a crash loses staged records on cue: galaxy TestCrashMidWorkloadRequeuesWithSeniority, api TestAsyncDurableAckWaitsForWatermark",
+	"journal.Journal.HoldFlush":       "parks the flushers so a crash loses staged records on cue: galaxy TestCrashMidWorkloadRequeuesWithSeniority",
 	"faults.NewMsgPlan":               "arms the message-fault plan a simulated bus consults: cluster TestTransportChaosKillBetweenPhases, transporttest TestSimBusConformance",
 	"faults.MsgPlan.Cut":              "installs a one-way partition: cluster TestStaggeredDetectionDivergentViews, transport TestBusOneWayPartitionAndKill",
 	"faults.MsgPlan.Heal":             "lifts a one-way partition: transport TestBusOneWayPartitionAndKill, transporttest TestSimBusConformance",
@@ -180,7 +180,7 @@ const maxOptionSeams = 6
 // Params (and of faults.Backoff) is part of the system only if a non-test
 // file outside its package sets it, by keyed composite literal or by
 // assignment. A set inside the package counts only as a forwarder — its value
-// reads another option field, as Sim hands SimConfig.Dir to Config.Dir — and
+// reads another option field, as Sim hands SimConfig.Tick to Config.Tick — and
 // only if that source field passes. A field only tests set is a mode nobody
 // runs: delete it with the behaviour it enables, make it a constant where
 // the code still needs the value, unexport it if only its own package's
