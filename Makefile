@@ -95,18 +95,19 @@ hammer-api:
 	$(call run_selected,./internal/api,TestServerRaceHammer,2)
 
 # test-journal is the journal durability suite under the race detector: the
-# per-stripe crash table (each stripe torn independently and two at once),
-# strictly ticket-ordered shard files under concurrent appenders, and the
-# torn-tail replay, staged-loss isolation, AppendAsync/AwaitDurable
-# semantics (crash between stage and flush must not report durable), watermark
-# monotonicity under concurrent flushers, the flush-error latch, the
-# read-only flat layout and its epoch rule, the fold (rule table, retired
-# kinds, interleaving invariance, no write-only record kind), the record codec
-# against the JSON writer, the committed JSON fixture, the replay merge against
-# the stable sort, and at the engine
-# level the sharded crash-requeue scenario and the spliced-map-record recovery
-# oracle.
-JOURNAL_TESTS ?= TestSharded|TestShardFileIsTicketOrdered|TestAsyncDurable|TestWatermark|TestAdaptive|TestShardStats|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold|TestCodec|TestReplayReadsJSONFixture|TestReplayMergeMatchesStableSort
+# one write pipeline (strictly ticket-ordered segment files under concurrent
+# appenders, group commit and backpressure, AppendAsync/AwaitDurable
+# semantics where a crash between stage and flush must not report durable,
+# watermark monotonicity under concurrent appenders, the flush-error latch,
+# stats), the torn-tail replay, the layouts older versions wrote (the
+# per-stripe torn-tail table and ticket merge, opening, appending to and
+# compacting a striped directory, the read-only flat layout and the epoch
+# rule over both), the fold (rule table, retired kinds, interleaving
+# invariance, no write-only record kind), the record codec against the JSON
+# writer, the committed JSON fixture, the replay merge against the stable
+# sort, and at the engine level the torn-tail crash-requeue scenario and the
+# spliced-map-record recovery oracle.
+JOURNAL_TESTS ?= TestSharded|TestShardFileIsTicketOrdered|TestOpenUpgradesShardedDirectory|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold|TestCodec|TestReplayReadsJSONFixture|TestReplayMergeMatchesStableSort
 JOURNAL_GALAXY_TESTS ?= TestShardedCrash|TestRecoverSplicedMapRecords
 
 test-journal:
@@ -125,14 +126,15 @@ test-workflow:
 	$(call run_selected,./internal/galaxy,TestDAG|TestWorkflow|TestCrashMidWorkflow|TestRecoverRestoresFinishedWorkflow|TestRecoverOldJournal)
 	$(call run_selected,./internal/experiments,TestGenomicsPipelineLocalityWins)
 
-# test-cluster is the multi-handler chaos suite: ring property tests
-# (balance, bounded movement), the lockstep cluster.Sim (routing, stealing,
-# survey, metrics, a Node refusing keys it does not own), the kill -9 chaos
-# scenario (one of three handlers dies with a torn journal tail; zero lost,
-# zero double-run, partition rebalanced across both survivors in seniority
-# order), the cluster API, and the quick-mode scaling experiment. The
-# by-name selections go through run_selected, so a renamed test fails the
-# target instead of silently selecting nothing.
+# test-cluster is the multi-handler chaos suite: ring property tests (balance,
+# bounded movement), the lockstep cluster.Sim (routing, stealing, survey,
+# metrics, a Node refusing keys it does not own and reporting its latched
+# journal error), the kill -9 chaos scenario (one of three handlers dies with
+# a torn journal tail; zero lost, zero double-run, partition rebalanced across
+# both survivors in seniority order), the cluster API (503 once a member's
+# journal has failed), and the quick-mode scaling experiment. The by-name
+# selections go through run_selected, so a renamed test fails the target
+# instead of silently selecting nothing.
 test-cluster:
 	$(GO) test ./internal/cluster -v
 	$(call run_selected,./internal/api,TestCluster)

@@ -22,9 +22,8 @@
 // partitioned over a consistent-hash ring and a persistent member catalog
 // fencing restarts by incarnation. One process per member, all sharing the
 // -peers map and the -journal root; a submit is answered 202 once its
-// record is fsynced — unless the member's journal has already failed, an
-// append error cluster.Node.Submit latches without refusing the submit —
-// and the member's tick loop runs it:
+// record is fsynced, or 503 once the member's journal has failed, and the
+// member's tick loop runs it:
 //
 //	gyan-server -bus tcp -member h0 -members h0,h1 \
 //	    -peers h0=127.0.0.1:9000,h1=127.0.0.1:9001 \
@@ -318,10 +317,9 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, lease
 		// must come first). A missing directory replays as empty; a directory
 		// locked by a live handler refuses to open — that handler owns it.
 		recs, rerr = journal.Replay(journalDir)
-		// The journal batches concurrent durable submits into shared fsyncs
-		// across journal.DefaultShards independent stripe pipelines, pacing each
-		// flusher by the fsync cost it measures; a submit returns once its
-		// batch is on disk.
+		// The journal batches concurrent durable submits into shared fsyncs,
+		// its one flusher pacing itself by the fsync cost it measures; a
+		// submit returns once the commit watermark has passed it.
 		j, err := journal.Open(journalDir, journal.Options{DurableSubmits: true})
 		if err != nil {
 			return err

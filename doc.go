@@ -19,8 +19,8 @@
 //
 // Around that core sit the pieces a production handler needs and the paper
 // leaves out: a batch scheduler (internal/sched), fault injection
-// (internal/faults), a crash-safe job-state journal with one staged,
-// sharded write path (internal/journal), metrics and traces (internal/obs),
+// (internal/faults), a crash-safe job-state journal with one staged write
+// path (internal/journal), metrics and traces (internal/obs),
 // and a multi-handler cluster over a simulated or TCP bus (internal/cluster,
 // internal/transport).
 //

@@ -25,6 +25,7 @@ type clusterView interface {
 	Survey() []cluster.HandlerSurvey
 	TransportStatus() cluster.TransportStatus
 	SyncJournals() error
+	JournalError() error
 	Registry() *obs.Registry
 }
 
@@ -167,7 +168,8 @@ func toClusterJobJSON(ref cluster.JobRef, j jobJSON) clusterJobJSON {
 // handleJobs lists routed jobs (GET) or routes a submission (POST). A POST
 // answers 202 with the job as routed — queued on its owning handler; the
 // tick loop runs it, and a GET by key shows where it ended up, including
-// any handler it was stolen or rebalanced onto.
+// any handler it was stolen or rebalanced onto. Once the journal has failed
+// it answers 503 instead (see durable).
 func (s *ClusterServer) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -187,6 +189,9 @@ func (s *ClusterServer) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		if !durable(w, s.c.JournalError()) {
+			return
+		}
 		ref, err := s.c.Submit(req.Tool, req.Params, req.Dataset, cluster.SubmitOptions{
 			Runtime: req.Runtime, User: req.User, Priority: req.Priority,
 			GPUs:       req.GPUs,
@@ -195,6 +200,9 @@ func (s *ClusterServer) handleJobs(w http.ResponseWriter, r *http.Request) {
 		})
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if !durable(w, s.c.JournalError()) {
 			return
 		}
 		ref, job, ok := s.c.Lookup(ref.Key)

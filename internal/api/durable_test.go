@@ -2,9 +2,13 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+
+	"gyan/internal/cluster"
 )
 
 // TestLatchedJournalRefusesAck is the acked-implies-durable regression: a
@@ -55,4 +59,47 @@ func jobCount(t *testing.T, ts *httptest.Server) int {
 		t.Fatal(err)
 	}
 	return len(jobs)
+}
+
+// failingCluster is a cluster whose member's journal fails under a submit
+// once failing is set: the submit still runs, as a member's does when its
+// own append fails, and the latch reads set from then on.
+type failingCluster struct {
+	*cluster.Sim
+	failing atomic.Bool
+	latched error
+}
+
+func (c *failingCluster) Submit(tool string, params map[string]string, dataset string, opts cluster.SubmitOptions) (cluster.JobRef, error) {
+	ref, err := c.Sim.Submit(tool, params, dataset, opts)
+	if c.failing.Load() {
+		c.latched = errors.New("journal: fsync: input/output error")
+	}
+	return ref, err
+}
+
+func (c *failingCluster) JournalError() error { return c.latched }
+
+// TestClusterLatchedJournalRefusesAck is TestLatchedJournalRefusesAck for a
+// cluster member: POST /api/cluster/jobs used to answer 202 after the
+// member's journal had failed. The submit whose own append failed answers
+// 503, and every later one is refused before it runs, creating no key.
+func TestClusterLatchedJournalRefusesAck(t *testing.T) {
+	_, sim := testClusterServer(t, 1)
+	c := &failingCluster{Sim: sim}
+	ts := httptest.NewServer(NewClusterServer(c).Handler())
+	t.Cleanup(ts.Close)
+	racon := map[string]any{"tool": "racon", "params": map[string]string{"scale": "0.002"}, "dataset": "reads"}
+	if resp, body := postJSON(t, ts, "/api/cluster/jobs", racon); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with a healthy journal: status %d: %s", resp.StatusCode, body)
+	}
+	c.failing.Store(true)
+	for i := 0; i < 2; i++ {
+		if resp, body := postJSON(t, ts, "/api/cluster/jobs", racon); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("submit %d with the journal failed: status %d, want 503: %s", i, resp.StatusCode, body)
+		}
+	}
+	if keys := sim.Keys(); len(keys) != 2 {
+		t.Fatalf("keys %v after the refused submits, want 2: the one before and the one whose append failed", keys)
+	}
 }

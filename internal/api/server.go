@@ -268,7 +268,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if !s.durable(w) {
+		if !durable(w, s.g.JournalError()) {
 			return
 		}
 		dataset, ok := s.datasets[req.Dataset]
@@ -286,7 +286,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.run()
-		if s.durable(w) {
+		if durable(w, s.g.JournalError()) {
 			writeJSON(w, http.StatusCreated, toJobJSON(job))
 		}
 	default:
@@ -303,15 +303,16 @@ func (s *Server) run() {
 	s.g.Run()
 }
 
-// durable brackets every submitting endpoint, because acked must mean
-// durable. A journal append error is latched, not returned, so a submit
-// made after the journal failed would run without reaching disk. Checked
-// before the submit, durable refuses new work once the latch is set, so a
-// client retrying a 503 does not run it again off the record; checked after
-// the run, it catches a failure of the request's own append. Either way it
-// answers 503 itself and reports false.
-func (s *Server) durable(w http.ResponseWriter) bool {
-	if err := s.g.JournalError(); err != nil {
+// durable brackets every submitting endpoint, here and in ClusterServer,
+// because acked must mean durable. A journal append error is latched, not
+// returned, so a submit made after the journal failed would run without
+// reaching disk. Given the latch (JournalError) before the submit, durable
+// refuses new work once it is set, so a client retrying a 503 does not run
+// it again off the record; given it after the submit, it catches a failure
+// of the request's own append. Either way it answers 503 itself and reports
+// false.
+func durable(w http.ResponseWriter, err error) bool {
+	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, "not acknowledged: submit is not durable: %v", err)
 		return false
 	}
@@ -364,7 +365,7 @@ func (s *Server) handleResubmit(w http.ResponseWriter, r *http.Request, id int) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.durable(w) {
+	if !durable(w, s.g.JournalError()) {
 		return
 	}
 	job, err := s.g.ResubmitDeadLetter(id)
@@ -377,7 +378,7 @@ func (s *Server) handleResubmit(w http.ResponseWriter, r *http.Request, id int) 
 		return
 	}
 	s.run()
-	if s.durable(w) {
+	if durable(w, s.g.JournalError()) {
 		writeJSON(w, http.StatusCreated, toJobJSON(job))
 	}
 }
@@ -609,7 +610,7 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.durable(w) {
+	if !durable(w, s.g.JournalError()) {
 		return
 	}
 	// The wire shape is a chain: step i waits for step i-1, taking either
@@ -666,7 +667,7 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 	if ws.State == galaxy.StateError {
 		status = http.StatusUnprocessableEntity
 	}
-	if s.durable(w) {
+	if durable(w, s.g.JournalError()) {
 		writeJSON(w, status, resp)
 	}
 }

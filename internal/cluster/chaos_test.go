@@ -209,7 +209,7 @@ func TestKillDurablePrefixIgnoresTheFlusher(t *testing.T) {
 			cfg.Tick = time.Second
 		})
 		// A backlog on every member: nobody idles, so no steal makes the
-		// victim wait on a durable record while its flushers are parked.
+		// victim wait on a durable record while its flusher is parked.
 		for _, h := range c.Handlers() {
 			pinKeys(t, c, h, "0.004", 12)
 		}
@@ -244,7 +244,7 @@ func TestKillDurablePrefixIgnoresTheFlusher(t *testing.T) {
 	}
 	parked, unparked := rebalanced(true), rebalanced(false)
 	if !reflect.DeepEqual(parked, unparked) {
-		t.Fatalf("jobs re-homed per survivor: %v with the victim's flushers parked, %v with them caught up", parked, unparked)
+		t.Fatalf("jobs re-homed per survivor: %v with the victim's flusher parked, %v with it caught up", parked, unparked)
 	}
 	if parked["h0"]+parked["h2"] == 0 {
 		t.Fatal("the kill re-homed nothing")

@@ -297,3 +297,26 @@ func TestNodeRefusesKeyItDoesNotOwn(t *testing.T) {
 		t.Fatalf("first drawn key = %d on %s, want h0's lowest stripe %d", ref.Key, ref.Handler, want)
 	}
 }
+
+// TestNodeLatchesJournalError: a member's Submit journals through the
+// engine, which latches an append error instead of returning it, so the
+// member must report the latch for its server to refuse the ack.
+func TestNodeLatchesJournalError(t *testing.T) {
+	c := newTestCluster(t, 1, nil)
+	n := c.Node("h0")
+	if err := n.JournalError(); err != nil {
+		t.Fatalf("fresh member reports journal error %v", err)
+	}
+	if err := n.jr.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Submit("racon", map[string]string{"scale": "0.001"}, "reads", SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if n.JournalError() == nil {
+		t.Fatal("member reports no journal error after a submit its journal could not take")
+	}
+	if c.JournalError() == nil {
+		t.Fatal("cluster reports no journal error while a live member's journal has failed")
+	}
+}

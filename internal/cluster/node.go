@@ -492,6 +492,12 @@ func (n *Node) SyncJournals() error {
 	return n.jr.Sync()
 }
 
+// JournalError returns the member's latched journal failure, if any (see
+// galaxy.Galaxy.JournalError). Submit journals through the engine, which
+// latches an append error instead of returning it, so a server reads this
+// before it acknowledges a submit.
+func (n *Node) JournalError() error { return n.g.JournalError() }
+
 // keyOfParams extracts the cluster key a routed submission carries.
 func keyOfParams(params map[string]string) (uint64, bool) {
 	key, err := strconv.ParseUint(params[KeyParam], 10, 64)

@@ -289,6 +289,17 @@ func (s *Sim) SyncJournals() error {
 	return nil
 }
 
+// JournalError returns the first live member's latched journal failure,
+// nil while every live member's journal is healthy.
+func (s *Sim) JournalError() error {
+	for _, n := range s.live() {
+		if err := n.JournalError(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Status stitches the members' own views: each member contributes its own
 // row and counters, and a stripe is listed under the first live member
 // whose ring assigns it to itself — the partition Submit routes by. A

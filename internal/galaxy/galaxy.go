@@ -191,7 +191,6 @@ func New(cluster *gpu.Cluster, opts ...Option) *Galaxy {
 	}
 	if g.journal != nil {
 		g.journal.SetSyncObserver(g.obsv.ObserveFsync)
-		g.journal.SetShardSyncObserver(g.obsv.ObserveShardFsync)
 	}
 	g.installObsScrape()
 	return g

@@ -7,8 +7,6 @@ package galaxy
 // registry only when a scrape or snapshot actually reads it.
 
 import (
-	"strconv"
-
 	"gyan/internal/obs"
 )
 
@@ -50,14 +48,10 @@ func (g *Galaxy) installObsScrape() {
 		"Adaptive group-commit flush deadline currently in effect.")
 	fsyncEWMA := reg.Gauge("gyan_journal_fsync_ewma_seconds",
 		"EWMA of observed fsync duration driving the adaptive controller.")
-	shardSegments := reg.GaugeVec("gyan_journal_shard_segments",
-		"Live segment files per journal stripe.", "shard")
-	shardStaged := reg.GaugeVec("gyan_journal_shard_staged",
-		"Records staged in group-commit rings awaiting a stripe's flusher.", "shard")
-	shardAppends := reg.GaugeVec("gyan_journal_shard_appends_total",
-		"Records appended per journal stripe.", "shard")
-	shardSyncs := reg.GaugeVec("gyan_journal_shard_syncs_total",
-		"Fsync calls issued per journal stripe.", "shard")
+	segments := reg.Gauge("gyan_journal_segments",
+		"Live journal segment files.")
+	staged := reg.Gauge("gyan_journal_staged",
+		"Records staged in the journal's queue awaiting the flusher.")
 	hits := reg.Counter("gyan_smi_cache_hits_total",
 		"nvidia-smi survey cache hits (shared parses).")
 	misses := reg.Counter("gyan_smi_cache_misses_total",
@@ -82,13 +76,8 @@ func (g *Galaxy) installObsScrape() {
 			tick.Set(float64(st.Tick))
 			flushDelay.Set(st.FlushDelay.Seconds())
 			fsyncEWMA.Set(st.FsyncEWMA.Seconds())
-			for _, ss := range st.Shards {
-				l := strconv.Itoa(ss.Shard)
-				shardSegments.With(l).Set(float64(ss.Segments))
-				shardStaged.With(l).Set(float64(ss.Staged))
-				shardAppends.With(l).Set(float64(ss.Appends))
-				shardSyncs.With(l).Set(float64(ss.Syncs))
-			}
+			segments.Set(float64(st.Segments))
+			staged.Set(float64(st.Staged))
 		}
 		h, m, inv := g.SurveyCacheStats()
 		hits.Set(uint64(h))

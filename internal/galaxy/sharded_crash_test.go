@@ -7,9 +7,9 @@ import (
 	"gyan/internal/journal"
 )
 
-// openShardedJournal opens a journal in the production durable
+// openDurableJournal opens a journal in the production durable
 // configuration.
-func openShardedJournal(t *testing.T, dir string) *journal.Journal {
+func openDurableJournal(t *testing.T, dir string) *journal.Journal {
 	t.Helper()
 	j, err := journal.Open(dir, journal.Options{DurableSubmits: true})
 	if err != nil {
@@ -18,14 +18,13 @@ func openShardedJournal(t *testing.T, dir string) *journal.Journal {
 	return j
 }
 
-// TestShardedCrashRequeuesWithSeniority is the sharded twin of
+// TestShardedCrashRequeuesWithSeniority is the torn-tail twin of
 // TestCrashMidWorkloadRequeuesWithSeniority: the handler dies with a torn
-// tail on one stripe of a sharded journal, and recovery must requeue the
-// unfinished jobs at their original submission seniority from the
-// ticket-merged replay.
+// tail on the journal's live segment, and recovery must requeue the
+// unfinished jobs at their original submission seniority from the replay.
 func TestShardedCrashRequeuesWithSeniority(t *testing.T) {
 	dir := t.TempDir()
-	j := openShardedJournal(t, dir)
+	j := openDurableJournal(t, dir)
 	g := testGalaxy(t, WithJournal(j, "h1"), WithLeaseTTL(10*time.Second))
 	rs := smallReadSet(t)
 	var jobs []*Job
@@ -43,19 +42,16 @@ func TestShardedCrashRequeuesWithSeniority(t *testing.T) {
 	if jobs[0].State != StateOK {
 		t.Fatalf("job 1 state at crash = %s", jobs[0].State)
 	}
-	// Tear two stripes at once: each gets a half-record tail.
-	if err := j.CrashTornShards(map[int][]byte{
-		1: {0x13, 0x00, 0x00, 0x00, 0xde, 0xad},
-		3: {0x21, 0x00, 0x00, 0x00, 0xbe, 0xef},
-	}); err != nil {
+	// The live segment gets a half-record tail.
+	if err := j.CrashTorn([]byte{0x13, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
 		t.Fatal(err)
 	}
 
 	recs, rerr := replayDir(t, dir)
 	if rerr == nil {
-		t.Fatal("torn stripes replayed clean")
+		t.Fatal("torn segment replayed clean")
 	}
-	j2 := openShardedJournal(t, dir)
+	j2 := openDurableJournal(t, dir)
 	defer j2.Close()
 	g2 := testGalaxy(t, WithJournal(j2, "h1"), WithLeaseTTL(10*time.Second))
 	rep, err := g2.Recover(recs, rerr, RecoverOptions{
@@ -66,12 +62,12 @@ func TestShardedCrashRequeuesWithSeniority(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.CorruptTail == "" {
-		t.Error("report does not surface the torn stripe")
+		t.Error("report does not surface the torn segment")
 	}
 	if rep.Requeued == 0 {
 		t.Fatalf("nothing requeued: %+v", rep)
 	}
-	// The group-commit flushers may have made some post-submit records
+	// The group-commit flusher may have made some post-submit records
 	// durable before the crash, so jobs recover either completed (terminal
 	// state rebuilt) or requeued — note which, before running the requeue.
 	requeued := make(map[int]bool)

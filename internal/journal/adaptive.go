@@ -7,8 +7,8 @@ import (
 
 // The adaptive group-commit controller closes the loop between observed
 // fsync cost and staging policy. Every fsync feeds two EWMAs — how long the
-// disk took and how many records the batch carried — and each shard's
-// flusher consults them before draining:
+// disk took and how many records the batch carried — and the flusher
+// consults them before draining:
 //
 //   - flushDelay: on a disk where fsyncs are expensive, waiting a fraction
 //     of one fsync's duration lets more producers stage into the same
@@ -20,7 +20,7 @@ import (
 //     average — the marginal record is already paid for.
 //
 // The controller is all atomics: it is read on every flush and written on
-// every fsync, under the shard mutexes, and must never block either side.
+// every fsync, under the segment lock, and must never block either side.
 type adaptiveCtl struct {
 	fsyncEWMA atomic.Int64 // nanoseconds
 	batchEWMA atomic.Int64 // records

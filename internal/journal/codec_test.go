@@ -307,14 +307,14 @@ func TestReplayReadsJSONFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := Open(dir, Options{Shards: 3})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	added := trail()
 	for i := range added {
-		added[i].Job = 100 + i*shardWindow // one record in each shard
-		added[i].Tick = 0                  // Append stamps it
+		added[i].Job = 100
+		added[i].Tick = 0 // Append stamps it
 		if err := j.Append(added[i]); err != nil {
 			t.Fatal(err)
 		}

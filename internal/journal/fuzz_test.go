@@ -52,19 +52,30 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte("not a journal at all"))
 	// A record of a kind this version no longer writes, out of trail order.
 	f.Add(append(frame(`{"t":"queue","at":5,"job":1,"qop":"grant","devices":[0]}`), clean...))
-	// Every file of a mixed directory: a flat-layout segment an older
-	// version left, beside the shard segments and the snapshot a writer
-	// produces today (real tickets, an incarnation epoch in the high bits).
+	// Every file of a mixed directory: a flat-layout segment and two
+	// stripes as older versions left them, then the snapshot and segment a
+	// writer produces today over them (real tickets, an incarnation epoch in
+	// the high bits).
 	mixed := f.TempDir()
-	writeFlat(f, mixed, segName(1), testRecords(3))
-	j, err := Open(mixed, Options{Shards: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, r := range testRecords(2 * shardWindow) {
-		if err := j.Append(r); err != nil {
+	addFiles := func() {
+		err := filepath.WalkDir(mixed, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || filepath.Ext(path) == "" { // the LOCK file
+				return err
+			}
+			b, err := os.ReadFile(path)
+			f.Add(b)
+			return err
+		})
+		if err != nil {
 			f.Fatal(err)
 		}
+	}
+	writeFlat(f, mixed, segName(1), testRecords(3))
+	writeSharded(f, mixed, 2, 2, testRecords(32))
+	addFiles()
+	j, err := Open(mixed, Options{})
+	if err != nil {
+		f.Fatal(err)
 	}
 	if err := j.WriteSnapshot(testRecords(2)); err != nil {
 		f.Fatal(err)
@@ -75,17 +86,7 @@ func FuzzReplay(f *testing.F) {
 	if err := j.Close(); err != nil {
 		f.Fatal(err)
 	}
-	err = filepath.WalkDir(mixed, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) == "" { // the LOCK file
-			return err
-		}
-		b, err := os.ReadFile(path)
-		f.Add(b)
-		return err
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
+	addFiles()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReplayBytes(data)

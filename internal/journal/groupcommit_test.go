@@ -19,8 +19,8 @@ func gcOpen(t *testing.T, dir string, opts Options) *Journal {
 	return gcOpenCap(t, dir, opts, defaultStageCap)
 }
 
-// gcOpenCap opens a journal with a tiny staging bound, so a test can fill a
-// shard's queue.
+// gcOpenCap opens a journal with a tiny staging bound, so a test can fill
+// the staging queue.
 func gcOpenCap(t *testing.T, dir string, opts Options, stageCap int) *Journal {
 	t.Helper()
 	j, err := open(dir, opts, stageCap)
@@ -31,9 +31,9 @@ func gcOpenCap(t *testing.T, dir string, opts Options, stageCap int) *Journal {
 }
 
 // TestFlushErrorLatchesJournal forces a flusher write/fsync failure (the
-// segment file is closed out from under the shard, the ENOSPC stand-in) with
-// a record staged async-durable. The failed batch is already drained from the
-// staging rings, so its ticket can never reach disk: the watermark must not
+// segment file is closed out from under the flusher, the ENOSPC stand-in)
+// with a record staged async-durable. The failed batch is already drained
+// from the staging queue, so its ticket can never reach disk: the watermark must not
 // pass it, AwaitDurable must fail rather than report durability, and the
 // journal must latch — further appends are rejected with the I/O error
 // instead of silently staging into a dead pipeline.
@@ -46,12 +46,11 @@ func TestFlushErrorLatchesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage the shard's segment: the parked flusher's next write+fsync
+	// Sabotage the live segment: the parked flusher's next write+fsync
 	// pass fails the way a full or dying disk would.
-	s := j.shards[0]
-	s.mu.Lock()
-	s.f.Close()
-	s.mu.Unlock()
+	j.mu.Lock()
+	j.f.Close()
+	j.mu.Unlock()
 	close(hold)
 
 	waitErr := make(chan error, 1)
@@ -160,8 +159,8 @@ func TestGroupCommitCrashBetweenStageAndFlush(t *testing.T) {
 	go func() {
 		durableErr <- j.Append(Record{Type: TypeSubmit, At: 4 * time.Second, Job: 2, Tool: "racon"})
 	}()
-	// The durable append must be parked on its commit notification, not
-	// acknowledged while its batch sits in the staging ring.
+	// The durable append must be parked on the watermark, not
+	// acknowledged while its batch sits in the staging queue.
 	select {
 	case err := <-durableErr:
 		t.Fatalf("durable append returned (%v) while the flusher was held", err)
@@ -190,7 +189,7 @@ func TestGroupCommitCrashBetweenStageAndFlush(t *testing.T) {
 	}
 }
 
-// TestGroupCommitPerJobOrderUnderConcurrency hammers the staging rings from
+// TestGroupCommitPerJobOrderUnderConcurrency hammers the staging queue from
 // many goroutines, each writing its own job's strictly increasing history,
 // and verifies replay preserves every per-job order — the property Replay's
 // last-record-wins folding needs.
@@ -301,7 +300,7 @@ func TestGroupCommitAppendAfterClose(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBackpressure fills a tiny ring behind a held flusher and
+// TestGroupCommitBackpressure fills a tiny queue behind a held flusher and
 // checks producers block (bounded memory) rather than queueing unboundedly,
 // then drain once the flusher resumes.
 func TestGroupCommitBackpressure(t *testing.T) {
@@ -318,7 +317,7 @@ func TestGroupCommitBackpressure(t *testing.T) {
 			done <- j.Append(Record{Type: TypeStart, At: at, Job: 1, Epoch: 1})
 		}()
 	}
-	// With a bound of 2 on job 1's shard, at most 2 appends can be staged;
+	// With a bound of 2 on the queue, at most 2 appends can be staged;
 	// the rest must be parked in the backpressure wait.
 	time.Sleep(50 * time.Millisecond)
 	completed := 0
@@ -352,7 +351,7 @@ func TestGroupCommitBackpressure(t *testing.T) {
 }
 
 // TestGroupCommitSnapshotSupersedesStaged checks WriteSnapshot drains the
-// staging rings before sealing: a record staged before the snapshot must not
+// staging queue before sealing: a record staged before the snapshot must not
 // be lost when compaction deletes the old segments.
 func TestGroupCommitSnapshotSupersedesStaged(t *testing.T) {
 	dir := t.TempDir()
@@ -414,13 +413,10 @@ func TestGroupCommitStats(t *testing.T) {
 			}
 		}(i)
 	}
-	// Wait until every append is parked in a staging ring, then release the
+	// Wait until every append is parked in the staging queue, then release the
 	// flusher: the whole backlog drains as a handful of batches.
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		staged := 0
-		for _, ss := range j.Stats().Shards {
-			staged += ss.Staged
-		}
+		staged := j.Stats().Staged
 		if staged == n {
 			break
 		}

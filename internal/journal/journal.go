@@ -1,10 +1,10 @@
 package journal
 
 import (
+	"bufio"
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,25 +16,21 @@ import (
 	"time"
 )
 
-// Options configure a journal. The zero value is the production
-// configuration: DefaultShards staged pipelines, adaptive group commit.
+// Options configure a journal. Production wiring (gyan-server, cluster
+// members) sets DurableSubmits; the zero value acknowledges every record as
+// soon as it is staged.
 type Options struct {
 	// segmentBytes rotates to a new segment once the current one reaches
 	// this size; zero is 1 MiB, and only the rotation tests set another. A
 	// segment always holds at least one record, however large.
 	segmentBytes int64
 	// DurableSubmits makes Append block on submit and ownership records
-	// until the batch holding them is fsynced, so a job acknowledged to the
+	// until the commit watermark passes them, so a job acknowledged to the
 	// user can never be lost to a crash. Other records return once staged —
 	// a lost start or complete record only costs a re-execution, never a
 	// job.
 	DurableSubmits bool
-	// Shards is the number of independent write+fsync pipelines, each with
-	// its own segment files (under dir/shard-NN/), rotation and flusher, so
-	// concurrent appenders stop funneling into one file. Global order is
-	// preserved logically: every record carries a commit ticket and Replay
-	// merges the shards back into total ticket order. Zero means
-	// DefaultShards; one is the same pipeline with a single stripe.
+	// Deprecated: one pipeline; nothing reads this.
 	Shards int
 	// Deprecated: group commit is the only write path; nothing reads this.
 	GroupCommit bool
@@ -42,36 +38,11 @@ type Options struct {
 	Adaptive bool
 }
 
-// DefaultShards is the shard count Options' zero value opens.
-const DefaultShards = 8
-
-// maxShards bounds Options.Shards (shard directories are two-digit).
-const maxShards = 64
-
-// ShardStats counts one stripe pipeline's write-side activity.
-type ShardStats struct {
-	// Shard is the stripe index.
-	Shard int
-	// Appends is the number of records written to this stripe.
-	Appends int
-	// Syncs is the number of fsync calls this stripe issued.
-	Syncs int
-	// Rotations is the number of segment rotations.
-	Rotations int
-	// Bytes is the total encoded record bytes written.
-	Bytes int64
-	// Segment is the stripe's current segment sequence number.
-	Segment int
-	// Segments is the number of live segment files on disk.
-	Segments int
-	// Staged is the number of records parked in this stripe's staging
-	// queue, waiting for its flusher.
-	Staged int
-}
+// Deprecated: one pipeline; nothing reads this.
+const DefaultShards = 1
 
 // Stats counts a journal's write-side activity, for the overhead benchmark
-// and the recovery status API. The aggregate fields sum over every shard;
-// Shards carries the per-stripe breakdown.
+// and the recovery status API.
 type Stats struct {
 	// Appends is the number of records written.
 	Appends int
@@ -81,12 +52,18 @@ type Stats struct {
 	Rotations int
 	// Bytes is the total encoded record bytes written.
 	Bytes int64
-	// Segment is the highest current segment sequence number.
+	// Segment is the current segment's sequence number.
 	Segment int
+	// Segments is the number of live segment files the journal writes to
+	// and has not yet compacted away.
+	Segments int
+	// Staged is the number of records parked in the staging queue, waiting
+	// for the flusher.
+	Staged int
 	// Watermark is the commit watermark: the highest ticket t such that
 	// every ticket issued up to and including t has been fsynced. It is
 	// monotonic — once a ticket is at or below it, it is durable forever —
-	// which lets async-durable submitters await durability in bulk.
+	// which is what a durable Append and AwaitDurable wait on.
 	Watermark uint64
 	// Tick is the highest ticket issued so far.
 	Tick uint64
@@ -94,18 +71,16 @@ type Stats struct {
 	// fsync-duration estimate and the flush deadline derived from it.
 	FsyncEWMA  time.Duration `json:",omitempty"`
 	FlushDelay time.Duration `json:",omitempty"`
-	// Shards is the per-stripe breakdown.
-	Shards []ShardStats `json:",omitempty"`
 }
 
 // Journal is the append side of a write-ahead log directory. It is safe
 // for concurrent use.
 type Journal struct {
 	dir      string
+	segDir   string // where new segments go: dir/shard-00
 	opts     Options
 	stageCap int      // defaultStageCap, except in the backpressure tests
 	lock     *os.File // held flock on the directory's LOCK file
-	shards   []*shard
 
 	// tick issues commit tickets: a journal-wide total order over records.
 	// The high bits hold the incarnation epoch (see Open), so tickets from
@@ -115,7 +90,7 @@ type Journal struct {
 	wm atomic.Uint64
 
 	// wmMu/wmCond park AwaitDurable callers; wmErr terminates them when
-	// the journal closes or crashes with tickets still un-fsynced.
+	// the journal fails, closes or crashes with tickets still un-fsynced.
 	wmMu   sync.Mutex
 	wmCond *sync.Cond
 	wmErr  error
@@ -123,13 +98,13 @@ type Journal struct {
 	// err is the journal's one terminal state, and what appends get once it
 	// is set: nil while open, the I/O error after a failed flush, errClosed
 	// after Close or Crash. Whoever moves it off nil closes quit (stopping
-	// the flushers); whoever moves it to errClosed owns the files and the
-	// flock. A staging queue observes it under its own lock after latch's
+	// the flusher); whoever moves it to errClosed owns the files and the
+	// flock. The staging queue observes it under stageMu after latch's
 	// broadcast.
 	stateMu sync.Mutex
 	err     error
 	quit    chan struct{}
-	// hold, when non-nil, parks every flusher before each drain until the
+	// hold, when non-nil, parks the flusher before each drain until the
 	// channel is closed — see HoldFlush.
 	hold chan struct{}
 
@@ -140,14 +115,50 @@ type Journal struct {
 	// tick-filtered replay.
 	stageGate sync.RWMutex
 
-	// onSync/onShardSync, when set, observe each fsync that made appended
-	// records durable: the batch size (records since the previous fsync)
-	// and how long the disk took.
-	obsMu       sync.Mutex
-	onSync      func(records int, took time.Duration)
-	onShardSync func(shard, records int, took time.Duration)
+	// stageMu guards the staging queue; notFull is signaled when the
+	// flusher drains it.
+	stageMu sync.Mutex
+	notFull *sync.Cond
+	staged  []gcEntry
 
-	// ctl paces the flushers from the fsync cost they measure.
+	// flushMu serializes drains: the flusher's own flushes, the explicit
+	// drains from Sync/WriteSnapshot, and Crash's drop all exclude each
+	// other.
+	flushMu sync.Mutex
+
+	// inflightMin is the lowest ticket in the batch currently between queue
+	// drain and fsync (0: none). It is set in the same critical section that
+	// empties the queue and cleared only after the batch's write+fsync
+	// succeeds, so the watermark scan never loses sight of a staged ticket
+	// mid-flush — and never sees past one whose flush failed.
+	inflightMin atomic.Uint64
+
+	// queued mirrors the queue's length (maintained under stageMu, read
+	// without it) so the pace loop's poll is one atomic load — a spinning
+	// flusher must not contend with the producers it is waiting for.
+	queued atomic.Int64
+
+	kick chan struct{} // buffered(1): wake the flusher
+	exit chan struct{} // closed by the flusher on return
+
+	// mu guards the segment state below. Only the flusher's batch write,
+	// WriteSnapshot's seal/reopen and Close/Crash take it. f is nil while
+	// WriteSnapshot has the segment sealed and after Close or Crash.
+	mu      sync.Mutex
+	f       *os.File
+	w       *bufio.Writer
+	seq     int
+	size    int64
+	pending int   // records written since the last fsync
+	stats   Stats // Appends, Syncs, Rotations and Bytes
+
+	// onSync, when set, observes each fsync that made appended records
+	// durable: the batch size (records since the previous fsync) and how
+	// long the disk took.
+	obsMu  sync.Mutex
+	onSync func(records int, took time.Duration)
+
+	// ctl paces the flusher from the fsync cost it measures.
 	ctl adaptiveCtl
 }
 
@@ -227,12 +238,13 @@ func listShardDirs(dir string) ([]string, error) {
 }
 
 // Open creates (or reopens) a journal directory for appending. Existing
-// segments are never written to again: each shard's appends go to a fresh
-// segment above every sequence number in the directory, so a torn tail from
-// a previous crash stays isolated in its own file. The flat layout older
-// versions wrote (wal-* directly in dir) is a read format only: Replay
-// still merges it, Open never appends to it, and the next WriteSnapshot
-// compacts it away.
+// segments are never written to again: appends go to a fresh segment under
+// dir/shard-00/ above every sequence number in the directory, so a torn tail
+// from a previous crash stays isolated in its own file. Older versions wrote
+// two more layouts, both read formats only: wal-* directly in dir (the flat
+// layout) and several shard-NN/ directories side by side. Replay merges them
+// all by ticket, Open never appends to them, and the next WriteSnapshot
+// compacts them away. (The shard-00 name, like snap-*.json, is historical.)
 //
 // Open takes an exclusive flock(2) on the directory's LOCK file and holds
 // it until Close (or Crash, which models process death). A second live
@@ -249,12 +261,6 @@ func open(dir string, opts Options, stageCap int) (*Journal, error) {
 	if opts.segmentBytes <= 0 {
 		opts.segmentBytes = 1 << 20
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
-	if opts.Shards > maxShards {
-		opts.Shards = maxShards
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create %s: %w", dir, err)
 	}
@@ -269,10 +275,9 @@ func open(dir string, opts Options, stageCap int) (*Journal, error) {
 	// The incarnation epoch must outrank every sequence number any previous
 	// incarnation could have issued a ticket under: segment and snapshot
 	// seqs only ever grow (compaction reopens past them, never below), and
-	// every incarnation opens its segments at maxSeq+1 (see the shard loop
-	// below), so 1 + the max over every stream is strictly above all prior
-	// epochs — reopening never reuses one, whatever layout the directory
-	// started with.
+	// every incarnation opens its segment at maxSeq+1, so 1 + the max over
+	// every stream is strictly above all prior epochs — reopening never
+	// reuses one, whatever layout the directory started with.
 	maxSeq := 0
 	bump := func(dir, prefix, suffix string) error {
 		seqs, err := listSeqs(dir, prefix, suffix)
@@ -297,82 +302,43 @@ func open(dir string, opts Options, stageCap int) (*Journal, error) {
 		return fail(err)
 	}
 
-	j := &Journal{dir: dir, opts: opts, stageCap: stageCap, lock: lock, quit: make(chan struct{})}
+	j := &Journal{
+		dir: dir, segDir: filepath.Join(dir, shardDirName(0)), opts: opts, stageCap: stageCap, lock: lock,
+		quit: make(chan struct{}), kick: make(chan struct{}, 1), exit: make(chan struct{}),
+	}
 	j.wmCond = sync.NewCond(&j.wmMu)
+	j.notFull = sync.NewCond(&j.stageMu)
 	j.tick.Store(uint64(maxSeq+1) << tickEpochShift)
 	j.wm.Store(j.tick.Load())
-	for i := 0; i < opts.Shards; i++ {
-		sdir := filepath.Join(dir, shardDirName(i))
-		if err := os.MkdirAll(sdir, 0o755); err != nil {
-			return fail(fmt.Errorf("journal: create %s: %w", sdir, err))
-		}
-		s := newShard(j, i, sdir)
-		j.shards = append(j.shards, s)
-		// Every shard's first segment opens above the journal-wide max, not
-		// just above that shard's own tail. Seeding from the shard's tail
-		// alone would break the epoch over a directory that still holds
-		// flat-layout wal-* files: they pin maxSeq high, fresh shard dirs
-		// would start at seg 1 and never catch up, so every crash
-		// incarnation would recompute the same maxSeq and reissue the same
-		// epoch — duplicating commit tickets across incarnations and
-		// breaking replay's last-record-wins fold. Opening at maxSeq+1 makes
-		// any incarnation's mere existence raise the next Open's maxSeq.
-		if err := s.openSegment(maxSeq + 1); err != nil {
-			for _, s := range j.shards[:i] {
-				s.f.Close()
-			}
-			return fail(err)
-		}
+	if err := os.MkdirAll(j.segDir, 0o755); err != nil {
+		return fail(fmt.Errorf("journal: create %s: %w", j.segDir, err))
 	}
-	for _, s := range j.shards {
-		go s.run()
+	// The first segment opens above the journal-wide max, not just above
+	// shard-00's own tail. Seeding from that tail alone would break the
+	// epoch over a directory whose other streams (flat-layout wal-* files,
+	// other shard-NN/ directories) pin maxSeq higher: shard-00 would never
+	// catch up, so every crash incarnation would recompute the same maxSeq
+	// and reissue the same epoch — duplicating commit tickets across
+	// incarnations and breaking replay's last-record-wins fold. Opening at
+	// maxSeq+1 makes any incarnation's mere existence raise the next Open's
+	// maxSeq.
+	if err := j.openSegment(maxSeq + 1); err != nil {
+		return fail(err)
 	}
+	go j.run()
 	return j, nil
 }
 
-// shardWindow clusters consecutive append keys onto one pipeline: keys
-// [0,W) share a shard, [W,2W) the next, and so on. Job IDs are issued
-// sequentially, so the jobs in flight at any moment span a narrow ID range
-// — windowing maps a burst of concurrent submissions to a handful of
-// shards, where they share group-commit batches (and their fsyncs), while
-// the rotation still spreads sustained load across every pipeline. A pure
-// modulo would scatter each burst one record per shard, capping every
-// batch at the per-shard occupancy and paying near-per-record fsyncs.
-// The width trades batch size against pipeline spread: W concurrent
-// submitters occupy one pipeline at full batch, and filesystems whose
-// fsyncs degrade under file-level parallelism (a shared journal head)
-// favor fewer, fuller pipelines over maximal spread.
-const shardWindow = 16
-
-// shardFor maps an append key (the record's job ID) to its pipeline. The
-// mapping is stable, so one job's records always land in one shard (lease
-// records share shard 0) and per-job order on disk follows from the shard
-// file's ticket order.
-func (j *Journal) shardFor(key int) *shard {
-	return j.shards[(uint(key)/shardWindow)%uint(len(j.shards))]
-}
-
-// Stats returns a snapshot of the write-side counters across all shards.
+// Stats returns a snapshot of the write-side counters.
 func (j *Journal) Stats() Stats {
-	var out Stats
-	for _, s := range j.shards {
-		s.mu.Lock()
-		ss := s.stats
-		ss.Segment = s.seq
-		s.mu.Unlock()
-		if segs, err := listSeqs(s.dir, segPrefix, segSuffix); err == nil {
-			ss.Segments = len(segs)
-		}
-		ss.Staged = int(s.queued.Load())
-		out.Appends += ss.Appends
-		out.Syncs += ss.Syncs
-		out.Rotations += ss.Rotations
-		out.Bytes += ss.Bytes
-		if ss.Segment > out.Segment {
-			out.Segment = ss.Segment
-		}
-		out.Shards = append(out.Shards, ss)
+	j.mu.Lock()
+	out := j.stats
+	out.Segment = j.seq
+	j.mu.Unlock()
+	if segs, err := listSeqs(j.segDir, segPrefix, segSuffix); err == nil {
+		out.Segments = len(segs)
 	}
+	out.Staged = int(j.queued.Load())
 	out.Watermark = j.wm.Load()
 	out.Tick = j.tick.Load()
 	out.FsyncEWMA = j.ctl.ewma()
@@ -386,15 +352,6 @@ func (j *Journal) Stats() Stats {
 func (j *Journal) SetSyncObserver(fn func(records int, took time.Duration)) {
 	j.obsMu.Lock()
 	j.onSync = fn
-	j.obsMu.Unlock()
-}
-
-// SetShardSyncObserver installs the per-shard fsync observer: like
-// SetSyncObserver but with the stripe index, so metrics can carry a shard
-// label.
-func (j *Journal) SetShardSyncObserver(fn func(shard, records int, took time.Duration)) {
-	j.obsMu.Lock()
-	j.onShardSync = fn
 	j.obsMu.Unlock()
 }
 
@@ -414,48 +371,34 @@ func durableType(t Type) bool {
 // errClosed rejects appends and snapshots after Close or Crash.
 var errClosed = errors.New("journal: closed")
 
-// Append stages one record for its shard's flusher. A durable-class record
-// (see Options.DurableSubmits) blocks until its batch reaches disk; any
-// other returns as soon as it is staged.
+// Append stages one record for the flusher. A durable-class record (see
+// Options.DurableSubmits) then waits for the commit watermark to pass it;
+// any other returns as soon as it is staged.
 func (j *Journal) Append(rec Record) error {
-	_, err := j.append(rec, true)
-	return err
+	tick, err := j.AppendAsync(rec)
+	if err != nil || !j.opts.DurableSubmits || !durableType(rec.Type) {
+		return err
+	}
+	return j.AwaitDurable(tick)
 }
 
 // AppendAsync stages rec like Append but never waits for the fsync: even a
 // durable-class record returns as soon as it is staged, with the commit
-// ticket it was assigned. The caller trades the per-record durability ack
-// for throughput and awaits durability in bulk instead — AwaitDurable(tick)
-// (or polling Stats().Watermark) reports when the record is on disk. A crash
-// before the flush drops the record; the ticket then never reaches the
-// watermark.
+// ticket it was assigned. The caller awaits durability in bulk instead —
+// AwaitDurable(tick) (or polling Stats().Watermark) reports when the record
+// is on disk. A crash before the flush drops the record; the ticket then
+// never reaches the watermark.
 func (j *Journal) AppendAsync(rec Record) (uint64, error) {
-	return j.append(rec, false)
-}
-
-func (j *Journal) append(rec Record, wait bool) (uint64, error) {
 	j.stageGate.RLock()
 	defer j.stageGate.RUnlock()
-	durable := j.opts.DurableSubmits && durableType(rec.Type)
-	return j.shardFor(rec.Job).stage(rec, durable, wait)
-}
-
-// Sync forces every staged record to stable storage across every shard.
-func (j *Journal) Sync() error {
-	var first error
-	for _, s := range j.shards {
-		if err := s.flush(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return j.stage(rec)
 }
 
 // AwaitDurable blocks until the commit watermark reaches tick — i.e. until
 // the record that Append/AppendAsync assigned that ticket is fsynced, along
 // with everything staged before it. It returns an error if the journal
-// closes or crashes first with the ticket still un-fsynced: the caller's
-// record was dropped and must not be treated as acknowledged.
+// fails, closes or crashes first with the ticket still un-fsynced: the
+// caller's record was dropped and must not be treated as acknowledged.
 func (j *Journal) AwaitDurable(tick uint64) error {
 	if tick == 0 || j.wm.Load() >= tick {
 		return nil
@@ -475,14 +418,12 @@ func (j *Journal) AwaitDurable(tick uint64) error {
 // advanceWatermark recomputes and publishes the commit watermark. The tick
 // counter is read before scanning pending state: any ticket issued after
 // the read is above the candidate watermark by construction, and any ticket
-// issued before it is visible in a staging queue or the in-flight batch
-// marker (see shard.minPending) until it is durable.
+// issued before it is visible in the staging queue or the in-flight batch
+// marker (see minPending) until it is durable.
 func (j *Journal) advanceWatermark() {
 	w := j.tick.Load()
-	for _, s := range j.shards {
-		if m := s.minPending(); m != 0 && m-1 < w {
-			w = m - 1
-		}
+	if m := j.minPending(); m != 0 && m-1 < w {
+		w = m - 1
 	}
 	for {
 		old := j.wm.Load()
@@ -509,24 +450,20 @@ func (j *Journal) failWaiters(err error) {
 	j.wmMu.Unlock()
 }
 
-// HoldFlush parks every flusher before its next drain until ch is closed
+// HoldFlush parks the flusher before its next drain until ch is closed
 // (nil clears the gate). It is a deterministic test hook: the window it
 // opens (records staged but not yet flushed) is exactly what crash tests
-// need to exist reliably. Taking every shard's flushMu first makes the
-// install a barrier: a drain that already passed its gate check finishes
-// before the hold lands (it holds flushMu throughout — see flushGated), and
-// every drain that starts afterwards re-checks the gate under flushMu, so no
-// flusher drain can sweep records staged after this call returns.
+// need to exist reliably. Taking flushMu first makes the install a barrier:
+// a drain that already passed its gate check finishes before the hold lands
+// (it holds flushMu throughout — see flushGated), and every drain that
+// starts afterwards re-checks the gate under flushMu, so no flusher drain
+// can sweep records staged after this call returns.
 func (j *Journal) HoldFlush(ch chan struct{}) {
-	for _, s := range j.shards {
-		s.flushMu.Lock()
-	}
+	j.flushMu.Lock()
 	j.stateMu.Lock()
 	j.hold = ch
 	j.stateMu.Unlock()
-	for _, s := range j.shards {
-		s.flushMu.Unlock()
-	}
+	j.flushMu.Unlock()
 }
 
 func (j *Journal) holdGate() chan struct{} {
@@ -543,8 +480,8 @@ func (j *Journal) terminalErr() error {
 
 // latch moves the journal to terminal state err and returns the state it
 // found: a failure replaces only the open state, errClosed replaces both.
-// On the first move off open it takes every staging lock once — a producer
-// that read the open state under its queue lock has finished staging by
+// On the first move off open it takes the staging lock once — a producer
+// that read the open state under the queue lock has finished staging by
 // then, and every later one (including those parked on a full queue) sees
 // the terminal state — so nothing is staged after latch returns.
 func (j *Journal) latch(err error) (prev error) {
@@ -555,52 +492,48 @@ func (j *Journal) latch(err error) (prev error) {
 	}
 	j.stateMu.Unlock()
 	if prev == nil {
-		for _, s := range j.shards {
-			s.stageMu.Lock()
-			s.notFull.Broadcast()
-			s.stageMu.Unlock()
-		}
+		j.stageMu.Lock()
+		j.notFull.Broadcast()
+		j.stageMu.Unlock()
 	}
 	return prev
 }
 
 // fail latches the journal after a write or fsync error: appends are
-// rejected with err from here on and the flushers stop, each draining its
-// staged tail on the way out and notifying the waiters with that attempt's
-// outcome. Safe to call from inside a flusher — quit is closed, not waited
-// on. The files and the flock stay with the eventual Close or Crash.
+// rejected with err from here on and the flusher stops, draining the staged
+// tail on the way out. Safe to call from inside the flusher — quit is
+// closed, not waited on. The files and the flock stay with the eventual
+// Close or Crash.
 func (j *Journal) fail(err error) {
 	if j.latch(err) == nil {
 		close(j.quit)
 	}
 }
 
-// Close drains the staged tail, stops the flushers, syncs and closes the
-// segments and releases the directory lock.
+// Close drains the staged tail, stops the flusher, syncs and closes the
+// segment and releases the directory lock.
 func (j *Journal) Close() error {
 	prev := j.latch(errClosed)
 	if prev == errClosed {
 		return nil
 	}
 	if prev == nil {
-		close(j.quit) // each flusher's final flush drains its staged tail
+		close(j.quit) // the flusher's final flush drains the staged tail
 	}
+	<-j.exit
 	first := prev // an earlier flush failure is still Close's to report
-	for _, s := range j.shards {
-		<-s.exit
-		s.mu.Lock()
-		if s.f != nil {
-			err := s.syncLocked()
-			if cerr := s.f.Close(); err == nil {
-				err = cerr
-			}
-			s.f, s.w = nil, nil
-			if first == nil {
-				first = err
-			}
+	j.mu.Lock()
+	if j.f != nil {
+		err := j.syncLocked()
+		if cerr := j.f.Close(); err == nil {
+			err = cerr
 		}
-		s.mu.Unlock()
+		j.f, j.w = nil, nil
+		if first == nil {
+			first = err
+		}
 	}
+	j.mu.Unlock()
 	j.advanceWatermark()
 	j.failWaiters(errClosed)
 	releaseLock(j.lock)
@@ -608,67 +541,49 @@ func (j *Journal) Close() error {
 }
 
 // Crash abandons the journal the way a killed process would: staged
-// (un-fsynced) records are dropped on the floor and the file handles are
+// (un-fsynced) records are dropped on the floor and the file handle is
 // closed without flushing. Tests and the crash-recovery experiment use it
 // to model a handler dying mid-write.
-func (j *Journal) Crash() error { return j.CrashTornShards(nil) }
+func (j *Journal) Crash() error { return j.CrashTorn(nil) }
 
 // CrashTorn is Crash plus a torn in-flight write: after dropping the staged
-// records, the given garbage bytes are appended raw to shard 0's current
-// segment, modeling a record that made it partially to disk before the
-// power went out. Replay must detect and discard the torn tail.
+// records, the given garbage bytes are appended raw to the live segment,
+// modeling a record that made it partially to disk before the power went
+// out. Replay must detect and discard the torn tail.
 func (j *Journal) CrashTorn(garbage []byte) error {
-	return j.CrashTornShards(map[int][]byte{0: garbage})
-}
-
-// CrashTornShards is CrashTorn with a tear per shard: each entry's garbage
-// is appended to that shard's current segment, so tests can tear any subset
-// of the stripes independently — including several at once.
-func (j *Journal) CrashTornShards(garbage map[int][]byte) error {
 	prev := j.latch(errClosed)
 	if prev == errClosed {
 		return fmt.Errorf("journal: crash on closed journal")
 	}
-	// Excluding each flusher via its flushMu means any in-flight batch
-	// finishes its write first (it was handed to the OS before the "power
-	// cut"); everything still staged after that is dropped on the floor,
-	// its tickets left under inflightMin so the watermark never passes them.
-	for _, s := range j.shards {
-		s.flushMu.Lock()
-		for _, e := range s.take() {
-			if e.done != nil {
-				e.done <- errCrashed
-			}
-			recycleFrame(e.buf)
-		}
-		s.flushMu.Unlock()
+	// Excluding the flusher via flushMu means an in-flight batch finishes
+	// its write first (it was handed to the OS before the "power cut");
+	// everything still staged after that is dropped on the floor, its
+	// tickets left under inflightMin so the watermark never passes them.
+	j.flushMu.Lock()
+	for _, e := range j.take() {
+		recycleFrame(e.buf)
 	}
+	j.flushMu.Unlock()
 	if prev == nil {
 		close(j.quit)
 	}
 	j.failWaiters(errCrashed)
-	var first error
-	for _, s := range j.shards {
-		<-s.exit
-		s.mu.Lock()
-		f := s.f
-		s.f, s.w = nil, nil // drop the buffer: un-synced bytes vanish
-		s.mu.Unlock()
-		if f == nil {
-			// WriteSnapshot has this shard's segment sealed for the swap:
-			// there is no handle to close and no live segment to tear.
-			continue
-		}
-		err := f.Close()
-		if g := garbage[s.id]; err == nil && len(g) > 0 {
-			err = appendGarbage(f.Name(), g)
-		}
-		if first == nil {
-			first = err
+	<-j.exit
+	j.mu.Lock()
+	f := j.f
+	j.f, j.w = nil, nil // drop the buffer: un-synced bytes vanish
+	j.mu.Unlock()
+	var err error
+	// f is nil when WriteSnapshot has the segment sealed for the swap:
+	// there is no handle to close and no live segment to tear.
+	if f != nil {
+		err = f.Close()
+		if err == nil && len(garbage) > 0 {
+			err = appendGarbage(f.Name(), garbage)
 		}
 	}
 	releaseLock(j.lock) // the kernel would drop a dead process's flock
-	return first
+	return err
 }
 
 // appendGarbage writes raw bytes to the end of a sealed segment, modeling
@@ -687,10 +602,10 @@ func appendGarbage(path string, g []byte) error {
 
 // WriteSnapshot condenses history: the caller provides the records that
 // recreate the current state (typically far fewer than the log holds), and
-// the journal atomically installs them as a snapshot, rotates every shard
-// to a fresh segment, and deletes every older segment and snapshot. Replay
-// afterwards sees the snapshot records followed by whatever is appended
-// next.
+// the journal atomically installs them as a snapshot, rotates to a fresh
+// segment, and deletes every older segment — in every stream an older
+// layout left too — and every older snapshot. Replay afterwards sees the
+// snapshot records followed by whatever is appended next.
 //
 // Snapshot records are stamped with fresh tickets under the stage gate —
 // held exclusively, so no concurrent append can take a lower ticket — which
@@ -702,7 +617,7 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 	if err := j.terminalErr(); err != nil {
 		return err
 	}
-	// Drain the queues: the snapshot must supersede every record appended
+	// Drain the queue: the snapshot must supersede every record appended
 	// before it, including staged ones. The gate excludes appenders, so
 	// nothing can be staged behind this drain until the snapshot is in.
 	if err := j.Sync(); err != nil {
@@ -718,26 +633,23 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 			return err
 		}
 	}
-	// Seal every shard's current segment; the snapshot replaces them and
-	// everything before them.
-	sealed := make([]int, len(j.shards))
-	for _, s := range j.shards {
-		s.mu.Lock()
-		if s.f == nil { // a Close or Crash landed since the check above
-			s.mu.Unlock()
-			return errClosed
-		}
-		err := s.syncLocked()
-		if err == nil {
-			err = s.f.Close()
-		}
-		s.f, s.w = nil, nil
-		sealed[s.id] = s.seq
-		s.mu.Unlock()
-		if err != nil {
-			j.fail(err) // a half-sealed journal must error loudly, not append
-			return fmt.Errorf("journal: seal segment: %w", err)
-		}
+	// Seal the current segment; the snapshot replaces it and everything
+	// before it.
+	j.mu.Lock()
+	if j.f == nil { // a Close or Crash landed since the check above
+		j.mu.Unlock()
+		return errClosed
+	}
+	err := j.syncLocked()
+	if err == nil {
+		err = j.f.Close()
+	}
+	j.f, j.w = nil, nil
+	sealed := j.seq
+	j.mu.Unlock()
+	if err != nil {
+		j.fail(err) // a half-sealed journal must error loudly, not append
+		return fmt.Errorf("journal: seal segment: %w", err)
 	}
 	// Snapshots have their own top-level seq space; supersession runs on
 	// tickets, the seq only has to grow.
@@ -746,39 +658,36 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 		base = snaps[len(snaps)-1] + 1
 	}
 	ierr := j.installSnapshot(base, buf)
-	// From here on the old segments are sealed: whatever happens, Append
-	// must end up with live segments to write to or a latched journal that
+	// From here on the old segment is sealed: whatever happens, Append must
+	// end up with a live segment to write to or a latched journal that
 	// errors loudly — never a buffer draining into a closed file.
-	for _, s := range j.shards {
-		s.mu.Lock()
-		// A Crash or Close that landed while the segments were sealed owns
-		// the shards now: do not resurrect a file handle under it.
-		err := j.terminalErr()
-		if err == nil {
-			if err = s.openSegment(sealed[s.id] + 1); err != nil {
-				j.fail(err)
-			}
-		}
-		s.mu.Unlock()
-		if err != nil {
-			if ierr != nil {
-				return ierr
-			}
-			return err
+	j.mu.Lock()
+	// A Crash or Close that landed while the segment was sealed owns the
+	// journal now: do not resurrect a file handle under it.
+	err = j.terminalErr()
+	if err == nil {
+		if err = j.openSegment(sealed + 1); err != nil {
+			j.fail(err)
 		}
 	}
+	j.mu.Unlock()
 	if ierr != nil {
-		// Snapshot failed but the journal is appendable again; the sealed
-		// segments stay on disk, so no history was lost.
+		// With err nil the journal is appendable again; the sealed segments
+		// stay on disk, so no history was lost.
 		return ierr
 	}
-	// Compaction: everything the snapshot covers is garbage now — every
-	// sealed shard segment, every flat-layout top-level segment, and every
-	// older snapshot.
-	for _, s := range j.shards {
-		removeSeqs(s.dir, segPrefix, segSuffix, sealed[s.id]+1)
+	if err != nil {
+		return err
 	}
-	removeSeqs(j.dir, segPrefix, segSuffix, math.MaxInt)
+	// Compaction: everything the snapshot covers is garbage now — every
+	// segment below the fresh one, in the flat layout and in every shard
+	// directory an older version wrote (Open puts every segment of every
+	// stream below it), and every older snapshot.
+	shardDirs, _ := listShardDirs(j.dir)
+	removeSeqs(j.dir, segPrefix, segSuffix, sealed+1)
+	for _, sd := range shardDirs {
+		removeSeqs(filepath.Join(j.dir, sd), segPrefix, segSuffix, sealed+1)
+	}
 	removeSeqs(j.dir, snapPrefix, snapSuffix, base)
 	j.advanceWatermark()
 	return nil
@@ -824,17 +733,18 @@ func removeSeqs(dir, prefix, suffix string, limit int) {
 
 // Replay reads a journal directory back: the newest snapshot (if any)
 // followed by the segment records it does not supersede, in global ticket
-// order across every stream — the shard directories plus any flat-layout
-// top-level segments an older version left. A missing or empty directory
+// order across every stream — the segment directory, any other shard-NN/
+// directory and any flat-layout top-level segments an older version left. A missing or empty directory
 // replays as no records, and Replay never panics on corrupt input.
 //
 // Corruption is handled per layer. A corrupt record inside a segment ends
 // only that segment: it is the torn tail a crashed writer leaves behind,
 // and because every process incarnation appends to its own fresh segment
 // (Open never reopens an old file), any later segment was written after
-// the crash and is still trusted — replay skips to it and keeps going. A
-// torn tail costs only its own stripe's staged records; the other stripes'
-// records still merge in ticket order around the gap. The first such
+// the crash and is still trusted — replay skips to it and keeps going. In a
+// journal an older version striped, a torn tail costs only its own
+// stripe's staged records; the other stripes' records still merge in
+// ticket order around the gap. The first such
 // anomaly is reported as a typed *CorruptRecordError alongside the
 // recovered records so callers can surface it and compact the torn segment
 // away. A corrupt snapshot, by contrast, destroys the compacted base that
@@ -940,10 +850,10 @@ func ReplayAll(dir string) ([]Record, []*CorruptRecordError, error) {
 }
 
 // mergeByTick puts the segment records into ticket order. recs is the
-// streams' records back to back, stream i ending at ends[i]. A shard
-// writes its files strictly in ticket order, so a stream is checked in one
-// pass and stable-sorted only when it is out of order (the flat layout, or a
-// shard an older version wrote); the streams are then merged, ties (records
+// streams' records back to back, stream i ending at ends[i]. The writer
+// lays its files down strictly in ticket order, so a stream is checked in
+// one pass and stable-sorted only when it is out of order (the flat layout,
+// or a shard an older version wrote); the streams are then merged, ties (records
 // written before tickets existed carry 0) taken in stream order. The result
 // is exactly a stable sort of recs by ticket, and each record moves at most
 // once.

@@ -54,6 +54,31 @@ func writeFlat(t testing.TB, dir, name string, recs []Record) []int64 {
 	return offsets
 }
 
+// writeSharded writes recs the way the striped writers of older versions
+// laid them down: dealt round-robin over shards directories shard-00,
+// shard-01, …, each stripe's share as one segment wal-<seq>.seg in ticket
+// order, beside whatever the directory already holds. A record without a
+// ticket is stamped in place with the next one of incarnation epoch seq, so
+// the caller sees the tickets Replay will order by. A stripe that gets no
+// record still gets its (empty) segment, as a live stripe did.
+func writeSharded(t testing.TB, dir string, shards, seq int, recs []Record) {
+	t.Helper()
+	stripes := make([][]Record, shards)
+	for i := range recs {
+		if recs[i].Tick == 0 {
+			recs[i].Tick = uint64(seq)<<tickEpochShift + uint64(i+1)
+		}
+		stripes[i%shards] = append(stripes[i%shards], recs[i])
+	}
+	for s, stripe := range stripes {
+		sdir := filepath.Join(dir, shardDirName(s))
+		if err := os.MkdirAll(sdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeFlat(t, sdir, segName(seq), stripe)
+	}
+}
+
 // TestFlatLayoutIsReadOnly pins what is left of the flat layout: a
 // directory of top-level segments and a snapshot replays to the same records
 // through the one replay function, reopening it writes only under shard-NN/,
@@ -85,7 +110,7 @@ func TestFlatLayoutIsReadOnly(t *testing.T) {
 	}
 	check(len(recs))
 
-	j, err := Open(dir, Options{Shards: 1})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +237,7 @@ func TestReopenAppends(t *testing.T) {
 
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{segmentBytes: 256, Shards: 1})
+	j, err := Open(dir, Options{segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +256,8 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Old segments must be gone, and even a one-stripe journal writes only
-	// under its shard directory.
+	// Old segments must be gone, and the journal writes only under
+	// shard-00/.
 	segs, err := listSeqs(filepath.Join(dir, shardDirName(0)), segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)

@@ -11,20 +11,14 @@ import (
 	"time"
 )
 
-// TestShardedRoundTripTotalOrder appends a sequential stream across a
-// sharded journal and checks Replay merges the per-stripe segment files back
-// into the exact submission order, carried by strictly increasing tickets.
+// TestShardedRoundTripTotalOrder deals a sequential stream over the four
+// stripe directories an older version wrote and checks Replay merges the
+// per-stripe segment files back into the exact submission order, carried
+// by strictly increasing tickets.
 func TestShardedRoundTripTotalOrder(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := testRecords(60)
-	appendAll(t, j, recs)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeSharded(t, dir, 4, 1, recs)
 	// The stripes really are separate files.
 	dirs, err := listShardDirs(dir)
 	if err != nil || len(dirs) != 4 {
@@ -47,38 +41,32 @@ func TestShardedRoundTripTotalOrder(t *testing.T) {
 	}
 }
 
-// TestShardedCrashTornTable is the per-stripe torn-tail crash table: every
-// stripe is torn independently, then two at once. Each tear models a record
-// that made it partially to that stripe's segment before the power cut — a
-// truncated but otherwise valid encoding. The merged replay must lose
-// exactly the torn stripes' tails (one CorruptRecordError per torn stripe,
-// labelled with the stripe's directory), keep every fsynced record, and
-// preserve the global ticket order across the gaps.
+// TestShardedCrashTornTable is the per-stripe torn-tail table over the
+// stripe directories an older version wrote: every stripe is torn
+// independently, then two at once. Each tear models a record that made it
+// partially to that stripe's segment before the power cut — a truncated but
+// otherwise valid encoding. The merged replay must lose exactly the torn
+// stripes' tails (one CorruptRecordError per torn stripe, labelled with the
+// stripe's directory), keep every whole record, and preserve the global
+// ticket order across the gaps. The live journal's own tear is
+// TestCrashTornTail.
 func TestShardedCrashTornTable(t *testing.T) {
 	const nshards = 4
 	cases := [][]int{{0}, {1}, {2}, {3}, {1, 3}}
 	for _, torn := range cases {
 		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
 			dir := t.TempDir()
-			j, err := Open(dir, Options{Shards: nshards})
-			if err != nil {
-				t.Fatal(err)
-			}
 			recs := testRecords(40)
-			appendAll(t, j, recs)
-			if err := j.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			garbage := make(map[int][]byte, len(torn))
+			writeSharded(t, dir, nshards, 1, recs)
 			for _, s := range torn {
 				b, err := encode(Record{Type: TypeSubmit, Job: 1000 + s, Tool: "racon", Tick: 1 << 50})
 				if err != nil {
 					t.Fatal(err)
 				}
-				garbage[s] = b[:len(b)-3] // the torn half-record
-			}
-			if err := j.CrashTornShards(garbage); err != nil {
-				t.Fatal(err)
+				// The torn half-record.
+				if err := appendGarbage(filepath.Join(dir, shardDirName(s), segName(1)), b[:len(b)-3]); err != nil {
+					t.Fatal(err)
+				}
 			}
 			got, corrupt, err := ReplayAll(dir)
 			if err != nil {
@@ -100,7 +88,7 @@ func TestShardedCrashTornTable(t *testing.T) {
 					t.Fatalf("segment tear misreported as snapshot corruption: %v", c)
 				}
 			}
-			// Every fsynced record survives, in the original order; the torn
+			// Every whole record survives, in the original order; the torn
 			// tails (jobs 1000+) must not resurface.
 			if len(got) != len(recs) {
 				t.Fatalf("replayed %d records, want %d", len(got), len(recs))
@@ -117,57 +105,93 @@ func TestShardedCrashTornTable(t *testing.T) {
 	}
 }
 
-// TestShardedStagedLossIsPerStripe crashes a sharded group-commit journal
-// with records parked in the staging rings and checks the loss accounting:
-// everything fsynced before the hold survives on every stripe, everything
-// staged behind the held flushers is gone, and the survivors still replay in
-// global ticket order.
-func TestShardedStagedLossIsPerStripe(t *testing.T) {
+// TestOpenUpgradesShardedDirectory opens a journal an older version wrote
+// through eight stripes — one of them with a torn tail — and checks the one
+// pipeline reads it, appends past it and compacts it: the old records
+// replay in ticket order ahead of the new ones, the incarnation epoch is
+// above every old sequence number, and a snapshot leaves no segment in any
+// old stripe.
+func TestOpenUpgradesShardedDirectory(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4, DurableSubmits: true})
+	const oldSeq = 6
+	old := testRecords(40)
+	writeSharded(t, dir, 8, oldSeq, old)
+	torn, err := encode(Record{Type: TypeSubmit, Job: 999, Tool: "racon", Tick: 1 << 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := testRecords(20)
-	appendAll(t, j, recs)
-	if err := j.Sync(); err != nil {
+	if err := appendGarbage(filepath.Join(dir, shardDirName(5), segName(oldSeq)), torn[:len(torn)-2]); err != nil {
 		t.Fatal(err)
 	}
-	hold := make(chan struct{})
-	j.HoldFlush(hold)
-	var staged []uint64
-	for i := 0; i < 16; i++ {
-		tick, err := j.AppendAsync(Record{
-			Type: TypeSubmit, Job: 100 + i, Tool: "racon", Handler: "h1",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		staged = append(staged, tick)
-	}
-	wm := j.Stats().Watermark
-	for _, tk := range staged {
-		if tk <= wm {
-			t.Fatalf("staged ticket %d already at or below watermark %d", tk, wm)
-		}
-	}
-	if err := j.Crash(); err != nil {
+
+	j, err := Open(dir, Options{DurableSubmits: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	close(hold)
-	got, _, err := ReplayAll(dir)
+	defer j.Close()
+	if epoch := j.Stats().Tick >> tickEpochShift; epoch <= oldSeq {
+		t.Fatalf("incarnation epoch %d not above the old sequence number %d", epoch, oldSeq)
+	}
+	added := make([]Record, 5)
+	for i := range added {
+		added[i] = Record{Type: TypeSubmit, Job: 100 + i, Tool: "bonito", Handler: "h1"}
+	}
+	appendAll(t, j, added)
+	got, corrupt, err := ReplayAll(dir)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("replayed %d records, want the %d fsynced ones only", len(got), len(recs))
+	if len(corrupt) != 1 || filepath.Dir(corrupt[0].Segment) != shardDirName(5) {
+		t.Fatalf("corruption %v, want the torn tail of %s", corrupt, shardDirName(5))
 	}
-	for i := range got {
-		if got[i].Job >= 100 {
-			t.Fatalf("staged record %d resurfaced after crash", got[i].Job)
+	if len(got) != len(old)+len(added) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(old)+len(added))
+	}
+	for i, r := range got {
+		want := 0
+		if i < len(old) {
+			want = old[i].Job
+		} else {
+			want = added[i-len(old)].Job
 		}
-		if i > 0 && got[i].Tick <= got[i-1].Tick {
-			t.Fatalf("record %d: tick order broken", i)
+		if r.Job != want {
+			t.Fatalf("record %d: job %d, want %d (old records must replay first, in ticket order)", i, r.Job, want)
+		}
+		if i > 0 && r.Tick <= got[i-1].Tick {
+			t.Fatalf("record %d: tick %#x not above predecessor %#x", i, r.Tick, got[i-1].Tick)
+		}
+	}
+
+	snap := []Record{
+		{Type: TypeSubmit, Job: 1, Tool: "racon", Handler: "h1"},
+		{Type: TypeComplete, Job: 1, State: "ok", Handler: "h1"},
+	}
+	if err := j.WriteSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	for s := 1; s < 8; s++ {
+		if segs, err := listSeqs(filepath.Join(dir, shardDirName(s)), segPrefix, segSuffix); err != nil || len(segs) != 0 {
+			t.Fatalf("%s keeps segments %v after the snapshot (err %v)", shardDirName(s), segs, err)
+		}
+	}
+	if st := j.Stats(); st.Segments != 1 {
+		t.Fatalf("%s holds %d segments after the snapshot, want the fresh one", shardDirName(0), st.Segments)
+	}
+	post := Record{Type: TypeSubmit, Job: 200, Tool: "racon", Handler: "h1"}
+	if err := j.Append(post); err != nil {
+		t.Fatal(err)
+	}
+	got, err = Replay(dir)
+	if err != nil {
+		t.Fatalf("replay after the snapshot: %v", err)
+	}
+	wantJobs := []int{1, 1, 200}
+	if len(got) != len(wantJobs) {
+		t.Fatalf("replayed %d records after the snapshot, want %d: %+v", len(got), len(wantJobs), got)
+	}
+	for i, want := range wantJobs {
+		if got[i].Job != want {
+			t.Fatalf("record %d after the snapshot: job %d, want %d", i, got[i].Job, want)
 		}
 	}
 }
@@ -178,7 +202,7 @@ func TestShardedStagedLossIsPerStripe(t *testing.T) {
 // waiter with an error, and the record is absent at replay.
 func TestAsyncDurableCrashBetweenStageAndFlush(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 2, DurableSubmits: true})
+	j, err := Open(dir, Options{DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,15 +249,15 @@ func TestAsyncDurableCrashBetweenStageAndFlush(t *testing.T) {
 }
 
 // TestWatermarkMonotonicUnderConcurrentFlushers is the watermark property
-// test: under concurrent async appenders and per-stripe flushers the
-// watermark only ever grows and never runs ahead of the ticket counter; a
-// crash mid-stream then proves it never ran ahead of the fsynced prefix —
+// test: under concurrent async appenders draining through the one flusher
+// the watermark only ever grows and never runs ahead of the ticket counter;
+// a crash mid-stream then proves it never ran ahead of the fsynced prefix —
 // every ticket at or below the last observed watermark is in the replay.
 // The appenders alternate durable-class submits with start records, which
 // nothing ever waits on, so the scan is held to both.
 func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4, DurableSubmits: true})
+	j, err := Open(dir, Options{DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +330,7 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 	// Sanity: after a full Sync the watermark must catch the ticket counter
 	// exactly (fresh journal, no crash).
 	dir2 := t.TempDir()
-	j2, err := Open(dir2, Options{Shards: 4, DurableSubmits: true})
+	j2, err := Open(dir2, Options{DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,16 +346,16 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 	}
 }
 
-// TestShardFileIsTicketOrdered pins what one staging queue a shard buys: its
-// segment files hold its records in strictly increasing ticket order, with
+// TestShardFileIsTicketOrdered pins what the one staging queue buys: the
+// segment files hold the records in strictly increasing ticket order, with
 // no sort on the write path. Concurrent durable, async-durable and
-// non-durable appenders all target one 16-ID window (one shard), a bound of
-// 4 parks them on a full queue behind a held flusher, small segments force
-// rotations, and the files are decoded directly — Replay would sort.
+// non-durable appenders share the queue, a bound of 4 parks them on a full
+// queue behind a held flusher, small segments force rotations, and the
+// files are decoded directly — Replay would sort.
 func TestShardFileIsTicketOrdered(t *testing.T) {
 	dir := t.TempDir()
 	const bound = 4
-	j := gcOpenCap(t, dir, Options{Shards: 2, DurableSubmits: true, segmentBytes: 1024}, bound)
+	j := gcOpenCap(t, dir, Options{DurableSubmits: true, segmentBytes: 1024}, bound)
 	hold := make(chan struct{})
 	j.HoldFlush(hold)
 	const producers, each = 8, 40
@@ -342,7 +366,7 @@ func TestShardFileIsTicketOrdered(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				job := shardWindow + (p*each+i)%shardWindow
+				job := 1 + (p*each+i)%16
 				var err error
 				switch i % 3 {
 				case 0: // durable: waits for its batch's fsync
@@ -359,7 +383,7 @@ func TestShardFileIsTicketOrdered(t *testing.T) {
 			}
 		}(p)
 	}
-	for deadline := time.Now().Add(5 * time.Second); j.Stats().Shards[1].Staged < bound; {
+	for deadline := time.Now().Add(5 * time.Second); j.Stats().Staged < bound; {
 		if time.Now().After(deadline) {
 			t.Fatal("the queue never filled behind the held flusher")
 		}
@@ -375,34 +399,35 @@ func TestShardFileIsTicketOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if dirs, err := listShardDirs(dir); err != nil || len(dirs) != 1 {
+		t.Fatalf("segment directories %v (err %v), want the one the journal writes", dirs, err)
+	}
+	sdir := filepath.Join(dir, shardDirName(0))
+	segs, err := listSeqs(sdir, segPrefix, segSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 2 {
+		t.Fatalf("the journal wrote %d segments, want rotations", len(segs))
+	}
 	total := 0
-	for shard := 0; shard < 2; shard++ {
-		sdir := filepath.Join(dir, shardDirName(shard))
-		segs, err := listSeqs(sdir, segPrefix, segSuffix)
+	last := uint64(0)
+	for _, seq := range segs {
+		name := filepath.Join(shardDirName(0), segName(seq))
+		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shard == 1 && len(segs) < 2 {
-			t.Fatalf("shard 1 wrote %d segments, want rotations", len(segs))
+		recs, cerr := decodeStream(nil, b, name, 0)
+		if cerr != nil {
+			t.Fatalf("%s: %v", name, cerr)
 		}
-		last := uint64(0)
-		for _, seq := range segs {
-			name := filepath.Join(shardDirName(shard), segName(seq))
-			b, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
+		for _, r := range recs {
+			if r.Tick <= last {
+				t.Fatalf("%s: tick %d after %d — segment file out of ticket order", name, r.Tick, last)
 			}
-			recs, cerr := decodeStream(nil, b, name, 0)
-			if cerr != nil {
-				t.Fatalf("%s: %v", name, cerr)
-			}
-			for _, r := range recs {
-				if r.Tick <= last {
-					t.Fatalf("%s: tick %d after %d — shard file out of ticket order", name, r.Tick, last)
-				}
-				last = r.Tick
-				total++
-			}
+			last = r.Tick
+			total++
 		}
 	}
 	if total != producers*each {
@@ -410,17 +435,23 @@ func TestShardFileIsTicketOrdered(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotCompaction snapshots a sharded journal and checks the
-// compaction sweep: pre-snapshot stripe segments are deleted, replay returns
-// the snapshot records followed by post-snapshot appends, and nothing the
-// snapshot superseded resurfaces from any stripe.
+// TestShardedSnapshotCompaction snapshots a journal whose segments rotated
+// and checks the compaction sweep: pre-snapshot segments are deleted,
+// replay returns the snapshot records followed by post-snapshot appends,
+// and nothing the snapshot superseded resurfaces.
 func TestShardedSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4, segmentBytes: 512})
+	j, err := Open(dir, Options{segmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, testRecords(40))
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Rotations == 0 || st.Segments < 2 {
+		t.Fatalf("no rotation before the snapshot: %+v", st)
+	}
 	snap := []Record{
 		{Type: TypeSubmit, Job: 1, Tool: "racon", Handler: "h1"},
 		{Type: TypeSubmit, Job: 2, Tool: "bonito", Handler: "h1"},
@@ -448,8 +479,8 @@ func TestShardedSnapshotCompaction(t *testing.T) {
 			t.Fatalf("record %d: job %d, want %d", i, got[i].Job, want)
 		}
 	}
-	// Compaction really removed the superseded stripe segments: each stripe
-	// keeps only its post-snapshot segment.
+	// Compaction really removed the superseded segments: only the
+	// post-snapshot segment is left.
 	dirs, err := listShardDirs(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -460,27 +491,20 @@ func TestShardedSnapshotCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(segs) != 1 {
-			t.Fatalf("stripe %s: %d segments after compaction, want 1", sd, len(segs))
+			t.Fatalf("%s: %d segments after compaction, want 1", sd, len(segs))
 		}
 	}
 }
 
-// TestShardedReopenKeepsTicketOrder closes and reopens a sharded journal and
-// checks the second incarnation's records replay strictly after the first's:
-// the incarnation epoch in the ticket high bits keeps the merge total even
-// though the in-memory counter restarted.
+// TestShardedReopenKeepsTicketOrder opens a journal an older version wrote
+// through four stripes and checks the new incarnation's records replay
+// strictly after the old ones: the incarnation epoch in the ticket high bits
+// keeps the merge total even though the in-memory counter restarted.
 func TestShardedReopenKeepsTicketOrder(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	first := testRecords(20)
-	appendAll(t, j, first)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := Open(dir, Options{Shards: 4})
+	writeSharded(t, dir, 4, 1, first)
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,8 +512,8 @@ func TestShardedReopenKeepsTicketOrder(t *testing.T) {
 	for i := range second {
 		second[i] = Record{Type: TypeSubmit, Job: 100 + i, Tool: "bonito", Handler: "h1"}
 	}
-	appendAll(t, j2, second)
-	if err := j2.Close(); err != nil {
+	appendAll(t, j, second)
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Replay(dir)
@@ -516,26 +540,29 @@ func TestShardedReopenKeepsTicketOrder(t *testing.T) {
 }
 
 // TestLegacyUpgradeEpochStrictlyIncreasing reopens a directory seeded with
-// legacy top-level segments as a sharded journal across several crash
-// incarnations. The legacy wal-* files pin the historical max sequence high;
-// each sharded incarnation must still raise it (its shard segments open above
-// the global max), so every Open issues a strictly higher incarnation epoch
-// and no two incarnations ever share commit tickets — the merged replay must
-// order the incarnations' records without ticket collisions.
+// both older layouts — flat top-level segments and a striped incarnation
+// above them — across several crash incarnations. The old files pin the
+// historical max sequence high; each incarnation must still raise it (its
+// segment opens above the global max), so every Open issues a strictly
+// higher incarnation epoch and no two incarnations ever share commit
+// tickets — the merged replay must order the incarnations' records without
+// ticket collisions.
 func TestLegacyUpgradeEpochStrictlyIncreasing(t *testing.T) {
 	dir := t.TempDir()
 	// Seed a flat-layout journal with enough segments to pin maxSeq well
-	// above the shard count.
+	// above the stripe count, then a striped incarnation above it.
 	legacy := testRecords(12)
 	for i, r := range legacy {
 		r.Tick = 1<<tickEpochShift + uint64(i+1)
 		writeFlat(t, dir, segName(i+1), []Record{r})
 	}
+	striped := testRecords(8)
+	writeSharded(t, dir, 4, len(legacy)+1, striped)
 
 	var epochs []uint64
-	total := len(legacy)
+	total := len(legacy) + len(striped)
 	for inc := 0; inc < 3; inc++ {
-		j, err := Open(dir, Options{Shards: 4})
+		j, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("incarnation %d: %v", inc, err)
 		}
@@ -556,6 +583,9 @@ func TestLegacyUpgradeEpochStrictlyIncreasing(t *testing.T) {
 		if err := j.Crash(); err != nil {
 			t.Fatalf("incarnation %d crash: %v", inc, err)
 		}
+	}
+	if epochs[0] <= uint64(len(legacy)+1) {
+		t.Fatalf("first epoch %d not above the striped incarnation's %d", epochs[0], len(legacy)+1)
 	}
 	for i := 1; i < len(epochs); i++ {
 		if epochs[i] <= epochs[i-1] {
@@ -578,14 +608,14 @@ func TestLegacyUpgradeEpochStrictlyIncreasing(t *testing.T) {
 }
 
 // TestCrashRacingSnapshotDoesNotPanic races CrashTorn against WriteSnapshot:
-// the snapshot seals every shard's segment (s.f = nil) before reopening, and
-// a crash landing in that window must model process death — mark the shards
-// dead, skip the missing handles — not panic on a nil file. Either side may
-// report an error; the journal just has to stay replayable.
+// the snapshot seals the live segment (j.f = nil) before reopening, and a
+// crash landing in that window must model process death — skip the missing
+// handle — not panic on a nil file. Either side may report an error; the
+// journal just has to stay replayable.
 func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		dir := filepath.Join(t.TempDir(), "j")
-		j, err := Open(dir, Options{Shards: 4, DurableSubmits: true})
+		j, err := Open(dir, Options{DurableSubmits: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -607,60 +637,60 @@ func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 	}
 }
 
-// TestShardedLockExcludesSecondOpen makes sure the flock guard still covers
-// the sharded layout: the LOCK file stays top-level, so a second opener is
-// rejected whatever the shard count.
+// TestShardedLockExcludesSecondOpen makes sure the flock guard covers a
+// directory an older version striped: the LOCK file stays top-level, so a
+// second opener is rejected.
 func TestShardedLockExcludesSecondOpen(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4})
+	writeSharded(t, dir, 4, 1, testRecords(8))
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 	var le *LockedError
-	if _, err := Open(dir, Options{Shards: 4}); !errors.As(err, &le) {
+	if _, err := Open(dir, Options{}); !errors.As(err, &le) {
 		t.Fatalf("second open: err=%v, want LockedError", err)
 	}
 }
 
-// TestShardStatsBreakdown checks Stats carries the per-stripe mirror the
-// scrape exposes: every stripe reports its own appends and the aggregates
-// sum over them.
-func TestShardStatsBreakdown(t *testing.T) {
+// TestStatsCountsSegmentsAndStaged checks Stats carries what the scrape
+// exposes beside the totals: the live segment count, and the records staged
+// behind a held flusher, which drain to zero once it runs.
+func TestStatsCountsSegmentsAndStaged(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{Shards: 4})
+	j, err := Open(dir, Options{segmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	// Job IDs cluster onto shards in shardWindow-sized runs, so covering
-	// all 4 shards takes at least 4 windows' worth of jobs.
-	appendAll(t, j, testRecords(4*shardWindow))
+	appendAll(t, j, testRecords(40))
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	st := j.Stats()
-	if len(st.Shards) != 4 {
-		t.Fatalf("Stats.Shards has %d entries, want 4", len(st.Shards))
+	if st.Appends != 40 || st.Staged != 0 {
+		t.Fatalf("after Sync: appends %d, staged %d, want 40 and 0", st.Appends, st.Staged)
 	}
-	sum := 0
-	for i, ss := range st.Shards {
-		if ss.Shard != i {
-			t.Fatalf("shard %d reports index %d", i, ss.Shard)
-		}
-		if ss.Appends == 0 {
-			t.Fatalf("shard %d saw no appends; striping is broken", i)
-		}
-		if ss.Segments == 0 {
-			t.Fatalf("shard %d reports no live segments", i)
-		}
-		sum += ss.Appends
+	if st.Segments != st.Rotations+1 || st.Segments < 2 {
+		t.Fatalf("%d live segments after %d rotations, want one more than the rotations", st.Segments, st.Rotations)
 	}
-	if sum != st.Appends || st.Appends != 4*shardWindow {
-		t.Fatalf("aggregate appends %d, per-shard sum %d, want %d", st.Appends, sum, 4*shardWindow)
-	}
-	if st.Tick == 0 || st.Watermark == 0 {
+	if st.Tick == 0 || st.Watermark != st.Tick {
 		t.Fatalf("tick/watermark not exposed: %+v", st)
+	}
+	hold := make(chan struct{})
+	j.HoldFlush(hold)
+	appendAll(t, j, testRecords(3))
+	if st := j.Stats(); st.Staged != 3 || st.Watermark >= st.Tick {
+		t.Fatalf("behind a held flusher: staged %d, watermark %d, tick %d", st.Staged, st.Watermark, st.Tick)
+	}
+	close(hold)
+	j.HoldFlush(nil)
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Staged != 0 || st.Appends != 43 {
+		t.Fatalf("after release: staged %d, appends %d, want 0 and 43", st.Staged, st.Appends)
 	}
 }
 
@@ -696,12 +726,10 @@ func TestAdaptiveControllerConverges(t *testing.T) {
 
 // TestShardedAdaptiveRoundTrip runs the full adaptive group-commit pipeline
 // end to end and checks nothing is lost: a mixed synchronous/asynchronous
-// workload over a sharded journal replays complete and ordered.
+// workload from eight concurrent appenders replays complete and ordered.
 func TestShardedAdaptiveRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{
-		Shards: 4, DurableSubmits: true,
-	})
+	j, err := Open(dir, Options{DurableSubmits: true})
 	if err != nil {
 		t.Fatal(err)
 	}

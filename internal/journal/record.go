@@ -6,11 +6,11 @@
 // crash, and lease records let a standby handler detect a dead peer and adopt
 // its orphaned jobs.
 //
-// On-disk format. A journal is a directory of per-stripe subdirectories
-// (shard-00/, shard-01/, ...) holding segment files (wal-00000001.seg,
-// wal-00000002.seg, ...), plus at most a few top-level snapshot files
-// (snap-00000005.json; the suffix is historical, a snapshot is framed records
-// like a segment). Each record is framed as
+// On-disk format. A journal is a directory with one segment subdirectory
+// (shard-00/; the name is historical) holding segment files
+// (wal-00000001.seg, wal-00000002.seg, ...), plus at most a few top-level
+// snapshot files (snap-00000005.json; the suffix is historical too, a
+// snapshot is framed records like a segment). Each record is framed as
 //
 //	uint32 LE payload length | uint32 LE CRC32(payload) | payload
 //
@@ -19,20 +19,19 @@
 // those start with '{', which no version byte is, so replay still reads
 // them, and one directory may mix both. Records never span segments.
 //
-// Writing. Each stripe is an independent staged pipeline — one staging
-// queue, a flusher goroutine, one fsync per batch (see shard.go) — and the
-// only code that writes a segment. Every record carries a global commit
-// ticket (Record.Tick); a stripe's segment files are strictly in ticket
-// order, a job's records always land in one stripe, and replay merges the
-// streams back into the journal-wide total order by ticket. Snapshots stay
-// top-level and supersede by ticket: segment records below the snapshot's
-// lowest ticket are dropped at replay, and compaction deletes the segments
-// they sit in. Segments directly in the journal
-// directory are the flat layout older versions wrote; they are read as one
-// more stream and never written.
+// Writing. One staged pipeline — one staging queue, one flusher goroutine,
+// one fsync per batch (see pipeline.go) — is the only code that writes a
+// segment. Every record carries a commit ticket (Record.Tick), and the
+// segment files are strictly in ticket order. Snapshots stay top-level and
+// supersede by ticket: segment records below the snapshot's lowest ticket
+// are dropped at replay, and compaction deletes the segments they sit in.
+// Older versions wrote two more layouts, read as more streams and never
+// written: segments directly in the journal directory (the flat layout),
+// and several shard-NN/ subdirectories side by side, one per striped
+// pipeline. Replay merges every stream into one total order by ticket.
 //
 // Corruption. Appends are staged and fsynced in batches, so a crash can
-// leave a torn record at the tail of a stripe's last segment (and fault injection
+// leave a torn record at the tail of the last segment (and fault injection
 // or disk rot can flip bits anywhere). Replay never panics on bad input: a
 // corrupt record ends only its own segment — each process incarnation
 // appends to a fresh segment, so a torn tail is always sealed inside the
@@ -144,8 +143,8 @@ type Record struct {
 	// Handler is the handler that wrote the record (job ownership flows
 	// from the submit record's handler, overridden by adopt records).
 	Handler string `json:"h,omitempty"`
-	// Tick is the record's global commit ticket, stamped by Append. One
-	// job's records sit in its shard in tick order, and Replay restores the
+	// Tick is the record's global commit ticket, stamped by Append. The
+	// segment files hold records in tick order, and Replay restores the
 	// journal-wide total order by merging every stream on it. The high bits
 	// carry the writer incarnation's epoch, so tickets stay monotonic across
 	// restarts. Records written before tickets existed carry 0 and sort

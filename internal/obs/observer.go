@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strconv"
 	"time"
 
 	"gyan/internal/journal"
@@ -41,9 +40,6 @@ type Observer struct {
 	fsyncBatch       *Histogram
 	fsyncSeconds     *Histogram
 	surveySeconds    *Histogram
-
-	shardFsyncBatch   HistogramVec // by shard
-	shardFsyncSeconds HistogramVec // by shard
 }
 
 // NewObserver builds an observer with a fresh registry and tracer and the
@@ -94,12 +90,6 @@ func NewObserver() *Observer {
 			// From 1µs: a survey is tens of microseconds, below the
 			// first bound of DefLatencyBuckets.
 			[]float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 0.1}),
-		shardFsyncBatch: r.HistogramVec("gyan_journal_shard_fsync_batch_records",
-			"Records made durable per fsync on one journal stripe.",
-			DefBatchBuckets(), "shard"),
-		shardFsyncSeconds: r.HistogramVec("gyan_journal_shard_fsync_seconds",
-			"Wall-clock duration of fsyncs on one journal stripe.",
-			[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1}, "shard"),
 	}
 	return o
 }
@@ -202,13 +192,4 @@ func (o *Observer) ObserveFsync(records int, took time.Duration) {
 // trip. Wired into smi.NewCache, which reports its misses.
 func (o *Observer) ObserveSurvey(took time.Duration) {
 	o.surveySeconds.ObserveDuration(took)
-}
-
-// ObserveShardFsync records one fsync on a single journal stripe, labelled
-// by shard index. Wired into journal.SetShardSyncObserver alongside the
-// aggregate ObserveFsync.
-func (o *Observer) ObserveShardFsync(shard, records int, took time.Duration) {
-	l := strconv.Itoa(shard)
-	o.shardFsyncBatch.With(l).Observe(float64(records))
-	o.shardFsyncSeconds.With(l).ObserveDuration(took)
 }

@@ -317,19 +317,6 @@ func (r *Registry) GaugeVec(name, help string, labelNames ...string) GaugeVec {
 	return GaugeVec{r.registerFamily(name, help, kindGauge, labelNames, nil)}
 }
 
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
-
-// With returns the histogram for the given label values, creating it on
-// first use.
-func (v HistogramVec) With(labelValues ...string) *Histogram { return v.f.get(labelValues).h }
-
-// HistogramVec registers (or fetches) a labeled histogram family with the
-// given ascending bucket upper bounds.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) HistogramVec {
-	return HistogramVec{r.registerFamily(name, help, kindHistogram, labelNames, buckets)}
-}
-
 // runHooks fires the scrape hooks outside the registry lock (hooks may set
 // series, which takes family locks).
 func (r *Registry) runHooks() {

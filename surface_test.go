@@ -26,7 +26,7 @@ const modulePath = "gyan"
 // test references, on one the programs have since started to call, and on a
 // sixteenth.
 var seams = map[string]string{
-	"journal.Journal.HoldFlush":       "parks the flushers so a crash loses staged records on cue: galaxy TestCrashMidWorkloadRequeuesWithSeniority",
+	"journal.Journal.HoldFlush":       "parks the flusher so a crash loses staged records on cue: galaxy TestCrashMidWorkloadRequeuesWithSeniority",
 	"faults.NewMsgPlan":               "arms the message-fault plan a simulated bus consults: cluster TestTransportChaosKillBetweenPhases, transporttest TestSimBusConformance",
 	"faults.MsgPlan.Cut":              "installs a one-way partition: cluster TestStaggeredDetectionDivergentViews, transport TestBusOneWayPartitionAndKill",
 	"faults.MsgPlan.Heal":             "lifts a one-way partition: transport TestBusOneWayPartitionAndKill, transporttest TestSimBusConformance",
