@@ -11,6 +11,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/journal:FuzzRecordCodec \
                 ./internal/workflow:FuzzBuildDAG \
                 ./internal/smi:FuzzParseXML \
+                ./internal/smi:FuzzSurveyCache \
                 ./internal/bioseq:FuzzEditDistance \
                 ./internal/tools/racon:FuzzAddSequence \
                 ./internal/tools/bonito:FuzzBasecall \

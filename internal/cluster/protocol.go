@@ -8,7 +8,6 @@ import (
 	"gyan/internal/galaxy"
 	"gyan/internal/journal"
 	"gyan/internal/sim"
-	"gyan/internal/smi"
 	"gyan/internal/transport"
 )
 
@@ -353,7 +352,7 @@ func (n *Node) renewLease(now time.Duration) {
 	}
 	m.renewedOnce = true
 	m.lastRenew = now
-	load := peerLoad{Depth: n.g.QueuedBacklog(), Free: n.freeGPUs(now)}
+	load := peerLoad{Depth: n.g.QueuedBacklog(), Free: n.g.FreeGPUs(now)}
 	if m.warming {
 		// Advertise no capacity while warming: a peer enticed into preparing
 		// a steal here would only be refused.
@@ -367,21 +366,6 @@ func (n *Node) renewLease(now time.Duration) {
 			renewBody{Load: load, Inc: n.cfg.Incarnation, Warming: m.warming})
 	}
 	n.met.renewals.With(n.id).Inc()
-}
-
-// freeGPUs counts this member's available devices the way its mapper does:
-// from the nvidia-smi document. A survey that cannot be read advertises no
-// capacity, as the mapper would place nothing on it.
-func (n *Node) freeGPUs(now time.Duration) int {
-	doc, err := smi.Query(n.g.Cluster, now)
-	if err != nil {
-		return 0
-	}
-	u, err := smi.UsageFromXML(doc)
-	if err != nil {
-		return 0
-	}
-	return len(u.AvailableGPUs)
 }
 
 // detectFailures declares every peer whose lease has lapsed.

@@ -110,7 +110,8 @@ func (g *Galaxy) DeadLetters() []*Job {
 //
 // The per-job fault check runs before the cache is consulted: a survey hit
 // must not let a job skip its own injected probe fault. Only the
-// query+parse round trip behind the fault gate is shared (see smi.Cache).
+// render+parse round trip behind the fault gate is shared, and only while
+// the device report is unchanged (see smi.Cache).
 func (g *Galaxy) surveyLocked(job *Job, now time.Duration) (smi.Usage, error) {
 	site := faults.Site{Op: faults.OpProbe, Job: job.ID, Tool: job.ToolID, Attempt: job.Attempt()}
 	if f, fired := g.faultPlan.Check(now, site); fired {
@@ -131,7 +132,6 @@ func (g *Galaxy) abortRunLocked(job *Job, now time.Duration) func() {
 	for _, s := range job.sessions {
 		s.Abort(now)
 	}
-	g.surveyCache.Invalidate()
 	job.sessions = nil
 	job.run++
 	rel := job.release

@@ -243,6 +243,21 @@ func TestQuarantineRoutesRetryAroundBadDevice(t *testing.T) {
 	}
 }
 
+// FreeGPUs is the capacity a cluster member gossips: the mapper's survey,
+// so a quarantined device is not free even while it sits idle, and the
+// quarantine applies to a survey the cache already holds.
+func TestFreeGPUsHidesQuarantinedDevice(t *testing.T) {
+	q := faults.NewQuarantine(1, 0)
+	g := testGalaxy(t, WithQuarantine(q))
+	if got := g.FreeGPUs(time.Second); got != 2 {
+		t.Fatalf("idle testbed: FreeGPUs = %d, want 2", got)
+	}
+	q.RecordFault(1, time.Second)
+	if got := g.FreeGPUs(2 * time.Second); got != 1 {
+		t.Fatalf("GPU 1 quarantined: FreeGPUs = %d, want 1", got)
+	}
+}
+
 func TestGangGateFaultRetriesUnderScheduler(t *testing.T) {
 	plan := faults.NewPlan(1, faults.Rule{
 		Match: faults.Match{Op: faults.OpGang},

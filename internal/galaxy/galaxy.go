@@ -62,8 +62,8 @@ type Galaxy struct {
 	// about to delete. Uncontended outside snapshots.
 	snapGate sync.RWMutex
 
-	// surveyCache deduplicates nvidia-smi surveys taken at the same virtual
-	// instant (see internal/smi); invalidated whenever device state changes.
+	// surveyCache shares one nvidia-smi parse among surveys that see the
+	// same device report (see internal/smi).
 	surveyCache *smi.Cache
 
 	// obsv receives every journaled job-state transition, plus the
@@ -653,9 +653,6 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 		return
 	}
 	res, err := binding.Exec(req)
-	// The executor opened (or failed to open) device sessions either way:
-	// any same-instant survey cache is stale now.
-	g.surveyCache.Invalidate()
 	if err != nil {
 		// Galaxy resubmission: a destination may name a fallback for
 		// failed jobs (e.g. device OOM on the GPU destination reroutes
@@ -694,7 +691,6 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 		for _, s := range job.sessions {
 			s.Close()
 		}
-		g.surveyCache.Invalidate()
 		job.sessions = nil
 		job.release = nil
 		job.finish(StateOK, fin)
@@ -738,7 +734,6 @@ func (g *Galaxy) Kill(job *Job) {
 	for _, s := range job.sessions {
 		s.Abort(now)
 	}
-	g.surveyCache.Invalidate()
 	job.sessions = nil
 	job.Info = "killed by user"
 	job.finish(StateError, now)

@@ -13,10 +13,13 @@ import (
 // Observer returns the engine's observability sink (never nil).
 func (g *Galaxy) Observer() *obs.Observer { return g.obsv }
 
-// SurveyCacheStats returns the nvidia-smi survey cache's hit, miss and
-// invalidation counts.
+// SurveyCacheStats returns the nvidia-smi survey cache's hit and miss
+// counts. The third value, invalidations, is deprecated: always 0. The cache
+// keys on the device report and is never invalidated; the value stays only
+// for callers that still destructure three.
 func (g *Galaxy) SurveyCacheStats() (hits, misses, invalidations int) {
-	return g.surveyCache.Stats()
+	hits, misses = g.surveyCache.Stats()
+	return hits, misses, 0
 }
 
 // jobStates enumerates every lifecycle state, so the jobs-by-state gauge
@@ -55,9 +58,7 @@ func (g *Galaxy) installObsScrape() {
 	hits := reg.Counter("gyan_smi_cache_hits_total",
 		"nvidia-smi survey cache hits (shared parses).")
 	misses := reg.Counter("gyan_smi_cache_misses_total",
-		"nvidia-smi survey cache misses (full Query+parse round trips).")
-	invals := reg.Counter("gyan_smi_cache_invalidations_total",
-		"Survey cache invalidations (device-state mutations).")
+		"nvidia-smi survey cache misses (render+parse round trips of a changed device report).")
 
 	reg.OnScrape(func() {
 		counts := make(map[JobState]int, len(jobStates))
@@ -79,9 +80,8 @@ func (g *Galaxy) installObsScrape() {
 			segments.Set(float64(st.Segments))
 			staged.Set(float64(st.Staged))
 		}
-		h, m, inv := g.SurveyCacheStats()
+		h, m := g.surveyCache.Stats()
 		hits.Set(uint64(h))
 		misses.Set(uint64(m))
-		invals.Set(uint64(inv))
 	})
 }

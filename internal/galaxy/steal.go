@@ -261,6 +261,20 @@ func (g *Galaxy) QueuedBacklog() int {
 	return g.sched.QueueDepth()
 }
 
+// FreeGPUs counts the devices the mapper would see as available at now:
+// the survey it reads, through the same cache, with quarantined devices
+// hidden. A cluster member gossips it as its capacity. A survey that cannot
+// be read counts none, as the mapper would place nothing on it.
+func (g *Galaxy) FreeGPUs(now time.Duration) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	survey, err := g.surveyCache.Usage(g.Cluster, now)
+	if err != nil {
+		return 0
+	}
+	return len(survey.Without(g.quarantine.Quarantined(now)).AvailableGPUs)
+}
+
 // RunningGangs returns how many scheduler-granted jobs currently hold
 // devices (zero without WithScheduler).
 func (g *Galaxy) RunningGangs() int {

@@ -49,6 +49,10 @@ type Device struct {
 	procs     map[int]*Process // keyed by PID
 	usedBytes int64
 	busy      []busyInterval
+	// reach[i] is the latest end over busy[:i+1]. It never decreases, so a
+	// binary search finds the first interval that can reach into a window
+	// even though contention records intervals out of start order.
+	reach []time.Duration
 	// kernelEnd tracks, per process, when its most recently issued work
 	// finishes; new kernels from the same process queue behind it, and
 	// overlap with other processes' entries models SM contention.
@@ -181,8 +185,10 @@ func (d *Device) UtilizationOver(from, to time.Duration) float64 {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// Every interval before first ends at or before from and adds nothing.
+	first := sort.Search(len(d.reach), func(i int) bool { return d.reach[i] > from })
 	var weighted time.Duration
-	for _, iv := range d.busy {
+	for _, iv := range d.busy[first:] {
 		s, e := iv.start, iv.end
 		if s < from {
 			s = from
@@ -236,16 +242,20 @@ func (d *Device) EnergyOver(from, to time.Duration) float64 {
 
 // recordBusy appends a busy interval; caller must hold d.mu.
 func (d *Device) recordBusy(pid int, start, end time.Duration, occupancy float64) {
+	latest := end
 	// Coalesce with the previous interval when contiguous at the same
 	// occupancy, to keep long kernel streams compact.
 	if n := len(d.busy); n > 0 {
 		last := &d.busy[n-1]
 		if last.end == start && last.occupancy == occupancy && last.pid == pid {
 			last.end = end
+			d.reach[n-1] = max(d.reach[n-1], end)
 			return
 		}
+		latest = max(latest, d.reach[n-1])
 	}
 	d.busy = append(d.busy, busyInterval{start: start, end: end, occupancy: occupancy, pid: pid})
+	d.reach = append(d.reach, latest)
 }
 
 // AbortProcess tears a process down at virtual time `at`: kernels queued or
@@ -254,7 +264,8 @@ func (d *Device) recordBusy(pid int, start, end time.Duration, occupancy float64
 // Used by the framework's job-kill path.
 func (d *Device) AbortProcess(pid int, at time.Duration) {
 	d.mu.Lock()
-	kept := d.busy[:0]
+	kept, reach := d.busy[:0], d.reach[:0]
+	var latest time.Duration
 	for _, iv := range d.busy {
 		if iv.pid == pid {
 			if iv.start >= at {
@@ -264,9 +275,11 @@ func (d *Device) AbortProcess(pid int, at time.Duration) {
 				iv.end = at
 			}
 		}
+		latest = max(latest, iv.end)
 		kept = append(kept, iv)
+		reach = append(reach, latest)
 	}
-	d.busy = kept
+	d.busy, d.reach = kept, reach
 	d.mu.Unlock()
 	d.Detach(pid)
 }

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -280,5 +281,105 @@ func TestUtilizationWindows(t *testing.T) {
 	}
 	if u := d.UtilizationOver(end+time.Second, end+2*time.Second); u != 0 {
 		t.Errorf("utilization after kernel = %.1f%%, want 0", u)
+	}
+}
+
+// fullScanUtilization is UtilizationOver before the reach index: it visits
+// the device's whole busy history. Kept as the oracle the indexed scan must
+// match bit for bit.
+func fullScanUtilization(d *Device, from, to time.Duration) float64 {
+	if to <= from {
+		return 0
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var weighted time.Duration
+	for _, iv := range d.busy {
+		s, e := iv.start, iv.end
+		if s < from {
+			s = from
+		}
+		if e > to {
+			e = to
+		}
+		if e > s {
+			weighted += time.Duration(float64(e-s) * iv.occupancy)
+		}
+	}
+	util := 100 * float64(weighted) / float64(to-from)
+	if util > 100 {
+		util = 100
+	}
+	return util
+}
+
+// randomHistory drives seeded kernel traffic through real streams on one
+// device: several processes contending for it (so intervals are recorded
+// out of start order), back-to-back launches that coalesce, synchronizes and
+// host gaps that split them, and aborts that truncate or drop intervals.
+func randomHistory(t *testing.T, rng *rand.Rand) *Device {
+	t.Helper()
+	c := testCluster(t)
+	d, _ := c.Device(0)
+	var now time.Duration
+	var streams []*Stream
+	for range 20 + rng.Intn(200) {
+		switch op := rng.Intn(10); {
+		case op == 0 || len(streams) == 0:
+			streams = append(streams, d.NewStream(c.NextPID(), "tool", now, nil))
+		case op <= 5:
+			s := streams[rng.Intn(len(streams))]
+			k := Kernel{
+				Name:            "k",
+				Ops:             float64(1+rng.Intn(400)) * 1e9,
+				Blocks:          1 + rng.Intn(13),
+				ThreadsPerBlock: 32 * (1 + rng.Intn(8)),
+			}
+			if err := s.Launch(k); err != nil {
+				t.Fatal(err)
+			}
+		case op == 6:
+			streams[rng.Intn(len(streams))].Synchronize()
+		case op == 7:
+			streams[rng.Intn(len(streams))].HostOverhead("gap", time.Duration(rng.Intn(300))*time.Millisecond)
+		case op == 8:
+			i := rng.Intn(len(streams))
+			streams[i].Abort(now)
+			streams = append(streams[:i], streams[i+1:]...)
+		default:
+			now += time.Duration(rng.Intn(1500)) * time.Millisecond
+		}
+	}
+	return d
+}
+
+// TestUtilizationOverMatchesFullScan holds the indexed utilization scan to
+// the full-history loop: over random histories and windows — negative
+// starts, empty and inverted windows, windows before, inside and after the
+// traffic — the two results are equal as float64s.
+func TestUtilizationOverMatchesFullScan(t *testing.T) {
+	outOfOrder := false
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := randomHistory(t, rng)
+		spans := d.BusySpans()
+		var last time.Duration
+		for i, sp := range spans {
+			if i > 0 && sp.Start < spans[i-1].Start {
+				outOfOrder = true
+			}
+			last = max(last, sp.End)
+		}
+		horizon := int64(last + 2*time.Second)
+		for range 200 {
+			from := time.Duration(rng.Int63n(horizon)) - time.Second
+			to := from + time.Duration(rng.Int63n(int64(3*time.Second))) - 200*time.Millisecond
+			if got, want := d.UtilizationOver(from, to), fullScanUtilization(d, from, to); got != want {
+				t.Fatalf("seed %d: UtilizationOver(%v, %v) = %v, full scan %v", seed, from, to, got, want)
+			}
+		}
+	}
+	if !outOfOrder {
+		t.Fatal("no history recorded an interval out of start order; the generator lost its contention")
 	}
 }

@@ -1,32 +1,33 @@
 package smi
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"gyan/internal/gpu"
 )
 
-// Cache deduplicates survey round trips. Every mapping decision runs the
-// full nvidia-smi pipeline — render the `-q -x` XML report, parse it back,
-// fold it into a Usage — and a burst of decisions landing at the same
-// virtual instant sees identical device state. The cache keeps the
-// last parsed Usage and serves it to surveys taken at exactly the same
-// virtual instant, which cannot change any placement decision — device state
-// is a function of virtual time, and the owner invalidates the cache
-// whenever device state changes (sessions opened, closed, aborted), so a hit
-// can never observe a stale allocation.
+// Cache deduplicates survey round trips. Every survey takes a Snapshot of
+// the cluster — what the device layer would report right now — and pays the
+// rest of the nvidia-smi pipeline (render the `-q -x` XML report, parse it
+// back, fold it into a Usage) only when that snapshot differs from the one
+// behind the cached Usage in some field other than its timestamp. The fold
+// never reads the timestamp, so a hit serves exactly the Usage the round trip
+// would have produced; and because the key is the device report itself, any
+// device-state mutation — a session opened, closed or aborted, a kernel
+// ending inside the utilization window — reaches the next survey without its
+// author having to announce it.
 //
-// mu is held across a miss's round trip, so an Invalidate can never land
-// between a survey and its install. Every caller already holds the engine
-// lock, so the mutex is never contended.
+// mu is held across a miss's round trip. Every caller already holds the
+// engine lock, so the mutex is never contended.
 type Cache struct {
 	mu    sync.Mutex
-	at    time.Duration
 	valid bool
+	rep   Report // the snapshot usage was parsed from
 	usage Usage
 
-	hits, misses, invalidations int
+	hits, misses int
 
 	// observeMiss, when set, receives the wall-clock cost of each miss's
 	// round trip.
@@ -34,34 +35,34 @@ type Cache struct {
 }
 
 // NewCache builds a survey cache. observeMiss, if not nil, is told how long
-// each miss's Query+UsageFromXML round trip took on the wall clock; it runs
-// on the surveying goroutine after the cache is unlocked.
+// each miss's render+parse round trip took on the wall clock; it runs on the
+// surveying goroutine after the cache is unlocked.
 func NewCache(observeMiss func(time.Duration)) *Cache {
 	return &Cache{observeMiss: observeMiss}
 }
 
-// Usage returns the cluster's usage survey at now, serving a cached parse
-// when one taken at now is still valid. A miss pays the Query+UsageFromXML
-// round trip — tens of microseconds for a two-GPU node with the hand-written
-// codec in xml.go, so the cache is a saving on same-instant bursts and not
-// what keeps a dispatch affordable.
+// Usage returns the cluster's usage survey at now: the cached parse when the
+// device report at now matches the one it came from, otherwise the
+// RenderXML+UsageFromXML round trip of that report, which is what Query and
+// UsageFromXML compute. A miss that errors is not cached.
 func (c *Cache) Usage(cluster *gpu.Cluster, now time.Duration) (Usage, error) {
 	c.mu.Lock()
-	if c.valid && now == c.at {
+	began := time.Now()
+	rep := Snapshot(cluster, now)
+	if c.valid && sameDevices(rep, c.rep) {
 		c.hits++
 		u := c.usage
 		c.mu.Unlock()
 		return u, nil
 	}
-	began := time.Now()
-	doc, err := Query(cluster, now)
+	doc, err := RenderXML(rep)
 	var u Usage
 	if err == nil {
 		u, err = UsageFromXML(doc)
 	}
 	if err == nil {
 		c.misses++
-		c.at, c.usage, c.valid = now, u, true
+		c.rep, c.usage, c.valid = rep, u, true
 	}
 	took := time.Since(began)
 	c.mu.Unlock()
@@ -74,18 +75,35 @@ func (c *Cache) Usage(cluster *gpu.Cluster, now time.Duration) (Usage, error) {
 	return u, nil
 }
 
-// Invalidate drops the cached survey. Call after any device-state mutation
-// (session open/close/abort) so later same-instant surveys re-query.
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	c.valid = false
-	c.invalidations++
-	c.mu.Unlock()
+// sameDevices reports whether two reports agree in every field but
+// Timestamp.
+func sameDevices(a, b Report) bool {
+	return a.DriverVersion == b.DriverVersion && a.CUDAVersion == b.CUDAVersion &&
+		slices.EqualFunc(a.GPUs, b.GPUs, sameGPU)
 }
 
-// Stats returns the cache's hit, miss and invalidation counts.
-func (c *Cache) Stats() (hits, misses, invalidations int) {
+// sameGPU compares every field of two device sections, the process tables
+// element by element.
+func sameGPU(x, y GPUInfo) bool {
+	return x.MinorNumber == y.MinorNumber &&
+		x.ProductName == y.ProductName &&
+		x.UUID == y.UUID &&
+		x.BusID == y.BusID &&
+		x.FanPercent == y.FanPercent &&
+		x.TemperatureC == y.TemperatureC &&
+		x.PerfState == y.PerfState &&
+		x.PowerDrawW == y.PowerDrawW &&
+		x.PowerLimitW == y.PowerLimitW &&
+		x.MemoryTotalMiB == y.MemoryTotalMiB &&
+		x.MemoryUsedMiB == y.MemoryUsedMiB &&
+		x.UtilizationPct == y.UtilizationPct &&
+		x.PCIeGen == y.PCIeGen &&
+		slices.Equal(x.Processes, y.Processes)
+}
+
+// Stats returns the cache's hit and miss counts.
+func (c *Cache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.invalidations
+	return c.hits, c.misses
 }

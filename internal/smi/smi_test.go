@@ -1,6 +1,7 @@
 package smi
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -213,5 +214,40 @@ func TestUsageAvailabilityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// snapshotSink keeps the benchmarked Snapshot call from being optimized away.
+var snapshotSink Report
+
+// BenchmarkSnapshotHistory times one Snapshot, the step every cached survey
+// pays, against devices that have each run n separate kernels: the
+// utilization window must cost the same however long the history behind it.
+func BenchmarkSnapshotHistory(b *testing.B) {
+	// ~100 ms a kernel: the one-second window covers about ten of them.
+	k := gpu.Kernel{Name: "k", Ops: 7.6e10, Blocks: 13, ThreadsPerBlock: 256}
+	for _, n := range []int{0, 300, 3000, 30000} {
+		b.Run(fmt.Sprintf("intervals=%d", n), func(b *testing.B) {
+			c := gpu.NewPaperTestbed(nil)
+			var now time.Duration
+			for _, d := range c.Devices() {
+				s := d.NewStream(c.NextPID(), "/usr/bin/tool", 0, nil)
+				for range n {
+					if err := s.Launch(k); err != nil {
+						b.Fatal(err)
+					}
+					s.Synchronize() // the next launch's overhead leaves a gap
+				}
+				now = max(now, s.Now())
+			}
+			if got := len(c.Devices()[0].BusySpans()); got != n {
+				b.Fatalf("history has %d intervals, want %d", got, n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				snapshotSink = Snapshot(c, now)
+			}
+		})
 	}
 }

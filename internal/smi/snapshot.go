@@ -14,11 +14,12 @@
 // peek at cluster internals) preserves the paper's architecture and its
 // failure modes: the allocator only knows what nvidia-smi reports. Every
 // consumer that places work — the mapper, the batch scheduler, a cluster
-// member's load gossip — goes through Query and UsageFromXML; Snapshot alone
-// serves the displays. The round trip runs on every placement decision, so
-// both halves are written by hand for this one schema (xml.go): about 15 µs
-// and 22 allocations for the two-GPU testbed, a tenth of what a reflection
-// codec costs.
+// member's load gossip — surveys through one Cache, which renders and parses
+// the XML whenever the device report changed and otherwise serves the parse
+// it already holds; Snapshot alone serves the displays. Both halves of the
+// round trip are written by hand for this one schema (xml.go): a miss costs
+// about 15 µs and 18 allocations for the two-GPU testbed, a tenth of what a
+// reflection codec costs.
 package smi
 
 import (
