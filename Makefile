@@ -106,10 +106,11 @@ hammer-api:
 # rule over both), the fold (rule table, retired kinds, interleaving
 # invariance, no write-only record kind), the record codec against the JSON
 # writer, the committed JSON fixture, the replay merge against the stable
-# sort, and at the engine level the torn-tail crash-requeue scenario and the
-# spliced-map-record recovery oracle.
+# sort, and at the engine level the torn-tail crash-requeue scenario, the
+# spliced-map-record recovery oracle, durable submits racing compaction
+# without losing a job, and concurrent submits sharing one fsync.
 JOURNAL_TESTS ?= TestSharded|TestShardFileIsTicketOrdered|TestOpenUpgradesShardedDirectory|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold|TestCodec|TestReplayReadsJSONFixture|TestReplayMergeMatchesStableSort
-JOURNAL_GALAXY_TESTS ?= TestShardedCrash|TestRecoverSplicedMapRecords
+JOURNAL_GALAXY_TESTS ?= TestShardedCrash|TestRecoverSplicedMapRecords|TestSubmitRacingCompactionLosesNothing|TestConcurrentSubmitsShareAnFsync
 
 test-journal:
 	$(call run_selected,./internal/journal,$(JOURNAL_TESTS))

@@ -320,7 +320,7 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, lease
 		// The journal batches concurrent durable submits into shared fsyncs,
 		// its one flusher pacing itself by the fsync cost it measures; a
 		// submit returns once the commit watermark has passed it.
-		j, err := journal.Open(journalDir, journal.Options{DurableSubmits: true})
+		j, err := journal.Open(journalDir, journal.Options{})
 		if err != nil {
 			return err
 		}

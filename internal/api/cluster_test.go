@@ -17,10 +17,9 @@ import (
 func testClusterServer(t *testing.T, n int) (*httptest.Server, *cluster.Sim) {
 	t.Helper()
 	c, err := cluster.NewSim(cluster.SimConfig{
-		Handlers:              n,
-		Tick:                  250 * time.Millisecond,
-		DisableDurableSubmits: true,
-		Sched:                 sched.Config{Backfill: true},
+		Handlers: n,
+		Tick:     250 * time.Millisecond,
+		Sched:    sched.Config{Backfill: true},
 	})
 	if err != nil {
 		t.Fatal(err)

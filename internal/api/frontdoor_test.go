@@ -36,7 +36,7 @@ type frontDoor struct {
 func newFrontDoor(t *testing.T, opts ...galaxy.Option) *frontDoor {
 	t.Helper()
 	dir := t.TempDir()
-	j, err := journal.Open(dir, journal.Options{DurableSubmits: true})
+	j, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // job dead-letters (permanent exec fault, one shot).
 func journaledServer(t *testing.T, dir string) (*httptest.Server, *journal.Journal) {
 	t.Helper()
-	j, err := journal.Open(dir, journal.Options{DurableSubmits: true})
+	j, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRecoveryEndpointAfterRestart(t *testing.T) {
 	// Simulate the restart: replay the directory into a fresh Galaxy and
 	// serve it.
 	recs, rerr := journal.Replay(dir)
-	j2, err := journal.Open(dir, journal.Options{DurableSubmits: true})
+	j2, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ import (
 // land; the submit loop retries them on later ticks like a real client.
 func TestClusterChaosKillMidWorkload(t *testing.T) {
 	cfg := func(cfg *SimConfig) {
-		cfg.DisableDurableSubmits = false
 		cfg.stealThreshold = 2
 	}
 	c := newTestCluster(t, 3, cfg)
@@ -205,7 +204,6 @@ func TestKillDurablePrefixIgnoresTheFlusher(t *testing.T) {
 	}
 	rebalanced := func(park bool) map[string]uint64 {
 		c := newTestCluster(t, 3, func(cfg *SimConfig) {
-			cfg.DisableDurableSubmits = false
 			cfg.Tick = time.Second
 		})
 		// A backlog on every member: nobody idles, so no steal makes the

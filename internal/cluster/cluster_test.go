@@ -29,10 +29,9 @@ func tinyReads(t testing.TB) *workload.ReadSet {
 func newTestCluster(t testing.TB, n int, mut func(*SimConfig)) *Sim {
 	t.Helper()
 	cfg := SimConfig{
-		Handlers:              n,
-		Tick:                  250 * time.Millisecond,
-		DisableDurableSubmits: true,
-		Sched:                 sched.Config{Backfill: true},
+		Handlers: n,
+		Tick:     250 * time.Millisecond,
+		Sched:    sched.Config{Backfill: true},
 	}
 	if mut != nil {
 		mut(&cfg)

@@ -69,12 +69,10 @@ type Config struct {
 	// send time; a peer whose lease lapses is declared dead. Default
 	// 6 ticks.
 	MemberTTL time.Duration
-	// Journal tunes the member's write-ahead log. DurableSubmits is forced
-	// on for adopt/submit durability unless DisableDurableSubmits.
+	// Deprecated: a member opens its journal with the zero journal.Options,
+	// which waits for the fsync of every submit and ownership record; nothing
+	// reads this.
 	Journal journal.Options
-	// DisableDurableSubmits trades the acked-implies-durable guarantee for
-	// speed (throughput experiments that never crash handlers).
-	DisableDurableSubmits bool
 	// Sched configures the member's batch scheduler.
 	Sched sched.Config
 	// Tools registers tool bindings on the member's Galaxy; default
@@ -225,11 +223,7 @@ func newNode(cfg Config, reg *obs.Registry) (*Node, error) {
 		ring.Remove(id)
 		ring.Add(id)
 	}
-	jopts := cfg.Journal
-	if !cfg.DisableDurableSubmits {
-		jopts.DurableSubmits = true
-	}
-	jr, err := journal.Open(dir, jopts)
+	jr, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: open journal for %s: %w", id, err)
 	}

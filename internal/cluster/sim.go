@@ -27,8 +27,7 @@ type SimConfig struct {
 	// order — that is what makes an N-member run deterministic.
 	Tick time.Duration
 
-	DisableDurableSubmits bool
-	Sched                 sched.Config
+	Sched sched.Config
 
 	// seed is every member's Config.Seed (default 1); the chaos tests vary it.
 	seed           uint64
@@ -79,8 +78,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 		n, err := newNode(Config{
 			Members: members, Local: []string{id}, Bus: s.bus,
 			Dir: dir, Tick: cfg.Tick, stealThreshold: cfg.stealThreshold, Seed: cfg.seed,
-			DisableDurableSubmits: cfg.DisableDurableSubmits,
-			Sched:                 cfg.Sched,
+			Sched: cfg.Sched,
 		}, reg)
 		if err != nil {
 			s.Close()

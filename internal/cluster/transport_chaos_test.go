@@ -327,7 +327,6 @@ func TestTransportChaosKillBetweenPhases(t *testing.T) {
 		plan := faults.NewMsgPlan(uint64(100+10*pi+mi),
 			faults.MsgRule{Match: faults.MsgMatch{Type: ph.msg}, Fault: md.fault, Count: 2})
 		c := newTestCluster(t, 3, func(cfg *SimConfig) {
-			cfg.DisableDurableSubmits = false
 			cfg.stealThreshold = 2
 			cfg.seed = uint64(1 + pi*4 + mi)
 			cfg.msgFaults = plan
@@ -540,7 +539,6 @@ func TestOrphanedPrepareRepairedByAntiEntropy(t *testing.T) {
 			Fault: faults.MsgFault{Drop: true},
 		})
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
-		cfg.DisableDurableSubmits = false
 		cfg.stealThreshold = 2
 		cfg.seed = 9
 		cfg.msgFaults = plan
@@ -715,7 +713,6 @@ func TestTransportChaosRaceHammer(t *testing.T) {
 // from missed renewals, and journal claims for the dead stripes.
 func TestLeaseExpiryDetectsKillWithoutCoordinator(t *testing.T) {
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
-		cfg.DisableDurableSubmits = false
 		cfg.seed = 17
 	})
 	// Let the lease table warm up.
@@ -775,7 +772,6 @@ func TestStaggeredDetectionDivergentViews(t *testing.T) {
 		Fault: faults.MsgFault{Drop: true},
 	})
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
-		cfg.DisableDurableSubmits = false
 		cfg.seed = 31
 		cfg.msgFaults = plan
 	})
@@ -896,7 +892,6 @@ func TestRejoinRefusesUnreadableJournal(t *testing.T) {
 // every detection pass, and requeues the peer's jobs once the journal reads.
 func TestDeadReplayErrorDefersDeclaration(t *testing.T) {
 	c := newTestCluster(t, 3, func(cfg *SimConfig) {
-		cfg.DisableDurableSubmits = false
 		cfg.seed = 23
 	})
 	const jobs = 8

@@ -73,10 +73,9 @@ func runScalingPhase(opt Options, handlers, jobs int) (float64, error) {
 		return 0, err
 	}
 	c, err := cluster.NewSim(cluster.SimConfig{
-		Handlers:              handlers,
-		Tick:                  time.Second,
-		DisableDurableSubmits: true,
-		Sched:                 sched.Config{Backfill: true},
+		Handlers: handlers,
+		Tick:     time.Second,
+		Sched:    sched.Config{Backfill: true},
 	})
 	if err != nil {
 		return 0, err

@@ -151,7 +151,7 @@ func runCrashRecovery(opt Options) (*Result, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	jA, err := journal.Open(dir, journal.Options{DurableSubmits: true})
+	jA, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func runCrashRecovery(opt Options) (*Result, error) {
 	// tail, adopts h1's jobs once the lease math proves h1 dead, and runs
 	// the workload to completion.
 	recs, rerr := journal.Replay(dir)
-	jB, err := journal.Open(dir, journal.Options{DurableSubmits: true})
+	jB, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package galaxy
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"gyan/internal/journal"
@@ -72,10 +71,10 @@ type stepFailure struct {
 	Msg    string
 }
 
-// WorkflowRun tracks one submitted DAG workflow. Mutations happen under the
-// engine lock (completion hooks); the run's own mutex additionally guards
-// them so accessors (State, Status, WallTime) are safe from any
-// goroutine while the engine runs.
+// WorkflowRun tracks one submitted DAG workflow. Its fields are guarded by
+// the engine lock g.mu: mutations happen under it (completion hooks), and the
+// accessors (State, Info, Status, WallTime) take it, so they are safe from
+// any goroutine while the engine runs — but not from one that holds g.mu.
 type WorkflowRun struct {
 	// ID is the workflow's ordinal identifier.
 	ID int
@@ -84,7 +83,6 @@ type WorkflowRun struct {
 
 	g *Galaxy
 
-	mu       sync.Mutex
 	dag      *workflow.DAG
 	run      *workflow.Run
 	defs     map[string]*DAGStep
@@ -167,8 +165,11 @@ func (g *Galaxy) SubmitDAG(name string, steps []DAGStep, opts DAGOptions) (*Work
 	if err != nil {
 		return nil, fmt.Errorf("galaxy: %w", err)
 	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.nextWF++
 	wr := &WorkflowRun{
-		ID:    int(g.nextWF.Add(1)),
+		ID:    g.nextWF,
 		Name:  name,
 		g:     g,
 		dag:   dag,
@@ -179,18 +180,12 @@ func (g *Galaxy) SubmitDAG(name string, steps []DAGStep, opts DAGOptions) (*Work
 		state: StateRunning,
 		user:  userOrAnonymous(opts.User),
 	}
-
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	now := g.Engine.Clock().Now()
 	wr.submittedAt = now
 	wr.defRecord = workflowRecord(wr, now)
 	g.workflows[wr.ID] = wr
 	g.logJournal(wr.defRecord)
-
-	wr.mu.Lock()
 	wr.releaseLocked(now)
-	wr.mu.Unlock()
 
 	// A workflow that failed before a single job was submitted (root
 	// transform/submit errors) surfaces as a plain error.
@@ -218,7 +213,8 @@ func workflowRecord(wr *WorkflowRun, at time.Duration) journal.Record {
 	return rec
 }
 
-// releaseLocked submits every ready step. Caller holds g.mu and wr.mu.
+// releaseLocked submits every ready step, each waiting under g.mu for the
+// fsync of its submit record. Caller holds g.mu.
 // Resolution or submission errors fail the step (and so the run, which fails
 // fast) rather than aborting the call.
 func (wr *WorkflowRun) releaseLocked(now time.Duration) {
@@ -244,12 +240,13 @@ func (wr *WorkflowRun) releaseLocked(now time.Duration) {
 			sopts.stageCost = wr.stageCostLocked(def)
 			sopts.wfID = wr.ID
 			sopts.wfStep = id
-			job, serr := wr.g.submitJob(def.ToolID, def.Params, input, sopts)
+			job, tick, serr := wr.g.submitJob(def.ToolID, def.Params, input, sopts)
 			if serr != nil {
 				wr.failStepLocked(id, fmt.Sprintf("step %q submit: %v", id, serr))
 				progressed = true
 				continue
 			}
+			wr.g.latchJournalErrLocked(wr.g.awaitDurable(tick))
 			wr.run.MarkSubmitted(id)
 			wr.jobs[id] = job
 			wr.stat[id] = &StepStatus{
@@ -345,8 +342,6 @@ func (wr *WorkflowRun) failStepLocked(id, msg string) {
 
 // stepDone is the completion hook for one step's job; it runs under g.mu.
 func (wr *WorkflowRun) stepDone(id string, job *Job) {
-	wr.mu.Lock()
-	defer wr.mu.Unlock()
 	if wr.run.State(id).Terminal() {
 		// A second terminal transition for the same step (an admin
 		// resubmit of its dead-lettered job) must not flip the verdict.
@@ -376,8 +371,7 @@ func (wr *WorkflowRun) stepDone(id string, job *Job) {
 	wr.releaseLocked(job.Finished)
 }
 
-// finishLocked settles the workflow's terminal state. Caller holds g.mu and
-// wr.mu.
+// finishLocked settles the workflow's terminal state. Caller holds g.mu.
 func (wr *WorkflowRun) finishLocked(now time.Duration) {
 	if wr.state != StateRunning {
 		return
@@ -407,23 +401,23 @@ func (wr *WorkflowRun) finishLocked(now time.Duration) {
 
 // State returns the workflow's lifecycle state.
 func (wr *WorkflowRun) State() JobState {
-	wr.mu.Lock()
-	defer wr.mu.Unlock()
+	wr.g.mu.Lock()
+	defer wr.g.mu.Unlock()
 	return wr.state
 }
 
 // Info returns the failure description ("" while running or on success).
 func (wr *WorkflowRun) Info() string {
-	wr.mu.Lock()
-	defer wr.mu.Unlock()
+	wr.g.mu.Lock()
+	defer wr.g.mu.Unlock()
 	return wr.info
 }
 
 // WallTime returns the workflow's virtual span from submission to the last
 // step's completion (zero until done).
 func (wr *WorkflowRun) WallTime() time.Duration {
-	wr.mu.Lock()
-	defer wr.mu.Unlock()
+	wr.g.mu.Lock()
+	defer wr.g.mu.Unlock()
 	if wr.state != StateOK && wr.state != StateError {
 		return 0
 	}
@@ -434,8 +428,8 @@ func (wr *WorkflowRun) WallTime() time.Duration {
 // live: step timings come from the run's own bookkeeping (copied at each
 // step's completion under the engine lock), never from live job pointers.
 func (wr *WorkflowRun) Status() WorkflowStatus {
-	wr.mu.Lock()
-	defer wr.mu.Unlock()
+	wr.g.mu.Lock()
+	defer wr.g.mu.Unlock()
 	ws := WorkflowStatus{
 		ID: wr.ID, Name: wr.Name, User: wr.user, State: wr.state,
 		Info:      wr.info,

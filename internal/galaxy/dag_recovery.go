@@ -30,7 +30,7 @@ func (g *Galaxy) rebuildWorkflowsLocked(hist *journal.History, rep *RecoveryRepo
 	opts RecoverOptions, now time.Duration) {
 	// Index the materialized jobs by workflow/step identity.
 	members := make(map[int]map[string]*Job)
-	for _, j := range g.jobs.all() {
+	for _, j := range g.jobsLocked() {
 		if j.WorkflowID == 0 || j.StepID == "" {
 			continue
 		}
@@ -44,9 +44,7 @@ func (g *Galaxy) rebuildWorkflowsLocked(hist *journal.History, rep *RecoveryRepo
 
 	for _, id := range hist.WorkflowOrder {
 		rec := hist.Workflows[id]
-		if int64(id) > g.nextWF.Load() {
-			g.nextWF.Store(int64(id))
-		}
+		g.nextWF = max(g.nextWF, id)
 		wr, resumed, err := g.rebuildWorkflowLocked(rec, hist.Verdicts, members[id], opts, now)
 		if err != nil {
 			// The definition no longer builds (a tool was uninstalled
@@ -95,7 +93,7 @@ func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal
 		}
 	}
 	dag, err := workflow.Build(rec.WFName, wsteps, workflow.BuildOptions{
-		HasTool: func(tid string) bool { _, terr := g.Tool(tid); return terr == nil },
+		HasTool: func(tid string) bool { _, terr := g.toolLocked(tid); return terr == nil },
 	})
 	if err != nil {
 		return nil, 0, err
@@ -108,8 +106,6 @@ func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal
 		submittedAt: rec.At, defRecord: rec,
 	}
 
-	wr.mu.Lock()
-	defer wr.mu.Unlock()
 	// Fold the member jobs into the run's step states, in three passes over
 	// topological order. Successes first: completing a parent is what makes
 	// a child's MarkSubmitted legal, and a fail-fast skip applied too early

@@ -14,8 +14,8 @@ import (
 
 // Done reports whether the workflow reached a terminal state.
 func (wr *WorkflowRun) Done() bool {
-	wr.mu.Lock()
-	defer wr.mu.Unlock()
+	wr.g.mu.Lock()
+	defer wr.g.mu.Unlock()
 	return wr.state == StateOK || wr.state == StateError
 }
 
@@ -164,10 +164,10 @@ func TestDAGStageInChargedOnLocalityMiss(t *testing.T) {
 	if wr.State() != StateOK {
 		t.Fatalf("workflow finished %s: %s", wr.State(), wr.Info())
 	}
-	wr.mu.Lock()
+	wr.g.mu.Lock()
 	cost := wr.stageCostLocked(wr.defs["call"])
 	parentDevices := append([]int(nil), wr.jobs["align"].Devices...)
-	wr.mu.Unlock()
+	wr.g.mu.Unlock()
 	if cost == nil {
 		t.Fatal("no staging closure for a step with bytes and GPU parents")
 	}

@@ -71,8 +71,8 @@ func genomicsChain(rs *workload.ReadSet) []DAGStep {
 // stepJob fetches a finished step's job (in-package; the engine is idle).
 func stepJob(t *testing.T, wr *WorkflowRun, id string) *Job {
 	t.Helper()
-	wr.mu.Lock()
-	defer wr.mu.Unlock()
+	wr.g.mu.Lock()
+	defer wr.g.mu.Unlock()
 	job := wr.jobs[id]
 	if job == nil {
 		t.Fatalf("step %s has no job", id)

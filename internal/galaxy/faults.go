@@ -95,7 +95,7 @@ func (g *Galaxy) DeadLetters() []*Job {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	var out []*Job
-	for _, j := range g.jobs.all() {
+	for _, j := range g.jobsLocked() {
 		if j.State == StateDeadLetter {
 			out = append(out, j)
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gyan/internal/container"
@@ -36,31 +35,21 @@ type Galaxy struct {
 	// of a tool pays the install time; later jobs hit the env cache.
 	Deps *depres.Resolver
 
-	// mu guards the dispatch machinery below: destination/user queues, the
-	// batch scheduler's bookkeeping, fault-recovery state, and mutation of
-	// individual job fields (engine callbacks run under it). It is no longer
-	// on the submit hot path: Submit allocates IDs atomically, publishes jobs
-	// through the job table, and journals without taking g.mu. Lock order:
-	// snapGate before g.mu before any leaf lock (the table lock, toolsMu,
-	// leaseMu, the engine's internal lock); never the reverse. See DESIGN.md
-	// §10.
+	// mu is the engine's one lock. It guards everything below that is not
+	// fixed at build time — the tool registry, the job table, the ID
+	// allocators, the queues and scheduler, fault-recovery and lease state —
+	// and every job field after its insert; engine callbacks run under it.
+	// Every program already serializes above the handler, so a second lock
+	// would buy no concurrency. Submit holds mu only to insert the job and
+	// stage its record, and waits for the fsync after releasing it, which is
+	// what lets concurrent submitters share one. See DESIGN.md §10.
 	mu sync.Mutex
 
-	// toolsMu guards the tool registry — a leaf read-mostly lock so Submit
-	// can resolve bindings without touching g.mu.
-	toolsMu sync.RWMutex
-	tools   map[string]*ToolBinding
+	tools map[string]*ToolBinding
 
-	// jobs is the job table (jobtable.go); nextID allocates job IDs
-	// lock-free.
-	jobs   jobTable
-	nextID atomic.Int64
-
-	// snapGate quiesces lock-free submitters while SnapshotJournal condenses
-	// history: Submit read-holds it across insert+journal, the snapshot
-	// write-holds it so no record can slip into a segment that compaction is
-	// about to delete. Uncontended outside snapshots.
-	snapGate sync.RWMutex
+	// jobs is the job table; nextID is the last job ID issued.
+	jobs   map[int]*Job
+	nextID int
 
 	// surveyCache shares one nvidia-smi parse among surveys that see the
 	// same device report (see internal/smi).
@@ -69,8 +58,7 @@ type Galaxy struct {
 	// obsv receives every journaled job-state transition, plus the
 	// scheduler-queue and quarantine events that are not journaled (metrics
 	// + traces, see internal/obs). It is always non-nil — observability is
-	// on even with journaling off — and its Transition method is lock-free,
-	// so the call rides the submit hot path at one struct dispatch per record.
+	// on even with journaling off.
 	obsv *obs.Observer
 
 	// Destination scheduling: per-destination running counts and wait
@@ -92,11 +80,10 @@ type Galaxy struct {
 	// awaiting RetireSteal or AbortSteal. Guarded by g.mu.
 	preparedSteals map[int]*preparedSteal
 
-	// DAG workflows (see dag.go): live runs by ID; nextWF allocates
-	// workflow IDs. The map is guarded by g.mu; each run carries its own
-	// leaf mutex for caller-facing reads.
+	// DAG workflows (see dag.go): live runs by ID; nextWF is the last
+	// workflow ID issued.
 	workflows map[int]*WorkflowRun
-	nextWF    atomic.Int64
+	nextWF    int
 
 	// Fault injection + recovery policy (see faults.go). faultPlan is the
 	// armed injection plan; retry/retryRNG drive transient-fault backoff;
@@ -111,18 +98,15 @@ type Galaxy struct {
 
 	// Durability (see recovery.go). journal, when set, receives every job
 	// state transition; handlerID names this handler in lease and ownership
-	// records; leaseTTL is how long a heartbeat asserts ownership. lastLease
-	// tracks the newest heartbeat so writes piggyback fresh leases onto the
-	// activity stream; journalErr latches the first append failure. The
-	// journal/handlerID/leaseTTL/wallNow configuration is fixed at build
-	// time; the mutable lease/error state is guarded by leaseMu (a leaf
-	// lock) because lock-free submitters journal without holding g.mu.
+	// records; leaseTTL is how long a heartbeat asserts ownership. These and
+	// wallNow are fixed at build time. lastLease tracks the newest heartbeat
+	// so writes piggyback fresh leases onto the activity stream; journalErr
+	// latches the first append failure.
 	journal   *journal.Journal
 	handlerID string
 	leaseTTL  time.Duration
 	wallNow   func() time.Time
 
-	leaseMu      sync.Mutex
 	lastLease    time.Duration
 	leaseWritten bool
 	journalErr   error
@@ -156,7 +140,7 @@ func WithJobConf(c *jobconf.Config) Option {
 // directory has ever issued or the new life's journal trails would collide
 // with the old ones and corrupt the exactly-once audit fold.
 func WithJobIDBase(n int) Option {
-	return func(g *Galaxy) { g.nextID.Store(int64(n)) }
+	return func(g *Galaxy) { g.nextID = n }
 }
 
 // New builds a Galaxy instance over the cluster. A nil cluster builds the
@@ -174,6 +158,7 @@ func New(cluster *gpu.Cluster, opts ...Option) *Galaxy {
 		Containers:     container.NewEngine(),
 		Deps:           depres.NewResolver(depres.Bioconda()),
 		tools:          make(map[string]*ToolBinding),
+		jobs:           make(map[int]*Job),
 		running:        make(map[string]int),
 		waiting:        make(map[string][]*pendingStart),
 		schedJobs:      make(map[int]*schedEntry),
@@ -202,8 +187,8 @@ func (g *Galaxy) RegisterTool(b *ToolBinding) error {
 	if b == nil || b.XML == nil || b.Exec == nil {
 		return fmt.Errorf("galaxy: incomplete tool binding")
 	}
-	g.toolsMu.Lock()
-	defer g.toolsMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if _, dup := g.tools[b.XML.ID]; dup {
 		return fmt.Errorf("galaxy: tool %q already registered", b.XML.ID)
 	}
@@ -257,9 +242,14 @@ func (g *Galaxy) RegisterDefaultTools() error {
 
 // Tool returns a registered binding.
 func (g *Galaxy) Tool(id string) (*ToolBinding, error) {
-	g.toolsMu.RLock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.toolLocked(id)
+}
+
+// toolLocked is Tool for a caller that holds g.mu.
+func (g *Galaxy) toolLocked(id string) (*ToolBinding, error) {
 	b, ok := g.tools[id]
-	g.toolsMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("galaxy: tool %q not installed", id)
 	}
@@ -268,12 +258,12 @@ func (g *Galaxy) Tool(id string) (*ToolBinding, error) {
 
 // Tools returns every installed tool's binding, sorted by tool ID.
 func (g *Galaxy) Tools() []*ToolBinding {
-	g.toolsMu.RLock()
+	g.mu.Lock()
 	out := make([]*ToolBinding, 0, len(g.tools))
 	for _, b := range g.tools {
 		out = append(out, b)
 	}
-	g.toolsMu.RUnlock()
+	g.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].XML.ID < out[j].XML.ID })
 	return out
 }
@@ -285,10 +275,21 @@ func (g *Galaxy) Tools() []*ToolBinding {
 func (g *Galaxy) Jobs() []*Job {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := g.jobs.all()
+	out := g.jobsLocked()
 	for i, j := range out {
 		out[i] = j.clone()
 	}
+	return out
+}
+
+// jobsLocked returns the live jobs sorted by ID, which is submission order.
+// Caller holds g.mu.
+func (g *Galaxy) jobsLocked() []*Job {
+	out := make([]*Job, 0, len(g.jobs))
+	for _, j := range g.jobs {
+		out = append(out, j)
+	}
+	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
 }
 
@@ -298,7 +299,7 @@ func (g *Galaxy) Jobs() []*Job {
 func (g *Galaxy) Job(id int) (*Job, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	j := g.jobs.get(id)
+	j := g.jobs[id]
 	if j == nil {
 		return nil, false
 	}
@@ -370,36 +371,44 @@ const maxResubmits = 3
 // The returned job is filled in as lifecycle events run; call
 // Engine.Run (or g.Run) to drive it to completion.
 //
-// Submit is the dispatch hot path and deliberately never takes g.mu: the
-// tool lookup is a registry read-lock, the job ID is an atomic increment,
-// publication takes the job table's leaf lock, and the journal append — for
-// DurableSubmits, including the wait for the fsync covering it — happens on
-// the journal's group-commit path, so N concurrent submitters share batched
-// writes instead of serializing on the engine lock.
+// Submit holds g.mu only to insert the job and stage its submit record, and
+// waits for the fsync covering the record after releasing it: concurrent
+// submitters stage one after another and then share the flusher's next
+// batch, instead of each holding the engine lock across its own fsync. A
+// journal failure is latched (JournalError), not returned.
 func (g *Galaxy) Submit(toolID string, params map[string]string, dataset any, opts SubmitOptions) (*Job, error) {
-	// Read-held across publish+journal so SnapshotJournal can quiesce
-	// submissions while it condenses history (see recovery.go).
-	g.snapGate.RLock()
-	defer g.snapGate.RUnlock()
-	return g.submitJob(toolID, params, dataset, opts)
-}
-
-// submitJob is the gate-free submit body. Callers hold either snapGate.RLock
-// (public Submit) or g.mu (workflow step chaining fires from a completion
-// hook under the engine lock, which SnapshotJournal also excludes).
-func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any, opts SubmitOptions) (*Job, error) {
-	binding, err := g.Tool(toolID)
+	g.mu.Lock()
+	job, tick, err := g.submitJob(toolID, params, dataset, opts)
+	g.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	if err := g.awaitDurable(tick); err != nil {
+		g.mu.Lock()
+		g.latchJournalErrLocked(err)
+		g.mu.Unlock()
+	}
+	return job, nil
+}
+
+// submitJob is the one submit body, run under g.mu: tool lookup, ID, insert,
+// the staged submit record (chased by an adopt record for a transfer) and
+// the start event. It returns the highest ticket it staged; the caller waits
+// for it — Submit after unlocking, a workflow step under g.mu.
+func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any, opts SubmitOptions) (*Job, uint64, error) {
+	binding, err := g.toolLocked(toolID)
+	if err != nil {
+		return nil, 0, err
+	}
 	if opts.Runtime != "" {
 		if _, ok := binding.XML.ContainerFor(opts.Runtime); !ok {
-			return nil, fmt.Errorf("galaxy: tool %q has no %s container", toolID, opts.Runtime)
+			return nil, 0, fmt.Errorf("galaxy: tool %q has no %s container", toolID, opts.Runtime)
 		}
 	}
 	now := g.Engine.Clock().Now()
+	g.nextID++
 	job := &Job{
-		ID:        int(g.nextID.Add(1)),
+		ID:        g.nextID,
 		ToolID:    toolID,
 		Params:    params,
 		Dataset:   dataset,
@@ -421,12 +430,13 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 		Priority: opts.Priority, GPUs: opts.GPUs, EstRuntime: opts.EstRuntime,
 		Submitted: job.Submitted, Workflow: opts.wfID, Step: opts.wfStep,
 	}
-	// Publish before journaling: the insert is the job's release barrier,
-	// and nothing below writes a job field.
-	g.jobs.insert(job)
-	g.logJournal(job.submit)
+	// The insert and the staged record share this critical section, so
+	// SnapshotJournal (which also holds g.mu) either carries the job or
+	// runs before its record is staged.
+	g.jobs[job.ID] = job
+	tick := g.stageJournal(job.submit)
 	if opts.transferFrom != "" {
-		g.logJournal(journal.Record{
+		tick = g.stageJournal(journal.Record{
 			Type: journal.TypeAdopt, At: now, Job: job.ID,
 			From: opts.transferFrom, Msg: "transferred in",
 		})
@@ -434,7 +444,7 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 	g.Engine.After(opts.Delay, func(now time.Duration) {
 		g.startJob(job, binding, opts, now)
 	})
-	return job, nil
+	return job, tick, nil
 }
 
 // Run drives the engine until all scheduled work completes and returns the
@@ -718,7 +728,7 @@ func (g *Galaxy) Kill(job *Job) {
 	// kill through a snapshot still lands. Foreign job values (an ID this
 	// instance never issued, or a clone that doesn't match what the ID
 	// resolves to) are ignored.
-	live := g.jobs.get(job.ID)
+	live := g.jobs[job.ID]
 	if live == nil {
 		return
 	}

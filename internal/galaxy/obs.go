@@ -1,10 +1,11 @@
 package galaxy
 
 // Observability wiring. The engine owns one obs.Observer; every journaled
-// job-state transition flows through it from logJournal (see recovery.go),
-// and the scrape hook installed here mirrors externally-maintained state —
-// jobs by state, journal write counters, survey-cache efficiency — into the
-// registry only when a scrape or snapshot actually reads it.
+// job-state transition flows through it from stampJournalLocked (see
+// recovery.go), and the scrape hook installed here mirrors
+// externally-maintained state — jobs by state, journal write counters,
+// survey-cache efficiency — into the registry only when a scrape or snapshot
+// actually reads it.
 
 import (
 	"gyan/internal/obs"

@@ -148,7 +148,7 @@ func TestJournalFsyncObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	j, err := journal.Open(dir, journal.Options{DurableSubmits: true})
+	j, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

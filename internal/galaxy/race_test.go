@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gyan/internal/faults"
+	"gyan/internal/journal"
 	"gyan/internal/sched"
 )
 
@@ -163,5 +164,131 @@ func TestConcurrentSubmitKillRetryUnderFaults(t *testing.T) {
 		if j != nil && j.ID == 3 && !j.killed && j.State != StateDeadLetter {
 			t.Errorf("job 3 hit a permanent fault but ended %s: %s", j.State, j.Info)
 		}
+	}
+}
+
+// TestSubmitRacingCompactionLosesNothing races durable submitters against a
+// loop of SnapshotJournal calls. A submit record staged before a snapshot's
+// cutoff lives in a segment the snapshot deletes, so the snapshot must carry
+// that job — which holds only if no snapshot can run between the job's insert
+// and the staging of its record. A later snapshot would carry a job the race
+// dropped, so the journal is checked after every round, when the round's
+// last snapshot is the newest: the replay must hold exactly one submit
+// record, and a folded trail, for every job acknowledged so far.
+func TestSubmitRacingCompactionLosesNothing(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, dir)
+	defer j.Close()
+	g := testGalaxy(t, WithJournal(j, "h1"))
+	rs := smallReadSet(t)
+	const rounds, submitters, each = 10, 4, 5
+	var acked []int
+	for r := 0; r < rounds; r++ {
+		ids := make(chan int, submitters*each)
+		var submits sync.WaitGroup
+		for s := 0; s < submitters; s++ {
+			submits.Add(1)
+			go func() {
+				defer submits.Done()
+				for i := 0; i < each; i++ {
+					job, err := g.Submit("seqstats", nil, rs, SubmitOptions{DatasetName: "nfl"})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ids <- job.ID
+				}
+			}()
+		}
+		done := make(chan struct{})
+		snapErr := make(chan error, 1)
+		go func() {
+			defer close(snapErr)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := g.SnapshotJournal(); err != nil {
+					snapErr <- err
+					return
+				}
+			}
+		}()
+		submits.Wait()
+		close(done)
+		if err := <-snapErr; err != nil {
+			t.Fatal(err)
+		}
+		close(ids)
+		for id := range ids {
+			acked = append(acked, id)
+		}
+
+		recs, err := journal.Replay(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitsOf := map[int]int{}
+		for _, rec := range recs {
+			if rec.Type == journal.TypeSubmit {
+				submitsOf[rec.Job]++
+			}
+		}
+		hist := journal.Fold(recs)
+		for _, id := range acked {
+			if n := submitsOf[id]; n != 1 {
+				t.Errorf("round %d: job %d has %d submit records in the replay, want 1", r, id, n)
+			}
+			if tr := hist.Jobs[id]; tr == nil || tr.Submit.Type != journal.TypeSubmit {
+				t.Errorf("round %d: job %d acknowledged but has no submit trail", r, id)
+			}
+		}
+		if want := (r + 1) * submitters * each; len(acked) != want || len(hist.Jobs) != want {
+			t.Fatalf("round %d: acknowledged %d jobs, replay folds %d trails; want %d of each",
+				r, len(acked), len(hist.Jobs), want)
+		}
+	}
+}
+
+// TestConcurrentSubmitsShareAnFsync holds the journal's flusher while eight
+// durable submits arrive from their own goroutines: every one of them must
+// stage its record while the others wait for the disk, so releasing the
+// flusher acknowledges all eight with one fsync (two if a drain straddles the
+// release). A submitter that held the engine lock across its wait would stage
+// alone, and the bounded wait below fails instead of hanging.
+func TestConcurrentSubmitsShareAnFsync(t *testing.T) {
+	j := openTestJournal(t, t.TempDir())
+	defer j.Close()
+	g := testGalaxy(t, WithJournal(j, "h1"))
+	rs := smallReadSet(t)
+	before := j.Stats()
+	hold := make(chan struct{})
+	j.HoldFlush(hold)
+	const n = 8
+	var submits sync.WaitGroup
+	for i := 0; i < n; i++ {
+		submits.Add(1)
+		go func() {
+			defer submits.Done()
+			if _, err := g.Submit("seqstats", nil, rs, SubmitOptions{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	staged := j.Stats().Tick - before.Tick
+	for staged < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		staged = j.Stats().Tick - before.Tick
+	}
+	close(hold)
+	submits.Wait()
+	if staged < n {
+		t.Fatalf("only %d records staged while the flusher was held; want at least %d (submitters serialized on their fsync)", staged, n)
+	}
+	if syncs := j.Stats().Syncs - before.Syncs; syncs > 2 {
+		t.Errorf("%d concurrent submits took %d fsyncs; want at most 2", n, syncs)
 	}
 }

@@ -105,18 +105,26 @@ func (g *Galaxy) JournalStats() (journal.Stats, bool) {
 // JournalError returns the first journal append failure, if any. Append
 // errors never fail the job path — durability degrades, dispatch does not.
 func (g *Galaxy) JournalError() error {
-	g.leaseMu.Lock()
-	defer g.leaseMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.journalErr
 }
 
-// latchJournalErr records the first append failure.
-func (g *Galaxy) latchJournalErr(err error) {
-	g.leaseMu.Lock()
+// latchJournalErrLocked records the first journal failure; a nil err is a
+// no-op. Caller holds g.mu.
+func (g *Galaxy) latchJournalErrLocked(err error) {
 	if g.journalErr == nil {
 		g.journalErr = err
 	}
-	g.leaseMu.Unlock()
+}
+
+// latchJournalErr is latchJournalErrLocked for a caller outside g.mu.
+func (g *Galaxy) latchJournalErr(err error) {
+	if err != nil {
+		g.mu.Lock()
+		g.latchJournalErrLocked(err)
+		g.mu.Unlock()
+	}
 }
 
 // LastRecovery returns the report of the Recover call that built this
@@ -127,70 +135,88 @@ func (g *Galaxy) LastRecovery() *RecoveryReport {
 	return g.recovery
 }
 
-// logJournal is the one seam every journaled transition crosses: report
-// it to the observer, stamp the handler, piggyback a heartbeat lease when the
-// last one is older than half the TTL, append — and, for a durable-class
-// record, wait for the fsync covering it. It requires no lock of its own:
-// lease state hides behind leaseMu and the journal serializes internally —
-// lock-free submitters and g.mu-holding engine callbacks both land here.
-// Append errors are latched, not propagated — the dispatch path never fails
-// on durability; a server reads the latch (JournalError) before it acks.
+// logJournal is the seam every journaled transition but a submit crosses,
+// under g.mu: the record goes through stampJournalLocked and journal.Append,
+// which for a durable-class record waits for the fsync covering it. Append
+// errors are latched, not propagated — the dispatch path never fails on
+// durability; a server reads the latch (JournalError) before it acks.
 func (g *Galaxy) logJournal(rec journal.Record) {
+	if rec, ok := g.stampJournalLocked(rec); ok {
+		g.latchJournalErrLocked(g.journal.Append(rec))
+	}
+}
+
+// stageJournal is logJournal without the wait: it stages the record with
+// journal.AppendAsync and returns its ticket (0 without a journal or once
+// the journal has failed). submitJob stages through it so that Submit can
+// wait for the fsync, with awaitDurable, after releasing g.mu.
+func (g *Galaxy) stageJournal(rec journal.Record) uint64 {
+	rec, ok := g.stampJournalLocked(rec)
+	if !ok {
+		return 0
+	}
+	tick, err := g.journal.AppendAsync(rec)
+	g.latchJournalErrLocked(err)
+	return tick
+}
+
+// stampJournalLocked is what every journaled transition goes through before
+// it is staged: report it to the observer, stamp the handler and piggyback a
+// heartbeat lease when the last one is older than half the TTL. It returns
+// false when no journal is attached. Caller holds g.mu.
+func (g *Galaxy) stampJournalLocked(rec journal.Record) (journal.Record, bool) {
 	g.obsv.Transition(rec)
 	if g.journal == nil {
-		return
+		return rec, false
 	}
 	if rec.Handler == "" {
 		rec.Handler = g.handlerID
 	}
 	g.maybeHeartbeat(rec.At)
-	if err := g.journal.Append(rec); err != nil {
-		g.latchJournalErr(err)
-	}
+	return rec, true
 }
 
-// maybeHeartbeat writes a lease record if the newest one is stale. The
-// staleness check-and-claim runs under leaseMu so concurrent writers emit one
-// lease, not one each; the append itself happens outside the lock. With
-// concurrent producers the lease may interleave slightly out of At order with
-// their activity records — replay folds leases by handler, not by position,
-// so the skew is harmless.
+// awaitDurable waits for the fsync covering tick, a ticket stageJournal
+// returned. It takes no lock: Submit calls it after releasing g.mu.
+func (g *Galaxy) awaitDurable(tick uint64) error {
+	if g.journal == nil {
+		return nil
+	}
+	return g.journal.AwaitDurable(tick)
+}
+
+// maybeHeartbeat stages a lease record, ahead of the record that triggered
+// it, if the newest one is stale. Caller holds g.mu.
 func (g *Galaxy) maybeHeartbeat(now time.Duration) {
-	g.leaseMu.Lock()
 	if g.leaseWritten && now < g.lastLease+g.leaseTTL/2 {
-		g.leaseMu.Unlock()
 		return
 	}
 	g.leaseWritten = true
 	g.lastLease = now
-	g.leaseMu.Unlock()
 	rec := journal.Record{
 		Type: journal.TypeLease, At: now, Handler: g.handlerID, TTL: g.leaseTTL,
 	}
 	if g.wallNow != nil {
 		rec.Wall = g.wallNow().UnixNano()
 	}
-	if err := g.journal.Append(rec); err != nil {
-		g.latchJournalErr(err)
-	}
+	g.latchJournalErrLocked(g.journal.Append(rec))
 }
 
 // WriteLease forces a heartbeat at the current virtual time (a no-op
 // without a journal) and flushes it to disk: a lease only proves liveness
 // once a peer can read it, so it must not sit in the group-commit buffer
 // across an idle stretch. gyan-server calls this on a wall-clock ticker;
-// it is also useful before a long quiet period.
+// it is also useful before a long quiet period. The lease is staged under
+// g.mu and the flush happens after releasing it.
 func (g *Galaxy) WriteLease() {
 	if g.journal == nil {
 		return
 	}
-	g.leaseMu.Lock()
+	g.mu.Lock()
 	g.leaseWritten = false
-	g.leaseMu.Unlock()
 	g.maybeHeartbeat(g.Engine.Clock().Now())
-	if err := g.journal.Sync(); err != nil {
-		g.latchJournalErr(err)
-	}
+	g.mu.Unlock()
+	g.latchJournalErr(g.journal.Sync())
 }
 
 // LeaseInfo summarizes one handler's heartbeat trail in a replayed journal.
@@ -318,8 +344,8 @@ type RecoverOptions struct {
 func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOptions) (*RecoveryReport, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.jobs.size() > 0 || g.nextID.Load() != 0 {
-		return nil, fmt.Errorf("galaxy: recover requires a fresh instance (have %d jobs)", g.jobs.size())
+	if len(g.jobs) > 0 || g.nextID != 0 {
+		return nil, fmt.Errorf("galaxy: recover requires a fresh instance (have %d jobs)", len(g.jobs))
 	}
 	rep := &RecoveryReport{
 		Handler: g.handlerID,
@@ -379,9 +405,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 
 	for _, id := range hist.Order {
 		h := hist.Jobs[id]
-		if int64(id) > g.nextID.Load() {
-			g.nextID.Store(int64(id))
-		}
+		g.nextID = max(g.nextID, id)
 		job := g.materializeLocked(id, h, opts)
 		rj := RecoveredJob{ID: id, Tool: job.ToolID, Owner: h.Owner}
 
@@ -412,7 +436,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 			}
 			rj.Action = "kept"
 			rj.State = job.State
-			g.jobs.insert(job)
+			g.jobs[job.ID] = job
 			rep.Jobs = append(rep.Jobs, rj)
 			continue
 		}
@@ -451,7 +475,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 				rep.Orphaned++
 				rj.Action = "orphaned"
 				rj.State = job.State
-				g.jobs.insert(job)
+				g.jobs[job.ID] = job
 				rep.Jobs = append(rep.Jobs, rj)
 				continue
 			}
@@ -471,7 +495,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 			rep.Failed++
 			rj.Action = "failed"
 			rj.State = job.State
-			g.jobs.insert(job)
+			g.jobs[job.ID] = job
 			rep.Jobs = append(rep.Jobs, rj)
 			continue
 		}
@@ -495,7 +519,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 			rj.Action = "requeued"
 		}
 		rj.State = job.State
-		g.jobs.insert(job)
+		g.jobs[job.ID] = job
 		rep.Jobs = append(rep.Jobs, rj)
 
 		sub := job.submit
@@ -515,9 +539,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 
 	// Assert this handler's ownership of whatever it just rebuilt.
 	if g.journal != nil {
-		g.leaseMu.Lock()
 		g.leaseWritten = false
-		g.leaseMu.Unlock()
 		g.maybeHeartbeat(now)
 	}
 	g.recovery = rep
@@ -568,7 +590,7 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail, opts RecoverOptions
 // resolveRequeueLocked checks that a requeued job's tool and dataset still
 // exist on this handler.
 func (g *Galaxy) resolveRequeueLocked(job *Job, opts RecoverOptions) (*ToolBinding, any, error) {
-	binding, err := g.Tool(job.ToolID)
+	binding, err := g.toolLocked(job.ToolID)
 	if err != nil {
 		return nil, nil, fmt.Errorf("unrecoverable: %v", err)
 	}
@@ -608,14 +630,14 @@ var ErrNoJob = errors.New("galaxy: no such job")
 func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	job := g.jobs.get(id)
+	job := g.jobs[id]
 	if job == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoJob, id)
 	}
 	if job.State != StateDeadLetter {
 		return nil, fmt.Errorf("galaxy: job %d is %q, not %q", id, job.State, StateDeadLetter)
 	}
-	binding, err := g.Tool(job.ToolID)
+	binding, err := g.toolLocked(job.ToolID)
 	if err != nil {
 		return nil, err
 	}
@@ -647,14 +669,11 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 // as a snapshot, and every older segment is deleted. Call it during quiet
 // periods to bound replay time and disk use.
 //
-// It write-holds snapGate in addition to g.mu: lock-free submitters journal
-// without g.mu, and a submit record staged after the state scan but before
-// the snapshot installs would land in a segment compaction deletes — an
-// acknowledged job silently erased. The gate quiesces them for the duration;
-// everything else that journals runs under g.mu.
+// It holds g.mu across the state scan and WriteSnapshot. Every record is
+// staged under g.mu, and a submit record in the same critical section as its
+// job's insert, so a record staged before the snapshot — in a segment
+// compaction deletes — belongs to a job the snapshot carries.
 func (g *Galaxy) SnapshotJournal() error {
-	g.snapGate.Lock()
-	defer g.snapGate.Unlock()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.journal == nil {
@@ -673,7 +692,6 @@ func (g *Galaxy) SnapshotJournal() error {
 	sort.Ints(wfIDs)
 	for _, id := range wfIDs {
 		wr := g.workflows[id]
-		wr.mu.Lock()
 		recs = append(recs, wr.defRecord)
 		if wr.state == StateOK || wr.state == StateError {
 			recs = append(recs, journal.Record{
@@ -681,9 +699,8 @@ func (g *Galaxy) SnapshotJournal() error {
 				State: string(wr.state), Msg: wr.info,
 			})
 		}
-		wr.mu.Unlock()
 	}
-	for _, j := range g.jobs.all() {
+	for _, j := range g.jobsLocked() {
 		sub := j.submit
 		if sub.Type == "" {
 			// Job predates journaling (journal attached mid-flight);

@@ -21,7 +21,7 @@ import (
 // the configuration gyan-server runs with.
 func openTestJournal(t *testing.T, dir string) *journal.Journal {
 	t.Helper()
-	j, err := journal.Open(dir, journal.Options{DurableSubmits: true})
+	j, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // configuration.
 func openDurableJournal(t *testing.T, dir string) *journal.Journal {
 	t.Helper()
-	j, err := journal.Open(dir, journal.Options{DurableSubmits: true})
+	j, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

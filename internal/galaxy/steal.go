@@ -24,7 +24,7 @@ import (
 //     victim (AcceptTransfer) — seniority is preserved under the thief's
 //     scheduler and the trail shows provenance.
 //
-// Under Options.DurableSubmits every ownership record is fsynced.
+// Every ownership record is fsynced before the call that writes it returns.
 
 // TransferredJob is a queued job detached from one handler for resubmission
 // on another. It carries everything AcceptTransfer needs to rebuild the
@@ -236,13 +236,11 @@ func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 // handler's epoch (chased by an adopt record naming the source), which makes
 // the transfer exactly-once across crashes on either side.
 func (g *Galaxy) AcceptTransfer(t TransferredJob) (*Job, error) {
-	g.snapGate.RLock()
-	defer g.snapGate.RUnlock()
 	sub := t.Submitted
 	if sub == 0 {
 		sub = time.Nanosecond
 	}
-	return g.submitJob(t.ToolID, t.Params, t.Dataset, SubmitOptions{
+	return g.Submit(t.ToolID, t.Params, t.Dataset, SubmitOptions{
 		Runtime: t.Runtime, User: t.User, Priority: t.Priority,
 		GPUs: t.GPUs, EstRuntime: t.EstRuntime, DatasetName: t.DatasetName,
 		submittedAt: sub, transferFrom: t.From,

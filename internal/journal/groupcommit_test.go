@@ -39,7 +39,7 @@ func gcOpenCap(t *testing.T, dir string, opts Options, stageCap int) *Journal {
 // instead of silently staging into a dead pipeline.
 func TestFlushErrorLatchesJournal(t *testing.T) {
 	dir := t.TempDir()
-	j := gcOpen(t, dir, Options{DurableSubmits: true})
+	j := gcOpen(t, dir, Options{})
 	hold := make(chan struct{})
 	j.HoldFlush(hold)
 	tick, err := j.AppendAsync(Record{Type: TypeSubmit, Job: 7, Tool: "racon", Handler: "h1"})
@@ -111,7 +111,7 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 // though nothing ever called Sync or Close.
 func TestGroupCommitDurableAckIsOnDisk(t *testing.T) {
 	dir := t.TempDir()
-	j := gcOpen(t, dir, Options{DurableSubmits: true})
+	j := gcOpen(t, dir, Options{})
 	acked := Record{Type: TypeSubmit, At: time.Second, Job: 7, Tool: "racon", Handler: "h1"}
 	if err := j.Append(acked); err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestGroupCommitDurableAckIsOnDisk(t *testing.T) {
 // — not acknowledged, not left hanging.
 func TestGroupCommitCrashBetweenStageAndFlush(t *testing.T) {
 	dir := t.TempDir()
-	j := gcOpen(t, dir, Options{DurableSubmits: true})
+	j := gcOpen(t, dir, Options{})
 
 	// Batch 1 flushes normally (the durable append waits for its fsync).
 	if err := j.Append(Record{Type: TypeSubmit, At: time.Second, Job: 1, Tool: "racon"}); err != nil {
@@ -195,7 +195,7 @@ func TestGroupCommitCrashBetweenStageAndFlush(t *testing.T) {
 // last-record-wins folding needs.
 func TestGroupCommitPerJobOrderUnderConcurrency(t *testing.T) {
 	dir := t.TempDir()
-	j := gcOpenCap(t, dir, Options{DurableSubmits: true}, 8)
+	j := gcOpenCap(t, dir, Options{}, 8)
 	const jobs, steps = 24, 40
 	var wg sync.WaitGroup
 	errs := make(chan error, jobs)
@@ -283,7 +283,7 @@ func TestGroupCommitAppendAfterClose(t *testing.T) {
 		"close": (*Journal).Close,
 		"crash": (*Journal).Crash,
 	} {
-		j := gcOpen(t, t.TempDir(), Options{DurableSubmits: true})
+		j := gcOpen(t, t.TempDir(), Options{})
 		if err := j.Append(Record{Type: TypeSubmit, At: time.Second, Job: 1, Tool: "racon"}); err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +399,7 @@ func TestGroupCommitSnapshotSupersedesStaged(t *testing.T) {
 // hold gate builds the backlog deterministically.
 func TestGroupCommitStats(t *testing.T) {
 	dir := t.TempDir()
-	j := gcOpen(t, dir, Options{DurableSubmits: true})
+	j := gcOpen(t, dir, Options{})
 	hold := make(chan struct{})
 	j.HoldFlush(hold)
 	const n = 64

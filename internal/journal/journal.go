@@ -16,19 +16,16 @@ import (
 	"time"
 )
 
-// Options configure a journal. Production wiring (gyan-server, cluster
-// members) sets DurableSubmits; the zero value acknowledges every record as
-// soon as it is staged.
+// Options configure a journal. The zero value is production: gyan-server and
+// cluster members open their journals with it. There is one durability mode —
+// Append waits for the fsync of a durable-class record (see durableType) and
+// returns any other once it is staged.
 type Options struct {
 	// segmentBytes rotates to a new segment once the current one reaches
 	// this size; zero is 1 MiB, and only the rotation tests set another. A
 	// segment always holds at least one record, however large.
 	segmentBytes int64
-	// DurableSubmits makes Append block on submit and ownership records
-	// until the commit watermark passes them, so a job acknowledged to the
-	// user can never be lost to a crash. Other records return once staged —
-	// a lost start or complete record only costs a re-execution, never a
-	// job.
+	// Deprecated: durable-class records always wait; nothing reads this.
 	DurableSubmits bool
 	// Deprecated: one pipeline; nothing reads this.
 	Shards int
@@ -355,8 +352,8 @@ func (j *Journal) SetSyncObserver(fn func(records int, took time.Duration)) {
 	j.obsMu.Unlock()
 }
 
-// durableType reports whether a record type is on the DurableSubmits fsync
-// list: submissions and every ownership move. A crash must never un-ack a
+// durableType reports whether Append waits for a record type's fsync:
+// submissions and every ownership move. A crash must never un-ack a
 // submit, and it must never leave two handlers believing they own the same
 // job — adopt, steal-prepare/retire/abort and stripe claims are exactly the
 // records whose loss would reopen that window.
@@ -372,11 +369,13 @@ func durableType(t Type) bool {
 var errClosed = errors.New("journal: closed")
 
 // Append stages one record for the flusher. A durable-class record (see
-// Options.DurableSubmits) then waits for the commit watermark to pass it;
-// any other returns as soon as it is staged.
+// durableType) then waits for the commit watermark to pass it, so a job
+// acknowledged to the user is never lost to a crash; any other returns as
+// soon as it is staged — a lost start or complete record only costs a
+// re-execution, never a job.
 func (j *Journal) Append(rec Record) error {
 	tick, err := j.AppendAsync(rec)
-	if err != nil || !j.opts.DurableSubmits || !durableType(rec.Type) {
+	if err != nil || !durableType(rec.Type) {
 		return err
 	}
 	return j.AwaitDurable(tick)

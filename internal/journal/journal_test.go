@@ -31,6 +31,17 @@ func appendAll(t *testing.T, j *Journal, recs []Record) {
 	}
 }
 
+// stageAll is appendAll without the wait: behind a held flusher a durable
+// Append would never return.
+func stageAll(t *testing.T, j *Journal, recs []Record) {
+	t.Helper()
+	for _, r := range recs {
+		if _, err := j.AppendAsync(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // writeFlat writes recs as one top-level file (a wal-*.seg segment or a
 // snap-*.json snapshot) of the flat layout older versions wrote and no
 // writer produces any more; Replay still has to read it. The records keep
@@ -280,12 +291,12 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 }
 
-// TestCrashDropsBufferedRecords checks the durability contract: with
-// DurableSubmits, submits survive a crash while non-durable records still
-// staged behind the flusher are lost.
+// TestCrashDropsBufferedRecords checks the durability contract: a submit
+// survives a crash while non-durable records still staged behind the flusher
+// are lost.
 func TestCrashDropsBufferedRecords(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{DurableSubmits: true})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +500,7 @@ func TestCorruptMiddleSegment(t *testing.T) {
 // the torn tail in a sealed segment must never swallow later segments.
 func TestTornTailDoesNotPoisonLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	j1, err := Open(dir, Options{DurableSubmits: true})
+	j1, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +511,7 @@ func TestTornTailDoesNotPoisonLaterSegments(t *testing.T) {
 
 	// Incarnation 2: recovery succeeded, new acknowledged jobs land in the
 	// next segment.
-	j2, err := Open(dir, Options{DurableSubmits: true})
+	j2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

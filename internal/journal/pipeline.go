@@ -25,10 +25,11 @@ import (
 // reads the queue under the same lock that issued it.
 //
 // Durability: the queue is in ticket order, so the fsync of a batch moves
-// the commit watermark past every ticket in it. A DurableSubmits submit or
-// ownership record is staged and then waits on the watermark
-// (AwaitDurable), so N concurrent submitters share one fsync. AppendAsync
-// skips the wait and hands the ticket back instead.
+// the commit watermark past every ticket in it. Append stages a submit or
+// ownership record and then always waits on the watermark (AwaitDurable), so
+// N concurrent submitters share one fsync. AppendAsync skips the wait and
+// hands the ticket back instead, for a caller that waits later — the engine
+// stages a submit under its lock and waits after releasing it.
 //
 // Crash semantics: records staged but not yet flushed are exactly what a
 // killed process loses, and watermark waiters parked on them are unblocked

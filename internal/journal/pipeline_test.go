@@ -124,7 +124,7 @@ func TestOpenUpgradesShardedDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, err := Open(dir, Options{DurableSubmits: true})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestOpenUpgradesShardedDirectory(t *testing.T) {
 // waiter with an error, and the record is absent at replay.
 func TestAsyncDurableCrashBetweenStageAndFlush(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{DurableSubmits: true})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestAsyncDurableCrashBetweenStageAndFlush(t *testing.T) {
 // nothing ever waits on, so the scan is held to both.
 func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{DurableSubmits: true})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 	// Sanity: after a full Sync the watermark must catch the ticket counter
 	// exactly (fresh journal, no crash).
 	dir2 := t.TempDir()
-	j2, err := Open(dir2, Options{DurableSubmits: true})
+	j2, err := Open(dir2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 func TestShardFileIsTicketOrdered(t *testing.T) {
 	dir := t.TempDir()
 	const bound = 4
-	j := gcOpenCap(t, dir, Options{DurableSubmits: true, segmentBytes: 1024}, bound)
+	j := gcOpenCap(t, dir, Options{segmentBytes: 1024}, bound)
 	hold := make(chan struct{})
 	j.HoldFlush(hold)
 	const producers, each = 8, 40
@@ -615,7 +615,7 @@ func TestLegacyUpgradeEpochStrictlyIncreasing(t *testing.T) {
 func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		dir := filepath.Join(t.TempDir(), "j")
-		j, err := Open(dir, Options{DurableSubmits: true})
+		j, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -680,7 +680,7 @@ func TestStatsCountsSegmentsAndStaged(t *testing.T) {
 	}
 	hold := make(chan struct{})
 	j.HoldFlush(hold)
-	appendAll(t, j, testRecords(3))
+	stageAll(t, j, testRecords(3))
 	if st := j.Stats(); st.Staged != 3 || st.Watermark >= st.Tick {
 		t.Fatalf("behind a held flusher: staged %d, watermark %d, tick %d", st.Staged, st.Watermark, st.Tick)
 	}
@@ -729,7 +729,7 @@ func TestAdaptiveControllerConverges(t *testing.T) {
 // workload from eight concurrent appenders replays complete and ordered.
 func TestShardedAdaptiveRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{DurableSubmits: true})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,9 +59,8 @@ type Type string
 // observer, not written. A job that never fails writes submit, start, complete.
 const (
 	// TypeSubmit records a job entering the system. Submits are the
-	// journal's durability points: with Options.DurableSubmits they are
-	// fsynced before Append returns, so an acknowledged job survives any
-	// later crash.
+	// journal's durability points: Append returns only once one is fsynced,
+	// so an acknowledged job survives any later crash.
 	TypeSubmit Type = "submit"
 	// TypeMap is retired: nothing writes it, Fold ignores it, and the mapping
 	// decision goes to obs.Observer.Mapped. Declared for bench/layers.go only.

@@ -339,6 +339,63 @@ func TestRecordFieldsAreRead(t *testing.T) {
 	}
 }
 
+// TestEngineHasOneLock holds the job handler to the one lock DESIGN §10
+// describes: among package galaxy's struct types, the only field whose type
+// comes from sync or sync/atomic is Galaxy.mu. Every program already
+// serializes above the handler, and a concurrent submitter waits for its fsync
+// after releasing g.mu, so a second lock buys no concurrency — only a lock
+// order to keep.
+func TestEngineHasOneLock(t *testing.T) {
+	m := loadModule(t)
+	gp := m.l.load(modulePath + "/internal/galaxy")
+	scope := gp.types.Scope()
+	var locks []string
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if !fromSync(f.Type()) || name+"."+f.Name() == "Galaxy.mu" {
+				continue
+			}
+			pos := m.l.fset.Position(f.Pos())
+			rel, _ := filepath.Rel(m.l.root, pos.Filename)
+			locks = append(locks, fmt.Sprintf("%s:%d: %s.%s %s",
+				filepath.ToSlash(rel), pos.Line, name, f.Name(), f.Type()))
+		}
+	}
+	if len(locks) > 0 {
+		t.Errorf("package galaxy declares %d sync fields besides Galaxy.mu:\n\t%s",
+			len(locks), strings.Join(locks, "\n\t"))
+	}
+}
+
+// fromSync reports whether t, through pointers, arrays and slices, is a type
+// declared in sync or sync/atomic.
+func fromSync(t types.Type) bool {
+	for {
+		switch u := t.(type) {
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Array:
+			t = u.Elem()
+		case *types.Slice:
+			t = u.Elem()
+		case *types.Named:
+			p := u.Obj().Pkg()
+			return p != nil && (p.Path() == "sync" || p.Path() == "sync/atomic")
+		default:
+			return false
+		}
+	}
+}
+
 // isOptionStruct is the naming rule: …Config, …Options, …Params, and the one
 // option struct named otherwise.
 func isOptionStruct(pkgName, name string) bool {
