@@ -14,6 +14,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/smi:FuzzSurveyCache \
                 ./internal/bioseq:FuzzEditDistance \
                 ./internal/tools/racon:FuzzAddSequence \
+                ./internal/tools/racon:FuzzMapReads \
                 ./internal/tools/bonito:FuzzBasecall \
                 ./internal/transport/tcpbus:FuzzFrame \
                 ./internal/sched:FuzzCycle

@@ -42,17 +42,21 @@ func benchPolishWindows(b *testing.B, load func() (*workload.ReadSet, error), ba
 	}
 }
 
+// batchDrainReads is the read set every racon job of bench's batch_drain
+// polishes: one 240-base window and a handful of reads.
+func batchDrainReads() (*workload.ReadSet, error) {
+	return workload.GenerateLongReads(workload.LongReadConfig{
+		Name: "bench_reads", Seed: 42, RefLen: 240, ReadLen: 80, Coverage: 2,
+		SubRate: 0.02, InsRate: 0.03, DelRate: 0.03, BackboneErrorRate: 0.04,
+		NominalBytes: 17 << 30,
+	})
+}
+
 // BenchmarkPolishWindow: the one window of bench's batch_drain read set, and
 // the 40 windows of the server's default read set, unbanded and banded.
 func BenchmarkPolishWindow(b *testing.B) {
-	tiny := func() (*workload.ReadSet, error) {
-		return workload.GenerateLongReads(workload.LongReadConfig{
-			Name: "bench_reads", Seed: 42, RefLen: 240, ReadLen: 80, Coverage: 2,
-			SubRate: 0.02, InsRate: 0.03, DelRate: 0.03, BackboneErrorRate: 0.04,
-		})
-	}
 	nfl := func() (*workload.ReadSet, error) { return workload.AlzheimersNFL(42) }
-	b.Run("batch_drain", func(b *testing.B) { benchPolishWindows(b, tiny, 0) })
+	b.Run("batch_drain", func(b *testing.B) { benchPolishWindows(b, batchDrainReads, 0) })
 	b.Run("alzheimers_nfl", func(b *testing.B) { benchPolishWindows(b, nfl, 0) })
 	b.Run("alzheimers_nfl_banded", func(b *testing.B) { benchPolishWindows(b, nfl, racon.BandWidth) })
 }
@@ -93,6 +97,25 @@ func BenchmarkBonitoJob(b *testing.B) {
 		c := gpu.NewPaperTestbed(nil)
 		env := bonito.Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: "/usr/bin/bonito"}
 		if _, err := bonito.Run(set, p, env); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRaconJob is a racon job of batch_drain with CPU placement: the
+// whole Run at scale 0.004, mapping, windows, polish and window quality
+// included, which BenchmarkPolishWindow leaves out.
+func BenchmarkRaconJob(b *testing.B) {
+	rs, err := batchDrainReads()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := racon.DefaultParams()
+	p.Scale = 0.004
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := racon.Run(rs, p, racon.Env{ProcName: "/usr/bin/racon"}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,16 +68,20 @@ func NewGraph(backbone []byte, scores bioseq.AlignScores, band int) (*Graph, err
 		return nil, fmt.Errorf("racon: negative band %d", band)
 	}
 	// Room for the backbone and as many read-specific nodes again.
-	g := &Graph{nodes: make([]poaNode, 0, 2*len(backbone)), scores: scores, band: band}
-	prev := -1
-	for _, b := range backbone {
-		id := g.addNode(b)
-		if prev >= 0 {
-			g.addEdge(prev, id, 1)
-		} else {
-			g.nodes[id].starts++
+	g := &Graph{nodes: make([]poaNode, len(backbone), 2*len(backbone)), scores: scores, band: band}
+	// The spine's edges share one array: node i's out-edge and node i+1's
+	// in-edge are its cells 2i and 2i+1, each a capacity-1 slice, so only a
+	// node's second edge allocates.
+	spine := make([]poaEdge, 2*(len(backbone)-1))
+	for i, b := range backbone {
+		g.nodes[i].base = b
+		if i == 0 {
+			g.nodes[i].starts = 1
+			continue
 		}
-		prev = id
+		out, in := 2*(i-1), 2*(i-1)+1
+		spine[out], spine[in] = poaEdge{to: i, weight: 1}, poaEdge{to: i - 1, weight: 1}
+		g.nodes[i-1].out, g.nodes[i].in = spine[out:out+1:out+1], spine[in:in+1:in+1]
 	}
 	return g, nil
 }
@@ -289,17 +293,11 @@ func (g *Graph) addSequence(ws *workspace, seq []byte) (DPStats, error) {
 				in[i] = max(in[i], diag[i]+sb[i], up[i]+gap)
 			}
 		}
-		prev := score[preds[last]+lo-1 : preds[last]+hi+1]
-		diag, left := prev[0], cur[lo-1]
-		prev = prev[1:][:len(in)]
-		for i, v := range in {
-			up := prev[i]
-			left = max(v, diag+sb[i], up+gap, left+gap)
-			in[i] = left
-			if left > bestScore {
-				bestScore, bestRow, bestJ = left, r+1, lo+i
-			}
-			diag = up
+		// The row's first maximum beats the running best only if strictly
+		// greater: together, the first maximum in row-major order.
+		top, at := fillRow(in, score[preds[last]+lo-1:preds[last]+hi+1], sb, cur[lo-1], gap)
+		if top > bestScore {
+			bestScore, bestRow, bestJ = top, r+1, lo+at
 		}
 	}
 
@@ -309,6 +307,31 @@ func (g *Graph) addSequence(ws *workspace, seq []byte) (DPStats, error) {
 		stats.Cells = n * (2*g.band + 1)
 	}
 	return stats, nil
+}
+
+// fillRow is the pass over the last predecessor row, which carries the left
+// neighbour along: in[i] = max(in[i], diag+sb[i], up+gap, left+gap), where
+// prev is that row from the column before in's first cell, so prev[i] is
+// in[i]'s diagonal and prev[i+1] the cell above it, and left enters as the
+// cell before in[0]. It returns the row's first strict maximum and its index
+// (negInf and -1 for an empty row). It is kept a leaf of its own: inlined
+// into addSequence, its loop state would spill to the stack.
+//
+//go:noinline
+func fillRow(in, prev, sb []int32, left, gap int32) (top int32, at int) {
+	top, at = negInf, -1
+	diag := prev[0]
+	prev, sb = prev[1:][:len(in)], sb[:len(in)]
+	for i, v := range in {
+		up := prev[i]
+		left = max(v, diag+sb[i], up+gap, left+gap)
+		in[i] = left
+		if left > top {
+			top, at = left, i
+		}
+		diag = up
+	}
+	return top, at
 }
 
 // threadIn walks the traceback from (row, endJ) and mutates the graph:

@@ -607,3 +607,18 @@ func TestAddSequenceAllocatesOnlyTheGraph(t *testing.T) {
 		t.Fatalf("second AddSequence allocated %d bytes (err %v), want < 8 KiB", got, err)
 	}
 }
+
+// TestNewGraphAllocatesPerGraph pins the spine: a 240-base window's graph is
+// the Graph, its node array and one array of spine edges, not a slice per
+// edge (that was ~480 allocations).
+func TestNewGraphAllocatesPerGraph(t *testing.T) {
+	backbone := bytes.Repeat([]byte("ACGT"), 60)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewGraph(backbone, bioseq.DefaultScores(), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("NewGraph of a %d-base spine made %v allocations, want <= 3", len(backbone), allocs)
+	}
+}
