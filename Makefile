@@ -83,8 +83,8 @@ quick-golden:
 # test-crash replays the kill-and-failover scenario end to end: handler h1
 # dies mid-workload with a torn record on disk, standby h2 recovers from the
 # journal, and the audit pins zero lost jobs and zero double executions; then
-# the differential recovery oracle (a journal with the retired map records
-# spliced back in recovers to the same report and the same jobs).
+# the differential recovery oracle (a journal written with the retired map
+# records spliced back in recovers to the same report and the same jobs).
 test-crash:
 	$(call run_selected,./internal/experiments,TestCrashRecovery)
 	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLeaseExpiry|TestRecoverSplicedMapRecords)
@@ -101,16 +101,16 @@ hammer-api:
 # appenders, group commit and backpressure, AppendAsync/AwaitDurable
 # semantics where a crash between stage and flush must not report durable,
 # watermark monotonicity under concurrent appenders, the flush-error latch,
-# stats), the torn-tail replay, the layouts older versions wrote (the
-# per-stripe torn-tail table and ticket merge, opening, appending to and
-# compacting a striped directory, the read-only flat layout and the epoch
-# rule over both), the fold (rule table, retired kinds, interleaving
-# invariance, no write-only record kind), the record codec against the JSON
-# writer, the committed JSON fixture, the replay merge against the stable
-# sort, and at the engine level the torn-tail crash-requeue scenario, the
-# spliced-map-record recovery oracle, durable submits racing compaction
-# without losing a job, and concurrent submits sharing one fsync.
-JOURNAL_TESTS ?= TestSharded|TestShardFileIsTicketOrdered|TestOpenUpgradesShardedDirectory|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestFlushError|TestFlatLayout|TestLegacyUpgrade|TestFold|TestCodec|TestReplayReadsJSONFixture|TestReplayMergeMatchesStableSort
+# stats), snapshot compaction over rotated segments and over the segments a
+# crash left behind it, the torn-tail replay, the incarnation epoch
+# (strictly increasing, and refused before it wraps), the refusal of every
+# layout and payload older versions wrote, the fold (rule table, retired
+# kinds, interleaving invariance, no write-only record kind), the record
+# codec against the JSON writer, and at the engine level
+# the torn-tail crash-requeue scenario, the spliced-map-record recovery
+# oracle, durable submits racing compaction without losing a job, and
+# concurrent submits sharing one fsync.
+JOURNAL_TESTS ?= TestSegmentFilesAreTicketOrdered|TestRotatedSnapshotCompaction|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestTornTailDoesNotPoisonLaterSegments|TestSnapshotSupersedesLeftoverSegments|TestFlushError|TestEpochStrictlyIncreasing|TestOpenRefusesAnExhaustedEpoch|TestLegacyFormatIsRefused|TestFold|TestCodec
 JOURNAL_GALAXY_TESTS ?= TestShardedCrash|TestRecoverSplicedMapRecords|TestSubmitRacingCompactionLosesNothing|TestConcurrentSubmitsShareAnFsync
 
 test-journal:

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gyan/internal/faults"
+	"gyan/internal/journal"
 	"gyan/internal/transport"
 )
 
@@ -883,6 +884,33 @@ func TestRejoinRefusesUnreadableJournal(t *testing.T) {
 	if err == nil {
 		n.Close()
 		t.Fatal("rejoin booted over an unreadable journal")
+	}
+}
+
+// TestBootRefusesLegacyJournal: a member directory an older version laid out
+// is refused, never booted over — by the journal's Open on a first boot and
+// by the replay on a rejoin alike.
+func TestBootRefusesLegacyJournal(t *testing.T) {
+	for _, inc := range []uint64{1, 2} {
+		root := t.TempDir()
+		dir := filepath.Join(root, "h0")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n, err := New(Config{
+			Members: []string{"h0", "h1"}, Local: []string{"h0"}, Incarnation: inc, Dir: root,
+			Bus: transport.New(nil), WallClock: func() time.Duration { return 0 },
+		})
+		if err == nil {
+			n.Close()
+			t.Fatalf("incarnation %d booted over a legacy journal", inc)
+		}
+		if !errors.Is(err, journal.ErrLegacyFormat) {
+			t.Fatalf("incarnation %d: %v, want ErrLegacyFormat", inc, err)
+		}
 	}
 }
 

@@ -264,7 +264,7 @@ var pr22Journal = []string{
 // (the old cap held it back until a finished). Fail-fast: c's failure skips
 // d, which is no descendant of c (continue_branches ran it).
 func TestRecoverOldJournalResumesFailFastUncapped(t *testing.T) {
-	dir := writeFlatJournal(t, pr22Journal)
+	dir := writeJournal(t, pr22Journal)
 	recs, rerr := replayDir(t, dir)
 	if rerr != nil || len(recs) != len(pr22Journal) {
 		t.Fatalf("replayed %d of %d records: %v", len(recs), len(pr22Journal), rerr)

@@ -57,19 +57,24 @@ func schedulerPath(t *testing.T, j *journal.Journal) *Galaxy {
 	return schedGalaxy(t, sched.Config{}, WithJournal(j, "h1"))
 }
 
-// writeFlatJournal frames the payloads into a fresh directory's one flat
-// segment — the layout older writers used: one more stream to Replay, never
-// appended to — so a test can recover bytes no current writer produces.
-func writeFlatJournal(t *testing.T, payloads []string) string {
+// writeJournal writes the records the JSON payloads decode to through a
+// fresh directory's journal, in order, tickets restamped — so a test can
+// recover records no current writer produces (retired kinds and fields). The
+// payloads are test data only: replay reads nothing but binary records.
+func writeJournal(t *testing.T, payloads []string) string {
 	t.Helper()
 	dir := t.TempDir()
-	var seg []byte
+	j := openTestJournal(t, dir)
 	for _, payload := range payloads {
-		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(payload)))
-		seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE([]byte(payload)))
-		seg = append(seg, payload...)
+		var rec journal.Record
+		if err := json.Unmarshal([]byte(payload), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), seg, 0o644); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -566,11 +571,39 @@ func TestRecoverRefusesCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesLegacyJournal hands Recover the refusal a journal
+// directory an older version wrote draws from replay — here a CRC-valid JSON
+// record in shard-00/, which replay once cut short as a torn tail — and
+// requires recovery to abort rather than boot over the records it cannot read.
+func TestRecoverRefusesLegacyJournal(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte(`{"t":"submit","at":0,"h":"h1","k":1,"job":1,"tool":"racon","dataset":"nfl"}`)
+	seg := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(payload))
+	seg = append(seg, payload...)
+	if err := os.MkdirAll(filepath.Join(dir, "shard-00"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shard-00", "wal-00000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, rerr := journal.Replay(dir)
+	if !errors.Is(rerr, journal.ErrLegacyFormat) {
+		t.Fatalf("replay: %v, want ErrLegacyFormat", rerr)
+	}
+	g := testGalaxy(t, WithJournal(openTestJournal(t, t.TempDir()), "h1"))
+	if _, err := g.Recover(recs, rerr, RecoverOptions{
+		Datasets: map[string]any{"nfl": smallReadSet(t)}, RestartDelay: time.Second,
+	}); !errors.Is(err, journal.ErrLegacyFormat) {
+		t.Fatalf("recover: %v, want the refusal", err)
+	}
+}
+
 // spliceMapRecords puts back what the commit before PR 24 journaled: a map
 // record in front of every start and after the submit of every job that never
 // started. The spliced gang is [0,1] whatever the start says — the mapper's
-// answer, which under the scheduler was not what ran. Each takes its
-// neighbour's ticket, so Replay's stable merge keeps it in place.
+// answer, which under the scheduler was not what ran. writeJournal stamps
+// tickets in stream order, so each stays where it is spliced.
 func spliceMapRecords(t *testing.T, payloads []string) (spliced []string) {
 	t.Helper()
 	recs := make([]journal.Record, len(payloads))
@@ -686,7 +719,7 @@ func TestRecoverSplicedMapRecordsChangeNothing(t *testing.T) {
 	for _, s := range streams {
 		t.Run(s.name, func(t *testing.T) {
 			recoverFrom := func(payloads []string) outcome {
-				dir := writeFlatJournal(t, payloads)
+				dir := writeJournal(t, payloads)
 				recs, rerr := replayDir(t, dir)
 				if rerr != nil || len(recs) != len(payloads) {
 					t.Fatalf("replayed %d of %d records: %v", len(recs), len(payloads), rerr)
@@ -701,6 +734,11 @@ func TestRecoverSplicedMapRecordsChangeNothing(t *testing.T) {
 				out := outcome{rep: *rep, resumed: g.Jobs()}
 				g.Run()
 				out.final = g.Jobs()
+				// A ticket is the writer's stamp, not the record's content:
+				// each spliced record takes one and moves every later one.
+				for _, job := range append(out.resumed, out.final...) {
+					job.submit.Tick = 0
+				}
 				return out
 			}
 			plain := s.payloads

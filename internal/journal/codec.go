@@ -2,7 +2,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -20,13 +19,14 @@ import (
 // workflow step. A zero value is not written, the way encoding/json's
 // omitempty dropped it, so an empty collection decodes as nil.
 //
-// The version byte can never be '{': a payload that starts with one is a
-// JSON record an older version wrote, and decodePayload still reads it, so
-// old segments and snapshots replay unchanged beside new ones.
+// This is the only payload format replay reads. A frame whose payload starts
+// with any other version byte — '{', the JSON records of older versions,
+// among them — is refused with ErrLegacyFormat, never skipped as corrupt.
 //
 // Compatibility rules. A field number is never reused: a deleted field
 // retires its number here, and the decoder skips field numbers it does not
-// know, so an old record carrying the deleted field still decodes.
+// know, so an old record carrying the deleted field still decodes. A change
+// no skipped field can express takes a new version byte.
 const binaryVersion = 1
 
 // Wire types: the two this codec writes.
@@ -280,17 +280,15 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
-// decodePayload decodes one record payload into rec, which must be zero: a
-// JSON object from an older writer, or a binary record.
+// decodePayload decodes one binary record payload into rec, which must be
+// zero. A payload of another format version (a JSON object, whose '{' no
+// version byte is, among them) is an error wrapping ErrLegacyFormat.
 func decodePayload(p []byte, rec *Record) error {
-	if len(p) > 0 && p[0] == '{' {
-		return json.Unmarshal(p, rec)
-	}
 	if len(p) == 0 {
 		return errors.New("empty payload")
 	}
 	if p[0] != binaryVersion {
-		return fmt.Errorf("unknown format version %d", p[0])
+		return fmt.Errorf("%w: payload version %d", ErrLegacyFormat, p[0])
 	}
 	return decodeRecord(p[1:], rec)
 }

@@ -3,15 +3,10 @@ package journal
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -22,8 +17,8 @@ func encode(rec Record) ([]byte, error) {
 }
 
 // encodeJSON is the record writer older versions shipped, kept verbatim as
-// the oracle the binary codec is held to and as the writer of the committed
-// testdata/json-v0 fixture. Nothing outside tests writes JSON any more.
+// the oracle the binary codec is held to. Nothing outside tests writes JSON,
+// and replay refuses it.
 func encodeJSON(rec Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -159,23 +154,26 @@ func normalize(r Record) Record {
 // replaced: for random records of every kind, the binary round trip, the
 // JSON round trip and the normalized original are one and the same record.
 func TestCodecMatchesJSON(t *testing.T) {
-	roundTrip := func(frame []byte, err error) Record {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, rerr := ReplayBytes(frame)
-		if rerr != nil || len(recs) != 1 {
-			t.Fatalf("replay: %d records, %v", len(recs), rerr)
-		}
-		return recs[0]
-	}
 	rng := rand.New(rand.NewSource(28))
 	for i := 0; i < 5000; i++ {
 		rec := randRecord(rng)
 		want := normalize(rec)
-		viaBinary := roundTrip(encode(rec))
-		viaJSON := roundTrip(encodeJSON(rec))
+		b, err := encode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ReplayBytes(b)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("replay: %d records, %v", len(recs), err)
+		}
+		viaBinary := recs[0]
+		if b, err = encodeJSON(rec); err != nil {
+			t.Fatal(err)
+		}
+		var viaJSON Record
+		if err := json.Unmarshal(b[headerSize:], &viaJSON); err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(viaBinary, want) {
 			t.Fatalf("record %d: binary round trip\n got %#v\nwant %#v", i, viaBinary, want)
 		}
@@ -259,82 +257,4 @@ func FuzzRecordCodec(f *testing.F) {
 			t.Fatalf("re-encoded record differs\n got %#v\nwant %#v", again, rec)
 		}
 	})
-}
-
-// jsonFixture is testdata/json-v0: a journal directory the JSON writer
-// produced (see fixtureRecords) — a flat-layout segment, two shard
-// directories, a snapshot superseding part of the flat segment, and a torn
-// tail in shard-00. It is committed, not regenerated: JSON is a read format.
-const jsonFixture = "testdata/json-v0"
-
-// TestReplayReadsJSONFixture replays the committed JSON journal against its
-// committed expected records, then reopens a copy, appends binary records
-// beside the JSON ones, and replays the mixed directory: the old records,
-// then the new, in ticket order.
-func TestReplayReadsJSONFixture(t *testing.T) {
-	var want []Record
-	b, err := os.ReadFile("testdata/json-v0.want.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Replay(jsonFixture)
-	var cerr *CorruptRecordError
-	if !errors.As(err, &cerr) || cerr.Segment != filepath.Join(shardDirName(0), segName(3)) || cerr.IsSnapshot() {
-		t.Fatalf("replay error = %v, want the torn tail of shard-00/%s", err, segName(3))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fixture replays to\n%#v\nwant\n%#v", got, want)
-	}
-
-	dir := t.TempDir()
-	err = filepath.WalkDir(jsonFixture, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || path == jsonFixture {
-			return err
-		}
-		to := filepath.Join(dir, strings.TrimPrefix(path, jsonFixture))
-		if d.IsDir() {
-			return os.Mkdir(to, 0o755)
-		}
-		b, err := os.ReadFile(path)
-		if err == nil {
-			err = os.WriteFile(to, b, 0o644)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	added := trail()
-	for i := range added {
-		added[i].Job = 100
-		added[i].Tick = 0 // Append stamps it
-		if err := j.Append(added[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err = Replay(dir)
-	if !errors.As(err, &cerr) {
-		t.Fatalf("mixed replay error = %v, want the fixture's torn tail", err)
-	}
-	if len(got) != len(want)+len(added) || !reflect.DeepEqual(got[:len(want)], want) {
-		t.Fatalf("mixed replay does not start with the fixture's %d records: %#v", len(want), got)
-	}
-	for i, r := range got[len(want):] {
-		if r.Tick <= got[len(want)+i-1].Tick {
-			t.Fatalf("appended record %d: tick %#x not above %#x", i, r.Tick, got[len(want)+i-1].Tick)
-		}
-		if r.Tick = 0; !reflect.DeepEqual(r, added[i]) {
-			t.Fatalf("appended record %d replays as %#v, want %#v", i, r, added[i])
-		}
-	}
 }

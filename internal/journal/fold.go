@@ -31,7 +31,7 @@ import (
 //
 // A trail reads only its own job's records in written order, and leases only
 // their handler's, so any interleaving that keeps those orders folds to the
-// same History — which is what lets Replay merge streams by ticket.
+// same History.
 //
 // Pointer fields alias recs.
 func Fold(recs []Record) *History {

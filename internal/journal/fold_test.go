@@ -1,26 +1,15 @@
 package journal
 
 import (
-	"encoding/binary"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"strconv"
 	"testing"
 	"time"
 )
-
-// frame wraps a raw JSON payload in the record framing, so tests can replay
-// payloads no current writer produces.
-func frame(payload string) []byte {
-	b := make([]byte, headerSize, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE([]byte(payload)))
-	return append(b, payload...)
-}
 
 // TestFold pins the fold rule by rule: one named case per sentence of Fold's
 // contract.
@@ -149,47 +138,46 @@ func TestFold(t *testing.T) {
 	}
 }
 
-// TestFoldIgnoresRetiredKinds replays the bytes earlier writers produced —
-// schedule, queue and quarantine payloads with their qop/device/until fields
-// (before PR 17), a preempt record and a workflow definition carrying
-// wf_policy and wf_max_in_flight (before PR 23), a map record with the
-// policy's reason and a submit carrying delay (before PR 24) — and requires
-// the same History as the stream without the retired records and fields.
+// TestFoldIgnoresRetiredKinds replays a stream holding the kinds earlier
+// versions wrote and this one neither writes nor reads — schedule, queue,
+// quarantine, preempt and map — and requires the same History as the stream
+// without them.
 func TestFoldIgnoresRetiredKinds(t *testing.T) {
-	payloads := []struct {
-		json    string
+	recs := []struct {
+		rec     Record
 		retired bool
-		// bare is the payload without its retired fields ("" when it has none).
-		bare string
 	}{
-		{`{"t":"workflow","at":1000,"h":"h1","k":1,"wf":1,"wf_name":"old","wf_policy":"continue_branches","wf_max_in_flight":2,"wf_steps":[{"id":"a","tool":"racon"}]}`, false,
-			`{"t":"workflow","at":1000,"h":"h1","k":1,"wf":1,"wf_name":"old","wf_steps":[{"id":"a","tool":"racon"}]}`},
-		{`{"t":"submit","at":500,"h":"h1","k":1,"job":1,"tool":"racon","gpus":1,"submitted":500,"delay":500}`, false,
-			`{"t":"submit","at":500,"h":"h1","k":1,"job":1,"tool":"racon","gpus":1,"submitted":500}`},
-		{`{"t":"map","at":1000,"h":"h1","k":2,"job":1,"dest":"gpu_k80","gpu":true,"devices":[0,1],"msg":"GPU 0 and 1 idle: gang of 2"}`, true, ""},
-		{`{"t":"schedule","at":1000,"h":"h1","k":3,"job":1,"gpus":1,"qop":"park"}`, true, ""},
-		{`{"t":"queue","at":2000,"h":"h1","k":4,"job":1,"devices":[0],"qop":"grant"}`, true, ""},
-		{`{"t":"start","at":2000,"h":"h1","k":5,"job":1,"epoch":1,"devices":[0]}`, false, ""},
-		{`{"t":"preempt","at":2500,"h":"h1","k":6,"job":1,"msg":"preempted for job 2 (priority 9 > 0, waited 100ms)"}`, true, ""},
-		{`{"t":"start","at":2600,"h":"h1","k":7,"job":1,"epoch":2,"devices":[0]}`, false, ""},
-		{`{"t":"attempt","at":3000,"h":"h1","k":8,"job":1,"attempt":1,"class":"transient","devices":[0]}`, false, ""},
-		{`{"t":"quarantine","at":3000,"h":"h1","k":9,"device":1,"until":-1}`, true, ""},
-		{`{"t":"queue","at":3000,"h":"h1","k":10,"job":1,"qop":"remove"}`, true, ""},
-		{`{"t":"complete","at":3000,"h":"h1","k":11,"job":1,"state":"error"}`, false, ""},
+		{Record{Type: TypeWorkflow, At: 1000, Handler: "h1", Tick: 1, Workflow: 1, WFName: "old",
+			WFSteps: []WFStep{{ID: "a", Tool: "racon"}}}, false},
+		{Record{Type: TypeSubmit, At: 500, Handler: "h1", Tick: 1, Job: 1, Tool: "racon", GPUs: 1, Submitted: 500}, false},
+		{Record{Type: TypeMap, At: 1000, Handler: "h1", Tick: 2, Job: 1, Destination: "gpu_k80", GPUEnabled: true,
+			Devices: []int{0, 1}, Msg: "GPU 0 and 1 idle: gang of 2"}, true},
+		{Record{Type: "schedule", At: 1000, Handler: "h1", Tick: 3, Job: 1, GPUs: 1}, true},
+		{Record{Type: "queue", At: 2000, Handler: "h1", Tick: 4, Job: 1, Devices: []int{0}}, true},
+		{Record{Type: TypeStart, At: 2000, Handler: "h1", Tick: 5, Job: 1, Epoch: 1, Devices: []int{0}}, false},
+		{Record{Type: "preempt", At: 2500, Handler: "h1", Tick: 6, Job: 1,
+			Msg: "preempted for job 2 (priority 9 > 0, waited 100ms)"}, true},
+		{Record{Type: TypeStart, At: 2600, Handler: "h1", Tick: 7, Job: 1, Epoch: 2, Devices: []int{0}}, false},
+		{Record{Type: TypeAttempt, At: 3000, Handler: "h1", Tick: 8, Job: 1, Attempt: 1, Class: "transient",
+			Devices: []int{0}}, false},
+		{Record{Type: "quarantine", At: 3000, Handler: "h1", Tick: 9}, true},
+		{Record{Type: "queue", At: 3000, Handler: "h1", Tick: 10, Job: 1}, true},
+		{Record{Type: TypeComplete, At: 3000, Handler: "h1", Tick: 11, Job: 1, State: "error"}, false},
 	}
 	var with, without []byte
-	for _, p := range payloads {
-		with = append(with, frame(p.json)...)
-		switch {
-		case p.bare != "":
-			without = append(without, frame(p.bare)...)
-		case !p.retired:
-			without = append(without, frame(p.json)...)
+	for _, r := range recs {
+		b, err := encode(r.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		with = append(with, b...)
+		if !r.retired {
+			without = append(without, b...)
 		}
 	}
 	all, err := ReplayBytes(with)
-	if err != nil || len(all) != len(payloads) {
-		t.Fatalf("replayed %d of %d records, err %v", len(all), len(payloads), err)
+	if err != nil || len(all) != len(recs) {
+		t.Fatalf("replayed %d of %d records, err %v", len(all), len(recs), err)
 	}
 	kept, err := ReplayBytes(without)
 	if err != nil {
@@ -204,10 +192,9 @@ func TestFoldIgnoresRetiredKinds(t *testing.T) {
 	}
 }
 
-// TestFoldInterleavingInvariant is the property sharded replay relies on:
-// records are merged across stripes by ticket, which fixes the order within
-// one job (one stripe) and within one writer's jobless records, and nothing
-// else — so any shuffle that preserves those orders must fold identically.
+// TestFoldInterleavingInvariant pins what a History depends on: the order
+// within one job and within one writer's jobless records, and nothing else —
+// so any shuffle that preserves those orders must fold identically.
 func TestFoldInterleavingInvariant(t *testing.T) {
 	perJob := []Type{TypeStart, TypeAttempt, TypeComplete, TypeDeadLetter,
 		TypeResubmit, TypeAdopt, TypeStealPrepare, TypeStealRetire, TypeStealAbort, TypeSubmit, "retired"}
@@ -216,7 +203,7 @@ func TestFoldInterleavingInvariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		// Lanes: one per job, plus one per handler for its leases; h1 also
 		// writes the workflow definitions, verdicts and claims (one journal
-		// has one such writer, and they all sit in stripe 0).
+		// has one such writer).
 		var lanes [][]Record
 		for job := 1; job <= 6; job++ {
 			lane := []Record{{Type: TypeSubmit, Job: job, Handler: handlers[rng.Intn(3)]}}

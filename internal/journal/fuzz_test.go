@@ -12,11 +12,11 @@ import (
 
 // FuzzReplay throws arbitrary bytes at the replay decoder. The contract
 // under fuzz: never panic, never allocate unboundedly, and classify every
-// anomaly as a typed *CorruptRecordError while still returning the valid
-// record prefix.
+// anomaly as a typed *CorruptRecordError or a refusal wrapping
+// ErrLegacyFormat while still returning the valid record prefix.
 func FuzzReplay(f *testing.F) {
-	// Seed corpus: a clean stream, a torn tail, a flipped CRC, JSON and
-	// mixed streams, and some classic troublemakers.
+	// Seed corpus: a clean stream, a torn tail, a flipped CRC, JSON streams
+	// that must be refused, and some classic troublemakers.
 	var clean []byte
 	for _, rec := range []Record{
 		{Type: TypeSubmit, At: time.Second, Handler: "h1", Job: 1, Tool: "racon",
@@ -32,8 +32,8 @@ func FuzzReplay(f *testing.F) {
 	}
 	f.Add(clean)
 	f.Add(clean[:len(clean)-5])
-	// The same records as an older version wrote them, and both formats in
-	// one stream, the way a reopened journal's directory mixes them.
+	// The same records as an older version wrote them, alone and around a
+	// binary stream.
 	var legacy []byte
 	for _, rec := range trail() {
 		b, err := encodeJSON(rec)
@@ -51,53 +51,47 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add([]byte("not a journal at all"))
 	// A record of a kind this version no longer writes, out of trail order.
-	f.Add(append(frame(`{"t":"queue","at":5,"job":1,"qop":"grant","devices":[0]}`), clean...))
-	// Every file of a mixed directory: a flat-layout segment and two
-	// stripes as older versions left them, then the snapshot and segment a
-	// writer produces today over them (real tickets, an incarnation epoch in
-	// the high bits).
-	mixed := f.TempDir()
-	addFiles := func() {
-		err := filepath.WalkDir(mixed, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || filepath.Ext(path) == "" { // the LOCK file
-				return err
-			}
-			b, err := os.ReadFile(path)
-			f.Add(b)
-			return err
-		})
-		if err != nil {
-			f.Fatal(err)
-		}
-	}
-	writeFlat(f, mixed, segName(1), testRecords(3))
-	writeSharded(f, mixed, 2, 2, testRecords(32))
-	addFiles()
-	j, err := Open(mixed, Options{})
+	queue, err := encode(Record{Type: "queue", At: 5, Job: 1, Devices: []int{0}})
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(append(queue, clean...))
+	// Every file of a directory today's writer left: a snapshot, the
+	// segments it rotated through after it, and the last one's torn tail.
+	dir := f.TempDir()
+	j, err := Open(dir, Options{segmentBytes: 256})
+	if err != nil {
+		f.Fatal(err)
+	}
+	appendAll(f, j, testRecords(10))
 	if err := j.WriteSnapshot(testRecords(2)); err != nil {
 		f.Fatal(err)
 	}
-	if err := j.Append(Record{Type: TypeComplete, Job: 1, State: "ok"}); err != nil {
+	appendAll(f, j, testRecords(20))
+	if err := j.CrashTorn(clean[:len(clean)-5]); err != nil {
 		f.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) == "" { // the LOCK file
+			return err
+		}
+		b, err := os.ReadFile(path)
+		f.Add(b)
+		return err
+	})
+	if err != nil {
 		f.Fatal(err)
 	}
-	addFiles()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReplayBytes(data)
-		if err != nil {
-			var cerr *CorruptRecordError
-			if !errors.As(err, &cerr) {
-				t.Fatalf("replay error is not a CorruptRecordError: %T %v", err, err)
-			}
-			if cerr.Reason == "" {
-				t.Fatal("CorruptRecordError with empty reason")
-			}
+		var cerr *CorruptRecordError
+		switch {
+		case err == nil, errors.Is(err, ErrLegacyFormat):
+		case !errors.As(err, &cerr):
+			t.Fatalf("replay error is neither a CorruptRecordError nor a refusal: %T %v", err, err)
+		case cerr.Reason == "":
+			t.Fatal("CorruptRecordError with empty reason")
 		}
 		// The decoded prefix must itself re-encode: no half-decoded junk.
 		for _, r := range recs {

@@ -2,12 +2,12 @@ package journal
 
 import (
 	"bufio"
-	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -165,18 +165,26 @@ const (
 	snapPrefix  = "snap-"
 	snapSuffix  = ".json"
 	shardPrefix = "shard-"
+	segDirName  = shardPrefix + "00"
 )
 
 // tickEpochShift positions the incarnation epoch in a ticket's high bits:
 // 2^24 restarts, 2^40 tickets per incarnation.
 const tickEpochShift = 40
 
+// ErrLegacyFormat is wrapped, with the offending path, by Open, Replay and
+// ReplayAll when a directory holds something only an older version wrote: a
+// top-level wal-*.seg, a shard-NN/ other than shard-00/, or a frame whose
+// payload version byte is not this codec's. They refuse it and change
+// nothing; it is never a *CorruptRecordError, so recovery aborts on it rather
+// than boot over records it cannot read.
+var ErrLegacyFormat = errors.New("journal: legacy on-disk format")
+
 func seqName(prefix string, seq int, suffix string) string {
 	return fmt.Sprintf("%s%08d%s", prefix, seq, suffix)
 }
-func segName(seq int) string    { return seqName(segPrefix, seq, segSuffix) }
-func snapName(seq int) string   { return seqName(snapPrefix, seq, snapSuffix) }
-func shardDirName(i int) string { return fmt.Sprintf("%s%02d", shardPrefix, i) }
+func segName(seq int) string  { return seqName(segPrefix, seq, segSuffix) }
+func snapName(seq int) string { return seqName(snapPrefix, seq, snapSuffix) }
 
 // parseSeq extracts the sequence number from a segment or snapshot file
 // name; ok is false for foreign files.
@@ -211,9 +219,11 @@ func listSeqs(dir, prefix, suffix string) ([]int, error) {
 	return out, nil
 }
 
-// listShardDirs returns the sorted shard subdirectory names of a journal
-// directory.
-func listShardDirs(dir string) ([]string, error) {
+// listSnapshots returns the sorted sequence numbers of the journal
+// directory's snapshots, and is the layout check every reader shares: a
+// top-level wal-*.seg or a shard-NN/ other than shard-00/ is refused with
+// ErrLegacyFormat. A missing directory lists as empty.
+func listSnapshots(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -221,27 +231,94 @@ func listShardDirs(dir string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: list %s: %w", dir, err)
 	}
-	var out []string
+	var out []int
 	for _, e := range entries {
-		if !e.IsDir() {
+		name := e.Name()
+		if n, ok := parseSeq(name, snapPrefix, snapSuffix); ok {
+			out = append(out, n)
 			continue
 		}
-		if _, ok := parseSeq(e.Name(), shardPrefix, ""); ok {
-			out = append(out, e.Name())
+		_, seg := parseSeq(name, segPrefix, segSuffix)
+		_, shard := parseSeq(name, shardPrefix, "")
+		if seg || shard && e.IsDir() && name != segDirName {
+			return nil, fmt.Errorf("%w: %s", ErrLegacyFormat, filepath.Join(dir, name))
 		}
 	}
-	sort.Strings(out)
+	sort.Ints(out)
 	return out, nil
+}
+
+// nextSeq returns the sequence number a new incarnation opens its first
+// segment at, which is also its epoch: 1 + the highest segment or snapshot
+// seq in the directory. Seqs only ever grow (compaction reopens past them,
+// never below) and every incarnation's segment takes the seq it was given,
+// so each epoch is strictly above every earlier one. A seq whose successor
+// does not fit the epoch bits is an error: the epoch would wrap below the
+// tickets already on disk. A directory an older version wrote is refused
+// with ErrLegacyFormat, by its layout or by any file's first record.
+func nextSeq(dir string) (int, error) {
+	snaps, err := listSnapshots(dir)
+	if err != nil {
+		return 0, err
+	}
+	segDir := filepath.Join(dir, segDirName)
+	segs, err := listSeqs(segDir, segPrefix, segSuffix)
+	if err != nil {
+		return 0, err
+	}
+	next := 1
+	for _, seq := range snaps {
+		next = max(next, seq+1)
+		if err := checkFirstFrame(filepath.Join(dir, snapName(seq))); err != nil {
+			return 0, err
+		}
+	}
+	for _, seq := range segs {
+		next = max(next, seq+1)
+		if err := checkFirstFrame(filepath.Join(segDir, segName(seq))); err != nil {
+			return 0, err
+		}
+	}
+	if next >= 1<<(64-tickEpochShift) {
+		return 0, fmt.Errorf("journal: %s: sequence %d leaves no incarnation epoch below 2^%d", dir, next-1, 64-tickEpochShift)
+	}
+	return next, nil
+}
+
+// checkFirstFrame reads a file's first record and returns the refusal
+// decodeStream gives it, if any. Anything else — a torn or corrupt frame, an
+// unreadable file — is replay's to report, not Open's.
+func checkFirstFrame(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	b := make([]byte, headerSize)
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n > MaxRecord {
+		return nil
+	}
+	b = append(b, make([]byte, n)...)
+	if _, err := io.ReadFull(f, b[headerSize:]); err != nil {
+		return nil
+	}
+	if _, err := decodeStream(nil, b, path, 0); errors.Is(err, ErrLegacyFormat) {
+		return err
+	}
+	return nil
 }
 
 // Open creates (or reopens) a journal directory for appending. Existing
 // segments are never written to again: appends go to a fresh segment under
 // dir/shard-00/ above every sequence number in the directory, so a torn tail
-// from a previous crash stays isolated in its own file. Older versions wrote
-// two more layouts, both read formats only: wal-* directly in dir (the flat
-// layout) and several shard-NN/ directories side by side. Replay merges them
-// all by ticket, Open never appends to them, and the next WriteSnapshot
-// compacts them away. (The shard-00 name, like snap-*.json, is historical.)
+// from a previous crash stays isolated in its own file. (The shard-00 name,
+// like snap-*.json, is historical.) A directory an older version wrote is
+// refused with ErrLegacyFormat, and it and a directory whose sequence numbers
+// have run out of epochs are left exactly as they were found.
 //
 // Open takes an exclusive flock(2) on the directory's LOCK file and holds
 // it until Close (or Crash, which models process death). A second live
@@ -258,6 +335,11 @@ func open(dir string, opts Options, stageCap int) (*Journal, error) {
 	if opts.segmentBytes <= 0 {
 		opts.segmentBytes = 1 << 20
 	}
+	// Checked once before anything, the lock file included, is created in
+	// the directory, and again under the lock for what the last holder left.
+	if _, err := nextSeq(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create %s: %w", dir, err)
 	}
@@ -269,57 +351,23 @@ func open(dir string, opts Options, stageCap int) (*Journal, error) {
 		releaseLock(lock)
 		return nil, err
 	}
-	// The incarnation epoch must outrank every sequence number any previous
-	// incarnation could have issued a ticket under: segment and snapshot
-	// seqs only ever grow (compaction reopens past them, never below), and
-	// every incarnation opens its segment at maxSeq+1, so 1 + the max over
-	// every stream is strictly above all prior epochs — reopening never
-	// reuses one, whatever layout the directory started with.
-	maxSeq := 0
-	bump := func(dir, prefix, suffix string) error {
-		seqs, err := listSeqs(dir, prefix, suffix)
-		if n := len(seqs); n > 0 && seqs[n-1] > maxSeq {
-			maxSeq = seqs[n-1]
-		}
-		return err
-	}
-	shardDirs, err := listShardDirs(dir)
-	if err == nil {
-		err = bump(dir, segPrefix, segSuffix)
-	}
-	if err == nil {
-		err = bump(dir, snapPrefix, snapSuffix)
-	}
-	for _, sd := range shardDirs {
-		if err == nil {
-			err = bump(filepath.Join(dir, sd), segPrefix, segSuffix)
-		}
-	}
+	seq, err := nextSeq(dir)
 	if err != nil {
 		return fail(err)
 	}
 
 	j := &Journal{
-		dir: dir, segDir: filepath.Join(dir, shardDirName(0)), opts: opts, stageCap: stageCap, lock: lock,
+		dir: dir, segDir: filepath.Join(dir, segDirName), opts: opts, stageCap: stageCap, lock: lock,
 		quit: make(chan struct{}), kick: make(chan struct{}, 1), exit: make(chan struct{}),
 	}
 	j.wmCond = sync.NewCond(&j.wmMu)
 	j.notFull = sync.NewCond(&j.stageMu)
-	j.tick.Store(uint64(maxSeq+1) << tickEpochShift)
+	j.tick.Store(uint64(seq) << tickEpochShift)
 	j.wm.Store(j.tick.Load())
 	if err := os.MkdirAll(j.segDir, 0o755); err != nil {
 		return fail(fmt.Errorf("journal: create %s: %w", j.segDir, err))
 	}
-	// The first segment opens above the journal-wide max, not just above
-	// shard-00's own tail. Seeding from that tail alone would break the
-	// epoch over a directory whose other streams (flat-layout wal-* files,
-	// other shard-NN/ directories) pin maxSeq higher: shard-00 would never
-	// catch up, so every crash incarnation would recompute the same maxSeq
-	// and reissue the same epoch — duplicating commit tickets across
-	// incarnations and breaking replay's last-record-wins fold. Opening at
-	// maxSeq+1 makes any incarnation's mere existence raise the next Open's
-	// maxSeq.
-	if err := j.openSegment(maxSeq + 1); err != nil {
+	if err := j.openSegment(seq); err != nil {
 		return fail(err)
 	}
 	go j.run()
@@ -602,9 +650,8 @@ func appendGarbage(path string, g []byte) error {
 // WriteSnapshot condenses history: the caller provides the records that
 // recreate the current state (typically far fewer than the log holds), and
 // the journal atomically installs them as a snapshot, rotates to a fresh
-// segment, and deletes every older segment — in every stream an older
-// layout left too — and every older snapshot. Replay afterwards sees the
-// snapshot records followed by whatever is appended next.
+// segment, and deletes every older segment and every older snapshot. Replay
+// afterwards sees the snapshot records followed by whatever is appended next.
 //
 // Snapshot records are stamped with fresh tickets under the stage gate —
 // held exclusively, so no concurrent append can take a lower ticket — which
@@ -679,14 +726,8 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 		return err
 	}
 	// Compaction: everything the snapshot covers is garbage now — every
-	// segment below the fresh one, in the flat layout and in every shard
-	// directory an older version wrote (Open puts every segment of every
-	// stream below it), and every older snapshot.
-	shardDirs, _ := listShardDirs(j.dir)
-	removeSeqs(j.dir, segPrefix, segSuffix, sealed+1)
-	for _, sd := range shardDirs {
-		removeSeqs(filepath.Join(j.dir, sd), segPrefix, segSuffix, sealed+1)
-	}
+	// segment below the fresh one, and every older snapshot.
+	removeSeqs(j.segDir, segPrefix, segSuffix, sealed+1)
 	removeSeqs(j.dir, snapPrefix, snapSuffix, base)
 	j.advanceWatermark()
 	return nil
@@ -730,26 +771,23 @@ func removeSeqs(dir, prefix, suffix string, limit int) {
 	}
 }
 
-// Replay reads a journal directory back: the newest snapshot (if any)
-// followed by the segment records it does not supersede, in global ticket
-// order across every stream — the segment directory, any other shard-NN/
-// directory and any flat-layout top-level segments an older version left. A missing or empty directory
-// replays as no records, and Replay never panics on corrupt input.
+// Replay reads a journal directory back: the newest snapshot (if any), then
+// the shard-00/ segments in sequence order, which is ticket order, less the
+// records the snapshot supersedes. A missing or empty directory replays as no
+// records, a directory an older version wrote is refused with
+// ErrLegacyFormat, and Replay never panics on corrupt input.
 //
 // Corruption is handled per layer. A corrupt record inside a segment ends
 // only that segment: it is the torn tail a crashed writer leaves behind,
 // and because every process incarnation appends to its own fresh segment
 // (Open never reopens an old file), any later segment was written after
-// the crash and is still trusted — replay skips to it and keeps going. In a
-// journal an older version striped, a torn tail costs only its own
-// stripe's staged records; the other stripes' records still merge in
-// ticket order around the gap. The first such
-// anomaly is reported as a typed *CorruptRecordError alongside the
-// recovered records so callers can surface it and compact the torn segment
-// away. A corrupt snapshot, by contrast, destroys the compacted base that
-// gives the following segments meaning: replay stops there and returns an
-// error with IsSnapshot() true, which callers must treat as data loss, not
-// as a routine crash artifact.
+// the crash and is still trusted — replay skips to it and keeps going. The
+// first such anomaly is reported as a typed *CorruptRecordError alongside
+// the recovered records so callers can surface it and compact the torn
+// segment away. A corrupt snapshot, by contrast, destroys the compacted base
+// that gives the following segments meaning: replay stops there and returns
+// an error with IsSnapshot() true, which callers must treat as data loss,
+// not as a routine crash artifact.
 func Replay(dir string) ([]Record, error) {
 	out, corrupt, err := ReplayAll(dir)
 	if err != nil {
@@ -766,15 +804,15 @@ func Replay(dir string) ([]Record, error) {
 // per affected segment. A journal that crashed (kill -9) several incarnations
 // in a row carries one torn tail per crashed incarnation's segment; audits
 // that want to assert "this kill really tore a tail" count them here. A
-// snapshot read failure or directory error is still returned as err; snapshot
-// corruption is reported as the first (and only) entry of corrupt, with
-// IsSnapshot() true, and ends the replay.
+// refusal, a snapshot read failure or a directory error is still returned as
+// err; snapshot corruption is reported as the first (and only) entry of
+// corrupt, with IsSnapshot() true, and ends the replay.
 func ReplayAll(dir string) ([]Record, []*CorruptRecordError, error) {
-	shardDirs, err := listShardDirs(dir)
+	snaps, err := listSnapshots(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	snaps, err := listSeqs(dir, snapPrefix, snapSuffix)
+	segs, err := listSeqs(filepath.Join(dir, segDirName), segPrefix, segSuffix)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -789,126 +827,38 @@ func ReplayAll(dir string) ([]Record, []*CorruptRecordError, error) {
 		}
 	}
 	frames := countFrames(snap)
-	type segment struct {
-		name   string
-		b      []byte
-		stream int
-	}
-	var segments []segment
-	// Each stream is one directory's segments in sequence order: the flat
-	// layout's top-level wal-* files (label ""), then every shard.
-	streams := append([]string{""}, shardDirs...)
-	for i, label := range streams {
-		sdir := filepath.Join(dir, label)
-		segs, err := listSeqs(sdir, segPrefix, segSuffix)
-		if err != nil {
-			return nil, nil, err
+	bufs := make([][]byte, len(segs))
+	for i, s := range segs {
+		if bufs[i], err = os.ReadFile(filepath.Join(dir, segDirName, segName(s))); err != nil {
+			return nil, nil, fmt.Errorf("journal: read segment: %w", err)
 		}
-		for _, s := range segs {
-			name := segName(s)
-			b, err := os.ReadFile(filepath.Join(sdir, name))
-			if err != nil {
-				return nil, nil, fmt.Errorf("journal: read segment: %w", err)
-			}
-			segments = append(segments, segment{filepath.Join(label, name), b, i})
-			frames += countFrames(b)
-		}
+		frames += countFrames(bufs[i])
 	}
 
 	var out []Record
 	if frames > 0 {
 		out = make([]Record, 0, frames)
 	}
-	out, cerr := decodeStream(out, snap, snapFile, 0)
-	if cerr != nil {
+	out, err = decodeStream(out, snap, snapFile, 0)
+	if cerr, ok := err.(*CorruptRecordError); ok {
 		return out, []*CorruptRecordError{cerr}, nil
+	} else if err != nil {
+		return nil, nil, fmt.Errorf("journal: replay %s: %w", dir, err)
 	}
-	// The snapshot supersedes every segment ticket below its own.
+	// The snapshot supersedes every segment record below its lowest ticket;
+	// WriteSnapshot stamps its records in order, so that is the first.
 	minSnapTick := uint64(0)
-	for _, r := range out {
-		if minSnapTick == 0 || r.Tick < minSnapTick {
-			minSnapTick = r.Tick
-		}
+	if len(out) > 0 {
+		minSnapTick = out[0].Tick
 	}
-	nsnap := len(out)
 	var corrupt []*CorruptRecordError
-	ends := make([]int, len(streams)) // where each stream ends in out[nsnap:]
-	for _, seg := range segments {
-		var cerr *CorruptRecordError
-		out, cerr = decodeStream(out, seg.b, seg.name, minSnapTick)
-		if cerr != nil {
+	for i, b := range bufs {
+		out, err = decodeStream(out, b, filepath.Join(segDirName, segName(segs[i])), minSnapTick)
+		if cerr, ok := err.(*CorruptRecordError); ok {
 			corrupt = append(corrupt, cerr)
+		} else if err != nil {
+			return nil, nil, fmt.Errorf("journal: replay %s: %w", dir, err)
 		}
-		ends[seg.stream] = len(out) - nsnap
 	}
-	for i := 1; i < len(ends); i++ {
-		ends[i] = max(ends[i], ends[i-1]) // a stream without files is empty
-	}
-	mergeByTick(out[nsnap:], ends)
 	return out, corrupt, nil
-}
-
-// mergeByTick puts the segment records into ticket order. recs is the
-// streams' records back to back, stream i ending at ends[i]. The writer
-// lays its files down strictly in ticket order, so a stream is checked in
-// one pass and stable-sorted only when it is out of order (the flat layout,
-// or a shard an older version wrote); the streams are then merged, ties (records
-// written before tickets existed carry 0) taken in stream order. The result
-// is exactly a stable sort of recs by ticket, and each record moves at most
-// once.
-func mergeByTick(recs []Record, ends []int) {
-	if ticketOrdered(recs) {
-		return
-	}
-	type run struct{ next, end int }
-	var runs []run
-	lo := 0
-	for _, hi := range ends {
-		if lo < hi {
-			if s := recs[lo:hi]; !ticketOrdered(s) {
-				slices.SortStableFunc(s, func(a, b Record) int { return cmp.Compare(a.Tick, b.Tick) })
-			}
-			runs = append(runs, run{lo, hi})
-		}
-		lo = hi
-	}
-	// src[i] is the index of the record that belongs at position i.
-	src := make([]int, len(recs))
-	for i := range src {
-		best := 0
-		for r := 1; r < len(runs); r++ {
-			if recs[runs[r].next].Tick < recs[runs[best].next].Tick {
-				best = r
-			}
-		}
-		src[i] = runs[best].next
-		if runs[best].next++; runs[best].next == runs[best].end {
-			runs = slices.Delete(runs, best, best+1)
-		}
-	}
-	// Apply the permutation cycle by cycle; a placed position marks itself.
-	for i := range src {
-		if src[i] == i {
-			continue
-		}
-		tmp := recs[i]
-		j := i
-		for src[j] != i {
-			k := src[j]
-			recs[j] = recs[k]
-			src[j] = j
-			j = k
-		}
-		recs[j] = tmp
-		src[j] = j
-	}
-}
-
-func ticketOrdered(recs []Record) bool {
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Tick < recs[i-1].Tick {
-			return false
-		}
-	}
-	return true
 }

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -22,7 +24,7 @@ func testRecords(n int) []Record {
 	return out
 }
 
-func appendAll(t *testing.T, j *Journal, recs []Record) {
+func appendAll(t testing.TB, j *Journal, recs []Record) {
 	t.Helper()
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
@@ -42,111 +44,27 @@ func stageAll(t *testing.T, j *Journal, recs []Record) {
 	}
 }
 
-// writeFlat writes recs as one top-level file (a wal-*.seg segment or a
-// snap-*.json snapshot) of the flat layout older versions wrote and no
-// writer produces any more; Replay still has to read it. The records keep
-// whatever tickets they carry, and the per-record end offsets are returned
-// for tests that corrupt the file at a record boundary.
-func writeFlat(t testing.TB, dir, name string, recs []Record) []int64 {
+// writeSegment writes recs as segment seq of the journal in dir, keeping
+// whatever tickets they carry, and returns the per-record end offsets for
+// tests that corrupt the file at a record boundary.
+func writeSegment(t testing.TB, dir string, seq int, recs []Record) []int64 {
 	t.Helper()
 	var buf []byte
 	offsets := []int64{0}
-	for _, r := range recs {
-		b, err := encode(r)
-		if err != nil {
+	for i := range recs {
+		var err error
+		if buf, err = appendFrame(buf, &recs[i]); err != nil {
 			t.Fatal(err)
 		}
-		buf = append(buf, b...)
 		offsets = append(offsets, int64(len(buf)))
 	}
-	if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, segDirName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segDirName, segName(seq)), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return offsets
-}
-
-// writeSharded writes recs the way the striped writers of older versions
-// laid them down: dealt round-robin over shards directories shard-00,
-// shard-01, …, each stripe's share as one segment wal-<seq>.seg in ticket
-// order, beside whatever the directory already holds. A record without a
-// ticket is stamped in place with the next one of incarnation epoch seq, so
-// the caller sees the tickets Replay will order by. A stripe that gets no
-// record still gets its (empty) segment, as a live stripe did.
-func writeSharded(t testing.TB, dir string, shards, seq int, recs []Record) {
-	t.Helper()
-	stripes := make([][]Record, shards)
-	for i := range recs {
-		if recs[i].Tick == 0 {
-			recs[i].Tick = uint64(seq)<<tickEpochShift + uint64(i+1)
-		}
-		stripes[i%shards] = append(stripes[i%shards], recs[i])
-	}
-	for s, stripe := range stripes {
-		sdir := filepath.Join(dir, shardDirName(s))
-		if err := os.MkdirAll(sdir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		writeFlat(t, sdir, segName(seq), stripe)
-	}
-}
-
-// TestFlatLayoutIsReadOnly pins what is left of the flat layout: a
-// directory of top-level segments and a snapshot replays to the same records
-// through the one replay function, reopening it writes only under shard-NN/,
-// and the next WriteSnapshot removes the top-level segments.
-func TestFlatLayoutIsReadOnly(t *testing.T) {
-	dir := t.TempDir()
-	recs := testRecords(9)
-	for i := range recs {
-		recs[i].Tick = uint64(i + 1)
-	}
-	writeFlat(t, dir, snapName(2), recs[:3])
-	writeFlat(t, dir, segName(2), recs[3:6])
-	writeFlat(t, dir, segName(3), recs[6:])
-	check := func(want int) []Record {
-		t.Helper()
-		got, err := Replay(dir)
-		if err != nil {
-			t.Fatalf("replay: %v", err)
-		}
-		if len(got) != want {
-			t.Fatalf("replayed %d records, want %d", len(got), want)
-		}
-		for i, r := range got[:len(recs)] {
-			if r.Job != recs[i].Job {
-				t.Fatalf("record %d: job %d, want %d", i, r.Job, recs[i].Job)
-			}
-		}
-		return got
-	}
-	check(len(recs))
-
-	j, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(Record{Type: TypeSubmit, Job: 50, Tool: "bonito"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if top, _ := listSeqs(dir, segPrefix, segSuffix); len(top) != 2 {
-		t.Fatalf("top-level segments %v after an append, want the 2 seeded ones untouched", top)
-	}
-	if got := check(len(recs) + 1); got[len(recs)].Job != 50 {
-		t.Fatalf("append after the flat history replays as job %d, want 50", got[len(recs)].Job)
-	}
-	if err := j.WriteSnapshot(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if top, _ := listSeqs(dir, segPrefix, segSuffix); len(top) != 0 {
-		t.Fatalf("snapshot left top-level segments %v", top)
-	}
-	check(len(recs))
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -269,7 +187,7 @@ func TestSnapshotCompaction(t *testing.T) {
 
 	// Old segments must be gone, and the journal writes only under
 	// shard-00/.
-	segs, err := listSeqs(filepath.Join(dir, shardDirName(0)), segPrefix, segSuffix)
+	segs, err := listSeqs(filepath.Join(dir, segDirName), segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +195,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatalf("compaction left %d segments, want 1: %v", len(segs), segs)
 	}
 	if top, _ := listSeqs(dir, segPrefix, segSuffix); len(top) != 0 {
-		t.Fatalf("top-level segments %v: the flat layout must never be written", top)
+		t.Fatalf("top-level segments %v: the journal writes only under %s", top, segDirName)
 	}
 	got, err := Replay(dir)
 	if err != nil {
@@ -288,6 +206,48 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 	if got[0].Job != 7 || got[2].Job != 31 {
 		t.Fatalf("snapshot/tail order wrong: %+v", got)
+	}
+}
+
+// TestSnapshotSupersedesLeftoverSegments models a crash between a
+// snapshot's install and its compaction: the segments it superseded are
+// still on disk, and replay must drop their records by ticket rather than
+// replay them beside the snapshot that condensed them.
+func TestSnapshotSupersedesLeftoverSegments(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{segmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, testRecords(12))
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	sdir := filepath.Join(dir, segDirName)
+	old := dirFiles(t, sdir)
+	if len(old) < 2 {
+		t.Fatalf("want rotated segments before the snapshot, got %d", len(old))
+	}
+	if err := j.WriteSnapshot([]Record{{Type: TypeSubmit, Job: 7, Tool: "racon"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{Type: TypeSubmit, Job: 99, Tool: "bonito"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for path, b := range old {
+		if err := os.WriteFile(path, []byte(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := Replay(dir)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if len(got) != 2 || got[0].Job != 7 || got[1].Job != 99 {
+		t.Fatalf("replayed %+v, want the snapshot's job 7 then job 99", got)
 	}
 }
 
@@ -347,14 +307,15 @@ func TestCrashTornTail(t *testing.T) {
 	}
 }
 
-// corrupt applies a mutation to the bytes of the journal's only segment.
+// corruptSegment applies a mutation to the bytes of the journal's first
+// segment.
 func corruptSegment(t *testing.T, dir string, mutate func([]byte) []byte) {
 	t.Helper()
-	segs, err := listSeqs(dir, segPrefix, segSuffix)
+	segs, err := listSeqs(filepath.Join(dir, segDirName), segPrefix, segSuffix)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments to corrupt: %v", err)
 	}
-	path := filepath.Join(dir, segName(segs[0]))
+	path := filepath.Join(dir, segDirName, segName(segs[0]))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +333,7 @@ func TestCorruptionTable(t *testing.T) {
 	const n = 6
 	build := func(t *testing.T) (string, []int64) {
 		dir := t.TempDir()
-		return dir, writeFlat(t, dir, segName(1), testRecords(n))
+		return dir, writeSegment(t, dir, 1, testRecords(n))
 	}
 
 	cases := []struct {
@@ -400,8 +361,10 @@ func TestCorruptionTable(t *testing.T) {
 			return b, 1
 		}},
 		{"garbage payload bytes", func(b []byte, off []int64) ([]byte, int) {
-			// Rewrite record 2 as framed non-JSON garbage of the same length.
-			start := off[1] + headerSize
+			// Rewrite record 2's fields, behind its version byte, as
+			// garbage of the same length: a frame of another version is a
+			// refusal (TestLegacyFormatIsRefused), not corruption.
+			start := off[1] + headerSize + 1
 			end := off[2]
 			for i := start; i < end; i++ {
 				b[i] = 0xFE
@@ -447,9 +410,10 @@ func TestCorruptMiddleSegment(t *testing.T) {
 	dir := t.TempDir()
 	recs := testRecords(12)
 	for i := 0; i < 3; i++ {
-		writeFlat(t, dir, segName(i+1), recs[4*i:4*i+4])
+		writeSegment(t, dir, i+1, recs[4*i:4*i+4])
 	}
-	segs, err := listSeqs(dir, segPrefix, segSuffix)
+	sdir := filepath.Join(dir, segDirName)
+	segs, err := listSeqs(sdir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,11 +423,11 @@ func TestCorruptMiddleSegment(t *testing.T) {
 	// Everything except the corrupted middle segment must survive.
 	var midCount int
 	{
-		b, _ := os.ReadFile(filepath.Join(dir, segName(segs[1])))
+		b, _ := os.ReadFile(filepath.Join(sdir, segName(segs[1])))
 		recs, _ := decodeStream(nil, b, "", 0)
 		midCount = len(recs)
 	}
-	mid := filepath.Join(dir, segName(segs[1]))
+	mid := filepath.Join(sdir, segName(segs[1]))
 	b, err := os.ReadFile(mid)
 	if err != nil {
 		t.Fatal(err)
@@ -477,8 +441,8 @@ func TestCorruptMiddleSegment(t *testing.T) {
 	if !errors.As(err, &cerr) {
 		t.Fatalf("want CorruptRecordError, got %v", err)
 	}
-	if cerr.Segment != segName(segs[1]) {
-		t.Fatalf("anomaly reported in %q, want %q", cerr.Segment, segName(segs[1]))
+	if want := filepath.Join(segDirName, segName(segs[1])); cerr.Segment != want {
+		t.Fatalf("anomaly reported in %q, want %q", cerr.Segment, want)
 	}
 	if cerr.IsSnapshot() {
 		t.Fatal("segment corruption must not classify as snapshot corruption")
@@ -647,5 +611,127 @@ func TestCorruptSnapshotIsFlagged(t *testing.T) {
 	}
 	if !cerr.IsSnapshot() {
 		t.Fatalf("corruption in %q must classify as snapshot corruption", cerr.Segment)
+	}
+}
+
+// frame wraps a raw payload in the record framing, CRC and all, so tests can
+// plant payloads no current writer produces.
+func frame(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// dirFiles maps every file under dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestLegacyFormatIsRefused plants, beside a journal today's writer left,
+// each thing only an older version wrote: a flat-layout segment, a second
+// stripe directory, a whole JSON frame and a whole frame of an unknown
+// payload version in shard-00/. Open, Replay and ReplayAll must each refuse
+// the directory with ErrLegacyFormat — never a *CorruptRecordError, which
+// recovery would boot over — and leave every byte of it as it was.
+func TestLegacyFormatIsRefused(t *testing.T) {
+	js, err := encodeJSON(trail()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := frame(appendRecord(nil, &trail()[0]))
+	v2 := appendRecord(nil, &trail()[0])
+	v2[0] = binaryVersion + 1
+	cases := []struct {
+		name, file string
+		b          []byte
+	}{
+		{"flat segment", segName(1), v1},
+		{"second stripe", filepath.Join(shardPrefix+"03", segName(1)), v1},
+		{"JSON frame", filepath.Join(segDirName, segName(9)), js},
+		{"payload version 2", filepath.Join(segDirName, segName(9)), frame(v2)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, j, testRecords(3))
+			if err := j.WriteSnapshot(testRecords(2)); err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, j, testRecords(2))
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, tc.file)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirFiles(t, dir)
+
+			j, err = Open(dir, Options{})
+			if j != nil {
+				j.Close()
+			}
+			_, rerr := Replay(dir)
+			_, _, aerr := ReplayAll(dir)
+			for name, err := range map[string]error{"Open": err, "Replay": rerr, "ReplayAll": aerr} {
+				var cerr *CorruptRecordError
+				if !errors.Is(err, ErrLegacyFormat) || errors.As(err, &cerr) {
+					t.Errorf("%s: err = %v, want ErrLegacyFormat", name, err)
+				}
+			}
+			if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("refusal changed the directory:\n got %q\nwant %q", after, before)
+			}
+		})
+	}
+}
+
+// TestOpenRefusesAnExhaustedEpoch plants a segment whose sequence number
+// leaves no room in the ticket's epoch bits. Open must refuse it and write
+// nothing: an incarnation that opened anyway would stamp tickets below the
+// snapshot's, and replay would drop the submits it acknowledged.
+func TestOpenRefusesAnExhaustedEpoch(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteSnapshot([]Record{{Type: TypeSubmit, Job: 1, Tool: "racon"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeSegment(t, dir, 1<<(64-tickEpochShift)-1, nil)
+	before := dirFiles(t, dir)
+	if j, err := Open(dir, Options{}); err == nil {
+		err = j.Append(Record{Type: TypeSubmit, Job: 2, Tool: "racon"})
+		j.Close()
+		got, rerr := Replay(dir)
+		t.Fatalf("Open over an exhausted epoch succeeded; the acked submit (err %v) replays as %d record(s) (err %v)",
+			err, len(got), rerr)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("the refused Open changed the directory:\n got %q\nwant %q", after, before)
 	}
 }

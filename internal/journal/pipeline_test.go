@@ -1,8 +1,6 @@
 package journal
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,191 +8,6 @@ import (
 	"testing"
 	"time"
 )
-
-// TestShardedRoundTripTotalOrder deals a sequential stream over the four
-// stripe directories an older version wrote and checks Replay merges the
-// per-stripe segment files back into the exact submission order, carried
-// by strictly increasing tickets.
-func TestShardedRoundTripTotalOrder(t *testing.T) {
-	dir := t.TempDir()
-	recs := testRecords(60)
-	writeSharded(t, dir, 4, 1, recs)
-	// The stripes really are separate files.
-	dirs, err := listShardDirs(dir)
-	if err != nil || len(dirs) != 4 {
-		t.Fatalf("shard dirs = %v, err=%v, want 4", dirs, err)
-	}
-	got, err := Replay(dir)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
-	}
-	for i := range got {
-		if got[i].Job != recs[i].Job {
-			t.Fatalf("record %d: job %d, want %d (merge order broken)", i, got[i].Job, recs[i].Job)
-		}
-		if i > 0 && got[i].Tick <= got[i-1].Tick {
-			t.Fatalf("record %d: tick %d not above predecessor %d", i, got[i].Tick, got[i-1].Tick)
-		}
-	}
-}
-
-// TestShardedCrashTornTable is the per-stripe torn-tail table over the
-// stripe directories an older version wrote: every stripe is torn
-// independently, then two at once. Each tear models a record that made it
-// partially to that stripe's segment before the power cut — a truncated but
-// otherwise valid encoding. The merged replay must lose exactly the torn
-// stripes' tails (one CorruptRecordError per torn stripe, labelled with the
-// stripe's directory), keep every whole record, and preserve the global
-// ticket order across the gaps. The live journal's own tear is
-// TestCrashTornTail.
-func TestShardedCrashTornTable(t *testing.T) {
-	const nshards = 4
-	cases := [][]int{{0}, {1}, {2}, {3}, {1, 3}}
-	for _, torn := range cases {
-		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
-			dir := t.TempDir()
-			recs := testRecords(40)
-			writeSharded(t, dir, nshards, 1, recs)
-			for _, s := range torn {
-				b, err := encode(Record{Type: TypeSubmit, Job: 1000 + s, Tool: "racon", Tick: 1 << 50})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The torn half-record.
-				if err := appendGarbage(filepath.Join(dir, shardDirName(s), segName(1)), b[:len(b)-3]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, corrupt, err := ReplayAll(dir)
-			if err != nil {
-				t.Fatalf("replay: %v", err)
-			}
-			if len(corrupt) != len(torn) {
-				t.Fatalf("corrupt segments = %d, want %d (%v)", len(corrupt), len(torn), corrupt)
-			}
-			tornDirs := make(map[string]bool, len(torn))
-			for _, s := range torn {
-				tornDirs[shardDirName(s)] = true
-			}
-			for _, c := range corrupt {
-				d := filepath.Dir(c.Segment)
-				if !tornDirs[d] {
-					t.Fatalf("corruption reported in %q, torn stripes were %v", c.Segment, torn)
-				}
-				if c.IsSnapshot() {
-					t.Fatalf("segment tear misreported as snapshot corruption: %v", c)
-				}
-			}
-			// Every whole record survives, in the original order; the torn
-			// tails (jobs 1000+) must not resurface.
-			if len(got) != len(recs) {
-				t.Fatalf("replayed %d records, want %d", len(got), len(recs))
-			}
-			for i := range got {
-				if got[i].Job != recs[i].Job {
-					t.Fatalf("record %d: job %d, want %d", i, got[i].Job, recs[i].Job)
-				}
-				if i > 0 && got[i].Tick <= got[i-1].Tick {
-					t.Fatalf("record %d: tick order broken", i)
-				}
-			}
-		})
-	}
-}
-
-// TestOpenUpgradesShardedDirectory opens a journal an older version wrote
-// through eight stripes — one of them with a torn tail — and checks the one
-// pipeline reads it, appends past it and compacts it: the old records
-// replay in ticket order ahead of the new ones, the incarnation epoch is
-// above every old sequence number, and a snapshot leaves no segment in any
-// old stripe.
-func TestOpenUpgradesShardedDirectory(t *testing.T) {
-	dir := t.TempDir()
-	const oldSeq = 6
-	old := testRecords(40)
-	writeSharded(t, dir, 8, oldSeq, old)
-	torn, err := encode(Record{Type: TypeSubmit, Job: 999, Tool: "racon", Tick: 1 << 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := appendGarbage(filepath.Join(dir, shardDirName(5), segName(oldSeq)), torn[:len(torn)-2]); err != nil {
-		t.Fatal(err)
-	}
-
-	j, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if epoch := j.Stats().Tick >> tickEpochShift; epoch <= oldSeq {
-		t.Fatalf("incarnation epoch %d not above the old sequence number %d", epoch, oldSeq)
-	}
-	added := make([]Record, 5)
-	for i := range added {
-		added[i] = Record{Type: TypeSubmit, Job: 100 + i, Tool: "bonito", Handler: "h1"}
-	}
-	appendAll(t, j, added)
-	got, corrupt, err := ReplayAll(dir)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if len(corrupt) != 1 || filepath.Dir(corrupt[0].Segment) != shardDirName(5) {
-		t.Fatalf("corruption %v, want the torn tail of %s", corrupt, shardDirName(5))
-	}
-	if len(got) != len(old)+len(added) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(old)+len(added))
-	}
-	for i, r := range got {
-		want := 0
-		if i < len(old) {
-			want = old[i].Job
-		} else {
-			want = added[i-len(old)].Job
-		}
-		if r.Job != want {
-			t.Fatalf("record %d: job %d, want %d (old records must replay first, in ticket order)", i, r.Job, want)
-		}
-		if i > 0 && r.Tick <= got[i-1].Tick {
-			t.Fatalf("record %d: tick %#x not above predecessor %#x", i, r.Tick, got[i-1].Tick)
-		}
-	}
-
-	snap := []Record{
-		{Type: TypeSubmit, Job: 1, Tool: "racon", Handler: "h1"},
-		{Type: TypeComplete, Job: 1, State: "ok", Handler: "h1"},
-	}
-	if err := j.WriteSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	for s := 1; s < 8; s++ {
-		if segs, err := listSeqs(filepath.Join(dir, shardDirName(s)), segPrefix, segSuffix); err != nil || len(segs) != 0 {
-			t.Fatalf("%s keeps segments %v after the snapshot (err %v)", shardDirName(s), segs, err)
-		}
-	}
-	if st := j.Stats(); st.Segments != 1 {
-		t.Fatalf("%s holds %d segments after the snapshot, want the fresh one", shardDirName(0), st.Segments)
-	}
-	post := Record{Type: TypeSubmit, Job: 200, Tool: "racon", Handler: "h1"}
-	if err := j.Append(post); err != nil {
-		t.Fatal(err)
-	}
-	got, err = Replay(dir)
-	if err != nil {
-		t.Fatalf("replay after the snapshot: %v", err)
-	}
-	wantJobs := []int{1, 1, 200}
-	if len(got) != len(wantJobs) {
-		t.Fatalf("replayed %d records after the snapshot, want %d: %+v", len(got), len(wantJobs), got)
-	}
-	for i, want := range wantJobs {
-		if got[i].Job != want {
-			t.Fatalf("record %d after the snapshot: job %d, want %d", i, got[i].Job, want)
-		}
-	}
-}
 
 // TestAsyncDurableCrashBetweenStageAndFlush covers the async-durable ack
 // contract: a submit staged but not yet flushed returns a ticket immediately,
@@ -346,13 +159,13 @@ func TestWatermarkMonotonicUnderConcurrentFlushers(t *testing.T) {
 	}
 }
 
-// TestShardFileIsTicketOrdered pins what the one staging queue buys: the
+// TestSegmentFilesAreTicketOrdered pins what the one staging queue buys: the
 // segment files hold the records in strictly increasing ticket order, with
 // no sort on the write path. Concurrent durable, async-durable and
 // non-durable appenders share the queue, a bound of 4 parks them on a full
 // queue behind a held flusher, small segments force rotations, and the
-// files are decoded directly — Replay would sort.
-func TestShardFileIsTicketOrdered(t *testing.T) {
+// files are decoded directly, the way Replay reads them.
+func TestSegmentFilesAreTicketOrdered(t *testing.T) {
 	dir := t.TempDir()
 	const bound = 4
 	j := gcOpenCap(t, dir, Options{segmentBytes: 1024}, bound)
@@ -399,10 +212,7 @@ func TestShardFileIsTicketOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if dirs, err := listShardDirs(dir); err != nil || len(dirs) != 1 {
-		t.Fatalf("segment directories %v (err %v), want the one the journal writes", dirs, err)
-	}
-	sdir := filepath.Join(dir, shardDirName(0))
+	sdir := filepath.Join(dir, segDirName)
 	segs, err := listSeqs(sdir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
@@ -413,14 +223,14 @@ func TestShardFileIsTicketOrdered(t *testing.T) {
 	total := 0
 	last := uint64(0)
 	for _, seq := range segs {
-		name := filepath.Join(shardDirName(0), segName(seq))
+		name := filepath.Join(segDirName, segName(seq))
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, cerr := decodeStream(nil, b, name, 0)
-		if cerr != nil {
-			t.Fatalf("%s: %v", name, cerr)
+		recs, err := decodeStream(nil, b, name, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		for _, r := range recs {
 			if r.Tick <= last {
@@ -435,11 +245,11 @@ func TestShardFileIsTicketOrdered(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotCompaction snapshots a journal whose segments rotated
+// TestRotatedSnapshotCompaction snapshots a journal whose segments rotated
 // and checks the compaction sweep: pre-snapshot segments are deleted,
 // replay returns the snapshot records followed by post-snapshot appends,
 // and nothing the snapshot superseded resurfaces.
-func TestShardedSnapshotCompaction(t *testing.T) {
+func TestRotatedSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{segmentBytes: 512})
 	if err != nil {
@@ -481,115 +291,61 @@ func TestShardedSnapshotCompaction(t *testing.T) {
 	}
 	// Compaction really removed the superseded segments: only the
 	// post-snapshot segment is left.
-	dirs, err := listShardDirs(dir)
-	if err != nil {
-		t.Fatal(err)
+	segs, err := listSeqs(filepath.Join(dir, segDirName), segPrefix, segSuffix)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("%d segments after compaction (err %v), want 1", len(segs), err)
 	}
-	for _, sd := range dirs {
-		segs, err := listSeqs(filepath.Join(dir, sd), segPrefix, segSuffix)
+}
+
+// TestEpochStrictlyIncreasing runs several incarnations over one directory —
+// each rotates through small segments, one snapshots, and they die by Close,
+// Crash and a torn crash in turn. Every Open must issue an incarnation epoch
+// above every sequence number already on disk, hence above every earlier
+// epoch, so no two incarnations share a ticket and the whole history replays
+// in strictly increasing ticket order.
+func TestEpochStrictlyIncreasing(t *testing.T) {
+	dir := t.TempDir()
+	var epochs []uint64
+	total := 0
+	for inc := 0; inc < 4; inc++ {
+		next, err := nextSeq(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(segs) != 1 {
-			t.Fatalf("%s: %d segments after compaction, want 1", sd, len(segs))
-		}
-	}
-}
-
-// TestShardedReopenKeepsTicketOrder opens a journal an older version wrote
-// through four stripes and checks the new incarnation's records replay
-// strictly after the old ones: the incarnation epoch in the ticket high bits
-// keeps the merge total even though the in-memory counter restarted.
-func TestShardedReopenKeepsTicketOrder(t *testing.T) {
-	dir := t.TempDir()
-	first := testRecords(20)
-	writeSharded(t, dir, 4, 1, first)
-	j, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := make([]Record, 20)
-	for i := range second {
-		second[i] = Record{Type: TypeSubmit, Job: 100 + i, Tool: "bonito", Handler: "h1"}
-	}
-	appendAll(t, j, second)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Replay(dir)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if len(got) != len(first)+len(second) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(first)+len(second))
-	}
-	for i := range got {
-		want := 0
-		if i < len(first) {
-			want = first[i].Job
-		} else {
-			want = second[i-len(first)].Job
-		}
-		if got[i].Job != want {
-			t.Fatalf("record %d: job %d, want %d (incarnation order broken)", i, got[i].Job, want)
-		}
-		if i > 0 && got[i].Tick <= got[i-1].Tick {
-			t.Fatalf("record %d: tick %d not above predecessor %d", i, got[i].Tick, got[i-1].Tick)
-		}
-	}
-}
-
-// TestLegacyUpgradeEpochStrictlyIncreasing reopens a directory seeded with
-// both older layouts — flat top-level segments and a striped incarnation
-// above them — across several crash incarnations. The old files pin the
-// historical max sequence high; each incarnation must still raise it (its
-// segment opens above the global max), so every Open issues a strictly
-// higher incarnation epoch and no two incarnations ever share commit
-// tickets — the merged replay must order the incarnations' records without
-// ticket collisions.
-func TestLegacyUpgradeEpochStrictlyIncreasing(t *testing.T) {
-	dir := t.TempDir()
-	// Seed a flat-layout journal with enough segments to pin maxSeq well
-	// above the stripe count, then a striped incarnation above it.
-	legacy := testRecords(12)
-	for i, r := range legacy {
-		r.Tick = 1<<tickEpochShift + uint64(i+1)
-		writeFlat(t, dir, segName(i+1), []Record{r})
-	}
-	striped := testRecords(8)
-	writeSharded(t, dir, 4, len(legacy)+1, striped)
-
-	var epochs []uint64
-	total := len(legacy) + len(striped)
-	for inc := 0; inc < 3; inc++ {
-		j, err := Open(dir, Options{})
+		j, err := Open(dir, Options{segmentBytes: 256})
 		if err != nil {
 			t.Fatalf("incarnation %d: %v", inc, err)
 		}
-		epochs = append(epochs, j.tick.Load()>>tickEpochShift)
-		for i := 0; i < 5; i++ {
-			if err := j.Append(Record{
-				Type: TypeSubmit, Job: 1000*(inc+1) + i, Tool: "racon", Handler: "h1",
-			}); err != nil {
+		epoch := j.tick.Load() >> tickEpochShift
+		if epoch < uint64(next) || len(epochs) > 0 && epoch <= epochs[len(epochs)-1] {
+			t.Fatalf("incarnation %d: epoch %d after %v, with sequence %d next on disk", inc, epoch, epochs, next)
+		}
+		epochs = append(epochs, epoch)
+		if inc == 1 {
+			if err := j.WriteSnapshot(testRecords(2)); err != nil {
+				t.Fatal(err)
+			}
+			total = 2
+		}
+		for i := 0; i < 12; i++ {
+			if err := j.Append(Record{Type: TypeSubmit, Job: 1000*(inc+1) + i, Tool: "racon", Handler: "h1"}); err != nil {
 				t.Fatalf("incarnation %d append: %v", inc, err)
 			}
 			total++
 		}
-		if err := j.Sync(); err != nil {
-			t.Fatalf("incarnation %d sync: %v", inc, err)
+		if st := j.Stats(); st.Rotations == 0 {
+			t.Fatalf("incarnation %d never rotated: %+v", inc, st)
 		}
-		// Crash, not Close: the reused-epoch bug only bites when the next
-		// Open recomputes the epoch from whatever the dead process left.
-		if err := j.Crash(); err != nil {
-			t.Fatalf("incarnation %d crash: %v", inc, err)
+		switch inc % 3 {
+		case 0:
+			err = j.Close()
+		case 1:
+			err = j.Crash()
+		default:
+			err = j.CrashTorn([]byte{0x40, 0, 0, 0, 0xde, 0xad})
 		}
-	}
-	if epochs[0] <= uint64(len(legacy)+1) {
-		t.Fatalf("first epoch %d not above the striped incarnation's %d", epochs[0], len(legacy)+1)
-	}
-	for i := 1; i < len(epochs); i++ {
-		if epochs[i] <= epochs[i-1] {
-			t.Fatalf("incarnation %d reused epoch: %v (tickets would collide across crashes)", i, epochs)
+		if err != nil {
+			t.Fatalf("incarnation %d: %v", inc, err)
 		}
 	}
 	got, _, err := ReplayAll(dir)
@@ -600,8 +356,8 @@ func TestLegacyUpgradeEpochStrictlyIncreasing(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", len(got), total)
 	}
 	for i := 1; i < len(got); i++ {
-		if got[i].Tick <= got[i-1].Tick && got[i].Tick != 0 {
-			t.Fatalf("record %d: tick %d not above predecessor %d (duplicate or interleaved epoch)",
+		if got[i].Tick <= got[i-1].Tick {
+			t.Fatalf("record %d: tick %#x not above predecessor %#x (reused or interleaved epoch)",
 				i, got[i].Tick, got[i-1].Tick)
 		}
 	}
@@ -634,23 +390,6 @@ func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 		if _, _, err := ReplayAll(dir); err != nil {
 			t.Fatalf("iter %d: replay after crash/snapshot race: %v", iter, err)
 		}
-	}
-}
-
-// TestShardedLockExcludesSecondOpen makes sure the flock guard covers a
-// directory an older version striped: the LOCK file stays top-level, so a
-// second opener is rejected.
-func TestShardedLockExcludesSecondOpen(t *testing.T) {
-	dir := t.TempDir()
-	writeSharded(t, dir, 4, 1, testRecords(8))
-	j, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	var le *LockedError
-	if _, err := Open(dir, Options{}); !errors.As(err, &le) {
-		t.Fatalf("second open: err=%v, want LockedError", err)
 	}
 }
 
@@ -724,10 +463,10 @@ func TestAdaptiveControllerConverges(t *testing.T) {
 	}
 }
 
-// TestShardedAdaptiveRoundTrip runs the full adaptive group-commit pipeline
+// TestAdaptiveRoundTrip runs the full adaptive group-commit pipeline
 // end to end and checks nothing is lost: a mixed synchronous/asynchronous
 // workload from eight concurrent appenders replays complete and ordered.
-func TestShardedAdaptiveRoundTrip(t *testing.T) {
+func TestAdaptiveRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})
 	if err != nil {

@@ -15,20 +15,18 @@
 //	uint32 LE payload length | uint32 LE CRC32(payload) | payload
 //
 // and the payload is the binary record codec.go describes: a version byte,
-// then protobuf-style numbered fields. Older versions wrote JSON payloads;
-// those start with '{', which no version byte is, so replay still reads
-// them, and one directory may mix both. Records never span segments.
+// then protobuf-style numbered fields. Records never span segments. This is
+// the one format: a directory holding anything older versions wrote — JSON
+// payloads, segments directly in the journal directory, more shard-NN/
+// subdirectories — is refused with ErrLegacyFormat, never read around.
 //
 // Writing. One staged pipeline — one staging queue, one flusher goroutine,
 // one fsync per batch (see pipeline.go) — is the only code that writes a
 // segment. Every record carries a commit ticket (Record.Tick), and the
-// segment files are strictly in ticket order. Snapshots stay top-level and
-// supersede by ticket: segment records below the snapshot's lowest ticket
-// are dropped at replay, and compaction deletes the segments they sit in.
-// Older versions wrote two more layouts, read as more streams and never
-// written: segments directly in the journal directory (the flat layout),
-// and several shard-NN/ subdirectories side by side, one per striped
-// pipeline. Replay merges every stream into one total order by ticket.
+// segment files are strictly in ticket order, so replay reads them in
+// sequence order. Snapshots stay top-level and supersede by ticket: segment
+// records below the snapshot's lowest ticket are dropped at replay, and
+// compaction deletes the segments they sit in.
 //
 // Corruption. Appends are staged and fsynced in batches, so a crash can
 // leave a torn record at the tail of the last segment (and fault injection
@@ -44,6 +42,7 @@ package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"strings"
@@ -143,11 +142,9 @@ type Record struct {
 	// from the submit record's handler, overridden by adopt records).
 	Handler string `json:"h,omitempty"`
 	// Tick is the record's global commit ticket, stamped by Append. The
-	// segment files hold records in tick order, and Replay restores the
-	// journal-wide total order by merging every stream on it. The high bits
-	// carry the writer incarnation's epoch, so tickets stay monotonic across
-	// restarts. Records written before tickets existed carry 0 and sort
-	// first.
+	// segment files hold records in tick order, so reading them in sequence
+	// order is the journal-wide total order. The high bits carry the writer
+	// incarnation's epoch, so tickets stay monotonic across restarts.
 	Tick uint64 `json:"k,omitempty"`
 
 	// Job identity and submission parameters (TypeSubmit).
@@ -264,9 +261,10 @@ func (e *LockedError) Error() string {
 
 // decodeStream appends the framed records of b to dst until the end or the
 // first anomaly, decoding each straight into its slot and dropping (in place)
-// any whose ticket is below minTick. It returns dst and a nil or typed
-// *CorruptRecordError — never any other error, and never a panic.
-func decodeStream(dst []Record, b []byte, segment string, minTick uint64) ([]Record, *CorruptRecordError) {
+// any whose ticket is below minTick. It returns dst and nil, a typed
+// *CorruptRecordError, or — for a whole frame whose payload another format
+// version wrote — an error wrapping ErrLegacyFormat; never a panic.
+func decodeStream(dst []Record, b []byte, segment string, minTick uint64) ([]Record, error) {
 	off := int64(0)
 	for int64(len(b)) > off {
 		rest := b[off:]
@@ -291,7 +289,9 @@ func decodeStream(dst []Record, b []byte, segment string, minTick uint64) ([]Rec
 		}
 		dst = append(dst, Record{})
 		rec := &dst[len(dst)-1]
-		if err := decodePayload(payload, rec); err != nil {
+		if err := decodePayload(payload, rec); errors.Is(err, ErrLegacyFormat) {
+			return dst[:len(dst)-1], fmt.Errorf("%s at offset %d: %w", segment, off, err)
+		} else if err != nil {
 			return dst[:len(dst)-1], &CorruptRecordError{Segment: segment, Offset: off,
 				Reason: fmt.Sprintf("undecodable payload: %v", err)}
 		}
@@ -321,11 +321,8 @@ func countFrames(b []byte) int {
 
 // ReplayBytes decodes a single segment-formatted byte stream. It is the
 // fuzzing entry point: whatever the input, it returns the longest valid
-// record prefix and either nil or a *CorruptRecordError.
+// record prefix and nil, a *CorruptRecordError or an error wrapping
+// ErrLegacyFormat.
 func ReplayBytes(b []byte) ([]Record, error) {
-	recs, cerr := decodeStream(make([]Record, 0, countFrames(b)), b, "", 0)
-	if cerr != nil {
-		return recs, cerr
-	}
-	return recs, nil
+	return decodeStream(make([]Record, 0, countFrames(b)), b, "", 0)
 }
