@@ -83,15 +83,17 @@ quick-golden:
 # test-crash replays the kill-and-failover scenario end to end: handler h1
 # dies mid-workload with a torn record on disk, standby h2 recovers from the
 # journal, and the audit pins zero lost jobs and zero double executions; then
-# the differential recovery oracle (a journal written with the retired map
-# records spliced back in recovers to the same report and the same jobs).
+# a handler that takes a dead handler's journal lock adopts and runs its
+# queued job, and the differential recovery oracle (a journal written with
+# the retired map records spliced back in recovers to the same report and the
+# same jobs).
 test-crash:
 	$(call run_selected,./internal/experiments,TestCrashRecovery)
-	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLeaseExpiry|TestRecoverSplicedMapRecords)
+	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLockHolderAdoptsDeadHandlersJobs|TestRecoverSplicedMapRecords)
 
 # hammer-api is the -race hammer for the single server's real handler:
-# concurrent POST /api/jobs of the http_jobs mix against every read endpoint,
-# /metrics and the lease heartbeat, twice; every POST must come back 201/ok
+# concurrent POST /api/jobs of the http_jobs mix against every read endpoint
+# and /metrics, twice; every POST must come back 201/ok
 # and the completion counter must equal the number acknowledged.
 hammer-api:
 	$(call run_selected,./internal/api,TestServerRaceHammer,2)
@@ -102,15 +104,17 @@ hammer-api:
 # semantics where a crash between stage and flush must not report durable,
 # watermark monotonicity under concurrent appenders, the flush-error latch,
 # stats), snapshot compaction over rotated segments and over the segments a
-# crash left behind it, the torn-tail replay, the incarnation epoch
+# crash left behind it, the torn-tail replay (the same after Open as before
+# it), the incarnation epoch
 # (strictly increasing, and refused before it wraps), the refusal of every
 # layout and payload older versions wrote, the fold (rule table, retired
 # kinds, interleaving invariance, no write-only record kind), the record
-# codec against the JSON writer, and at the engine level
+# codec against the JSON writer and over retired lease fields, and at the
+# engine level
 # the torn-tail crash-requeue scenario, the spliced-map-record recovery
 # oracle, durable submits racing compaction without losing a job, and
 # concurrent submits sharing one fsync.
-JOURNAL_TESTS ?= TestSegmentFilesAreTicketOrdered|TestRotatedSnapshotCompaction|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestTornTailDoesNotPoisonLaterSegments|TestSnapshotSupersedesLeftoverSegments|TestFlushError|TestEpochStrictlyIncreasing|TestOpenRefusesAnExhaustedEpoch|TestLegacyFormatIsRefused|TestFold|TestCodec
+JOURNAL_TESTS ?= TestSegmentFilesAreTicketOrdered|TestRotatedSnapshotCompaction|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestTornTailDoesNotPoisonLaterSegments|TestSnapshotSupersedesLeftoverSegments|TestFlushError|TestEpochStrictlyIncreasing|TestOpenRefusesAnExhaustedEpoch|TestLegacyFormatIsRefused|TestReplayAfterOpenMatchesReplayBefore|TestFold|TestCodec
 JOURNAL_GALAXY_TESTS ?= TestShardedCrash|TestRecoverSplicedMapRecords|TestSubmitRacingCompactionLosesNothing|TestConcurrentSubmitsShareAnFsync
 
 test-journal:

@@ -15,13 +15,13 @@ func TestCheckModeFlags(t *testing.T) {
 		ignored []string // nil: accepted
 	}{
 		{"single", []string{"addr", "journal", "pprof"}, nil},
-		{"single", []string{"policy", "handler", "lease-ttl", "seed"}, nil},
+		{"single", []string{"policy", "handler", "journal", "seed"}, nil},
 		{"single", []string{"bus"}, nil}, // -bus sim, spelled out
 		{"single", []string{"member-ttl"}, []string{"-member-ttl"}},
 		{"single", []string{"journal", "member", "speedup"}, []string{"-member", "-speedup"}},
 
 		{"tcp", []string{"bus", "addr", "member", "members", "peers", "journal", "seed", "speedup", "tick-real", "member-ttl"}, nil},
-		{"tcp", []string{"bus", "listen-bus", "advertise", "lease-ttl"}, nil},
+		{"tcp", []string{"bus", "listen-bus", "advertise", "addr"}, nil},
 		{"tcp", []string{"bus", "member", "pprof"}, []string{"-pprof"}},
 		{"tcp", []string{"bus", "policy", "handler"}, []string{"-policy", "-handler"}},
 	} {

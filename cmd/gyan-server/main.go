@@ -12,8 +12,14 @@
 //
 //	gyan-server -journal /var/lib/gyan/journal -handler main &
 //	kill -9 %1
-//	gyan-server -journal /var/lib/gyan/journal -handler main &
+//	gyan-server -journal /var/lib/gyan/journal -handler standby &
 //	curl localhost:8080/api/recovery
+//
+// The server first takes the directory's lock, which a live handler holds
+// until it exits (a second server on it refuses to start) and the kernel
+// drops when it dies. Holding the lock proves every previous owner dead, so
+// the server requeues every job the directory left unfinished, adopting
+// the ones another handler owned.
 //
 // With -bus tcp the server is one member of a handler cluster that spans
 // processes: it hosts one cluster.Node — the member type cluster.Sim runs N
@@ -63,8 +69,7 @@ func main() {
 		policy     = flag.String("policy", "pid", "multi-GPU allocation policy: pid, memory, utilization")
 		seed       = flag.Uint64("seed", 42, "synthetic dataset seed")
 		journalDir = flag.String("journal", "", "job-state journal directory (empty disables durability)")
-		handler    = flag.String("handler", "main", "handler ID stamped on journal records and leases")
-		leaseTTL   = flag.Duration("lease-ttl", galaxy.DefaultLeaseTTL, "heartbeat lease TTL; a standby may adopt this handler's jobs after it expires")
+		handler    = flag.String("handler", "main", "handler ID stamped on journal records")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU, heap, mutex profiles)")
 		memberTTL  = flag.Duration("member-ttl", 0, "cluster membership lease TTL; a member whose renewals lapse this long is declared dead (0: 60 ticks)")
 
@@ -99,11 +104,11 @@ func main() {
 		err = runClusterTCP(tcpConfig{
 			addr: *addr, member: *member, membersCSV: *members, peersCSV: *peers,
 			listenBus: *listenBus, advertise: *advertise, journalDir: *journalDir,
-			seed: *seed, leaseTTL: *leaseTTL, memberTTL: *memberTTL,
+			seed: *seed, memberTTL: *memberTTL,
 			speedup: *speedup, tickReal: *tickReal,
 		})
 	} else {
-		err = run(*addr, *policy, *seed, *journalDir, *handler, *leaseTTL, *pprofOn)
+		err = run(*addr, *policy, *seed, *journalDir, *handler, *pprofOn)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -113,7 +118,7 @@ func main() {
 // commonFlags are consumed by both modes (-bus selects it); modeFlags names
 // what each mode consumes beyond them.
 var (
-	commonFlags = []string{"bus", "addr", "seed", "journal", "lease-ttl"}
+	commonFlags = []string{"bus", "addr", "seed", "journal"}
 	modeFlags   = map[string][]string{
 		"single": {"policy", "handler", "pprof"},
 		"tcp":    {"member-ttl", "member", "members", "peers", "listen-bus", "advertise", "speedup", "tick-real"},
@@ -147,7 +152,6 @@ type tcpConfig struct {
 	advertise  string
 	journalDir string
 	seed       uint64
-	leaseTTL   time.Duration
 	memberTTL  time.Duration
 	speedup    float64
 	tickReal   time.Duration
@@ -261,7 +265,6 @@ func runClusterTCP(cfg tcpConfig) error {
 		KeyOffset:   uint64(self),
 		KeyStride:   uint64(len(ids)),
 		Dir:         cfg.journalDir,
-		LeaseTTL:    cfg.leaseTTL,
 		Seed:        cfg.seed,
 		Tick:        vtick,
 		MemberTTL:   cfg.memberTTL,
@@ -288,7 +291,7 @@ func runClusterTCP(cfg tcpConfig) error {
 	return http.ListenAndServe(cfg.addr, s.Handler())
 }
 
-func run(addr, policyName string, seed uint64, journalDir, handler string, leaseTTL time.Duration, pprofOn bool) error {
+func run(addr, policyName string, seed uint64, journalDir, handler string, pprofOn bool) error {
 	var pol core.Policy
 	switch policyName {
 	case "pid":
@@ -312,22 +315,19 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, lease
 	var recs []journal.Record
 	var rerr error
 	if journalDir != "" {
-		// Replay whatever a previous incarnation left behind before opening
-		// the journal for writing (Open starts a fresh segment, so the read
-		// must come first). A missing directory replays as empty; a directory
-		// locked by a live handler refuses to open — that handler owns it.
-		recs, rerr = journal.Replay(journalDir)
-		// The journal batches concurrent durable submits into shared fsyncs,
-		// its one flusher pacing itself by the fsync cost it measures; a
-		// submit returns once the commit watermark has passed it.
+		// Take the directory's lock first: a directory locked by a live
+		// handler refuses to open — that handler owns it — and once the lock
+		// is held no previous owner can append another record, so the replay
+		// below reads everything any of them acknowledged. Open's fresh
+		// segment replays as empty. The journal batches concurrent durable
+		// submits into shared fsyncs; a submit returns once the commit
+		// watermark has passed it.
 		j, err := journal.Open(journalDir, journal.Options{})
 		if err != nil {
 			return err
 		}
-		gopts = append(gopts,
-			galaxy.WithJournal(j, handler),
-			galaxy.WithLeaseTTL(leaseTTL),
-			galaxy.WithWallClock(time.Now))
+		recs, rerr = journal.Replay(journalDir)
+		gopts = append(gopts, galaxy.WithJournal(j, handler))
 	}
 	g := galaxy.New(nil, gopts...)
 	if err := g.RegisterDefaultTools(); err != nil {
@@ -340,16 +340,14 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, lease
 		if len(recs) > 0 || rerr != nil {
 			rep, err := g.Recover(recs, rerr, galaxy.RecoverOptions{
 				Datasets:     datasets,
-				RestartDelay: leaseTTL + time.Second,
-				AdoptExpired: true,
-				WallNow:      time.Now().UnixNano(),
+				RestartDelay: time.Second,
 			})
 			if err != nil {
 				return err
 			}
 			g.Run() // drain the requeued work before accepting new jobs
-			log.Printf("recovered %d journal records: %d ok, %d errored, %d dead-lettered, %d requeued, %d adopted, %d orphaned",
-				rep.Records, rep.Completed, rep.Errored, rep.DeadLettered, rep.Requeued, rep.Adopted, rep.Orphaned)
+			log.Printf("recovered %d journal records: %d ok, %d errored, %d dead-lettered, %d requeued, %d adopted",
+				rep.Records, rep.Completed, rep.Errored, rep.DeadLettered, rep.Requeued, rep.Adopted)
 			if rep.CorruptTail != "" {
 				log.Printf("journal had a torn tail (expected after a crash): %s", rep.CorruptTail)
 			}
@@ -360,20 +358,7 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, lease
 				log.Printf("journal compaction after recovery failed: %v", err)
 			}
 		}
-		// Heartbeat on a wall-clock ticker so the lease trail keeps proving
-		// this handler alive through idle stretches (virtual time does not
-		// advance without work).
-		interval := leaseTTL / 3
-		if interval <= 0 {
-			interval = time.Second
-		}
-		go func() {
-			for range time.Tick(interval) {
-				g.WriteLease()
-			}
-		}()
-		log.Printf("journaling to %s as handler %q (lease TTL %v, heartbeat every %v)",
-			journalDir, handler, leaseTTL, interval)
+		log.Printf("journaling to %s as handler %q", journalDir, handler)
 	}
 	return serve(addr, policyName, g, datasets, pprofOn)
 }

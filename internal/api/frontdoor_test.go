@@ -24,13 +24,11 @@ import (
 // engine must be quiescent — no sampler tick, no timer — and the server no
 // older than the job's own virtual run time plus the closing sample.
 
-// frontDoor is gyan-server -journal in miniature, with the engine, journal
-// and directory in the test's reach.
+// frontDoor is gyan-server -journal in miniature, with the engine in the
+// test's reach.
 type frontDoor struct {
-	ts  *httptest.Server
-	g   *galaxy.Galaxy
-	j   *journal.Journal
-	dir string
+	ts *httptest.Server
+	g  *galaxy.Galaxy
 }
 
 func newFrontDoor(t *testing.T, opts ...galaxy.Option) *frontDoor {
@@ -42,7 +40,7 @@ func newFrontDoor(t *testing.T, opts ...galaxy.Option) *frontDoor {
 	}
 	t.Cleanup(func() { _ = j.Close() })
 	g := galaxy.New(nil, append([]galaxy.Option{
-		galaxy.WithJournal(j, "h1"), galaxy.WithWallClock(time.Now),
+		galaxy.WithJournal(j, "h1"),
 	}, opts...)...)
 	if err := g.RegisterDefaultTools(); err != nil {
 		t.Fatal(err)
@@ -59,7 +57,7 @@ func newFrontDoor(t *testing.T, opts ...galaxy.Option) *frontDoor {
 	s.RegisterDataset("acinetobacter_pittii", squiggles)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return &frontDoor{ts: ts, g: g, j: j, dir: dir}
+	return &frontDoor{ts: ts, g: g}
 }
 
 // quiescent fails the test if the reply just received left engine events
@@ -123,25 +121,6 @@ func TestPostJobsIsStationary(t *testing.T) {
 	if got := fd.samples(t); got > jobs*maxSamplesPerJob {
 		t.Errorf("monitor took %d samples over %d jobs, want at most %d a job", got, jobs, maxSamplesPerJob)
 	}
-	// The lease trail follows virtual time, one heartbeat per half TTL of
-	// activity: with the clock bounded above, so is the trail (an hour a job
-	// was one lease record a job).
-	if err := fd.j.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := journal.Replay(fd.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leases := 0
-	for _, rec := range recs {
-		if rec.Type == journal.TypeLease {
-			leases++
-		}
-	}
-	if limit := 2 + int(elapsed/(galaxy.DefaultLeaseTTL/2)); leases > limit {
-		t.Errorf("%d lease records over %v of virtual time, want at most %d", leases, elapsed, limit)
-	}
 	if perJob := (heapAtEnd - heapAtFrom) / (jobs - heapFrom); perJob >= 64<<10 {
 		t.Errorf("live heap grew by %d KiB a job between job %d and job %d, want under 64", perJob>>10, heapFrom, jobs)
 	}
@@ -186,8 +165,8 @@ func TestPostJobsIsStationary(t *testing.T) {
 }
 
 // TestServerRaceHammer is the -race hammer for the single server's real
-// handler: concurrent submits of the http_jobs mix, every read endpoint and
-// the wall-clock lease heartbeat gyan-server runs beside them. Every POST
+// handler: concurrent submits of the http_jobs mix beside every read
+// endpoint. Every POST
 // must be answered 201/ok, and the completion counter must agree with the
 // number acknowledged. `make hammer-api` runs it twice over.
 func TestServerRaceHammer(t *testing.T) {
@@ -201,18 +180,6 @@ func TestServerRaceHammer(t *testing.T) {
 
 	stop := make(chan struct{})
 	var background sync.WaitGroup
-	background.Add(1)
-	go func() { // gyan-server's heartbeat, at a hammer's pace
-		defer background.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Millisecond):
-				fd.g.WriteLease()
-			}
-		}
-	}()
 	var acked atomic.Int64
 	for _, path := range []string{"/api/jobs", "/api/jobs/1", "/api/monitor", "/api/smi", "/metrics"} {
 		background.Add(1)

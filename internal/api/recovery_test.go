@@ -157,14 +157,14 @@ func TestRecoveryEndpointAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate the restart: replay the directory into a fresh Galaxy and
-	// serve it.
-	recs, rerr := journal.Replay(dir)
+	// Simulate the restart: lock the directory, replay it into a fresh
+	// Galaxy and serve it.
 	j2, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
+	recs, rerr := journal.Replay(dir)
 	g2 := galaxy.New(nil, galaxy.WithJournal(j2, "h1"))
 	if err := g2.RegisterDefaultTools(); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,6 @@ func TestRecoveryEndpointAfterRestart(t *testing.T) {
 	if _, err := g2.Recover(recs, rerr, galaxy.RecoverOptions{
 		Datasets:     map[string]any{"reads": rs},
 		RestartDelay: time.Minute,
-		AdoptExpired: true,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -61,8 +61,6 @@ type Config struct {
 	// other cadences (member TTL, steal backoff, anti-entropy) default to
 	// multiples of it. Default 500ms of virtual time.
 	Tick time.Duration
-	// LeaseTTL configures the member's journal lease heartbeats.
-	LeaseTTL time.Duration
 	// Seed fixes the protocol randomness (retry backoff jitter). Default 1.
 	Seed uint64
 	// MemberTTL is how long a member's lease lasts from each renewal's
@@ -228,9 +226,6 @@ func newNode(cfg Config, reg *obs.Registry) (*Node, error) {
 		return nil, fmt.Errorf("cluster: open journal for %s: %w", id, err)
 	}
 	gopts = append(gopts, galaxy.WithJournal(jr, id))
-	if cfg.LeaseTTL > 0 {
-		gopts = append(gopts, galaxy.WithLeaseTTL(cfg.LeaseTTL))
-	}
 	g := galaxy.New(nil, gopts...)
 	if err := cfg.Tools(g); err != nil {
 		jr.Close() // nothing was journaled; the boot error is the one to report

@@ -26,12 +26,9 @@ func init() {
 // behind their arrival delays.
 const crashAt = 8 * time.Second
 
-// crashLeaseTTL and crashRestartDelay bracket the failover: the standby
-// resumes after the dead handler's lease has expired, so adoption is legal.
-const (
-	crashLeaseTTL     = 10 * time.Second
-	crashRestartDelay = 15 * time.Second
-)
+// crashRestartDelay is the virtual downtime between h1's death and h2's
+// resumption.
+const crashRestartDelay = 15 * time.Second
 
 // crashTrace is the arrival trace every phase replays: a Poisson stream of
 // identical single-GPU polishing jobs.
@@ -115,8 +112,8 @@ func auditSegments(dir string) ([]journal.Record, int, error) {
 // runCrashRecovery runs the same arrival trace three ways. The baseline runs
 // to completion uninterrupted and defines the expected completion set.
 // Handler h1 runs the trace journaled and is killed (torn tail and all) at
-// crashAt. Standby h2 replays the journal, waits out h1's lease, adopts the
-// orphans, and finishes the workload. A final audit over every durable
+// crashAt. Standby h2 takes the journal's lock, replays it, adopts h1's
+// unfinished jobs, and finishes the workload. A final audit over every durable
 // record pins the failover invariants: no job is lost, no job's execution is
 // durably recorded twice, the completion set matches the baseline, and
 // requeued jobs redispatch in submission (seniority) order.
@@ -156,7 +153,7 @@ func runCrashRecovery(opt Options) (*Result, error) {
 		return nil, err
 	}
 	gA, _, err := crashGalaxy(opt, rs, arrivals,
-		galaxy.WithJournal(jA, "h1"), galaxy.WithLeaseTTL(crashLeaseTTL))
+		galaxy.WithJournal(jA, "h1"))
 	if err != nil {
 		return nil, err
 	}
@@ -174,23 +171,21 @@ func runCrashRecovery(opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	// Phase 3: standby h2 replays the directory, recovers past the torn
-	// tail, adopts h1's jobs once the lease math proves h1 dead, and runs
-	// the workload to completion.
-	recs, rerr := journal.Replay(dir)
+	// Phase 3: standby h2 takes the directory's lock — which proves h1
+	// dead — replays it, recovers past the torn tail, adopts h1's jobs and
+	// runs the workload to completion.
 	jB, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		return nil, err
 	}
-	gB, _, err := crashGalaxy(opt, rs, nil,
-		galaxy.WithJournal(jB, "h2"), galaxy.WithLeaseTTL(crashLeaseTTL))
+	recs, rerr := journal.Replay(dir)
+	gB, _, err := crashGalaxy(opt, rs, nil, galaxy.WithJournal(jB, "h2"))
 	if err != nil {
 		return nil, err
 	}
 	rep, err := gB.Recover(recs, rerr, galaxy.RecoverOptions{
 		Datasets:     map[string]any{"nfl": rs},
 		RestartDelay: crashRestartDelay,
-		AdoptExpired: true,
 	})
 	if err != nil {
 		return nil, err
@@ -247,8 +242,8 @@ func runCrashRecovery(opt Options) (*Result, error) {
 	}
 
 	tb := report.NewTable(
-		fmt.Sprintf("%d Poisson arrivals, h1 killed at %v (torn tail), h2 resumes after the %v lease expires",
-			len(arrivals), crashAt, crashLeaseTTL),
+		fmt.Sprintf("%d Poisson arrivals, h1 killed at %v (torn tail), h2 resumes %v later",
+			len(arrivals), crashAt, crashRestartDelay),
 		"phase", "jobs ok", "requeued", "adopted", "makespan", "note")
 	tb.AddRow("baseline", fmt.Sprintf("%d/%d", len(baseline), len(arrivals)), "-", "-",
 		report.Seconds(baseEnd), "uninterrupted")
@@ -273,7 +268,6 @@ func runCrashRecovery(opt Options) (*Result, error) {
 	res.Metrics["torn_segments"] = float64(tornSegs)
 	res.Metrics["requeued"] = float64(rep.Requeued)
 	res.Metrics["adopted"] = float64(rep.Adopted)
-	res.Metrics["orphaned"] = float64(rep.Orphaned)
 	res.Metrics["lost_jobs"] = float64(lost)
 	res.Metrics["double_executions"] = float64(doubles)
 	res.Metrics["completion_set_identical"] = boolMetric(identical)
@@ -291,14 +285,14 @@ func runCrashRecovery(opt Options) (*Result, error) {
 	res.Metrics["obs_completed_ok"] = snapB[`gyan_jobs_completed_total{state="ok"}`]
 
 	var ch timeline.Chart
-	ch.AddRecovery(rep, recEnd)
+	ch.AddRecovery(rep)
 	ch.AddJobs(recovered)
 	res.Text = append(res.Text,
 		fmt.Sprintf("Handler h1 journals every transition and is killed at %v with a torn record on disk. "+
 			"Standby h2 replays %d durable records, discards the torn tail, keeps the %d completions that reached disk, "+
-			"waits out h1's %v lease and adopts the rest (%d adopted, %d requeued). The audit over every durable record "+
+			"and, holding the journal's lock, adopts the rest (%d adopted, %d requeued). The audit over every durable record "+
 			"finds %d lost jobs and %d double executions; the completion set matches the uninterrupted baseline.",
-			crashAt, rep.Records, rep.Completed, crashLeaseTTL, rep.Adopted, rep.Requeued, lost, doubles),
-		"Failover timeline (lease trails, replay gap, and the merged job history):\n\n"+ch.Render(72))
+			crashAt, rep.Records, rep.Completed, rep.Adopted, rep.Requeued, lost, doubles),
+		"Failover timeline (replay gap and the merged job history):\n\n"+ch.Render(72))
 	return res, nil
 }

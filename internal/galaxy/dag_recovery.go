@@ -151,10 +151,10 @@ func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal
 		if job == nil || job.Done() {
 			continue
 		}
-		// The job is back in flight (requeued by Recover, or orphaned to a
-		// live foreign owner); its completion resumes the graph. Requeued
-		// steps whose input flowed from a parent re-resolve it here — the
-		// requeue event has not fired yet, so the payload lands in time.
+		// The job is back in flight (requeued by Recover); its completion
+		// resumes the graph. Requeued steps whose input flowed from a parent
+		// re-resolve it here — the requeue event has not fired yet, so the
+		// payload lands in time.
 		if job.Dataset == nil {
 			if input, rerr := wr.resolveInputLocked(wr.defs[id]); rerr == nil {
 				job.Dataset = input

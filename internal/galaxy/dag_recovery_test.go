@@ -35,7 +35,7 @@ func stepSubmits(recs []journal.Record) map[string][]int {
 func TestCrashMidWorkflowResumesExactlyOnce(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
-	g := testGalaxy(t, WithJournal(j, "h1"), WithLeaseTTL(10*time.Second))
+	g := testGalaxy(t, WithJournal(j, "h1"))
 	rs := smallReadSet(t)
 	wr, err := g.SubmitDAG("pipeline", pipelineSteps(rs), DAGOptions{User: "ada"})
 	if err != nil {
@@ -89,7 +89,7 @@ func TestCrashMidWorkflowResumesExactlyOnce(t *testing.T) {
 		t.Fatal("torn tail replayed clean")
 	}
 	j2 := openTestJournal(t, dir)
-	g2 := testGalaxy(t, WithJournal(j2, "h1"), WithLeaseTTL(10*time.Second))
+	g2 := testGalaxy(t, WithJournal(j2, "h1"))
 	rep, err := g2.Recover(recs, rerr, RecoverOptions{
 		Datasets:     map[string]any{"reads": rs},
 		RestartDelay: 15 * time.Second,

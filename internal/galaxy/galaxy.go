@@ -37,7 +37,7 @@ type Galaxy struct {
 
 	// mu is the engine's one lock. It guards everything below that is not
 	// fixed at build time — the tool registry, the job table, the ID
-	// allocators, the queues and scheduler, fault-recovery and lease state —
+	// allocators, the queues and scheduler, fault-recovery state —
 	// and every job field after its insert; engine callbacks run under it.
 	// Every program already serializes above the handler, so a second lock
 	// would buy no concurrency. Submit holds mu only to insert the job and
@@ -97,19 +97,12 @@ type Galaxy struct {
 	gateDenials []gateDenial
 
 	// Durability (see recovery.go). journal, when set, receives every job
-	// state transition; handlerID names this handler in lease and ownership
-	// records; leaseTTL is how long a heartbeat asserts ownership. These and
-	// wallNow are fixed at build time. lastLease tracks the newest heartbeat
-	// so writes piggyback fresh leases onto the activity stream; journalErr
-	// latches the first append failure.
-	journal   *journal.Journal
-	handlerID string
-	leaseTTL  time.Duration
-	wallNow   func() time.Time
-
-	lastLease    time.Duration
-	leaseWritten bool
-	journalErr   error
+	// state transition; handlerID names this handler in ownership records.
+	// Both are fixed at build time. journalErr latches the first append
+	// failure.
+	journal    *journal.Journal
+	handlerID  string
+	journalErr error
 
 	recovery *RecoveryReport
 }

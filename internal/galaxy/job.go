@@ -125,7 +125,7 @@ type Job struct {
 	// failure log no longer counts against the fresh retry budget.
 	attemptBase int
 	// owner is the handler that owns this job when it differs from the
-	// local handler (orphaned jobs recovered under a live foreign lease).
+	// local handler (a stolen job names its thief).
 	owner string
 }
 

@@ -20,24 +20,17 @@ import (
 // never started comes back with none, and the requeue maps it from a fresh
 // survey at the resumed instant — GYAN's rule, so the decision is not journaled.
 //
-// Ownership is lease-based, with two guards against split-brain. The
-// structural one is the journal directory's exclusive flock (journal.Open):
-// two live processes can never append to the same journal, and the kernel
-// releases a dead process's lock, so merely being able to open the journal
-// proves the previous owner is gone. The lease records layer failover
-// semantics on top: each handler piggybacks heartbeat leases onto its
-// journal writes (at least every leaseTTL/2 of activity) and, in
-// gyan-server, also on a wall-clock ticker (WithWallClock stamps each lease
-// with real time, since virtual time stands still on an idle server). A job
-// is owned by the handler that journaled its submit record until an adopt
-// record transfers it. During recovery a handler only requeues jobs it owns
-// — a foreign job is adopted (with an adopt record) only when its owner's
-// lease has expired (judged in wall time when both sides have wall clocks)
-// and RecoverOptions.AdoptExpired is set, otherwise it is left orphaned for
-// its owner to resume. Because a requeued run is a fresh epoch and
-// completed epochs are journaled, a job is never double-executed: the worst
-// a crash costs is re-running work whose completion record was still
-// buffered.
+// Ownership is the journal lock. journal.Open takes an exclusive flock on
+// the directory: two live processes can never append to the same journal,
+// and the kernel releases a dead process's lock, so a handler that opened
+// the journal knows every previous owner is gone. Recover therefore requeues
+// every non-terminal job in the replay. A job is owned by the handler that
+// journaled its submit record until an adopt record transfers it; a job whose
+// trail names another handler is adopted (an adopt record, counted in
+// RecoveryReport.Adopted) before it requeues. Because a requeued run is a
+// fresh epoch and completed epochs are journaled, a job is never
+// double-executed: the worst a crash costs is re-running work whose
+// completion record was still buffered.
 //
 // Workflows recover too: SubmitDAG journals the full definition
 // (journal.TypeWorkflow) and every member job's submit record carries its
@@ -52,41 +45,21 @@ import (
 // Delay is not re-applied — recovered queued jobs redispatch immediately at
 // the resumed time.
 
-// DefaultLeaseTTL is how long a heartbeat asserts ownership when
-// WithLeaseTTL is not configured.
-const DefaultLeaseTTL = 30 * time.Second
-
 // WithJournal attaches a durable job-state journal and names this handler
-// for lease and ownership records.
+// in its ownership records.
 func WithJournal(j *journal.Journal, handlerID string) Option {
 	return func(g *Galaxy) {
 		g.journal = j
 		g.handlerID = handlerID
-		if g.leaseTTL == 0 {
-			g.leaseTTL = DefaultLeaseTTL
-		}
 	}
 }
 
-// WithLeaseTTL sets how long a handler heartbeat asserts job ownership.
-// Non-positive values keep the default.
-func WithLeaseTTL(d time.Duration) Option {
-	return func(g *Galaxy) {
-		if d > 0 {
-			g.leaseTTL = d
-		}
-	}
-}
-
-// WithWallClock gives the handler a wall-clock source for lease records.
-// Virtual time stands still while a server is idle, so handler liveness
-// cannot be judged from virtual lease deadlines alone: with a wall clock
-// set, every heartbeat is also stamped with real time, and a recovering
-// standby that passes RecoverOptions.WallNow compares those stamps against
-// its own wall clock before declaring an owner dead. Deterministic
-// experiments leave it unset and rely on virtual-time lease math.
-func WithWallClock(now func() time.Time) Option {
-	return func(g *Galaxy) { g.wallNow = now }
+// WithWallClock does nothing: the engine reads no wall clock.
+//
+// Deprecated: it stamped handler lease records, which are retired; only
+// bench/w_http.go:371 still passes it.
+func WithWallClock(func() time.Time) Option {
+	return func(*Galaxy) {}
 }
 
 // HandlerID returns this handler's name in the journal ("" when journaling
@@ -115,15 +88,6 @@ func (g *Galaxy) JournalError() error {
 func (g *Galaxy) latchJournalErrLocked(err error) {
 	if g.journalErr == nil {
 		g.journalErr = err
-	}
-}
-
-// latchJournalErr is latchJournalErrLocked for a caller outside g.mu.
-func (g *Galaxy) latchJournalErr(err error) {
-	if err != nil {
-		g.mu.Lock()
-		g.latchJournalErrLocked(err)
-		g.mu.Unlock()
 	}
 }
 
@@ -161,8 +125,7 @@ func (g *Galaxy) stageJournal(rec journal.Record) uint64 {
 }
 
 // stampJournalLocked is what every journaled transition goes through before
-// it is staged: report it to the observer, stamp the handler and piggyback a
-// heartbeat lease when the last one is older than half the TTL. It returns
+// it is staged: report it to the observer and stamp the handler. It returns
 // false when no journal is attached. Caller holds g.mu.
 func (g *Galaxy) stampJournalLocked(rec journal.Record) (journal.Record, bool) {
 	g.obsv.Transition(rec)
@@ -172,7 +135,6 @@ func (g *Galaxy) stampJournalLocked(rec journal.Record) (journal.Record, bool) {
 	if rec.Handler == "" {
 		rec.Handler = g.handlerID
 	}
-	g.maybeHeartbeat(rec.At)
 	return rec, true
 }
 
@@ -185,67 +147,15 @@ func (g *Galaxy) awaitDurable(tick uint64) error {
 	return g.journal.AwaitDurable(tick)
 }
 
-// maybeHeartbeat stages a lease record, ahead of the record that triggered
-// it, if the newest one is stale. Caller holds g.mu.
-func (g *Galaxy) maybeHeartbeat(now time.Duration) {
-	if g.leaseWritten && now < g.lastLease+g.leaseTTL/2 {
-		return
-	}
-	g.leaseWritten = true
-	g.lastLease = now
-	rec := journal.Record{
-		Type: journal.TypeLease, At: now, Handler: g.handlerID, TTL: g.leaseTTL,
-	}
-	if g.wallNow != nil {
-		rec.Wall = g.wallNow().UnixNano()
-	}
-	g.latchJournalErrLocked(g.journal.Append(rec))
-}
-
-// WriteLease forces a heartbeat at the current virtual time (a no-op
-// without a journal) and flushes it to disk: a lease only proves liveness
-// once a peer can read it, so it must not sit in the group-commit buffer
-// across an idle stretch. gyan-server calls this on a wall-clock ticker;
-// it is also useful before a long quiet period. The lease is staged under
-// g.mu and the flush happens after releasing it.
-func (g *Galaxy) WriteLease() {
-	if g.journal == nil {
-		return
-	}
-	g.mu.Lock()
-	g.leaseWritten = false
-	g.maybeHeartbeat(g.Engine.Clock().Now())
-	g.mu.Unlock()
-	g.latchJournalErr(g.journal.Sync())
-}
-
-// LeaseInfo summarizes one handler's heartbeat trail in a replayed journal.
-type LeaseInfo struct {
-	// First and Last are the handler's first and newest heartbeat times.
-	First time.Duration `json:"first"`
-	Last  time.Duration `json:"last"`
-	// Deadline is when the newest lease expires (Last + TTL).
-	Deadline time.Duration `json:"deadline"`
-	// WallLast and WallDeadline are the newest heartbeat's wall-clock stamp
-	// and expiry in unix nanoseconds (0 when the owner had no wall clock;
-	// see WithWallClock).
-	WallLast     int64 `json:"wall_last,omitempty"`
-	WallDeadline int64 `json:"wall_deadline,omitempty"`
-	// Expired reports whether the lease had lapsed at recovery time — in
-	// wall time when both sides carry wall clocks, else in virtual time.
-	Expired bool `json:"expired"`
-}
-
 // RecoveredJob is one job's disposition in a RecoveryReport.
 type RecoveredJob struct {
 	ID    int      `json:"id"`
 	Tool  string   `json:"tool"`
 	State JobState `json:"state"`
 	// Action is what recovery did: "kept" (terminal state restored),
-	// "requeued" (own non-terminal job redispatched), "adopted" (foreign
-	// job taken over after lease expiry, then requeued), "orphaned" (left
-	// for a live foreign owner) or "failed" (unrecoverable: tool or
-	// dataset no longer available).
+	// "requeued" (own non-terminal job redispatched), "adopted" (another
+	// handler's job taken over, then requeued) or "failed" (unrecoverable:
+	// tool or dataset no longer available).
 	Action string `json:"action"`
 	// Owner is the handler owning the job after recovery.
 	Owner string `json:"owner,omitempty"`
@@ -268,16 +178,18 @@ type RecoveryReport struct {
 	ResumedAt    time.Duration `json:"resumed_at"`
 
 	// Job disposition counts: terminal jobs kept (ok/error), dead-lettered
-	// jobs kept, non-terminal jobs requeued (Adopted of those from dead
-	// handlers), jobs left to live foreign owners, and jobs whose tool or
-	// dataset no longer exists.
+	// jobs kept, non-terminal jobs requeued (Adopted of those from other
+	// handlers), and jobs whose tool or dataset no longer exists.
 	Completed    int `json:"completed"`
 	Errored      int `json:"errored"`
 	DeadLettered int `json:"dead_lettered"`
 	Requeued     int `json:"requeued"`
 	Adopted      int `json:"adopted"`
-	Orphaned     int `json:"orphaned"`
 	Failed       int `json:"failed"`
+	// Orphaned is always 0: Recover leaves no job to another owner.
+	//
+	// Deprecated: only bench/w_inproc.go:539 still reads it.
+	Orphaned int `json:"-"`
 
 	// Workflows counts the workflow runs rebuilt from journaled
 	// definitions; WorkflowStepsResumed counts their member steps put back
@@ -288,8 +200,6 @@ type RecoveryReport struct {
 
 	// Jobs lists every job's disposition in ID order.
 	Jobs []RecoveredJob `json:"jobs"`
-	// Leases maps handler IDs to their heartbeat trails.
-	Leases map[string]LeaseInfo `json:"leases"`
 	// Faults is the replayed classified-failure history: these events
 	// predate this engine's start, so they never fired through its live
 	// fault plan.
@@ -315,43 +225,33 @@ type RecoverOptions struct {
 	// non-terminal job whose dataset is missing recovers as failed.
 	Datasets map[string]any
 	// RestartDelay is how far past the newest record the engine resumes —
-	// the (virtual) downtime between crash and restart. Recovery compares
-	// lease deadlines against the resumed time, so a delay longer than the
-	// lease TTL makes every pre-crash lease expired.
+	// the (virtual) downtime between crash and restart.
 	RestartDelay time.Duration
-	// AdoptExpired lets this handler take over jobs whose owner's lease
-	// has expired (writing adopt records). Without it, foreign jobs are
-	// left orphaned regardless of lease state.
+	// AdoptExpired is read by nothing: every other handler's job is adopted.
+	//
+	// Deprecated: only bench/w_inproc.go:496 still sets it.
 	AdoptExpired bool
-	// WallNow is the recovering handler's wall-clock time in unix
-	// nanoseconds. When both it and a lease's wall stamp are present, lease
-	// expiry is judged in real time — an owner that is idle in virtual time
-	// but still heartbeating on its wall-clock ticker is alive and keeps
-	// its jobs. Zero falls back to virtual-time expiry (deterministic
-	// experiments).
-	WallNow int64
 }
 
 // Recover rebuilds this Galaxy from a journal replay. It must be called on
 // a fresh instance (tools registered, nothing submitted) before the engine
-// runs; replayErr is whatever Replay returned — a *CorruptRecordError is
-// treated as the expected torn-tail crash artifact and reported, any other
-// error aborts. Terminal jobs are rematerialized with their failure logs,
-// quarantine charges are replayed, completed GPU runtimes are re-credited
-// to fair share, and non-terminal jobs owned (or adopted) by this handler
-// requeue in ID order as fresh run epochs with their original submission
-// times.
+// runs. recs must be the replay of the directory this Galaxy's journal holds,
+// read after journal.Open took its lock: the lock is what proves every
+// previous owner dead, so a replay read before it may miss a live holder's
+// last acknowledged records. replayErr is whatever Replay returned — a
+// *CorruptRecordError is treated as the expected torn-tail crash artifact and
+// reported, any other error aborts. Terminal jobs are rematerialized with
+// their failure logs, quarantine charges are replayed, completed GPU runtimes
+// are re-credited to fair share, and every non-terminal job requeues in ID
+// order as a fresh run epoch with its original submission time, adopted
+// first when its trail names another handler.
 func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOptions) (*RecoveryReport, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(g.jobs) > 0 || g.nextID != 0 {
 		return nil, fmt.Errorf("galaxy: recover requires a fresh instance (have %d jobs)", len(g.jobs))
 	}
-	rep := &RecoveryReport{
-		Handler: g.handlerID,
-		Records: len(recs),
-		Leases:  make(map[string]LeaseInfo),
-	}
+	rep := &RecoveryReport{Handler: g.handlerID, Records: len(recs)}
 	if replayErr != nil {
 		var cerr *journal.CorruptRecordError
 		if !errors.As(replayErr, &cerr) {
@@ -371,20 +271,6 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 	rep.LastRecordAt = hist.LastAt
 	now := g.Engine.Clock().AdvanceTo(hist.LastAt + opts.RestartDelay)
 	rep.ResumedAt = now
-	for id, l := range hist.Leases {
-		li := LeaseInfo{
-			First: l.First, Last: l.Last, Deadline: l.Deadline,
-			WallLast: l.WallLast, WallDeadline: l.WallDeadline,
-			Expired: now >= l.Deadline,
-		}
-		if opts.WallNow > 0 && li.WallLast > 0 {
-			// Real time trumps virtual time for liveness: an idle server's
-			// virtual clock stands still, so only the wall-clock heartbeat
-			// trail can distinguish "quiet" from "dead".
-			li.Expired = opts.WallNow >= li.WallDeadline
-		}
-		rep.Leases[id] = li
-	}
 
 	// Replay the quarantine: charging every attempt's culprit devices in
 	// record order rebuilds counts, spans and cooldown deadlines exactly.
@@ -456,29 +342,13 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 			})
 		}
 
-		// Non-terminal: ownership decides. A foreign job is requeued only
-		// when its owner's lease expired and adoption is allowed. A handler
-		// with no ID (journaling off) claims every job as its own.
+		// Non-terminal: this handler holds the journal lock, so the job's
+		// owner is dead and the job requeues here. A job another handler
+		// owned is adopted first. A handler with no ID (journaling off)
+		// claims every job as its own.
 		owner := h.Owner
 		foreign := owner != "" && g.handlerID != "" && owner != g.handlerID
 		if foreign {
-			li, seen := rep.Leases[owner]
-			live := seen && !li.Expired
-			if live || !opts.AdoptExpired {
-				job.State = StateQueued
-				job.owner = owner
-				state := "expired"
-				if live {
-					state = "live"
-				}
-				job.Info = fmt.Sprintf("orphaned: owned by handler %q (lease %s)", owner, state)
-				rep.Orphaned++
-				rj.Action = "orphaned"
-				rj.State = job.State
-				g.jobs[job.ID] = job
-				rep.Jobs = append(rep.Jobs, rj)
-				continue
-			}
 			g.logJournal(journal.Record{
 				Type: journal.TypeAdopt, At: now, Job: id, From: owner,
 			})
@@ -536,12 +406,6 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 	}
 
 	g.rebuildWorkflowsLocked(hist, rep, opts, now)
-
-	// Assert this handler's ownership of whatever it just rebuilt.
-	if g.journal != nil {
-		g.leaseWritten = false
-		g.maybeHeartbeat(now)
-	}
 	g.recovery = rep
 	return rep, nil
 }
@@ -680,9 +544,7 @@ func (g *Galaxy) SnapshotJournal() error {
 		return fmt.Errorf("galaxy: no journal attached")
 	}
 	now := g.Engine.Clock().Now()
-	recs := []journal.Record{{
-		Type: journal.TypeLease, At: now, Handler: g.handlerID, TTL: g.leaseTTL,
-	}}
+	var recs []journal.Record
 	// Workflow definitions first: a compacted journal must still rebuild
 	// every run's DAG, and finished runs keep their recorded verdict.
 	wfIDs := make([]int, 0, len(g.workflows))

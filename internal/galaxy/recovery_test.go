@@ -155,7 +155,7 @@ func TestRecoverRebuildsTerminalState(t *testing.T) {
 func TestCrashMidWorkloadRequeuesWithSeniority(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
-	g := testGalaxy(t, WithJournal(j, "h1"), WithLeaseTTL(10*time.Second))
+	g := testGalaxy(t, WithJournal(j, "h1"))
 	rs := smallReadSet(t)
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
@@ -188,7 +188,7 @@ func TestCrashMidWorkloadRequeuesWithSeniority(t *testing.T) {
 	}
 	j2 := openTestJournal(t, dir)
 	defer j2.Close()
-	g2 := testGalaxy(t, WithJournal(j2, "h1"), WithLeaseTTL(10*time.Second))
+	g2 := testGalaxy(t, WithJournal(j2, "h1"))
 	rep, err := g2.Recover(recs, rerr, RecoverOptions{
 		Datasets:     map[string]any{"nfl": rs},
 		RestartDelay: 15 * time.Second,
@@ -230,59 +230,53 @@ func TestCrashMidWorkloadRequeuesWithSeniority(t *testing.T) {
 	}
 }
 
-func TestLeaseExpiryGatesAdoption(t *testing.T) {
+// TestLockHolderAdoptsDeadHandlersJobs is gyan-server's failover on one
+// directory: handler a journals a queued job — on a wall clock, the way
+// gyan-server once stamped its heartbeats — and is killed; handler b takes
+// the directory's lock and recovers with gyan-server's options. Holding the
+// lock proves a dead, so b adopts the job and runs it: nothing a left behind
+// can strand it queued on a journal no other handler can open.
+func TestLockHolderAdoptsDeadHandlersJobs(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
-	g := testGalaxy(t, WithJournal(j, "h1"), WithLeaseTTL(10*time.Second))
+	a := testGalaxy(t, WithJournal(j, "a"), WithWallClock(time.Now))
 	rs := smallReadSet(t)
-	if _, err := g.Submit("racon", fastParams(), rs, SubmitOptions{DatasetName: "nfl"}); err != nil {
+	if _, err := a.Submit("racon", fastParams(), rs, SubmitOptions{DatasetName: "nfl"}); err != nil {
 		t.Fatal(err)
 	}
-	g.Engine.RunUntil(0) // submit journaled, job still queued
+	a.Engine.RunUntil(0) // submit journaled, job still queued
 	if err := j.Crash(); err != nil {
 		t.Fatal(err)
 	}
+
+	j2 := openTestJournal(t, dir)
 	recs, rerr := replayDir(t, dir)
-	datasets := map[string]any{"nfl": rs}
-
-	// Standby restarts before h1's lease expires: the job must be left
-	// orphaned, not run twice.
-	early := testGalaxy(t, WithJournal(openTestJournal(t, t.TempDir()), "h2"),
-		WithLeaseTTL(10*time.Second))
-	rep, err := early.Recover(recs, rerr, RecoverOptions{
-		Datasets: datasets, RestartDelay: 2 * time.Second, AdoptExpired: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Adopted != 0 || rep.Orphaned != 1 {
-		t.Fatalf("live-lease recovery adopted=%d orphaned=%d", rep.Adopted, rep.Orphaned)
-	}
-	early.Run()
-	if got := early.Jobs()[0]; got.State != StateQueued ||
-		!strings.Contains(got.Info, "orphaned") {
-		t.Fatalf("orphan state=%s info=%q", got.State, got.Info)
-	}
-	if li, ok := rep.Leases["h1"]; !ok || li.Expired {
-		t.Fatalf("h1 lease = %+v, want live", li)
-	}
-
-	// Standby restarts after the lease expired: it adopts and finishes the
-	// job.
-	late := testGalaxy(t, WithJournal(openTestJournal(t, t.TempDir()), "h2"),
-		WithLeaseTTL(10*time.Second))
-	rep, err = late.Recover(recs, rerr, RecoverOptions{
-		Datasets: datasets, RestartDelay: 30 * time.Second, AdoptExpired: true,
+	b := testGalaxy(t, WithJournal(j2, "b"))
+	rep, err := b.Recover(recs, rerr, RecoverOptions{
+		Datasets: map[string]any{"nfl": rs}, RestartDelay: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Adopted != 1 || rep.Requeued != 1 || rep.Orphaned != 0 {
-		t.Fatalf("expired-lease recovery = %+v", rep)
+		t.Fatalf("recovery adopted=%d requeued=%d orphaned=%d, want 1/1/0", rep.Adopted, rep.Requeued, rep.Orphaned)
 	}
-	late.Run()
-	if got := late.Jobs()[0]; got.State != StateOK {
+	if rj := rep.Jobs[0]; rj.Action != "adopted" || rj.Owner != "b" {
+		t.Fatalf("job disposition %+v, want adopted by b", rj)
+	}
+	b.Run()
+	if got := b.Jobs()[0]; got.State != StateOK {
 		t.Fatalf("adopted job finished %s: %s", got.State, got.Info)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, rerr = replayDir(t, dir)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if tr := journal.Fold(recs).Jobs[1]; tr.Owner != "b" || tr.From != "a" || tr.Terminal == nil {
+		t.Fatalf("journaled trail owner %q from %q terminal %v, want b/a/complete", tr.Owner, tr.From, tr.Terminal)
 	}
 }
 
@@ -463,65 +457,6 @@ func TestSnapshotJournalSurvivesRecovery(t *testing.T) {
 	jobs := g2.Jobs()
 	if len(jobs) != 2 || jobs[0].ID != first.ID || jobs[1].ID != second.ID {
 		t.Fatalf("recovered job set = %+v", jobs)
-	}
-}
-
-// TestWallClockLeaseBlocksAdoption pins the idle-handler split-brain guard:
-// a handler that is quiet in virtual time but still heartbeating in wall
-// time must not have its jobs adopted, however large the virtual
-// RestartDelay. Only once the wall-clock trail goes stale is adoption legal.
-func TestWallClockLeaseBlocksAdoption(t *testing.T) {
-	dir := t.TempDir()
-	j := openTestJournal(t, dir)
-	epoch := time.Unix(1000, 0)
-	g := testGalaxy(t, WithJournal(j, "h1"), WithLeaseTTL(10*time.Second),
-		WithWallClock(func() time.Time { return epoch }))
-	rs := smallReadSet(t)
-	if _, err := g.Submit("racon", fastParams(), rs, SubmitOptions{DatasetName: "nfl"}); err != nil {
-		t.Fatal(err)
-	}
-	g.Engine.RunUntil(0) // submit journaled, job still queued
-	g.WriteLease()       // the wall-clock ticker's heartbeat
-	if err := j.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	recs, rerr := replayDir(t, dir)
-	datasets := map[string]any{"nfl": rs}
-
-	// The virtual RestartDelay alone says the lease is long dead, but h1
-	// heartbeated 5 wall-seconds ago: it is alive, hands off its jobs.
-	early := testGalaxy(t, WithJournal(openTestJournal(t, t.TempDir()), "h2"),
-		WithLeaseTTL(10*time.Second))
-	rep, err := early.Recover(recs, rerr, RecoverOptions{
-		Datasets: datasets, RestartDelay: time.Hour, AdoptExpired: true,
-		WallNow: epoch.Add(5 * time.Second).UnixNano(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Adopted != 0 || rep.Orphaned != 1 {
-		t.Fatalf("wall-live lease: adopted=%d orphaned=%d, want 0/1", rep.Adopted, rep.Orphaned)
-	}
-	if li := rep.Leases["h1"]; li.Expired || li.WallLast == 0 {
-		t.Fatalf("h1 lease = %+v, want wall-stamped and live", li)
-	}
-
-	// 20 wall-seconds of silence outlives the 10 s TTL: h1 is dead, adopt.
-	late := testGalaxy(t, WithJournal(openTestJournal(t, t.TempDir()), "h2"),
-		WithLeaseTTL(10*time.Second))
-	rep, err = late.Recover(recs, rerr, RecoverOptions{
-		Datasets: datasets, RestartDelay: time.Hour, AdoptExpired: true,
-		WallNow: epoch.Add(20 * time.Second).UnixNano(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Adopted != 1 || rep.Orphaned != 0 {
-		t.Fatalf("wall-expired lease: adopted=%d orphaned=%d, want 1/0", rep.Adopted, rep.Orphaned)
-	}
-	late.Run()
-	if got := late.Jobs()[0]; got.State != StateOK {
-		t.Fatalf("adopted job finished %s: %s", got.State, got.Info)
 	}
 }
 

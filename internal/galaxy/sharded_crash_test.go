@@ -25,7 +25,7 @@ func openDurableJournal(t *testing.T, dir string) *journal.Journal {
 func TestShardedCrashRequeuesWithSeniority(t *testing.T) {
 	dir := t.TempDir()
 	j := openDurableJournal(t, dir)
-	g := testGalaxy(t, WithJournal(j, "h1"), WithLeaseTTL(10*time.Second))
+	g := testGalaxy(t, WithJournal(j, "h1"))
 	rs := smallReadSet(t)
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
@@ -53,7 +53,7 @@ func TestShardedCrashRequeuesWithSeniority(t *testing.T) {
 	}
 	j2 := openDurableJournal(t, dir)
 	defer j2.Close()
-	g2 := testGalaxy(t, WithJournal(j2, "h1"), WithLeaseTTL(10*time.Second))
+	g2 := testGalaxy(t, WithJournal(j2, "h1"))
 	rep, err := g2.Recover(recs, rerr, RecoverOptions{
 		Datasets:     map[string]any{"nfl": rs},
 		RestartDelay: 15 * time.Second,

@@ -67,7 +67,7 @@ func (g *Galaxy) stealCandidatesLocked(max int, to string) []*schedEntry {
 	var cands []*schedEntry
 	for _, e := range g.schedJobs {
 		j := e.pending.job
-		if j.State != StateQueued || j.killed || j.owner != "" {
+		if j.State != StateQueued || j.killed {
 			continue
 		}
 		o := e.pending.opts

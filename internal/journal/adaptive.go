@@ -7,8 +7,8 @@ import (
 
 // The adaptive group-commit controller closes the loop between observed
 // fsync cost and staging policy. Every fsync feeds two EWMAs — how long the
-// disk took and how many records the batch carried — and the flusher
-// consults them before draining:
+// disk took, and how many records the batch carried plus those staged behind
+// it while the fsync ran — and the flusher consults them before draining:
 //
 //   - flushDelay: on a disk where fsyncs are expensive, waiting a fraction
 //     of one fsync's duration lets more producers stage into the same

@@ -35,7 +35,8 @@ const (
 	wireBytes  = 2
 )
 
-// Field numbers of Record. Never reuse one.
+// Field numbers of Record. Never reuse one. Retired: 24 (a lease's TTL) and
+// 25 (its wall-clock stamp), skipped like any unknown number.
 const (
 	fType        = 1
 	fAt          = 2
@@ -60,8 +61,6 @@ const (
 	fClass       = 21
 	fMsg         = 22
 	fState       = 23
-	fTTL         = 24
-	fWall        = 25
 	fFrom        = 26
 	fXfer        = 27
 	fStripes     = 28
@@ -153,8 +152,6 @@ func appendRecord(b []byte, r *Record) []byte {
 	b = appendString(b, fClass, r.Class)
 	b = appendString(b, fMsg, r.Msg)
 	b = appendString(b, fState, r.State)
-	b = appendInt(b, fTTL, int64(r.TTL))
-	b = appendInt(b, fWall, r.Wall)
 	b = appendString(b, fFrom, r.From)
 	b = appendUint(b, fXfer, r.Xfer)
 	b = appendInts(b, fStripes, r.Stripes)
@@ -417,10 +414,6 @@ func decodeRecord(p []byte, r *Record) error {
 			r.Msg = string(d.bytes())
 		case key(fState, wireBytes):
 			r.State = string(d.bytes())
-		case key(fTTL, wireVarint):
-			r.TTL = time.Duration(d.varint())
-		case key(fWall, wireVarint):
-			r.Wall = d.varint()
 		case key(fFrom, wireBytes):
 			r.From = string(d.bytes())
 		case key(fXfer, wireVarint):
@@ -533,8 +526,6 @@ func typeOf(b []byte) Type {
 		return TypeComplete
 	case string(TypeAttempt):
 		return TypeAttempt
-	case string(TypeLease):
-		return TypeLease
 	}
 	return Type(b)
 }

@@ -78,7 +78,7 @@ func randRecord(rng *rand.Rand) Record {
 		}
 		return v
 	}
-	types := []Type{TypeSubmit, TypeStart, TypeAttempt, TypeComplete, TypeDeadLetter, TypeLease,
+	types := []Type{TypeSubmit, TypeStart, TypeAttempt, TypeComplete, TypeDeadLetter,
 		TypeAdopt, TypeStealPrepare, TypeStealRetire, TypeStealAbort, TypeClaim, TypeResubmit,
 		TypeWorkflow, TypeMap, "", "some_future_kind"}
 	r := Record{
@@ -87,7 +87,7 @@ func randRecord(rng *rand.Rand) Record {
 		Priority: int(num()), GPUs: int(num()), EstRuntime: time.Duration(num()),
 		Submitted: time.Duration(num()), Destination: str(), GPUEnabled: rng.Intn(2) == 0,
 		Devices: ints(), Epoch: int(num()), Attempt: int(num()), Op: str(), Class: str(),
-		Msg: str(), State: str(), TTL: time.Duration(num()), Wall: num(), From: str(),
+		Msg: str(), State: str(), From: str(),
 		Stripes: ints(), Workflow: int(num()), Step: str(), WFName: str(),
 	}
 	switch rng.Intn(3) {
@@ -212,11 +212,14 @@ func trail() []Record {
 }
 
 // TestCodecSkipsUnknownFields is the compatibility rule a deleted field
-// relies on: a record carrying field numbers this version does not know
-// still decodes to the fields it does know.
+// relies on: a record carrying field numbers this version does not know —
+// the retired lease fields 24 and 25 among them — still decodes to the
+// fields it does know.
 func TestCodecSkipsUnknownFields(t *testing.T) {
 	rec := trail()[0]
 	p := appendRecord(nil, &rec)
+	p = appendInt(p, 24, int64(30*time.Second))
+	p = appendInt(p, 25, 1_700_000_000_000_000_000)
 	p = appendInt(p, 99, -7)
 	p = appendString(p, 100, "retired")
 	p = appendInts(p, 101, []int{1, -2})
@@ -232,6 +235,15 @@ func TestCodecSkipsUnknownFields(t *testing.T) {
 			t.Errorf("payload %x decoded without error", bad)
 		}
 	}
+}
+
+// leasePayload is a lease record's payload as writers before the kind was
+// retired laid it down: the fields every record carries, then its TTL
+// (field 24) and wall-clock stamp (field 25), both retired since.
+func leasePayload(at time.Duration, handler string, tick uint64, ttl time.Duration, wall int64) []byte {
+	p := appendRecord(nil, &Record{Type: "lease", At: at, Handler: handler, Tick: tick})
+	p = appendInt(p, 24, int64(ttl))
+	return appendInt(p, 25, wall)
 }
 
 // FuzzRecordCodec throws arbitrary bytes after the version byte at the

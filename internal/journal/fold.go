@@ -24,20 +24,19 @@ import (
 //   - adopt moves Owner to the writer and records the previous owner in From.
 //   - steal_prepare sets Prepared without moving Owner; steal_retire moves
 //     Owner to the thief and steal_abort leaves it, both closing Prepared.
-//   - lease folds per handler, workflow definitions and jobless complete
-//     records (workflow verdicts) per workflow, claim records in order.
-//   - any other kind is ignored: journals written before the schedule, queue,
-//     quarantine, preempt and map kinds were retired still fold.
+//   - workflow definitions and jobless complete records (workflow verdicts)
+//     fold per workflow, claim records in order.
+//   - any other kind is ignored: journals written before the lease, schedule,
+//     queue, quarantine, preempt and map kinds were retired still fold.
 //
-// A trail reads only its own job's records in written order, and leases only
-// their handler's, so any interleaving that keeps those orders folds to the
-// same History.
+// A trail reads only its own job's records in written order, so any
+// interleaving that keeps those orders (and the one writer's order of its
+// jobless records) folds to the same History.
 //
 // Pointer fields alias recs.
 func Fold(recs []Record) *History {
 	h := &History{
 		Jobs:      make(map[int]*Trail),
-		Leases:    make(map[string]Lease),
 		Workflows: make(map[int]Record),
 		Verdicts:  make(map[int]Record),
 	}
@@ -55,19 +54,6 @@ func Fold(recs []Record) *History {
 				h.Workflows[rec.Workflow] = *rec
 				h.WorkflowOrder = append(h.WorkflowOrder, rec.Workflow)
 			}
-			continue
-		case TypeLease:
-			l, seen := h.Leases[rec.Handler]
-			if !seen {
-				l.First = rec.At
-			}
-			l.Last = rec.At
-			l.Deadline = rec.At + rec.TTL
-			if rec.Wall > 0 {
-				l.WallLast = rec.Wall
-				l.WallDeadline = rec.Wall + int64(rec.TTL)
-			}
-			h.Leases[rec.Handler] = l
 			continue
 		case TypeClaim:
 			h.Claims = append(h.Claims, *rec)
@@ -120,8 +106,6 @@ type History struct {
 	// Order lists their IDs ascending.
 	Jobs  map[int]*Trail
 	Order []int
-	// Leases is each handler's heartbeat trail.
-	Leases map[string]Lease
 	// Workflows maps workflow IDs to their definition records (first wins),
 	// WorkflowOrder lists them as first written, and Verdicts holds each
 	// finished workflow's jobless complete record.
@@ -158,14 +142,4 @@ type Trail struct {
 	// Prepared is the newest steal_prepare no retire or abort has closed: a
 	// tentative transfer whose outcome only the thief's journal knows.
 	Prepared *Record
-}
-
-// Lease summarizes one handler's heartbeat records.
-type Lease struct {
-	// First and Last are the handler's first and newest heartbeat times;
-	// Deadline is when the newest expires (Last + TTL).
-	First, Last, Deadline time.Duration
-	// WallLast and WallDeadline are the newest wall-stamped heartbeat and its
-	// expiry in unix nanoseconds (0 when the writer had no wall clock).
-	WallLast, WallDeadline int64
 }

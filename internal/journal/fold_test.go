@@ -110,20 +110,6 @@ func TestFold(t *testing.T) {
 					t.Errorf("workflow order %v, def 4 %q: want as first written, first wins", h.WorkflowOrder, h.Workflows[4].WFName)
 				}
 			}},
-		{"lease keeps first, last, deadline and wall",
-			[]Record{{Type: TypeLease, At: time.Second, Handler: "h1", TTL: 30 * time.Second, Wall: 1000},
-				{Type: TypeLease, At: 9 * time.Second, Handler: "h2", TTL: 30 * time.Second},
-				{Type: TypeLease, At: 20 * time.Second, Handler: "h1", TTL: 10 * time.Second}},
-			func(t *testing.T, h *History) {
-				want := Lease{First: time.Second, Last: 20 * time.Second, Deadline: 30 * time.Second,
-					WallLast: 1000, WallDeadline: 1000 + int64(30*time.Second)}
-				if h.Leases["h1"] != want {
-					t.Errorf("h1 lease %+v, want %+v (an unstamped heartbeat keeps the last wall stamp)", h.Leases["h1"], want)
-				}
-				if l := h.Leases["h2"]; l.First != 9*time.Second || l.WallLast != 0 {
-					t.Errorf("h2 lease %+v", l)
-				}
-			}},
 		{"claims are kept in order",
 			[]Record{{Type: TypeClaim, Handler: "h1", From: "h3", Stripes: []int{1, 5}},
 				{Type: TypeClaim, Handler: "h1", From: "h2", Stripes: []int{7}}},
@@ -139,14 +125,15 @@ func TestFold(t *testing.T) {
 }
 
 // TestFoldIgnoresRetiredKinds replays a stream holding the kinds earlier
-// versions wrote and this one neither writes nor reads — schedule, queue,
-// quarantine, preempt and map — and requires the same History as the stream
-// without them.
+// versions wrote and this one neither writes nor reads — lease (with its
+// retired TTL and wall-clock fields), schedule, queue, quarantine, preempt and
+// map — and requires the same History as the stream without them.
 func TestFoldIgnoresRetiredKinds(t *testing.T) {
 	recs := []struct {
 		rec     Record
 		retired bool
 	}{
+		{Record{Type: "lease", At: 0, Handler: "h1", Tick: 1}, true},
 		{Record{Type: TypeWorkflow, At: 1000, Handler: "h1", Tick: 1, Workflow: 1, WFName: "old",
 			WFSteps: []WFStep{{ID: "a", Tool: "racon"}}}, false},
 		{Record{Type: TypeSubmit, At: 500, Handler: "h1", Tick: 1, Job: 1, Tool: "racon", GPUs: 1, Submitted: 500}, false},
@@ -162,13 +149,17 @@ func TestFoldIgnoresRetiredKinds(t *testing.T) {
 			Devices: []int{0}}, false},
 		{Record{Type: "quarantine", At: 3000, Handler: "h1", Tick: 9}, true},
 		{Record{Type: "queue", At: 3000, Handler: "h1", Tick: 10, Job: 1}, true},
-		{Record{Type: TypeComplete, At: 3000, Handler: "h1", Tick: 11, Job: 1, State: "error"}, false},
+		{Record{Type: "lease", At: 3000, Handler: "h1", Tick: 11}, true},
+		{Record{Type: TypeComplete, At: 3000, Handler: "h1", Tick: 12, Job: 1, State: "error"}, false},
 	}
 	var with, without []byte
 	for _, r := range recs {
 		b, err := encode(r.rec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r.rec.Type == "lease" {
+			b = frame(leasePayload(r.rec.At, r.rec.Handler, r.rec.Tick, 30*time.Second, 1000))
 		}
 		with = append(with, b...)
 		if !r.retired {
@@ -201,9 +192,8 @@ func TestFoldInterleavingInvariant(t *testing.T) {
 	handlers := []string{"h1", "h2", "h3"}
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		// Lanes: one per job, plus one per handler for its leases; h1 also
-		// writes the workflow definitions, verdicts and claims (one journal
-		// has one such writer).
+		// Lanes: one per job, plus one for h1's workflow definitions,
+		// verdicts and claims (one journal has one such writer).
 		var lanes [][]Record
 		for job := 1; job <= 6; job++ {
 			lane := []Record{{Type: TypeSubmit, Job: job, Handler: handlers[rng.Intn(3)]}}
@@ -218,20 +208,14 @@ func TestFoldInterleavingInvariant(t *testing.T) {
 			}
 			lanes = append(lanes, lane)
 		}
-		for i, h := range handlers {
-			var lane []Record
-			for n := rng.Intn(4); n > 0; n-- {
-				lane = append(lane, Record{Type: TypeLease, Handler: h, TTL: time.Duration(rng.Intn(30)) * time.Second,
-					Wall: int64(rng.Intn(2) * rng.Intn(1000))})
-			}
-			for n := rng.Intn(4); i == 0 && n > 0; n-- {
-				lane = append(lane,
-					Record{Type: TypeWorkflow, Handler: h, Workflow: 1 + rng.Intn(3), WFName: strconv.Itoa(n)},
-					Record{Type: TypeComplete, Handler: h, Workflow: 1 + rng.Intn(3), State: "ok", Msg: strconv.Itoa(n)},
-					Record{Type: TypeClaim, Handler: h, From: "h3", Stripes: []int{n}})
-			}
-			lanes = append(lanes, lane)
+		var lane []Record
+		for n := rng.Intn(4); n > 0; n-- {
+			lane = append(lane,
+				Record{Type: TypeWorkflow, Handler: "h1", Workflow: 1 + rng.Intn(3), WFName: strconv.Itoa(n)},
+				Record{Type: TypeComplete, Handler: "h1", Workflow: 1 + rng.Intn(3), State: "ok", Msg: strconv.Itoa(n)},
+				Record{Type: TypeClaim, Handler: "h1", From: "h3", Stripes: []int{n}})
 		}
+		lanes = append(lanes, lane)
 		// Deal the lanes out in two random interleavings, timestamps
 		// assigned per record up front so both carry the same ones.
 		for _, lane := range lanes {
@@ -317,7 +301,7 @@ func TestFoldReadsEveryRecordKind(t *testing.T) {
 		} else {
 			with = append(append([]Record(nil), base...), Record{
 				Type: kind, Job: 1, Handler: "h2", From: "h1", Workflow: 3,
-				TTL: time.Second, Epoch: 1, Destination: "gpu", Stripes: []int{1},
+				Epoch: 1, Destination: "gpu", Stripes: []int{1},
 			})
 		}
 		hw, ho := Fold(with), Fold(without)

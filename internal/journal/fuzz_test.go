@@ -56,6 +56,9 @@ func FuzzReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append(queue, clean...))
+	// A lease record as writers before the kind was retired left it, its
+	// retired TTL and wall-clock fields and all.
+	f.Add(append(frame(leasePayload(time.Second, "h1", 1, 30*time.Second, 1000)), clean...))
 	// Every file of a directory today's writer left: a snapshot, the
 	// segments it rotated through after it, and the last one's torn tail.
 	dir := f.TempDir()

@@ -393,6 +393,39 @@ func TestGroupCommitSnapshotSupersedesStaged(t *testing.T) {
 	}
 }
 
+// TestGroupCommitTwoProducersShareFsyncs pins group commit for two sync-ack producers
+// on a fresh journal, the shape of two concurrent submitters: each stages its
+// next record while the other's fsync runs, so every drain finds exactly one
+// record. A flusher that learned only from batch sizes never saw the second
+// producer and paid one fsync per record for the journal's whole life; two
+// producers must share them.
+func TestGroupCommitTwoProducersShareFsyncs(t *testing.T) {
+	j := gcOpen(t, t.TempDir(), Options{})
+	defer j.Close()
+	const per = 300
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 1; i <= per; i++ {
+				if err := j.Append(Record{Type: TypeSubmit, Job: p*per + i, Tool: "racon"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	st := j.Stats()
+	if st.FlushDelay == 0 {
+		t.Skipf("an fsync takes %v here: too fast for the flusher to wait at all", st.FsyncEWMA)
+	}
+	if st.Syncs > 3*2*per/4 {
+		t.Fatalf("%d fsyncs for %d durable appends from two producers, want at most 3 in 4", st.Syncs, 2*per)
+	}
+}
+
 // TestGroupCommitStats pins the batching itself: durable appends staged
 // while the flusher is busy (here, held) must share fsyncs instead of paying
 // one each. On a fast disk the flusher can drain record-by-record, so the

@@ -307,6 +307,55 @@ func TestCrashTornTail(t *testing.T) {
 	}
 }
 
+// TestReplayAfterOpenMatchesReplayBefore pins the order recovery reads a
+// directory in: Open first — its lock proves every previous holder dead, so
+// none can append after the read — then Replay. Over a snapshot, the segments
+// rotated after it and a torn tail, the replay after Open returns the same
+// records and the same torn-tail error as a replay before it: Open's fresh
+// segment adds nothing.
+func TestReplayAfterOpenMatchesReplayBefore(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{segmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, testRecords(10))
+	if err := j.WriteSnapshot(testRecords(2)); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, testRecords(20))
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Segments < 2 {
+		t.Fatalf("no rotation after the snapshot: %+v", st)
+	}
+	if err := j.CrashTorn([]byte{0x40, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+
+	before, berr := Replay(dir)
+	var cerr *CorruptRecordError
+	if !errors.As(berr, &cerr) || cerr.IsSnapshot() {
+		t.Fatalf("replay before Open: want a torn segment tail, got %v", berr)
+	}
+	if len(before) != 22 {
+		t.Fatalf("replay before Open read %d records, want the snapshot's 2 and the 20 after it", len(before))
+	}
+	j2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	after, aerr := Replay(dir)
+	if aerr == nil || aerr.Error() != berr.Error() {
+		t.Fatalf("replay after Open: error %v, want %v", aerr, berr)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("replay after Open read %d records, before it %d: they differ", len(after), len(before))
+	}
+}
+
 // corruptSegment applies a mutation to the bytes of the journal's first
 // segment.
 func corruptSegment(t *testing.T, dir string, mutate func([]byte) []byte) {

@@ -4,9 +4,9 @@ package journal
 
 import "os"
 
-// Platforms without flock(2) get no inter-process exclusion; the journal
-// still works, but split-brain protection falls back to the lease records
-// alone.
+// Platforms without flock(2) get no inter-process exclusion: the journal
+// still works, but nothing stops two live handlers from opening one
+// directory, so run one handler per journal there.
 func acquireLock(dir string) (*os.File, error) { return nil, nil }
 
 func releaseLock(f *os.File) {}

@@ -366,7 +366,12 @@ func (j *Journal) syncLocked() error {
 	j.stats.Syncs++
 	j.pending = 0
 	if batch > 0 {
-		j.ctl.observe(batch, took)
+		// The controller learns the batch together with what was staged
+		// behind it during the fsync. Two producers taking turns flush one
+		// record each — the one staged during the fsync before — so the
+		// batch alone would never show the second producer, and the flusher
+		// would never wait for it.
+		j.ctl.observe(batch+int(j.queued.Load()), took)
 		j.obsMu.Lock()
 		onSync := j.onSync
 		j.obsMu.Unlock()

@@ -1,10 +1,10 @@
 // Package journal is the durable job-state write-ahead log that makes the
-// dispatch substrate crash-safe. Every job state transition, ownership
-// transfer and handler heartbeat is appended as one length-prefixed,
-// CRC32-checksummed record; replaying the log and folding it (Fold is the one
-// definition of what the records mean) rebuilds the engine's state after a
-// crash, and lease records let a standby handler detect a dead peer and adopt
-// its orphaned jobs.
+// dispatch substrate crash-safe. Every job state transition and ownership
+// transfer is appended as one length-prefixed, CRC32-checksummed record;
+// replaying the log and folding it (Fold is the one definition of what the
+// records mean) rebuilds the engine's state after a crash. Ownership of the
+// directory is the flock Open takes: a handler that acquires it knows the
+// previous holder is dead and may requeue everything that holder left open.
 //
 // On-disk format. A journal is a directory with one segment subdirectory
 // (shard-00/; the name is historical) holding segment files
@@ -56,6 +56,9 @@ type Type string
 // reads it (TestFoldReadsEveryRecordKind), a field only while a program reads
 // it (TestRecordFieldsAreRead): what no reader acts on is reported to the
 // observer, not written. A job that never fails writes submit, start, complete.
+//
+// Retired kinds are not declared: lease, schedule, queue, quarantine and
+// preempt. Fold ignores them, so journals that carry them still replay.
 const (
 	// TypeSubmit records a job entering the system. Submits are the
 	// journal's durability points: Append returns only once one is fsynced,
@@ -74,11 +77,8 @@ const (
 	TypeComplete Type = "complete"
 	// TypeDeadLetter records a job exhausting fault recovery.
 	TypeDeadLetter Type = "dead_letter"
-	// TypeLease is a handler heartbeat: the handler asserts ownership of
-	// its jobs until At+TTL.
-	TypeLease Type = "lease"
-	// TypeAdopt records a handler taking over a job whose owner's lease
-	// expired (From is the previous owner).
+	// TypeAdopt records a handler taking over a job another handler's
+	// journal trail named as its owner (From is the previous owner).
 	TypeAdopt Type = "adopt"
 	// TypeStealPrepare is the first phase of a two-phase work steal: the
 	// victim detaches the job from its scheduler and durably names a
@@ -135,6 +135,10 @@ type WFStep struct {
 // unused fields are omitted from the encoding. All timestamps are virtual
 // time (offsets from the simulation epoch), which is what lets a replayed
 // history merge seamlessly with a resumed engine's timeline.
+//
+// Retired fields: a lease record's TTL and wall-clock stamp (codec field
+// numbers 24 and 25). The decoder skips both, and neither number is ever
+// reused.
 type Record struct {
 	Type Type          `json:"t"`
 	At   time.Duration `json:"at"`
@@ -171,13 +175,6 @@ type Record struct {
 	Class   string `json:"class,omitempty"`
 	Msg     string `json:"msg,omitempty"`
 	State   string `json:"state,omitempty"`
-
-	// Lease (TypeLease) fields. Wall is the writer's wall-clock time in unix
-	// nanoseconds (0 when the handler has no wall-clock source): virtual
-	// time stands still on an idle server, so handler liveness is asserted
-	// in real time while everything else stays on the virtual clock.
-	TTL  time.Duration `json:"ttl,omitempty"`
-	Wall int64         `json:"wall,omitempty"`
 
 	// From is the previous owner on TypeAdopt records, the victim on
 	// TypeStealPrepare/TypeStealRetire records, and the dead member on

@@ -67,7 +67,7 @@ func NewObserver() *Observer {
 		resubmits: r.Counter("gyan_resubmits_total",
 			"Dead-lettered jobs replayed as fresh epochs."),
 		adoptions: r.Counter("gyan_adoptions_total",
-			"Jobs adopted from a handler whose lease expired."),
+			"Jobs adopted at recovery from another handler's journal trail."),
 		wfSubmitted: r.Counter("gyan_workflows_submitted_total",
 			"DAG workflows accepted by SubmitDAG."),
 		wfCompleted: r.CounterVec("gyan_workflows_completed_total",
@@ -149,7 +149,6 @@ func (o *Observer) Transition(rec journal.Record) {
 		o.adoptions.Inc()
 		o.Traces.Record(rec.Job, Event{Name: "adopt", At: rec.At, Detail: rec.From})
 	}
-	// TypeLease is a handler heartbeat, not a job transition: no metric.
 }
 
 // Mapped records one destination-mapping decision (GYAN's dynamic rule).

@@ -16,10 +16,6 @@ func TestAddRecoveryLanes(t *testing.T) {
 		ResumedAt:    15 * time.Second,
 		Requeued:     3,
 		Adopted:      1,
-		Leases: map[string]galaxy.LeaseInfo{
-			"h1": {First: 0, Last: 7 * time.Second, Deadline: 12 * time.Second, Expired: true},
-			"h2": {First: 15 * time.Second, Last: 18 * time.Second, Deadline: 48 * time.Second, Expired: false},
-		},
 	}
 
 	var c Chart
@@ -29,32 +25,32 @@ func TestAddRecoveryLanes(t *testing.T) {
 		ID: 3, ToolID: "racon", State: galaxy.StateOK,
 		Started: 15 * time.Second, Finished: 20 * time.Second,
 	}})
-	c.AddRecovery(rep, 20*time.Second)
+	c.AddRecovery(rep)
 
 	out := c.Render(60)
 	for _, want := range []string{
-		"handler h1", "lease expired",
-		"handler h2", "lease live",
-		"recovery", "replayed 42 records: 3 requeued, 1 adopted, 0 orphaned",
+		"recovery", "replayed 42 records: 3 requeued, 1 adopted",
 		"job 3 racon",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q:\n%s", want, out)
 		}
 	}
-	// The axis starts at the oldest replayed event (h1's first heartbeat at
-	// t=0), not at the post-restart job, and h2's live lease is clamped to
-	// the chart end instead of running to its 48s deadline.
+	if strings.Contains(out, "handler") || strings.Contains(out, "lease") {
+		t.Errorf("timeline draws a lease lane:\n%s", out)
+	}
+	// The axis starts at the newest replayed record (8s), not at the
+	// post-restart job.
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	axis := lines[len(lines)-1]
-	if !strings.Contains(axis, "0.00s") || !strings.Contains(axis, "20.00s") {
+	if !strings.Contains(axis, "8.00s") || !strings.Contains(axis, "20.00s") {
 		t.Errorf("axis not extended across replayed history: %q", axis)
 	}
 }
 
 func TestAddRecoveryNilReport(t *testing.T) {
 	var c Chart
-	c.AddRecovery(nil, time.Second)
+	c.AddRecovery(nil)
 	if out := c.Render(40); !strings.Contains(out, "no activity") {
 		t.Errorf("nil report rendered spans: %q", out)
 	}

@@ -52,36 +52,17 @@ func (c *Chart) AddJobs(jobs []*galaxy.Job) {
 	}
 }
 
-// AddRecovery adds the crash-recovery lanes from a journal replay: one lane
-// per handler's lease trail (heartbeat window up to its deadline, labeled
-// live or expired) and a "recovery" lane spanning the downtime between the
-// newest journal record and the resumed engine, labeled with what the replay
-// requeued. Replayed history routinely predates the new engine's start, so
-// these spans extend the chart's axis backwards rather than being clipped.
-// A nil report is a no-op.
-func (c *Chart) AddRecovery(rep *galaxy.RecoveryReport, end time.Duration) {
+// AddRecovery adds the crash-recovery lane from a journal replay: a
+// "recovery" span over the downtime between the newest journal record and the
+// resumed engine, labeled with what the replay requeued and adopted. Replayed
+// history routinely predates the new engine's start, so the span extends the
+// chart's axis backwards rather than being clipped. A nil report is a no-op.
+func (c *Chart) AddRecovery(rep *galaxy.RecoveryReport) {
 	if rep == nil {
 		return
 	}
-	handlers := make([]string, 0, len(rep.Leases))
-	for h := range rep.Leases {
-		handlers = append(handlers, h)
-	}
-	sort.Strings(handlers)
-	for _, h := range handlers {
-		li := rep.Leases[h]
-		state := "lease live"
-		if li.Expired {
-			state = "lease expired"
-		}
-		to := li.Deadline
-		if to > end {
-			to = end
-		}
-		c.Add(fmt.Sprintf("handler %s", h), state, li.First, to)
-	}
-	label := fmt.Sprintf("replayed %d records: %d requeued, %d adopted, %d orphaned",
-		rep.Records, rep.Requeued, rep.Adopted, rep.Orphaned)
+	label := fmt.Sprintf("replayed %d records: %d requeued, %d adopted",
+		rep.Records, rep.Requeued, rep.Adopted)
 	c.Add("recovery", label, rep.LastRecordAt, rep.ResumedAt)
 }
 
