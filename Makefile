@@ -99,12 +99,13 @@ hammer-api:
 	$(call run_selected,./internal/api,TestServerRaceHammer,2)
 
 # test-journal is the journal durability suite under the race detector: the
-# one write pipeline (strictly ticket-ordered segment files under concurrent
-# appenders, group commit and backpressure, AppendAsync/AwaitDurable
-# semantics where a crash between stage and flush must not report durable,
-# watermark monotonicity under concurrent appenders, the flush-error latch,
-# stats), snapshot compaction over rotated segments and over the segments a
-# crash left behind it, the torn-tail replay (the same after Open as before
+# one write pipeline behind its queue lock and file lock (strictly
+# ticket-ordered segment files under concurrent appenders, group commit and
+# backpressure, AppendAsync/AwaitDurable semantics where a crash between
+# stage and flush must not report durable, watermark monotonicity under
+# concurrent appenders, the flush-error latch, stats), snapshot compaction
+# over rotated segments and over the segments a crash left behind it,
+# snapshots racing appenders without stranding a record below their tickets, the torn-tail replay (the same after Open as before
 # it), the incarnation epoch
 # (strictly increasing, and refused before it wraps), the refusal of every
 # layout and payload older versions wrote, the fold (rule table, retired
@@ -114,7 +115,7 @@ hammer-api:
 # the torn-tail crash-requeue scenario, the spliced-map-record recovery
 # oracle, durable submits racing compaction without losing a job, and
 # concurrent submits sharing one fsync.
-JOURNAL_TESTS ?= TestSegmentFilesAreTicketOrdered|TestRotatedSnapshotCompaction|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestTornTailDoesNotPoisonLaterSegments|TestSnapshotSupersedesLeftoverSegments|TestFlushError|TestEpochStrictlyIncreasing|TestOpenRefusesAnExhaustedEpoch|TestLegacyFormatIsRefused|TestReplayAfterOpenMatchesReplayBefore|TestFold|TestCodec
+JOURNAL_TESTS ?= TestSegmentFilesAreTicketOrdered|TestRotatedSnapshotCompaction|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestTornTailDoesNotPoisonLaterSegments|TestSnapshotSupersedesLeftoverSegments|TestSnapshotRacingAppendsKeepsLaterRecords|TestFlushError|TestEpochStrictlyIncreasing|TestOpenRefusesAnExhaustedEpoch|TestLegacyFormatIsRefused|TestReplayAfterOpenMatchesReplayBefore|TestFold|TestCodec
 JOURNAL_GALAXY_TESTS ?= TestShardedCrash|TestRecoverSplicedMapRecords|TestSubmitRacingCompactionLosesNothing|TestConcurrentSubmitsShareAnFsync
 
 test-journal:

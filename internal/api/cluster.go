@@ -48,9 +48,13 @@ func NewClusterServer(c clusterView) *ClusterServer {
 // answers without driving the clock.
 func (s *ClusterServer) SetAsync(bool) {}
 
-// Tick runs one cluster step serialized against in-flight API requests (the
-// engines are not safe under a Step racing a Submit). The networked
-// server's clock loop calls this instead of c.Step directly.
+// Tick runs one cluster step serialized against in-flight API requests. The
+// engines are safe under a Step racing a Submit (Node's own contract,
+// TestClusterRaceHammer); s.mu is there for the reply. A POST's 202 shows
+// the job as Lookup finds it right after Submit, and a tick landing between
+// the two would change what that reply shows. Merging this server into the
+// single-member cluster front door (ROADMAP item 8) settles the lock. The
+// networked server's clock loop calls this instead of c.Step directly.
 func (s *ClusterServer) Tick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -19,6 +19,8 @@ func (g *Galaxy) Observer() *obs.Observer { return g.obsv }
 // keys on the device report and is never invalidated; the value stays only
 // for callers that still destructure three.
 func (g *Galaxy) SurveyCacheStats() (hits, misses, invalidations int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	hits, misses = g.surveyCache.Stats()
 	return hits, misses, 0
 }
@@ -81,7 +83,7 @@ func (g *Galaxy) installObsScrape() {
 			segments.Set(float64(st.Segments))
 			staged.Set(float64(st.Staged))
 		}
-		h, m := g.surveyCache.Stats()
+		h, m, _ := g.SurveyCacheStats()
 		hits.Set(uint64(h))
 		misses.Set(uint64(m))
 	})

@@ -1,9 +1,6 @@
 package journal
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // The adaptive group-commit controller closes the loop between observed
 // fsync cost and staging policy. Every fsync feeds two EWMAs — how long the
@@ -19,11 +16,11 @@ import (
 //     stops waiting as soon as it has staged modestly more than the recent
 //     average — the marginal record is already paid for.
 //
-// The controller is all atomics: it is read on every flush and written on
-// every fsync, under the segment lock, and must never block either side.
+// The controller sits under the journal's queue lock: the flusher copies it
+// before each drain, and every fsync writes it.
 type adaptiveCtl struct {
-	fsyncEWMA atomic.Int64 // nanoseconds
-	batchEWMA atomic.Int64 // records
+	fsyncEWMA int64 // nanoseconds
+	batchEWMA int64 // records
 }
 
 // adaptiveMaxDelay caps the flush deadline so a pathologically slow disk
@@ -32,26 +29,20 @@ const adaptiveMaxDelay = 2 * time.Millisecond
 
 // observe folds one fsync into the EWMAs (alpha = 1/4).
 func (c *adaptiveCtl) observe(records int, took time.Duration) {
-	ewmaAdd(&c.fsyncEWMA, int64(took))
-	ewmaAdd(&c.batchEWMA, int64(records))
+	c.fsyncEWMA = ewmaStep(c.fsyncEWMA, int64(took))
+	c.batchEWMA = ewmaStep(c.batchEWMA, int64(records))
 }
 
-func ewmaAdd(a *atomic.Int64, v int64) {
-	for {
-		old := a.Load()
-		nw := v
-		if old != 0 {
-			nw = old + (v-old)/4
-		}
-		if a.CompareAndSwap(old, nw) {
-			return
-		}
+func ewmaStep(old, v int64) int64 {
+	if old == 0 {
+		return v
 	}
+	return old + (v-old)/4
 }
 
 // ewma returns the current fsync-duration estimate.
 func (c *adaptiveCtl) ewma() time.Duration {
-	return time.Duration(c.fsyncEWMA.Load())
+	return time.Duration(c.fsyncEWMA)
 }
 
 // flushDelay is the deadline a flusher waits for more producers before
@@ -72,13 +63,13 @@ func (c *adaptiveCtl) flushDelay() time.Duration {
 // one producer staging, and any delay is pure ack latency. The EWMA starts
 // at zero, so a fresh journal is eager until real batches form.
 func (c *adaptiveCtl) paceWorthwhile() bool {
-	return c.batchEWMA.Load() >= 2
+	return c.batchEWMA >= 2
 }
 
 // batchTarget is the staged-entry count at which a waiting flusher drains
 // early: a bit above the recent batch average, bounded by ring capacity.
 func (c *adaptiveCtl) batchTarget(ringCap int) int {
-	b := int(c.batchEWMA.Load())
+	b := int(c.batchEWMA)
 	t := b + b/4 + 1
 	if t < 8 {
 		t = 8

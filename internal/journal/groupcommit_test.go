@@ -48,9 +48,9 @@ func TestFlushErrorLatchesJournal(t *testing.T) {
 	}
 	// Sabotage the live segment: the parked flusher's next write+fsync
 	// pass fails the way a full or dying disk would.
-	j.mu.Lock()
+	j.fileMu.Lock()
 	j.f.Close()
-	j.mu.Unlock()
+	j.fileMu.Unlock()
 	close(hold)
 
 	waitErr := make(chan error, 1)

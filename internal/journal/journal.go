@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -71,7 +70,17 @@ type Stats struct {
 }
 
 // Journal is the append side of a write-ahead log directory. It is safe
-// for concurrent use.
+// for concurrent use. It has two locks, and fileMu is taken before mu, never
+// after:
+//
+//   - mu, the queue lock, is what producers take. It guards the staging
+//     queue, the ticket counter, the watermark, the in-flight marker, the
+//     terminal state, the waiters' error, the fsync observer and the pacing
+//     EWMAs; notFull and durable wait on it.
+//   - fileMu, the file lock, is what drains take: the flusher, Sync,
+//     WriteSnapshot, Close and Crash. It guards the segment state, the
+//     Stats counters and the hold gate. The write and the fsync run under
+//     fileMu alone, so producers keep staging during them.
 type Journal struct {
 	dir      string
 	segDir   string // where new segments go: dir/shard-00
@@ -79,84 +88,56 @@ type Journal struct {
 	stageCap int      // defaultStageCap, except in the backpressure tests
 	lock     *os.File // held flock on the directory's LOCK file
 
-	// tick issues commit tickets: a journal-wide total order over records.
-	// The high bits hold the incarnation epoch (see Open), so tickets from
-	// a restarted process always outrank its predecessor's.
-	tick atomic.Uint64
-	// wm is the published commit watermark; it only ever grows.
-	wm atomic.Uint64
-
-	// wmMu/wmCond park AwaitDurable callers; wmErr terminates them when
-	// the journal fails, closes or crashes with tickets still un-fsynced.
-	wmMu   sync.Mutex
-	wmCond *sync.Cond
-	wmErr  error
-
-	// err is the journal's one terminal state, and what appends get once it
-	// is set: nil while open, the I/O error after a failed flush, errClosed
-	// after Close or Crash. Whoever moves it off nil closes quit (stopping
-	// the flusher); whoever moves it to errClosed owns the files and the
-	// flock. The staging queue observes it under stageMu after latch's
-	// broadcast.
-	stateMu sync.Mutex
-	err     error
-	quit    chan struct{}
-	// hold, when non-nil, parks the flusher before each drain until the
-	// channel is closed — see HoldFlush.
-	hold chan struct{}
-
-	// stageGate serializes ticket issue against WriteSnapshot: appenders
-	// hold it shared while staging, the snapshot holds it exclusive while
-	// stamping its own tickets, so no in-flight append can take a ticket
-	// below the snapshot's cutoff and then be wrongly dropped by the
-	// tick-filtered replay.
-	stageGate sync.RWMutex
-
-	// stageMu guards the staging queue; notFull is signaled when the
-	// flusher drains it.
-	stageMu sync.Mutex
-	notFull *sync.Cond
-	staged  []gcEntry
-
-	// flushMu serializes drains: the flusher's own flushes, the explicit
-	// drains from Sync/WriteSnapshot, and Crash's drop all exclude each
-	// other.
-	flushMu sync.Mutex
-
-	// inflightMin is the lowest ticket in the batch currently between queue
-	// drain and fsync (0: none). It is set in the same critical section that
-	// empties the queue and cleared only after the batch's write+fsync
-	// succeeds, so the watermark scan never loses sight of a staged ticket
-	// mid-flush — and never sees past one whose flush failed.
-	inflightMin atomic.Uint64
-
-	// queued mirrors the queue's length (maintained under stageMu, read
-	// without it) so the pace loop's poll is one atomic load — a spinning
-	// flusher must not contend with the producers it is waiting for.
-	queued atomic.Int64
-
 	kick chan struct{} // buffered(1): wake the flusher
+	quit chan struct{} // closed by whoever moves err off nil: stop the flusher
 	exit chan struct{} // closed by the flusher on return
 
-	// mu guards the segment state below. Only the flusher's batch write,
-	// WriteSnapshot's seal/reopen and Close/Crash take it. f is nil while
-	// WriteSnapshot has the segment sealed and after Close or Crash.
-	mu      sync.Mutex
+	mu sync.Mutex
+	// notFull is signaled when a drain empties the queue or the journal
+	// leaves the open state; durable when the watermark moves or the
+	// waiters fail.
+	notFull *sync.Cond
+	durable *sync.Cond
+	staged  []gcEntry
+	// tick is the highest commit ticket issued: a journal-wide total order
+	// over records. The high bits hold the incarnation epoch (see Open), so
+	// tickets from a restarted process always outrank its predecessor's.
+	tick uint64
+	// wm is the commit watermark; it only ever grows.
+	wm uint64
+	// inflightMin is the lowest ticket that is out of the queue and not yet
+	// on disk (0: none): a drained batch until its fsync, a snapshot's
+	// records until it is installed. It is set in the critical section that
+	// takes them and never cleared after a failed write, so the watermark
+	// never passes a ticket mid-flush or one whose flush failed.
+	inflightMin uint64
+	// err is the journal's one terminal state, and what appends get once it
+	// is set: nil while open, the I/O error after a failed flush, errClosed
+	// after Close or Crash. Whoever moves it off nil closes quit; whoever
+	// moves it to errClosed owns the files and the flock.
+	err error
+	// wmErr terminates AwaitDurable callers whose tickets will never reach
+	// the watermark: the journal failed, closed or crashed first.
+	wmErr error
+	// onSync, when set, observes each fsync that made appended records
+	// durable: the batch size (records since the previous fsync) and how
+	// long the disk took.
+	onSync func(records int, took time.Duration)
+	// ctl paces the flusher from the fsync cost it measures.
+	ctl adaptiveCtl
+
+	// fileMu guards the segment state below. f is nil after Close or Crash,
+	// and while WriteSnapshot has the segment sealed.
+	fileMu  sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
 	seq     int
 	size    int64
 	pending int   // records written since the last fsync
 	stats   Stats // Appends, Syncs, Rotations and Bytes
-
-	// onSync, when set, observes each fsync that made appended records
-	// durable: the batch size (records since the previous fsync) and how
-	// long the disk took.
-	obsMu  sync.Mutex
-	onSync func(records int, took time.Duration)
-
-	// ctl paces the flusher from the fsync cost it measures.
-	ctl adaptiveCtl
+	// hold, when non-nil, parks the flusher before each drain until the
+	// channel is closed — see HoldFlush.
+	hold chan struct{}
 }
 
 const (
@@ -360,10 +341,10 @@ func open(dir string, opts Options, stageCap int) (*Journal, error) {
 		dir: dir, segDir: filepath.Join(dir, segDirName), opts: opts, stageCap: stageCap, lock: lock,
 		quit: make(chan struct{}), kick: make(chan struct{}, 1), exit: make(chan struct{}),
 	}
-	j.wmCond = sync.NewCond(&j.wmMu)
-	j.notFull = sync.NewCond(&j.stageMu)
-	j.tick.Store(uint64(seq) << tickEpochShift)
-	j.wm.Store(j.tick.Load())
+	j.notFull = sync.NewCond(&j.mu)
+	j.durable = sync.NewCond(&j.mu)
+	j.tick = uint64(seq) << tickEpochShift
+	j.wm = j.tick
 	if err := os.MkdirAll(j.segDir, 0o755); err != nil {
 		return fail(fmt.Errorf("journal: create %s: %w", j.segDir, err))
 	}
@@ -376,18 +357,20 @@ func open(dir string, opts Options, stageCap int) (*Journal, error) {
 
 // Stats returns a snapshot of the write-side counters.
 func (j *Journal) Stats() Stats {
-	j.mu.Lock()
+	j.fileMu.Lock()
 	out := j.stats
 	out.Segment = j.seq
-	j.mu.Unlock()
+	j.fileMu.Unlock()
 	if segs, err := listSeqs(j.segDir, segPrefix, segSuffix); err == nil {
 		out.Segments = len(segs)
 	}
-	out.Staged = int(j.queued.Load())
-	out.Watermark = j.wm.Load()
-	out.Tick = j.tick.Load()
+	j.mu.Lock()
+	out.Staged = len(j.staged)
+	out.Watermark = j.wm
+	out.Tick = j.tick
 	out.FsyncEWMA = j.ctl.ewma()
 	out.FlushDelay = j.ctl.flushDelay()
+	j.mu.Unlock()
 	return out
 }
 
@@ -395,9 +378,9 @@ func (j *Journal) Stats() Stats {
 // engine wires its metrics registry here so every fsync reports its batch
 // size and wall-clock duration; see syncLocked for the callback contract.
 func (j *Journal) SetSyncObserver(fn func(records int, took time.Duration)) {
-	j.obsMu.Lock()
+	j.mu.Lock()
 	j.onSync = fn
-	j.obsMu.Unlock()
+	j.mu.Unlock()
 }
 
 // durableType reports whether Append waits for a record type's fsync:
@@ -436,9 +419,38 @@ func (j *Journal) Append(rec Record) error {
 // is on disk. A crash before the flush drops the record; the ticket then
 // never reaches the watermark.
 func (j *Journal) AppendAsync(rec Record) (uint64, error) {
-	j.stageGate.RLock()
-	defer j.stageGate.RUnlock()
-	return j.stage(rec)
+	j.mu.Lock()
+	for len(j.staged) >= j.stageCap && j.err == nil {
+		j.notFull.Wait()
+	}
+	if err := j.err; err != nil {
+		j.mu.Unlock()
+		return 0, err
+	}
+	// The ticket is taken — and the record encoded with it — in the
+	// critical section that queues it: staging order equals ticket order,
+	// and the watermark, computed under the same lock, never sees the
+	// counter ahead of the staged entry.
+	j.tick++
+	rec.Tick = j.tick
+	buf, err := encodePooled(rec)
+	if err != nil {
+		j.mu.Unlock()
+		return 0, err
+	}
+	j.staged = append(j.staged, gcEntry{tick: rec.Tick, buf: buf})
+	queued := len(j.staged)
+	j.mu.Unlock()
+
+	// Kick only on the empty→non-empty transition: during a burst the
+	// flusher is already awake (pacing or draining), and waking it per
+	// record is a futex round-trip per append on the hot path. A record
+	// staged mid-drain that this misses is caught by the flusher's own
+	// post-drain recheck in run.
+	if queued == 1 {
+		j.wake()
+	}
+	return rec.Tick, nil
 }
 
 // AwaitDurable blocks until the commit watermark reaches tick — i.e. until
@@ -447,101 +459,86 @@ func (j *Journal) AppendAsync(rec Record) (uint64, error) {
 // fails, closes or crashes first with the ticket still un-fsynced: the
 // caller's record was dropped and must not be treated as acknowledged.
 func (j *Journal) AwaitDurable(tick uint64) error {
-	if tick == 0 || j.wm.Load() >= tick {
+	if tick == 0 {
 		return nil
 	}
-	j.wmMu.Lock()
-	for j.wm.Load() < tick && j.wmErr == nil {
-		j.wmCond.Wait()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for j.wm < tick && j.wmErr == nil {
+		j.durable.Wait()
 	}
-	err := j.wmErr
-	j.wmMu.Unlock()
-	if j.wm.Load() >= tick {
+	if j.wm >= tick {
 		return nil
 	}
-	return err
+	return j.wmErr
 }
 
-// advanceWatermark recomputes and publishes the commit watermark. The tick
-// counter is read before scanning pending state: any ticket issued after
-// the read is above the candidate watermark by construction, and any ticket
-// issued before it is visible in the staging queue or the in-flight batch
-// marker (see minPending) until it is durable.
-func (j *Journal) advanceWatermark() {
-	w := j.tick.Load()
-	if m := j.minPending(); m != 0 && m-1 < w {
-		w = m - 1
+// advanceLocked moves the commit watermark, with mu held, to just below the
+// lowest ticket not yet on disk: the in-flight marker, else the queue head,
+// else the newest ticket issued. Every in-flight ticket is below every
+// queued one, and the queue is in ticket order.
+func (j *Journal) advanceLocked() {
+	w := j.tick
+	if j.inflightMin != 0 {
+		w = j.inflightMin - 1
+	} else if len(j.staged) > 0 {
+		w = j.staged[0].tick - 1
 	}
-	for {
-		old := j.wm.Load()
-		if w <= old {
-			return
-		}
-		if j.wm.CompareAndSwap(old, w) {
-			j.wmMu.Lock()
-			j.wmCond.Broadcast()
-			j.wmMu.Unlock()
-			return
-		}
+	if w > j.wm {
+		j.wm = w
+		j.durable.Broadcast()
 	}
 }
 
-// failWaiters terminates parked AwaitDurable callers whose tickets will
-// never reach the watermark.
+// settle moves the in-flight marker to next (0: none) once everything
+// below it is on disk, and advances the watermark past it.
+func (j *Journal) settle(next uint64) {
+	j.mu.Lock()
+	j.inflightMin = next
+	j.advanceLocked()
+	j.mu.Unlock()
+}
+
+// failWaiters advances the watermark as far as the disk allows and fails
+// every parked AwaitDurable caller still below it: their tickets will never
+// reach it.
 func (j *Journal) failWaiters(err error) {
-	j.wmMu.Lock()
+	j.mu.Lock()
+	j.advanceLocked()
 	if j.wmErr == nil {
 		j.wmErr = err
 	}
-	j.wmCond.Broadcast()
-	j.wmMu.Unlock()
+	j.durable.Broadcast()
+	j.mu.Unlock()
 }
 
 // HoldFlush parks the flusher before its next drain until ch is closed
 // (nil clears the gate). It is a deterministic test hook: the window it
 // opens (records staged but not yet flushed) is exactly what crash tests
-// need to exist reliably. Taking flushMu first makes the install a barrier:
-// a drain that already passed its gate check finishes before the hold lands
-// (it holds flushMu throughout — see flushGated), and every drain that
-// starts afterwards re-checks the gate under flushMu, so no flusher drain
+// need to exist reliably. The gate sits under fileMu, which makes the
+// install a barrier: a drain that already passed its gate check finishes
+// before the hold lands (it holds fileMu throughout — see flushGated), and
+// every drain that starts afterwards re-checks the gate, so no flusher drain
 // can sweep records staged after this call returns.
 func (j *Journal) HoldFlush(ch chan struct{}) {
-	j.flushMu.Lock()
-	j.stateMu.Lock()
+	j.fileMu.Lock()
 	j.hold = ch
-	j.stateMu.Unlock()
-	j.flushMu.Unlock()
-}
-
-func (j *Journal) holdGate() chan struct{} {
-	j.stateMu.Lock()
-	defer j.stateMu.Unlock()
-	return j.hold
-}
-
-func (j *Journal) terminalErr() error {
-	j.stateMu.Lock()
-	defer j.stateMu.Unlock()
-	return j.err
+	j.fileMu.Unlock()
 }
 
 // latch moves the journal to terminal state err and returns the state it
 // found: a failure replaces only the open state, errClosed replaces both.
-// On the first move off open it takes the staging lock once — a producer
-// that read the open state under the queue lock has finished staging by
-// then, and every later one (including those parked on a full queue) sees
-// the terminal state — so nothing is staged after latch returns.
+// It runs under the queue lock, so nothing is staged after it returns, and
+// producers parked on a full queue wake to the terminal state.
 func (j *Journal) latch(err error) (prev error) {
-	j.stateMu.Lock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	prev = j.err
 	if prev == nil || (err == errClosed && prev != errClosed) {
 		j.err = err
 	}
-	j.stateMu.Unlock()
 	if prev == nil {
-		j.stageMu.Lock()
 		j.notFull.Broadcast()
-		j.stageMu.Unlock()
 	}
 	return prev
 }
@@ -569,7 +566,7 @@ func (j *Journal) Close() error {
 	}
 	<-j.exit
 	first := prev // an earlier flush failure is still Close's to report
-	j.mu.Lock()
+	j.fileMu.Lock()
 	if j.f != nil {
 		err := j.syncLocked()
 		if cerr := j.f.Close(); err == nil {
@@ -580,8 +577,7 @@ func (j *Journal) Close() error {
 			first = err
 		}
 	}
-	j.mu.Unlock()
-	j.advanceWatermark()
+	j.fileMu.Unlock()
 	j.failWaiters(errClosed)
 	releaseLock(j.lock)
 	return first
@@ -602,27 +598,28 @@ func (j *Journal) CrashTorn(garbage []byte) error {
 	if prev == errClosed {
 		return fmt.Errorf("journal: crash on closed journal")
 	}
-	// Excluding the flusher via flushMu means an in-flight batch finishes
-	// its write first (it was handed to the OS before the "power cut");
-	// everything still staged after that is dropped on the floor, its
-	// tickets left under inflightMin so the watermark never passes them.
-	j.flushMu.Lock()
+	// Taking fileMu means an in-flight batch finishes its write first (it
+	// was handed to the OS before the "power cut"); everything still staged
+	// after that is dropped on the floor, its tickets left under
+	// inflightMin so the watermark never passes them.
+	j.fileMu.Lock()
 	for _, e := range j.take() {
 		recycleFrame(e.buf)
 	}
-	j.flushMu.Unlock()
+	j.fileMu.Unlock()
 	if prev == nil {
 		close(j.quit)
 	}
 	j.failWaiters(errCrashed)
 	<-j.exit
-	j.mu.Lock()
+	j.fileMu.Lock()
 	f := j.f
 	j.f, j.w = nil, nil // drop the buffer: un-synced bytes vanish
-	j.mu.Unlock()
+	j.fileMu.Unlock()
 	var err error
-	// f is nil when WriteSnapshot has the segment sealed for the swap:
-	// there is no handle to close and no live segment to tear.
+	// f is nil when a WriteSnapshot that the crash interrupted left the
+	// segment sealed: there is no handle to close and no live segment to
+	// tear.
 	if f != nil {
 		err = f.Close()
 		if err == nil && len(garbage) > 0 {
@@ -653,46 +650,50 @@ func appendGarbage(path string, g []byte) error {
 // segment, and deletes every older segment and every older snapshot. Replay
 // afterwards sees the snapshot records followed by whatever is appended next.
 //
-// Snapshot records are stamped with fresh tickets under the stage gate —
-// held exclusively, so no concurrent append can take a lower ticket — which
-// is what lets replay drop superseded segment records by ticket comparison
-// alone.
+// It holds fileMu throughout, and one queue critical section both takes
+// every staged record and reserves the snapshot's tickets above them. A
+// record staged before that point is written to the segment the snapshot
+// seals; one staged after it takes a higher ticket and waits on fileMu for
+// the fresh segment. So no record the snapshot does not cover lands below
+// its first ticket, which is what lets replay drop superseded segment
+// records by ticket comparison alone.
 func (j *Journal) WriteSnapshot(recs []Record) error {
-	j.stageGate.Lock()
-	defer j.stageGate.Unlock()
-	if err := j.terminalErr(); err != nil {
+	j.fileMu.Lock()
+	defer j.fileMu.Unlock()
+	j.mu.Lock()
+	if err := j.err; err != nil {
+		j.mu.Unlock()
 		return err
 	}
-	// Drain the queue: the snapshot must supersede every record appended
-	// before it, including staged ones. The gate excludes appenders, so
-	// nothing can be staged behind this drain until the snapshot is in.
-	if err := j.Sync(); err != nil {
+	batch := j.takeLocked()
+	first := j.tick + 1
+	j.tick += uint64(len(recs))
+	// The snapshot's tickets are in flight until it is installed: the
+	// watermark must not pass them before.
+	if len(batch) == 0 {
+		j.inflightMin = first
+	}
+	j.mu.Unlock()
+	if err := j.flushBatch(batch, first); err != nil {
 		return err
 	}
-	// Encode before touching the log so an encoding error leaves the
-	// journal fully intact.
 	var buf []byte
-	for _, rec := range recs {
-		rec.Tick = j.tick.Add(1)
+	for i, rec := range recs {
+		rec.Tick = first + uint64(i)
 		var err error
 		if buf, err = appendFrame(buf, &rec); err != nil {
+			j.settle(0) // nothing was written: release the reserved tickets
 			return err
 		}
 	}
 	// Seal the current segment; the snapshot replaces it and everything
 	// before it.
-	j.mu.Lock()
-	if j.f == nil { // a Close or Crash landed since the check above
-		j.mu.Unlock()
-		return errClosed
-	}
 	err := j.syncLocked()
 	if err == nil {
 		err = j.f.Close()
 	}
 	j.f, j.w = nil, nil
 	sealed := j.seq
-	j.mu.Unlock()
 	if err != nil {
 		j.fail(err) // a half-sealed journal must error loudly, not append
 		return fmt.Errorf("journal: seal segment: %w", err)
@@ -706,17 +707,21 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 	ierr := j.installSnapshot(base, buf)
 	// From here on the old segment is sealed: whatever happens, Append must
 	// end up with a live segment to write to or a latched journal that
-	// errors loudly — never a buffer draining into a closed file.
+	// errors loudly — never a buffer draining into a closed file. A Crash or
+	// Close that latched while the segment was sealed owns the journal now:
+	// do not resurrect a file handle under it.
 	j.mu.Lock()
-	// A Crash or Close that landed while the segment was sealed owns the
-	// journal now: do not resurrect a file handle under it.
-	err = j.terminalErr()
+	err = j.err
+	j.mu.Unlock()
 	if err == nil {
 		if err = j.openSegment(sealed + 1); err != nil {
 			j.fail(err)
+		} else {
+			// Installed, or burnt by a failed install: either way no
+			// record waits on the snapshot's tickets.
+			j.settle(0)
 		}
 	}
-	j.mu.Unlock()
 	if ierr != nil {
 		// With err nil the journal is appendable again; the sealed segments
 		// stay on disk, so no history was lost.
@@ -729,7 +734,6 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 	// segment below the fresh one, and every older snapshot.
 	removeSeqs(j.segDir, segPrefix, segSuffix, sealed+1)
 	removeSeqs(j.dir, snapPrefix, snapSuffix, base)
-	j.advanceWatermark()
 	return nil
 }
 

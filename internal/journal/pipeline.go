@@ -16,13 +16,13 @@ import (
 // flusher goroutine drains the queue, writes the whole batch in one pass and
 // issues a single fsync for it.
 //
-// Ordering: every staged entry takes its ticket while holding the queue
-// lock, and the flusher takes the whole queue under that lock, so the
-// segment files are strictly in ticket order. A torn tail (a file-suffix
-// loss) therefore loses only a ticket suffix — which is what Replay's
-// last-record-wins folding and the crash-recovery audits rely on — and the
-// commit watermark never passes a staged ticket, because the watermark scan
-// reads the queue under the same lock that issued it.
+// Ordering: every staged entry takes its ticket under the queue lock mu,
+// and a drain takes the whole queue under mu while holding the file lock
+// fileMu (see Journal), so the segment files are strictly in ticket order.
+// A torn tail (a file-suffix loss) therefore loses only a ticket suffix —
+// which is what Replay's last-record-wins folding and the crash-recovery
+// audits rely on — and the commit watermark never passes a staged ticket,
+// because it is computed under the lock that issued it.
 //
 // Durability: the queue is in ticket order, so the fsync of a batch moves
 // the commit watermark past every ticket in it. Append stages a submit or
@@ -50,47 +50,18 @@ type gcEntry struct {
 	buf  []byte
 }
 
-// stage tickets, encodes and parks one record in the queue, returning its
-// ticket as soon as it is staged.
-func (j *Journal) stage(rec Record) (uint64, error) {
-	j.stageMu.Lock()
-	for len(j.staged) >= j.stageCap && j.terminalErr() == nil {
-		j.notFull.Wait()
-	}
-	if err := j.terminalErr(); err != nil {
-		j.stageMu.Unlock()
-		return 0, err
-	}
-	// The ticket is taken — and the record encoded with it — under the
-	// queue lock: staging order equals ticket order, and the watermark scan
-	// takes the same lock, so it never sees the ticket counter ahead of the
-	// staged entry.
-	rec.Tick = j.tick.Add(1)
-	buf, err := encodePooled(rec)
-	if err != nil {
-		j.stageMu.Unlock()
-		return 0, err
-	}
-	j.staged = append(j.staged, gcEntry{tick: rec.Tick, buf: buf})
-	queued := j.queued.Add(1)
-	j.stageMu.Unlock()
-
-	// Kick only on the empty→non-empty transition: during a burst the
-	// flusher is already awake (pacing or draining), and waking it per
-	// record is a futex round-trip per append on the hot path. A record
-	// staged mid-drain that this misses is caught by the flusher's own
-	// post-drain recheck in run.
-	if queued == 1 {
-		j.wake()
-	}
-	return rec.Tick, nil
-}
-
 func (j *Journal) wake() {
 	select {
 	case j.kick <- struct{}{}:
 	default: // a wake-up is already pending
 	}
+}
+
+// queued returns the staging queue's length.
+func (j *Journal) queued() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.staged)
 }
 
 // run is the flusher goroutine: drain on every kick, final drain of the
@@ -108,7 +79,7 @@ func (j *Journal) run() {
 			// entry staged after the drain swept the queue may carry no
 			// pending wake-up — recheck and self-kick rather than sleep on
 			// staged work.
-			if j.queued.Load() > 0 {
+			if j.queued() > 0 {
 				j.wake()
 			}
 		case <-j.quit:
@@ -120,26 +91,26 @@ func (j *Journal) run() {
 
 // flushGated is the flusher-goroutine drain: it honors the test-only hold
 // gate, parking before the drain while a hold is installed. The gate is
-// read under flushMu and the drain runs without releasing it, which —
-// paired with HoldFlush taking flushMu — closes the straddle race: a drain
+// read under fileMu and the drain runs without releasing it, which —
+// paired with HoldFlush taking fileMu — closes the straddle race: a drain
 // that saw no gate cannot sweep records staged after a hold was installed.
 // Returns false when quit was observed while parked (the flusher must exit).
 func (j *Journal) flushGated() bool {
-	j.flushMu.Lock()
-	gate := j.holdGate()
+	j.fileMu.Lock()
+	gate := j.hold
 	if gate == nil {
-		j.flushLocked()
-		j.flushMu.Unlock()
+		j.flushBatch(j.take(), 0)
+		j.fileMu.Unlock()
 		return true
 	}
-	j.flushMu.Unlock()
+	j.fileMu.Unlock()
 	select {
 	case <-gate:
 		j.Sync()
 		return true
 	case <-j.quit:
 		// Same as run's quit branch: one final drain. After a crash the
-		// queue is already empty (Crash drops it under flushMu before
+		// queue is already empty (Crash drops it under fileMu before
 		// closing quit); after a close it is the staged tail.
 		j.Sync()
 		return false
@@ -153,7 +124,10 @@ func (j *Journal) flushGated() bool {
 // no further wait can grow the batch), or the deadline (half an fsync)
 // expired.
 func (j *Journal) pace() {
-	ctl := &j.ctl
+	j.mu.Lock()
+	ctl := j.ctl
+	last := len(j.staged)
+	j.mu.Unlock()
 	d := ctl.flushDelay()
 	if d <= 0 {
 		return
@@ -164,7 +138,6 @@ func (j *Journal) pace() {
 	// fresh journal's batch history is empty even under heavy concurrency).
 	// A lone producer skips the delay entirely, keeping single-submitter
 	// ack latency at the eager-flush floor.
-	last := int(j.queued.Load())
 	if !ctl.paceWorthwhile() && last <= 1 {
 		return
 	}
@@ -190,7 +163,7 @@ func (j *Journal) pace() {
 		default:
 		}
 		runtime.Gosched()
-		n := int(j.queued.Load())
+		n := j.queued()
 		if n >= target {
 			return
 		}
@@ -208,38 +181,24 @@ func (j *Journal) pace() {
 	}
 }
 
-// minPending returns the lowest not-yet-durable ticket (0: none). The queue
-// is read before the in-flight marker because state only moves forward
-// along that chain, and take publishes the marker in the same critical
-// section that empties the queue — so a ticket is visible in one of the two
-// until its fsync returns. The queue is in ticket order, so its head is its
-// minimum.
-func (j *Journal) minPending() uint64 {
-	min := uint64(0)
-	j.stageMu.Lock()
-	if len(j.staged) > 0 {
-		min = j.staged[0].tick
-	}
-	j.stageMu.Unlock()
-	if m := j.inflightMin.Load(); m != 0 && (min == 0 || m < min) {
-		min = m
-	}
-	return min
+// take empties the queue and returns it, in ticket order; see takeLocked.
+func (j *Journal) take() []gcEntry {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.takeLocked()
 }
 
-// take empties the queue and returns it, in ticket order, waking blocked
-// producers. The batch's lowest ticket is published as inflightMin before
-// the lock is released, keeping every ticket visible to the watermark scan.
-func (j *Journal) take() []gcEntry {
-	j.stageMu.Lock()
-	defer j.stageMu.Unlock()
+// takeLocked empties the queue with mu held and returns it, waking blocked
+// producers. The batch's lowest ticket becomes the in-flight marker in the
+// same critical section, keeping every ticket visible to the watermark until
+// its fsync.
+func (j *Journal) takeLocked() []gcEntry {
 	out := j.staged
 	if len(out) == 0 {
 		return nil
 	}
-	j.inflightMin.Store(out[0].tick)
+	j.inflightMin = out[0].tick
 	j.staged = nil
-	j.queued.Add(-int64(len(out)))
 	j.notFull.Broadcast()
 	return out
 }
@@ -247,37 +206,35 @@ func (j *Journal) take() []gcEntry {
 // Sync drains the queue and writes the batch with one trailing fsync,
 // forcing every staged record to stable storage.
 func (j *Journal) Sync() error {
-	j.flushMu.Lock()
-	defer j.flushMu.Unlock()
-	return j.flushLocked()
+	j.fileMu.Lock()
+	defer j.fileMu.Unlock()
+	return j.flushBatch(j.take(), 0)
 }
 
-// flushLocked is Sync with flushMu already held. Its outcome reaches the
-// batch's waiters through the watermark: a success advances it past the
+// flushBatch writes a drained batch with fileMu held and hands its outcome
+// to the batch's waiters through the watermark: a success moves the
+// in-flight marker to next (0: none) and advances the watermark past the
 // batch, a failure fails every waiter.
-func (j *Journal) flushLocked() error {
-	batch := j.take()
+func (j *Journal) flushBatch(batch []gcEntry, next uint64) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	err := j.writeBatch(batch)
-	if err != nil {
+	if err := j.writeBatch(batch); err != nil {
 		// The batch is already drained from the queue, so its tickets can
 		// never reach disk through a later flush. Latch the journal failed —
 		// reject further appends, fail parked AwaitDurable callers — and
-		// leave inflightMin set so the watermark can never pass the lost
-		// tickets after an I/O error such as ENOSPC.
+		// leave the in-flight marker set so the watermark can never pass the
+		// lost tickets after an I/O error such as ENOSPC.
 		j.fail(err)
 		j.failWaiters(err)
-	} else {
-		j.inflightMin.Store(0)
-		j.advanceWatermark()
+		return err
 	}
-	return err
+	j.settle(next)
+	return nil
 }
 
-// writeBatch appends a drained batch under the segment lock: every record
-// is written (rotating segments as needed), then a single fsync covers the
+// writeBatch appends a drained batch with fileMu held: every record is
+// written (rotating segments as needed), then a single fsync covers the
 // whole batch. Always fsyncing the batch — not only when it carries
 // durable-class records — is what the commit watermark leans on: once a
 // flush cycle completes, every ticket it drained is durable and the
@@ -286,8 +243,6 @@ func (j *Journal) flushLocked() error {
 // amortized: one fsync per drain, shared by however many producers staged
 // into it.
 func (j *Journal) writeBatch(batch []gcEntry) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.f == nil {
 		return errClosed
 	}
@@ -300,7 +255,7 @@ func (j *Journal) writeBatch(batch []gcEntry) error {
 	return j.syncLocked()
 }
 
-// writeEncodedLocked writes one already-encoded record with j.mu held:
+// writeEncodedLocked writes one already-encoded record with fileMu held:
 // segment rotation, buffered write and counter updates, no fsync decision.
 func (j *Journal) writeEncodedLocked(buf []byte) error {
 	if j.size > 0 && j.size+int64(len(buf)) > j.opts.segmentBytes {
@@ -318,7 +273,7 @@ func (j *Journal) writeEncodedLocked(buf []byte) error {
 	return nil
 }
 
-// openSegment starts a fresh segment with j.mu held (or before the journal
+// openSegment starts a fresh segment with fileMu held (or before the journal
 // is shared). A file's fsync does not persist its directory entry (fsync(2)),
 // so the segment directory is synced once here: a record acked in a
 // brand-new segment is otherwise not safe.
@@ -352,7 +307,8 @@ func (j *Journal) rotateLocked() error {
 
 // syncLocked flushes the buffer and fsyncs the current segment, feeding the
 // adaptive controller and the fsync observer with the batch it covered.
-// The callback runs with j.mu held and must not call back into the journal.
+// The callback runs with fileMu held and must not call back into the
+// journal.
 func (j *Journal) syncLocked() error {
 	if err := j.w.Flush(); err != nil {
 		return fmt.Errorf("journal: flush: %w", err)
@@ -371,10 +327,10 @@ func (j *Journal) syncLocked() error {
 		// record each — the one staged during the fsync before — so the
 		// batch alone would never show the second producer, and the flusher
 		// would never wait for it.
-		j.ctl.observe(batch+int(j.queued.Load()), took)
-		j.obsMu.Lock()
+		j.mu.Lock()
+		j.ctl.observe(batch+len(j.staged), took)
 		onSync := j.onSync
-		j.obsMu.Unlock()
+		j.mu.Unlock()
 		if onSync != nil {
 			onSync(batch, took)
 		}

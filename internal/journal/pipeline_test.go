@@ -316,7 +316,7 @@ func TestEpochStrictlyIncreasing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("incarnation %d: %v", inc, err)
 		}
-		epoch := j.tick.Load() >> tickEpochShift
+		epoch := j.Stats().Tick >> tickEpochShift
 		if epoch < uint64(next) || len(epochs) > 0 && epoch <= epochs[len(epochs)-1] {
 			t.Fatalf("incarnation %d: epoch %d after %v, with sequence %d next on disk", inc, epoch, epochs, next)
 		}
@@ -390,6 +390,92 @@ func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 		if _, _, err := ReplayAll(dir); err != nil {
 			t.Fatalf("iter %d: replay after crash/snapshot race: %v", iter, err)
 		}
+	}
+}
+
+// TestSnapshotRacingAppendsKeepsLaterRecords takes 50 one-record snapshots
+// while four producers append as fast as they can. Replay drops every segment
+// record below the newest snapshot's first ticket, so a record the snapshot
+// does not cover must never land in a live segment with a lower ticket: it
+// would be acked and then lost. WriteSnapshot takes the queue and reserves
+// its tickets in one critical section; a snapshot that drained first and
+// reserved later would let a producer stage in between.
+func TestSnapshotRacingAppendsKeepsLaterRecords(t *testing.T) {
+	dir := t.TempDir()
+	j := gcOpen(t, dir, Options{})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := j.AppendAsync(Record{Type: TypeStart, Job: 1 + p, Epoch: i}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(p)
+	}
+	for i := 0; i < 50; i++ {
+		if err := j.WriteSnapshot([]Record{{Type: TypeSubmit, Job: 100 + i, Tool: "racon", Handler: "h1"}}); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snaps, err := listSeqs(dir, snapPrefix, snapSuffix)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot on disk (err %v)", err)
+	}
+	name := snapName(snaps[len(snaps)-1])
+	b, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := decodeStream(nil, b, name, 0)
+	if err != nil || len(snap) != 1 {
+		t.Fatalf("%s: %d records (err %v), want 1", name, len(snap), err)
+	}
+	first := snap[0].Tick
+	segs, err := listSeqs(filepath.Join(dir, segDirName), segPrefix, segSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for _, seq := range segs {
+		name := filepath.Join(segDirName, segName(seq))
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := decodeStream(nil, b, name, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, r := range recs {
+			if r.Tick < first {
+				t.Fatalf("%s: job %d tick %#x below the newest snapshot's first ticket %#x — replay drops it", name, r.Job, r.Tick, first)
+			}
+		}
+		live += len(recs)
+	}
+	if live == 0 {
+		t.Fatal("no record landed after the last snapshot; the race never ran")
 	}
 }
 

@@ -2,7 +2,6 @@ package smi
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"gyan/internal/gpu"
@@ -19,10 +18,9 @@ import (
 // ending inside the utilization window — reaches the next survey without its
 // author having to announce it.
 //
-// mu is held across a miss's round trip. Every caller already holds the
-// engine lock, so the mutex is never contended.
+// A Cache is not safe for concurrent use: the engine keeps one and calls it
+// only under its own lock.
 type Cache struct {
-	mu    sync.Mutex
 	valid bool
 	rep   Report // the snapshot usage was parsed from
 	usage Usage
@@ -36,7 +34,7 @@ type Cache struct {
 
 // NewCache builds a survey cache. observeMiss, if not nil, is told how long
 // each miss's render+parse round trip took on the wall clock; it runs on the
-// surveying goroutine after the cache is unlocked.
+// surveying goroutine.
 func NewCache(observeMiss func(time.Duration)) *Cache {
 	return &Cache{observeMiss: observeMiss}
 }
@@ -46,31 +44,24 @@ func NewCache(observeMiss func(time.Duration)) *Cache {
 // RenderXML+UsageFromXML round trip of that report, which is what Query and
 // UsageFromXML compute. A miss that errors is not cached.
 func (c *Cache) Usage(cluster *gpu.Cluster, now time.Duration) (Usage, error) {
-	c.mu.Lock()
 	began := time.Now()
 	rep := Snapshot(cluster, now)
 	if c.valid && sameDevices(rep, c.rep) {
 		c.hits++
-		u := c.usage
-		c.mu.Unlock()
-		return u, nil
+		return c.usage, nil
 	}
 	doc, err := RenderXML(rep)
-	var u Usage
-	if err == nil {
-		u, err = UsageFromXML(doc)
-	}
-	if err == nil {
-		c.misses++
-		c.rep, c.usage, c.valid = rep, u, true
-	}
-	took := time.Since(began)
-	c.mu.Unlock()
 	if err != nil {
 		return Usage{}, err
 	}
+	u, err := UsageFromXML(doc)
+	if err != nil {
+		return Usage{}, err
+	}
+	c.misses++
+	c.rep, c.usage, c.valid = rep, u, true
 	if c.observeMiss != nil {
-		c.observeMiss(took)
+		c.observeMiss(time.Since(began))
 	}
 	return u, nil
 }
@@ -103,7 +94,5 @@ func sameGPU(x, y GPUInfo) bool {
 
 // Stats returns the cache's hit and miss counts.
 func (c *Cache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.hits, c.misses
 }

@@ -339,40 +339,68 @@ func TestRecordFieldsAreRead(t *testing.T) {
 	}
 }
 
-// TestEngineHasOneLock holds the job handler to the one lock DESIGN §10
-// describes: among package galaxy's struct types, the only field whose type
-// comes from sync or sync/atomic is Galaxy.mu. Every program already
-// serializes above the handler, and a concurrent submitter waits for its fsync
-// after releasing g.mu, so a second lock buys no concurrency — only a lock
-// order to keep.
-func TestEngineHasOneLock(t *testing.T) {
+// TestLockCensus holds the write path to the locks DESIGN §9 and §10
+// describe. Among a package's struct types, every field whose type comes
+// from sync or sync/atomic must be listed here, and every listed field must
+// still be one:
+//   - galaxy: Galaxy.mu alone. Every program already serializes above the
+//     handler, and a concurrent submitter waits for its fsync after releasing
+//     g.mu, so a second lock buys no concurrency — only a lock order to keep.
+//   - journal: the queue lock mu with its two conds, and the file lock
+//     fileMu, always taken before mu. The fsync runs under fileMu alone, so
+//     producers keep staging during it; a third lock has nothing left to
+//     guard.
+//   - smi: none. The survey cache is only ever called under g.mu.
+func TestLockCensus(t *testing.T) {
 	m := loadModule(t)
-	gp := m.l.load(modulePath + "/internal/galaxy")
-	scope := gp.types.Scope()
-	var locks []string
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
+	for _, tc := range []struct {
+		pkg     string
+		allowed []string
+	}{
+		{"galaxy", []string{"Galaxy.mu"}},
+		{"journal", []string{"Journal.mu", "Journal.fileMu", "Journal.notFull", "Journal.durable"}},
+		{"smi", nil},
+	} {
+		p := m.l.load(modulePath + "/internal/" + tc.pkg)
+		unseen := map[string]bool{}
+		for _, name := range tc.allowed {
+			unseen[name] = true
 		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if !fromSync(f.Type()) || name+"."+f.Name() == "Galaxy.mu" {
+		var locks []string
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
 				continue
 			}
-			pos := m.l.fset.Position(f.Pos())
-			rel, _ := filepath.Rel(m.l.root, pos.Filename)
-			locks = append(locks, fmt.Sprintf("%s:%d: %s.%s %s",
-				filepath.ToSlash(rel), pos.Line, name, f.Name(), f.Type()))
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !fromSync(f.Type()) {
+					continue
+				}
+				if key := name + "." + f.Name(); unseen[key] {
+					delete(unseen, key)
+					continue
+				}
+				pos := m.l.fset.Position(f.Pos())
+				rel, _ := filepath.Rel(m.l.root, pos.Filename)
+				locks = append(locks, fmt.Sprintf("%s:%d: %s.%s %s",
+					filepath.ToSlash(rel), pos.Line, name, f.Name(), f.Type()))
+			}
 		}
-	}
-	if len(locks) > 0 {
-		t.Errorf("package galaxy declares %d sync fields besides Galaxy.mu:\n\t%s",
-			len(locks), strings.Join(locks, "\n\t"))
+		if len(locks) > 0 {
+			t.Errorf("package %s declares %d sync fields the census does not list:\n\t%s",
+				tc.pkg, len(locks), strings.Join(locks, "\n\t"))
+		}
+		for _, name := range tc.allowed {
+			if unseen[name] {
+				t.Errorf("package %s: the census lists %s, which is no longer a sync field; drop it from the list", tc.pkg, name)
+			}
+		}
 	}
 }
 
