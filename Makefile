@@ -20,7 +20,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/sched:FuzzCycle
 FUZZTIME     ?= 10s
 
-.PHONY: check build fmt vet test test-race test-flake quick-golden test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke
+.PHONY: check build build-cross fmt vet test test-race test-flake quick-golden test-crash test-journal test-workflow test-cluster test-transport test-tcp-transport hammer-api hammer-cluster hammer-transport fuzz-short bench obs-smoke
 
 check: build fmt vet test-race
 
@@ -58,14 +58,23 @@ define run_selected
 	$(GO) test -race -count=$(or $(3),1) $(1) -run '$(2)' -v
 endef
 
-# test-flake reruns, ten times under the race detector, the two tests that
+# test-flake reruns, ten times under the race detector, the three tests that
 # used to fail intermittently on an unchanged tree: the cluster-scaling
 # determinism check (a virtual-time kill read the journal flusher's
-# wall-clock position) and the API race hammer (its reader checked the ack
-# count after a GET that predated the first POST).
+# wall-clock position), the API race hammer (its reader checked the ack
+# count after a GET that predated the first POST) and racon's allocation
+# bound (a job borrowed a workspace per read segment, and the detector's
+# sync.Pool drops a share of what is put back).
 test-flake:
 	$(call run_selected,./internal/api,TestServerRaceHammer,10)
 	$(call run_selected,./internal/experiments,TestClusterScalingDeterministic,10)
+	$(call run_selected,./internal/tools/racon,TestRunAllocatesNoMatrixPerJob,10)
+
+# build-cross keeps the code that only builds off amd64 building: bonito's
+# Go-kernel stub for architectures without its AVX assembly.
+build-cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 # quick-golden regenerates `gyanbench -quick -json` into a temporary file and
 # fails on any byte that differs from testdata/gyanbench-quick.json. Every

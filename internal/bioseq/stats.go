@@ -2,7 +2,7 @@ package bioseq
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 )
 
 // SetStats summarizes a sequence collection — the numbers assembly tooling
@@ -54,14 +54,15 @@ func Stats(seqs []Seq) SetStats {
 	}
 
 	// N50: walk lengths from longest, stop when half the bases are
-	// covered.
-	sort.Sort(sort.Reverse(sort.IntSlice(lengths)))
+	// covered. An ascending sort walked from the end is the descending
+	// order without sort.Interface's indirect calls.
+	slices.Sort(lengths)
 	var acc int64
 	half := (st.TotalBases + 1) / 2
-	for _, n := range lengths {
-		acc += int64(n)
+	for i := len(lengths) - 1; i >= 0; i-- {
+		acc += int64(lengths[i])
 		if acc >= half {
-			st.N50 = n
+			st.N50 = lengths[i]
 			break
 		}
 	}

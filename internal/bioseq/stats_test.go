@@ -1,6 +1,7 @@
 package bioseq_test
 
 import (
+	"math/rand/v2"
 	"sort"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 )
 
 // statsFold is the single-pass fold Stats used to be, with the G/C branch
-// per base that gcCount replaced: the reference the library-counted version
-// must equal field for field.
+// per base that gcCount replaced and the N50 walked down a reverse sort: the
+// reference the library-counted, ascending-sorted version must equal field
+// for field.
 func statsFold(seqs []bioseq.Seq) bioseq.SetStats {
 	if len(seqs) == 0 {
 		return bioseq.SetStats{}
@@ -65,6 +67,26 @@ func TestStatsMatchesFold(t *testing.T) {
 	for name, seqs := range map[string][]bioseq.Seq{"alzheimers_nfl": nfl.Reads, "odd": odd, "empty-only": odd[2:3]} {
 		if got, want := bioseq.Stats(seqs), statsFold(seqs); got != want {
 			t.Errorf("%s: Stats = %+v, the fold says %+v", name, got, want)
+		}
+	}
+}
+
+// TestStatsN50MatchesReverseSort holds Stats to the fold on random length
+// sets: a few lengths drawn from a narrow range (most of them ties, zeros
+// included), and many from a wide one.
+func TestStatsN50MatchesReverseSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 500; trial++ {
+		span := 4
+		if trial%2 == 1 {
+			span = 5000
+		}
+		seqs := make([]bioseq.Seq, 1+rng.IntN(200))
+		for i := range seqs {
+			seqs[i].Bases = make([]byte, rng.IntN(span))
+		}
+		if got, want := bioseq.Stats(seqs), statsFold(seqs); got != want {
+			t.Fatalf("trial %d (%d lengths below %d): Stats = %+v, the fold says %+v", trial, len(seqs), span, got, want)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func newDevice(spec DeviceSpec, minor int, clock *sim.Clock) *Device {
 	return &Device{
 		spec:      spec,
 		minor:     minor,
-		uuid:      fmt.Sprintf("GPU-%08x-sim-%04d", 0xf00d0000+minor, minor),
+		uuid:      fmt.Sprintf("GPU-%08x-sim-%04d", 0xf00d0000+uint32(minor), minor),
 		busID:     fmt.Sprintf("00000000:%02X:00.0", 5+minor),
 		clock:     clock,
 		procs:     make(map[int]*Process),

@@ -114,12 +114,11 @@ func Run(set *workload.SquiggleSet, p Params, env Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	calls, flops, err := basecallAll(net, set.Squiggles, p)
+	calls, identity, flops, err := basecallAll(net, set.Squiggles, p)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Calls: calls, RealFLOPs: flops, GPUUsed: env.Cluster != nil && len(env.Devices) > 0}
-	res.MeanIdentity = meanIdentity(set, res.Calls)
+	res := &Result{Calls: calls, MeanIdentity: identity, RealFLOPs: flops, GPUUsed: env.Cluster != nil && len(env.Devices) > 0}
 
 	// Cost model.
 	scaled := float64(set.NominalBytes) * p.Scale
@@ -250,24 +249,32 @@ func maxDur(a, b time.Duration) time.Duration {
 	return b
 }
 
-// basecallAll decodes every squiggle and returns the calls in read order and
-// the FLOPs spent. Up to p.Threads workers, never more than there are reads,
-// each take the next undecoded read (racon's polishAll); a single worker is
-// the calling goroutine itself. The first failed read in read order is named.
-func basecallAll(net *Net, squiggles []workload.Squiggle, p Params) ([]bioseq.Seq, int64, error) {
+// basecallAll decodes every squiggle and returns the calls in read order, the
+// mean identity of each call against its read's ground truth and the FLOPs
+// spent. Up to p.Threads workers, never more than there are reads, each take
+// the next undecoded read (racon's polishAll) and score its call; a single
+// worker is the calling goroutine itself. The scores are summed in read
+// order, so the mean does not depend on the worker count. The first failed
+// read in read order is named.
+func basecallAll(net *Net, squiggles []workload.Squiggle, p Params) ([]bioseq.Seq, float64, int64, error) {
 	calls := make([]bioseq.Seq, len(squiggles))
+	identity := make([]float64, len(squiggles))
 	flops := make([]int64, len(squiggles))
 	errs := make([]error, len(squiggles))
 	var next atomic.Int64
 	worker := func() {
 		ws := net.borrow()
 		defer net.scratch.Put(ws)
+		w := net.pack()
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(squiggles) {
 				return
 			}
-			calls[i], flops[i], errs[i] = basecall(net, ws, squiggles[i], p.Decoder)
+			sq := squiggles[i]
+			if calls[i], flops[i], errs[i] = basecall(net, &w, ws, sq, p.Decoder); errs[i] == nil {
+				identity[i] = bioseq.Identity(calls[i].Bases, sq.Truth.Bases)
+			}
 		}
 	}
 	if workers := min(p.Threads, len(squiggles)); workers > 1 {
@@ -285,19 +292,22 @@ func basecallAll(net *Net, squiggles []workload.Squiggle, p Params) ([]bioseq.Se
 	}
 
 	var total int64
+	var sum float64
 	for i, sq := range squiggles {
 		if errs[i] != nil {
-			return nil, 0, fmt.Errorf("bonito: %s: %w", sq.ID, errs[i])
+			return nil, 0, 0, fmt.Errorf("bonito: %s: %w", sq.ID, errs[i])
 		}
 		total += flops[i]
+		sum += identity[i]
 	}
-	return calls, total, nil
+	return calls, sum / float64(len(calls)), total, nil
 }
 
-// basecall decodes one squiggle in ws with the chosen decoder.
-func basecall(net *Net, ws *workspace, sq workload.Squiggle, d Decoder) (bioseq.Seq, int64, error) {
+// basecall decodes one squiggle in ws with the chosen decoder, the greedy one
+// with the weights w packed.
+func basecall(net *Net, w *weights, ws *workspace, sq workload.Squiggle, d Decoder) (bioseq.Seq, int64, error) {
 	if d != DecoderBeam {
-		return net.basecall(sq, ws)
+		return basecallIn(w, ws, sq)
 	}
 	logits, flops, err := net.Forward(sq.Samples)
 	if err != nil {
@@ -308,14 +318,4 @@ func basecall(net *Net, ws *workspace, sq workload.Squiggle, d Decoder) (bioseq.
 		return bioseq.Seq{}, 0, err
 	}
 	return bioseq.Seq{ID: sq.ID + "_called", Bases: bases}, flops, nil
-}
-
-// meanIdentity averages the identity of calls against the ground truth of
-// the squiggles they were decoded from, one call per squiggle.
-func meanIdentity(set *workload.SquiggleSet, calls []bioseq.Seq) float64 {
-	var sum float64
-	for i, sq := range set.Squiggles {
-		sum += bioseq.Identity(calls[i].Bases, sq.Truth.Bases)
-	}
-	return sum / float64(len(calls))
 }

@@ -146,16 +146,21 @@ func Decode(logits Matrix) ([]byte, error) {
 	if logits.Cols != numClasses {
 		return nil, fmt.Errorf("bonito: logits have %d classes, want %d", logits.Cols, numClasses)
 	}
-	classes := make([]int, logits.Rows)
+	return collapse(argmaxClasses(logits)), nil
+}
+
+// argmaxClasses is the index of the first maximum of each row of logits.
+func argmaxClasses(logits Matrix) []int32 {
+	classes := make([]int32, logits.Rows)
 	for t := range classes {
-		row := logits.Data[t*numClasses:][:numClasses]
+		row := logits.Data[t*logits.Cols:][:logits.Cols]
 		for k, v := range row {
 			if v > row[classes[t]] {
-				classes[t] = k
+				classes[t] = int32(k)
 			}
 		}
 	}
-	return collapse(classes), nil
+	return classes
 }
 
 func decodeClasses(t *testing.T, seq []int) string {

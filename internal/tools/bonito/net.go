@@ -94,8 +94,9 @@ type weights struct {
 	kb [numClasses]float32
 }
 
-// pack copies the layers into the kernel's layout. It runs per call, not once
-// per Net: Train updates the classifier in place after construction.
+// pack copies the layers into the kernel's layout. It runs per call (per
+// worker in basecallAll), not once per Net: Train updates the classifier in
+// place after construction.
 func (n *Net) pack() weights {
 	var w weights
 	for j, v := range n.feature.Weights.Data { // row tap, column c
@@ -118,7 +119,7 @@ func (n *Net) pack() weights {
 // their ±0 products cannot change a sum that starts at +0). The thirteen sums
 // are independent chains held in registers. Per timestep run stores the
 // logits if logits is not nil, else the index of their first maximum.
-func (w *weights) run(x, logits []float32, classes []int) {
+func (w *weights) run(x, logits []float32, classes []int32) {
 	for i := 0; i+2 < len(x); i++ {
 		a, b, c := x[i], x[i+1], x[i+2]
 		h0 := 0 + float32(a*w.f[0][0]) + float32(b*w.f[0][1]) + float32(c*w.f[0][2]) + w.fb[0]
@@ -145,7 +146,7 @@ func (w *weights) run(x, logits []float32, classes []int) {
 			out[0], out[1], out[2], out[3], out[4] = l0, l1, l2, l3, l4
 			continue
 		}
-		best, top := classA, l0
+		best, top := int32(classA), l0
 		if l1 > top {
 			best, top = classC, l1
 		}
@@ -168,7 +169,7 @@ func (w *weights) run(x, logits []float32, classes []int) {
 // once, not per read.
 type workspace struct {
 	x       []float32
-	classes []int
+	classes []int32
 }
 
 // borrow takes a workspace from n.scratch; give it back with Put.
@@ -184,7 +185,7 @@ func (n *Net) borrow() *workspace {
 func (ws *workspace) load(samples []float64) []float32 {
 	if t := len(samples); len(ws.classes) < t {
 		t += t / 8 // headroom: the next read may be a little longer
-		ws.x, ws.classes = make([]float32, t+2), make([]int, t)
+		ws.x, ws.classes = make([]float32, t+2), make([]int32, t)
 	}
 	x := ws.x[:len(samples)+2]
 	x[0], x[len(x)-1] = 0, 0
@@ -213,7 +214,7 @@ var errEmptySignal = errors.New("bonito: empty signal")
 // collapse finishes CTC greedy decoding of the per-timestep argmax classes:
 // repair of isolated misclassifications, collapse of consecutive repeats,
 // and blank removal. It rewrites classes.
-func collapse(classes []int) []byte {
+func collapse(classes []int32) []byte {
 	// Repair isolated non-blank blips inside plateaus: a single timestep
 	// whose neighbours agree with each other but not with it is a noise
 	// tail, and collapsing would otherwise turn it into an insertion
@@ -226,7 +227,7 @@ func collapse(classes []int) []byte {
 	}
 	bases := [numClasses]byte{classA: 'A', classC: 'C', classG: 'G', classT: 'T', classBlank: 0}
 	var out []byte
-	prev := -1
+	prev := int32(-1)
 	for _, c := range classes {
 		if c != prev && c != classBlank {
 			out = append(out, bases[c])
@@ -242,16 +243,16 @@ func collapse(classes []int) []byte {
 func (n *Net) Basecall(sq workload.Squiggle) (bioseq.Seq, int64, error) {
 	ws := n.borrow()
 	defer n.scratch.Put(ws)
-	return n.basecall(sq, ws)
+	w := n.pack()
+	return basecallIn(&w, ws, sq)
 }
 
-// basecall is Basecall in ws.
-func (n *Net) basecall(sq workload.Squiggle, ws *workspace) (bioseq.Seq, int64, error) {
+// basecallIn is Basecall with the weights w packed and in ws.
+func basecallIn(w *weights, ws *workspace, sq workload.Squiggle) (bioseq.Seq, int64, error) {
 	t := len(sq.Samples)
 	if t == 0 {
 		return bioseq.Seq{}, 0, errEmptySignal
 	}
-	w := n.pack()
-	w.run(ws.load(sq.Samples), nil, ws.classes[:t])
+	w.classify(ws.load(sq.Samples), ws.classes[:t])
 	return bioseq.Seq{ID: sq.ID + "_called", Bases: collapse(ws.classes[:t])}, flopsPerStep * int64(t), nil
 }

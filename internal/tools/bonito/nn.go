@@ -6,10 +6,15 @@
 //
 // The network computation is real, and the CPU and simulated-GPU paths
 // decode identical sequences: the host runs both layers in one fused pass per
-// timestep (Net.Basecall), straight from the signal. The run time is charged
-// to the virtual clock by the cost model in model.go, which bills the `sgemm`
-// kernels cuDNN and PyTorch lower these convolutions to, calibrated to the
-// paper's Fig. 5 (>210 h CPU vs >50x GPU speedup).
+// timestep (Net.Basecall), straight from the signal. On amd64 hosts with AVX
+// that pass takes eight timesteps at a time, one per YMM lane
+// (kernel_amd64.s), with the Go kernel's arithmetic and tie rule lane by
+// lane; the Go kernel takes the rest of each read, other hosts and
+// architectures, and Forward. Run spreads a job's reads over Params.Threads
+// workers, each of which also scores its calls against the ground truth. The
+// run time is charged to the virtual clock by the cost model in model.go,
+// which bills the `sgemm` kernels cuDNN and PyTorch lower these convolutions
+// to, calibrated to the paper's Fig. 5 (>210 h CPU vs >50x GPU speedup).
 package bonito
 
 import "fmt"

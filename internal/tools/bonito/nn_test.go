@@ -233,9 +233,154 @@ func TestBasecallMatchesOracle(t *testing.T) {
 	}
 }
 
+// classesOf is the class pass of net over samples: through classify (AVX
+// lanes where the host has them, then the Go tail) if avx, else run alone.
+func classesOf(net *Net, samples []float64, avx bool) []int32 {
+	w := net.pack()
+	x := make([]float32, len(samples)+2)
+	for i, s := range samples {
+		x[i+1] = float32(s)
+	}
+	classes := make([]int32, len(samples))
+	if avx {
+		w.classify(x, classes)
+	} else {
+		w.run(x, nil, classes)
+	}
+	return classes
+}
+
+// minusZeroNet has features of 1 and a classifier of -0: every product and
+// bias of a logit is -0, so a logit whose sum does not start from +0 reads -0.
+func minusZeroNet() *Net {
+	feature, _ := NewConv1D(1, hiddenChannels, 3)
+	classifier, _ := NewConv1D(hiddenChannels, numClasses, 1)
+	for i := range feature.Bias {
+		feature.Bias[i] = 1
+	}
+	for _, v := range [][]float32{classifier.Weights.Data, classifier.Bias} {
+		for i := range v {
+			v[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	return &Net{feature: feature, classifier: classifier}
+}
+
+// TestAVXKernelMatchesOracle holds the classes classify stores, eight
+// timesteps a lane pass and the rest through run, to the first maximum of the
+// oracle's logits: on the nets and inputs TestConvForwardBitIdentical builds,
+// the random ones at every length from 1 to 40 (shorter than a lane pass, and
+// every tail) and with NaN and infinite samples, and on prefixes of that
+// length of a real read.
+func TestAVXKernelMatchesOracle(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this host: classify runs the Go kernel alone")
+	}
+	check := func(what string, net *Net, samples []float64) {
+		t.Helper()
+		logits, _ := oracleLogits(t, net, samples)
+		want := argmaxClasses(logits)
+		got := classesOf(net, samples, true)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: timestep %d of %d is class %d, the oracle's first maximum is %d",
+					what, i, len(want), got[i], want[i])
+			}
+		}
+	}
+	set, err := workload.AcinetobacterPittii(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pretrained, err := NewPretrained()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, _, err := Train(trainSet(t, 11, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := []struct {
+		name string
+		net  *Net
+	}{{"pretrained", pretrained}, {"trained", trained}, {"-0 classifier", minusZeroNet()}}
+	for _, f := range fixed {
+		for _, sq := range set.Squiggles {
+			check(f.name+" "+sq.ID, f.net, sq.Samples)
+		}
+	}
+
+	rng := sim.NewRNG(5)
+	for steps := 1; steps <= 40; steps++ {
+		for _, f := range fixed {
+			check(fmt.Sprintf("%s over the first %d steps", f.name, steps), f.net, set.Squiggles[0].Samples[:steps])
+		}
+		net := randomNet(rng, 64)
+		samples := make([]float64, steps)
+		what := fmt.Sprintf("random net over %d steps", steps)
+		check(what+", zero input", net, samples)
+		for i := range samples {
+			samples[i] = float64(randomValue(rng, 64))
+		}
+		check(what, net, samples)
+		zeros := &Net{feature: net.feature, classifier: randomNet(rng, 256).classifier}
+		check(what+", signed-zero classifier", zeros, samples)
+		for i := range samples {
+			if i%3 != 0 {
+				samples[i] = 0
+			}
+		}
+		check(what+", sparse input", net, samples)
+		check(what+", signed zeros only", randomNet(rng, 256), samples)
+		// NaN and infinite samples make NaN logits: the strict l > top
+		// never moves the class to a NaN, nor away from one.
+		samples[rng.Intn(steps)] = math.NaN()
+		samples[rng.Intn(steps)] = math.Inf(1 - 2*rng.Intn(2))
+		check(what+", non-finite input", net, samples)
+	}
+}
+
+// TestKernelPathsAgree: classify and the Go kernel alone store the same class
+// at every timestep of every read of both Bonito datasets at seeds 1-5,
+// through the pretrained and a trained net.
+func TestKernelPathsAgree(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this host: classify runs the Go kernel alone")
+	}
+	pretrained, err := NewPretrained()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, _, err := Train(trainSet(t, 11, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		for _, load := range []func(uint64) (*workload.SquiggleSet, error){workload.AcinetobacterPittii, workload.KlebsiellaPneumoniae} {
+			set, err := load(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sq := range set.Squiggles {
+				for name, net := range map[string]*Net{"pretrained": pretrained, "trained": trained} {
+					avx, scalar := classesOf(net, sq.Samples, true), classesOf(net, sq.Samples, false)
+					for i := range scalar {
+						if avx[i] != scalar[i] {
+							t.Fatalf("%s %s seed %d %s: timestep %d is class %d through classify, %d through run",
+								name, set.Name, seed, sq.ID, i, avx[i], scalar[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzBasecall holds the fused kernel to the oracle on random-weight nets of
 // the network's shapes (finite weights, weightZeros/256 of them signed zeros)
-// over signals of 1-64 samples, zeros where the mask has a bit set.
+// over signals of 1-64 samples, zeros where the mask has a bit set. Basecall
+// takes the classes of whole eight-step blocks from the AVX lanes where the
+// host has them.
 func FuzzBasecall(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint64(0), uint8(0))
 	f.Add(uint64(2), uint8(63), uint64(0xf0f0), uint8(64))

@@ -50,8 +50,8 @@ type poaNode struct {
 }
 
 // Graph is a partial-order alignment graph. Build one with NewGraph (seeding
-// it with the backbone window), fold reads in with AddSequence, and extract
-// the polished window with Consensus.
+// it with the backbone window), fold reads in with addSequence, and extract
+// the polished window with consensus; PolishWindow does all three.
 type Graph struct {
 	nodes  []poaNode
 	scores bioseq.AlignScores
@@ -111,10 +111,9 @@ func (g *Graph) addEdge(from, to, w int) {
 // workspace holds every buffer an alignment or a consensus walk needs. It
 // only grows and is never cleared: each use writes what it later reads (row 0,
 // column 0 and every cell of every row, in or out of the band), so one
-// workspace serves graphs and reads of any size in any order. AddSequence and
-// Consensus borrow one from workspaces for the call, so a polishing worker
-// keeps meeting the one its processor cached and a one-window job allocates
-// no matrix either.
+// workspace serves graphs and reads of any size in any order. A polishing
+// worker borrows one from workspaces for all its windows, and PolishWindow
+// one for the call, so a one-window job allocates no matrix either.
 type workspace struct {
 	// score[(r+1)*width + j]: best alignment of graph prefix (nodes with
 	// topo rank <= r) against seq[:j]. Row 0 is the virtual start. It is the
@@ -216,15 +215,9 @@ type DPStats struct {
 // such cells); the traceback stops there.
 const negInf = int32(-1 << 29)
 
-// AddSequence aligns seq to the graph and threads it in, fusing exact
+// addSequence aligns seq to the graph in ws and threads it in, fusing exact
 // matches into existing nodes and adding new nodes elsewhere. It returns the
 // DP work statistics. Empty sequences are rejected.
-func (g *Graph) AddSequence(seq []byte) (DPStats, error) {
-	ws := workspaces.Get().(*workspace)
-	defer workspaces.Put(ws)
-	return g.addSequence(ws, seq)
-}
-
 func (g *Graph) addSequence(ws *workspace, seq []byte) (DPStats, error) {
 	if len(seq) == 0 {
 		return DPStats{}, fmt.Errorf("racon: empty read segment")
@@ -416,15 +409,9 @@ func (g *Graph) alignedNodeFor(nodeID int, base byte) int {
 	return fresh
 }
 
-// Consensus extracts the heaviest path through the graph: at each node the
-// best-scoring incoming edge chain, seeded by sequence starts, exactly as
-// Racon's generateConsensusKernel does on the device.
-func (g *Graph) Consensus() []byte {
-	ws := workspaces.Get().(*workspace)
-	defer workspaces.Put(ws)
-	return g.consensus(ws)
-}
-
+// consensus extracts the heaviest path through the graph, walking it in ws:
+// at each node the best-scoring incoming edge chain, seeded by sequence
+// starts, exactly as Racon's generateConsensusKernel does on the device.
 func (g *Graph) consensus(ws *workspace) []byte {
 	ws.topo(g)
 	best := make([]int, len(g.nodes))

@@ -12,6 +12,21 @@ import (
 	"gyan/internal/sim"
 )
 
+// AddSequence is addSequence in a workspace borrowed for the call: how the
+// tests thread one read at a time into a graph.
+func (g *Graph) AddSequence(seq []byte) (DPStats, error) {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return g.addSequence(ws, seq)
+}
+
+// Consensus is consensus in a workspace borrowed for the call.
+func (g *Graph) Consensus() []byte {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return g.consensus(ws)
+}
+
 func mustGraph(t *testing.T, backbone string, band int) *Graph {
 	t.Helper()
 	g, err := NewGraph([]byte(backbone), bioseq.DefaultScores(), band)

@@ -233,19 +233,22 @@ func Run(rs *workload.ReadSet, p Params, env Env) (*Result, error) {
 // polishAll runs the real POA over all windows and returns the per-window
 // consensus pieces in window order. Up to `threads` workers, never more than
 // there are windows, each take the next unpolished window until none is
-// left; a single worker is the calling goroutine itself.
+// left, in one workspace borrowed for all of them; a single worker is the
+// calling goroutine itself.
 func polishAll(windows []Window, threads, band int) ([][]byte, int64, error) {
 	pieces := make([][]byte, len(windows))
 	stats := make([]DPStats, len(windows))
 	errs := make([]error, len(windows))
 	var next atomic.Int64
 	worker := func() {
+		ws := workspaces.Get().(*workspace)
+		defer workspaces.Put(ws)
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(windows) {
 				return
 			}
-			pieces[i], stats[i], errs[i] = PolishWindow(windows[i], bioseq.DefaultScores(), band)
+			pieces[i], stats[i], errs[i] = polishWindow(ws, windows[i], bioseq.DefaultScores(), band)
 		}
 	}
 	if workers := min(threads, len(windows)); workers > 1 {

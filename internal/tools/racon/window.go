@@ -87,6 +87,13 @@ func BuildWindows(backbone bioseq.Seq, reads []bioseq.Seq, mappings []Mapping, w
 // along with the DP work performed. Windows with no read support return the
 // backbone unchanged (nothing to polish with).
 func PolishWindow(w Window, scores bioseq.AlignScores, band int) ([]byte, DPStats, error) {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return polishWindow(ws, w, scores, band)
+}
+
+// polishWindow is PolishWindow in ws.
+func polishWindow(ws *workspace, w Window, scores bioseq.AlignScores, band int) ([]byte, DPStats, error) {
 	if len(w.Segments) == 0 {
 		return w.Backbone, DPStats{}, nil
 	}
@@ -96,12 +103,12 @@ func PolishWindow(w Window, scores bioseq.AlignScores, band int) ([]byte, DPStat
 	}
 	var total DPStats
 	for _, seg := range w.Segments {
-		st, err := g.AddSequence(seg)
+		st, err := g.addSequence(ws, seg)
 		if err != nil {
 			return nil, DPStats{}, fmt.Errorf("racon: window %d: %w", w.Index, err)
 		}
 		total.Cells += st.Cells
 		total.Nodes = st.Nodes
 	}
-	return g.Consensus(), total, nil
+	return g.consensus(ws), total, nil
 }
