@@ -16,6 +16,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/tools/racon:FuzzAddSequence \
                 ./internal/tools/racon:FuzzMapReads \
                 ./internal/tools/bonito:FuzzBasecall \
+                ./internal/tools/bonito:FuzzCollapse \
                 ./internal/transport/tcpbus:FuzzFrame \
                 ./internal/sched:FuzzCycle
 FUZZTIME     ?= 10s

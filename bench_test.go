@@ -157,18 +157,54 @@ func BenchmarkSMIParse(b *testing.B) {
 	}
 }
 
+// editDistanceSink keeps BenchmarkEditDistance's calls from being optimised
+// away.
+var editDistanceSink int
+
+// BenchmarkEditDistance times the pairs Identity scores: two unrelated
+// 1 000-base strings (the furthest-reaching pass gives up and the bit-vector
+// kernel answers), a bonito call against its truth (a handful of edits the
+// pass answers) and the batch_drain draft against its reference.
 func BenchmarkEditDistance(b *testing.B) {
-	rng := sim.NewRNG(9)
-	x := make([]byte, 1000)
-	y := make([]byte, 1000)
-	for i := range x {
-		x[i] = bioseq.Alphabet[rng.Intn(4)]
-		y[i] = bioseq.Alphabet[rng.Intn(4)]
+	run := func(b *testing.B, x, y []byte) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			editDistanceSink = bioseq.EditDistance(x, y)
+		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bioseq.EditDistance(x, y)
-	}
+	b.Run("unrelated_1000", func(b *testing.B) {
+		rng := sim.NewRNG(9)
+		x := make([]byte, 1000)
+		y := make([]byte, 1000)
+		for i := range x {
+			x[i] = bioseq.Alphabet[rng.Intn(4)]
+			y[i] = bioseq.Alphabet[rng.Intn(4)]
+		}
+		run(b, x, y)
+	})
+	b.Run("bonito_call", func(b *testing.B) {
+		set, err := workload.AcinetobacterPittii(42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		net, err := bonito.NewPretrained()
+		if err != nil {
+			b.Fatal(err)
+		}
+		call, _, err := net.Basecall(set.Squiggles[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, call.Bases, set.Squiggles[0].Truth.Bases)
+	})
+	b.Run("racon_draft", func(b *testing.B) {
+		rs, err := batchDrainReads()
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, rs.Backbone.Bases, rs.Reference.Bases)
+	})
 }
 
 // BenchmarkStats is the whole seqstats job: the read set the server

@@ -146,7 +146,7 @@ func Decode(logits Matrix) ([]byte, error) {
 	if logits.Cols != numClasses {
 		return nil, fmt.Errorf("bonito: logits have %d classes, want %d", logits.Cols, numClasses)
 	}
-	return collapse(argmaxClasses(logits)), nil
+	return collapse(nil, argmaxClasses(logits)), nil
 }
 
 // argmaxClasses is the index of the first maximum of each row of logits.

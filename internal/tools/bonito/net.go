@@ -2,6 +2,7 @@ package bonito
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"gyan/internal/bioseq"
@@ -163,13 +164,14 @@ func (w *weights) run(x, logits []float32, classes []int32) {
 	}
 }
 
-// workspace is the memory a basecall works in: the padded float32 signal and
-// the per-timestep classes. Nothing a basecall returns points into it, so it
-// goes back to Net.scratch, and a worker decoding a run of reads borrows it
-// once, not per read.
+// workspace is the memory a basecall works in: the padded float32 signal, the
+// per-timestep classes and the collapsed bases. Nothing a basecall returns
+// points into it, so it goes back to Net.scratch, and a worker decoding a run
+// of reads borrows it once, not per read.
 type workspace struct {
 	x       []float32
 	classes []int32
+	bases   []byte
 }
 
 // borrow takes a workspace from n.scratch; give it back with Put.
@@ -185,7 +187,7 @@ func (n *Net) borrow() *workspace {
 func (ws *workspace) load(samples []float64) []float32 {
 	if t := len(samples); len(ws.classes) < t {
 		t += t / 8 // headroom: the next read may be a little longer
-		ws.x, ws.classes = make([]float32, t+2), make([]int32, t)
+		ws.x, ws.classes, ws.bases = make([]float32, t+2), make([]int32, t), make([]byte, t)
 	}
 	x := ws.x[:len(samples)+2]
 	x[0], x[len(x)-1] = 0, 0
@@ -211,30 +213,33 @@ func (n *Net) Forward(samples []float64) (Matrix, int64, error) {
 
 var errEmptySignal = errors.New("bonito: empty signal")
 
-// collapse finishes CTC greedy decoding of the per-timestep argmax classes:
-// repair of isolated misclassifications, collapse of consecutive repeats,
-// and blank removal. It rewrites classes.
-func collapse(classes []int32) []byte {
-	// Repair isolated non-blank blips inside plateaus: a single timestep
-	// whose neighbours agree with each other but not with it is a noise
-	// tail, and collapsing would otherwise turn it into an insertion
-	// (L L X L -> "L X L"). Blank timesteps are never rewritten — the
-	// single-sample translocation blank is what separates repeated bases.
-	for t := 1; t+1 < len(classes); t++ {
-		if classes[t] != classBlank && classes[t-1] == classes[t+1] && classes[t-1] != classes[t] {
-			classes[t] = classes[t-1]
-		}
-	}
-	bases := [numClasses]byte{classA: 'A', classC: 'C', classG: 'G', classT: 'T', classBlank: 0}
-	var out []byte
+// collapse finishes CTC greedy decoding of the per-timestep argmax classes in
+// one pass: repair of isolated misclassifications, collapse of consecutive
+// repeats, and blank removal. A non-blank timestep whose class differs from
+// the (repaired) one before it but equals the one after it is a noise tail
+// inside a plateau, and collapsing would otherwise turn it into an insertion
+// (L L X L -> "L X L"), so it takes the class before it. Blank timesteps are
+// never rewritten: the single-sample translocation blank is what separates
+// repeated bases. Carrying the repaired class is what a repair pass over
+// classes followed by a collapse pass computes, alternating blip runs (A C A
+// C A) included. The bases go into dst's array, grown to len(classes) if it
+// is shorter; classes is not written.
+func collapse(dst []byte, classes []int32) []byte {
+	out := slices.Grow(dst[:0], len(classes))[:len(classes)]
+	n := 0
 	prev := int32(-1)
-	for _, c := range classes {
+	for t, c := range classes {
 		if c != prev && c != classBlank {
-			out = append(out, bases[c])
+			if t+1 < len(classes) && classes[t+1] == prev {
+				c = prev
+			} else {
+				out[n] = "ACGT"[c]
+				n++
+			}
 		}
 		prev = c
 	}
-	return out
+	return out[:n]
 }
 
 // Basecall runs the full pipeline over one squiggle: the network with the
@@ -254,5 +259,6 @@ func basecallIn(w *weights, ws *workspace, sq workload.Squiggle) (bioseq.Seq, in
 		return bioseq.Seq{}, 0, errEmptySignal
 	}
 	w.classify(ws.load(sq.Samples), ws.classes[:t])
-	return bioseq.Seq{ID: sq.ID + "_called", Bases: collapse(ws.classes[:t])}, flopsPerStep * int64(t), nil
+	bases := slices.Clone(collapse(ws.bases, ws.classes[:t]))
+	return bioseq.Seq{ID: sq.ID + "_called", Bases: bases}, flopsPerStep * int64(t), nil
 }
