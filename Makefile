@@ -7,6 +7,7 @@ GO ?= go
 # under fuzz-short.
 FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/toolxml:FuzzExpandMacros \
+                ./internal/galaxy:FuzzCheckParams \
                 ./internal/journal:FuzzReplay \
                 ./internal/journal:FuzzRecordCodec \
                 ./internal/workflow:FuzzBuildDAG \

@@ -95,7 +95,7 @@ func BenchmarkBonitoJob(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := gpu.NewPaperTestbed(nil)
-		env := bonito.Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: "/usr/bin/bonito"}
+		env := gpu.Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: "/usr/bin/bonito"}
 		if _, err := bonito.Run(set, p, env); err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func BenchmarkRaconJob(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := racon.Run(rs, p, racon.Env{ProcName: "/usr/bin/racon"}); err != nil {
+		if _, err := racon.Run(rs, p, gpu.Env{ProcName: "/usr/bin/racon"}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,15 +70,6 @@ func run() error {
 		return err
 	}
 
-	params := map[string]string{
-		"threads": fmt.Sprint(*threads),
-		"batches": fmt.Sprint(*batches),
-		"scale":   fmt.Sprint(*scale),
-	}
-	if *banding {
-		params["banding_flag"] = "--cuda-banded-alignment"
-	}
-
 	var dataset any
 	switch *tool {
 	case "racon", "seqstats", "pypaswas":
@@ -95,6 +86,22 @@ func run() error {
 		dataset = set
 	default:
 		return fmt.Errorf("unknown tool %q", *tool)
+	}
+
+	// The tool gets the flags its wrapper declares an input for, and scale.
+	binding, err := g.Tool(*tool)
+	if err != nil {
+		return err
+	}
+	flags := map[string]string{"threads": fmt.Sprint(*threads), "batches": fmt.Sprint(*batches)}
+	if *banding {
+		flags["banding_flag"] = "--cuda-banded-alignment"
+	}
+	params := map[string]string{"scale": fmt.Sprint(*scale)}
+	for _, p := range binding.XML.Inputs.Params {
+		if v, ok := flags[p.Name]; ok {
+			params[p.Name] = v
+		}
 	}
 
 	var jobs []*galaxy.Job

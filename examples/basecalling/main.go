@@ -34,17 +34,12 @@ func main() {
 	tb := report.NewTable("Fig. 5 reproduction",
 		"dataset", "reads", "cpu", "gpu", "speedup", "identity", "calls match")
 	for _, set := range []*workload.SquiggleSet{small, large} {
-		cpuRes, err := bonito.Run(set, bonito.DefaultParams(), bonito.Env{})
+		cpuRes, err := bonito.Run(set, bonito.DefaultParams(), gpu.Env{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		cluster := gpu.NewPaperTestbed(nil)
-		gpuRes, err := bonito.Run(set, bonito.DefaultParams(), bonito.Env{
-			Cluster:  cluster,
-			Devices:  []int{1},
-			PID:      cluster.NextPID(),
-			ProcName: "/usr/bin/bonito",
-		})
+		onGPU := gpu.NewPaperTestbed(nil).Placement("/usr/bin/bonito", 1)
+		gpuRes, err := bonito.Run(set, bonito.DefaultParams(), onGPU)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -111,13 +111,15 @@ func TestWorkflowEndpointErrors(t *testing.T) {
 
 // A step that fails at run time is not a bad request: the workflow was
 // accepted and ran, so the answer is 422 with the full response body, the
-// failed step's job in it and the steps after it never submitted.
+// failed step's job in it and the steps after it never submitted. Racon's
+// wrapper (the paper's Code 3) bounds none of its integers, so a thread
+// count racon itself refuses passes the submit check and fails the step.
 func TestWorkflowEndpointFailingStepIs422(t *testing.T) {
 	ts := testServer(t)
 	status, wf := postWorkflow(t, ts, map[string]any{
 		"name": "fails",
 		"steps": []map[string]any{
-			{"tool": "racon", "dataset": "alzheimers_nfl", "params": map[string]string{"threads": "bogus"}},
+			{"tool": "racon", "dataset": "alzheimers_nfl", "params": map[string]string{"threads": "0"}},
 			{"tool": "racon", "chain_backbone": true, "params": fastRacon},
 		},
 	})

@@ -18,11 +18,11 @@ import (
 	"gyan/internal/transport"
 )
 
-// KeyParam is the tool-parameter name the cluster threads its global job key
-// through. The key rides the journaled submit record's Params, which is what
-// lets the rebalancer and the chaos audits correlate a job across handlers
-// even though every handler issues its own local job IDs.
-const KeyParam = "cluster_key"
+// KeyParam is the engine's reserved param the cluster threads its global job
+// key through. The key rides the journaled submit record's Params, which is
+// what lets the rebalancer and the chaos audits correlate a job across
+// handlers even though every handler issues its own local job IDs.
+const KeyParam = galaxy.KeyParam
 
 // DefaultStripes is the ring's stripe count: the unit of ownership it
 // partitions.

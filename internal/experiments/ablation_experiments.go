@@ -182,13 +182,7 @@ func runAblationHardware(opt Options) (*Result, error) {
 		"device", "alloc", "polish kernels", "transfers", "end-to-end")
 	var k80Total, a100Total float64
 	for _, spec := range specs {
-		c := gpu.NewCluster(spec, 2, nil)
-		env := racon.Env{
-			Cluster:  c,
-			Devices:  []int{0},
-			PID:      c.NextPID(),
-			ProcName: "/usr/bin/racon_gpu",
-		}
+		env := gpu.NewCluster(spec, 2, nil).Placement("/usr/bin/racon_gpu", 0)
 		r, err := racon.Run(rs, racon.DefaultParams(), env)
 		if err != nil {
 			return nil, err
@@ -234,7 +228,7 @@ func runAblationEnergy(opt Options) (*Result, error) {
 	cpuJ := host.Energy(4, cpuRes.Timing.Total())
 
 	c := gpu.NewPaperTestbed(nil)
-	env := racon.Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: "/usr/bin/racon_gpu"}
+	env := c.Placement("/usr/bin/racon_gpu", 0)
 	gpuRes, err := racon.Run(rs, racon.DefaultParams(), env)
 	if err != nil {
 		return nil, err
@@ -319,13 +313,7 @@ func runAblationMultiGPU(opt Options) (*Result, error) {
 		"devices", "align kernels", "polish kernels", "transfers", "sync")
 	var k1, k2 float64
 	for _, devices := range [][]int{{0}, {0, 1}} {
-		c := gpu.NewPaperTestbed(nil)
-		env := racon.Env{
-			Cluster:  c,
-			Devices:  devices,
-			PID:      c.NextPID(),
-			ProcName: "/usr/bin/racon_gpu",
-		}
+		env := gpu.NewPaperTestbed(nil).Placement("/usr/bin/racon_gpu", devices...)
 		r, err := racon.Run(rs, racon.DefaultParams(), env)
 		if err != nil {
 			return nil, err

@@ -16,16 +16,10 @@ func init() {
 }
 
 func bonitoRun(set *workload.SquiggleSet, useGPU bool, prof gpu.Profiler) (*bonito.Result, error) {
-	var env bonito.Env
+	var env gpu.Env
 	if useGPU {
-		c := gpu.NewPaperTestbed(nil)
-		env = bonito.Env{
-			Cluster:  c,
-			Devices:  []int{1},
-			PID:      c.NextPID(),
-			ProcName: "/usr/bin/bonito",
-			Profiler: prof,
-		}
+		env = gpu.NewPaperTestbed(nil).Placement("/usr/bin/bonito", 1)
+		env.Profiler = prof
 	}
 	return bonito.Run(set, bonito.DefaultParams(), env)
 }

@@ -74,28 +74,27 @@ func caseSquiggles(opt Options) (*workload.SquiggleSet, error) {
 	return set, err
 }
 
+// caseJob is a case job beside the GPU minor IDs its user requested.
+type caseJob struct {
+	*galaxy.Job
+	request string
+}
+
 // placementTable renders job placements.
-func placementTable(title string, jobs []*galaxy.Job) *report.Table {
+func placementTable(title string, jobs []caseJob) *report.Table {
 	tb := report.NewTable(title, "job", "tool", "requested", "CUDA_VISIBLE_DEVICES", "state", "reason")
 	for _, j := range jobs {
-		req := "-"
-		if r, ok := j.Params["__gpu_request__"]; ok {
-			req = r
-		}
-		tb.AddRow(fmt.Sprintf("%d (pid %d)", j.ID, j.PID), j.ToolID, req,
+		tb.AddRow(fmt.Sprintf("%d (pid %d)", j.ID, j.PID), j.ToolID, j.request,
 			j.VisibleDevices, string(j.State), j.Info)
 	}
 	return tb
 }
 
-// submitCase wraps Submit, stashing the requested IDs for the report.
-func submitCase(g *galaxy.Galaxy, tool string, params map[string]string, dataset any, opts galaxy.SubmitOptions) (*galaxy.Job, error) {
-	if params == nil {
-		params = map[string]string{}
-	}
-	params["scale"] = caseScale
-	params["__gpu_request__"] = opts.GPURequest
-	return g.Submit(tool, params, dataset, opts)
+// submitCase submits a case job at scale and keeps its GPU request beside
+// it for the report.
+func submitCase(g *galaxy.Galaxy, tool, scale string, dataset any, opts galaxy.SubmitOptions) (caseJob, error) {
+	job, err := g.Submit(tool, map[string]string{"scale": scale}, dataset, opts)
+	return caseJob{job, opts.GPURequest}, err
 }
 
 func runCase1(opt Options) (*Result, error) {
@@ -111,11 +110,11 @@ func runCase1(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	j1, err := submitCase(g, "racon", nil, rs, galaxy.SubmitOptions{GPURequest: "0"})
+	j1, err := submitCase(g, "racon", caseScale, rs, galaxy.SubmitOptions{GPURequest: "0"})
 	if err != nil {
 		return nil, err
 	}
-	j2, err := submitCase(g, "bonito", nil, sq, galaxy.SubmitOptions{GPURequest: "1", Delay: time.Millisecond})
+	j2, err := submitCase(g, "bonito", caseScale, sq, galaxy.SubmitOptions{GPURequest: "1", Delay: time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +123,7 @@ func runCase1(opt Options) (*Result, error) {
 	g.Run()
 
 	res := newResult("case1", "Two different tools on their requested GPUs")
-	res.Tables = append(res.Tables, placementTable("Case 1 placements", []*galaxy.Job{j1, j2}))
+	res.Tables = append(res.Tables, placementTable("Case 1 placements", []caseJob{j1, j2}))
 	res.Text = append(res.Text,
 		"paper: racon runs on GPU 0 and bonito on GPU 1, in parallel, in their original execution times.",
 		console)
@@ -144,17 +143,17 @@ func runCase2(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	j1, err := submitCase(g, "bonito", nil, sq, galaxy.SubmitOptions{GPURequest: "1"})
+	j1, err := submitCase(g, "bonito", caseScale, sq, galaxy.SubmitOptions{GPURequest: "1"})
 	if err != nil {
 		return nil, err
 	}
-	j2, err := submitCase(g, "bonito", nil, sq, galaxy.SubmitOptions{GPURequest: "1", Delay: time.Second})
+	j2, err := submitCase(g, "bonito", caseScale, sq, galaxy.SubmitOptions{GPURequest: "1", Delay: time.Second})
 	if err != nil {
 		return nil, err
 	}
 	g.Run()
 	res := newResult("case2", "Second instance of the same tool diverted to the free GPU")
-	res.Tables = append(res.Tables, placementTable("Case 2 placements", []*galaxy.Job{j1, j2}))
+	res.Tables = append(res.Tables, placementTable("Case 2 placements", []caseJob{j1, j2}))
 	res.Text = append(res.Text,
 		"paper: the first bonito takes its requested GPU 1; the second, requesting the same busy device, is scheduled to GPU 0.")
 	if j1.VisibleDevices == "1" && j2.VisibleDevices == "0" {
@@ -172,10 +171,11 @@ func runCase3(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]*galaxy.Job, 4)
+	jobs := make([]caseJob, 4)
+	lanes := make([]*galaxy.Job, len(jobs))
 	for i := range jobs {
 		var err error
-		jobs[i], err = submitCase(g, "racon", nil, rs, galaxy.SubmitOptions{
+		jobs[i], err = submitCase(g, "racon", caseScale, rs, galaxy.SubmitOptions{
 			GPURequest: "0",
 			Delay:      time.Duration(i) * time.Millisecond,
 			Runtime:    "docker",
@@ -183,13 +183,14 @@ func runCase3(opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		lanes[i] = jobs[i].Job
 	}
 	g.Engine.RunUntil(300 * time.Millisecond)
 	console := smi.Console(smi.Snapshot(g.Cluster, g.Engine.Clock().Now()))
 	g.Run()
 
 	var chart timeline.Chart
-	chart.AddJobs(jobs)
+	chart.AddJobs(lanes)
 	chart.AddDevices(g.Cluster)
 
 	res := newResult("case3", "Four containerized Racon instances, PID allocation")
@@ -220,22 +221,21 @@ func runCase4(opt Options) (*Result, error) {
 	}
 	// Racon at a larger scale so it is still resident (with a small
 	// footprint) when the second bonito is mapped.
-	raconParams := map[string]string{"scale": "0.01", "__gpu_request__": "0"}
-	j1, err := g.Submit("racon", raconParams, rs, galaxy.SubmitOptions{GPURequest: "0"})
+	j1, err := submitCase(g, "racon", "0.01", rs, galaxy.SubmitOptions{GPURequest: "0"})
 	if err != nil {
 		return nil, err
 	}
-	j2, err := submitCase(g, "bonito", nil, sq, galaxy.SubmitOptions{GPURequest: "1", Delay: time.Second})
+	j2, err := submitCase(g, "bonito", caseScale, sq, galaxy.SubmitOptions{GPURequest: "1", Delay: time.Second})
 	if err != nil {
 		return nil, err
 	}
-	j3, err := submitCase(g, "bonito", nil, sq, galaxy.SubmitOptions{GPURequest: "1", Delay: 2 * time.Second})
+	j3, err := submitCase(g, "bonito", caseScale, sq, galaxy.SubmitOptions{GPURequest: "1", Delay: 2 * time.Second})
 	if err != nil {
 		return nil, err
 	}
 	g.Run()
 	res := newResult("case4", "Memory policy routes the third job to the min-memory GPU")
-	res.Tables = append(res.Tables, placementTable("Case 4 placements", []*galaxy.Job{j1, j2, j3}))
+	res.Tables = append(res.Tables, placementTable("Case 4 placements", []caseJob{j1, j2, j3}))
 	res.Text = append(res.Text,
 		"paper: racon (GPU 0) holds ~60 MiB while bonito (GPU 1) holds its model workspace; the second bonito is placed on GPU 0, the device with minimum memory usage.")
 	if j1.VisibleDevices == "0" && j2.VisibleDevices == "1" && j3.VisibleDevices == "0" {
@@ -257,13 +257,8 @@ func runFig10(opt Options) (*Result, error) {
 	c := gpu.NewPaperTestbed(nil)
 	p := racon.DefaultParams()
 	p.Scale = fig10Scale
-	env := racon.Env{
-		Cluster:  c,
-		Devices:  []int{1},
-		PID:      c.NextPID(),
-		ProcName: "/usr/bin/racon_gpu",
-		KeepOpen: true,
-	}
+	env := c.Placement("/usr/bin/racon_gpu", 1)
+	env.KeepOpen = true
 	r, err := racon.Run(rs, p, env)
 	if err != nil {
 		return nil, err

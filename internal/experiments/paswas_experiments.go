@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gyan/internal/galaxy"
+	"gyan/internal/gpu"
 	"gyan/internal/report"
 	"gyan/internal/tools/paswas"
 )
@@ -41,7 +42,7 @@ func runPyPaSWAS(opt Options) (*Result, error) {
 			// own CPU path; emulate the user's CPU run by patching
 			// the mapper destination via a GPU-less cluster is heavy,
 			// so instead run the tool directly for the CPU leg.
-			cpuRes, err := paswas.Run(rs, paswas.DefaultParams(), paswas.Env{})
+			cpuRes, err := paswas.Run(rs, paswas.DefaultParams(), gpu.Env{})
 			if err != nil {
 				return nil, err
 			}

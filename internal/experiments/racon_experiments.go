@@ -19,16 +19,10 @@ func init() {
 
 // raconRun executes one racon configuration on a fresh testbed.
 func raconRun(rs *workload.ReadSet, p racon.Params, useGPU bool, prof gpu.Profiler) (*racon.Result, error) {
-	var env racon.Env
+	var env gpu.Env
 	if useGPU {
-		c := gpu.NewPaperTestbed(nil)
-		env = racon.Env{
-			Cluster:  c,
-			Devices:  []int{0},
-			PID:      c.NextPID(),
-			ProcName: "/usr/bin/racon_gpu",
-			Profiler: prof,
-		}
+		env = gpu.NewPaperTestbed(nil).Placement("/usr/bin/racon_gpu", 0)
+		env.Profiler = prof
 	}
 	return racon.Run(rs, p, env)
 }

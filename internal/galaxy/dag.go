@@ -167,6 +167,13 @@ func (g *Galaxy) SubmitDAG(name string, steps []DAGStep, opts DAGOptions) (*Work
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	// Every step passes the submit check before the workflow is journaled;
+	// an input from Transform or a parent is checked at the step's release.
+	for _, s := range wsteps {
+		if err := g.tools[s.Tool].check(s.Params, defs[s.ID].Dataset); err != nil {
+			return nil, fmt.Errorf("galaxy: workflow %q step %q: %w", name, s.ID, err)
+		}
+	}
 	g.nextWF++
 	wr := &WorkflowRun{
 		ID:    g.nextWF,

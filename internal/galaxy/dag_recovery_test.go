@@ -238,7 +238,9 @@ func TestRecoverRestoresFinishedWorkflowAndSurvivesCompaction(t *testing.T) {
 // (payloads copied from a run of that commit): job 1 is evicted once for job
 // 2 — a preempt record, a second start at a bumped epoch — and workflow 1 was
 // submitted with the continue_branches policy and an in-flight cap of 1, so
-// only its first root is out when the stream ends, mid-run.
+// only its first root is out when the stream ends, mid-run. Step c ran with a
+// param its wrapper refuses, which failed it at run time then; its params are
+// valid here and the test fails its job with an injected fault instead.
 var pr22Journal = []string{
 	`{"t":"lease","at":0,"h":"h1","k":1099511627777,"ttl":30000000000}`,
 	`{"t":"submit","at":0,"h":"h1","k":1099511627778,"job":1,"tool":"racon","user":"hog","params":{"scale":"0.01"},"dataset":"reads","gpus":2}`,
@@ -251,7 +253,7 @@ var pr22Journal = []string{
 	`{"t":"complete","at":403989680,"h":"h1","k":1099511627785,"job":2,"epoch":1,"state":"ok"}`,
 	`{"t":"start","at":403989680,"h":"h1","k":1099511627786,"job":1,"dest":"local_gpu","gpu":true,"devices":[0,1],"epoch":3}`,
 	`{"t":"complete","at":2106600131,"h":"h1","k":1099511627787,"job":1,"epoch":3,"state":"ok"}`,
-	`{"t":"workflow","at":2106600131,"h":"h1","k":1099511627788,"user":"ada","wf":1,"wf_name":"old","wf_policy":"continue_branches","wf_max_in_flight":1,"wf_steps":[{"id":"a","tool":"racon","params":{"scale":"0.001"},"dataset":"reads","has_dataset":true},{"id":"b","tool":"racon","params":{"scale":"0.01"},"dataset":"reads","has_dataset":true},{"id":"c","tool":"racon","after":["a"],"params":{"threads":"bogus"}},{"id":"d","tool":"seqstats","after":["b"]}]}`,
+	`{"t":"workflow","at":2106600131,"h":"h1","k":1099511627788,"user":"ada","wf":1,"wf_name":"old","wf_policy":"continue_branches","wf_max_in_flight":1,"wf_steps":[{"id":"a","tool":"racon","params":{"scale":"0.001"},"dataset":"reads","has_dataset":true},{"id":"b","tool":"racon","params":{"scale":"0.01"},"dataset":"reads","has_dataset":true},{"id":"c","tool":"racon","after":["a"],"params":{"scale":"0.001"}},{"id":"d","tool":"seqstats","after":["b"]}]}`,
 	`{"t":"submit","at":2106600131,"h":"h1","k":1099511627789,"job":3,"tool":"racon","user":"ada","params":{"scale":"0.001"},"dataset":"reads","submitted":2106600131,"wf":1,"step":"a"}`,
 	`{"t":"map","at":2106600131,"h":"h1","k":1099511627790,"job":3,"dest":"local_gpu","gpu":true,"devices":[0,1],"msg":"pid policy: no device preference; using available GPU(s) [0 1]"}`,
 	`{"t":"start","at":2106600131,"h":"h1","k":1099511627791,"job":3,"dest":"local_gpu","gpu":true,"devices":[0],"epoch":1}`,
@@ -271,7 +273,9 @@ func TestRecoverOldJournalResumesFailFastUncapped(t *testing.T) {
 	}
 	j := openTestJournal(t, dir)
 	defer j.Close()
-	g := schedGalaxy(t, sched.Config{}, WithJournal(j, "h1"))
+	// Job 3 is a, requeued; b is released at the resumed instant as job 4
+	// and c, once a is done, as job 5.
+	g := schedGalaxy(t, sched.Config{}, WithJournal(j, "h1"), failExec(5))
 	rs := smallReadSet(t)
 	rep, err := g.Recover(recs, rerr, RecoverOptions{
 		Datasets: map[string]any{"reads": rs}, RestartDelay: time.Minute,

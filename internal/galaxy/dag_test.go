@@ -76,11 +76,11 @@ func TestDAGFanOutFanIn(t *testing.T) {
 }
 
 func TestDAGFailFastSkipsPendingSteps(t *testing.T) {
-	g := testGalaxy(t)
+	g := testGalaxy(t, failExec(2)) // "bad" is the second job submitted
 	rs := smallReadSet(t)
 	wr, err := g.SubmitDAG("fail-fast", []DAGStep{
 		{ID: "a", ToolID: "racon", Params: fastParams(), Dataset: rs},
-		{ID: "bad", ToolID: "racon", Params: map[string]string{"threads": "bogus"}, After: []string{"a"}},
+		{ID: "bad", ToolID: "racon", Params: fastParams(), After: []string{"a"}},
 		{ID: "good", ToolID: "seqstats", After: []string{"a"}},
 		{ID: "tail", ToolID: "seqstats", After: []string{"good"}},
 	}, DAGOptions{})
@@ -328,10 +328,10 @@ func TestWorkflowIteratedPolishing(t *testing.T) {
 }
 
 func TestWorkflowStepFailureAborts(t *testing.T) {
-	g := testGalaxy(t)
+	g := testGalaxy(t, failExec(1))
 	rs := smallReadSet(t)
 	wr, err := g.SubmitDAG("fails", chain(
-		DAGStep{ToolID: "racon", Params: map[string]string{"threads": "bogus"}, Dataset: rs},
+		DAGStep{ToolID: "racon", Params: fastParams(), Dataset: rs},
 		raconRound(fastParams()),
 	), DAGOptions{})
 	if err != nil {

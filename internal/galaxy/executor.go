@@ -2,13 +2,13 @@ package galaxy
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
 	"gyan/internal/bioseq"
 	"gyan/internal/gpu"
 	"gyan/internal/tools/bonito"
+	"gyan/internal/tools/genomics"
 	"gyan/internal/tools/paswas"
 	"gyan/internal/tools/racon"
 	"gyan/internal/toolxml"
@@ -17,19 +17,13 @@ import (
 
 // ExecRequest is everything an executor needs to run a tool.
 type ExecRequest struct {
-	// Cluster is nil (or Devices empty) for CPU placements.
-	Cluster *gpu.Cluster
-	// Devices are the GPU minor IDs from CUDA_VISIBLE_DEVICES.
-	Devices []int
-	// PID is the simulated host process ID.
-	PID int
-	// GPUEnabled mirrors GALAXY_GPU_ENABLED.
-	GPUEnabled bool
+	// Env is the run's placement, built by the engine with the binding's
+	// process name for it; the engine owns the sessions (KeepOpen).
+	gpu.Env
 	// Containerized applies the container execution model.
 	Containerized bool
-	// Start is the run's origin on the virtual timeline.
-	Start time.Duration
-	// Params is the evaluated param dict; Dataset the job input.
+	// Params is the evaluated param dict, checked against the wrapper at
+	// submit (read it with intParam and scaleOr); Dataset the job input.
 	Params  map[string]string
 	Dataset any
 }
@@ -46,7 +40,8 @@ type ExecResult struct {
 	Detail any
 }
 
-// Executor runs one tool invocation.
+// Executor runs one tool invocation. It reads its params before it looks at
+// its dataset.
 type Executor func(ExecRequest) (*ExecResult, error)
 
 // ToolBinding couples a wrapper with its executable implementation.
@@ -55,70 +50,30 @@ type ToolBinding struct {
 	// Exec runs the tool.
 	Exec Executor
 	// ProcNameGPU and ProcNameCPU are the executable paths nvidia-smi
-	// shows, matching the wrapper's #if branches.
+	// shows, matching the wrapper's #if branches; the engine puts the one
+	// for the run's placement in ExecRequest.Env.
 	ProcNameGPU, ProcNameCPU string
-}
 
-func paramFloat(params map[string]string, key string, def float64) (float64, error) {
-	v, ok := params[key]
-	if !ok || strings.TrimSpace(v) == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("galaxy: param %s=%q: %w", key, v, err)
-	}
-	return f, nil
-}
-
-func paramInt(params map[string]string, key string, def int) (int, error) {
-	v, ok := params[key]
-	if !ok || strings.TrimSpace(v) == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("galaxy: param %s=%q: %w", key, v, err)
-	}
-	return n, nil
+	// spec is the wrapper's typed <inputs>, derived by RegisterTool.
+	spec *toolxml.Spec
 }
 
 // RaconExecutor adapts the racon tool to the Galaxy executor interface. The
 // recognized params mirror the wrapper inputs: threads, batches,
 // banding_flag (non-empty enables the banding approximation) and the
-// harness-level scale.
+// engine's scale.
 func RaconExecutor(req ExecRequest) (*ExecResult, error) {
+	p := racon.DefaultParams()
+	p.Threads = intParam(req.Params, "threads")
+	p.Batches = intParam(req.Params, "batches")
+	p.Scale = scaleOr(req.Params, p.Scale)
+	p.Banding = strings.TrimSpace(req.Params["banding_flag"]) != ""
+	p.Containerized = req.Containerized
 	rs, ok := req.Dataset.(*workload.ReadSet)
 	if !ok {
 		return nil, fmt.Errorf("galaxy: racon needs a *workload.ReadSet, got %T", req.Dataset)
 	}
-	p := racon.DefaultParams()
-	var err error
-	if p.Threads, err = paramInt(req.Params, "threads", p.Threads); err != nil {
-		return nil, err
-	}
-	if p.Batches, err = paramInt(req.Params, "batches", p.Batches); err != nil {
-		return nil, err
-	}
-	if p.Scale, err = paramFloat(req.Params, "scale", p.Scale); err != nil {
-		return nil, err
-	}
-	p.Banding = strings.TrimSpace(req.Params["banding_flag"]) != ""
-	p.Containerized = req.Containerized
-
-	env := racon.Env{
-		PID:      req.PID,
-		Start:    req.Start,
-		KeepOpen: true,
-	}
-	if req.GPUEnabled && len(req.Devices) > 0 {
-		env.Cluster = req.Cluster
-		env.Devices = req.Devices
-		env.ProcName = "/usr/bin/racon_gpu"
-	} else {
-		env.ProcName = "/usr/bin/racon"
-	}
-	res, err := racon.Run(rs, p, env)
+	res, err := racon.Run(rs, p, req.Env)
 	if err != nil {
 		return nil, err
 	}
@@ -133,34 +88,16 @@ func RaconExecutor(req ExecRequest) (*ExecResult, error) {
 
 // BonitoExecutor adapts the bonito basecaller.
 func BonitoExecutor(req ExecRequest) (*ExecResult, error) {
+	p := bonito.DefaultParams()
+	p.Threads = intParam(req.Params, "threads")
+	p.Scale = scaleOr(req.Params, p.Scale)
+	p.Decoder = bonito.Decoder(req.Params["decoder"])
+	p.Containerized = req.Containerized
 	set, ok := req.Dataset.(*workload.SquiggleSet)
 	if !ok {
 		return nil, fmt.Errorf("galaxy: bonito needs a *workload.SquiggleSet, got %T", req.Dataset)
 	}
-	p := bonito.DefaultParams()
-	var err error
-	if p.Threads, err = paramInt(req.Params, "threads", p.Threads); err != nil {
-		return nil, err
-	}
-	if p.Scale, err = paramFloat(req.Params, "scale", p.Scale); err != nil {
-		return nil, err
-	}
-	p.Containerized = req.Containerized
-	if d := strings.TrimSpace(req.Params["decoder"]); d != "" {
-		p.Decoder = bonito.Decoder(d)
-	}
-
-	env := bonito.Env{
-		PID:      req.PID,
-		ProcName: "/usr/bin/bonito",
-		Start:    req.Start,
-		KeepOpen: true,
-	}
-	if req.GPUEnabled && len(req.Devices) > 0 {
-		env.Cluster = req.Cluster
-		env.Devices = req.Devices
-	}
-	res, err := bonito.Run(set, p, env)
+	res, err := bonito.Run(set, p, req.Env)
 	if err != nil {
 		return nil, err
 	}
@@ -174,29 +111,14 @@ func BonitoExecutor(req ExecRequest) (*ExecResult, error) {
 
 // PaswasExecutor adapts the pyPaSWAS-style Smith-Waterman aligner.
 func PaswasExecutor(req ExecRequest) (*ExecResult, error) {
+	p := paswas.DefaultParams()
+	p.Threads = intParam(req.Params, "threads")
+	p.Scale = scaleOr(req.Params, p.Scale)
 	rs, ok := req.Dataset.(*workload.ReadSet)
 	if !ok {
 		return nil, fmt.Errorf("galaxy: pypaswas needs a *workload.ReadSet, got %T", req.Dataset)
 	}
-	p := paswas.DefaultParams()
-	var err error
-	if p.Threads, err = paramInt(req.Params, "threads", p.Threads); err != nil {
-		return nil, err
-	}
-	if p.Scale, err = paramFloat(req.Params, "scale", p.Scale); err != nil {
-		return nil, err
-	}
-	env := paswas.Env{
-		PID:      req.PID,
-		Start:    req.Start,
-		KeepOpen: true,
-	}
-	env.ProcName = "/usr/bin/pypaswas"
-	if req.GPUEnabled && len(req.Devices) > 0 {
-		env.Cluster = req.Cluster
-		env.Devices = req.Devices
-	}
-	res, err := paswas.Run(rs, p, env)
+	res, err := paswas.Run(rs, p, req.Env)
 	if err != nil {
 		return nil, err
 	}
@@ -222,5 +144,94 @@ func SeqStatsExecutor(req ExecRequest) (*ExecResult, error) {
 			st.Count, st.TotalBases, st.MinLen, st.MaxLen, st.MeanLen, st.N50, st.GC),
 		Total:  time.Duration(float64(st.TotalBases) * float64(time.Microsecond)),
 		Detail: st,
+	}, nil
+}
+
+// Executors for the three-stage short-variant pipeline. Each downstream
+// stage accepts either the upstream stage's result (the Transform dataflow
+// of a DAG run) or a plain *workload.ReadSet — the pass-through input a
+// recovered step falls back to when the upstream in-memory result did not
+// survive a crash; the stage then reruns the upstream computation
+// internally, trading repeated work for a journal that never has to encode
+// tool results.
+
+// BwaMemExecutor adapts the BWA-MEM-style aligner.
+func BwaMemExecutor(req ExecRequest) (*ExecResult, error) {
+	p := genomics.DefaultAlignParams()
+	p.Threads = intParam(req.Params, "threads")
+	p.Scale = scaleOr(req.Params, p.Scale)
+	rs, ok := req.Dataset.(*workload.ReadSet)
+	if !ok {
+		return nil, fmt.Errorf("galaxy: bwa-mem needs a *workload.ReadSet, got %T", req.Dataset)
+	}
+	res, err := genomics.Align(rs, p, req.Env)
+	if err != nil {
+		return nil, err
+	}
+	return &ExecResult{
+		Output: fmt.Sprintf("aligned %d reads: mean identity %.4f",
+			len(res.Alignments), res.MeanIdentity),
+		Total:    res.Timing.Total(),
+		Sessions: res.Sessions,
+		Detail:   res,
+	}, nil
+}
+
+// VariantCallExecutor adapts the variant caller. Its input is the
+// aligner's result or a raw read set (post-recovery pass-through).
+func VariantCallExecutor(req ExecRequest) (*ExecResult, error) {
+	p := genomics.DefaultCallParams()
+	p.Threads = intParam(req.Params, "threads")
+	p.Scale = scaleOr(req.Params, p.Scale)
+	p.MinDepth = intParam(req.Params, "min_depth")
+	var aligned *genomics.AlignResult
+	var rs *workload.ReadSet
+	switch in := req.Dataset.(type) {
+	case *genomics.AlignResult:
+		aligned = in
+	case *workload.ReadSet:
+		rs = in
+	default:
+		return nil, fmt.Errorf("galaxy: variant-caller needs a *genomics.AlignResult or *workload.ReadSet, got %T", req.Dataset)
+	}
+	res, err := genomics.Call(aligned, rs, p, req.Env)
+	if err != nil {
+		return nil, err
+	}
+	return &ExecResult{
+		Output: fmt.Sprintf("genotyped %d sites: %d variants called",
+			res.Sites, len(res.Variants)),
+		Total:    res.Timing.Total(),
+		Sessions: res.Sessions,
+		Detail:   res,
+	}, nil
+}
+
+// BQSRExecutor adapts the base-quality recalibrator. Its input is the
+// caller's result or a raw read set (post-recovery pass-through).
+func BQSRExecutor(req ExecRequest) (*ExecResult, error) {
+	p := genomics.DefaultBQSRParams()
+	p.Threads = intParam(req.Params, "threads")
+	p.Scale = scaleOr(req.Params, p.Scale)
+	var called *genomics.CallResult
+	var rs *workload.ReadSet
+	switch in := req.Dataset.(type) {
+	case *genomics.CallResult:
+		called = in
+	case *workload.ReadSet:
+		rs = in
+	default:
+		return nil, fmt.Errorf("galaxy: bqsr needs a *genomics.CallResult or *workload.ReadSet, got %T", req.Dataset)
+	}
+	res, err := genomics.Recalibrate(called, rs, p, req.Env)
+	if err != nil {
+		return nil, err
+	}
+	return &ExecResult{
+		Output: fmt.Sprintf("recalibrated %d cycle buckets: mean quality Q%.1f",
+			len(res.Table), res.MeanQuality),
+		Total:    res.Timing.Total(),
+		Sessions: res.Sessions,
+		Detail:   res,
 	}, nil
 }

@@ -49,8 +49,17 @@ func TestExecutorOutputGolden(t *testing.T) {
 		{"racon", RaconExecutor, tiny, "0.004",
 			"polished 1 windows: identity 0.9708 -> 0.9671", "identity 0.97083333333333333 -> 0.96707818930041156"},
 	}
+	g := testGalaxy(t)
 	for _, tc := range cases {
-		res, err := tc.exec(ExecRequest{Params: map[string]string{"scale": tc.scale}, Dataset: tc.dataset})
+		b, err := g.Tool(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dict, err := BuildParamDict(b.XML, map[string]string{"scale": tc.scale}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tc.exec(ExecRequest{Params: dict, Dataset: tc.dataset})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -359,3 +359,16 @@ func TestWorkflowFailsWhenStepDeadLetters(t *testing.T) {
 		t.Errorf("step 1 state = %s", jobs[0].State)
 	}
 }
+
+// failExec fails the given jobs' executor calls with a permanent fault: a
+// run-time failure, which the submit check cannot refuse in advance.
+func failExec(jobs ...int) Option {
+	rules := make([]faults.Rule, len(jobs))
+	for i, id := range jobs {
+		rules[i] = faults.Rule{
+			Match: faults.Match{Op: faults.OpExec, Job: id},
+			Fault: faults.Fault{Class: faults.Permanent, Msg: "injected exec failure"},
+		}
+	}
+	return WithFaultPlan(faults.NewPlan(1, rules...))
+}

@@ -174,63 +174,71 @@ func New(cluster *gpu.Cluster, opts ...Option) *Galaxy {
 	return g
 }
 
-// RegisterTool installs a tool binding. Registering a duplicate ID is an
-// error.
+// RegisterTool installs a tool binding and derives its wrapper's param spec,
+// which every submit of the tool is checked against. Registering a
+// duplicate ID, or a wrapper whose inputs do not type, is an error.
 func (g *Galaxy) RegisterTool(b *ToolBinding) error {
 	if b == nil || b.XML == nil || b.Exec == nil {
 		return fmt.Errorf("galaxy: incomplete tool binding")
+	}
+	spec, err := b.XML.Spec()
+	if err != nil {
+		return fmt.Errorf("galaxy: %w", err)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if _, dup := g.tools[b.XML.ID]; dup {
 		return fmt.Errorf("galaxy: tool %q already registered", b.XML.ID)
 	}
+	b.spec = spec
 	g.tools[b.XML.ID] = b
 	return nil
+}
+
+// builtinTool is one tool this package ships: its wrapper, its executor and
+// the executables nvidia-smi shows on a GPU and on a CPU placement.
+type builtinTool struct {
+	wrapper  func() (*toolxml.Tool, error)
+	exec     Executor
+	gpu, cpu string
 }
 
 // RegisterDefaultTools installs the paper's evaluation tools — racon (with
 // the Code 1 macros expanded) and bonito — plus the pypaswas aligner of the
 // paper's motivation section and the CPU-only seqstats.
 func (g *Galaxy) RegisterDefaultTools() error {
-	raconXML, err := toolxml.RaconGPUTool()
-	if err != nil {
-		return err
-	}
-	if err := g.RegisterTool(&ToolBinding{
-		XML: raconXML, Exec: RaconExecutor,
-		ProcNameGPU: "/usr/bin/racon_gpu", ProcNameCPU: "/usr/bin/racon",
-	}); err != nil {
-		return err
-	}
-	bonitoXML, err := toolxml.BonitoTool()
-	if err != nil {
-		return err
-	}
-	if err := g.RegisterTool(&ToolBinding{
-		XML: bonitoXML, Exec: BonitoExecutor,
-		ProcNameGPU: "/usr/bin/bonito", ProcNameCPU: "/usr/bin/bonito",
-	}); err != nil {
-		return err
-	}
-	paswasXML, err := toolxml.PaswasTool()
-	if err != nil {
-		return err
-	}
-	if err := g.RegisterTool(&ToolBinding{
-		XML: paswasXML, Exec: PaswasExecutor,
-		ProcNameGPU: "/usr/bin/pypaswas", ProcNameCPU: "/usr/bin/pypaswas",
-	}); err != nil {
-		return err
-	}
-	statsXML, err := toolxml.ParseCached(toolxml.CPUOnlyToolXML)
-	if err != nil {
-		return err
-	}
-	return g.RegisterTool(&ToolBinding{
-		XML: statsXML, Exec: SeqStatsExecutor,
-		ProcNameGPU: "/usr/bin/seqstats", ProcNameCPU: "/usr/bin/seqstats",
+	return g.registerBuiltins([]builtinTool{
+		{toolxml.RaconGPUTool, RaconExecutor, "/usr/bin/racon_gpu", "/usr/bin/racon"},
+		{toolxml.BonitoTool, BonitoExecutor, "/usr/bin/bonito", "/usr/bin/bonito"},
+		{toolxml.PaswasTool, PaswasExecutor, "/usr/bin/pypaswas", "/usr/bin/pypaswas"},
+		{func() (*toolxml.Tool, error) { return toolxml.ParseCached(toolxml.CPUOnlyToolXML) },
+			SeqStatsExecutor, "/usr/bin/seqstats", "/usr/bin/seqstats"},
 	})
+}
+
+// RegisterGenomicsTools installs the short-variant pipeline tools (bwa-mem,
+// variant-caller, bqsr) alongside whatever is already registered.
+func (g *Galaxy) RegisterGenomicsTools() error {
+	return g.registerBuiltins([]builtinTool{
+		{toolxml.BwaMemTool, BwaMemExecutor, "/usr/bin/bwa-mem-gpu", "/usr/bin/bwa-mem2"},
+		{toolxml.VariantCallerTool, VariantCallExecutor, "/usr/bin/vcall-gpu", "/usr/bin/gatk"},
+		{toolxml.BQSRTool, BQSRExecutor, "/usr/bin/bqsr-gpu", "/usr/bin/gatk"},
+	})
+}
+
+func (g *Galaxy) registerBuiltins(tools []builtinTool) error {
+	for _, t := range tools {
+		xml, err := t.wrapper()
+		if err != nil {
+			return err
+		}
+		if err := g.RegisterTool(&ToolBinding{
+			XML: xml, Exec: t.exec, ProcNameGPU: t.gpu, ProcNameCPU: t.cpu,
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Tool returns a registered binding.
@@ -384,14 +392,18 @@ func (g *Galaxy) Submit(toolID string, params map[string]string, dataset any, op
 	return job, nil
 }
 
-// submitJob is the one submit body, run under g.mu: tool lookup, ID, insert,
-// the staged submit record (chased by an adopt record for a transfer) and
-// the start event. It returns the highest ticket it staged; the caller waits
-// for it — Submit after unlocking, a workflow step under g.mu.
+// submitJob is the one submit body, run under g.mu: tool lookup, the param
+// and dataset check, ID, insert, the staged submit record (chased by an
+// adopt record for a transfer) and the start event. A refused job takes no
+// ID and stages no record. It returns the highest ticket it staged; the
+// caller waits for it — Submit after unlocking, a workflow step under g.mu.
 func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any, opts SubmitOptions) (*Job, uint64, error) {
 	binding, err := g.toolLocked(toolID)
 	if err != nil {
 		return nil, 0, err
+	}
+	if err := binding.check(params, dataset); err != nil {
+		return nil, 0, fmt.Errorf("galaxy: %w", err)
 	}
 	if opts.Runtime != "" {
 		if _, ok := binding.XML.ContainerFor(opts.Runtime); !ok {
@@ -639,14 +651,13 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 	}
 
 	req := ExecRequest{
-		Cluster:       g.Cluster,
-		Devices:       decision.Devices,
-		PID:           job.PID,
-		GPUEnabled:    decision.GPUEnabled,
+		Env:           gpu.Env{PID: job.PID, ProcName: binding.ProcNameCPU, Start: start, KeepOpen: true},
 		Containerized: containerized,
-		Start:         start,
 		Params:        dict,
 		Dataset:       job.Dataset,
+	}
+	if decision.GPUEnabled && len(decision.Devices) > 0 {
+		req.Cluster, req.Devices, req.ProcName = g.Cluster, decision.Devices, binding.ProcNameGPU
 	}
 	// The executor invocation is a fault-injection site: a fired OpExec
 	// fault fails the call outright, before any device session opens.

@@ -221,19 +221,50 @@ func TestSubmitUnknownToolOrRuntime(t *testing.T) {
 	}
 }
 
+// TestBadParamsFailJob: a job whose params or dataset its wrapper refuses
+// fails at submit, before it takes a job ID or stages a record.
 func TestBadParamsFailJob(t *testing.T) {
-	g := testGalaxy(t)
-	job, err := g.Submit("racon", map[string]string{"threads": "lots"},
-		smallReadSet(t), SubmitOptions{})
+	dir := t.TempDir()
+	j := openTestJournal(t, dir)
+	defer j.Close()
+	g := testGalaxy(t, WithJournal(j, "h1"))
+	rs, sq := smallReadSet(t), smallSquiggles(t)
+	tick := j.Stats().Tick
+	for _, bad := range []struct {
+		tool    string
+		params  map[string]string
+		dataset any
+		want    string
+	}{
+		{"racon", map[string]string{"threads": "lots"}, rs, `threads="lots" is not an integer`},
+		{"bonito", map[string]string{"scale": "abc"}, sq, `scale="abc" is not a float in (0, 1]`},
+		{"bonito", map[string]string{"scael": "0.001", "model": "nonexistent"}, sq, `model="nonexistent" is not one of ["dna_r9.4.1"]`},
+		{"seqstats", nil, sq, `dataset format "fast5"`},
+		{"bonito", map[string]string{"threads": "0"}, sq, "violates its min"},
+		{"bonito", map[string]string{"decoder": "viterbi"}, sq, "is not one of"},
+		{"racon", map[string]string{"scale": "1.5"}, rs, "not a float in (0, 1]"},
+		{"racon", map[string]string{"reads": "reads.fa"}, rs, "is a data input"},
+		{"racon", map[string]string{"__galaxy_gpu_enabled__": "true"}, rs, "unknown param"},
+		{"racon", map[string]string{KeyParam: "-1"}, rs, "not an unsigned integer"},
+	} {
+		job, err := g.Submit(bad.tool, bad.params, bad.dataset, SubmitOptions{})
+		if err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s %v: Submit = %v, %v; want an error naming %q", bad.tool, bad.params, job, err, bad.want)
+		}
+	}
+	if now := j.Stats().Tick; now != tick {
+		t.Errorf("refused submits staged %d journal records", now-tick)
+	}
+	job, err := g.Submit("bonito", map[string]string{"decoder": "beam", "threads": "2", "scale": "0.001"}, sq, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Run()
-	if job.State != StateError {
-		t.Fatalf("job with bad params finished %s", job.State)
+	if job.ID != 1 {
+		t.Errorf("first accepted job got ID %d: the refusals moved the allocator", job.ID)
 	}
-	if job.Info == "" {
-		t.Error("error job has no info")
+	g.Run()
+	if job.State != StateOK {
+		t.Fatalf("valid bonito job finished %s: %s", job.State, job.Info)
 	}
 }
 

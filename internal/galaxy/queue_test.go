@@ -119,7 +119,7 @@ func TestKillWhileWaitingHandsSlotOn(t *testing.T) {
 }
 
 func TestFailedJobReleasesSlot(t *testing.T) {
-	g := New(nil, WithJobConf(slottedConf(t, 2)))
+	g := New(nil, WithJobConf(slottedConf(t, 2)), failExec(1, 2))
 	if err := g.RegisterDefaultTools(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFailedJobReleasesSlot(t *testing.T) {
 	// Two failing jobs occupy both slots momentarily; a third healthy job
 	// must still run.
 	for i := 0; i < 2; i++ {
-		if _, err := g.Submit("racon", map[string]string{"threads": "bogus"},
+		if _, err := g.Submit("racon", fastParams(),
 			rs, SubmitOptions{}); err != nil {
 			t.Fatal(err)
 		}

@@ -452,24 +452,28 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail, opts RecoverOptions
 }
 
 // resolveRequeueLocked checks that a requeued job's tool and dataset still
-// exist on this handler.
+// exist on this handler and that its params and dataset pass the submit
+// check: a journal an older engine wrote may hold a job it would refuse.
 func (g *Galaxy) resolveRequeueLocked(job *Job, opts RecoverOptions) (*ToolBinding, any, error) {
 	binding, err := g.toolLocked(job.ToolID)
 	if err != nil {
 		return nil, nil, fmt.Errorf("unrecoverable: %v", err)
 	}
-	if job.datasetName == "" {
-		if job.WorkflowID != 0 {
-			// A workflow step's input often flows from its parents rather
-			// than the dataset registry; the workflow rebuild re-resolves
-			// it (rebuildWorkflowsLocked) before the requeue event fires.
-			return binding, nil, nil
+	var ds any
+	switch {
+	case job.datasetName != "":
+		var ok bool
+		if ds, ok = opts.Datasets[job.datasetName]; !ok {
+			return nil, nil, fmt.Errorf("unrecoverable: dataset %q unavailable after recovery", job.datasetName)
 		}
+	case job.WorkflowID == 0:
 		return nil, nil, fmt.Errorf("unrecoverable: no dataset name journaled for job %d", job.ID)
 	}
-	ds, ok := opts.Datasets[job.datasetName]
-	if !ok {
-		return nil, nil, fmt.Errorf("unrecoverable: dataset %q unavailable after recovery", job.datasetName)
+	// A workflow step without a dataset name takes its input from its
+	// parents; the workflow rebuild re-resolves it (rebuildWorkflowsLocked)
+	// before the requeue event fires.
+	if err := binding.check(job.Params, ds); err != nil {
+		return nil, nil, fmt.Errorf("unrecoverable: %v", err)
 	}
 	return binding, ds, nil
 }
@@ -504,6 +508,10 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	binding, err := g.toolLocked(job.ToolID)
 	if err != nil {
 		return nil, err
+	}
+	// A dead letter an older engine journaled never passed the submit check.
+	if err := binding.check(job.Params, job.Dataset); err != nil {
+		return nil, fmt.Errorf("galaxy: job %d: %w", id, err)
 	}
 	if job.Dataset == nil && job.datasetName != "" {
 		return nil, fmt.Errorf("galaxy: job %d's dataset %q is not loaded; cannot resubmit",

@@ -712,3 +712,36 @@ func TestRecoverSplicedMapRecordsChangeNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoverFailsAnInvalidOldJob: a journal an older engine wrote may hold a
+// queued job whose params this engine's submit check refuses. Recovery fails
+// it with the reason instead of mapping it, and requeues the valid job beside
+// it.
+func TestRecoverFailsAnInvalidOldJob(t *testing.T) {
+	dir := writeJournal(t, []string{
+		`{"t":"submit","at":0,"h":"h1","job":1,"tool":"racon","params":{"threads":"bogus"},"dataset":"reads"}`,
+		`{"t":"submit","at":0,"h":"h1","job":2,"tool":"racon","params":{"scale":"0.001"},"dataset":"reads"}`,
+	})
+	recs, rerr := replayDir(t, dir)
+	j := openTestJournal(t, dir)
+	defer j.Close()
+	g := testGalaxy(t, WithJournal(j, "h1"))
+	rep, err := g.Recover(recs, rerr, RecoverOptions{Datasets: map[string]any{"reads": smallReadSet(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed != 1 || rep.Requeued != 1 {
+		t.Fatalf("report failed/requeued = %d/%d, want 1/1", rep.Failed, rep.Requeued)
+	}
+	g.Run()
+	bad, _ := g.Job(1)
+	if bad.State != StateError || !strings.Contains(bad.Info, `threads="bogus" is not an integer`) {
+		t.Errorf("invalid old job recovered as %s (%q), want an error naming the param", bad.State, bad.Info)
+	}
+	if bad.Destination != "" || bad.PID != 0 {
+		t.Errorf("invalid old job was mapped to %q as pid %d", bad.Destination, bad.PID)
+	}
+	if good, _ := g.Job(2); good.State != StateOK {
+		t.Errorf("valid old job finished %s: %s", good.State, good.Info)
+	}
+}

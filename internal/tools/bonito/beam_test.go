@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gyan/internal/bioseq"
+	"gyan/internal/gpu"
 )
 
 // peakedLogits builds logits with a strong winner per timestep.
@@ -130,7 +131,7 @@ func TestRunWithBeamDecoder(t *testing.T) {
 	set := smallSet(t)
 	p := DefaultParams()
 	p.Decoder = DecoderBeam
-	res, err := Run(set, p, Env{})
+	res, err := Run(set, p, gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestRunWithBeamDecoder(t *testing.T) {
 		t.Errorf("beam-decoded mean identity %.4f", res.MeanIdentity)
 	}
 	p.Decoder = "viterbi"
-	if _, err := Run(set, p, Env{}); err == nil {
+	if _, err := Run(set, p, gpu.Env{}); err == nil {
 		t.Error("unknown decoder accepted")
 	}
 }

@@ -53,17 +53,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Env is the execution environment (see racon.Env; the fields mirror it).
-type Env struct {
-	Cluster  *gpu.Cluster
-	Devices  []int
-	PID      int
-	ProcName string
-	Profiler gpu.Profiler
-	Start    time.Duration
-	KeepOpen bool
-}
-
 // StageTiming is the virtual-time breakdown of one run.
 type StageTiming struct {
 	IO       time.Duration
@@ -92,8 +81,7 @@ type Result struct {
 	Timing StageTiming
 	// GPUUsed reports whether the run executed on GPU devices.
 	GPUUsed bool
-	// Sessions are the still-open device streams when Env.KeepOpen was
-	// set.
+	// Sessions are the device streams gpu.Env.Release kept open.
 	Sessions []*gpu.Stream
 }
 
@@ -103,7 +91,7 @@ var pretrained = sync.OnceValues(NewPretrained)
 
 // Run basecalls the squiggle set. The CNN inference is real and identical
 // across backends; durations come from the calibrated cost model.
-func Run(set *workload.SquiggleSet, p Params, env Env) (*Result, error) {
+func Run(set *workload.SquiggleSet, p Params, env gpu.Env) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -147,39 +135,18 @@ func Run(set *workload.SquiggleSet, p Params, env Env) (*Result, error) {
 
 // runGPU charges the GPU execution: model load, then mini-batches of
 // transfer + GEMM kernels + synchronize, spread across the assigned devices.
-func runGPU(res *Result, scaled, modelOps float64, env Env) error {
-	streams := make([]*gpu.Stream, 0, len(env.Devices))
-	var spec gpu.DeviceSpec
+func runGPU(res *Result, scaled, modelOps float64, env gpu.Env) (err error) {
 	start := env.Start + res.Timing.IO
-	for _, minor := range env.Devices {
-		d, err := env.Cluster.Device(minor)
-		if err != nil {
-			return err
-		}
-		spec = d.Spec()
-		s := d.NewStream(env.PID, env.ProcName, start, env.Profiler)
-		if err := s.Malloc(contextAllocBytes); err != nil {
-			s.Close()
-			return err
-		}
+	spec, streams, err := env.Open(start)
+	if err != nil {
+		return err
+	}
+	defer func() { res.Sessions = env.Release(streams, err) }()
+	for i, s := range streams {
 		if err := s.Malloc(modelResidentBytes); err != nil {
-			s.Close()
-			return fmt.Errorf("bonito: model workspace on device %d: %w", minor, err)
+			return fmt.Errorf("bonito: model workspace on device %d: %w", env.Devices[i], err)
 		}
-		streams = append(streams, s)
 	}
-	if len(streams) == 0 {
-		return fmt.Errorf("bonito: no devices assigned")
-	}
-	defer func() {
-		if env.KeepOpen {
-			res.Sessions = streams
-			return
-		}
-		for _, s := range streams {
-			s.Close()
-		}
-	}()
 
 	batches := int(scaled/(bytesPerRead*batchReads)) + 1
 	perBatchBytes := scaled / float64(batches)

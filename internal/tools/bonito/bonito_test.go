@@ -214,12 +214,12 @@ func TestDecodeRejectsWrongWidth(t *testing.T) {
 
 func TestCPUAndGPUProduceIdenticalCalls(t *testing.T) {
 	set := smallSet(t)
-	cpuRes, err := Run(set, DefaultParams(), Env{})
+	cpuRes, err := Run(set, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := gpu.NewPaperTestbed(nil)
-	gpuRes, err := Run(set, DefaultParams(), Env{
+	gpuRes, err := Run(set, DefaultParams(), gpu.Env{
 		Cluster: c, Devices: []int{1}, PID: c.NextPID(), ProcName: "/usr/bin/bonito",
 	})
 	if err != nil {
@@ -242,7 +242,7 @@ func TestCPUAndGPUProduceIdenticalCalls(t *testing.T) {
 // speedup >50x.
 func TestFig5Calibration(t *testing.T) {
 	set := smallSet(t) // NominalBytes = 1.5 GB
-	cpuRes, err := Run(set, DefaultParams(), Env{})
+	cpuRes, err := Run(set, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestFig5Calibration(t *testing.T) {
 	}
 
 	c := gpu.NewPaperTestbed(nil)
-	gpuRes, err := Run(set, DefaultParams(), Env{
+	gpuRes, err := Run(set, DefaultParams(), gpu.Env{
 		Cluster: c, Devices: []int{1}, PID: c.NextPID(), ProcName: "/usr/bin/bonito",
 	})
 	if err != nil {
@@ -271,11 +271,11 @@ func TestLargeDatasetScalesLinearly(t *testing.T) {
 	small := smallSet(t)
 	large := smallSet(t)
 	large.NominalBytes = 5324 << 20 // Klebsiella scale
-	cpuSmall, err := Run(small, DefaultParams(), Env{})
+	cpuSmall, err := Run(small, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpuLarge, err := Run(large, DefaultParams(), Env{})
+	cpuLarge, err := Run(large, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestLargeDatasetScalesLinearly(t *testing.T) {
 func TestGPURunChargesDeviceMemory(t *testing.T) {
 	set := smallSet(t)
 	c := gpu.NewPaperTestbed(nil)
-	env := Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(),
+	env := gpu.Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(),
 		ProcName: "/usr/bin/bonito", KeepOpen: true}
 	res, err := Run(set, DefaultParams(), env)
 	if err != nil {
@@ -298,7 +298,7 @@ func TestGPURunChargesDeviceMemory(t *testing.T) {
 	if got := d.ProcessCount(); got != 1 {
 		t.Fatalf("bonito process not resident: count = %d", got)
 	}
-	wantMiB := int64((modelResidentBytes + contextAllocBytes) >> 20)
+	wantMiB := int64((modelResidentBytes + gpu.ContextBytes) >> 20)
 	if got := d.Processes()[0].MemoryMiB(); got != wantMiB {
 		t.Errorf("resident memory = %d MiB, want %d", got, wantMiB)
 	}
@@ -314,7 +314,7 @@ func TestProfilerSeesGEMMHotspots(t *testing.T) {
 	set := smallSet(t)
 	c := gpu.NewPaperTestbed(nil)
 	prof := nvprof.New()
-	_, err := Run(set, DefaultParams(), Env{
+	_, err := Run(set, DefaultParams(), gpu.Env{
 		Cluster: c, Devices: []int{0}, PID: c.NextPID(),
 		ProcName: "/usr/bin/bonito", Profiler: prof,
 	})
@@ -335,17 +335,17 @@ func TestProfilerSeesGEMMHotspots(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	set := smallSet(t)
-	if _, err := Run(nil, DefaultParams(), Env{}); err == nil {
+	if _, err := Run(nil, DefaultParams(), gpu.Env{}); err == nil {
 		t.Error("nil set accepted")
 	}
 	p := DefaultParams()
 	p.Threads = 0
-	if _, err := Run(set, p, Env{}); err == nil {
+	if _, err := Run(set, p, gpu.Env{}); err == nil {
 		t.Error("zero threads accepted")
 	}
 	p = DefaultParams()
 	p.Scale = 2
-	if _, err := Run(set, p, Env{}); err == nil {
+	if _, err := Run(set, p, gpu.Env{}); err == nil {
 		t.Error("scale > 1 accepted")
 	}
 }
@@ -353,7 +353,7 @@ func TestRunValidation(t *testing.T) {
 func TestGPUTimingBucketsCoverStages(t *testing.T) {
 	set := smallSet(t)
 	c := gpu.NewPaperTestbed(nil)
-	res, err := Run(set, DefaultParams(), Env{
+	res, err := Run(set, DefaultParams(), gpu.Env{
 		Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: "/usr/bin/bonito",
 	})
 	if err != nil {

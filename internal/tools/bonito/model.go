@@ -59,10 +59,6 @@ const (
 	// activation workspace pin for the duration of a run.
 	modelResidentBytes = 3 << 30
 
-	// contextAllocBytes is the fixed CUDA-context footprint (Fig. 11's
-	// 60 MiB per process).
-	contextAllocBytes = 60 << 20
-
 	// ioBandwidth is fast5 streaming from storage.
 	ioBandwidth = 520e6
 )

@@ -443,7 +443,7 @@ func TestRunAllocationBounded(t *testing.T) {
 	run := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := Run(set, p, Env{}); err != nil {
+		if _, err := Run(set, p, gpu.Env{}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -485,12 +485,12 @@ func TestRunIsThreadCountInvariant(t *testing.T) {
 				what := fmt.Sprintf("%s decoder, gpu %v, %d threads", decoder, useGPU, threads)
 				p := DefaultParams()
 				p.Threads, p.Decoder = threads, decoder
-				env := func() Env {
+				env := func() gpu.Env {
 					if !useGPU {
-						return Env{}
+						return gpu.Env{}
 					}
 					c := gpu.NewPaperTestbed(nil)
-					return Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: "/usr/bin/bonito"}
+					return gpu.Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: "/usr/bin/bonito"}
 				}
 				got, err := Run(set, p, env())
 				if err != nil {

@@ -87,7 +87,7 @@ type AlignResult struct {
 }
 
 // Align maps every read of the set onto the reference.
-func Align(rs *workload.ReadSet, p AlignParams, env Env) (*AlignResult, error) {
+func Align(rs *workload.ReadSet, p AlignParams, env gpu.Env) (*AlignResult, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}

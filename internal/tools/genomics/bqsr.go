@@ -79,13 +79,13 @@ type BQSRResult struct {
 // Recalibrate builds the quality table from the called alignments. A nil
 // called input runs the two upstream stages internally (the crash-recovery
 // pass-through path).
-func Recalibrate(called *CallResult, rs *workload.ReadSet, p BQSRParams, env Env) (*BQSRResult, error) {
+func Recalibrate(called *CallResult, rs *workload.ReadSet, p BQSRParams, env gpu.Env) (*BQSRResult, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	if called == nil {
 		var err error
-		if called, err = Call(nil, rs, DefaultCallParams(), Env{}); err != nil {
+		if called, err = Call(nil, rs, DefaultCallParams(), gpu.Env{}); err != nil {
 			return nil, err
 		}
 	}

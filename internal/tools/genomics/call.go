@@ -80,13 +80,13 @@ type CallResult struct {
 // Call genotypes the aligned reads against the draft assembly. A nil
 // aligned input realigns internally (the crash-recovery pass-through path,
 // where the upstream stage's in-memory result did not survive).
-func Call(aligned *AlignResult, rs *workload.ReadSet, p CallParams, env Env) (*CallResult, error) {
+func Call(aligned *AlignResult, rs *workload.ReadSet, p CallParams, env gpu.Env) (*CallResult, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	if aligned == nil {
 		var err error
-		if aligned, err = Align(rs, DefaultAlignParams(), Env{}); err != nil {
+		if aligned, err = Align(rs, DefaultAlignParams(), gpu.Env{}); err != nil {
 			return nil, err
 		}
 	}

@@ -18,22 +18,6 @@ import (
 	"gyan/internal/workload"
 )
 
-// Env is the execution environment (mirrors racon.Env / paswas.Env).
-type Env struct {
-	// Cluster and Devices select the GPU backend; nil/empty runs on CPU.
-	Cluster *gpu.Cluster
-	Devices []int
-	// PID is the simulated host process ID; ProcName the executable
-	// nvidia-smi shows.
-	PID      int
-	ProcName string
-	// Start is the run's origin on the virtual timeline.
-	Start time.Duration
-	// KeepOpen leaves device sessions open for the caller to close at job
-	// completion (Galaxy owns session lifetime).
-	KeepOpen bool
-}
-
 // StageTiming is the virtual-time breakdown of one stage.
 type StageTiming struct {
 	IO       time.Duration
@@ -68,22 +52,14 @@ type gpuStage struct {
 	syncCost   time.Duration
 }
 
-const contextBytes = 60 << 20
-
-func (st gpuStage) run(timing *StageTiming, units float64, env Env) ([]*gpu.Stream, error) {
-	d, err := env.Cluster.Device(env.Devices[0])
+func (st gpuStage) run(timing *StageTiming, units float64, env gpu.Env) ([]*gpu.Stream, error) {
+	env.Devices = env.Devices[:1] // a stage runs on the first device
+	spec, streams, err := env.Open(env.Start + timing.IO)
 	if err != nil {
 		return nil, err
 	}
-	spec := d.Spec()
-	s := d.NewStream(env.PID, env.ProcName, env.Start+timing.IO, nil)
-	fail := func(err error) ([]*gpu.Stream, error) {
-		s.Close()
-		return nil, err
-	}
-	if err := s.Malloc(contextBytes); err != nil {
-		return fail(err)
-	}
+	s := streams[0]
+	fail := func(err error) ([]*gpu.Stream, error) { return env.Release(streams, err), err }
 	if err := s.Malloc(st.workspace); err != nil {
 		return fail(err)
 	}
@@ -121,11 +97,7 @@ func (st gpuStage) run(timing *StageTiming, units float64, env Env) ([]*gpu.Stre
 		s.CopyD2H(int64(perBatchBytes / 64))
 		lap(&timing.Sync)
 	}
-	if env.KeepOpen {
-		return []*gpu.Stream{s}, nil
-	}
-	s.Close()
-	return nil, nil
+	return env.Release(streams, nil), nil
 }
 
 // checkSet validates the common input.

@@ -20,15 +20,15 @@ func smallSet(t testing.TB) *workload.ReadSet {
 	return rs
 }
 
-func gpuEnv(t testing.TB, proc string) Env {
+func gpuEnv(t testing.TB, proc string) gpu.Env {
 	t.Helper()
 	c := gpu.NewPaperTestbed(nil)
-	return Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: proc}
+	return gpu.Env{Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: proc}
 }
 
 func TestAlignRecoversReadOrigins(t *testing.T) {
 	rs := smallSet(t)
-	res, err := Align(rs, DefaultAlignParams(), Env{})
+	res, err := Align(rs, DefaultAlignParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAlignRecoversReadOrigins(t *testing.T) {
 // most of them and invent few others.
 func TestCallFindsPlantedBackboneErrors(t *testing.T) {
 	rs := smallSet(t)
-	res, err := Call(nil, rs, DefaultCallParams(), Env{})
+	res, err := Call(nil, rs, DefaultCallParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCallFindsPlantedBackboneErrors(t *testing.T) {
 
 func TestRecalibrateBuildsSaneTable(t *testing.T) {
 	rs := smallSet(t)
-	res, err := Recalibrate(nil, rs, DefaultBQSRParams(), Env{})
+	res, err := Recalibrate(nil, rs, DefaultBQSRParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRecalibrateBuildsSaneTable(t *testing.T) {
 
 func TestGPUAndCPUPipelinesAgree(t *testing.T) {
 	rs := smallSet(t)
-	cpuRes, err := Recalibrate(nil, rs, DefaultBQSRParams(), Env{})
+	cpuRes, err := Recalibrate(nil, rs, DefaultBQSRParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

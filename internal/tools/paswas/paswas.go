@@ -31,7 +31,6 @@ const (
 	syncPerBatch  = 10 * time.Millisecond
 	// resident device memory per run: score matrices for one batch.
 	workspaceBytes = 1536 << 20
-	contextBytes   = 60 << 20
 	ioBandwidth    = 520e6
 )
 
@@ -58,17 +57,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("paswas: scale %v", p.Scale)
 	}
 	return nil
-}
-
-// Env is the execution environment (mirrors racon.Env).
-type Env struct {
-	Cluster  *gpu.Cluster
-	Devices  []int
-	PID      int
-	ProcName string
-	Profiler gpu.Profiler
-	Start    time.Duration
-	KeepOpen bool
 }
 
 // StageTiming is the virtual-time breakdown.
@@ -99,7 +87,7 @@ type Result struct {
 
 // Run aligns every read of the set against the reference. The alignments
 // are real and identical across backends; durations come from the model.
-func Run(rs *workload.ReadSet, p Params, env Env) (*Result, error) {
+func Run(rs *workload.ReadSet, p Params, env gpu.Env) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,27 +144,19 @@ func Run(rs *workload.ReadSet, p Params, env Env) (*Result, error) {
 	return res, nil
 }
 
-func runGPU(res *Result, scaled, cells float64, env Env) error {
-	d, err := env.Cluster.Device(env.Devices[0])
+func runGPU(res *Result, scaled, cells float64, env gpu.Env) error {
+	env.Devices = env.Devices[:1] // the aligner runs on the first device
+	spec, streams, err := env.Open(env.Start + res.Timing.IO)
 	if err != nil {
 		return err
 	}
-	spec := d.Spec()
-	s := d.NewStream(env.PID, env.ProcName, env.Start+res.Timing.IO, env.Profiler)
-	closeOrKeep := func() {
-		if env.KeepOpen {
-			res.Sessions = []*gpu.Stream{s}
-			return
-		}
-		s.Close()
-	}
-	if err := s.Malloc(contextBytes); err != nil {
-		s.Close()
+	s := streams[0]
+	release := func(err error) error {
+		res.Sessions = env.Release(streams, err)
 		return err
 	}
 	if err := s.Malloc(workspaceBytes); err != nil {
-		s.Close()
-		return err
+		return release(err)
 	}
 	batches := int(cells/gpuBatchCells) + 1
 	perBatchCells := cells / float64(batches)
@@ -201,8 +181,7 @@ func runGPU(res *Result, scaled, cells float64, env Env) error {
 			ThreadsPerBlock: 256,
 		}
 		if err := s.Launch(scoreK); err != nil {
-			closeOrKeep()
-			return err
+			return release(err)
 		}
 		traceK := gpu.Kernel{
 			Name:            "traceback",
@@ -212,8 +191,7 @@ func runGPU(res *Result, scaled, cells float64, env Env) error {
 			ThreadsPerBlock: 256,
 		}
 		if err := s.Launch(traceK); err != nil {
-			closeOrKeep()
-			return err
+			return release(err)
 		}
 		s.Synchronize()
 		lap(&res.Timing.Compute)
@@ -221,6 +199,5 @@ func runGPU(res *Result, scaled, cells float64, env Env) error {
 		s.CopyD2H(int64(perBatchBytes / 32))
 		lap(&res.Timing.Sync)
 	}
-	closeOrKeep()
-	return nil
+	return release(nil)
 }

@@ -142,7 +142,7 @@ func smallSet(t testing.TB) *workload.ReadSet {
 
 func TestRunAlignsAllReads(t *testing.T) {
 	rs := smallSet(t)
-	res, err := Run(rs, DefaultParams(), Env{})
+	res, err := Run(rs, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +169,12 @@ func TestRunAlignsAllReads(t *testing.T) {
 
 func TestGPUAndCPUHitsIdentical(t *testing.T) {
 	rs := smallSet(t)
-	cpuRes, err := Run(rs, DefaultParams(), Env{})
+	cpuRes, err := Run(rs, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := gpu.NewPaperTestbed(nil)
-	gpuRes, err := Run(rs, DefaultParams(), Env{
+	gpuRes, err := Run(rs, DefaultParams(), gpu.Env{
 		Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: "/usr/bin/pypaswas",
 	})
 	if err != nil {
@@ -193,12 +193,12 @@ func TestGPUAndCPUHitsIdentical(t *testing.T) {
 // Calibration: the paper's motivating 33x speedup.
 func TestPyPaSWASSpeedupCalibration(t *testing.T) {
 	rs := smallSet(t) // NominalBytes = 1 GiB
-	cpuRes, err := Run(rs, DefaultParams(), Env{})
+	cpuRes, err := Run(rs, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := gpu.NewPaperTestbed(nil)
-	gpuRes, err := Run(rs, DefaultParams(), Env{
+	gpuRes, err := Run(rs, DefaultParams(), gpu.Env{
 		Cluster: c, Devices: []int{0}, PID: c.NextPID(), ProcName: "/usr/bin/pypaswas",
 	})
 	if err != nil {
@@ -212,17 +212,17 @@ func TestPyPaSWASSpeedupCalibration(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	rs := smallSet(t)
-	if _, err := Run(nil, DefaultParams(), Env{}); err == nil {
+	if _, err := Run(nil, DefaultParams(), gpu.Env{}); err == nil {
 		t.Error("nil set accepted")
 	}
 	p := DefaultParams()
 	p.Threads = 0
-	if _, err := Run(rs, p, Env{}); err == nil {
+	if _, err := Run(rs, p, gpu.Env{}); err == nil {
 		t.Error("zero threads accepted")
 	}
 	p = DefaultParams()
 	p.Scale = 0
-	if _, err := Run(rs, p, Env{}); err == nil {
+	if _, err := Run(rs, p, gpu.Env{}); err == nil {
 		t.Error("zero scale accepted")
 	}
 }
@@ -231,7 +231,7 @@ func TestProfilerSeesPaSWASKernels(t *testing.T) {
 	rs := smallSet(t)
 	c := gpu.NewPaperTestbed(nil)
 	prof := nvprof.New()
-	_, err := Run(rs, DefaultParams(), Env{
+	_, err := Run(rs, DefaultParams(), gpu.Env{
 		Cluster: c, Devices: []int{0}, PID: c.NextPID(),
 		ProcName: "/usr/bin/pypaswas", Profiler: prof,
 	})
@@ -252,7 +252,7 @@ func TestProfilerSeesPaSWASKernels(t *testing.T) {
 func TestKeepOpenSessions(t *testing.T) {
 	rs := smallSet(t)
 	c := gpu.NewPaperTestbed(nil)
-	res, err := Run(rs, DefaultParams(), Env{
+	res, err := Run(rs, DefaultParams(), gpu.Env{
 		Cluster: c, Devices: []int{1}, PID: c.NextPID(),
 		ProcName: "/usr/bin/pypaswas", KeepOpen: true,
 	})

@@ -84,10 +84,6 @@ const (
 	poolCapBytes           = 4 << 30
 	bandingPoolFactor      = 0.6
 
-	// contextAllocBytes is the fixed device memory a CUDA context pins at
-	// creation — the 60 MiB per process visible in the paper's Fig. 11.
-	contextAllocBytes = 60 << 20
-
 	// containerThreadCap models the Docker CPU quota of the paper's
 	// containerized runs: host stages see at most this many effective
 	// threads, and oversubscribing beyond it costs a small penalty. This

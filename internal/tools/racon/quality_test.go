@@ -3,6 +3,8 @@ package racon
 import (
 	"testing"
 	"testing/quick"
+
+	"gyan/internal/gpu"
 )
 
 func TestQVScale(t *testing.T) {
@@ -36,7 +38,7 @@ func TestQVBounds(t *testing.T) {
 
 func TestRunProducesWindowStats(t *testing.T) {
 	rs := testReadSet(t)
-	res, err := Run(rs, DefaultParams(), Env{})
+	res, err := Run(rs, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

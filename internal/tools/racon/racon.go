@@ -62,29 +62,9 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Env is the execution environment a run is placed in. A nil Cluster (or
-// empty Devices) selects the CPU-only path.
-type Env struct {
-	// Cluster is the GPU cluster; nil for CPU-only execution.
-	Cluster *gpu.Cluster
-	// Devices are the minor IDs the run may use (the allocator's
-	// CUDA_VISIBLE_DEVICES decision). Work is spread across all of them.
-	Devices []int
-	// PID is the simulated host process ID.
-	PID int
-	// ProcName is the executable name shown by nvidia-smi.
-	ProcName string
-	// Profiler, if non-nil, receives all CUDA events (NVProf attach).
-	Profiler gpu.Profiler
-	// Start is the run's origin on the virtual timeline.
-	Start time.Duration
-	// KeepOpen leaves the device streams attached after Run returns; the
-	// caller (the Galaxy runner) owns them via Result.Sessions and must
-	// close them when the job completes. This is what keeps processes
-	// visible to nvidia-smi for the duration of the job, as in the
-	// paper's Figs. 10 and 11.
-	KeepOpen bool
-}
+// Env is gpu.Env, the placement every tool runs in, under the name the
+// benchmark harness's racon gate still spells.
+type Env = gpu.Env
 
 // StageTiming is the virtual-time breakdown of one run.
 type StageTiming struct {
@@ -144,8 +124,8 @@ type Result struct {
 	GPUUsed bool
 	// Devices are the minor IDs used (GPU runs).
 	Devices []int
-	// Sessions are the still-open device streams when Env.KeepOpen was
-	// set; nil otherwise. The caller must Close them.
+	// Sessions are the device streams gpu.Env.Release kept open, for the
+	// caller to Close.
 	Sessions []*gpu.Stream
 }
 
@@ -154,7 +134,7 @@ type Result struct {
 // real (CPU and GPU paths produce the same consensus); stage timings come
 // from the calibrated cost model and, for GPU runs, from the device
 // simulator's streams.
-func Run(rs *workload.ReadSet, p Params, env Env) (*Result, error) {
+func Run(rs *workload.ReadSet, p Params, env gpu.Env) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -281,21 +261,13 @@ func polishAll(windows []Window, threads, band int) ([][]byte, int64, error) {
 // assigned devices. Stage durations are read back from the slowest stream.
 // Device work begins after the host-side stages already accounted in
 // res.Timing, so busy intervals land at the correct absolute virtual times.
-func runGPUStages(res *Result, scaled float64, p Params, env Env) error {
+func runGPUStages(res *Result, scaled float64, p Params, env gpu.Env) (err error) {
 	deviceStart := env.Start + res.Timing.IO + res.Timing.HostPrep + res.Timing.ContainerLaunch
-	spec, streams, err := openStreams(env, deviceStart)
+	spec, streams, err := env.Open(deviceStart)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if env.KeepOpen {
-			res.Sessions = streams
-			return
-		}
-		for _, s := range streams {
-			s.Close()
-		}
-	}()
+	defer func() { res.Sessions = env.Release(streams, err) }()
 
 	chunks := int(scaled/chunkBytes) + 1
 	perChunk := scaled / float64(chunks)
@@ -405,30 +377,6 @@ func runGPUStages(res *Result, scaled float64, p Params, env Env) error {
 		res.Timing.Sync = maxDur(res.Timing.Sync, bk[i].sync)
 	}
 	return nil
-}
-
-// openStreams attaches the process to each assigned device and pins the
-// fixed CUDA-context memory (the 60 MiB per process of Fig. 11).
-func openStreams(env Env, start time.Duration) (gpu.DeviceSpec, []*gpu.Stream, error) {
-	var spec gpu.DeviceSpec
-	streams := make([]*gpu.Stream, 0, len(env.Devices))
-	for _, minor := range env.Devices {
-		d, err := env.Cluster.Device(minor)
-		if err != nil {
-			return spec, nil, err
-		}
-		spec = d.Spec()
-		s := d.NewStream(env.PID, env.ProcName, start, env.Profiler)
-		if err := s.Malloc(contextAllocBytes); err != nil {
-			s.Close()
-			return spec, nil, err
-		}
-		streams = append(streams, s)
-	}
-	if len(streams) == 0 {
-		return spec, nil, fmt.Errorf("racon: no devices assigned")
-	}
-	return spec, streams, nil
 }
 
 func maxDur(a, b time.Duration) time.Duration {

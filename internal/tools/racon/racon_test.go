@@ -35,9 +35,9 @@ func testReadSet(t testing.TB) *workload.ReadSet {
 	return rs
 }
 
-func gpuEnv(t testing.TB, c *gpu.Cluster, devices ...int) Env {
+func gpuEnv(t testing.TB, c *gpu.Cluster, devices ...int) gpu.Env {
 	t.Helper()
-	return Env{
+	return gpu.Env{
 		Cluster:  c,
 		Devices:  devices,
 		PID:      c.NextPID(),
@@ -67,7 +67,7 @@ func TestParamsValidate(t *testing.T) {
 
 func TestCPURunPolishesDraft(t *testing.T) {
 	rs := testReadSet(t)
-	res, err := Run(rs, DefaultParams(), Env{})
+	res, err := Run(rs, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPolishQualityAtPaperCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(rs, DefaultParams(), Env{})
+	res, err := Run(rs, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestGPUAndCPUConsensusIdentical(t *testing.T) {
 	rs := testReadSet(t)
 	c := gpu.NewPaperTestbed(nil)
 	p := DefaultParams()
-	cpuRes, err := Run(rs, p, Env{})
+	cpuRes, err := Run(rs, p, gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestThreadCountDoesNotChangeConsensus(t *testing.T) {
 	rs := testReadSet(t)
 	p1, p8 := DefaultParams(), DefaultParams()
 	p1.Threads, p8.Threads = 1, 8
-	r1, err := Run(rs, p1, Env{})
+	r1, err := Run(rs, p1, gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Run(rs, p8, Env{})
+	r8, err := Run(rs, p8, gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestThreadCountDoesNotChangeConsensus(t *testing.T) {
 // and ~117 s polishing stage at 4 threads.
 func TestCPUFullScaleMatchesPaper(t *testing.T) {
 	rs := testReadSet(t)
-	res, err := Run(rs, DefaultParams(), Env{})
+	res, err := Run(rs, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestGPUFullScaleMatchesPaper(t *testing.T) {
 	if sync := res.Timing.Sync.Seconds(); sync < 20 || sync > 45 {
 		t.Errorf("API overhead = %.1f s, paper reports ~40 s", sync)
 	}
-	cpuRes, err := Run(rs, DefaultParams(), Env{})
+	cpuRes, err := Run(rs, DefaultParams(), gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFig3ScalePolishTimes(t *testing.T) {
 	p := DefaultParams()
 	p.Scale = 1.0 / 36
 
-	cpuRes, err := Run(rs, p, Env{})
+	cpuRes, err := Run(rs, p, gpu.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,12 +414,12 @@ func TestProfilerSeesClaraGenomicsKernels(t *testing.T) {
 }
 
 func TestRunRejectsEmptyInputs(t *testing.T) {
-	if _, err := Run(nil, DefaultParams(), Env{}); err == nil {
+	if _, err := Run(nil, DefaultParams(), gpu.Env{}); err == nil {
 		t.Error("nil read set accepted")
 	}
 	rs := testReadSet(t)
 	rs.Reads = nil
-	if _, err := Run(rs, DefaultParams(), Env{}); err == nil {
+	if _, err := Run(rs, DefaultParams(), gpu.Env{}); err == nil {
 		t.Error("empty read slice accepted")
 	}
 }
@@ -513,7 +513,7 @@ func TestRunOnDefaultReadSetGolden(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res[i], errs[i] = Run(rs, DefaultParams(), Env{})
+			res[i], errs[i] = Run(rs, DefaultParams(), gpu.Env{})
 		}()
 	}
 	wg.Wait()
@@ -547,7 +547,7 @@ func TestRunAllocatesNoMatrixPerJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() { _, err = Run(rs, DefaultParams(), Env{}) }
+	run := func() { _, err = Run(rs, DefaultParams(), gpu.Env{}) }
 	run() // warm the pool
 	// A collection may empty the pool between the two runs; the best of a
 	// few is the warm figure.
@@ -559,4 +559,27 @@ func TestRunAllocatesNoMatrixPerJob(t *testing.T) {
 		t.Fatalf("a warm Run allocated %d bytes (err %v), want < 96 KB", best, err)
 	}
 	t.Logf("a warm Run allocates %d bytes", best)
+}
+
+// TestFailedGPURunLeavesNoProcess: a run the engine keeps open whose pool
+// allocation finds its device full returns the error and detaches its
+// process, since the caller gets no result to close its sessions from.
+func TestFailedGPURunLeavesNoProcess(t *testing.T) {
+	c := gpu.NewPaperTestbed(nil)
+	d0, _ := c.Device(0)
+	hog := c.NextPID()
+	d0.Attach(hog, "hog")
+	if err := d0.Alloc(hog, d0.Spec().MemoryBytes-(63+200)<<20); err != nil {
+		t.Fatal(err)
+	}
+	env := gpuEnv(t, c, 0)
+	env.KeepOpen = true
+	if res, err := Run(testReadSet(t), DefaultParams(), env); err == nil {
+		t.Fatalf("run on a full device succeeded (%d sessions)", len(res.Sessions))
+	}
+	for _, p := range d0.Processes() {
+		if p.PID == env.PID {
+			t.Errorf("failed run left its process on device 0 holding %d MiB", p.MemoryMiB())
+		}
+	}
 }

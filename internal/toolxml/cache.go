@@ -43,6 +43,9 @@ func (t *Tool) Clone() *Tool {
 	c.Requirements.Items = append(t.Requirements.Items[:0:0], t.Requirements.Items...)
 	c.Requirements.Containers = append(t.Requirements.Containers[:0:0], t.Requirements.Containers...)
 	c.Inputs.Params = append(t.Inputs.Params[:0:0], t.Inputs.Params...)
+	for i, p := range c.Inputs.Params {
+		c.Inputs.Params[i].Options = append(p.Options[:0:0], p.Options...)
+	}
 	c.Outputs.Data = append(t.Outputs.Data[:0:0], t.Outputs.Data...)
 	return &c
 }

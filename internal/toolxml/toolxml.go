@@ -62,12 +62,29 @@ type Container struct {
 	Image string `xml:",chardata"`
 }
 
-// Param is one <param> of the tool's <inputs> section.
+// Param is one <param> of the tool's <inputs> section. Min and Max bound an
+// integer, Options list a select's choices, and Format is the datatype a
+// data input declares.
 type Param struct {
-	Name  string `xml:"name,attr"`
-	Type  string `xml:"type,attr"`
-	Value string `xml:"value,attr"`
-	Label string `xml:"label,attr"`
+	Name    string `xml:"name,attr"`
+	Type    string `xml:"type,attr"`
+	Value   string `xml:"value,attr"`
+	Label   string `xml:"label,attr"`
+	Min     string `xml:"min,attr"`
+	Max     string `xml:"max,attr"`
+	Format  string `xml:"format,attr"`
+	Options []struct {
+		Value string `xml:"value,attr"`
+	} `xml:"option"`
+}
+
+// Default is the value a job that does not set the param gets: the value
+// attribute, or for a select without one its first option, as in Galaxy.
+func (p Param) Default() string {
+	if p.Type == "select" && p.Value == "" && len(p.Options) > 0 {
+		return p.Options[0].Value
+	}
+	return p.Value
 }
 
 // Tool is a parsed Galaxy tool wrapper.

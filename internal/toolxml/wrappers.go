@@ -75,8 +75,15 @@ const BonitoToolXML = `<tool id="bonito" name="Bonito basecaller" version="0.3.2
 #end if
   </command>
   <inputs>
-    <param name="model" type="text" value="dna_r9.4.1" label="Basecalling model"/>
-    <param name="reads" type="data" label="Raw signal (fast5)"/>
+    <param name="model" type="select" label="Basecalling model">
+      <option value="dna_r9.4.1">dna_r9.4.1</option>
+    </param>
+    <param name="decoder" type="select" label="CTC decoder">
+      <option value="greedy">greedy</option>
+      <option value="beam">beam search</option>
+    </param>
+    <param name="threads" type="integer" value="4" min="1" label="CPU threads"/>
+    <param name="reads" type="data" format="fast5" label="Raw signal (fast5)"/>
   </inputs>
   <outputs>
     <data name="basecalls" format="fasta"/>
@@ -104,9 +111,9 @@ const PaswasToolXML = `<tool id="pypaswas" name="pyPaSWAS" version="3.0">
 #end if
   </command>
   <inputs>
-    <param name="threads" type="integer" value="4" label="CPU threads"/>
-    <param name="queries" type="data" label="Query sequences"/>
-    <param name="target" type="data" label="Target sequences"/>
+    <param name="threads" type="integer" value="4" min="1" label="CPU threads"/>
+    <param name="queries" type="data" format="fasta" label="Query sequences"/>
+    <param name="target" type="data" format="fasta" label="Target sequences"/>
   </inputs>
   <outputs>
     <data name="hits" format="tabular"/>
@@ -128,7 +135,7 @@ const CPUOnlyToolXML = `<tool id="seqstats" name="Sequence statistics" version="
 seqstats $input
   </command>
   <inputs>
-    <param name="input" type="data" label="Sequences"/>
+    <param name="input" type="data" format="fasta" label="Sequences"/>
   </inputs>
   <outputs>
     <data name="stats" format="tabular"/>

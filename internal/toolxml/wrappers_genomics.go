@@ -22,7 +22,7 @@ const BwaMemToolXML = `<tool id="bwa-mem" name="BWA-MEM" version="2.2.1">
 #end if
   </command>
   <inputs>
-    <param name="threads" type="integer" value="4" label="CPU threads"/>
+    <param name="threads" type="integer" value="4" min="1" label="CPU threads"/>
     <param name="reference" type="data" label="Reference genome (FASTA)"/>
     <param name="reads" type="data" label="Reads (FASTQ)"/>
   </inputs>
@@ -51,8 +51,8 @@ const VariantCallerToolXML = `<tool id="variant-caller" name="Variant caller" ve
 #end if
   </command>
   <inputs>
-    <param name="threads" type="integer" value="4" label="CPU threads"/>
-    <param name="min_depth" type="integer" value="3" label="Minimum pileup depth"/>
+    <param name="threads" type="integer" value="4" min="1" label="CPU threads"/>
+    <param name="min_depth" type="integer" value="3" min="1" label="Minimum pileup depth"/>
     <param name="alignments" type="data" label="Aligned reads (BAM)"/>
   </inputs>
   <outputs>
@@ -79,7 +79,7 @@ const BQSRToolXML = `<tool id="bqsr" name="Base quality recalibrator" version="4
 #end if
   </command>
   <inputs>
-    <param name="threads" type="integer" value="4" label="CPU threads"/>
+    <param name="threads" type="integer" value="4" min="1" label="CPU threads"/>
     <param name="calls" type="data" label="Called alignments (BAM + VCF)"/>
   </inputs>
   <outputs>

@@ -84,6 +84,9 @@ type ReadSet struct {
 	Starts []int
 }
 
+// Format is the read set's Galaxy datatype: its reads are sequences.
+func (*ReadSet) Format() string { return "fasta" }
+
 // GenerateLongReads builds a deterministic synthetic read set.
 func GenerateLongReads(cfg LongReadConfig) (*ReadSet, error) {
 	if err := cfg.Validate(); err != nil {

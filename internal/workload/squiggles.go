@@ -88,6 +88,9 @@ type SquiggleSet struct {
 	Squiggles    []Squiggle
 }
 
+// Format is the squiggle set's Galaxy datatype: raw nanopore signal.
+func (*SquiggleSet) Format() string { return "fast5" }
+
 // GenerateSquiggles synthesizes a deterministic squiggle set.
 func GenerateSquiggles(cfg SquiggleConfig) (*SquiggleSet, error) {
 	if err := cfg.Validate(); err != nil {
