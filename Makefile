@@ -147,17 +147,19 @@ test-workflow:
 
 # test-cluster is the multi-handler chaos suite: ring property tests (balance,
 # bounded movement), the lockstep cluster.Sim (routing, stealing, survey,
-# metrics, a Node refusing keys it does not own and reporting its latched
-# journal error), the kill -9 chaos scenario (one of three handlers dies with
+# placement by the member's policy, metrics, a Node refusing keys it does not
+# own and reporting its latched journal error), the kill -9 chaos scenario (one of three handlers dies with
 # a torn journal tail; zero lost, zero double-run, partition rebalanced across
 # both survivors in seniority order), the cluster API (503 once a member's
-# journal has failed), and the quick-mode scaling experiment. The by-name
-# selections go through run_selected, so a renamed test fails the target
-# instead of silently selecting nothing.
+# journal has failed), the quick-mode scaling experiment, and gyan-server's
+# flag check (a member takes -policy under -bus tcp). The by-name selections
+# go through run_selected, so a renamed test fails the target instead of
+# silently selecting nothing.
 test-cluster:
 	$(GO) test ./internal/cluster -v
 	$(call run_selected,./internal/api,TestCluster)
 	$(call run_selected,./internal/experiments,TestClusterScaling)
+	$(call run_selected,./cmd/gyan-server,TestCheckModeFlags)
 
 # hammer-cluster is CI's -race hammer: concurrent submit/kill/steal/scrape
 # across three members while the Sim steps, twice.

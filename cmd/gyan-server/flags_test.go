@@ -23,7 +23,8 @@ func TestCheckModeFlags(t *testing.T) {
 		{"tcp", []string{"bus", "addr", "member", "members", "peers", "journal", "seed", "speedup", "tick-real", "member-ttl"}, nil},
 		{"tcp", []string{"bus", "listen-bus", "advertise", "addr"}, nil},
 		{"tcp", []string{"bus", "member", "pprof"}, []string{"-pprof"}},
-		{"tcp", []string{"bus", "policy", "handler"}, []string{"-policy", "-handler"}},
+		{"tcp", []string{"bus", "policy"}, nil}, // a member maps and schedules by -policy
+		{"tcp", []string{"bus", "policy", "handler"}, []string{"-handler"}},
 	} {
 		err := checkModeFlags(tc.mode, tc.set)
 		if tc.ignored == nil {

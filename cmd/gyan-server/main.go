@@ -100,15 +100,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	pol, err := core.ParsePolicy(*policy)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if mode == "tcp" {
 		err = runClusterTCP(tcpConfig{
 			addr: *addr, member: *member, membersCSV: *members, peersCSV: *peers,
 			listenBus: *listenBus, advertise: *advertise, journalDir: *journalDir,
-			seed: *seed, memberTTL: *memberTTL,
+			seed: *seed, memberTTL: *memberTTL, policy: pol,
 			speedup: *speedup, tickReal: *tickReal,
 		})
 	} else {
-		err = run(*addr, *policy, *seed, *journalDir, *handler, *pprofOn)
+		err = run(*addr, pol, *seed, *journalDir, *handler, *pprofOn)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -118,16 +122,17 @@ func main() {
 // commonFlags are consumed by both modes (-bus selects it); modeFlags names
 // what each mode consumes beyond them.
 var (
-	commonFlags = []string{"bus", "addr", "seed", "journal"}
+	commonFlags = []string{"bus", "addr", "seed", "journal", "policy"}
 	modeFlags   = map[string][]string{
-		"single": {"policy", "handler", "pprof"},
+		"single": {"handler", "pprof"},
 		"tcp":    {"member-ttl", "member", "members", "peers", "listen-bus", "advertise", "speedup", "tick-real"},
 	}
 )
 
 // checkModeFlags rejects explicitly set flags the selected mode would
 // silently drop: a server that accepts -pprof and mounts no profiler, or
-// -policy memory and maps by PID, is misconfigured, not configured.
+// -handler and stamps its member ID instead, is misconfigured, not
+// configured.
 func checkModeFlags(mode string, set []string) error {
 	var ignored []string
 	for _, name := range set {
@@ -153,6 +158,7 @@ type tcpConfig struct {
 	journalDir string
 	seed       uint64
 	memberTTL  time.Duration
+	policy     core.Policy
 	speedup    float64
 	tickReal   time.Duration
 }
@@ -268,7 +274,7 @@ func runClusterTCP(cfg tcpConfig) error {
 		Seed:        cfg.seed,
 		Tick:        vtick,
 		MemberTTL:   cfg.memberTTL,
-		Sched:       sched.Config{Backfill: true},
+		Sched:       sched.Config{Backfill: true, Policy: cfg.policy},
 	})
 	if err != nil {
 		return err
@@ -291,19 +297,7 @@ func runClusterTCP(cfg tcpConfig) error {
 	return http.ListenAndServe(cfg.addr, s.Handler())
 }
 
-func run(addr, policyName string, seed uint64, journalDir, handler string, pprofOn bool) error {
-	var pol core.Policy
-	switch policyName {
-	case "pid":
-		pol = core.PolicyPID
-	case "memory":
-		pol = core.PolicyMemory
-	case "utilization":
-		pol = core.PolicyUtilization
-	default:
-		return fmt.Errorf("unknown policy %q", policyName)
-	}
-
+func run(addr string, pol core.Policy, seed uint64, journalDir, handler string, pprofOn bool) error {
 	// Datasets come first: recovery needs them by name to requeue journaled
 	// jobs, and the API registers the same instances afterwards.
 	datasets, err := loadWorkloads(seed)
@@ -360,10 +354,10 @@ func run(addr, policyName string, seed uint64, journalDir, handler string, pprof
 		}
 		log.Printf("journaling to %s as handler %q", journalDir, handler)
 	}
-	return serve(addr, policyName, g, datasets, pprofOn)
+	return serve(addr, pol, g, datasets, pprofOn)
 }
 
-func serve(addr, policyName string, g *galaxy.Galaxy, datasets map[string]any, pprofOn bool) error {
+func serve(addr string, pol core.Policy, g *galaxy.Galaxy, datasets map[string]any, pprofOn bool) error {
 	s := api.NewServer(g)
 	for name, ds := range datasets {
 		s.RegisterDataset(name, ds)
@@ -383,6 +377,6 @@ func serve(addr, policyName string, g *galaxy.Galaxy, datasets map[string]any, p
 		handler = mux
 		log.Printf("pprof enabled at /debug/pprof/")
 	}
-	log.Printf("gyan-server listening on %s (policy=%s)", addr, policyName)
+	log.Printf("gyan-server listening on %s (policy=%s)", addr, pol)
 	return http.ListenAndServe(addr, handler)
 }

@@ -37,7 +37,7 @@ func run() error {
 	var (
 		tool      = flag.String("tool", "racon", "tool to submit: racon, bonito, pypaswas, seqstats")
 		gpus      = flag.String("gpus", "", "requested GPU minor IDs (the wrapper's version tag), e.g. \"0\" or \"0,1\"")
-		policy    = flag.String("policy", "pid", "multi-GPU allocation policy: pid or memory")
+		policy    = flag.String("policy", "pid", "multi-GPU allocation policy: pid, memory or utilization")
 		runtime   = flag.String("runtime", "", "container runtime: docker, singularity, or empty for bare metal")
 		threads   = flag.Int("threads", 4, "tool thread count")
 		batches   = flag.Int("batches", 1, "cudapoa batches (racon)")
@@ -50,16 +50,9 @@ func run() error {
 	)
 	flag.Parse()
 
-	var pol core.Policy
-	switch *policy {
-	case "pid":
-		pol = core.PolicyPID
-	case "memory":
-		pol = core.PolicyMemory
-	case "utilization":
-		pol = core.PolicyUtilization
-	default:
-		return fmt.Errorf("unknown policy %q (have pid, memory, utilization)", *policy)
+	pol, err := core.ParsePolicy(*policy)
+	if err != nil {
+		return err
 	}
 
 	g := galaxy.New(nil, galaxy.WithPolicy(pol))

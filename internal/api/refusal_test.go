@@ -11,13 +11,14 @@ import (
 	"gyan/internal/workload"
 )
 
-// refusedProbes are three submissions their wrappers refuse: a scale that is
+// refusedProbes are four submissions their wrappers refuse: a scale that is
 // no float, a misspelt key beside a model the bonito wrapper does not offer,
-// and seqstats (fasta) over the fast5 squiggle set.
+// seqstats (fasta) over the fast5 squiggle set, and racon with zero threads.
 var refusedProbes = []map[string]any{
 	{"tool": "bonito", "dataset": "squiggles", "params": map[string]string{"scale": "abc"}},
 	{"tool": "bonito", "dataset": "squiggles", "params": map[string]string{"scael": "0.001", "model": "nonexistent"}},
 	{"tool": "seqstats", "dataset": "squiggles"},
+	{"tool": "racon", "dataset": "reads", "params": map[string]string{"threads": "0"}},
 }
 
 func testSquiggles(t *testing.T) *workload.SquiggleSet {
@@ -57,6 +58,7 @@ func TestPostJobsRefusesWhatTheWrapperRefuses(t *testing.T) {
 	}
 	s := NewServer(g)
 	s.RegisterDataset("squiggles", testSquiggles(t))
+	s.RegisterDataset("reads", testReads(t))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

@@ -12,9 +12,9 @@ import (
 	"gyan/internal/workload"
 )
 
-func testServer(t *testing.T) *httptest.Server {
+func testServer(t *testing.T, opts ...galaxy.Option) *httptest.Server {
 	t.Helper()
-	g := galaxy.New(nil)
+	g := galaxy.New(nil, opts...)
 	if err := g.RegisterDefaultTools(); err != nil {
 		t.Fatal(err)
 	}

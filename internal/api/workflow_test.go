@@ -9,6 +9,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"gyan/internal/faults"
+	"gyan/internal/galaxy"
 )
 
 // postWorkflow posts a POST /api/workflows body and returns the status and
@@ -115,11 +118,14 @@ func TestWorkflowEndpointErrors(t *testing.T) {
 // wrapper (the paper's Code 3) bounds none of its integers, so a thread
 // count racon itself refuses passes the submit check and fails the step.
 func TestWorkflowEndpointFailingStepIs422(t *testing.T) {
-	ts := testServer(t)
+	ts := testServer(t, galaxy.WithFaultPlan(faults.NewPlan(1, faults.Rule{
+		Match: faults.Match{Op: faults.OpExec, Job: 1},
+		Fault: faults.Fault{Class: faults.Permanent, Msg: "ECC uncorrectable"},
+	})))
 	status, wf := postWorkflow(t, ts, map[string]any{
 		"name": "fails",
 		"steps": []map[string]any{
-			{"tool": "racon", "dataset": "alzheimers_nfl", "params": map[string]string{"threads": "0"}},
+			{"tool": "racon", "dataset": "alzheimers_nfl", "params": fastRacon},
 			{"tool": "racon", "chain_backbone": true, "params": fastRacon},
 		},
 	})
@@ -135,8 +141,9 @@ func TestWorkflowEndpointFailingStepIs422(t *testing.T) {
 		t.Errorf("422 body = %v", wf)
 	}
 	jobs := wf["jobs"].([]any)
-	if len(jobs) != 1 || jobs[0].(map[string]any)["state"] != "error" {
-		t.Errorf("jobs = %v, want the one failed step", jobs)
+	// A permanent fault dead-letters the step.
+	if len(jobs) != 1 || jobs[0].(map[string]any)["state"] != "dead_letter" {
+		t.Errorf("jobs = %v, want the one dead-lettered step", jobs)
 	}
 }
 

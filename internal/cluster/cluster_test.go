@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"gyan/internal/core"
 	"gyan/internal/sched"
 	"gyan/internal/workload"
 )
@@ -238,6 +240,49 @@ func TestSurveyAggregatesAllHandlers(t *testing.T) {
 	}
 	if sv[0].Alive != true {
 		t.Fatal("survivor lost its survey")
+	}
+}
+
+// TestMemberPlacesByItsPolicy: Sched.Policy ranks a member's devices. On
+// every member GPU 0 holds one foreign 4 GiB process and GPU 1 two of
+// 100 MiB, so a routed 1-GPU job runs on GPU 0 by process count and on
+// GPU 1 by memory.
+func TestMemberPlacesByItsPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		policy core.Policy
+		want   []int
+	}{
+		{core.PolicyPID, []int{0}},
+		{core.PolicyMemory, []int{1}},
+	} {
+		c := newTestCluster(t, 2, func(cfg *SimConfig) { cfg.Sched.Policy = tc.policy })
+		for _, n := range c.nodes {
+			for minor, mibs := range [][]int64{{4096}, {100, 100}} {
+				d, err := n.g.Cluster.Device(minor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, mib := range mibs {
+					pid := n.g.Cluster.NextPID()
+					d.Attach(pid, "foreign")
+					if err := d.Alloc(pid, mib<<20); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		ref, err := c.Submit("racon", map[string]string{"scale": "0.002"}, "reads", SubmitOptions{User: "u"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run(time.Hour)
+		_, job, ok := c.Lookup(ref.Key)
+		if !ok {
+			t.Fatalf("%v: key %d untracked", tc.policy, ref.Key)
+		}
+		if job.State != "ok" || !slices.Equal(job.Devices, tc.want) {
+			t.Errorf("%v: job %s on GPU(s) %v (%s), want ok on %v", tc.policy, job.State, job.Devices, job.Info, tc.want)
+		}
 	}
 }
 

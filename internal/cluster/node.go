@@ -71,7 +71,8 @@ type Config struct {
 	// which waits for the fsync of every submit and ownership record; nothing
 	// reads this.
 	Journal journal.Options
-	// Sched configures the member's batch scheduler.
+	// Sched configures the member's batch scheduler; its Policy is also the
+	// member's mapping policy (galaxy.WithPolicy).
 	Sched sched.Config
 	// Tools registers tool bindings on the member's Galaxy; default
 	// RegisterDefaultTools.
@@ -199,7 +200,8 @@ func newNode(cfg Config, reg *obs.Registry) (*Node, error) {
 		return nil, err
 	}
 	dir := filepath.Join(cfg.Dir, id)
-	gopts := []galaxy.Option{galaxy.WithScheduler(sched.New(cfg.Sched))}
+	// The member's mapper and its scheduler rank devices by one policy.
+	gopts := []galaxy.Option{galaxy.WithScheduler(sched.New(cfg.Sched)), galaxy.WithPolicy(cfg.Sched.Policy)}
 	if cfg.Incarnation > 1 {
 		// A rejoining incarnation reopens its old journal directory. Its
 		// previous life's non-terminal work belongs to the survivors who

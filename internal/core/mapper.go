@@ -49,17 +49,40 @@ const (
 	PolicyUtilization
 )
 
+// policyNames are the policies' flag spellings, indexed by Policy.
+var policyNames = [...]string{PolicyPID: "pid", PolicyMemory: "memory", PolicyUtilization: "utilization"}
+
 // String implements fmt.Stringer.
 func (p Policy) String() string {
+	if p >= 0 && int(p) < len(policyNames) {
+		return policyNames[p]
+	}
+	return fmt.Sprintf("Policy(%d)", int(p))
+}
+
+// ParsePolicy returns the policy a name (pid, memory or utilization) spells.
+func ParsePolicy(name string) (Policy, error) {
+	for p, n := range policyNames {
+		if n == name {
+			return Policy(p), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (have %s)", name, strings.Join(policyNames[:], ", "))
+}
+
+// Score ranks device minor under survey u; lower is preferred. It is the one
+// definition of each policy's ranking: Allocate's memory and utilization
+// branches and the batch scheduler's gang choice both take the lowest
+// (score, minor). PID scores the resident processes, memory the used MiB,
+// utilization the SM percentage.
+func (p Policy) Score(minor int, u smi.Usage) float64 {
 	switch p {
-	case PolicyPID:
-		return "pid"
 	case PolicyMemory:
-		return "memory"
+		return float64(u.UsedMemMiBByGPU[minor])
 	case PolicyUtilization:
-		return "utilization"
+		return float64(u.UtilPctByGPU[minor])
 	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
+		return float64(len(u.ProcsByGPU[minor]))
 	}
 }
 
@@ -133,7 +156,7 @@ func (m *Mapper) Map(tool *toolxml.Tool, conf *jobconf.Config, survey smi.Usage)
 		Destination:    d,
 		GPUEnabled:     true,
 		Devices:        devices,
-		VisibleDevices: joinInts(devices),
+		VisibleDevices: VisibleDevices(devices),
 		Reason:         reason,
 	}, nil
 }
@@ -164,13 +187,19 @@ func (m *Mapper) Allocate(req toolxml.Requirement, survey smi.Usage) ([]int, str
 		why = fmt.Sprintf("requested GPU(s) %v busy", requested)
 	}
 	switch m.Policy {
-	case PolicyMemory:
-		dev := survey.MinMemoryGPU()
-		return []int{dev}, fmt.Sprintf("memory policy: %s; GPU %d has minimum memory usage", why, dev), nil
-	case PolicyUtilization:
-		dev := survey.MinUtilizationGPU()
-		return []int{dev}, fmt.Sprintf("utilization policy: %s; GPU %d has minimum SM utilization", why, dev), nil
-	default: // PolicyPID
+	case PolicyMemory, PolicyUtilization:
+		dev := survey.AllGPUs[0] // AllGPUs ascends, so a tie keeps the lower minor
+		for _, d := range survey.AllGPUs[1:] {
+			if m.Policy.Score(d, survey) < m.Policy.Score(dev, survey) {
+				dev = d
+			}
+		}
+		what := "memory usage"
+		if m.Policy == PolicyUtilization {
+			what = "SM utilization"
+		}
+		return []int{dev}, fmt.Sprintf("%s policy: %s; GPU %d has minimum %s", m.Policy, why, dev, what), nil
+	default: // PolicyPID: Pseudocode 2's available list, not a ranking
 		if len(survey.AvailableGPUs) > 0 {
 			avail := append([]int(nil), survey.AvailableGPUs...)
 			sort.Ints(avail)
@@ -200,7 +229,8 @@ func containsInt(xs []int, want int) bool {
 	return false
 }
 
-func joinInts(xs []int) string {
+// VisibleDevices renders minor IDs as a CUDA_VISIBLE_DEVICES value.
+func VisibleDevices(xs []int) string {
 	parts := make([]string, len(xs))
 	for i, x := range xs {
 		parts[i] = strconv.Itoa(x)

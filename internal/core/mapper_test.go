@@ -219,6 +219,60 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+// ParsePolicy reads back every name String writes, and an unknown name's
+// error lists all three.
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []Policy{PolicyPID, PolicyMemory, PolicyUtilization} {
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	_, err := ParsePolicy("fifo")
+	if err == nil || !strings.Contains(err.Error(), "pid, memory, utilization") {
+		t.Errorf("ParsePolicy(fifo) error = %v, want one naming pid, memory, utilization", err)
+	}
+}
+
+// TestAllocatePicksLowestScoreThenMinor: with no device preference, the
+// memory and utilization policies place on the device with the lowest
+// reading, ties going to the lower minor, over every 3-GPU survey whose
+// readings take three values (so ties are common). Utilization runs against
+// memory, so the two policies disagree; PID's Score is the process count.
+func TestAllocatePicksLowestScoreThenMinor(t *testing.T) {
+	for combo := 0; combo < 27; combo++ {
+		u := smi.Usage{
+			AllGPUs:         []int{0, 1, 2},
+			ProcsByGPU:      map[int][]int{},
+			UsedMemMiBByGPU: map[int]int64{},
+			UtilPctByGPU:    map[int]int{},
+		}
+		want := map[Policy]int{PolicyMemory: 0, PolicyUtilization: 0}
+		for m, c := 0, combo; m < 3; m, c = m+1, c/3 {
+			u.ProcsByGPU[m] = make([]int, c%3)
+			u.UsedMemMiBByGPU[m] = int64(c%3) * 100
+			u.UtilPctByGPU[m] = (2 - c%3) * 30
+			if u.UsedMemMiBByGPU[m] < u.UsedMemMiBByGPU[want[PolicyMemory]] {
+				want[PolicyMemory] = m
+			}
+			if u.UtilPctByGPU[m] < u.UtilPctByGPU[want[PolicyUtilization]] {
+				want[PolicyUtilization] = m
+			}
+			if got := PolicyPID.Score(m, u); got != float64(c%3) {
+				t.Errorf("pid score of GPU %d = %v, want its %d processes", m, got, c%3)
+			}
+		}
+		for p, w := range want {
+			got, _, err := (&Mapper{Policy: p}).Allocate(gpuReq(""), u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0] != w {
+				t.Errorf("%v over survey %d: allocated %v, want [%d]", p, combo, got, w)
+			}
+		}
+	}
+}
+
 // utilScenario builds a cluster where the two pressure signals disagree:
 // GPU 0 is idle but holds a large allocation; GPU 1 is compute-busy with a
 // small footprint.

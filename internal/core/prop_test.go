@@ -135,7 +135,7 @@ func propCheck(t *testing.T, name string, policy Policy, devs []propDevice, requ
 		}
 	default:
 		if err != nil || !dec.GPUEnabled || !reflect.DeepEqual(dec.Devices, want) ||
-			dec.VisibleDevices != joinInts(want) || dec.Destination.ID != "local_gpu" {
+			dec.VisibleDevices != VisibleDevices(want) || dec.Destination.ID != "local_gpu" {
 			t.Fatalf("%s: Map gave %+v, %v; want devices %v on the GPU destination", ctx, dec, err, want)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"gyan/internal/core"
 	"gyan/internal/faults"
 	"gyan/internal/journal"
 )
@@ -441,7 +442,7 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail, opts RecoverOptions
 		}
 		job.GPUEnabled = h.Start.GPUEnabled
 		job.Devices = h.Start.Devices
-		job.VisibleDevices = deviceList(h.Start.Devices)
+		job.VisibleDevices = core.VisibleDevices(h.Start.Devices)
 	}
 	// Resolve the dataset opportunistically even for terminal jobs, so an
 	// admin resubmit of a recovered dead-letter has a payload to run.

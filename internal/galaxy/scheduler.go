@@ -2,8 +2,6 @@ package galaxy
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"gyan/internal/core"
@@ -174,7 +172,7 @@ func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.D
 		Destination:    dest,
 		GPUEnabled:     true,
 		Devices:        st.Devices,
-		VisibleDevices: deviceList(st.Devices),
+		VisibleDevices: core.VisibleDevices(st.Devices),
 		Reason:         st.Reason,
 	}
 	g.obsv.Granted(job.ID, now)
@@ -195,13 +193,4 @@ func (g *Galaxy) recordQueueLocked(now time.Duration) {
 		return
 	}
 	g.sched.RecordDepth(now)
-}
-
-// deviceList renders minor IDs as a CUDA_VISIBLE_DEVICES value.
-func deviceList(devices []int) string {
-	parts := make([]string, len(devices))
-	for i, d := range devices {
-		parts[i] = strconv.Itoa(d)
-	}
-	return strings.Join(parts, ",")
 }

@@ -13,8 +13,10 @@
 //   - Gang allocation: multi-GPU requests are all-or-nothing. A job asking
 //     for two devices either gets two exclusive devices or stays queued; it
 //     is never started on a partial set. Among free candidates the devices
-//     with the fewest resident processes in the nvidia-smi survey win —
-//     the signal behind core.Mapper.Allocate's "Process ID Approach".
+//     the active core.Policy scores lowest in the nvidia-smi survey win —
+//     the same ranking core.Mapper.Allocate applies (resident processes
+//     under PID, used memory under memory, SM utilization under
+//     utilization).
 //
 //   - Backfill with a head-of-line reservation: when the highest-priority
 //     job cannot start, it receives a reservation for the earliest instant
@@ -39,6 +41,7 @@ import (
 	"sort"
 	"time"
 
+	"gyan/internal/core"
 	"gyan/internal/smi"
 )
 
@@ -65,7 +68,7 @@ type Request struct {
 	// (a workflow step's upstream outputs). With Config.LocalityBonus set,
 	// gang allocation discounts these devices' scores so placement lands
 	// where the data lives; without the bonus the hint is ignored and the
-	// process count decides alone (locality-blind).
+	// policy's score decides alone (locality-blind).
 	Prefer []int
 }
 
@@ -76,10 +79,12 @@ const defaultEstRuntime = 30 * time.Second
 // lower scores are preferred.
 type scorer func(minor int, u smi.Usage) float64
 
-// processCount prefers devices with the fewest resident processes — the
-// survey signal behind the paper's "Process ID Approach".
-func processCount(minor int, u smi.Usage) float64 {
-	return float64(len(u.ProcsByGPU[minor]))
+// policyScores holds each policy's Score as a scorer, made once, so picking
+// a gang allocates no method value.
+var policyScores = [...]scorer{
+	core.PolicyPID:         core.PolicyPID.Score,
+	core.PolicyMemory:      core.PolicyMemory.Score,
+	core.PolicyUtilization: core.PolicyUtilization.Score,
 }
 
 // Config tunes a Scheduler.
@@ -91,10 +96,15 @@ type Config struct {
 	// LocalityBonus is subtracted from a device's score when the request's
 	// Prefer list names it, pulling workflow steps onto the devices that
 	// already hold their inputs. Zero disables locality-aware placement.
-	// Scores are process counts, so a bonus comfortably above their range
-	// (e.g. 1e6) makes locality dominate; a small bonus only breaks
-	// near-ties.
+	// Score units depend on the policy (processes under PID, MiB under
+	// memory, percent under utilization); a bonus comfortably above any of
+	// their ranges (e.g. 1e6) makes locality dominate, and a small one
+	// (e.g. 0.5) only breaks ties.
 	LocalityBonus float64
+	// Policy ranks free devices for a gang (core.Policy.Score); it must be
+	// one of core's three policies. The zero value is PID: fewest resident
+	// processes first.
+	Policy core.Policy
 }
 
 // entry is one queued job.
@@ -401,16 +411,18 @@ func pickGang(candidates []int, n int, score scorer, u smi.Usage) []int {
 	return gang
 }
 
-// scorerFor wraps the process count with the request's locality preference:
-// preferred devices' scores drop by LocalityBonus, so pickGang's (score,
-// minor) ordering visits them first when the bonus outweighs the count.
+// scorerFor wraps the policy's score with the request's locality
+// preference: preferred devices' scores drop by LocalityBonus, so pickGang's
+// (score, minor) ordering visits them first when the bonus outweighs the
+// score.
 func (s *Scheduler) scorerFor(req Request) scorer {
+	base := policyScores[s.cfg.Policy]
 	if s.cfg.LocalityBonus <= 0 || len(req.Prefer) == 0 {
-		return processCount
+		return base
 	}
 	prefer := toSet(req.Prefer)
 	return func(minor int, u smi.Usage) float64 {
-		score := processCount(minor, u)
+		score := base(minor, u)
 		if prefer[minor] {
 			score -= s.cfg.LocalityBonus
 		}

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"gyan/internal/core"
 	"gyan/internal/smi"
 )
 
@@ -281,5 +283,32 @@ func TestLocalityBonusOnlyBreaksTiesWhenSmall(t *testing.T) {
 	dec := s.Cycle(0, u)
 	if len(dec.Starts) != 1 || dec.Starts[0].Devices[0] != 0 {
 		t.Fatalf("starts = %+v, want the idle device 0 over the loaded preferred one", dec.Starts)
+	}
+}
+
+// TestPolicyRanksGangs: the configured policy picks the gang where the
+// policies disagree. GPU 0 holds one foreign 4 GiB process and GPU 1 two of
+// 100 MiB; neither reports SM load, so utilization ties to the lower minor.
+func TestPolicyRanksGangs(t *testing.T) {
+	u := usageOf(2)
+	u.AvailableGPUs = nil
+	u.ProcsByGPU[0] = []int{101}
+	u.ProcsByGPU[1] = []int{102, 103}
+	u.UsedMemMiBByGPU[0] = 4096
+	u.UsedMemMiBByGPU[1] = 200
+	for _, tc := range []struct {
+		policy core.Policy
+		want   []int
+	}{
+		{core.PolicyPID, []int{0}},
+		{core.PolicyMemory, []int{1}},
+		{core.PolicyUtilization, []int{0}},
+	} {
+		s := New(Config{Backfill: true, Policy: tc.policy})
+		mustSubmit(t, s, Request{ID: 1, User: "a", GPUs: 1}, 0)
+		dec := s.Cycle(0, u)
+		if len(dec.Starts) != 1 || !slices.Equal(dec.Starts[0].Devices, tc.want) {
+			t.Errorf("%v: starts %+v, want job 1 on %v", tc.policy, dec.Starts, tc.want)
+		}
 	}
 }

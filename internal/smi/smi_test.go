@@ -123,15 +123,6 @@ func TestUsageFromXMLClassifiesAvailability(t *testing.T) {
 	if len(u.ProcsByGPU[1]) != 1 {
 		t.Fatalf("ProcsByGPU[1] = %v, want one racon pid", u.ProcsByGPU[1])
 	}
-	if got := u.MinMemoryGPU(); got != 0 {
-		t.Fatalf("MinMemoryGPU = %d, want 0", got)
-	}
-}
-
-func TestUsageMinMemoryEmptySurvey(t *testing.T) {
-	if got := (Usage{}).MinMemoryGPU(); got != -1 {
-		t.Fatalf("MinMemoryGPU on empty survey = %d, want -1", got)
-	}
 }
 
 func TestConsoleRendersFig10Scenario(t *testing.T) {

@@ -104,31 +104,3 @@ func (u Usage) Available(minor int) bool {
 	}
 	return false
 }
-
-// MinMemoryGPU returns the minor ID with the smallest used framebuffer,
-// breaking ties toward the lower minor ID. It returns -1 for an empty
-// survey.
-func (u Usage) MinMemoryGPU() int {
-	best, bestMem := -1, int64(0)
-	for _, m := range u.AllGPUs {
-		mem := u.UsedMemMiBByGPU[m]
-		if best == -1 || mem < bestMem {
-			best, bestMem = m, mem
-		}
-	}
-	return best
-}
-
-// MinUtilizationGPU returns the minor ID with the lowest reported SM
-// utilization, breaking ties toward the lower minor ID. It returns -1 for
-// an empty survey.
-func (u Usage) MinUtilizationGPU() int {
-	best, bestUtil := -1, 0
-	for _, m := range u.AllGPUs {
-		util := u.UtilPctByGPU[m]
-		if best == -1 || util < bestUtil {
-			best, bestUtil = m, util
-		}
-	}
-	return best
-}

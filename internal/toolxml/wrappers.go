@@ -20,7 +20,9 @@ const RaconMacrosXML = `<macros>
 `
 
 // RaconToolXML is the paper's Code 3: the racon.xml wrapper whose command
-// block switches executables on __galaxy_gpu_enabled__.
+// block switches executables on __galaxy_gpu_enabled__. The command block is
+// verbatim; threads and batches gain min="1" so a submit is refused where
+// racon itself would refuse the value.
 const RaconToolXML = `<tool id="racon" name="Racon" version="1.4.20">
   <description>Consensus module for raw de novo DNA assembly of long uncorrected reads</description>
   <macros>
@@ -38,8 +40,8 @@ const RaconToolXML = `<tool id="racon" name="Racon" version="1.4.20">
 #end if
   </command>
   <inputs>
-    <param name="threads" type="integer" value="4" label="CPU threads"/>
-    <param name="batches" type="integer" value="1" label="cudapoa batches"/>
+    <param name="threads" type="integer" value="4" min="1" label="CPU threads"/>
+    <param name="batches" type="integer" value="1" min="1" label="cudapoa batches"/>
     <param name="banding_flag" type="text" value="" label="banding approximation flag"/>
     <param name="reads" type="data" label="Reads (FASTA/FASTQ)"/>
     <param name="overlaps" type="data" label="Overlaps (PAF/SAM)"/>
