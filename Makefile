@@ -97,10 +97,11 @@ quick-golden:
 # a handler that takes a dead handler's journal lock adopts and runs its
 # queued job, and the differential recovery oracle (a journal written with
 # the retired map records spliced back in recovers to the same report and the
-# same jobs).
+# same jobs), and a job pinned to a device by the user's version tag still
+# runs on that device after the crash.
 test-crash:
 	$(call run_selected,./internal/experiments,TestCrashRecovery)
-	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLockHolderAdoptsDeadHandlersJobs|TestRecoverSplicedMapRecords)
+	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLockHolderAdoptsDeadHandlersJobs|TestRecoverSplicedMapRecords|TestRecoverKeepsDevicePin)
 
 # hammer-api is the -race hammer for the single server's real handler:
 # concurrent POST /api/jobs of the http_jobs mix against every read endpoint

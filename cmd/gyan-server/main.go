@@ -298,8 +298,6 @@ func runClusterTCP(cfg tcpConfig) error {
 }
 
 func run(addr string, pol core.Policy, seed uint64, journalDir, handler string, pprofOn bool) error {
-	// Datasets come first: recovery needs them by name to requeue journaled
-	// jobs, and the API registers the same instances afterwards.
 	datasets, err := loadWorkloads(seed)
 	if err != nil {
 		return err
@@ -330,12 +328,15 @@ func run(addr string, pol core.Policy, seed uint64, journalDir, handler string, 
 	if err := g.RegisterGenomicsTools(); err != nil {
 		return err
 	}
+	// Datasets are registered once, on the engine, before recovery: the
+	// requeue re-resolves journaled names from the same registry the API
+	// resolves requests from.
+	for name, ds := range datasets {
+		g.RegisterDataset(name, ds)
+	}
 	if journalDir != "" {
 		if len(recs) > 0 || rerr != nil {
-			rep, err := g.Recover(recs, rerr, galaxy.RecoverOptions{
-				Datasets:     datasets,
-				RestartDelay: time.Second,
-			})
+			rep, err := g.Recover(recs, rerr, galaxy.RecoverOptions{RestartDelay: time.Second})
 			if err != nil {
 				return err
 			}
@@ -354,15 +355,11 @@ func run(addr string, pol core.Policy, seed uint64, journalDir, handler string, 
 		}
 		log.Printf("journaling to %s as handler %q", journalDir, handler)
 	}
-	return serve(addr, pol, g, datasets, pprofOn)
+	return serve(addr, pol, g, pprofOn)
 }
 
-func serve(addr string, pol core.Policy, g *galaxy.Galaxy, datasets map[string]any, pprofOn bool) error {
-	s := api.NewServer(g)
-	for name, ds := range datasets {
-		s.RegisterDataset(name, ds)
-	}
-	handler := s.Handler()
+func serve(addr string, pol core.Policy, g *galaxy.Galaxy, pprofOn bool) error {
+	handler := api.NewServer(g).Handler()
 	if pprofOn {
 		// The API handler is a bare ServeMux, not http.DefaultServeMux, so
 		// the pprof routes are mounted explicitly rather than via the

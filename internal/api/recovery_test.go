@@ -177,15 +177,14 @@ func TestRecoveryEndpointAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g2.RegisterDataset("reads", rs)
 	if _, err := g2.Recover(recs, rerr, galaxy.RecoverOptions{
-		Datasets:     map[string]any{"reads": rs},
 		RestartDelay: time.Minute,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	g2.Run()
 	s2 := NewServer(g2)
-	s2.RegisterDataset("reads", rs)
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 

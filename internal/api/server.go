@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,30 +30,22 @@ import (
 
 // Server wraps a Galaxy instance. Create with NewServer, mount Handler.
 type Server struct {
-	mu       sync.Mutex
-	g        *galaxy.Galaxy
-	mon      *monitor.Monitor
-	datasets map[string]any
+	mu  sync.Mutex
+	g   *galaxy.Galaxy
+	mon *monitor.Monitor
 }
 
-// NewServer wraps g. Datasets submitted by name must be registered with
-// RegisterDataset first.
+// NewServer wraps g. A request names its dataset, which the engine's
+// registry (galaxy.RegisterDataset) resolves.
 func NewServer(g *galaxy.Galaxy) *Server {
-	s := &Server{
-		g:        g,
-		mon:      monitor.New(g.Cluster),
-		datasets: make(map[string]any),
-	}
+	s := &Server{g: g, mon: monitor.New(g.Cluster)}
 	s.installGPUGauges()
 	return s
 }
 
-// RegisterDataset makes a dataset submittable by name.
-func (s *Server) RegisterDataset(name string, dataset any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.datasets[name] = dataset
-}
+// RegisterDataset makes a dataset submittable by name: it registers it on
+// the engine (galaxy.RegisterDataset).
+func (s *Server) RegisterDataset(name string, dataset any) { s.g.RegisterDataset(name, dataset) }
 
 // Handler returns the route table.
 func (s *Server) Handler() http.Handler {
@@ -124,6 +115,10 @@ func methodNotAllowed(w http.ResponseWriter, allowed ...string) {
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		methodNotAllowed(w, http.MethodGet)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]string{
 		"name":    "gyan",
 		"version": "1.0",
@@ -170,14 +165,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.datasets))
-	for name := range s.datasets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	writeJSON(w, http.StatusOK, names)
+	writeJSON(w, http.StatusOK, s.g.Datasets())
 }
 
 // submitRequest is the POST /api/jobs body.
@@ -271,7 +259,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		if !durable(w, s.g.JournalError()) {
 			return
 		}
-		dataset, ok := s.datasets[req.Dataset]
+		dataset, ok := s.g.Dataset(req.Dataset)
 		if !ok {
 			writeErr(w, http.StatusBadRequest, "unknown dataset %q", req.Dataset)
 			return
@@ -626,7 +614,7 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 			Options:     galaxy.SubmitOptions{Runtime: sr.Runtime, GPURequest: sr.GPURequest},
 		}
 		if sr.Dataset != "" {
-			dataset, ok := s.datasets[sr.Dataset]
+			dataset, ok := s.g.Dataset(sr.Dataset)
 			if !ok {
 				writeErr(w, http.StatusBadRequest, "step %d: unknown dataset %q", i, sr.Dataset)
 				return

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -337,30 +338,52 @@ func TestHistoryEndpoint(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	ts := testServer(t)
-	for _, path := range []string{"/api/tools", "/api/datasets", "/api/monitor", "/api/smi", "/metrics"} {
-		resp, err := http.Post(ts.URL+path, "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("POST %s status %d", path, resp.StatusCode)
-		}
-		if allow := resp.Header.Get("Allow"); allow != http.MethodGet {
-			t.Errorf("POST %s: Allow header %q, want GET", path, allow)
-		}
+	// Every route of the single server, with every verb it does not serve:
+	// each answers 405 and names the verbs it does serve.
+	routes := []struct {
+		path    string
+		allowed []string
+	}{
+		{"/api/version", []string{http.MethodGet}},
+		{"/api/tools", []string{http.MethodGet}},
+		{"/api/datasets", []string{http.MethodGet}},
+		{"/api/jobs", []string{http.MethodGet, http.MethodPost}},
+		{"/api/jobs/1", []string{http.MethodGet}},
+		{"/api/jobs/1/resubmit", []string{http.MethodPost}},
+		{"/api/jobs/1/trace", []string{http.MethodGet}},
+		{"/api/smi", []string{http.MethodGet}},
+		{"/api/monitor", []string{http.MethodGet}},
+		{"/api/faults", []string{http.MethodGet}},
+		{"/api/history", []string{http.MethodGet}},
+		{"/api/workflows", []string{http.MethodGet, http.MethodPost}},
+		{"/api/workflows/1", []string{http.MethodGet}},
+		{"/api/recovery", []string{http.MethodGet, http.MethodPost}},
+		{"/api/trace/1", []string{http.MethodGet}},
+		{"/metrics", []string{http.MethodGet}},
 	}
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/jobs", nil)
-	if err != nil {
-		t.Fatal(err)
+	verbs := []string{
+		http.MethodGet, http.MethodPost, http.MethodPut,
+		http.MethodDelete, http.MethodPatch,
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if allow := resp.Header.Get("Allow"); resp.StatusCode != http.StatusMethodNotAllowed || allow != "GET, POST" {
-		t.Errorf("DELETE /api/jobs: status %d, Allow %q, want 405 and GET, POST", resp.StatusCode, allow)
+	for _, rt := range routes {
+		for _, verb := range verbs {
+			if slices.Contains(rt.allowed, verb) {
+				continue
+			}
+			req, err := http.NewRequest(verb, ts.URL+rt.path, strings.NewReader("{}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			want := strings.Join(rt.allowed, ", ")
+			if allow := resp.Header.Get("Allow"); resp.StatusCode != http.StatusMethodNotAllowed || allow != want {
+				t.Errorf("%s %s: status %d, Allow %q, want 405 and %s", verb, rt.path, resp.StatusCode, allow, want)
+			}
+		}
 	}
 }
 

@@ -198,7 +198,7 @@ func (n *Node) onAEReply(msg transport.Message, now time.Duration) {
 		if n.ring.OwnerOfKey(pd.key) != n.id {
 			continue
 		}
-		n.requeueDeadKey(pd.victim, pd.jobID, pd.submit, pd.key)
+		n.requeueDeadKey(pd.victim, pd.submit, pd.key)
 		n.met.aeRepairs.With(n.id, "orphaned_prepare").Inc()
 	}
 }

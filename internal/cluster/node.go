@@ -131,11 +131,10 @@ type Node struct {
 	mu sync.Mutex
 	// down is set by a crash or Close: the journal is gone and the engine
 	// never runs again.
-	down     bool
-	now      time.Duration
-	ring     *Ring
-	nextKey  uint64
-	datasets map[string]any
+	down    bool
+	now     time.Duration
+	ring    *Ring
+	nextKey uint64
 	// assign is this member's belief about who owns each key it has handled;
 	// jobs is the local job behind every key that ever lived here.
 	assign map[uint64]string
@@ -235,12 +234,11 @@ func newNode(cfg Config, reg *obs.Registry) (*Node, error) {
 	}
 	n := &Node{
 		cfg: cfg, id: id, g: g, jr: jr, bus: cfg.Bus, met: newMetrics(reg),
-		ring:     ring,
-		nextKey:  cfg.KeyOffset,
-		datasets: make(map[string]any),
-		assign:   make(map[uint64]string),
-		jobs:     make(map[uint64]*galaxy.Job),
-		dead:     make(map[string]map[uint64]bool),
+		ring:    ring,
+		nextKey: cfg.KeyOffset,
+		assign:  make(map[uint64]string),
+		jobs:    make(map[uint64]*galaxy.Job),
+		dead:    make(map[string]map[uint64]bool),
 		// Every member seeds its own RNG stream and boots with a full lease
 		// for each peer (the detector's grace period).
 		proto: newProtoState(cfg.Seed^(0x9e3779b97f4a7c15*uint64(self+1)), cfg.Members, id, cfg.MemberTTL),
@@ -296,15 +294,12 @@ func (n *Node) alive() bool {
 // Registry returns the member's handler-labeled metrics registry.
 func (n *Node) Registry() *obs.Registry { return n.met.reg }
 
-// RegisterDataset names a payload for routed submissions. Rebalancing and
-// serialized steals re-resolve datasets by name from this registry (payloads
-// never touch a journal or the wire), so jobs must be submitted with a
-// registered name, registered on every member.
-func (n *Node) RegisterDataset(name string, payload any) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.datasets[name] = payload
-}
+// RegisterDataset names a payload in the member's engine registry
+// (galaxy.RegisterDataset). Routed submissions, rebalancing and steals
+// resolve datasets by name there (payloads never touch a journal or the
+// wire), so a name must be registered on every member a job may land on: a
+// thief that lacks it refuses the steal.
+func (n *Node) RegisterDataset(name string, payload any) { n.g.RegisterDataset(name, payload) }
 
 // Now returns the member's virtual time.
 func (n *Node) Now() time.Duration {
@@ -323,7 +318,7 @@ func (n *Node) Now() time.Duration {
 func (n *Node) Submit(tool string, params map[string]string, datasetName string, opts SubmitOptions) (JobRef, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ds, ok := n.datasets[datasetName]
+	ds, ok := n.g.Dataset(datasetName)
 	if !ok {
 		return JobRef{}, fmt.Errorf("cluster: unknown dataset %q", datasetName)
 	}

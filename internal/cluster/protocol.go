@@ -92,10 +92,12 @@ type rejoinAckBody struct {
 	Inc uint64
 }
 
+// prepareBody offers one job: T is its submit record on the victim, which
+// names its dataset; the thief resolves the payload from its own registry.
 type prepareBody struct {
 	Xfer uint64
 	Key  uint64
-	T    galaxy.TransferredJob
+	T    journal.Record
 }
 
 type acceptBody struct{ Xfer uint64 }
@@ -127,7 +129,7 @@ type outXfer struct {
 	jobID  int
 	key    uint64
 	thief  string
-	t      galaxy.TransferredJob
+	t      journal.Record
 	// aborting flips when the prepare retry budget is exhausted: from then
 	// on the victim pushes the abort exchange instead.
 	aborting bool
@@ -142,7 +144,6 @@ type deadPrepare struct {
 	victim string
 	xfer   uint64
 	key    uint64
-	jobID  int
 	submit journal.Record
 	thief  string
 }
@@ -166,9 +167,12 @@ type protoState struct {
 	renewedOnce bool
 	lastRenew   time.Duration
 
-	// Victim side: transfer-ID allocator and in-flight table.
-	nextXfer uint64
-	out      map[uint64]*outXfer
+	// Victim side: transfer-ID allocator and in-flight table. stealHold
+	// names the peers not to steal toward before the given time: ones that
+	// refused, or never accepted, the last transfer offered them.
+	nextXfer  uint64
+	out       map[uint64]*outXfer
+	stealHold map[string]time.Duration
 
 	// Thief side: per-transfer dedupe epochs ("accepted", "aborted",
 	// "refused") and the accepted transfers whose retire has not arrived.
@@ -193,6 +197,7 @@ func newProtoState(seed uint64, peers []string, self string, ttl time.Duration) 
 		rejoinAcks:  make(map[string]bool),
 		nextXfer:    1,
 		out:         make(map[uint64]*outXfer),
+		stealHold:   make(map[string]time.Duration),
 		inSeen:      make(map[inKey]string),
 		unretiredIn: make(map[inKey]uint64),
 		pendingDead: make(map[inKey]*deadPrepare),
@@ -395,7 +400,7 @@ func (n *Node) stealDecision(now time.Duration) {
 	var thief string
 	bestFree := 0
 	for _, p := range n.cfg.Members {
-		if p == n.id || m.deadSeen[p] {
+		if p == n.id || m.deadSeen[p] || now < m.stealHold[p] {
 			continue
 		}
 		gl, ok := m.gossip[p]
@@ -454,19 +459,21 @@ func (n *Node) onPrepare(msg transport.Message, now time.Duration) {
 		n.send(now, transport.MsgAbortAck, msg.From, abortAckBody{Xfer: body.Xfer})
 		return
 	}
-	if body.T.Dataset == nil && body.T.DatasetName != "" {
-		// Payloads never cross a serializing transport (Dataset is json:"-");
-		// re-resolve from this process's registry by name.
-		body.T.Dataset = n.datasets[body.T.DatasetName]
-	}
 	switch m.inSeen[k] {
 	case "accepted":
 		n.send(now, transport.MsgStealAccept, msg.From, acceptBody{Xfer: body.Xfer})
 	case "aborted", "refused":
 		n.send(now, transport.MsgAbortAck, msg.From, abortAckBody{Xfer: body.Xfer})
 	default:
-		job, err := n.g.AcceptTransfer(body.T)
-		if err != nil {
+		// A thief that cannot resolve the job's dataset by name refuses it,
+		// and the job stays on the victim, which has the payload.
+		_, known := n.g.Dataset(body.T.Dataset)
+		var job *galaxy.Job
+		var err error
+		if known {
+			job, err = n.g.AcceptTransfer(msg.From, body.T)
+		}
+		if !known || err != nil {
 			m.inSeen[k] = "refused"
 			n.send(now, transport.MsgAbortAck, msg.From, abortAckBody{Xfer: body.Xfer})
 			return
@@ -544,7 +551,12 @@ func (n *Node) onAbort(msg transport.Message, now time.Duration) {
 
 // onAbortAck resolves the victim's abort exchange: a refused abort
 // (the thief accepted first) retires; a confirmed one requeues locally at
-// original seniority.
+// original seniority. A thief that refused the prepare (it cannot resolve the
+// job's dataset, say) answers the same way. Either way the victim holds off
+// stealing toward it for one backoff base, so the requeued job meets at
+// least one local scheduling cycle before it can be offered again; without
+// the hold a victim would re-prepare it in the same pass, and a refusing
+// thief would keep it off every queue.
 func (n *Node) onAbortAck(msg transport.Message, now time.Duration) {
 	m := n.proto
 	body := msg.Body.(abortAckBody)
@@ -558,6 +570,7 @@ func (n *Node) onAbortAck(msg transport.Message, now time.Duration) {
 	}
 	n.g.AbortSteal(o.jobID, "thief never accepted the transfer")
 	delete(m.out, body.Xfer)
+	m.stealHold[o.thief] = now + n.stealBackoff().Base
 	n.met.aborts.With(n.id, o.thief).Inc()
 }
 
@@ -710,23 +723,20 @@ func (n *Node) declareDead(dead string, now time.Duration) bool {
 			continue // another claimer's stripe
 		}
 		if t.Prepared != nil {
-			n.parkOrphanedPrepare(dead, jid, t, key)
+			n.parkOrphanedPrepare(dead, t, key)
 			continue
 		}
-		n.requeueDeadKey(dead, jid, t.Submit, key)
+		n.requeueDeadKey(dead, t.Submit, key)
 	}
 	return true
 }
 
-// requeueDeadKey resubmits one of a dead member's jobs on this one,
-// at original seniority.
-func (n *Node) requeueDeadKey(dead string, jid int, sub journal.Record, key uint64) {
-	job, err := n.g.AcceptTransfer(galaxy.TransferredJob{
-		From: dead, FromJob: jid, ToolID: sub.Tool, Params: sub.Params,
-		Dataset: n.datasets[sub.Dataset], DatasetName: sub.Dataset,
-		Runtime: sub.Runtime, User: sub.User, Priority: sub.Priority,
-		GPUs: sub.GPUs, EstRuntime: sub.EstRuntime, Submitted: sub.Submitted,
-	})
+// requeueDeadKey resubmits one of a dead member's jobs on this one, from its
+// submit record in the dead journal, at original seniority. A job whose
+// dataset this member has not registered is accepted without a payload and
+// fails when it runs.
+func (n *Node) requeueDeadKey(dead string, sub journal.Record, key uint64) {
+	job, err := n.g.AcceptTransfer(dead, sub)
 	if err != nil {
 		return // registry mismatch; the audit will surface the key as lost
 	}
@@ -739,7 +749,7 @@ func (n *Node) requeueDeadKey(dead string, jid int, sub journal.Record, key uint
 // mid-transfer. If this member IS the tentative thief it resolves locally
 // from its own dedupe table; otherwise the anti-entropy sweep will query
 // the thief. A dead thief is resolved immediately from its archive.
-func (n *Node) parkOrphanedPrepare(dead string, jid int, t *journal.Trail, key uint64) {
+func (n *Node) parkOrphanedPrepare(dead string, t *journal.Trail, key uint64) {
 	m := n.proto
 	thief := t.Prepared.Handler
 	xfer := t.Prepared.Xfer
@@ -750,16 +760,16 @@ func (n *Node) parkOrphanedPrepare(dead string, jid int, t *journal.Trail, key u
 			return // already accepted and tracked under this member's trail
 		}
 		m.inSeen[k] = "refused" // fence any late duplicate prepare
-		n.requeueDeadKey(dead, jid, t.Submit, key)
+		n.requeueDeadKey(dead, t.Submit, key)
 		n.met.aeRepairs.With(n.id, "orphaned_prepare").Inc()
 		return
 	}
 	if m.deadSeen[thief] {
-		n.resolveOrphanAgainstDeadThief(dead, jid, t.Submit, key, thief)
+		n.resolveOrphanAgainstDeadThief(dead, t.Submit, key, thief)
 		return
 	}
 	m.pendingDead[k] = &deadPrepare{
-		victim: dead, xfer: xfer, key: key, jobID: jid, submit: t.Submit, thief: thief,
+		victim: dead, xfer: xfer, key: key, submit: t.Submit, thief: thief,
 	}
 }
 
@@ -768,11 +778,11 @@ func (n *Node) parkOrphanedPrepare(dead string, jid int, t *journal.Trail, key u
 // here): its replayed journal is the truth. An accepted transfer appears
 // there as a trail for the same key adopted from the victim; absent that,
 // the handoff never happened and the key requeues here.
-func (n *Node) resolveOrphanAgainstDeadThief(dead string, jid int, sub journal.Record, key uint64, thief string) {
+func (n *Node) resolveOrphanAgainstDeadThief(dead string, sub journal.Record, key uint64, thief string) {
 	if n.dead[thief][key] {
 		return // the thief accepted; its own claimer rehomes the key
 	}
-	n.requeueDeadKey(dead, jid, sub, key)
+	n.requeueDeadKey(dead, sub, key)
 	n.met.aeRepairs.With(n.id, "orphaned_prepare").Inc()
 }
 
@@ -813,6 +823,6 @@ func (n *Node) resolveDeadThief(dead string) {
 		if n.ring.OwnerOfKey(pd.key) != n.id {
 			continue
 		}
-		n.resolveOrphanAgainstDeadThief(pd.victim, pd.jobID, pd.submit, pd.key, dead)
+		n.resolveOrphanAgainstDeadThief(pd.victim, pd.submit, pd.key, dead)
 	}
 }

@@ -69,6 +69,7 @@ func crashGalaxy(opt Options, rs *workload.ReadSet, arrivals []time.Duration, ex
 	if err := g.RegisterDefaultTools(); err != nil {
 		return nil, nil, err
 	}
+	g.RegisterDataset("nfl", rs)
 	jobs := make([]*galaxy.Job, len(arrivals))
 	for i, at := range arrivals {
 		var err error
@@ -183,10 +184,7 @@ func runCrashRecovery(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := gB.Recover(recs, rerr, galaxy.RecoverOptions{
-		Datasets:     map[string]any{"nfl": rs},
-		RestartDelay: crashRestartDelay,
-	})
+	rep, err := gB.Recover(recs, rerr, galaxy.RecoverOptions{RestartDelay: crashRestartDelay})
 	if err != nil {
 		return nil, err
 	}

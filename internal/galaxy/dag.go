@@ -42,8 +42,9 @@ type DAGStep struct {
 	// the right default for simulated tool chains), or set Transform to
 	// derive it from the parents' results.
 	Dataset any
-	// DatasetName names the input in the server's dataset registry; it is
-	// journaled so crash recovery can re-resolve the payload.
+	// DatasetName names the input in the engine's dataset registry
+	// (RegisterDataset); it is journaled so crash recovery can re-resolve
+	// the payload.
 	DatasetName string
 	// Bytes is the input's size, feeding the locality staging model. Zero
 	// disables staging charges for the step.
@@ -215,6 +216,7 @@ func workflowRecord(wr *WorkflowRun, at time.Duration) journal.Record {
 			Dataset: s.DatasetName, HasDataset: s.HasDataset,
 			Runtime: s.Runtime, Priority: s.Priority, GPUs: s.GPUs,
 			EstRuntime: s.EstRuntime, Bytes: s.Bytes,
+			GPURequest: wr.defs[s.ID].Options.GPURequest,
 		})
 	}
 	return rec

@@ -26,8 +26,7 @@ import (
 
 // rebuildWorkflowsLocked rebuilds every journaled workflow. Caller holds
 // g.mu; jobs have already been materialized and requeued.
-func (g *Galaxy) rebuildWorkflowsLocked(hist *journal.History, rep *RecoveryReport,
-	opts RecoverOptions, now time.Duration) {
+func (g *Galaxy) rebuildWorkflowsLocked(hist *journal.History, rep *RecoveryReport, now time.Duration) {
 	// Index the materialized jobs by workflow/step identity.
 	members := make(map[int]map[string]*Job)
 	for _, j := range g.jobsLocked() {
@@ -45,7 +44,7 @@ func (g *Galaxy) rebuildWorkflowsLocked(hist *journal.History, rep *RecoveryRepo
 	for _, id := range hist.WorkflowOrder {
 		rec := hist.Workflows[id]
 		g.nextWF = max(g.nextWF, id)
-		wr, resumed, err := g.rebuildWorkflowLocked(rec, hist.Verdicts, members[id], opts, now)
+		wr, resumed, err := g.rebuildWorkflowLocked(rec, hist.Verdicts, members[id], now)
 		if err != nil {
 			// The definition no longer builds (a tool was uninstalled
 			// across the restart). Surface it as a failed run rather than
@@ -67,7 +66,7 @@ func (g *Galaxy) rebuildWorkflowsLocked(hist *journal.History, rep *RecoveryRepo
 
 // rebuildWorkflowLocked reconstructs one run from its definition record.
 func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal.Record,
-	jobs map[string]*Job, opts RecoverOptions, now time.Duration) (*WorkflowRun, int, error) {
+	jobs map[string]*Job, now time.Duration) (*WorkflowRun, int, error) {
 	defs := make(map[string]*DAGStep, len(rec.WFSteps))
 	wsteps := make([]workflow.Step, len(rec.WFSteps))
 	for i, s := range rec.WFSteps {
@@ -75,14 +74,15 @@ func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal
 			ID: s.ID, ToolID: s.Tool, After: s.After, Params: s.Params,
 			DatasetName: s.Dataset, Bytes: s.Bytes,
 			Options: SubmitOptions{
-				Runtime: s.Runtime, Priority: s.Priority,
+				Runtime: s.Runtime, GPURequest: s.GPURequest, Priority: s.Priority,
 				GPUs: s.GPUs, EstRuntime: s.EstRuntime,
 			},
 		}
 		if s.Dataset != "" {
-			// The payload itself is not journaled; re-resolve it. A root
-			// whose dataset is gone fails at release, like a requeued job.
-			ds.Dataset = opts.Datasets[s.Dataset]
+			// The payload itself is not journaled; re-resolve it from the
+			// registry. A root whose dataset is gone fails at release, like
+			// a requeued job.
+			ds.Dataset = g.datasets[s.Dataset]
 		}
 		defs[s.ID] = ds
 		wsteps[i] = workflow.Step{

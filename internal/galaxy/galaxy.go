@@ -46,6 +46,9 @@ type Galaxy struct {
 	mu sync.Mutex
 
 	tools map[string]*ToolBinding
+	// datasets names the payloads a submission can refer to (see
+	// RegisterDataset).
+	datasets map[string]any
 
 	// jobs is the job table; nextID is the last job ID issued.
 	jobs   map[int]*Job
@@ -151,6 +154,7 @@ func New(cluster *gpu.Cluster, opts ...Option) *Galaxy {
 		Containers:     container.NewEngine(),
 		Deps:           depres.NewResolver(depres.Bioconda()),
 		tools:          make(map[string]*ToolBinding),
+		datasets:       make(map[string]any),
 		jobs:           make(map[int]*Job),
 		running:        make(map[string]int),
 		waiting:        make(map[string][]*pendingStart),
@@ -193,6 +197,37 @@ func (g *Galaxy) RegisterTool(b *ToolBinding) error {
 	b.spec = spec
 	g.tools[b.XML.ID] = b
 	return nil
+}
+
+// RegisterDataset names a payload. It is the one name-to-payload registry:
+// every front door resolves a request's dataset here, and crash recovery,
+// workflow resume and an accepted transfer re-resolve a journaled name
+// here, because a payload never touches the journal or the wire.
+// Registering a name again replaces its payload.
+func (g *Galaxy) RegisterDataset(name string, payload any) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.datasets[name] = payload
+}
+
+// Dataset returns the payload registered under name.
+func (g *Galaxy) Dataset(name string) (any, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ds, ok := g.datasets[name]
+	return ds, ok
+}
+
+// Datasets returns the registered dataset names, sorted.
+func (g *Galaxy) Datasets() []string {
+	g.mu.Lock()
+	names := make([]string, 0, len(g.datasets))
+	for name := range g.datasets {
+		names = append(names, name)
+	}
+	g.mu.Unlock()
+	sort.Strings(names)
+	return names
 }
 
 // builtinTool is one tool this package ships: its wrapper, its executor and
@@ -329,9 +364,10 @@ type SubmitOptions struct {
 	// EstRuntime is the job's walltime estimate, feeding the scheduler's
 	// backfill reservations. Zero uses the scheduler's default.
 	EstRuntime time.Duration
-	// DatasetName, when set, names the dataset in the server's registry.
-	// It is journaled with the submission so crash recovery can re-resolve
-	// the payload — the payload itself never touches the journal.
+	// DatasetName, when set, names the dataset in the engine's registry
+	// (RegisterDataset). It is journaled with the submission so recovery
+	// and a thief can re-resolve the payload — the payload itself never
+	// touches the journal or the wire.
 	DatasetName string
 
 	// resubmitDest, when non-empty, pins the job to the named destination
@@ -425,7 +461,6 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 	if opts.submittedAt != 0 {
 		job.Submitted = opts.submittedAt
 	}
-	job.datasetName = opts.DatasetName
 	job.WorkflowID = opts.wfID
 	job.StepID = opts.wfStep
 	job.submit = journal.Record{
@@ -433,7 +468,8 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 		Job: job.ID, Tool: toolID, User: job.User, Params: params,
 		Dataset: opts.DatasetName, Runtime: opts.Runtime,
 		Priority: opts.Priority, GPUs: opts.GPUs, EstRuntime: opts.EstRuntime,
-		Submitted: job.Submitted, Workflow: opts.wfID, Step: opts.wfStep,
+		Submitted: job.Submitted, GPURequest: opts.GPURequest,
+		Workflow: opts.wfID, Step: opts.wfStep,
 	}
 	// The insert and the staged record share this critical section, so
 	// SnapshotJournal (which also holds g.mu) either carries the job or

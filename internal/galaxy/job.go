@@ -115,12 +115,11 @@ type Job struct {
 	run int
 	// release returns the job's scheduler slots; set while running.
 	release func()
-	// submit is the journal record that created this job, retained so a
-	// snapshot can condense history without re-deriving submission options.
+	// submit is the journal record that created this job: a snapshot
+	// re-emits it, and recovery, an admin resubmit and a steal rebuild the
+	// submission from it (submitOptions). Its Dataset names the registry
+	// entry the payload was resolved from.
 	submit journal.Record
-	// datasetName is the registry name the dataset was resolved from
-	// (journaled so recovery can re-resolve the payload after a restart).
-	datasetName string
 	// attemptBase offsets Attempt() after an admin resubmit: the retained
 	// failure log no longer counts against the fresh retry budget.
 	attemptBase int

@@ -222,8 +222,12 @@ type replayedFault struct {
 
 // RecoverOptions tune a journal replay.
 type RecoverOptions struct {
-	// Datasets resolves journaled dataset names back to payloads; a
-	// non-terminal job whose dataset is missing recovers as failed.
+	// Datasets are registered (RegisterDataset) before the replay.
+	//
+	// Deprecated: register datasets on the engine instead; recovery
+	// re-resolves journaled names from its registry, and a non-terminal job
+	// whose dataset is missing there recovers as failed. Only
+	// bench/w_inproc.go:496 still sets it.
 	Datasets map[string]any
 	// RestartDelay is how far past the newest record the engine resumes —
 	// the (virtual) downtime between crash and restart.
@@ -245,12 +249,17 @@ type RecoverOptions struct {
 // their failure logs, quarantine charges are replayed, completed GPU runtimes
 // are re-credited to fair share, and every non-terminal job requeues in ID
 // order as a fresh run epoch with its original submission time, adopted
-// first when its trail names another handler.
+// first when its trail names another handler. Journaled dataset names are
+// re-resolved from the engine's registry (RegisterDataset), so datasets are
+// registered before Recover.
 func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOptions) (*RecoveryReport, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(g.jobs) > 0 || g.nextID != 0 {
 		return nil, fmt.Errorf("galaxy: recover requires a fresh instance (have %d jobs)", len(g.jobs))
+	}
+	for name, ds := range opts.Datasets {
+		g.datasets[name] = ds
 	}
 	rep := &RecoveryReport{Handler: g.handlerID, Records: len(recs)}
 	if replayErr != nil {
@@ -293,7 +302,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 	for _, id := range hist.Order {
 		h := hist.Jobs[id]
 		g.nextID = max(g.nextID, id)
-		job := g.materializeLocked(id, h, opts)
+		job := g.materializeLocked(id, h)
 		rj := RecoveredJob{ID: id, Tool: job.ToolID, Owner: h.Owner}
 
 		if h.Terminal != nil {
@@ -358,7 +367,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 			rj.Owner = g.handlerID
 		}
 
-		binding, dataset, rerr := g.resolveRequeueLocked(job, opts)
+		binding, rerr := g.resolveRequeueLocked(job)
 		if rerr != nil {
 			job.State = StateError
 			job.Info = rerr.Error()
@@ -370,7 +379,6 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 			rep.Jobs = append(rep.Jobs, rj)
 			continue
 		}
-		job.Dataset = dataset
 		job.State = StateQueued
 		if h.Start != nil {
 			job.Info = fmt.Sprintf("recovered: rerunning as epoch %d after handler crash", job.run+1)
@@ -393,11 +401,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		g.jobs[job.ID] = job
 		rep.Jobs = append(rep.Jobs, rj)
 
-		sub := job.submit
-		sopts := SubmitOptions{
-			Runtime: sub.Runtime, User: sub.User, Priority: sub.Priority,
-			GPUs: sub.GPUs, EstRuntime: sub.EstRuntime, DatasetName: sub.Dataset,
-		}
+		sopts := submitOptions(job.submit)
 		requeued := job
 		// ID-order requeue at the same instant: the engine's FIFO
 		// tie-break preserves submission seniority through dispatch.
@@ -406,14 +410,14 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		})
 	}
 
-	g.rebuildWorkflowsLocked(hist, rep, opts, now)
+	g.rebuildWorkflowsLocked(hist, rep, now)
 	g.recovery = rep
 	return rep, nil
 }
 
 // materializeLocked rebuilds one Job value from its folded trail (without
 // deciding its disposition).
-func (g *Galaxy) materializeLocked(id int, h *journal.Trail, opts RecoverOptions) *Job {
+func (g *Galaxy) materializeLocked(id int, h *journal.Trail) *Job {
 	sub := h.Submit
 	job := &Job{
 		ID:          id,
@@ -425,7 +429,6 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail, opts RecoverOptions
 		WorkflowID:  sub.Workflow,
 		StepID:      sub.Step,
 		submit:      sub,
-		datasetName: sub.Dataset,
 		attemptBase: h.AttemptBase,
 	}
 	for _, a := range h.Attempts {
@@ -444,39 +447,54 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail, opts RecoverOptions
 		job.Devices = h.Start.Devices
 		job.VisibleDevices = core.VisibleDevices(h.Start.Devices)
 	}
-	// Resolve the dataset opportunistically even for terminal jobs, so an
-	// admin resubmit of a recovered dead-letter has a payload to run.
-	if ds, ok := opts.Datasets[sub.Dataset]; ok {
-		job.Dataset = ds
-	}
+	// Resolve the dataset even for terminal jobs: an admin resubmit of a
+	// recovered dead-letter needs a payload to run, and a resumed workflow
+	// step takes its parent's.
+	job.Dataset = g.datasets[sub.Dataset]
 	return job
 }
 
 // resolveRequeueLocked checks that a requeued job's tool and dataset still
 // exist on this handler and that its params and dataset pass the submit
 // check: a journal an older engine wrote may hold a job it would refuse.
-func (g *Galaxy) resolveRequeueLocked(job *Job, opts RecoverOptions) (*ToolBinding, any, error) {
+func (g *Galaxy) resolveRequeueLocked(job *Job) (*ToolBinding, error) {
 	binding, err := g.toolLocked(job.ToolID)
 	if err != nil {
-		return nil, nil, fmt.Errorf("unrecoverable: %v", err)
+		return nil, fmt.Errorf("unrecoverable: %v", err)
 	}
-	var ds any
-	switch {
-	case job.datasetName != "":
-		var ok bool
-		if ds, ok = opts.Datasets[job.datasetName]; !ok {
-			return nil, nil, fmt.Errorf("unrecoverable: dataset %q unavailable after recovery", job.datasetName)
+	switch name := job.submit.Dataset; {
+	case name != "":
+		if _, ok := g.datasets[name]; !ok {
+			return nil, fmt.Errorf("unrecoverable: dataset %q unavailable after recovery", name)
 		}
 	case job.WorkflowID == 0:
-		return nil, nil, fmt.Errorf("unrecoverable: no dataset name journaled for job %d", job.ID)
+		return nil, fmt.Errorf("unrecoverable: no dataset name journaled for job %d", job.ID)
 	}
 	// A workflow step without a dataset name takes its input from its
 	// parents; the workflow rebuild re-resolves it (rebuildWorkflowsLocked)
 	// before the requeue event fires.
-	if err := binding.check(job.Params, ds); err != nil {
-		return nil, nil, fmt.Errorf("unrecoverable: %v", err)
+	if err := binding.check(job.Params, job.Dataset); err != nil {
+		return nil, fmt.Errorf("unrecoverable: %v", err)
 	}
-	return binding, ds, nil
+	return binding, nil
+}
+
+// submitOptions rebuilds the options a submit record was written with. It
+// is the one conversion from a journaled submission back to a live one:
+// recovery's requeue, an admin resubmit and an accepted transfer all make
+// it. A zero submission time becomes a nanosecond, so a true t=0 job does
+// not fall into the zero-means-now defaults downstream and lose its
+// seniority.
+func submitOptions(sub journal.Record) SubmitOptions {
+	at := sub.Submitted
+	if at == 0 {
+		at = time.Nanosecond
+	}
+	return SubmitOptions{
+		Runtime: sub.Runtime, GPURequest: sub.GPURequest, User: sub.User,
+		Priority: sub.Priority, GPUs: sub.GPUs, EstRuntime: sub.EstRuntime,
+		DatasetName: sub.Dataset, submittedAt: at,
+	}
 }
 
 // classFromString parses a journaled faults.Class back.
@@ -514,9 +532,9 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	if err := binding.check(job.Params, job.Dataset); err != nil {
 		return nil, fmt.Errorf("galaxy: job %d: %w", id, err)
 	}
-	if job.Dataset == nil && job.datasetName != "" {
+	if job.Dataset == nil && job.submit.Dataset != "" {
 		return nil, fmt.Errorf("galaxy: job %d's dataset %q is not loaded; cannot resubmit",
-			id, job.datasetName)
+			id, job.submit.Dataset)
 	}
 	now := g.Engine.Clock().Now()
 	job.attemptBase = len(job.Failures)
@@ -526,11 +544,7 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	job.Info = fmt.Sprintf("admin resubmit: fresh retry budget (%d prior failure(s) retained)",
 		len(job.Failures))
 	g.logJournal(journal.Record{Type: journal.TypeResubmit, At: now, Job: job.ID})
-	sub := job.submit
-	opts := SubmitOptions{
-		Runtime: job.Runtime, User: job.User, Priority: sub.Priority,
-		GPUs: sub.GPUs, EstRuntime: sub.EstRuntime, DatasetName: job.datasetName,
-	}
+	opts := submitOptions(job.submit)
 	g.Engine.After(0, func(at time.Duration) {
 		g.startJob(job, binding, opts, at)
 	})
@@ -573,15 +587,6 @@ func (g *Galaxy) SnapshotJournal() error {
 	}
 	for _, j := range g.jobsLocked() {
 		sub := j.submit
-		if sub.Type == "" {
-			// Job predates journaling (journal attached mid-flight);
-			// synthesize the submit record from the job itself.
-			sub = journal.Record{
-				Type: journal.TypeSubmit, At: j.Submitted, Job: j.ID,
-				Tool: j.ToolID, User: j.User, Params: j.Params,
-				Dataset: j.datasetName, Runtime: j.Runtime, Submitted: j.Submitted,
-			}
-		}
 		sub.Handler = j.ownerOr(g.handlerID)
 		recs = append(recs, sub)
 		emitAttempt := func(f Failure) {

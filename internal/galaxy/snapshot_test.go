@@ -230,8 +230,9 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 	if len(prepared) != 2 || !g.RetireSteal(prepared[0].JobID) {
 		t.Fatalf("prepared %d steals, want 2 and a retire", len(prepared))
 	}
-	if _, err := g.AcceptTransfer(TransferredJob{
-		From: "h0", FromJob: 40, ToolID: "racon", Params: slow, Dataset: rs, DatasetName: "nfl",
+	g.RegisterDataset("nfl", rs)
+	if _, err := g.AcceptTransfer("h0", journal.Record{
+		Type: journal.TypeSubmit, Job: 40, Tool: "racon", Params: slow, Dataset: "nfl",
 		Submitted: time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)

@@ -24,36 +24,11 @@ import (
 //     victim (AcceptTransfer) — seniority is preserved under the thief's
 //     scheduler and the trail shows provenance.
 //
+// The envelope between the two is the victim's own submit record: the thief
+// rebuilds the submission from it exactly as recovery does (submitOptions)
+// and resolves its dataset by name from its own registry.
+//
 // Every ownership record is fsynced before the call that writes it returns.
-
-// TransferredJob is a queued job detached from one handler for resubmission
-// on another. It carries everything AcceptTransfer needs to rebuild the
-// submission: the dispatch inputs, the scheduler request shape, and the
-// original submission time (the seniority lever).
-type TransferredJob struct {
-	// From is the handler the job left.
-	From string
-	// FromJob is the job's ID on that handler (for audit trails; the
-	// accepting handler issues its own ID).
-	FromJob int
-	// ToolID, Params, Dataset, DatasetName and Runtime are the original
-	// dispatch inputs. Dataset is the live in-process payload and never
-	// crosses a serializing transport (json:"-"); a networked receiver
-	// re-resolves it from its own dataset registry by DatasetName.
-	ToolID      string
-	Params      map[string]string
-	Dataset     any `json:"-"`
-	DatasetName string
-	Runtime     string
-	// User, Priority, GPUs and EstRuntime reproduce the scheduler request.
-	User       string
-	Priority   int
-	GPUs       int
-	EstRuntime time.Duration
-	// Submitted is the job's original submission time on the victim's
-	// (lockstep-aligned) clock.
-	Submitted time.Duration
-}
 
 // stealCandidatesLocked selects up to max safely movable jobs for transfer
 // to `to`: queued (never started), not killed, locally owned, and free of
@@ -90,31 +65,6 @@ func (g *Galaxy) stealCandidatesLocked(max int, to string) []*schedEntry {
 	return cands
 }
 
-// packageTransferLocked builds the TransferredJob envelope for one entry.
-func (g *Galaxy) packageTransferLocked(e *schedEntry) TransferredJob {
-	job := e.pending.job
-	sub := job.Submitted
-	if sub == 0 {
-		// A true t=0 submission must not collapse into the thief's
-		// zero-means-now default and lose its seniority.
-		sub = time.Nanosecond
-	}
-	return TransferredJob{
-		From:        g.handlerID,
-		FromJob:     job.ID,
-		ToolID:      job.ToolID,
-		Params:      job.Params,
-		Dataset:     job.Dataset,
-		DatasetName: job.datasetName,
-		Runtime:     job.Runtime,
-		User:        job.User,
-		Priority:    e.req.Priority,
-		GPUs:        e.req.GPUs,
-		EstRuntime:  e.req.EstRuntime,
-		Submitted:   sub,
-	}
-}
-
 // preparedSteal tracks one job between PrepareSteal and its resolution,
 // keeping the scheduler entry so an abort can requeue it in place.
 type preparedSteal struct {
@@ -130,8 +80,8 @@ type PreparedSteal struct {
 	// Xfer is the cluster-assigned transfer ID that names this transfer in
 	// journal records and protocol messages (duplicate-delivery dedupe key).
 	Xfer uint64
-	// T is the envelope the thief will accept.
-	T TransferredJob
+	// T is the envelope the thief will accept: the job's submit record.
+	T journal.Record
 }
 
 // PrepareSteal is phase one of the two-phase steal protocol: up to max
@@ -159,7 +109,7 @@ func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64) []PreparedSte
 			Type: journal.TypeStealPrepare, At: now, Job: job.ID,
 			Handler: to, From: g.handlerID, Xfer: xfer,
 		})
-		out = append(out, PreparedSteal{JobID: job.ID, Xfer: xfer, T: g.packageTransferLocked(e)})
+		out = append(out, PreparedSteal{JobID: job.ID, Xfer: xfer, T: job.submit})
 	}
 	if len(out) > 0 {
 		g.recordQueueLocked(now)
@@ -229,22 +179,19 @@ func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 	return true
 }
 
-// AcceptTransfer resubmits a job detached from another handler on this one.
-// The job gets a fresh local ID and run epoch but keeps its original
-// submission time, so the batch scheduler slots it by the seniority it
-// earned on its previous handler. The submit record is journaled under this
+// AcceptTransfer resubmits on this handler a job that handler `from`
+// submitted, from its submit record sub. The job gets a fresh local ID and
+// run epoch but keeps its original submission time, so the batch scheduler
+// slots it by the seniority it earned on its previous handler. Its dataset
+// is resolved by name from this engine's registry; a name it lacks leaves
+// the job without a payload. The submit record is journaled under this
 // handler's epoch (chased by an adopt record naming the source), which makes
 // the transfer exactly-once across crashes on either side.
-func (g *Galaxy) AcceptTransfer(t TransferredJob) (*Job, error) {
-	sub := t.Submitted
-	if sub == 0 {
-		sub = time.Nanosecond
-	}
-	return g.Submit(t.ToolID, t.Params, t.Dataset, SubmitOptions{
-		Runtime: t.Runtime, User: t.User, Priority: t.Priority,
-		GPUs: t.GPUs, EstRuntime: t.EstRuntime, DatasetName: t.DatasetName,
-		submittedAt: sub, transferFrom: t.From,
-	})
+func (g *Galaxy) AcceptTransfer(from string, sub journal.Record) (*Job, error) {
+	opts := submitOptions(sub)
+	opts.transferFrom = from
+	ds, _ := g.Dataset(sub.Dataset)
+	return g.Submit(sub.Tool, sub.Params, ds, opts)
 }
 
 // QueuedBacklog returns how many jobs are parked in the batch scheduler's

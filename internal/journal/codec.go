@@ -68,6 +68,7 @@ const (
 	fStep        = 30
 	fWFName      = 31
 	fWFSteps     = 32
+	fGPURequest  = 33
 )
 
 // Field numbers of WFStep. Never reuse one.
@@ -83,6 +84,7 @@ const (
 	sGPUs       = 9
 	sEstRuntime = 10
 	sBytes      = 11
+	sGPURequest = 12
 )
 
 // appendFrame appends rec's frame to dst. On error dst is returned
@@ -158,6 +160,7 @@ func appendRecord(b []byte, r *Record) []byte {
 	b = appendInt(b, fWorkflow, int64(r.Workflow))
 	b = appendString(b, fStep, r.Step)
 	b = appendString(b, fWFName, r.WFName)
+	b = appendString(b, fGPURequest, r.GPURequest)
 	for i := range r.WFSteps {
 		b = appendTag(b, fWFSteps, wireBytes)
 		start := len(b)
@@ -182,6 +185,7 @@ func appendStep(b []byte, s *WFStep) []byte {
 	b = appendInt(b, sGPUs, int64(s.GPUs))
 	b = appendInt(b, sEstRuntime, int64(s.EstRuntime))
 	b = appendInt(b, sBytes, s.Bytes)
+	b = appendString(b, sGPURequest, s.GPURequest)
 	return b
 }
 
@@ -432,6 +436,8 @@ func decodeRecord(p []byte, r *Record) error {
 				d.err = err
 			}
 			r.WFSteps = append(r.WFSteps, s)
+		case key(fGPURequest, wireBytes):
+			r.GPURequest = string(d.bytes())
 		default:
 			d.skip(int(k & 7))
 		}
@@ -469,6 +475,8 @@ func decodeStep(p []byte, s *WFStep) error {
 			s.EstRuntime = time.Duration(d.varint())
 		case key(sBytes, wireVarint):
 			s.Bytes = d.varint()
+		case key(sGPURequest, wireBytes):
+			s.GPURequest = string(d.bytes())
 		default:
 			d.skip(int(k & 7))
 		}

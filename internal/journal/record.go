@@ -112,8 +112,9 @@ const (
 
 // WFStep is one step of a journaled workflow definition — the declarative
 // subset that survives a restart. Dataset payloads are re-resolved by name
-// through RecoverOptions.Datasets; Transform closures do not survive (a
-// recovered step falls back to its upstream dataset pass-through).
+// from the recovering engine's dataset registry (galaxy.RegisterDataset);
+// Transform closures do not survive (a recovered step falls back to its
+// upstream dataset pass-through).
 type WFStep struct {
 	ID      string            `json:"id"`
 	Tool    string            `json:"tool"`
@@ -129,6 +130,9 @@ type WFStep struct {
 	EstRuntime time.Duration `json:"est_runtime,omitempty"`
 	// Bytes is the step's input size, feeding the locality staging model.
 	Bytes int64 `json:"bytes,omitempty"`
+	// GPURequest is the device pin the user wrote into the step's version
+	// tag (see Record.GPURequest).
+	GPURequest string `json:"gpu_request,omitempty"`
 }
 
 // Record is one journal entry. It is a flat union over every record type;
@@ -162,6 +166,10 @@ type Record struct {
 	GPUs       int               `json:"gpus,omitempty"`
 	EstRuntime time.Duration     `json:"est_runtime,omitempty"`
 	Submitted  time.Duration     `json:"submitted,omitempty"`
+	// GPURequest is the device pin the user wrote into the wrapper's
+	// version tag (the paper's §IV-C override). A recovered, resumed or
+	// stolen job keeps it, and with it the gang size it implies.
+	GPURequest string `json:"gpu_request,omitempty"`
 
 	// Placement (TypeStart).
 	Destination string `json:"dest,omitempty"`

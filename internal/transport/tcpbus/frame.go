@@ -22,8 +22,9 @@ import (
 // frameHeaderSize is the length + CRC prefix, matching internal/journal.
 const frameHeaderSize = 8
 
-// maxFrame bounds one envelope; a TransferredJob's params are small, so
-// anything near this is corruption, not traffic.
+// maxFrame bounds one envelope; the largest body, a steal prepare carrying
+// one submit record, is well under a kilobyte, so anything near this is
+// corruption, not traffic.
 const maxFrame = 1 << 20
 
 // envelope is one message on the wire. The first frame on every connection
