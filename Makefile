@@ -98,10 +98,12 @@ quick-golden:
 # queued job, and the differential recovery oracle (a journal written with
 # the retired map records spliced back in recovers to the same report and the
 # same jobs), and a job pinned to a device by the user's version tag still
-# runs on that device after the crash.
+# runs on that device after the crash; a job recovery fails for want of its
+# dataset stays failed at the next recovery, and a compacted journal folds to
+# the same job trails, record for record, as the journal it replaced.
 test-crash:
 	$(call run_selected,./internal/experiments,TestCrashRecovery)
-	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLockHolderAdoptsDeadHandlersJobs|TestRecoverSplicedMapRecords|TestRecoverKeepsDevicePin)
+	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLockHolderAdoptsDeadHandlersJobs|TestRecoverSplicedMapRecords|TestRecoverKeepsDevicePin|TestRecoveredFailureIsDurable|TestSnapshotJournalIsTheFoldsInverse)
 
 # hammer-api is the -race hammer for the single server's real handler:
 # concurrent POST /api/jobs of the http_jobs mix against every read endpoint

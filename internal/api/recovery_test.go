@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -147,46 +148,77 @@ func TestRecoveryEndpointStatusAndCompact(t *testing.T) {
 	}
 }
 
+// TestRecoveryEndpointAfterRestart restarts a journaled server and reads its
+// jobs back: one dead-lettered and one ok. Each job's placement — its
+// destination, devices, PID and info — reads the same after the restart as
+// before it, and the same again after a compaction and a second restart.
+// (The command line is not journaled; DESIGN §9 says why.)
 func TestRecoveryEndpointAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	ts, j := journaledServer(t, dir)
 	job := submitRacon(t, ts)
+	if ok := submitRacon(t, ts); ok.State != "ok" {
+		t.Fatalf("second job = %s (%s), want ok", ok.State, ok.Info)
+	}
+	view := func(ts *httptest.Server, id int) jobJSON {
+		t.Helper()
+		resp, body := get(t, ts, fmt.Sprintf("/api/jobs/%d", id))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("job %d lookup = %d", id, resp.StatusCode)
+		}
+		var got jobJSON
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	placed := func(v jobJSON) string {
+		return fmt.Sprintf("%s on %s [%s] pid %d: %q", v.State, v.Destination, v.VisibleDevices, v.PID, v.Info)
+	}
+	var want [2]string
+	for i := range want {
+		want[i] = placed(view(ts, i+1))
+	}
 	// First handler shuts down cleanly: HTTP server gone, journal synced.
 	ts.Close()
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Simulate the restart: lock the directory, replay it into a fresh
-	// Galaxy and serve it.
-	j2, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
+	// Simulate a restart: lock the directory, replay it into a fresh Galaxy
+	// and serve it.
+	restart := func() (*httptest.Server, *galaxy.Galaxy, *journal.Journal) {
+		t.Helper()
+		j2, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = j2.Close() })
+		recs, rerr := journal.Replay(dir)
+		g2 := galaxy.New(nil, galaxy.WithJournal(j2, "h1"))
+		if err := g2.RegisterDefaultTools(); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := workload.GenerateLongReads(workload.LongReadConfig{
+			Name: "api", Seed: 3, RefLen: 2000, ReadLen: 300, Coverage: 8,
+			SubRate: 0.02, InsRate: 0.03, DelRate: 0.03, BackboneErrorRate: 0.04,
+			NominalBytes: 17 << 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2.RegisterDataset("reads", rs)
+		if _, err := g2.Recover(recs, rerr, galaxy.RecoverOptions{
+			RestartDelay: time.Minute,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		g2.Run()
+		ts2 := httptest.NewServer(NewServer(g2).Handler())
+		t.Cleanup(ts2.Close)
+		return ts2, g2, j2
 	}
-	defer j2.Close()
-	recs, rerr := journal.Replay(dir)
-	g2 := galaxy.New(nil, galaxy.WithJournal(j2, "h1"))
-	if err := g2.RegisterDefaultTools(); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := workload.GenerateLongReads(workload.LongReadConfig{
-		Name: "api", Seed: 3, RefLen: 2000, ReadLen: 300, Coverage: 8,
-		SubRate: 0.02, InsRate: 0.03, DelRate: 0.03, BackboneErrorRate: 0.04,
-		NominalBytes: 17 << 30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2.RegisterDataset("reads", rs)
-	if _, err := g2.Recover(recs, rerr, galaxy.RecoverOptions{
-		RestartDelay: time.Minute,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	g2.Run()
-	s2 := NewServer(g2)
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
+	ts2, g2, j2 := restart()
 
 	resp, body := get(t, ts2, "/api/recovery")
 	if resp.StatusCode != http.StatusOK {
@@ -202,21 +234,33 @@ func TestRecoveryEndpointAfterRestart(t *testing.T) {
 	if !status.Recovered || status.Report == nil {
 		t.Fatalf("restarted handler reports no recovery: %s", body)
 	}
-	if status.Report.DeadLettered != 1 {
+	if status.Report.DeadLettered != 1 || status.Report.Completed != 1 {
 		t.Fatalf("report = %+v", status.Report)
 	}
 
 	// The dead-lettered job survived the restart and is visible.
-	jresp, jbody := get(t, ts2, "/api/jobs/1")
-	if jresp.StatusCode != http.StatusOK {
-		t.Fatalf("job lookup after restart = %d", jresp.StatusCode)
-	}
-	var got jobJSON
-	if err := json.Unmarshal(jbody, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.State != job.State || len(got.Failures) != len(job.Failures) {
+	if got := view(ts2, 1); got.State != job.State || len(got.Failures) != len(job.Failures) {
 		t.Fatalf("job after restart = %s (%d failures), want %s (%d)",
 			got.State, len(got.Failures), job.State, len(job.Failures))
+	}
+	for i := range want {
+		if got := placed(view(ts2, i+1)); got != want[i] {
+			t.Errorf("job %d after restart reads %s, before it %s", i+1, got, want[i])
+		}
+	}
+
+	// Compacted, the journal brings the same view back.
+	if err := g2.SnapshotJournal(); err != nil {
+		t.Fatal(err)
+	}
+	ts2.Close()
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ts3, _, _ := restart()
+	for i := range want {
+		if got := placed(view(ts3, i+1)); got != want[i] {
+			t.Errorf("job %d after compaction and restart reads %s, before it %s", i+1, got, want[i])
+		}
 	}
 }

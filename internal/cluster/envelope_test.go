@@ -56,6 +56,12 @@ func TestThiefWithoutDatasetRefusesSteal(t *testing.T) {
 	if refused == 0 {
 		t.Error("the thief refused no prepare")
 	}
+	// A refusal names the dataset, and the victim offers it to the thief no
+	// more: only the first wave, one job per free thief GPU at most, is ever
+	// refused.
+	if wave := len(thief.g.Cluster.Devices()); refused > wave {
+		t.Errorf("the thief refused %d prepares, more than a first wave of %d", refused, wave)
+	}
 	if st := c.Status(); st.Steals != 0 {
 		t.Errorf("%d steals completed without the dataset on the thief", st.Steals)
 	}

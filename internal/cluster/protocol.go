@@ -109,6 +109,9 @@ type abortAckBody struct {
 	// Accepted reports the thief had already accepted the transfer: the
 	// abort is refused and the victim must retire instead.
 	Accepted bool
+	// Missing names the dataset a refusing thief cannot resolve; the victim
+	// stops offering it that dataset (protoState.lacks).
+	Missing string
 }
 
 type claimBody struct {
@@ -173,6 +176,10 @@ type protoState struct {
 	nextXfer  uint64
 	out       map[uint64]*outXfer
 	stealHold map[string]time.Duration
+	// lacks names, per peer, the datasets it refused a prepare for want
+	// of. They are not offered to it again until it restarts (rejoinPeer):
+	// nothing else registers a dataset on a live member.
+	lacks map[string]map[string]bool
 
 	// Thief side: per-transfer dedupe epochs ("accepted", "aborted",
 	// "refused") and the accepted transfers whose retire has not arrived.
@@ -198,6 +205,7 @@ func newProtoState(seed uint64, peers []string, self string, ttl time.Duration) 
 		nextXfer:    1,
 		out:         make(map[uint64]*outXfer),
 		stealHold:   make(map[string]time.Duration),
+		lacks:       make(map[string]map[string]bool),
 		inSeen:      make(map[inKey]string),
 		unretiredIn: make(map[inKey]uint64),
 		pendingDead: make(map[inKey]*deadPrepare),
@@ -303,6 +311,7 @@ func (n *Node) onRenew(msg transport.Message, now time.Duration) {
 // NEW incarnation replays the journal fresh.
 func (n *Node) rejoinPeer(peer string, inc uint64) {
 	delete(n.proto.deadSeen, peer)
+	delete(n.proto.lacks, peer) // the new life registered its own datasets
 	n.proto.peerInc[peer] = inc
 	n.ring.Add(peer)
 	delete(n.dead, peer)
@@ -418,7 +427,7 @@ func (n *Node) stealDecision(now time.Duration) {
 	if take > depth {
 		take = depth
 	}
-	prepared := n.g.PrepareSteal(take, thief, m.nextXfer)
+	prepared := n.g.PrepareSteal(take, thief, m.nextXfer, m.lacks[thief])
 	m.nextXfer += uint64(len(prepared))
 	for _, ps := range prepared {
 		key, _ := keyOfParams(ps.T.Params)
@@ -475,7 +484,11 @@ func (n *Node) onPrepare(msg transport.Message, now time.Duration) {
 		}
 		if !known || err != nil {
 			m.inSeen[k] = "refused"
-			n.send(now, transport.MsgAbortAck, msg.From, abortAckBody{Xfer: body.Xfer})
+			ack := abortAckBody{Xfer: body.Xfer}
+			if !known {
+				ack.Missing = body.T.Dataset
+			}
+			n.send(now, transport.MsgAbortAck, msg.From, ack)
 			return
 		}
 		m.inSeen[k] = "accepted"
@@ -556,7 +569,9 @@ func (n *Node) onAbort(msg transport.Message, now time.Duration) {
 // stealing toward it for one backoff base, so the requeued job meets at
 // least one local scheduling cycle before it can be offered again; without
 // the hold a victim would re-prepare it in the same pass, and a refusing
-// thief would keep it off every queue.
+// thief would keep it off every queue. A refusal that names a missing
+// dataset also takes that dataset off the offers to the thief; a timeout
+// abort, whose ack names none, marks nothing.
 func (n *Node) onAbortAck(msg transport.Message, now time.Duration) {
 	m := n.proto
 	body := msg.Body.(abortAckBody)
@@ -571,6 +586,12 @@ func (n *Node) onAbortAck(msg transport.Message, now time.Duration) {
 	n.g.AbortSteal(o.jobID, "thief never accepted the transfer")
 	delete(m.out, body.Xfer)
 	m.stealHold[o.thief] = now + n.stealBackoff().Base
+	if body.Missing != "" {
+		if m.lacks[o.thief] == nil {
+			m.lacks[o.thief] = make(map[string]bool)
+		}
+		m.lacks[o.thief][body.Missing] = true
+	}
 	n.met.aborts.With(n.id, o.thief).Inc()
 }
 

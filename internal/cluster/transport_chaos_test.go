@@ -499,6 +499,15 @@ func TestStealRetryThenAbortRequeues(t *testing.T) {
 	if st.Transport.Dropped == 0 {
 		t.Fatal("no prepare was dropped — the fault never fired")
 	}
+	// A timeout abort says nothing about what the thief holds: the thief
+	// never saw the prepare, so the victim takes no dataset off its offers.
+	victim := c.Node("h0")
+	victim.mu.Lock()
+	lacks := victim.proto.lacks
+	victim.mu.Unlock()
+	if len(lacks) != 0 {
+		t.Errorf("timeout aborts marked datasets the thief lacks: %v", lacks)
+	}
 	for _, key := range keys {
 		ref, job, ok := c.Lookup(key)
 		if !ok || job.State != "ok" {

@@ -222,6 +222,18 @@ func workflowRecord(wr *WorkflowRun, at time.Duration) journal.Record {
 	return rec
 }
 
+// verdictRecord journals a finished run's verdict: a complete record with
+// no job ID. Live, the observer counts it; at replay it restores the run's
+// state rather than re-deriving it (applyVerdict).
+func verdictRecord(wr *WorkflowRun) journal.Record {
+	return journal.Record{Type: journal.TypeComplete, At: wr.finishedAt, Workflow: wr.ID, State: string(wr.state), Msg: wr.info}
+}
+
+// applyVerdict is verdictRecord's inverse.
+func (wr *WorkflowRun) applyVerdict(r journal.Record) {
+	wr.state, wr.info, wr.finishedAt = JobState(r.State), r.Msg, r.At
+}
+
 // releaseLocked submits every ready step, each waiting under g.mu for the
 // fsync of its submit record. Caller holds g.mu.
 // Resolution or submission errors fail the step (and so the run, which fails
@@ -400,12 +412,7 @@ func (wr *WorkflowRun) finishLocked(now time.Duration) {
 		wr.state = StateOK
 	}
 	wr.finishedAt = now
-	// The completion record carries no job ID: replay derives workflow
-	// state from the member steps, but the observer counts it live.
-	wr.g.logJournal(journal.Record{
-		Type: journal.TypeComplete, At: now, Workflow: wr.ID,
-		State: string(wr.state), Msg: wr.info,
-	})
+	wr.g.logJournal(verdictRecord(wr))
 }
 
 // State returns the workflow's lifecycle state.

@@ -167,9 +167,7 @@ func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal
 	if term, done := terms[wr.ID]; done {
 		// The workflow's verdict was journaled before the crash; restore it
 		// rather than re-deriving (and re-logging) it.
-		wr.state = JobState(term.State)
-		wr.info = term.Msg
-		wr.finishedAt = term.At
+		wr.applyVerdict(term)
 	} else {
 		before := len(wr.jobs)
 		wr.releaseLocked(now)

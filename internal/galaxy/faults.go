@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gyan/internal/faults"
-	"gyan/internal/journal"
 	"gyan/internal/sim"
 	"gyan/internal/smi"
 )
@@ -124,21 +123,6 @@ func (g *Galaxy) surveyLocked(job *Job, now time.Duration) (smi.Usage, error) {
 	return survey.Without(g.quarantine.Quarantined(now)), nil
 }
 
-// abortRunLocked tears down a job's live run mid-flight: device sessions
-// abort at now and the run epoch is bumped so the pending completion event
-// stands down. It returns the release closure the run held (nil when the
-// job held no slots).
-func (g *Galaxy) abortRunLocked(job *Job, now time.Duration) func() {
-	for _, s := range job.sessions {
-		s.Abort(now)
-	}
-	job.sessions = nil
-	job.run++
-	rel := job.release
-	job.release = nil
-	return rel
-}
-
 // failLocked routes a dispatch or execution error through the fault model.
 // release, when non-nil, returns whatever admission slots the failing run
 // held and is always called first, so retries re-enter dispatch with a clean
@@ -150,12 +134,7 @@ func (g *Galaxy) failLocked(job *Job, binding *ToolBinding, opts SubmitOptions, 
 	}
 	class, classified := faults.ClassOf(err)
 	if !classified {
-		job.Info = err.Error()
-		job.finish(StateError, now)
-		g.logJournal(journal.Record{
-			Type: journal.TypeComplete, At: now, Job: job.ID,
-			State: string(StateError), Msg: job.Info,
-		})
+		g.endLocked(job, StateError, err.Error(), now)
 		return
 	}
 
@@ -167,13 +146,9 @@ func (g *Galaxy) failLocked(job *Job, binding *ToolBinding, opts SubmitOptions, 
 		op = ferr.Site.Op
 		culprits = ferr.Culprits
 	}
-	job.Failures = append(job.Failures, Failure{
-		At: now, Attempt: attempt, Op: op, Class: class, Msg: err.Error(), Devices: culprits,
-	})
-	g.logJournal(journal.Record{
-		Type: journal.TypeAttempt, At: now, Job: job.ID, Attempt: attempt,
-		Op: string(op), Class: class.String(), Msg: err.Error(), Devices: culprits,
-	})
+	f := Failure{At: now, Attempt: attempt, Op: op, Class: class, Msg: err.Error(), Devices: culprits}
+	job.Failures = append(job.Failures, f)
+	g.logJournal(attemptRecord(job.ID, f))
 	// Device-attributed faults feed the quarantine: only the culprit
 	// devices are charged, so a device-keyed fault on a multi-GPU gang
 	// leaves the gang's healthy members allocatable. Probe and launch
@@ -196,11 +171,7 @@ func (g *Galaxy) failLocked(job *Job, binding *ToolBinding, opts SubmitOptions, 
 		})
 		return
 	}
-	job.Info = fmt.Sprintf("dead-letter after %d attempt(s): %v", attempt, err)
-	job.finish(StateDeadLetter, now)
-	g.logJournal(journal.Record{
-		Type: journal.TypeDeadLetter, At: now, Job: job.ID, Msg: job.Info,
-	})
+	g.endLocked(job, StateDeadLetter, fmt.Sprintf("dead-letter after %d attempt(s): %v", attempt, err), now)
 }
 
 // armRunFaultsLocked plants the post-launch fault events for one run: slow-
@@ -224,6 +195,18 @@ func (g *Galaxy) armRunFaultsLocked(job *Job, binding *ToolBinding, opts SubmitO
 		job.Info = fmt.Sprintf("%s; stalled %v by a slow device", job.Info, stall)
 	}
 
+	// abortAt plants the run's failure with err at `at`; it stands down if
+	// the run has ended by then.
+	abortAt := func(at time.Duration, err error) {
+		g.Engine.Schedule(at, func(at time.Duration) {
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			if job.runs(run) {
+				g.failLocked(job, binding, opts, err, job.stop(at))
+			}
+		})
+	}
+
 	// Mid-run crash: the executor dies After into the run (clamped inside
 	// the run's span; unset crashes halfway).
 	crashSite := faults.Site{Op: faults.OpCrash, Job: job.ID, Tool: job.ToolID, Attempt: attempt, Devices: devices}
@@ -232,38 +215,20 @@ func (g *Galaxy) armRunFaultsLocked(job *Job, binding *ToolBinding, opts SubmitO
 		if after <= 0 || start+after >= end {
 			after = (end - start) / 2
 		}
-		fc := f
-		g.Engine.Schedule(start+after, func(at time.Duration) {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			if job.killed || job.run != run {
-				return
-			}
-			rel := g.abortRunLocked(job, at)
-			g.failLocked(job, binding, opts, faults.NewError(crashSite, fc), rel)
-		})
+		abortAt(start+after, faults.NewError(crashSite, f))
 	}
 
 	// Execution timeout: in virtual time the completion instant is known at
 	// launch, so the deadline event is only planted when it would fire. An
-	// earlier crash bumps the run epoch and the deadline stands down.
+	// earlier crash ends the run and the deadline stands down.
 	if g.jobTimeout > 0 {
 		deadline := now + g.jobTimeout
 		if end > deadline {
-			g.Engine.Schedule(deadline, func(at time.Duration) {
-				g.mu.Lock()
-				defer g.mu.Unlock()
-				if job.killed || job.run != run {
-					return
-				}
-				rel := g.abortRunLocked(job, at)
-				terr := &faults.Error{
-					Site:     faults.Site{Op: faults.OpStall, Job: job.ID, Tool: job.ToolID, Attempt: attempt, Devices: devices},
-					Class:    faults.Transient,
-					Msg:      fmt.Sprintf("run exceeded the %v execution timeout", g.jobTimeout),
-					Culprits: devices,
-				}
-				g.failLocked(job, binding, opts, terr, rel)
+			abortAt(deadline, &faults.Error{
+				Site:     faults.Site{Op: faults.OpStall, Job: job.ID, Tool: job.ToolID, Attempt: attempt, Devices: devices},
+				Class:    faults.Transient,
+				Msg:      fmt.Sprintf("run exceeded the %v execution timeout", g.jobTimeout),
+				Culprits: devices,
 			})
 		}
 	}

@@ -477,10 +477,8 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 	g.jobs[job.ID] = job
 	tick := g.stageJournal(job.submit)
 	if opts.transferFrom != "" {
-		tick = g.stageJournal(journal.Record{
-			Type: journal.TypeAdopt, At: now, Job: job.ID,
-			From: opts.transferFrom, Msg: "transferred in",
-		})
+		job.from = opts.transferFrom
+		tick = g.stageJournal(adoptRecord(job.ID, g.handlerID, job.from, now))
 	}
 	g.Engine.After(opts.Delay, func(now time.Duration) {
 		g.startJob(job, binding, opts, now)
@@ -505,8 +503,8 @@ func (g *Galaxy) startJob(job *Job, binding *ToolBinding, opts SubmitOptions, no
 // (destination slots, or the batch scheduler's queue) or hands it to
 // launchLocked for execution.
 func (g *Galaxy) startJobLocked(job *Job, binding *ToolBinding, opts SubmitOptions, now time.Duration) {
-	if job.killed {
-		return // cancelled while queued
+	if job.Done() {
+		return // killed while queued
 	}
 	fail := func(err error) {
 		g.failLocked(job, binding, opts, err, nil) // no slot is held before the launch
@@ -596,24 +594,17 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 		g.failLocked(job, binding, opts, err, release)
 	}
 
-	// Each (re)launch bumps the run epoch; a stale completion event (from
-	// a run a fault retry tore down) sees a newer epoch and stands down.
+	// Each (re)launch bumps the run epoch and journals it on the start
+	// record; the run's pending events stand down once it ends (Job.runs).
 	job.run++
 	run := job.run
 	attempt := job.Attempt()
 
-	job.State = StateRunning
-	job.Started = now
-	job.Destination = decision.Destination.ID
-	job.GPUEnabled = decision.GPUEnabled
-	job.Devices = decision.Devices
-	job.VisibleDevices = decision.VisibleDevices
-	job.Info = decision.Reason
-	job.PID = g.Cluster.NextPID()
-	g.logJournal(journal.Record{
-		Type: journal.TypeStart, At: now, Job: job.ID, Epoch: run,
-		Destination: job.Destination, GPUEnabled: job.GPUEnabled, Devices: job.Devices,
-	})
+	job.State, job.Started, job.PID = StateRunning, now, g.Cluster.NextPID()
+	job.Destination, job.GPUEnabled = decision.Destination.ID, decision.GPUEnabled
+	job.Devices, job.VisibleDevices = decision.Devices, decision.VisibleDevices
+	job.reason, job.Info = decision.Reason, decision.Reason
+	g.logJournal(startRecord(job))
 
 	dict, err := BuildParamDict(tool, job.Params, decision.GPUEnabled)
 	if err != nil {
@@ -735,19 +726,15 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 	g.Engine.Schedule(end, func(fin time.Duration) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
-		if job.killed || job.run != run {
-			return // a kill or a fault retry already tore this run down
+		if !job.runs(run) {
+			return // a kill or a fault already ended this run
 		}
 		for _, s := range job.sessions {
 			s.Close()
 		}
 		job.sessions = nil
 		job.release = nil
-		job.finish(StateOK, fin)
-		g.logJournal(journal.Record{
-			Type: journal.TypeComplete, At: fin, Job: job.ID,
-			Epoch: run, State: string(StateOK),
-		})
+		g.endLocked(job, StateOK, job.Info, fin)
 		release()
 	})
 }
@@ -755,8 +742,8 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 // Kill cancels a job at the current virtual time, the user-driven
 // termination the paper's monitor handles ("stopped when a job is either
 // killed or stops"). A running job's device sessions are closed immediately
-// and its scheduler slots are released; a queued job is marked killed and
-// skipped when its start event or queue dispatch reaches it. Killing a
+// and its scheduler slots are released; a queued job ends at once, and its
+// start event or queue dispatch finds it done and skips it. Killing a
 // finished job is a no-op.
 func (g *Galaxy) Kill(job *Job) {
 	if job == nil {
@@ -776,24 +763,13 @@ func (g *Galaxy) Kill(job *Job) {
 		return
 	}
 	job = live
-	if job.Done() || job.killed {
+	if job.Done() {
 		return
 	}
-	job.killed = true
 	now := g.Engine.Clock().Now()
-	for _, s := range job.sessions {
-		s.Abort(now)
-	}
-	job.sessions = nil
-	job.Info = "killed by user"
-	job.finish(StateError, now)
-	g.logJournal(journal.Record{
-		Type: journal.TypeComplete, At: now, Job: job.ID,
-		State: string(StateError), Msg: job.Info,
-	})
-	if job.release != nil {
-		rel := job.release
-		job.release = nil
+	rel := job.stop(now)
+	g.endLocked(job, StateError, "killed by user", now)
+	if rel != nil {
 		rel()
 	} else if g.sched != nil {
 		// Queued under the batch scheduler: drop it from the priority
@@ -819,7 +795,7 @@ func (g *Galaxy) dispatchNext(destID string) {
 	g.Engine.After(0, func(now time.Duration) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
-		if next.job.killed {
+		if next.job.Done() {
 			// Killed while it waited: the slot goes to whoever is behind it.
 			g.dispatchNext(destID)
 			return

@@ -107,12 +107,13 @@ type Job struct {
 	// onDone, if set, runs when the job reaches a terminal state
 	// (workflow chaining).
 	onDone func(*Job)
-	// killed marks a job cancelled by the user; the pending completion
-	// event becomes a no-op.
-	killed bool
-	// run is the launch epoch: bumped on every (re)launch so a completion
-	// event scheduled by a run a fault retry tore down stands down.
+	// run is the launch epoch, bumped by every (re)launch and journaled on
+	// its start record. A run's pending events stand down once the job is
+	// no longer running that epoch (see Job.runs).
 	run int
+	// reason is the placement reason of the current run, journaled on its
+	// start record; Info starts out as it and is overwritten as the job moves.
+	reason string
 	// release returns the job's scheduler slots; set while running.
 	release func()
 	// submit is the journal record that created this job: a snapshot
@@ -126,6 +127,9 @@ type Job struct {
 	// owner is the handler that owns this job when it differs from the
 	// local handler (a stolen job names its thief).
 	owner string
+	// from is the handler this one adopted the job from: the victim of an
+	// accepted transfer, or a dead owner recovery took over ("" otherwise).
+	from string
 }
 
 // clone returns a deep-enough copy of the job for snapshot readers: every
@@ -146,14 +150,21 @@ func (j *Job) clone() *Job {
 	return &c
 }
 
-// finish moves the job to a terminal state and fires the completion hook.
-func (j *Job) finish(state JobState, at time.Duration) {
-	j.State = state
-	j.Finished = at
-	if j.onDone != nil {
-		j.onDone(j)
+// stop tears down the job's live run at `at`: its device sessions abort.
+// It returns the release closure the run held (nil when it held no slots),
+// for the caller to call once the job has moved on.
+func (j *Job) stop(at time.Duration) func() {
+	for _, s := range j.sessions {
+		s.Abort(at)
 	}
+	rel := j.release
+	j.sessions, j.release = nil, nil
+	return rel
 }
+
+// runs reports whether the job is still running launch epoch run: a kill,
+// a fault or a retry ends a run, and its pending events then stand down.
+func (j *Job) runs(run int) bool { return j.State == StateRunning && j.run == run }
 
 // Runtime durations.
 
@@ -186,12 +197,3 @@ func (j *Job) Done() bool {
 // last reset (an admin resubmit retains the failure log but starts a fresh
 // budget).
 func (j *Job) Attempt() int { return len(j.Failures) - j.attemptBase + 1 }
-
-// ownerOr returns the job's owning handler, defaulting to def for jobs the
-// local handler owns.
-func (j *Job) ownerOr(def string) string {
-	if j.owner != "" {
-		return j.owner
-	}
-	return def
-}

@@ -161,7 +161,7 @@ func TestConcurrentSubmitKillRetryUnderFaults(t *testing.T) {
 	// The permanent fault targeted job ID 3; whoever drew that ID must be
 	// dead-lettered — unless a concurrent kill landed first.
 	for _, j := range jobs {
-		if j != nil && j.ID == 3 && !j.killed && j.State != StateDeadLetter {
+		if j != nil && j.ID == 3 && j.Info != "killed by user" && j.State != StateDeadLetter {
 			t.Errorf("job 3 hit a permanent fault but ended %s: %s", j.State, j.Info)
 		}
 	}

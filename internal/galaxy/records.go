@@ -1,0 +1,116 @@
+package galaxy
+
+import (
+	"time"
+
+	"gyan/internal/core"
+	"gyan/internal/faults"
+	"gyan/internal/journal"
+)
+
+// Job records. Every kind of record the engine journals about a job has one
+// constructor here, called by the live transition that writes it and by
+// SnapshotJournal when it re-emits the engine's state, and the inverse that
+// Recover applies sits next to it. So a compacted journal folds to the trails
+// the live one did, and a recovered job reads the same whether or not a
+// compaction ran in between. (The submit record is built once, in submitJob,
+// and kept on the job; the workflow definition and verdict are in dag.go.)
+
+// startRecord is the start record of the job's current run: its epoch, where
+// it was placed and why (Msg), and its host PID.
+func startRecord(j *Job) journal.Record {
+	return journal.Record{
+		Type: journal.TypeStart, At: j.Started, Job: j.ID, Epoch: j.run,
+		Destination: j.Destination, GPUEnabled: j.GPUEnabled, Devices: j.Devices,
+		PID: j.PID, Msg: j.reason,
+	}
+}
+
+// applyStart is startRecord's inverse.
+func (j *Job) applyStart(r *journal.Record) {
+	j.Started, j.run = r.At, r.Epoch
+	j.Destination, j.GPUEnabled, j.Devices = r.Destination, r.GPUEnabled, r.Devices
+	j.VisibleDevices = core.VisibleDevices(r.Devices)
+	j.PID, j.reason, j.Info = r.PID, r.Msg, r.Msg
+}
+
+// attemptRecord journals one classified failure of job id.
+func attemptRecord(id int, f Failure) journal.Record {
+	return journal.Record{
+		Type: journal.TypeAttempt, At: f.At, Job: id, Attempt: f.Attempt,
+		Op: string(f.Op), Class: f.Class.String(), Msg: f.Msg, Devices: f.Devices,
+	}
+}
+
+// failureOf is attemptRecord's inverse.
+func failureOf(r *journal.Record) Failure {
+	class := faults.Transient
+	if r.Class == faults.Permanent.String() {
+		class = faults.Permanent
+	}
+	return Failure{At: r.At, Attempt: r.Attempt, Op: faults.Op(r.Op), Class: class, Msg: r.Msg, Devices: r.Devices}
+}
+
+// terminalRecord closes the job's trail: a dead_letter record, or a complete
+// record naming the state. A job that did not end ok carries its reason; an
+// ok job's Info is its placement reason, which its start record carries.
+func terminalRecord(j *Job) journal.Record {
+	rec := journal.Record{Type: journal.TypeComplete, At: j.Finished, Job: j.ID, Epoch: j.run, State: string(j.State)}
+	if j.State == StateDeadLetter {
+		rec.Type, rec.State = journal.TypeDeadLetter, ""
+	}
+	if j.State != StateOK {
+		rec.Msg = j.Info
+	}
+	return rec
+}
+
+// applyTerminal is terminalRecord's inverse.
+func (j *Job) applyTerminal(r *journal.Record) {
+	switch {
+	case r.Type == journal.TypeDeadLetter:
+		j.State = StateDeadLetter
+	case r.State == string(StateOK):
+		j.State = StateOK
+	default:
+		j.State = StateError
+	}
+	j.Finished = r.At
+	if r.Msg != "" {
+		j.Info = r.Msg
+	}
+}
+
+// endLocked is the one terminal transition: the job settles in state with
+// info at `at`, its terminal record is journaled and its completion hook
+// fires. Caller holds g.mu.
+func (g *Galaxy) endLocked(j *Job, state JobState, info string, at time.Duration) {
+	j.State, j.Info, j.Finished = state, info, at
+	g.logJournal(terminalRecord(j))
+	if j.onDone != nil {
+		j.onDone(j)
+	}
+}
+
+// resubmitRecord reopens job id's trail with a fresh retry budget; Fold
+// rebases the budget at it (Trail.AttemptBase).
+func resubmitRecord(id int, at time.Duration) journal.Record {
+	return journal.Record{Type: journal.TypeResubmit, At: at, Job: id}
+}
+
+// adoptRecord moves job id to handler to from handler from, which the job
+// remembers (Job.from) and its trail names (Trail.From).
+func adoptRecord(id int, to, from string, at time.Duration) journal.Record {
+	return journal.Record{Type: journal.TypeAdopt, At: at, Job: id, Handler: to, From: from}
+}
+
+// stealRecord journals one phase of the two-phase steal p of job id: its
+// prepare, retire or abort. Handler names the thief; From, this handler.
+func (g *Galaxy) stealRecord(typ journal.Type, id int, p *preparedSteal, at time.Duration, msg string) journal.Record {
+	return journal.Record{Type: typ, At: at, Job: id, Handler: p.to, From: g.handlerID, Xfer: p.xfer, Msg: msg}
+}
+
+// preparedOf is the inverse of a prepare record: the steal it left open.
+func preparedOf(r *journal.Record) *preparedSteal {
+	return &preparedSteal{to: r.Handler, xfer: r.Xfer, at: r.At}
+}

@@ -1,13 +1,12 @@
 package galaxy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
 
-	"gyan/internal/core"
-	"gyan/internal/faults"
 	"gyan/internal/journal"
 )
 
@@ -303,111 +302,41 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		h := hist.Jobs[id]
 		g.nextID = max(g.nextID, id)
 		job := g.materializeLocked(id, h)
-		rj := RecoveredJob{ID: id, Tool: job.ToolID, Owner: h.Owner}
-
-		if h.Terminal != nil {
-			switch {
-			case h.Terminal.Type == journal.TypeDeadLetter:
-				job.State = StateDeadLetter
-				rep.DeadLettered++
-			case h.Terminal.State == string(StateOK):
-				job.State = StateOK
-				rep.Completed++
-			default:
-				job.State = StateError
-				rep.Errored++
-			}
-			job.Finished = h.Terminal.At
-			if h.Terminal.Msg != "" {
-				job.Info = h.Terminal.Msg
-			}
+		g.jobs[id] = job
+		// A handler with no ID (journaling off) claims every job as its own.
+		foreign := h.Owner != "" && g.handlerID != "" && h.Owner != g.handlerID
+		if foreign {
+			job.owner = h.Owner
+		}
+		action := "kept"
+		if h.Terminal == nil {
+			action = g.requeueLocked(job, h, now, rep)
+		}
+		switch {
+		case action == "failed":
+			rep.Failed++
+		case action != "kept":
+			rep.Requeued++
+		case job.State == StateDeadLetter:
+			rep.DeadLettered++
+		case job.State == StateOK:
+			rep.Completed++
 			// Re-credit the completed run's GPU-seconds so fair share does
 			// not reset across the restart. Requeued work is deliberately
 			// not credited here — its new run is charged on release, so
 			// nothing is double-charged.
-			if g.sched != nil && job.State == StateOK && job.GPUEnabled &&
-				len(job.Devices) > 0 && job.Finished > job.Started {
+			if g.sched != nil && job.GPUEnabled && len(job.Devices) > 0 && job.Finished > job.Started {
 				g.sched.RestoreUsage(job.User,
 					float64(len(job.Devices))*(job.Finished-job.Started).Seconds())
 			}
-			rj.Action = "kept"
-			rj.State = job.State
-			g.jobs[job.ID] = job
-			rep.Jobs = append(rep.Jobs, rj)
-			continue
+		default:
+			rep.Errored++
 		}
-
-		if h.Prepared != nil {
-			// The trail ends mid-transfer: a steal prepare with no retire
-			// or abort — this handler crashed after detaching the job.
-			// Standalone recovery has no thief that could double-run it, so
-			// an abort record closes the trail and the job requeues here.
-			// (A clustered member never recovers this way: its survivors
-			// settle orphaned prepares with the tentative thief — see
-			// internal/cluster.)
-			g.logJournal(journal.Record{
-				Type: journal.TypeStealAbort, At: now, Job: id,
-				Handler: h.Prepared.Handler, From: g.handlerID, Xfer: h.Prepared.Xfer,
-				Msg: "recovery: orphaned prepare requeued",
-			})
-		}
-
-		// Non-terminal: this handler holds the journal lock, so the job's
-		// owner is dead and the job requeues here. A job another handler
-		// owned is adopted first. A handler with no ID (journaling off)
-		// claims every job as its own.
 		owner := h.Owner
-		foreign := owner != "" && g.handlerID != "" && owner != g.handlerID
-		if foreign {
-			g.logJournal(journal.Record{
-				Type: journal.TypeAdopt, At: now, Job: id, From: owner,
-			})
-			job.submit.Handler = g.handlerID
-			rep.Adopted++
-			rj.Owner = g.handlerID
+		if foreign && h.Terminal == nil {
+			owner = g.handlerID // adopted
 		}
-
-		binding, rerr := g.resolveRequeueLocked(job)
-		if rerr != nil {
-			job.State = StateError
-			job.Info = rerr.Error()
-			job.Finished = now
-			rep.Failed++
-			rj.Action = "failed"
-			rj.State = job.State
-			g.jobs[job.ID] = job
-			rep.Jobs = append(rep.Jobs, rj)
-			continue
-		}
-		job.State = StateQueued
-		if h.Start != nil {
-			job.Info = fmt.Sprintf("recovered: rerunning as epoch %d after handler crash", job.run+1)
-		} else {
-			job.Info = "recovered: requeued after handler restart"
-		}
-		if job.Submitted == 0 {
-			// A true t=0 submission would hit the zero-means-now defaults
-			// downstream and lose its seniority; a nanosecond keeps it at
-			// the front of every queue.
-			job.Submitted = time.Nanosecond
-		}
-		rep.Requeued++
-		if foreign {
-			rj.Action = "adopted"
-		} else {
-			rj.Action = "requeued"
-		}
-		rj.State = job.State
-		g.jobs[job.ID] = job
-		rep.Jobs = append(rep.Jobs, rj)
-
-		sopts := submitOptions(job.submit)
-		requeued := job
-		// ID-order requeue at the same instant: the engine's FIFO
-		// tie-break preserves submission seniority through dispatch.
-		g.Engine.After(0, func(at time.Duration) {
-			g.startJob(requeued, binding, sopts, at)
-		})
+		rep.Jobs = append(rep.Jobs, RecoveredJob{ID: id, Tool: job.ToolID, State: job.State, Action: action, Owner: owner})
 	}
 
 	g.rebuildWorkflowsLocked(hist, rep, now)
@@ -415,8 +344,59 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 	return rep, nil
 }
 
-// materializeLocked rebuilds one Job value from its folded trail (without
-// deciding its disposition).
+// requeueLocked disposes of a job whose trail is open, returning the action
+// the report records. This handler holds the journal lock, so the job's
+// owner is dead: an orphaned steal is closed, another handler's job is
+// adopted, and the job requeues here as a fresh run epoch — or, when its
+// tool or dataset is gone, fails with the reason, journaled like any
+// terminal transition so the next recovery keeps the verdict.
+func (g *Galaxy) requeueLocked(job *Job, h *journal.Trail, now time.Duration, rep *RecoveryReport) string {
+	if h.Prepared != nil {
+		// The trail ends mid-transfer: a steal prepare with no retire or
+		// abort — this handler crashed after detaching the job. Standalone
+		// recovery has no thief that could double-run it, so an abort
+		// record closes the trail. (A clustered member never recovers this
+		// way: its survivors settle orphaned prepares with the tentative
+		// thief — see internal/cluster.)
+		g.logJournal(g.stealRecord(journal.TypeStealAbort, job.ID, preparedOf(h.Prepared), now,
+			"recovery: orphaned prepare requeued"))
+	}
+	action := "requeued"
+	if job.owner != "" {
+		g.logJournal(adoptRecord(job.ID, g.handlerID, job.owner, now))
+		job.owner, job.from = "", job.owner
+		rep.Adopted++
+		action = "adopted"
+	}
+	binding, err := g.resolveRequeueLocked(job)
+	if err != nil {
+		g.endLocked(job, StateError, err.Error(), now)
+		return "failed"
+	}
+	job.State = StateQueued
+	if h.Start != nil {
+		job.Info = fmt.Sprintf("recovered: rerunning as epoch %d after handler crash", job.run+1)
+	} else {
+		job.Info = "recovered: requeued after handler restart"
+	}
+	if job.Submitted == 0 {
+		// A true t=0 submission would hit the zero-means-now defaults
+		// downstream and lose its seniority; a nanosecond keeps it at the
+		// front of every queue.
+		job.Submitted = time.Nanosecond
+	}
+	// ID-order requeue at the same instant: the engine's FIFO tie-break
+	// preserves submission seniority through dispatch.
+	opts := submitOptions(job.submit)
+	g.Engine.After(0, func(at time.Duration) {
+		g.startJob(job, binding, opts, at)
+	})
+	return action
+}
+
+// materializeLocked rebuilds one Job value from its folded trail through
+// each record's inverse (records.go): a terminal trail comes back in its
+// terminal state, an open one is left for Recover to dispose of.
 func (g *Galaxy) materializeLocked(id int, h *journal.Trail) *Job {
 	sub := h.Submit
 	job := &Job{
@@ -430,22 +410,16 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail) *Job {
 		StepID:      sub.Step,
 		submit:      sub,
 		attemptBase: h.AttemptBase,
+		from:        h.From,
 	}
-	for _, a := range h.Attempts {
-		job.Failures = append(job.Failures, Failure{
-			At: a.At, Attempt: a.Attempt, Op: faults.Op(a.Op),
-			Class: classFromString(a.Class), Msg: a.Msg, Devices: a.Devices,
-		})
+	for i := range h.Attempts {
+		job.Failures = append(job.Failures, failureOf(&h.Attempts[i]))
 	}
 	if h.Start != nil {
-		job.Started = h.Start.At
-		job.run = h.Start.Epoch
-		if h.Start.Destination != "" {
-			job.Destination = h.Start.Destination
-		}
-		job.GPUEnabled = h.Start.GPUEnabled
-		job.Devices = h.Start.Devices
-		job.VisibleDevices = core.VisibleDevices(h.Start.Devices)
+		job.applyStart(h.Start)
+	}
+	if h.Terminal != nil {
+		job.applyTerminal(h.Terminal)
 	}
 	// Resolve the dataset even for terminal jobs: an admin resubmit of a
 	// recovered dead-letter needs a payload to run, and a resumed workflow
@@ -497,14 +471,6 @@ func submitOptions(sub journal.Record) SubmitOptions {
 	}
 }
 
-// classFromString parses a journaled faults.Class back.
-func classFromString(s string) faults.Class {
-	if s == faults.Permanent.String() {
-		return faults.Permanent
-	}
-	return faults.Transient
-}
-
 // ErrNoJob is what ResubmitDeadLetter wraps when the ID names no job — the
 // one failure that is the caller's addressing mistake rather than the job's
 // state.
@@ -538,12 +504,11 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	}
 	now := g.Engine.Clock().Now()
 	job.attemptBase = len(job.Failures)
-	job.killed = false
 	job.State = StateQueued
 	job.Finished = 0
 	job.Info = fmt.Sprintf("admin resubmit: fresh retry budget (%d prior failure(s) retained)",
 		len(job.Failures))
-	g.logJournal(journal.Record{Type: journal.TypeResubmit, At: now, Job: job.ID})
+	g.logJournal(resubmitRecord(job.ID, now))
 	opts := submitOptions(job.submit)
 	g.Engine.After(0, func(at time.Duration) {
 		g.startJob(job, binding, opts, at)
@@ -554,7 +519,10 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 // SnapshotJournal condenses the journal: the current in-memory state is
 // re-emitted as the minimal record stream that would rebuild it, installed
 // as a snapshot, and every older segment is deleted. Call it during quiet
-// periods to bound replay time and disk use.
+// periods to bound replay time and disk use. Each record comes from the
+// constructor its live transition used (records.go), so the compacted
+// journal folds to the trails the live one did; only the start times of
+// runs before a job's newest are dropped (Trail.Starts).
 //
 // It holds g.mu across the state scan and WriteSnapshot. Every record is
 // staged under g.mu, and a submit record in the same critical section as its
@@ -566,7 +534,6 @@ func (g *Galaxy) SnapshotJournal() error {
 	if g.journal == nil {
 		return fmt.Errorf("galaxy: no journal attached")
 	}
-	now := g.Engine.Clock().Now()
 	var recs []journal.Record
 	// Workflow definitions first: a compacted journal must still rebuild
 	// every run's DAG, and finished runs keep their recorded verdict.
@@ -579,58 +546,39 @@ func (g *Galaxy) SnapshotJournal() error {
 		wr := g.workflows[id]
 		recs = append(recs, wr.defRecord)
 		if wr.state == StateOK || wr.state == StateError {
-			recs = append(recs, journal.Record{
-				Type: journal.TypeComplete, At: wr.finishedAt, Workflow: wr.ID,
-				State: string(wr.state), Msg: wr.info,
-			})
+			recs = append(recs, verdictRecord(wr))
 		}
 	}
 	for _, j := range g.jobsLocked() {
-		sub := j.submit
-		sub.Handler = j.ownerOr(g.handlerID)
-		recs = append(recs, sub)
-		emitAttempt := func(f Failure) {
-			recs = append(recs, journal.Record{
-				Type: journal.TypeAttempt, At: f.At, Job: j.ID, Attempt: f.Attempt,
-				Op: string(f.Op), Class: f.Class.String(), Msg: f.Msg, Devices: f.Devices,
-			})
+		// The owner is the submit record's writer, or the adopter that took
+		// the job from its submitter.
+		owner := cmp.Or(j.owner, g.handlerID)
+		if sub := j.submit; j.from != "" {
+			recs = append(recs, sub, adoptRecord(j.ID, owner, j.from, sub.At))
+		} else {
+			sub.Handler = owner
+			recs = append(recs, sub)
 		}
 		// The resubmit marker splits the failure log so replay rebuilds
 		// the same attemptBase.
 		for i, f := range j.Failures {
-			if j.attemptBase > 0 && i == j.attemptBase {
-				recs = append(recs, journal.Record{Type: journal.TypeResubmit, At: f.At, Job: j.ID})
+			recs = append(recs, attemptRecord(j.ID, f))
+			if i+1 == j.attemptBase {
+				recs = append(recs, resubmitRecord(j.ID, f.At))
 			}
-			emitAttempt(f)
-		}
-		if j.attemptBase > 0 && j.attemptBase >= len(j.Failures) {
-			recs = append(recs, journal.Record{Type: journal.TypeResubmit, At: now, Job: j.ID})
 		}
 		if j.run > 0 {
-			recs = append(recs, journal.Record{
-				Type: journal.TypeStart, At: j.Started, Job: j.ID, Epoch: j.run,
-				Destination: j.Destination, GPUEnabled: j.GPUEnabled, Devices: j.Devices,
-			})
+			recs = append(recs, startRecord(j))
 		}
 		switch j.State {
-		case StateOK, StateError:
-			recs = append(recs, journal.Record{
-				Type: journal.TypeComplete, At: j.Finished, Job: j.ID,
-				Epoch: j.run, State: string(j.State), Msg: j.Info,
-			})
-		case StateDeadLetter:
-			recs = append(recs, journal.Record{
-				Type: journal.TypeDeadLetter, At: j.Finished, Job: j.ID, Msg: j.Info,
-			})
+		case StateOK, StateError, StateDeadLetter:
+			recs = append(recs, terminalRecord(j))
 		case StatePrepared:
 			// An in-flight two-phase steal must survive compaction: without
 			// the prepare record, replay would see a plain queued job and
 			// requeue it while the thief may be running it.
 			if p := g.preparedSteals[j.ID]; p != nil {
-				recs = append(recs, journal.Record{
-					Type: journal.TypeStealPrepare, At: now, Job: j.ID,
-					Handler: p.to, From: g.handlerID, Xfer: p.xfer,
-				})
+				recs = append(recs, g.stealRecord(journal.TypeStealPrepare, j.ID, p, p.at, ""))
 			}
 		}
 	}

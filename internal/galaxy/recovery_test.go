@@ -373,6 +373,55 @@ func TestRecoverRequiresFreshInstanceAndDataset(t *testing.T) {
 	}
 }
 
+// TestRecoveredFailureIsDurable: a job recovery cannot requeue (its dataset
+// is not registered) fails with the reason, and that verdict is journaled
+// like any other terminal transition. A second recovery of the same
+// directory, uncompacted and with the dataset back, keeps the job as it
+// was reported rather than running it.
+func TestRecoveredFailureIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, dir)
+	g := testGalaxy(t, WithJournal(j, "h1"))
+	if _, err := g.Submit("racon", fastParams(), smallReadSet(t), SubmitOptions{DatasetName: "nfl"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	recoverDir := func(register bool) (*Galaxy, *RecoveryReport) {
+		t.Helper()
+		jr := openTestJournal(t, dir)
+		t.Cleanup(func() { _ = jr.Close() })
+		recs, rerr := replayDir(t, dir)
+		gr := testGalaxy(t, WithJournal(jr, "h1"))
+		if register {
+			gr.RegisterDataset("nfl", smallReadSet(t))
+		}
+		rep, err := gr.Recover(recs, rerr, RecoverOptions{RestartDelay: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr.Run()
+		if err := jr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return gr, rep
+	}
+	_, rep := recoverDir(false)
+	if rep.Failed != 1 || rep.Requeued != 0 {
+		t.Fatalf("datasetless recovery = %+v", rep)
+	}
+	g3, rep := recoverDir(true)
+	if rep.Failed != 0 || rep.Requeued != 0 || rep.Errored != 1 ||
+		len(rep.Jobs) != 1 || rep.Jobs[0].Action != "kept" {
+		t.Fatalf("second recovery = %+v %+v, want the failed job kept", rep, rep.Jobs)
+	}
+	if job := g3.Jobs()[0]; job.State != StateError || !strings.Contains(job.Info, "unrecoverable") {
+		t.Fatalf("job after the second recovery = %s %q, want error, unrecoverable", job.State, job.Info)
+	}
+}
+
 func TestResubmitDeadLetterRunsFreshEpoch(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)

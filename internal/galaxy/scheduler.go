@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gyan/internal/core"
-	"gyan/internal/journal"
 	"gyan/internal/sched"
 	"gyan/internal/toolxml"
 )
@@ -83,8 +82,7 @@ func (g *Galaxy) parkInSchedulerLocked(job *Job, binding *ToolBinding, opts Subm
 		req.Submitted = now
 	}
 	if err := g.sched.Submit(req, now); err != nil {
-		job.Info = err.Error()
-		job.finish(StateError, now)
+		g.endLocked(job, StateError, err.Error(), now)
 		return
 	}
 	job.State = StateQueued
@@ -132,12 +130,7 @@ func (g *Galaxy) schedCycle(now time.Duration) {
 		if e == nil || e.pending.job.Done() {
 			continue
 		}
-		e.pending.job.Info = rej.Reason
-		e.pending.job.finish(StateError, now)
-		g.logJournal(journal.Record{
-			Type: journal.TypeComplete, At: now, Job: rej.ID,
-			State: string(StateError), Msg: rej.Reason,
-		})
+		g.endLocked(e.pending.job, StateError, rej.Reason, now)
 	}
 	for _, st := range dec.Starts {
 		if e := g.schedJobs[st.ID]; e != nil {
@@ -153,7 +146,7 @@ func (g *Galaxy) schedCycle(now time.Duration) {
 // launchScheduledLocked starts one granted job on exactly its device gang.
 func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.Duration) {
 	job := e.pending.job
-	if job.killed || job.Done() {
+	if job.Done() {
 		// Defensive: Kill removes parked jobs from the scheduler, so a
 		// grant for a dead job should not happen.
 		delete(g.schedJobs, job.ID)
@@ -164,8 +157,7 @@ func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.D
 	if err != nil {
 		delete(g.schedJobs, job.ID)
 		g.sched.Release(job.ID, now)
-		job.Info = err.Error()
-		job.finish(StateError, now)
+		g.endLocked(job, StateError, err.Error(), now)
 		return
 	}
 	decision := core.Decision{

@@ -1,8 +1,10 @@
 package galaxy
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,10 +174,11 @@ func TestKillThroughSnapshot(t *testing.T) {
 
 // TestSnapshotJournalIsTheFoldsInverse pins the other snapshot in this
 // package: SnapshotJournal re-emits the engine's state as a minimal record
-// stream, so folding the journal before compaction and after it must agree
-// on everything recovery acts on — for closed trails (ok, retried,
-// dead-lettered, resubmitted, killed) and open ones (running,
-// parked, mid-steal, stolen away, transferred in).
+// stream, so folding the journal before compaction and after it must give the
+// same trails, record for record — for closed trails (ok, retried,
+// dead-lettered by an exec fault and by a mid-run crash, resubmitted, killed
+// queued and killed running, rejected by the scheduler) and open ones
+// (running, parked, mid-steal, stolen away, transferred in).
 func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
@@ -187,6 +190,8 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 			Fault: faults.Fault{Class: faults.Transient, Msg: "XID 79"}, Count: 1},
 		faults.Rule{Match: faults.Match{Op: faults.OpExec, Job: 3},
 			Fault: faults.Fault{Class: faults.Permanent, Msg: "fell off the bus"}, Count: 1},
+		faults.Rule{Match: faults.Match{Op: faults.OpCrash, Job: 7},
+			Fault: faults.Fault{Class: faults.Permanent, Msg: "segfault"}, Count: 1},
 	)
 	g := schedGalaxy(t, sched.Config{},
 		WithJournal(j, "h1"), WithFaultPlan(plan),
@@ -205,7 +210,8 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 
 	// Closed trails: 1 dead-letters and is resubmitted to ok, 2 retries to
 	// ok, 3 stays dead-lettered, 4 holds both devices while 5 waits, 6 is
-	// killed before it starts.
+	// killed before it starts, 7 crashes mid-run into the dead-letter state
+	// and 8 asks for a gang larger than the testbed.
 	revived := submit(fastParams(), SubmitOptions{})
 	submit(fastParams(), SubmitOptions{})
 	submit(fastParams(), SubmitOptions{})
@@ -216,17 +222,23 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 	submit(slow, SubmitOptions{GPUs: 2, User: "hog"})
 	submit(fastParams(), SubmitOptions{Priority: 1, User: "urgent", Delay: time.Millisecond})
 	g.Kill(submit(fastParams(), SubmitOptions{Delay: time.Hour}))
+	submit(fastParams(), SubmitOptions{})
+	submit(fastParams(), SubmitOptions{GPUs: 3})
 	g.Run()
 	if revived.State != StateOK || revived.attemptBase != 1 {
 		t.Fatalf("scenario did not build: job 1 %s base %d", revived.State, revived.attemptBase)
 	}
-	// Open trails: 7 and 8 run, 9-11 park; the two juniors are prepared for
-	// h2, one of them retired; 12 arrives from h0.
+	// Open trails: 9 and 10 run until 9 is killed, 11-13 park; the two
+	// juniors are prepared for h2, one of them retired; 14 arrives from h0.
+	var running *Job
 	for i := 0; i < 5; i++ {
-		submit(slow, SubmitOptions{})
+		if job := submit(slow, SubmitOptions{}); running == nil {
+			running = job
+		}
 	}
 	g.Engine.RunUntil(g.Engine.Clock().Now() + 10*time.Millisecond)
-	prepared := g.PrepareSteal(2, "h2", 7)
+	g.Kill(running)
+	prepared := g.PrepareSteal(2, "h2", 7, nil)
 	if len(prepared) != 2 || !g.RetireSteal(prepared[0].JobID) {
 		t.Fatalf("prepared %d steals, want 2 and a retire", len(prepared))
 	}
@@ -255,49 +267,101 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 	}
 	after := fold()
 
-	// What recovery reads off a trail, flattened for comparison.
-	type essence struct {
-		Owner, Terminal, Prepared    string
-		AttemptBase, Attempts, Epoch int
-	}
-	distil := func(tr *journal.Trail) essence {
-		e := essence{Owner: tr.Owner, AttemptBase: tr.AttemptBase, Attempts: len(tr.Attempts)}
-		if tr.Terminal != nil {
-			e.Terminal = string(tr.Terminal.Type) + "/" + tr.Terminal.State
+	// A whole trail, as text, less what its writer stamps — every record's
+	// tick and handler, whose effects Owner and the thief a prepare names
+	// carry — and the start times of runs before the newest (Starts), which
+	// compaction drops by design.
+	show := func(tr *journal.Trail) string {
+		var b strings.Builder
+		rec := func(name string, r *journal.Record) {
+			if r == nil {
+				return
+			}
+			c := *r
+			c.Tick, c.Handler = 0, ""
+			js, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "\n\t%s %s", name, js)
 		}
+		fmt.Fprintf(&b, "owner %s from %q base %d", tr.Owner, tr.From, tr.AttemptBase)
+		rec("submit", &tr.Submit)
+		for i := range tr.Attempts {
+			rec("attempt", &tr.Attempts[i])
+		}
+		rec("start", tr.Start)
+		rec("terminal", tr.Terminal)
 		if tr.Prepared != nil {
-			e.Prepared = fmt.Sprintf("%s/%d", tr.Prepared.Handler, tr.Prepared.Xfer)
+			fmt.Fprintf(&b, "\n\tprepared for %s", tr.Prepared.Handler)
+			rec("", tr.Prepared)
 		}
-		if tr.Start != nil {
-			e.Epoch = tr.Start.Epoch
-		}
-		return e
+		return b.String()
 	}
-	if len(before.Order) != 12 || !reflect.DeepEqual(before.Order, after.Order) {
-		t.Fatalf("jobs before %v, after %v, want the same 12", before.Order, after.Order)
+	if len(before.Order) != 14 || !reflect.DeepEqual(before.Order, after.Order) {
+		t.Fatalf("jobs before %v, after %v, want the same 14", before.Order, after.Order)
 	}
-	seen := make(map[essence]bool)
 	for _, id := range before.Order {
-		b, a := distil(before.Jobs[id]), distil(after.Jobs[id])
-		if b != a {
-			t.Errorf("job %d: before compaction %+v, after %+v", id, b, a)
+		if b, a := show(before.Jobs[id]), show(after.Jobs[id]); b != a {
+			t.Errorf("job %d before compaction: %s\nafter: %s", id, b, a)
 		}
-		b.Epoch = 0
-		seen[b] = true
 	}
+
 	// The scenario is only worth its length if the trails really differ.
-	for _, want := range []essence{
-		{Owner: "h1", Terminal: "complete/ok", AttemptBase: 1, Attempts: 1},
-		{Owner: "h1", Terminal: "complete/ok", Attempts: 1},
-		{Owner: "h1", Terminal: "dead_letter/", Attempts: 1},
-		{Owner: "h1", Terminal: "complete/ok"},
-		{Owner: "h1", Terminal: "complete/error"},
-		{Owner: "h1"},
-		{Owner: "h1", Prepared: "h2/8"},
-		{Owner: "h2"},
+	for id, want := range map[int]string{
+		1:  "complete/ok epoch 2 attempts 1 base 1",
+		2:  "complete/ok epoch 2 attempts 1",
+		3:  "dead_letter epoch 1 attempts 1",
+		4:  "complete/ok epoch 1",
+		6:  "complete/error killed by user",
+		7:  "dead_letter epoch 1 attempts 1",
+		8:  "complete/error gang of 3 exceeds the 2-GPU cluster",
+		9:  "complete/error epoch 1 killed by user",
+		10: "running epoch 1",
+		11: "queued",
+		12: "queued prepared for h2",
+		13: "queued owner h2",
+		14: "queued from h0",
 	} {
-		if !seen[want] {
-			t.Errorf("no trail folded to %+v; scenario drifted: %v", want, seen)
+		if got := summary(before.Jobs[id]); got != want {
+			t.Errorf("job %d folded to %q, want %q; scenario drifted", id, got, want)
 		}
 	}
+}
+
+// summary is one line on what a trail says happened to its job.
+func summary(tr *journal.Trail) string {
+	var parts []string
+	switch {
+	case tr.Terminal != nil && tr.Terminal.Type == journal.TypeDeadLetter:
+		parts = append(parts, "dead_letter")
+	case tr.Terminal != nil:
+		parts = append(parts, "complete/"+tr.Terminal.State)
+	case tr.Start != nil:
+		parts = append(parts, "running")
+	default:
+		parts = append(parts, "queued")
+	}
+	if tr.Start != nil {
+		parts = append(parts, fmt.Sprintf("epoch %d", tr.Start.Epoch))
+	}
+	if n := len(tr.Attempts); n > 0 {
+		parts = append(parts, fmt.Sprintf("attempts %d", n))
+	}
+	if tr.AttemptBase > 0 {
+		parts = append(parts, fmt.Sprintf("base %d", tr.AttemptBase))
+	}
+	if tr.Terminal != nil && tr.Terminal.State == string(StateError) {
+		parts = append(parts, tr.Terminal.Msg)
+	}
+	if tr.Owner != "h1" {
+		parts = append(parts, "owner "+tr.Owner)
+	}
+	if tr.From != "" {
+		parts = append(parts, "from "+tr.From)
+	}
+	if tr.Prepared != nil {
+		parts = append(parts, "prepared for "+tr.Prepared.Handler)
+	}
+	return strings.Join(parts, " ")
 }

@@ -31,18 +31,18 @@ import (
 // Every ownership record is fsynced before the call that writes it returns.
 
 // stealCandidatesLocked selects up to max safely movable jobs for transfer
-// to `to`: queued (never started), not killed, locally owned, and free of
-// cross-handler entanglements (workflow steps and destination-pinned
-// resubmissions stay put). Juniors first — stealing the youngest costs the
-// least seniority.
-func (g *Galaxy) stealCandidatesLocked(max int, to string) []*schedEntry {
+// to `to`: queued (never started), locally owned, free of cross-handler
+// entanglements (workflow steps and destination-pinned resubmissions stay
+// put) and on no dataset in skip. Juniors first — stealing the youngest
+// costs the least seniority.
+func (g *Galaxy) stealCandidatesLocked(max int, to string, skip map[string]bool) []*schedEntry {
 	if g.sched == nil || max <= 0 || to == "" || to == g.handlerID {
 		return nil
 	}
 	var cands []*schedEntry
 	for _, e := range g.schedJobs {
 		j := e.pending.job
-		if j.State != StateQueued || j.killed {
+		if j.State != StateQueued || skip[j.submit.Dataset] {
 			continue
 		}
 		o := e.pending.opts
@@ -66,11 +66,13 @@ func (g *Galaxy) stealCandidatesLocked(max int, to string) []*schedEntry {
 }
 
 // preparedSteal tracks one job between PrepareSteal and its resolution,
-// keeping the scheduler entry so an abort can requeue it in place.
+// keeping the scheduler entry so an abort can requeue it in place, and the
+// prepare record's fields so a snapshot re-emits that record.
 type preparedSteal struct {
 	entry *schedEntry
 	to    string
 	xfer  uint64
+	at    time.Duration
 }
 
 // PreparedSteal is one job detached under phase one of a two-phase steal.
@@ -90,11 +92,12 @@ type PreparedSteal struct {
 // returned packaged for the wire. The transfer is not final — the jobs
 // still belong here — until RetireSteal journals the handoff, or
 // AbortSteal rolls them back into the queue. Transfer IDs are xferBase,
-// xferBase+1, ... in return order.
-func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64) []PreparedSteal {
+// xferBase+1, ... in return order. A job whose dataset is in skip (names the
+// thief refused for want of the payload) is not offered.
+func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64, skip map[string]bool) []PreparedSteal {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	cands := g.stealCandidatesLocked(max, to)
+	cands := g.stealCandidatesLocked(max, to, skip)
 	now := g.Engine.Clock().Now()
 	out := make([]PreparedSteal, 0, len(cands))
 	for _, e := range cands {
@@ -104,11 +107,9 @@ func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64) []PreparedSte
 		delete(g.schedJobs, job.ID)
 		job.State = StatePrepared
 		job.Info = fmt.Sprintf("steal prepared: tentative owner %q (xfer %d)", to, xfer)
-		g.preparedSteals[job.ID] = &preparedSteal{entry: e, to: to, xfer: xfer}
-		g.logJournal(journal.Record{
-			Type: journal.TypeStealPrepare, At: now, Job: job.ID,
-			Handler: to, From: g.handlerID, Xfer: xfer,
-		})
+		p := &preparedSteal{entry: e, to: to, xfer: xfer, at: now}
+		g.preparedSteals[job.ID] = p
+		g.logJournal(g.stealRecord(journal.TypeStealPrepare, job.ID, p, now, ""))
 		out = append(out, PreparedSteal{JobID: job.ID, Xfer: xfer, T: job.submit})
 	}
 	if len(out) > 0 {
@@ -135,10 +136,7 @@ func (g *Galaxy) RetireSteal(jobID int) bool {
 	job.owner = p.to
 	job.Finished = now
 	job.Info = fmt.Sprintf("stolen by handler %q", p.to)
-	g.logJournal(journal.Record{
-		Type: journal.TypeStealRetire, At: now, Job: jobID,
-		Handler: p.to, From: g.handlerID, Xfer: p.xfer, Msg: "work steal",
-	})
+	g.logJournal(g.stealRecord(journal.TypeStealRetire, jobID, p, now, "work steal"))
 	return true
 }
 
@@ -158,10 +156,7 @@ func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 	now := g.Engine.Clock().Now()
 	e := p.entry
 	job := e.pending.job
-	g.logJournal(journal.Record{
-		Type: journal.TypeStealAbort, At: now, Job: jobID,
-		Handler: p.to, From: g.handlerID, Xfer: p.xfer, Msg: reason,
-	})
+	g.logJournal(g.stealRecord(journal.TypeStealAbort, jobID, p, now, reason))
 	job.State = StateQueued
 	job.owner = ""
 	job.Info = fmt.Sprintf("steal aborted: %s", reason)
@@ -169,8 +164,7 @@ func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 		e.req.Submitted = time.Nanosecond
 	}
 	if err := g.sched.Submit(e.req, now); err != nil {
-		job.Info = err.Error()
-		job.finish(StateError, now)
+		g.endLocked(job, StateError, err.Error(), now)
 		return true
 	}
 	g.schedJobs[jobID] = e

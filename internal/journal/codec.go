@@ -69,6 +69,7 @@ const (
 	fWFName      = 31
 	fWFSteps     = 32
 	fGPURequest  = 33
+	fPID         = 34
 )
 
 // Field numbers of WFStep. Never reuse one.
@@ -161,6 +162,7 @@ func appendRecord(b []byte, r *Record) []byte {
 	b = appendString(b, fStep, r.Step)
 	b = appendString(b, fWFName, r.WFName)
 	b = appendString(b, fGPURequest, r.GPURequest)
+	b = appendInt(b, fPID, int64(r.PID))
 	for i := range r.WFSteps {
 		b = appendTag(b, fWFSteps, wireBytes)
 		start := len(b)
@@ -438,6 +440,8 @@ func decodeRecord(p []byte, r *Record) error {
 			r.WFSteps = append(r.WFSteps, s)
 		case key(fGPURequest, wireBytes):
 			r.GPURequest = string(d.bytes())
+		case key(fPID, wireVarint):
+			r.PID = int(d.varint())
 		default:
 			d.skip(int(k & 7))
 		}

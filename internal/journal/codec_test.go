@@ -86,7 +86,7 @@ func randRecord(rng *rand.Rand) Record {
 		Job: int(num()), Tool: str(), User: str(), Params: params(), Dataset: str(), Runtime: str(),
 		Priority: int(num()), GPUs: int(num()), EstRuntime: time.Duration(num()),
 		Submitted: time.Duration(num()), Destination: str(), GPUEnabled: rng.Intn(2) == 0,
-		Devices: ints(), Epoch: int(num()), Attempt: int(num()), Op: str(), Class: str(),
+		Devices: ints(), PID: int(num()), Epoch: int(num()), Attempt: int(num()), Op: str(), Class: str(),
 		Msg: str(), State: str(), From: str(),
 		Stripes: ints(), Workflow: int(num()), Step: str(), WFName: str(),
 	}

@@ -171,10 +171,12 @@ type Record struct {
 	// stolen job keeps it, and with it the gang size it implies.
 	GPURequest string `json:"gpu_request,omitempty"`
 
-	// Placement (TypeStart).
+	// Placement (TypeStart): where the run went and its host process ID.
+	// A start record's Msg is the placement reason.
 	Destination string `json:"dest,omitempty"`
 	GPUEnabled  bool   `json:"gpu,omitempty"`
 	Devices     []int  `json:"devices,omitempty"`
+	PID         int    `json:"pid,omitempty"`
 
 	// Lifecycle detail (TypeStart, TypeAttempt, TypeComplete, ...).
 	Epoch   int    `json:"epoch,omitempty"`
