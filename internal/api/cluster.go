@@ -1,6 +1,7 @@
 package api
 
 import (
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -19,7 +20,7 @@ type clusterView interface {
 	Submit(tool string, params map[string]string, dataset string, opts cluster.SubmitOptions) (cluster.JobRef, error)
 	Lookup(key uint64) (cluster.JobRef, *galaxy.Job, bool)
 	Keys() []uint64
-	KillJob(key uint64) bool
+	KillJob(key uint64) error
 	Step() bool
 	Status() cluster.Status
 	Survey() []cluster.HandlerSurvey
@@ -222,7 +223,10 @@ func (s *ClusterServer) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 // handleJob serves GET /api/cluster/jobs/{key} (current binding and state)
 // and DELETE /api/cluster/jobs/{key} (kill wherever the job lives now,
-// answering with its state right after the kill).
+// answering with its state right after the kill). The kill is refused with
+// 409 in two states: a job a steal has prepared, with Retry-After: 1, since
+// the thief's accept or the abort settles it; and a job another member
+// stole, whose body names that member.
 // The method gate comes before key parsing: an unsupported verb is 405
 // whether or not the key would have parsed.
 func (s *ClusterServer) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -247,8 +251,18 @@ func (s *ClusterServer) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, toClusterJobJSON(ref, toJobJSON(job)))
 	case http.MethodDelete:
-		if !s.c.KillJob(key) {
+		switch err := s.c.KillJob(key); {
+		case errors.Is(err, galaxy.ErrNoJob):
 			writeErr(w, http.StatusNotFound, "no live job with key %d", key)
+			return
+		case errors.Is(err, galaxy.ErrStealInFlight):
+			w.Header().Set("Retry-After", "1")
+			fallthrough
+		case errors.Is(err, galaxy.ErrStolen):
+			writeErr(w, http.StatusConflict, "%v", err)
+			return
+		case err != nil:
+			writeErr(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		ref, job, _ := s.c.Lookup(key)

@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"gyan/internal/cluster"
+	"gyan/internal/galaxy"
 	"gyan/internal/sched"
 	"gyan/internal/workload"
 )
@@ -321,5 +323,66 @@ func TestClusterKillEndpoint(t *testing.T) {
 	}
 	if job.State != "error" {
 		t.Fatalf("killed job after the run: state %q, want error: %s", job.State, body)
+	}
+}
+
+// killStub is a clusterView whose KillJob answers err and whose Lookup finds
+// job under key 7; the DELETE handler calls nothing else.
+type killStub struct {
+	clusterView
+	err error
+	job *galaxy.Job
+}
+
+func (s killStub) KillJob(uint64) error { return s.err }
+
+func (s killStub) Lookup(key uint64) (cluster.JobRef, *galaxy.Job, bool) {
+	return cluster.JobRef{Key: key, Handler: "h1"}, s.job, key == 7
+}
+
+// TestClusterKillMapsRefusals checks what DELETE /api/cluster/jobs/{key}
+// answers for each outcome of a kill: 404 for no job, 409 with Retry-After
+// while a steal is in flight, 409 naming the owner for a stolen job, and 200
+// with the job's state after a kill that landed.
+func TestClusterKillMapsRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		err        error
+		status     int
+		retryAfter string
+		body       string
+	}{
+		{"no job", fmt.Errorf("%w: key 7", galaxy.ErrNoJob), http.StatusNotFound, "", "no live job with key 7"},
+		{"prepared", fmt.Errorf("%w: job 3 is being handed to handler %q", galaxy.ErrStealInFlight, "h2"),
+			http.StatusConflict, "1", "in flight"},
+		{"stolen", fmt.Errorf("%w: handler %q owns job 3 now", galaxy.ErrStolen, "h2"),
+			http.StatusConflict, "", `handler \"h2\" owns job 3`},
+		{"killed", nil, http.StatusOK, "", `"state":"error"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stub := killStub{err: tc.err, job: &galaxy.Job{ID: 3, ToolID: "racon", State: galaxy.StateError}}
+			ts := httptest.NewServer(NewClusterServer(stub).Handler())
+			defer ts.Close()
+			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/cluster/jobs/7", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, buf.Bytes())
+			}
+			if got := resp.Header.Get("Retry-After"); got != tc.retryAfter {
+				t.Errorf("Retry-After %q, want %q", got, tc.retryAfter)
+			}
+			if !strings.Contains(buf.String(), tc.body) {
+				t.Errorf("body %s does not contain %s", buf.Bytes(), tc.body)
+			}
+		})
 	}
 }

@@ -415,16 +415,18 @@ func (n *Node) Keys() []uint64 {
 	return out
 }
 
-// KillJob cancels a key's job on this member (a no-op once terminal).
-func (n *Node) KillJob(key uint64) bool {
+// KillJob cancels a key's job on this member (a no-op once terminal). A
+// key with no job here, or a member that is down, is galaxy.ErrNoJob; a job
+// a steal has prepared is galaxy.ErrStealInFlight, and one another member
+// stole is galaxy.ErrStolen naming that member (see galaxy.Kill).
+func (n *Node) KillJob(key uint64) error {
 	n.mu.Lock()
 	job, down := n.jobs[key], n.down
 	n.mu.Unlock()
 	if job == nil || down {
-		return false
+		return fmt.Errorf("%w: key %d", galaxy.ErrNoJob, key)
 	}
-	n.g.Kill(job)
-	return true
+	return n.g.Kill(job)
 }
 
 // Step advances the member to its wall clock: the engine drains its events

@@ -215,10 +215,14 @@ func (s *Sim) Keys() []uint64 {
 }
 
 // KillJob cancels a routed job wherever it currently lives (a no-op once
-// terminal or when its member is dead).
-func (s *Sim) KillJob(key uint64) bool {
+// terminal). An unknown key or a dead member is galaxy.ErrNoJob, and a job
+// mid-steal or stolen is refused as Node.KillJob refuses it.
+func (s *Sim) KillJob(key uint64) error {
 	ref, _, ok := s.Lookup(key)
-	return ok && s.Node(ref.Handler).KillJob(key)
+	if !ok {
+		return fmt.Errorf("%w: key %d", galaxy.ErrNoJob, key)
+	}
+	return s.Node(ref.Handler).KillJob(key)
 }
 
 // Step advances the cluster by one lockstep tick: every live member's

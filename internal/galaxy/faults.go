@@ -134,7 +134,7 @@ func (g *Galaxy) failLocked(job *Job, binding *ToolBinding, opts SubmitOptions, 
 	}
 	class, classified := faults.ClassOf(err)
 	if !classified {
-		g.endLocked(job, StateError, err.Error(), now)
+		g.moveLocked(job, StateError, err.Error(), now)
 		return
 	}
 
@@ -163,15 +163,14 @@ func (g *Galaxy) failLocked(job *Job, binding *ToolBinding, opts SubmitOptions, 
 		// Delay is 1-based over retries: the first failure (attempt 1)
 		// waits Delay(1), the second Delay(2), and so on.
 		delay := g.retry.Delay(attempt, g.retryRNG)
-		job.State = StateQueued
-		job.Info = fmt.Sprintf("retrying (attempt %d/%d) in %v after transient fault: %v",
-			attempt+1, g.retry.Attempts(), delay, err)
+		g.moveLocked(job, StateQueued, fmt.Sprintf("retrying (attempt %d/%d) in %v after transient fault: %v",
+			attempt+1, g.retry.Attempts(), delay, err), now)
 		g.Engine.After(delay, func(at time.Duration) {
 			g.startJob(job, binding, opts, at)
 		})
 		return
 	}
-	g.endLocked(job, StateDeadLetter, fmt.Sprintf("dead-letter after %d attempt(s): %v", attempt, err), now)
+	g.moveLocked(job, StateDeadLetter, fmt.Sprintf("dead-letter after %d attempt(s): %v", attempt, err), now)
 }
 
 // armRunFaultsLocked plants the post-launch fault events for one run: slow-

@@ -78,11 +78,6 @@ type Galaxy struct {
 	sched     *sched.Scheduler
 	schedJobs map[int]*schedEntry
 
-	// preparedSteals holds jobs detached under phase one of a two-phase
-	// steal (see steal.go): out of the scheduler, tentative owner journaled,
-	// awaiting RetireSteal or AbortSteal. Guarded by g.mu.
-	preparedSteals map[int]*preparedSteal
-
 	// DAG workflows (see dag.go): live runs by ID; nextWF is the last
 	// workflow ID issued.
 	workflows map[int]*WorkflowRun
@@ -147,23 +142,22 @@ func New(cluster *gpu.Cluster, opts ...Option) *Galaxy {
 	}
 	obsv := obs.NewObserver()
 	g := &Galaxy{
-		Conf:           jobconf.Default(),
-		Cluster:        cluster,
-		Engine:         sim.NewEngine(cluster.Clock()),
-		Mapper:         &core.Mapper{},
-		Containers:     container.NewEngine(),
-		Deps:           depres.NewResolver(depres.Bioconda()),
-		tools:          make(map[string]*ToolBinding),
-		datasets:       make(map[string]any),
-		jobs:           make(map[int]*Job),
-		running:        make(map[string]int),
-		waiting:        make(map[string][]*pendingStart),
-		schedJobs:      make(map[int]*schedEntry),
-		workflows:      make(map[int]*WorkflowRun),
-		preparedSteals: make(map[int]*preparedSteal),
-		retryRNG:       newRetryRNG(),
-		surveyCache:    smi.NewCache(obsv.ObserveSurvey),
-		obsv:           obsv,
+		Conf:        jobconf.Default(),
+		Cluster:     cluster,
+		Engine:      sim.NewEngine(cluster.Clock()),
+		Mapper:      &core.Mapper{},
+		Containers:  container.NewEngine(),
+		Deps:        depres.NewResolver(depres.Bioconda()),
+		tools:       make(map[string]*ToolBinding),
+		datasets:    make(map[string]any),
+		jobs:        make(map[int]*Job),
+		running:     make(map[string]int),
+		waiting:     make(map[string][]*pendingStart),
+		schedJobs:   make(map[int]*schedEntry),
+		workflows:   make(map[int]*WorkflowRun),
+		retryRNG:    newRetryRNG(),
+		surveyCache: smi.NewCache(obsv.ObserveSurvey),
+		obsv:        obsv,
 	}
 	for _, opt := range opts {
 		opt(g)
@@ -455,7 +449,6 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 		Dataset:   dataset,
 		Runtime:   opts.Runtime,
 		User:      userOrAnonymous(opts.User),
-		State:     StateQueued,
 		Submitted: now,
 	}
 	if opts.submittedAt != 0 {
@@ -475,7 +468,7 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 	// SnapshotJournal (which also holds g.mu) either carries the job or
 	// runs before its record is staged.
 	g.jobs[job.ID] = job
-	tick := g.stageJournal(job.submit)
+	tick := g.moveLocked(job, StateQueued, "", now)
 	if opts.transferFrom != "" {
 		job.from = opts.transferFrom
 		tick = g.stageJournal(adoptRecord(job.ID, g.handlerID, job.from, now))
@@ -566,9 +559,8 @@ func (g *Galaxy) startJobLocked(job *Job, binding *ToolBinding, opts SubmitOptio
 	// saturated; it is redispatched (with a fresh GPU survey) when a
 	// running job there completes.
 	if slots := decision.Destination.Slots(); slots > 0 && g.running[decision.Destination.ID] >= slots {
-		job.State = StateQueued
-		job.Info = fmt.Sprintf("queued: destination %q has all %d slots busy",
-			decision.Destination.ID, slots)
+		g.moveLocked(job, StateQueued, fmt.Sprintf("queued: destination %q has all %d slots busy",
+			decision.Destination.ID, slots), now)
 		g.waiting[decision.Destination.ID] = append(g.waiting[decision.Destination.ID],
 			&pendingStart{job: job, binding: binding, opts: opts})
 		return
@@ -600,11 +592,11 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 	run := job.run
 	attempt := job.Attempt()
 
-	job.State, job.Started, job.PID = StateRunning, now, g.Cluster.NextPID()
+	job.PID = g.Cluster.NextPID()
 	job.Destination, job.GPUEnabled = decision.Destination.ID, decision.GPUEnabled
 	job.Devices, job.VisibleDevices = decision.Devices, decision.VisibleDevices
-	job.reason, job.Info = decision.Reason, decision.Reason
-	g.logJournal(startRecord(job))
+	job.reason = decision.Reason
+	g.moveLocked(job, StateRunning, decision.Reason, now)
 
 	dict, err := BuildParamDict(tool, job.Params, decision.GPUEnabled)
 	if err != nil {
@@ -704,8 +696,7 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 		if dest, ok := decision.Destination.Param("resubmit_destination"); ok &&
 			!classified && dest != "" && job.Resubmitted < maxResubmits {
 			job.Resubmitted++
-			job.State = StateQueued
-			job.Info = fmt.Sprintf("resubmitting to %q after failure: %v", dest, err)
+			g.moveLocked(job, StateQueued, fmt.Sprintf("resubmitting to %q after failure: %v", dest, err), now)
 			release()
 			release = nil
 			retry := opts
@@ -734,7 +725,7 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 		}
 		job.sessions = nil
 		job.release = nil
-		g.endLocked(job, StateOK, job.Info, fin)
+		g.moveLocked(job, StateOK, job.Info, fin)
 		release()
 	})
 }
@@ -744,43 +735,47 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 // killed or stops"). A running job's device sessions are closed immediately
 // and its scheduler slots are released; a queued job ends at once, and its
 // start event or queue dispatch finds it done and skips it. Killing a
-// finished job is a no-op.
-func (g *Galaxy) Kill(job *Job) {
+// finished job is a no-op; a prepared job is refused with ErrStealInFlight
+// and a stolen one with ErrStolen naming its owner (see lifecycle). A job
+// this engine never issued is ErrNoJob.
+func (g *Galaxy) Kill(job *Job) error {
 	if job == nil {
-		return
+		return ErrNoJob
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	// Jobs() hands out immutable clones; resolve the live job by ID so a
-	// kill through a snapshot still lands. Foreign job values (an ID this
+	// kill through a snapshot still lands. A foreign job value (an ID this
 	// instance never issued, or a clone that doesn't match what the ID
-	// resolves to) are ignored.
+	// resolves to) names no job here.
 	live := g.jobs[job.ID]
-	if live == nil {
-		return
-	}
-	if live != job && (live.ToolID != job.ToolID || live.Submitted != job.Submitted) {
-		return
+	if live == nil || (live != job && (live.ToolID != job.ToolID || live.Submitted != job.Submitted)) {
+		return fmt.Errorf("%w: %d", ErrNoJob, job.ID)
 	}
 	job = live
-	if job.Done() {
-		return
+	if _, ok := lifecycle[job.State].moves[StateError]; !ok {
+		switch job.State {
+		case StatePrepared:
+			return fmt.Errorf("%w: job %d is being handed to handler %q", ErrStealInFlight, job.ID, job.steal.to)
+		case StateStolen:
+			return fmt.Errorf("%w: handler %q owns job %d now", ErrStolen, job.owner, job.ID)
+		}
+		return nil
 	}
 	now := g.Engine.Clock().Now()
 	rel := job.stop(now)
-	g.endLocked(job, StateError, "killed by user", now)
+	g.moveLocked(job, StateError, "killed by user", now)
 	if rel != nil {
 		rel()
-	} else if g.sched != nil {
+	} else if _, parked := g.schedJobs[job.ID]; parked {
 		// Queued under the batch scheduler: drop it from the priority
 		// queue so a later cycle cannot start a dead job.
-		if _, parked := g.schedJobs[job.ID]; parked {
-			g.sched.Remove(job.ID)
-			delete(g.schedJobs, job.ID)
-			g.obsv.Unqueued(job.ID, now)
-			g.recordQueueLocked(now)
-		}
+		g.sched.Remove(job.ID)
+		delete(g.schedJobs, job.ID)
+		g.obsv.Unqueued(job.ID, now)
+		g.recordQueueLocked(now)
 	}
+	return nil
 }
 
 // dispatchNext redispatches the oldest job waiting on the destination, if

@@ -19,7 +19,6 @@ type JobState string
 
 // Job states.
 const (
-	StateNew     JobState = "new"
 	StateQueued  JobState = "queued"
 	StateRunning JobState = "running"
 	StateOK      JobState = "ok"
@@ -28,18 +27,10 @@ const (
 	// fault, or a transient one with no retry budget left. Dead-lettered jobs
 	// keep their full failure log for post-mortem (see Job.Failures).
 	StateDeadLetter JobState = "dead_letter"
-	// StateStolen marks a queued job handed to another handler by the
-	// cluster's work-stealing pass (RetireSteal). The job is terminal on
-	// this handler — it runs to completion under the thief's epoch — and
-	// Job.owner records who took it, so both the live state and the
-	// journaled retire record agree on ownership.
+	// StateStolen marks a job another handler stole; Job.owner names it. Its
+	// moves, and StatePrepared's, are in the lifecycle table.
 	StateStolen JobState = "stolen"
-	// StatePrepared marks a queued job detached under the first phase of a
-	// two-phase steal (PrepareSteal): it is out of the local scheduler with
-	// a tentative new owner journaled, but the transfer is not final until
-	// the thief's accept is acknowledged (RetireSteal) — or it is rolled
-	// back into the queue (AbortSteal). Not terminal: the job still belongs
-	// here until retired.
+	// StatePrepared marks a job a steal is moving; Job.steal holds the steal.
 	StatePrepared JobState = "prepared"
 )
 
@@ -78,7 +69,7 @@ type Job struct {
 	// model in internal/galaxy/dag.go).
 	StageIn time.Duration
 
-	// State tracks the lifecycle.
+	// State tracks the lifecycle; only its moves (moveLocked) write it.
 	State JobState
 	// Destination is the job_conf destination the job landed on.
 	Destination string
@@ -130,6 +121,8 @@ type Job struct {
 	// from is the handler this one adopted the job from: the victim of an
 	// accepted transfer, or a dead owner recovery took over ("" otherwise).
 	from string
+	// steal is the steal in flight while the job is prepared (else nil).
+	steal *preparedSteal
 }
 
 // clone returns a deep-enough copy of the job for snapshot readers: every
@@ -185,12 +178,8 @@ func (j *Job) QueueWait() time.Duration {
 	return j.Started - j.Submitted
 }
 
-// Done reports whether the job reached a terminal state. A stolen job is
-// terminal here: its lifecycle continues on the handler that took it.
-func (j *Job) Done() bool {
-	return j.State == StateOK || j.State == StateError || j.State == StateDeadLetter ||
-		j.State == StateStolen
-}
+// Done reports whether the lifecycle table marks the job's state done.
+func (j *Job) Done() bool { return lifecycle[j.State].done }
 
 // Attempt returns the job's current 1-based dispatch attempt: one more than
 // the number of classified failures recorded since the job's retry budget

@@ -1,8 +1,13 @@
 package galaxy
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
+
+	"gyan/internal/journal"
+	"gyan/internal/sched"
 )
 
 func TestKillRunningJobFreesDevices(t *testing.T) {
@@ -120,5 +125,111 @@ func TestKillRetractsFutureDeviceWork(t *testing.T) {
 		if u := d.UtilizationOver(3*time.Second, 10*time.Second); u != 0 {
 			t.Errorf("device %d utilization %.1f%% after kill", d.Minor(), u)
 		}
+	}
+}
+
+// stealVictim builds a journaled, scheduler-backed handler h1 with four slow
+// racon jobs — one running, three parked — and prepares the youngest for a
+// steal by h2. It returns the engine, its journal directory and the prepared
+// job.
+func stealVictim(t *testing.T) (*Galaxy, string, *Job) {
+	t.Helper()
+	dir := t.TempDir()
+	j := openTestJournal(t, dir)
+	t.Cleanup(func() { j.Close() })
+	g := schedGalaxy(t, sched.Config{}, WithJournal(j, "h1"))
+	rs := smallReadSet(t)
+	for i := 0; i < 4; i++ {
+		if _, err := g.Submit("racon", map[string]string{"scale": "0.01"}, rs, SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Engine.RunUntil(g.Engine.Clock().Now() + 10*time.Millisecond)
+	prepared := g.PrepareSteal(1, "h2", 1, nil)
+	if len(prepared) != 1 {
+		t.Fatalf("prepared %d steals, want 1", len(prepared))
+	}
+	job := g.jobs[prepared[0].JobID]
+	if job.State != StatePrepared {
+		t.Fatalf("job %d is %s after PrepareSteal", job.ID, job.State)
+	}
+	return g, dir, job
+}
+
+// trailOf syncs the handler's journal and returns job id's records in
+// stream order.
+func trailOf(t *testing.T, g *Galaxy, dir string, id int) []journal.Record {
+	t.Helper()
+	if err := g.journal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := replayDir(t, dir)
+	var out []journal.Record
+	for _, r := range recs {
+		if r.Job == id {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestKillRefusedWhileStealPrepared is the kill that raced a steal's
+// accept: a kill between PrepareSteal and RetireSteal used to end the job
+// "killed by user" and journal a complete, after which the retire still
+// handed it to the thief, so the thief ran the job the user killed. The
+// accept outranks the kill: the kill is refused as retryable, the job ends
+// stolen, and its trail closes with the retire alone.
+func TestKillRefusedWhileStealPrepared(t *testing.T) {
+	g, dir, job := stealVictim(t)
+	if err := g.Kill(job); !errors.Is(err, ErrStealInFlight) {
+		t.Fatalf("kill of a prepared job: %v, want ErrStealInFlight", err)
+	}
+	if !g.RetireSteal(job.ID) {
+		t.Fatal("the thief's accept was refused after the kill")
+	}
+	if job.State != StateStolen || job.Info != `stolen by handler "h2"` {
+		t.Fatalf("job %d ended %s (%s), want stolen by h2", job.ID, job.State, job.Info)
+	}
+	for _, r := range trailOf(t, g, dir, job.ID) {
+		if r.Type == journal.TypeComplete || r.Type == journal.TypeDeadLetter {
+			t.Errorf("job %d's trail holds a %s record (%s) beside its retire", job.ID, r.Type, r.Msg)
+		}
+	}
+	if err := g.Kill(job); !errors.Is(err, ErrStolen) || !strings.Contains(err.Error(), `"h2"`) {
+		t.Errorf("kill of a stolen job: %v, want ErrStolen naming h2", err)
+	}
+}
+
+// TestKillAfterAbortedStealRunsNothing is the kill that raced a steal's
+// abort: a kill of a prepared job used to end it, and the abort then put it
+// back in the queue, where it started and ran to ok. Now the kill is refused
+// while the steal is in flight and lands once the abort has requeued the job,
+// which never starts.
+func TestKillAfterAbortedStealRunsNothing(t *testing.T) {
+	g, dir, job := stealVictim(t)
+	if err := g.Kill(job); !errors.Is(err, ErrStealInFlight) {
+		t.Fatalf("kill of a prepared job: %v, want ErrStealInFlight", err)
+	}
+	if !g.AbortSteal(job.ID, "thief never accepted the transfer") {
+		t.Fatal("the abort was refused")
+	}
+	if err := g.Kill(job); err != nil {
+		t.Fatalf("kill after the abort: %v", err)
+	}
+	g.Run()
+	if job.State != StateError || job.Info != "killed by user" {
+		t.Fatalf("job %d ended %s (%s), want error killed by user", job.ID, job.State, job.Info)
+	}
+	var starts, terminals int
+	for _, r := range trailOf(t, g, dir, job.ID) {
+		switch r.Type {
+		case journal.TypeStart:
+			starts++
+		case journal.TypeComplete, journal.TypeDeadLetter:
+			terminals++
+		}
+	}
+	if starts != 0 || terminals != 1 {
+		t.Errorf("job %d's trail holds %d start and %d terminal records, want 0 and 1", job.ID, starts, terminals)
 	}
 }

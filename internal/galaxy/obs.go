@@ -25,13 +25,6 @@ func (g *Galaxy) SurveyCacheStats() (hits, misses, invalidations int) {
 	return hits, misses, 0
 }
 
-// jobStates enumerates every lifecycle state, so the jobs-by-state gauge
-// always exposes a full (if zero) series set.
-var jobStates = []JobState{
-	StateNew, StateQueued, StateRunning, StateOK, StateError, StateDeadLetter,
-	StateStolen,
-}
-
 // installObsScrape registers the engine's scrape-time mirrors. It runs once
 // from New, after options have settled the journal and survey cache.
 func (g *Galaxy) installObsScrape() {
@@ -64,12 +57,14 @@ func (g *Galaxy) installObsScrape() {
 		"nvidia-smi survey cache misses (render+parse round trips of a changed device report).")
 
 	reg.OnScrape(func() {
-		counts := make(map[JobState]int, len(jobStates))
+		counts := make(map[JobState]int, len(lifecycle))
 		for _, j := range g.Jobs() {
 			counts[j.State]++
 		}
-		for _, s := range jobStates {
-			states.With(string(s)).Set(float64(counts[s]))
+		for s := range lifecycle {
+			if s != "" {
+				states.With(string(s)).Set(float64(counts[s]))
+			}
 		}
 		if st, ok := g.JournalStats(); ok {
 			appends.Set(uint64(st.Appends))

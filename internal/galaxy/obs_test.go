@@ -100,6 +100,38 @@ func TestObserverCountsRetriesAndDeadLetters(t *testing.T) {
 	}
 }
 
+// TestJobsStateGaugeFollowsTheLifecycle checks that gyan_jobs_state has a
+// series for every state of the lifecycle table and none for a state no job
+// holds: a job mid-steal counts as prepared, then as stolen.
+func TestJobsStateGaugeFollowsTheLifecycle(t *testing.T) {
+	g, _, job := stealVictim(t)
+	gauge := func(state string) float64 {
+		t.Helper()
+		v, ok := g.Observer().Reg.Snapshot()[`gyan_jobs_state{state="`+state+`"}`]
+		if !ok {
+			t.Errorf("gyan_jobs_state has no %q series", state)
+		}
+		return v
+	}
+	for s := range lifecycle {
+		if s != "" {
+			gauge(string(s))
+		}
+	}
+	if _, ok := g.Observer().Reg.Snapshot()[`gyan_jobs_state{state="new"}`]; ok {
+		t.Error(`gyan_jobs_state has a "new" series, a state no job holds`)
+	}
+	if got := gauge("prepared"); got != 1 {
+		t.Errorf(`gyan_jobs_state{state="prepared"} = %v between PrepareSteal and RetireSteal, want 1`, got)
+	}
+	if !g.RetireSteal(job.ID) {
+		t.Fatal("retire refused")
+	}
+	if p, s := gauge("prepared"), gauge("stolen"); p != 0 || s != 1 {
+		t.Errorf("after RetireSteal: prepared %v, stolen %v; want 0 and 1", p, s)
+	}
+}
+
 // TestScrapeMirrorsJournalAndCacheStats checks the scrape hook: journal
 // write counters and survey-cache hit/miss counts surface in
 // the registry without any explicit recording call.

@@ -9,12 +9,13 @@ import (
 )
 
 // Job records. Every kind of record the engine journals about a job has one
-// constructor here, called by the live transition that writes it and by
-// SnapshotJournal when it re-emits the engine's state, and the inverse that
-// Recover applies sits next to it. So a compacted journal folds to the trails
-// the live one did, and a recovered job reads the same whether or not a
-// compaction ran in between. (The submit record is built once, in submitJob,
-// and kept on the job; the workflow definition and verdict are in dag.go.)
+// constructor here, called where it is written live (by moveLocked for the
+// kinds a lifecycle move writes) and by SnapshotJournal when it re-emits the
+// engine's state, and the inverse that Recover applies sits next to it. So a
+// compacted journal folds to the trails the live one did, and a recovered job
+// reads the same whether or not a compaction ran in between. (The submit
+// record is built once, in submitJob, and kept on the job; the workflow
+// definition and verdict are in dag.go.)
 
 // startRecord is the start record of the job's current run: its epoch, where
 // it was placed and why (Msg), and its host PID.
@@ -28,6 +29,7 @@ func startRecord(j *Job) journal.Record {
 
 // applyStart is startRecord's inverse.
 func (j *Job) applyStart(r *journal.Record) {
+	j.restore(StateRunning, nil)
 	j.Started, j.run = r.At, r.Epoch
 	j.Destination, j.GPUEnabled, j.Devices = r.Destination, r.GPUEnabled, r.Devices
 	j.VisibleDevices = core.VisibleDevices(r.Devices)
@@ -69,26 +71,15 @@ func terminalRecord(j *Job) journal.Record {
 func (j *Job) applyTerminal(r *journal.Record) {
 	switch {
 	case r.Type == journal.TypeDeadLetter:
-		j.State = StateDeadLetter
+		j.restore(StateDeadLetter, nil)
 	case r.State == string(StateOK):
-		j.State = StateOK
+		j.restore(StateOK, nil)
 	default:
-		j.State = StateError
+		j.restore(StateError, nil)
 	}
 	j.Finished = r.At
 	if r.Msg != "" {
 		j.Info = r.Msg
-	}
-}
-
-// endLocked is the one terminal transition: the job settles in state with
-// info at `at`, its terminal record is journaled and its completion hook
-// fires. Caller holds g.mu.
-func (g *Galaxy) endLocked(j *Job, state JobState, info string, at time.Duration) {
-	j.State, j.Info, j.Finished = state, info, at
-	g.logJournal(terminalRecord(j))
-	if j.onDone != nil {
-		j.onDone(j)
 	}
 }
 
@@ -106,8 +97,8 @@ func adoptRecord(id int, to, from string, at time.Duration) journal.Record {
 
 // stealRecord journals one phase of the two-phase steal p of job id: its
 // prepare, retire or abort. Handler names the thief; From, this handler.
-func (g *Galaxy) stealRecord(typ journal.Type, id int, p *preparedSteal, at time.Duration, msg string) journal.Record {
-	return journal.Record{Type: typ, At: at, Job: id, Handler: p.to, From: g.handlerID, Xfer: p.xfer, Msg: msg}
+func (g *Galaxy) stealRecord(typ journal.Type, id int, p *preparedSteal, at time.Duration) journal.Record {
+	return journal.Record{Type: typ, At: at, Job: id, Handler: p.to, From: g.handlerID, Xfer: p.xfer}
 }
 
 // preparedOf is the inverse of a prepare record: the steal it left open.

@@ -351,15 +351,11 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 // tool or dataset is gone, fails with the reason, journaled like any
 // terminal transition so the next recovery keeps the verdict.
 func (g *Galaxy) requeueLocked(job *Job, h *journal.Trail, now time.Duration, rep *RecoveryReport) string {
-	if h.Prepared != nil {
-		// The trail ends mid-transfer: a steal prepare with no retire or
-		// abort — this handler crashed after detaching the job. Standalone
-		// recovery has no thief that could double-run it, so an abort
-		// record closes the trail. (A clustered member never recovers this
-		// way: its survivors settle orphaned prepares with the tentative
-		// thief — see internal/cluster.)
-		g.logJournal(g.stealRecord(journal.TypeStealAbort, job.ID, preparedOf(h.Prepared), now,
-			"recovery: orphaned prepare requeued"))
+	if job.State == StatePrepared {
+		// This handler crashed mid-steal, and standalone recovery has no
+		// thief that could double-run the job, so the steal aborts. (A
+		// cluster's survivors settle an orphaned prepare with its thief.)
+		g.moveLocked(job, StateQueued, "recovery: orphaned prepare requeued", now)
 	}
 	action := "requeued"
 	if job.owner != "" {
@@ -370,15 +366,14 @@ func (g *Galaxy) requeueLocked(job *Job, h *journal.Trail, now time.Duration, re
 	}
 	binding, err := g.resolveRequeueLocked(job)
 	if err != nil {
-		g.endLocked(job, StateError, err.Error(), now)
+		g.moveLocked(job, StateError, err.Error(), now)
 		return "failed"
 	}
-	job.State = StateQueued
+	info := "recovered: requeued after handler restart"
 	if h.Start != nil {
-		job.Info = fmt.Sprintf("recovered: rerunning as epoch %d after handler crash", job.run+1)
-	} else {
-		job.Info = "recovered: requeued after handler restart"
+		info = fmt.Sprintf("recovered: rerunning as epoch %d after handler crash", job.run+1)
 	}
+	g.moveLocked(job, StateQueued, info, now)
 	if job.Submitted == 0 {
 		// A true t=0 submission would hit the zero-means-now defaults
 		// downstream and lose its seniority; a nanosecond keeps it at the
@@ -395,8 +390,9 @@ func (g *Galaxy) requeueLocked(job *Job, h *journal.Trail, now time.Duration, re
 }
 
 // materializeLocked rebuilds one Job value from its folded trail through
-// each record's inverse (records.go): a terminal trail comes back in its
-// terminal state, an open one is left for Recover to dispose of.
+// each record's inverse (records.go), each restoring the state its move
+// wrote: a terminal trail comes back in its terminal state, an open one as
+// prepared, running or queued, for Recover to dispose of.
 func (g *Galaxy) materializeLocked(id int, h *journal.Trail) *Job {
 	sub := h.Submit
 	job := &Job{
@@ -415,8 +411,12 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail) *Job {
 	for i := range h.Attempts {
 		job.Failures = append(job.Failures, failureOf(&h.Attempts[i]))
 	}
+	job.restore(StateQueued, nil)
 	if h.Start != nil {
 		job.applyStart(h.Start)
+	}
+	if h.Prepared != nil {
+		job.restore(StatePrepared, preparedOf(h.Prepared))
 	}
 	if h.Terminal != nil {
 		job.applyTerminal(h.Terminal)
@@ -471,9 +471,9 @@ func submitOptions(sub journal.Record) SubmitOptions {
 	}
 }
 
-// ErrNoJob is what ResubmitDeadLetter wraps when the ID names no job — the
-// one failure that is the caller's addressing mistake rather than the job's
-// state.
+// ErrNoJob is what ResubmitDeadLetter and Kill wrap when the ID names no
+// job — the one failure that is the caller's addressing mistake rather than
+// the job's state.
 var ErrNoJob = errors.New("galaxy: no such job")
 
 // ResubmitDeadLetter replays a dead-lettered job as a fresh run epoch: the
@@ -487,7 +487,7 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	if job == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoJob, id)
 	}
-	if job.State != StateDeadLetter {
+	if lifecycle[job.State].moves[StateQueued] != journal.TypeResubmit {
 		return nil, fmt.Errorf("galaxy: job %d is %q, not %q", id, job.State, StateDeadLetter)
 	}
 	binding, err := g.toolLocked(job.ToolID)
@@ -504,11 +504,8 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	}
 	now := g.Engine.Clock().Now()
 	job.attemptBase = len(job.Failures)
-	job.State = StateQueued
-	job.Finished = 0
-	job.Info = fmt.Sprintf("admin resubmit: fresh retry budget (%d prior failure(s) retained)",
-		len(job.Failures))
-	g.logJournal(resubmitRecord(job.ID, now))
+	g.moveLocked(job, StateQueued, fmt.Sprintf("admin resubmit: fresh retry budget (%d prior failure(s) retained)",
+		len(job.Failures)), now)
 	opts := submitOptions(job.submit)
 	g.Engine.After(0, func(at time.Duration) {
 		g.startJob(job, binding, opts, at)
@@ -577,9 +574,7 @@ func (g *Galaxy) SnapshotJournal() error {
 			// An in-flight two-phase steal must survive compaction: without
 			// the prepare record, replay would see a plain queued job and
 			// requeue it while the thief may be running it.
-			if p := g.preparedSteals[j.ID]; p != nil {
-				recs = append(recs, g.stealRecord(journal.TypeStealPrepare, j.ID, p, p.at, ""))
-			}
+			recs = append(recs, g.stealRecord(journal.TypeStealPrepare, j.ID, j.steal, j.steal.at))
 		}
 	}
 	return g.journal.WriteSnapshot(recs)

@@ -82,11 +82,10 @@ func (g *Galaxy) parkInSchedulerLocked(job *Job, binding *ToolBinding, opts Subm
 		req.Submitted = now
 	}
 	if err := g.sched.Submit(req, now); err != nil {
-		g.endLocked(job, StateError, err.Error(), now)
+		g.moveLocked(job, StateError, err.Error(), now)
 		return
 	}
-	job.State = StateQueued
-	job.Info = fmt.Sprintf("queued: awaiting gang of %d GPU(s)", gang)
+	g.moveLocked(job, StateQueued, fmt.Sprintf("queued: awaiting gang of %d GPU(s)", gang), now)
 	g.obsv.Parked(job.ID, now)
 	g.schedJobs[job.ID] = &schedEntry{
 		pending: &pendingStart{job: job, binding: binding, opts: opts},
@@ -130,7 +129,7 @@ func (g *Galaxy) schedCycle(now time.Duration) {
 		if e == nil || e.pending.job.Done() {
 			continue
 		}
-		g.endLocked(e.pending.job, StateError, rej.Reason, now)
+		g.moveLocked(e.pending.job, StateError, rej.Reason, now)
 	}
 	for _, st := range dec.Starts {
 		if e := g.schedJobs[st.ID]; e != nil {
@@ -146,18 +145,11 @@ func (g *Galaxy) schedCycle(now time.Duration) {
 // launchScheduledLocked starts one granted job on exactly its device gang.
 func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.Duration) {
 	job := e.pending.job
-	if job.Done() {
-		// Defensive: Kill removes parked jobs from the scheduler, so a
-		// grant for a dead job should not happen.
-		delete(g.schedJobs, job.ID)
-		g.sched.Release(job.ID, now)
-		return
-	}
 	dest, err := g.Conf.Destination(core.GPUDestination)
 	if err != nil {
 		delete(g.schedJobs, job.ID)
 		g.sched.Release(job.ID, now)
-		g.endLocked(job, StateError, err.Error(), now)
+		g.moveLocked(job, StateError, err.Error(), now)
 		return
 	}
 	decision := core.Decision{

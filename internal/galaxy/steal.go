@@ -14,11 +14,9 @@ import (
 // thief, whose GPUs idle) in two journaled phases, so exactly-once survives a
 // crash on either end:
 //
-//   - the victim detaches the job as StatePrepared with the thief journaled
-//     as tentative owner (PrepareSteal); once the thief has accepted it marks
-//     the job StateStolen and journals the handoff (RetireSteal) — replaying
-//     the victim's journal shows the job owned by the thief, so a victim
-//     restart never re-runs it — or rolls it back into the queue (AbortSteal);
+//   - the victim moves the job to prepared, the thief its tentative owner
+//     (PrepareSteal), then to stolen once the thief has accepted (RetireSteal;
+//     a victim restart never re-runs it) or back to queued (AbortSteal);
 //   - the thief appends a fresh submit record (owner: thief) carrying the
 //     job's ORIGINAL submission time, chased by an adopt record naming the
 //     victim (AcceptTransfer) — seniority is preserved under the thief's
@@ -65,9 +63,9 @@ func (g *Galaxy) stealCandidatesLocked(max int, to string, skip map[string]bool)
 	return cands
 }
 
-// preparedSteal tracks one job between PrepareSteal and its resolution,
-// keeping the scheduler entry so an abort can requeue it in place, and the
-// prepare record's fields so a snapshot re-emits that record.
+// preparedSteal is a prepared job's steal in flight (Job.steal): the
+// scheduler entry, so an abort can requeue the job in place, and the prepare
+// record's fields, so a snapshot re-emits that record.
 type preparedSteal struct {
 	entry *schedEntry
 	to    string
@@ -87,11 +85,9 @@ type PreparedSteal struct {
 }
 
 // PrepareSteal is phase one of the two-phase steal protocol: up to max
-// movable jobs are detached from the local scheduler, marked StatePrepared
-// with `to` journaled as the tentative owner (TypeStealPrepare), and
-// returned packaged for the wire. The transfer is not final — the jobs
-// still belong here — until RetireSteal journals the handoff, or
-// AbortSteal rolls them back into the queue. Transfer IDs are xferBase,
+// movable jobs leave the local scheduler, move to prepared with `to` their
+// tentative owner, and are returned packaged for the wire; they still belong
+// here until RetireSteal or AbortSteal. Transfer IDs are xferBase,
 // xferBase+1, ... in return order. A job whose dataset is in skip (names the
 // thief refused for want of the payload) is not offered.
 func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64, skip map[string]bool) []PreparedSteal {
@@ -105,11 +101,8 @@ func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64, skip map[stri
 		xfer := xferBase + uint64(len(out))
 		g.sched.Remove(job.ID)
 		delete(g.schedJobs, job.ID)
-		job.State = StatePrepared
-		job.Info = fmt.Sprintf("steal prepared: tentative owner %q (xfer %d)", to, xfer)
-		p := &preparedSteal{entry: e, to: to, xfer: xfer, at: now}
-		g.preparedSteals[job.ID] = p
-		g.logJournal(g.stealRecord(journal.TypeStealPrepare, job.ID, p, now, ""))
+		job.steal = &preparedSteal{entry: e, to: to, xfer: xfer, at: now}
+		g.moveLocked(job, StatePrepared, fmt.Sprintf("steal prepared: tentative owner %q (xfer %d)", to, xfer), now)
 		out = append(out, PreparedSteal{JobID: job.ID, Xfer: xfer, T: job.submit})
 	}
 	if len(out) > 0 {
@@ -119,52 +112,38 @@ func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64, skip map[stri
 }
 
 // RetireSteal is the victim's phase two after the thief's accept: the
-// prepared job becomes StateStolen with ownership journaled to the thief
-// (TypeStealRetire). Returns false if the job is not in the prepared set —
-// already retired (duplicate accept) or already aborted.
+// prepared job moves to stolen, owned by the thief. Returns false if the job
+// is not prepared: already retired (a duplicate accept) or aborted.
 func (g *Galaxy) RetireSteal(jobID int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	p := g.preparedSteals[jobID]
-	if p == nil {
+	job := g.jobs[jobID]
+	if job == nil || lifecycle[job.State].moves[StateStolen] != journal.TypeStealRetire {
 		return false
 	}
-	delete(g.preparedSteals, jobID)
-	now := g.Engine.Clock().Now()
-	job := p.entry.pending.job
-	job.State = StateStolen
-	job.owner = p.to
-	job.Finished = now
-	job.Info = fmt.Sprintf("stolen by handler %q", p.to)
-	g.logJournal(g.stealRecord(journal.TypeStealRetire, jobID, p, now, "work steal"))
+	job.owner = job.steal.to
+	g.moveLocked(job, StateStolen, fmt.Sprintf("stolen by handler %q", job.owner), g.Engine.Clock().Now())
 	return true
 }
 
-// AbortSteal rolls a prepared job back into the local queue: the thief
-// never acknowledged (or refused), so the tentative transfer is journaled
-// closed (TypeStealAbort) and the job requeues with its original
-// submission time — seniority intact.
-// Returns false if the job is not in the prepared set.
+// AbortSteal moves a prepared job back to queued — the thief never
+// acknowledged, or refused — and requeues it with its original submission
+// time, seniority intact. Returns false if the job is not prepared.
 func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	p := g.preparedSteals[jobID]
-	if p == nil {
+	job := g.jobs[jobID]
+	if job == nil || lifecycle[job.State].moves[StateQueued] != journal.TypeStealAbort {
 		return false
 	}
-	delete(g.preparedSteals, jobID)
 	now := g.Engine.Clock().Now()
-	e := p.entry
-	job := e.pending.job
-	g.logJournal(g.stealRecord(journal.TypeStealAbort, jobID, p, now, reason))
-	job.State = StateQueued
-	job.owner = ""
-	job.Info = fmt.Sprintf("steal aborted: %s", reason)
+	e := job.steal.entry
+	g.moveLocked(job, StateQueued, fmt.Sprintf("steal aborted: %s", reason), now)
 	if e.req.Submitted == 0 {
 		e.req.Submitted = time.Nanosecond
 	}
 	if err := g.sched.Submit(e.req, now); err != nil {
-		g.endLocked(job, StateError, err.Error(), now)
+		g.moveLocked(job, StateError, err.Error(), now)
 		return true
 	}
 	g.schedJobs[jobID] = e

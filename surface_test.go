@@ -404,6 +404,49 @@ func TestLockCensus(t *testing.T) {
 	}
 }
 
+// TestJobStateWrittenOnlyInLifecycle holds the job lifecycle to one
+// writer. internal/galaxy/lifecycle.go states it as a table of legal moves,
+// and its moveLocked (and, for a replayed job, restore) is the only place a
+// program may set galaxy.Job.State, by assignment or as a composite-literal
+// key. A write anywhere else is a move the table does not check and whose
+// record nothing guarantees: make it a move.
+func TestJobStateWrittenOnlyInLifecycle(t *testing.T) {
+	m := loadModule(t)
+	gp := m.l.load(modulePath + "/internal/galaxy")
+	job := gp.types.Scope().Lookup("Job").Type().Underlying().(*types.Struct)
+	var state *types.Var
+	for i := 0; i < job.NumFields(); i++ {
+		if job.Field(i).Name() == "State" {
+			state = job.Field(i)
+		}
+	}
+	if state == nil {
+		t.Fatal("galaxy.Job has no State field")
+	}
+	lifecycle := filepath.Join(m.l.root, "internal", "galaxy", "lifecycle.go")
+	var writes []string
+	for _, p := range m.live {
+		for _, file := range p.files {
+			if m.l.fset.Position(file.Pos()).Filename == lifecycle {
+				continue
+			}
+			eachFieldSet(p.info, file, func(f *types.Var, value ast.Expr) {
+				if f != state {
+					return
+				}
+				pos := m.l.fset.Position(value.Pos())
+				rel, _ := filepath.Rel(m.l.root, pos.Filename)
+				writes = append(writes, fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line))
+			})
+		}
+	}
+	if len(writes) > 0 {
+		sort.Strings(writes)
+		t.Errorf("%d writes of galaxy.Job.State outside internal/galaxy/lifecycle.go; make each a lifecycle move (moveLocked):\n\t%s",
+			len(writes), strings.Join(writes, "\n\t"))
+	}
+}
+
 // fromSync reports whether t, through pointers, arrays and slices, is a type
 // declared in sync or sync/atomic.
 func fromSync(t types.Type) bool {
