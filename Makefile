@@ -16,6 +16,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/bioseq:FuzzEditDistance \
                 ./internal/tools/racon:FuzzAddSequence \
                 ./internal/tools/racon:FuzzMapReads \
+                ./internal/tools/racon:FuzzFillRow \
                 ./internal/tools/bonito:FuzzBasecall \
                 ./internal/tools/bonito:FuzzCollapse \
                 ./internal/transport/tcpbus:FuzzFrame \
@@ -73,7 +74,8 @@ test-flake:
 	$(call run_selected,./internal/tools/racon,TestRunAllocatesNoMatrixPerJob,10)
 
 # build-cross keeps the code that only builds off amd64 building: bonito's
-# Go-kernel stub for architectures without its AVX assembly.
+# Go-kernel stub for architectures without its AVX assembly, and racon's Go
+# row passes for architectures without its AVX2 ones.
 build-cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...

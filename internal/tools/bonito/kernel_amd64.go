@@ -1,8 +1,6 @@
 package bonito
 
-// hasAVX reports whether the CPU has AVX and the OS saves the YMM registers
-// (CPUID and XGETBV).
-func hasAVX() bool
+import "gyan/internal/cpuid"
 
 // runAVX is run's class pass eight timesteps at a time, one per YMM lane:
 // the same products and sums in the same order, a VMULPS and a separate
@@ -13,7 +11,7 @@ func hasAVX() bool
 func runAVX(w *weights, x []float32, classes []int32)
 
 // useAVX is whether classify runs runAVX, decided once per process.
-var useAVX = hasAVX()
+var useAVX = cpuid.AVX
 
 // classify stores the class of each timestep of x (padded as run reads it)
 // in classes: eight timesteps at a time in AVX lanes where the CPU has them,

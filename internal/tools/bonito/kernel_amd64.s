@@ -1,25 +1,6 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// func hasAVX() bool
-TEXT ·hasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	CPUID
-	ANDL $(1<<27|1<<28), CX // OSXSAVE and AVX
-	CMPL CX, $(1<<27|1<<28)
-	JNE  no
-	MOVL $0, CX
-	XGETBV
-	ANDL $6, AX             // the OS saves the XMM and YMM state
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // Registers of runAVX, one timestep per lane: Y0-Y2 the taps x[i], x[i+1],
 // x[i+2]; Y3-Y10 the features h0-h7; Y11 +0; Y12 a broadcast weight, a
 // product or a compare mask; Y13 the logit being summed; Y14 the top logit;

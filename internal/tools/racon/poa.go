@@ -67,6 +67,11 @@ func NewGraph(backbone []byte, scores bioseq.AlignScores, band int) (*Graph, err
 	if band < 0 {
 		return nil, fmt.Errorf("racon: negative band %d", band)
 	}
+	// The lane passes (fill_amd64.s) take a gap as never raising a score,
+	// and minGap keeps every score far from int32's floor.
+	if scores.Gap > 0 || scores.Gap < minGap {
+		return nil, fmt.Errorf("racon: gap score %d outside [%d, 0]", scores.Gap, minGap)
+	}
 	// Room for the backbone and as many read-specific nodes again.
 	g := &Graph{nodes: make([]poaNode, len(backbone), 2*len(backbone)), scores: scores, band: band}
 	// The spine's edges share one array: node i's out-edge and node i+1's
@@ -212,8 +217,12 @@ type DPStats struct {
 }
 
 // negInf marks a cell no alignment reaches (outside the band, or fed only by
-// such cells); the traceback stops there.
-const negInf = int32(-1 << 29)
+// such cells); the traceback stops there. No cell holds less, and minGap
+// keeps negInf plus eight gaps far from int32's floor.
+const (
+	negInf = int32(-1 << 29)
+	minGap = -1 << 16
+)
 
 // addSequence aligns seq to the graph in ws and threads it in, fusing exact
 // matches into existing nodes and adding new nodes elsewhere. It returns the
@@ -260,11 +269,17 @@ func (g *Graph) addSequence(ws *workspace, seq []byte) (DPStats, error) {
 		node := &g.nodes[id]
 		cur := score[(r+1)*width : (r+2)*width]
 		// Every cell starts unreachable and, outside the band, stays so.
+		// An unbanded row has no cell outside it, and the lane passes take
+		// negInf as its first pass's start without loading it, so only a
+		// banded row, or one the Go passes fill, is copied.
+		fresh := useLanes && g.band == 0
+		if !fresh {
+			copy(cur, ws.unreached)
+		}
 		// Column 0: leading graph nodes are free (semi-global in the
 		// graph dimension), so a read fragment that begins mid-window
 		// aligns where it belongs instead of being dragged to the
 		// window start.
-		copy(cur, ws.unreached)
 		cur[0] = 0
 
 		// A cell in the band is the maximum of: per predecessor row, the
@@ -276,19 +291,15 @@ func (g *Graph) addSequence(ws *workspace, seq []byte) (DPStats, error) {
 		// dependency between cells, and the last — the only one, for most
 		// nodes — in the pass that carries the left neighbour along.
 		in, sb := cur[lo:hi+1], ws.profileFor(node.base, seq, g.scores)[lo-1:hi]
-		sb = sb[:len(in)] // as long already; said so the loops check no bounds
 		preds := ws.predRows(node, width)
 		last := len(preds) - 1
 		for _, p := range preds[:last] {
-			diag, up := score[p+lo-1:p+hi], score[p+lo:p+hi+1]
-			diag, up = diag[:len(in)], up[:len(in)]
-			for i := range in {
-				in[i] = max(in[i], diag[i]+sb[i], up[i]+gap)
-			}
+			fold(in, score[p+lo-1:p+hi+1], sb, gap, fresh)
+			fresh = false
 		}
 		// The row's first maximum beats the running best only if strictly
 		// greater: together, the first maximum in row-major order.
-		top, at := fillRow(in, score[preds[last]+lo-1:preds[last]+hi+1], sb, cur[lo-1], gap)
+		top, at := fill(in, score[preds[last]+lo-1:preds[last]+hi+1], sb, cur[lo-1], gap, fresh)
 		if top > bestScore {
 			bestScore, bestRow, bestJ = top, r+1, lo+at
 		}
@@ -300,6 +311,16 @@ func (g *Graph) addSequence(ws *workspace, seq []byte) (DPStats, error) {
 		stats.Cells = n * (2*g.band + 1)
 	}
 	return stats, nil
+}
+
+// foldRow is the pass over a predecessor row other than the last:
+// in[i] = max(in[i], diag+sb[i], up+gap), with prev as in fillRow. No cell
+// depends on another.
+func foldRow(in, prev, sb []int32, gap int32) {
+	diag, up, sb := prev[:len(in)], prev[1:][:len(in)], sb[:len(in)]
+	for i := range in {
+		in[i] = max(in[i], diag[i]+sb[i], up[i]+gap)
+	}
 }
 
 // fillRow is the pass over the last predecessor row, which carries the left

@@ -43,6 +43,13 @@ func TestNewGraphValidation(t *testing.T) {
 	if _, err := NewGraph([]byte("ACGT"), bioseq.DefaultScores(), -1); err == nil {
 		t.Error("negative band accepted")
 	}
+	for _, gap := range []int{1, minGap - 1} {
+		scores := bioseq.DefaultScores()
+		scores.Gap = gap
+		if _, err := NewGraph([]byte("ACGT"), scores, 0); err == nil {
+			t.Errorf("gap score %d accepted", gap)
+		}
+	}
 }
 
 func TestBackboneOnlyConsensusIsBackbone(t *testing.T) {
