@@ -210,8 +210,8 @@ fuzz-short:
 	done
 
 # obs-smoke boots a real gyan-server, pushes one job through, and fails if
-# /metrics or /api/trace/{id} answer non-200 or empty — the end-to-end check
-# that the observability surface is wired, not just unit-tested.
+# /metrics or /api/jobs/{id}/trail answer non-200 or empty — the end-to-end
+# check that the observability surface is wired, not just unit-tested.
 obs-smoke:
 	sh scripts/obs_smoke.sh
 

@@ -2,15 +2,14 @@ package api
 
 // Observability endpoints. /metrics serves the engine's registry in
 // Prometheus text exposition format (top-level, where scrapers expect it);
-// /api/trace/{id} and its /api/jobs/{id}/trace alias dump one job's
-// lifecycle trace with derived queue-wait/run/retry segments. Neither takes
-// s.mu: the registry and tracer are concurrent-safe, and the scrape hooks
-// read engine state through race-safe snapshots only.
+// /api/jobs/{id}/trail dumps one job's history, kept on the job itself, with
+// derived queue-wait/run/retry segments. Neither takes s.mu: the registry is
+// concurrent-safe, and the trail and the scrape hooks read engine state
+// under the engine's own lock.
 
 import (
 	"net/http"
 	"strconv"
-	"strings"
 )
 
 // handleMetrics serves GET /metrics.
@@ -23,29 +22,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.g.Observer().Reg.WritePrometheus(w)
 }
 
-// handleTraceByPath serves GET /api/trace/{id}.
-func (s *Server) handleTraceByPath(w http.ResponseWriter, r *http.Request) {
-	idText := strings.TrimPrefix(r.URL.Path, "/api/trace/")
-	id, err := strconv.Atoi(idText)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad job id %q", idText)
-		return
-	}
-	s.handleTrace(w, r, id)
-}
-
-// handleTrace dumps one job's lifecycle trace. A job the engine knows but
-// the tracer does not (evicted under the retention bound, or submitted
-// before observability attached) is a 404 — the trace store is bounded by
-// design, not a durable record.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, id int) {
+// handleTrail serves GET /api/jobs/{id}/trail: the job's history with
+// derived queue-wait/run/retry segments. Every job the engine holds has one,
+// a recovered job its journaled steps.
+func (s *Server) handleTrail(w http.ResponseWriter, r *http.Request, id int) {
 	if r.Method != http.MethodGet {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	tr, ok := s.g.Observer().Traces.Get(id)
+	tr, ok := s.g.Trail(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "no trace for job %d", id)
+		writeErr(w, http.StatusNotFound, "no job %d", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, tr)

@@ -68,60 +68,55 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestTraceEndpoints reads a job's trail from GET /api/jobs/{id}/trail.
 func TestTraceEndpoints(t *testing.T) {
 	ts := testServer(t)
 	id := submitOne(t, ts)
 
-	for _, path := range []string{
-		// Canonical home and the jobs-scoped alias.
-		"/api/trace/", "/api/jobs/",
-	} {
-		url := path
-		if path == "/api/trace/" {
-			url = "/api/trace/" + itoa(id)
-		} else {
-			url = "/api/jobs/" + itoa(id) + "/trace"
+	url := "/api/jobs/" + itoa(id) + "/trail"
+	resp, body := get(t, ts, url)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", url, resp.StatusCode, body)
+	}
+	var tr struct {
+		Job    int    `json:"job"`
+		Tool   string `json:"tool"`
+		Events []struct {
+			Name string `json:"name"`
+		} `json:"events"`
+		Segments []struct {
+			Name string `json:"name"`
+		} `json:"segments"`
+	}
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatalf("%s: %v", url, err)
+	}
+	if tr.Job != id || tr.Tool != "racon" {
+		t.Errorf("%s: trail = %+v", url, tr)
+	}
+	var names []string
+	for _, e := range tr.Events {
+		names = append(names, e.Name)
+	}
+	joined := strings.Join(names, ",")
+	for _, want := range []string{"submit", "map", "start", "complete"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("%s: events %s missing %q", url, joined, want)
 		}
-		resp, body := get(t, ts, url)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", url, resp.StatusCode, body)
-		}
-		var tr struct {
-			Job    int    `json:"job"`
-			Tool   string `json:"tool"`
-			Events []struct {
-				Name string `json:"name"`
-			} `json:"events"`
-			Segments []struct {
-				Name string `json:"name"`
-			} `json:"segments"`
-		}
-		if err := json.Unmarshal(body, &tr); err != nil {
-			t.Fatalf("%s: %v", url, err)
-		}
-		if tr.Job != id || tr.Tool != "racon" {
-			t.Errorf("%s: trace = %+v", url, tr)
-		}
-		var names []string
-		for _, e := range tr.Events {
-			names = append(names, e.Name)
-		}
-		joined := strings.Join(names, ",")
-		for _, want := range []string{"submit", "map", "start", "complete"} {
-			if !strings.Contains(joined, want) {
-				t.Errorf("%s: events %s missing %q", url, joined, want)
-			}
-		}
-		if len(tr.Segments) == 0 {
-			t.Errorf("%s: no derived segments", url)
-		}
+	}
+	if len(tr.Segments) == 0 {
+		t.Errorf("%s: no derived segments", url)
 	}
 
-	if resp, _ := get(t, ts, "/api/trace/9999"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown trace: status %d, want 404", resp.StatusCode)
+	if resp, _ := get(t, ts, "/api/jobs/9999/trail"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown job's trail: status %d, want 404", resp.StatusCode)
 	}
-	if resp, _ := get(t, ts, "/api/trace/bogus"); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad trace id: status %d, want 400", resp.StatusCode)
+	if resp, _ := get(t, ts, "/api/jobs/bogus/trail"); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("bad trail id: status %d, want 400", resp.StatusCode)
+	}
+	// The trail replaced the trace: no alias is kept.
+	if resp, _ := get(t, ts, "/api/jobs/"+itoa(id)+"/trace"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("the trace alias answers %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -141,7 +136,7 @@ func TestJobSubRouting(t *testing.T) {
 		{"/api/jobs/" + itoa(id) + "/", http.StatusNotFound, "no such job sub-resource"},
 		{"/api/jobs/" + itoa(id) + "/bogus", http.StatusNotFound, "no such job sub-resource"},
 		{"/api/jobs/notanid", http.StatusBadRequest, "bad job id"},
-		{"/api/jobs/notanid/trace", http.StatusBadRequest, "bad job id"},
+		{"/api/jobs/notanid/trail", http.StatusBadRequest, "bad job id"},
 		{"/api/jobs/9999", http.StatusNotFound, "no job 9999"},
 	}
 	for _, tc := range cases {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,7 +154,10 @@ func TestRecoveryEndpointStatusAndCompact(t *testing.T) {
 // jobs back: one dead-lettered and one ok. Each job's placement — its
 // destination, devices, PID and info — reads the same after the restart as
 // before it, and the same again after a compaction and a second restart.
-// (The command line is not journaled; DESIGN §9 says why.)
+// (The command line is not journaled; DESIGN §9 says why.) So does each
+// job's trail, less the scheduler events no record carries, with one
+// difference compaction makes by design: a compacted journal re-emits only
+// a job's newest start, after its failure log.
 func TestRecoveryEndpointAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	ts, j := journaledServer(t, dir)
@@ -175,9 +180,45 @@ func TestRecoveryEndpointAfterRestart(t *testing.T) {
 	placed := func(v jobJSON) string {
 		return fmt.Sprintf("%s on %s [%s] pid %d: %q", v.State, v.Destination, v.VisibleDevices, v.PID, v.Info)
 	}
+	// trail lists a job's journaled steps as name@at#attempt:detail.
+	trail := func(ts *httptest.Server, id int) []string {
+		t.Helper()
+		resp, body := get(t, ts, fmt.Sprintf("/api/jobs/%d/trail", id))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("job %d trail = %d: %s", id, resp.StatusCode, body)
+		}
+		var tr galaxy.Trace
+		if err := json.Unmarshal(body, &tr); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range tr.Events {
+			switch e.Name {
+			case "map", "schedule", "queue":
+				continue // observed, not journaled
+			}
+			out = append(out, fmt.Sprintf("%s@%v#%d:%s", e.Name, e.At, e.Attempt, e.Detail))
+		}
+		return out
+	}
 	var want [2]string
+	var wantTrail [2][]string
 	for i := range want {
 		want[i] = placed(view(ts, i+1))
+		wantTrail[i] = trail(ts, i+1)
+	}
+	steps := func(tr []string) string {
+		var names []string
+		for _, s := range tr {
+			names = append(names, s[:strings.IndexByte(s, '@')])
+		}
+		return strings.Join(names, ",")
+	}
+	if got := steps(wantTrail[0]); got != "submit,start,attempt_fail,dead_letter" {
+		t.Fatalf("dead-lettered job's trail = %v", wantTrail[0])
+	}
+	if got := steps(wantTrail[1]); got != "submit,start,complete" {
+		t.Fatalf("ok job's trail = %v", wantTrail[1])
 	}
 	// First handler shuts down cleanly: HTTP server gone, journal synced.
 	ts.Close()
@@ -247,6 +288,9 @@ func TestRecoveryEndpointAfterRestart(t *testing.T) {
 		if got := placed(view(ts2, i+1)); got != want[i] {
 			t.Errorf("job %d after restart reads %s, before it %s", i+1, got, want[i])
 		}
+		if got := trail(ts2, i+1); !slices.Equal(got, wantTrail[i]) {
+			t.Errorf("job %d's trail after restart reads %v, before it %v", i+1, got, wantTrail[i])
+		}
 	}
 
 	// Compacted, the journal brings the same view back.
@@ -262,5 +306,14 @@ func TestRecoveryEndpointAfterRestart(t *testing.T) {
 		if got := placed(view(ts3, i+1)); got != want[i] {
 			t.Errorf("job %d after compaction and restart reads %s, before it %s", i+1, got, want[i])
 		}
+	}
+	if got := trail(ts3, 2); !slices.Equal(got, wantTrail[1]) {
+		t.Errorf("ok job's trail after compaction and restart reads %v, before it %v", got, wantTrail[1])
+	}
+	// The dead-lettered job keeps its attempt and dead letter, with their
+	// times and details; its one start comes back after the failure log.
+	before, got := wantTrail[0], trail(ts3, 1)
+	if want := []string{before[0], before[2], before[1], before[3]}; !slices.Equal(got, want) {
+		t.Errorf("dead-lettered job's trail after compaction and restart reads %v, want %v", got, want)
 	}
 }

@@ -62,7 +62,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/workflows", s.handleWorkflows)
 	mux.HandleFunc("/api/workflows/", s.handleWorkflow)
 	mux.HandleFunc("/api/recovery", s.handleRecovery)
-	mux.HandleFunc("/api/trace/", s.handleTraceByPath)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
 }
@@ -322,8 +321,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		switch sub {
 		case "resubmit":
 			s.handleResubmit(w, r, id)
-		case "trace":
-			s.handleTrace(w, r, id)
+		case "trail":
+			s.handleTrail(w, r, id)
 		default:
 			writeErr(w, http.StatusNotFound, "no such job sub-resource %q", sub)
 		}
@@ -661,8 +660,8 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWorkflow serves one workflow: GET /api/workflows/{id} returns its
-// status snapshot, GET /api/workflows/{id}/trace the span tree of its
-// member jobs. Unknown sub-resources are 404, matching /api/jobs/{id}.
+// status snapshot, GET /api/workflows/{id}/trail the trails of its member
+// jobs. Unknown sub-resources are 404, matching /api/jobs/{id}.
 func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/api/workflows/")
 	idText, sub, hasSub := strings.Cut(rest, "/")
@@ -671,7 +670,7 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad workflow id %q", idText)
 		return
 	}
-	if hasSub && sub != "trace" {
+	if hasSub && sub != "trail" {
 		writeErr(w, http.StatusNotFound, "no such workflow sub-resource %q", sub)
 		return
 	}
@@ -689,7 +688,7 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 	if hasSub {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"workflow": id,
-			"steps":    s.g.Observer().Traces.WorkflowSpans(id),
+			"steps":    wr.Trails(),
 		})
 		return
 	}

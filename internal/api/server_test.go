@@ -350,7 +350,7 @@ func TestMethodNotAllowed(t *testing.T) {
 		{"/api/jobs", []string{http.MethodGet, http.MethodPost}},
 		{"/api/jobs/1", []string{http.MethodGet}},
 		{"/api/jobs/1/resubmit", []string{http.MethodPost}},
-		{"/api/jobs/1/trace", []string{http.MethodGet}},
+		{"/api/jobs/1/trail", []string{http.MethodGet}},
 		{"/api/smi", []string{http.MethodGet}},
 		{"/api/monitor", []string{http.MethodGet}},
 		{"/api/faults", []string{http.MethodGet}},
@@ -358,7 +358,7 @@ func TestMethodNotAllowed(t *testing.T) {
 		{"/api/workflows", []string{http.MethodGet, http.MethodPost}},
 		{"/api/workflows/1", []string{http.MethodGet}},
 		{"/api/recovery", []string{http.MethodGet, http.MethodPost}},
-		{"/api/trace/1", []string{http.MethodGet}},
+		{"/api/workflows/1/trail", []string{http.MethodGet}},
 		{"/metrics", []string{http.MethodGet}},
 	}
 	verbs := []string{

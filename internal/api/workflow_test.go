@@ -194,9 +194,9 @@ func TestWorkflowListAndDetailEndpoints(t *testing.T) {
 func TestWorkflowTraceEndpointReturnsSpanTree(t *testing.T) {
 	ts := testServer(t)
 	submitTestWorkflow(t, ts)
-	resp, body := get(t, ts, "/api/workflows/1/trace")
+	resp, body := get(t, ts, "/api/workflows/1/trail")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace status %d: %s", resp.StatusCode, body)
+		t.Fatalf("trail status %d: %s", resp.StatusCode, body)
 	}
 	var tree struct {
 		Workflow int `json:"workflow"`
@@ -212,7 +212,7 @@ func TestWorkflowTraceEndpointReturnsSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tree.Workflow != 1 || len(tree.Steps) != 2 {
-		t.Fatalf("trace tree = %s", body)
+		t.Fatalf("trail tree = %s", body)
 	}
 	for _, st := range tree.Steps {
 		if st.Workflow != 1 || st.Step == "" || len(st.Events) == 0 || len(st.Segments) == 0 {
@@ -227,7 +227,8 @@ func TestWorkflowEndpointNotFoundCases(t *testing.T) {
 	for path, want := range map[string]int{
 		"/api/workflows/99":        http.StatusNotFound, // unknown workflow
 		"/api/workflows/1/nope":    http.StatusNotFound, // unknown sub-resource
-		"/api/workflows/1/trace/x": http.StatusNotFound, // over-deep path
+		"/api/workflows/1/trail/x": http.StatusNotFound, // over-deep path
+		"/api/workflows/1/trace":   http.StatusNotFound, // replaced by the trail
 		"/api/workflows/abc":       http.StatusBadRequest,
 	} {
 		resp, body := get(t, ts, path)

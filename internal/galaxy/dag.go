@@ -192,7 +192,7 @@ func (g *Galaxy) SubmitDAG(name string, steps []DAGStep, opts DAGOptions) (*Work
 	wr.submittedAt = now
 	wr.defRecord = workflowRecord(wr, now)
 	g.workflows[wr.ID] = wr
-	g.logJournal(wr.defRecord)
+	g.logJournal(nil, wr.defRecord)
 	wr.releaseLocked(now)
 
 	// A workflow that failed before a single job was submitted (root
@@ -412,7 +412,7 @@ func (wr *WorkflowRun) finishLocked(now time.Duration) {
 		wr.state = StateOK
 	}
 	wr.finishedAt = now
-	wr.g.logJournal(verdictRecord(wr))
+	wr.g.logJournal(nil, verdictRecord(wr))
 }
 
 // State returns the workflow's lifecycle state.

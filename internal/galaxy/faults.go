@@ -148,7 +148,7 @@ func (g *Galaxy) failLocked(job *Job, binding *ToolBinding, opts SubmitOptions, 
 	}
 	f := Failure{At: now, Attempt: attempt, Op: op, Class: class, Msg: err.Error(), Devices: culprits}
 	job.Failures = append(job.Failures, f)
-	g.logJournal(attemptRecord(job.ID, f))
+	g.logJournal(job, attemptRecord(job.ID, f))
 	// Device-attributed faults feed the quarantine: only the culprit
 	// devices are charged, so a device-keyed fault on a multi-GPU gang
 	// leaves the gang's healthy members allocatable. Probe and launch

@@ -58,10 +58,10 @@ type Galaxy struct {
 	// same device report (see internal/smi).
 	surveyCache *smi.Cache
 
-	// obsv receives every journaled job-state transition, plus the
-	// scheduler-queue and quarantine events that are not journaled (metrics
-	// + traces, see internal/obs). It is always non-nil — observability is
-	// on even with journaling off.
+	// obsv counts every journaled job-state transition, plus the
+	// scheduler-queue and quarantine events that are not journaled (see
+	// internal/obs; each job keeps its own trail, trail.go). It is always
+	// non-nil — observability is on even with journaling off.
 	obsv *obs.Observer
 
 	// Destination scheduling: per-destination running counts and wait
@@ -471,7 +471,7 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 	tick := g.moveLocked(job, StateQueued, "", now)
 	if opts.transferFrom != "" {
 		job.from = opts.transferFrom
-		tick = g.stageJournal(adoptRecord(job.ID, g.handlerID, job.from, now))
+		tick = g.stageJournal(job, adoptRecord(job.ID, g.handlerID, job.from, now))
 	}
 	g.Engine.After(opts.Delay, func(now time.Duration) {
 		g.startJob(job, binding, opts, now)
@@ -544,7 +544,8 @@ func (g *Galaxy) startJobLocked(job *Job, binding *ToolBinding, opts SubmitOptio
 		}
 	}
 
-	g.obsv.Mapped(job.ID, now, decision.Destination.ID)
+	g.obsv.Mapped(decision.Destination.ID)
+	job.note(step{kind: stepMap, at: now, detail: decision.Destination.ID})
 
 	// Batch scheduling: GPU jobs park in the scheduler's priority queue
 	// and start when a cycle grants them an exclusive device gang.
@@ -772,7 +773,7 @@ func (g *Galaxy) Kill(job *Job) error {
 		// queue so a later cycle cannot start a dead job.
 		g.sched.Remove(job.ID)
 		delete(g.schedJobs, job.ID)
-		g.obsv.Unqueued(job.ID, now)
+		job.note(step{kind: stepQueue, at: now, detail: "remove"})
 		g.recordQueueLocked(now)
 	}
 	return nil

@@ -123,13 +123,16 @@ type Job struct {
 	from string
 	// steal is the steal in flight while the job is prepared (else nil).
 	steal *preparedSteal
+	// steps is the job's trail, append-only (trail.go).
+	steps []step
 }
 
 // clone returns a deep-enough copy of the job for snapshot readers: every
 // public field is safe to read and the mutable slices (Devices, Failures,
 // ContainerCommand) are copied so an in-flight relaunch can't swap them out
 // underneath the caller. Engine-internal fields (sessions, completion hooks,
-// slot releases) are nilled — a clone is an observation, not a live job.
+// slot releases, the trail) are nilled — a clone is an observation, not a
+// live job; Galaxy.Trail copies the trail out.
 // Params, Dataset and Result are shared: the engine treats them as immutable
 // once set.
 func (j *Job) clone() *Job {
@@ -140,6 +143,7 @@ func (j *Job) clone() *Job {
 	c.sessions = nil
 	c.onDone = nil
 	c.release = nil
+	c.steps = nil
 	return &c
 }
 

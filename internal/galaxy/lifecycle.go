@@ -74,15 +74,15 @@ func (g *Galaxy) moveLocked(j *Job, to JobState, info string, at time.Duration) 
 	}
 	switch kind {
 	case journal.TypeSubmit:
-		return g.stageJournal(j.submit)
+		return g.stageJournal(j, j.submit)
 	case journal.TypeStart:
-		g.logJournal(startRecord(j))
+		g.logJournal(j, startRecord(j))
 	case journal.TypeComplete, journal.TypeDeadLetter:
-		g.logJournal(terminalRecord(j))
+		g.logJournal(j, terminalRecord(j))
 	case journal.TypeResubmit:
-		g.logJournal(resubmitRecord(j.ID, at))
+		g.logJournal(j, resubmitRecord(j.ID, at))
 	case journal.TypeStealPrepare, journal.TypeStealRetire, journal.TypeStealAbort:
-		g.logJournal(g.stealRecord(kind, j.ID, j.steal, at))
+		g.logJournal(j, g.stealRecord(kind, j.ID, j.steal, at))
 	}
 	if to != StatePrepared {
 		j.steal = nil

@@ -58,9 +58,11 @@ func (g *Galaxy) installObsScrape() {
 
 	reg.OnScrape(func() {
 		counts := make(map[JobState]int, len(lifecycle))
-		for _, j := range g.Jobs() {
+		g.mu.Lock()
+		for _, j := range g.jobs {
 			counts[j.State]++
 		}
+		g.mu.Unlock()
 		for s := range lifecycle {
 			if s != "" {
 				states.With(string(s)).Set(float64(counts[s]))

@@ -50,9 +50,9 @@ func TestObserverSeesFullLifecycle(t *testing.T) {
 		t.Error("no map decision counted")
 	}
 
-	tr, ok := g.Observer().Traces.Get(job.ID)
+	tr, ok := g.Trail(job.ID)
 	if !ok {
-		t.Fatal("no trace for the job")
+		t.Fatal("no trail for the job")
 	}
 	var names []string
 	for _, e := range tr.Events {
@@ -61,7 +61,7 @@ func TestObserverSeesFullLifecycle(t *testing.T) {
 	got := strings.Join(names, ",")
 	for _, want := range []string{"submit", "map", "start", "complete"} {
 		if !strings.Contains(got, want) {
-			t.Errorf("trace %s missing %q", got, want)
+			t.Errorf("trail %s missing %q", got, want)
 		}
 	}
 }
@@ -202,7 +202,7 @@ func TestJournalFsyncObservation(t *testing.T) {
 
 // TestConcurrentObsRecordingAndScrape is the PR's -race hammer: submissions,
 // kills and fault retries drive Transition from many goroutines while other
-// goroutines scrape the registry and read traces. Nothing here asserts much
+// goroutines scrape the registry and read trails. Nothing here asserts much
 // — the race detector is the oracle.
 func TestConcurrentObsRecordingAndScrape(t *testing.T) {
 	plan := faults.NewPlan(11, faults.Rule{
@@ -237,7 +237,7 @@ func TestConcurrentObsRecordingAndScrape(t *testing.T) {
 	}
 
 	// Scrapers race the recorders: Prometheus exposition (which runs the
-	// jobs-by-state hook over Jobs()), snapshot flattening, and trace reads.
+	// jobs-by-state hook over the job table), snapshot flattening, and trail reads.
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -256,7 +256,7 @@ func TestConcurrentObsRecordingAndScrape(t *testing.T) {
 					return
 				}
 				for id := 1; id <= n; id++ {
-					g.Observer().Traces.Get(id)
+					g.Trail(id)
 				}
 			}
 		}()
@@ -285,7 +285,7 @@ func TestConcurrentObsRecordingAndScrape(t *testing.T) {
 
 // TestSchedulerQueueEventsAreObservedNotJournaled pins both halves of "what
 // no fold reads is not written", on each of the three dispatch paths: the
-// trace still shows the mapping decision — and, under the scheduler, the park
+// trail still shows the mapping decision — and, under the scheduler, the park
 // at the map instant and the grant at the start instant (a killed waiter its
 // removal) — the counters still count them, and the journal carries only the
 // three records recovery acts on.
@@ -328,7 +328,7 @@ func TestSchedulerQueueEventsAreObservedNotJournaled(t *testing.T) {
 
 			at := func(id int, name, detail string) time.Duration {
 				t.Helper()
-				tr, _ := g.Observer().Traces.Get(id)
+				tr, _ := g.Trail(id)
 				for _, e := range tr.Events {
 					if e.Name == name && (detail == "" || e.Detail == detail) {
 						return e.At

@@ -100,12 +100,13 @@ func (g *Galaxy) LastRecovery() *RecoveryReport {
 }
 
 // logJournal is the seam every journaled transition but a submit crosses,
-// under g.mu: the record goes through stampJournalLocked and journal.Append,
+// under g.mu, with the job the record is about (nil for a workflow record):
+// the record goes through stampJournalLocked and journal.Append,
 // which for a durable-class record waits for the fsync covering it. Append
 // errors are latched, not propagated — the dispatch path never fails on
 // durability; a server reads the latch (JournalError) before it acks.
-func (g *Galaxy) logJournal(rec journal.Record) {
-	if rec, ok := g.stampJournalLocked(rec); ok {
+func (g *Galaxy) logJournal(j *Job, rec journal.Record) {
+	if rec, ok := g.stampJournalLocked(j, rec); ok {
 		g.latchJournalErrLocked(g.journal.Append(rec))
 	}
 }
@@ -114,8 +115,8 @@ func (g *Galaxy) logJournal(rec journal.Record) {
 // journal.AppendAsync and returns its ticket (0 without a journal or once
 // the journal has failed). submitJob stages through it so that Submit can
 // wait for the fsync, with awaitDurable, after releasing g.mu.
-func (g *Galaxy) stageJournal(rec journal.Record) uint64 {
-	rec, ok := g.stampJournalLocked(rec)
+func (g *Galaxy) stageJournal(j *Job, rec journal.Record) uint64 {
+	rec, ok := g.stampJournalLocked(j, rec)
 	if !ok {
 		return 0
 	}
@@ -125,10 +126,14 @@ func (g *Galaxy) stageJournal(rec journal.Record) uint64 {
 }
 
 // stampJournalLocked is what every journaled transition goes through before
-// it is staged: report it to the observer and stamp the handler. It returns
+// it is staged: report it to the observer, append its step to the job's
+// trail (j is nil for a workflow record), and stamp the handler. It returns
 // false when no journal is attached. Caller holds g.mu.
-func (g *Galaxy) stampJournalLocked(rec journal.Record) (journal.Record, bool) {
+func (g *Galaxy) stampJournalLocked(j *Job, rec journal.Record) (journal.Record, bool) {
 	g.obsv.Transition(rec)
+	if j != nil {
+		g.noteRecordLocked(j, &rec)
+	}
 	if g.journal == nil {
 		return rec, false
 	}
@@ -281,11 +286,25 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 	now := g.Engine.Clock().AdvanceTo(hist.LastAt + opts.RestartDelay)
 	rep.ResumedAt = now
 
-	// Replay the quarantine: charging every attempt's culprit devices in
-	// record order rebuilds counts, spans and cooldown deadlines exactly.
-	// Device state is the one thing read off the stream rather than the
-	// fold: it depends on the order of attempts across jobs.
-	for _, rec := range recs {
+	for _, id := range hist.Order {
+		g.nextID = max(g.nextID, id)
+		g.jobs[id] = g.materializeLocked(id, hist.Jobs[id])
+	}
+	// Two things are read off the stream rather than the fold. Each job
+	// record becomes a step of its job's trail, so a recovered job shows
+	// its journaled history (a compacted journal holds only a job's newest
+	// start). And the quarantine replays: charging every attempt's culprit
+	// devices in record order rebuilds counts, spans and cooldown deadlines
+	// exactly, because device state depends on the order of attempts
+	// across jobs.
+	for i := range recs {
+		rec := &recs[i]
+		// A record before its job's submit is dropped, as Fold drops it.
+		if j := g.jobs[rec.Job]; j != nil && (j.steps != nil || rec.Type == journal.TypeSubmit) {
+			if s, ok := stepOf(rec); ok {
+				j.note(s)
+			}
+		}
 		if rec.Type != journal.TypeAttempt {
 			continue
 		}
@@ -300,9 +319,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 
 	for _, id := range hist.Order {
 		h := hist.Jobs[id]
-		g.nextID = max(g.nextID, id)
-		job := g.materializeLocked(id, h)
-		g.jobs[id] = job
+		job := g.jobs[id]
 		// A handler with no ID (journaling off) claims every job as its own.
 		foreign := h.Owner != "" && g.handlerID != "" && h.Owner != g.handlerID
 		if foreign {
@@ -359,7 +376,7 @@ func (g *Galaxy) requeueLocked(job *Job, h *journal.Trail, now time.Duration, re
 	}
 	action := "requeued"
 	if job.owner != "" {
-		g.logJournal(adoptRecord(job.ID, g.handlerID, job.owner, now))
+		g.logJournal(job, adoptRecord(job.ID, g.handlerID, job.owner, now))
 		job.owner, job.from = "", job.owner
 		rep.Adopted++
 		action = "adopted"

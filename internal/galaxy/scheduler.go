@@ -86,7 +86,8 @@ func (g *Galaxy) parkInSchedulerLocked(job *Job, binding *ToolBinding, opts Subm
 		return
 	}
 	g.moveLocked(job, StateQueued, fmt.Sprintf("queued: awaiting gang of %d GPU(s)", gang), now)
-	g.obsv.Parked(job.ID, now)
+	g.obsv.Parked()
+	job.note(step{kind: stepPark, at: now, detail: "park"})
 	g.schedJobs[job.ID] = &schedEntry{
 		pending: &pendingStart{job: job, binding: binding, opts: opts},
 		tool:    tool,
@@ -159,7 +160,8 @@ func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.D
 		VisibleDevices: core.VisibleDevices(st.Devices),
 		Reason:         st.Reason,
 	}
-	g.obsv.Granted(job.ID, now)
+	g.obsv.Granted()
+	job.note(step{kind: stepQueue, at: now, detail: "grant"})
 	id := job.ID
 	release := func() {
 		delete(g.schedJobs, id)

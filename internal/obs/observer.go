@@ -9,17 +9,18 @@ import (
 // Observer is the bridge between the engine's journal seam and the metrics
 // registry: every job-state transition the engine journals (or would
 // journal — the observer runs even with durability disabled) is fed through
-// Transition, which bumps the relevant counters, observes latency
-// histograms, and appends one event to the job's trace. The mapping decision,
+// Transition, which bumps the relevant counters. The mapping decision,
 // scheduler-queue and quarantine events no journal reader acts on are not
-// records; the engine reports them through Mapped, Parked, Granted, Unqueued
-// and Quarantined. The fsync side of the journal reports through ObserveFsync.
+// records; the engine reports them through Mapped, Parked, Granted and
+// Quarantined. The two latency histograms are observed by the engine, which
+// reads them off the job's own history (ObserveSubmitToStart,
+// ObserveSubmitToComplete). The fsync side of the journal reports through
+// ObserveFsync.
 //
 // None of these may call back into the engine: they run inside the dispatch
 // hot path, under whatever locks the caller holds.
 type Observer struct {
-	Reg    *Registry
-	Traces *Tracer
+	Reg *Registry
 
 	// Hot-path series, resolved once at construction.
 	submitted   CounterVec // by tool
@@ -42,13 +43,12 @@ type Observer struct {
 	surveySeconds    *Histogram
 }
 
-// NewObserver builds an observer with a fresh registry and tracer and the
-// standard gyan_ metric families pre-registered.
+// NewObserver builds an observer with a fresh registry and the standard
+// gyan_ metric families pre-registered.
 func NewObserver() *Observer {
 	r := NewRegistry()
 	o := &Observer{
-		Reg:    r,
-		Traces: NewTracer(0),
+		Reg: r,
 
 		submitted: r.CounterVec("gyan_jobs_submitted_total",
 			"Jobs accepted by Submit, by tool.", "tool"),
@@ -94,36 +94,18 @@ func NewObserver() *Observer {
 	return o
 }
 
-// Transition records one journaled job-state transition. It is the single
-// instrumentation point for the whole lifecycle: the engine calls it from
-// the same seam that feeds the WAL, so metrics and traces cannot drift from
-// what the journal says happened.
+// Transition counts one journaled job-state transition. It is the single
+// counting point for the whole lifecycle: the engine calls it from the same
+// seam that feeds the WAL, so the counters cannot drift from what the
+// journal says happened.
 func (o *Observer) Transition(rec journal.Record) {
 	switch rec.Type {
 	case journal.TypeSubmit:
 		o.submitted.With(rec.Tool).Inc()
-		o.Traces.Begin(rec.Job, rec.Tool)
-		if rec.Workflow != 0 {
-			o.Traces.Tag(rec.Job, rec.Workflow, rec.Step)
-		}
-		o.Traces.Record(rec.Job, Event{Name: "submit", At: rec.At})
-
 	case journal.TypeWorkflow:
 		o.wfSubmitted.Inc()
-
-	case journal.TypeStart:
-		// Start records carry the launch epoch, not a retry attempt.
-		meta, ok := o.Traces.Record(rec.Job,
-			Event{Name: "start", At: rec.At, Attempt: rec.Epoch, Detail: rec.Destination})
-		if ok && meta.Starts == 1 && rec.At >= meta.Submitted {
-			o.submitToStart.ObserveDuration(rec.At - meta.Submitted)
-		}
-
 	case journal.TypeAttempt:
 		o.attempts.With(rec.Class).Inc()
-		o.Traces.Record(rec.Job,
-			Event{Name: "attempt_fail", At: rec.At, Attempt: rec.Attempt, Detail: rec.Class})
-
 	case journal.TypeComplete:
 		if rec.Job == 0 && rec.Workflow != 0 {
 			// A workflow-level verdict, not a job transition.
@@ -131,51 +113,31 @@ func (o *Observer) Transition(rec journal.Record) {
 			return
 		}
 		o.completed.With(rec.State).Inc()
-		meta, ok := o.Traces.Record(rec.Job,
-			Event{Name: "complete", At: rec.At, Detail: rec.State})
-		if ok && rec.State == "ok" && rec.At >= meta.Submitted {
-			o.submitToComplete.ObserveDuration(rec.At - meta.Submitted)
-		}
-
 	case journal.TypeDeadLetter:
 		o.completed.With("dead_letter").Inc()
-		o.Traces.Record(rec.Job, Event{Name: "dead_letter", At: rec.At, Detail: rec.Msg})
-
 	case journal.TypeResubmit:
 		o.resubmits.Inc()
-		o.Traces.Record(rec.Job, Event{Name: "resubmit", At: rec.At})
-
 	case journal.TypeAdopt:
 		o.adoptions.Inc()
-		o.Traces.Record(rec.Job, Event{Name: "adopt", At: rec.At, Detail: rec.From})
 	}
 }
 
-// Mapped records one destination-mapping decision (GYAN's dynamic rule).
-func (o *Observer) Mapped(job int, at time.Duration, destination string) {
-	o.mapped.With(destination).Inc()
-	o.Traces.Record(job, Event{Name: "map", At: at, Detail: destination})
-}
+// ObserveSubmitToStart records the virtual time a job waited from its
+// submit to its first start.
+func (o *Observer) ObserveSubmitToStart(d time.Duration) { o.submitToStart.ObserveDuration(d) }
 
-// Parked records a GPU job entering the batch scheduler's priority queue —
-// the same instant as its map event.
-func (o *Observer) Parked(job int, at time.Duration) {
-	o.parked.Inc()
-	o.Traces.Record(job, Event{Name: "schedule", At: at, Detail: "park"})
-}
+// ObserveSubmitToComplete records the virtual time from a job's submit to
+// its successful completion.
+func (o *Observer) ObserveSubmitToComplete(d time.Duration) { o.submitToComplete.ObserveDuration(d) }
 
-// Granted records the scheduler granting a parked job its device gang — the
-// same instant as its start record.
-func (o *Observer) Granted(job int, at time.Duration) {
-	o.grants.Inc()
-	o.Traces.Record(job, Event{Name: "queue", At: at, Detail: "grant"})
-}
+// Mapped counts one destination-mapping decision (GYAN's dynamic rule).
+func (o *Observer) Mapped(destination string) { o.mapped.With(destination).Inc() }
 
-// Unqueued records a parked job leaving the scheduler's queue without a
-// grant (killed while waiting).
-func (o *Observer) Unqueued(job int, at time.Duration) {
-	o.Traces.Record(job, Event{Name: "queue", At: at, Detail: "remove"})
-}
+// Parked counts a GPU job entering the batch scheduler's priority queue.
+func (o *Observer) Parked() { o.parked.Inc() }
+
+// Granted counts the scheduler granting a parked job its device gang.
+func (o *Observer) Granted() { o.grants.Inc() }
 
 // Quarantined records a device entering quarantine.
 func (o *Observer) Quarantined() { o.quarantines.Inc() }

@@ -1,6 +1,6 @@
 // Package obs is the observability substrate: a lock-cheap metrics registry
-// (counters, gauges, fixed-bucket histograms) plus per-job lifecycle traces,
-// recorded from the same seams the job-state journal already writes through.
+// (counters, gauges, fixed-bucket histograms), recorded from the same seams
+// the job-state journal already writes through.
 // Everything the dispatcher learns about itself — jobs by state, queue-wait
 // and completion latency tails, journal fsync batching, survey-cache
 // efficiency — flows through one Registry and is served as Prometheus text
@@ -10,13 +10,12 @@
 //
 //   - Recording must be cheap enough for the submit hot path: counters and
 //     gauges are single atomic ops, histogram observation is one atomic
-//     bucket increment plus a CAS loop on the running sum, and trace
-//     recording is one slice append under the tracer's lock. Nothing on the
+//     bucket increment plus a CAS loop on the running sum. Nothing on the
 //     record path allocates after the series exists.
 //   - Cardinality is bounded by construction: label values are tool IDs,
 //     destination IDs, states, fault classes and device minors — never job
-//     IDs. Per-job data lives in the Tracer, which is bounded by an
-//     eviction ring instead of labels.
+//     IDs. Per-job data is each job's own trail, kept by the engine
+//     (internal/galaxy), not labels.
 //   - Scrape-time work is explicit: OnScrape hooks let owners mirror
 //     externally-maintained counters (journal stats, survey-cache hits)
 //     into the registry only when someone is actually looking.
@@ -328,12 +327,14 @@ func (r *Registry) runHooks() {
 	}
 }
 
-// formatFloat renders a sample value the way Prometheus text format expects.
-func formatFloat(v float64) string {
+// appendFloat appends a value the way Prometheus text format expects. The
+// exposition writes every sample value through one scratch buffer, so what a
+// scrape allocates does not depend on the values it reports.
+func appendFloat(b []byte, v float64) []byte {
 	if math.IsInf(v, +1) {
-		return "+Inf"
+		return append(b, "+Inf"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // labelString renders {k="v",...} for a series; empty labels render nothing.
@@ -373,6 +374,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.RUnlock()
 
+	num := make([]byte, 0, 32) // the sample value being written
 	for _, f := range fams {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
@@ -389,11 +391,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			var err error
 			switch f.kind {
 			case kindCounter:
-				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, ls, s.c.Value())
+				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, ls, strconv.AppendUint(num[:0], s.c.Value(), 10))
 			case kindGauge:
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, ls, formatFloat(s.g.Value()))
+				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, ls, appendFloat(num[:0], s.g.Value()))
 			case kindHistogram:
-				err = writeHistogram(w, f, s, ls)
+				err = writeHistogram(w, f, s, num)
 			}
 			if err != nil {
 				return err
@@ -403,27 +405,28 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// writeHistogram renders one histogram series with cumulative buckets.
-func writeHistogram(w io.Writer, f *family, s *series, _ string) error {
+// writeHistogram renders one histogram series with cumulative buckets,
+// formatting each value in num.
+func writeHistogram(w io.Writer, f *family, s *series, num []byte) error {
 	h := s.h
 	cum := uint64(0)
 	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		ls := labelString(f.labelNames, s.labels, "le", formatFloat(bound))
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, ls, cum); err != nil {
+		ls := labelString(f.labelNames, s.labels, "le", string(appendFloat(nil, bound)))
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %s\n", f.name, ls, strconv.AppendUint(num[:0], cum, 10)); err != nil {
 			return err
 		}
 	}
 	cum += h.counts[len(h.bounds)].Load()
 	ls := labelString(f.labelNames, s.labels, "le", "+Inf")
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, ls, cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket%s %s\n", f.name, ls, strconv.AppendUint(num[:0], cum, 10)); err != nil {
 		return err
 	}
 	base := labelString(f.labelNames, s.labels)
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, base, formatFloat(h.Sum())); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, base, appendFloat(num[:0], h.Sum())); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, base, h.count.Load())
+	_, err := fmt.Fprintf(w, "%s_count%s %s\n", f.name, base, strconv.AppendUint(num[:0], h.count.Load(), 10))
 	return err
 }
 

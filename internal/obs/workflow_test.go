@@ -30,44 +30,3 @@ func TestObserverCountsWorkflowsSeparatelyFromJobs(t *testing.T) {
 		}
 	}
 }
-
-func TestWorkflowSpansGroupMemberTraces(t *testing.T) {
-	o := NewObserver()
-	// Two workflows interleaved, plus a loose job.
-	steps := []struct {
-		job, wf  int
-		step     string
-		submitAt time.Duration
-	}{
-		{1, 1, "align", 0},
-		{2, 2, "align", time.Second},
-		{3, 1, "call", 5 * time.Second},
-		{4, 0, "", 6 * time.Second},
-	}
-	for _, s := range steps {
-		o.Transition(journal.Record{Type: journal.TypeSubmit, Job: s.job, Tool: "t",
-			Workflow: s.wf, Step: s.step, At: s.submitAt})
-		o.Transition(journal.Record{Type: journal.TypeStart, Job: s.job,
-			At: s.submitAt + time.Second})
-		o.Transition(journal.Record{Type: journal.TypeComplete, Job: s.job, State: "ok",
-			At: s.submitAt + 2*time.Second})
-	}
-	spans := o.Traces.WorkflowSpans(1)
-	if len(spans) != 2 {
-		t.Fatalf("%d spans for workflow 1, want 2", len(spans))
-	}
-	if spans[0].Step != "align" || spans[1].Step != "call" {
-		t.Errorf("steps out of submit order: %s, %s", spans[0].Step, spans[1].Step)
-	}
-	for _, tr := range spans {
-		if tr.Workflow != 1 {
-			t.Errorf("job %d tagged workflow %d", tr.Job, tr.Workflow)
-		}
-		if len(tr.Segments) == 0 {
-			t.Errorf("job %d span has no derived segments", tr.Job)
-		}
-	}
-	if n := len(o.Traces.WorkflowSpans(99)); n != 0 {
-		t.Errorf("unknown workflow has %d spans", n)
-	}
-}

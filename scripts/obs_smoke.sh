@@ -1,10 +1,10 @@
 #!/bin/sh
 # obs_smoke.sh boots a real gyan-server, pushes one job through it, and
 # scrapes the observability surface end to end: /metrics must expose the
-# gyan_ series and /api/trace/{id} must return a non-empty trace. Any
-# non-200 or empty body fails the script — this is CI's proof that the
-# metrics registry, the trace store and their HTTP plumbing are actually
-# wired, not just unit-tested.
+# gyan_ series and /api/jobs/{id}/trail must return the job's non-empty
+# trail. Any non-200 or empty body fails the script — this is CI's proof
+# that the metrics registry, the job's own history and their HTTP plumbing
+# are actually wired, not just unit-tested.
 set -eu
 
 PORT="${PORT:-18080}"
@@ -33,7 +33,7 @@ if [ "$up" -ne 1 ]; then
 	exit 1
 fi
 
-# One job gives the metrics and the trace something to show.
+# One job gives the metrics and the trail something to show.
 JOB=$(curl -fsS -X POST "$BASE/api/jobs" \
 	-d '{"tool":"racon","dataset":"alzheimers_nfl","params":{"scale":"0.001"}}')
 ID=$(printf '%s' "$JOB" | sed -n 's/.*"id":[[:space:]]*\([0-9][0-9]*\).*/\1/p')
@@ -67,14 +67,14 @@ if printf '%s\n' "$METRICS" | grep -qx 'gyan_smi_survey_seconds_count 0'; then
 	exit 1
 fi
 
-TRACE=$(curl -fsS "$BASE/api/trace/$ID")
-if ! printf '%s' "$TRACE" | grep -q '"events"'; then
-	echo "obs-smoke: trace for job $ID is empty or malformed: $TRACE" >&2
+TRAIL=$(curl -fsS "$BASE/api/jobs/$ID/trail")
+if ! printf '%s' "$TRAIL" | grep -q '"events"'; then
+	echo "obs-smoke: trail for job $ID is empty or malformed: $TRAIL" >&2
 	exit 1
 fi
 for ev in submit map start complete; do
-	if ! printf '%s' "$TRACE" | grep -qF "\"$ev\""; then
-		echo "obs-smoke: trace for job $ID missing event $ev: $TRACE" >&2
+	if ! printf '%s' "$TRAIL" | grep -qF "\"$ev\""; then
+		echo "obs-smoke: trail for job $ID missing event $ev: $TRAIL" >&2
 		exit 1
 	fi
 done
@@ -85,4 +85,4 @@ curl -fsS "$BASE/debug/pprof/cmdline" >/dev/null || {
 	exit 1
 }
 
-echo "obs-smoke: ok (job $ID traced; /metrics live with gyan_ series)"
+echo "obs-smoke: ok (job $ID has its trail; /metrics live with gyan_ series)"
