@@ -102,10 +102,13 @@ quick-golden:
 # same jobs), and a job pinned to a device by the user's version tag still
 # runs on that device after the crash; a job recovery fails for want of its
 # dataset stays failed at the next recovery, and a compacted journal folds to
-# the same job trails, record for record, as the journal it replaced.
+# the same job trails, record for record and run for run, as the journal it
+# replaced, and a restarted server serves the same placement and trail for
+# each job before and after a compaction.
 test-crash:
 	$(call run_selected,./internal/experiments,TestCrashRecovery)
 	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLockHolderAdoptsDeadHandlersJobs|TestRecoverSplicedMapRecords|TestRecoverKeepsDevicePin|TestRecoveredFailureIsDurable|TestSnapshotJournalIsTheFoldsInverse)
+	$(call run_selected,./internal/api,TestRecoveryEndpointAfterRestart)
 
 # hammer-api is the -race hammer for the single server's real handler:
 # concurrent POST /api/jobs of the http_jobs mix against every read endpoint
@@ -121,8 +124,11 @@ hammer-api:
 # stage and flush must not report durable, watermark monotonicity under
 # concurrent appenders, the flush-error latch, stats), snapshot compaction
 # over rotated segments and over the segments a crash left behind it,
-# snapshots racing appenders without stranding a record below their tickets, the torn-tail replay (the same after Open as before
-# it), the incarnation epoch
+# Compact copying exactly what replay reads (over a snapshot, rotated
+# segments, a torn tail and staged records) and refusing a corrupt snapshot
+# without touching a file, snapshots and Compact racing appenders without
+# stranding a record below their tickets, the torn-tail replay (the same
+# after Open as before it), the incarnation epoch
 # (strictly increasing, and refused before it wraps), the refusal of every
 # layout and payload older versions wrote, the fold (rule table, retired
 # kinds, interleaving invariance, no write-only record kind), the record
@@ -131,7 +137,7 @@ hammer-api:
 # the torn-tail crash-requeue scenario, the spliced-map-record recovery
 # oracle, durable submits racing compaction without losing a job, and
 # concurrent submits sharing one fsync.
-JOURNAL_TESTS ?= TestSegmentFilesAreTicketOrdered|TestRotatedSnapshotCompaction|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestTornTailDoesNotPoisonLaterSegments|TestSnapshotSupersedesLeftoverSegments|TestSnapshotRacingAppendsKeepsLaterRecords|TestFlushError|TestEpochStrictlyIncreasing|TestOpenRefusesAnExhaustedEpoch|TestLegacyFormatIsRefused|TestReplayAfterOpenMatchesReplayBefore|TestFold|TestCodec
+JOURNAL_TESTS ?= TestSegmentFilesAreTicketOrdered|TestRotatedSnapshotCompaction|TestCompactCopiesWhatReplayReads|TestCompactRefusesACorruptSnapshot|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestTornTailDoesNotPoisonLaterSegments|TestSnapshotSupersedesLeftoverSegments|TestSnapshotRacingAppendsKeepsLaterRecords|TestFlushError|TestEpochStrictlyIncreasing|TestOpenRefusesAnExhaustedEpoch|TestLegacyFormatIsRefused|TestReplayAfterOpenMatchesReplayBefore|TestFold|TestCodec
 JOURNAL_GALAXY_TESTS ?= TestShardedCrash|TestRecoverSplicedMapRecords|TestSubmitRacingCompactionLosesNothing|TestConcurrentSubmitsShareAnFsync
 
 test-journal:

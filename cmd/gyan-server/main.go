@@ -346,9 +346,8 @@ func run(addr string, pol core.Policy, seed uint64, journalDir, handler string, 
 			if rep.CorruptTail != "" {
 				log.Printf("journal had a torn tail (expected after a crash): %s", rep.CorruptTail)
 			}
-			// Compact the recovered state into a snapshot: this seals torn
-			// segments away so they are not re-reported on every restart,
-			// and bounds the next replay.
+			// Compact the journal into a snapshot: this seals torn segments
+			// away so they are not re-reported on every restart.
 			if err := g.SnapshotJournal(); err != nil {
 				log.Printf("journal compaction after recovery failed: %v", err)
 			}

@@ -96,9 +96,6 @@ type WorkflowRun struct {
 	// submitted/finished bound the workflow's virtual-time span.
 	submittedAt time.Duration
 	finishedAt  time.Duration
-	// defRecord is the journaled definition, retained so SnapshotJournal
-	// can re-emit it during compaction.
-	defRecord journal.Record
 }
 
 // StepStatus is one step's observable state in a WorkflowStatus snapshot.
@@ -190,9 +187,8 @@ func (g *Galaxy) SubmitDAG(name string, steps []DAGStep, opts DAGOptions) (*Work
 	}
 	now := g.Engine.Clock().Now()
 	wr.submittedAt = now
-	wr.defRecord = workflowRecord(wr, now)
 	g.workflows[wr.ID] = wr
-	g.logJournal(nil, wr.defRecord)
+	g.logJournal(nil, workflowRecord(wr, now))
 	wr.releaseLocked(now)
 
 	// A workflow that failed before a single job was submitted (root

@@ -55,7 +55,7 @@ func (g *Galaxy) rebuildWorkflowsLocked(hist *journal.History, rep *RecoveryRepo
 				user: userOrAnonymous(rec.User),
 				defs: map[string]*DAGStep{}, jobs: map[string]*Job{},
 				stat:        map[string]*StepStatus{},
-				submittedAt: rec.At, finishedAt: now, defRecord: rec,
+				submittedAt: rec.At, finishedAt: now,
 			}
 		}
 		g.workflows[id] = wr
@@ -103,7 +103,7 @@ func (g *Galaxy) rebuildWorkflowLocked(rec journal.Record, terms map[int]journal
 		dag: dag, run: workflow.NewRun(dag),
 		defs: defs, jobs: make(map[string]*Job), stat: make(map[string]*StepStatus),
 		state: StateRunning, user: userOrAnonymous(rec.User),
-		submittedAt: rec.At, defRecord: rec,
+		submittedAt: rec.At,
 	}
 
 	// Fold the member jobs into the run's step states, in three passes over

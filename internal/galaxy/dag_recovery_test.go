@@ -189,7 +189,7 @@ func TestRecoverRestoresFinishedWorkflowAndSurvivesCompaction(t *testing.T) {
 	if wr.State() != StateOK {
 		t.Fatalf("workflow finished %s: %s", wr.State(), wr.Info())
 	}
-	// Compact: the snapshot must re-emit the definition and the verdict.
+	// Compact: the snapshot must keep the definition and the verdict.
 	if err := g.SnapshotJournal(); err != nil {
 		t.Fatal(err)
 	}

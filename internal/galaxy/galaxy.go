@@ -464,14 +464,10 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 		Submitted: job.Submitted, GPURequest: opts.GPURequest,
 		Workflow: opts.wfID, Step: opts.wfStep,
 	}
-	// The insert and the staged record share this critical section, so
-	// SnapshotJournal (which also holds g.mu) either carries the job or
-	// runs before its record is staged.
 	g.jobs[job.ID] = job
 	tick := g.moveLocked(job, StateQueued, "", now)
 	if opts.transferFrom != "" {
-		job.from = opts.transferFrom
-		tick = g.stageJournal(job, adoptRecord(job.ID, g.handlerID, job.from, now))
+		tick = g.stageJournal(job, adoptRecord(job.ID, g.handlerID, opts.transferFrom, now))
 	}
 	g.Engine.After(opts.Delay, func(now time.Duration) {
 		g.startJob(job, binding, opts, now)

@@ -107,10 +107,10 @@ type Job struct {
 	reason string
 	// release returns the job's scheduler slots; set while running.
 	release func()
-	// submit is the journal record that created this job: a snapshot
-	// re-emits it, and recovery, an admin resubmit and a steal rebuild the
-	// submission from it (submitOptions). Its Dataset names the registry
-	// entry the payload was resolved from.
+	// submit is the journal record that created this job: recovery, an
+	// admin resubmit and a steal rebuild the submission from it
+	// (submitOptions). Its Dataset names the registry entry the payload was
+	// resolved from.
 	submit journal.Record
 	// attemptBase offsets Attempt() after an admin resubmit: the retained
 	// failure log no longer counts against the fresh retry budget.
@@ -118,9 +118,6 @@ type Job struct {
 	// owner is the handler that owns this job when it differs from the
 	// local handler (a stolen job names its thief).
 	owner string
-	// from is the handler this one adopted the job from: the victim of an
-	// accepted transfer, or a dead owner recovery took over ("" otherwise).
-	from string
 	// steal is the steal in flight while the job is prepared (else nil).
 	steal *preparedSteal
 	// steps is the job's trail, append-only (trail.go).

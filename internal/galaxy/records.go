@@ -9,13 +9,13 @@ import (
 )
 
 // Job records. Every kind of record the engine journals about a job has one
-// constructor here, called where it is written live (by moveLocked for the
-// kinds a lifecycle move writes) and by SnapshotJournal when it re-emits the
-// engine's state, and the inverse that Recover applies sits next to it. So a
-// compacted journal folds to the trails the live one did, and a recovered job
-// reads the same whether or not a compaction ran in between. (The submit
-// record is built once, in submitJob, and kept on the job; the workflow
-// definition and verdict are in dag.go.)
+// constructor here, called where it is written (by moveLocked for the kinds a
+// lifecycle move writes), and the inverse that Recover applies sits next to
+// it. They are the only encoding of a job's state: compaction copies the
+// records (journal.Compact), so a recovered job reads the same whether or not
+// a compaction ran in between. (The submit record is built once, in
+// submitJob, and kept on the job; the workflow definition and verdict are in
+// dag.go.)
 
 // startRecord is the start record of the job's current run: its epoch, where
 // it was placed and why (Msg), and its host PID.
@@ -89,8 +89,8 @@ func resubmitRecord(id int, at time.Duration) journal.Record {
 	return journal.Record{Type: journal.TypeResubmit, At: at, Job: id}
 }
 
-// adoptRecord moves job id to handler to from handler from, which the job
-// remembers (Job.from) and its trail names (Trail.From).
+// adoptRecord moves job id to handler to from handler from, which its trail
+// names (Trail.From).
 func adoptRecord(id int, to, from string, at time.Duration) journal.Record {
 	return journal.Record{Type: journal.TypeAdopt, At: at, Job: id, Handler: to, From: from}
 }
@@ -103,5 +103,5 @@ func (g *Galaxy) stealRecord(typ journal.Type, id int, p *preparedSteal, at time
 
 // preparedOf is the inverse of a prepare record: the steal it left open.
 func preparedOf(r *journal.Record) *preparedSteal {
-	return &preparedSteal{to: r.Handler, xfer: r.Xfer, at: r.At}
+	return &preparedSteal{to: r.Handler, xfer: r.Xfer}
 }

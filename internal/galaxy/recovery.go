@@ -1,10 +1,8 @@
 package galaxy
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"gyan/internal/journal"
@@ -377,7 +375,7 @@ func (g *Galaxy) requeueLocked(job *Job, h *journal.Trail, now time.Duration, re
 	action := "requeued"
 	if job.owner != "" {
 		g.logJournal(job, adoptRecord(job.ID, g.handlerID, job.owner, now))
-		job.owner, job.from = "", job.owner
+		job.owner = ""
 		rep.Adopted++
 		action = "adopted"
 	}
@@ -423,7 +421,6 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail) *Job {
 		StepID:      sub.Step,
 		submit:      sub,
 		attemptBase: h.AttemptBase,
-		from:        h.From,
 	}
 	for i := range h.Attempts {
 		job.Failures = append(job.Failures, failureOf(&h.Attempts[i]))
@@ -530,69 +527,13 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	return job, nil
 }
 
-// SnapshotJournal condenses the journal: the current in-memory state is
-// re-emitted as the minimal record stream that would rebuild it, installed
-// as a snapshot, and every older segment is deleted. Call it during quiet
-// periods to bound replay time and disk use. Each record comes from the
-// constructor its live transition used (records.go), so the compacted
-// journal folds to the trails the live one did; only the start times of
-// runs before a job's newest are dropped (Trail.Starts).
-//
-// It holds g.mu across the state scan and WriteSnapshot. Every record is
-// staged under g.mu, and a submit record in the same critical section as its
-// job's insert, so a record staged before the snapshot — in a segment
-// compaction deletes — belongs to a job the snapshot carries.
+// SnapshotJournal compacts the journal (journal.Compact): its records, less
+// torn tails, become one snapshot and every older segment is deleted, so a
+// compacted journal folds to the same trails, Starts included. It takes no
+// engine lock, but journal writes wait for it: call it in quiet periods.
 func (g *Galaxy) SnapshotJournal() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.journal == nil {
 		return fmt.Errorf("galaxy: no journal attached")
 	}
-	var recs []journal.Record
-	// Workflow definitions first: a compacted journal must still rebuild
-	// every run's DAG, and finished runs keep their recorded verdict.
-	wfIDs := make([]int, 0, len(g.workflows))
-	for id := range g.workflows {
-		wfIDs = append(wfIDs, id)
-	}
-	sort.Ints(wfIDs)
-	for _, id := range wfIDs {
-		wr := g.workflows[id]
-		recs = append(recs, wr.defRecord)
-		if wr.state == StateOK || wr.state == StateError {
-			recs = append(recs, verdictRecord(wr))
-		}
-	}
-	for _, j := range g.jobsLocked() {
-		// The owner is the submit record's writer, or the adopter that took
-		// the job from its submitter.
-		owner := cmp.Or(j.owner, g.handlerID)
-		if sub := j.submit; j.from != "" {
-			recs = append(recs, sub, adoptRecord(j.ID, owner, j.from, sub.At))
-		} else {
-			sub.Handler = owner
-			recs = append(recs, sub)
-		}
-		// The resubmit marker splits the failure log so replay rebuilds
-		// the same attemptBase.
-		for i, f := range j.Failures {
-			recs = append(recs, attemptRecord(j.ID, f))
-			if i+1 == j.attemptBase {
-				recs = append(recs, resubmitRecord(j.ID, f.At))
-			}
-		}
-		if j.run > 0 {
-			recs = append(recs, startRecord(j))
-		}
-		switch j.State {
-		case StateOK, StateError, StateDeadLetter:
-			recs = append(recs, terminalRecord(j))
-		case StatePrepared:
-			// An in-flight two-phase steal must survive compaction: without
-			// the prepare record, replay would see a plain queued job and
-			// requeue it while the thief may be running it.
-			recs = append(recs, g.stealRecord(journal.TypeStealPrepare, j.ID, j.steal, j.steal.at))
-		}
-	}
-	return g.journal.WriteSnapshot(recs)
+	return g.journal.Compact()
 }

@@ -173,12 +173,13 @@ func TestKillThroughSnapshot(t *testing.T) {
 }
 
 // TestSnapshotJournalIsTheFoldsInverse pins the other snapshot in this
-// package: SnapshotJournal re-emits the engine's state as a minimal record
-// stream, so folding the journal before compaction and after it must give the
-// same trails, record for record — for closed trails (ok, retried,
-// dead-lettered by an exec fault and by a mid-run crash, resubmitted, killed
-// queued and killed running, rejected by the scheduler) and open ones
-// (running, parked, mid-steal, stolen away, transferred in).
+// package: SnapshotJournal compacts the journal into a snapshot of its own
+// records, so folding the journal before compaction and after it must give
+// the same trails, record for record and every run's start time — for
+// closed trails (ok, retried, dead-lettered by an exec fault and by a mid-run
+// crash, resubmitted, killed queued and killed running, rejected by the
+// scheduler) and open ones (running, parked, mid-steal, stolen away,
+// transferred in).
 func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
@@ -267,10 +268,8 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 	}
 	after := fold()
 
-	// A whole trail, as text, less what its writer stamps — every record's
-	// tick and handler, whose effects Owner and the thief a prepare names
-	// carry — and the start times of runs before the newest (Starts), which
-	// compaction drops by design.
+	// A whole trail, as text, less every record's ticket, which compaction
+	// reissues.
 	show := func(tr *journal.Trail) string {
 		var b strings.Builder
 		rec := func(name string, r *journal.Record) {
@@ -278,14 +277,14 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 				return
 			}
 			c := *r
-			c.Tick, c.Handler = 0, ""
+			c.Tick = 0
 			js, err := json.Marshal(c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&b, "\n\t%s %s", name, js)
 		}
-		fmt.Fprintf(&b, "owner %s from %q base %d", tr.Owner, tr.From, tr.AttemptBase)
+		fmt.Fprintf(&b, "owner %s from %q base %d starts %v", tr.Owner, tr.From, tr.AttemptBase, tr.Starts)
 		rec("submit", &tr.Submit)
 		for i := range tr.Attempts {
 			rec("attempt", &tr.Attempts[i])

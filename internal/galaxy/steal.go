@@ -64,13 +64,12 @@ func (g *Galaxy) stealCandidatesLocked(max int, to string, skip map[string]bool)
 }
 
 // preparedSteal is a prepared job's steal in flight (Job.steal): the
-// scheduler entry, so an abort can requeue the job in place, and the prepare
-// record's fields, so a snapshot re-emits that record.
+// scheduler entry, so an abort can requeue the job in place, and the thief
+// and transfer ID its retire and abort records name.
 type preparedSteal struct {
 	entry *schedEntry
 	to    string
 	xfer  uint64
-	at    time.Duration
 }
 
 // PreparedSteal is one job detached under phase one of a two-phase steal.
@@ -101,7 +100,7 @@ func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64, skip map[stri
 		xfer := xferBase + uint64(len(out))
 		g.sched.Remove(job.ID)
 		delete(g.schedJobs, job.ID)
-		job.steal = &preparedSteal{entry: e, to: to, xfer: xfer, at: now}
+		job.steal = &preparedSteal{entry: e, to: to, xfer: xfer}
 		g.moveLocked(job, StatePrepared, fmt.Sprintf("steal prepared: tentative owner %q (xfer %d)", to, xfer), now)
 		out = append(out, PreparedSteal{JobID: job.ID, Xfer: xfer, T: job.submit})
 	}

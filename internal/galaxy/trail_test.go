@@ -195,20 +195,31 @@ func TestTrailIsKeptForEveryJob(t *testing.T) {
 // counts the job table in place: a scrape of 1 000 finished jobs allocates
 // no more than a scrape of 10.
 func TestScrapeAllocatesNothingPerJob(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under -race, fmt's pooled printers are dropped at random, so a scrape's allocation count varies")
-	}
-	allocs := func(n int) float64 {
-		g := stubGalaxy(t, n)
-		return testing.AllocsPerRun(20, func() {
-			if err := g.Observer().Reg.WritePrometheus(io.Discard); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if few, many := allocs(10), allocs(1000); many > few {
+	if few, many := scrapeAllocs(t, 10), scrapeAllocs(t, 1000); many > few {
 		t.Errorf("a scrape allocates %v times with 1 000 jobs and %v with 10", many, few)
 	}
+}
+
+// TestScrapeAllocatesAHandful bounds what one scrape of the engine's whole
+// exposition allocates: its one output buffer, and next to nothing in the
+// scrape hook. Every series renders its label text once, when it is created.
+func TestScrapeAllocatesAHandful(t *testing.T) {
+	const bound = 4
+	if n := scrapeAllocs(t, 10); n > bound {
+		t.Errorf("a scrape allocates %v times, want at most %d", n, bound)
+	}
+}
+
+// scrapeAllocs is what one scrape of the registry of an engine that has run
+// n stub jobs allocates.
+func scrapeAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	g := stubGalaxy(t, n)
+	return testing.AllocsPerRun(20, func() {
+		if err := g.Observer().Reg.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestWorkflowTrailsGroupMemberJobs checks a workflow's trails: its own

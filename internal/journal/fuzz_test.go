@@ -67,7 +67,7 @@ func FuzzReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	appendAll(f, j, testRecords(10))
-	if err := j.WriteSnapshot(testRecords(2)); err != nil {
+	if err := j.writeSnapshot(testRecords(2)); err != nil {
 		f.Fatal(err)
 	}
 	appendAll(f, j, testRecords(20))

@@ -350,7 +350,7 @@ func TestGroupCommitBackpressure(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSnapshotSupersedesStaged checks WriteSnapshot drains the
+// TestGroupCommitSnapshotSupersedesStaged checks writeSnapshot drains the
 // staging queue before sealing: a record staged before the snapshot must not
 // be lost when compaction deletes the old segments.
 func TestGroupCommitSnapshotSupersedesStaged(t *testing.T) {
@@ -366,7 +366,7 @@ func TestGroupCommitSnapshotSupersedesStaged(t *testing.T) {
 		{Type: TypeSubmit, At: time.Second, Job: 1, Tool: "racon"},
 		{Type: TypeComplete, At: 4 * time.Second, Job: 1, State: "ok"},
 	}
-	if err := j.WriteSnapshot(snap); err != nil {
+	if err := j.writeSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Record{Type: TypeSubmit, At: 5 * time.Second, Job: 9, Tool: "racon"}); err != nil {

@@ -78,7 +78,7 @@ type Stats struct {
 //     terminal state, the waiters' error, the fsync observer and the pacing
 //     EWMAs; notFull and durable wait on it.
 //   - fileMu, the file lock, is what drains take: the flusher, Sync,
-//     WriteSnapshot, Close and Crash. It guards the segment state, the
+//     Compact, Close and Crash. It guards the segment state, the
 //     Stats counters and the hold gate. The write and the fsync run under
 //     fileMu alone, so producers keep staging during them.
 type Journal struct {
@@ -127,7 +127,7 @@ type Journal struct {
 	ctl adaptiveCtl
 
 	// fileMu guards the segment state below. f is nil after Close or Crash,
-	// and while WriteSnapshot has the segment sealed.
+	// and while a snapshot has the segment sealed.
 	fileMu  sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
@@ -617,7 +617,7 @@ func (j *Journal) CrashTorn(garbage []byte) error {
 	j.f, j.w = nil, nil // drop the buffer: un-synced bytes vanish
 	j.fileMu.Unlock()
 	var err error
-	// f is nil when a WriteSnapshot that the crash interrupted left the
+	// f is nil when a snapshot that the crash interrupted left the
 	// segment sealed: there is no handle to close and no live segment to
 	// tear.
 	if f != nil {
@@ -644,22 +644,42 @@ func appendGarbage(path string, g []byte) error {
 	return f.Close()
 }
 
-// WriteSnapshot condenses history: the caller provides the records that
-// recreate the current state (typically far fewer than the log holds), and
-// the journal atomically installs them as a snapshot, rotates to a fresh
-// segment, and deletes every older segment and every older snapshot. Replay
-// afterwards sees the snapshot records followed by whatever is appended next.
-//
-// It holds fileMu throughout, and one queue critical section both takes
-// every staged record and reserves the snapshot's tickets above them. A
-// record staged before that point is written to the segment the snapshot
-// seals; one staged after it takes a higher ticket and waits on fileMu for
-// the fresh segment. So no record the snapshot does not cover lands below
-// its first ticket, which is what lets replay drop superseded segment
-// records by ticket comparison alone.
-func (j *Journal) WriteSnapshot(recs []Record) error {
+// Compact folds the journal's history into one snapshot of its own records:
+// every record replay returns — the newest snapshot's, then each segment's
+// past it, less the torn tails replay skips — followed by every record staged
+// so far, in ticket order and re-ticketed. So a compacted journal replays to
+// the same records, field for field but the ticket, and folds to the same
+// History; what a compacted journal holds is decided here, not by the writer
+// of the records. It holds fileMu throughout, so nothing reaches disk between
+// the read and the install. A corrupt snapshot (data loss, not a torn tail)
+// or a latched journal makes it return an error and change nothing.
+func (j *Journal) Compact() error {
 	j.fileMu.Lock()
 	defer j.fileMu.Unlock()
+	recs, corrupt, err := ReplayAll(j.dir)
+	if err != nil {
+		return err
+	}
+	if len(corrupt) > 0 && corrupt[0].IsSnapshot() {
+		return corrupt[0]
+	}
+	return j.snapshotLocked(recs)
+}
+
+// snapshotLocked, with fileMu held, installs recs atomically as a snapshot,
+// rotates to a fresh segment, and deletes every older segment and every older
+// snapshot. Replay afterwards sees the snapshot records followed by whatever
+// is appended next. The records it takes from the stage are written to the
+// segment it seals, so their waiters are acked as by any flush, and join the
+// snapshot after recs.
+//
+// One queue critical section both takes every staged record and reserves the
+// snapshot's tickets above them. A record staged before that point is
+// written to the segment the snapshot seals; one staged after it takes a
+// higher ticket and waits on fileMu for the fresh segment. So no record the
+// snapshot does not cover lands below its first ticket, which is what lets
+// replay drop superseded segment records by ticket comparison alone.
+func (j *Journal) snapshotLocked(recs []Record) error {
 	j.mu.Lock()
 	if err := j.err; err != nil {
 		j.mu.Unlock()
@@ -667,15 +687,24 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 	}
 	batch := j.takeLocked()
 	first := j.tick + 1
-	j.tick += uint64(len(recs))
+	j.tick += uint64(len(recs) + len(batch))
 	// The snapshot's tickets are in flight until it is installed: the
 	// watermark must not pass them before.
 	if len(batch) == 0 {
 		j.inflightMin = first
 	}
 	j.mu.Unlock()
+	// Decoded before the flush recycles the frames.
+	var derr error
+	for i := 0; i < len(batch) && derr == nil; i++ {
+		recs, derr = decodeStream(recs, batch[i].buf, "", 0)
+	}
 	if err := j.flushBatch(batch, first); err != nil {
 		return err
+	}
+	if derr != nil {
+		j.settle(0) // the batch is on disk and nothing was sealed
+		return derr
 	}
 	var buf []byte
 	for i, rec := range recs {
@@ -739,7 +768,7 @@ func (j *Journal) WriteSnapshot(recs []Record) error {
 
 // installSnapshot writes the encoded snapshot durably: the tmp file is
 // written, fsynced and closed, renamed into place, and the directory fsynced
-// so the rename itself survives a power cut. WriteSnapshot deletes what the
+// so the rename itself survives a power cut. snapshotLocked deletes what the
 // snapshot supersedes only after all of that succeeded.
 func (j *Journal) installSnapshot(seq int, buf []byte) error {
 	tmp := filepath.Join(j.dir, snapName(seq)+".tmp")
@@ -850,7 +879,7 @@ func ReplayAll(dir string) ([]Record, []*CorruptRecordError, error) {
 		return nil, nil, fmt.Errorf("journal: replay %s: %w", dir, err)
 	}
 	// The snapshot supersedes every segment record below its lowest ticket;
-	// WriteSnapshot stamps its records in order, so that is the first.
+	// a snapshot stamps its records in order, so that is the first.
 	minSnapTick := uint64(0)
 	if len(out) > 0 {
 		minSnapTick = out[0].Tick

@@ -44,6 +44,15 @@ func stageAll(t *testing.T, j *Journal, recs []Record) {
 	}
 }
 
+// writeSnapshot installs recs, and whatever is staged, as the journal's
+// snapshot: Compact's install, with records the test chooses in place of the
+// journal's own.
+func (j *Journal) writeSnapshot(recs []Record) error {
+	j.fileMu.Lock()
+	defer j.fileMu.Unlock()
+	return j.snapshotLocked(recs)
+}
+
 // writeSegment writes recs as segment seq of the journal in dir, keeping
 // whatever tickets they carry, and returns the per-record end offsets for
 // tests that corrupt the file at a record boundary.
@@ -175,7 +184,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		{Type: TypeSubmit, Job: 7, Tool: "racon"},
 		{Type: TypeComplete, Job: 7, State: "ok"},
 	}
-	if err := j.WriteSnapshot(condensed); err != nil {
+	if err := j.writeSnapshot(condensed); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Record{Type: TypeSubmit, Job: 31, Tool: "bonito"}); err != nil {
@@ -228,7 +237,7 @@ func TestSnapshotSupersedesLeftoverSegments(t *testing.T) {
 	if len(old) < 2 {
 		t.Fatalf("want rotated segments before the snapshot, got %d", len(old))
 	}
-	if err := j.WriteSnapshot([]Record{{Type: TypeSubmit, Job: 7, Tool: "racon"}}); err != nil {
+	if err := j.writeSnapshot([]Record{{Type: TypeSubmit, Job: 7, Tool: "racon"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Record{Type: TypeSubmit, Job: 99, Tool: "bonito"}); err != nil {
@@ -248,6 +257,139 @@ func TestSnapshotSupersedesLeftoverSegments(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].Job != 7 || got[1].Job != 99 {
 		t.Fatalf("replayed %+v, want the snapshot's job 7 then job 99", got)
+	}
+}
+
+// TestCompactCopiesWhatReplayReads compacts a journal holding a snapshot, the
+// segments rotated after it, a crashed incarnation's torn tail and records
+// still staged behind a held flusher. The compacted journal must replay to
+// the same records, field for field but the ticket, in strictly increasing
+// ticket order, report no corruption (the torn segment is gone) and keep
+// taking appends after the snapshot.
+func TestCompactCopiesWhatReplayReads(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{segmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, testRecords(6))
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, testRecords(12))
+	if err := j.CrashTorn([]byte{0x40, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	j, err = Open(dir, Options{segmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	appendAll(t, j, testRecords(4))
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want, corrupt, err := ReplayAll(dir)
+	if err != nil || len(corrupt) != 1 {
+		t.Fatalf("before compaction: %d torn tails (err %v), want 1", len(corrupt), err)
+	}
+	if len(want) != 22 {
+		t.Fatalf("before compaction: %d records, want 22", len(want))
+	}
+	if st := j.Stats(); st.Segments < 3 {
+		t.Fatalf("want rotated segments before compaction, got %+v", st)
+	}
+	hold := make(chan struct{})
+	j.HoldFlush(hold)
+	staged := testRecords(3)
+	stageAll(t, j, staged)
+	want = append(want, staged...)
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	close(hold)
+	j.HoldFlush(nil)
+	if err := j.Append(Record{Type: TypeSubmit, Job: 99, Tool: "bonito"}); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, Record{Type: TypeSubmit, Job: 99, Tool: "bonito"})
+
+	got, corrupt, err := ReplayAll(dir)
+	if err != nil || len(corrupt) != 0 {
+		t.Fatalf("after compaction: corrupt %v (err %v), want none", corrupt, err)
+	}
+	if segs, _ := listSeqs(filepath.Join(dir, segDirName), segPrefix, segSuffix); len(segs) != 1 {
+		t.Errorf("compaction left segments %v, want only the fresh one", segs)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Tick <= got[i-1].Tick {
+			t.Fatalf("record %d: tick %#x not above %#x", i, got[i].Tick, got[i-1].Tick)
+		}
+	}
+	for i := range got {
+		got[i].Tick = 0
+	}
+	for i := range want {
+		want[i].Tick = 0
+	}
+	if len(got) != len(want) {
+		t.Fatalf("compacted journal replays %d records, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("compacted record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCompactRefusesACorruptSnapshot flips a bit in a snapshot's first
+// record. Compact must refuse — the snapshot is the base every later segment
+// builds on, and copying what survives would make the loss permanent — and
+// leave every file as it was; on a closed journal it must refuse too.
+func TestCompactRefusesACorruptSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	appendAll(t, j, testRecords(4))
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, testRecords(2))
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapName(1))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[4] ^= 0xFF // the first record's CRC
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	var cerr *CorruptRecordError
+	if err := j.Compact(); !errors.As(err, &cerr) || !cerr.IsSnapshot() {
+		t.Fatalf("Compact over a corrupt snapshot = %v, want its snapshot CorruptRecordError", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("the refused Compact changed the directory:\n got %q\nwant %q", after, before)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	before = dirFiles(t, dir)
+	if err := j.Compact(); err == nil {
+		t.Fatal("Compact on a closed journal succeeded")
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("Compact on a closed journal changed the directory:\n got %q\nwant %q", after, before)
 	}
 }
 
@@ -320,7 +462,7 @@ func TestReplayAfterOpenMatchesReplayBefore(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, j, testRecords(10))
-	if err := j.WriteSnapshot(testRecords(2)); err != nil {
+	if err := j.writeSnapshot(testRecords(2)); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, testRecords(20))
@@ -606,7 +748,7 @@ func TestWriteSnapshotFailureKeepsJournalAppendable(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(tmp, "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.WriteSnapshot([]Record{{Type: TypeSubmit, Job: 1}}); err == nil {
+	if err := j.writeSnapshot([]Record{{Type: TypeSubmit, Job: 1}}); err == nil {
 		t.Fatal("snapshot install should have failed")
 	}
 	// The journal must still accept and persist appends.
@@ -634,7 +776,7 @@ func TestCorruptSnapshotIsFlagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, j, testRecords(6))
-	if err := j.WriteSnapshot(testRecords(6)); err != nil {
+	if err := j.writeSnapshot(testRecords(6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -720,7 +862,7 @@ func TestLegacyFormatIsRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			appendAll(t, j, testRecords(3))
-			if err := j.WriteSnapshot(testRecords(2)); err != nil {
+			if err := j.writeSnapshot(testRecords(2)); err != nil {
 				t.Fatal(err)
 			}
 			appendAll(t, j, testRecords(2))
@@ -765,7 +907,7 @@ func TestOpenRefusesAnExhaustedEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.WriteSnapshot([]Record{{Type: TypeSubmit, Job: 1, Tool: "racon"}}); err != nil {
+	if err := j.writeSnapshot([]Record{{Type: TypeSubmit, Job: 1, Tool: "racon"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

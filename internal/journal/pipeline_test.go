@@ -266,7 +266,7 @@ func TestRotatedSnapshotCompaction(t *testing.T) {
 		{Type: TypeSubmit, Job: 1, Tool: "racon", Handler: "h1"},
 		{Type: TypeSubmit, Job: 2, Tool: "bonito", Handler: "h1"},
 	}
-	if err := j.WriteSnapshot(snap); err != nil {
+	if err := j.writeSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
 	post := Record{Type: TypeSubmit, Job: 3, Tool: "racon", Handler: "h1"}
@@ -322,7 +322,7 @@ func TestEpochStrictlyIncreasing(t *testing.T) {
 		}
 		epochs = append(epochs, epoch)
 		if inc == 1 {
-			if err := j.WriteSnapshot(testRecords(2)); err != nil {
+			if err := j.writeSnapshot(testRecords(2)); err != nil {
 				t.Fatal(err)
 			}
 			total = 2
@@ -363,7 +363,7 @@ func TestEpochStrictlyIncreasing(t *testing.T) {
 	}
 }
 
-// TestCrashRacingSnapshotDoesNotPanic races CrashTorn against WriteSnapshot:
+// TestCrashRacingSnapshotDoesNotPanic races CrashTorn against writeSnapshot:
 // the snapshot seals the live segment (j.f = nil) before reopening, and a
 // crash landing in that window must model process death — skip the missing
 // handle — not panic on a nil file. Either side may report an error; the
@@ -380,7 +380,7 @@ func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			_ = j.WriteSnapshot([]Record{{Type: TypeSubmit, Job: 1, Tool: "racon", Handler: "h1"}})
+			_ = j.writeSnapshot([]Record{{Type: TypeSubmit, Job: 1, Tool: "racon", Handler: "h1"}})
 		}()
 		go func() {
 			defer wg.Done()
@@ -393,14 +393,29 @@ func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 	}
 }
 
-// TestSnapshotRacingAppendsKeepsLaterRecords takes 50 one-record snapshots
-// while four producers append as fast as they can. Replay drops every segment
-// record below the newest snapshot's first ticket, so a record the snapshot
-// does not cover must never land in a live segment with a lower ticket: it
-// would be acked and then lost. WriteSnapshot takes the queue and reserves
-// its tickets in one critical section; a snapshot that drained first and
-// reserved later would let a producer stage in between.
+// TestSnapshotRacingAppendsKeepsLaterRecords takes snapshots — 50 of one
+// chosen record and whatever is staged, and 10 by Compact, each a copy of the
+// whole journal so far — while four producers append as fast as they can. Replay drops every segment record below the newest snapshot's first
+// ticket, so a record the snapshot does not cover must never land in a live
+// segment with a lower ticket: it would be acked and then lost. A snapshot
+// takes the queue and reserves its tickets in one critical section; one that
+// drained first and reserved later would let a producer stage in between.
 func TestSnapshotRacingAppendsKeepsLaterRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rounds int
+		snap   func(j *Journal, i int) error
+	}{
+		{"writeSnapshot", 50, func(j *Journal, i int) error {
+			return j.writeSnapshot([]Record{{Type: TypeSubmit, Job: 100 + i, Tool: "racon", Handler: "h1"}})
+		}},
+		{"Compact", 10, func(j *Journal, _ int) error { return j.Compact() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { snapshotsRacingAppends(t, tc.rounds, tc.snap) })
+	}
+}
+
+func snapshotsRacingAppends(t *testing.T, rounds int, snapshot func(j *Journal, i int) error) {
 	dir := t.TempDir()
 	j := gcOpen(t, dir, Options{})
 	stop := make(chan struct{})
@@ -423,8 +438,8 @@ func TestSnapshotRacingAppendsKeepsLaterRecords(t *testing.T) {
 			}
 		}(p)
 	}
-	for i := 0; i < 50; i++ {
-		if err := j.WriteSnapshot([]Record{{Type: TypeSubmit, Job: 100 + i, Tool: "racon", Handler: "h1"}}); err != nil {
+	for i := 0; i < rounds; i++ {
+		if err := snapshot(j, i); err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
 	}
@@ -448,8 +463,8 @@ func TestSnapshotRacingAppendsKeepsLaterRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, err := decodeStream(nil, b, name, 0)
-	if err != nil || len(snap) != 1 {
-		t.Fatalf("%s: %d records (err %v), want 1", name, len(snap), err)
+	if err != nil || len(snap) == 0 {
+		t.Fatalf("%s: %d records (err %v), want some", name, len(snap), err)
 	}
 	first := snap[0].Tick
 	segs, err := listSeqs(filepath.Join(dir, segDirName), segPrefix, segSuffix)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -177,12 +178,15 @@ func (k metricKind) String() string {
 	}
 }
 
-// series is one labeled instance within a family.
+// series is one labeled instance within a family. Its label text is
+// rendered once, when the series is created, so a scrape only copies it.
 type series struct {
-	labels []string // values, aligned with family.labelNames
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	key  string   // label values joined by NUL: the family's map and sort key
+	text string   // {k="v",...}, or "" without labels
+	le   []string // histograms: text plus each bucket's le, +Inf last
+	c    *Counter
+	g    *Gauge
+	h    *Histogram
 }
 
 // family is one named metric with zero or more labeled series.
@@ -195,7 +199,7 @@ type family struct {
 
 	mu     sync.RWMutex
 	series map[string]*series
-	order  []string // insertion order of series keys, sorted at exposition
+	sorted []*series // by key, the exposition order
 }
 
 func (f *family) get(labelValues []string) *series {
@@ -215,7 +219,7 @@ func (f *family) get(labelValues []string) *series {
 	if s = f.series[key]; s != nil {
 		return s
 	}
-	s = &series{labels: append([]string(nil), labelValues...)}
+	s = &series{key: key, text: labelText(f.labelNames, labelValues, "")}
 	switch f.kind {
 	case kindCounter:
 		s.c = &Counter{}
@@ -223,9 +227,14 @@ func (f *family) get(labelValues []string) *series {
 		s.g = &Gauge{}
 	case kindHistogram:
 		s.h = NewHistogram(f.buckets)
+		for _, bound := range s.h.bounds {
+			s.le = append(s.le, labelText(f.labelNames, labelValues, string(appendFloat(nil, bound))))
+		}
+		s.le = append(s.le, labelText(f.labelNames, labelValues, "+Inf"))
 	}
 	f.series[key] = s
-	f.order = append(f.order, key)
+	i := sort.Search(len(f.sorted), func(i int) bool { return f.sorted[i].key > key })
+	f.sorted = slices.Insert(f.sorted, i, s)
 	return s
 }
 
@@ -235,8 +244,10 @@ func (f *family) get(labelValues []string) *series {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-	names    []string
+	sorted   []*family // by name, the exposition order
 	hooks    []func()
+	// size is the last exposition's length: the next scrape's buffer.
+	size atomic.Int64
 }
 
 // NewRegistry builds an empty registry.
@@ -272,7 +283,8 @@ func (r *Registry) registerFamily(name, help string, kind metricKind, labelNames
 		series:     make(map[string]*series),
 	}
 	r.families[name] = f
-	r.names = append(r.names, name)
+	i := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].name > name })
+	r.sorted = slices.Insert(r.sorted, i, f)
 	return f
 }
 
@@ -317,19 +329,18 @@ func (r *Registry) GaugeVec(name, help string, labelNames ...string) GaugeVec {
 }
 
 // runHooks fires the scrape hooks outside the registry lock (hooks may set
-// series, which takes family locks).
+// series, which takes family locks). OnScrape only appends, so the slice
+// read under the lock stays valid without it.
 func (r *Registry) runHooks() {
 	r.mu.RLock()
-	hooks := append(make([]func(), 0, len(r.hooks)), r.hooks...)
+	hooks := r.hooks
 	r.mu.RUnlock()
 	for _, fn := range hooks {
 		fn()
 	}
 }
 
-// appendFloat appends a value the way Prometheus text format expects. The
-// exposition writes every sample value through one scratch buffer, so what a
-// scrape allocates does not depend on the values it reports.
+// appendFloat appends a value the way Prometheus text format expects.
 func appendFloat(b []byte, v float64) []byte {
 	if math.IsInf(v, +1) {
 		return append(b, "+Inf"...)
@@ -337,97 +348,81 @@ func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// labelString renders {k="v",...} for a series; empty labels render nothing.
-func labelString(names, values []string, extra ...string) string {
-	if len(names) == 0 && len(extra) == 0 {
+// labelText renders {k="v",...} for a series' labels, with le="..." after
+// them when le is set; no labels and no le render nothing. Values are quoted
+// as Go quotes strings.
+func labelText(names, values []string, le string) string {
+	if len(names) == 0 && le == "" {
 		return ""
 	}
-	var sb strings.Builder
-	sb.WriteByte('{')
+	b := []byte{'{'}
 	for i, n := range names {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%s=%q", n, values[i])
+		b = strconv.AppendQuote(append(append(b, n...), '='), values[i])
 	}
-	for i := 0; i+1 < len(extra); i += 2 {
-		if sb.Len() > 1 {
-			sb.WriteByte(',')
+	if le != "" {
+		if len(names) > 0 {
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%s=%q", extra[i], extra[i+1])
+		b = strconv.AppendQuote(append(b, "le="...), le)
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return string(append(b, '}'))
 }
 
 // WritePrometheus runs the scrape hooks, then writes the whole registry in
 // Prometheus text exposition format (families sorted by name, series by
 // label values, histograms as cumulative le buckets plus _sum and _count).
+// The exposition is appended into one buffer, sized by the previous scrape,
+// and written once: a scrape allocates that buffer and what the hooks do.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.runHooks()
+	b := make([]byte, 0, r.size.Load())
 	r.mu.RLock()
-	names := append([]string(nil), r.names...)
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		fams = append(fams, r.families[n])
+	for _, f := range r.sorted {
+		b = f.appendText(b)
 	}
 	r.mu.RUnlock()
-
-	num := make([]byte, 0, 32) // the sample value being written
-	for _, f := range fams {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
-			return err
-		}
-		f.mu.RLock()
-		keys := append([]string(nil), f.order...)
-		f.mu.RUnlock()
-		sort.Strings(keys)
-		for _, key := range keys {
-			f.mu.RLock()
-			s := f.series[key]
-			f.mu.RUnlock()
-			ls := labelString(f.labelNames, s.labels)
-			var err error
-			switch f.kind {
-			case kindCounter:
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, ls, strconv.AppendUint(num[:0], s.c.Value(), 10))
-			case kindGauge:
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, ls, appendFloat(num[:0], s.g.Value()))
-			case kindHistogram:
-				err = writeHistogram(w, f, s, num)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	r.size.Store(int64(len(b)))
+	_, err := w.Write(b)
+	return err
 }
 
-// writeHistogram renders one histogram series with cumulative buckets,
-// formatting each value in num.
-func writeHistogram(w io.Writer, f *family, s *series, num []byte) error {
-	h := s.h
-	cum := uint64(0)
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		ls := labelString(f.labelNames, s.labels, "le", string(appendFloat(nil, bound)))
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %s\n", f.name, ls, strconv.AppendUint(num[:0], cum, 10)); err != nil {
-			return err
+// appendText appends the family's HELP and TYPE lines and every series.
+func (f *family) appendText(b []byte) []byte {
+	b = append(append(append(append(b, "# HELP "...), f.name...), ' '), f.help...)
+	b = append(append(append(append(b, "\n# TYPE "...), f.name...), ' '), f.kind.String()...)
+	b = append(b, '\n')
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	for _, s := range f.sorted {
+		switch f.kind {
+		case kindCounter:
+			b = strconv.AppendUint(sample(b, f.name, "", s.text), s.c.Value(), 10)
+		case kindGauge:
+			b = appendFloat(sample(b, f.name, "", s.text), s.g.Value())
+		case kindHistogram:
+			h := s.h
+			cum := uint64(0)
+			for i, le := range s.le {
+				cum += h.counts[i].Load()
+				b = strconv.AppendUint(sample(b, f.name, "_bucket", le), cum, 10)
+				b = append(b, '\n')
+			}
+			b = appendFloat(sample(b, f.name, "_sum", s.text), h.Sum())
+			b = append(b, '\n')
+			b = strconv.AppendUint(sample(b, f.name, "_count", s.text), h.count.Load(), 10)
 		}
+		b = append(b, '\n')
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	ls := labelString(f.labelNames, s.labels, "le", "+Inf")
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %s\n", f.name, ls, strconv.AppendUint(num[:0], cum, 10)); err != nil {
-		return err
-	}
-	base := labelString(f.labelNames, s.labels)
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, base, appendFloat(num[:0], h.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %s\n", f.name, base, strconv.AppendUint(num[:0], h.count.Load(), 10))
-	return err
+	return b
+}
+
+// sample appends a sample line's name, suffix and label text and the space
+// before its value.
+func sample(b []byte, name, suffix, labels string) []byte {
+	return append(append(append(append(b, name...), suffix...), labels...), ' ')
 }
 
 // Snapshot runs the scrape hooks and flattens the registry into a metric
@@ -438,20 +433,11 @@ func (r *Registry) Snapshot() map[string]float64 {
 	r.runHooks()
 	out := make(map[string]float64)
 	r.mu.RLock()
-	fams := make([]*family, 0, len(r.names))
-	for _, n := range r.names {
-		fams = append(fams, r.families[n])
-	}
-	r.mu.RUnlock()
-	for _, f := range fams {
+	defer r.mu.RUnlock()
+	for _, f := range r.sorted {
 		f.mu.RLock()
-		keys := append([]string(nil), f.order...)
-		f.mu.RUnlock()
-		for _, key := range keys {
-			f.mu.RLock()
-			s := f.series[key]
-			f.mu.RUnlock()
-			name := f.name + labelString(f.labelNames, s.labels)
+		for _, s := range f.sorted {
+			name := f.name + s.text
 			switch f.kind {
 			case kindCounter:
 				out[name] = float64(s.c.Value())
@@ -465,6 +451,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 				out[name+"_p99"] = s.h.Quantile(0.99)
 			}
 		}
+		f.mu.RUnlock()
 	}
 	return out
 }
