@@ -253,8 +253,6 @@ func (wr *WorkflowRun) releaseLocked(now time.Duration) {
 				sopts.User = wr.user
 			}
 			sopts.DatasetName = def.DatasetName
-			sopts.preferDevices = wr.run.PreferredDevices(id)
-			sopts.stageCost = wr.stageCostLocked(def)
 			sopts.wfID = wr.ID
 			sopts.wfStep = id
 			job, tick, serr := wr.g.submitJob(def.ToolID, def.Params, input, sopts)
@@ -263,6 +261,9 @@ func (wr *WorkflowRun) releaseLocked(now time.Duration) {
 				progressed = true
 				continue
 			}
+			// The step's start needs g.mu, which this release holds, so the
+			// hints are in place before it runs.
+			job.hints = &dispatchHints{prefer: wr.run.PreferredDevices(id), stageCost: wr.stageCostLocked(def)}
 			wr.g.latchJournalErrLocked(wr.g.awaitDurable(tick))
 			wr.run.MarkSubmitted(id)
 			wr.jobs[id] = job

@@ -314,3 +314,41 @@ func TestRecoverOldJournalResumesFailFastUncapped(t *testing.T) {
 			b.Submitted, rep.ResumedAt, a.Finished)
 	}
 }
+
+// TestRecoveredWorkflowStepIsNotStolen crashes a scheduler-backed handler
+// before a workflow's delayed root has started and parks the recovered root
+// again. A thief must not be offered it: a workflow step's run stays with its
+// workflow, recovered or not, and the run completes here.
+func TestRecoveredWorkflowStepIsNotStolen(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, dir)
+	rs := smallReadSet(t)
+	g := schedulerPath(t, j)
+	g.RegisterDataset("nfl", rs)
+	submitPinnedStep(t, g, rs, "")
+	if err := j.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, rerr := replayDir(t, dir)
+	j2 := openTestJournal(t, dir)
+	defer j2.Close()
+	g2 := schedulerPath(t, j2)
+	g2.RegisterDataset("nfl", rs)
+	if _, err := g2.Recover(recs, rerr, RecoverOptions{RestartDelay: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	// The root's requeue is the first event: it parks the root, and the
+	// cycle that would grant it has not run yet.
+	g2.Engine.Step()
+	if got := g2.QueuedBacklog(); got != 1 {
+		t.Fatalf("%d jobs parked after the requeue, want the recovered root", got)
+	}
+	if prepared := g2.PrepareSteal(4, "h2", 1, nil); len(prepared) != 0 {
+		t.Fatalf("offered %+v to a thief, want no workflow step", prepared)
+	}
+	g2.Run()
+	if wr := g2.WorkflowByID(1); wr == nil || wr.State() != StateOK {
+		t.Fatalf("recovered workflow %+v, want it ok", wr)
+	}
+}

@@ -124,14 +124,12 @@ func (g *Galaxy) surveyLocked(job *Job, now time.Duration) (smi.Usage, error) {
 }
 
 // failLocked routes a dispatch or execution error through the fault model.
-// release, when non-nil, returns whatever admission slots the failing run
-// held and is always called first, so retries re-enter dispatch with a clean
-// slate. Unclassified errors keep the legacy StateError semantics.
-func (g *Galaxy) failLocked(job *Job, binding *ToolBinding, opts SubmitOptions, err error, release func()) {
+// Whatever the failing run holds is released first (releaseLocked), so
+// retries re-enter dispatch with a clean slate. Unclassified errors keep the
+// legacy StateError semantics.
+func (g *Galaxy) failLocked(job *Job, err error) {
 	now := g.Engine.Clock().Now()
-	if release != nil {
-		release()
-	}
+	g.releaseLocked(job)
 	class, classified := faults.ClassOf(err)
 	if !classified {
 		g.moveLocked(job, StateError, err.Error(), now)
@@ -165,9 +163,7 @@ func (g *Galaxy) failLocked(job *Job, binding *ToolBinding, opts SubmitOptions, 
 		delay := g.retry.Delay(attempt, g.retryRNG)
 		g.moveLocked(job, StateQueued, fmt.Sprintf("retrying (attempt %d/%d) in %v after transient fault: %v",
 			attempt+1, g.retry.Attempts(), delay, err), now)
-		g.Engine.After(delay, func(at time.Duration) {
-			g.startJob(job, binding, opts, at)
-		})
+		g.plantStart(job, delay)
 		return
 	}
 	g.moveLocked(job, StateDeadLetter, fmt.Sprintf("dead-letter after %d attempt(s): %v", attempt, err), now)
@@ -177,11 +173,10 @@ func (g *Galaxy) failLocked(job *Job, binding *ToolBinding, opts SubmitOptions, 
 // device stalls stretch the completion time, mid-run crashes abort the run
 // partway through, and the execution timeout (if configured) caps the whole
 // thing. It returns the (possibly stretched) completion time the caller
-// should schedule the normal completion at. run is the launch epoch all
-// planted events guard on.
-func (g *Galaxy) armRunFaultsLocked(job *Job, binding *ToolBinding, opts SubmitOptions,
-	devices []int, run int, start, end, now time.Duration) time.Duration {
-	attempt := job.Attempt()
+// should schedule the normal completion at. Every planted event guards on
+// the run's launch epoch and fires on the run's devices.
+func (g *Galaxy) armRunFaultsLocked(job *Job, start, end, now time.Duration) time.Duration {
+	run, devices, attempt := job.run, job.Devices, job.Attempt()
 
 	// Slow device: the run completes, but later than the executor modeled.
 	stallSite := faults.Site{Op: faults.OpStall, Job: job.ID, Tool: job.ToolID, Attempt: attempt, Devices: devices}
@@ -201,7 +196,8 @@ func (g *Galaxy) armRunFaultsLocked(job *Job, binding *ToolBinding, opts SubmitO
 			g.mu.Lock()
 			defer g.mu.Unlock()
 			if job.runs(run) {
-				g.failLocked(job, binding, opts, err, job.stop(at))
+				job.stop(at)
+				g.failLocked(job, err)
 			}
 		})
 	}
@@ -247,9 +243,10 @@ type gateDenial struct {
 // option order.
 func (g *Galaxy) installStartGate() {
 	g.sched.SetStartGate(func(id int, devices []int, now time.Duration) error {
-		site := faults.Site{Op: faults.OpGang, Job: id, Attempt: g.gateAttempt(id), Devices: devices}
-		if e := g.schedJobs[id]; e != nil {
-			site.Tool = e.pending.job.ToolID
+		// Attempt 1 stands for a job galaxy does not manage.
+		site := faults.Site{Op: faults.OpGang, Job: id, Attempt: 1, Devices: devices}
+		if job := g.schedJobs[id]; job != nil {
+			site.Tool, site.Attempt = job.ToolID, job.Attempt()
 		}
 		if f, fired := g.faultPlan.Check(now, site); fired {
 			err := faults.NewError(site, f)
@@ -258,15 +255,6 @@ func (g *Galaxy) installStartGate() {
 		}
 		return nil
 	})
-}
-
-// gateAttempt returns the parked job's current attempt number (1 when the
-// entry is unknown, which only happens for jobs galaxy does not manage).
-func (g *Galaxy) gateAttempt(id int) int {
-	if e := g.schedJobs[id]; e != nil {
-		return e.pending.job.Attempt()
-	}
-	return 1
 }
 
 // processGateDenialsLocked drains the denials a scheduler cycle queued: each
@@ -280,13 +268,13 @@ func (g *Galaxy) processGateDenialsLocked(now time.Duration) bool {
 	denials := g.gateDenials
 	g.gateDenials = nil
 	for _, d := range denials {
-		e := g.schedJobs[d.id]
-		if e == nil {
+		job := g.schedJobs[d.id]
+		if job == nil {
 			continue
 		}
 		g.sched.Remove(d.id)
 		delete(g.schedJobs, d.id)
-		g.failLocked(e.pending.job, e.pending.binding, e.pending.opts, d.err, nil)
+		g.failLocked(job, d.err)
 	}
 	return true
 }

@@ -372,3 +372,31 @@ func failExec(jobs ...int) Option {
 	}
 	return WithFaultPlan(faults.NewPlan(1, rules...))
 }
+
+// TestTransientRetryKeepsDevicePin retries a direct-path job the user pinned
+// to GPU 1 (SubmitOptions.GPURequest) after one transient executor fault.
+// Unpinned, the mapper hands racon both GPUs; the retry must run on the pin.
+func TestTransientRetryKeepsDevicePin(t *testing.T) {
+	plan := faults.NewPlan(1, faults.Rule{
+		Match: faults.Match{Op: faults.OpExec, Attempt: 1},
+		Fault: faults.Fault{Class: faults.Transient, Msg: "executor died at startup"},
+	})
+	g := testGalaxy(t,
+		WithFaultPlan(plan),
+		WithRetry(faults.Backoff{MaxAttempts: 3, Base: time.Second}),
+	)
+	job, err := g.Submit("racon", fastParams(), smallReadSet(t), SubmitOptions{GPURequest: "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run()
+	if job.State != StateOK {
+		t.Fatalf("state = %s (info %q), want ok after retry", job.State, job.Info)
+	}
+	if len(job.Failures) != 1 || job.Failures[0].Op != faults.OpExec || job.Attempt() != 2 {
+		t.Fatalf("failure log = %+v, attempt %d", job.Failures, job.Attempt())
+	}
+	if len(job.Devices) != 1 || job.Devices[0] != 1 || job.VisibleDevices != "1" {
+		t.Errorf("retry ran on %v with CUDA_VISIBLE_DEVICES=%q, want [1] and \"1\"", job.Devices, job.VisibleDevices)
+	}
+}

@@ -68,15 +68,12 @@ type Galaxy struct {
 	// queues, honoring each destination's "slots" limit (step 3 of the
 	// paper's Fig. 2 flow — the job scheduler in front of execution).
 	running map[string]int
-	waiting map[string][]*pendingStart
+	waiting map[string][]*Job
 
-	// sched, when set, replaces the greedy per-job dispatch for GPU jobs
-	// with batch scheduling (see scheduler.go): GPU jobs park in the
-	// scheduler's priority queue and start only when a Cycle grants them an
-	// exclusive device gang. Destination slot limits do not apply to
-	// scheduler-managed jobs — gang allocation subsumes them.
+	// sched, when set, batch-schedules GPU jobs (scheduler.go); schedJobs
+	// holds each job it manages from park to release.
 	sched     *sched.Scheduler
-	schedJobs map[int]*schedEntry
+	schedJobs map[int]*Job
 
 	// DAG workflows (see dag.go): live runs by ID; nextWF is the last
 	// workflow ID issued.
@@ -103,13 +100,6 @@ type Galaxy struct {
 	journalErr error
 
 	recovery *RecoveryReport
-}
-
-// pendingStart is a job parked behind a saturated destination.
-type pendingStart struct {
-	job     *Job
-	binding *ToolBinding
-	opts    SubmitOptions
 }
 
 // Option configures a Galaxy instance.
@@ -152,8 +142,8 @@ func New(cluster *gpu.Cluster, opts ...Option) *Galaxy {
 		datasets:    make(map[string]any),
 		jobs:        make(map[int]*Job),
 		running:     make(map[string]int),
-		waiting:     make(map[string][]*pendingStart),
-		schedJobs:   make(map[int]*schedEntry),
+		waiting:     make(map[string][]*Job),
+		schedJobs:   make(map[int]*Job),
 		workflows:   make(map[int]*WorkflowRun),
 		retryRNG:    newRetryRNG(),
 		surveyCache: smi.NewCache(obsv.ObserveSurvey),
@@ -350,7 +340,9 @@ type SubmitOptions struct {
 	// anonymous user.
 	User string
 	// Priority is the job's priority class under a batch scheduler
-	// (WithScheduler); higher runs first. Ignored by greedy dispatch.
+	// (WithScheduler); higher runs first. A job the scheduler does not hold
+	// (a CPU-routed one, one pinned to a fallback destination, any job
+	// without WithScheduler) starts in arrival order regardless.
 	Priority int
 	// GPUs is the gang size a scheduler-managed GPU job requests. Zero
 	// falls back to the wrapper's pinned device list, or 1.
@@ -364,22 +356,6 @@ type SubmitOptions struct {
 	// touches the journal or the wire.
 	DatasetName string
 
-	// resubmitDest, when non-empty, pins the job to the named destination
-	// instead of the mapper's choice. Set internally when a destination's
-	// resubmit_destination param reroutes a failed job (Galaxy's
-	// resubmission mechanism).
-	resubmitDest string
-	// preferDevices hints the batch scheduler toward device minor IDs that
-	// already hold the job's input (a workflow step's upstream outputs).
-	// Honored only under WithScheduler with a LocalityBonus configured.
-	preferDevices []int
-	// stageCost, when set, is consulted after placement with the granted
-	// device gang and returns the data stage-in time the placement incurs
-	// (zero when the input already lives on a granted device). The workflow
-	// layer builds the closure from the step's upstream placements; the
-	// delay extends the run while the gang is held, so locality misses cost
-	// both makespan and queue time downstream.
-	stageCost func(devices []int) time.Duration
 	// wfID/wfStep tie the job to a workflow step for journaling and
 	// observability (zero/empty outside workflows).
 	wfID   int
@@ -464,14 +440,13 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 		Submitted: job.Submitted, GPURequest: opts.GPURequest,
 		Workflow: opts.wfID, Step: opts.wfStep,
 	}
+	job.bind(binding)
 	g.jobs[job.ID] = job
 	tick := g.moveLocked(job, StateQueued, "", now)
 	if opts.transferFrom != "" {
 		tick = g.stageJournal(job, adoptRecord(job.ID, g.handlerID, opts.transferFrom, now))
 	}
-	g.Engine.After(opts.Delay, func(now time.Duration) {
-		g.startJob(job, binding, opts, now)
-	})
+	g.plantStart(job, opts.Delay)
 	return job, tick, nil
 }
 
@@ -479,64 +454,52 @@ func (g *Galaxy) submitJob(toolID string, params map[string]string, dataset any,
 // final virtual time.
 func (g *Galaxy) Run() time.Duration { return g.Engine.Run() }
 
-// startJob performs steps 2-3 of the paper's Fig. 2 flow: destination
-// mapping, param-dict evaluation, command rendering, (optional) container
-// launch, and tool execution.
-func (g *Galaxy) startJob(job *Job, binding *ToolBinding, opts SubmitOptions, now time.Duration) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.startJobLocked(job, binding, opts, now)
+// plantStart plants the job's start `after` from now: a submit's Delay, a
+// transient retry's backoff, a fallback-destination resubmit, recovery's
+// requeue and an admin resubmit (a slot handoff plants its own, dispatchNext).
+func (g *Galaxy) plantStart(job *Job, after time.Duration) {
+	g.Engine.After(after, func(now time.Duration) {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		g.startJobLocked(job, now)
+	})
 }
 
-// startJobLocked runs destination mapping, then either parks the job
-// (destination slots, or the batch scheduler's queue) or hands it to
-// launchLocked for execution.
-func (g *Galaxy) startJobLocked(job *Job, binding *ToolBinding, opts SubmitOptions, now time.Duration) {
+// startJobLocked performs steps 2-3 of the paper's Fig. 2 flow: destination
+// mapping, then parking the job (destination slots, or the batch scheduler's
+// queue) or handing it to launchLocked for execution. No slot is held before
+// the launch, so a failure here releases nothing.
+func (g *Galaxy) startJobLocked(job *Job, now time.Duration) {
 	if job.Done() {
 		return // killed while queued
 	}
-	fail := func(err error) {
-		g.failLocked(job, binding, opts, err, nil) // no slot is held before the launch
-	}
-
 	// Survey the GPUs through the nvidia-smi XML interface at this
 	// instant (a fault-injection site, with quarantined devices hidden),
 	// then run GYAN's dynamic destination rule.
 	survey, err := g.surveyLocked(job, now)
 	if err != nil {
-		fail(err)
+		g.failLocked(job, err)
 		return
 	}
-	tool := binding.XML
-	if opts.GPURequest != "" {
-		// The end-user pinned device IDs via the requirement's version
-		// tag; apply the override on a copy of the wrapper.
-		patched := *tool
-		patched.Requirements.Items = append([]toolxml.Requirement(nil), tool.Requirements.Items...)
-		for i := range patched.Requirements.Items {
-			if patched.Requirements.Items[i].IsGPU() {
-				patched.Requirements.Items[i].Version = opts.GPURequest
-			}
-		}
-		tool = &patched
-	}
-	decision, err := g.Mapper.Map(tool, g.Conf, survey)
+	decision, err := g.Mapper.Map(job.tool, g.Conf, survey)
 	if err != nil {
-		fail(err)
+		g.failLocked(job, err)
 		return
 	}
-	if opts.resubmitDest != "" {
-		dest, derr := g.Conf.Destination(opts.resubmitDest)
+	var pin string
+	if job.hints != nil {
+		pin = job.hints.pin
+	}
+	if pin != "" {
+		dest, derr := g.Conf.Destination(pin)
 		if derr != nil {
-			fail(derr)
+			g.failLocked(job, derr)
 			return
 		}
 		decision.Destination = dest
 		decision.Reason = fmt.Sprintf("resubmitted to %q after failure", dest.ID)
 		if !dest.BoolParam("gpu_enabled") {
-			decision.GPUEnabled = false
-			decision.Devices = nil
-			decision.VisibleDevices = ""
+			decision.GPUEnabled, decision.Devices, decision.VisibleDevices = false, nil, ""
 		}
 	}
 
@@ -547,42 +510,31 @@ func (g *Galaxy) startJobLocked(job *Job, binding *ToolBinding, opts SubmitOptio
 	// and start when a cycle grants them an exclusive device gang.
 	// Resubmitted jobs keep the direct path — their fallback destination
 	// pin already fixed the placement.
-	if g.sched != nil && decision.GPUEnabled && opts.resubmitDest == "" {
-		g.parkInSchedulerLocked(job, binding, opts, tool, now)
+	if g.sched != nil && decision.GPUEnabled && pin == "" {
+		g.parkInSchedulerLocked(job, now)
 		return
 	}
 
 	// Destination scheduling: park the job if the destination is
 	// saturated; it is redispatched (with a fresh GPU survey) when a
 	// running job there completes.
-	if slots := decision.Destination.Slots(); slots > 0 && g.running[decision.Destination.ID] >= slots {
+	destID := decision.Destination.ID
+	if slots := decision.Destination.Slots(); slots > 0 && g.running[destID] >= slots {
 		g.moveLocked(job, StateQueued, fmt.Sprintf("queued: destination %q has all %d slots busy",
-			decision.Destination.ID, slots), now)
-		g.waiting[decision.Destination.ID] = append(g.waiting[decision.Destination.ID],
-			&pendingStart{job: job, binding: binding, opts: opts})
+			destID, slots), now)
+		g.waiting[destID] = append(g.waiting[destID], job)
 		return
 	}
-	g.running[decision.Destination.ID]++
-	destID := decision.Destination.ID
-	release := func() {
-		g.running[destID]--
-		g.dispatchNext(destID)
-	}
-
-	g.launchLocked(job, binding, opts, tool, decision, release, now)
+	g.running[destID]++
+	job.slot = true
+	g.launchLocked(job, decision, now)
 }
 
 // launchLocked executes a mapped job: param-dict evaluation, command
 // rendering, dependency resolution or container launch, tool execution and
-// the completion event. release returns whatever admission slots the caller
-// acquired (destination/user slots, or the scheduler's device gang) and must
-// be non-nil.
-func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions, tool *toolxml.Tool,
-	decision core.Decision, release func(), now time.Duration) {
-	fail := func(err error) {
-		g.failLocked(job, binding, opts, err, release)
-	}
-
+// the completion event. The caller has set what the run holds (Job.slot or
+// Job.gang); every way the run ends releases it (releaseLocked).
+func (g *Galaxy) launchLocked(job *Job, decision core.Decision, now time.Duration) {
 	// Each (re)launch bumps the run epoch and journals it on the start
 	// record; the run's pending events stand down once it ends (Job.runs).
 	job.run++
@@ -592,26 +544,26 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 	job.PID = g.Cluster.NextPID()
 	job.Destination, job.GPUEnabled = decision.Destination.ID, decision.GPUEnabled
 	job.Devices, job.VisibleDevices = decision.Devices, decision.VisibleDevices
-	job.reason = decision.Reason
 	g.moveLocked(job, StateRunning, decision.Reason, now)
 
+	tool, binding := job.tool, job.binding
 	dict, err := BuildParamDict(tool, job.Params, decision.GPUEnabled)
 	if err != nil {
-		fail(err)
+		g.failLocked(job, err)
 		return
 	}
 	job.CommandLine, err = toolxml.RenderCommand(tool.Command.Text, dict)
 	if err != nil {
-		fail(err)
+		g.failLocked(job, err)
 		return
 	}
 
 	start := now
-	if opts.stageCost != nil {
+	if h := job.hints; h != nil && h.stageCost != nil {
 		// Data staging: when placement missed the devices holding the job's
 		// input, the transfer happens up front while the granted gang sits
 		// idle — the physical cost locality-aware placement avoids.
-		if d := opts.stageCost(decision.Devices); d > 0 {
+		if d := h.stageCost(decision.Devices); d > 0 {
 			job.StageIn = d
 			start += d
 		}
@@ -629,7 +581,7 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 		if len(reqs) > 0 {
 			resolution, err := g.Deps.Resolve(reqs)
 			if err != nil {
-				fail(fmt.Errorf("dependency resolution: %w", err))
+				g.failLocked(job, fmt.Errorf("dependency resolution: %w", err))
 				return
 			}
 			job.DependencyInstall = resolution.InstallTime
@@ -657,7 +609,7 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 		}
 		run, err := g.Containers.Launch(spec)
 		if err != nil {
-			fail(err)
+			g.failLocked(job, err)
 			return
 		}
 		job.ContainerCommand = run.CommandLine
@@ -679,7 +631,7 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 	// fault fails the call outright, before any device session opens.
 	execSite := faults.Site{Op: faults.OpExec, Job: job.ID, Tool: job.ToolID, Attempt: attempt, Devices: decision.Devices}
 	if f, fired := g.faultPlan.Check(now, execSite); fired {
-		fail(faults.NewError(execSite, f))
+		g.failLocked(job, faults.NewError(execSite, f))
 		return
 	}
 	res, err := binding.Exec(req)
@@ -693,24 +645,20 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 		if dest, ok := decision.Destination.Param("resubmit_destination"); ok &&
 			!classified && dest != "" && job.Resubmitted < maxResubmits {
 			job.Resubmitted++
+			if job.hints == nil {
+				job.hints = &dispatchHints{}
+			}
+			job.hints.pin = dest
 			g.moveLocked(job, StateQueued, fmt.Sprintf("resubmitting to %q after failure: %v", dest, err), now)
-			release()
-			release = nil
-			retry := opts
-			retry.resubmitDest = dest
-			g.Engine.After(0, func(again time.Duration) {
-				g.startJob(job, binding, retry, again)
-			})
+			g.releaseLocked(job)
+			g.plantStart(job, 0)
 			return
 		}
-		fail(err)
+		g.failLocked(job, err)
 		return
 	}
-	job.Result = res
-	job.sessions = res.Sessions
-	end := start + res.Total
-	job.release = release
-	end = g.armRunFaultsLocked(job, binding, opts, decision.Devices, run, start, end, now)
+	job.Result, job.sessions = res, res.Sessions
+	end := g.armRunFaultsLocked(job, start, start+res.Total, now)
 	g.Engine.Schedule(end, func(fin time.Duration) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
@@ -721,9 +669,8 @@ func (g *Galaxy) launchLocked(job *Job, binding *ToolBinding, opts SubmitOptions
 			s.Close()
 		}
 		job.sessions = nil
-		job.release = nil
 		g.moveLocked(job, StateOK, job.Info, fin)
-		release()
+		g.releaseLocked(job)
 	})
 }
 
@@ -760,11 +707,9 @@ func (g *Galaxy) Kill(job *Job) error {
 		return nil
 	}
 	now := g.Engine.Clock().Now()
-	rel := job.stop(now)
+	job.stop(now)
 	g.moveLocked(job, StateError, "killed by user", now)
-	if rel != nil {
-		rel()
-	} else if _, parked := g.schedJobs[job.ID]; parked {
+	if _, parked := g.schedJobs[job.ID]; parked && !job.gang {
 		// Queued under the batch scheduler: drop it from the priority
 		// queue so a later cycle cannot start a dead job.
 		g.sched.Remove(job.ID)
@@ -772,7 +717,28 @@ func (g *Galaxy) Kill(job *Job) error {
 		job.note(step{kind: stepQueue, at: now, detail: "remove"})
 		g.recordQueueLocked(now)
 	}
+	g.releaseLocked(job)
 	return nil
+}
+
+// releaseLocked frees what the job's run holds, once: a destination slot
+// passes to the job waiting longest for it (dispatchNext), and a scheduler
+// gang goes back to the scheduler with a cycle planted to reuse it. A job
+// whose run holds nothing releases nothing.
+func (g *Galaxy) releaseLocked(job *Job) {
+	if job.slot {
+		job.slot = false
+		g.running[job.Destination]--
+		g.dispatchNext(job.Destination)
+	}
+	if job.gang {
+		job.gang = false
+		delete(g.schedJobs, job.ID)
+		at := g.Engine.Clock().Now()
+		g.sched.Release(job.ID, at)
+		g.recordQueueLocked(at)
+		g.scheduleCycle()
+	}
 }
 
 // dispatchNext redispatches the oldest job waiting on the destination, if
@@ -787,12 +753,12 @@ func (g *Galaxy) dispatchNext(destID string) {
 	g.Engine.After(0, func(now time.Duration) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
-		if next.job.Done() {
+		if next.Done() {
 			// Killed while it waited: the slot goes to whoever is behind it.
 			g.dispatchNext(destID)
 			return
 		}
-		g.startJobLocked(next.job, next.binding, next.opts, now)
+		g.startJobLocked(next, now)
 	})
 }
 

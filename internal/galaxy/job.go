@@ -12,6 +12,8 @@ import (
 
 	"gyan/internal/gpu"
 	"gyan/internal/journal"
+	"gyan/internal/sched"
+	"gyan/internal/toolxml"
 )
 
 // JobState is the lifecycle state of a job, mirroring Galaxy's job states.
@@ -102,16 +104,25 @@ type Job struct {
 	// its start record. A run's pending events stand down once the job is
 	// no longer running that epoch (see Job.runs).
 	run int
-	// reason is the placement reason of the current run, journaled on its
-	// start record; Info starts out as it and is overwritten as the job moves.
-	reason string
-	// release returns the job's scheduler slots; set while running.
-	release func()
-	// submit is the journal record that created this job: recovery, an
-	// admin resubmit and a steal rebuild the submission from it
-	// (submitOptions). Its Dataset names the registry entry the payload was
-	// resolved from.
+	// submit is the journal record that created this job. Dispatch reads the
+	// submission off it (runtime, GPU request, priority, gang, estimate), a
+	// thief rebuilds the job from it (AcceptTransfer), and its Dataset names
+	// the registry entry the payload was resolved from.
 	submit journal.Record
+	// binding is the job's tool, and tool the wrapper it is mapped and run
+	// with, its GPU request patched in (bind).
+	binding *ToolBinding
+	tool    *toolxml.Tool
+	// hints are what the job's dispatch is told beyond its submit record
+	// (nil when nothing).
+	hints *dispatchHints
+	// parked is the request the job waits in the batch scheduler with, kept
+	// until its grant so an aborted steal re-submits exactly it: a job
+	// submitted at t=0 with a Delay parks with its park instant as seniority.
+	parked *sched.Request
+	// slot and gang say what the job's run holds: a slot on its Destination
+	// or a scheduler gang. releaseLocked frees it and clears the flag.
+	slot, gang bool
 	// attemptBase offsets Attempt() after an admin resubmit: the retained
 	// failure log no longer counts against the fresh retry budget.
 	attemptBase int
@@ -124,12 +135,27 @@ type Job struct {
 	steps []step
 }
 
+// dispatchHints steer a job's dispatch beyond its submit record; the journal
+// holds none, so a recovered or admin-resubmitted job starts without them.
+type dispatchHints struct {
+	// pin names the fallback destination a failed run rerouted the job to
+	// (resubmit_destination); it overrides the mapper and the scheduler.
+	pin string
+	// prefer lists the devices holding a workflow step's input, a hint to
+	// the batch scheduler's LocalityBonus.
+	prefer []int
+	// stageCost returns a workflow step's stage-in time on a granted gang
+	// (zero when its input already lives there); the run holds the gang
+	// through it, so a locality miss costs makespan and queue time.
+	stageCost func(devices []int) time.Duration
+}
+
 // clone returns a deep-enough copy of the job for snapshot readers: every
 // public field is safe to read and the mutable slices (Devices, Failures,
 // ContainerCommand) are copied so an in-flight relaunch can't swap them out
 // underneath the caller. Engine-internal fields (sessions, completion hooks,
-// slot releases, the trail) are nilled — a clone is an observation, not a
-// live job; Galaxy.Trail copies the trail out.
+// what dispatch carries, the trail) are nilled — a clone is an observation,
+// not a live job; Galaxy.Trail copies the trail out.
 // Params, Dataset and Result are shared: the engine treats them as immutable
 // once set.
 func (j *Job) clone() *Job {
@@ -137,23 +163,36 @@ func (j *Job) clone() *Job {
 	c.Devices = append([]int(nil), j.Devices...)
 	c.Failures = append([]Failure(nil), j.Failures...)
 	c.ContainerCommand = append([]string(nil), j.ContainerCommand...)
-	c.sessions = nil
-	c.onDone = nil
-	c.release = nil
-	c.steps = nil
+	c.sessions, c.onDone, c.steps = nil, nil, nil
+	c.binding, c.tool, c.hints, c.parked = nil, nil, nil, nil
 	return &c
 }
 
 // stop tears down the job's live run at `at`: its device sessions abort.
-// It returns the release closure the run held (nil when it held no slots),
-// for the caller to call once the job has moved on.
-func (j *Job) stop(at time.Duration) func() {
+// What the run holds is the caller's to release once the job has moved on.
+func (j *Job) stop(at time.Duration) {
 	for _, s := range j.sessions {
 		s.Abort(at)
 	}
-	rel := j.release
-	j.sessions, j.release = nil, nil
-	return rel
+	j.sessions = nil
+}
+
+// bind sets the job's tool binding and the wrapper it runs with: the
+// binding's, or, when the user pinned device IDs through the requirement's
+// version tag (SubmitOptions.GPURequest, Section IV-C), a copy with the pin
+// applied.
+func (j *Job) bind(b *ToolBinding) {
+	j.binding, j.tool = b, b.XML
+	if ids := j.submit.GPURequest; ids != "" {
+		patched := *b.XML
+		patched.Requirements.Items = append([]toolxml.Requirement(nil), b.XML.Requirements.Items...)
+		for i := range patched.Requirements.Items {
+			if patched.Requirements.Items[i].IsGPU() {
+				patched.Requirements.Items[i].Version = ids
+			}
+		}
+		j.tool = &patched
+	}
 }
 
 // runs reports whether the job is still running launch epoch run: a kill,

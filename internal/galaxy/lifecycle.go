@@ -54,7 +54,8 @@ var (
 // moveLocked is the one lifecycle transition: j moves to `to` at `at` with
 // info, and the record the table names is journaled (a submit's is only
 // staged, and its ticket returned). Running stamps Started; a done state
-// stamps Finished, which a resubmit clears, and fires the completion hook.
+// stamps Finished, which a resubmit clears, drops what dispatch carried (a
+// resubmit binds the job again) and fires the completion hook.
 // j.steal, set by the caller of the move into prepared, is cleared by every
 // other move. A move the table lacks panics. Caller holds g.mu.
 func (g *Galaxy) moveLocked(j *Job, to JobState, info string, at time.Duration) uint64 {
@@ -69,6 +70,7 @@ func (g *Galaxy) moveLocked(j *Job, to JobState, info string, at time.Duration) 
 		j.Started = at
 	case done:
 		j.Finished = at
+		j.binding, j.tool, j.hints, j.parked = nil, nil, nil, nil
 	case kind == journal.TypeResubmit:
 		j.Finished = 0
 	}

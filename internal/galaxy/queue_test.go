@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gyan/internal/faults"
 	"gyan/internal/jobconf"
 )
 
@@ -140,6 +141,51 @@ func TestFailedJobReleasesSlot(t *testing.T) {
 	g.Run()
 	if healthy.State != StateOK {
 		t.Fatalf("healthy job finished %s: %s", healthy.State, healthy.Info)
+	}
+}
+
+// TestRetryReleasesItsSlotOnce: a run's slot is released once, by the fault
+// that ended the run, and a later failure before the next launch releases
+// nothing. Job 1's executor fails (its slot goes to job 2), then its retry's
+// probe fails while job 2 runs; a second release there would start job 3
+// beside job 2 on the one-slot destination.
+func TestRetryReleasesItsSlotOnce(t *testing.T) {
+	plan := faults.NewPlan(1,
+		faults.Rule{Match: faults.Match{Op: faults.OpExec, Job: 1, Attempt: 1}, Fault: faults.Fault{Class: faults.Transient}},
+		faults.Rule{Match: faults.Match{Op: faults.OpProbe, Job: 1, Attempt: 2}, Fault: faults.Fault{Class: faults.Transient}},
+	)
+	g := New(nil, WithJobConf(slottedConf(t, 1)), WithFaultPlan(plan),
+		WithRetry(faults.Backoff{MaxAttempts: 4, Base: time.Second}))
+	if err := g.RegisterDefaultTools(); err != nil {
+		t.Fatal(err)
+	}
+	rs := smallReadSet(t)
+	jobs := make([]*Job, 3)
+	for i := range jobs {
+		var err error
+		jobs[i], err = g.Submit("racon", map[string]string{"scale": "0.01"}, rs, SubmitOptions{
+			Delay: time.Duration(i) * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Run()
+	for _, j := range jobs {
+		if j.State != StateOK {
+			t.Fatalf("job %d finished %s: %s", j.ID, j.State, j.Info)
+		}
+	}
+	if len(jobs[0].Failures) != 2 || plan.Fired() != 2 {
+		t.Fatalf("job 1 failures %+v, %d faults fired; want its exec and its retry's probe", jobs[0].Failures, plan.Fired())
+	}
+	for a := range jobs {
+		for b := a + 1; b < len(jobs); b++ {
+			if overlapping(jobs[a], jobs[b]) {
+				t.Errorf("jobs %d and %d overlap on a one-slot destination: [%v, %v] and [%v, %v]",
+					jobs[a].ID, jobs[b].ID, jobs[a].Started, jobs[a].Finished, jobs[b].Started, jobs[b].Finished)
+			}
+		}
 	}
 }
 

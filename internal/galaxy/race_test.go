@@ -168,13 +168,15 @@ func TestConcurrentSubmitKillRetryUnderFaults(t *testing.T) {
 }
 
 // TestSubmitRacingCompactionLosesNothing races durable submitters against a
-// loop of SnapshotJournal calls. A submit record staged before a snapshot's
-// cutoff lives in a segment the snapshot deletes, so the snapshot must carry
-// that job — which holds only if no snapshot can run between the job's insert
-// and the staging of its record. A later snapshot would carry a job the race
-// dropped, so the journal is checked after every round, when the round's
-// last snapshot is the newest: the replay must hold exactly one submit
-// record, and a folded trail, for every job acknowledged so far.
+// loop of SnapshotJournal calls. A submit record staged before a compaction
+// lives in a segment the compaction deletes or still waits in the queue, so
+// the snapshot must carry it either way. That holds because the journal's
+// snapshotLocked takes the staged batch and reserves the snapshot's tickets
+// in one queue critical section: each record is in the batch it copies or is
+// staged after it, at a ticket above the snapshot's. A later snapshot would
+// carry a job the race dropped, so the journal is checked after every round,
+// when the round's last snapshot is the newest: the replay must hold exactly
+// one submit record, and a folded trail, for every job acknowledged so far.
 func TestSubmitRacingCompactionLosesNothing(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)

@@ -18,12 +18,13 @@ import (
 // dag.go.)
 
 // startRecord is the start record of the job's current run: its epoch, where
-// it was placed and why (Msg), and its host PID.
+// it was placed and why (Msg: the Info its move into running set), and its
+// host PID.
 func startRecord(j *Job) journal.Record {
 	return journal.Record{
 		Type: journal.TypeStart, At: j.Started, Job: j.ID, Epoch: j.run,
 		Destination: j.Destination, GPUEnabled: j.GPUEnabled, Devices: j.Devices,
-		PID: j.PID, Msg: j.reason,
+		PID: j.PID, Msg: j.Info,
 	}
 }
 
@@ -33,7 +34,7 @@ func (j *Job) applyStart(r *journal.Record) {
 	j.Started, j.run = r.At, r.Epoch
 	j.Destination, j.GPUEnabled, j.Devices = r.Destination, r.GPUEnabled, r.Devices
 	j.VisibleDevices = core.VisibleDevices(r.Devices)
-	j.PID, j.reason, j.Info = r.PID, r.Msg, r.Msg
+	j.PID, j.Info = r.PID, r.Msg
 }
 
 // attemptRecord journals one classified failure of job id.

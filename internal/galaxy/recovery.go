@@ -397,10 +397,8 @@ func (g *Galaxy) requeueLocked(job *Job, h *journal.Trail, now time.Duration, re
 	}
 	// ID-order requeue at the same instant: the engine's FIFO tie-break
 	// preserves submission seniority through dispatch.
-	opts := submitOptions(job.submit)
-	g.Engine.After(0, func(at time.Duration) {
-		g.startJob(job, binding, opts, at)
-	})
+	job.bind(binding)
+	g.plantStart(job, 0)
 	return action
 }
 
@@ -467,24 +465,6 @@ func (g *Galaxy) resolveRequeueLocked(job *Job) (*ToolBinding, error) {
 	return binding, nil
 }
 
-// submitOptions rebuilds the options a submit record was written with. It
-// is the one conversion from a journaled submission back to a live one:
-// recovery's requeue, an admin resubmit and an accepted transfer all make
-// it. A zero submission time becomes a nanosecond, so a true t=0 job does
-// not fall into the zero-means-now defaults downstream and lose its
-// seniority.
-func submitOptions(sub journal.Record) SubmitOptions {
-	at := sub.Submitted
-	if at == 0 {
-		at = time.Nanosecond
-	}
-	return SubmitOptions{
-		Runtime: sub.Runtime, GPURequest: sub.GPURequest, User: sub.User,
-		Priority: sub.Priority, GPUs: sub.GPUs, EstRuntime: sub.EstRuntime,
-		DatasetName: sub.Dataset, submittedAt: at,
-	}
-}
-
 // ErrNoJob is what ResubmitDeadLetter and Kill wrap when the ID names no
 // job — the one failure that is the caller's addressing mistake rather than
 // the job's state.
@@ -520,10 +500,10 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	job.attemptBase = len(job.Failures)
 	g.moveLocked(job, StateQueued, fmt.Sprintf("admin resubmit: fresh retry budget (%d prior failure(s) retained)",
 		len(job.Failures)), now)
-	opts := submitOptions(job.submit)
-	g.Engine.After(0, func(at time.Duration) {
-		g.startJob(job, binding, opts, at)
-	})
+	// The job restarts from its submit record alone, as a recovered one
+	// does: its done move dropped its fallback pin and workflow hints.
+	job.bind(binding)
+	g.plantStart(job, 0)
 	return job, nil
 }
 

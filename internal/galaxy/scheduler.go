@@ -6,32 +6,24 @@ import (
 
 	"gyan/internal/core"
 	"gyan/internal/sched"
-	"gyan/internal/toolxml"
 )
 
 // Batch-scheduler integration. With WithScheduler configured, GPU jobs no
 // longer start greedily the instant they are mapped: they park in the
-// scheduler's priority queue and a scheduling cycle — run as an engine event
-// whenever the queue or the device state changes — decides which jobs start
-// on which exclusive device gangs. Greedy dispatch semantics change in two
-// ways:
+// scheduler's priority queue (g.schedJobs holds each from park to release)
+// and a scheduling cycle — run as an engine event whenever the queue or the
+// device state changes — decides which jobs start on which exclusive device
+// gangs. Against greedy dispatch:
 //
-//   - users are ordered by fair sharing instead of arrival;
-//   - destination slot limits do not apply to scheduler-managed GPU jobs
-//     (gang exclusivity is the capacity limit).
+//   - jobs start by priority class (SubmitOptions.Priority), then by fair
+//     share within a class, instead of in arrival order;
+//   - destination slot limits do not apply (gang exclusivity is the
+//     capacity limit).
 //
 // CPU-routed jobs, resubmitted jobs pinned to a fallback destination, and
-// every job on a scheduler-less Galaxy keep the original greedy path.
-
-// schedEntry tracks one scheduler-managed job from park to release, keeping
-// everything needed to (re)launch it: the pending start (job, binding,
-// opts), the patched wrapper used at mapping time, and the original request
-// so an aborted steal requeues with its submission time intact.
-type schedEntry struct {
-	pending *pendingStart
-	tool    *toolxml.Tool
-	req     sched.Request
-}
+// every job on a scheduler-less Galaxy keep the greedy path. A parked job
+// keeps the request it parked with (Job.parked) until its grant, so an
+// aborted steal requeues it with its seniority intact.
 
 // WithScheduler installs a batch scheduler for GPU jobs. The scheduler must
 // not be shared across Galaxy instances.
@@ -52,13 +44,12 @@ func (g *Galaxy) SchedulerMetrics() sched.Metrics {
 
 // parkInSchedulerLocked enqueues a mapped GPU job with the batch scheduler
 // and schedules the cycles that will eventually start it.
-func (g *Galaxy) parkInSchedulerLocked(job *Job, binding *ToolBinding, opts SubmitOptions,
-	tool *toolxml.Tool, now time.Duration) {
-	gang := opts.GPUs
+func (g *Galaxy) parkInSchedulerLocked(job *Job, now time.Duration) {
+	gang := job.submit.GPUs
 	if gang <= 0 {
 		// The wrapper's pinned device list (version-tag IDs) implies the
 		// gang size the tool expects.
-		if req, ok := tool.GPURequirement(); ok {
+		if req, ok := job.tool.GPURequirement(); ok {
 			if ids, err := req.GPUIDs(); err == nil && len(ids) > 0 {
 				gang = len(ids)
 			}
@@ -67,32 +58,31 @@ func (g *Galaxy) parkInSchedulerLocked(job *Job, binding *ToolBinding, opts Subm
 	if gang <= 0 {
 		gang = 1
 	}
-	req := sched.Request{
+	req := &sched.Request{
 		ID:         job.ID,
 		User:       job.User,
-		Priority:   opts.Priority,
+		Priority:   job.submit.Priority,
 		GPUs:       gang,
-		EstRuntime: opts.EstRuntime,
+		EstRuntime: job.submit.EstRuntime,
 		Submitted:  job.Submitted,
-		Prefer:     opts.preferDevices,
+	}
+	if job.hints != nil {
+		req.Prefer = job.hints.prefer
 	}
 	if req.Submitted == 0 {
-		// Mirror sched.Submit's zero-means-now default so the stored
-		// requeue request agrees with what the scheduler records.
+		// Mirror sched.Submit's zero-means-now default so the kept
+		// request agrees with what the scheduler records.
 		req.Submitted = now
 	}
-	if err := g.sched.Submit(req, now); err != nil {
+	if err := g.sched.Submit(*req, now); err != nil {
 		g.moveLocked(job, StateError, err.Error(), now)
 		return
 	}
 	g.moveLocked(job, StateQueued, fmt.Sprintf("queued: awaiting gang of %d GPU(s)", gang), now)
 	g.obsv.Parked()
 	job.note(step{kind: stepPark, at: now, detail: "park"})
-	g.schedJobs[job.ID] = &schedEntry{
-		pending: &pendingStart{job: job, binding: binding, opts: opts},
-		tool:    tool,
-		req:     req,
-	}
+	job.parked = req
+	g.schedJobs[job.ID] = job
 	g.recordQueueLocked(now)
 	g.scheduleCycle()
 }
@@ -125,16 +115,16 @@ func (g *Galaxy) schedCycle(now time.Duration) {
 	survey = survey.Without(g.quarantine.Quarantined(now))
 	dec := g.sched.Cycle(now, survey)
 	for _, rej := range dec.Rejects {
-		e := g.schedJobs[rej.ID]
+		job := g.schedJobs[rej.ID]
 		delete(g.schedJobs, rej.ID)
-		if e == nil || e.pending.job.Done() {
+		if job == nil || job.Done() {
 			continue
 		}
-		g.moveLocked(e.pending.job, StateError, rej.Reason, now)
+		g.moveLocked(job, StateError, rej.Reason, now)
 	}
 	for _, st := range dec.Starts {
-		if e := g.schedJobs[st.ID]; e != nil {
-			g.launchScheduledLocked(e, st, now)
+		if job := g.schedJobs[st.ID]; job != nil {
+			g.launchScheduledLocked(job, st, now)
 		}
 	}
 	denied := g.processGateDenialsLocked(now)
@@ -144,8 +134,8 @@ func (g *Galaxy) schedCycle(now time.Duration) {
 }
 
 // launchScheduledLocked starts one granted job on exactly its device gang.
-func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.Duration) {
-	job := e.pending.job
+func (g *Galaxy) launchScheduledLocked(job *Job, st sched.Start, now time.Duration) {
+	job.parked = nil
 	dest, err := g.Conf.Destination(core.GPUDestination)
 	if err != nil {
 		delete(g.schedJobs, job.ID)
@@ -162,15 +152,8 @@ func (g *Galaxy) launchScheduledLocked(e *schedEntry, st sched.Start, now time.D
 	}
 	g.obsv.Granted()
 	job.note(step{kind: stepQueue, at: now, detail: "grant"})
-	id := job.ID
-	release := func() {
-		delete(g.schedJobs, id)
-		at := g.Engine.Clock().Now()
-		g.sched.Release(id, at)
-		g.recordQueueLocked(at)
-		g.scheduleCycle()
-	}
-	g.launchLocked(job, e.pending.binding, e.pending.opts, e.tool, decision, release, now)
+	job.gang = true
+	g.launchLocked(job, decision, now)
 }
 
 // recordQueueLocked samples queue depth into the scheduler's metrics.

@@ -260,3 +260,66 @@ func TestSchedCycleSkipsSurveyWhenIdle(t *testing.T) {
 		t.Errorf("parked job started at %v, want %v, the instant a device freed", parked.Started, freed)
 	}
 }
+
+// TestAbortedStealKeepsItsRequest prepares a steal of a job that parked
+// under the scheduler with a gang of two, a priority and a Delay from t=0,
+// then aborts it. Its park instant, not its t=0 submission or the abort
+// instant, is its seniority, and the abort must re-submit exactly the
+// request the job parked with: the job then starts after R (same class,
+// submitted before the park), before Q (submitted after the park, before the
+// abort) and on a gang of two.
+func TestAbortedStealKeepsItsRequest(t *testing.T) {
+	g := schedGalaxy(t, sched.Config{})
+	rs := smallReadSet(t)
+	advance := func(to time.Duration) {
+		g.Engine.RunUntil(to)
+		g.Engine.Clock().AdvanceTo(to)
+	}
+	submit := func(opts SubmitOptions) *Job {
+		t.Helper()
+		opts.GPUs, opts.Priority = 2, 5
+		job, err := g.Submit("racon", fastParams(), rs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	// The blocker holds both devices well past the abort.
+	blocker, err := g.Submit("racon", map[string]string{"scale": "0.05"}, rs, SubmitOptions{GPUs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := submit(SubmitOptions{Delay: time.Second})
+	advance(500 * time.Millisecond)
+	r := submit(SubmitOptions{DatasetName: "r"})
+	advance(1200 * time.Millisecond)
+	if p.State != StateQueued || g.sched.QueueDepth() != 2 {
+		t.Fatalf("at 1.2s job %d is %s with %d parked, want it parked beside R", p.ID, p.State, g.sched.QueueDepth())
+	}
+	prepared := g.PrepareSteal(1, "h2", 1, map[string]bool{"r": true})
+	if len(prepared) != 1 || prepared[0].JobID != p.ID {
+		t.Fatalf("prepared %+v, want job %d alone", prepared, p.ID)
+	}
+	advance(1500 * time.Millisecond)
+	q := submit(SubmitOptions{})
+	advance(2 * time.Second)
+	if blocker.State != StateRunning {
+		t.Fatalf("blocker is %s at the abort, want running", blocker.State)
+	}
+	if !g.AbortSteal(p.ID, "thief refused") {
+		t.Fatal("the abort was refused")
+	}
+	g.Run()
+	for _, j := range []*Job{blocker, p, q, r} {
+		if j.State != StateOK {
+			t.Fatalf("job %d finished %s: %s", j.ID, j.State, j.Info)
+		}
+	}
+	if len(p.Devices) != 2 {
+		t.Errorf("aborted job ran on %v, want its gang of two", p.Devices)
+	}
+	if !(r.Started < p.Started && p.Started < q.Started) {
+		t.Errorf("starts R=%v P=%v Q=%v, want R, then P at its park-time seniority, then Q",
+			r.Started, p.Started, q.Started)
+	}
+}

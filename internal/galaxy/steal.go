@@ -23,35 +23,30 @@ import (
 //     scheduler and the trail shows provenance.
 //
 // The envelope between the two is the victim's own submit record: the thief
-// rebuilds the submission from it exactly as recovery does (submitOptions)
-// and resolves its dataset by name from its own registry.
+// rebuilds the submission from it (AcceptTransfer) and resolves its dataset
+// by name from its own registry.
 //
 // Every ownership record is fsynced before the call that writes it returns.
 
 // stealCandidatesLocked selects up to max safely movable jobs for transfer
-// to `to`: queued (never started), locally owned, free of cross-handler
-// entanglements (workflow steps and destination-pinned resubmissions stay
-// put) and on no dataset in skip. Juniors first — stealing the youngest
-// costs the least seniority.
-func (g *Galaxy) stealCandidatesLocked(max int, to string, skip map[string]bool) []*schedEntry {
+// to `to` among the jobs parked in the batch scheduler, all locally owned:
+// queued (never started), not a workflow step (its run stays with its
+// workflow) and on no dataset in skip. A job pinned to a fallback
+// destination never parks, so none is offered. Juniors first — stealing the
+// youngest costs the least seniority.
+func (g *Galaxy) stealCandidatesLocked(max int, to string, skip map[string]bool) []*Job {
 	if g.sched == nil || max <= 0 || to == "" || to == g.handlerID {
 		return nil
 	}
-	var cands []*schedEntry
-	for _, e := range g.schedJobs {
-		j := e.pending.job
-		if j.State != StateQueued || skip[j.submit.Dataset] {
-			continue
+	var cands []*Job
+	for _, j := range g.schedJobs {
+		if j.State == StateQueued && j.WorkflowID == 0 && !skip[j.submit.Dataset] {
+			cands = append(cands, j)
 		}
-		o := e.pending.opts
-		if o.wfID != 0 || o.resubmitDest != "" || o.stageCost != nil {
-			continue
-		}
-		cands = append(cands, e)
 	}
 	// Juniors first: latest submission, ties broken by highest ID.
 	sort.Slice(cands, func(a, b int) bool {
-		ja, jb := cands[a].pending.job, cands[b].pending.job
+		ja, jb := cands[a], cands[b]
 		if ja.Submitted != jb.Submitted {
 			return ja.Submitted > jb.Submitted
 		}
@@ -63,13 +58,11 @@ func (g *Galaxy) stealCandidatesLocked(max int, to string, skip map[string]bool)
 	return cands
 }
 
-// preparedSteal is a prepared job's steal in flight (Job.steal): the
-// scheduler entry, so an abort can requeue the job in place, and the thief
+// preparedSteal is a prepared job's steal in flight (Job.steal): the thief
 // and transfer ID its retire and abort records name.
 type preparedSteal struct {
-	entry *schedEntry
-	to    string
-	xfer  uint64
+	to   string
+	xfer uint64
 }
 
 // PreparedSteal is one job detached under phase one of a two-phase steal.
@@ -95,12 +88,11 @@ func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64, skip map[stri
 	cands := g.stealCandidatesLocked(max, to, skip)
 	now := g.Engine.Clock().Now()
 	out := make([]PreparedSteal, 0, len(cands))
-	for _, e := range cands {
-		job := e.pending.job
+	for _, job := range cands {
 		xfer := xferBase + uint64(len(out))
 		g.sched.Remove(job.ID)
 		delete(g.schedJobs, job.ID)
-		job.steal = &preparedSteal{entry: e, to: to, xfer: xfer}
+		job.steal = &preparedSteal{to: to, xfer: xfer}
 		g.moveLocked(job, StatePrepared, fmt.Sprintf("steal prepared: tentative owner %q (xfer %d)", to, xfer), now)
 		out = append(out, PreparedSteal{JobID: job.ID, Xfer: xfer, T: job.submit})
 	}
@@ -126,8 +118,9 @@ func (g *Galaxy) RetireSteal(jobID int) bool {
 }
 
 // AbortSteal moves a prepared job back to queued — the thief never
-// acknowledged, or refused — and requeues it with its original submission
-// time, seniority intact. Returns false if the job is not prepared.
+// acknowledged, or refused — and re-submits the request it parked with, so
+// its gang, priority and seniority are those it had. Returns false if the
+// job is not prepared.
 func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -136,16 +129,15 @@ func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 		return false
 	}
 	now := g.Engine.Clock().Now()
-	e := job.steal.entry
 	g.moveLocked(job, StateQueued, fmt.Sprintf("steal aborted: %s", reason), now)
-	if e.req.Submitted == 0 {
-		e.req.Submitted = time.Nanosecond
+	if job.parked.Submitted == 0 {
+		job.parked.Submitted = time.Nanosecond
 	}
-	if err := g.sched.Submit(e.req, now); err != nil {
+	if err := g.sched.Submit(*job.parked, now); err != nil {
 		g.moveLocked(job, StateError, err.Error(), now)
 		return true
 	}
-	g.schedJobs[jobID] = e
+	g.schedJobs[jobID] = job
 	g.recordQueueLocked(now)
 	g.scheduleCycle()
 	return true
@@ -158,12 +150,20 @@ func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 // is resolved by name from this engine's registry; a name it lacks leaves
 // the job without a payload. The submit record is journaled under this
 // handler's epoch (chased by an adopt record naming the source), which makes
-// the transfer exactly-once across crashes on either side.
+// the transfer exactly-once across crashes on either side. A zero
+// submission time becomes a nanosecond, so a true t=0 job does not fall into
+// the zero-means-now defaults downstream and lose its seniority.
 func (g *Galaxy) AcceptTransfer(from string, sub journal.Record) (*Job, error) {
-	opts := submitOptions(sub)
-	opts.transferFrom = from
+	at := sub.Submitted
+	if at == 0 {
+		at = time.Nanosecond
+	}
 	ds, _ := g.Dataset(sub.Dataset)
-	return g.Submit(sub.Tool, sub.Params, ds, opts)
+	return g.Submit(sub.Tool, sub.Params, ds, SubmitOptions{
+		Runtime: sub.Runtime, GPURequest: sub.GPURequest, User: sub.User,
+		Priority: sub.Priority, GPUs: sub.GPUs, EstRuntime: sub.EstRuntime,
+		DatasetName: sub.Dataset, submittedAt: at, transferFrom: from,
+	})
 }
 
 // QueuedBacklog returns how many jobs are parked in the batch scheduler's

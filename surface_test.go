@@ -447,6 +447,79 @@ func TestJobStateWrittenOnlyInLifecycle(t *testing.T) {
 	}
 }
 
+// TestDispatchTakesTheJobAlone holds the dispatch path to one carrier: a
+// galaxy.Job holds its tool binding, its patched wrapper and its dispatch
+// hints, and reads the rest of its submission off its submit record. So no
+// function of internal/galaxy that takes a *galaxy.Job may also take a
+// *galaxy.ToolBinding or a galaxy.SubmitOptions, whether as parameters of
+// their own or bundled in a struct of the package (through pointers and
+// struct fields, never through Job itself). A bundle beside the job is a
+// second copy of what the job already says, and the two drift.
+func TestDispatchTakesTheJobAlone(t *testing.T) {
+	m := loadModule(t)
+	gp := m.l.load(modulePath + "/internal/galaxy")
+	scope := gp.types.Scope()
+	job := scope.Lookup("Job").Type()
+	jobPtr := types.NewPointer(job)
+	bundled := []types.Type{
+		types.NewPointer(scope.Lookup("ToolBinding").Type()),
+		scope.Lookup("SubmitOptions").Type(),
+	}
+	// carries reports whether a value of type t hands over one of want.
+	var carries func(t types.Type, want []types.Type, seen map[types.Type]bool) bool
+	carries = func(t types.Type, want []types.Type, seen map[types.Type]bool) bool {
+		for _, w := range want {
+			if types.Identical(t, w) {
+				return true
+			}
+		}
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named, ok := t.(*types.Named)
+		if !ok || named.Obj().Pkg() != gp.types || types.Identical(named, job) || seen[named] {
+			return false
+		}
+		seen[named] = true
+		st, ok := named.Underlying().(*types.Struct)
+		if !ok {
+			return false
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if carries(st.Field(i).Type(), want, seen) {
+				return true
+			}
+		}
+		return false
+	}
+	var bad []string
+	for _, f := range gp.files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			params := gp.info.Defs[fd.Name].(*types.Func).Type().(*types.Signature).Params()
+			var takesJob, takesBundle bool
+			for i := 0; i < params.Len(); i++ {
+				pt := params.At(i).Type()
+				takesJob = takesJob || carries(pt, []types.Type{jobPtr}, map[types.Type]bool{})
+				takesBundle = takesBundle || carries(pt, bundled, map[types.Type]bool{})
+			}
+			if takesJob && takesBundle {
+				pos := m.l.fset.Position(fd.Pos())
+				rel, _ := filepath.Rel(m.l.root, pos.Filename)
+				bad = append(bad, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, fd.Name.Name))
+			}
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		t.Errorf("%d functions of internal/galaxy take a job beside its binding or submit options; let the job carry them:\n\t%s",
+			len(bad), strings.Join(bad, "\n\t"))
+	}
+}
+
 // fromSync reports whether t, through pointers, arrays and slices, is a type
 // declared in sync or sync/atomic.
 func fromSync(t types.Type) bool {
