@@ -10,6 +10,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/galaxy:FuzzCheckParams \
                 ./internal/journal:FuzzReplay \
                 ./internal/journal:FuzzRecordCodec \
+                ./internal/journal:FuzzFoldWalk \
                 ./internal/workflow:FuzzBuildDAG \
                 ./internal/smi:FuzzParseXML \
                 ./internal/smi:FuzzSurveyCache \
@@ -104,10 +105,11 @@ quick-golden:
 # dataset stays failed at the next recovery, and a compacted journal folds to
 # the same job trails, record for record and run for run, as the journal it
 # replaced, and a restarted server serves the same placement and trail for
-# each job before and after a compaction.
+# each job before and after a compaction; a job whose steal was retired
+# before the crash stays stolen, the thief's, and never runs again.
 test-crash:
 	$(call run_selected,./internal/experiments,TestCrashRecovery)
-	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLockHolderAdoptsDeadHandlersJobs|TestRecoverSplicedMapRecords|TestRecoverKeepsDevicePin|TestRecoveredFailureIsDurable|TestSnapshotJournalIsTheFoldsInverse)
+	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLockHolderAdoptsDeadHandlersJobs|TestRecoverSplicedMapRecords|TestRecoverKeepsDevicePin|TestRecoveredFailureIsDurable|TestSnapshotJournalIsTheFoldsInverse|TestRecoverKeepsAStolenJob)
 	$(call run_selected,./internal/api,TestRecoveryEndpointAfterRestart)
 
 # hammer-api is the -race hammer for the single server's real handler:

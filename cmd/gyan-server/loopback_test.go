@@ -379,6 +379,9 @@ func TestLoopbackTCPClusterChaos(t *testing.T) {
 	if dbl := audit.Doubles(); len(dbl) != 0 {
 		t.Fatalf("double executions: %v", dbl)
 	}
+	if ill := audit.Illegal(); len(ill) != 0 {
+		t.Fatalf("trails holding a record the lifecycle refuses: %v", ill)
+	}
 
 	// Multi-handler starts are only explained by the kill: any key that
 	// started on both members must count h1 — the member that died holding
@@ -449,6 +452,7 @@ func dumpLoopbackAudit(t *testing.T, audit *cluster.Audit, total int) {
 		"dead_member":      "h1",
 		"lost":             audit.Lost(),
 		"doubles":          audit.Doubles(),
+		"illegal":          audit.Illegal(),
 		"torn_tail_counts": audit.TornTailCounts,
 		"claims":           audit.Claims,
 		"records":          audit.Records,

@@ -8,25 +8,21 @@ import (
 	"gyan/internal/journal"
 )
 
-// The cluster-wide exactly-once audit. PR 3's crash experiment audited one
-// handler's journal; here the unit of identity is the cluster key (local job
-// IDs collide across per-handler journals), and the question is global: did
-// every routed job run to a durable terminal state exactly once, somewhere?
+// The cluster-wide exactly-once audit. The unit of identity is the cluster
+// key (local job IDs collide across per-handler journals), and the question
+// is global: did every routed job run to a durable terminal state exactly
+// once, somewhere, through records the job lifecycle allows?
 //
 // The two-phase steal protocol adds a subtlety: a victim journal whose trail
-// ends in an unresolved steal_prepare does not say who owns the key — only
-// the tentative thief's journal does. The audit therefore defers those
-// trails and resolves them against the thief's adopt records after every
-// journal is folded: a matching adoption means the handoff completed (the
-// thief's trail carries the key); no match means the victim died still
-// owning it.
+// ends prepared does not say who owns the key — only the tentative thief's
+// journal does. The audit therefore defers the starts of those trails and
+// resolves them against the thief's adopt records after every journal is
+// folded: a matching adoption means the handoff completed (the thief's trail
+// carries the key); no match means the victim died still owning it.
 
 // KeyTrail is everything the audit learned about one cluster key across all
 // journals.
 type KeyTrail struct {
-	// Submits counts durable submit records for the key (one per handler
-	// that ever owned it: the origin plus each thief/heir).
-	Submits int
 	// OKs counts journals whose folded trail ends with the key completed
 	// ok — the double-execution detector: exactly-once means <= 1.
 	OKs int
@@ -37,9 +33,6 @@ type KeyTrail struct {
 	// a trail they still own (sorted). Two live handlers starting the same
 	// key means work stealing double-started it.
 	StartedOn []string
-	// Owners lists every handler whose journal folds the key to a
-	// non-terminal, still-owned state (a live claim on the key).
-	Owners []string
 	// Starts records, per handler, the virtual times the key's runs
 	// started (the seniority audit reads these).
 	Starts map[string][]time.Duration
@@ -49,6 +42,9 @@ type KeyTrail struct {
 	// AdoptedFrom lists, per handler, which handler each of that handler's
 	// trails for this key was transferred from ("" for the origin trail).
 	AdoptedFrom map[string]string
+	// Illegal counts the key's records the lifecycle refused, across every
+	// journal (journal.Trail.Illegal): a record no legal run writes.
+	Illegal int
 }
 
 // StripeClaim is one journaled rebalance-claim: a survivor's durable
@@ -64,10 +60,8 @@ type StripeClaim struct {
 type Audit struct {
 	// Keys maps every cluster key seen in any journal to its trail.
 	Keys map[uint64]*KeyTrail
-	// TornTails lists handlers whose journal replay hit at least one torn
-	// record; TornTailCounts gives the per-handler torn-record count, so a
-	// chaos test can assert a kill -9 actually tore the tail it aimed at.
-	TornTails      []string
+	// TornTailCounts gives the per-handler count of torn records replay
+	// hit, so a chaos test can assert a kill -9 tore the tail it aimed at.
 	TornTailCounts map[string]int
 	// Claims lists every journaled rebalance-claim in replay order per
 	// handler (the lease-table membership audit trail).
@@ -77,23 +71,21 @@ type Audit struct {
 }
 
 // Lost returns the keys with no durable terminal state anywhere, sorted.
-func (a *Audit) Lost() []uint64 {
-	var out []uint64
-	for k, t := range a.Keys {
-		if !t.Terminal {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (a *Audit) Lost() []uint64 { return a.keys(func(t *KeyTrail) bool { return !t.Terminal }) }
 
 // Doubles returns the keys that completed ok in more than one journal,
 // sorted — the double-execution list.
-func (a *Audit) Doubles() []uint64 {
+func (a *Audit) Doubles() []uint64 { return a.keys(func(t *KeyTrail) bool { return t.OKs > 1 }) }
+
+// Illegal returns the keys whose trail holds a record the lifecycle refused
+// in any journal, sorted.
+func (a *Audit) Illegal() []uint64 { return a.keys(func(t *KeyTrail) bool { return t.Illegal > 0 }) }
+
+// keys returns the keys whose trail matches, sorted.
+func (a *Audit) keys(match func(*KeyTrail) bool) []uint64 {
 	var out []uint64
 	for k, t := range a.Keys {
-		if t.OKs > 1 {
+		if match(t) {
 			out = append(out, k)
 		}
 	}
@@ -101,13 +93,11 @@ func (a *Audit) Doubles() []uint64 {
 	return out
 }
 
-// pendPrepare is a victim trail that ends mid-transfer, awaiting
+// pendPrepare is a started victim trail that ends prepared, awaiting
 // resolution against the tentative thief's journal.
 type pendPrepare struct {
-	key     uint64
-	victim  string
-	thief   string
-	started bool
+	key           uint64
+	victim, thief string
 }
 
 // AuditJournals replays every handler's journal directory (tolerating torn
@@ -132,7 +122,6 @@ func AuditJournals(dirs map[string]string) (*Audit, error) {
 			}
 		}
 		if len(corrupts) > 0 {
-			a.TornTails = append(a.TornTails, h)
 			a.TornTailCounts[h] = len(corrupts)
 		}
 		a.Records += len(recs)
@@ -163,13 +152,10 @@ func AuditJournals(dirs map[string]string) (*Audit, error) {
 			if t.Submit.Submitted < kt.Submitted {
 				kt.Submitted = t.Submit.Submitted
 			}
-			kt.Submits++
-			open := t.Terminal == nil
-			if !open {
-				kt.Terminal = true
-				if t.Terminal.State == "ok" {
-					kt.OKs++
-				}
+			kt.Illegal += len(t.Illegal)
+			kt.Terminal = kt.Terminal || (t.State.Done() && t.State != journal.StateStolen)
+			if t.State == journal.StateOK {
+				kt.OKs++
 			}
 			started := len(t.Starts) > 0
 			if started {
@@ -178,40 +164,26 @@ func AuditJournals(dirs map[string]string) (*Audit, error) {
 			if t.From != "" && t.From != h {
 				kt.AdoptedFrom[h] = t.From
 			}
-			stillOwned := t.Owner == h || t.Owner == ""
-			if stillOwned && open && t.Prepared != nil {
+			switch stillOwned := t.Owner == h || t.Owner == ""; {
+			case !started || !stillOwned: // no start of this handler's to count
+			case t.State == journal.StatePrepared:
 				// Mid-transfer at journal end: only the thief's journal
 				// knows whether the handoff completed. Defer.
-				pending = append(pending, pendPrepare{
-					key: key, victim: h, thief: t.Prepared.Handler, started: started,
-				})
-				continue
-			}
-			if stillOwned && open {
-				kt.Owners = append(kt.Owners, h)
-			}
-			if started && stillOwned {
+				pending = append(pending, pendPrepare{key: key, victim: h, thief: t.Last.Handler})
+			default:
 				kt.StartedOn = append(kt.StartedOn, h)
 			}
 		}
 	}
-	// Resolve deferred prepares against the thieves' adopt records.
+	// Resolve deferred prepares against the thieves' adopt records: a
+	// thief that accepted carries the key on its own trail.
 	for _, p := range pending {
-		kt := a.Keys[p.key]
-		if kt == nil {
-			continue
-		}
-		if kt.AdoptedFrom[p.thief] == p.victim {
-			continue // the thief accepted: its own trail carries the key
-		}
-		kt.Owners = append(kt.Owners, p.victim)
-		if p.started {
+		if kt := a.Keys[p.key]; kt.AdoptedFrom[p.thief] != p.victim {
 			kt.StartedOn = append(kt.StartedOn, p.victim)
 		}
 	}
 	for _, kt := range a.Keys {
 		sort.Strings(kt.StartedOn)
-		sort.Strings(kt.Owners)
 	}
 	return a, nil
 }

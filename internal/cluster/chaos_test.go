@@ -134,6 +134,9 @@ func TestClusterChaosKillMidWorkload(t *testing.T) {
 	if dbl := audit.Doubles(); len(dbl) != 0 {
 		t.Fatalf("%d double executions: %v", len(dbl), dbl)
 	}
+	if ill := audit.Illegal(); len(ill) != 0 {
+		t.Fatalf("trails holding a record the lifecycle refuses: %v", ill)
+	}
 	for key, kt := range audit.Keys {
 		if len(kt.StartedOn) > 1 {
 			hasDead := false

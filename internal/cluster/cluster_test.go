@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gyan/internal/core"
+	"gyan/internal/journal"
 	"gyan/internal/sched"
 	"gyan/internal/workload"
 )
@@ -157,6 +158,9 @@ func TestWorkStealingDrainsSkewedBacklog(t *testing.T) {
 	}
 	if dbl := audit.Doubles(); len(dbl) != 0 {
 		t.Fatalf("double executions: %v", dbl)
+	}
+	if ill := audit.Illegal(); len(ill) != 0 {
+		t.Fatalf("trails holding a record the lifecycle refuses: %v", ill)
 	}
 	for key, kt := range audit.Keys {
 		if len(kt.StartedOn) > 1 {
@@ -362,5 +366,60 @@ func TestNodeLatchesJournalError(t *testing.T) {
 	}
 	if c.JournalError() == nil {
 		t.Fatal("cluster reports no journal error while a live member's journal has failed")
+	}
+}
+
+// TestAuditCountsIllegalTrails audits two hand-written journals holding the
+// stream a kill racing a steal used to write: on the victim h1, the submit,
+// the prepare naming h2, the kill's complete(error) and then the retire; on
+// the thief h2, the accept's submit and adopt, a start and complete(ok). The
+// key has a terminal state and one ok, so it reads neither lost nor doubled,
+// though the user's kill was lost: only the victim's refused complete shows
+// it, and Illegal names the key.
+func TestAuditCountsIllegalTrails(t *testing.T) {
+	const key = 42
+	params := map[string]string{KeyParam: "42"}
+	journals := map[string][]journal.Record{
+		"h1": {
+			{Type: journal.TypeSubmit, Job: 1, Handler: "h1", Params: params},
+			{Type: journal.TypeStealPrepare, Job: 1, Handler: "h2", From: "h1", Xfer: 7},
+			{Type: journal.TypeComplete, Job: 1, State: "error", Msg: "killed by user"},
+			{Type: journal.TypeStealRetire, Job: 1, Handler: "h2", From: "h1", Xfer: 7},
+		},
+		"h2": {
+			{Type: journal.TypeSubmit, Job: 1, Handler: "h2", Params: params, Xfer: 7},
+			{Type: journal.TypeAdopt, Job: 1, Handler: "h2", From: "h1"},
+			{Type: journal.TypeStart, Job: 1, Epoch: 1},
+			{Type: journal.TypeComplete, Job: 1, State: "ok"},
+		},
+	}
+	dirs := make(map[string]string)
+	for h, recs := range journals {
+		dirs[h] = t.TempDir()
+		j, err := journal.Open(dirs[h], journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if r.Handler == "" {
+				r.Handler = h
+			}
+			if err := j.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	audit, err := AuditJournals(dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost, dbl, illegal := audit.Lost(), audit.Doubles(), audit.Illegal(); len(lost) != 0 || len(dbl) != 0 || !slices.Equal(illegal, []uint64{key}) {
+		t.Fatalf("lost %v, doubles %v, illegal %v; want none, none and [%d]", lost, dbl, illegal, key)
+	}
+	if kt := audit.Keys[key]; kt.Illegal != 1 || len(kt.StartedOn) != 1 || kt.StartedOn[0] != "h2" {
+		t.Errorf("key %d: %d illegal records, started on %v; want 1 and h2 alone", key, kt.Illegal, kt.StartedOn)
 	}
 }

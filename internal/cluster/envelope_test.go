@@ -72,8 +72,8 @@ func TestThiefWithoutDatasetRefusesSteal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lost, dbl := audit.Lost(), audit.Doubles(); len(lost) != 0 || len(dbl) != 0 {
-		t.Fatalf("lost keys %v, double executions %v", lost, dbl)
+	if lost, dbl, ill := audit.Lost(), audit.Doubles(), audit.Illegal(); len(lost) != 0 || len(dbl) != 0 || len(ill) != 0 {
+		t.Fatalf("lost keys %v, double executions %v, illegal trails %v", lost, dbl, ill)
 	}
 }
 

@@ -128,6 +128,9 @@ func TestClusterRaceHammer(t *testing.T) {
 	if dbl := audit.Doubles(); len(dbl) != 0 {
 		t.Fatalf("double executions: %v", dbl)
 	}
+	if ill := audit.Illegal(); len(ill) != 0 {
+		t.Fatalf("trails holding a record the lifecycle refuses: %v", ill)
+	}
 	for key, kt := range audit.Keys {
 		if len(kt.StartedOn) > 1 {
 			t.Fatalf("key %d double-started on %v", key, kt.StartedOn)

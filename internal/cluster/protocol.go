@@ -727,7 +727,7 @@ func (n *Node) declareDead(dead string, now time.Duration) bool {
 	// now assigns to this member.
 	for _, jid := range hist.Order {
 		t := hist.Jobs[jid]
-		if t.Terminal != nil || t.Owner != dead {
+		if t.State.Done() || t.Owner != dead {
 			continue
 		}
 		key, ok := keyOfParams(t.Submit.Params)
@@ -743,7 +743,7 @@ func (n *Node) declareDead(dead string, now time.Duration) bool {
 		if n.ring.OwnerOfKey(key) != n.id {
 			continue // another claimer's stripe
 		}
-		if t.Prepared != nil {
+		if t.State == journal.StatePrepared {
 			n.parkOrphanedPrepare(dead, t, key)
 			continue
 		}
@@ -772,8 +772,8 @@ func (n *Node) requeueDeadKey(dead string, sub journal.Record, key uint64) {
 // the thief. A dead thief is resolved immediately from its archive.
 func (n *Node) parkOrphanedPrepare(dead string, t *journal.Trail, key uint64) {
 	m := n.proto
-	thief := t.Prepared.Handler
-	xfer := t.Prepared.Xfer
+	thief := t.Last.Handler // the trail ends in its prepare
+	xfer := t.Last.Xfer
 	k := inKey{victim: dead, xfer: xfer}
 	if thief == n.id {
 		// The claimer is the tentative thief: its own table is the truth.

@@ -167,6 +167,9 @@ func auditExactlyOnce(t *testing.T, c *Sim, total int, dead string) *Audit {
 	if dbl := audit.Doubles(); len(dbl) != 0 {
 		t.Fatalf("double executions: %v", dbl)
 	}
+	if ill := audit.Illegal(); len(ill) != 0 {
+		t.Fatalf("trails holding a record the lifecycle refuses: %v", ill)
+	}
 	for key, kt := range audit.Keys {
 		if len(kt.StartedOn) > 1 {
 			hasDead := false
@@ -232,6 +235,7 @@ func dumpAudit(t *testing.T, audit *Audit, total int, dead string) {
 		"dead_member":      dead,
 		"lost":             audit.Lost(),
 		"doubles":          audit.Doubles(),
+		"illegal":          audit.Illegal(),
 		"torn_tail_counts": audit.TornTailCounts,
 		"claims":           audit.Claims,
 		"records":          audit.Records,

@@ -159,6 +159,9 @@ func runKillPhase(opt Options, jobs int) (map[string]float64, error) {
 	if len(audit.Keys) != jobs {
 		return nil, fmt.Errorf("cluster-scaling: audit saw %d keys, want %d", len(audit.Keys), jobs)
 	}
+	if ill := audit.Illegal(); len(ill) > 0 {
+		return nil, fmt.Errorf("cluster-scaling: keys %v hold a record the job lifecycle refuses", ill)
+	}
 	survivors := 0
 	requeued := 0
 	for _, hs := range c.Status().Handlers {

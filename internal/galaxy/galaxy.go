@@ -697,10 +697,10 @@ func (g *Galaxy) Kill(job *Job) error {
 		return fmt.Errorf("%w: %d", ErrNoJob, job.ID)
 	}
 	job = live
-	if _, ok := lifecycle[job.State].moves[StateError]; !ok {
+	if _, ok := job.State.Move(StateError); !ok {
 		switch job.State {
 		case StatePrepared:
-			return fmt.Errorf("%w: job %d is being handed to handler %q", ErrStealInFlight, job.ID, job.steal.to)
+			return fmt.Errorf("%w: job %d is being handed to handler %q", ErrStealInFlight, job.ID, job.steal.Handler)
 		case StateStolen:
 			return fmt.Errorf("%w: handler %q owns job %d now", ErrStolen, job.owner, job.ID)
 		}

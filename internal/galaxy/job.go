@@ -16,24 +16,21 @@ import (
 	"gyan/internal/toolxml"
 )
 
-// JobState is the lifecycle state of a job, mirroring Galaxy's job states.
-type JobState string
+// JobState is the lifecycle state of a job; the lifecycle is stated in
+// internal/journal, which folds every trail through it.
+type JobState = journal.State
 
-// Job states.
+// Job states (journal's).
 const (
-	StateQueued  JobState = "queued"
-	StateRunning JobState = "running"
-	StateOK      JobState = "ok"
-	StateError   JobState = "error"
-	// StateDeadLetter marks a job that exhausted fault recovery: a permanent
-	// fault, or a transient one with no retry budget left. Dead-lettered jobs
-	// keep their full failure log for post-mortem (see Job.Failures).
-	StateDeadLetter JobState = "dead_letter"
-	// StateStolen marks a job another handler stole; Job.owner names it. Its
-	// moves, and StatePrepared's, are in the lifecycle table.
-	StateStolen JobState = "stolen"
+	StateQueued     = journal.StateQueued
+	StateRunning    = journal.StateRunning
+	StateOK         = journal.StateOK
+	StateError      = journal.StateError
+	StateDeadLetter = journal.StateDeadLetter
+	// StateStolen marks a job another handler stole; Job.owner names it.
+	StateStolen = journal.StateStolen
 	// StatePrepared marks a job a steal is moving; Job.steal holds the steal.
-	StatePrepared JobState = "prepared"
+	StatePrepared = journal.StatePrepared
 )
 
 // Job is one submitted tool execution.
@@ -129,8 +126,9 @@ type Job struct {
 	// owner is the handler that owns this job when it differs from the
 	// local handler (a stolen job names its thief).
 	owner string
-	// steal is the steal in flight while the job is prepared (else nil).
-	steal *preparedSteal
+	// steal is the prepare record of the steal in flight while the job is
+	// prepared (else nil): Handler names the thief, Xfer the transfer.
+	steal *journal.Record
 	// steps is the job's trail, append-only (trail.go).
 	steps []step
 }
@@ -218,8 +216,8 @@ func (j *Job) QueueWait() time.Duration {
 	return j.Started - j.Submitted
 }
 
-// Done reports whether the lifecycle table marks the job's state done.
-func (j *Job) Done() bool { return lifecycle[j.State].done }
+// Done reports whether the lifecycle marks the job's state done.
+func (j *Job) Done() bool { return j.State.Done() }
 
 // Attempt returns the job's current 1-based dispatch attempt: one more than
 // the number of classified failures recorded since the job's retry budget

@@ -157,13 +157,19 @@ func stealVictim(t *testing.T) (*Galaxy, string, *Job) {
 }
 
 // trailOf syncs the handler's journal and returns job id's records in
-// stream order.
+// stream order, failing the test on every trail of the journal that holds a
+// record the lifecycle refused.
 func trailOf(t *testing.T, g *Galaxy, dir string, id int) []journal.Record {
 	t.Helper()
 	if err := g.journal.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	recs, _ := replayDir(t, dir)
+	for jid, tr := range journal.Fold(recs).Jobs {
+		if len(tr.Illegal) > 0 {
+			t.Errorf("job %d's trail folds to %s, refusing %+v", jid, tr.State, tr.Illegal)
+		}
+	}
 	var out []journal.Record
 	for _, r := range recs {
 		if r.Job == id {
@@ -178,19 +184,22 @@ func trailOf(t *testing.T, g *Galaxy, dir string, id int) []journal.Record {
 // "killed by user" and journal a complete, after which the retire still
 // handed it to the thief, so the thief ran the job the user killed. The
 // accept outranks the kill: the kill is refused as retryable, the job ends
-// stolen, and its trail closes with the retire alone.
+// stolen, and its trail closes with the retire alone and folds clean.
 func TestKillRefusedWhileStealPrepared(t *testing.T) {
 	g, dir, job := stealVictim(t)
-	if err := g.Kill(job); !errors.Is(err, ErrStealInFlight) {
-		t.Fatalf("kill of a prepared job: %v, want ErrStealInFlight", err)
+	killErr := g.Kill(job)
+	retired := g.RetireSteal(job.ID)
+	trail := trailOf(t, g, dir, job.ID)
+	if !errors.Is(killErr, ErrStealInFlight) {
+		t.Fatalf("kill of a prepared job: %v, want ErrStealInFlight", killErr)
 	}
-	if !g.RetireSteal(job.ID) {
+	if !retired {
 		t.Fatal("the thief's accept was refused after the kill")
 	}
 	if job.State != StateStolen || job.Info != `stolen by handler "h2"` {
 		t.Fatalf("job %d ended %s (%s), want stolen by h2", job.ID, job.State, job.Info)
 	}
-	for _, r := range trailOf(t, g, dir, job.ID) {
+	for _, r := range trail {
 		if r.Type == journal.TypeComplete || r.Type == journal.TypeDeadLetter {
 			t.Errorf("job %d's trail holds a %s record (%s) beside its retire", job.ID, r.Type, r.Msg)
 		}
@@ -204,24 +213,28 @@ func TestKillRefusedWhileStealPrepared(t *testing.T) {
 // abort: a kill of a prepared job used to end it, and the abort then put it
 // back in the queue, where it started and ran to ok. Now the kill is refused
 // while the steal is in flight and lands once the abort has requeued the job,
-// which never starts.
+// which never starts, and the journal folds clean.
 func TestKillAfterAbortedStealRunsNothing(t *testing.T) {
 	g, dir, job := stealVictim(t)
-	if err := g.Kill(job); !errors.Is(err, ErrStealInFlight) {
-		t.Fatalf("kill of a prepared job: %v, want ErrStealInFlight", err)
+	killErr := g.Kill(job)
+	aborted := g.AbortSteal(job.ID, "thief never accepted the transfer")
+	lateErr := g.Kill(job)
+	g.Run()
+	trail := trailOf(t, g, dir, job.ID)
+	if !errors.Is(killErr, ErrStealInFlight) {
+		t.Fatalf("kill of a prepared job: %v, want ErrStealInFlight", killErr)
 	}
-	if !g.AbortSteal(job.ID, "thief never accepted the transfer") {
+	if !aborted {
 		t.Fatal("the abort was refused")
 	}
-	if err := g.Kill(job); err != nil {
-		t.Fatalf("kill after the abort: %v", err)
+	if lateErr != nil {
+		t.Fatalf("kill after the abort: %v", lateErr)
 	}
-	g.Run()
 	if job.State != StateError || job.Info != "killed by user" {
 		t.Fatalf("job %d ended %s (%s), want error killed by user", job.ID, job.State, job.Info)
 	}
 	var starts, terminals int
-	for _, r := range trailOf(t, g, dir, job.ID) {
+	for _, r := range trail {
 		switch r.Type {
 		case journal.TypeStart:
 			starts++

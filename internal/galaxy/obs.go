@@ -8,6 +8,7 @@ package galaxy
 // actually reads it.
 
 import (
+	"gyan/internal/journal"
 	"gyan/internal/obs"
 )
 
@@ -57,16 +58,14 @@ func (g *Galaxy) installObsScrape() {
 		"nvidia-smi survey cache misses (render+parse round trips of a changed device report).")
 
 	reg.OnScrape(func() {
-		counts := make(map[JobState]int, len(lifecycle))
+		counts := make(map[JobState]int, len(journal.States()))
 		g.mu.Lock()
 		for _, j := range g.jobs {
 			counts[j.State]++
 		}
 		g.mu.Unlock()
-		for s := range lifecycle {
-			if s != "" {
-				states.With(string(s)).Set(float64(counts[s]))
-			}
+		for _, s := range journal.States() {
+			states.With(string(s)).Set(float64(counts[s]))
 		}
 		if st, ok := g.JournalStats(); ok {
 			appends.Set(uint64(st.Appends))

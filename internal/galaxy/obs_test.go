@@ -113,10 +113,8 @@ func TestJobsStateGaugeFollowsTheLifecycle(t *testing.T) {
 		}
 		return v
 	}
-	for s := range lifecycle {
-		if s != "" {
-			gauge(string(s))
-		}
+	for _, s := range journal.States() {
+		gauge(string(s))
 	}
 	if _, ok := g.Observer().Reg.Snapshot()[`gyan_jobs_state{state="new"}`]; ok {
 		t.Error(`gyan_jobs_state has a "new" series, a state no job holds`)

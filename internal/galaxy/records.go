@@ -10,10 +10,11 @@ import (
 
 // Job records. Every kind of record the engine journals about a job has one
 // constructor here, called where it is written (by moveLocked for the kinds a
-// lifecycle move writes), and the inverse that Recover applies sits next to
-// it. They are the only encoding of a job's state: compaction copies the
-// records (journal.Compact), so a recovered job reads the same whether or not
-// a compaction ran in between. (The submit record is built once, in
+// lifecycle move writes), and the inverse that Recover applies to a job's
+// fields sits next to it; the job's state is the one journal.Fold folds its
+// trail to. They are the only encoding of a job's state: compaction copies
+// the records (journal.Compact), so a recovered job reads the same whether or
+// not a compaction ran in between. (The submit record is built once, in
 // submitJob, and kept on the job; the workflow definition and verdict are in
 // dag.go.)
 
@@ -30,7 +31,6 @@ func startRecord(j *Job) journal.Record {
 
 // applyStart is startRecord's inverse.
 func (j *Job) applyStart(r *journal.Record) {
-	j.restore(StateRunning, nil)
 	j.Started, j.run = r.At, r.Epoch
 	j.Destination, j.GPUEnabled, j.Devices = r.Destination, r.GPUEnabled, r.Devices
 	j.VisibleDevices = core.VisibleDevices(r.Devices)
@@ -68,16 +68,10 @@ func terminalRecord(j *Job) journal.Record {
 	return rec
 }
 
-// applyTerminal is terminalRecord's inverse.
+// applyTerminal is the inverse of the record that ended the job,
+// terminalRecord's or a steal's retire: when it finished, and why when the
+// record says.
 func (j *Job) applyTerminal(r *journal.Record) {
-	switch {
-	case r.Type == journal.TypeDeadLetter:
-		j.restore(StateDeadLetter, nil)
-	case r.State == string(StateOK):
-		j.restore(StateOK, nil)
-	default:
-		j.restore(StateError, nil)
-	}
 	j.Finished = r.At
 	if r.Msg != "" {
 		j.Info = r.Msg
@@ -96,13 +90,10 @@ func adoptRecord(id int, to, from string, at time.Duration) journal.Record {
 	return journal.Record{Type: journal.TypeAdopt, At: at, Job: id, Handler: to, From: from}
 }
 
-// stealRecord journals one phase of the two-phase steal p of job id: its
-// prepare, retire or abort. Handler names the thief; From, this handler.
-func (g *Galaxy) stealRecord(typ journal.Type, id int, p *preparedSteal, at time.Duration) journal.Record {
-	return journal.Record{Type: typ, At: at, Job: id, Handler: p.to, From: g.handlerID, Xfer: p.xfer}
-}
-
-// preparedOf is the inverse of a prepare record: the steal it left open.
-func preparedOf(r *journal.Record) *preparedSteal {
-	return &preparedSteal{to: r.Handler, xfer: r.Xfer}
+// stealRecord journals one phase of the two-phase steal of job id to
+// handler `to` as transfer xfer: its prepare, retire or abort. Handler names
+// the thief; From, this handler. A prepared job carries its prepare record
+// (Job.steal), which is its own inverse.
+func (g *Galaxy) stealRecord(typ journal.Type, id int, to string, xfer uint64, at time.Duration) journal.Record {
+	return journal.Record{Type: typ, At: at, Job: id, Handler: to, From: g.handlerID, Xfer: xfer}
 }

@@ -155,7 +155,8 @@ type RecoveredJob struct {
 	ID    int      `json:"id"`
 	Tool  string   `json:"tool"`
 	State JobState `json:"state"`
-	// Action is what recovery did: "kept" (terminal state restored),
+	// Action is what recovery did: "kept" (done state restored: terminal,
+	// or stolen by another handler),
 	// "requeued" (own non-terminal job redispatched), "adopted" (another
 	// handler's job taken over, then requeued) or "failed" (unrecoverable:
 	// tool or dataset no longer available).
@@ -182,7 +183,8 @@ type RecoveryReport struct {
 
 	// Job disposition counts: terminal jobs kept (ok/error), dead-lettered
 	// jobs kept, non-terminal jobs requeued (Adopted of those from other
-	// handlers), and jobs whose tool or dataset no longer exists.
+	// handlers), and jobs whose tool or dataset no longer exists. A kept
+	// stolen job counts in none of them.
 	Completed    int `json:"completed"`
 	Errored      int `json:"errored"`
 	DeadLettered int `json:"dead_lettered"`
@@ -289,12 +291,11 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		g.jobs[id] = g.materializeLocked(id, hist.Jobs[id])
 	}
 	// Two things are read off the stream rather than the fold. Each job
-	// record becomes a step of its job's trail, so a recovered job shows
-	// its journaled history (a compacted journal holds only a job's newest
-	// start). And the quarantine replays: charging every attempt's culprit
-	// devices in record order rebuilds counts, spans and cooldown deadlines
-	// exactly, because device state depends on the order of attempts
-	// across jobs.
+	// record becomes a step of its job's trail, so a recovered job shows its
+	// journaled history. And the quarantine replays: charging every
+	// attempt's culprit devices in record order rebuilds counts, spans and
+	// cooldown deadlines exactly, because device state depends on the order
+	// of attempts across jobs.
 	for i := range recs {
 		rec := &recs[i]
 		// A record before its job's submit is dropped, as Fold drops it.
@@ -323,8 +324,8 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		if foreign {
 			job.owner = h.Owner
 		}
-		action := "kept"
-		if h.Terminal == nil {
+		open, action := !h.State.Done(), "kept"
+		if open {
 			action = g.requeueLocked(job, h, now, rep)
 		}
 		switch {
@@ -344,11 +345,11 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 				g.sched.RestoreUsage(job.User,
 					float64(len(job.Devices))*(job.Finished-job.Started).Seconds())
 			}
-		default:
+		case job.State == StateError:
 			rep.Errored++
 		}
 		owner := h.Owner
-		if foreign && h.Terminal == nil {
+		if foreign && open {
 			owner = g.handlerID // adopted
 		}
 		rep.Jobs = append(rep.Jobs, RecoveredJob{ID: id, Tool: job.ToolID, State: job.State, Action: action, Owner: owner})
@@ -402,10 +403,11 @@ func (g *Galaxy) requeueLocked(job *Job, h *journal.Trail, now time.Duration, re
 	return action
 }
 
-// materializeLocked rebuilds one Job value from its folded trail through
-// each record's inverse (records.go), each restoring the state its move
-// wrote: a terminal trail comes back in its terminal state, an open one as
-// prepared, running or queued, for Recover to dispose of.
+// materializeLocked rebuilds one Job value from its folded trail: the state
+// the trail folded to, and each record's fields through its inverse
+// (records.go). A done trail comes back as it ended, an open one as
+// prepared, running or queued, for Recover to dispose of. An illegal record
+// is not applied: the job comes back in its last legal state.
 func (g *Galaxy) materializeLocked(id int, h *journal.Trail) *Job {
 	sub := h.Submit
 	job := &Job{
@@ -423,15 +425,12 @@ func (g *Galaxy) materializeLocked(id int, h *journal.Trail) *Job {
 	for i := range h.Attempts {
 		job.Failures = append(job.Failures, failureOf(&h.Attempts[i]))
 	}
-	job.restore(StateQueued, nil)
+	job.restore(h)
 	if h.Start != nil {
 		job.applyStart(h.Start)
 	}
-	if h.Prepared != nil {
-		job.restore(StatePrepared, preparedOf(h.Prepared))
-	}
-	if h.Terminal != nil {
-		job.applyTerminal(h.Terminal)
+	if h.State.Done() {
+		job.applyTerminal(h.Last)
 	}
 	// Resolve the dataset even for terminal jobs: an admin resubmit of a
 	// recovered dead-letter needs a payload to run, and a resumed workflow
@@ -481,7 +480,7 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 	if job == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoJob, id)
 	}
-	if lifecycle[job.State].moves[StateQueued] != journal.TypeResubmit {
+	if !movesBy(job, StateQueued, journal.TypeResubmit) {
 		return nil, fmt.Errorf("galaxy: job %d is %q, not %q", id, job.State, StateDeadLetter)
 	}
 	binding, err := g.toolLocked(job.ToolID)

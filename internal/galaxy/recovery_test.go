@@ -275,8 +275,61 @@ func TestLockHolderAdoptsDeadHandlersJobs(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	if tr := journal.Fold(recs).Jobs[1]; tr.Owner != "b" || tr.From != "a" || tr.Terminal == nil {
-		t.Fatalf("journaled trail owner %q from %q terminal %v, want b/a/complete", tr.Owner, tr.From, tr.Terminal)
+	if tr := journal.Fold(recs).Jobs[1]; tr.Owner != "b" || tr.From != "a" || tr.State != StateOK {
+		t.Fatalf("journaled trail owner %q from %q state %s, want b/a/ok", tr.Owner, tr.From, tr.State)
+	}
+}
+
+// TestRecoverKeepsAStolenJob recovers a journal in which a steal was
+// retired: the job is the thief's, so recovery keeps it stolen, owned by the
+// thief, and never runs it. Its trail used to fold to an open one (no
+// terminal, no prepare, no start), so it came back queued, was adopted back
+// from the thief and ran to ok here while the thief owned it.
+func TestRecoverKeepsAStolenJob(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, dir)
+	g := schedGalaxy(t, sched.Config{}, WithJournal(j, "h1"))
+	rs := smallReadSet(t)
+	for i := 0; i < 5; i++ {
+		if _, err := g.Submit("racon", map[string]string{"scale": "0.01"}, rs, SubmitOptions{DatasetName: "nfl"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Engine.RunUntil(g.Engine.Clock().Now() + 10*time.Millisecond)
+	prepared := g.PrepareSteal(1, "h2", 7, nil)
+	if len(prepared) != 1 || !g.RetireSteal(prepared[0].JobID) {
+		t.Fatalf("prepared %d steals, or the retire was refused", len(prepared))
+	}
+	id := prepared[0].JobID
+	if err := j.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2 := openTestJournal(t, dir)
+	t.Cleanup(func() { j2.Close() })
+	recs, rerr := replayDir(t, dir)
+	r := schedGalaxy(t, sched.Config{}, WithJournal(j2, "h1"))
+	r.RegisterDataset("nfl", rs)
+	rep, err := r.Recover(recs, rerr, RecoverOptions{RestartDelay: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rj := range rep.Jobs {
+		if rj.ID == id && (rj.Action != "kept" || rj.State != StateStolen || rj.Owner != "h2") {
+			t.Errorf("job %d recovered as %+v, want kept, stolen, owned by h2", id, rj)
+		}
+	}
+	r.Run()
+	if job, _ := r.Job(id); job.State != StateStolen {
+		t.Errorf("job %d ended %s (%s) after recovery, want stolen", id, job.State, job.Info)
+	}
+	if err := j2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _ = replayDir(t, dir)
+	if tr := journal.Fold(recs).Jobs[id]; tr.State != StateStolen || len(tr.Starts) != 0 || len(tr.Illegal) != 0 {
+		t.Errorf("job %d's trail folds to %s with %d start(s) and illegal %+v, want stolen, never started",
+			id, tr.State, len(tr.Starts), tr.Illegal)
 	}
 }
 

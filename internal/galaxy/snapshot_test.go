@@ -284,17 +284,13 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 			}
 			fmt.Fprintf(&b, "\n\t%s %s", name, js)
 		}
-		fmt.Fprintf(&b, "owner %s from %q base %d starts %v", tr.Owner, tr.From, tr.AttemptBase, tr.Starts)
+		fmt.Fprintf(&b, "%s owner %s from %q base %d starts %v", tr.State, tr.Owner, tr.From, tr.AttemptBase, tr.Starts)
 		rec("submit", &tr.Submit)
 		for i := range tr.Attempts {
 			rec("attempt", &tr.Attempts[i])
 		}
 		rec("start", tr.Start)
-		rec("terminal", tr.Terminal)
-		if tr.Prepared != nil {
-			fmt.Fprintf(&b, "\n\tprepared for %s", tr.Prepared.Handler)
-			rec("", tr.Prepared)
-		}
+		rec("last", tr.Last)
 		return b.String()
 	}
 	if len(before.Order) != 14 || !reflect.DeepEqual(before.Order, after.Order) {
@@ -318,8 +314,8 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 		9:  "complete/error epoch 1 killed by user",
 		10: "running epoch 1",
 		11: "queued",
-		12: "queued prepared for h2",
-		13: "queued owner h2",
+		12: "prepared for h2",
+		13: "stolen owner h2",
 		14: "queued from h0",
 	} {
 		if got := summary(before.Jobs[id]); got != want {
@@ -330,16 +326,9 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 
 // summary is one line on what a trail says happened to its job.
 func summary(tr *journal.Trail) string {
-	var parts []string
-	switch {
-	case tr.Terminal != nil && tr.Terminal.Type == journal.TypeDeadLetter:
-		parts = append(parts, "dead_letter")
-	case tr.Terminal != nil:
-		parts = append(parts, "complete/"+tr.Terminal.State)
-	case tr.Start != nil:
-		parts = append(parts, "running")
-	default:
-		parts = append(parts, "queued")
+	parts := []string{string(tr.State)}
+	if tr.State == StateOK || tr.State == StateError {
+		parts[0] = "complete/" + parts[0]
 	}
 	if tr.Start != nil {
 		parts = append(parts, fmt.Sprintf("epoch %d", tr.Start.Epoch))
@@ -350,8 +339,8 @@ func summary(tr *journal.Trail) string {
 	if tr.AttemptBase > 0 {
 		parts = append(parts, fmt.Sprintf("base %d", tr.AttemptBase))
 	}
-	if tr.Terminal != nil && tr.Terminal.State == string(StateError) {
-		parts = append(parts, tr.Terminal.Msg)
+	if tr.State == StateError {
+		parts = append(parts, tr.Last.Msg)
 	}
 	if tr.Owner != "h1" {
 		parts = append(parts, "owner "+tr.Owner)
@@ -359,8 +348,8 @@ func summary(tr *journal.Trail) string {
 	if tr.From != "" {
 		parts = append(parts, "from "+tr.From)
 	}
-	if tr.Prepared != nil {
-		parts = append(parts, "prepared for "+tr.Prepared.Handler)
+	if tr.State == StatePrepared {
+		parts = append(parts, "for "+tr.Last.Handler)
 	}
 	return strings.Join(parts, " ")
 }

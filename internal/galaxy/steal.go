@@ -58,13 +58,6 @@ func (g *Galaxy) stealCandidatesLocked(max int, to string, skip map[string]bool)
 	return cands
 }
 
-// preparedSteal is a prepared job's steal in flight (Job.steal): the thief
-// and transfer ID its retire and abort records name.
-type preparedSteal struct {
-	to   string
-	xfer uint64
-}
-
 // PreparedSteal is one job detached under phase one of a two-phase steal.
 type PreparedSteal struct {
 	// JobID is the job's local ID on the victim.
@@ -92,7 +85,8 @@ func (g *Galaxy) PrepareSteal(max int, to string, xferBase uint64, skip map[stri
 		xfer := xferBase + uint64(len(out))
 		g.sched.Remove(job.ID)
 		delete(g.schedJobs, job.ID)
-		job.steal = &preparedSteal{to: to, xfer: xfer}
+		prep := g.stealRecord(journal.TypeStealPrepare, job.ID, to, xfer, now)
+		job.steal = &prep
 		g.moveLocked(job, StatePrepared, fmt.Sprintf("steal prepared: tentative owner %q (xfer %d)", to, xfer), now)
 		out = append(out, PreparedSteal{JobID: job.ID, Xfer: xfer, T: job.submit})
 	}
@@ -109,10 +103,10 @@ func (g *Galaxy) RetireSteal(jobID int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	job := g.jobs[jobID]
-	if job == nil || lifecycle[job.State].moves[StateStolen] != journal.TypeStealRetire {
+	if job == nil || !movesBy(job, StateStolen, journal.TypeStealRetire) {
 		return false
 	}
-	job.owner = job.steal.to
+	job.owner = job.steal.Handler
 	g.moveLocked(job, StateStolen, fmt.Sprintf("stolen by handler %q", job.owner), g.Engine.Clock().Now())
 	return true
 }
@@ -125,7 +119,7 @@ func (g *Galaxy) AbortSteal(jobID int, reason string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	job := g.jobs[jobID]
-	if job == nil || lifecycle[job.State].moves[StateQueued] != journal.TypeStealAbort {
+	if job == nil || !movesBy(job, StateQueued, journal.TypeStealAbort) {
 		return false
 	}
 	now := g.Engine.Clock().Now()

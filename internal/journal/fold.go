@@ -11,19 +11,27 @@ import (
 // audit (internal/cluster) — folds the stream here and projects from the
 // History, so the audit certifies the protocol recovery actually ran.
 //
-// The rules, kind by kind:
+// Every job record is checked against the lifecycle (lifecycle.go): a trail
+// starts in queued at its submit, and each record must be one the move out
+// of the trail's State writes, after any record-less moves the stream cannot
+// show. A record the lifecycle refuses — a second submit, anything after a
+// terminal record but a resubmit, a complete while a steal is in flight — is
+// applied to nothing and listed on Trail.Illegal. The rules, kind by kind:
 //
-//   - submit opens a job's Trail and names its first Owner; a second submit
-//     for the same job is ignored. Records of a job with no submit in the
-//     stream (its head was compacted away) belong to no trail.
+//   - submit opens a job's Trail and names its first Owner. Records of a job
+//     with no submit in the stream (its head was compacted away) belong to
+//     no trail.
 //   - start replaces Start (the newest launch epoch and its placement);
 //     every start's time is also kept in Starts.
-//   - attempt appends to Attempts.
-//   - complete and dead_letter set Terminal; resubmit clears it and rebases
-//     AttemptBase, so the retry budget restarts with the failure log kept.
-//   - adopt moves Owner to the writer and records the previous owner in From.
-//   - steal_prepare sets Prepared without moving Owner; steal_retire moves
-//     Owner to the thief and steal_abort leaves it, both closing Prepared.
+//   - attempt appends to Attempts, and adopt moves Owner to the writer and
+//     records the previous owner in From. Neither moves the job: both are
+//     legal in any state that is not done.
+//   - complete (to ok or error, as its State says) and dead_letter close
+//     the trail; resubmit reopens it and rebases AttemptBase, so the retry
+//     budget restarts with the failure log kept.
+//   - steal_prepare leaves Owner; steal_retire moves it to the thief and
+//     steal_abort leaves it.
+//   - every record that moves the job becomes Last.
 //   - workflow definitions and jobless complete records (workflow verdicts)
 //     fold per workflow, claim records in order.
 //   - any other kind is ignored: journals written before the lease, schedule,
@@ -68,33 +76,45 @@ func Fold(recs []Record) *History {
 		t := h.Jobs[rec.Job]
 		if t == nil {
 			if rec.Type == TypeSubmit {
-				h.Jobs[rec.Job] = &Trail{Submit: *rec, Owner: rec.Handler}
+				h.Jobs[rec.Job] = &Trail{Submit: *rec, Owner: rec.Handler, State: StateQueued, Last: rec}
 				h.Order = append(h.Order, rec.Job)
 			}
 			continue
 		}
+		to, legal := t.State, false
 		switch rec.Type {
+		case TypeAttempt, TypeAdopt: // they move nothing
+			legal = !t.State.Done()
+		case TypeComplete:
+			to = State(rec.State)
+			legal = follows[t.State][to] == TypeComplete
+		default:
+			var known bool
+			if to, known = writes[rec.Type]; !known {
+				continue // a retired or unknown kind
+			}
+			legal = follows[t.State][to] == rec.Type
+		}
+		if !legal {
+			t.Illegal = append(t.Illegal, *rec)
+			continue
+		}
+		switch rec.Type {
+		case TypeAttempt:
+			t.Attempts = append(t.Attempts, *rec)
+			continue
+		case TypeAdopt:
+			t.Owner, t.From = rec.Handler, rec.From
+			continue
 		case TypeStart:
 			t.Start = rec
 			t.Starts = append(t.Starts, rec.At)
-		case TypeAttempt:
-			t.Attempts = append(t.Attempts, *rec)
-		case TypeComplete, TypeDeadLetter:
-			t.Terminal = rec
 		case TypeResubmit:
-			t.Terminal = nil
 			t.AttemptBase = len(t.Attempts)
-		case TypeAdopt:
-			t.Owner = rec.Handler
-			t.From = rec.From
-		case TypeStealPrepare:
-			t.Prepared = rec
 		case TypeStealRetire:
 			t.Owner = rec.Handler
-			t.Prepared = nil
-		case TypeStealAbort:
-			t.Prepared = nil
 		}
+		t.State, t.Last = to, rec
 	}
 	sort.Ints(h.Order)
 	return h
@@ -124,6 +144,16 @@ type History struct {
 // Trail is one job's folded records.
 type Trail struct {
 	Submit Record
+	// State is where the job's legal records leave it, and Last the record
+	// that moved it there (the submit, first): a terminal trail's complete
+	// or dead_letter, a prepared one's steal_prepare — a tentative transfer
+	// whose outcome only the thief's journal knows — a stolen one's
+	// steal_retire.
+	State State
+	Last  *Record
+	// Illegal lists the records the lifecycle refused, in stream order;
+	// each was applied to nothing.
+	Illegal []Record
 	// Owner is the handler the job belongs to: the submit record's writer
 	// until an adopt or steal_retire moves it. From is the previous owner an
 	// adopt named ("" for a job that was never transferred in).
@@ -136,10 +166,4 @@ type Trail struct {
 	// counts from AttemptBase (moved by resubmit).
 	Attempts    []Record
 	AttemptBase int
-	// Terminal is the complete or dead_letter record closing the trail, nil
-	// while the job is open (or reopened by a resubmit).
-	Terminal *Record
-	// Prepared is the newest steal_prepare no retire or abort has closed: a
-	// tentative transfer whose outcome only the thief's journal knows.
-	Prepared *Record
 }

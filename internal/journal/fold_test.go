@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -33,8 +34,8 @@ func TestFold(t *testing.T) {
 			[]Record{sub(1, "h1"), {Type: TypeStealPrepare, Job: 1, Handler: "h2", From: "h1", Xfer: 7}},
 			func(t *testing.T, h *History) {
 				tr := h.Jobs[1]
-				if tr.Owner != "h1" || tr.Prepared == nil || tr.Prepared.Handler != "h2" || tr.Prepared.Xfer != 7 {
-					t.Errorf("owner %q prepared %+v, want h1 and the prepare naming h2/7", tr.Owner, tr.Prepared)
+				if tr.Owner != "h1" || tr.State != StatePrepared || tr.Last.Handler != "h2" || tr.Last.Xfer != 7 {
+					t.Errorf("owner %q, %s by %+v, want h1 and prepared by the prepare naming h2/7", tr.Owner, tr.State, tr.Last)
 				}
 			}},
 		{"steal_retire moves Owner and clears Prepared",
@@ -42,8 +43,8 @@ func TestFold(t *testing.T) {
 				{Type: TypeStealPrepare, Job: 1, Handler: "h2", From: "h1", Xfer: 7},
 				{Type: TypeStealRetire, Job: 1, Handler: "h2", From: "h1", Xfer: 7}},
 			func(t *testing.T, h *History) {
-				if tr := h.Jobs[1]; tr.Owner != "h2" || tr.Prepared != nil {
-					t.Errorf("owner %q prepared %+v, want h2 and nil", tr.Owner, tr.Prepared)
+				if tr := h.Jobs[1]; tr.Owner != "h2" || tr.State != StateStolen {
+					t.Errorf("owner %q state %s, want h2 and stolen", tr.Owner, tr.State)
 				}
 			}},
 		{"steal_abort clears Prepared and keeps Owner",
@@ -51,8 +52,8 @@ func TestFold(t *testing.T) {
 				{Type: TypeStealPrepare, Job: 1, Handler: "h2", From: "h1", Xfer: 7},
 				{Type: TypeStealAbort, Job: 1, Handler: "h2", From: "h1", Xfer: 7}},
 			func(t *testing.T, h *History) {
-				if tr := h.Jobs[1]; tr.Owner != "h1" || tr.Prepared != nil {
-					t.Errorf("owner %q prepared %+v, want h1 and nil", tr.Owner, tr.Prepared)
+				if tr := h.Jobs[1]; tr.Owner != "h1" || tr.State != StateQueued {
+					t.Errorf("owner %q state %s, want h1 and queued", tr.Owner, tr.State)
 				}
 			}},
 		{"resubmit reopens Terminal and rebases AttemptBase",
@@ -63,8 +64,8 @@ func TestFold(t *testing.T) {
 				{Type: TypeResubmit, Job: 1},
 				{Type: TypeAttempt, Job: 1, Attempt: 1, Class: "transient"}},
 			func(t *testing.T, h *History) {
-				if tr := h.Jobs[1]; tr.Terminal != nil || tr.AttemptBase != 2 || len(tr.Attempts) != 3 {
-					t.Errorf("terminal %+v base %d attempts %d, want nil/2/3", tr.Terminal, tr.AttemptBase, len(tr.Attempts))
+				if tr := h.Jobs[1]; tr.State != StateQueued || tr.AttemptBase != 2 || len(tr.Attempts) != 3 {
+					t.Errorf("state %s base %d attempts %d, want queued/2/3", tr.State, tr.AttemptBase, len(tr.Attempts))
 				}
 			}},
 		{"start keeps the newest, Starts every one",
@@ -78,8 +79,8 @@ func TestFold(t *testing.T) {
 					!reflect.DeepEqual(tr.Starts, []time.Duration{2 * time.Second, 4 * time.Second}) {
 					t.Errorf("start %+v starts %v", tr.Start, tr.Starts)
 				}
-				if tr.Terminal == nil || tr.Terminal.State != "ok" || h.LastAt != 5*time.Second {
-					t.Errorf("terminal %+v lastAt %v", tr.Terminal, h.LastAt)
+				if tr.State != StateOK || tr.Last.Type != TypeComplete || h.LastAt != 5*time.Second {
+					t.Errorf("state %s by %+v lastAt %v", tr.State, tr.Last, h.LastAt)
 				}
 			}},
 		{"duplicate submit is ignored",
@@ -286,25 +287,34 @@ func TestFoldReadsEveryRecordKind(t *testing.T) {
 		t.Fatalf("found only %d Type constants in record.go: %v", len(kinds), kinds)
 	}
 
-	// The base stream leaves something for every kind to change: an open
-	// prepare to close, a terminal to reopen, an attempt to rebase past.
-	base := []Record{
-		{Type: TypeSubmit, Job: 1, Handler: "h1"},
-		{Type: TypeAttempt, Job: 1, Attempt: 1},
-		{Type: TypeComplete, Job: 1, State: "error"},
-		{Type: TypeStealPrepare, Job: 1, Handler: "h2", From: "h1", Xfer: 1},
+	// Each kind is added to a stream in which the lifecycle allows it, so
+	// the fold must act on it, not merely refuse it: a submit opens the
+	// trail, a retire or an abort closes an open prepare, a resubmit reopens
+	// a dead letter and rebases past its attempt, and every other kind
+	// follows a submit.
+	submit := Record{Type: TypeSubmit, Job: 1, Handler: "h1"}
+	prepare := Record{Type: TypeStealPrepare, Job: 1, Handler: "h2", From: "h1", Xfer: 1}
+	bases := map[Type][]Record{
+		TypeSubmit:      nil,
+		TypeStealRetire: {submit, prepare},
+		TypeStealAbort:  {submit, prepare},
+		TypeResubmit:    {submit, {Type: TypeAttempt, Job: 1, Attempt: 1}, {Type: TypeDeadLetter, Job: 1}},
 	}
 	for _, kind := range kinds {
-		with, without := base, base
-		if i := indexOfKind(base, kind); i >= 0 {
-			without = append(append([]Record(nil), base[:i]...), base[i+1:]...)
-		} else {
-			with = append(append([]Record(nil), base...), Record{
-				Type: kind, Job: 1, Handler: "h2", From: "h1", Workflow: 3,
-				Epoch: 1, Destination: "gpu", Stripes: []int{1},
-			})
+		without, ok := bases[kind]
+		if !ok {
+			without = []Record{submit}
 		}
+		with := append(slices.Clone(without), Record{
+			Type: kind, Job: 1, Handler: "h2", From: "h1", Workflow: 3, State: "error",
+			Epoch: 1, Destination: "gpu", Stripes: []int{1},
+		})
 		hw, ho := Fold(with), Fold(without)
+		for id, tr := range hw.Jobs {
+			if len(tr.Illegal) > 0 {
+				t.Errorf("record kind %q: job %d's trail refused %+v: give the kind a stream in which the lifecycle allows it", kind, id, tr.Illegal)
+			}
+		}
 		hw.LastAt, hw.MaxJob, ho.LastAt, ho.MaxJob = 0, 0, 0, 0
 		switch same := reflect.DeepEqual(hw, ho); {
 		case retired[kind] && !same:
@@ -319,11 +329,113 @@ func TestFoldReadsEveryRecordKind(t *testing.T) {
 	}
 }
 
-func indexOfKind(recs []Record, kind Type) int {
-	for i, r := range recs {
-		if r.Type == kind {
-			return i
-		}
+// TestFoldFlagsIllegalRecords folds whole job streams through the lifecycle.
+// The two a kill racing a steal used to write — a complete between the
+// prepare and its retire, or between the prepare and its abort, after which
+// the job ran to ok — are flagged at the complete, which is applied to
+// nothing. The streams the engine writes on its recovery and transfer paths
+// fold clean to the state they end in.
+func TestFoldFlagsIllegalRecords(t *testing.T) {
+	rec := func(kind Type, r Record) Record { r.Type, r.Job = kind, 1; return r }
+	submit := rec(TypeSubmit, Record{Handler: "h1"})
+	start := rec(TypeStart, Record{Epoch: 1})
+	prepare := rec(TypeStealPrepare, Record{Handler: "h2", From: "h1", Xfer: 7})
+	kill := rec(TypeComplete, Record{State: "error", Msg: "killed by user"})
+	ok := rec(TypeComplete, Record{State: "ok"})
+	attempt := rec(TypeAttempt, Record{Attempt: 1, Class: "transient"})
+	cases := []struct {
+		name    string
+		recs    []Record
+		state   State
+		owner   string
+		illegal []Type
+	}{
+		{"kill then retire", []Record{submit, prepare, kill, rec(TypeStealRetire, Record{Handler: "h2", From: "h1", Xfer: 7})},
+			StateStolen, "h2", []Type{TypeComplete}},
+		{"kill then abort", []Record{submit, prepare, kill, rec(TypeStealAbort, Record{Handler: "h2", From: "h1", Xfer: 7}), start, ok},
+			StateOK, "h1", []Type{TypeComplete}},
+		{"a second submit", []Record{submit, rec(TypeSubmit, Record{Handler: "h9"}), start},
+			StateRunning, "h1", []Type{TypeSubmit}},
+		{"a start after the terminal", []Record{submit, start, ok, start},
+			StateOK, "h1", []Type{TypeStart}},
+		{"retry", []Record{submit, start, attempt, start, ok}, StateOK, "h1", nil},
+		{"recovery restart", []Record{submit, start, rec(TypeAdopt, Record{Handler: "h2", From: "h1"}), start, ok},
+			StateOK, "h2", nil},
+		{"resubmit", []Record{submit, start, attempt, rec(TypeDeadLetter, Record{Msg: "budget spent"}),
+			rec(TypeResubmit, Record{}), start, ok}, StateOK, "h1", nil},
+		{"accept transfer", []Record{rec(TypeSubmit, Record{Handler: "h2", Xfer: 7}),
+			rec(TypeAdopt, Record{Handler: "h2", From: "h1"}), start, ok}, StateOK, "h2", nil},
+		{"orphan abort", []Record{submit, prepare, rec(TypeStealAbort, Record{Handler: "h2", From: "h1", Xfer: 7}),
+			rec(TypeAdopt, Record{Handler: "h3", From: "h1"}), start, kill}, StateError, "h3", nil},
 	}
-	return -1
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := range tc.recs {
+				tc.recs[i].Tick = uint64(i + 1)
+			}
+			tr := Fold(tc.recs).Jobs[1]
+			var illegal []Type
+			for _, r := range tr.Illegal {
+				illegal = append(illegal, r.Type)
+				if got := tc.recs[r.Tick-1].Type; got != r.Type {
+					t.Errorf("illegal ticket %d names a %s, the stream holds a %s there", r.Tick, r.Type, got)
+				}
+			}
+			if tr.State != tc.state || tr.Owner != tc.owner || !slices.Equal(illegal, tc.illegal) {
+				t.Errorf("folded to %s owned by %q, illegal %v; want %s, %q, %v",
+					tr.State, tr.Owner, illegal, tc.state, tc.owner, tc.illegal)
+			}
+		})
+	}
+}
+
+// FuzzFoldWalk holds Fold to the lifecycle it reads. The input is a walk:
+// each byte picks one move out of the current state (or, past the moves, an
+// attempt or an adopt, which move nothing) and the walk writes the record
+// that move writes; a record-less move writes nothing, which is what a park,
+// a retry or a recovery requeue leaves in a journal. Whatever the walk, the
+// trail folds, with no record refused, to the state the walk's last moving
+// record left it in: the record-less moves after it are not in the stream.
+func FuzzFoldWalk(f *testing.F) {
+	for _, walk := range []string{"", "\x04\x04\x03\x01", "\x04\x05\x06\x00\x00\x04\x01", "\x02\x00\x03\x02\x01"} {
+		f.Add([]byte(walk))
+	}
+	f.Fuzz(func(t *testing.T, walk []byte) {
+		state, recorded := StateQueued, StateQueued
+		recs := []Record{{Type: TypeSubmit, Job: 1, Handler: "h1", Tick: 1}}
+		for _, b := range walk {
+			if len(lifecycle[state].moves) == 0 {
+				break
+			}
+			var tos []State
+			for to := range lifecycle[state].moves {
+				tos = append(tos, to)
+			}
+			slices.Sort(tos)
+			r := Record{Job: 1, Handler: "h2", From: "h1", Tick: uint64(len(recs) + 1)}
+			switch i := int(b) % (len(tos) + 2); {
+			case i < len(tos):
+				kind, _ := state.Move(tos[i])
+				state = tos[i]
+				if kind == "" {
+					continue
+				}
+				r.Type, recorded = kind, state
+				if kind == TypeComplete {
+					r.State = string(state)
+				}
+			case state.Done():
+				continue
+			case i == len(tos):
+				r.Type = TypeAttempt
+			default:
+				r.Type = TypeAdopt
+			}
+			recs = append(recs, r)
+		}
+		tr := Fold(recs).Jobs[1]
+		if tr.State != recorded || len(tr.Illegal) > 0 {
+			t.Fatalf("a walk whose last move recorded %s folded to %s, refusing %+v: %v", recorded, tr.State, tr.Illegal, recs)
+		}
+	})
 }

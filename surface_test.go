@@ -405,11 +405,12 @@ func TestLockCensus(t *testing.T) {
 }
 
 // TestJobStateWrittenOnlyInLifecycle holds the job lifecycle to one
-// writer. internal/galaxy/lifecycle.go states it as a table of legal moves,
-// and its moveLocked (and, for a replayed job, restore) is the only place a
-// program may set galaxy.Job.State, by assignment or as a composite-literal
-// key. A write anywhere else is a move the table does not check and whose
-// record nothing guarantees: make it a move.
+// writer. internal/journal/lifecycle.go states it as a table of legal moves,
+// which journal.Fold checks every trail against, and the moveLocked of
+// internal/galaxy/lifecycle.go (and, for a replayed job, restore) is the only
+// place a program may set galaxy.Job.State, by assignment or as a
+// composite-literal key. A write anywhere else is a move the table does not
+// check and whose record nothing guarantees: make it a move.
 func TestJobStateWrittenOnlyInLifecycle(t *testing.T) {
 	m := loadModule(t)
 	gp := m.l.load(modulePath + "/internal/galaxy")
