@@ -106,10 +106,12 @@ quick-golden:
 # the same job trails, record for record and run for run, as the journal it
 # replaced, and a restarted server serves the same placement and trail for
 # each job before and after a compaction; a job whose steal was retired
-# before the crash stays stolen, the thief's, and never runs again.
+# before the crash stays stolen, the thief's, and never runs again; a kill
+# the lifecycle refused on an open trail fails the job durably, and each
+# record's inverse rebuilds the failure log, retry budget and newest run.
 test-crash:
 	$(call run_selected,./internal/experiments,TestCrashRecovery)
-	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLockHolderAdoptsDeadHandlersJobs|TestRecoverSplicedMapRecords|TestRecoverKeepsDevicePin|TestRecoveredFailureIsDurable|TestSnapshotJournalIsTheFoldsInverse|TestRecoverKeepsAStolenJob)
+	$(call run_selected,./internal/galaxy,TestCrashMidWorkload|TestLockHolderAdoptsDeadHandlersJobs|TestRecoverSplicedMapRecords|TestRecoverKeepsDevicePin|TestRecoveredFailureIsDurable|TestSnapshotJournalIsTheFoldsInverse|TestRecoverKeepsAStolenJob|TestRecoverActsOnRefusedRecords|TestRecoverAppliesEachRecordsInverse)
 	$(call run_selected,./internal/api,TestRecoveryEndpointAfterRestart)
 
 # hammer-api is the -race hammer for the single server's real handler:

@@ -63,7 +63,7 @@ func (g *Galaxy) moveLocked(j *Job, to JobState, info string, at time.Duration) 
 // restore sets a replayed job's state, the one its trail folded to, and the
 // steal a prepared one has in flight, the trail's last record: the record
 // that moved it there is already in the journal, so replay restores rather
-// than moves (materializeLocked).
+// than moves (Recover).
 func (j *Job) restore(h *journal.Trail) {
 	j.State = h.State
 	if h.State == StatePrepared {

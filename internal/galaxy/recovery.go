@@ -10,10 +10,12 @@ import (
 
 // Crash recovery and handler failover. With a journal attached (WithJournal)
 // every job state transition is appended to a durable write-ahead log, and a
-// freshly built Galaxy can be rebuilt from the log with Recover: terminal
-// jobs rematerialize with their failure logs, quarantine state is replayed
-// from the attempt records, and non-terminal jobs requeue as a new run epoch
-// with their original submission time, so seniority survives the restart.
+// freshly built Galaxy can be rebuilt from the log with Recover, in one pass
+// over the records: terminal jobs rematerialize with their failure logs,
+// quarantine state is replayed from the attempt records, and non-terminal
+// jobs requeue as a new run epoch with their original submission time, so
+// seniority survives the restart. One whose trail holds a record the
+// lifecycle refused fails instead.
 // Placement is not recovered: a start record says where a run went, a job that
 // never started comes back with none, and the requeue maps it from a fresh
 // survey at the resumed instant — GYAN's rule, so the decision is not journaled.
@@ -159,7 +161,8 @@ type RecoveredJob struct {
 	// or stolen by another handler),
 	// "requeued" (own non-terminal job redispatched), "adopted" (another
 	// handler's job taken over, then requeued) or "failed" (unrecoverable:
-	// tool or dataset no longer available).
+	// tool or dataset no longer available, or a record the lifecycle
+	// refused on its open trail).
 	Action string `json:"action"`
 	// Owner is the handler owning the job after recovery.
 	Owner string `json:"owner,omitempty"`
@@ -249,11 +252,14 @@ type RecoverOptions struct {
 // previous owner dead, so a replay read before it may miss a live holder's
 // last acknowledged records. replayErr is whatever Replay returned — a
 // *CorruptRecordError is treated as the expected torn-tail crash artifact and
-// reported, any other error aborts. Terminal jobs are rematerialized with
-// their failure logs, quarantine charges are replayed, completed GPU runtimes
-// are re-credited to fair share, and every non-terminal job requeues in ID
-// order as a fresh run epoch with its original submission time, adopted
-// first when its trail names another handler. Journaled dataset names are
+// reported, any other error aborts. One pass folds each record
+// (journal.History.Add) and applies each legal one to its job through its
+// inverse (Job.apply); then each job's state is restored from its trail.
+// Completed GPU runtimes are re-credited to fair share, and every non-terminal
+// job requeues in ID order as a fresh run epoch with its original submission
+// time, adopted first when its trail names another handler — or, when its
+// trail holds a refused record, fails durably, naming the first one's kind
+// and ticket. Journaled dataset names are
 // re-resolved from the engine's registry (RegisterDataset), so datasets are
 // registered before Recover.
 func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOptions) (*RecoveryReport, error) {
@@ -281,44 +287,46 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		rep.CorruptTail = cerr.Error()
 	}
 
-	hist := journal.Fold(recs)
+	// Attempts charge their culprits in record order, across jobs, which
+	// rebuilds the quarantine's counts, spans and cooldowns exactly. A job
+	// record is a step of its job's trail, refused or not.
+	var hist journal.History
+	for i := range recs {
+		rec := &recs[i]
+		if rec.Type == journal.TypeAttempt {
+			for _, d := range rec.Devices {
+				g.quarantine.RecordFault(d, rec.At)
+			}
+			rep.Faults = append(rep.Faults, replayedFault{At: rec.At, Op: rec.Op, Class: rec.Class, Devices: rec.Devices})
+		}
+		t, legal := hist.Add(rec)
+		if t == nil {
+			continue
+		}
+		job := g.jobs[rec.Job]
+		if job == nil { // rec is the submit that opened t
+			// Even a done job's dataset: an admin resubmit of a dead letter
+			// runs on it, and a resumed workflow step takes its parent's.
+			job = &Job{ID: rec.Job, Dataset: g.datasets[rec.Dataset]}
+			g.jobs[rec.Job] = job
+			g.nextID = max(g.nextID, rec.Job)
+		}
+		if s, ok := stepOf(rec); ok {
+			job.note(s)
+		}
+		if legal {
+			job.apply(rec)
+		}
+	}
+	rep.QuarantineRestored = len(g.quarantine.Spans())
 	rep.LastRecordAt = hist.LastAt
 	now := g.Engine.Clock().AdvanceTo(hist.LastAt + opts.RestartDelay)
 	rep.ResumedAt = now
 
 	for _, id := range hist.Order {
-		g.nextID = max(g.nextID, id)
-		g.jobs[id] = g.materializeLocked(id, hist.Jobs[id])
-	}
-	// Two things are read off the stream rather than the fold. Each job
-	// record becomes a step of its job's trail, so a recovered job shows its
-	// journaled history. And the quarantine replays: charging every
-	// attempt's culprit devices in record order rebuilds counts, spans and
-	// cooldown deadlines exactly, because device state depends on the order
-	// of attempts across jobs.
-	for i := range recs {
-		rec := &recs[i]
-		// A record before its job's submit is dropped, as Fold drops it.
-		if j := g.jobs[rec.Job]; j != nil && (j.steps != nil || rec.Type == journal.TypeSubmit) {
-			if s, ok := stepOf(rec); ok {
-				j.note(s)
-			}
-		}
-		if rec.Type != journal.TypeAttempt {
-			continue
-		}
-		for _, d := range rec.Devices {
-			g.quarantine.RecordFault(d, rec.At)
-		}
-		rep.Faults = append(rep.Faults, replayedFault{
-			At: rec.At, Op: rec.Op, Class: rec.Class, Devices: rec.Devices,
-		})
-	}
-	rep.QuarantineRestored = len(g.quarantine.Spans())
-
-	for _, id := range hist.Order {
 		h := hist.Jobs[id]
 		job := g.jobs[id]
+		job.restore(h)
 		// A handler with no ID (journaling off) claims every job as its own.
 		foreign := h.Owner != "" && g.handlerID != "" && h.Owner != g.handlerID
 		if foreign {
@@ -355,7 +363,7 @@ func (g *Galaxy) Recover(recs []journal.Record, replayErr error, opts RecoverOpt
 		rep.Jobs = append(rep.Jobs, RecoveredJob{ID: id, Tool: job.ToolID, State: job.State, Action: action, Owner: owner})
 	}
 
-	g.rebuildWorkflowsLocked(hist, rep, now)
+	g.rebuildWorkflowsLocked(&hist, rep, now)
 	g.recovery = rep
 	return rep, nil
 }
@@ -380,13 +388,13 @@ func (g *Galaxy) requeueLocked(job *Job, h *journal.Trail, now time.Duration, re
 		rep.Adopted++
 		action = "adopted"
 	}
-	binding, err := g.resolveRequeueLocked(job)
+	binding, err := g.resolveRequeueLocked(job, h)
 	if err != nil {
 		g.moveLocked(job, StateError, err.Error(), now)
 		return "failed"
 	}
 	info := "recovered: requeued after handler restart"
-	if h.Start != nil {
+	if len(h.Starts) > 0 {
 		info = fmt.Sprintf("recovered: rerunning as epoch %d after handler crash", job.run+1)
 	}
 	g.moveLocked(job, StateQueued, info, now)
@@ -403,46 +411,16 @@ func (g *Galaxy) requeueLocked(job *Job, h *journal.Trail, now time.Duration, re
 	return action
 }
 
-// materializeLocked rebuilds one Job value from its folded trail: the state
-// the trail folded to, and each record's fields through its inverse
-// (records.go). A done trail comes back as it ended, an open one as
-// prepared, running or queued, for Recover to dispose of. An illegal record
-// is not applied: the job comes back in its last legal state.
-func (g *Galaxy) materializeLocked(id int, h *journal.Trail) *Job {
-	sub := h.Submit
-	job := &Job{
-		ID:          id,
-		ToolID:      sub.Tool,
-		Params:      sub.Params,
-		User:        userOrAnonymous(sub.User),
-		Runtime:     sub.Runtime,
-		Submitted:   sub.Submitted,
-		WorkflowID:  sub.Workflow,
-		StepID:      sub.Step,
-		submit:      sub,
-		attemptBase: h.AttemptBase,
+// resolveRequeueLocked checks that a requeued job's trail holds no record
+// the lifecycle refused (a kill racing a steal, which a rerun would undo),
+// that its tool and dataset still exist on this handler, and that its params
+// and dataset pass the submit check: a journal an older engine wrote may hold
+// a job it would refuse.
+func (g *Galaxy) resolveRequeueLocked(job *Job, h *journal.Trail) (*ToolBinding, error) {
+	if len(h.Illegal) > 0 {
+		r := h.Illegal[0]
+		return nil, fmt.Errorf("unrecoverable: the journal holds a %s record (ticket %d) the job's lifecycle refuses", r.Type, r.Tick)
 	}
-	for i := range h.Attempts {
-		job.Failures = append(job.Failures, failureOf(&h.Attempts[i]))
-	}
-	job.restore(h)
-	if h.Start != nil {
-		job.applyStart(h.Start)
-	}
-	if h.State.Done() {
-		job.applyTerminal(h.Last)
-	}
-	// Resolve the dataset even for terminal jobs: an admin resubmit of a
-	// recovered dead-letter needs a payload to run, and a resumed workflow
-	// step takes its parent's.
-	job.Dataset = g.datasets[sub.Dataset]
-	return job
-}
-
-// resolveRequeueLocked checks that a requeued job's tool and dataset still
-// exist on this handler and that its params and dataset pass the submit
-// check: a journal an older engine wrote may hold a job it would refuse.
-func (g *Galaxy) resolveRequeueLocked(job *Job) (*ToolBinding, error) {
 	binding, err := g.toolLocked(job.ToolID)
 	if err != nil {
 		return nil, fmt.Errorf("unrecoverable: %v", err)

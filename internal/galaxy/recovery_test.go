@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -301,6 +303,7 @@ func TestRecoverKeepsAStolenJob(t *testing.T) {
 		t.Fatalf("prepared %d steals, or the retire was refused", len(prepared))
 	}
 	id := prepared[0].JobID
+	live, _ := g.Job(id)
 	if err := j.Crash(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,6 +321,9 @@ func TestRecoverKeepsAStolenJob(t *testing.T) {
 		if rj.ID == id && (rj.Action != "kept" || rj.State != StateStolen || rj.Owner != "h2") {
 			t.Errorf("job %d recovered as %+v, want kept, stolen, owned by h2", id, rj)
 		}
+	}
+	if job, _ := r.Job(id); job.Info != live.Info || job.Finished != live.Finished {
+		t.Errorf("job %d recovered with info %q finished %v, want the live %q at %v", id, job.Info, job.Finished, live.Info, live.Finished)
 	}
 	r.Run()
 	if job, _ := r.Job(id); job.State != StateStolen {
@@ -845,5 +851,141 @@ func TestRecoverFailsAnInvalidOldJob(t *testing.T) {
 	}
 	if good, _ := g.Job(2); good.State != StateOK {
 		t.Errorf("valid old job finished %s: %s", good.State, good.Info)
+	}
+}
+
+// recoverAgain opens the journal in dir as h1, replays it, recovers a fresh
+// engine with the reads dataset registered, drains it and closes the
+// journal, returning the engine and its report.
+func recoverAgain(t *testing.T, dir string) (*Galaxy, *RecoveryReport) {
+	t.Helper()
+	j := openTestJournal(t, dir)
+	recs, rerr := replayDir(t, dir)
+	g := testGalaxy(t, WithJournal(j, "h1"))
+	g.RegisterDataset("reads", smallReadSet(t))
+	rep, err := g.Recover(recs, rerr, RecoverOptions{RestartDelay: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Run()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return g, rep
+}
+
+// TestRecoverActsOnRefusedRecords recovers the two streams a kill racing a
+// steal used to write. Kill-then-abort: the lifecycle refuses the complete
+// between the prepare and the abort, so the trail folds open, and recovery
+// fails the job durably, naming the refused record, where it used to requeue
+// the killed job and run it to ok. Kill-then-retire: the thief's accept
+// outranks the kill, so the trail folds stolen and is kept as it folded.
+func TestRecoverActsOnRefusedRecords(t *testing.T) {
+	submit := `{"t":"submit","at":0,"h":"h1","job":1,"tool":"racon","params":{"scale":"0.001"},"dataset":"reads"}`
+	prepare := `{"t":"steal_prepare","at":1000,"h":"h2","job":1,"from":"h1","xfer":7}`
+	kill := `{"t":"complete","at":2000,"h":"h1","job":1,"state":"error","msg":"killed by user"}`
+
+	t.Run("kill then abort", func(t *testing.T) {
+		dir := writeJournal(t, []string{submit, prepare, kill,
+			`{"t":"steal_abort","at":3000,"h":"h2","job":1,"from":"h1","xfer":7}`})
+		recs, _ := replayDir(t, dir)
+		g, rep := recoverAgain(t, dir)
+		if want := (RecoveredJob{ID: 1, Tool: "racon", State: StateError, Action: "failed", Owner: "h1"}); rep.Failed != 1 || rep.Jobs[0] != want {
+			t.Fatalf("recovered %+v (failed %d), want %+v", rep.Jobs, rep.Failed, want)
+		}
+		job, _ := g.Job(1)
+		if job.State != StateError || job.Started != 0 || job.PID != 0 {
+			t.Errorf("job ended %s, started at %v as pid %d; want error, never started", job.State, job.Started, job.PID)
+		}
+		if tick := fmt.Sprint(recs[2].Tick); !strings.Contains(job.Info, "complete record (ticket "+tick+")") {
+			t.Errorf("job's reason %q does not name the refused complete, ticket %s", job.Info, tick)
+		}
+		tr, _ := g.Trail(1)
+		var names []string
+		for _, e := range tr.Events {
+			names = append(names, e.Name)
+		}
+		if got := strings.Join(names, ","); got != "submit,steal_prepare,complete,steal_abort,complete" {
+			t.Errorf("served trail %s, want the refused complete shown and the failure last", got)
+		}
+
+		_, rep = recoverAgain(t, dir)
+		if want := (RecoveredJob{ID: 1, Tool: "racon", State: StateError, Action: "kept", Owner: "h1"}); rep.Jobs[0] != want {
+			t.Errorf("second recovery: %+v, want %+v", rep.Jobs[0], want)
+		}
+		if again, _ := replayDir(t, dir); len(again) != len(recs)+1 {
+			t.Errorf("journal holds %d records, want the %d written and the one failure", len(again), len(recs))
+		}
+	})
+
+	t.Run("kill then retire", func(t *testing.T) {
+		dir := writeJournal(t, []string{submit, prepare, kill,
+			`{"t":"steal_retire","at":3000,"h":"h2","job":1,"from":"h1","xfer":7}`})
+		_, rep := recoverAgain(t, dir)
+		if want := (RecoveredJob{ID: 1, Tool: "racon", State: StateStolen, Action: "kept", Owner: "h2"}); rep.Jobs[0] != want {
+			t.Errorf("recovered %+v, want %+v", rep.Jobs[0], want)
+		}
+	})
+}
+
+// TestRecoverAppliesEachRecordsInverse recovers a hand-written trail that
+// runs twice, dead-letters, is resubmitted and fails once more: the job comes
+// back with all three failures, a retry budget counting from the resubmit,
+// and the newest start's epoch, placement, PID and Info. Open, it requeues as
+// the next epoch; closed by a third run, it is kept as that run left it.
+func TestRecoverAppliesEachRecordsInverse(t *testing.T) {
+	trail := []string{
+		`{"t":"submit","at":0,"h":"h1","job":1,"tool":"racon","params":{"scale":"0.001"},"dataset":"reads"}`,
+		`{"t":"start","at":1000,"h":"h1","job":1,"epoch":1,"dest":"local_gpu","gpu":true,"devices":[0],"pid":101,"msg":"first"}`,
+		`{"t":"attempt","at":2000,"h":"h1","job":1,"attempt":1,"op":"exec","class":"transient","devices":[0]}`,
+		`{"t":"start","at":3000,"h":"h1","job":1,"epoch":2,"dest":"local_gpu","gpu":true,"devices":[1],"pid":202,"msg":"second"}`,
+		`{"t":"attempt","at":4000,"h":"h1","job":1,"attempt":2,"op":"exec","class":"permanent","devices":[1]}`,
+		`{"t":"dead_letter","at":5000,"h":"h1","job":1,"msg":"budget spent"}`,
+		`{"t":"resubmit","at":6000,"h":"h1","job":1}`,
+		`{"t":"attempt","at":7000,"h":"h1","job":1,"attempt":1,"op":"survey","class":"transient"}`,
+	}
+	for _, tc := range []struct {
+		name   string
+		more   []string
+		action string
+		want   Job
+	}{
+		{"open", nil, "requeued", Job{State: StateQueued, run: 2, Started: 3000, Destination: "local_gpu", Devices: []int{1}, PID: 202,
+			Info: "recovered: rerunning as epoch 3 after handler crash"}},
+		{"closed by a third run", []string{
+			`{"t":"start","at":8000,"h":"h1","job":1,"epoch":3,"dest":"local","devices":[],"pid":303,"msg":"third"}`,
+			`{"t":"complete","at":9000,"h":"h1","job":1,"epoch":3,"state":"ok"}`,
+		}, "kept", Job{State: StateOK, run: 3, Started: 8000, Finished: 9000, Destination: "local", PID: 303, Info: "third"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeJournal(t, append(slices.Clone(trail), tc.more...))
+			j := openTestJournal(t, dir)
+			defer j.Close()
+			recs, rerr := replayDir(t, dir)
+			g := testGalaxy(t, WithJournal(j, "h1"))
+			g.RegisterDataset("reads", smallReadSet(t))
+			rep, err := g.Recover(recs, rerr, RecoverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, _ := g.Job(1)
+			if rep.Jobs[0].Action != tc.action || job.State != tc.want.State {
+				t.Errorf("recovered %s, %s; want %s, %s", rep.Jobs[0].Action, job.State, tc.action, tc.want.State)
+			}
+			if len(job.Failures) != 3 || job.attemptBase != 2 || job.Attempt() != 2 {
+				t.Errorf("%d failures, budget from %d (attempt %d); want 3, from 2 (attempt 2)", len(job.Failures), job.attemptBase, job.Attempt())
+			}
+			if f := job.Failures; len(f) == 3 && (f[1].Class != faults.Permanent || f[2].Op != faults.Op("survey") || !slices.Equal(f[0].Devices, []int{0})) {
+				t.Errorf("failure log %+v, want each attempt's class, op and culprits", f)
+			}
+			got := Job{State: job.State, run: job.run, Started: job.Started, Finished: job.Finished,
+				Destination: job.Destination, Devices: job.Devices, PID: job.PID, Info: job.Info}
+			if len(got.Devices) == 0 {
+				got.Devices = nil
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("recovered run %+v,\nwant %+v", got, tc.want)
+			}
+		})
 	}
 }

@@ -251,7 +251,13 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fold := func() *journal.History {
+	// fold folds the directory, and keeps each job's attempt, start and
+	// resubmit records, which the trail does not hold, in written order.
+	type folded struct {
+		*journal.History
+		runs map[int][]journal.Record
+	}
+	fold := func() folded {
 		t.Helper()
 		if err := j.Sync(); err != nil {
 			t.Fatal(err)
@@ -260,7 +266,14 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		return journal.Fold(recs)
+		f := folded{journal.Fold(recs), map[int][]journal.Record{}}
+		for _, r := range recs {
+			switch r.Type {
+			case journal.TypeAttempt, journal.TypeStart, journal.TypeResubmit:
+				f.runs[r.Job] = append(f.runs[r.Job], r)
+			}
+		}
+		return f
 	}
 	before := fold()
 	if err := g.SnapshotJournal(); err != nil {
@@ -268,36 +281,32 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 	}
 	after := fold()
 
-	// A whole trail, as text, less every record's ticket, which compaction
-	// reissues.
-	show := func(tr *journal.Trail) string {
+	// A whole trail, as text, with every attempt, start and resubmit record
+	// of its job, less every record's ticket, which compaction reissues.
+	show := func(f folded, id int) string {
+		tr := f.Jobs[id]
 		var b strings.Builder
-		rec := func(name string, r *journal.Record) {
-			if r == nil {
-				return
-			}
-			c := *r
-			c.Tick = 0
-			js, err := json.Marshal(c)
+		rec := func(name string, r journal.Record) {
+			r.Tick = 0
+			js, err := json.Marshal(r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&b, "\n\t%s %s", name, js)
 		}
-		fmt.Fprintf(&b, "%s owner %s from %q base %d starts %v", tr.State, tr.Owner, tr.From, tr.AttemptBase, tr.Starts)
-		rec("submit", &tr.Submit)
-		for i := range tr.Attempts {
-			rec("attempt", &tr.Attempts[i])
+		fmt.Fprintf(&b, "%s owner %s from %q starts %v illegal %d", tr.State, tr.Owner, tr.From, tr.Starts, len(tr.Illegal))
+		rec("submit", tr.Submit)
+		for _, r := range f.runs[id] {
+			rec(string(r.Type), r)
 		}
-		rec("start", tr.Start)
-		rec("last", tr.Last)
+		rec("last", *tr.Last)
 		return b.String()
 	}
 	if len(before.Order) != 14 || !reflect.DeepEqual(before.Order, after.Order) {
 		t.Fatalf("jobs before %v, after %v, want the same 14", before.Order, after.Order)
 	}
 	for _, id := range before.Order {
-		if b, a := show(before.Jobs[id]), show(after.Jobs[id]); b != a {
+		if b, a := show(before, id), show(after, id); b != a {
 			t.Errorf("job %d before compaction: %s\nafter: %s", id, b, a)
 		}
 	}
@@ -318,26 +327,39 @@ func TestSnapshotJournalIsTheFoldsInverse(t *testing.T) {
 		13: "stolen owner h2",
 		14: "queued from h0",
 	} {
-		if got := summary(before.Jobs[id]); got != want {
+		if got := summary(before.Jobs[id], before.runs[id]); got != want {
 			t.Errorf("job %d folded to %q, want %q; scenario drifted", id, got, want)
 		}
 	}
 }
 
-// summary is one line on what a trail says happened to its job.
-func summary(tr *journal.Trail) string {
+// summary is one line on what a trail and its job's attempt, start and
+// resubmit records, in written order, say happened to the job: the newest
+// start's epoch, the failures and where the retry budget counts from.
+func summary(tr *journal.Trail, runs []journal.Record) string {
 	parts := []string{string(tr.State)}
 	if tr.State == StateOK || tr.State == StateError {
 		parts[0] = "complete/" + parts[0]
 	}
-	if tr.Start != nil {
-		parts = append(parts, fmt.Sprintf("epoch %d", tr.Start.Epoch))
+	epoch, attempts, base := 0, 0, 0
+	for _, r := range runs {
+		switch r.Type {
+		case journal.TypeStart:
+			epoch = r.Epoch
+		case journal.TypeAttempt:
+			attempts++
+		case journal.TypeResubmit:
+			base = attempts
+		}
 	}
-	if n := len(tr.Attempts); n > 0 {
-		parts = append(parts, fmt.Sprintf("attempts %d", n))
+	if epoch > 0 {
+		parts = append(parts, fmt.Sprintf("epoch %d", epoch))
 	}
-	if tr.AttemptBase > 0 {
-		parts = append(parts, fmt.Sprintf("base %d", tr.AttemptBase))
+	if attempts > 0 {
+		parts = append(parts, fmt.Sprintf("attempts %d", attempts))
+	}
+	if base > 0 {
+		parts = append(parts, fmt.Sprintf("base %d", base))
 	}
 	if tr.State == StateError {
 		parts = append(parts, tr.Last.Msg)

@@ -107,7 +107,7 @@ func (g *Galaxy) RetireSteal(jobID int) bool {
 		return false
 	}
 	job.owner = job.steal.Handler
-	g.moveLocked(job, StateStolen, fmt.Sprintf("stolen by handler %q", job.owner), g.Engine.Clock().Now())
+	g.moveLocked(job, StateStolen, stolenInfo(job.owner), g.Engine.Clock().Now())
 	return true
 }
 

@@ -1,15 +1,17 @@
 package journal
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
 // Fold is the one definition of what a record stream means. Every reader that
 // acts on job ownership or job state — crash recovery (galaxy.Recover), a
 // survivor's post-mortem of a dead peer and the cross-journal exactly-once
-// audit (internal/cluster) — folds the stream here and projects from the
-// History, so the audit certifies the protocol recovery actually ran.
+// audit (internal/cluster) — folds the stream through History.Add, record by
+// record, and projects from the History, so the audit certifies the protocol
+// recovery actually ran. Fold is that loop; Recover runs it itself, acting on
+// each record as it is added.
 //
 // Every job record is checked against the lifecycle (lifecycle.go): a trail
 // starts in queued at its submit, and each record must be one the move out
@@ -21,14 +23,13 @@ import (
 //   - submit opens a job's Trail and names its first Owner. Records of a job
 //     with no submit in the stream (its head was compacted away) belong to
 //     no trail.
-//   - start replaces Start (the newest launch epoch and its placement);
-//     every start's time is also kept in Starts.
-//   - attempt appends to Attempts, and adopt moves Owner to the writer and
-//     records the previous owner in From. Neither moves the job: both are
-//     legal in any state that is not done.
+//   - start moves the job to running and adds its time to Starts.
+//   - attempt and adopt move nothing: both are legal in any state that is
+//     not done. adopt moves Owner to the writer and records the previous
+//     owner in From; an attempt changes nothing the trail holds (the failure
+//     log and its retry budget are the engine's, rebuilt by Recover).
 //   - complete (to ok or error, as its State says) and dead_letter close
-//     the trail; resubmit reopens it and rebases AttemptBase, so the retry
-//     budget restarts with the failure log kept.
+//     the trail; resubmit reopens a dead letter.
 //   - steal_prepare leaves Owner; steal_retire moves it to the thief and
 //     steal_abort leaves it.
 //   - every record that moves the job becomes Last.
@@ -43,81 +44,80 @@ import (
 //
 // Pointer fields alias recs.
 func Fold(recs []Record) *History {
-	h := &History{
-		Jobs:      make(map[int]*Trail),
-		Workflows: make(map[int]Record),
-		Verdicts:  make(map[int]Record),
-	}
+	h := new(History)
 	for i := range recs {
-		rec := &recs[i]
-		if rec.At > h.LastAt {
-			h.LastAt = rec.At
-		}
-		if rec.Job > h.MaxJob {
-			h.MaxJob = rec.Job
-		}
-		switch rec.Type {
-		case TypeWorkflow:
-			if _, seen := h.Workflows[rec.Workflow]; !seen {
-				h.Workflows[rec.Workflow] = *rec
-				h.WorkflowOrder = append(h.WorkflowOrder, rec.Workflow)
-			}
-			continue
-		case TypeClaim:
-			h.Claims = append(h.Claims, *rec)
-			continue
-		}
-		if rec.Job == 0 {
-			if rec.Type == TypeComplete && rec.Workflow != 0 {
-				h.Verdicts[rec.Workflow] = *rec
-			}
-			continue
-		}
-		t := h.Jobs[rec.Job]
-		if t == nil {
-			if rec.Type == TypeSubmit {
-				h.Jobs[rec.Job] = &Trail{Submit: *rec, Owner: rec.Handler, State: StateQueued, Last: rec}
-				h.Order = append(h.Order, rec.Job)
-			}
-			continue
-		}
-		to, legal := t.State, false
-		switch rec.Type {
-		case TypeAttempt, TypeAdopt: // they move nothing
-			legal = !t.State.Done()
-		case TypeComplete:
-			to = State(rec.State)
-			legal = follows[t.State][to] == TypeComplete
-		default:
-			var known bool
-			if to, known = writes[rec.Type]; !known {
-				continue // a retired or unknown kind
-			}
-			legal = follows[t.State][to] == rec.Type
-		}
-		if !legal {
-			t.Illegal = append(t.Illegal, *rec)
-			continue
-		}
-		switch rec.Type {
-		case TypeAttempt:
-			t.Attempts = append(t.Attempts, *rec)
-			continue
-		case TypeAdopt:
-			t.Owner, t.From = rec.Handler, rec.From
-			continue
-		case TypeStart:
-			t.Start = rec
-			t.Starts = append(t.Starts, rec.At)
-		case TypeResubmit:
-			t.AttemptBase = len(t.Attempts)
-		case TypeStealRetire:
-			t.Owner = rec.Handler
-		}
-		t.State, t.Last = to, rec
+		h.Add(&recs[i])
 	}
-	sort.Ints(h.Order)
 	return h
+}
+
+// Add folds one more record into h, by Fold's rules; the zero History is
+// empty. It returns the trail rec belongs to — nil for a record no trail
+// reads: a jobless or workflow record, one before its job's submit, a retired
+// kind — and whether the lifecycle allowed it there. A refused record is on
+// t.Illegal and applied to nothing. t.Last aliases rec.
+func (h *History) Add(rec *Record) (t *Trail, legal bool) {
+	if h.Jobs == nil {
+		h.Jobs, h.Workflows, h.Verdicts = make(map[int]*Trail), make(map[int]Record), make(map[int]Record)
+	}
+	h.LastAt, h.MaxJob = max(h.LastAt, rec.At), max(h.MaxJob, rec.Job)
+	switch {
+	case rec.Type == TypeWorkflow:
+		if _, seen := h.Workflows[rec.Workflow]; !seen {
+			h.Workflows[rec.Workflow] = *rec
+			h.WorkflowOrder = append(h.WorkflowOrder, rec.Workflow)
+		}
+		return nil, false
+	case rec.Type == TypeClaim:
+		h.Claims = append(h.Claims, *rec)
+		return nil, false
+	case rec.Job == 0:
+		if rec.Type == TypeComplete && rec.Workflow != 0 {
+			h.Verdicts[rec.Workflow] = *rec
+		}
+		return nil, false
+	}
+	if t = h.Jobs[rec.Job]; t == nil {
+		if rec.Type != TypeSubmit {
+			return nil, false
+		}
+		t = &Trail{Submit: *rec, Owner: rec.Handler, State: StateQueued, Last: rec}
+		h.Jobs[rec.Job] = t
+		i, _ := slices.BinarySearch(h.Order, rec.Job)
+		h.Order = slices.Insert(h.Order, i, rec.Job)
+		return t, true
+	}
+	to := t.State
+	switch rec.Type {
+	case TypeAttempt, TypeAdopt: // they move nothing
+		legal = !t.State.Done()
+	case TypeComplete:
+		to = State(rec.State)
+		legal = follows[t.State][to] == TypeComplete
+	default:
+		var known bool
+		if to, known = writes[rec.Type]; !known {
+			return nil, false // a retired or unknown kind
+		}
+		legal = follows[t.State][to] == rec.Type
+	}
+	if !legal {
+		t.Illegal = append(t.Illegal, *rec)
+		return t, false
+	}
+	switch rec.Type {
+	case TypeAttempt:
+		return t, true
+	case TypeAdopt:
+		t.Owner, t.From = rec.Handler, rec.From
+		return t, true
+	case TypeStart:
+		t.Starts = append(t.Starts, rec.At)
+	case TypeStealRetire:
+		t.Owner = rec.Handler
+	}
+	t.State, t.Last = to, rec
+	return t, true
 }
 
 // History is a folded record stream.
@@ -159,11 +159,6 @@ type Trail struct {
 	// adopt named ("" for a job that was never transferred in).
 	Owner string
 	From  string
-	// Start is the newest start record; Starts lists every start's time.
-	Start  *Record
+	// Starts lists every start's time.
 	Starts []time.Duration
-	// Attempts is the classified-failure log; the current retry budget
-	// counts from AttemptBase (moved by resubmit).
-	Attempts    []Record
-	AttemptBase int
 }

@@ -56,7 +56,7 @@ func TestFold(t *testing.T) {
 					t.Errorf("owner %q state %s, want h1 and queued", tr.Owner, tr.State)
 				}
 			}},
-		{"resubmit reopens Terminal and rebases AttemptBase",
+		{"resubmit reopens a dead letter; attempts move nothing",
 			[]Record{sub(1, "h1"),
 				{Type: TypeAttempt, Job: 1, Attempt: 1, Class: "transient"},
 				{Type: TypeAttempt, Job: 1, Attempt: 2, Class: "transient"},
@@ -64,22 +64,27 @@ func TestFold(t *testing.T) {
 				{Type: TypeResubmit, Job: 1},
 				{Type: TypeAttempt, Job: 1, Attempt: 1, Class: "transient"}},
 			func(t *testing.T, h *History) {
-				if tr := h.Jobs[1]; tr.State != StateQueued || tr.AttemptBase != 2 || len(tr.Attempts) != 3 {
-					t.Errorf("state %s base %d attempts %d, want queued/2/3", tr.State, tr.AttemptBase, len(tr.Attempts))
+				if tr := h.Jobs[1]; tr.State != StateQueued || tr.Last.Type != TypeResubmit || len(tr.Illegal) != 0 {
+					t.Errorf("state %s by %+v, refused %+v; want queued by the resubmit, none refused", tr.State, tr.Last, tr.Illegal)
 				}
 			}},
-		{"start keeps the newest, Starts every one",
+		{"start moves to running, Starts every one",
 			[]Record{sub(1, "h1"),
 				{Type: TypeStart, At: 2 * time.Second, Job: 1, Epoch: 1, Destination: "gpu"},
-				{Type: TypeStart, At: 4 * time.Second, Job: 1, Epoch: 2, Destination: "cpu"},
-				{Type: TypeComplete, At: 5 * time.Second, Job: 1, State: "ok"}},
+				{Type: TypeStart, At: 4 * time.Second, Job: 1, Epoch: 2, Destination: "cpu"}},
 			func(t *testing.T, h *History) {
 				tr := h.Jobs[1]
-				if tr.Start.Destination != "cpu" || tr.Start.Epoch != 2 ||
+				if tr.State != StateRunning || tr.Last.Epoch != 2 ||
 					!reflect.DeepEqual(tr.Starts, []time.Duration{2 * time.Second, 4 * time.Second}) {
-					t.Errorf("start %+v starts %v", tr.Start, tr.Starts)
+					t.Errorf("state %s by %+v, starts %v", tr.State, tr.Last, tr.Starts)
 				}
-				if tr.State != StateOK || tr.Last.Type != TypeComplete || h.LastAt != 5*time.Second {
+			}},
+		{"complete closes the trail",
+			[]Record{sub(1, "h1"),
+				{Type: TypeStart, At: 2 * time.Second, Job: 1, Epoch: 1, Destination: "gpu"},
+				{Type: TypeComplete, At: 5 * time.Second, Job: 1, State: "ok"}},
+			func(t *testing.T, h *History) {
+				if tr := h.Jobs[1]; tr.State != StateOK || tr.Last.Type != TypeComplete || h.LastAt != 5*time.Second {
 					t.Errorf("state %s by %+v lastAt %v", tr.State, tr.Last, h.LastAt)
 				}
 			}},
@@ -122,6 +127,36 @@ func TestFold(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { tc.check(t, Fold(tc.recs)) })
+	}
+}
+
+// TestFoldAddReportsEachRecord pins what Add returns, record by record: the
+// trail a record belongs to (none for a jobless record, a record before its
+// job's submit or a retired kind) and whether the lifecycle allowed it.
+func TestFoldAddReportsEachRecord(t *testing.T) {
+	var h History
+	steps := []struct {
+		rec          Record
+		trail, legal bool
+	}{
+		{Record{Type: TypeWorkflow, Workflow: 1}, false, false},
+		{Record{Type: TypeStart, Job: 2, Epoch: 1}, false, false},
+		{Record{Type: TypeSubmit, Job: 1, Handler: "h1"}, true, true},
+		{Record{Type: TypeStart, Job: 1, Epoch: 1}, true, true},
+		{Record{Type: TypeMap, Job: 1}, false, false},
+		{Record{Type: TypeSubmit, Job: 1, Handler: "h9"}, true, false},
+		{Record{Type: TypeComplete, Job: 1, State: "ok"}, true, true},
+		{Record{Type: TypeAttempt, Job: 1, Attempt: 1}, true, false},
+	}
+	for i := range steps {
+		s := &steps[i]
+		tr, legal := h.Add(&s.rec)
+		if (tr != nil) != s.trail || legal != s.legal || (tr != nil && tr != h.Jobs[1]) {
+			t.Errorf("record %d (%s): trail %v legal %v, want a trail %v legal %v", i, s.rec.Type, tr, legal, s.trail, s.legal)
+		}
+	}
+	if tr := h.Jobs[1]; tr.State != StateOK || len(tr.Illegal) != 2 || h.MaxJob != 2 {
+		t.Errorf("folded to %s refusing %d, maxJob %d; want ok, 2 and 2", tr.State, len(tr.Illegal), h.MaxJob)
 	}
 }
 
@@ -179,7 +214,7 @@ func TestFoldIgnoresRetiredKinds(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("retired kinds changed the fold:\n got %+v\nwant %+v", got.Jobs[1], want.Jobs[1])
 	}
-	if tr := got.Jobs[1]; tr == nil || len(tr.Starts) != 2 || tr.Start.Epoch != 2 || got.Workflows[1].WFName != "old" {
+	if tr := got.Jobs[1]; tr == nil || len(tr.Starts) != 2 || tr.State != StateError || got.Workflows[1].WFName != "old" {
 		t.Errorf("the stream around the retired records did not fold: trail %+v workflows %+v", tr, got.Workflows)
 	}
 }
@@ -257,11 +292,17 @@ func TestFoldInterleavingInvariant(t *testing.T) {
 // schedule, queue and quarantine lived for fourteen PRs. Teach Fold to read
 // the new kind, or report the event to the observer instead of journaling it.
 //
+// One kind is read past the History: Add hands each legal attempt to its
+// caller, and Recover rebuilds the failure log, the retry budget and the
+// quarantine from it, so the fold keeps no copy. It must be handed on legal,
+// and must not change the History.
+//
 // A retired kind is held to the opposite: its constant is still declared
 // (bench/layers.go stages a TypeMap record as its non-durable sample), nothing
 // writes it, and Fold must go on ignoring it.
 func TestFoldReadsEveryRecordKind(t *testing.T) {
 	retired := map[Type]bool{TypeMap: true}
+	handedOn := map[Type]bool{TypeAttempt: true}
 	file, err := parser.ParseFile(token.NewFileSet(), "record.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -290,8 +331,7 @@ func TestFoldReadsEveryRecordKind(t *testing.T) {
 	// Each kind is added to a stream in which the lifecycle allows it, so
 	// the fold must act on it, not merely refuse it: a submit opens the
 	// trail, a retire or an abort closes an open prepare, a resubmit reopens
-	// a dead letter and rebases past its attempt, and every other kind
-	// follows a submit.
+	// a dead letter, and every other kind follows a submit.
 	submit := Record{Type: TypeSubmit, Job: 1, Handler: "h1"}
 	prepare := Record{Type: TypeStealPrepare, Job: 1, Handler: "h2", From: "h1", Xfer: 1}
 	bases := map[Type][]Record{
@@ -309,7 +349,8 @@ func TestFoldReadsEveryRecordKind(t *testing.T) {
 			Type: kind, Job: 1, Handler: "h2", From: "h1", Workflow: 3, State: "error",
 			Epoch: 1, Destination: "gpu", Stripes: []int{1},
 		})
-		hw, ho := Fold(with), Fold(without)
+		hw, ho := Fold(with[:len(without)]), Fold(without)
+		_, legal := hw.Add(&with[len(without)])
 		for id, tr := range hw.Jobs {
 			if len(tr.Illegal) > 0 {
 				t.Errorf("record kind %q: job %d's trail refused %+v: give the kind a stream in which the lifecycle allows it", kind, id, tr.Illegal)
@@ -319,7 +360,9 @@ func TestFoldReadsEveryRecordKind(t *testing.T) {
 		switch same := reflect.DeepEqual(hw, ho); {
 		case retired[kind] && !same:
 			t.Errorf("record kind %q is retired but changes the fold again: drop it from the retired list with the writer that needs it", kind)
-		case !retired[kind] && same:
+		case handedOn[kind] && (!same || !legal):
+			t.Errorf("record kind %q is read past the History, but the fold kept it (%v) or refused it (legal %v)", kind, !same, legal)
+		case !retired[kind] && !handedOn[kind] && same:
 			t.Errorf("record kind %q is write-only: a stream with one folds to the same History as the stream without", kind)
 		}
 		delete(retired, kind)
