@@ -15,6 +15,7 @@ FUZZ_TARGETS ?= ./internal/toolxml:FuzzParseTool \
                 ./internal/smi:FuzzParseXML \
                 ./internal/smi:FuzzSurveyCache \
                 ./internal/bioseq:FuzzEditDistance \
+                ./internal/bioseq:FuzzStats \
                 ./internal/tools/racon:FuzzAddSequence \
                 ./internal/tools/racon:FuzzMapReads \
                 ./internal/tools/racon:FuzzFillRow \
@@ -62,21 +63,29 @@ define run_selected
 	$(GO) test -race -count=$(or $(3),1) $(1) -run '$(2)' -v
 endef
 
-# test-flake reruns, ten times under the race detector, the three tests that
+# test-flake reruns, ten times under the race detector, the four tests that
 # used to fail intermittently on an unchanged tree: the cluster-scaling
 # determinism check (a virtual-time kill read the journal flusher's
 # wall-clock position), the API race hammer (its reader checked the ack
-# count after a GET that predated the first POST) and racon's allocation
+# count after a GET that predated the first POST), racon's allocation
 # bound (a job borrowed a workspace per read segment, and the detector's
-# sync.Pool drops a share of what is put back).
+# sync.Pool drops a share of what is put back) and the journal's two-producer
+# group commit (on a loaded host the second producer sometimes staged its
+# first record after the first fsync, which seeded the batch EWMA at 1, where
+# it cannot climb on batches of two; appending one record alone before the
+# producers start reproduces it every time, and the test now holds the flusher
+# until both producers have staged).
 test-flake:
 	$(call run_selected,./internal/api,TestServerRaceHammer,10)
 	$(call run_selected,./internal/experiments,TestClusterScalingDeterministic,10)
 	$(call run_selected,./internal/tools/racon,TestRunAllocatesNoMatrixPerJob,10)
+	$(call run_selected,./internal/journal,TestGroupCommitTwoProducersShareFsyncs,10)
 
 # build-cross keeps the code that only builds off amd64 building: bonito's
-# Go-kernel stub for architectures without its AVX assembly, and racon's Go
-# row passes for architectures without its AVX2 ones.
+# Go-kernel stub for architectures without its AVX assembly and its Go
+# collapse (collapseGo) for those without its AVX2 change masks, racon's Go
+# row passes for architectures without its AVX2 ones, and bioseq's bytes.Count
+# pair (gcCountPair) for those without its one-pass AVX2 G+C count.
 build-cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...

@@ -1,9 +1,6 @@
 package bioseq
 
-import (
-	"bytes"
-	"slices"
-)
+import "bytes"
 
 // SetStats summarizes a sequence collection — the numbers assembly tooling
 // conventionally reports (read counts, length distribution, N50, GC).
@@ -21,9 +18,10 @@ type SetStats struct {
 	GC float64
 }
 
-// gcCount returns the number of G and C bytes in bases: two passes of the
+// gcCountPair returns the number of G and C bytes in bases: two passes of the
 // standard library's vectorised byte count instead of one branch per base.
-func gcCount(bases []byte) int {
+// gcCount runs it where there is no one-pass count.
+func gcCountPair(bases []byte) int {
 	return bytes.Count(bases, []byte{'G'}) + bytes.Count(bases, []byte{'C'})
 }
 
@@ -51,20 +49,50 @@ func Stats(seqs []Seq) SetStats {
 	st.MeanLen = float64(st.TotalBases) / float64(st.Count)
 	if st.TotalBases > 0 {
 		st.GC = float64(gc) / float64(st.TotalBases)
-	}
-
-	// N50: walk lengths from longest, stop when half the bases are
-	// covered. An ascending sort walked from the end is the descending
-	// order without sort.Interface's indirect calls.
-	slices.Sort(lengths)
-	var acc int64
-	half := (st.TotalBases + 1) / 2
-	for i := len(lengths) - 1; i >= 0; i-- {
-		acc += int64(lengths[i])
-		if acc >= half {
-			st.N50 = lengths[i]
-			break
-		}
+		st.N50 = n50(lengths, (st.TotalBases+1)/2)
 	}
 	return st
+}
+
+// n50 returns the length L at which a walk down lengths from the longest
+// first covers half bases (half > 0, at most their sum): the one length with
+// less than half in the lengths above it and at least half in those at or
+// above it. It finds L by a weighted quickselect, reordering lengths: each
+// round splits the lengths left around a pivot, three ways, and keeps the
+// side that holds L. Expected O(len(lengths)).
+func n50(lengths []int, half int64) int {
+	var above int64 // the sum of the lengths dropped for being above L
+	for {
+		// Median of three: the first, middle and last lengths.
+		a, b, c := lengths[0], lengths[len(lengths)/2], lengths[len(lengths)-1]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// Dutch flag, longest first: [0, gt) above the pivot, [gt, i) equal
+		// to it, (lt, end) below it.
+		gt, i, lt := 0, 0, len(lengths)-1
+		var sumAbove, sumEqual int64
+		for i <= lt {
+			switch n := lengths[i]; {
+			case n > pivot:
+				sumAbove += int64(n)
+				lengths[gt], lengths[i] = n, lengths[gt]
+				gt++
+				i++
+			case n < pivot:
+				lengths[i], lengths[lt] = lengths[lt], n
+				lt--
+			default:
+				sumEqual += int64(n)
+				i++
+			}
+		}
+		switch {
+		case above+sumAbove >= half:
+			lengths = lengths[:gt]
+		case above+sumAbove+sumEqual >= half:
+			return pivot
+		default:
+			above += sumAbove + sumEqual
+			lengths = lengths[i:]
+		}
+	}
 }

@@ -90,3 +90,47 @@ func TestStatsN50MatchesReverseSort(t *testing.T) {
 		}
 	}
 }
+
+// FuzzStats holds Stats to the fold on arbitrary reads: lens gives each read's
+// length (a byte times 1 + scale mod 64, so reads run past the 8 160 bases at
+// which the AVX2 count folds its byte counters), and the reads cycle through
+// data. The seeds hold empty reads, reads whose length is no multiple of 32,
+// and the bytes that must not count as G or C: lower case and G or C with the
+// top bit set.
+func FuzzStats(f *testing.F) {
+	f.Add([]byte("ACGT"), []byte{0, 1, 31, 32, 33, 0}, uint8(0))
+	f.Add([]byte{'G' | 0x80, 'C' | 0x80, 'c', 'g', 'G', 'C', 0x00, 0xff, 'F', 'O', 'W', 'G' &^ 0x40, 'C' | 0x20}, []byte{7, 63, 65, 255}, uint8(1))
+	f.Add([]byte("GGCCGCGA"), []byte{255, 3, 129}, uint8(63))
+	f.Add([]byte{}, []byte{0, 0}, uint8(9))
+	f.Fuzz(func(t *testing.T, data, lens []byte, scale uint8) {
+		seqs := make([]bioseq.Seq, len(lens))
+		at := 0
+		for i, l := range lens {
+			n := int(l) * (1 + int(scale)%64)
+			if len(data) == 0 {
+				n = 0
+			}
+			seqs[i].Bases = make([]byte, n)
+			for j := range seqs[i].Bases {
+				seqs[i].Bases[j] = data[at%len(data)]
+				at++
+			}
+		}
+		if got, want := bioseq.Stats(seqs), statsFold(seqs); got != want {
+			t.Fatalf("%d reads: Stats = %+v, the fold says %+v", len(seqs), got, want)
+		}
+	})
+}
+
+// BenchmarkStats summarizes alzheimers_nfl's reads, the whole of a seqstats
+// job.
+func BenchmarkStats(b *testing.B) {
+	nfl, err := workload.AlzheimersNFL(42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bioseq.Stats(nfl.Reads)
+	}
+}

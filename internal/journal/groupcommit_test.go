@@ -398,10 +398,16 @@ func TestGroupCommitSnapshotSupersedesStaged(t *testing.T) {
 // next record while the other's fsync runs, so every drain finds exactly one
 // record. A flusher that learned only from batch sizes never saw the second
 // producer and paid one fsync per record for the journal's whole life; two
-// producers must share them.
+// producers must share them. The flusher is held until both have staged
+// their first record: the first fsync seeds the controller's batch EWMA, and
+// one that carried a lone record (the second producer's goroutine not yet
+// run, as happens now and then on a loaded host) seeds it at 1, where a step
+// toward 2 truncates to nothing and the journal stays eager for good.
 func TestGroupCommitTwoProducersShareFsyncs(t *testing.T) {
 	j := gcOpen(t, t.TempDir(), Options{})
 	defer j.Close()
+	hold := make(chan struct{})
+	j.HoldFlush(hold)
 	const per = 300
 	var wg sync.WaitGroup
 	for p := 0; p < 2; p++ {
@@ -416,6 +422,12 @@ func TestGroupCommitTwoProducersShareFsyncs(t *testing.T) {
 			}
 		}(p)
 	}
+	for deadline := time.Now().Add(5 * time.Second); j.Stats().Staged < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of the two producers' first records staged", j.Stats().Staged)
+		}
+	}
+	close(hold)
 	wg.Wait()
 	st := j.Stats()
 	if st.FlushDelay == 0 {

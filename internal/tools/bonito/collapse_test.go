@@ -33,7 +33,9 @@ func collapseTwoPass(classes []int32) []byte {
 
 // requireCollapseMatches fails unless collapse, into a fresh buffer and into
 // a reused one too short for classes, decodes classes as the oracle does and
-// leaves classes as it was.
+// leaves classes as it was, and collapseGo decodes them so too. Where the
+// host has AVX2 collapse walks change masks, so both paths are held to the
+// oracle.
 func requireCollapseMatches(t testing.TB, what string, classes []int32) {
 	t.Helper()
 	want := collapseTwoPass(classes)
@@ -42,6 +44,10 @@ func requireCollapseMatches(t testing.TB, what string, classes []int32) {
 		if got := collapse(dst, classes); string(got) != string(want) {
 			t.Fatalf("%s: collapse(%v) = %q, the two-pass oracle says %q", what, classes, got, want)
 		}
+	}
+	out := make([]byte, len(classes))
+	if got := out[:collapseGo(out, classes)]; string(got) != string(want) {
+		t.Fatalf("%s: collapseGo(%v) = %q, the two-pass oracle says %q", what, classes, got, want)
 	}
 	if !slices.Equal(classes, before) {
 		t.Fatalf("%s: collapse rewrote its classes", what)
@@ -95,6 +101,43 @@ func TestCollapseMatchesOracle(t *testing.T) {
 	}
 	for _, classes := range cases {
 		requireCollapseMatches(t, "hand-built", classes)
+	}
+}
+
+// TestCollapseMasksAtWordBoundaries puts blips, blanks and alternating blip
+// runs across the boundaries collapseMasks works in: an 8-timestep block of
+// changeMasks, a 64-timestep word (the repair carry), a 2 048-timestep stack
+// chunk of masks, and the end of the read, each through collapse and
+// collapseGo (requireCollapseMatches). Every read of both bonito datasets
+// goes through both in TestCollapseMatchesOracle.
+func TestCollapseMasksAtWordBoundaries(t *testing.T) {
+	if !useMasks {
+		t.Log("no AVX2 on this host: collapse runs collapseGo alone")
+	}
+	const A, C, G, T, B = classA, classC, classG, classT, classBlank
+	patterns := [][]int32{
+		{A, A, C, A, A},
+		{A, B, A},
+		{B, A, B},
+		{A, C, A, C, A},
+		{C, A, C, A, C, A, C, A},
+		{T, T, B, T, C, T, B},
+		{G, A, G},
+	}
+	for _, at := range []int{8, 16, 64, 128, 2048, 4096} {
+		for off := -6; off <= 6; off++ {
+			for _, p := range patterns {
+				for _, after := range []int{0, 1, 3, 9} {
+					start := at + off
+					classes := make([]int32, start+len(p)+after)
+					for i := range classes {
+						classes[i] = G
+					}
+					copy(classes[start:], p)
+					requireCollapseMatches(t, fmt.Sprintf("%v at %d, %d after", p, start, after), classes)
+				}
+			}
+		}
 	}
 }
 

@@ -223,9 +223,16 @@ var errEmptySignal = errors.New("bonito: empty signal")
 // repeated bases. Carrying the repaired class is what a repair pass over
 // classes followed by a collapse pass computes, alternating blip runs (A C A
 // C A) included. The bases go into dst's array, grown to len(classes) if it
-// is shorter; classes is not written.
+// is shorter; classes is not written. The pass is collapseMasks where the
+// CPU has AVX2, else collapseGo; both decode the same bases.
 func collapse(dst []byte, classes []int32) []byte {
 	out := slices.Grow(dst[:0], len(classes))[:len(classes)]
+	return out[:collapseInto(out, classes)]
+}
+
+// collapseGo is collapse a timestep at a time: it writes the bases into out
+// and returns their count.
+func collapseGo(out []byte, classes []int32) int {
 	n := 0
 	prev := int32(-1)
 	for t, c := range classes {
@@ -239,7 +246,7 @@ func collapse(dst []byte, classes []int32) []byte {
 		}
 		prev = c
 	}
-	return out[:n]
+	return n
 }
 
 // Basecall runs the full pipeline over one squiggle: the network with the
