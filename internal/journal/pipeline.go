@@ -122,32 +122,26 @@ func (j *Journal) flushGated() bool {
 // shares one. Three exits — the batch target filled, the arrivals went
 // quiet (a sync-ack producer blocks until the drain, so once staging stops
 // no further wait can grow the batch), or the deadline (half an fsync)
-// expired.
+// expired. What a wait gathered goes back to the controller.
 func (j *Journal) pace() {
 	j.mu.Lock()
-	ctl := j.ctl
 	last := len(j.staged)
-	j.mu.Unlock()
-	d := ctl.flushDelay()
-	if d <= 0 {
-		return
-	}
-	// Waiting only pays when a batch can actually grow: either recent
-	// drains carried multiple records (concurrent producers are active), or
-	// more than one record is already staged right now (the bootstrap — a
-	// fresh journal's batch history is empty even under heavy concurrency).
-	// A lone producer skips the delay entirely, keeping single-submitter
-	// ack latency at the eager-flush floor.
-	if !ctl.paceWorthwhile() && last <= 1 {
-		return
-	}
 	// Kicks coalesce (the channel holds one token), so everything may
 	// already be staged by the time the flusher wakes: check the target
 	// before the gather loop, not only inside it.
-	target := ctl.batchTarget(j.stageCap)
-	if last == 0 || last >= target {
+	target := j.ctl.batchTarget(j.stageCap)
+	wait := last < target && j.ctl.shouldWait(last)
+	d := j.ctl.flushDelay()
+	j.mu.Unlock()
+	if !wait {
 		return
 	}
+	first := last
+	defer func() {
+		j.mu.Lock()
+		j.ctl.observeWait(last - first)
+		j.mu.Unlock()
+	}()
 	// Gather by polling, not timers: the quiet window is tens of
 	// microseconds and OS timer granularity would stretch it to ~100µs+,
 	// which at batch sizes of 2-8 costs more than the fsync it saves. The
@@ -165,6 +159,7 @@ func (j *Journal) pace() {
 		runtime.Gosched()
 		n := j.queued()
 		if n >= target {
+			last = n
 			return
 		}
 		now := time.Now()

@@ -564,6 +564,68 @@ func TestAdaptiveControllerConverges(t *testing.T) {
 	}
 }
 
+// TestAdaptiveControllerForgetsTheFirstBatch holds the pacing decision to
+// the recent batches, not to the first one: a journal whose first fsync
+// carried a lone record learns a second producer's batches of two within a
+// few fsyncs, and one whose first batch was two stops waiting once a lone
+// producer's batches of one follow.
+func TestAdaptiveControllerForgetsTheFirstBatch(t *testing.T) {
+	var c adaptiveCtl
+	c.observe(1, time.Millisecond)
+	for i := 0; i < 4; i++ {
+		c.observe(2, time.Millisecond)
+	}
+	if !c.paceWorthwhile() {
+		t.Fatalf("batch EWMA %d/%d after a lone record and four batches of two: pacing off", c.batchEWMA, batchScale)
+	}
+	c = adaptiveCtl{}
+	c.observe(2, time.Millisecond)
+	for i := 0; i < 4; i++ {
+		c.observe(1, time.Millisecond)
+	}
+	if c.paceWorthwhile() {
+		t.Fatalf("batch EWMA %d/%d after a batch of two and four lone records: pacing on", c.batchEWMA, batchScale)
+	}
+}
+
+// TestAdaptiveControllerWaitsWhereWaitsPay holds the wait decision to what
+// waits gather: with batches of two behind it the flusher waits while its
+// waits catch records, drains eagerly once they catch none (records staged
+// without an ack wait, say) but for one probe every waitProbe drains, and
+// waits again once a probe catches one.
+func TestAdaptiveControllerWaitsWhereWaitsPay(t *testing.T) {
+	var c adaptiveCtl
+	for i := 0; i < 8; i++ {
+		c.observe(2, time.Millisecond)
+	}
+	waits := func(drains int) int {
+		n := 0
+		for i := 0; i < drains; i++ {
+			if c.shouldWait(1) {
+				n++
+			}
+		}
+		return n
+	}
+	if n := waits(waitProbe); n != 1 {
+		t.Fatalf("no wait measured yet: %d waits in %d drains, want the one probe", n, waitProbe)
+	}
+	c.observeWait(1)
+	if n := waits(10); n != 10 {
+		t.Fatalf("waits gather a record each: %d waits in 10 drains, want every one", n)
+	}
+	for i := 0; i < 8; i++ {
+		c.observeWait(0)
+	}
+	if n := waits(4 * waitProbe); n != 4 {
+		t.Fatalf("waits gather nothing: %d waits in %d drains, want one probe every %d", n, 4*waitProbe, waitProbe)
+	}
+	c.observeWait(1)
+	if !c.shouldWait(1) {
+		t.Fatalf("gain EWMA %d/%d after a probe caught a record: no wait", c.gainEWMA, batchScale)
+	}
+}
+
 // TestAdaptiveRoundTrip runs the full adaptive group-commit pipeline
 // end to end and checks nothing is lost: a mixed synchronous/asynchronous
 // workload from eight concurrent appenders replays complete and ordered.

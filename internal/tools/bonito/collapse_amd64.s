@@ -1,10 +1,12 @@
+#include "go_asm.h"
 #include "textflag.h"
 
-// changeMasks compares eight classes per YMM register: Y0 the block, Y1 the
-// block moved up one lane (its last class in lane 0), Y2 the classes before
-// the block's (lane 0 from Y13, the previous block's Y1), Y13 that carry,
-// initially prev in every lane, Y14 the blank class in every lane, Y15 the
-// move's lane indices. VMOVMSKPS turns each compare into one byte.
+// changeMasks compares eight classes per YMM register: Y0 the block, Y2 the
+// eight classes before the block's, Y14 the blank class in every lane.
+// VMOVMSKPS turns each compare into one byte. The first block has no class
+// before it in classes: Y1 is that block moved up one lane by Y15's lane
+// indices, and Y2 is Y1 with lane 0 taken from Y13, prev in every lane.
+// Every later block loads the classes before it from -4(SI).
 
 // func changeMasks(classes []int32, prev int32, diff, nonBlank []uint64)
 TEXT ·changeMasks(SB), NOSPLIT, $0-80
@@ -18,7 +20,7 @@ TEXT ·changeMasks(SB), NOSPLIT, $0-80
 
 	VMOVD        AX, X13
 	VPBROADCASTD X13, Y13
-	MOVL         $4, AX                    // classBlank
+	MOVL         $const_classBlank, AX
 	VMOVD        AX, X14
 	VPBROADCASTD X14, Y14
 	VMOVDQU      up<>(SB), Y15
