@@ -139,8 +139,10 @@ hammer-api:
 # over rotated segments and over the segments a crash left behind it,
 # Compact copying exactly what replay reads (over a snapshot, rotated
 # segments, a torn tail and staged records) and refusing a corrupt snapshot
-# without touching a file, snapshots and Compact racing appenders without
-# stranding a record below their tickets, the torn-tail replay (the same
+# without touching a file, a durable ack while a compaction is parked between
+# its seal and its install, the directories a crash leaves at each step of
+# the install, compactions racing appenders without stranding a record at or
+# below the snapshot's last ticket, the torn-tail replay (the same
 # after Open as before it), the incarnation epoch
 # (strictly increasing, and refused before it wraps), the refusal of every
 # layout and payload older versions wrote, the fold (rule table, retired
@@ -148,10 +150,11 @@ hammer-api:
 # codec against the JSON writer and over retired lease fields, and at the
 # engine level
 # the torn-tail crash-requeue scenario, the spliced-map-record recovery
-# oracle, durable submits racing compaction without losing a job, and
-# concurrent submits sharing one fsync.
-JOURNAL_TESTS ?= TestSegmentFilesAreTicketOrdered|TestRotatedSnapshotCompaction|TestCompactCopiesWhatReplayReads|TestCompactRefusesACorruptSnapshot|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestTornTailDoesNotPoisonLaterSegments|TestSnapshotSupersedesLeftoverSegments|TestSnapshotRacingAppendsKeepsLaterRecords|TestFlushError|TestEpochStrictlyIncreasing|TestOpenRefusesAnExhaustedEpoch|TestLegacyFormatIsRefused|TestReplayAfterOpenMatchesReplayBefore|TestFold|TestCodec
-JOURNAL_GALAXY_TESTS ?= TestShardedCrash|TestRecoverSplicedMapRecords|TestSubmitRacingCompactionLosesNothing|TestConcurrentSubmitsShareAnFsync
+# oracle, durable submits racing compaction without losing a job,
+# concurrent submits sharing one fsync, and a refused record's ticket
+# surviving a compaction.
+JOURNAL_TESTS ?= TestSegmentFilesAreTicketOrdered|TestRotatedSnapshotCompaction|TestCompactCopiesWhatReplayReads|TestCompactRefusesACorruptSnapshot|TestDurableAppendReturnsDuringCompaction|TestCompactInstallCrashStates|TestAsyncDurable|TestWatermark|TestAdaptive|TestStatsCountsSegmentsAndStaged|TestGroupCommit|TestCrashTornTail|TestTornTailDoesNotPoisonLaterSegments|TestSnapshotSupersedesLeftoverSegments|TestSnapshotRacingAppendsKeepsLaterRecords|TestFlushError|TestEpochStrictlyIncreasing|TestOpenRefusesAnExhaustedEpoch|TestLegacyFormatIsRefused|TestReplayAfterOpenMatchesReplayBefore|TestFold|TestCodec
+JOURNAL_GALAXY_TESTS ?= TestShardedCrash|TestRecoverSplicedMapRecords|TestSubmitRacingCompactionLosesNothing|TestConcurrentSubmitsShareAnFsync|TestRecoverActsOnRefusedRecords
 
 test-journal:
 	$(call run_selected,./internal/journal,$(JOURNAL_TESTS))

@@ -485,9 +485,10 @@ func (g *Galaxy) ResubmitDeadLetter(id int) (*Job, error) {
 }
 
 // SnapshotJournal compacts the journal (journal.Compact): its records, less
-// torn tails, become one snapshot and every older segment is deleted, so a
-// compacted journal folds to the same trails, Starts included. It takes no
-// engine lock, but journal writes wait for it: call it in quiet periods.
+// torn tails, become one snapshot, each keeping its ticket, and every older
+// segment is deleted, so a compacted journal folds to the same trails, Starts
+// included. It takes no engine lock, and journal writes wait only for the
+// seal of the live segment, not for the copy.
 func (g *Galaxy) SnapshotJournal() error {
 	if g.journal == nil {
 		return fmt.Errorf("galaxy: no journal attached")

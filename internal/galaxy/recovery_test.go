@@ -878,8 +878,10 @@ func recoverAgain(t *testing.T, dir string) (*Galaxy, *RecoveryReport) {
 // steal used to write. Kill-then-abort: the lifecycle refuses the complete
 // between the prepare and the abort, so the trail folds open, and recovery
 // fails the job durably, naming the refused record, where it used to requeue
-// the killed job and run it to ok. Kill-then-retire: the thief's accept
-// outranks the kill, so the trail folds stolen and is kept as it folded.
+// the killed job and run it to ok. A compaction before the second recovery
+// keeps the refused record's ticket, so the failure still names the record
+// the journal holds. Kill-then-retire: the thief's accept outranks the kill,
+// so the trail folds stolen and is kept as it folded.
 func TestRecoverActsOnRefusedRecords(t *testing.T) {
 	submit := `{"t":"submit","at":0,"h":"h1","job":1,"tool":"racon","params":{"scale":"0.001"},"dataset":"reads"}`
 	prepare := `{"t":"steal_prepare","at":1000,"h":"h2","job":1,"from":"h1","xfer":7}`
@@ -909,12 +911,24 @@ func TestRecoverActsOnRefusedRecords(t *testing.T) {
 			t.Errorf("served trail %s, want the refused complete shown and the failure last", got)
 		}
 
-		_, rep = recoverAgain(t, dir)
+		j := openTestJournal(t, dir)
+		if err := j.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		g, rep = recoverAgain(t, dir)
 		if want := (RecoveredJob{ID: 1, Tool: "racon", State: StateError, Action: "kept", Owner: "h1"}); rep.Jobs[0] != want {
 			t.Errorf("second recovery: %+v, want %+v", rep.Jobs[0], want)
 		}
-		if again, _ := replayDir(t, dir); len(again) != len(recs)+1 {
-			t.Errorf("journal holds %d records, want the %d written and the one failure", len(again), len(recs))
+		again, _ := replayDir(t, dir)
+		if len(again) != len(recs)+1 {
+			t.Fatalf("journal holds %d records, want the %d written and the one failure", len(again), len(recs))
+		}
+		job, _ = g.Job(1)
+		if tick := fmt.Sprint(again[2].Tick); !strings.Contains(job.Info, "complete record (ticket "+tick+")") {
+			t.Errorf("after a compaction the job's reason %q names another ticket than the refused complete's, %s", job.Info, tick)
 		}
 	})
 

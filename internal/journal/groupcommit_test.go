@@ -3,6 +3,8 @@ package journal
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -350,9 +352,10 @@ func TestGroupCommitBackpressure(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSnapshotSupersedesStaged checks writeSnapshot drains the
-// staging queue before sealing: a record staged before the snapshot must not
-// be lost when compaction deletes the old segments.
+// TestGroupCommitSnapshotSupersedesStaged compacts with records staged
+// behind a held flusher: the snapshot holds what was on disk at the seal, and
+// the staged records, drained after it into the fresh segment at tickets
+// above the snapshot's, are not lost when compaction deletes the old segments.
 func TestGroupCommitSnapshotSupersedesStaged(t *testing.T) {
 	dir := t.TempDir()
 	j := gcOpen(t, dir, Options{})
@@ -361,19 +364,28 @@ func TestGroupCommitSnapshotSupersedesStaged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The snapshot condenses the three submits into two records.
-	snap := []Record{
-		{Type: TypeSubmit, At: time.Second, Job: 1, Tool: "racon"},
-		{Type: TypeComplete, At: 4 * time.Second, Job: 1, State: "ok"},
-	}
-	if err := j.writeSnapshot(snap); err != nil {
+	hold := make(chan struct{})
+	j.HoldFlush(hold)
+	if _, err := j.AppendAsync(Record{Type: TypeComplete, At: 4 * time.Second, Job: 1, State: "ok"}); err != nil {
 		t.Fatal(err)
 	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	close(hold)
+	j.HoldFlush(nil)
 	if err := j.Append(Record{Type: TypeSubmit, At: 5 * time.Second, Job: 9, Tool: "racon"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := ReplayBytes(snap); err != nil || len(recs) != 3 {
+		t.Fatalf("snapshot holds %d records (err %v), want the 3 submits on disk at the seal", len(recs), err)
 	}
 	got, err := Replay(dir)
 	if err != nil {
@@ -382,7 +394,7 @@ func TestGroupCommitSnapshotSupersedesStaged(t *testing.T) {
 	want := []struct {
 		typ Type
 		job int
-	}{{TypeSubmit, 1}, {TypeComplete, 1}, {TypeSubmit, 9}}
+	}{{TypeSubmit, 1}, {TypeSubmit, 2}, {TypeSubmit, 3}, {TypeComplete, 1}, {TypeSubmit, 9}}
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records %+v, want %d", len(got), got, len(want))
 	}

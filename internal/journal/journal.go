@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,17 +71,20 @@ type Stats struct {
 }
 
 // Journal is the append side of a write-ahead log directory. It is safe
-// for concurrent use. It has two locks, and fileMu is taken before mu, never
-// after:
+// for concurrent use. It has three locks, always taken in the order
+// compactMu, fileMu, mu:
 //
+//   - compactMu serialises compactions; Close and Crash take it too, so they
+//     wait for a running one. A compaction holds it while it copies, without
+//     the two locks below.
+//   - fileMu, the file lock, is what drains take: the flusher, Sync,
+//     Compact's seal, Close and Crash. It guards the segment state, the
+//     Stats counters and the hold gate. The write and the fsync run under
+//     fileMu alone, so producers keep staging during them.
 //   - mu, the queue lock, is what producers take. It guards the staging
 //     queue, the ticket counter, the watermark, the in-flight marker, the
 //     terminal state, the waiters' error, the fsync observer and the pacing
 //     EWMAs; notFull and durable wait on it.
-//   - fileMu, the file lock, is what drains take: the flusher, Sync,
-//     Compact, Close and Crash. It guards the segment state, the
-//     Stats counters and the hold gate. The write and the fsync run under
-//     fileMu alone, so producers keep staging during them.
 type Journal struct {
 	dir      string
 	segDir   string // where new segments go: dir/shard-00
@@ -105,11 +109,10 @@ type Journal struct {
 	tick uint64
 	// wm is the commit watermark; it only ever grows.
 	wm uint64
-	// inflightMin is the lowest ticket that is out of the queue and not yet
-	// on disk (0: none): a drained batch until its fsync, a snapshot's
-	// records until it is installed. It is set in the critical section that
-	// takes them and never cleared after a failed write, so the watermark
-	// never passes a ticket mid-flush or one whose flush failed.
+	// inflightMin is the lowest ticket of a drained batch not yet on disk
+	// (0: none). It is set in the critical section that takes the batch and
+	// never cleared after a failed write, so the watermark never passes a
+	// ticket mid-flush or one whose flush failed.
 	inflightMin uint64
 	// err is the journal's one terminal state, and what appends get once it
 	// is set: nil while open, the I/O error after a failed flush, errClosed
@@ -126,8 +129,7 @@ type Journal struct {
 	// ctl paces the flusher from the fsync cost it measures.
 	ctl adaptiveCtl
 
-	// fileMu guards the segment state below. f is nil after Close or Crash,
-	// and while a snapshot has the segment sealed.
+	// fileMu guards the segment state below. f is nil after Close or Crash.
 	fileMu  sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
@@ -138,6 +140,12 @@ type Journal struct {
 	// hold, when non-nil, parks the flusher before each drain until the
 	// channel is closed — see HoldFlush.
 	hold chan struct{}
+
+	compactMu sync.Mutex
+	// afterSeal, when set, runs between a compaction's seal and its copy, with
+	// compactMu held and no other lock: a test hook that parks a compaction
+	// where it holds nothing appends wait for.
+	afterSeal func()
 }
 
 const (
@@ -490,15 +498,6 @@ func (j *Journal) advanceLocked() {
 	}
 }
 
-// settle moves the in-flight marker to next (0: none) once everything
-// below it is on disk, and advances the watermark past it.
-func (j *Journal) settle(next uint64) {
-	j.mu.Lock()
-	j.inflightMin = next
-	j.advanceLocked()
-	j.mu.Unlock()
-}
-
 // failWaiters advances the watermark as far as the disk allows and fails
 // every parked AwaitDurable caller still below it: their tickets will never
 // reach it.
@@ -557,6 +556,8 @@ func (j *Journal) fail(err error) {
 // Close drains the staged tail, stops the flusher, syncs and closes the
 // segment and releases the directory lock.
 func (j *Journal) Close() error {
+	j.compactMu.Lock()
+	defer j.compactMu.Unlock()
 	prev := j.latch(errClosed)
 	if prev == errClosed {
 		return nil
@@ -567,17 +568,15 @@ func (j *Journal) Close() error {
 	<-j.exit
 	first := prev // an earlier flush failure is still Close's to report
 	j.fileMu.Lock()
-	if j.f != nil {
-		err := j.syncLocked()
-		if cerr := j.f.Close(); err == nil {
-			err = cerr
-		}
-		j.f, j.w = nil, nil
-		if first == nil {
-			first = err
-		}
+	err := j.syncLocked()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
 	}
+	j.f, j.w = nil, nil
 	j.fileMu.Unlock()
+	if first == nil {
+		first = err
+	}
 	j.failWaiters(errClosed)
 	releaseLock(j.lock)
 	return first
@@ -594,6 +593,8 @@ func (j *Journal) Crash() error { return j.CrashTorn(nil) }
 // modeling a record that made it partially to disk before the power went
 // out. Replay must detect and discard the torn tail.
 func (j *Journal) CrashTorn(garbage []byte) error {
+	j.compactMu.Lock()
+	defer j.compactMu.Unlock()
 	prev := j.latch(errClosed)
 	if prev == errClosed {
 		return fmt.Errorf("journal: crash on closed journal")
@@ -616,15 +617,9 @@ func (j *Journal) CrashTorn(garbage []byte) error {
 	f := j.f
 	j.f, j.w = nil, nil // drop the buffer: un-synced bytes vanish
 	j.fileMu.Unlock()
-	var err error
-	// f is nil when a snapshot that the crash interrupted left the
-	// segment sealed: there is no handle to close and no live segment to
-	// tear.
-	if f != nil {
-		err = f.Close()
-		if err == nil && len(garbage) > 0 {
-			err = appendGarbage(f.Name(), garbage)
-		}
+	err := f.Close()
+	if err == nil && len(garbage) > 0 {
+		err = appendGarbage(f.Name(), garbage)
 	}
 	releaseLock(j.lock) // the kernel would drop a dead process's flock
 	return err
@@ -644,123 +639,80 @@ func appendGarbage(path string, g []byte) error {
 	return f.Close()
 }
 
-// Compact folds the journal's history into one snapshot of its own records:
-// every record replay returns — the newest snapshot's, then each segment's
-// past it, less the torn tails replay skips — followed by every record staged
-// so far, in ticket order and re-ticketed. So a compacted journal replays to
-// the same records, field for field but the ticket, and folds to the same
-// History; what a compacted journal holds is decided here, not by the writer
-// of the records. It holds fileMu throughout, so nothing reaches disk between
-// the read and the install. A corrupt snapshot (data loss, not a torn tail)
-// or a latched journal makes it return an error and change nothing.
+// Compact folds the journal's history into one snapshot of its own records.
+// Under fileMu it only seals the live segment, so appends go on into a fresh
+// one. Then, holding no lock appends wait for, it copies what replay returns
+// from the newest snapshot and the sealed segments — less the torn tails
+// replay skips — into a new snapshot, every record keeping its ticket, and
+// deletes the segments and snapshots the new one covers. Every record appended
+// after the seal sits in a later segment at a higher ticket, which is all the
+// supersession rule asks. So a compacted journal replays to the same records,
+// field for field, and folds to the same History. A corrupt snapshot (data
+// loss, not a torn tail) or a latched journal makes it return an error before
+// the seal, changing nothing.
 func (j *Journal) Compact() error {
-	j.fileMu.Lock()
-	defer j.fileMu.Unlock()
-	recs, corrupt, err := ReplayAll(j.dir)
+	j.compactMu.Lock()
+	defer j.compactMu.Unlock()
+	snaps, err := listSnapshots(j.dir)
 	if err != nil {
 		return err
 	}
-	if len(corrupt) > 0 && corrupt[0].IsSnapshot() {
-		return corrupt[0]
+	recs, cerr, err := readSnapshot(j.dir, snaps, 0)
+	if err != nil {
+		return err
 	}
-	return j.snapshotLocked(recs)
-}
-
-// snapshotLocked, with fileMu held, installs recs atomically as a snapshot,
-// rotates to a fresh segment, and deletes every older segment and every older
-// snapshot. Replay afterwards sees the snapshot records followed by whatever
-// is appended next. The records it takes from the stage are written to the
-// segment it seals, so their waiters are acked as by any flush, and join the
-// snapshot after recs.
-//
-// One queue critical section both takes every staged record and reserves the
-// snapshot's tickets above them. A record staged before that point is
-// written to the segment the snapshot seals; one staged after it takes a
-// higher ticket and waits on fileMu for the fresh segment. So no record the
-// snapshot does not cover lands below its first ticket, which is what lets
-// replay drop superseded segment records by ticket comparison alone.
-func (j *Journal) snapshotLocked(recs []Record) error {
+	if cerr != nil {
+		return cerr
+	}
+	j.fileMu.Lock()
 	j.mu.Lock()
-	if err := j.err; err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	batch := j.takeLocked()
-	first := j.tick + 1
-	j.tick += uint64(len(recs) + len(batch))
-	// The snapshot's tickets are in flight until it is installed: the
-	// watermark must not pass them before.
-	if len(batch) == 0 {
-		j.inflightMin = first
-	}
+	err = j.err
 	j.mu.Unlock()
-	// Decoded before the flush recycles the frames.
-	var derr error
-	for i := 0; i < len(batch) && derr == nil; i++ {
-		recs, derr = decodeStream(recs, batch[i].buf, "", 0)
-	}
-	if err := j.flushBatch(batch, first); err != nil {
-		return err
-	}
-	if derr != nil {
-		j.settle(0) // the batch is on disk and nothing was sealed
-		return derr
-	}
-	var buf []byte
-	for i, rec := range recs {
-		rec.Tick = first + uint64(i)
-		var err error
-		if buf, err = appendFrame(buf, &rec); err != nil {
-			j.settle(0) // nothing was written: release the reserved tickets
-			return err
+	sealed := j.seq
+	if err == nil {
+		if err = j.rotateLocked(); err != nil {
+			j.fail(err) // a half-sealed journal must error loudly, not append
+			j.failWaiters(err)
 		}
 	}
-	// Seal the current segment; the snapshot replaces it and everything
-	// before it.
-	err := j.syncLocked()
-	if err == nil {
-		err = j.f.Close()
-	}
-	j.f, j.w = nil, nil
-	sealed := j.seq
+	j.fileMu.Unlock()
 	if err != nil {
-		j.fail(err) // a half-sealed journal must error loudly, not append
-		return fmt.Errorf("journal: seal segment: %w", err)
+		return err
+	}
+	if j.afterSeal != nil {
+		j.afterSeal()
+	}
+	segs, err := listSeqs(j.segDir, segPrefix, segSuffix)
+	if err != nil {
+		return err
+	}
+	for len(segs) > 0 && segs[len(segs)-1] > sealed {
+		segs = segs[:len(segs)-1]
+	}
+	bufs, frames, err := readSegments(j.dir, segs)
+	if err != nil {
+		return err
+	}
+	recs, _, err = decodeSegments(slices.Grow(recs, frames), j.dir, segs, bufs)
+	if err != nil {
+		return err
+	}
+	var buf []byte
+	for i := range recs {
+		if buf, err = appendFrame(buf, &recs[i]); err != nil {
+			return err
+		}
 	}
 	// Snapshots have their own top-level seq space; supersession runs on
 	// tickets, the seq only has to grow.
 	base := 1
-	if snaps, err := listSeqs(j.dir, snapPrefix, snapSuffix); err == nil && len(snaps) > 0 {
+	if len(snaps) > 0 {
 		base = snaps[len(snaps)-1] + 1
 	}
-	ierr := j.installSnapshot(base, buf)
-	// From here on the old segment is sealed: whatever happens, Append must
-	// end up with a live segment to write to or a latched journal that
-	// errors loudly — never a buffer draining into a closed file. A Crash or
-	// Close that latched while the segment was sealed owns the journal now:
-	// do not resurrect a file handle under it.
-	j.mu.Lock()
-	err = j.err
-	j.mu.Unlock()
-	if err == nil {
-		if err = j.openSegment(sealed + 1); err != nil {
-			j.fail(err)
-		} else {
-			// Installed, or burnt by a failed install: either way no
-			// record waits on the snapshot's tickets.
-			j.settle(0)
-		}
-	}
-	if ierr != nil {
-		// With err nil the journal is appendable again; the sealed segments
-		// stay on disk, so no history was lost.
-		return ierr
-	}
-	if err != nil {
+	if err := j.installSnapshot(base, buf); err != nil {
+		// The sealed segments stay on disk, so no history was lost.
 		return err
 	}
-	// Compaction: everything the snapshot covers is garbage now — every
-	// segment below the fresh one, and every older snapshot.
 	removeSeqs(j.segDir, segPrefix, segSuffix, sealed+1)
 	removeSeqs(j.dir, snapPrefix, snapSuffix, base)
 	return nil
@@ -768,7 +720,7 @@ func (j *Journal) snapshotLocked(recs []Record) error {
 
 // installSnapshot writes the encoded snapshot durably: the tmp file is
 // written, fsynced and closed, renamed into place, and the directory fsynced
-// so the rename itself survives a power cut. snapshotLocked deletes what the
+// so the rename itself survives a power cut. Compact deletes what the
 // snapshot supersedes only after all of that succeeded.
 func (j *Journal) installSnapshot(seq int, buf []byte) error {
 	tmp := filepath.Join(j.dir, snapName(seq)+".tmp")
@@ -806,9 +758,10 @@ func removeSeqs(dir, prefix, suffix string, limit int) {
 
 // Replay reads a journal directory back: the newest snapshot (if any), then
 // the shard-00/ segments in sequence order, which is ticket order, less the
-// records the snapshot supersedes. A missing or empty directory replays as no
-// records, a directory an older version wrote is refused with
-// ErrLegacyFormat, and Replay never panics on corrupt input.
+// records the snapshot supersedes — every one at or below its last ticket. A
+// missing or empty directory replays as no records, a directory an older
+// version wrote is refused with ErrLegacyFormat, and Replay never panics on
+// corrupt input.
 //
 // Corruption is handled per layer. A corrupt record inside a segment ends
 // only that segment: it is the torn tail a crashed writer leaves behind,
@@ -849,44 +802,72 @@ func ReplayAll(dir string) ([]Record, []*CorruptRecordError, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Read every file first, so the output slice is sized once and each
+	// Read every segment first, so the output slice is sized once and each
 	// record is decoded straight into its final slot.
+	bufs, frames, err := readSegments(dir, segs)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, cerr, err := readSnapshot(dir, snaps, frames)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cerr != nil {
+		return out, []*CorruptRecordError{cerr}, nil
+	}
+	return decodeSegments(out, dir, segs, bufs)
+}
+
+// readSnapshot decodes the newest of the directory's snapshots snaps into a
+// slice with room for extra more records. Corruption in it comes back as cerr,
+// with the records before it: the caller must treat it as data loss.
+func readSnapshot(dir string, snaps []int, extra int) (out []Record, cerr *CorruptRecordError, err error) {
 	var snap []byte
-	var snapFile string
+	var name string
 	if len(snaps) > 0 {
-		snapFile = snapName(snaps[len(snaps)-1])
-		if snap, err = os.ReadFile(filepath.Join(dir, snapFile)); err != nil {
+		name = snapName(snaps[len(snaps)-1])
+		if snap, err = os.ReadFile(filepath.Join(dir, name)); err != nil {
 			return nil, nil, fmt.Errorf("journal: read snapshot: %w", err)
 		}
 	}
-	frames := countFrames(snap)
-	bufs := make([][]byte, len(segs))
-	for i, s := range segs {
-		if bufs[i], err = os.ReadFile(filepath.Join(dir, segDirName, segName(s))); err != nil {
-			return nil, nil, fmt.Errorf("journal: read segment: %w", err)
-		}
-		frames += countFrames(bufs[i])
+	if n := countFrames(snap) + extra; n > 0 {
+		out = make([]Record, 0, n)
 	}
-
-	var out []Record
-	if frames > 0 {
-		out = make([]Record, 0, frames)
-	}
-	out, err = decodeStream(out, snap, snapFile, 0)
-	if cerr, ok := err.(*CorruptRecordError); ok {
-		return out, []*CorruptRecordError{cerr}, nil
+	out, err = decodeStream(out, snap, name, 0)
+	if c, ok := err.(*CorruptRecordError); ok {
+		return out, c, nil
 	} else if err != nil {
 		return nil, nil, fmt.Errorf("journal: replay %s: %w", dir, err)
 	}
-	// The snapshot supersedes every segment record below its lowest ticket;
-	// a snapshot stamps its records in order, so that is the first.
-	minSnapTick := uint64(0)
-	if len(out) > 0 {
-		minSnapTick = out[0].Tick
+	return out, nil, nil
+}
+
+// readSegments reads the directory's segments segs and counts their frames.
+func readSegments(dir string, segs []int) (bufs [][]byte, frames int, err error) {
+	bufs = make([][]byte, len(segs))
+	for i, s := range segs {
+		if bufs[i], err = os.ReadFile(filepath.Join(dir, segDirName, segName(s))); err != nil {
+			return nil, 0, fmt.Errorf("journal: read segment: %w", err)
+		}
+		frames += countFrames(bufs[i])
 	}
+	return bufs, frames, nil
+}
+
+// decodeSegments decodes the segments segs, read into bufs, onto snap, the
+// snapshot's records, dropping every record the snapshot supersedes: those at
+// or below its last ticket. A corrupt record ends only its own segment and is
+// reported in corrupt.
+func decodeSegments(snap []Record, dir string, segs []int, bufs [][]byte) ([]Record, []*CorruptRecordError, error) {
+	minTick := uint64(0)
+	if len(snap) > 0 {
+		minTick = snap[len(snap)-1].Tick + 1
+	}
+	out := snap
 	var corrupt []*CorruptRecordError
 	for i, b := range bufs {
-		out, err = decodeStream(out, b, filepath.Join(segDirName, segName(segs[i])), minSnapTick)
+		var err error
+		out, err = decodeStream(out, b, filepath.Join(segDirName, segName(segs[i])), minTick)
 		if cerr, ok := err.(*CorruptRecordError); ok {
 			corrupt = append(corrupt, cerr)
 		} else if err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -44,19 +45,21 @@ func stageAll(t *testing.T, j *Journal, recs []Record) {
 	}
 }
 
-// writeSnapshot installs recs, and whatever is staged, as the journal's
-// snapshot: Compact's install, with records the test chooses in place of the
-// journal's own.
-func (j *Journal) writeSnapshot(recs []Record) error {
-	j.fileMu.Lock()
-	defer j.fileMu.Unlock()
-	return j.snapshotLocked(recs)
-}
-
 // writeSegment writes recs as segment seq of the journal in dir, keeping
 // whatever tickets they carry, and returns the per-record end offsets for
 // tests that corrupt the file at a record boundary.
 func writeSegment(t testing.TB, dir string, seq int, recs []Record) []int64 {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, segDirName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return writeFrames(t, filepath.Join(dir, segDirName, segName(seq)), recs)
+}
+
+// writeFrames writes recs framed, tickets and all, as the file at path — a
+// segment, or a snapshot as some compaction left it — and returns the
+// per-record end offsets.
+func writeFrames(t testing.TB, path string, recs []Record) []int64 {
 	t.Helper()
 	var buf []byte
 	offsets := []int64{0}
@@ -67,10 +70,7 @@ func writeSegment(t testing.TB, dir string, seq int, recs []Record) []int64 {
 		}
 		offsets = append(offsets, int64(len(buf)))
 	}
-	if err := os.MkdirAll(filepath.Join(dir, segDirName), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, segDirName, segName(seq)), buf, 0o644); err != nil {
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return offsets
@@ -173,6 +173,10 @@ func TestReopenAppends(t *testing.T) {
 	}
 }
 
+// TestSnapshotCompaction compacts a journal that rotated through many
+// segments: the segments go, the journal writes only under shard-00/, and the
+// snapshot then the record appended after it replay in order, every record
+// with the ticket it was appended at.
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{segmentBytes: 256})
@@ -180,11 +184,11 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, j, testRecords(30))
-	condensed := []Record{
-		{Type: TypeSubmit, Job: 7, Tool: "racon"},
-		{Type: TypeComplete, Job: 7, State: "ok"},
+	want, err := Replay(dir)
+	if err != nil || len(want) != 30 {
+		t.Fatalf("before compaction: %d records (err %v), want 30", len(want), err)
 	}
-	if err := j.writeSnapshot(condensed); err != nil {
+	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Record{Type: TypeSubmit, Job: 31, Tool: "bonito"}); err != nil {
@@ -210,18 +214,18 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("replayed %d records, want 3 (2 snapshot + 1 tail)", len(got))
+	if len(got) != 31 || got[30].Job != 31 || got[30].Tick <= got[29].Tick {
+		t.Fatalf("replayed %d records, want the 30 compacted then job 31 above them: %+v", len(got), got)
 	}
-	if got[0].Job != 7 || got[2].Job != 31 {
-		t.Fatalf("snapshot/tail order wrong: %+v", got)
+	if !reflect.DeepEqual(got[:30], want) {
+		t.Fatal("the compacted records differ from the ones appended, tickets included")
 	}
 }
 
 // TestSnapshotSupersedesLeftoverSegments models a crash between a
-// snapshot's install and its compaction: the segments it superseded are
-// still on disk, and replay must drop their records by ticket rather than
-// replay them beside the snapshot that condensed them.
+// snapshot's install and its compaction: the segments it copied are still on
+// disk, and replay must drop their records by ticket rather than replay them
+// beside the snapshot that holds them.
 func TestSnapshotSupersedesLeftoverSegments(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{segmentBytes: 256})
@@ -237,7 +241,7 @@ func TestSnapshotSupersedesLeftoverSegments(t *testing.T) {
 	if len(old) < 2 {
 		t.Fatalf("want rotated segments before the snapshot, got %d", len(old))
 	}
-	if err := j.writeSnapshot([]Record{{Type: TypeSubmit, Job: 7, Tool: "racon"}}); err != nil {
+	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(Record{Type: TypeSubmit, Job: 99, Tool: "bonito"}); err != nil {
@@ -245,6 +249,10 @@ func TestSnapshotSupersedesLeftoverSegments(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	want, err := Replay(dir)
+	if err != nil || len(want) != 13 || want[12].Job != 99 {
+		t.Fatalf("after compaction: %d records (err %v), want the 12 appended then job 99", len(want), err)
 	}
 	for path, b := range old {
 		if err := os.WriteFile(path, []byte(b), 0o644); err != nil {
@@ -255,8 +263,8 @@ func TestSnapshotSupersedesLeftoverSegments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if len(got) != 2 || got[0].Job != 7 || got[1].Job != 99 {
-		t.Fatalf("replayed %+v, want the snapshot's job 7 then job 99", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("with the copied segments back, replayed %d records, want the %d the snapshot and job 99 hold", len(got), len(want))
 	}
 }
 
@@ -393,6 +401,155 @@ func TestCompactRefusesACorruptSnapshot(t *testing.T) {
 	}
 }
 
+// TestDurableAppendReturnsDuringCompaction parks a compaction between its
+// seal and its install and checks a durable Append is acked meanwhile: the
+// copy holds no lock an append waits for. The record lands in the fresh
+// segment above the snapshot's last ticket and replays after the compaction
+// finishes.
+func TestDurableAppendReturnsDuringCompaction(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	appendAll(t, j, testRecords(8))
+	sealed, release := make(chan struct{}), make(chan struct{})
+	j.afterSeal = func() {
+		close(sealed)
+		<-release
+	}
+	compacted := make(chan error, 1)
+	go func() { compacted <- j.Compact() }()
+	<-sealed
+	acked := make(chan error, 1)
+	go func() { acked <- j.Append(Record{Type: TypeSubmit, Job: 99, Tool: "bonito"}) }()
+	select {
+	case err := <-acked:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("a durable Append waited for the compaction parked between its seal and its install")
+	}
+	close(release)
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	got, err := Replay(dir)
+	if err != nil || len(got) != 9 || got[8].Job != 99 {
+		t.Fatalf("after compaction: %d records (err %v), want the 8 compacted then job 99", len(got), err)
+	}
+}
+
+// TestCompactInstallCrashStates builds by hand the directory a crash leaves
+// at each step of a compaction's install, and a snapshot as earlier versions
+// wrote it, whose tickets were re-issued above the records it copied: the
+// .tmp written but not renamed; renamed with the sealed segments still
+// present; the segments removed with the older snapshot still present. Each
+// must replay to the records from before the compaction, open, and compact
+// again to the same records.
+func TestCompactInstallCrashStates(t *testing.T) {
+	// A closed journal: a snapshot, then segments rotated after it.
+	base := t.TempDir()
+	j, err := Open(base, Options{segmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, testRecords(6))
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, testRecords(10))
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Replay(base)
+	if err != nil || len(want) != 16 {
+		t.Fatalf("base journal: %d records (err %v), want 16", len(want), err)
+	}
+	segs := dirFiles(t, filepath.Join(base, segDirName))
+	if len(segs) < 2 {
+		t.Fatalf("want rotated segments, got %d", len(segs))
+	}
+	next := filepath.Join(base, snapName(2))
+
+	// The re-ticketed format: a segment, the snapshot that copied it with
+	// every ticket re-issued above the segment's, and the segment appended
+	// after the snapshot, above those.
+	epoch := uint64(1) << tickEpochShift
+	copied := testRecords(4)
+	for i := range copied {
+		copied[i].Tick = epoch + 1 + uint64(i)
+	}
+	reticketed := testRecords(4)
+	for i := range reticketed {
+		reticketed[i].Tick = epoch + 5 + uint64(i)
+	}
+	after := []Record{{Type: TypeSubmit, Job: 9, Tool: "bonito", Tick: epoch + 9}}
+
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T, dir string)
+		want  []Record
+	}{
+		{"tmp written, not renamed", func(t *testing.T, dir string) {
+			writeFrames(t, filepath.Join(dir, filepath.Base(next)+".tmp"), want)
+		}, want},
+		{"renamed, segments still present", func(t *testing.T, dir string) {
+			writeFrames(t, filepath.Join(dir, filepath.Base(next)), want)
+		}, want},
+		{"segments removed, older snapshot present", func(t *testing.T, dir string) {
+			writeFrames(t, filepath.Join(dir, filepath.Base(next)), want)
+			for path := range segs {
+				rel, _ := filepath.Rel(base, path)
+				if err := os.Remove(filepath.Join(dir, rel)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, want},
+		{"re-ticketed snapshot", func(t *testing.T, dir string) {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			writeSegment(t, dir, 1, copied)
+			writeFrames(t, filepath.Join(dir, snapName(1)), reticketed)
+			writeSegment(t, dir, 2, after)
+		}, append(slices.Clone(reticketed), after...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for path, b := range dirFiles(t, base) {
+				rel, _ := filepath.Rel(base, path)
+				if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, rel)), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, rel), []byte(b), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.build(t, dir)
+			if got, err := Replay(dir); err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("replay: %d records (err %v), want the %d from before the compaction", len(got), err, len(tc.want))
+			}
+			j, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			if err := j.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := Replay(dir); err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("replay after a further Compact: %d records (err %v), want the same %d", len(got), err, len(tc.want))
+			}
+		})
+	}
+}
+
 // TestCrashDropsBufferedRecords checks the durability contract: a submit
 // survives a crash while non-durable records still staged behind the flusher
 // are lost.
@@ -462,7 +619,7 @@ func TestReplayAfterOpenMatchesReplayBefore(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, j, testRecords(10))
-	if err := j.writeSnapshot(testRecords(2)); err != nil {
+	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, testRecords(20))
@@ -481,8 +638,8 @@ func TestReplayAfterOpenMatchesReplayBefore(t *testing.T) {
 	if !errors.As(berr, &cerr) || cerr.IsSnapshot() {
 		t.Fatalf("replay before Open: want a torn segment tail, got %v", berr)
 	}
-	if len(before) != 22 {
-		t.Fatalf("replay before Open read %d records, want the snapshot's 2 and the 20 after it", len(before))
+	if len(before) != 30 {
+		t.Fatalf("replay before Open read %d records, want the snapshot's 10 and the 20 after it", len(before))
 	}
 	j2, err := Open(dir, Options{})
 	if err != nil {
@@ -733,7 +890,7 @@ func TestOpenLocksDirectory(t *testing.T) {
 
 // TestWriteSnapshotFailureKeepsJournalAppendable forces the snapshot
 // install to fail (its tmp path is occupied by a directory) and checks the
-// journal recovers a writable segment: later appends succeed, nothing is
+// journal keeps a writable segment: later appends succeed, nothing is
 // silently dropped, and the full history still replays.
 func TestWriteSnapshotFailureKeepsJournalAppendable(t *testing.T) {
 	dir := t.TempDir()
@@ -748,7 +905,7 @@ func TestWriteSnapshotFailureKeepsJournalAppendable(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(tmp, "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.writeSnapshot([]Record{{Type: TypeSubmit, Job: 1}}); err == nil {
+	if err := j.Compact(); err == nil {
 		t.Fatal("snapshot install should have failed")
 	}
 	// The journal must still accept and persist appends.
@@ -776,7 +933,7 @@ func TestCorruptSnapshotIsFlagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, j, testRecords(6))
-	if err := j.writeSnapshot(testRecords(6)); err != nil {
+	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -862,7 +1019,7 @@ func TestLegacyFormatIsRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			appendAll(t, j, testRecords(3))
-			if err := j.writeSnapshot(testRecords(2)); err != nil {
+			if err := j.Compact(); err != nil {
 				t.Fatal(err)
 			}
 			appendAll(t, j, testRecords(2))
@@ -907,7 +1064,10 @@ func TestOpenRefusesAnExhaustedEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.writeSnapshot([]Record{{Type: TypeSubmit, Job: 1, Tool: "racon"}}); err != nil {
+	if err := j.Append(Record{Type: TypeSubmit, Job: 1, Tool: "racon"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

@@ -99,7 +99,7 @@ func (j *Journal) flushGated() bool {
 	j.fileMu.Lock()
 	gate := j.hold
 	if gate == nil {
-		j.flushBatch(j.take(), 0)
+		j.flushBatch(j.take())
 		j.fileMu.Unlock()
 		return true
 	}
@@ -203,14 +203,14 @@ func (j *Journal) takeLocked() []gcEntry {
 func (j *Journal) Sync() error {
 	j.fileMu.Lock()
 	defer j.fileMu.Unlock()
-	return j.flushBatch(j.take(), 0)
+	return j.flushBatch(j.take())
 }
 
 // flushBatch writes a drained batch with fileMu held and hands its outcome
-// to the batch's waiters through the watermark: a success moves the
-// in-flight marker to next (0: none) and advances the watermark past the
-// batch, a failure fails every waiter.
-func (j *Journal) flushBatch(batch []gcEntry, next uint64) error {
+// to the batch's waiters through the watermark: a success clears the
+// in-flight marker and advances the watermark past the batch, a failure
+// fails every waiter.
+func (j *Journal) flushBatch(batch []gcEntry) error {
 	if len(batch) == 0 {
 		return nil
 	}
@@ -224,7 +224,10 @@ func (j *Journal) flushBatch(batch []gcEntry, next uint64) error {
 		j.failWaiters(err)
 		return err
 	}
-	j.settle(next)
+	j.mu.Lock()
+	j.inflightMin = 0
+	j.advanceLocked()
+	j.mu.Unlock()
 	return nil
 }
 
@@ -238,9 +241,6 @@ func (j *Journal) flushBatch(batch []gcEntry, next uint64) error {
 // amortized: one fsync per drain, shared by however many producers staged
 // into it.
 func (j *Journal) writeBatch(batch []gcEntry) error {
-	if j.f == nil {
-		return errClosed
-	}
 	for _, e := range batch {
 		if err := j.writeEncodedLocked(e.buf); err != nil {
 			return err

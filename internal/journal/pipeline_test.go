@@ -3,6 +3,7 @@ package journal
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,10 +246,11 @@ func TestSegmentFilesAreTicketOrdered(t *testing.T) {
 	}
 }
 
-// TestRotatedSnapshotCompaction snapshots a journal whose segments rotated
-// and checks the compaction sweep: pre-snapshot segments are deleted,
-// replay returns the snapshot records followed by post-snapshot appends,
-// and nothing the snapshot superseded resurfaces.
+// TestRotatedSnapshotCompaction compacts a journal whose segments rotated
+// and checks the compaction sweep: the sealed segments are deleted, replay
+// returns the snapshot's records — the ones appended, tickets included —
+// followed by the append after it, and nothing the snapshot copied resurfaces
+// twice.
 func TestRotatedSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{segmentBytes: 512})
@@ -262,14 +264,14 @@ func TestRotatedSnapshotCompaction(t *testing.T) {
 	if st := j.Stats(); st.Rotations == 0 || st.Segments < 2 {
 		t.Fatalf("no rotation before the snapshot: %+v", st)
 	}
-	snap := []Record{
-		{Type: TypeSubmit, Job: 1, Tool: "racon", Handler: "h1"},
-		{Type: TypeSubmit, Job: 2, Tool: "bonito", Handler: "h1"},
-	}
-	if err := j.writeSnapshot(snap); err != nil {
+	want, err := Replay(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	post := Record{Type: TypeSubmit, Job: 3, Tool: "racon", Handler: "h1"}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	post := Record{Type: TypeSubmit, Job: 41, Tool: "racon", Handler: "h1"}
 	if err := j.Append(post); err != nil {
 		t.Fatal(err)
 	}
@@ -280,17 +282,14 @@ func TestRotatedSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	wantJobs := []int{1, 2, 3}
-	if len(got) != len(wantJobs) {
-		t.Fatalf("replayed %d records, want %d: %+v", len(got), len(wantJobs), got)
+	if len(got) != len(want)+1 || got[len(want)].Job != post.Job {
+		t.Fatalf("replayed %d records, want the %d compacted then job %d", len(got), len(want), post.Job)
 	}
-	for i, want := range wantJobs {
-		if got[i].Job != want {
-			t.Fatalf("record %d: job %d, want %d", i, got[i].Job, want)
-		}
+	if !reflect.DeepEqual(got[:len(want)], want) {
+		t.Fatal("the snapshot's records differ from the ones appended, tickets included")
 	}
-	// Compaction really removed the superseded segments: only the
-	// post-snapshot segment is left.
+	// Compaction really removed the sealed segments: only the fresh one is
+	// left.
 	segs, err := listSeqs(filepath.Join(dir, segDirName), segPrefix, segSuffix)
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("%d segments after compaction (err %v), want 1", len(segs), err)
@@ -298,11 +297,11 @@ func TestRotatedSnapshotCompaction(t *testing.T) {
 }
 
 // TestEpochStrictlyIncreasing runs several incarnations over one directory —
-// each rotates through small segments, one snapshots, and they die by Close,
-// Crash and a torn crash in turn. Every Open must issue an incarnation epoch
-// above every sequence number already on disk, hence above every earlier
-// epoch, so no two incarnations share a ticket and the whole history replays
-// in strictly increasing ticket order.
+// each rotates through small segments, one compacts before it dies, and they
+// die by Close, Crash and a torn crash in turn. Every Open must issue an
+// incarnation epoch above every sequence number already on disk, hence above
+// every earlier epoch, so no two incarnations share a ticket and the whole
+// history replays in strictly increasing ticket order.
 func TestEpochStrictlyIncreasing(t *testing.T) {
 	dir := t.TempDir()
 	var epochs []uint64
@@ -321,12 +320,6 @@ func TestEpochStrictlyIncreasing(t *testing.T) {
 			t.Fatalf("incarnation %d: epoch %d after %v, with sequence %d next on disk", inc, epoch, epochs, next)
 		}
 		epochs = append(epochs, epoch)
-		if inc == 1 {
-			if err := j.writeSnapshot(testRecords(2)); err != nil {
-				t.Fatal(err)
-			}
-			total = 2
-		}
 		for i := 0; i < 12; i++ {
 			if err := j.Append(Record{Type: TypeSubmit, Job: 1000*(inc+1) + i, Tool: "racon", Handler: "h1"}); err != nil {
 				t.Fatalf("incarnation %d append: %v", inc, err)
@@ -335,6 +328,11 @@ func TestEpochStrictlyIncreasing(t *testing.T) {
 		}
 		if st := j.Stats(); st.Rotations == 0 {
 			t.Fatalf("incarnation %d never rotated: %+v", inc, st)
+		}
+		if inc == 1 {
+			if err := j.Compact(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		switch inc % 3 {
 		case 0:
@@ -363,11 +361,10 @@ func TestEpochStrictlyIncreasing(t *testing.T) {
 	}
 }
 
-// TestCrashRacingSnapshotDoesNotPanic races CrashTorn against writeSnapshot:
-// the snapshot seals the live segment (j.f = nil) before reopening, and a
-// crash landing in that window must model process death — skip the missing
-// handle — not panic on a nil file. Either side may report an error; the
-// journal just has to stay replayable.
+// TestCrashRacingSnapshotDoesNotPanic races CrashTorn against Compact. A
+// crash waits for a running compaction, and a compaction after a crash is
+// refused, so either order leaves every acked record replayable and no
+// snapshot the crash could interrupt half-installed.
 func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		dir := filepath.Join(t.TempDir(), "j")
@@ -380,57 +377,55 @@ func TestCrashRacingSnapshotDoesNotPanic(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			_ = j.writeSnapshot([]Record{{Type: TypeSubmit, Job: 1, Tool: "racon", Handler: "h1"}})
+			_ = j.Compact()
 		}()
 		go func() {
 			defer wg.Done()
 			_ = j.CrashTorn([]byte{0xde, 0xad, 0xbe, 0xef})
 		}()
 		wg.Wait()
-		if _, _, err := ReplayAll(dir); err != nil {
-			t.Fatalf("iter %d: replay after crash/snapshot race: %v", iter, err)
+		got, _, err := ReplayAll(dir)
+		if err != nil || len(got) != 8 {
+			t.Fatalf("iter %d: replay after crash/compaction race: %d records (err %v), want the 8 acked", iter, len(got), err)
 		}
 	}
 }
 
-// TestSnapshotRacingAppendsKeepsLaterRecords takes snapshots — 50 of one
-// chosen record and whatever is staged, and 10 by Compact, each a copy of the
-// whole journal so far — while four producers append as fast as they can. Replay drops every segment record below the newest snapshot's first
-// ticket, so a record the snapshot does not cover must never land in a live
-// segment with a lower ticket: it would be acked and then lost. A snapshot
-// takes the queue and reserves its tickets in one critical section; one that
-// drained first and reserved later would let a producer stage in between.
+// TestSnapshotRacingAppendsKeepsLaterRecords compacts, over the default
+// segments and over ones small enough to rotate during the copy, for as long
+// as four producers each append a fixed count of records as fast as they can. Replay
+// drops every segment record at or below the newest snapshot's last ticket,
+// so a record the snapshot does not hold must never land in a live segment at
+// or below it: it would be acked and then lost. Compaction seals under the
+// file lock, which every drain holds across its write, so each record is in
+// a sealed segment or in a later one at a higher ticket. The producers stop
+// on their count, not on the rounds: a compaction no longer holds the file
+// lock while it copies, so it paces no producer, and the journal would grow
+// without bound round after round.
 func TestSnapshotRacingAppendsKeepsLaterRecords(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		rounds int
-		snap   func(j *Journal, i int) error
+		name         string
+		segmentBytes int64
 	}{
-		{"writeSnapshot", 50, func(j *Journal, i int) error {
-			return j.writeSnapshot([]Record{{Type: TypeSubmit, Job: 100 + i, Tool: "racon", Handler: "h1"}})
-		}},
-		{"Compact", 10, func(j *Journal, _ int) error { return j.Compact() }},
+		{"Compact", 0},
+		{"CompactRotating", 64 << 10},
 	} {
-		t.Run(tc.name, func(t *testing.T) { snapshotsRacingAppends(t, tc.rounds, tc.snap) })
+		t.Run(tc.name, func(t *testing.T) { snapshotsRacingAppends(t, tc.segmentBytes) })
 	}
 }
 
-func snapshotsRacingAppends(t *testing.T, rounds int, snapshot func(j *Journal, i int) error) {
+func snapshotsRacingAppends(t *testing.T, segmentBytes int64) {
+	const producers, each = 4, 25_000
 	dir := t.TempDir()
-	j := gcOpen(t, dir, Options{})
-	stop := make(chan struct{})
+	j := gcOpen(t, dir, Options{segmentBytes: segmentBytes})
 	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for p := 0; p < 4; p++ {
+	var done atomic.Bool
+	errs := make(chan error, producers)
+	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < each; i++ {
 				if _, err := j.AppendAsync(Record{Type: TypeStart, Job: 1 + p, Epoch: i}); err != nil {
 					errs <- err
 					return
@@ -438,12 +433,17 @@ func snapshotsRacingAppends(t *testing.T, rounds int, snapshot func(j *Journal, 
 			}
 		}(p)
 	}
-	for i := 0; i < rounds; i++ {
-		if err := snapshot(j, i); err != nil {
-			t.Fatalf("snapshot %d: %v", i, err)
+	go func() {
+		wg.Wait()
+		done.Store(true)
+	}()
+	raced := 0
+	for ; !done.Load(); raced++ {
+		if err := j.Compact(); err != nil {
+			t.Fatalf("compaction %d: %v", raced, err)
 		}
 	}
-	close(stop)
+	t.Logf("%d compactions raced the producers", raced)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -451,6 +451,9 @@ func snapshotsRacingAppends(t *testing.T, rounds int, snapshot func(j *Journal, 
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if raced == 0 {
+		t.Fatal("the producers finished before the first compaction; the race never ran")
 	}
 
 	snaps, err := listSeqs(dir, snapPrefix, snapSuffix)
@@ -466,12 +469,11 @@ func snapshotsRacingAppends(t *testing.T, rounds int, snapshot func(j *Journal, 
 	if err != nil || len(snap) == 0 {
 		t.Fatalf("%s: %d records (err %v), want some", name, len(snap), err)
 	}
-	first := snap[0].Tick
+	last := snap[len(snap)-1].Tick
 	segs, err := listSeqs(filepath.Join(dir, segDirName), segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := 0
 	for _, seq := range segs {
 		name := filepath.Join(segDirName, segName(seq))
 		b, err := os.ReadFile(filepath.Join(dir, name))
@@ -483,14 +485,26 @@ func snapshotsRacingAppends(t *testing.T, rounds int, snapshot func(j *Journal, 
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, r := range recs {
-			if r.Tick < first {
-				t.Fatalf("%s: job %d tick %#x below the newest snapshot's first ticket %#x — replay drops it", name, r.Job, r.Tick, first)
+			if r.Tick <= last {
+				t.Fatalf("%s: job %d tick %#x at or below the newest snapshot's last ticket %#x — replay drops it", name, r.Job, r.Tick, last)
 			}
 		}
-		live += len(recs)
 	}
-	if live == 0 {
-		t.Fatal("no record landed after the last snapshot; the race never ran")
+	// Nothing lost, nothing doubled: every producer's records replay once,
+	// in the order it appended them.
+	got, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != producers*each {
+		t.Fatalf("replayed %d records, want %d", len(got), producers*each)
+	}
+	next := make([]int, producers)
+	for _, r := range got {
+		if r.Epoch != next[r.Job-1] {
+			t.Fatalf("producer %d: record %d replayed where %d was due", r.Job-1, r.Epoch, next[r.Job-1])
+		}
+		next[r.Job-1]++
 	}
 }
 

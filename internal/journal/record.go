@@ -22,11 +22,13 @@
 //
 // Writing. One staged pipeline — one staging queue, one flusher goroutine,
 // one fsync per batch (see pipeline.go) — is the only code that writes a
-// segment. Every record carries a commit ticket (Record.Tick), and the
-// segment files are strictly in ticket order, so replay reads them in
-// sequence order. Snapshots stay top-level and supersede by ticket: segment
-// records below the snapshot's lowest ticket are dropped at replay, and
-// compaction deletes the segments they sit in.
+// segment. Every record carries a commit ticket (Record.Tick) for life, and
+// the segment files are strictly in ticket order, so replay reads them in
+// sequence order. Compaction seals the live segment and copies the newest
+// snapshot and the sealed segments, tickets and all, into a new top-level
+// snapshot. Snapshots supersede by ticket: segment records at or below the
+// snapshot's last ticket are dropped at replay, and compaction deletes the
+// segments they sit in.
 //
 // Corruption. Appends are staged and fsynced in batches, so a crash can
 // leave a torn record at the tail of the last segment (and fault injection

@@ -346,10 +346,11 @@ func TestRecordFieldsAreRead(t *testing.T) {
 //   - galaxy: Galaxy.mu alone. Every program already serializes above the
 //     handler, and a concurrent submitter waits for its fsync after releasing
 //     g.mu, so a second lock buys no concurrency — only a lock order to keep.
-//   - journal: the queue lock mu with its two conds, and the file lock
-//     fileMu, always taken before mu. The fsync runs under fileMu alone, so
-//     producers keep staging during it; a third lock has nothing left to
-//     guard.
+//   - journal: the compaction lock compactMu, the file lock fileMu and the
+//     queue lock mu with its two conds, taken in that order. The fsync runs
+//     under fileMu alone, so producers keep staging during it, and a
+//     compaction copies under compactMu alone, so drains keep writing during
+//     it; a fourth lock has nothing left to guard.
 //   - smi: none. The survey cache is only ever called under g.mu.
 func TestLockCensus(t *testing.T) {
 	m := loadModule(t)
@@ -358,7 +359,7 @@ func TestLockCensus(t *testing.T) {
 		allowed []string
 	}{
 		{"galaxy", []string{"Galaxy.mu"}},
-		{"journal", []string{"Journal.mu", "Journal.fileMu", "Journal.notFull", "Journal.durable"}},
+		{"journal", []string{"Journal.compactMu", "Journal.fileMu", "Journal.mu", "Journal.notFull", "Journal.durable"}},
 		{"smi", nil},
 	} {
 		p := m.l.load(modulePath + "/internal/" + tc.pkg)
